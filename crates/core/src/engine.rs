@@ -16,21 +16,23 @@
 //! `s` writes `SrcValue` entries that shards processed later in the same
 //! launch observe in their stage 2.
 //!
-//! Control metadata (shard boundaries, window offsets) is treated as
-//! uniform/cached and charged neither traffic nor instructions; the bulk
-//! per-edge and per-vertex arrays dominate, and they are fully accounted.
+//! The kernel itself, the device buffers it runs over and their upload
+//! live in [`crate::kernel`], shared with the streamed and multi-device
+//! engines; this module owns the in-core host loop around it.
 
 use crate::autotune::select_vertices_per_shard;
 use crate::cw::ConcatWindows;
 use crate::error::EngineError;
 use crate::fallback::run_fallback;
 use crate::integrity::{apply_flips, checksum, CheckpointManager, IntegrityConfig};
+use crate::kernel::{upload_resident, HostArrays, RetryPolicy, SpillVia};
+use crate::middleware::DeadlineObserver;
 use crate::program::{Value, VertexProgram};
 use crate::shards::GShards;
-use crate::stats::{IterationStat, RunStats, SdcStats};
+use crate::stats::{FaultStats, IterationStat, RunStats, SdcStats};
 use cusha_graph::Graph;
 use cusha_obs::trace::{lanes, ArgVal, Tracer};
-use cusha_simt::{aligned_chunks, DevVec, DeviceConfig, FaultPlan, Gpu, KernelDesc, Mask, WARP};
+use cusha_simt::{DevVec, DeviceConfig, FaultPlan, Gpu};
 use std::collections::HashSet;
 
 /// Which CuSha representation to run.
@@ -295,6 +297,16 @@ impl PreparedLayout {
     pub fn num_shards(&self) -> u32 {
         self.gs.num_shards()
     }
+
+    /// The G-Shards arrays.
+    pub(crate) fn gs(&self) -> &GShards {
+        &self.gs
+    }
+
+    /// The Concatenated Windows arrays (CW layouts only).
+    pub(crate) fn cw(&self) -> Option<&ConcatWindows> {
+        self.cw.as_ref()
+    }
 }
 
 /// Iteration-boundary hook for resident callers.
@@ -322,6 +334,24 @@ impl RunObserver for NoopObserver {
     }
 }
 
+/// Emits one engine-lane `iteration` span. `iteration` is 1-based — the
+/// number [`RunObserver::on_iteration`] reports — on every engine.
+pub(crate) fn trace_iteration(
+    trace: &Tracer,
+    pid: u32,
+    ts: f64,
+    dur: f64,
+    iteration: u32,
+    updated: u64,
+) {
+    trace.complete_with(pid, lanes::ENGINE, "engine", "iteration", ts, dur, || {
+        vec![
+            ("iteration", ArgVal::U64(iteration as u64)),
+            ("updated_vertices", ArgVal::U64(updated)),
+        ]
+    });
+}
+
 /// Executes `prog` over `graph` with the given configuration.
 ///
 /// # Panics
@@ -335,19 +365,6 @@ pub fn run<P: VertexProgram>(prog: &P, graph: &Graph, cfg: &CuShaConfig) -> CuSh
         Err(EngineError::NonConverged { partial }) => *partial,
         Err(e) => panic!("{e}"),
     }
-}
-
-/// Site tags naming the replay-scoped regions of the 4-stage kernel (first
-/// word of every `warp_scope` key; see `cusha_simt::replay`).
-const SITE_APPLY: u64 = 0x6373_4150504c59; // "APPLY"
-const SITE_GS_WB: u64 = 0x6373_47535742; // "GSWB"
-const SITE_CW_WB: u64 = 0x6373_43575742; // "CWWB"
-
-/// FNV-1a over the bit patterns of a value vector — the watchdog's cheap
-/// state fingerprint (the same digest the SDC scrubber uses as a
-/// per-buffer checksum).
-pub(crate) fn fingerprint<V: Value>(values: &[V]) -> u64 {
-    checksum(values)
 }
 
 /// Which SDC detector flagged a corruption.
@@ -500,7 +517,8 @@ pub fn try_run_warm<P: VertexProgram, O: RunObserver + ?Sized>(
     } else if let Some(plan) = cfg.fault_plan.clone() {
         gpu.set_fault_plan(plan);
     }
-    let result = run_core(prog, graph, layout, cfg, &mut gpu, observer);
+    let mut observer = DeadlineObserver::new(cfg.deadline_seconds, observer);
+    let result = run_core(prog, graph, layout, cfg, &mut gpu, &mut observer);
     // Write the advanced plan back regardless of outcome: counters consumed
     // by a failed or cancelled run are consumed for good.
     if let Some(slot) = fault_plan {
@@ -522,76 +540,26 @@ fn run_core<P: VertexProgram, O: RunObserver + ?Sized>(
     gpu: &mut Gpu,
     observer: &mut O,
 ) -> Result<CuShaOutput<P::V>, EngineError<P::V>> {
-    let gs = &layout.gs;
-    let cw = layout.cw.as_ref();
     // Per-run injection accounting must difference against the plan's
     // starting log: a warm plan arrives with earlier runs' fires recorded.
-    let flips_baseline = gpu
-        .fault_plan()
-        .map(|p| p.injected().bit_flips)
-        .unwrap_or(0);
+    let flips_baseline = flips_fired(gpu.fault_plan());
 
     // ---- Host-side preparation and upload (H2D) --------------------------
-    let n = graph.num_vertices() as usize;
-    let init: Vec<P::V> = (0..graph.num_vertices())
-        .map(|v| prog.initial_value(v))
-        .collect();
-    let mut vertex_values = gpu.try_upload(&init)?;
-
-    let src_value_init: Vec<P::V> = gs.src_index().iter().map(|&s| init[s as usize]).collect();
-    let mut src_value = gpu.try_upload(&src_value_init)?;
-
-    let src_static_buf: Option<DevVec<P::SV>> = if P::HAS_STATIC_VALUES {
-        let per_vertex = prog.static_values(graph);
-        let per_entry: Vec<P::SV> = gs
-            .src_index()
-            .iter()
-            .map(|&s| per_vertex[s as usize])
-            .collect();
-        Some(gpu.try_upload(&per_entry)?)
-    } else {
-        None
-    };
-
-    let edge_value_buf: Option<DevVec<P::E>> = if P::HAS_EDGE_VALUES {
-        let by_edge_id = prog.edge_values(graph);
-        let per_entry: Vec<P::E> = gs
-            .edge_id()
-            .iter()
-            .map(|&id| by_edge_id[id as usize])
-            .collect();
-        Some(gpu.try_upload(&per_entry)?)
-    } else {
-        None
-    };
-
-    let dest_index = gpu.try_upload(gs.dest_index())?;
-    let src_index = match cw {
-        Some(cw) => gpu.try_upload(cw.src_index())?,
-        None => gpu.try_upload(gs.src_index())?,
-    };
-    let mapper_buf: Option<DevVec<u32>> = match cw {
-        Some(cw) => Some(gpu.try_upload(cw.mapper())?),
-        None => None,
-    };
-    // G-Shards' stage 4 must look up every window's boundaries — a p×p
-    // offset table the CW layout does not need (its per-shard ranges are
-    // one entry each). The table lives in device memory and its reads are
-    // charged below, which is part of why small windows hurt G-Shards.
-    let window_offsets_buf: Option<DevVec<u32>> = if cw.is_none() {
-        let p = gs.num_shards() as usize;
-        let mut flat = vec![0u32; p * p];
-        for j in 0..p {
-            for i in 0..p {
-                flat[j * p + i] = gs.window(i as u32, j as u32).start as u32;
-            }
-        }
-        Some(gpu.try_upload(&flat)?)
-    } else {
-        None
-    };
-
-    let mut converged_flag = gpu.try_upload(&[1u32])?;
+    let host = HostArrays::new(prog, graph, layout.gs());
+    let (init, src_value_init) = (&host.values, &host.src_value);
+    // The in-core engine surfaces device faults instead of retrying them,
+    // so its fault record stays clean by construction.
+    let (retry, mut fault) = (RetryPolicy::NONE, FaultStats::default());
+    let shards = 0..layout.num_shards();
+    let (mut res, mut slice) = upload_resident(
+        gpu,
+        &retry,
+        &mut fault,
+        layout,
+        &host,
+        shards,
+        SpillVia::Outbox,
+    )?;
     let h2d_initial = gpu.h2d_seconds;
     cfg.trace.complete(
         0,
@@ -603,12 +571,7 @@ fn run_core<P: VertexProgram, O: RunObserver + ?Sized>(
     );
 
     // ---- Convergence loop -------------------------------------------------
-    let p = gs.num_shards();
-    let desc = KernelDesc::new(
-        format!("{}::{}", cfg.repr.label(), prog.name()),
-        p,
-        cfg.threads_per_block,
-    );
+    let kernel_name: std::sync::Arc<str> = format!("{}::{}", cfg.repr.label(), prog.name()).into();
     let mut total = RunStats {
         engine: cfg.repr.label().to_string(),
         ..Default::default()
@@ -629,28 +592,41 @@ fn run_core<P: VertexProgram, O: RunObserver + ?Sized>(
     }
     // Scrubber references: checksums of the protected buffers as last
     // legitimately written (post-kernel / post-restore).
-    let mut vv_crc = if integ.mode.checksums() {
-        checksum(&init)
+    let (mut vv_crc, mut sv_crc) = if integ.mode.checksums() {
+        (checksum(init), checksum(src_value_init))
     } else {
-        0
-    };
-    let mut sv_crc = if integ.mode.checksums() {
-        checksum(&src_value_init)
-    } else {
-        0
+        (0, 0)
     };
     let mut need_reverify = false;
 
+    // One rung of the recovery ladder; `false` once its budgets are spent.
+    macro_rules! recover {
+        ($detector:expr) => {
+            sdc_recover(
+                gpu,
+                integ,
+                $detector,
+                &mut sdc,
+                &mut ckpts,
+                &mut res.vertex_values,
+                &mut slice.src_value,
+                init,
+                src_value_init,
+                &mut total,
+                &mut watchdog_seen,
+                &mut vv_crc,
+                &mut sv_crc,
+                &cfg.trace,
+                0,
+            )?
+        };
+    }
     // Pull the escalate-to-host rung out of the deep control flow: the loop
     // breaks here with the flips-fired count, runs the fallback (which no
     // device flip can reach), and grafts the SDC record onto its stats.
     macro_rules! host_fallback {
         () => {{
-            sdc.flips_injected = gpu
-                .fault_plan()
-                .map(|p| p.injected().bit_flips)
-                .unwrap_or(0)
-                - flips_baseline;
+            sdc.flips_injected = flips_fired(gpu.fault_plan()) - flips_baseline;
             let mut out = run_fallback(prog, graph, cfg)?;
             out.stats.sdc = sdc;
             return Ok(out);
@@ -663,180 +639,34 @@ fn run_core<P: VertexProgram, O: RunObserver + ?Sized>(
             // the data sits at rest in device DRAM…
             let flips = gpu.take_due_bit_flips();
             if !flips.is_empty() {
-                apply_flips(&flips, &mut vertex_values, &mut src_value);
+                apply_flips(&flips, &mut res.vertex_values, &mut slice.src_value);
             }
             // …and the modeled ECC scrubber verifies the protected buffers
             // before the kernel consumes them (host-side, charge-free —
             // hardware scrubbing runs in the background).
             if integ.mode.checksums()
-                && (checksum(vertex_values.host()) != vv_crc
-                    || checksum(src_value.host()) != sv_crc)
+                && (checksum(res.vertex_values.host()) != vv_crc
+                    || checksum(slice.src_value.host()) != sv_crc)
             {
-                if sdc_recover(
-                    gpu,
-                    integ,
-                    Detector::Checksum,
-                    &mut sdc,
-                    &mut ckpts,
-                    &mut vertex_values,
-                    &mut src_value,
-                    &init,
-                    &src_value_init,
-                    &mut total,
-                    &mut watchdog_seen,
-                    &mut vv_crc,
-                    &mut sv_crc,
-                    &cfg.trace,
-                    0,
-                )? {
+                if recover!(Detector::Checksum) {
                     need_reverify = true;
                     continue;
                 }
                 host_fallback!();
             }
             let iter_ts = gpu.total_seconds();
-            gpu.try_h2d(&mut converged_flag, &[1u32])?; // host resets is_converged
-            let mut updated_this_iter = 0u64;
-            let kstats = gpu.try_launch(&desc, |b| {
-                let s = b.id();
-                let vrange = gs.vertex_range(s);
-                let offset = vrange.start as usize;
-                let nv = vrange.len();
-                let mut local = b.shared_alloc::<P::V>(nv);
-
-                // Stage 1: coalesced fetch of VertexValues into shared memory.
-                // Pure stride-1 traffic: SoA run operations copy whole lane
-                // columns and account in closed form.
-                b.phase("gather");
-                for (base, mask) in aligned_chunks(offset..offset + nv) {
-                    let vals = b.gload_run(&vertex_values, mask, base as isize);
-                    let mut inited = [P::V::default(); WARP];
-                    for l in mask.iter() {
-                        let mut lv = P::V::default();
-                        prog.init_compute(&mut lv, &vals[l]);
-                        inited[l] = lv;
-                    }
-                    b.exec(mask, 1);
-                    b.sstore_run(&mut local, mask, base as isize - offset as isize, &inited);
-                }
-                b.sync();
-
-                // Stage 2: process shard entries; atomic shared update of the
-                // destination's local value. The destination column is the
-                // chunk's access fingerprint: once it is loaded, every
-                // counter the rest of the chunk produces is a pure function
-                // of (chunk, mask, dst) — a warp-trace scope replays the
-                // atomic collision scan and load accounting wholesale.
-                b.phase("apply");
-                let er = gs.shard_entries(s);
-                for (base, mask) in aligned_chunks(er.clone()) {
-                    let dst = b.gload_run(&dest_index, mask, base as isize);
-                    b.warp_scope(&[SITE_APPLY, base as u64, offset as u64, 0], mask, &dst);
-                    let srcv = b.gload_run(&src_value, mask, base as isize);
-                    let statv = match &src_static_buf {
-                        Some(buf) => b.gload_run(buf, mask, base as isize),
-                        None => [P::SV::default(); WARP],
-                    };
-                    let ev = match &edge_value_buf {
-                        Some(buf) => b.gload_run(buf, mask, base as isize),
-                        None => [P::E::default(); WARP],
-                    };
-                    b.exec(mask, P::COMPUTE_COST);
-                    b.supdate(
-                        &mut local,
-                        mask,
-                        |l| dst[l] as usize - offset,
-                        |l, slot| prog.compute(&srcv[l], &statv[l], &ev[l], slot),
-                    );
-                    b.warp_scope_end();
-                }
-                b.sync();
-
-                // Stage 3: update_condition; publish changed values.
-                b.phase("scatter");
-                let mut block_updated = false;
-                for (base, mask) in aligned_chunks(offset..offset + nv) {
-                    let old = b.gload_run(&vertex_values, mask, base as isize);
-                    let loc = b.sload_run(&local, mask, base as isize - offset as isize);
-                    let mut newv = loc;
-                    let mut cond_bits = 0u32;
-                    for l in mask.iter() {
-                        if prog.update_condition(&mut newv[l], &old[l]) {
-                            cond_bits |= 1 << l;
-                        }
-                    }
-                    b.exec(mask, 1);
-                    // update_condition may have refined local (e.g. PageRank's
-                    // damping); keep the shared copy current for stage 4.
-                    b.sstore_run(&mut local, mask, base as isize - offset as isize, &newv);
-                    let smask = Mask(cond_bits);
-                    if !smask.is_empty() {
-                        b.gstore_run(&mut vertex_values, smask, base as isize, &newv);
-                        block_updated = true;
-                        updated_this_iter += smask.count() as u64;
-                    }
-                }
-                b.sync();
-
-                // Stage 4: write-back to the windows in all shards.
-                b.phase("compact");
-                if block_updated {
-                    match cw {
-                        None => {
-                            // G-Shards: one warp walks each window W_sj, first
-                            // fetching its boundary from the offset table.
-                            for j in 0..p {
-                                if let Some(wo) = &window_offsets_buf {
-                                    let lanes = if s + 1 < p { 2 } else { 1 };
-                                    b.gload_run(wo, Mask::first(lanes), (j * p + s) as isize);
-                                }
-                                for (base, mask) in aligned_chunks(gs.window(s, j)) {
-                                    // The source-index column fingerprints the
-                                    // shared gather; the store is stride-1.
-                                    let sidx = b.gload_run(&src_index, mask, base as isize);
-                                    b.warp_scope(
-                                        &[SITE_GS_WB, base as u64, offset as u64, 0],
-                                        mask,
-                                        &sidx,
-                                    );
-                                    let full = b.sload(&local, mask, |l| sidx[l] as usize - offset);
-                                    b.gstore_run(&mut src_value, mask, base as isize, &full);
-                                    b.warp_scope_end();
-                                }
-                            }
-                        }
-                        Some(cw) => {
-                            // Concatenated Windows: dense sweep of CW_s through
-                            // the Mapper.
-                            let r = cw.cw_entries(s);
-                            for (base, mask) in aligned_chunks(r) {
-                                let sidx = b.gload_run(&src_index, mask, base as isize);
-                                let map = match &mapper_buf {
-                                    Some(mbuf) => b.gload_run(mbuf, mask, base as isize),
-                                    None => unreachable!("CW mode always has a mapper"),
-                                };
-                                // Both index columns drive the accounting:
-                                // fold them into one fingerprint (the mix is
-                                // site-static within a run; verify-on-sample
-                                // backstops any fold collision).
-                                let mut fp = [0u32; WARP];
-                                for l in mask.iter() {
-                                    fp[l] = sidx[l] ^ map[l].rotate_left(16);
-                                }
-                                b.warp_scope(
-                                    &[SITE_CW_WB, base as u64, offset as u64, 0],
-                                    mask,
-                                    &fp,
-                                );
-                                let loc = b.sload(&local, mask, |l| sidx[l] as usize - offset);
-                                b.gstore(&mut src_value, mask, |l| map[l] as usize, |l| loc[l]);
-                                b.warp_scope_end();
-                            }
-                        }
-                    }
-                    b.gstore(&mut converged_flag, Mask::first(1), |_| 0, |_| 0u32);
-                }
-            })?;
+            res.reset_flag(gpu, &retry, &mut fault)?;
+            let (kstats, updated_this_iter) = slice.launch(
+                gpu,
+                &kernel_name,
+                cfg.threads_per_block,
+                prog,
+                layout,
+                &mut res,
+                None,
+                &retry,
+                &mut fault,
+            )?;
             total.iterations += 1;
             total.per_iteration.push(IterationStat {
                 seconds: kstats.seconds,
@@ -848,24 +678,17 @@ fn run_core<P: VertexProgram, O: RunObserver + ?Sized>(
             // Record the post-kernel checksums: this is the state the next
             // scrub pass must find untouched.
             if integ.mode.checksums() {
-                vv_crc = checksum(vertex_values.host());
-                sv_crc = checksum(src_value.host());
+                vv_crc = checksum(res.vertex_values.host());
+                sv_crc = checksum(slice.src_value.host());
             }
-            let flag = gpu.try_download_scalar(&converged_flag, 0)?;
-            let iter = total.iterations as u64;
-            cfg.trace.complete_with(
+            let flag = res.read_flag(gpu, &retry, &mut fault)?;
+            trace_iteration(
+                &cfg.trace,
                 0,
-                lanes::ENGINE,
-                "engine",
-                "iteration",
                 iter_ts,
                 gpu.total_seconds() - iter_ts,
-                || {
-                    vec![
-                        ("iteration", ArgVal::U64(iter)),
-                        ("updated_vertices", ArgVal::U64(updated_this_iter)),
-                    ]
-                },
+                total.iterations,
+                updated_this_iter,
             );
             cfg.trace.counter(
                 0,
@@ -878,19 +701,11 @@ fn run_core<P: VertexProgram, O: RunObserver + ?Sized>(
                 converged = true;
                 break;
             }
-            // Iteration-boundary cancellation: the modeled-time deadline and
-            // the caller's observer share the watchdog's discipline — the
-            // in-flight kernel has completed, so aborting here never leaves
-            // partial device writes behind.
+            // Iteration-boundary cancellation (the modeled-time deadline
+            // arrives wrapped around the caller's observer) shares the
+            // watchdog's discipline — the in-flight kernel has completed,
+            // so aborting here never leaves partial device writes behind.
             let elapsed = gpu.total_seconds();
-            if let Some(d) = cfg.deadline_seconds {
-                if elapsed >= d {
-                    return Err(EngineError::Deadline {
-                        iterations: total.iterations,
-                        elapsed_seconds: elapsed,
-                    });
-                }
-            }
             if !observer.on_iteration(total.iterations, updated_this_iter, elapsed) {
                 return Err(EngineError::Deadline {
                     iterations: total.iterations,
@@ -901,28 +716,12 @@ fn run_core<P: VertexProgram, O: RunObserver + ?Sized>(
             // verify the algorithm invariant against the last verified
             // snapshot, and store it as the new rollback target.
             if integ.mode.enabled() && total.iterations.is_multiple_of(integ.checkpoint_every) {
-                let vals = gpu.try_download(&vertex_values)?;
-                let srcs = gpu.try_download(&src_value)?;
+                let vals = gpu.try_download(&res.vertex_values)?;
+                let srcs = gpu.try_download(&slice.src_value)?;
                 if integ.mode.invariants() {
                     let prev = &ckpts.latest().expect("initial checkpoint").values;
                     if prog.check_invariant(prev, &vals).is_err() {
-                        if sdc_recover(
-                            gpu,
-                            integ,
-                            Detector::Invariant,
-                            &mut sdc,
-                            &mut ckpts,
-                            &mut vertex_values,
-                            &mut src_value,
-                            &init,
-                            &src_value_init,
-                            &mut total,
-                            &mut watchdog_seen,
-                            &mut vv_crc,
-                            &mut sv_crc,
-                            &cfg.trace,
-                            0,
-                        )? {
+                        if recover!(Detector::Invariant) {
                             need_reverify = true;
                             continue;
                         }
@@ -942,8 +741,8 @@ fn run_core<P: VertexProgram, O: RunObserver + ?Sized>(
                     // Snapshot the value vector (a real D2H, charged as such);
                     // a recurring fingerprint without convergence means the
                     // loop is cycling through the same states forever.
-                    let snapshot = gpu.try_download(&vertex_values)?;
-                    if !watchdog_seen.insert(fingerprint(&snapshot)) {
+                    let snapshot = gpu.try_download(&res.vertex_values)?;
+                    if !watchdog_seen.insert(checksum(&snapshot)) {
                         return Err(EngineError::Watchdog {
                             iterations: total.iterations,
                         });
@@ -955,7 +754,7 @@ fn run_core<P: VertexProgram, O: RunObserver + ?Sized>(
         // ---- Download results (D2H) -------------------------------------------
         let d2h_before_results = gpu.d2h_seconds;
         let teardown_ts = gpu.total_seconds();
-        let values = gpu.try_download(&vertex_values)?;
+        let values = gpu.try_download(&res.vertex_values)?;
         cfg.trace.complete(
             0,
             lanes::ENGINE,
@@ -969,23 +768,7 @@ fn run_core<P: VertexProgram, O: RunObserver + ?Sized>(
         // rejected download's transfer time rolls into the compute/recovery
         // share of the next pass.)
         if integ.mode.checksums() && checksum(&values) != vv_crc {
-            if sdc_recover(
-                gpu,
-                integ,
-                Detector::Checksum,
-                &mut sdc,
-                &mut ckpts,
-                &mut vertex_values,
-                &mut src_value,
-                &init,
-                &src_value_init,
-                &mut total,
-                &mut watchdog_seen,
-                &mut vv_crc,
-                &mut sv_crc,
-                &cfg.trace,
-                0,
-            )? {
+            if recover!(Detector::Checksum) {
                 need_reverify = true;
                 converged = false;
                 continue 'run;
@@ -998,10 +781,9 @@ fn run_core<P: VertexProgram, O: RunObserver + ?Sized>(
         }
         break 'run (values, d2h_before_results);
     };
-    let _ = n; // n documented the vertex count; values.len() == n
 
     total.converged = converged;
-    total.kernel.name = desc.name.clone();
+    total.kernel.name = kernel_name;
     total.h2d_seconds = h2d_initial;
     // Per-iteration flag traffic counts as part of the compute loop.
     total.compute_seconds =
@@ -1009,11 +791,7 @@ fn run_core<P: VertexProgram, O: RunObserver + ?Sized>(
     total.d2h_seconds = gpu.d2h_seconds - d2h_before_results;
     total.memo.add(&crate::stats::MemoStats::from_gpu(gpu));
     total.profile = gpu.profile.take();
-    sdc.flips_injected = gpu
-        .fault_plan()
-        .map(|p| p.injected().bit_flips)
-        .unwrap_or(0)
-        - flips_baseline;
+    sdc.flips_injected = flips_fired(gpu.fault_plan()) - flips_baseline;
     total.sdc = sdc;
     let output = CuShaOutput {
         values,
@@ -1028,51 +806,18 @@ fn run_core<P: VertexProgram, O: RunObserver + ?Sized>(
     }
 }
 
+/// Bit flips `plan` has fired so far (0 without a plan). Runs report the
+/// difference against the plan's starting log, so a plan carried across
+/// runs never re-reports earlier flips.
+pub(crate) fn flips_fired(plan: Option<&FaultPlan>) -> u64 {
+    plan.map_or(0, |p| p.injected().bit_flips)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cusha_graph::{Edge, VertexId};
-
-    /// Minimal SSSP-like program (Figure 6 of the paper) used to exercise
-    /// the engine; the full algorithm suite lives in `cusha-algos`.
-    struct MiniSssp {
-        source: VertexId,
-    }
-
-    const INF: u32 = u32::MAX;
-
-    impl VertexProgram for MiniSssp {
-        type V = u32;
-        type E = u32;
-        type SV = u32;
-        const HAS_EDGE_VALUES: bool = true;
-        const HAS_STATIC_VALUES: bool = false;
-
-        fn name(&self) -> &'static str {
-            "mini-sssp"
-        }
-        fn initial_value(&self, v: VertexId) -> u32 {
-            if v == self.source {
-                0
-            } else {
-                INF
-            }
-        }
-        fn edge_value(&self, w: u32) -> u32 {
-            w
-        }
-        fn init_compute(&self, local: &mut u32, global: &u32) {
-            *local = *global;
-        }
-        fn compute(&self, src: &u32, _st: &u32, edge: &u32, local: &mut u32) {
-            if *src != INF {
-                *local = (*local).min(src.saturating_add(*edge));
-            }
-        }
-        fn update_condition(&self, local: &mut u32, old: &u32) -> bool {
-            *local < *old
-        }
-    }
+    use crate::program::testing::{MiniSssp, INF};
+    use cusha_graph::Edge;
 
     fn line_graph(n: u32) -> Graph {
         // 0 -> 1 -> 2 -> ... with weight 2 each.

@@ -10,22 +10,23 @@
 //! to a fault-free [`crate::run`] in GS mode for every program, floats
 //! included. No device is involved, so no device fault can reach it.
 
-use crate::autotune::select_vertices_per_shard;
-use crate::engine::{CuShaConfig, CuShaOutput};
+use crate::engine::{CuShaConfig, CuShaOutput, PreparedLayout};
 use crate::error::EngineError;
+use crate::kernel::HostArrays;
 use crate::program::VertexProgram;
 use crate::shards::GShards;
 use crate::stats::{IterationStat, RunStats};
 use cusha_graph::Graph;
+use cusha_simt::Pod;
 
 /// Engine label reported by the fallback in [`RunStats::engine`].
 pub const FALLBACK_LABEL: &str = "host-fallback";
 
 /// Executes `prog` over `graph` on the host, re-enacting the G-Shards
-/// engine's deterministic schedule. Only `vertices_per_shard`,
-/// `max_iterations` and the autotuner-relevant fields of `cfg` are used;
-/// device-specific settings are ignored. Modeled transfer/kernel times are
-/// zero (there is no device).
+/// engine's deterministic schedule ([`crate::kernel::host_sweep`]). Only
+/// `vertices_per_shard`, `max_iterations` and the autotuner-relevant fields
+/// of `cfg` are used; device-specific settings are ignored. Modeled
+/// transfer/kernel times are zero (there is no device).
 pub fn run_fallback<P: VertexProgram>(
     prog: &P,
     graph: &Graph,
@@ -33,105 +34,29 @@ pub fn run_fallback<P: VertexProgram>(
 ) -> Result<CuShaOutput<P::V>, EngineError<P::V>> {
     cfg.validate().map_err(EngineError::InvalidConfig)?;
     graph.validate()?;
-    let n_per = cfg.vertices_per_shard.unwrap_or_else(|| {
-        select_vertices_per_shard(
-            graph.num_vertices() as u64,
-            graph.num_edges() as u64,
-            <P::V as cusha_simt::Pod>::SIZE,
-            &cfg.device,
-            cfg.resident_blocks,
-        )
-    });
+    let n_per = PreparedLayout::select_n_per(graph, cfg, <P::V as Pod>::SIZE);
     let gs = GShards::from_graph(graph, n_per);
-    let p = gs.num_shards();
-
-    let init: Vec<P::V> = (0..graph.num_vertices())
-        .map(|v| prog.initial_value(v))
-        .collect();
-    let mut vertex_values = init.clone();
-    let mut src_value: Vec<P::V> = gs.src_index().iter().map(|&s| init[s as usize]).collect();
-    let static_vals: Option<Vec<P::SV>> = P::HAS_STATIC_VALUES.then(|| {
-        let per_vertex = prog.static_values(graph);
-        gs.src_index()
-            .iter()
-            .map(|&s| per_vertex[s as usize])
-            .collect()
-    });
-    let edge_vals: Option<Vec<P::E>> = P::HAS_EDGE_VALUES.then(|| {
-        let by_id = prog.edge_values(graph);
-        gs.edge_id().iter().map(|&id| by_id[id as usize]).collect()
-    });
+    let mut host = HostArrays::new(prog, graph, &gs);
+    let all_entries = 0..gs.num_edges() as usize;
 
     let mut total = RunStats {
         engine: FALLBACK_LABEL.to_string(),
         ..Default::default()
     };
-    let mut converged = false;
-    while total.iterations < cfg.max_iterations {
-        let mut any_updated = false;
-        let mut updated_this_iter = 0u64;
-        for s in 0..p {
-            let vrange = gs.vertex_range(s);
-            let offset = vrange.start as usize;
-
-            // Stage 1: shard-local working copy.
-            let mut local: Vec<P::V> = vrange
-                .clone()
-                .map(|v| {
-                    let mut lv = P::V::default();
-                    prog.init_compute(&mut lv, &vertex_values[v as usize]);
-                    lv
-                })
-                .collect();
-
-            // Stage 2: fold every shard entry into its destination's slot,
-            // in entry order (the simulator's lane-serialized order).
-            for e in gs.shard_entries(s) {
-                let statv = static_vals.as_ref().map(|v| v[e]).unwrap_or_default();
-                let ev = edge_vals.as_ref().map(|v| v[e]).unwrap_or_default();
-                let slot = gs.dest_index()[e] as usize - offset;
-                prog.compute(&src_value[e], &statv, &ev, &mut local[slot]);
-            }
-
-            // Stage 3: publish values passing the update condition.
-            let mut block_updated = false;
-            for v in vrange.clone() {
-                let i = v as usize - offset;
-                let old = vertex_values[v as usize];
-                let mut newv = local[i];
-                let cond = prog.update_condition(&mut newv, &old);
-                local[i] = newv;
-                if cond {
-                    vertex_values[v as usize] = newv;
-                    block_updated = true;
-                    updated_this_iter += 1;
-                }
-            }
-
-            // Stage 4: write the shard's column back to every window.
-            if block_updated {
-                for j in 0..p {
-                    for e in gs.window(s, j) {
-                        src_value[e] = local[gs.src_index()[e] as usize - offset];
-                    }
-                }
-                any_updated = true;
-            }
-        }
+    while total.iterations < cfg.max_iterations && !total.converged {
+        // Every stage-4 write is the sweep's own: nothing spills.
+        let updated = host.sweep(prog, &gs, 0..gs.num_shards(), &all_entries, &mut Vec::new());
         total.iterations += 1;
         total.per_iteration.push(IterationStat {
             seconds: 0.0,
-            updated_vertices: updated_this_iter,
+            updated_vertices: updated,
         });
-        if !any_updated {
-            converged = true;
-            break;
-        }
+        total.converged = updated == 0;
     }
 
-    total.converged = converged;
+    let converged = total.converged;
     let output = CuShaOutput {
-        values: vertex_values,
+        values: host.values,
         stats: total,
     };
     if converged {
@@ -147,44 +72,9 @@ pub fn run_fallback<P: VertexProgram>(
 mod tests {
     use super::*;
     use crate::engine::{run, CuShaConfig};
+    use crate::program::testing::MiniSssp;
     use cusha_graph::generators::rmat::{rmat, RmatConfig};
-    use cusha_graph::{Edge, VertexId};
-
-    struct MiniSssp {
-        source: VertexId,
-    }
-    const INF: u32 = u32::MAX;
-    impl VertexProgram for MiniSssp {
-        type V = u32;
-        type E = u32;
-        type SV = u32;
-        const HAS_EDGE_VALUES: bool = true;
-        const HAS_STATIC_VALUES: bool = false;
-        fn name(&self) -> &'static str {
-            "mini-sssp"
-        }
-        fn initial_value(&self, v: VertexId) -> u32 {
-            if v == self.source {
-                0
-            } else {
-                INF
-            }
-        }
-        fn edge_value(&self, w: u32) -> u32 {
-            w
-        }
-        fn init_compute(&self, local: &mut u32, global: &u32) {
-            *local = *global;
-        }
-        fn compute(&self, src: &u32, _st: &u32, e: &u32, local: &mut u32) {
-            if *src != INF {
-                *local = (*local).min(src.saturating_add(*e));
-            }
-        }
-        fn update_condition(&self, local: &mut u32, old: &u32) -> bool {
-            *local < *old
-        }
-    }
+    use cusha_graph::Edge;
 
     #[test]
     fn fallback_bit_matches_the_gs_engine() {

@@ -1,0 +1,851 @@
+//! The one four-stage kernel (paper Figure 5) and the pieces every engine
+//! shares around it.
+//!
+//! The in-core engine, the streamed engine and the multi-device fleet all
+//! run the same thing: upload the device buffers of a contiguous shard
+//! range, launch one thread block per shard through stages 1–4, and — for
+//! recovery and for the fleet's serial oracle — re-enact that schedule on
+//! the host. This module owns each of those exactly once:
+//!
+//! * [`HostArrays`] — the host master copies of the per-vertex and
+//!   per-entry arrays, built once per run;
+//! * [`Resident`] + [`DeviceSlice`] — the device buffers of a shard range
+//!   with its global vertex/entry/CW offsets, built by one upload routine
+//!   that takes the [`RetryPolicy`];
+//! * [`DeviceSlice::launch`] — the kernel body. Engines differ only in
+//!   where a stage-4 write that falls *outside* the slice's own entry range
+//!   goes, which is a typed [`Sink`]: nowhere (a slice covering every shard
+//!   has no such write), a device outbox plus an ordered spill list (the
+//!   fleet's halo updates), or the host master with a PCIe byte count (the
+//!   streamed engine);
+//! * [`host_sweep`] — the host re-enactment, bit-identical to the kernel.
+//!
+//! Control metadata (shard boundaries, window ranges) is treated as
+//! uniform/cached and charged neither traffic nor instructions; the bulk
+//! per-edge and per-vertex arrays dominate, and they are fully accounted.
+
+use crate::engine::{PreparedLayout, Repr};
+use crate::program::{Value, VertexProgram};
+use crate::shards::GShards;
+use crate::stats::FaultStats;
+use cusha_graph::Graph;
+use cusha_obs::trace::lanes;
+use cusha_simt::{
+    aligned_chunks, Block, DevVec, DeviceFault, Gpu, KernelDesc, KernelStats, Mask, Pod, WARP,
+};
+use std::ops::Range;
+use std::sync::Arc;
+
+/// Site tags naming the replay-scoped regions of the kernel (first word of
+/// every `warp_scope` key; see `cusha_simt::replay`). The full key is
+/// `[tag, chunk base, shard vertex offset, slice entry offset]`: the slice
+/// offset shifts buffer alignment, so the same chunk in another slice is a
+/// different trace.
+const SITE_APPLY: u64 = 0x6373_4150504c59; // "APPLY"
+const SITE_GS_WB: u64 = 0x6373_47535742; // "GSWB"
+const SITE_CW_WB: u64 = 0x6373_43575742; // "CWWB"
+
+/// Transient-fault retry budget of one engine. Copy faults transferred
+/// nothing and launch faults fire before any block runs, so either retry
+/// re-issues the identical operation.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct RetryPolicy {
+    /// Retries allowed per copy operation.
+    pub max_copy_retries: u32,
+    /// First retry's backoff in seconds; doubles per retry of the same
+    /// operation. Recorded in [`FaultStats::backoff_seconds`].
+    pub backoff_base_seconds: f64,
+    /// In-place re-launches allowed per kernel fault.
+    pub max_kernel_retries: u32,
+}
+
+impl RetryPolicy {
+    /// No retries: every device fault surfaces to the caller (the in-core
+    /// engine, whose callers own recovery).
+    pub(crate) const NONE: RetryPolicy = RetryPolicy {
+        max_copy_retries: 0,
+        backoff_base_seconds: 0.0,
+        max_kernel_retries: 0,
+    };
+}
+
+/// Retries `op` on transient copy faults with exponential backoff; other
+/// faults (OOM, kernel) pass through for coarser-grained recovery.
+pub(crate) fn with_copy_retries<T>(
+    gpu: &mut Gpu,
+    retry: &RetryPolicy,
+    fault: &mut FaultStats,
+    mut op: impl FnMut(&mut Gpu) -> Result<T, DeviceFault>,
+) -> Result<T, DeviceFault> {
+    let mut attempt = 0u32;
+    loop {
+        match op(gpu) {
+            Err(DeviceFault::Copy { .. }) if attempt < retry.max_copy_retries => {
+                fault.copy_retries += 1;
+                fault.backoff_seconds += retry.backoff_base_seconds * (1u64 << attempt) as f64;
+                fault_instant(gpu, "fault", "copy-retry");
+                attempt += 1;
+            }
+            other => return other,
+        }
+    }
+}
+
+/// Emits a recovery instant on the device's fault lane at its current clock.
+pub(crate) fn fault_instant(gpu: &Gpu, cat: &'static str, name: &str) {
+    let (pid, ts) = (gpu.trace_pid(), gpu.total_seconds());
+    gpu.tracer().instant(pid, lanes::FAULT, cat, name, ts);
+}
+
+/// Per-entry bytes a shard entry occupies on the device for program `P` —
+/// what the streamed and rebatched planners budget batches with.
+pub(crate) fn entry_bytes<P: VertexProgram>(repr: Repr) -> u64 {
+    let mut b = <P::V as Pod>::SIZE as u64 + 4 /* DestIndex */ + 4 /* SrcIndex */;
+    if P::HAS_EDGE_VALUES {
+        b += <P::E as Pod>::SIZE as u64;
+    }
+    if P::HAS_STATIC_VALUES {
+        b += <P::SV as Pod>::SIZE as u64;
+    }
+    if matches!(repr, Repr::ConcatWindows) {
+        b += 4; // Mapper
+    }
+    b
+}
+
+/// Host master copies of the arrays the kernel consumes, indexed globally:
+/// `values` by vertex, everything else by shard entry.
+pub(crate) struct HostArrays<P: VertexProgram> {
+    /// Vertex values; starts as the program's initial state.
+    pub values: Vec<P::V>,
+    /// The `SrcValue` column.
+    pub src_value: Vec<P::V>,
+    /// Per-entry static source values, when the program has them.
+    pub statics: Option<Vec<P::SV>>,
+    /// Per-entry edge values, when the program has them.
+    pub edges: Option<Vec<P::E>>,
+}
+
+impl<P: VertexProgram> HostArrays<P> {
+    /// The initial state of `prog` over `graph`, laid out for `gs`.
+    pub(crate) fn new(prog: &P, graph: &Graph, gs: &GShards) -> Self {
+        let values: Vec<P::V> = (0..graph.num_vertices())
+            .map(|v| prog.initial_value(v))
+            .collect();
+        let src_value = gs.src_index().iter().map(|&s| values[s as usize]).collect();
+        let statics = P::HAS_STATIC_VALUES.then(|| {
+            let per_vertex = prog.static_values(graph);
+            gs.src_index()
+                .iter()
+                .map(|&s| per_vertex[s as usize])
+                .collect()
+        });
+        let edges = P::HAS_EDGE_VALUES.then(|| {
+            let by_id = prog.edge_values(graph);
+            gs.edge_id().iter().map(|&id| by_id[id as usize]).collect()
+        });
+        HostArrays {
+            values,
+            src_value,
+            statics,
+            edges,
+        }
+    }
+
+    /// One [`host_sweep`] of `shards` over these (global) arrays.
+    pub(crate) fn sweep(
+        &mut self,
+        prog: &P,
+        gs: &GShards,
+        shards: Range<u32>,
+        own: &Range<usize>,
+        spills: &mut Vec<(usize, P::V)>,
+    ) -> u64 {
+        let (statics, edges) = (self.statics.as_deref(), self.edges.as_deref());
+        let (vv, sv) = (&mut self.values, &mut self.src_value);
+        host_sweep(prog, gs, statics, edges, shards, own, vv, 0, sv, 0, spills)
+    }
+}
+
+/// The functional core of the CuSha iteration on host memory: the exact
+/// per-shard schedule of the kernel (init, fold in entry order, update
+/// condition, window write-back), so results are bit-identical to a launch
+/// for every program, floats included. `vv`/`sv` hold vertex values and the
+/// `SrcValue` column starting at global offsets `voff`/`eoff`. A stage-4
+/// write lands in `sv` when `sv` covers its position, and is also pushed to
+/// `spills` when it falls outside `own` — so full master arrays take every
+/// write while a slice-sized scratch takes only its own. Returns the number
+/// of vertex values published.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn host_sweep<P: VertexProgram>(
+    prog: &P,
+    gs: &GShards,
+    statics: Option<&[P::SV]>,
+    edges: Option<&[P::E]>,
+    shards: Range<u32>,
+    own: &Range<usize>,
+    vv: &mut [P::V],
+    voff: usize,
+    sv: &mut [P::V],
+    eoff: usize,
+    spills: &mut Vec<(usize, P::V)>,
+) -> u64 {
+    let mut updated = 0u64;
+    for s in shards {
+        let vrange = gs.vertex_range(s);
+        let offset = vrange.start as usize;
+
+        // Stage 1: shard-local working copy.
+        let mut local: Vec<P::V> = vrange
+            .clone()
+            .map(|v| {
+                let mut lv = P::V::default();
+                prog.init_compute(&mut lv, &vv[v as usize - voff]);
+                lv
+            })
+            .collect();
+
+        // Stage 2: fold every shard entry into its destination's slot, in
+        // entry order (the simulator's lane-serialized order).
+        for e in gs.shard_entries(s) {
+            let statv = statics.map(|v| v[e]).unwrap_or_default();
+            let ev = edges.map(|v| v[e]).unwrap_or_default();
+            let slot = gs.dest_index()[e] as usize - offset;
+            prog.compute(&sv[e - eoff], &statv, &ev, &mut local[slot]);
+        }
+
+        // Stage 3: publish values passing the update condition.
+        let mut block_updated = false;
+        for v in vrange {
+            let (i, g) = (v as usize - offset, v as usize - voff);
+            let mut newv = local[i];
+            let cond = prog.update_condition(&mut newv, &vv[g]);
+            local[i] = newv;
+            if cond {
+                vv[g] = newv;
+                block_updated = true;
+                updated += 1;
+            }
+        }
+
+        // Stage 4: write the shard's column back to every window.
+        if block_updated {
+            for j in 0..gs.num_shards() {
+                for e in gs.window(s, j) {
+                    let val = local[gs.src_index()[e] as usize - offset];
+                    if let Some(slot) = e.checked_sub(eoff).and_then(|k| sv.get_mut(k)) {
+                        *slot = val;
+                    }
+                    if !own.contains(&e) {
+                        spills.push((e, val));
+                    }
+                }
+            }
+        }
+    }
+    updated
+}
+
+/// Global entry range covered by the contiguous shard range `shards`.
+pub(crate) fn entry_range(gs: &GShards, shards: &Range<u32>) -> Range<usize> {
+    if shards.is_empty() {
+        return 0..0;
+    }
+    gs.shard_entries(shards.start).start..gs.shard_entries(shards.end - 1).end
+}
+
+/// Global vertex range covered by the contiguous shard range `shards`.
+pub(crate) fn vertex_range(gs: &GShards, shards: &Range<u32>) -> Range<usize> {
+    if shards.is_empty() {
+        return 0..0;
+    }
+    gs.vertex_range(shards.start).start as usize..gs.vertex_range(shards.end - 1).end as usize
+}
+
+/// Stage-4 targets of `shards` that fall outside `erange`, sorted. Windows
+/// never straddle a shard boundary, so in G-Shards mode each remote window
+/// is one contiguous run of the result.
+fn remote_targets(
+    layout: &PreparedLayout,
+    shards: Range<u32>,
+    erange: &Range<usize>,
+) -> Vec<usize> {
+    let gs = layout.gs();
+    let mut remote = Vec::new();
+    if erange.len() == gs.num_edges() as usize {
+        return remote;
+    }
+    match layout.cw() {
+        None => {
+            for s in shards {
+                for j in 0..gs.num_shards() {
+                    let w = gs.window(s, j);
+                    if !w.is_empty() && !erange.contains(&w.start) {
+                        remote.extend(w);
+                    }
+                }
+            }
+        }
+        Some(cw) => {
+            for s in shards {
+                let targets = cw.cw_entries(s).map(|k| cw.mapper()[k] as usize);
+                remote.extend(targets.filter(|pos| !erange.contains(pos)));
+            }
+        }
+    }
+    remote.sort_unstable();
+    remote.dedup();
+    remote
+}
+
+/// How stage-4 writes that leave a slice travel, decided at upload time
+/// because it determines which auxiliary buffers the slice carries.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum SpillVia {
+    /// Through a device outbox sized to the slice's remote targets (none
+    /// for a slice covering every shard). G-Shards slices also carry the
+    /// p×p window-offset table stage 4 reads its boundaries from.
+    Outbox,
+    /// Straight to the host master copy; the slice carries neither an
+    /// outbox nor the window-offset table (the host supplies boundaries).
+    Host,
+}
+
+/// Device-side halo buffer of a slice: one slot per remote stage-4 target.
+pub(crate) struct Outbox<V: Value> {
+    /// Sorted global entry positions this slice writes outside its range.
+    remote: Vec<usize>,
+    /// `SrcIndex` of the remote targets (G-Shards; CW reads its own).
+    src_index: Option<DevVec<u32>>,
+    buf: DevVec<V>,
+    /// Remote writes of the latest launch, in write order:
+    /// `(global entry position, value)`.
+    spills: Vec<(usize, V)>,
+}
+
+/// Outbox slot of global entry position `pos` among the sorted `remote`
+/// targets.
+fn slot_of(remote: &[usize], pos: usize) -> usize {
+    let slot = remote.partition_point(|&r| r < pos);
+    debug_assert_eq!(remote.get(slot), Some(&pos), "not a remote target");
+    slot
+}
+
+/// The streamed engine's spill destination: the host master `SrcValue`
+/// column, with the bytes that crossed PCIe to reach it.
+pub(crate) struct HostMaster<'a, V> {
+    /// The full master column, indexed by global entry position.
+    pub src_value: &'a mut [V],
+    /// Incremented by the size of every value written.
+    pub bytes: &'a mut u64,
+}
+
+/// Where a stage-4 write outside the slice's own entry range goes.
+enum Sink<'a, V: Value> {
+    /// The slice covers every target: no such write exists.
+    None,
+    /// Device outbox store plus an entry in its spill list.
+    Outbox(&'a mut Outbox<V>),
+    /// Host-master write plus a PCIe byte count.
+    Host(HostMaster<'a, V>),
+}
+
+impl<V: Value> Sink<'_, V> {
+    /// What to add to a global entry position inside the remote window
+    /// starting at `wstart` to index the outbox (whose slots for one window
+    /// are one contiguous run); 0 for the other sinks, which index by
+    /// position.
+    fn window_shift(&self, wstart: usize) -> isize {
+        match self {
+            Sink::Outbox(ob) => slot_of(&ob.remote, wstart) as isize - wstart as isize,
+            _ => 0,
+        }
+    }
+
+    /// `SrcIndex` of the chunk at global position `base` of a remote window
+    /// (outbox index `at`): a charged load from the outbox's copy, or the
+    /// host-pinned copy.
+    fn src_index(
+        &self,
+        b: &mut Block<'_>,
+        gs: &GShards,
+        base: usize,
+        at: isize,
+        mask: Mask,
+    ) -> [u32; WARP] {
+        if let Sink::Outbox(Outbox {
+            src_index: Some(rsi),
+            ..
+        }) = self
+        {
+            return b.gload_run(rsi, mask, at);
+        }
+        let mut sidx = [0u32; WARP];
+        for l in mask.iter() {
+            sidx[l] = gs.src_index()[base + l];
+        }
+        sidx
+    }
+
+    /// Stores the chunk at global position `base` (outbox index `at`) of a
+    /// remote window (G-Shards stage 4).
+    fn store_run(
+        &mut self,
+        b: &mut Block<'_>,
+        base: usize,
+        at: isize,
+        mask: Mask,
+        vals: &[V; WARP],
+    ) {
+        self.record(mask, |l| base + l, vals);
+        if let Sink::Outbox(ob) = self {
+            b.gstore_run(&mut ob.buf, mask, at, vals);
+        }
+    }
+
+    /// Scatters the lanes of `mask` to remote targets `pos[l]` (CW stage 4).
+    fn scatter(&mut self, b: &mut Block<'_>, mask: Mask, pos: &[u32; WARP], vals: &[V; WARP]) {
+        self.record(mask, |l| pos[l] as usize, vals);
+        if let Sink::Outbox(Outbox { remote, buf, .. }) = self {
+            b.gstore(buf, mask, |l| slot_of(remote, pos[l] as usize), |l| vals[l]);
+        }
+    }
+
+    /// The host-visible half of a remote write, in lane order.
+    fn record(&mut self, mask: Mask, pos: impl Fn(usize) -> usize, vals: &[V; WARP]) {
+        match self {
+            Sink::None => debug_assert!(false, "stage-4 write left a whole-graph slice"),
+            Sink::Outbox(ob) => ob.spills.extend(mask.iter().map(|l| (pos(l), vals[l]))),
+            Sink::Host(host) => {
+                for l in mask.iter() {
+                    host.src_value[pos(l)] = vals[l];
+                    *host.bytes += <V as Pod>::SIZE as u64;
+                }
+            }
+        }
+    }
+}
+
+/// Device state that outlives a slice: the vertex values of a global vertex
+/// range and the `is_converged` flag.
+pub(crate) struct Resident<V: Value> {
+    /// `VertexValues[voff..]`.
+    pub vertex_values: DevVec<V>,
+    /// Global id of the first vertex held.
+    pub voff: usize,
+    /// The convergence flag (Figure 5's `is_converged`).
+    pub flag: DevVec<u32>,
+}
+
+impl<V: Value> Resident<V> {
+    /// Host resets `is_converged` before a launch.
+    pub(crate) fn reset_flag(
+        &mut self,
+        gpu: &mut Gpu,
+        retry: &RetryPolicy,
+        fault: &mut FaultStats,
+    ) -> Result<(), DeviceFault> {
+        with_copy_retries(gpu, retry, fault, |g| g.try_h2d(&mut self.flag, &[1u32]))
+    }
+
+    /// Per-iteration `is_converged` readback (Figure 5, line 29).
+    pub(crate) fn read_flag(
+        &self,
+        gpu: &mut Gpu,
+        retry: &RetryPolicy,
+        fault: &mut FaultStats,
+    ) -> Result<u32, DeviceFault> {
+        with_copy_retries(gpu, retry, fault, |g| g.try_download_scalar(&self.flag, 0))
+    }
+}
+
+/// The device buffers of the contiguous shard range `shards`: its slice of
+/// every per-entry array, indexed relative to the slice's global offsets.
+pub(crate) struct DeviceSlice<P: VertexProgram> {
+    /// Global shard ids held (one thread block each).
+    pub shards: Range<u32>,
+    /// Global entry range held; `src_value[k]` is entry `erange.start + k`.
+    pub erange: Range<usize>,
+    /// Global CW position of `src_index[0]` / `mapper[0]` (CW mode).
+    cwoff: usize,
+    /// The slice of the `SrcValue` column.
+    pub src_value: DevVec<P::V>,
+    src_static: Option<DevVec<P::SV>>,
+    edge_value: Option<DevVec<P::E>>,
+    dest_index: DevVec<u32>,
+    /// G-Shards: `SrcIndex[erange]`; CW: the window-major `SrcIndex`.
+    src_index: DevVec<u32>,
+    /// CW only.
+    mapper: Option<DevVec<u32>>,
+    /// G-Shards with [`SpillVia::Outbox`] only: every window's start.
+    window_offsets: Option<DevVec<u32>>,
+    /// Present when some stage-4 target lies outside `erange`.
+    outbox: Option<Outbox<P::V>>,
+}
+
+/// Uploads `VertexValues` for the vertices of `shards`, then the slice,
+/// then the convergence flag — the whole device state of an engine that
+/// keeps a shard range resident.
+pub(crate) fn upload_resident<P: VertexProgram>(
+    gpu: &mut Gpu,
+    retry: &RetryPolicy,
+    fault: &mut FaultStats,
+    layout: &PreparedLayout,
+    host: &HostArrays<P>,
+    shards: Range<u32>,
+    via: SpillVia,
+) -> Result<(Resident<P::V>, DeviceSlice<P>), DeviceFault> {
+    let vrange = vertex_range(layout.gs(), &shards);
+    let voff = vrange.start;
+    let vertex_values = with_copy_retries(gpu, retry, fault, |g| {
+        g.try_upload(&host.values[vrange.clone()])
+    })?;
+    let slice = DeviceSlice::upload(gpu, retry, fault, layout, host, shards, via)?;
+    let flag = with_copy_retries(gpu, retry, fault, |g| g.try_upload(&[1u32]))?;
+    let resident = Resident {
+        vertex_values,
+        voff,
+        flag,
+    };
+    Ok((resident, slice))
+}
+
+impl<P: VertexProgram> DeviceSlice<P> {
+    /// Uploads the slice of `shards` from the host masters, one charged H2D
+    /// copy per buffer, in a fixed order (fault-plan operation indices
+    /// depend on it): `SrcValue`, static values, edge values, `DestIndex`,
+    /// `SrcIndex`, `Mapper`, window offsets, remote `SrcIndex`, outbox.
+    pub(crate) fn upload(
+        gpu: &mut Gpu,
+        retry: &RetryPolicy,
+        fault: &mut FaultStats,
+        layout: &PreparedLayout,
+        host: &HostArrays<P>,
+        shards: Range<u32>,
+        via: SpillVia,
+    ) -> Result<Self, DeviceFault> {
+        fn up<T: Pod>(
+            gpu: &mut Gpu,
+            retry: &RetryPolicy,
+            fault: &mut FaultStats,
+            data: &[T],
+        ) -> Result<DevVec<T>, DeviceFault> {
+            with_copy_retries(gpu, retry, fault, |g| g.try_upload(data))
+        }
+        let gs = layout.gs();
+        let erange = entry_range(gs, &shards);
+        let src_value = up(gpu, retry, fault, &host.src_value[erange.clone()])?;
+        let src_static = match &host.statics {
+            Some(v) => Some(up(gpu, retry, fault, &v[erange.clone()])?),
+            None => None,
+        };
+        let edge_value = match &host.edges {
+            Some(v) => Some(up(gpu, retry, fault, &v[erange.clone()])?),
+            None => None,
+        };
+        let dest_index = up(gpu, retry, fault, &gs.dest_index()[erange.clone()])?;
+        let (cwoff, src_index, mapper) = match layout.cw() {
+            Some(cw) => {
+                let r = cw.cw_entries(shards.start).start..cw.cw_entries(shards.end - 1).end;
+                let src_index = up(gpu, retry, fault, &cw.src_index()[r.clone()])?;
+                let mapper = up(gpu, retry, fault, &cw.mapper()[r.clone()])?;
+                (r.start, src_index, Some(mapper))
+            }
+            None => {
+                let src_index = up(gpu, retry, fault, &gs.src_index()[erange.clone()])?;
+                (0, src_index, None)
+            }
+        };
+        // G-Shards' stage 4 must look up every window's boundaries — a p×p
+        // offset table the CW layout does not need (its per-shard ranges
+        // are one entry each). The table lives in device memory and its
+        // reads are charged, which is part of why small windows hurt
+        // G-Shards.
+        let window_offsets = if mapper.is_none() && via == SpillVia::Outbox {
+            let p = gs.num_shards();
+            let flat: Vec<u32> = (0..p)
+                .flat_map(|j| (0..p).map(move |i| gs.window(i, j).start as u32))
+                .collect();
+            Some(up(gpu, retry, fault, &flat)?)
+        } else {
+            None
+        };
+        let remote = match via {
+            SpillVia::Outbox => remote_targets(layout, shards.clone(), &erange),
+            SpillVia::Host => Vec::new(),
+        };
+        let outbox = if remote.is_empty() {
+            None
+        } else {
+            let src_index = if mapper.is_none() {
+                let rsi: Vec<u32> = remote.iter().map(|&k| gs.src_index()[k]).collect();
+                Some(up(gpu, retry, fault, &rsi)?)
+            } else {
+                None
+            };
+            let buf = gpu.try_alloc::<P::V>(remote.len())?;
+            Some(Outbox {
+                remote,
+                src_index,
+                buf,
+                spills: Vec::new(),
+            })
+        };
+        Ok(DeviceSlice {
+            shards,
+            erange,
+            cwoff,
+            src_value,
+            src_static,
+            edge_value,
+            dest_index,
+            src_index,
+            mapper,
+            window_offsets,
+            outbox,
+        })
+    }
+
+    /// The latest launch's remote stage-4 writes, in write order.
+    pub(crate) fn take_spills(&mut self) -> Vec<(usize, P::V)> {
+        self.outbox
+            .as_mut()
+            .map(|ob| std::mem::take(&mut ob.spills))
+            .unwrap_or_default()
+    }
+
+    /// Launches the four-stage kernel over the slice's shards — one thread
+    /// block per shard — and returns the launch statistics with the number
+    /// of vertex values published. Writes that leave the slice go to
+    /// `host` when given, else to the slice's outbox (see [`Sink`]). Launch
+    /// faults fire before any block runs, so up to
+    /// `retry.max_kernel_retries` in-place re-launches re-execute the
+    /// identical work; past that the fault surfaces.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn launch(
+        &mut self,
+        gpu: &mut Gpu,
+        name: &Arc<str>,
+        threads_per_block: u32,
+        prog: &P,
+        layout: &PreparedLayout,
+        res: &mut Resident<P::V>,
+        mut host: Option<HostMaster<'_, P::V>>,
+        retry: &RetryPolicy,
+        fault: &mut FaultStats,
+    ) -> Result<(KernelStats, u64), DeviceFault> {
+        let desc = KernelDesc::new(name.clone(), self.shards.len() as u32, threads_per_block);
+        // The sink borrows the outbox for the launch; the body borrows the
+        // rest of the slice.
+        let mut outbox = self.outbox.take();
+        let mut attempts = 0u32;
+        let result = loop {
+            let sink = match (host.as_mut(), outbox.as_mut()) {
+                (Some(h), _) => Sink::Host(HostMaster {
+                    src_value: &mut *h.src_value,
+                    bytes: &mut *h.bytes,
+                }),
+                (None, Some(ob)) => {
+                    ob.spills.clear();
+                    Sink::Outbox(ob)
+                }
+                (None, None) => Sink::None,
+            };
+            let mut updated = 0u64;
+            match self.launch_once(gpu, &desc, prog, layout, res, sink, &mut updated) {
+                Ok(kstats) => break Ok((kstats, updated)),
+                Err(DeviceFault::Kernel { .. }) if attempts < retry.max_kernel_retries => {
+                    attempts += 1;
+                    fault.kernel_retries += 1;
+                    fault_instant(gpu, "fault", "kernel-retry");
+                }
+                Err(f) => break Err(f),
+            }
+        };
+        self.outbox = outbox;
+        result
+    }
+
+    /// The kernel body: stages 1–4 of Figure 5 for every shard of the
+    /// slice, in run-form ops with replay scopes around the gather-driven
+    /// regions.
+    #[allow(clippy::too_many_arguments)]
+    fn launch_once(
+        &mut self,
+        gpu: &mut Gpu,
+        desc: &KernelDesc,
+        prog: &P,
+        layout: &PreparedLayout,
+        res: &mut Resident<P::V>,
+        mut sink: Sink<'_, P::V>,
+        updated: &mut u64,
+    ) -> Result<KernelStats, DeviceFault> {
+        let gs = layout.gs();
+        let p = gs.num_shards();
+        let erange = self.erange.clone();
+        let (voff, eoff) = (res.voff as isize, erange.start as isize);
+        let site = |tag: u64, base: usize, offset: usize| {
+            [tag, base as u64, offset as u64, erange.start as u64]
+        };
+        gpu.try_launch(desc, |b| {
+            let s = self.shards.start + b.id();
+            let vrange = gs.vertex_range(s);
+            let offset = vrange.start as usize;
+            let nv = vrange.len();
+            let mut local = b.shared_alloc::<P::V>(nv);
+
+            // Stage 1: coalesced fetch of VertexValues into shared memory.
+            // Pure stride-1 traffic: SoA run operations copy whole lane
+            // columns and account in closed form.
+            b.phase("gather");
+            for (base, mask) in aligned_chunks(offset..offset + nv) {
+                let vals = b.gload_run(&res.vertex_values, mask, base as isize - voff);
+                let mut inited = [P::V::default(); WARP];
+                for l in mask.iter() {
+                    prog.init_compute(&mut inited[l], &vals[l]);
+                }
+                b.exec(mask, 1);
+                b.sstore_run(&mut local, mask, base as isize - offset as isize, &inited);
+            }
+            b.sync();
+
+            // Stage 2: process shard entries; atomic shared update of the
+            // destination's local value. The destination column is the
+            // chunk's access fingerprint: once it is loaded, every counter
+            // the rest of the chunk produces is a pure function of (chunk,
+            // mask, dst) — a warp-trace scope replays the atomic collision
+            // scan and load accounting wholesale.
+            b.phase("apply");
+            for (base, mask) in aligned_chunks(gs.shard_entries(s)) {
+                let shift = base as isize - eoff;
+                let dst = b.gload_run(&self.dest_index, mask, shift);
+                b.warp_scope(&site(SITE_APPLY, base, offset), mask, &dst);
+                let srcv = b.gload_run(&self.src_value, mask, shift);
+                let statv = match &self.src_static {
+                    Some(buf) => b.gload_run(buf, mask, shift),
+                    None => [P::SV::default(); WARP],
+                };
+                let ev = match &self.edge_value {
+                    Some(buf) => b.gload_run(buf, mask, shift),
+                    None => [P::E::default(); WARP],
+                };
+                b.exec(mask, P::COMPUTE_COST);
+                b.supdate(
+                    &mut local,
+                    mask,
+                    |l| dst[l] as usize - offset,
+                    |l, slot| prog.compute(&srcv[l], &statv[l], &ev[l], slot),
+                );
+                b.warp_scope_end();
+            }
+            b.sync();
+
+            // Stage 3: update_condition; publish changed values.
+            b.phase("scatter");
+            let mut block_updated = false;
+            for (base, mask) in aligned_chunks(offset..offset + nv) {
+                let old = b.gload_run(&res.vertex_values, mask, base as isize - voff);
+                let mut newv = b.sload_run(&local, mask, base as isize - offset as isize);
+                let mut cond_bits = 0u32;
+                for l in mask.iter() {
+                    if prog.update_condition(&mut newv[l], &old[l]) {
+                        cond_bits |= 1 << l;
+                    }
+                }
+                b.exec(mask, 1);
+                // update_condition may have refined local (e.g. PageRank's
+                // damping); keep the shared copy current for stage 4.
+                b.sstore_run(&mut local, mask, base as isize - offset as isize, &newv);
+                let smask = Mask(cond_bits);
+                if !smask.is_empty() {
+                    b.gstore_run(&mut res.vertex_values, smask, base as isize - voff, &newv);
+                    block_updated = true;
+                    *updated += smask.count() as u64;
+                }
+            }
+            b.sync();
+
+            // Stage 4: write-back to the windows in all shards. Targets
+            // inside the slice are device stores into its `SrcValue`;
+            // the rest go to the sink.
+            b.phase("compact");
+            if !block_updated {
+                return;
+            }
+            match (layout.cw(), &self.mapper) {
+                (Some(cw), Some(mapper)) => {
+                    // Concatenated Windows: dense sweep of CW_s through the
+                    // Mapper.
+                    for (base, mask) in aligned_chunks(cw.cw_entries(s)) {
+                        let shift = base as isize - self.cwoff as isize;
+                        let sidx = b.gload_run(&self.src_index, mask, shift);
+                        let map = b.gload_run(mapper, mask, shift);
+                        // Both index columns drive the accounting: fold
+                        // them into one fingerprint (the mix is site-static
+                        // within a run; verify-on-sample backstops any fold
+                        // collision).
+                        let mut fp = [0u32; WARP];
+                        for l in mask.iter() {
+                            fp[l] = sidx[l] ^ map[l].rotate_left(16);
+                        }
+                        b.warp_scope(&site(SITE_CW_WB, base, offset), mask, &fp);
+                        let loc = b.sload(&local, mask, |l| sidx[l] as usize - offset);
+                        // Without a sink the slice holds every target: skip
+                        // the per-lane range test on the in-core hot path.
+                        let own = match sink {
+                            Sink::None => mask,
+                            _ => mask.and(Mask::from_fn(|l| erange.contains(&(map[l] as usize)))),
+                        };
+                        if !own.is_empty() {
+                            let at = |l: usize| (map[l] as isize - eoff) as usize;
+                            b.gstore(&mut self.src_value, own, at, |l| loc[l]);
+                        }
+                        let away = Mask(mask.0 & !own.0);
+                        if !away.is_empty() {
+                            sink.scatter(b, away, &map, &loc);
+                        }
+                        b.warp_scope_end();
+                    }
+                }
+                _ => {
+                    // G-Shards: one warp walks each window W_sj, first
+                    // fetching its boundary from the offset table.
+                    for j in 0..p {
+                        if let Some(wo) = &self.window_offsets {
+                            let lanes = if s + 1 < p { 2 } else { 1 };
+                            b.gload_run(wo, Mask::first(lanes), (j * p + s) as isize);
+                        }
+                        let w = gs.window(s, j);
+                        let own = w.is_empty() || erange.contains(&w.start);
+                        // Entry `e` of the window sits at `e + shift` in its
+                        // target buffer (the slice's or the sink's).
+                        let shift = if own {
+                            -eoff
+                        } else {
+                            sink.window_shift(w.start)
+                        };
+                        for (base, mask) in aligned_chunks(w) {
+                            let at = base as isize + shift;
+                            // The source-index column fingerprints the
+                            // shared gather; the store is stride-1.
+                            let sidx = if own {
+                                b.gload_run(&self.src_index, mask, at)
+                            } else {
+                                sink.src_index(b, gs, base, at, mask)
+                            };
+                            b.warp_scope(&site(SITE_GS_WB, base, offset), mask, &sidx);
+                            let full = b.sload(&local, mask, |l| sidx[l] as usize - offset);
+                            if own {
+                                b.gstore_run(&mut self.src_value, mask, at, &full);
+                            } else {
+                                sink.store_run(b, base, at, mask, &full);
+                            }
+                            b.warp_scope_end();
+                        }
+                    }
+                }
+            }
+            b.gstore(&mut res.flag, Mask::first(1), |_| 0, |_| 0u32);
+        })
+    }
+}

@@ -14,8 +14,18 @@
 //!   per-shard `SrcIndex` arrays reordered window-major plus the `Mapper`.
 //! * [`autotune`] — shard-size selection from the average-window-size
 //!   formula `|E||N|²/|V|²` (Section 4).
-//! * [`engine`] — the iterative 4-stage processing loop of Figure 5 running
-//!   on the [`cusha_simt`] simulator, in both GS and CW modes.
+//! * `kernel` (crate-private) — the one 4-stage kernel of Figure 5 on the
+//!   [`cusha_simt`] simulator, the device slice it runs over (one upload
+//!   routine, one typed sink for stage-4 writes leaving the slice) and its
+//!   host re-enactment; shared by the three engines below and the fallback.
+//! * [`engine`] — the in-core engine: the whole layout resident on one
+//!   device, in both GS and CW modes, plus the configuration and observer
+//!   types every engine takes.
+//! * [`streaming`] — the out-of-core engine: batches of shards stream
+//!   through a device-memory budget, with the fault-recovery ladder.
+//! * [`fallback`] — the host-side reference engine (the ladders' last rung).
+//! * [`middleware`] — [`run_engine`]: validation, deadlines, retry and the
+//!   final integrity scrub around any [`Engine`].
 //! * [`memsize`] — representation footprint model (Figure 9).
 //! * [`integrity`] — silent-data-corruption defense: per-buffer checksums,
 //!   algorithm invariants, bounded checkpoint/rollback recovery.
@@ -29,6 +39,7 @@ pub mod engine;
 pub mod error;
 pub mod fallback;
 pub mod integrity;
+mod kernel;
 pub mod memsize;
 pub mod middleware;
 pub mod multi;
@@ -56,5 +67,7 @@ pub use multi::{
 };
 pub use program::{Value, VertexProgram};
 pub use shards::GShards;
-pub use stats::{Direction, FaultStats, FrontierStats, IterationStat, MemoStats, RunStats, SdcStats};
+pub use stats::{
+    Direction, FaultStats, FrontierStats, IterationStat, MemoStats, RunStats, SdcStats,
+};
 pub use streaming::{run_streamed, try_run_streamed, try_run_streamed_observed, StreamingConfig};

@@ -31,22 +31,23 @@
 //! of its own shards. A faulted device never poisons the fleet: the other
 //! devices keep running on hardware, and results stay bit-identical.
 
-use crate::autotune::select_vertices_per_shard;
-use crate::cw::ConcatWindows;
-use crate::engine::Detector;
-use crate::engine::{CuShaConfig, CuShaOutput, NoopObserver, Repr, RunObserver};
+use crate::engine::{
+    flips_fired, trace_iteration, CuShaConfig, CuShaOutput, Detector, NoopObserver, PreparedLayout,
+    RunObserver,
+};
 use crate::error::EngineError;
 use crate::fallback::FALLBACK_LABEL;
 use crate::integrity::{apply_flips, checksum, CheckpointManager};
+use crate::kernel::{
+    entry_bytes, entry_range, host_sweep, upload_resident, vertex_range, with_copy_retries,
+    DeviceSlice, HostArrays, Resident, RetryPolicy, SpillVia,
+};
+use crate::middleware::DeadlineObserver;
 use crate::program::VertexProgram;
-use crate::shards::GShards;
 use crate::stats::{FaultStats, IterationStat, RunStats, SdcStats};
 use cusha_graph::{FleetPartition, Graph};
 use cusha_obs::trace::{lanes, ArgVal};
-use cusha_simt::{
-    aligned_chunks, DevVec, DeviceFault, DeviceFleet, Gpu, Interconnect, KernelDesc, KernelStats,
-    Mask, Pod, Profile, WARP,
-};
+use cusha_simt::{DeviceFault, DeviceFleet, Gpu, Interconnect, KernelStats, Pod, Profile};
 use std::collections::HashSet;
 use std::ops::Range;
 
@@ -133,6 +134,14 @@ impl MultiConfig {
             ));
         }
         Ok(())
+    }
+
+    fn retry(&self) -> RetryPolicy {
+        RetryPolicy {
+            max_copy_retries: self.max_copy_retries,
+            backoff_base_seconds: self.backoff_base_seconds,
+            max_kernel_retries: self.max_kernel_retries,
+        }
     }
 }
 
@@ -377,55 +386,6 @@ pub fn try_run_multi_observed<P: VertexProgram, O: RunObserver + ?Sized>(
     }
 }
 
-/// Per-entry device bytes of one shard entry for program `P` (the rebatch
-/// planner's estimate; mirrors the streamed engine's accounting).
-fn entry_bytes<P: VertexProgram>(repr: Repr) -> u64 {
-    let mut b = <P::V as Pod>::SIZE as u64 + 4 + 4; // SrcValue + DestIndex + SrcIndex
-    if P::HAS_EDGE_VALUES {
-        b += <P::E as Pod>::SIZE as u64;
-    }
-    if P::HAS_STATIC_VALUES {
-        b += <P::SV as Pod>::SIZE as u64;
-    }
-    if matches!(repr, Repr::ConcatWindows) {
-        b += 4; // Mapper
-    }
-    b
-}
-
-/// Retries `op` on transient copy faults with exponential backoff; other
-/// faults pass through for coarser-grained recovery.
-fn with_copy_retries<T>(
-    gpu: &mut Gpu,
-    max_retries: u32,
-    backoff_base: f64,
-    fault: &mut FaultStats,
-    mut op: impl FnMut(&mut Gpu) -> Result<T, DeviceFault>,
-) -> Result<T, DeviceFault> {
-    let mut attempt = 0u32;
-    loop {
-        match op(gpu) {
-            Ok(v) => return Ok(v),
-            Err(f @ DeviceFault::Copy { .. }) => {
-                if attempt >= max_retries {
-                    return Err(f);
-                }
-                fault.copy_retries += 1;
-                fault.backoff_seconds += backoff_base * (1u64 << attempt) as f64;
-                gpu.tracer().clone().instant(
-                    gpu.trace_pid(),
-                    lanes::FAULT,
-                    "fault",
-                    "copy-retry",
-                    gpu.total_seconds(),
-                );
-                attempt += 1;
-            }
-            Err(f) => return Err(f),
-        }
-    }
-}
-
 /// Global ranges of one device's slice of the layout.
 #[derive(Clone, Debug)]
 struct DevInfo {
@@ -435,26 +395,12 @@ struct DevInfo {
     vrange: Range<usize>,
     /// Global shard-entry range covered.
     erange: Range<usize>,
-    /// Global CW-entry range covered (CW mode; `0..0` otherwise).
-    cwrange: Range<usize>,
-    /// Sorted global entry positions this device's stage 4 writes *outside*
-    /// `erange` — the halo-update targets.
-    remote: Vec<usize>,
 }
 
-/// Device-resident buffers of one device's partition slice.
-struct ResidentDev<P: VertexProgram> {
-    vertex_values: DevVec<P::V>,
-    src_value: DevVec<P::V>,
-    src_static: Option<DevVec<P::SV>>,
-    edge_value: Option<DevVec<P::E>>,
-    dest_index: DevVec<u32>,
-    src_index: DevVec<u32>,
-    mapper: Option<DevVec<u32>>,
-    window_offsets: Option<DevVec<u32>>,
-    remote_src_index: Option<DevVec<u32>>,
-    outbox: Option<DevVec<P::V>>,
-    flag: DevVec<u32>,
+/// Device-resident state of one device's partition slice.
+struct Held<P: VertexProgram> {
+    res: Resident<P::V>,
+    slice: DeviceSlice<P>,
 }
 
 /// Execution mode of one device.
@@ -462,7 +408,7 @@ enum Mode<P: VertexProgram> {
     /// No shards assigned (more devices than shards); never launches.
     Idle,
     /// Whole partition slice resident on the device.
-    Resident(Box<ResidentDev<P>>),
+    Resident(Box<Held<P>>),
     /// OOM recovery: shards stream through a fresh device in batches under
     /// the byte budget.
     Rebatched {
@@ -495,58 +441,18 @@ struct TimeAcc {
     launched: u64,
 }
 
-/// Stage-4 targets of `shards` that fall outside `erange`, sorted.
-fn remote_targets(
-    gs: &GShards,
-    cw: Option<&ConcatWindows>,
-    shards: Range<u32>,
-    erange: &Range<usize>,
-) -> Vec<usize> {
-    let mut remote = Vec::new();
-    match cw {
-        None => {
-            for s in shards {
-                for j in 0..gs.num_shards() {
-                    let w = gs.window(s, j);
-                    if !w.is_empty() && !erange.contains(&w.start) {
-                        remote.extend(w);
-                    }
-                }
-            }
-        }
-        Some(cw) => {
-            for s in shards {
-                for k in cw.cw_entries(s) {
-                    let pos = cw.mapper()[k] as usize;
-                    if !erange.contains(&pos) {
-                        remote.push(pos);
-                    }
-                }
-            }
-        }
-    }
-    remote.sort_unstable();
-    remote.dedup();
-    remote
-}
-
 /// Everything the convergence loop needs, shared across devices.
 struct MultiState<'a, P: VertexProgram> {
     prog: &'a P,
     cfg: &'a MultiConfig,
-    gs: GShards,
-    cw: Option<ConcatWindows>,
+    layout: PreparedLayout,
     fleet: DeviceFleet,
     infos: Vec<DevInfo>,
     modes: Vec<Mode<P>>,
-    /// Host-authoritative vertex values for non-resident devices (resident
-    /// devices keep theirs on device; their master slice is stale).
-    master_values: Vec<P::V>,
-    /// Host-authoritative `SrcValue` column for non-resident devices; also
-    /// receives every halo update.
-    master_src_value: Vec<P::V>,
-    static_entries: Option<Vec<P::SV>>,
-    edge_entries: Option<Vec<P::E>>,
+    /// Host-authoritative vertex values and `SrcValue` column for
+    /// non-resident devices (resident devices keep theirs on device; their
+    /// master slices are stale). The column also receives every halo update.
+    host: HostArrays<P>,
     faults: Vec<FaultStats>,
     sdcs: Vec<SdcStats>,
     acc: Vec<TimeAcc>,
@@ -557,12 +463,22 @@ struct MultiState<'a, P: VertexProgram> {
 }
 
 /// Outcome of one device's slice of one iteration.
-struct DeviceIter<P: VertexProgram> {
+struct DeviceIter<V> {
     updated: u64,
     kernel_seconds: f64,
     /// Stage-4 writes outside the launch's own entry range, in write order:
     /// `(global entry position, value)`.
-    spills: Vec<(usize, P::V)>,
+    spills: Vec<(usize, V)>,
+}
+
+impl<V> Default for DeviceIter<V> {
+    fn default() -> Self {
+        DeviceIter {
+            updated: 0,
+            kernel_seconds: 0.0,
+            spills: Vec::new(),
+        }
+    }
 }
 
 impl<P: VertexProgram> MultiState<'_, P> {
@@ -574,6 +490,23 @@ impl<P: VertexProgram> MultiState<'_, P> {
 
     fn owner_of_entry(&self, k: usize) -> usize {
         self.estarts.partition_point(|&s| s <= k) - 1
+    }
+
+    /// Emits a recovery instant on device `d`'s fault lane at its clock.
+    fn fault_instant(&self, d: usize, cat: &'static str, name: &str) {
+        let ts = self.device_time(d);
+        self.cfg
+            .base
+            .trace
+            .instant(d as u32, lanes::FAULT, cat, name, ts);
+    }
+
+    /// Switches device `d` to the host re-enactment after its kernel (or
+    /// rebatch budget) gave out.
+    fn degrade_to_host(&mut self, d: usize) {
+        self.faults[d].degradations += 1;
+        self.fault_instant(d, "fault", "degrade-to-host");
+        self.modes[d] = Mode::Fallback;
     }
 
     /// Folds a retired `Gpu`'s counters into the device's carried totals
@@ -595,278 +528,20 @@ impl<P: VertexProgram> MultiState<'_, P> {
         }
     }
 
-    /// Uploads device `d`'s partition slice; `Err` carries the device fault
-    /// (OOM → caller switches the device to rebatched mode).
-    fn setup_resident(&mut self, d: usize) -> Result<(), DeviceFault> {
-        let info = self.infos[d].clone();
-        let cfgc = self.cfg;
-        let (maxr, backoff) = (cfgc.max_copy_retries, cfgc.backoff_base_seconds);
-        let fault = &mut self.faults[d];
-        let gpu = self.fleet.device_mut(d);
-        let up = |gpu: &mut Gpu, fault: &mut FaultStats, data: &[_]| {
-            with_copy_retries(gpu, maxr, backoff, fault, |g| g.try_upload(data))
-        };
-        let vertex_values = up(gpu, fault, &self.master_values[info.vrange.clone()])?;
-        let src_value = up(gpu, fault, &self.master_src_value[info.erange.clone()])?;
-        let src_static = match &self.static_entries {
-            Some(v) => Some(with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                g.try_upload(&v[info.erange.clone()])
-            })?),
-            None => None,
-        };
-        let edge_value = match &self.edge_entries {
-            Some(v) => Some(with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                g.try_upload(&v[info.erange.clone()])
-            })?),
-            None => None,
-        };
-        let dest_index = with_copy_retries(gpu, maxr, backoff, fault, |g| {
-            g.try_upload(&self.gs.dest_index()[info.erange.clone()])
-        })?;
-        let src_index = match &self.cw {
-            Some(cw) => with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                g.try_upload(&cw.src_index()[info.cwrange.clone()])
-            })?,
-            None => with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                g.try_upload(&self.gs.src_index()[info.erange.clone()])
-            })?,
-        };
-        let mapper = match &self.cw {
-            Some(cw) => Some(with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                g.try_upload(&cw.mapper()[info.cwrange.clone()])
-            })?),
-            None => None,
-        };
-        let window_offsets = if self.cw.is_none() {
-            let p = self.gs.num_shards() as usize;
-            let mut flat = vec![0u32; p * p];
-            for j in 0..p {
-                for i in 0..p {
-                    flat[j * p + i] = self.gs.window(i as u32, j as u32).start as u32;
-                }
-            }
-            Some(with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                g.try_upload(&flat)
-            })?)
-        } else {
-            None
-        };
-        let remote_src_index = if self.cw.is_none() && !info.remote.is_empty() {
-            let rsi: Vec<u32> = info
-                .remote
-                .iter()
-                .map(|&k| self.gs.src_index()[k])
-                .collect();
-            Some(with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                g.try_upload(&rsi)
-            })?)
-        } else {
-            None
-        };
-        let outbox = if info.remote.is_empty() {
-            None
-        } else {
-            Some(gpu.try_alloc::<P::V>(info.remote.len())?)
-        };
-        let flag = with_copy_retries(gpu, maxr, backoff, fault, |g| g.try_upload(&[1u32]))?;
-        self.modes[d] = Mode::Resident(Box::new(ResidentDev {
-            vertex_values,
-            src_value,
-            src_static,
-            edge_value,
-            dest_index,
-            src_index,
-            mapper,
-            window_offsets,
-            remote_src_index,
-            outbox,
-            flag,
-        }));
-        Ok(())
-    }
-
-    /// Runs one launch of the four-stage kernel over `shards`, against
-    /// buffers holding the global ranges given by the offsets. Identical
-    /// op-for-op to the single-device engine when the offsets are zero and
-    /// `remote` is empty.
-    #[allow(clippy::too_many_arguments)]
-    fn launch_shards(
-        gpu: &mut Gpu,
-        desc: &KernelDesc,
-        prog: &P,
-        gs: &GShards,
-        cw: Option<&ConcatWindows>,
-        shard_base: u32,
-        voff: usize,
-        eoff: usize,
-        cwoff: usize,
-        own_erange: &Range<usize>,
-        remote: &[usize],
-        dev: &mut ResidentDev<P>,
-        spills: &mut Vec<(usize, P::V)>,
-        updated: &mut u64,
-    ) -> Result<KernelStats, DeviceFault> {
-        let p = gs.num_shards();
-        gpu.try_launch(desc, |b| {
-            let s = shard_base + b.id();
-            let vrange = gs.vertex_range(s);
-            let offset = vrange.start as usize;
-            let nv = vrange.len();
-            let mut local = b.shared_alloc::<P::V>(nv);
-
-            // Stage 1: coalesced fetch of VertexValues into shared memory.
-            b.phase("gather");
-            for (base, mask) in aligned_chunks(offset..offset + nv) {
-                let vals = b.gload(&dev.vertex_values, mask, |l| base + l - voff);
-                let mut inited = [P::V::default(); WARP];
-                for l in mask.iter() {
-                    let mut lv = P::V::default();
-                    prog.init_compute(&mut lv, &vals[l]);
-                    inited[l] = lv;
-                }
-                b.exec(mask, 1);
-                b.sstore(&mut local, mask, |l| base + l - offset, |l| inited[l]);
-            }
-            b.sync();
-
-            // Stage 2: fold the shard's entries into the local values.
-            b.phase("apply");
-            let er = gs.shard_entries(s);
-            for (base, mask) in aligned_chunks(er.clone()) {
-                let srcv = b.gload(&dev.src_value, mask, |l| base + l - eoff);
-                let statv = match &dev.src_static {
-                    Some(buf) => b.gload(buf, mask, |l| base + l - eoff),
-                    None => [P::SV::default(); WARP],
-                };
-                let ev = match &dev.edge_value {
-                    Some(buf) => b.gload(buf, mask, |l| base + l - eoff),
-                    None => [P::E::default(); WARP],
-                };
-                let dst = b.gload(&dev.dest_index, mask, |l| base + l - eoff);
-                b.exec(mask, P::COMPUTE_COST);
-                b.supdate(
-                    &mut local,
-                    mask,
-                    |l| dst[l] as usize - offset,
-                    |l, slot| prog.compute(&srcv[l], &statv[l], &ev[l], slot),
-                );
-            }
-            b.sync();
-
-            // Stage 3: update_condition; publish changed values.
-            b.phase("scatter");
-            let mut block_updated = false;
-            for (base, mask) in aligned_chunks(offset..offset + nv) {
-                let old = b.gload(&dev.vertex_values, mask, |l| base + l - voff);
-                let loc = b.sload(&local, mask, |l| base + l - offset);
-                let mut newv = loc;
-                let mut cond = [false; WARP];
-                for l in mask.iter() {
-                    cond[l] = prog.update_condition(&mut newv[l], &old[l]);
-                }
-                b.exec(mask, 1);
-                b.sstore(&mut local, mask, |l| base + l - offset, |l| newv[l]);
-                let smask = mask.and(Mask::from_fn(|l| cond[l]));
-                if !smask.is_empty() {
-                    b.gstore(
-                        &mut dev.vertex_values,
-                        smask,
-                        |l| base + l - voff,
-                        |l| newv[l],
-                    );
-                    block_updated = true;
-                    *updated += smask.count() as u64;
-                }
-            }
-            b.sync();
-
-            // Stage 4: write-back to the windows in all shards; writes
-            // outside this launch's own entry range go to the outbox (and
-            // are recorded as spills for the halo exchange).
-            b.phase("compact");
-            if block_updated {
-                match cw {
-                    None => {
-                        for j in 0..p {
-                            if let Some(wo) = &dev.window_offsets {
-                                let lanes = if s + 1 < p { 2 } else { 1 };
-                                b.gload(wo, Mask::first(lanes), |l| (j * p + s) as usize + l);
-                            }
-                            let w = gs.window(s, j);
-                            let own = w.is_empty() || own_erange.contains(&w.start);
-                            for (base, mask) in aligned_chunks(w.clone()) {
-                                if own {
-                                    let sidx = b.gload(&dev.src_index, mask, |l| base + l - eoff);
-                                    let loc = b.sload(&local, mask, |l| sidx[l] as usize - offset);
-                                    b.gstore(
-                                        &mut dev.src_value,
-                                        mask,
-                                        |l| base + l - eoff,
-                                        |l| loc[l],
-                                    );
-                                } else {
-                                    let rsi = dev
-                                        .remote_src_index
-                                        .as_ref()
-                                        .expect("remote window requires remote_src_index");
-                                    let slot =
-                                        |l: usize| remote.binary_search(&(base + l)).unwrap();
-                                    let sidx = b.gload(rsi, mask, slot);
-                                    let loc = b.sload(&local, mask, |l| sidx[l] as usize - offset);
-                                    let ob = dev
-                                        .outbox
-                                        .as_mut()
-                                        .expect("remote window requires an outbox");
-                                    b.gstore(ob, mask, slot, |l| loc[l]);
-                                    for l in mask.iter() {
-                                        spills.push((base + l, loc[l]));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    Some(cw) => {
-                        let r = cw.cw_entries(s);
-                        for (base, mask) in aligned_chunks(r) {
-                            let sidx = b.gload(&dev.src_index, mask, |l| base + l - cwoff);
-                            let map = match &dev.mapper {
-                                Some(mbuf) => b.gload(mbuf, mask, |l| base + l - cwoff),
-                                None => unreachable!("CW mode always has a mapper"),
-                            };
-                            let loc = b.sload(&local, mask, |l| sidx[l] as usize - offset);
-                            let ownmask = mask
-                                .and(Mask::from_fn(|l| own_erange.contains(&(map[l] as usize))));
-                            let remmask = mask
-                                .and(Mask::from_fn(|l| !own_erange.contains(&(map[l] as usize))));
-                            if !ownmask.is_empty() {
-                                b.gstore(
-                                    &mut dev.src_value,
-                                    ownmask,
-                                    |l| map[l] as usize - eoff,
-                                    |l| loc[l],
-                                );
-                            }
-                            if !remmask.is_empty() {
-                                let ob = dev
-                                    .outbox
-                                    .as_mut()
-                                    .expect("remote CW targets require an outbox");
-                                b.gstore(
-                                    ob,
-                                    remmask,
-                                    |l| remote.binary_search(&(map[l] as usize)).unwrap(),
-                                    |l| loc[l],
-                                );
-                                for l in remmask.iter() {
-                                    spills.push((map[l] as usize, loc[l]));
-                                }
-                            }
-                        }
-                    }
-                }
-                b.gstore(&mut dev.flag, Mask::first(1), |_| 0, |_| 0u32);
-            }
-        })
+    /// Uploads device `d`'s state for `shards` from the host masters; `Err`
+    /// carries the device fault (OOM → caller switches the device to
+    /// rebatched mode or shrinks the batch).
+    fn upload(&mut self, d: usize, shards: Range<u32>) -> Result<Held<P>, DeviceFault> {
+        let (res, slice) = upload_resident(
+            self.fleet.device_mut(d),
+            &self.cfg.retry(),
+            &mut self.faults[d],
+            &self.layout,
+            &self.host,
+            shards,
+            SpillVia::Outbox,
+        )?;
+        Ok(Held { res, slice })
     }
 
     /// Applies every resident device's due bit flips to its on-device
@@ -881,24 +556,27 @@ impl<P: VertexProgram> MultiState<'_, P> {
             if let Mode::Resident(dev) = &mut self.modes[d] {
                 let flips = self.fleet.device_mut(d).take_due_bit_flips();
                 if !flips.is_empty() {
-                    apply_flips(&flips, &mut dev.vertex_values, &mut dev.src_value);
+                    apply_flips(&flips, &mut dev.res.vertex_values, &mut dev.slice.src_value);
                 }
             }
         }
+    }
+
+    /// Checksums of a resident device's two protected buffers.
+    fn crcs_of(dev: &Held<P>) -> (u64, u64) {
+        (
+            checksum(dev.res.vertex_values.host()),
+            checksum(dev.slice.src_value.host()),
+        )
     }
 
     /// Scrub pass: verifies every resident device's protected buffers
     /// against the checksums recorded at the end of the previous fleet
     /// iteration, returning the first device whose state no longer matches.
     fn scrub(&self, crcs: &[(u64, u64)]) -> Option<usize> {
-        (0..self.cfg.devices).find(|&d| {
-            if let Mode::Resident(dev) = &self.modes[d] {
-                checksum(dev.vertex_values.host()) != crcs[d].0
-                    || checksum(dev.src_value.host()) != crcs[d].1
-            } else {
-                false
-            }
-        })
+        (0..self.cfg.devices).find(
+            |&d| matches!(&self.modes[d], Mode::Resident(dev) if Self::crcs_of(dev) != crcs[d]),
+        )
     }
 
     /// Records the post-iteration checksums of every resident device's
@@ -907,12 +585,43 @@ impl<P: VertexProgram> MultiState<'_, P> {
     fn store_crcs(&self, crcs: &mut [(u64, u64)]) {
         for (mode, crc) in self.modes.iter().zip(crcs.iter_mut()) {
             if let Mode::Resident(dev) = mode {
-                *crc = (
-                    checksum(dev.vertex_values.host()),
-                    checksum(dev.src_value.host()),
-                );
+                *crc = Self::crcs_of(dev);
             }
         }
+    }
+
+    /// Assembles the global vertex values from the host master plus every
+    /// resident device's slice (real, charged D2H downloads). With `srcs` —
+    /// a copy of the master `SrcValue` column — resident slices of that
+    /// column are downloaded into it as well. `charged(d, before, after)`
+    /// reports each downloading device's clock around its copies.
+    fn snapshot(
+        &mut self,
+        mut srcs: Option<&mut Vec<P::V>>,
+        mut charged: impl FnMut(usize, f64, f64),
+    ) -> Result<Vec<P::V>, DeviceFault> {
+        let retry = self.cfg.retry();
+        let mut vals = self.host.values.clone();
+        for d in 0..self.cfg.devices {
+            let Mode::Resident(dev) = &self.modes[d] else {
+                continue;
+            };
+            let before = self.device_time(d);
+            let gpu = self.fleet.device_mut(d);
+            let fault = &mut self.faults[d];
+            let v = with_copy_retries(gpu, &retry, fault, |g| {
+                g.try_download(&dev.res.vertex_values)
+            })?;
+            vals[self.infos[d].vrange.clone()].copy_from_slice(&v);
+            if let Some(srcs) = srcs.as_deref_mut() {
+                let sv = with_copy_retries(gpu, &retry, fault, |g| {
+                    g.try_download(&dev.slice.src_value)
+                })?;
+                srcs[self.infos[d].erange.clone()].copy_from_slice(&sv);
+            }
+            charged(d, before, self.device_time(d));
+        }
+        Ok(vals)
     }
 
     /// Restores the whole fleet to the given verified global state: both
@@ -928,9 +637,9 @@ impl<P: VertexProgram> MultiState<'_, P> {
         time_marks: &mut [f64],
         integrity_seconds: &mut f64,
     ) -> Result<(), DeviceFault> {
-        self.master_values.copy_from_slice(values);
-        self.master_src_value.copy_from_slice(src);
-        let (maxr, backoff) = (self.cfg.max_copy_retries, self.cfg.backoff_base_seconds);
+        self.host.values.copy_from_slice(values);
+        self.host.src_value.copy_from_slice(src);
+        let retry = self.cfg.retry();
         for d in 0..self.cfg.devices {
             let before = self.device_time(d);
             let info = self.infos[d].clone();
@@ -939,16 +648,13 @@ impl<P: VertexProgram> MultiState<'_, P> {
             };
             let gpu = self.fleet.device_mut(d);
             let fault = &mut self.faults[d];
-            with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                g.try_h2d(&mut dev.vertex_values, &values[info.vrange.clone()])
+            with_copy_retries(gpu, &retry, fault, |g| {
+                g.try_h2d(&mut dev.res.vertex_values, &values[info.vrange.clone()])
             })?;
-            with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                g.try_h2d(&mut dev.src_value, &src[info.erange.clone()])
+            with_copy_retries(gpu, &retry, fault, |g| {
+                g.try_h2d(&mut dev.slice.src_value, &src[info.erange.clone()])
             })?;
-            crcs[d] = (
-                checksum(dev.vertex_values.host()),
-                checksum(dev.src_value.host()),
-            );
+            crcs[d] = Self::crcs_of(dev);
             let after = self.device_time(d);
             *integrity_seconds += after - before;
             time_marks[d] = after;
@@ -981,13 +687,7 @@ impl<P: VertexProgram> MultiState<'_, P> {
             Detector::Checksum => self.sdcs[det].checksum_detections += 1,
             Detector::Invariant => self.sdcs[det].invariant_detections += 1,
         }
-        self.cfg.base.trace.instant(
-            det as u32,
-            lanes::FAULT,
-            "sdc",
-            "corruption-detected",
-            self.device_time(det),
-        );
+        self.fault_instant(det, "sdc", "corruption-detected");
         let integ = &self.cfg.base.integrity;
         let rollbacks: u32 = self.sdcs.iter().map(|s| s.rollbacks).sum();
         let restarts: u32 = self.sdcs.iter().map(|s| s.full_restarts).sum();
@@ -1001,13 +701,7 @@ impl<P: VertexProgram> MultiState<'_, P> {
             stats.per_iteration.truncate(iteration as usize);
             *watchdog_seen = watchdog;
             self.sdcs[det].rollbacks += 1;
-            self.cfg.base.trace.instant(
-                det as u32,
-                lanes::FAULT,
-                "sdc",
-                "rollback",
-                self.device_time(det),
-            );
+            self.fault_instant(det, "sdc", "rollback");
         } else if restarts < integ.max_full_restarts {
             self.restore_global(init_values, init_src, crcs, time_marks, integrity_seconds)?;
             self.sdcs[det].reexecuted_iterations += stats.iterations;
@@ -1017,13 +711,7 @@ impl<P: VertexProgram> MultiState<'_, P> {
             ckpts.clear();
             ckpts.push(0, init_values.to_vec(), init_src.to_vec(), HashSet::new());
             self.sdcs[det].full_restarts += 1;
-            self.cfg.base.trace.instant(
-                det as u32,
-                lanes::FAULT,
-                "sdc",
-                "full-restart",
-                self.device_time(det),
-            );
+            self.fault_instant(det, "sdc", "full-restart");
         } else {
             let victims: Vec<usize> = match detector {
                 Detector::Checksum => vec![det],
@@ -1051,38 +739,18 @@ impl<P: VertexProgram> MultiState<'_, P> {
                     self.modes[v] = Mode::Fallback;
                 }
                 self.sdcs[v].host_fallbacks += 1;
-                self.cfg.base.trace.instant(
-                    v as u32,
-                    lanes::FAULT,
-                    "sdc",
-                    "host-fallback",
-                    self.device_time(v),
-                );
+                self.fault_instant(v, "sdc", "host-fallback");
             }
         }
         Ok(())
     }
 
-    /// Host re-enactment of `shards` for device `d` — mirrors the fallback
-    /// engine's exact schedule over the master arrays. Stage-4 writes
-    /// outside the device's own entry range are also pushed as spills so
-    /// they still flow through the halo exchange accounting.
-    fn host_iterate(&mut self, d: usize, shards: Range<u32>, out: &mut DeviceIter<P>) {
-        let own_erange = self.infos[d].erange.clone();
-        functional_sweep(
-            self.prog,
-            &self.gs,
-            self.static_entries.as_deref(),
-            self.edge_entries.as_deref(),
-            shards,
-            &own_erange,
-            &mut self.master_values,
-            0,
-            &mut self.master_src_value,
-            0,
-            true,
-            out,
-        );
+    /// Host re-enactment of `shards` for device `d` over the master arrays.
+    /// Stage-4 writes outside the device's own entry range are also pushed
+    /// as spills so they still flow through the halo exchange accounting.
+    fn host_iterate(&mut self, d: usize, shards: Range<u32>, out: &mut DeviceIter<P::V>) {
+        let (gs, own) = (self.layout.gs(), &self.infos[d].erange);
+        out.updated += self.host.sweep(self.prog, gs, shards, own, &mut out.spills);
     }
 
     /// Phase A of the host-parallel schedule: re-enacts resident device
@@ -1093,31 +761,26 @@ impl<P: VertexProgram> MultiState<'_, P> {
     /// (which recomputes the same values bit-for-bit) runs concurrently in
     /// Phase B. The scratch is also the post-iteration device state, reused
     /// as the master copy if the launch degrades to host fallback.
-    fn oracle_resident(&self, d: usize) -> (DeviceIter<P>, OracleState<P>) {
+    fn oracle_resident(&self, d: usize) -> (DeviceIter<P::V>, OracleState<P>) {
         let info = &self.infos[d];
         let Mode::Resident(dev) = &self.modes[d] else {
             unreachable!("oracle runs only for resident devices")
         };
-        let mut vv = dev.vertex_values.host().to_vec();
-        let mut sv = dev.src_value.host().to_vec();
-        let mut out = DeviceIter {
-            updated: 0,
-            kernel_seconds: 0.0,
-            spills: Vec::new(),
-        };
-        functional_sweep(
+        let mut vv = dev.res.vertex_values.host().to_vec();
+        let mut sv = dev.slice.src_value.host().to_vec();
+        let mut out = DeviceIter::default();
+        out.updated = host_sweep(
             self.prog,
-            &self.gs,
-            self.static_entries.as_deref(),
-            self.edge_entries.as_deref(),
+            self.layout.gs(),
+            self.host.statics.as_deref(),
+            self.host.edges.as_deref(),
             info.shards.clone(),
             &info.erange,
             &mut vv,
             info.vrange.start,
             &mut sv,
             info.erange.start,
-            false,
-            &mut out,
+            &mut out.spills,
         );
         (out, OracleState { vv, sv })
     }
@@ -1127,73 +790,48 @@ impl<P: VertexProgram> MultiState<'_, P> {
     /// batch's updated slices are downloaded back into the masters. A
     /// further OOM halves the budget (up to the rebatch cap); exhausted
     /// kernel retries degrade to host fallback.
-    fn iterate_rebatched(&mut self, d: usize) -> Result<DeviceIter<P>, DeviceFault> {
-        let info = self.infos[d].clone();
+    fn iterate_rebatched(&mut self, d: usize) -> Result<DeviceIter<P::V>, DeviceFault> {
+        let shards = self.infos[d].shards.clone();
         let per_entry = entry_bytes::<P>(self.cfg.base.repr);
-        let mut out = DeviceIter {
-            updated: 0,
-            kernel_seconds: 0.0,
-            spills: Vec::new(),
-        };
-        let mut s = info.shards.start;
-        'shards: while s < info.shards.end {
+        let mut out = DeviceIter::default();
+        let mut s = shards.start;
+        while s < shards.end {
             let Mode::Rebatched { budget } = self.modes[d] else {
                 unreachable!()
             };
             // Greedy contiguous batch from `s` under the budget (always at
             // least one shard — a shard is indivisible).
+            let gs = self.layout.gs();
             let mut end = s + 1;
-            let mut bytes = self.gs.shard_entries(s).len() as u64 * per_entry;
-            while end < info.shards.end {
-                let nb = self.gs.shard_entries(end).len() as u64 * per_entry;
+            let mut bytes = gs.shard_entries(s).len() as u64 * per_entry;
+            while end < shards.end {
+                let nb = gs.shard_entries(end).len() as u64 * per_entry;
                 if bytes + nb > budget {
                     break;
                 }
                 bytes += nb;
                 end += 1;
             }
-            match self.run_batch(d, s..end, &mut out) {
-                Ok(()) => s = end,
+            let degrade = match self.run_batch(d, s..end, &mut out) {
+                Ok(()) => {
+                    s = end;
+                    continue;
+                }
                 Err(DeviceFault::Oom { .. }) => {
                     self.faults[d].oom_rebatches += 1;
-                    self.cfg.base.trace.instant(
-                        d as u32,
-                        lanes::FAULT,
-                        "fault",
-                        "oom-rebatch",
-                        self.device_time(d),
-                    );
-                    if self.faults[d].oom_rebatches > self.cfg.max_rebatches {
-                        self.faults[d].degradations += 1;
-                        self.cfg.base.trace.instant(
-                            d as u32,
-                            lanes::FAULT,
-                            "fault",
-                            "degrade-to-host",
-                            self.device_time(d),
-                        );
-                        self.modes[d] = Mode::Fallback;
-                        self.host_iterate(d, s..info.shards.end, &mut out);
-                        break 'shards;
-                    }
+                    self.fault_instant(d, "fault", "oom-rebatch");
                     self.modes[d] = Mode::Rebatched {
                         budget: (budget / 2).max(per_entry),
                     };
+                    self.faults[d].oom_rebatches > self.cfg.max_rebatches
                 }
-                Err(DeviceFault::Kernel { .. }) => {
-                    self.faults[d].degradations += 1;
-                    self.cfg.base.trace.instant(
-                        d as u32,
-                        lanes::FAULT,
-                        "fault",
-                        "degrade-to-host",
-                        self.device_time(d),
-                    );
-                    self.modes[d] = Mode::Fallback;
-                    self.host_iterate(d, s..info.shards.end, &mut out);
-                    break 'shards;
-                }
+                Err(DeviceFault::Kernel { .. }) => true,
                 Err(other) => return Err(other),
+            };
+            if degrade {
+                self.degrade_to_host(d);
+                self.host_iterate(d, s..shards.end, &mut out);
+                break;
             }
         }
         Ok(out)
@@ -1206,187 +844,51 @@ impl<P: VertexProgram> MultiState<'_, P> {
         &mut self,
         d: usize,
         batch: Range<u32>,
-        out: &mut DeviceIter<P>,
+        out: &mut DeviceIter<P::V>,
     ) -> Result<(), DeviceFault> {
-        let voff = self.gs.vertex_range(batch.start).start as usize;
-        let vend = self.gs.vertex_range(batch.end - 1).end as usize;
-        let eoff = self.gs.shard_entries(batch.start).start;
-        let eend = self.gs.shard_entries(batch.end - 1).end;
-        let erange = eoff..eend;
-        let (cwoff, cwend) = match &self.cw {
-            Some(cw) => (
-                cw.cw_entries(batch.start).start,
-                cw.cw_entries(batch.end - 1).end,
-            ),
-            None => (0, 0),
-        };
-        let remote = remote_targets(&self.gs, self.cw.as_ref(), batch.clone(), &erange);
-        let (maxr, backoff) = (self.cfg.max_copy_retries, self.cfg.backoff_base_seconds);
-
+        let retry = self.cfg.retry();
         // Fresh device for the batch, carrying the fault plan and retiring
         // the previous device's time totals.
-        let mut fresh = Gpu::new(self.cfg.base.device.clone());
+        let mut fresh = Gpu::in_fleet(self.cfg.base.device.clone(), self.cfg.devices);
         fresh.set_profiling(self.cfg.base.profile);
         let old = self.fleet.replace_device(d, fresh);
         self.retire_gpu(d, old);
 
-        let mut dev = {
-            let gpu = self.fleet.device_mut(d);
-            let fault = &mut self.faults[d];
-            let vertex_values = with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                g.try_upload(&self.master_values[voff..vend])
-            })?;
-            let src_value = with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                g.try_upload(&self.master_src_value[erange.clone()])
-            })?;
-            let src_static = match &self.static_entries {
-                Some(v) => Some(with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                    g.try_upload(&v[erange.clone()])
-                })?),
-                None => None,
-            };
-            let edge_value = match &self.edge_entries {
-                Some(v) => Some(with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                    g.try_upload(&v[erange.clone()])
-                })?),
-                None => None,
-            };
-            let dest_index = with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                g.try_upload(&self.gs.dest_index()[erange.clone()])
-            })?;
-            let src_index = match &self.cw {
-                Some(cw) => with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                    g.try_upload(&cw.src_index()[cwoff..cwend])
-                })?,
-                None => with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                    g.try_upload(&self.gs.src_index()[erange.clone()])
-                })?,
-            };
-            let mapper = match &self.cw {
-                Some(cw) => Some(with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                    g.try_upload(&cw.mapper()[cwoff..cwend])
-                })?),
-                None => None,
-            };
-            let window_offsets = if self.cw.is_none() {
-                let p = self.gs.num_shards() as usize;
-                let mut flat = vec![0u32; p * p];
-                for j in 0..p {
-                    for i in 0..p {
-                        flat[j * p + i] = self.gs.window(i as u32, j as u32).start as u32;
-                    }
-                }
-                Some(with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                    g.try_upload(&flat)
-                })?)
-            } else {
-                None
-            };
-            let remote_src_index = if self.cw.is_none() && !remote.is_empty() {
-                let rsi: Vec<u32> = remote.iter().map(|&k| self.gs.src_index()[k]).collect();
-                Some(with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                    g.try_upload(&rsi)
-                })?)
-            } else {
-                None
-            };
-            let outbox = if remote.is_empty() {
-                None
-            } else {
-                Some(gpu.try_alloc::<P::V>(remote.len())?)
-            };
-            let flag = with_copy_retries(gpu, maxr, backoff, fault, |g| g.try_upload(&[1u32]))?;
-            ResidentDev {
-                vertex_values,
-                src_value,
-                src_static,
-                edge_value,
-                dest_index,
-                src_index,
-                mapper,
-                window_offsets,
-                remote_src_index,
-                outbox,
-                flag,
-            }
-        };
-
-        let desc = KernelDesc::new(
-            self.desc_name.clone(),
-            batch.len() as u32,
+        let mut dev = self.upload(d, batch)?;
+        let gpu = self.fleet.device_mut(d);
+        let fault = &mut self.faults[d];
+        let (kstats, updated) = dev.slice.launch(
+            gpu,
+            &self.desc_name,
             self.cfg.base.threads_per_block,
-        );
-        let mut attempts = 0u32;
-        let mut batch_updated;
-        let mut batch_spills = Vec::new();
-        let kstats = {
-            let gpu = self.fleet.device_mut(d);
-            loop {
-                batch_updated = 0;
-                batch_spills.clear();
-                match Self::launch_shards(
-                    gpu,
-                    &desc,
-                    self.prog,
-                    &self.gs,
-                    self.cw.as_ref(),
-                    batch.start,
-                    voff,
-                    eoff,
-                    cwoff,
-                    &erange,
-                    &remote,
-                    &mut dev,
-                    &mut batch_spills,
-                    &mut batch_updated,
-                ) {
-                    Ok(k) => break k,
-                    Err(f @ DeviceFault::Kernel { .. }) => {
-                        if attempts < self.cfg.max_kernel_retries {
-                            self.faults[d].kernel_retries += 1;
-                            gpu.tracer().clone().instant(
-                                gpu.trace_pid(),
-                                lanes::FAULT,
-                                "fault",
-                                "kernel-retry",
-                                gpu.total_seconds(),
-                            );
-                            attempts += 1;
-                        } else {
-                            return Err(f);
-                        }
-                    }
-                    Err(other) => return Err(other),
-                }
-            }
-        };
+            self.prog,
+            &self.layout,
+            &mut dev.res,
+            None,
+            &retry,
+            fault,
+        )?;
         out.kernel_seconds += kstats.seconds;
         self.fleet.record_launch(d, &kstats);
-        {
-            let gpu = self.fleet.device_mut(d);
-            let fault = &mut self.faults[d];
-            let _ = with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                g.try_download_scalar(&dev.flag, 0)
-            })?;
-            // Sync the batch's updated state back into the masters — the
-            // next batch (and the next iteration) upload from them.
-            let vals = with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                g.try_download(&dev.vertex_values)
-            })?;
-            self.master_values[voff..vend].copy_from_slice(&vals);
-            let srcv = with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                g.try_download(&dev.src_value)
-            })?;
-            self.master_src_value[erange.clone()].copy_from_slice(&srcv);
-        }
+        let gpu = self.fleet.device_mut(d);
+        dev.res.read_flag(gpu, &retry, fault)?;
+        // Sync the batch's updated state back into the masters — the next
+        // batch (and the next iteration) upload from them.
+        let vals = with_copy_retries(gpu, &retry, fault, |g| {
+            g.try_download(&dev.res.vertex_values)
+        })?;
+        self.host.values[dev.res.voff..][..vals.len()].copy_from_slice(&vals);
+        let srcv = with_copy_retries(gpu, &retry, fault, |g| g.try_download(&dev.slice.src_value))?;
+        self.host.src_value[dev.slice.erange.clone()].copy_from_slice(&srcv);
         // Cross-batch stage-4 writes must land in the master `SrcValue`
         // before the next batch uploads its slice — that is exactly the
         // single-buffer visibility the resident kernel has for free.
-        for &(k, v) in &batch_spills {
-            self.master_src_value[k] = v;
+        let mut spills = dev.slice.take_spills();
+        for &(k, v) in &spills {
+            self.host.src_value[k] = v;
         }
-        out.updated += batch_updated;
-        out.spills.append(&mut batch_spills);
+        out.updated += updated;
+        out.spills.append(&mut spills);
         Ok(())
     }
 }
@@ -1410,77 +912,6 @@ struct ResidentOutcome<P: VertexProgram> {
     spills: Vec<(usize, P::V)>,
 }
 
-/// The shared functional core of the CuSha iteration on host memory: the
-/// exact per-shard schedule of the device kernel (init, fold, update
-/// condition, window write-back), over caller-provided value slices.
-/// `vv`/`sv` hold vertex values and the `SrcValue` column starting at global
-/// offsets `voff`/`eoff`. Stage-4 writes inside `own_erange` land in `sv`;
-/// writes outside it are pushed as spills (and also written through when
-/// `sv_is_global`, i.e. the slices are the full master arrays).
-#[allow(clippy::too_many_arguments)]
-fn functional_sweep<P: VertexProgram>(
-    prog: &P,
-    gs: &GShards,
-    static_entries: Option<&[P::SV]>,
-    edge_entries: Option<&[P::E]>,
-    shards: Range<u32>,
-    own_erange: &Range<usize>,
-    vv: &mut [P::V],
-    voff: usize,
-    sv: &mut [P::V],
-    eoff: usize,
-    sv_is_global: bool,
-    out: &mut DeviceIter<P>,
-) {
-    let p = gs.num_shards();
-    for s in shards {
-        let vrange = gs.vertex_range(s);
-        let offset = vrange.start as usize;
-        let mut local: Vec<P::V> = vrange
-            .clone()
-            .map(|v| {
-                let mut lv = P::V::default();
-                prog.init_compute(&mut lv, &vv[v as usize - voff]);
-                lv
-            })
-            .collect();
-        for e in gs.shard_entries(s) {
-            let statv = static_entries.map(|v| v[e]).unwrap_or_default();
-            let ev = edge_entries.map(|v| v[e]).unwrap_or_default();
-            let slot = gs.dest_index()[e] as usize - offset;
-            prog.compute(&sv[e - eoff], &statv, &ev, &mut local[slot]);
-        }
-        let mut block_updated = false;
-        for v in vrange.clone() {
-            let i = v as usize - offset;
-            let old = vv[v as usize - voff];
-            let mut newv = local[i];
-            let cond = prog.update_condition(&mut newv, &old);
-            local[i] = newv;
-            if cond {
-                vv[v as usize - voff] = newv;
-                block_updated = true;
-                out.updated += 1;
-            }
-        }
-        if block_updated {
-            for j in 0..p {
-                for e in gs.window(s, j) {
-                    let val = local[gs.src_index()[e] as usize - offset];
-                    if own_erange.contains(&e) {
-                        sv[e - eoff] = val;
-                    } else {
-                        if sv_is_global {
-                            sv[e - eoff] = val;
-                        }
-                        out.spills.push((e, val));
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Phase B body for one resident device, run on a worker thread against
 /// disjoint `&mut` borrows of the device's simulator, buffers, and fault
 /// counters: flag reset upload, kernel launch with in-place retries, and
@@ -1490,79 +921,38 @@ fn functional_sweep<P: VertexProgram>(
 /// path's state downloads (the data itself is discarded — the Phase A
 /// oracle already holds those bytes) and report `kstats: None`; the join
 /// point performs the actual degradation serially.
-#[allow(clippy::too_many_arguments)]
 fn resident_iteration<P: VertexProgram>(
     prog: &P,
     cfg: &MultiConfig,
-    gs: &GShards,
-    cw: Option<&ConcatWindows>,
-    info: &DevInfo,
-    desc: &KernelDesc,
+    layout: &PreparedLayout,
+    name: &std::sync::Arc<str>,
     gpu: &mut Gpu,
-    dev: &mut ResidentDev<P>,
+    dev: &mut Held<P>,
     fault: &mut FaultStats,
 ) -> Result<ResidentOutcome<P>, DeviceFault> {
-    let (maxr, backoff) = (cfg.max_copy_retries, cfg.backoff_base_seconds);
-    with_copy_retries(gpu, maxr, backoff, fault, |g| {
-        g.try_h2d(&mut dev.flag, &[1u32])
-    })?;
-    let mut attempts = 0u32;
-    loop {
-        let mut updated = 0u64;
-        let mut spills = Vec::new();
-        match MultiState::launch_shards(
-            gpu,
-            desc,
-            prog,
-            gs,
-            cw,
-            info.shards.start,
-            info.vrange.start,
-            info.erange.start,
-            info.cwrange.start,
-            &info.erange,
-            &info.remote,
-            dev,
-            &mut spills,
-            &mut updated,
-        ) {
-            Ok(k) => {
-                // Per-iteration is_converged readback, as in Figure 5.
-                let _ = with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                    g.try_download_scalar(&dev.flag, 0)
-                })?;
-                return Ok(ResidentOutcome {
-                    kstats: Some(k),
-                    updated,
-                    spills,
-                });
-            }
-            Err(DeviceFault::Kernel { .. }) if attempts < cfg.max_kernel_retries => {
-                fault.kernel_retries += 1;
-                gpu.tracer().clone().instant(
-                    gpu.trace_pid(),
-                    lanes::FAULT,
-                    "fault",
-                    "kernel-retry",
-                    gpu.total_seconds(),
-                );
-                attempts += 1;
-            }
-            Err(DeviceFault::Kernel { .. }) => {
-                let _ = with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                    g.try_download(&dev.vertex_values)
-                })?;
-                let _ = with_copy_retries(gpu, maxr, backoff, fault, |g| {
-                    g.try_download(&dev.src_value)
-                })?;
-                return Ok(ResidentOutcome {
-                    kstats: None,
-                    updated: 0,
-                    spills: Vec::new(),
-                });
-            }
-            Err(other) => return Err(other),
+    let retry = cfg.retry();
+    let threads = cfg.base.threads_per_block;
+    dev.res.reset_flag(gpu, &retry, fault)?;
+    let Held { res, slice } = dev;
+    match slice.launch(gpu, name, threads, prog, layout, res, None, &retry, fault) {
+        Ok((k, updated)) => {
+            res.read_flag(gpu, &retry, fault)?;
+            Ok(ResidentOutcome {
+                kstats: Some(k),
+                updated,
+                spills: slice.take_spills(),
+            })
         }
+        Err(DeviceFault::Kernel { .. }) => {
+            with_copy_retries(gpu, &retry, fault, |g| g.try_download(&res.vertex_values))?;
+            with_copy_retries(gpu, &retry, fault, |g| g.try_download(&slice.src_value))?;
+            Ok(ResidentOutcome {
+                kstats: None,
+                updated: 0,
+                spills: Vec::new(),
+            })
+        }
+        Err(other) => Err(other),
     }
 }
 
@@ -1576,35 +966,13 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
 ) -> Result<MultiOutput<P::V>, EngineError<P::V>> {
     cfg.validate().map_err(EngineError::InvalidConfig)?;
     graph.validate()?;
-    let n_per = cfg.base.vertices_per_shard.unwrap_or_else(|| {
-        select_vertices_per_shard(
-            graph.num_vertices() as u64,
-            graph.num_edges() as u64,
-            <P::V as Pod>::SIZE,
-            &cfg.base.device,
-            cfg.base.resident_blocks,
-        )
-    });
-    let gs = GShards::from_graph(graph, n_per);
-    let cw = matches!(cfg.base.repr, Repr::ConcatWindows).then(|| ConcatWindows::from_gshards(&gs));
+    let observer = &mut DeadlineObserver::new(cfg.base.deadline_seconds, observer);
+    let n_per = PreparedLayout::select_n_per(graph, &cfg.base, <P::V as Pod>::SIZE);
+    let layout = PreparedLayout::build(graph, cfg.base.repr, n_per);
+    let gs = layout.gs();
     let fp = FleetPartition::from_graph(graph, n_per, cfg.devices);
     debug_assert_eq!(fp.num_shards(), gs.num_shards() as usize);
-
-    let init: Vec<P::V> = (0..graph.num_vertices())
-        .map(|v| prog.initial_value(v))
-        .collect();
-    let master_src_value: Vec<P::V> = gs.src_index().iter().map(|&s| init[s as usize]).collect();
-    let static_entries: Option<Vec<P::SV>> = P::HAS_STATIC_VALUES.then(|| {
-        let per_vertex = prog.static_values(graph);
-        gs.src_index()
-            .iter()
-            .map(|&s| per_vertex[s as usize])
-            .collect()
-    });
-    let edge_entries: Option<Vec<P::E>> = P::HAS_EDGE_VALUES.then(|| {
-        let by_id = prog.edge_values(graph);
-        gs.edge_id().iter().map(|&id| by_id[id as usize]).collect()
-    });
+    let host = HostArrays::new(prog, graph, gs);
 
     let mut fleet = DeviceFleet::new(&cfg.base.device, cfg.devices, cfg.interconnect.clone());
     fleet.set_tracer(&cfg.base.trace);
@@ -1621,37 +989,29 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
             plans[0] = Some(base_plan);
         }
     }
+    // Per-run injection accounting differences against each plan's starting
+    // log: a carried plan arrives with earlier runs' fires recorded.
+    let mut flips_baseline = vec![0u64; cfg.devices];
     for (d, plan) in plans.into_iter().enumerate() {
         if let Some(p) = plan {
+            flips_baseline[d] = flips_fired(Some(&p));
             fleet.device_mut(d).set_fault_plan(p);
         }
     }
 
     // Per-device global ranges from the edge-balanced partition.
-    let mut infos = Vec::with_capacity(cfg.devices);
-    for part in fp.parts() {
-        let shards = part.shards.start as u32..part.shards.end as u32;
-        let (vrange, erange, cwrange) = if shards.is_empty() {
-            (0..0, 0..0, 0..0)
-        } else {
-            let vr = gs.vertex_range(shards.start).start as usize
-                ..gs.vertex_range(shards.end - 1).end as usize;
-            let er = gs.shard_entries(shards.start).start..gs.shard_entries(shards.end - 1).end;
-            let cwr = match &cw {
-                Some(cw) => cw.cw_entries(shards.start).start..cw.cw_entries(shards.end - 1).end,
-                None => 0..0,
-            };
-            (vr, er, cwr)
-        };
-        let remote = remote_targets(&gs, cw.as_ref(), shards.clone(), &erange);
-        infos.push(DevInfo {
-            shards,
-            vrange,
-            erange,
-            cwrange,
-            remote,
-        });
-    }
+    let infos: Vec<DevInfo> = fp
+        .parts()
+        .iter()
+        .map(|part| {
+            let shards = part.shards.start as u32..part.shards.end as u32;
+            DevInfo {
+                vrange: vertex_range(gs, &shards),
+                erange: entry_range(gs, &shards),
+                shards,
+            }
+        })
+        .collect();
     // Monotone entry starts for owner lookup; empty partitions inherit the
     // running boundary so `partition_point` never sees a regression.
     let mut estarts: Vec<usize> = Vec::with_capacity(cfg.devices + 1);
@@ -1678,15 +1038,11 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
     let mut st = MultiState {
         prog,
         cfg,
-        gs,
-        cw,
+        layout,
         fleet,
         infos,
         modes: (0..cfg.devices).map(|_| Mode::Idle).collect(),
-        master_values: init,
-        master_src_value,
-        static_entries,
-        edge_entries,
+        host,
         faults: vec![FaultStats::default(); cfg.devices],
         sdcs: vec![SdcStats::default(); cfg.devices],
         acc: vec![TimeAcc::default(); cfg.devices],
@@ -1700,19 +1056,13 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
         if st.infos[d].shards.is_empty() {
             continue;
         }
-        match st.setup_resident(d) {
-            Ok(()) => {}
+        match st.upload(d, st.infos[d].shards.clone()) {
+            Ok(held) => st.modes[d] = Mode::Resident(Box::new(held)),
             Err(DeviceFault::Oom { .. }) => {
                 // The partition does not fit: stream it in batches under
                 // half the device's memory, like the streamed engine.
                 st.faults[d].oom_rebatches += 1;
-                cfg.base.trace.instant(
-                    d as u32,
-                    lanes::FAULT,
-                    "fault",
-                    "oom-rebatch",
-                    st.device_time(d),
-                );
+                st.fault_instant(d, "fault", "oom-rebatch");
                 st.modes[d] = Mode::Rebatched {
                     budget: (cfg.base.device.global_mem_bytes / 2).max(1),
                 };
@@ -1720,10 +1070,8 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
             Err(f) => return Err(f.into()),
         }
     }
-    let setup_seconds = (0..cfg.devices)
-        .map(|d| st.device_time(d))
-        .fold(0.0f64, f64::max);
     let setup_marks: Vec<f64> = (0..cfg.devices).map(|d| st.device_time(d)).collect();
+    let setup_seconds = setup_marks.iter().copied().fold(0.0f64, f64::max);
     cfg.base.trace.complete(
         fleet_pid,
         lanes::ENGINE,
@@ -1771,14 +1119,10 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
     let integ = cfg.base.integrity;
     let mut ckpts: CheckpointManager<P::V> = CheckpointManager::new(integ.max_checkpoints);
     let init_state = if integ.mode.enabled() {
-        ckpts.push(
-            0,
-            st.master_values.clone(),
-            st.master_src_value.clone(),
-            HashSet::new(),
-        );
+        let (values, src) = (st.host.values.clone(), st.host.src_value.clone());
+        ckpts.push(0, values.clone(), src.clone(), HashSet::new());
         st.sdcs[0].checkpoints += 1;
-        Some((st.master_values.clone(), st.master_src_value.clone()))
+        Some((values, src))
     } else {
         None
     };
@@ -1789,6 +1133,27 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
     let mut integrity_seconds = 0.0f64;
     let mut need_reverify = false;
 
+    // One rung of the fleet's recovery ladder (see `sdc_recover_fleet`).
+    macro_rules! recover {
+        ($det:expr, $detector:expr) => {{
+            let (iv, is) = init_state.as_ref().expect("integrity mode has init state");
+            st.sdc_recover_fleet(
+                $det,
+                $detector,
+                &mut ckpts,
+                &mut crcs,
+                &mut stats,
+                &mut watchdog_seen,
+                iv,
+                is,
+                &mut time_marks,
+                &mut integrity_seconds,
+            )?;
+            need_reverify = true;
+            continue;
+        }};
+    }
+
     while stats.iterations < cfg.base.max_iterations {
         // Flip points: every device's due silent bit flips land while the
         // fleet is quiescent, and the scrubber verifies every resident
@@ -1797,23 +1162,7 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
         st.apply_due_flips();
         if integ.mode.checksums() {
             if let Some(det) = st.scrub(&crcs) {
-                let (iv, is) = init_state.as_ref().expect("checksums imply enabled");
-                let (iv, is) = (iv.clone(), is.clone());
-                st.sdc_recover_fleet(
-                    det,
-                    Detector::Checksum,
-                    &mut ckpts,
-                    &mut crcs,
-                    &mut stats,
-                    &mut watchdog_seen,
-                    &iv,
-                    &is,
-                    &mut time_marks,
-                    &mut integrity_seconds,
-                )
-                .map_err(EngineError::from)?;
-                need_reverify = true;
-                continue;
+                recover!(det, Detector::Checksum);
             }
         }
         let mut iter_updated = 0u64;
@@ -1828,7 +1177,7 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
         // spill therefore lands in the masters — and in later resident
         // devices' `SrcValue` mirrors — at exactly the serial schedule's
         // points, before any Phase B launch consumes it.
-        let mut iters: Vec<Option<DeviceIter<P>>> = (0..cfg.devices).map(|_| None).collect();
+        let mut iters: Vec<Option<DeviceIter<P::V>>> = (0..cfg.devices).map(|_| None).collect();
         let mut oracle: Vec<Option<OracleState<P>>> = (0..cfg.devices).map(|_| None).collect();
         // Spills whose resident owner precedes the writer in device order:
         // the serial schedule lands them after the owner's launch, so the
@@ -1842,15 +1191,10 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
                     oracle[d] = Some(scratch);
                     res
                 }
-                Mode::Rebatched { .. } => st.iterate_rebatched(d).map_err(EngineError::from)?,
+                Mode::Rebatched { .. } => st.iterate_rebatched(d)?,
                 Mode::Fallback => {
-                    let shards = st.infos[d].shards.clone();
-                    let mut out = DeviceIter {
-                        updated: 0,
-                        kernel_seconds: 0.0,
-                        spills: Vec::new(),
-                    };
-                    st.host_iterate(d, shards, &mut out);
+                    let mut out = DeviceIter::default();
+                    st.host_iterate(d, st.infos[d].shards.clone(), &mut out);
                     out
                 }
             };
@@ -1858,17 +1202,17 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
             // observe them this iteration, earlier ones next — exactly the
             // single-buffer stage-4 visibility of the serial engine.
             for &(k, v) in &res.spills {
-                st.master_src_value[k] = v;
+                st.host.src_value[k] = v;
                 let t = st.owner_of_entry(k);
                 if t != d {
                     match &mut st.modes[t] {
                         Mode::Resident(dev) if t > d => {
-                            dev.src_value.host_mut()[k - st.infos[t].erange.start] = v;
+                            dev.slice.src_value.host_mut()[k - st.infos[t].erange.start] = v;
                         }
                         Mode::Resident(_) => deferred.push((t, k, v)),
                         _ => {}
                     }
-                    sent_pairs[d].insert((st.gs.src_index()[k], t));
+                    sent_pairs[d].insert((st.layout.gs().src_index()[k], t));
                 }
             }
             iters[d] = Some(res);
@@ -1884,18 +1228,8 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
         let mut outcomes: Vec<Option<Result<ResidentOutcome<P>, DeviceFault>>> =
             (0..cfg.devices).map(|_| None).collect();
         {
-            let prog = st.prog;
-            let mcfg = st.cfg;
-            let gs = &st.gs;
-            let cw = st.cw.as_ref();
-            let infos = &st.infos;
-            let mut work: Vec<(
-                usize,
-                KernelDesc,
-                &mut Gpu,
-                &mut ResidentDev<P>,
-                &mut FaultStats,
-            )> = Vec::new();
+            let (layout, name) = (&st.layout, &st.desc_name);
+            let mut work: Vec<(usize, &mut Gpu, &mut Held<P>, &mut FaultStats)> = Vec::new();
             for (d, ((gpu, mode), fault)) in st
                 .fleet
                 .devices_mut()
@@ -1905,15 +1239,10 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
                 .enumerate()
             {
                 if let Mode::Resident(dev) = mode {
-                    let desc = KernelDesc::new(
-                        st.desc_name.clone(),
-                        infos[d].shards.len() as u32,
-                        mcfg.base.threads_per_block,
-                    );
-                    work.push((d, desc, gpu, &mut **dev, fault));
+                    work.push((d, gpu, &mut **dev, fault));
                 }
             }
-            let jobs = effective_jobs(mcfg.jobs).min(work.len()).max(1);
+            let jobs = effective_jobs(cfg.jobs).min(work.len()).max(1);
             let mut buckets: Vec<Vec<_>> = (0..jobs).map(|_| Vec::new()).collect();
             for (i, w) in work.into_iter().enumerate() {
                 buckets[i % jobs].push(w);
@@ -1925,14 +1254,16 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
                         scope.spawn(move || {
                             bucket
                                 .into_iter()
-                                .map(|(d, desc, gpu, dev, fault)| {
+                                .map(|(d, gpu, dev, fault)| {
                                     let pid = gpu.trace_pid();
                                     let fork = gpu.tracer().fork();
                                     gpu.set_tracer(fork, pid);
-                                    let r = resident_iteration(
-                                        prog, mcfg, gs, cw, &infos[d], &desc, gpu, dev, fault,
-                                    );
-                                    (d, r)
+                                    (
+                                        d,
+                                        resident_iteration(
+                                            prog, cfg, layout, name, gpu, dev, fault,
+                                        ),
+                                    )
                                 })
                                 .collect::<Vec<_>>()
                         })
@@ -1964,9 +1295,7 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
             let oc = match outcome {
                 Ok(oc) => oc,
                 Err(f) => {
-                    if first_err.is_none() {
-                        first_err = Some(f);
-                    }
+                    first_err.get_or_insert(f);
                     continue;
                 }
             };
@@ -1988,17 +1317,9 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
                     // download-then-re-enact, so it becomes the master copy.
                     let OracleState { vv, sv } = oracle[d].take().expect("oracle state");
                     let info = &st.infos[d];
-                    st.master_values[info.vrange.clone()].copy_from_slice(&vv);
-                    st.master_src_value[info.erange.clone()].copy_from_slice(&sv);
-                    st.faults[d].degradations += 1;
-                    cfg.base.trace.instant(
-                        d as u32,
-                        lanes::FAULT,
-                        "fault",
-                        "degrade-to-host",
-                        st.device_time(d),
-                    );
-                    st.modes[d] = Mode::Fallback;
+                    st.host.values[info.vrange.clone()].copy_from_slice(&vv);
+                    st.host.src_value[info.erange.clone()].copy_from_slice(&sv);
+                    st.degrade_to_host(d);
                 }
             }
         }
@@ -2008,9 +1329,9 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
         // post-iteration state, which predates these writes).
         for &(t, k, v) in &deferred {
             if let Mode::Resident(dev) = &mut st.modes[t] {
-                dev.src_value.host_mut()[k - st.infos[t].erange.start] = v;
+                dev.slice.src_value.host_mut()[k - st.infos[t].erange.start] = v;
             } else {
-                st.master_src_value[k] = v;
+                st.host.src_value[k] = v;
             }
         }
         if let Some(f) = first_err {
@@ -2038,20 +1359,13 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
             updated_vertices: iter_updated,
         });
         stats.compute_seconds += max_wall;
-        let iter_no = stats.iterations as u64 - 1;
-        cfg.base.trace.complete_with(
+        trace_iteration(
+            &cfg.base.trace,
             fleet_pid,
-            lanes::ENGINE,
-            "engine",
-            "iteration",
             fleet_clock,
             max_wall,
-            || {
-                vec![
-                    ("iteration", ArgVal::U64(iter_no)),
-                    ("updated_vertices", ArgVal::U64(iter_updated)),
-                ]
-            },
+            stats.iterations,
+            iter_updated,
         );
         fleet_clock += max_wall;
         cfg.base.trace.counter(
@@ -2096,63 +1410,21 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
                 elapsed_seconds: fleet_clock,
             });
         }
-        // Checkpoint boundary: assemble the global state (resident slices
-        // are real, charged D2H downloads), verify the algorithm invariant
-        // against the last verified snapshot, and store it as the new
-        // rollback target.
+        // Checkpoint boundary: assemble the global state, verify the
+        // algorithm invariant against the last verified snapshot, and store
+        // it as the new rollback target.
         if integ.mode.enabled() && stats.iterations.is_multiple_of(integ.checkpoint_every) {
-            let mut vals = st.master_values.clone();
-            let mut srcs = st.master_src_value.clone();
-            for d in 0..cfg.devices {
-                if let Mode::Resident(dev) = &st.modes[d] {
-                    let before = st.device_time(d);
-                    let gpu = st.fleet.device_mut(d);
-                    let fault = &mut st.faults[d];
-                    let v = with_copy_retries(
-                        gpu,
-                        cfg.max_copy_retries,
-                        cfg.backoff_base_seconds,
-                        fault,
-                        |g| g.try_download(&dev.vertex_values),
-                    )
-                    .map_err(EngineError::from)?;
-                    vals[st.infos[d].vrange.clone()].copy_from_slice(&v);
-                    let sv = with_copy_retries(
-                        gpu,
-                        cfg.max_copy_retries,
-                        cfg.backoff_base_seconds,
-                        fault,
-                        |g| g.try_download(&dev.src_value),
-                    )
-                    .map_err(EngineError::from)?;
-                    srcs[st.infos[d].erange.clone()].copy_from_slice(&sv);
-                    let after = st.device_time(d);
-                    integrity_seconds += after - before;
-                    time_marks[d] = after;
-                }
-            }
+            let mut srcs = st.host.src_value.clone();
+            let vals = st.snapshot(Some(&mut srcs), |d, before, after| {
+                integrity_seconds += after - before;
+                time_marks[d] = after;
+            })?;
             let violated = integ.mode.invariants()
                 && prog
                     .check_invariant(&ckpts.latest().expect("initial checkpoint").values, &vals)
                     .is_err();
             if violated {
-                let (iv, is) = init_state.as_ref().expect("enabled mode has init state");
-                let (iv, is) = (iv.clone(), is.clone());
-                st.sdc_recover_fleet(
-                    0,
-                    Detector::Invariant,
-                    &mut ckpts,
-                    &mut crcs,
-                    &mut stats,
-                    &mut watchdog_seen,
-                    &iv,
-                    &is,
-                    &mut time_marks,
-                    &mut integrity_seconds,
-                )
-                .map_err(EngineError::from)?;
-                need_reverify = true;
-                continue;
+                recover!(0, Detector::Invariant);
             }
             ckpts.push(stats.iterations, vals, srcs, watchdog_seen.clone());
             st.sdcs[0].checkpoints += 1;
@@ -2165,29 +1437,11 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
         }
         if let Some(w) = cfg.base.watchdog_interval {
             if stats.iterations.is_multiple_of(w) {
-                // Assemble the current global value vector (resident
-                // slices are real, charged D2H snapshots).
-                let mut snapshot = st.master_values.clone();
-                for d in 0..cfg.devices {
-                    if let Mode::Resident(dev) = &st.modes[d] {
-                        let before = st.device_time(d);
-                        let gpu = st.fleet.device_mut(d);
-                        let fault = &mut st.faults[d];
-                        let vals = with_copy_retries(
-                            gpu,
-                            cfg.max_copy_retries,
-                            cfg.backoff_base_seconds,
-                            fault,
-                            |g| g.try_download(&dev.vertex_values),
-                        )
-                        .map_err(EngineError::from)?;
-                        snapshot[st.infos[d].vrange.clone()].copy_from_slice(&vals);
-                        let after = st.device_time(d);
-                        watchdog_seconds += after - before;
-                        time_marks[d] = after;
-                    }
-                }
-                if !watchdog_seen.insert(crate::engine::fingerprint(&snapshot)) {
+                let snapshot = st.snapshot(None, |d, before, after| {
+                    watchdog_seconds += after - before;
+                    time_marks[d] = after;
+                })?;
+                if !watchdog_seen.insert(checksum(&snapshot)) {
                     return Err(EngineError::Watchdog {
                         iterations: stats.iterations,
                     });
@@ -2206,25 +1460,10 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
     }
 
     // ---- Download results (D2H) -------------------------------------------
-    let mut values = st.master_values.clone();
     let mut teardown = 0.0f64;
-    for d in 0..cfg.devices {
-        if let Mode::Resident(dev) = &st.modes[d] {
-            let before = st.device_time(d);
-            let gpu = st.fleet.device_mut(d);
-            let fault = &mut st.faults[d];
-            let vals = with_copy_retries(
-                gpu,
-                cfg.max_copy_retries,
-                cfg.backoff_base_seconds,
-                fault,
-                |g| g.try_download(&dev.vertex_values),
-            )
-            .map_err(EngineError::from)?;
-            values[st.infos[d].vrange.clone()].copy_from_slice(&vals);
-            teardown = teardown.max(st.device_time(d) - before);
-        }
-    }
+    let values = st.snapshot(None, |_, before, after| {
+        teardown = teardown.max(after - before);
+    })?;
     stats.teardown_seconds = teardown;
     cfg.base.trace.complete(
         fleet_pid,
@@ -2238,10 +1477,7 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
     // ---- Per-device breakdown ---------------------------------------------
     for d in 0..cfg.devices {
         let gpu = st.fleet.device(d);
-        st.sdcs[d].flips_injected = gpu
-            .fault_plan()
-            .map(|p| p.injected().bit_flips)
-            .unwrap_or(0);
+        st.sdcs[d].flips_injected = flips_fired(gpu.fault_plan()) - flips_baseline[d];
         let a = st.acc[d];
         let part = &fp.parts()[d];
         let mut profile = st.profiles[d].take();
@@ -2287,48 +1523,10 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
 mod tests {
     use super::*;
     use crate::engine::{run, CuShaConfig};
+    use crate::program::testing::{MiniSssp, INF};
     use cusha_graph::generators::rmat::{rmat, RmatConfig};
-    use cusha_graph::{Edge, VertexId};
+    use cusha_graph::Edge;
     use cusha_simt::FaultPlan;
-
-    struct MiniSssp {
-        source: VertexId,
-    }
-
-    const INF: u32 = u32::MAX;
-
-    impl VertexProgram for MiniSssp {
-        type V = u32;
-        type E = u32;
-        type SV = u32;
-        const HAS_EDGE_VALUES: bool = true;
-        const HAS_STATIC_VALUES: bool = false;
-
-        fn name(&self) -> &'static str {
-            "mini-sssp"
-        }
-        fn initial_value(&self, v: VertexId) -> u32 {
-            if v == self.source {
-                0
-            } else {
-                INF
-            }
-        }
-        fn edge_value(&self, w: u32) -> u32 {
-            w
-        }
-        fn init_compute(&self, local: &mut u32, global: &u32) {
-            *local = *global;
-        }
-        fn compute(&self, src: &u32, _st: &u32, edge: &u32, local: &mut u32) {
-            if *src != INF {
-                *local = (*local).min(src.saturating_add(*edge));
-            }
-        }
-        fn update_condition(&self, local: &mut u32, old: &u32) -> bool {
-            *local < *old
-        }
-    }
 
     fn test_graph() -> Graph {
         rmat(&RmatConfig::graph500(8, 1500, 21))

@@ -190,6 +190,52 @@ pub trait VertexProgram: Sync {
     }
 }
 
+/// The one unit-test program of this crate: a minimal SSSP (Figure 6 of the
+/// paper). The full algorithm suite lives in `cusha-algos`.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::*;
+
+    pub(crate) struct MiniSssp {
+        pub source: VertexId,
+    }
+
+    pub(crate) const INF: u32 = u32::MAX;
+
+    impl VertexProgram for MiniSssp {
+        type V = u32;
+        type E = u32;
+        type SV = u32;
+        const HAS_EDGE_VALUES: bool = true;
+        const HAS_STATIC_VALUES: bool = false;
+
+        fn name(&self) -> &'static str {
+            "mini-sssp"
+        }
+        fn initial_value(&self, v: VertexId) -> u32 {
+            if v == self.source {
+                0
+            } else {
+                INF
+            }
+        }
+        fn edge_value(&self, w: u32) -> u32 {
+            w
+        }
+        fn init_compute(&self, local: &mut u32, global: &u32) {
+            *local = *global;
+        }
+        fn compute(&self, src: &u32, _st: &u32, edge: &u32, local: &mut u32) {
+            if *src != INF {
+                *local = (*local).min(src.saturating_add(*edge));
+            }
+        }
+        fn update_condition(&self, local: &mut u32, old: &u32) -> bool {
+            *local < *old
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

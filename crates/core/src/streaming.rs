@@ -44,26 +44,25 @@
 //! counters persist), so consumed one-shot faults do not re-fire. All
 //! recovery activity is recorded in [`RunStats::fault`].
 
-use crate::cw::ConcatWindows;
-use crate::engine::Detector;
-use crate::engine::{CuShaConfig, CuShaOutput, Repr, RunObserver};
+use crate::engine::{
+    flips_fired, trace_iteration, CuShaConfig, CuShaOutput, Detector, PreparedLayout, Repr,
+    RunObserver,
+};
 use crate::error::EngineError;
 use crate::fallback::run_fallback;
 use crate::integrity::{apply_flips, checksum, CheckpointManager};
-use crate::program::{Value, VertexProgram};
+use crate::kernel::{
+    entry_bytes, fault_instant, with_copy_retries, DeviceSlice, HostArrays, HostMaster, Resident,
+    RetryPolicy, SpillVia,
+};
+use crate::middleware::DeadlineObserver;
+use crate::program::VertexProgram;
 use crate::shards::GShards;
 use crate::stats::{FaultStats, IterationStat, RunStats, SdcStats};
 use cusha_graph::Graph;
 use cusha_obs::trace::{lanes, ArgVal};
-use cusha_simt::{
-    aligned_chunks, DevVec, DeviceFault, FaultPlan, Gpu, KernelDesc, Mask, Pod, WARP,
-};
+use cusha_simt::{DeviceFault, FaultPlan, Gpu, Pod};
 use std::collections::HashSet;
-
-/// Warp-trace replay site tag for the streamed stage-2 apply region
-/// (`"st" "APLY"`-flavored constant; distinct from the in-core engine's
-/// tags so traces never alias across engines sharing a key layout).
-const SITE_ST_APPLY: u64 = 0x7374_4150504c59;
 
 /// Configuration of the streamed engine.
 #[derive(Clone, Debug)]
@@ -117,21 +116,14 @@ impl StreamingConfig {
         }
         Ok(())
     }
-}
 
-/// Per-entry bytes a shard entry occupies on the device for program `P`.
-fn entry_bytes<P: VertexProgram>(repr: Repr) -> u64 {
-    let mut b = <P::V as Pod>::SIZE as u64 + 4 /* DestIndex */ + 4 /* SrcIndex */;
-    if P::HAS_EDGE_VALUES {
-        b += <P::E as Pod>::SIZE as u64;
+    fn retry(&self) -> RetryPolicy {
+        RetryPolicy {
+            max_copy_retries: self.max_copy_retries,
+            backoff_base_seconds: self.backoff_base_seconds,
+            max_kernel_retries: self.max_kernel_retries,
+        }
     }
-    if P::HAS_STATIC_VALUES {
-        b += <P::SV as Pod>::SIZE as u64;
-    }
-    if matches!(repr, Repr::ConcatWindows) {
-        b += 4; // Mapper
-    }
-    b
 }
 
 /// Splits shards into batches of consecutive shards whose entry arrays fit
@@ -175,39 +167,6 @@ enum AttemptError {
 impl From<DeviceFault> for AttemptError {
     fn from(f: DeviceFault) -> Self {
         AttemptError::Fault(f)
-    }
-}
-
-/// Retries `op` on transient copy faults with exponential backoff; other
-/// faults (OOM, kernel) pass through for coarser-grained recovery.
-fn with_copy_retries<T>(
-    gpu: &mut Gpu,
-    cfg: &StreamingConfig,
-    fault: &mut FaultStats,
-    mut op: impl FnMut(&mut Gpu) -> Result<T, DeviceFault>,
-) -> Result<T, DeviceFault> {
-    let mut attempt = 0u32;
-    loop {
-        match op(gpu) {
-            Ok(v) => return Ok(v),
-            Err(f @ DeviceFault::Copy { .. }) => {
-                if attempt >= cfg.max_copy_retries {
-                    return Err(f);
-                }
-                fault.copy_retries += 1;
-                let backoff = cfg.backoff_base_seconds * (1u64 << attempt) as f64;
-                fault.backoff_seconds += backoff;
-                gpu.tracer().clone().instant(
-                    gpu.trace_pid(),
-                    lanes::FAULT,
-                    "fault",
-                    "copy-retry",
-                    gpu.total_seconds(),
-                );
-                attempt += 1;
-            }
-            Err(f) => return Err(f),
-        }
     }
 }
 
@@ -258,6 +217,7 @@ pub fn try_run_streamed_observed<P: VertexProgram, O: RunObserver + ?Sized>(
 ) -> Result<CuShaOutput<P::V>, EngineError<P::V>> {
     cfg.validate().map_err(EngineError::InvalidConfig)?;
     graph.validate()?;
+    let observer = &mut DeadlineObserver::new(cfg.base.deadline_seconds, observer);
 
     let mut fault = FaultStats::default();
     let mut sdc = SdcStats::default();
@@ -265,12 +225,37 @@ pub fn try_run_streamed_observed<P: VertexProgram, O: RunObserver + ?Sized>(
         .as_deref()
         .cloned()
         .or_else(|| cfg.base.fault_plan.clone());
+    let flips_baseline = flips_fired(plan.as_ref());
     let mut resident = cfg.resident_bytes;
     let mut repr = cfg.base.repr;
     let mut elapsed_base = 0.0f64;
     // Per-launch profile history accumulated across restarts/rebatches, so
     // the streamed engine reports through `--profile` like every other.
     let mut run_profile: Option<cusha_simt::Profile> = None;
+
+    // Last rung of both ladders: abandon the device for the host fallback,
+    // whose memory no device fault or flip can reach.
+    let host_fallback = |fault, sdc, profile: Option<cusha_simt::Profile>| {
+        let mut base = cfg.base.clone();
+        base.repr = Repr::GShards;
+        base.fault_plan = None;
+        let graft = |stats: &mut RunStats| {
+            stats.fault = fault;
+            stats.sdc = sdc;
+            stats.profile = profile;
+        };
+        match run_fallback(prog, graph, &base) {
+            Ok(mut out) => {
+                graft(&mut out.stats);
+                Ok(out)
+            }
+            Err(EngineError::NonConverged { mut partial }) => {
+                graft(&mut partial.stats);
+                Err(EngineError::NonConverged { partial })
+            }
+            Err(e) => Err(e),
+        }
+    };
 
     loop {
         let mut gpu = Gpu::new(cfg.base.device.clone());
@@ -297,7 +282,7 @@ pub fn try_run_streamed_observed<P: VertexProgram, O: RunObserver + ?Sized>(
         if let (Some(slot), Some(p)) = (fault_plan.as_deref_mut(), plan.as_ref()) {
             *slot = p.clone();
         }
-        sdc.flips_injected = plan.as_ref().map(|p| p.injected().bit_flips).unwrap_or(0);
+        sdc.flips_injected = flips_fired(plan.as_ref()) - flips_baseline;
         let attempt_end = gpu.total_seconds();
         elapsed_base += attempt_end;
         let attempt_memo = crate::stats::MemoStats::from_gpu(&gpu);
@@ -307,6 +292,11 @@ pub fn try_run_streamed_observed<P: VertexProgram, O: RunObserver + ?Sized>(
                 .absorb(&p);
         }
         drop(gpu);
+        let instant = |cat: &'static str, name: &str| {
+            cfg.base
+                .trace
+                .instant(0, lanes::FAULT, cat, name, attempt_end);
+        };
 
         match result {
             Ok(mut out) => {
@@ -335,34 +325,9 @@ pub fn try_run_streamed_observed<P: VertexProgram, O: RunObserver + ?Sized>(
                 });
             }
             Err(AttemptError::SdcExhausted) => {
-                // Last rung of the SDC ladder: abandon the device for the
-                // host fallback, whose memory no device flip can reach.
                 sdc.host_fallbacks += 1;
-                cfg.base
-                    .trace
-                    .instant(0, lanes::FAULT, "sdc", "host-fallback", attempt_end);
-                let mut base = cfg.base.clone();
-                base.repr = Repr::GShards;
-                base.fault_plan = None;
-                return match run_fallback(prog, graph, &base) {
-                    Ok(mut out) => {
-                        out.stats.fault = fault;
-                        out.stats.sdc = sdc;
-                        if let Some(p) = out.stats.profile.take() {
-                            run_profile
-                                .get_or_insert_with(cusha_simt::Profile::default)
-                                .absorb(&p);
-                        }
-                        out.stats.profile = run_profile.take();
-                        Ok(out)
-                    }
-                    Err(EngineError::NonConverged { mut partial }) => {
-                        partial.stats.fault = fault;
-                        partial.stats.sdc = sdc;
-                        Err(EngineError::NonConverged { partial })
-                    }
-                    Err(e) => Err(e),
-                };
+                instant("sdc", "host-fallback");
+                return host_fallback(fault, sdc, run_profile);
             }
             Err(AttemptError::Fault(DeviceFault::Oom {
                 requested_bytes,
@@ -377,53 +342,21 @@ pub fn try_run_streamed_observed<P: VertexProgram, O: RunObserver + ?Sized>(
                 }
                 fault.oom_rebatches += 1;
                 resident = (resident / 2).max(1);
-                cfg.base
-                    .trace
-                    .instant(0, lanes::FAULT, "fault", "oom-rebatch", attempt_end);
+                instant("fault", "oom-rebatch");
             }
-            Err(AttemptError::Fault(DeviceFault::Kernel { name, op_index })) => {
+            Err(AttemptError::Fault(DeviceFault::Kernel { .. })) => {
+                fault.degradations += 1;
                 match repr {
+                    // First rung: fall back to G-Shards, whose kernels are
+                    // a different code path (and, under injection, a
+                    // different name pattern).
                     Repr::ConcatWindows => {
-                        // First rung: fall back to G-Shards, whose kernels
-                        // are a different code path (and, under injection, a
-                        // different name pattern).
-                        fault.degradations += 1;
                         repr = Repr::GShards;
-                        cfg.base.trace.instant(
-                            0,
-                            lanes::FAULT,
-                            "fault",
-                            "degrade-to-gshards",
-                            attempt_end,
-                        );
+                        instant("fault", "degrade-to-gshards");
                     }
                     Repr::GShards => {
-                        // Last rung: abandon the device entirely.
-                        fault.degradations += 1;
-                        cfg.base.trace.instant(
-                            0,
-                            lanes::FAULT,
-                            "fault",
-                            "degrade-to-host",
-                            attempt_end,
-                        );
-                        let _ = (name, op_index);
-                        let mut base = cfg.base.clone();
-                        base.repr = Repr::GShards;
-                        base.fault_plan = None;
-                        return match run_fallback(prog, graph, &base) {
-                            Ok(mut out) => {
-                                out.stats.fault = fault;
-                                out.stats.sdc = sdc;
-                                Ok(out)
-                            }
-                            Err(EngineError::NonConverged { mut partial }) => {
-                                partial.stats.fault = fault;
-                                partial.stats.sdc = sdc;
-                                Err(EngineError::NonConverged { partial })
-                            }
-                            Err(e) => Err(e),
-                        };
+                        instant("fault", "degrade-to-host");
+                        return host_fallback(fault, sdc, run_profile);
                     }
                 }
             }
@@ -435,9 +368,10 @@ pub fn try_run_streamed_observed<P: VertexProgram, O: RunObserver + ?Sized>(
 }
 
 /// One from-scratch pass of the streamed convergence loop with the given
-/// representation and residency budget. Copy faults are retried inside;
-/// OOM, persistent kernel faults and exhausted SDC-recovery budgets bubble
-/// up for the caller's coarser-grained recovery.
+/// representation and residency budget. Copy faults and (up to the cap)
+/// kernel faults are retried inside; OOM, persistent kernel faults and
+/// exhausted SDC-recovery budgets bubble up for the caller's
+/// coarser-grained recovery.
 #[allow(clippy::too_many_arguments)]
 fn stream_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
     prog: &P,
@@ -452,44 +386,26 @@ fn stream_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
     elapsed_base: f64,
 ) -> Result<CuShaOutput<P::V>, AttemptError> {
     let base = &cfg.base;
-    let n_per = base.vertices_per_shard.unwrap_or_else(|| {
-        crate::autotune::select_vertices_per_shard(
-            graph.num_vertices() as u64,
-            graph.num_edges() as u64,
-            <P::V as Pod>::SIZE,
-            &base.device,
-            base.resident_blocks,
-        )
-    });
-    let gs = GShards::from_graph(graph, n_per);
-    let cw = matches!(repr, Repr::ConcatWindows).then(|| ConcatWindows::from_gshards(&gs));
+    let retry = cfg.retry();
+    let n_per = PreparedLayout::select_n_per(graph, base, <P::V as Pod>::SIZE);
+    let layout = PreparedLayout::build(graph, repr, n_per);
+    let gs = layout.gs();
 
-    // ---- Host master copies of the per-entry arrays ------------------------
-    let init: Vec<P::V> = (0..graph.num_vertices())
-        .map(|v| prog.initial_value(v))
-        .collect();
-    let mut master_src_value: Vec<P::V> =
-        gs.src_index().iter().map(|&s| init[s as usize]).collect();
-    let master_static: Option<Vec<P::SV>> = P::HAS_STATIC_VALUES.then(|| {
-        let per_vertex = prog.static_values(graph);
-        gs.src_index()
-            .iter()
-            .map(|&s| per_vertex[s as usize])
-            .collect()
-    });
-    let master_edges: Option<Vec<P::E>> = P::HAS_EDGE_VALUES.then(|| {
-        let by_id = prog.edge_values(graph);
-        gs.edge_id().iter().map(|&id| by_id[id as usize]).collect()
-    });
+    // Host master copies: `host.src_value` is the authoritative `SrcValue`
+    // column between batches; `host.values` stays the initial state.
+    let mut host = HostArrays::new(prog, graph, gs);
 
     // Resident state: vertex values + convergence flag.
-    let mut vertex_values = with_copy_retries(gpu, cfg, fault, |g| g.try_upload(&init))?;
-    let mut converged_flag = with_copy_retries(gpu, cfg, fault, |g| g.try_upload(&[1u32]))?;
+    let mut res = Resident {
+        vertex_values: with_copy_retries(gpu, &retry, fault, |g| g.try_upload(&host.values))?,
+        voff: 0,
+        flag: with_copy_retries(gpu, &retry, fault, |g| g.try_upload(&[1u32]))?,
+    };
     let h2d_resident = gpu.h2d_seconds;
 
-    let per_entry = entry_bytes::<P>(repr);
-    let batches = plan_batches(&gs, per_entry, resident_bytes);
-    let p = gs.num_shards();
+    let batches = plan_batches(gs, entry_bytes::<P>(repr), resident_bytes);
+    let kernel_name: std::sync::Arc<str> =
+        format!("{}-streamed::{}", repr.label(), prog.name()).into();
 
     let mut total = RunStats {
         engine: format!("{}-streamed", repr.label()),
@@ -509,16 +425,20 @@ fn stream_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
     let integ = &base.integrity;
     let mut ckpts: CheckpointManager<P::V> = CheckpointManager::new(integ.max_checkpoints);
     if integ.mode.enabled() {
-        ckpts.push(0, init.clone(), master_src_value.clone(), HashSet::new());
+        ckpts.push(
+            0,
+            host.values.clone(),
+            host.src_value.clone(),
+            HashSet::new(),
+        );
         sdc.checkpoints += 1;
     }
     let mut vv_crc = if integ.mode.checksums() {
-        checksum(&init)
+        checksum(&host.values)
     } else {
         0
     };
     let mut need_reverify = false;
-
     // One rung of the recovery ladder; evaluates to `false` once the
     // rollback and restart budgets are spent (caller escalates).
     macro_rules! sdc_recover {
@@ -527,19 +447,13 @@ fn stream_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
                 Detector::Checksum => sdc.checksum_detections += 1,
                 Detector::Invariant => sdc.invariant_detections += 1,
             }
-            gpu.tracer().clone().instant(
-                gpu.trace_pid(),
-                lanes::FAULT,
-                "sdc",
-                "corruption-detected",
-                gpu.total_seconds(),
-            );
+            fault_instant(gpu, "sdc", "corruption-detected");
             if sdc.rollbacks < integ.max_rollbacks {
                 let cp = ckpts.latest().expect("initial checkpoint always present");
-                with_copy_retries(gpu, cfg, fault, |g| {
-                    g.try_h2d(&mut vertex_values, &cp.values)
+                with_copy_retries(gpu, &retry, fault, |g| {
+                    g.try_h2d(&mut res.vertex_values, &cp.values)
                 })?;
-                master_src_value.copy_from_slice(&cp.src_value);
+                host.src_value.copy_from_slice(&cp.src_value);
                 vv_crc = cp.values_crc;
                 sdc.reexecuted_iterations += total.iterations - cp.iteration;
                 total.iterations = cp.iteration;
@@ -547,35 +461,30 @@ fn stream_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
                 watchdog_seen = cp.watchdog.clone();
                 sdc.rollbacks += 1;
                 need_reverify = true;
-                gpu.tracer().clone().instant(
-                    gpu.trace_pid(),
-                    lanes::FAULT,
-                    "sdc",
-                    "rollback",
-                    gpu.total_seconds(),
-                );
+                fault_instant(gpu, "sdc", "rollback");
                 true
             } else if sdc.full_restarts < integ.max_full_restarts {
-                with_copy_retries(gpu, cfg, fault, |g| g.try_h2d(&mut vertex_values, &init))?;
+                with_copy_retries(gpu, &retry, fault, |g| {
+                    g.try_h2d(&mut res.vertex_values, &host.values)
+                })?;
                 for (k, &s) in gs.src_index().iter().enumerate() {
-                    master_src_value[k] = init[s as usize];
+                    host.src_value[k] = host.values[s as usize];
                 }
-                vv_crc = checksum(&init);
+                vv_crc = checksum(&host.values);
                 sdc.reexecuted_iterations += total.iterations;
                 total.iterations = 0;
                 total.per_iteration.clear();
                 watchdog_seen.clear();
                 ckpts.clear();
-                ckpts.push(0, init.clone(), master_src_value.clone(), HashSet::new());
+                ckpts.push(
+                    0,
+                    host.values.clone(),
+                    host.src_value.clone(),
+                    HashSet::new(),
+                );
                 sdc.full_restarts += 1;
                 need_reverify = true;
-                gpu.tracer().clone().instant(
-                    gpu.trace_pid(),
-                    lanes::FAULT,
-                    "sdc",
-                    "full-restart",
-                    gpu.total_seconds(),
-                );
+                fault_instant(gpu, "sdc", "full-restart");
                 true
             } else {
                 false
@@ -585,7 +494,7 @@ fn stream_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
 
     'iter: while total.iterations < base.max_iterations {
         let iter_ts = gpu.total_seconds();
-        with_copy_retries(gpu, cfg, fault, |g| g.try_h2d(&mut converged_flag, &[1u32]))?;
+        res.reset_flag(gpu, &retry, fault)?;
         extra_transfer_seconds += base.device.transfer_seconds(4);
         let mut updated_this_iter = 0u64;
         let mut copy_times = Vec::with_capacity(batches.len());
@@ -593,49 +502,18 @@ fn stream_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
 
         for (batch_index, batch) in batches.iter().enumerate() {
             let batch_ts = gpu.total_seconds();
-            let entry_lo = gs.shard_entries(batch.start).start;
-            let entry_hi = gs.shard_entries(batch.end - 1).end;
-            let er_all = entry_lo..entry_hi;
 
             // ---- Upload the batch (tracked separately for pipelining). ----
             let h2d_before = gpu.h2d_seconds;
-            let mut src_value = with_copy_retries(gpu, cfg, fault, |g| {
-                g.try_upload(&master_src_value[er_all.clone()])
-            })?;
-            let static_buf: Option<DevVec<P::SV>> = match master_static.as_ref() {
-                Some(m) => Some(with_copy_retries(gpu, cfg, fault, |g| {
-                    g.try_upload(&m[er_all.clone()])
-                })?),
-                None => None,
-            };
-            let edge_buf: Option<DevVec<P::E>> = match master_edges.as_ref() {
-                Some(m) => Some(with_copy_retries(gpu, cfg, fault, |g| {
-                    g.try_upload(&m[er_all.clone()])
-                })?),
-                None => None,
-            };
-            let dest_index = with_copy_retries(gpu, cfg, fault, |g| {
-                g.try_upload(&gs.dest_index()[er_all.clone()])
-            })?;
-            let (src_index, mapper_buf) = match &cw {
-                Some(cw) => {
-                    let cw_lo = cw.cw_entries(batch.start).start;
-                    let cw_hi = cw.cw_entries(batch.end - 1).end;
-                    let si = with_copy_retries(gpu, cfg, fault, |g| {
-                        g.try_upload(&cw.src_index()[cw_lo..cw_hi])
-                    })?;
-                    let mp = with_copy_retries(gpu, cfg, fault, |g| {
-                        g.try_upload(&cw.mapper()[cw_lo..cw_hi])
-                    })?;
-                    (si, Some((mp, cw_lo)))
-                }
-                None => (
-                    with_copy_retries(gpu, cfg, fault, |g| {
-                        g.try_upload(&gs.src_index()[er_all.clone()])
-                    })?,
-                    None,
-                ),
-            };
+            let mut slice = DeviceSlice::upload(
+                gpu,
+                &retry,
+                fault,
+                &layout,
+                &host,
+                batch.clone(),
+                SpillVia::Host,
+            )?;
             copy_times.push(gpu.h2d_seconds - h2d_before);
 
             // Flip point: silent bit flips land while the batch sits in
@@ -645,11 +523,12 @@ fn stream_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
             // checksum is its reference.
             let flips = gpu.take_due_bit_flips();
             if !flips.is_empty() {
-                apply_flips(&flips, &mut vertex_values, &mut src_value);
+                apply_flips(&flips, &mut res.vertex_values, &mut slice.src_value);
             }
             if integ.mode.checksums()
-                && (checksum(vertex_values.host()) != vv_crc
-                    || checksum(src_value.host()) != checksum(&master_src_value[er_all.clone()]))
+                && (checksum(res.vertex_values.host()) != vv_crc
+                    || checksum(slice.src_value.host())
+                        != checksum(&host.src_value[slice.erange.clone()]))
             {
                 if sdc_recover!(Detector::Checksum) {
                     continue 'iter;
@@ -657,199 +536,44 @@ fn stream_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
                 return Err(AttemptError::SdcExhausted);
             }
 
-            // ---- Process the batch's shards. -----------------------------
-            let desc = KernelDesc::new(
-                format!("{}-streamed::{}", repr.label(), prog.name()),
-                batch.len() as u32,
+            // ---- Process the batch's shards. Stage-4 writes to resident
+            // targets are device stores; the rest land in the host master
+            // (the real implementation would buffer them in pinned memory;
+            // either way they cross PCIe, counted in `host_writes`). -------
+            let mut host_writes = 0u64;
+            let master = HostMaster {
+                src_value: &mut host.src_value,
+                bytes: &mut host_writes,
+            };
+            let (kstats, updated) = slice.launch(
+                gpu,
+                &kernel_name,
                 base.threads_per_block,
-            );
-            let mut host_writes = 0u64; // bytes escaping to non-resident batches
-            let mut body = |b: &mut cusha_simt::Block<'_>| {
-                let s = batch.start + b.id();
-                let vrange = gs.vertex_range(s);
-                let offset = vrange.start as usize;
-                let nv = vrange.len();
-                let mut local = b.shared_alloc::<P::V>(nv);
-
-                // Stage 1.
-                for (abase, mask) in aligned_chunks(offset..offset + nv) {
-                    let vals = b.gload_run(&vertex_values, mask, abase as isize);
-                    let mut inited = [P::V::default(); WARP];
-                    for l in mask.iter() {
-                        let mut lv = P::V::default();
-                        prog.init_compute(&mut lv, &vals[l]);
-                        inited[l] = lv;
-                    }
-                    b.exec(mask, 1);
-                    b.sstore_run(&mut local, mask, abase as isize - offset as isize, &inited);
-                }
-                b.sync();
-
-                // Stage 2 (indices shifted into the batch-local buffers).
-                let er = gs.shard_entries(s);
-                let lo = entry_lo;
-                for (abase, mask) in aligned_chunks(er.clone()) {
-                    let shift = abase as isize - lo as isize;
-                    let dst = b.gload_run(&dest_index, mask, shift);
-                    // `lo` participates in the site key: the batch shift
-                    // changes buffer alignment, so the same `abase` in a
-                    // later batch is a different trace.
-                    b.warp_scope(
-                        &[SITE_ST_APPLY, abase as u64, offset as u64, lo as u64],
-                        mask,
-                        &dst,
-                    );
-                    let srcv = b.gload_run(&src_value, mask, shift);
-                    let statv = match &static_buf {
-                        Some(buf) => b.gload_run(buf, mask, shift),
-                        None => [P::SV::default(); WARP],
-                    };
-                    let ev = match &edge_buf {
-                        Some(buf) => b.gload_run(buf, mask, shift),
-                        None => [P::E::default(); WARP],
-                    };
-                    b.exec(mask, P::COMPUTE_COST);
-                    b.supdate(
-                        &mut local,
-                        mask,
-                        |l| dst[l] as usize - offset,
-                        |l, slot| prog.compute(&srcv[l], &statv[l], &ev[l], slot),
-                    );
-                    b.warp_scope_end();
-                }
-                b.sync();
-
-                // Stage 3.
-                let mut block_updated = false;
-                for (abase, mask) in aligned_chunks(offset..offset + nv) {
-                    let old = b.gload_run(&vertex_values, mask, abase as isize);
-                    let loc = b.sload_run(&local, mask, abase as isize - offset as isize);
-                    let mut newv = loc;
-                    let mut cond_bits = 0u32;
-                    for l in mask.iter() {
-                        if prog.update_condition(&mut newv[l], &old[l]) {
-                            cond_bits |= 1 << l;
-                        }
-                    }
-                    b.exec(mask, 1);
-                    b.sstore_run(&mut local, mask, abase as isize - offset as isize, &newv);
-                    let smask = Mask(cond_bits);
-                    if !smask.is_empty() {
-                        b.gstore_run(&mut vertex_values, smask, abase as isize, &newv);
-                        block_updated = true;
-                        updated_this_iter += smask.count() as u64;
-                    }
-                }
-                b.sync();
-
-                // Stage 4: resident targets via device stores; non-resident
-                // targets land in the host master (counted as PCIe bytes).
-                if block_updated {
-                    let mut write = |b: &mut cusha_simt::Block<'_>,
-                                     local: &cusha_simt::SharedVec<P::V>,
-                                     abs_pos: [usize; WARP],
-                                     sidx: [u32; WARP],
-                                     mask: Mask| {
-                        let loc = b.sload(local, mask, |l| sidx[l] as usize - offset);
-                        let resident = mask.and(Mask::from_fn(|l| er_all.contains(&abs_pos[l])));
-                        if !resident.is_empty() {
-                            b.gstore(&mut src_value, resident, |l| abs_pos[l] - lo, |l| loc[l]);
-                        }
-                        for l in mask.iter() {
-                            if !er_all.contains(&abs_pos[l]) {
-                                master_src_value[abs_pos[l]] = loc[l];
-                                host_writes += <P::V as Pod>::SIZE as u64;
-                            }
-                        }
-                    };
-                    match &cw {
-                        None => {
-                            for j in 0..p {
-                                for (abase, mask) in aligned_chunks(gs.window(s, j)) {
-                                    // SrcIndex of non-resident windows comes
-                                    // from the host-pinned copy in a real
-                                    // implementation; the read traffic is
-                                    // equivalent, so model it through the
-                                    // resident buffer when possible.
-                                    let mut sidx = [0u32; WARP];
-                                    let mut abs = [0usize; WARP];
-                                    let res_mask =
-                                        mask.and(Mask::from_fn(|l| er_all.contains(&(abase + l))));
-                                    let loaded = if !res_mask.is_empty() {
-                                        b.gload_run(&src_index, res_mask, abase as isize - lo as isize)
-                                    } else {
-                                        [0u32; WARP]
-                                    };
-                                    for l in mask.iter() {
-                                        abs[l] = abase + l;
-                                        sidx[l] = if er_all.contains(&(abase + l)) {
-                                            loaded[l]
-                                        } else {
-                                            gs.src_index()[abase + l]
-                                        };
-                                    }
-                                    write(b, &local, abs, sidx, mask);
-                                }
-                            }
-                        }
-                        Some(cw) => {
-                            let r = cw.cw_entries(s);
-                            let cw_lo = mapper_buf.as_ref().unwrap().1;
-                            for (abase, mask) in aligned_chunks(r) {
-                                let shift = abase as isize - cw_lo as isize;
-                                let sidx = b.gload_run(&src_index, mask, shift);
-                                let map =
-                                    b.gload_run(&mapper_buf.as_ref().unwrap().0, mask, shift);
-                                let mut abs = [0usize; WARP];
-                                for l in mask.iter() {
-                                    abs[l] = map[l] as usize;
-                                }
-                                write(b, &local, abs, sidx, mask);
-                            }
-                        }
-                    }
-                    b.gstore(&mut converged_flag, Mask::first(1), |_| 0, |_| 0u32);
-                }
-            };
-            // Kernel faults fire before any block runs, so an in-place
-            // re-launch re-executes the identical work.
-            let mut launch_attempts = 0u32;
-            let kstats = loop {
-                match gpu.try_launch(&desc, &mut body) {
-                    Ok(k) => break k,
-                    Err(f @ DeviceFault::Kernel { .. }) => {
-                        if launch_attempts >= cfg.max_kernel_retries {
-                            return Err(f.into());
-                        }
-                        launch_attempts += 1;
-                        fault.kernel_retries += 1;
-                        gpu.tracer().clone().instant(
-                            gpu.trace_pid(),
-                            lanes::FAULT,
-                            "fault",
-                            "kernel-retry",
-                            gpu.total_seconds(),
-                        );
-                    }
-                    Err(f) => return Err(f.into()),
-                }
-            };
+                prog,
+                &layout,
+                &mut res,
+                Some(master),
+                &retry,
+                fault,
+            )?;
+            updated_this_iter += updated;
             kernel_times.push(kstats.seconds);
             // The launch legitimately rewrote the resident values; record
             // the state the next scrub pass must find untouched.
             if integ.mode.checksums() {
-                vv_crc = checksum(vertex_values.host());
+                vv_crc = checksum(res.vertex_values.host());
             }
             total.kernel.counters.add(&kstats.counters);
             total.kernel.blocks += kstats.blocks;
             total.kernel.threads_per_block = kstats.threads_per_block;
 
             // ---- Write the batch's SrcValue back to the host master. ------
-            let batch_values = with_copy_retries(gpu, cfg, fault, |g| g.try_download(&src_value))?;
-            master_src_value[er_all].copy_from_slice(&batch_values);
+            let batch_values =
+                with_copy_retries(gpu, &retry, fault, |g| g.try_download(&slice.src_value))?;
+            host.src_value[slice.erange.clone()].copy_from_slice(&batch_values);
             extra_transfer_seconds += base.device.transfer_seconds(host_writes);
             let shards = batch.len() as u64;
-            gpu.tracer().clone().complete_with(
+            gpu.tracer().complete_with(
                 gpu.trace_pid(),
                 lanes::ENGINE,
                 "engine",
@@ -883,23 +607,14 @@ fn stream_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
             seconds: iter_seconds,
             updated_vertices: updated_this_iter,
         });
-        let flag = with_copy_retries(gpu, cfg, fault, |g| {
-            g.try_download_scalar(&converged_flag, 0)
-        })?;
-        let iter = total.iterations as u64 - 1;
-        gpu.tracer().clone().complete_with(
+        let flag = res.read_flag(gpu, &retry, fault)?;
+        trace_iteration(
+            gpu.tracer(),
             gpu.trace_pid(),
-            lanes::ENGINE,
-            "engine",
-            "iteration",
             iter_ts,
             gpu.total_seconds() - iter_ts,
-            || {
-                vec![
-                    ("iteration", ArgVal::U64(iter)),
-                    ("updated_vertices", ArgVal::U64(updated_this_iter)),
-                ]
-            },
+            total.iterations,
+            updated_this_iter,
         );
         if flag == 1 {
             converged = true;
@@ -909,21 +624,20 @@ fn stream_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
         // observers share the watchdog's discipline (the in-flight batch
         // has completed). The elapsed clock spans the engine's earlier
         // restarts, so a deadline bounds the whole recovery trajectory.
-        {
-            let elapsed = elapsed_base + gpu.total_seconds();
-            if !observer.on_iteration(total.iterations, updated_this_iter, elapsed) {
-                return Err(AttemptError::Cancelled {
-                    iterations: total.iterations,
-                    elapsed_seconds: elapsed,
-                });
-            }
+        let elapsed = elapsed_base + gpu.total_seconds();
+        if !observer.on_iteration(total.iterations, updated_this_iter, elapsed) {
+            return Err(AttemptError::Cancelled {
+                iterations: total.iterations,
+                elapsed_seconds: elapsed,
+            });
         }
         // Checkpoint boundary: download the resident values (real, charged
         // D2H), verify the algorithm invariant against the last verified
         // snapshot, and store it (with the master `SrcValue` column) as the
         // new rollback target.
         if integ.mode.enabled() && total.iterations.is_multiple_of(integ.checkpoint_every) {
-            let vals = with_copy_retries(gpu, cfg, fault, |g| g.try_download(&vertex_values))?;
+            let vals =
+                with_copy_retries(gpu, &retry, fault, |g| g.try_download(&res.vertex_values))?;
             if integ.mode.invariants() {
                 let prev = &ckpts.latest().expect("initial checkpoint").values;
                 if prog.check_invariant(prev, &vals).is_err() {
@@ -936,26 +650,20 @@ fn stream_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
             ckpts.push(
                 total.iterations,
                 vals,
-                master_src_value.clone(),
+                host.src_value.clone(),
                 watchdog_seen.clone(),
             );
             sdc.checkpoints += 1;
             if need_reverify {
                 need_reverify = false;
-                gpu.tracer().clone().instant(
-                    gpu.trace_pid(),
-                    lanes::FAULT,
-                    "sdc",
-                    "reverify",
-                    gpu.total_seconds(),
-                );
+                fault_instant(gpu, "sdc", "reverify");
             }
         }
         if let Some(w) = base.watchdog_interval {
             if total.iterations.is_multiple_of(w) {
                 let snapshot =
-                    with_copy_retries(gpu, cfg, fault, |g| g.try_download(&vertex_values))?;
-                if !watchdog_seen.insert(fingerprint(&snapshot)) {
+                    with_copy_retries(gpu, &retry, fault, |g| g.try_download(&res.vertex_values))?;
+                if !watchdog_seen.insert(checksum(&snapshot)) {
                     return Err(AttemptError::Watchdog {
                         iterations: total.iterations,
                     });
@@ -964,20 +672,14 @@ fn stream_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
         }
     }
 
-    let values = with_copy_retries(gpu, cfg, fault, |g| g.try_download(&vertex_values))?;
+    let values = with_copy_retries(gpu, &retry, fault, |g| g.try_download(&res.vertex_values))?;
     if need_reverify {
         // The recovered trajectory converged before the next checkpoint
         // boundary re-verified it; the converged state itself is the proof.
-        gpu.tracer().clone().instant(
-            gpu.trace_pid(),
-            lanes::FAULT,
-            "sdc",
-            "reverify",
-            gpu.total_seconds(),
-        );
+        fault_instant(gpu, "sdc", "reverify");
     }
     total.converged = converged;
-    total.kernel.name = format!("{}-streamed::{}", repr.label(), prog.name()).into();
+    total.kernel.name = kernel_name;
     total.h2d_seconds = h2d_resident;
     total.compute_seconds = kernel_seconds_pipelined + extra_transfer_seconds;
     total.d2h_seconds = base
@@ -989,61 +691,13 @@ fn stream_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
     })
 }
 
-/// FNV-1a over the value vector's bit patterns (watchdog fingerprint).
-fn fingerprint<V: Value>(values: &[V]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &v in values {
-        let mut bits = v.to_bits();
-        for _ in 0..8 {
-            h = (h ^ (bits & 0xff)).wrapping_mul(0x100_0000_01b3);
-            bits >>= 8;
-        }
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::run;
+    use crate::program::testing::MiniSssp;
     use cusha_graph::generators::rmat::{rmat, RmatConfig};
-    use cusha_graph::{Edge, VertexId};
-
-    struct MiniSssp {
-        source: VertexId,
-    }
-    const INF: u32 = u32::MAX;
-    impl VertexProgram for MiniSssp {
-        type V = u32;
-        type E = u32;
-        type SV = u32;
-        const HAS_EDGE_VALUES: bool = true;
-        const HAS_STATIC_VALUES: bool = false;
-        fn name(&self) -> &'static str {
-            "mini-sssp"
-        }
-        fn initial_value(&self, v: VertexId) -> u32 {
-            if v == self.source {
-                0
-            } else {
-                INF
-            }
-        }
-        fn edge_value(&self, w: u32) -> u32 {
-            w
-        }
-        fn init_compute(&self, local: &mut u32, global: &u32) {
-            *local = *global;
-        }
-        fn compute(&self, src: &u32, _st: &u32, e: &u32, local: &mut u32) {
-            if *src != INF {
-                *local = (*local).min(src.saturating_add(*e));
-            }
-        }
-        fn update_condition(&self, local: &mut u32, old: &u32) -> bool {
-            *local < *old
-        }
-    }
+    use cusha_graph::Edge;
 
     fn tiny_budget(gs_like_edges: u64) -> u64 {
         // Force several batches: room for roughly a third of the entries.

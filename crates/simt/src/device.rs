@@ -74,6 +74,13 @@ pub struct Gpu {
 impl Gpu {
     /// Creates a device with the given configuration.
     pub fn new(cfg: DeviceConfig) -> Self {
+        Self::in_fleet(cfg, 1)
+    }
+
+    /// Creates one device of a fleet of `fleet_size`, whose warp-trace
+    /// replay table is sized for its share of the fleet's work (see
+    /// [`ReplayMemo::with_share`]).
+    pub fn in_fleet(cfg: DeviceConfig, fleet_size: usize) -> Self {
         let memo = CoalesceMemo::new(
             cfg.segment_bytes,
             cfg.sector_bytes,
@@ -94,7 +101,7 @@ impl Gpu {
             tracer: Tracer::default(),
             trace_pid: 0,
             memo,
-            replay: ReplayMemo::new(),
+            replay: ReplayMemo::with_share(fleet_size),
             launch_scratch,
         }
     }

@@ -98,8 +98,18 @@ impl ReplayMemo {
     /// pages (see [`crate::coalesce::zeroed_table`]) so construction cost
     /// does not scale with [`SLOTS`].
     pub fn new() -> Self {
+        Self::with_share(1)
+    }
+
+    /// Builds an empty table with `1/share` of the default slots (rounded
+    /// up to a power of two). A fleet of `share` devices splits one graph's
+    /// scopes `share` ways, so each device's table keeps the single-device
+    /// load factor and the fleet's tables together touch no more memory
+    /// than one device's would.
+    pub fn with_share(share: usize) -> Self {
+        let slots = (SLOTS / share.max(1)).next_power_of_two().max(2);
         ReplayMemo {
-            slots: crate::coalesce::zeroed_table(SLOTS),
+            slots: crate::coalesce::zeroed_table(slots),
             hits: 0,
             misses: 0,
             fallbacks: 0,
@@ -139,7 +149,7 @@ impl ReplayMemo {
         // Two-way set associative: a set is an adjacent slot pair. One way
         // absorbs value-dependent churn (convergence-dependent masks)
         // without evicting the iteration-stable entry in the other.
-        let way0 = slot_index(&key) & !1;
+        let way0 = slot_index(&key) & (self.slots.len() - 1) & !1;
         for idx in [way0, way0 | 1] {
             let slot = &mut self.slots[idx];
             if slot.filled && slot.key == key {
@@ -230,7 +240,7 @@ fn slot_index(key: &TraceKey) -> usize {
     h ^= h >> 33;
     h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
     h ^= h >> 33;
-    (h as usize) & (SLOTS - 1)
+    h as usize
 }
 
 #[cfg(test)]
@@ -279,7 +289,10 @@ mod tests {
         ));
         let mut col2 = col;
         col2[31] = 2;
-        assert!(matches!(m.lookup(&site, Mask::FULL, &col2), Lookup::Miss(_)));
+        assert!(matches!(
+            m.lookup(&site, Mask::FULL, &col2),
+            Lookup::Miss(_)
+        ));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 
 use cusha::algos::{Bfs, Sssp};
 use cusha::core::{
-    try_run, try_run_warm, CuShaConfig, EngineError, NoopObserver, PreparedLayout, Repr,
-    RunObserver,
+    try_run, try_run_multi, try_run_streamed, try_run_warm, CuShaConfig, EngineError, MultiConfig,
+    NoopObserver, PreparedLayout, Repr, RunObserver, StreamingConfig,
 };
 use cusha::graph::generators::rmat::{rmat, RmatConfig};
 use cusha::graph::Graph;
@@ -55,6 +55,36 @@ fn deadline_cancels_at_an_iteration_boundary() {
     // The same error carries the taxonomy tag the CLI maps to exit 4.
     let err = try_run(&Bfs::new(0), &g, &cfg).unwrap_err();
     assert_eq!(err.kind(), "deadline");
+}
+
+/// `deadline_seconds` is part of the base config, so the streamed and fleet
+/// engines must honour it on a direct call too — not only when the caller
+/// routes through `run_engine`'s middleware.
+#[test]
+fn deadline_cancels_streamed_and_fleet_runs_called_directly() {
+    let g = graph();
+    let base = CuShaConfig::cw().with_deadline(1e-9);
+    let streamed = try_run_streamed(
+        &Bfs::new(0),
+        &g,
+        &StreamingConfig::new(base.clone(), 1 << 16),
+    );
+    let fleet = try_run_multi(&Bfs::new(0), &g, &MultiConfig::new(base, 2));
+    for (engine, err) in [
+        ("streamed", streamed.map(|_| ()).unwrap_err()),
+        ("fleet", fleet.map(|_| ()).unwrap_err()),
+    ] {
+        match err {
+            EngineError::Deadline {
+                iterations,
+                elapsed_seconds,
+            } => {
+                assert_eq!(iterations, 1, "{engine}: cancels at the first boundary");
+                assert!(elapsed_seconds >= 1e-9, "{engine}");
+            }
+            other => panic!("{engine}: expected a deadline error, got {other:?}"),
+        }
+    }
 }
 
 #[test]

@@ -1,0 +1,116 @@
+//! The in-core engine, the streamed engine and the multi-device fleet run
+//! one shared four-stage kernel over differently sized device slices, and
+//! the host fallback re-enacts its schedule. Over arbitrary small graphs,
+//! both representations and an integer, a weighted and a float program:
+//!
+//! * every engine's values are bit-identical to `run_fallback`'s,
+//! * a fleet of one device issues exactly the in-core engine's warp
+//!   operations (its slice *is* the whole graph),
+//! * a streamed run whose budget holds every shard walks the in-core
+//!   engine's convergence trajectory.
+
+use cusha::algos::{Bfs, PageRank, Sssp};
+use cusha::core::{
+    run_fallback, try_run, try_run_multi, try_run_streamed, CuShaConfig, CuShaOutput, EngineError,
+    MultiConfig, Repr, StreamingConfig, Value, VertexProgram,
+};
+use cusha::graph::{Edge, Graph};
+use proptest::prelude::*;
+
+/// Strategy: an arbitrary small graph (possibly with self-loops, parallel
+/// edges, isolated vertices).
+fn arb_graph() -> impl Strategy<Value = Graph> {
+    (1u32..120).prop_flat_map(|n| {
+        let edge = (0..n, 0..n, 1u32..65).prop_map(|(s, d, w)| Edge::new(s, d, w));
+        proptest::collection::vec(edge, 0..400).prop_map(move |edges| Graph::new(n, edges))
+    })
+}
+
+/// The output of a run, capped or not (PageRank may stop at the cap).
+fn settle<V: std::fmt::Debug>(r: Result<CuShaOutput<V>, EngineError<V>>) -> CuShaOutput<V> {
+    match r {
+        Ok(out) => out,
+        Err(EngineError::NonConverged { partial }) => *partial,
+        Err(e) => panic!("run failed: {e}"),
+    }
+}
+
+fn bits<V: Value>(values: &[V]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+fn check<P: VertexProgram>(prog: &P, g: &Graph, repr: Repr, n_per: u32) -> Result<(), String> {
+    let tag = format!("{} {}", repr.label(), prog.name());
+    let mut cfg = CuShaConfig::new(repr).with_vertices_per_shard(n_per);
+    cfg.max_iterations = 200;
+    let want = settle(run_fallback(prog, g, &cfg));
+    let want_bits = bits(&want.values);
+
+    let in_core = settle(try_run(prog, g, &cfg));
+    if bits(&in_core.values) != want_bits {
+        return Err(format!("{tag}: in-core diverged from the fallback"));
+    }
+
+    // One shard per batch: every cross-shard stage-4 write takes the
+    // host-master sink.
+    let streamed = settle(try_run_streamed(
+        prog,
+        g,
+        &StreamingConfig::new(cfg.clone(), 1),
+    ));
+    if bits(&streamed.values) != want_bits {
+        return Err(format!("{tag}: one-shard-per-batch streaming diverged"));
+    }
+    // Every shard in one batch: nothing leaves the slice.
+    let whole = settle(try_run_streamed(
+        prog,
+        g,
+        &StreamingConfig::new(cfg.clone(), u64::MAX),
+    ));
+    let series = |o: &CuShaOutput<P::V>| -> Vec<u64> {
+        o.stats
+            .per_iteration
+            .iter()
+            .map(|it| it.updated_vertices)
+            .collect()
+    };
+    if whole.stats.iterations != in_core.stats.iterations || series(&whole) != series(&in_core) {
+        return Err(format!(
+            "{tag}: single-batch streaming left the in-core trajectory"
+        ));
+    }
+
+    for devices in 1..=4 {
+        let fleet = match try_run_multi(prog, g, &MultiConfig::new(cfg.clone(), devices)) {
+            Ok(out) => (out.values, out.stats.aggregate.counters),
+            Err(EngineError::NonConverged { partial }) => {
+                (partial.values, partial.stats.kernel.counters)
+            }
+            Err(e) => return Err(format!("{tag} x{devices}: {e}")),
+        };
+        if bits(&fleet.0) != want_bits {
+            return Err(format!("{tag} x{devices}: fleet diverged"));
+        }
+        if devices == 1 && fleet.1 != in_core.stats.kernel.counters {
+            return Err(format!(
+                "{tag}: fleet-of-1 counters {:?} != in-core {:?}",
+                fleet.1, in_core.stats.kernel.counters
+            ));
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn every_engine_matches_the_host_sweep(g in arb_graph(), n_per in 2u32..40) {
+        for repr in [Repr::GShards, Repr::ConcatWindows] {
+            let checked = check(&Bfs::new(0), &g, repr, n_per)
+                .and_then(|()| check(&Sssp::new(0), &g, repr, n_per))
+                .and_then(|()| check(&PageRank::new(), &g, repr, n_per));
+            prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+        }
+    }
+}

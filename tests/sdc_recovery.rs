@@ -8,8 +8,8 @@ use cusha::algos::{
     PageRank, Sssp, Sswp,
 };
 use cusha::core::{
-    try_run, try_run_multi, try_run_streamed, CuShaConfig, IntegrityConfig, IntegrityMode,
-    MultiConfig, Repr, StreamingConfig,
+    try_run, try_run_multi, try_run_streamed, try_run_streamed_observed, CuShaConfig,
+    IntegrityConfig, IntegrityMode, MultiConfig, NoopObserver, Repr, StreamingConfig,
 };
 use cusha::graph::generators::rmat::{rmat, RmatConfig};
 use cusha::graph::Graph;
@@ -71,6 +71,40 @@ fn full_integrity_masks_the_same_flip() {
     assert_eq!(out.stats.sdc.full_restarts, 0);
     assert_eq!(out.stats.sdc.host_fallbacks, 0);
     assert!(out.stats.converged);
+}
+
+/// A caller-owned plan carries its injection log from run to run; each run
+/// must report only the flips that fired during *it*. One scheduled flip,
+/// three consecutive runs sharing the plan: streamed reports 1, then 0, and
+/// a fleet handed the same (already-fired) plan reports 0 as well.
+#[test]
+fn flips_injected_counts_only_this_runs_flips_on_a_carried_plan() {
+    let g = small_graph(91);
+    let prog = Bfs::new(0);
+    let mut plan = FaultPlan::new().flip_at(0, FlipTarget::VertexValues, 0, 20);
+    let base = base_cfg(Repr::ConcatWindows).with_integrity(full_integrity());
+    let scfg = StreamingConfig::new(base.clone(), 1 << 14);
+
+    let mut reported = Vec::new();
+    for _ in 0..2 {
+        let out = try_run_streamed_observed(&prog, &g, &scfg, Some(&mut plan), &mut NoopObserver)
+            .expect("recovered run");
+        reported.push(out.stats.sdc.flips_injected);
+    }
+    assert_eq!(
+        reported,
+        [1, 0],
+        "second run re-reported the first run's flip"
+    );
+    assert_eq!(
+        plan.injected().bit_flips,
+        1,
+        "the plan's own log is cumulative"
+    );
+
+    let mcfg = MultiConfig::new(base, 2).with_device_fault_plan(0, plan);
+    let fleet = try_run_multi(&prog, &g, &mcfg).expect("fleet run");
+    assert_eq!(fleet.stats.sdc.flips_injected, 0);
 }
 
 /// Chaos sweep over the single-device engine: seeded random flip schedules

@@ -11,8 +11,9 @@
 //! ```
 
 use cusha::algos::Bfs;
-use cusha::core::{run, CuShaConfig};
+use cusha::core::{run, run_multi, run_streamed, CuShaConfig, MultiConfig, StreamingConfig};
 use cusha::graph::generators::rmat::{rmat, RmatConfig};
+use cusha::obs::trace::{ArgVal, Ph};
 use cusha::obs::{chrome_trace_json, validate_chrome_trace, MetricsRegistry, Tracer};
 
 const GOLDEN_METRICS: &str = concat!(
@@ -105,4 +106,49 @@ fn traced_run_is_byte_reproducible() {
     let (trace_b, metrics_b) = traced_bfs();
     assert_eq!(trace_a, trace_b, "chrome trace is not byte-stable");
     assert_eq!(metrics_a, metrics_b, "metrics snapshot is not byte-stable");
+}
+
+/// The `iteration` argument of the engine-lane `iteration` spans is 1-based
+/// — the number `RunObserver::on_iteration` reports — on every engine: the
+/// spans of a run that took `n` iterations carry exactly `1..=n`.
+#[test]
+fn iteration_spans_are_one_based_on_every_engine() {
+    let g = rmat(&RmatConfig::graph500(8, 1500, 21));
+    let traced = |run: &dyn Fn(CuShaConfig) -> u32| {
+        let tracer = Tracer::enabled();
+        let iterations = run(CuShaConfig::cw().with_tracer(tracer.clone()));
+        let seen = tracer
+            .with_events(|events| {
+                events
+                    .iter()
+                    .filter(|e| e.ph == Ph::Complete && e.cat == "engine" && e.name == "iteration")
+                    .map(|e| match e.args.iter().find(|(k, _)| *k == "iteration") {
+                        Some((_, ArgVal::U64(i))) => *i,
+                        other => panic!("iteration span without a u64 `iteration`: {other:?}"),
+                    })
+                    .collect::<Vec<u64>>()
+            })
+            .expect("tracer is enabled");
+        (iterations, seen)
+    };
+    let prog = Bfs::new(0);
+    let cases: [(&str, &dyn Fn(CuShaConfig) -> u32); 3] = [
+        ("in-core", &|cfg| run(&prog, &g, &cfg).stats.iterations),
+        ("streamed", &|cfg| {
+            run_streamed(&prog, &g, &StreamingConfig::new(cfg, 1 << 14))
+                .stats
+                .iterations
+        }),
+        ("fleet", &|cfg| {
+            run_multi(&prog, &g, &MultiConfig::new(cfg, 2))
+                .stats
+                .iterations
+        }),
+    ];
+    for (engine, run) in cases {
+        let (iterations, seen) = traced(run);
+        assert!(iterations >= 2, "{engine}: want a multi-iteration run");
+        let want: Vec<u64> = (1..=iterations as u64).collect();
+        assert_eq!(seen, want, "{engine}");
+    }
 }
