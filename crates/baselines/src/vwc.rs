@@ -23,18 +23,16 @@ use cusha_graph::{Csr, Graph};
 use cusha_obs::trace::{lanes, ArgVal, Tracer};
 use cusha_simt::{DevVec, DeviceConfig, FaultPlan, Gpu, KernelDesc, Mask, VirtualWarps, WARP};
 
-// Warp-trace replay site tags (see `cusha_simt::replay`). Every access
-// pattern in this kernel is a pure function of the warp's vertex base (the
-// CSR topology and buffer bases are fixed for the whole run), so whole
-// phases replay from the second iteration on. Values still move — replay
-// skips only the accounting.
+// Warp-trace replay site tags (see `cusha_simt::replay`). Two phases of a
+// warp have accounting that is a pure function of a small *class* — SISD of
+// the vertex base's coalescing alignment, the reduction ladder of the warp's
+// slot in its block — so a run keeps a few hundred keys that always hit,
+// whatever |V| is. The sweep between them gathers through the CSR, one
+// pattern per vertex: it is interpreted by the device's O(active-lanes)
+// analysis, which costs less than probing a table that cannot hold it.
 const SITE_VWC_SISD: u64 = 0x7677_5349_5344;
-const SITE_VWC_SWEEP: u64 = 0x7677_53574550;
 const SITE_VWC_REDUCE: u64 = 0x7677_524544;
 const SITE_VWC_DEF: u64 = 0x7677_444546;
-/// Fused whole-warp scope (SISD + sweep + reduce) used when phase marks
-/// are not being traced: one table probe per warp instead of three.
-const SITE_VWC_WARP: u64 = 0x7677_57415250;
 
 /// VWC-CSR configuration.
 #[derive(Clone, Debug)]
@@ -232,40 +230,27 @@ fn vwc_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
                 let valid = Mask(((1u64 << (nvalid * vw)) - 1) as u32);
                 let leaders = vws.leaders().and(valid);
 
-                // Scope granularity: per-phase scopes keep per-phase REPLAY
-                // events in traces; an untraced run fuses the warp's three
-                // pure phases into one scope (one probe per warp). The
-                // accounting is identical — `phase()` is a no-op when marks
-                // are off, so nothing observable sits between the phases.
-                let split = b.phases_traced();
-                if !split {
-                    b.warp_scope(
-                        &[SITE_VWC_WARP, warp_vertex_base as u64, nvalid as u64, 0],
-                        leaders,
-                        &zcol,
-                    );
-                }
-
                 // --- SISD phase (leader lanes): CSR offsets + old value.
                 b.phase("sisd");
                 // Keyed on the vertex base's coalescing alignment class
                 // (all device buffers are 256-byte aligned, so `base mod
                 // segment-lanes` fixes every segment/sector count), not the
                 // base itself: thousands of warps share a handful of keys.
-                if split {
-                    b.warp_scope(
-                        &[SITE_VWC_SISD, (warp_vertex_base % 32) as u64, nvalid as u64, 0],
-                        leaders,
-                        &zcol,
-                    );
-                }
+                b.warp_scope(
+                    &[
+                        SITE_VWC_SISD,
+                        (warp_vertex_base % 32) as u64,
+                        nvalid as u64,
+                        0,
+                    ],
+                    leaders,
+                    &zcol,
+                );
                 let starts = b.gload(&in_edge_idxs, leaders, vertex_of);
                 let ends = b.gload(&in_edge_idxs, leaders, |l| vertex_of(l) + 1);
                 let olds = b.gload(&vertex_values, leaders, vertex_of);
                 b.exec(leaders, 1); // InitCompute
-                if split {
-                    b.warp_scope_end();
-                }
+                b.warp_scope_end();
                 // Host-side group bookkeeping.
                 let mut group_start = [0u32; WARP];
                 let mut group_deg = [0u32; WARP];
@@ -300,9 +285,6 @@ fn vwc_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
 
                 // --- Neighbour sweep, `vw` edges of each vertex per step.
                 b.phase("sweep");
-                if split {
-                    b.warp_scope(&[SITE_VWC_SWEEP, warp_vertex_base as u64, 0, 0], leaders, &zcol);
-                }
                 let warp_thread_base = w * WARP;
                 let max_deg = (0..wpg).map(|g| group_deg[g]).max().unwrap_or(0);
                 let steps = (max_deg as usize).div_ceil(cfg.virtual_warp);
@@ -313,8 +295,8 @@ fn vwc_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
                     // a low-bit run of the group's lane field.
                     let done = (step * vw) as u32;
                     let mut bits = 0u32;
-                    for g in 0..nvalid {
-                        let cnt = (group_deg[g].saturating_sub(done) as usize).min(vw);
+                    for (g, deg) in group_deg[..nvalid].iter().enumerate() {
+                        let cnt = (deg.saturating_sub(done) as usize).min(vw);
                         bits |= (((1u64 << cnt) - 1) as u32) << (g * vw);
                     }
                     let mask = Mask(bits);
@@ -367,22 +349,17 @@ fn vwc_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
                     }
                     b.sstore_run(&mut outcome, mask, warp_thread_base as isize, &vals);
                 }
-                if split {
-                    b.warp_scope_end();
-                }
 
                 // --- Parallel reduction ladder: log2(vw) halving steps with
                 // shrinking active masks (the intra-warp divergence source).
                 b.phase("reduce");
                 // The ladder's shared-memory pattern depends only on the
                 // warp's thread base and its valid-group count.
-                if split {
-                    b.warp_scope(
-                        &[SITE_VWC_REDUCE, w as u64, nvalid as u64, 0],
-                        leaders,
-                        &zcol,
-                    );
-                }
+                b.warp_scope(
+                    &[SITE_VWC_REDUCE, w as u64, nvalid as u64, 0],
+                    leaders,
+                    &zcol,
+                );
                 let mut off = cfg.virtual_warp / 2;
                 while off >= 1 {
                     // Low `off` lanes of each valid group. The ladder reads
@@ -394,8 +371,7 @@ fn vwc_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
                         bits |= sub << (g * vw);
                     }
                     let mask = Mask(bits);
-                    let partial =
-                        b.sload_run(&outcome, mask, (warp_thread_base + off) as isize);
+                    let partial = b.sload_run(&outcome, mask, (warp_thread_base + off) as isize);
                     b.sstore_run(&mut outcome, mask, warp_thread_base as isize, &partial);
                     b.exec(mask, 1);
                     off /= 2;

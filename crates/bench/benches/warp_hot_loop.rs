@@ -1,12 +1,17 @@
 //! `warp_hot_loop` — the per-iteration cost of the simulator's warp hot
 //! loop, isolated: the same CuSha-shaped kernel launched in steady state
-//! with the warp-trace replay memo off (every scope re-interpreted — keys
-//! hashed, segments sorted, banks scanned) versus on (recorded deltas
-//! applied, data still moved). The gap between the two is exactly what the
-//! replay memo buys each convergence iteration.
+//! with the warp-trace replay memo off (every scope re-interpreted through
+//! the scattered-access analysis) versus on (recorded deltas applied, data
+//! still moved). The gap between the two is exactly what the replay memo
+//! buys each convergence iteration.
+//!
+//! Below the launch, one case per simulator layer (`layer/*_x256`, [`OPS`]
+//! operations per iteration): the global and bank analyses on their own,
+//! and `supdate`, a replay hit and a replay miss inside one single-block
+//! launch.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use cusha_simt::{warp_chunks, Block, DeviceConfig, Gpu, KernelDesc};
+use cusha_simt::{warp_chunks, Block, CoalesceMemo, DeviceConfig, Gpu, KernelDesc, Mask, WARP};
 use std::hint::black_box;
 
 const N: usize = 1 << 14;
@@ -79,5 +84,81 @@ fn bench(c: &mut Criterion) {
     assert!(h > 0, "replay arm never hit the table");
 }
 
-criterion_group!(benches, bench);
+/// Operations per iteration in the `layer/*_x256` cases.
+const OPS: usize = 256;
+
+fn layers(c: &mut Criterion) {
+    let dev = DeviceConfig::gtx780();
+    let mut core = CoalesceMemo::new(
+        dev.segment_bytes,
+        dev.sector_bytes,
+        dev.shared_banks,
+        dev.bank_width_bytes,
+    );
+    // Three rotating patterns so no branch history fits one input: a
+    // 32-segment gather over 1 MiB and two-way bank conflicts over 4 KiB.
+    let gathers: [[u64; WARP]; 3] = std::array::from_fn(|k| {
+        std::array::from_fn(|l| 4096 + 4 * ((l as u64 * 7919 + k as u64 * 104_729) % (1 << 18)))
+    });
+    let words: [[u64; WARP]; 3] =
+        std::array::from_fn(|k| std::array::from_fn(|l| 4 * ((l as u64 * 17 + k as u64) % 1024)));
+    c.bench_function("layer/gather_analysis_x256", |b| {
+        b.iter(|| {
+            for op in 0..OPS {
+                black_box(core.global(Mask::FULL, black_box(&gathers[op % 3]), 4));
+            }
+        })
+    });
+    c.bench_function("layer/bank_analysis_x256", |b| {
+        b.iter(|| {
+            for op in 0..OPS {
+                black_box(core.shared(Mask::FULL, black_box(&words[op % 3])));
+            }
+        })
+    });
+
+    let desc = KernelDesc::new("layer-probe", 1, 32);
+    let mut gpu = Gpu::new(dev);
+    c.bench_function("layer/supdate_x256", |b| {
+        b.iter(|| {
+            gpu.launch(&desc, |blk| {
+                let mut sh = blk.shared_alloc::<u32>(1024);
+                for op in 0..OPS {
+                    blk.supdate(
+                        &mut sh,
+                        Mask::FULL,
+                        |l| (l * 17 + op) % 1024 / 2,
+                        |l, v| *v += l as u32,
+                    );
+                }
+            })
+        })
+    });
+    // Empty scopes: the probe, the delta add and the commit are all that is
+    // timed. `epoch` in the site makes every scope of a launch a new key.
+    let scopes = |gpu: &mut Gpu, epoch: u64| {
+        gpu.launch(&desc, |blk| {
+            for op in 0..OPS as u64 {
+                blk.warp_scope(&[0x6c61_796572, op, epoch, 0], Mask::FULL, &[0u32; WARP]);
+                blk.warp_scope_end();
+            }
+        })
+    };
+    scopes(&mut gpu, 0);
+    c.bench_function("layer/replay_hit_x256", |b| b.iter(|| scopes(&mut gpu, 0)));
+    let mut epoch = 0;
+    c.bench_function("layer/replay_miss_x256", |b| {
+        b.iter(|| {
+            epoch += 1;
+            scopes(&mut gpu, epoch)
+        })
+    });
+    let (hits, misses, _) = gpu.replay_stats();
+    assert!(
+        hits > 0 && misses > OPS as u64,
+        "layer cases missed their regimes"
+    );
+}
+
+criterion_group!(benches, bench, layers);
 criterion_main!(benches);

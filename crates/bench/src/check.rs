@@ -135,9 +135,11 @@ pub fn check_baseline(
             ctx,
         ));
     }
-    Err("unrecognized baseline: expected a cusha-simwall/v1, cusha-simwall-history/v1 \
+    Err(
+        "unrecognized baseline: expected a cusha-simwall/v1, cusha-simwall-history/v1 \
          or frontier_matrix artifact"
-        .into())
+            .into(),
+    )
 }
 
 fn u64_field(doc: &Json, key: &str) -> Result<u64, String> {
@@ -262,7 +264,12 @@ fn check_simwall(doc: &Json, tol: f64, host: &Ctx) -> CheckReport {
         .and_then(|s| s.get("total_seconds"))
         .and_then(Json::as_f64)
     {
-        rep.compare_f64("sequential total_seconds", base_seq, cur.sequential_seconds, tol);
+        rep.compare_f64(
+            "sequential total_seconds",
+            base_seq,
+            cur.sequential_seconds,
+            tol,
+        );
     }
     let cells = doc
         .get("cells")

@@ -240,9 +240,10 @@ pub struct RunStats {
 /// across every device the run used.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MemoStats {
-    /// Per-op coalesce/bank memo hits.
+    /// Always 0: the per-op coalesce/bank memo tables are gone (see
+    /// `cusha_simt::CoalesceMemo`); the field stays for the metrics schema.
     pub coalesce_hits: u64,
-    /// Per-op coalesce/bank memo misses (computed then cached).
+    /// Scattered-access analyses performed (global and shared).
     pub coalesce_misses: u64,
     /// Warp-trace replay hits (whole scopes replayed from recorded deltas).
     pub replay_hits: u64,

@@ -31,7 +31,11 @@
 //!   [`Block::warp_scope_end`]) memoize the *accounting* of a whole warp
 //!   iteration keyed on (site, mask, access fingerprint); inside a replayed
 //!   scope every operation still moves real data but skips address
-//!   derivation, coalesce hashing, and collision scans.
+//!   derivation and the scattered-access analysis.
+//!
+//! Underneath, the closure operations fill a `[u64; WARP]` of lane byte
+//! addresses under the mask and hand it to the device's O(active-lanes)
+//! analysis core ([`CoalesceMemo`]).
 
 use crate::coalesce::{bank_conflicts_seq, coalesce_seq, CoalesceMemo};
 use crate::config::DeviceConfig;
@@ -62,8 +66,8 @@ pub struct Block<'cfg> {
     id: u32,
     threads: u32,
     cfg: &'cfg DeviceConfig,
-    /// Device-owned memo for coalescing/bank-conflict math; self-validating,
-    /// so replayed counters are byte-identical to recomputed ones.
+    /// Device-owned scattered-access analysis (coalescing, bank conflicts,
+    /// atomic collisions) and its scratch bitsets.
     memo: &'cfg mut CoalesceMemo,
     /// Device-owned warp-trace replay table (see [`ReplayMemo`]).
     replay: &'cfg mut ReplayMemo,
@@ -136,16 +140,6 @@ impl<'cfg> Block<'cfg> {
     #[inline]
     pub fn num_warps(&self) -> u32 {
         self.threads.div_ceil(WARP as u32)
-    }
-
-    /// Whether kernel phase marks are being captured (an enabled tracer is
-    /// installed). Kernels may use this to pick warp-trace scope
-    /// granularity: phase-level scopes keep per-phase replay events in the
-    /// trace, while an untraced run can fuse a warp's phases into one scope
-    /// and pay a single table probe. Accounting is identical either way.
-    #[inline]
-    pub fn phases_traced(&self) -> bool {
-        self.trace_phases
     }
 
     /// Shared memory consumed so far by this block, in bytes.
@@ -232,7 +226,10 @@ impl<'cfg> Block<'cfg> {
     /// [`Block::sync`] or [`Block::phase`].
     #[inline]
     pub fn warp_scope(&mut self, site: &[u64; SITE_WORDS], mask: Mask, col: &[u32; WARP]) -> bool {
-        debug_assert!(matches!(self.scope, Scope::Idle), "warp scopes must not nest");
+        debug_assert!(
+            matches!(self.scope, Scope::Idle),
+            "warp scopes must not nest"
+        );
         if !self.replay_on {
             self.replay.note_fallback();
             self.scope = Scope::Bypassed;
@@ -294,13 +291,13 @@ impl<'cfg> Block<'cfg> {
             }
             return out;
         }
-        let mut addrs = [None; WARP];
+        let mut addrs = [0u64; WARP];
         for lane in mask.iter() {
             let i = idx(lane);
             out[lane] = buf.get(i);
-            addrs[lane] = Some((buf.addr(i), T::SIZE));
+            addrs[lane] = buf.addr(i);
         }
-        let c = self.memo.coalesce(&addrs);
+        let c = self.memo.global(mask, &addrs, T::SIZE);
         self.counters.gld_transactions += c.segments as u64;
         self.counters.gld_requested_bytes += c.requested_bytes as u64;
         self.counters.dram_sectors += c.sectors as u64;
@@ -324,13 +321,13 @@ impl<'cfg> Block<'cfg> {
             }
             return;
         }
-        let mut addrs = [None; WARP];
+        let mut addrs = [0u64; WARP];
         for lane in mask.iter() {
             let i = idx(lane);
             buf.set(i, val(lane));
-            addrs[lane] = Some((buf.addr(i), T::SIZE));
+            addrs[lane] = buf.addr(i);
         }
-        let c = self.memo.coalesce(&addrs);
+        let c = self.memo.global(mask, &addrs, T::SIZE);
         self.counters.gst_transactions += c.segments as u64;
         self.counters.gst_requested_bytes += c.requested_bytes as u64;
         self.counters.dram_sectors += c.sectors as u64;
@@ -351,13 +348,13 @@ impl<'cfg> Block<'cfg> {
             }
             return out;
         }
-        let mut addrs = [None; WARP];
+        let mut addrs = [0u64; WARP];
         for lane in mask.iter() {
             let i = idx(lane);
             out[lane] = sh.get(i);
-            addrs[lane] = Some(sh.addr(i));
+            addrs[lane] = sh.addr(i);
         }
-        let replays = self.memo.bank_conflicts(&addrs);
+        let replays = self.memo.shared(mask, &addrs);
         self.counters.shared_accesses += 1;
         self.counters.bank_conflict_replays += replays as u64;
         self.issue_mem(mask, replays as u64);
@@ -378,13 +375,13 @@ impl<'cfg> Block<'cfg> {
             }
             return;
         }
-        let mut addrs = [None; WARP];
+        let mut addrs = [0u64; WARP];
         for lane in mask.iter() {
             let i = idx(lane);
             sh.set(i, val(lane));
-            addrs[lane] = Some(sh.addr(i));
+            addrs[lane] = sh.addr(i);
         }
-        let replays = self.memo.bank_conflicts(&addrs);
+        let replays = self.memo.shared(mask, &addrs);
         self.counters.shared_accesses += 1;
         self.counters.bank_conflict_replays += replays as u64;
         self.issue_mem(mask, replays as u64);
@@ -410,33 +407,20 @@ impl<'cfg> Block<'cfg> {
             }
             return;
         }
-        let mut targets = [usize::MAX; WARP];
-        let mut addrs = [None; WARP];
+        // Lanes apply in lane order; every additional lane hitting an
+        // already-hit element costs one replay pass, counted by the same
+        // bank-word pass that yields the bank replays.
+        let mut addrs = [0u64; WARP];
         for lane in mask.iter() {
             let i = idx(lane);
-            targets[lane] = i;
-            addrs[lane] = Some(sh.addr(i));
+            addrs[lane] = sh.addr(i);
+            f(lane, sh.get_mut(i));
         }
-        // Serialization: every additional lane hitting an already-hit
-        // element costs one replay pass.
-        let mut seen = [usize::MAX; WARP];
-        let mut n_seen = 0;
-        let mut collisions = 0u64;
-        for lane in mask.iter() {
-            let t = targets[lane];
-            if seen[..n_seen].contains(&t) {
-                collisions += 1;
-            } else {
-                seen[n_seen] = t;
-                n_seen += 1;
-            }
-            f(lane, sh.get_mut(t));
-        }
-        let bank_replays = self.memo.bank_conflicts(&addrs) as u64;
+        let (bank_replays, collisions) = self.memo.atomic(mask, &addrs, T::SIZE);
         self.counters.shared_accesses += 1;
-        self.counters.atomic_replays += collisions;
-        self.counters.bank_conflict_replays += bank_replays;
-        self.issue_mem(mask, collisions + bank_replays);
+        self.counters.atomic_replays += collisions as u64;
+        self.counters.bank_conflict_replays += bank_replays as u64;
+        self.issue_mem(mask, (collisions + bank_replays) as u64);
     }
 
     /// Device byte address of virtual lane 0 of a run op: `buf_base +
@@ -495,7 +479,8 @@ impl<'cfg> Block<'cfg> {
     ) {
         if let Some((lo, len)) = mask.as_run() {
             let start = (base + lo as isize) as usize;
-            buf.slice_mut(start, len).copy_from_slice(&vals[lo..lo + len]);
+            buf.slice_mut(start, len)
+                .copy_from_slice(&vals[lo..lo + len]);
         } else {
             for lane in mask.iter() {
                 buf.set((base + lane as isize) as usize, vals[lane]);
@@ -519,7 +504,7 @@ impl<'cfg> Block<'cfg> {
     }
 
     /// Bank replays of a stride-1 shared access, via the closed form when
-    /// the geometry admits one and the generic memo path otherwise.
+    /// the geometry admits one and the generic analysis otherwise.
     fn run_bank_replays<T: Pod>(&mut self, sh: &SharedVec<T>, mask: Mask, base: isize) -> u32 {
         let base_addr = Self::run_base_addr(sh.base(), base, T::SIZE);
         match bank_conflicts_seq(
@@ -531,11 +516,11 @@ impl<'cfg> Block<'cfg> {
         ) {
             Some(replays) => replays,
             None => {
-                let mut addrs = [None; WARP];
+                let mut addrs = [0u64; WARP];
                 for lane in mask.iter() {
-                    addrs[lane] = Some(sh.addr((base + lane as isize) as usize));
+                    addrs[lane] = sh.addr((base + lane as isize) as usize);
                 }
-                self.memo.bank_conflicts(&addrs)
+                self.memo.shared(mask, &addrs)
             }
         }
     }
@@ -573,7 +558,8 @@ impl<'cfg> Block<'cfg> {
     ) {
         if let Some((lo, len)) = mask.as_run() {
             let start = (base + lo as isize) as usize;
-            sh.slice_mut(start, len).copy_from_slice(&vals[lo..lo + len]);
+            sh.slice_mut(start, len)
+                .copy_from_slice(&vals[lo..lo + len]);
         } else {
             for lane in mask.iter() {
                 sh.set((base + lane as isize) as usize, vals[lane]);
@@ -883,7 +869,12 @@ mod tests {
 
     /// One warp iteration of a gather-style body, as a kernel would issue it
     /// inside a replay scope.
-    fn scope_body(b: &mut Block<'_>, buf: &DevVec<u32>, sh: &mut SharedVec<u32>, col: &[u32; WARP]) {
+    fn scope_body(
+        b: &mut Block<'_>,
+        buf: &DevVec<u32>,
+        sh: &mut SharedVec<u32>,
+        col: &[u32; WARP],
+    ) {
         let mask = Mask::FULL;
         let vals = b.gload(buf, mask, |l| col[l] as usize);
         b.exec(mask, 2);

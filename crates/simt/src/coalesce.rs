@@ -77,94 +77,51 @@ fn count_distinct(sorted: &[u64]) -> u32 {
     n
 }
 
-/// Number of slots in each memo table (power of two, direct-mapped).
-const MEMO_SLOTS: usize = 8192;
+/// Ceiling on either scratch bitset, in 64-bit words: 16 MiB, which with
+/// 32-byte sectors spans 4 GiB of device addresses — more than any preset
+/// holds. A stray address past it takes the sort-based reference instead of
+/// growing the scratch; below it a bitset grows to the next power of two
+/// over the addresses actually touched, about 1/256 of the device memory
+/// in use.
+const SCRATCH_CAP_WORDS: u64 = 1 << 21;
 
-/// Allocates a slot table as untouched zero pages instead of writing an
-/// empty-slot pattern through every byte. The tables total tens of
-/// megabytes per device and most benchmark runs touch a fraction of them,
-/// so eager initialization would dominate device construction. Callers
-/// must treat the all-zero bit pattern as an unfilled slot (every table
-/// here gates probes on a `filled` flag, so zeroed keys are never trusted).
+/// The device's scattered-access analysis: distinct sectors and segments of
+/// a global access, bank replays and same-element collisions of a shared
+/// one, each in O(active lanes) with no sort, no hash and no lookup table.
 ///
-/// # Safety contract (checked by the `Zeroable` bound below)
+/// Every active lane sets its sector (or bank word) bit in a scratch bitset
+/// indexed by absolute address; a bit that was clear is a new sector, and a
+/// sector whose *aligned group* of `segment / sector` bits — always inside
+/// one word — was clear is a new segment. A second pass over the same lanes
+/// zeroes the words it touched, so the scratch is all-zero between calls.
+/// The bitsets are plain `Vec<u64>`s grown on first use (steady-state
+/// launches allocate nothing). That is the *fast form*: power-of-two
+/// geometry with at most 64 sectors per segment and 32 banks, accesses no
+/// wider than a sector, addresses below the cap. Anything else falls back
+/// to the sort-based [`coalesce`] / [`bank_conflicts`], the reference the
+/// fast form is property-tested against
+/// (`tests/access_analysis_equivalence.rs`).
 ///
-/// `T` is restricted to the slot types in this crate, all of which are
-/// plain integer/bool aggregates for which all-zeroes is a valid value.
-pub(crate) fn zeroed_table<T: Zeroable>(len: usize) -> Vec<T> {
-    let layout = std::alloc::Layout::array::<T>(len).expect("table layout");
-    if layout.size() == 0 {
-        return Vec::new();
-    }
-    // SAFETY: `T: Zeroable` guarantees the all-zero bit pattern is a valid
-    // `T`; the layout matches `Vec`'s allocation contract for `T`.
-    unsafe {
-        let ptr = std::alloc::alloc_zeroed(layout) as *mut T;
-        if ptr.is_null() {
-            std::alloc::handle_alloc_error(layout);
-        }
-        Vec::from_raw_parts(ptr, len, len)
-    }
-}
-
-/// Marker for slot types whose all-zero bit pattern is a valid, unfilled
-/// slot. Implemented only for the memo slot types in this crate.
-pub(crate) unsafe trait Zeroable: Copy {}
-
-unsafe impl Zeroable for CoSlot {}
-unsafe impl Zeroable for BankSlot {}
-
-/// Packed form of one warp access pattern: one word per lane. `u64::MAX`
-/// marks an inactive lane; active lanes pack `(addr << 4) | len` (coalesce)
-/// or the raw byte address (bank conflicts).
-type MemoKey = [u64; WARP];
-
-/// Lane marker for an inactive lane in a [`MemoKey`].
-const EMPTY_LANE: u64 = u64::MAX;
-
-#[derive(Clone, Copy)]
-struct CoSlot {
-    key: MemoKey,
-    val: Coalesced,
-    filled: bool,
-}
-
-#[derive(Clone, Copy)]
-struct BankSlot {
-    key: MemoKey,
-    val: u32,
-    filled: bool,
-}
-
-/// Self-validating memo for the per-warp coalescing and bank-conflict math.
-///
-/// The shard gather/scatter address patterns of the CuSha kernels are
-/// iteration-invariant, so the same warp patterns recur every convergence
-/// iteration. This table caches the segment/sector/replay results keyed by
-/// the *complete* per-lane `(address, length)` pattern: a hit replays the
-/// cached counters only when the stored key is byte-identical to the
-/// requested pattern, so a replay can never diverge from a recompute —
-/// correctness does not depend on any invalidation protocol. Buffer
-/// reallocation moves base addresses and therefore misses naturally, and
-/// bit flips change values, never addresses, which the math is a pure
-/// function of.
-///
-/// The tables are direct-mapped (FNV-1a over the packed lanes); a colliding
-/// pattern simply overwrites its slot. Hit/miss counts are observability
-/// only and never feed the model.
+/// The name is historical: until PR 13 this type fronted the reference with
+/// two 8,192-slot tables keyed on the full lane pattern, which hit 4% of
+/// power-law gathers and cost more than the analysis they saved. With no
+/// table, [`CoalesceMemo::hit_stats`] reports 0 hits and counts analyses
+/// performed as misses, keeping the `coalesce_*` statistics and the ledger's
+/// `simt.coalesce_memo_*` probes alive until a benchmark PR renames them.
 pub struct CoalesceMemo {
     segment_bytes: u32,
     sector_bytes: u32,
     banks: u32,
     bank_width: u32,
-    co: Vec<CoSlot>,
-    bank: Vec<BankSlot>,
-    hits: u64,
-    misses: u64,
+    global_fast: bool,
+    shared_fast: bool,
+    sector_bits: Vec<u64>,
+    word_bits: Vec<u64>,
+    analyses: u64,
 }
 
 impl CoalesceMemo {
-    /// Builds an empty memo for a device with the given coalescing segment
+    /// Builds the analysis for a device with the given coalescing segment
     /// and sector sizes and shared-memory bank geometry.
     pub fn new(segment_bytes: u32, sector_bytes: u32, banks: u32, bank_width: u32) -> Self {
         CoalesceMemo {
@@ -172,127 +129,162 @@ impl CoalesceMemo {
             sector_bytes,
             banks,
             bank_width,
-            co: zeroed_table(MEMO_SLOTS),
-            bank: zeroed_table(MEMO_SLOTS),
-            hits: 0,
-            misses: 0,
+            global_fast: segment_bytes.is_power_of_two()
+                && sector_bytes.is_power_of_two()
+                && sector_bytes <= segment_bytes
+                && segment_bytes / sector_bytes <= u64::BITS,
+            shared_fast: banks.is_power_of_two()
+                && banks <= WARP as u32
+                && bank_width.is_power_of_two(),
+            sector_bits: Vec::new(),
+            word_bits: Vec::new(),
+            analyses: 0,
         }
     }
 
-    /// `(hits, misses)` across both tables since construction.
+    /// `(0, analyses performed)`: there is no table to hit (see the type
+    /// docs), so every global or shared analysis counts as a miss.
     pub fn hit_stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
+        (0, self.analyses)
     }
 
-    /// Memoized [`coalesce`] for this device's segment/sector sizes.
+    /// True when both scratch bitsets are all-zero, as they must be between
+    /// any two calls.
+    pub fn scratch_is_clear(&self) -> bool {
+        let mut words = self.sector_bits.iter().chain(&self.word_bits);
+        words.all(|&w| w == 0)
+    }
+
+    /// [`coalesce`] for this device's geometry: a thin adapter from the
+    /// `Option`-array form onto [`CoalesceMemo::global`]. Lanes of mixed
+    /// widths go straight to the reference.
     pub fn coalesce(&mut self, addrs: &[Option<(u64, u32)>; WARP]) -> Coalesced {
-        let Some(key) = pack_coalesce_key(addrs) else {
-            // Unpackable pattern (len >= 16 or a pathological address):
-            // bypass the table; the direct path is always available.
+        let mut lens = addrs.iter().flatten().map(|a| a.1);
+        let len = lens.next().unwrap_or(0);
+        if lens.any(|l| l != len) {
+            self.analyses += 1;
             return coalesce(addrs, self.segment_bytes, self.sector_bytes);
-        };
-        let slot = &mut self.co[slot_index(&key)];
-        if slot.filled && slot.key == key {
-            self.hits += 1;
-            return slot.val;
         }
-        let val = coalesce(addrs, self.segment_bytes, self.sector_bytes);
-        *slot = CoSlot {
-            key,
-            val,
-            filled: true,
-        };
-        self.misses += 1;
-        val
+        let mask = Mask::from_fn(|l| addrs[l].is_some());
+        self.global(mask, &addrs.map(|a| a.map_or(0, |a| a.0)), len)
     }
 
-    /// Memoized [`bank_conflicts`] for this device's bank geometry.
-    pub fn bank_conflicts(&mut self, addrs: &[Option<u64>; WARP]) -> u32 {
-        let Some(key) = pack_bank_key(addrs) else {
-            return bank_conflicts(addrs, self.banks, self.bank_width);
-        };
-        let slot = &mut self.bank[slot_index(&key)];
-        if slot.filled && slot.key == key {
-            self.hits += 1;
-            return slot.val;
-        }
-        let val = bank_conflicts(addrs, self.banks, self.bank_width);
-        *slot = BankSlot {
-            key,
-            val,
-            filled: true,
-        };
-        self.misses += 1;
-        val
-    }
-}
-
-impl std::fmt::Debug for CoalesceMemo {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CoalesceMemo")
-            .field("hits", &self.hits)
-            .field("misses", &self.misses)
-            .finish()
-    }
-}
-
-fn pack_coalesce_key(addrs: &[Option<(u64, u32)>; WARP]) -> Option<MemoKey> {
-    let mut key = [EMPTY_LANE; WARP];
-    for (lane, a) in addrs.iter().enumerate() {
-        if let Some((addr, len)) = *a {
-            // Device addresses are small (sequential allocator); Pod sizes
-            // are <= 8 B. Anything outside stays off the fast path.
-            if len >= 16 || addr >= (1u64 << 59) {
-                return None;
+    /// Segments, sectors and requested bytes of a global access in which
+    /// every active lane `l` touches `len` bytes at `addrs[l]`. Bit-identical
+    /// to [`coalesce`] over the same lanes. Inactive lanes never reach the
+    /// result, but leave them 0: the OR of all 32 entries (one vectorized
+    /// reduction, no masked max) is what bounds the scratch.
+    pub fn global(&mut self, mask: Mask, addrs: &[u64; WARP], len: u32) -> Coalesced {
+        self.analyses += 1;
+        let span = (len as u64).saturating_sub(1);
+        let shift = self.sector_bytes.trailing_zeros();
+        let top = addrs.iter().fold(0, |all, a| all | a).saturating_add(span);
+        let fast = self.global_fast && len <= self.sector_bytes;
+        if !(fast && reserve(&mut self.sector_bits, top >> shift)) {
+            let mut lanes = [None; WARP];
+            for l in mask.iter() {
+                lanes[l] = Some((addrs[l], len));
             }
-            key[lane] = (addr << 4) | len as u64;
+            return coalesce(&lanes, self.segment_bytes, self.sector_bytes);
         }
-    }
-    Some(key)
-}
-
-fn pack_bank_key(addrs: &[Option<u64>; WARP]) -> Option<MemoKey> {
-    let mut key = [EMPTY_LANE; WARP];
-    for (lane, a) in addrs.iter().enumerate() {
-        if let Some(addr) = *a {
-            if addr == EMPTY_LANE {
-                return None;
+        // No wider than a sector: a lane touches `first` and at most the next.
+        let ends = |l: usize| (addrs[l] >> shift, (addrs[l] + span) >> shift);
+        let per_segment = self.segment_bytes / self.sector_bytes;
+        let group = u64::MAX >> (u64::BITS - per_segment);
+        let bits = &mut self.sector_bits[..];
+        let (mut segments, mut sectors) = (0u32, 0u32);
+        // Branch-free on the data: an empty group implies a clear sector bit.
+        let mut mark = |s: u64| {
+            let (word, pos) = (&mut bits[(s >> 6) as usize], s as u32 & 63);
+            sectors += u32::from(*word & (1 << pos) == 0);
+            segments += u32::from(*word & (group << (pos & !(per_segment - 1))) == 0);
+            *word |= 1 << pos;
+        };
+        for l in mask.iter() {
+            let (first, last) = ends(l);
+            mark(first);
+            if last != first {
+                mark(last);
             }
-            key[lane] = addr;
+        }
+        for l in mask.iter() {
+            let (first, last) = ends(l);
+            bits[(first >> 6) as usize] = 0;
+            bits[(last >> 6) as usize] = 0;
+        }
+        Coalesced {
+            segments,
+            sectors,
+            requested_bytes: mask.count() * len,
         }
     }
-    Some(key)
+
+    /// Bank replays of a shared access at the active lanes' byte addresses.
+    /// Bit-identical to [`bank_conflicts`] over the same lanes.
+    pub fn shared(&mut self, mask: Mask, addrs: &[u64; WARP]) -> u32 {
+        self.bank_counts(mask, addrs).0
+    }
+
+    /// `(bank replays, same-element collisions)` of a shared atomic whose
+    /// active lanes update `elem`-byte elements at the element-aligned
+    /// `addrs`: every lane that targets an element an earlier lane already
+    /// hit is one collision. Elements at least a bank word wide have
+    /// distinct first words, so the bank pass has already counted the
+    /// distinct targets; narrower ones take a pairwise scan.
+    pub fn atomic(&mut self, mask: Mask, addrs: &[u64; WARP], elem: u32) -> (u32, u32) {
+        let (replays, words) = self.bank_counts(mask, addrs);
+        let distinct = match words {
+            Some(words) if elem >= self.bank_width => words,
+            _ => {
+                let active = || mask.iter().map(|l| addrs[l]);
+                let repeats = |(n, a): (usize, u64)| active().take(n).any(|b| b == a);
+                active()
+                    .enumerate()
+                    .filter(|&first| !repeats(first))
+                    .count() as u32
+            }
+        };
+        (replays, mask.count() - distinct)
+    }
+
+    /// `(replays, distinct bank words)`; the words only in the fast form.
+    fn bank_counts(&mut self, mask: Mask, addrs: &[u64; WARP]) -> (u32, Option<u32>) {
+        self.analyses += 1;
+        let shift = self.bank_width.trailing_zeros();
+        let top = addrs.iter().fold(0, |all, a| all | a);
+        if !(self.shared_fast && reserve(&mut self.word_bits, top >> shift)) {
+            let mut lanes = [None; WARP];
+            for l in mask.iter() {
+                lanes[l] = Some(addrs[l]);
+            }
+            return (bank_conflicts(&lanes, self.banks, self.bank_width), None);
+        }
+        let mut per_bank = [0u32; WARP];
+        let (mut worst, mut words) = (0u32, 0u32);
+        for word in mask.iter().map(|l| addrs[l] >> shift) {
+            let slot = &mut self.word_bits[(word >> 6) as usize];
+            let fresh = u32::from(*slot & (1 << (word & 63)) == 0);
+            *slot |= 1 << (word & 63);
+            words += fresh;
+            let hits = &mut per_bank[(word & (self.banks as u64 - 1)) as usize];
+            *hits += fresh;
+            worst = worst.max(*hits);
+        }
+        for l in mask.iter() {
+            self.word_bits[(addrs[l] >> shift >> 6) as usize] = 0;
+        }
+        (worst.saturating_sub(1), Some(words))
+    }
 }
 
-fn slot_index(key: &MemoKey) -> usize {
-    // Four independent FNV-1a lanes over the packed words, folded with a
-    // murmur-style finalizer. Plain FNV is a single multiply chain —
-    // latency-bound at ~4 cycles per word over 32 words — and this probe
-    // runs on every scattered warp access; four-way ILP hides the chain.
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut h = [
-        BASIS,
-        BASIS ^ 0x9e37_79b9_7f4a_7c15,
-        BASIS ^ 0xc2b2_ae3d_27d4_eb4f,
-        BASIS ^ 0x1656_67b1_9e37_79f9,
-    ];
-    let mut i = 0;
-    while i < WARP {
-        h[0] = (h[0] ^ key[i]).wrapping_mul(PRIME);
-        h[1] = (h[1] ^ key[i + 1]).wrapping_mul(PRIME);
-        h[2] = (h[2] ^ key[i + 2]).wrapping_mul(PRIME);
-        h[3] = (h[3] ^ key[i + 3]).wrapping_mul(PRIME);
-        i += 4;
+/// Grows `bits` (to a power of two) until bit `top` is addressable; false
+/// when that would pass [`SCRATCH_CAP_WORDS`].
+fn reserve(bits: &mut Vec<u64>, top: u64) -> bool {
+    let need = (top >> 6) + 1;
+    if need > bits.len() as u64 && need <= SCRATCH_CAP_WORDS {
+        bits.resize((need as usize).next_power_of_two(), 0);
     }
-    let mut x = h[0];
-    x = x.wrapping_mul(PRIME) ^ h[1];
-    x = x.wrapping_mul(PRIME) ^ h[2];
-    x = x.wrapping_mul(PRIME) ^ h[3];
-    x ^= x >> 33;
-    x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    x ^= x >> 33;
-    (x as usize) & (MEMO_SLOTS - 1)
+    need <= bits.len() as u64
 }
 
 /// Computes the shared-memory conflict degree of a warp access: the maximum
@@ -374,13 +366,21 @@ pub fn coalesce_seq(
         let a0 = base_addr.wrapping_add(l as u64 * elem as u64);
         let a1 = a0 + elem as u64 - 1;
         let (s0, s1) = (a0 >> ks, a1 >> ks);
-        let new_from = if prev_seg == u64::MAX { s0 } else { (prev_seg + 1).max(s0) };
+        let new_from = if prev_seg == u64::MAX {
+            s0
+        } else {
+            (prev_seg + 1).max(s0)
+        };
         if s1 >= new_from {
             segments += (s1 - new_from + 1) as u32;
         }
         prev_seg = s1;
         let (c0, c1) = (a0 >> kc, a1 >> kc);
-        let new_from = if prev_sec == u64::MAX { c0 } else { (prev_sec + 1).max(c0) };
+        let new_from = if prev_sec == u64::MAX {
+            c0
+        } else {
+            (prev_sec + 1).max(c0)
+        };
         if c1 >= new_from {
             sectors += (c1 - new_from + 1) as u32;
         }
@@ -413,7 +413,7 @@ pub fn bank_conflicts_seq(
     banks: u32,
     bank_width: u32,
 ) -> Option<u32> {
-    if banks != 32 || bank_width != 4 || base_addr % 4 != 0 {
+    if banks != 32 || bank_width != 4 || !base_addr.is_multiple_of(4) {
         return None;
     }
     match elem {
@@ -539,13 +539,14 @@ mod tests {
             lanes((0..7).map(|i| (i * 8, 8u32))),
         ];
         for p in &patterns {
-            let miss = memo.coalesce(p);
-            let hit = memo.coalesce(p);
-            assert_eq!(miss, hit);
-            assert_eq!(miss, coalesce(p, 128, 32));
+            let first = memo.coalesce(p);
+            let again = memo.coalesce(p);
+            assert_eq!(first, again);
+            assert_eq!(first, coalesce(p, 128, 32));
+            assert!(memo.scratch_is_clear());
         }
-        let (hits, misses) = memo.hit_stats();
-        assert_eq!((hits, misses), (4, 4));
+        // No table: nothing hits, every analysis is counted.
+        assert_eq!(memo.hit_stats(), (0, 8));
     }
 
     #[test]
@@ -557,17 +558,24 @@ mod tests {
             baddrs((0..32).map(|i| i * 32 * 4)),
         ];
         for p in &patterns {
-            let miss = memo.bank_conflicts(p);
-            let hit = memo.bank_conflicts(p);
-            assert_eq!(miss, hit);
-            assert_eq!(miss, bank_conflicts(p, 32, 4));
+            let lanes = p.map(|a| a.unwrap_or(0));
+            let replays = memo.shared(Mask::FULL, &lanes);
+            assert_eq!(replays, bank_conflicts(p, 32, 4));
+            assert_eq!(memo.atomic(Mask::FULL, &lanes, 4).0, replays);
+            assert!(memo.scratch_is_clear());
         }
+        // 32 lanes on one element: 31 collisions, whatever its width.
+        let same = [64u64; WARP];
+        assert_eq!(memo.atomic(Mask::FULL, &same, 4), (0, 31));
+        assert_eq!(memo.atomic(Mask::FULL, &same, 1), (0, 31));
+        // Two 2-byte elements of one bank word are distinct targets.
+        let mut halves = [0u64; WARP];
+        halves[1] = 2;
+        assert_eq!(memo.atomic(Mask::first(2), &halves, 2), (0, 0));
     }
 
     #[test]
     fn memo_distinguishes_near_identical_patterns() {
-        // Two patterns differing only in one lane's address must never
-        // alias: the full-key comparison rejects a colliding slot.
         let mut memo = CoalesceMemo::new(128, 32, 32, 4);
         let a = lanes((0..32).map(|i| (i * 4, 4u32)));
         let mut b = a;
@@ -577,6 +585,37 @@ mod tests {
         assert_eq!(ca, coalesce(&a, 128, 32));
         assert_eq!(cb, coalesce(&b, 128, 32));
         assert_ne!(ca.segments, cb.segments);
+    }
+
+    #[test]
+    fn off_form_inputs_take_the_reference() {
+        // 128 sectors per segment and 24 banks are outside the fast form; so
+        // is an address past the scratch cap. Both must still equal the sort-based path and
+        // leave no scratch behind.
+        let a = lanes((0..32).map(|i| (i * 52, 4u32)));
+        let mut odd = CoalesceMemo::new(4096, 32, 24, 4);
+        assert_eq!(odd.coalesce(&a), coalesce(&a, 4096, 32));
+        let words = [0u64, 96, 192, 4, 100, 8].map(Some);
+        let mut w = [None; WARP];
+        w[..6].copy_from_slice(&words);
+        let flat = w.map(|a| a.unwrap_or(0));
+        assert_eq!(odd.shared(Mask::first(6), &flat), bank_conflicts(&w, 24, 4));
+        let far = lanes((0..32).map(|i| ((1 << 40) + i * 40, 8u32)));
+        let mut memo = CoalesceMemo::new(128, 32, 32, 4);
+        assert_eq!(memo.coalesce(&far), coalesce(&far, 128, 32));
+        assert!(odd.scratch_is_clear() && memo.scratch_is_clear());
+        assert!(memo.sector_bits.is_empty(), "a capped access must not grow");
+        // Garbage in an inactive lane only widens the bound, never the result.
+        let mut stray = [0u64; WARP];
+        stray[0] = 256;
+        stray[9] = u64::MAX;
+        let one = lanes([(256, 4u32)]);
+        assert_eq!(
+            memo.global(Mask::first(1), &stray, 4),
+            coalesce(&one, 128, 32)
+        );
+        assert_eq!(memo.shared(Mask::first(1), &stray), 0);
+        assert!(memo.sector_bits.is_empty() && memo.word_bits.is_empty());
     }
 
     /// Deterministic xorshift so the property sweeps need no external crate.
@@ -618,7 +657,10 @@ mod tests {
 
     #[test]
     fn coalesce_seq_empty_mask() {
-        assert_eq!(coalesce_seq(128, 4, Mask::NONE, 128, 32), Coalesced::default());
+        assert_eq!(
+            coalesce_seq(128, 4, Mask::NONE, 128, 32),
+            Coalesced::default()
+        );
     }
 
     #[test]
@@ -651,14 +693,19 @@ mod tests {
 
     #[test]
     fn memo_bypasses_unpackable_lanes() {
-        // A 16-byte access cannot be packed into the key; the memo must
-        // fall through to the direct computation and record no hit.
+        // 16-byte accesses run the bitset pass like any other; accesses
+        // wider than a sector and lanes of mixed widths take the reference.
         let mut memo = CoalesceMemo::new(128, 32, 32, 4);
         let a = lanes((0..8).map(|i| (i * 16, 16u32)));
         let c1 = memo.coalesce(&a);
         let c2 = memo.coalesce(&a);
         assert_eq!(c1, coalesce(&a, 128, 32));
         assert_eq!(c1, c2);
-        assert_eq!(memo.hit_stats(), (0, 0));
+        let wide = lanes((0..8).map(|i| (100 + i * 72, 40u32)));
+        assert_eq!(memo.coalesce(&wide), coalesce(&wide, 128, 32));
+        let mixed = lanes([(0, 4u32), (30, 8), (200, 1)]);
+        assert_eq!(memo.coalesce(&mixed), coalesce(&mixed, 128, 32));
+        assert_eq!(memo.hit_stats(), (0, 4));
+        assert!(memo.scratch_is_clear());
     }
 }

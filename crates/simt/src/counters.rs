@@ -366,8 +366,7 @@ mod tests {
         for bits in (0u32..=u16::MAX as u32).step_by(7) {
             let m = Mask(bits);
             let lanes: Vec<usize> = m.iter().collect();
-            let contiguous = !lanes.is_empty()
-                && lanes.windows(2).all(|w| w[1] == w[0] + 1);
+            let contiguous = !lanes.is_empty() && lanes.windows(2).all(|w| w[1] == w[0] + 1);
             match m.as_run() {
                 Some((lo, len)) => {
                     assert!(contiguous);

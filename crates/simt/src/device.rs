@@ -60,8 +60,7 @@ pub struct Gpu {
     tracer: Tracer,
     /// Chrome-trace process lane of this device's spans (device index).
     trace_pid: u32,
-    /// Memo for per-warp coalescing/bank-conflict analysis. Self-validating
-    /// (full-key comparison), so replays are bit-identical to recomputes.
+    /// Scattered-access analysis core and its grow-once scratch bitsets.
     memo: CoalesceMemo,
     /// Warp-trace replay table (see [`crate::replay`]); gated per launch on
     /// `cfg.replay_memo` and on the fault plan being unable to disrupt.
@@ -106,7 +105,8 @@ impl Gpu {
         }
     }
 
-    /// `(hits, misses)` of the device's coalescing-analysis memo.
+    /// `(0, analyses performed)` by the device's scattered-access analysis
+    /// (see [`CoalesceMemo::hit_stats`]).
     pub fn memo_stats(&self) -> (u64, u64) {
         self.memo.hit_stats()
     }
@@ -410,11 +410,8 @@ impl Gpu {
         // Per-launch replay gate: never replay accounting across a launch
         // during which the installed fault plan could still fire — a gated
         // scope interprets and counts a fallback instead.
-        let replay_on = self.cfg.replay_memo
-            && self
-                .fault_plan
-                .as_ref()
-                .map_or(true, |p| !p.could_disrupt());
+        let replay_on =
+            self.cfg.replay_memo && self.fault_plan.as_ref().is_none_or(|p| !p.could_disrupt());
         let replay_hits_before = self.replay.stats().0;
         // Reuse the per-SM cycle scratch across launches: the steady-state
         // launch path must not allocate (see tests/zero_alloc_launch.rs).

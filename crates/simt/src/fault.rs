@@ -357,7 +357,10 @@ impl FaultPlan {
             || !self.alloc.scheduled.is_empty()
             || !self.kernel.scheduled.is_empty()
             || !self.scheduled_flips.is_empty();
-        let named = self.kernel_named.iter().any(|(_, remaining)| *remaining > 0);
+        let named = self
+            .kernel_named
+            .iter()
+            .any(|(_, remaining)| *remaining > 0);
         let seeded_rate = self.seed.is_some()
             && (self.h2d_rate > 0.0
                 || self.d2h_rate > 0.0

@@ -1,4 +1,4 @@
-//! Warp-trace replay memo: whole-scope extension of the coalescing memo.
+//! Warp-trace replay memo: whole-scope memoization of warp accounting.
 //!
 //! The CuSha kernels re-execute the same warp-level instruction sequences
 //! every convergence iteration: the active mask, the per-lane access
@@ -7,13 +7,13 @@
 //! caller-delimited scope (see `Block::warp_scope`) on
 //! `(site, active mask, per-lane access-pattern fingerprint)` and, on a
 //! hit, replays the recorded counter/timing deltas instead of re-deriving
-//! addresses, hashing coalesce keys, sorting segments, and scanning for
-//! atomic collisions. Data movement is *never* replayed — loads and stores
-//! inside a replayed scope still execute on real data — so outputs are
-//! bit-identical by construction and injected bit flips (which change
-//! values, never access patterns) are never swallowed.
+//! addresses and running the scattered-access analysis. Data movement is
+//! *never* replayed — loads and stores inside a replayed scope still
+//! execute on real data — so outputs are bit-identical by construction and
+//! injected bit flips (which change values, never access patterns) are
+//! never swallowed.
 //!
-//! Validity follows the `coalesce.rs` philosophy with one addition:
+//! Validity rests on three rules:
 //!
 //! * the full key (site words, mask, fingerprint column) is stored and
 //!   compared on every probe, so a colliding slot is overwritten, never
@@ -51,7 +51,7 @@ pub(crate) struct TraceDelta {
     pub alu_cycles: u64,
 }
 
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Clone, Copy)]
 struct TraceKey {
     site: [u64; SITE_WORDS],
     mask: u32,
@@ -67,14 +67,44 @@ struct TraceSlot {
     filled: bool,
 }
 
+/// Marker for slot types whose all-zero bit pattern is a valid, unfilled
+/// slot.
+///
+/// # Safety
+///
+/// Implementors must be plain integer/bool aggregates for which all-zeroes
+/// is a valid value: [`zeroed_table`] materializes them from zeroed memory.
+unsafe trait Zeroable: Copy {}
+
 // SAFETY: plain integer/bool aggregate; all-zeroes is a valid unfilled slot
 // (probes gate on `filled`, so a zeroed key is never trusted).
-unsafe impl crate::coalesce::Zeroable for TraceSlot {}
+unsafe impl Zeroable for TraceSlot {}
+
+/// Allocates a slot table as untouched zero pages instead of writing an
+/// empty-slot pattern through every byte: the table is megabytes per device
+/// and most runs touch a fraction of it, so eager initialization would
+/// dominate device construction. The one `unsafe` site of the crate; CI runs
+/// this module's tests under Miri.
+fn zeroed_table<T: Zeroable>(len: usize) -> Vec<T> {
+    let layout = std::alloc::Layout::array::<T>(len).expect("table layout");
+    if layout.size() == 0 {
+        return Vec::new();
+    }
+    // SAFETY: `T: Zeroable` guarantees the all-zero bit pattern is a valid
+    // `T`; the layout matches `Vec`'s allocation contract for `T`.
+    unsafe {
+        let ptr = std::alloc::alloc_zeroed(layout) as *mut T;
+        if ptr.is_null() {
+            std::alloc::handle_alloc_error(layout);
+        }
+        Vec::from_raw_parts(ptr, len, len)
+    }
+}
 
 /// Outcome of a replay-table probe.
-pub(crate) enum Lookup {
-    /// Key matched: apply the deltas, skip interpretation.
-    Hit(TraceDelta),
+pub(crate) enum Lookup<'a> {
+    /// Key matched: apply the slot's deltas, skip interpretation.
+    Hit(&'a TraceDelta),
     /// Key matched but this hit is sampled for verification: interpret,
     /// then compare via [`ReplayMemo::verify`].
     Verify(usize),
@@ -84,7 +114,8 @@ pub(crate) enum Lookup {
 
 /// Self-validating warp-trace replay table (see module docs). Owned by the
 /// device next to its [`crate::CoalesceMemo`]; allocated once, all probes
-/// allocation-free.
+/// allocation- and copy-free (keys are compared in place, deltas applied by
+/// reference).
 pub struct ReplayMemo {
     slots: Vec<TraceSlot>,
     hits: u64,
@@ -95,8 +126,8 @@ pub struct ReplayMemo {
 
 impl ReplayMemo {
     /// Builds an empty table. The slot array arrives as untouched zero
-    /// pages (see [`crate::coalesce::zeroed_table`]) so construction cost
-    /// does not scale with [`SLOTS`].
+    /// pages (see `zeroed_table`) so construction cost does not scale with
+    /// [`SLOTS`].
     pub fn new() -> Self {
         Self::with_share(1)
     }
@@ -109,7 +140,7 @@ impl ReplayMemo {
     pub fn with_share(share: usize) -> Self {
         let slots = (SLOTS / share.max(1)).next_power_of_two().max(2);
         ReplayMemo {
-            slots: crate::coalesce::zeroed_table(slots),
+            slots: zeroed_table(slots),
             hits: 0,
             misses: 0,
             fallbacks: 0,
@@ -140,26 +171,25 @@ impl ReplayMemo {
         site: &[u64; SITE_WORDS],
         mask: Mask,
         col: &[u32; WARP],
-    ) -> Lookup {
-        let key = TraceKey {
-            site: *site,
-            mask: mask.0,
-            col: *col,
-        };
+    ) -> Lookup<'_> {
         // Two-way set associative: a set is an adjacent slot pair. One way
         // absorbs value-dependent churn (convergence-dependent masks)
         // without evicting the iteration-stable entry in the other.
-        let way0 = slot_index(&key) & (self.slots.len() - 1) & !1;
-        for idx in [way0, way0 | 1] {
+        let way0 = slot_index(site, mask.0) & (self.slots.len() - 1) & !1;
+        // Exact full-key compare, in place and cheapest words first: the
+        // 128-byte column is only read once site and mask already agree.
+        let hit = [way0, way0 | 1].into_iter().find(|&idx| {
+            let slot = &self.slots[idx];
+            slot.filled && slot.key.site == *site && slot.key.mask == mask.0 && slot.key.col == *col
+        });
+        if let Some(idx) = hit {
+            self.hits += 1;
             let slot = &mut self.slots[idx];
-            if slot.filled && slot.key == key {
-                self.hits += 1;
-                slot.hits = slot.hits.wrapping_add(1);
-                if slot.hits % VERIFY_SAMPLE == 0 {
-                    return Lookup::Verify(idx);
-                }
-                return Lookup::Hit(slot.delta);
+            slot.hits = slot.hits.wrapping_add(1);
+            if slot.hits.is_multiple_of(VERIFY_SAMPLE) {
+                return Lookup::Verify(idx);
             }
+            return Lookup::Hit(&slot.delta);
         }
         self.misses += 1;
         // Victim: an unfilled way if any, else the colder (fewer-hit) way.
@@ -173,7 +203,11 @@ impl ReplayMemo {
             way0 | 1
         };
         let slot = &mut self.slots[idx];
-        slot.key = key;
+        slot.key = TraceKey {
+            site: *site,
+            mask: mask.0,
+            col: *col,
+        };
         slot.filled = false; // pending until commit
         slot.hits = 0;
         Lookup::Miss(idx)
@@ -220,7 +254,7 @@ impl std::fmt::Debug for ReplayMemo {
     }
 }
 
-fn slot_index(key: &TraceKey) -> usize {
+fn slot_index(site: &[u64; SITE_WORDS], mask: u32) -> usize {
     // Word-wise FNV-1a over the site words and mask with a murmur-style
     // finalizer. The fingerprint column is deliberately NOT hashed: the
     // in-tree kernels make their keys distinct through the site words
@@ -231,11 +265,11 @@ fn slot_index(key: &TraceKey) -> usize {
     // false hit.
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    for &w in &key.site {
+    for &w in site {
         h ^= w;
         h = h.wrapping_mul(PRIME);
     }
-    h ^= key.mask as u64;
+    h ^= mask as u64;
     h = h.wrapping_mul(PRIME);
     h ^= h >> 33;
     h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
@@ -269,7 +303,7 @@ mod tests {
         };
         m.commit(idx, delta(5));
         match m.lookup(&site, Mask::FULL, &col) {
-            Lookup::Hit(d) => assert_eq!(d, delta(5)),
+            Lookup::Hit(d) => assert_eq!(*d, delta(5)),
             _ => panic!("second probe must hit"),
         }
         assert_eq!(m.stats(), (1, 1, 0));
@@ -341,7 +375,7 @@ mod tests {
             // Release builds reach here: failure counted, slot corrected.
             assert_eq!(m.verify_failures(), 1);
             match m.lookup(&site, Mask::FULL, &col) {
-                Lookup::Hit(d) => assert_eq!(d, delta(3)),
+                Lookup::Hit(d) => assert_eq!(*d, delta(3)),
                 _ => panic!("slot must still be filled"),
             }
         }

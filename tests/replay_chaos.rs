@@ -7,7 +7,7 @@
 //! off for any launch a due fault could still disrupt.
 
 use cusha::algos::{Bfs, PageRank, Sssp};
-use cusha::baselines::{MtcpuEngine, VwcEngine};
+use cusha::baselines::{run_vwc, MtcpuEngine, VwcConfig, VwcEngine, VIRTUAL_WARP_SIZES};
 use cusha::core::{
     run_engine, CuShaConfig, CuShaOutput, Engine, IntegrityConfig, IntegrityMode, NoopObserver,
     Repr, RunStats, ShardEngine, StreamedEngine, VertexProgram,
@@ -15,6 +15,7 @@ use cusha::core::{
 use cusha::frontier::FrontierEngine;
 use cusha::graph::generators::rmat::{rmat, RmatConfig};
 use cusha::graph::Graph;
+use cusha::obs::Tracer;
 use cusha::simt::{FaultPlan, FlipTarget};
 
 const MAX_ITERS: u32 = 5_000;
@@ -65,14 +66,25 @@ fn assert_stats_identical(tag: &str, on: &RunStats, off: &RunStats) {
     // derived from cycle counters — and replay applies recorded deltas, so
     // those must match to the last bit.
     if !tag.starts_with("MTCPU") {
-        assert_eq!(on.h2d_seconds.to_bits(), off.h2d_seconds.to_bits(), "{tag}: h2d");
+        assert_eq!(
+            on.h2d_seconds.to_bits(),
+            off.h2d_seconds.to_bits(),
+            "{tag}: h2d"
+        );
         assert_eq!(
             on.compute_seconds.to_bits(),
             off.compute_seconds.to_bits(),
             "{tag}: compute"
         );
-        assert_eq!(on.d2h_seconds.to_bits(), off.d2h_seconds.to_bits(), "{tag}: d2h");
-        assert_eq!(on.per_iteration, off.per_iteration, "{tag}: per-iteration detail");
+        assert_eq!(
+            on.d2h_seconds.to_bits(),
+            off.d2h_seconds.to_bits(),
+            "{tag}: d2h"
+        );
+        assert_eq!(
+            on.per_iteration, off.per_iteration,
+            "{tag}: per-iteration detail"
+        );
     } else {
         let updated = |s: &RunStats| {
             s.per_iteration
@@ -183,7 +195,7 @@ fn replay_never_swallows_faults() {
             &g,
             true,
             Some(plan()),
-            integrity.clone(),
+            integrity,
         );
         let off = run_with_replay(
             off_engine.as_mut(),
@@ -191,7 +203,7 @@ fn replay_never_swallows_faults() {
             &g,
             false,
             Some(plan()),
-            integrity.clone(),
+            integrity,
         );
         assert_eq!(on.values, off.values, "{label}: values under chaos");
         assert_stats_identical(&label, &on.stats, &off.stats);
@@ -221,5 +233,58 @@ fn replay_never_swallows_faults() {
                 on.stats.memo
             );
         }
+    }
+}
+
+#[test]
+fn vwc_class_keys_hit_at_any_size_traced_or_not() {
+    // VWC keys its two scopes on alignment classes (SISD: vertex base mod
+    // 32; reduce: warp slot in the block), so traced and untraced runs probe
+    // the same keys and a run misses once per class — a constant — while
+    // the warps it replays grow with |V|. Nothing observable may depend on
+    // the tracer or the replay switch. The bound: 32 alignment classes + 8
+    // warp slots at VWC/32, plus a tail warp's, rounded up.
+    const CLASS_KEYS: u64 = 64;
+    fn check<P: VertexProgram>(prog: &P, g: &Graph, tag: &str) {
+        for vw in VIRTUAL_WARP_SIZES {
+            let run = |traced: bool, replay: bool| {
+                let mut cfg = VwcConfig::new(vw);
+                cfg.device.replay_memo = replay;
+                if traced {
+                    cfg.trace = Tracer::enabled();
+                }
+                run_vwc(prog, g, &cfg)
+            };
+            let base = run(false, true);
+            assert!(base.stats.converged, "{tag}/{vw}");
+            for (traced, replay) in [(true, true), (false, false), (true, false)] {
+                let other = run(traced, replay);
+                let tag = format!("{tag}/{vw} traced={traced} replay={replay}");
+                assert_eq!(base.values, other.values, "{tag}: values");
+                assert_stats_identical(&tag, &base.stats, &other.stats);
+                let memo = other.stats.memo;
+                if replay {
+                    assert_eq!(memo, base.stats.memo, "{tag}: same keys, same probes");
+                } else {
+                    assert_eq!((memo.replay_hits, memo.replay_misses), (0, 0), "{tag}");
+                }
+            }
+            let memo = base.stats.memo;
+            assert!(
+                memo.replay_misses <= CLASS_KEYS,
+                "{tag}/{vw}: {} misses over {} vertices — keyed per vertex?",
+                memo.replay_misses,
+                g.num_vertices()
+            );
+            assert!(
+                memo.replay_hits > memo.replay_misses,
+                "{tag}/{vw}: {memo:?}"
+            );
+        }
+    }
+    for (scale, edges) in [(8, 3_500), (11, 24_000)] {
+        let g = rmat(&RmatConfig::graph500(scale, edges, 77));
+        check(&Bfs::new(0), &g, &format!("bfs@{scale}"));
+        check(&Sssp::new(0), &g, &format!("sssp@{scale}"));
     }
 }
