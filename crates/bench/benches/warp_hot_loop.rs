@@ -8,9 +8,14 @@
 //! Below the launch, one case per simulator layer (`layer/*_x256`, [`OPS`]
 //! operations per iteration): the global and bank analyses on their own,
 //! and `supdate`, a replay hit and a replay miss inside one single-block
-//! launch.
+//! launch; `layer/stage_scope_hit` is the shape the CuSha kernel uses — one
+//! replayed scope around a whole 256-chunk stage-2 body. `warm_query/*` times
+//! `try_run_warm` on a layout that has never run against one that has.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use cusha_algos::Bfs;
+use cusha_core::{try_run_warm, CuShaConfig, NoopObserver, PreparedLayout, Repr};
+use cusha_graph::generators::rmat::{rmat, RmatConfig};
 use cusha_simt::{warp_chunks, Block, CoalesceMemo, DeviceConfig, Gpu, KernelDesc, Mask, WARP};
 use std::hint::black_box;
 
@@ -158,7 +163,49 @@ fn layers(c: &mut Criterion) {
         hits > 0 && misses > OPS as u64,
         "layer cases missed their regimes"
     );
+
+    // Stage 2 of one shard, as the kernel issues it: per chunk a stride-1
+    // index load, a stride-1 value load, the compute and the atomic shared
+    // update — all inside one scope, so a hit pays the data movement only.
+    let n = OPS * WARP;
+    let mut gpu = Gpu::new(DeviceConfig::gtx780());
+    let dest = gpu.upload(&(0..n as u32).map(|e| e * 7 % 1024).collect::<Vec<_>>());
+    let vals = gpu.upload(&vec![1u32; n]);
+    let stage = |gpu: &mut Gpu| {
+        gpu.launch(&desc, |blk| {
+            let mut local = blk.shared_alloc::<u32>(1024);
+            blk.warp_scope(&[0x7374_616765, 0, n as u64, 0], Mask::FULL, &[0u32; WARP]);
+            for (base, mask) in warp_chunks(n) {
+                let dst = blk.gload_run(&dest, mask, base as isize);
+                let src = blk.gload_run(&vals, mask, base as isize);
+                blk.exec(mask, 2);
+                blk.supdate(&mut local, mask, |l| dst[l] as usize, |l, v| *v += src[l]);
+            }
+            blk.warp_scope_end();
+        })
+    };
+    stage(&mut gpu);
+    c.bench_function("layer/stage_scope_hit", |b| b.iter(|| stage(&mut gpu)));
+    assert_eq!(gpu.replay_stats().1, 1, "the stage scope re-recorded");
 }
 
-criterion_group!(benches, bench, layers);
+fn warm_query(c: &mut Criterion) {
+    let g = rmat(&RmatConfig::graph500(15, 200_000, 1));
+    let cfg = CuShaConfig::cw();
+    let n_per = PreparedLayout::select_n_per(&g, &cfg, 4);
+    let built = PreparedLayout::build(&g, Repr::ConcatWindows, n_per);
+    let query = |layout: &PreparedLayout| {
+        let out = try_run_warm(&Bfs::new(0), &g, layout, &cfg, None, &mut NoopObserver);
+        black_box(out.expect("bfs converges").stats.iterations)
+    };
+    // A clone copies the arrays (a memcpy, included in the time) and none
+    // of the replay tables.
+    c.bench_function("warm_query/cold_layout", |b| {
+        b.iter(|| query(&built.clone()))
+    });
+    query(&built);
+    c.bench_function("warm_query/second_run", |b| b.iter(|| query(&built)));
+}
+
+criterion_group!(benches, bench, layers, warm_query);
 criterion_main!(benches);

@@ -1,11 +1,44 @@
 //! Prints per-cell simulator telemetry — scattered-access analyses performed
-//! and warp-trace replay hits / misses / fallbacks — for the simwall subset
-//! plus a road lattice of more than 32,768 vertices (the replay table's slot
-//! count): the quick way to confirm the replay fast path engages and that
-//! VWC's class keys stay constant as |V| grows.
+//! and warp-trace replay scopes opened / hits / misses / fallbacks — for the
+//! simwall subset plus a road lattice, then, per dataset and representation,
+//! three consecutive warm runs on one `PreparedLayout` with the slots its
+//! replay tables hold: the quick way to confirm that the CuSha kernels open a
+//! few scopes per shard, that the second run on a layout misses nothing, and
+//! that VWC's class keys stay constant as |V| grows.
 
-use cusha_bench::bench_defs::{Benchmark, Engine};
+use cusha_algos::{Bfs, Sssp};
+use cusha_bench::bench_defs::{default_source, Benchmark, Engine};
+use cusha_core::{
+    try_run_warm, CuShaConfig, MemoStats, NoopObserver, PreparedLayout, Repr, VertexProgram,
+};
 use cusha_graph::surrogates::Dataset;
+use cusha_graph::Graph;
+
+fn scopes(m: &MemoStats) -> u64 {
+    m.replay_hits + m.replay_misses + m.replay_fallbacks
+}
+
+/// Three runs of `prog` on `layout`, one line each.
+fn warm_runs<P: VertexProgram>(prog: &P, g: &Graph, layout: &PreparedLayout, cfg: &CuShaConfig) {
+    for run in 1..=3 {
+        let t = std::time::Instant::now();
+        let memo = match try_run_warm(prog, g, layout, cfg, None, &mut NoopObserver) {
+            Ok(out) => out.stats.memo,
+            Err(cusha_core::EngineError::NonConverged { partial }) => partial.stats.memo,
+            Err(e) => panic!("{e}"),
+        };
+        let (filled, allocated) = layout.replay_slots();
+        println!(
+            "  {:<8} {:<10} run {run} {:>7.3}s | scopes {:>7} hit {:>7} miss {:>6} | slots {filled}/{allocated}",
+            layout.repr().label(),
+            prog.name(),
+            t.elapsed().as_secs_f64(),
+            scopes(&memo),
+            memo.replay_hits,
+            memo.replay_misses,
+        );
+    }
+}
 
 fn main() {
     let scale: u64 = std::env::args()
@@ -29,16 +62,28 @@ fn main() {
                 let stats = b.run(&g, e, max_iterations);
                 let m = stats.memo;
                 println!(
-                    "{ds:<12} {b:<5} {:<10} {:>7.3}s iters {:>3} | analyses {:>9} | replay hit {:>8} miss {:>7} fallback {}",
+                    "{ds:<12} {b:<5} {:<10} {:>7.3}s iters {:>3} | analyses {:>9} | scopes {:>8} hit {:>8} miss {:>7} fallback {}",
                     e.label(),
                     t.elapsed().as_secs_f64(),
                     stats.iterations,
                     m.coalesce_misses,
+                    scopes(&m),
                     m.replay_hits,
                     m.replay_misses,
                     m.replay_fallbacks,
                 );
             }
+        }
+        // One layout serves both programs (4-byte values pick one shard
+        // size); each keeps its own table (BFS moves no edge column).
+        println!("{ds} /{scale}: three warm runs per program on one layout");
+        for repr in [Repr::GShards, Repr::ConcatWindows] {
+            let mut cfg = CuShaConfig::new(repr);
+            cfg.max_iterations = max_iterations;
+            let layout = PreparedLayout::build(&g, repr, PreparedLayout::select_n_per(&g, &cfg, 4));
+            let source = default_source(&g);
+            warm_runs(&Bfs::new(source), &g, &layout, &cfg);
+            warm_runs(&Sssp::new(source), &g, &layout, &cfg);
         }
     }
 }

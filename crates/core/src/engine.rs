@@ -32,8 +32,9 @@ use crate::shards::GShards;
 use crate::stats::{FaultStats, IterationStat, RunStats, SdcStats};
 use cusha_graph::Graph;
 use cusha_obs::trace::{lanes, ArgVal, Tracer};
-use cusha_simt::{DevVec, DeviceConfig, FaultPlan, Gpu};
+use cusha_simt::{DevVec, DeviceConfig, FaultPlan, Gpu, Pod, ReplayMemo};
 use std::collections::HashSet;
+use std::sync::Mutex;
 
 /// Which CuSha representation to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -211,6 +212,56 @@ pub struct CuShaOutput<V> {
     pub stats: RunStats,
 }
 
+/// What the kernel's replay-scoped stages account by besides the layout: the
+/// bytes of `V`/`SV`/`E` the program moves (0 for a column it leaves out),
+/// its per-edge compute cost, and the device's segment, sector, bank count
+/// and bank width. Runs over one layout share recordings iff these agree.
+type AccountingId = [u64; 8];
+
+fn accounting_id<P: VertexProgram>(dev: &DeviceConfig) -> AccountingId {
+    let in_use = |used: bool, size: u32| u64::from(if used { size } else { 0 });
+    [
+        u64::from(<P::V as Pod>::SIZE),
+        in_use(P::HAS_STATIC_VALUES, <P::SV as Pod>::SIZE),
+        in_use(P::HAS_EDGE_VALUES, <P::E as Pod>::SIZE),
+        P::COMPUTE_COST,
+        u64::from(dev.segment_bytes),
+        u64::from(dev.sector_bytes),
+        u64::from(dev.shared_banks),
+        u64::from(dev.bank_width_bytes),
+    ]
+}
+
+/// The replay tables a layout lends to the runs over it, one per
+/// [`AccountingId`]: the layout is immutable, so a recording holds for as
+/// long as the layout exists. A clone starts cold.
+#[derive(Debug, Default)]
+struct ReplayTables(Mutex<Vec<(AccountingId, ReplayMemo)>>);
+
+impl Clone for ReplayTables {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl ReplayTables {
+    /// Takes `id`'s table out for one run; an empty one when there is none
+    /// yet, or a concurrent run holds it.
+    fn lend(&self, id: &AccountingId) -> ReplayMemo {
+        let mut tables = self.0.lock().unwrap();
+        let held = tables.iter().position(|(i, _)| i == id);
+        held.map_or_else(ReplayMemo::new, |at| tables.swap_remove(at).1)
+    }
+
+    /// Takes a lent table back (the first one back, when runs overlapped).
+    fn give_back(&self, id: AccountingId, table: ReplayMemo) {
+        let mut tables = self.0.lock().unwrap();
+        if !tables.iter().any(|(i, _)| *i == id) {
+            tables.push((id, table));
+        }
+    }
+}
+
 /// A host-side graph layout — G-Shards plus, in CW mode, the Concatenated
 /// Windows arrays — prepared once and reused across runs.
 ///
@@ -218,7 +269,9 @@ pub struct CuShaOutput<V> {
 /// resident service that answers many queries over one graph builds a
 /// `PreparedLayout` per (representation, shard size) and passes it to
 /// [`try_run_warm`], paying the construction cost once. The layout is
-/// immutable: faulty or cancelled runs cannot poison it.
+/// immutable: faulty or cancelled runs cannot poison it. It keeps the
+/// simulator's replay tables between runs, so only the first run per program
+/// shape after a build interprets the kernel's statically accounted stages.
 #[derive(Clone, Debug)]
 pub struct PreparedLayout {
     repr: Repr,
@@ -227,6 +280,7 @@ pub struct PreparedLayout {
     rev: Option<u64>,
     gs: GShards,
     cw: Option<ConcatWindows>,
+    replay: ReplayTables,
 }
 
 impl PreparedLayout {
@@ -241,6 +295,7 @@ impl PreparedLayout {
             rev: None,
             gs,
             cw,
+            replay: ReplayTables::default(),
         }
     }
 
@@ -296,6 +351,14 @@ impl PreparedLayout {
     /// Number of shards in the layout.
     pub fn num_shards(&self) -> u32 {
         self.gs.num_shards()
+    }
+
+    /// `(slots holding a recording, slots allocated)` over the replay tables
+    /// the layout currently holds (diagnostics).
+    pub fn replay_slots(&self) -> (usize, usize) {
+        let tables = self.replay.0.lock().unwrap();
+        let slots = tables.iter().map(|(_, table)| table.slots());
+        slots.fold((0, 0), |sum, s| (sum.0 + s.0, sum.1 + s.1))
     }
 
     /// The G-Shards arrays.
@@ -464,7 +527,7 @@ pub fn try_run<P: VertexProgram>(
 ) -> Result<CuShaOutput<P::V>, EngineError<P::V>> {
     cfg.validate().map_err(EngineError::InvalidConfig)?;
     graph.validate()?;
-    let n_per = PreparedLayout::select_n_per(graph, cfg, <P::V as cusha_simt::Pod>::SIZE);
+    let n_per = PreparedLayout::select_n_per(graph, cfg, <P::V as Pod>::SIZE);
     let layout = PreparedLayout::build(graph, cfg.repr, n_per);
     try_run_warm(prog, graph, &layout, cfg, None, &mut NoopObserver)
 }
@@ -517,8 +580,13 @@ pub fn try_run_warm<P: VertexProgram, O: RunObserver + ?Sized>(
     } else if let Some(plan) = cfg.fault_plan.clone() {
         gpu.set_fault_plan(plan);
     }
+    let id = accounting_id::<P>(&cfg.device);
+    gpu.swap_replay_memo(layout.replay.lend(&id));
     let mut observer = DeadlineObserver::new(cfg.deadline_seconds, observer);
     let result = run_core(prog, graph, layout, cfg, &mut gpu, &mut observer);
+    layout
+        .replay
+        .give_back(id, gpu.swap_replay_memo(ReplayMemo::new()));
     // Write the advanced plan back regardless of outcome: counters consumed
     // by a failed or cancelled run are consumed for good.
     if let Some(slot) = fault_plan {

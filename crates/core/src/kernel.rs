@@ -36,14 +36,30 @@ use cusha_simt::{
 use std::ops::Range;
 use std::sync::Arc;
 
-/// Site tags naming the replay-scoped regions of the kernel (first word of
-/// every `warp_scope` key; see `cusha_simt::replay`). The full key is
-/// `[tag, chunk base, shard vertex offset, slice entry offset]`: the slice
-/// offset shifts buffer alignment, so the same chunk in another slice is a
-/// different trace.
+/// Site tags of the kernel's three replay scopes — one per statically
+/// accounted stage per shard (first word of every `warp_scope` key; see
+/// `cusha_simt::replay`). G-Shards/CW make the access pattern of stages 1, 2
+/// and 4 a property of the representation (paper §3), so each replays whole;
+/// stage 3 publishes by value and stays interpreted. The key is `[tag, shard's
+/// vertex range (two words), where the stage's buffers start]`: the vertex
+/// range names the shard (entry ranges coincide for shards without in-edges);
+/// the last word is `voff` for stage 1, which touches only `VertexValues`, and
+/// the slice's entry range for stages 2 and 4 — it fixes their buffer offsets
+/// and which stage-4 writes leave the slice. Nothing names the layout or the
+/// program: the table's owner (the layout, or a one-attempt device) does.
+const SITE_GATHER: u64 = 0x6373_474154484552; // "GATHER"
 const SITE_APPLY: u64 = 0x6373_4150504c59; // "APPLY"
-const SITE_GS_WB: u64 = 0x6373_47535742; // "GSWB"
-const SITE_CW_WB: u64 = 0x6373_43575742; // "CWWB"
+const SITE_WRITEBACK: u64 = 0x6373_5752495445; // "WRITE"
+
+/// 32 evenly spaced samples of `column[range]`, a stage scope's fingerprint of
+/// the index column driving it. The exact key already determines the
+/// accounting; these backstop a table that outlived its layout.
+fn sampled(column: &[u32], range: &Range<usize>) -> [u32; WARP] {
+    std::array::from_fn(|l| match range.len() {
+        0 => 0,
+        n => column[range.start + l * n / WARP],
+    })
+}
 
 /// Transient-fault retry budget of one engine. Copy faults transferred
 /// nothing and launch faults fire before any block runs, so either retry
@@ -667,8 +683,8 @@ impl<P: VertexProgram> DeviceSlice<P> {
     }
 
     /// The kernel body: stages 1–4 of Figure 5 for every shard of the
-    /// slice, in run-form ops with replay scopes around the gather-driven
-    /// regions.
+    /// slice, in run-form ops, with one replay scope around each statically
+    /// accounted stage.
     #[allow(clippy::too_many_arguments)]
     fn launch_once(
         &mut self,
@@ -684,12 +700,12 @@ impl<P: VertexProgram> DeviceSlice<P> {
         let p = gs.num_shards();
         let erange = self.erange.clone();
         let (voff, eoff) = (res.voff as isize, erange.start as isize);
-        let site = |tag: u64, base: usize, offset: usize| {
-            [tag, base as u64, offset as u64, erange.start as u64]
-        };
+        // Entry positions are `u32`-indexed, so both slice bounds fit a word.
+        let slice_word = (erange.start as u64) << 32 | erange.end as u64;
         gpu.try_launch(desc, |b| {
             let s = self.shards.start + b.id();
             let vrange = gs.vertex_range(s);
+            let site = |tag: u64, at: u64| [tag, vrange.start as u64, vrange.end as u64, at];
             let offset = vrange.start as usize;
             let nv = vrange.len();
             let mut local = b.shared_alloc::<P::V>(nv);
@@ -698,6 +714,7 @@ impl<P: VertexProgram> DeviceSlice<P> {
             // Pure stride-1 traffic: SoA run operations copy whole lane
             // columns and account in closed form.
             b.phase("gather");
+            b.warp_scope(&site(SITE_GATHER, res.voff as u64), Mask::FULL, &[0; WARP]);
             for (base, mask) in aligned_chunks(offset..offset + nv) {
                 let vals = b.gload_run(&res.vertex_values, mask, base as isize - voff);
                 let mut inited = [P::V::default(); WARP];
@@ -707,19 +724,19 @@ impl<P: VertexProgram> DeviceSlice<P> {
                 b.exec(mask, 1);
                 b.sstore_run(&mut local, mask, base as isize - offset as isize, &inited);
             }
+            b.warp_scope_end();
             b.sync();
 
             // Stage 2: process shard entries; atomic shared update of the
-            // destination's local value. The destination column is the
-            // chunk's access fingerprint: once it is loaded, every counter
-            // the rest of the chunk produces is a pure function of (chunk,
-            // mask, dst) — a warp-trace scope replays the atomic collision
-            // scan and load accounting wholesale.
+            // destination's local value. `DestIndex` drives the collision
+            // scan, and it is the layout's: the whole stage is one scope.
             b.phase("apply");
-            for (base, mask) in aligned_chunks(gs.shard_entries(s)) {
+            let entries = gs.shard_entries(s);
+            let col = sampled(gs.dest_index(), &entries);
+            b.warp_scope(&site(SITE_APPLY, slice_word), Mask::FULL, &col);
+            for (base, mask) in aligned_chunks(entries) {
                 let shift = base as isize - eoff;
                 let dst = b.gload_run(&self.dest_index, mask, shift);
-                b.warp_scope(&site(SITE_APPLY, base, offset), mask, &dst);
                 let srcv = b.gload_run(&self.src_value, mask, shift);
                 let statv = match &self.src_static {
                     Some(buf) => b.gload_run(buf, mask, shift),
@@ -736,8 +753,8 @@ impl<P: VertexProgram> DeviceSlice<P> {
                     |l| dst[l] as usize - offset,
                     |l, slot| prog.compute(&srcv[l], &statv[l], &ev[l], slot),
                 );
-                b.warp_scope_end();
             }
+            b.warp_scope_end();
             b.sync();
 
             // Stage 3: update_condition; publish changed values.
@@ -767,7 +784,8 @@ impl<P: VertexProgram> DeviceSlice<P> {
 
             // Stage 4: write-back to the windows in all shards. Targets
             // inside the slice are device stores into its `SrcValue`;
-            // the rest go to the sink.
+            // the rest go to the sink. Whether it runs is the values'
+            // business; what it costs when it does is the layout's.
             b.phase("compact");
             if !block_updated {
                 return;
@@ -776,19 +794,13 @@ impl<P: VertexProgram> DeviceSlice<P> {
                 (Some(cw), Some(mapper)) => {
                     // Concatenated Windows: dense sweep of CW_s through the
                     // Mapper.
-                    for (base, mask) in aligned_chunks(cw.cw_entries(s)) {
+                    let entries = cw.cw_entries(s);
+                    let col = sampled(cw.mapper(), &entries);
+                    b.warp_scope(&site(SITE_WRITEBACK, slice_word), Mask::FULL, &col);
+                    for (base, mask) in aligned_chunks(entries) {
                         let shift = base as isize - self.cwoff as isize;
                         let sidx = b.gload_run(&self.src_index, mask, shift);
                         let map = b.gload_run(mapper, mask, shift);
-                        // Both index columns drive the accounting: fold
-                        // them into one fingerprint (the mix is site-static
-                        // within a run; verify-on-sample backstops any fold
-                        // collision).
-                        let mut fp = [0u32; WARP];
-                        for l in mask.iter() {
-                            fp[l] = sidx[l] ^ map[l].rotate_left(16);
-                        }
-                        b.warp_scope(&site(SITE_CW_WB, base, offset), mask, &fp);
                         let loc = b.sload(&local, mask, |l| sidx[l] as usize - offset);
                         // Without a sink the slice holds every target: skip
                         // the per-lane range test on the in-core hot path.
@@ -804,12 +816,17 @@ impl<P: VertexProgram> DeviceSlice<P> {
                         if !away.is_empty() {
                             sink.scatter(b, away, &map, &loc);
                         }
-                        b.warp_scope_end();
                     }
                 }
                 _ => {
                     // G-Shards: one warp walks each window W_sj, first
-                    // fetching its boundary from the offset table.
+                    // fetching its boundary from the offset table. The
+                    // window starts fingerprint the walk.
+                    let col = std::array::from_fn(|l| {
+                        gs.window(s, (l as u64 * p as u64 / WARP as u64) as u32)
+                            .start as u32
+                    });
+                    b.warp_scope(&site(SITE_WRITEBACK, slice_word), Mask::FULL, &col);
                     for j in 0..p {
                         if let Some(wo) = &self.window_offsets {
                             let lanes = if s + 1 < p { 2 } else { 1 };
@@ -826,26 +843,88 @@ impl<P: VertexProgram> DeviceSlice<P> {
                         };
                         for (base, mask) in aligned_chunks(w) {
                             let at = base as isize + shift;
-                            // The source-index column fingerprints the
-                            // shared gather; the store is stride-1.
+                            // The source-index column drives the shared
+                            // gather; the store is stride-1.
                             let sidx = if own {
                                 b.gload_run(&self.src_index, mask, at)
                             } else {
                                 sink.src_index(b, gs, base, at, mask)
                             };
-                            b.warp_scope(&site(SITE_GS_WB, base, offset), mask, &sidx);
                             let full = b.sload(&local, mask, |l| sidx[l] as usize - offset);
                             if own {
                                 b.gstore_run(&mut self.src_value, mask, at, &full);
                             } else {
                                 sink.store_run(b, base, at, mask, &full);
                             }
-                            b.warp_scope_end();
                         }
                     }
                 }
             }
+            b.warp_scope_end();
             b.gstore(&mut res.flag, Mask::first(1), |_| 0, |_| 0u32);
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::program::testing::MiniSssp;
+    use cusha_graph::generators::rmat::{rmat, RmatConfig};
+    use cusha_simt::DeviceConfig;
+
+    /// Uploads `shards` to `gpu` and launches once; the launch's statistics.
+    fn launch_slice(
+        gpu: &mut Gpu,
+        layout: &PreparedLayout,
+        host: &HostArrays<MiniSssp>,
+        shards: Range<u32>,
+    ) -> KernelStats {
+        let (retry, mut fault) = (RetryPolicy::NONE, FaultStats::default());
+        let (mut res, mut slice) = upload_resident(
+            gpu,
+            &retry,
+            &mut fault,
+            layout,
+            host,
+            shards,
+            SpillVia::Outbox,
+        )
+        .expect("upload");
+        let prog = MiniSssp { source: 0 };
+        let name: Arc<str> = "slice-probe".into();
+        let launched = slice.launch(
+            gpu, &name, 128, &prog, layout, &mut res, None, &retry, &mut fault,
+        );
+        launched.expect("launch").0
+    }
+
+    #[test]
+    fn a_recording_of_one_slice_is_never_replayed_for_another() {
+        // The same shards in a slice that starts elsewhere sit at other
+        // buffer offsets and spill other writes: on one device (one replay
+        // table) the second slice must record for itself — stage 1 too, as
+        // its `VertexValues` window (`voff`) moved with the slice.
+        let g = rmat(&RmatConfig::graph500(8, 2500, 5));
+        for repr in [Repr::GShards, Repr::ConcatWindows] {
+            let layout = PreparedLayout::build(&g, repr, 16);
+            let host = HostArrays::new(&MiniSssp { source: 0 }, &g, layout.gs());
+            let p = layout.num_shards();
+            let alone = launch_slice(&mut Gpu::new(DeviceConfig::gtx780()), &layout, &host, 1..p);
+
+            let mut gpu = Gpu::new(DeviceConfig::gtx780());
+            launch_slice(&mut gpu, &layout, &host, 0..p);
+            let (hits, misses, _) = gpu.replay_stats();
+            let shifted = launch_slice(&mut gpu, &layout, &host, 1..p);
+            assert_eq!(shifted.counters, alone.counters, "{}", repr.label());
+            assert_eq!(shifted.seconds.to_bits(), alone.seconds.to_bits());
+            let (hits_after, misses_after, _) = gpu.replay_stats();
+            assert_eq!(hits_after, hits, "{}: replayed another slice", repr.label());
+            assert!(misses_after > misses);
+            // The same slice again is the same key: everything replays.
+            let again = launch_slice(&mut gpu, &layout, &host, 1..p);
+            assert_eq!(again.counters, alone.counters);
+            assert_eq!(gpu.replay_stats().1, misses_after);
+        }
     }
 }

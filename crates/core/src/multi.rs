@@ -849,7 +849,7 @@ impl<P: VertexProgram> MultiState<'_, P> {
         let retry = self.cfg.retry();
         // Fresh device for the batch, carrying the fault plan and retiring
         // the previous device's time totals.
-        let mut fresh = Gpu::in_fleet(self.cfg.base.device.clone(), self.cfg.devices);
+        let mut fresh = Gpu::new(self.cfg.base.device.clone());
         fresh.set_profiling(self.cfg.base.profile);
         let old = self.fleet.replace_device(d, fresh);
         self.retire_gpu(d, old);

@@ -69,7 +69,8 @@ pub struct Block<'cfg> {
     /// Device-owned scattered-access analysis (coalescing, bank conflicts,
     /// atomic collisions) and its scratch bitsets.
     memo: &'cfg mut CoalesceMemo,
-    /// Device-owned warp-trace replay table (see [`ReplayMemo`]).
+    /// The device's warp-trace replay table, its own or one lent to it (see
+    /// [`ReplayMemo`]).
     replay: &'cfg mut ReplayMemo,
     /// Per-launch replay gate, set by the device: false while a fault plan
     /// could still fire (never replay across a due fault) or when replay is
@@ -217,7 +218,7 @@ impl<'cfg> Block<'cfg> {
     /// per-lane access-pattern fingerprint (the index column that drives
     /// every gather/scatter inside the scope). The caller contracts that
     /// the scope's *accounting* — never its data — is a pure function of
-    /// `(site, mask, col)` for the lifetime of the device's memo.
+    /// `(site, mask, col)` for the lifetime of the replay table in use.
     ///
     /// Returns `true` when the scope replays (recorded counter/cycle deltas
     /// were just applied; operations until [`Block::warp_scope_end`] move

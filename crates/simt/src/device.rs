@@ -65,6 +65,9 @@ pub struct Gpu {
     /// Warp-trace replay table (see [`crate::replay`]); gated per launch on
     /// `cfg.replay_memo` and on the fault plan being unable to disrupt.
     replay: ReplayMemo,
+    /// `replay`'s totals when it was installed: a lent table arrives with
+    /// earlier runs' probes counted, and this device reports only its own.
+    replay_base: (u64, u64, u64),
     /// Reusable per-SM cycle scratch for [`Gpu::launch_unchecked`] (one slot
     /// per SM each), so steady-state launches allocate nothing.
     launch_scratch: Vec<u64>,
@@ -73,13 +76,6 @@ pub struct Gpu {
 impl Gpu {
     /// Creates a device with the given configuration.
     pub fn new(cfg: DeviceConfig) -> Self {
-        Self::in_fleet(cfg, 1)
-    }
-
-    /// Creates one device of a fleet of `fleet_size`, whose warp-trace
-    /// replay table is sized for its share of the fleet's work (see
-    /// [`ReplayMemo::with_share`]).
-    pub fn in_fleet(cfg: DeviceConfig, fleet_size: usize) -> Self {
         let memo = CoalesceMemo::new(
             cfg.segment_bytes,
             cfg.sector_bytes,
@@ -100,7 +96,8 @@ impl Gpu {
             tracer: Tracer::default(),
             trace_pid: 0,
             memo,
-            replay: ReplayMemo::with_share(fleet_size),
+            replay: ReplayMemo::new(),
+            replay_base: (0, 0, 0),
             launch_scratch,
         }
     }
@@ -111,9 +108,20 @@ impl Gpu {
         self.memo.hit_stats()
     }
 
-    /// `(hits, misses, fallbacks)` of the device's warp-trace replay memo.
+    /// `(hits, misses, fallbacks)` this device's launches added to its
+    /// warp-trace replay memo.
     pub fn replay_stats(&self) -> (u64, u64, u64) {
-        self.replay.stats()
+        let ((h, m, f), (h0, m0, f0)) = (self.replay.stats(), self.replay_base);
+        (h - h0, m - m0, f - f0)
+    }
+
+    /// Installs `table` as the device's replay memo and returns the one it
+    /// replaces. An owner whose scope keys outlive the device (a prepared
+    /// layout) lends its table for a run and swaps it back out after; one
+    /// recorded under a different device geometry must never be lent.
+    pub fn swap_replay_memo(&mut self, table: ReplayMemo) -> ReplayMemo {
+        self.replay_base = table.stats();
+        std::mem::replace(&mut self.replay, table)
     }
 
     /// Installs a tracer and assigns this device's process lane (`pid`,

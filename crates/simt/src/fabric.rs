@@ -113,9 +113,7 @@ impl DeviceFleet {
     /// Panics when `count` is zero.
     pub fn new(cfg: &DeviceConfig, count: usize, interconnect: Interconnect) -> Self {
         assert!(count > 0, "a device fleet needs at least one device");
-        let devices = (0..count)
-            .map(|_| Gpu::in_fleet(cfg.clone(), count))
-            .collect();
+        let devices = (0..count).map(|_| Gpu::new(cfg.clone())).collect();
         let tallies = (0..count)
             .map(|d| KernelStats {
                 name: format!("device-{d}").into(),

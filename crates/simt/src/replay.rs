@@ -19,8 +19,11 @@
 //!   compared on every probe, so a colliding slot is overwritten, never
 //!   trusted;
 //! * the caller contracts that the scope's accounting is a pure function
-//!   of the key; every [`VERIFY_SAMPLE`]-th hit of a slot is re-interpreted
-//!   and checked against the recorded deltas (verify-on-sample), so a
+//!   of the key for as long as the table lives — which is why a table
+//!   belongs to whatever bounds that purity (the device for kernels keyed on
+//!   device state, the immutable prepared layout for the CuSha stages);
+//!   every [`VERIFY_SAMPLE`]-th hit of a slot is re-interpreted and
+//!   checked against the recorded deltas (verify-on-sample), so a
 //!   violated contract is caught statistically and the slot corrected;
 //! * the device gates replay off for any launch during which a fault plan
 //!   could still fire (`FaultPlan::could_disrupt`), so a scope never
@@ -36,11 +39,18 @@ pub const SITE_WORDS: usize = 4;
 /// against the recorded deltas instead of being replayed.
 const VERIFY_SAMPLE: u32 = 64;
 
-/// Slots in the direct-mapped table (power of two). Sized so the simwall
-/// workloads' working sets (a few tens of thousands of distinct scopes at
-/// the benchmark scales) stay below ~50% load; overflow degrades to
-/// interpretation, never to wrong answers.
-const SLOTS: usize = 32768;
+/// Slots of a table's first allocation; it doubles from there whenever half
+/// its slots are filled, up to [`MAX_SLOTS`].
+const MIN_SLOTS: usize = 64;
+
+/// Growth cap (power of two): keys that churn without bound degrade to
+/// overwriting and interpretation here, never to unbounded memory.
+const MAX_SLOTS: usize = 1 << 16;
+
+/// Linear-probe window: a key sits within this many slots of its home slot.
+/// A miss takes the first unfilled one and, only when all are taken (at load
+/// one half: a table at its cap), overwrites the home slot.
+const PROBE: usize = 32;
 
 /// Accounting deltas of one recorded warp-trace scope. Doubles as the
 /// absolute snapshot taken at scope entry when recording.
@@ -51,54 +61,20 @@ pub(crate) struct TraceDelta {
     pub alu_cycles: u64,
 }
 
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 struct TraceKey {
     site: [u64; SITE_WORDS],
     mask: u32,
     col: [u32; WARP],
 }
 
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 struct TraceSlot {
     key: TraceKey,
     delta: TraceDelta,
     /// Hits served since the slot was (re)recorded; drives verify sampling.
     hits: u32,
     filled: bool,
-}
-
-/// Marker for slot types whose all-zero bit pattern is a valid, unfilled
-/// slot.
-///
-/// # Safety
-///
-/// Implementors must be plain integer/bool aggregates for which all-zeroes
-/// is a valid value: [`zeroed_table`] materializes them from zeroed memory.
-unsafe trait Zeroable: Copy {}
-
-// SAFETY: plain integer/bool aggregate; all-zeroes is a valid unfilled slot
-// (probes gate on `filled`, so a zeroed key is never trusted).
-unsafe impl Zeroable for TraceSlot {}
-
-/// Allocates a slot table as untouched zero pages instead of writing an
-/// empty-slot pattern through every byte: the table is megabytes per device
-/// and most runs touch a fraction of it, so eager initialization would
-/// dominate device construction. The one `unsafe` site of the crate; CI runs
-/// this module's tests under Miri.
-fn zeroed_table<T: Zeroable>(len: usize) -> Vec<T> {
-    let layout = std::alloc::Layout::array::<T>(len).expect("table layout");
-    if layout.size() == 0 {
-        return Vec::new();
-    }
-    // SAFETY: `T: Zeroable` guarantees the all-zero bit pattern is a valid
-    // `T`; the layout matches `Vec`'s allocation contract for `T`.
-    unsafe {
-        let ptr = std::alloc::alloc_zeroed(layout) as *mut T;
-        if ptr.is_null() {
-            std::alloc::handle_alloc_error(layout);
-        }
-        Vec::from_raw_parts(ptr, len, len)
-    }
 }
 
 /// Outcome of a replay-table probe.
@@ -112,12 +88,16 @@ pub(crate) enum Lookup<'a> {
     Miss(usize),
 }
 
-/// Self-validating warp-trace replay table (see module docs). Owned by the
-/// device next to its [`crate::CoalesceMemo`]; allocated once, all probes
-/// allocation- and copy-free (keys are compared in place, deltas applied by
-/// reference).
+/// Self-validating warp-trace replay table (see module docs). Lives in the
+/// device, or with whatever outlives it and bounds the keys' validity (see
+/// [`crate::Gpu::swap_replay_memo`]). A plain `Vec` that starts unallocated
+/// and doubles, on misses only, while half full; hits are allocation- and
+/// copy-free (keys are compared in place, deltas applied by reference).
+#[derive(Default)]
 pub struct ReplayMemo {
     slots: Vec<TraceSlot>,
+    /// Slots holding a committed recording.
+    filled: usize,
     hits: u64,
     misses: u64,
     fallbacks: u64,
@@ -125,27 +105,9 @@ pub struct ReplayMemo {
 }
 
 impl ReplayMemo {
-    /// Builds an empty table. The slot array arrives as untouched zero
-    /// pages (see `zeroed_table`) so construction cost does not scale with
-    /// [`SLOTS`].
+    /// An empty table; the first miss allocates it.
     pub fn new() -> Self {
-        Self::with_share(1)
-    }
-
-    /// Builds an empty table with `1/share` of the default slots (rounded
-    /// up to a power of two). A fleet of `share` devices splits one graph's
-    /// scopes `share` ways, so each device's table keeps the single-device
-    /// load factor and the fleet's tables together touch no more memory
-    /// than one device's would.
-    pub fn with_share(share: usize) -> Self {
-        let slots = (SLOTS / share.max(1)).next_power_of_two().max(2);
-        ReplayMemo {
-            slots: zeroed_table(slots),
-            hits: 0,
-            misses: 0,
-            fallbacks: 0,
-            verify_failures: 0,
-        }
+        Self::default()
     }
 
     /// `(hits, misses, fallbacks)` since construction. A fallback is a
@@ -153,6 +115,11 @@ impl ReplayMemo {
     /// launch (pending fault plan or disabled in the device config).
     pub fn stats(&self) -> (u64, u64, u64) {
         (self.hits, self.misses, self.fallbacks)
+    }
+
+    /// `(slots holding a recording, slots allocated)`.
+    pub fn slots(&self) -> (usize, usize) {
+        (self.filled, self.slots.len())
     }
 
     /// Sampled verifications that disagreed with the recorded deltas —
@@ -166,23 +133,32 @@ impl ReplayMemo {
         self.fallbacks += 1;
     }
 
+    /// Walks the key's window — [`PROBE`] slots from its home slot — to the
+    /// slot holding it (`true`) or the one a recording of it takes: the first
+    /// unfilled slot (windows fill front to back, so it also ends the
+    /// search), else the home slot. Exact full-key compare, in place and
+    /// cheapest words first: the 128-byte column is only read once site and
+    /// mask already agree.
+    fn probe(&self, site: &[u64; SITE_WORDS], mask: u32, col: &[u32; WARP]) -> (usize, bool) {
+        let last = self.slots.len().wrapping_sub(1);
+        let home = slot_index(site, mask) & last;
+        for idx in (0..PROBE.min(self.slots.len())).map(|i| (home + i) & last) {
+            let (slot, key) = (&self.slots[idx], &self.slots[idx].key);
+            if !slot.filled || (key.site == *site && key.mask == mask && key.col == *col) {
+                return (idx, slot.filled);
+            }
+        }
+        (home, false)
+    }
+
     pub(crate) fn lookup(
         &mut self,
         site: &[u64; SITE_WORDS],
         mask: Mask,
         col: &[u32; WARP],
     ) -> Lookup<'_> {
-        // Two-way set associative: a set is an adjacent slot pair. One way
-        // absorbs value-dependent churn (convergence-dependent masks)
-        // without evicting the iteration-stable entry in the other.
-        let way0 = slot_index(site, mask.0) & (self.slots.len() - 1) & !1;
-        // Exact full-key compare, in place and cheapest words first: the
-        // 128-byte column is only read once site and mask already agree.
-        let hit = [way0, way0 | 1].into_iter().find(|&idx| {
-            let slot = &self.slots[idx];
-            slot.filled && slot.key.site == *site && slot.key.mask == mask.0 && slot.key.col == *col
-        });
-        if let Some(idx) = hit {
+        let (mut idx, found) = self.probe(site, mask.0, col);
+        if found {
             self.hits += 1;
             let slot = &mut self.slots[idx];
             slot.hits = slot.hits.wrapping_add(1);
@@ -192,17 +168,12 @@ impl ReplayMemo {
             return Lookup::Hit(&slot.delta);
         }
         self.misses += 1;
-        // Victim: an unfilled way if any, else the colder (fewer-hit) way.
-        let idx = if !self.slots[way0].filled {
-            way0
-        } else if !self.slots[way0 | 1].filled {
-            way0 | 1
-        } else if self.slots[way0].hits <= self.slots[way0 | 1].hits {
-            way0
-        } else {
-            way0 | 1
-        };
+        if self.filled * 2 >= self.slots.len() && self.slots.len() < MAX_SLOTS {
+            self.grow();
+            idx = self.probe(site, mask.0, col).0;
+        }
         let slot = &mut self.slots[idx];
+        self.filled -= usize::from(slot.filled);
         slot.key = TraceKey {
             site: *site,
             mask: mask.0,
@@ -213,10 +184,23 @@ impl ReplayMemo {
         Lookup::Miss(idx)
     }
 
+    /// Doubles the table and re-homes every recording. Only a miss calls
+    /// this, before it claims a slot, so no open scope holds an index.
+    fn grow(&mut self) {
+        let len = (self.slots.len() * 2).max(MIN_SLOTS);
+        let old = std::mem::replace(&mut self.slots, vec![TraceSlot::default(); len]);
+        for slot in old.into_iter().filter(|s| s.filled) {
+            let idx = self.probe(&slot.key.site, slot.key.mask, &slot.key.col).0;
+            self.filled -= usize::from(self.slots[idx].filled);
+            self.slots[idx] = slot;
+        }
+    }
+
     /// Records the interpreted deltas of a missed scope.
     pub(crate) fn commit(&mut self, idx: usize, delta: TraceDelta) {
         let slot = &mut self.slots[idx];
         slot.delta = delta;
+        self.filled += usize::from(!slot.filled);
         slot.filled = true;
     }
 
@@ -235,12 +219,6 @@ impl ReplayMemo {
             slot.delta = delta;
             slot.hits = 0;
         }
-    }
-}
-
-impl Default for ReplayMemo {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -379,5 +357,57 @@ mod tests {
                 _ => panic!("slot must still be filled"),
             }
         }
+    }
+
+    fn site_of(k: u64) -> [u64; SITE_WORDS] {
+        [0xABCD, k, k + 1, 0]
+    }
+
+    #[test]
+    fn grows_instead_of_thrashing() {
+        // 3 scopes x 4,096 shards: every key recorded once must hit on every
+        // later pass — linear probing in a table at most half full leaves
+        // no pair of keys fighting over a slot.
+        const KEYS: u64 = 3 * 4096;
+        let mut m = ReplayMemo::new();
+        assert_eq!(m.slots(), (0, 0), "no allocation before the first miss");
+        let col = [0u32; WARP];
+        for pass in 0..3 {
+            for k in 0..KEYS {
+                match m.lookup(&site_of(k), Mask::FULL, &col) {
+                    Lookup::Miss(i) => {
+                        assert_eq!(pass, 0, "key {k} missed on pass {pass}");
+                        m.commit(i, delta(k));
+                    }
+                    Lookup::Hit(d) => assert_eq!(*d, delta(k)),
+                    Lookup::Verify(_) => panic!("two hits cannot reach the sample"),
+                }
+            }
+        }
+        assert_eq!(m.stats(), (2 * KEYS, KEYS, 0));
+        assert_eq!(m.slots(), (KEYS as usize, 32768));
+    }
+
+    #[test]
+    fn churn_past_the_cap_overwrites_and_stays_exact() {
+        let mut m = ReplayMemo::new();
+        let col = [0u32; WARP];
+        for k in 0..3 * MAX_SLOTS as u64 {
+            if let Lookup::Miss(i) = m.lookup(&site_of(k), Mask::FULL, &col) {
+                m.commit(i, delta(k));
+            }
+        }
+        let (filled, len) = m.slots();
+        assert_eq!(len, MAX_SLOTS);
+        assert!(filled <= len);
+        // Whatever survived still maps each key to its own deltas.
+        for k in 0..3 * MAX_SLOTS as u64 {
+            match m.lookup(&site_of(k), Mask::FULL, &col) {
+                Lookup::Hit(d) => assert_eq!(*d, delta(k)),
+                Lookup::Miss(i) => m.commit(i, delta(k)),
+                Lookup::Verify(i) => m.verify(i, delta(k)),
+            }
+        }
+        assert_eq!(m.verify_failures(), 0);
     }
 }

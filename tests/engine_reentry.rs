@@ -156,3 +156,60 @@ fn fault_plan_advances_across_warm_runs() {
     let cold = try_run(&Bfs::new(0), &g, &cfg).unwrap();
     assert_eq!(r2.values, cold.values);
 }
+
+#[test]
+fn memo_stats_are_per_run_on_a_layout_that_keeps_its_table() {
+    // The layout's replay table outlives each run's device, so its lifetime
+    // totals keep growing; a run reports only the probes it made itself.
+    let g = graph();
+    let cfg = CuShaConfig::cw();
+    let layout = layout_for(&g, &cfg);
+    let p = u64::from(layout.num_shards());
+    let memos: Vec<_> = (0..3)
+        .map(|_| {
+            try_run_warm(&Bfs::new(0), &g, &layout, &cfg, None, &mut NoopObserver)
+                .unwrap()
+                .stats
+                .memo
+        })
+        .collect();
+    // First run: each shard records stages 1 and 2, and stage 4 if it ever
+    // published a value.
+    let first = memos[0];
+    assert!(
+        (2 * p..=3 * p).contains(&first.replay_misses),
+        "{first:?}, p = {p}"
+    );
+    assert!(first.replay_hits > 0, "{first:?}");
+    // Later runs open the same scopes and find every one recorded.
+    let scopes = first.replay_hits + first.replay_misses;
+    for later in &memos[1..] {
+        assert_eq!(
+            (later.replay_hits, later.replay_misses),
+            (scopes, 0),
+            "not per-run: {memos:?}"
+        );
+    }
+}
+
+#[test]
+fn a_layout_of_thousands_of_shards_grows_its_table_instead_of_thrashing() {
+    // 4,096 shards x 3 scopes is far past the table's first allocation: it
+    // must double as it fills, so that every scope misses exactly once.
+    let g = rmat(&RmatConfig::graph500(13, 40_000, 3));
+    let cfg = CuShaConfig::cw();
+    let layout = PreparedLayout::build(&g, Repr::ConcatWindows, 2);
+    let p = u64::from(layout.num_shards());
+    assert!(p >= 4096);
+    let first = try_run_warm(&Bfs::new(0), &g, &layout, &cfg, None, &mut NoopObserver).unwrap();
+    assert!(first.stats.iterations >= 3);
+    let memo = first.stats.memo;
+    assert!(memo.replay_misses <= 3 * p + 1, "{memo:?}, p = {p}");
+    assert!(memo.replay_hits > memo.replay_misses, "{memo:?}");
+    let (filled, allocated) = layout.replay_slots();
+    assert_eq!(filled as u64, memo.replay_misses);
+    assert!(allocated >= 2 * filled, "{filled} of {allocated} slots");
+    let second = try_run_warm(&Bfs::new(0), &g, &layout, &cfg, None, &mut NoopObserver).unwrap();
+    assert_eq!(second.stats.memo.replay_misses, 0);
+    assert_eq!(second.values, first.values);
+}

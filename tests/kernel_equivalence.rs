@@ -7,14 +7,20 @@
 //! * a fleet of one device issues exactly the in-core engine's warp
 //!   operations (its slice *is* the whole graph),
 //! * a streamed run whose budget holds every shard walks the in-core
-//!   engine's convergence trajectory.
+//!   engine's convergence trajectory,
+//! * every slicing — one shard per streamed batch, one batch, fleets of
+//!   1–4 — counts exactly what it counts with the replay memo off,
+//! * an OOM rebatch, which re-cuts every slice, records its stage scopes
+//!   anew: a recording of one slicing is never replayed for another.
 
 use cusha::algos::{Bfs, PageRank, Sssp};
 use cusha::core::{
     run_fallback, try_run, try_run_multi, try_run_streamed, CuShaConfig, CuShaOutput, EngineError,
     MultiConfig, Repr, StreamingConfig, Value, VertexProgram,
 };
+use cusha::graph::generators::rmat::{rmat, RmatConfig};
 use cusha::graph::{Edge, Graph};
+use cusha::simt::FaultPlan;
 use proptest::prelude::*;
 
 /// Strategy: an arbitrary small graph (possibly with self-loops, parallel
@@ -61,6 +67,20 @@ fn check<P: VertexProgram>(prog: &P, g: &Graph, repr: Repr, n_per: u32) -> Resul
     if bits(&streamed.values) != want_bits {
         return Err(format!("{tag}: one-shard-per-batch streaming diverged"));
     }
+    let mut plain = cfg.clone();
+    plain.device.replay_memo = false;
+    let interpreted = settle(try_run_streamed(
+        prog,
+        g,
+        &StreamingConfig::new(plain.clone(), 1),
+    ));
+    if streamed.stats.kernel.counters != interpreted.stats.kernel.counters
+        || streamed.stats.compute_seconds.to_bits() != interpreted.stats.compute_seconds.to_bits()
+    {
+        return Err(format!(
+            "{tag}: per-batch replay changed the streamed accounting"
+        ));
+    }
     // Every shard in one batch: nothing leaves the slice.
     let whole = settle(try_run_streamed(
         prog,
@@ -97,6 +117,16 @@ fn check<P: VertexProgram>(prog: &P, g: &Graph, repr: Repr, n_per: u32) -> Resul
                 fleet.1, in_core.stats.kernel.counters
             ));
         }
+        let interpreted = match try_run_multi(prog, g, &MultiConfig::new(plain.clone(), devices)) {
+            Ok(out) => out.stats.aggregate.counters,
+            Err(EngineError::NonConverged { partial }) => partial.stats.kernel.counters,
+            Err(e) => return Err(format!("{tag} x{devices} replay off: {e}")),
+        };
+        if fleet.1 != interpreted {
+            return Err(format!(
+                "{tag} x{devices}: replay changed the fleet's counters"
+            ));
+        }
     }
     Ok(())
 }
@@ -112,5 +142,60 @@ proptest! {
                 .and_then(|()| check(&PageRank::new(), &g, repr, n_per));
             prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
         }
+    }
+}
+
+/// The public path to a changed `erange.start`: an allocation fault makes
+/// the streamed engine halve its budget and re-cut its batches. The retried
+/// attempt must record every scope under the new slicing — as many misses as
+/// an undisturbed run at the halved budget, and its exact accounting.
+#[test]
+fn an_oom_rebatch_re_records_instead_of_replaying() {
+    let g = rmat(&RmatConfig::graph500(8, 3000, 11));
+    let prog = Sssp::new(0);
+    for repr in [Repr::GShards, Repr::ConcatWindows] {
+        let run = |resident: u64, oom: bool, replay: bool| {
+            let mut base = CuShaConfig::new(repr).with_vertices_per_shard(16);
+            base.device.replay_memo = replay;
+            base.fault_plan = oom.then(|| FaultPlan::new().fail_alloc_at(&[2]));
+            settle(try_run_streamed(
+                &prog,
+                &g,
+                &StreamingConfig::new(base, resident),
+            ))
+        };
+        let rebatched = run(1 << 13, true, true);
+        assert_eq!(rebatched.stats.fault.oom_rebatches, 1, "{}", repr.label());
+        let halved = run(1 << 12, false, true);
+        assert!(halved.stats.memo.replay_misses > 0);
+        assert_ne!(
+            run(1 << 13, false, true).stats.kernel.counters,
+            halved.stats.kernel.counters,
+            "the two budgets must cut different slices"
+        );
+        for (other, what) in [
+            (&halved, "halved budget"),
+            (&run(1 << 13, true, false), "replay off"),
+        ] {
+            assert_eq!(bits(&rebatched.values), bits(&other.values));
+            assert_eq!(
+                rebatched.stats.kernel.counters,
+                other.stats.kernel.counters,
+                "{} vs {what}",
+                repr.label()
+            );
+        }
+        assert_eq!(
+            (
+                rebatched.stats.memo.replay_hits,
+                rebatched.stats.memo.replay_misses
+            ),
+            (
+                halved.stats.memo.replay_hits,
+                halved.stats.memo.replay_misses
+            ),
+            "{}",
+            repr.label()
+        );
     }
 }

@@ -6,17 +6,18 @@
 //! identical effect whether replay is on or off, because replay is gated
 //! off for any launch a due fault could still disrupt.
 
-use cusha::algos::{Bfs, PageRank, Sssp};
+use cusha::algos::{Bfs, PageRank, Sssp, Sswp};
 use cusha::baselines::{run_vwc, MtcpuEngine, VwcConfig, VwcEngine, VIRTUAL_WARP_SIZES};
 use cusha::core::{
-    run_engine, CuShaConfig, CuShaOutput, Engine, IntegrityConfig, IntegrityMode, NoopObserver,
-    Repr, RunStats, ShardEngine, StreamedEngine, VertexProgram,
+    run_engine, try_run_warm, CuShaConfig, CuShaOutput, Engine, EngineError, IntegrityConfig,
+    IntegrityMode, MemoStats, NoopObserver, PreparedLayout, Repr, RunObserver, RunStats,
+    ShardEngine, StreamedEngine, VertexProgram,
 };
 use cusha::frontier::FrontierEngine;
 use cusha::graph::generators::rmat::{rmat, RmatConfig};
 use cusha::graph::Graph;
 use cusha::obs::Tracer;
-use cusha::simt::{FaultPlan, FlipTarget};
+use cusha::simt::{DeviceConfig, FaultPlan, FlipTarget};
 
 const MAX_ITERS: u32 = 5_000;
 
@@ -287,4 +288,267 @@ fn vwc_class_keys_hit_at_any_size_traced_or_not() {
         check(&Bfs::new(0), &g, &format!("bfs@{scale}"));
         check(&Sssp::new(0), &g, &format!("sssp@{scale}"));
     }
+}
+
+// ---- Layout-owned replay tables -------------------------------------------
+//
+// `try_run_warm` lends the layout's table to each run's device. Whatever a
+// table holds — another program's recordings, another tracer setting's, a
+// faulted run's — a run must be indistinguishable from one on a layout built
+// for it alone, except in `stats.memo`.
+
+/// Shard size of the lent-table tests: 8 shards on the 256-vertex chaos
+/// graph, and 128 bytes of shared memory per block (fits `tiny_test`).
+const N_PER: u32 = 32;
+
+fn settle<V>(r: Result<CuShaOutput<V>, EngineError<V>>) -> CuShaOutput<V> {
+    match r {
+        Ok(out) => out,
+        Err(EngineError::NonConverged { partial }) => *partial,
+        Err(e) => panic!("run failed: {e}"),
+    }
+}
+
+fn warm_cfg(repr: Repr, device: DeviceConfig) -> CuShaConfig {
+    let mut cfg = CuShaConfig::new(repr);
+    cfg.max_iterations = MAX_ITERS;
+    cfg.threads_per_block = 128;
+    cfg.device = device;
+    cfg
+}
+
+/// Runs `prog` on the shared `layout` under `cfg` and checks it against a
+/// plain (untraced, replay on) run on a freshly built layout. Returns the
+/// shared-layout run's memo telemetry.
+fn run_like_cold<P: VertexProgram>(
+    prog: &P,
+    g: &Graph,
+    layout: &PreparedLayout,
+    cfg: &CuShaConfig,
+    plan: Option<&mut FaultPlan>,
+    tag: &str,
+) -> MemoStats {
+    let fresh = PreparedLayout::build(g, layout.repr(), layout.n_per());
+    let cold_cfg = warm_cfg(
+        cfg.repr,
+        DeviceConfig {
+            replay_memo: true,
+            ..cfg.device.clone()
+        },
+    );
+    let cold = settle(try_run_warm(
+        prog,
+        g,
+        &fresh,
+        &cold_cfg,
+        None,
+        &mut NoopObserver,
+    ));
+    let warm = settle(try_run_warm(prog, g, layout, cfg, plan, &mut NoopObserver));
+    assert_eq!(warm.values, cold.values, "{tag}: values");
+    assert_stats_identical(tag, &warm.stats, &cold.stats);
+    warm.stats.memo
+}
+
+#[test]
+fn lent_tables_are_invisible_across_programs_tracers_switches_and_faults() {
+    let g = chaos_graph(123);
+    for repr in [Repr::GShards, Repr::ConcatWindows] {
+        let layout = PreparedLayout::build(&g, repr, N_PER);
+        // Accounting identities already recorded on this layout. SSSP and
+        // SSWP move the same element sizes at the same compute cost: one
+        // identity, so SSWP's first run finds SSSP's recordings.
+        let mut recorded: Vec<&str> = Vec::new();
+        let mut check =
+            |algo: &'static str, traced: bool, replay: bool, layout: &PreparedLayout| {
+                let mut cfg = warm_cfg(repr, DeviceConfig::gtx780());
+                cfg.device.replay_memo = replay;
+                if traced {
+                    cfg.trace = Tracer::enabled();
+                }
+                let tag = format!("{}/{algo} traced={traced} replay={replay}", repr.label());
+                let (identity, memo) = match algo {
+                    "bfs" => (
+                        "u32",
+                        run_like_cold(&Bfs::new(0), &g, layout, &cfg, None, &tag),
+                    ),
+                    "sssp" => (
+                        "u32+w",
+                        run_like_cold(&Sssp::new(0), &g, layout, &cfg, None, &tag),
+                    ),
+                    "sswp" => (
+                        "u32+w",
+                        run_like_cold(&Sswp::new(0), &g, layout, &cfg, None, &tag),
+                    ),
+                    "pr" => (
+                        "f32+sv",
+                        run_like_cold(&PageRank::new(), &g, layout, &cfg, None, &tag),
+                    ),
+                    _ => unreachable!(),
+                };
+                if !replay {
+                    assert_eq!((memo.replay_hits, memo.replay_misses), (0, 0), "{tag}");
+                    assert!(memo.replay_fallbacks > 0, "{tag}: {memo:?}");
+                } else if recorded.contains(&identity) {
+                    assert_eq!(memo.replay_misses, 0, "{tag}: warm table missed ({memo:?})");
+                    assert!(memo.replay_hits > 0, "{tag}: {memo:?}");
+                } else {
+                    assert!(memo.replay_misses > 0, "{tag}: cold table hit everything");
+                    recorded.push(identity);
+                }
+            };
+        for (traced, replay) in [(false, true), (true, false)] {
+            for algo in ["bfs", "sssp", "sswp", "pr"] {
+                check(algo, traced, replay, &layout);
+            }
+        }
+
+        // A plan that could still fire gates every scope of the run to a
+        // fallback — and neither reads nor writes the lent table.
+        let cfg = warm_cfg(repr, DeviceConfig::gtx780());
+        let mut pending = FaultPlan::new().fail_kernel_at(&[u64::MAX]);
+        let memo = run_like_cold(
+            &Bfs::new(0),
+            &g,
+            &layout,
+            &cfg,
+            Some(&mut pending),
+            "pending",
+        );
+        assert_eq!((memo.replay_hits, memo.replay_misses), (0, 0), "{memo:?}");
+        assert!(memo.replay_fallbacks > 0, "{memo:?}");
+        // A plan that does fire fails the run (the in-core engine surfaces
+        // kernel faults); the table it was lent comes back usable.
+        let mut firing = FaultPlan::new().fail_kernel_at(&[0]);
+        let failed = try_run_warm(
+            &Bfs::new(0),
+            &g,
+            &layout,
+            &cfg,
+            Some(&mut firing),
+            &mut NoopObserver,
+        );
+        assert!(matches!(failed, Err(EngineError::KernelFault { .. })));
+        let memo = run_like_cold(
+            &Bfs::new(0),
+            &g,
+            &layout,
+            &cfg,
+            Some(&mut firing),
+            "drained",
+        );
+        assert_eq!(
+            memo.replay_misses, 0,
+            "table lost across the fault: {memo:?}"
+        );
+
+        for (traced, replay) in [(true, true), (false, false)] {
+            for algo in ["pr", "sswp", "bfs", "sssp"] {
+                check(algo, traced, replay, &layout);
+            }
+        }
+
+        // A clone shares nothing: it starts cold and records for itself.
+        let clone = layout.clone();
+        assert_eq!(clone.replay_slots(), (0, 0));
+        assert!(layout.replay_slots().0 > 0);
+        let memo = run_like_cold(&Bfs::new(0), &g, &clone, &cfg, None, "clone");
+        assert!(memo.replay_misses > 0, "clone replayed its origin's table");
+    }
+}
+
+#[test]
+fn one_layout_under_two_geometries_never_shares_deltas() {
+    // `tiny_test` and `gtx780` coalesce and bank alike, so they share an
+    // accounting identity (and differ in everything outside a scope: clocks,
+    // SM count, bandwidth). Halving the segment changes what a scope counts:
+    // that device must record for itself.
+    let g = chaos_graph(55);
+    for repr in [Repr::GShards, Repr::ConcatWindows] {
+        let layout = PreparedLayout::build(&g, repr, N_PER);
+        let narrow = DeviceConfig {
+            segment_bytes: 64,
+            ..DeviceConfig::gtx780()
+        };
+        let mut first_misses = Vec::new();
+        for device in [
+            DeviceConfig::tiny_test(),
+            DeviceConfig::gtx780(),
+            narrow.clone(),
+            DeviceConfig::gtx780(),
+            narrow,
+        ] {
+            let tag = format!(
+                "{}/{}/seg{}",
+                repr.label(),
+                device.name,
+                device.segment_bytes
+            );
+            let cfg = warm_cfg(repr, device);
+            first_misses
+                .push(run_like_cold(&Sssp::new(0), &g, &layout, &cfg, None, &tag).replay_misses);
+        }
+        assert!(first_misses[0] > 0, "{first_misses:?}");
+        assert_eq!(first_misses[1], 0, "same geometry: {first_misses:?}");
+        assert!(
+            first_misses[2] > 0,
+            "narrow segments replayed wide ones: {first_misses:?}"
+        );
+        assert_eq!(first_misses[3..], [0, 0], "{first_misses:?}");
+    }
+}
+
+#[test]
+fn concurrent_runs_on_one_layout_share_nothing_mutable() {
+    // Both runs are inside `try_run_warm` at once (the observer holds each
+    // at its first iteration boundary until the other arrives): one holds
+    // the layout's table, the other was handed a fresh one.
+    struct Rendezvous<'a>(&'a std::sync::Barrier, bool);
+    impl RunObserver for Rendezvous<'_> {
+        fn on_iteration(&mut self, _i: u32, _u: u64, _e: f64) -> bool {
+            if !std::mem::replace(&mut self.1, true) {
+                self.0.wait();
+            }
+            true
+        }
+    }
+    let g = chaos_graph(9);
+    let cfg = warm_cfg(Repr::ConcatWindows, DeviceConfig::gtx780());
+    let layout = PreparedLayout::build(&g, cfg.repr, N_PER);
+    let cold = settle(try_run_warm(
+        &Bfs::new(0),
+        &g,
+        &layout,
+        &cfg,
+        None,
+        &mut NoopObserver,
+    ));
+    assert!(cold.stats.iterations > 1, "the rendezvous needs a boundary");
+    let barrier = std::sync::Barrier::new(2);
+    let run = || {
+        let mut observer = Rendezvous(&barrier, false);
+        settle(try_run_warm(
+            &Bfs::new(0),
+            &g,
+            &layout,
+            &cfg,
+            None,
+            &mut observer,
+        ))
+    };
+    let (a, b) = std::thread::scope(|s| {
+        let (a, b) = (s.spawn(run), s.spawn(run));
+        (a.join().expect("run a"), b.join().expect("run b"))
+    });
+    for (tag, out) in [("a", &a), ("b", &b)] {
+        assert_eq!(out.values, cold.values, "{tag}");
+        assert_stats_identical(tag, &out.stats, &cold.stats);
+    }
+    let mut misses = [a.stats.memo.replay_misses, b.stats.memo.replay_misses];
+    misses.sort_unstable();
+    assert_eq!(misses[0], 0, "neither run got the warm table");
+    assert_eq!(
+        misses[1], cold.stats.memo.replay_misses,
+        "the other starts cold"
+    );
 }

@@ -123,8 +123,8 @@ fn steady_state_launch_path_allocates_nothing() {
 fn soa_run_op_and_replay_scope_path_allocates_nothing() {
     // The data-oriented hot path: run-mask SoA transfers (`*_run` ops) and
     // caller-delimited warp-trace scopes. Steady state must be just as
-    // allocation-free as the closure-indexed path — the replay table and
-    // the scope bookkeeping are preallocated at device construction.
+    // allocation-free as the closure-indexed path — the replay table grows
+    // only while scopes still miss, which the warm-up launches get over with.
     let n = 1 << 12;
     let mut gpu = Gpu::new(DeviceConfig::gtx780());
     let desc = KernelDesc::new("soa-zero-alloc-probe", 16, 256);
