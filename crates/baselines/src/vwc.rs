@@ -9,11 +9,26 @@
 //! parallel reduction folds the partial results before the leader publishes
 //! the new value.
 //!
-//! Functional folding is applied host-side in deterministic lane order
-//! (sound because `compute` must be commutative + associative), while every
-//! memory operation and the reduction ladder are issued through the
-//! simulator for accounting, so efficiency metrics and timing reflect the
-//! real access pattern.
+//! A block executes in two passes over its warps:
+//!
+//! * the **accounting pass** issues the SISD loads, the sweep and the
+//!   reduction ladder through the simulator, phase by phase, for what they
+//!   *cost* — transactions, sectors, bank replays, issue slots. All of that
+//!   is fixed by the CSR and the launch geometry, none of it by the vertex
+//!   values, and nothing reads the data these ops move (the fold is done
+//!   host-side, below). So each phase is one warp-trace replay scope per
+//!   block, and a phase whose scope replays issues no ops at all;
+//! * the **functional pass** then walks the warps in order, folds each
+//!   vertex's in-edges straight from the device buffers' host views — in
+//!   CSR order, sound because `compute` must be commutative + associative —
+//!   and issues what does depend on the values: the publish `exec` and the
+//!   leader's `gstore`. A warp reads all its vertices' neighbours before it
+//!   publishes any of them and sees every earlier warp's stores, exactly as
+//!   when the two passes were interleaved per warp.
+//!
+//! Accounting is additive per block and per phase name, so every counter,
+//! the per-SM cycle sums, the phase spans and the modeled time are the ones
+//! the interleaved order produced (`tests/vwc_golden.rs` pins them).
 
 use cusha_core::integrity::apply_flip;
 use cusha_core::{
@@ -21,16 +36,21 @@ use cusha_core::{
 };
 use cusha_graph::{Csr, Graph};
 use cusha_obs::trace::{lanes, ArgVal, Tracer};
-use cusha_simt::{DevVec, DeviceConfig, FaultPlan, Gpu, KernelDesc, Mask, VirtualWarps, WARP};
+use cusha_simt::replay::MAX_SLOTS;
+use cusha_simt::{
+    Block, DevVec, DeviceConfig, FaultPlan, Gpu, KernelDesc, Mask, Pod, SharedVec, VirtualWarps,
+    WARP,
+};
+use std::ops::Range;
 
-// Warp-trace replay site tags (see `cusha_simt::replay`). Two phases of a
-// warp have accounting that is a pure function of a small *class* — SISD of
-// the vertex base's coalescing alignment, the reduction ladder of the warp's
-// slot in its block — so a run keeps a few hundred keys that always hit,
-// whatever |V| is. The sweep between them gathers through the CSR, one
-// pattern per vertex: it is interpreted by the device's O(active-lanes)
-// analysis, which costs less than probing a table that cannot hold it.
+// Warp-trace replay site tags (see `cusha_simt::replay`), one per accounted
+// phase of a block. The SISD loads cost what the block's vertex base's
+// coalescing alignment and its vertex count say, the ladder what its warp
+// count and its last warp's group count say: a handful of keys per run. The
+// sweep and the deferred pass gather through the CSR, one pattern per block,
+// fixed for the run that owns the device and its table: one key per block.
 const SITE_VWC_SISD: u64 = 0x7677_5349_5344;
+const SITE_VWC_SWEEP: u64 = 0x7677_5357_4550;
 const SITE_VWC_REDUCE: u64 = 0x7677_524544;
 const SITE_VWC_DEF: u64 = 0x7677_444546;
 
@@ -82,6 +102,35 @@ impl VwcConfig {
         self.trace = trace;
         self
     }
+
+    /// Checks the invariants the kernel's lane geometry relies on; the
+    /// message names the offending field. A block is whole physical warps,
+    /// each split into whole virtual warps — anything else would leave
+    /// vertices no lane visits.
+    pub fn validate(&self) -> Result<(), String> {
+        let limit = self.device.max_threads_per_block;
+        if self.threads_per_block == 0
+            || !self.threads_per_block.is_multiple_of(WARP as u32)
+            || self.threads_per_block > limit
+        {
+            return Err(format!(
+                "threads_per_block must be a nonzero multiple of the warp \
+                 width (32) within the device limit ({limit}), got {}",
+                self.threads_per_block
+            ));
+        }
+        if !crate::VIRTUAL_WARP_SIZES.contains(&self.virtual_warp) {
+            return Err(format!(
+                "virtual_warp must be one of {:?}, got {}",
+                crate::VIRTUAL_WARP_SIZES,
+                self.virtual_warp
+            ));
+        }
+        if self.max_iterations == 0 {
+            return Err("max_iterations must be at least 1".into());
+        }
+        Ok(())
+    }
 }
 
 /// Output of a VWC run.
@@ -115,7 +164,9 @@ pub fn run_vwc<P: VertexProgram>(prog: &P, graph: &Graph, cfg: &VwcConfig) -> Vw
 /// [`RunObserver`] consulted after each non-converged iteration (`false`
 /// aborts with [`EngineError::Deadline`]). Silent bit flips due at a kernel
 /// boundary land in the vertex-value buffer — the only resident value state
-/// this engine keeps — whatever their nominal target.
+/// this engine keeps — whatever their nominal target. A configuration the
+/// kernel cannot execute faithfully ([`VwcConfig::validate`]) is refused with
+/// [`EngineError::InvalidConfig`] before anything runs.
 pub fn try_run_vwc<P: VertexProgram, O: RunObserver + ?Sized>(
     prog: &P,
     graph: &Graph,
@@ -123,6 +174,7 @@ pub fn try_run_vwc<P: VertexProgram, O: RunObserver + ?Sized>(
     fault_plan: Option<&mut FaultPlan>,
     observer: &mut O,
 ) -> Result<VwcOutput<P::V>, EngineError<P::V>> {
+    cfg.validate().map_err(EngineError::InvalidConfig)?;
     let mut gpu = Gpu::new(cfg.device.clone());
     gpu.set_profiling(cfg.profile);
     gpu.set_tracer(cfg.trace.clone(), 0);
@@ -182,9 +234,15 @@ fn vwc_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
     );
 
     // ---- Convergence loop --------------------------------------------------
-    let vertices_per_block = (cfg.threads_per_block as usize / cfg.virtual_warp).max(1);
-    let grid = (n.div_ceil(vertices_per_block)).max(1) as u32;
+    let vw = cfg.virtual_warp;
     let wpg = vws.per_physical(); // vertices (groups) per physical warp
+    let vertices_per_block = cfg.threads_per_block as usize / vw;
+    let grid = (n.div_ceil(vertices_per_block)).max(1) as u32;
+    let all_leaders = vws.leaders();
+    // One sweep key per block: a grid past half the table's cap would evict
+    // its own recordings every iteration and pay a full probe window per
+    // block to do it, so there the sweep is simply interpreted.
+    let key_per_block = grid as usize <= MAX_SLOTS / 2;
     let desc = KernelDesc::new(
         format!("VWC-CSR/{}::{}", cfg.virtual_warp, prog.name()),
         grid,
@@ -212,193 +270,160 @@ fn vwc_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
             // `outcome` shared array (paper Appendix A line 7) used by the
             // per-step stores and the reduction ladder.
             let mut outcome = b.shared_alloc::<P::V>(cfg.threads_per_block as usize);
-            let mut block_updated = false;
-            let warps_per_block = (cfg.threads_per_block as usize) / WARP;
-            // (vertex, csr start, degree, old value) of deferred outliers.
-            let mut deferred: Vec<(usize, u32, u32, P::V)> = Vec::new();
-            let vw = cfg.virtual_warp;
-            let zcol = [0u32; WARP]; // trace keys are site+mask-determined
-            for w in 0..warps_per_block {
-                let warp_vertex_base = block_vertex_base + w * wpg;
-                if warp_vertex_base >= n {
-                    break;
-                }
-                // Lane -> vertex mapping for this physical warp. Valid
-                // groups are a prefix, so the valid-lane set is a run.
-                let vertex_of = |lane: usize| warp_vertex_base + vws.group_of(lane);
-                let nvalid = (n - warp_vertex_base).min(wpg);
+            if block_vertex_base >= n {
+                return; // the one block of an empty graph
+            }
+            let block_vertices = (n - block_vertex_base).min(vertices_per_block);
+            let warps = block_vertices.div_ceil(wpg);
+            // Physical warp `w`: its first vertex, how many of its groups
+            // hold one (a prefix, so the valid lanes are a run), and those
+            // groups' leader lanes.
+            let warp = |w: usize| {
+                let base = block_vertex_base + w * wpg;
+                let nvalid = (n - base).min(wpg);
                 let valid = Mask(((1u64 << (nvalid * vw)) - 1) as u32);
-                let leaders = vws.leaders().and(valid);
+                (base, nvalid, all_leaders.and(valid))
+            };
+            let defers = |deg: u32| cfg.defer_outliers.is_some_and(|t| deg > t);
 
-                // --- SISD phase (leader lanes): CSR offsets + old value.
-                b.phase("sisd");
-                // Keyed on the vertex base's coalescing alignment class
-                // (all device buffers are 256-byte aligned, so `base mod
-                // segment-lanes` fixes every segment/sector count), not the
-                // base itself: thousands of warps share a handful of keys.
-                b.warp_scope(
-                    &[
-                        SITE_VWC_SISD,
-                        (warp_vertex_base % 32) as u64,
-                        nvalid as u64,
-                        0,
-                    ],
-                    leaders,
-                    &zcol,
-                );
-                let starts = b.gload(&in_edge_idxs, leaders, vertex_of);
-                let ends = b.gload(&in_edge_idxs, leaders, |l| vertex_of(l) + 1);
-                let olds = b.gload(&vertex_values, leaders, vertex_of);
-                b.exec(leaders, 1); // InitCompute
-                b.warp_scope_end();
-                // Host-side group bookkeeping.
-                let mut group_start = [0u32; WARP];
-                let mut group_deg = [0u32; WARP];
-                let mut group_old = [P::V::default(); WARP];
-                let mut group_deferred = [false; WARP];
-                let mut acc = [P::V::default(); WARP]; // accumulator per group
-                for g in 0..wpg {
-                    let leader = g * cfg.virtual_warp;
-                    if !leaders.lane(leader) {
-                        continue;
+            // ======== Accounting pass: what the block costs ================
+            // --- SISD phase (leader lanes): CSR offsets + old value.
+            b.phase("sisd");
+            // Keyed on the vertex base's coalescing alignment class (all
+            // device buffers are 256-byte aligned, so `base mod
+            // segment-lanes` fixes every segment/sector count), not the
+            // base itself: thousands of blocks share a handful of keys.
+            let site = [
+                SITE_VWC_SISD,
+                (block_vertex_base % 32) as u64,
+                block_vertices as u64,
+                0,
+            ];
+            accounted(b, Some(site), |b| {
+                for w in 0..warps {
+                    let (base, _, leaders) = warp(w);
+                    let vertex_of = |lane: usize| base + vws.group_of(lane);
+                    b.gload(&in_edge_idxs, leaders, vertex_of);
+                    b.gload(&in_edge_idxs, leaders, |l| vertex_of(l) + 1);
+                    b.gload(&vertex_values, leaders, vertex_of);
+                    b.exec(leaders, 1); // InitCompute
+                }
+            });
+
+            // --- Neighbour sweep, `vw` edges of each vertex per step.
+            b.phase("sweep");
+            let site = [SITE_VWC_SWEEP, b.id() as u64, 0, 0];
+            let offsets = in_edge_idxs.host();
+            accounted(b, key_per_block.then_some(site), |b| {
+                let stored = [P::V::default(); WARP]; // nothing reads `outcome`
+                for w in 0..warps {
+                    let (base, nvalid, _) = warp(w);
+                    let mut group_start = [0u32; WARP];
+                    let mut group_deg = [0u32; WARP];
+                    for g in 0..nvalid {
+                        let deg = offsets[base + g + 1] - offsets[base + g];
+                        group_start[g] = offsets[base + g];
+                        // A deferred outlier is skipped by the main sweep.
+                        group_deg[g] = if defers(deg) { 0 } else { deg };
                     }
-                    group_start[g] = starts[leader];
-                    group_deg[g] = ends[leader] - starts[leader];
-                    group_old[g] = olds[leader];
-                    if let Some(threshold) = cfg.defer_outliers {
-                        if group_deg[g] > threshold {
-                            deferred.push((
-                                vertex_of(leader),
-                                group_start[g],
-                                group_deg[g],
-                                olds[leader],
-                            ));
-                            group_deg[g] = 0; // skipped by the main sweep
-                            group_deferred[g] = true;
+                    let warp_thread_base = (w * WARP) as isize;
+                    let max_deg = group_deg[..nvalid].iter().max().map_or(0, |&d| d as usize);
+                    for step in 0..max_deg.div_ceil(vw) {
+                        // Per group: lanes whose edge slot is still in range
+                        // — a low-bit run of the group's lane field.
+                        let done = (step * vw) as u32;
+                        let mut bits = 0u32;
+                        for (g, deg) in group_deg[..nvalid].iter().enumerate() {
+                            let cnt = (deg.saturating_sub(done) as usize).min(vw);
+                            bits |= (((1u64 << cnt) - 1) as u32) << (g * vw);
+                        }
+                        let mask = Mask(bits);
+                        if mask.is_empty() {
                             continue;
                         }
-                    }
-                    let mut local = P::V::default();
-                    prog.init_compute(&mut local, &olds[leader]);
-                    acc[g] = local;
-                }
-
-                // --- Neighbour sweep, `vw` edges of each vertex per step.
-                b.phase("sweep");
-                let warp_thread_base = w * WARP;
-                let max_deg = (0..wpg).map(|g| group_deg[g]).max().unwrap_or(0);
-                let steps = (max_deg as usize).div_ceil(cfg.virtual_warp);
-                for step in 0..steps {
-                    let slot_of =
-                        |lane: usize| (step * cfg.virtual_warp + vws.lane_in_group(lane)) as u32;
-                    // Per group: lanes whose edge slot is still in range —
-                    // a low-bit run of the group's lane field.
-                    let done = (step * vw) as u32;
-                    let mut bits = 0u32;
-                    for (g, deg) in group_deg[..nvalid].iter().enumerate() {
-                        let cnt = (deg.saturating_sub(done) as usize).min(vw);
-                        bits |= (((1u64 << cnt) - 1) as u32) << (g * vw);
-                    }
-                    let mask = Mask(bits);
-                    if mask.is_empty() {
-                        continue;
-                    }
-                    let edge_index =
-                        |lane: usize| (group_start[vws.group_of(lane)] + slot_of(lane)) as usize;
-                    // Edge-array reads: partially coalesced (consecutive
-                    // within a virtual warp, disjoint ranges across). With a
-                    // single group per warp the slice is stride-1, so the
-                    // closed-form run ops replace the per-lane address sort.
-                    let ebase = (group_start[0] + done) as isize;
-                    let nbrs = if wpg == 1 {
-                        b.gload_run(&src_indxs, mask, ebase)
-                    } else {
-                        b.gload(&src_indxs, mask, edge_index)
-                    };
-                    // THE non-coalesced gather: neighbour values.
-                    let nbr_vals = b.gload(&vertex_values, mask, |l| nbrs[l] as usize);
-                    let nbr_static = match &static_buf {
-                        Some(buf) => b.gload(buf, mask, |l| nbrs[l] as usize),
-                        None => [P::SV::default(); WARP],
-                    };
-                    let evals = match &edge_buf {
-                        Some(buf) => {
+                        let edge_index = |lane: usize| {
+                            (group_start[vws.group_of(lane)] + done) as usize
+                                + vws.lane_in_group(lane)
+                        };
+                        // Edge-array reads: partially coalesced (consecutive
+                        // within a virtual warp, disjoint ranges across).
+                        // With a single group per warp the slice is
+                        // stride-1, so the closed-form run ops replace the
+                        // per-lane address analysis.
+                        let ebase = (group_start[0] + done) as isize;
+                        let nbrs = if wpg == 1 {
+                            b.gload_run(&src_indxs, mask, ebase)
+                        } else {
+                            b.gload(&src_indxs, mask, edge_index)
+                        };
+                        // THE non-coalesced gather: neighbour values.
+                        b.gload(&vertex_values, mask, |l| nbrs[l] as usize);
+                        if let Some(buf) = &static_buf {
+                            b.gload(buf, mask, |l| nbrs[l] as usize);
+                        }
+                        if let Some(buf) = &edge_buf {
                             if wpg == 1 {
-                                b.gload_run(buf, mask, ebase)
+                                b.gload_run(buf, mask, ebase);
                             } else {
-                                b.gload(buf, mask, edge_index)
+                                b.gload(buf, mask, edge_index);
                             }
                         }
-                        None => [P::E::default(); WARP],
-                    };
-                    b.exec(mask, P::COMPUTE_COST);
-                    // Fold into per-group accumulators (host-side, lane
-                    // order; sound by commutativity+associativity), and
-                    // issue the accounted `outcome` store of Appendix A.
-                    for l in mask.iter() {
-                        prog.compute(
-                            &nbr_vals[l],
-                            &nbr_static[l],
-                            &evals[l],
-                            &mut acc[vws.group_of(l)],
-                        );
+                        b.exec(mask, P::COMPUTE_COST);
+                        // The accounted `outcome` store of Appendix A.
+                        b.sstore_run(&mut outcome, mask, warp_thread_base, &stored);
                     }
-                    let mut vals = [P::V::default(); WARP];
-                    for l in mask.iter() {
-                        vals[l] = acc[vws.group_of(l)];
-                    }
-                    b.sstore_run(&mut outcome, mask, warp_thread_base as isize, &vals);
                 }
+            });
 
-                // --- Parallel reduction ladder: log2(vw) halving steps with
-                // shrinking active masks (the intra-warp divergence source).
-                b.phase("reduce");
-                // The ladder's shared-memory pattern depends only on the
-                // warp's thread base and its valid-group count.
-                b.warp_scope(
-                    &[SITE_VWC_REDUCE, w as u64, nvalid as u64, 0],
-                    leaders,
-                    &zcol,
-                );
-                let mut off = cfg.virtual_warp / 2;
-                while off >= 1 {
-                    // Low `off` lanes of each valid group. The ladder reads
-                    // and writes at a fixed lane offset, so both halves are
-                    // stride-1 run ops.
-                    let sub = ((1u64 << off) - 1) as u32;
-                    let mut bits = 0u32;
-                    for g in 0..nvalid {
-                        bits |= sub << (g * vw);
-                    }
-                    let mask = Mask(bits);
-                    let partial = b.sload_run(&outcome, mask, (warp_thread_base + off) as isize);
-                    b.sstore_run(&mut outcome, mask, warp_thread_base as isize, &partial);
-                    b.exec(mask, 1);
-                    off /= 2;
+            // --- Parallel reduction ladders. Their shared-memory pattern
+            // depends only on each warp's thread base and valid-group count.
+            b.phase("reduce");
+            let last_valid = block_vertices - (warps - 1) * wpg;
+            let site = [SITE_VWC_REDUCE, warps as u64, last_valid as u64, 0];
+            accounted(b, Some(site), |b| {
+                for w in 0..warps {
+                    ladder(b, &mut outcome, w * WARP, vw, warp(w).1);
                 }
-                b.warp_scope_end();
+            });
 
-                // --- Leader publishes if changed (Appendix A lines 22-25).
-                b.phase("publish");
+            // ======== Functional pass: what the block computes =============
+            // --- Leader publishes if changed (Appendix A lines 22-25). Not
+            // scoped: the store mask is value-dependent.
+            b.phase("publish");
+            let mut block_updated = false;
+            // (vertex, in-edge slice, old value) of deferred outliers.
+            let mut deferred: Vec<(usize, Range<usize>, P::V)> = Vec::new();
+            for w in 0..warps {
+                let (base, nvalid, leaders) = warp(w);
                 let mut store_bits = 0u32;
                 let mut news = [P::V::default(); WARP];
-                for g in 0..wpg {
-                    let leader = g * cfg.virtual_warp;
-                    if !leaders.lane(leader) || group_deferred[g] {
+                for g in 0..nvalid {
+                    let v = base + g;
+                    let edges = offsets[v] as usize..offsets[v + 1] as usize;
+                    let old = vertex_values.host()[v];
+                    if defers(edges.len() as u32) {
+                        deferred.push((v, edges, old));
                         continue;
                     }
-                    let mut local = acc[g];
-                    if prog.update_condition(&mut local, &group_old[g]) {
+                    let leader = g * vw;
+                    prog.init_compute(&mut news[leader], &old);
+                    fold_in_edges(
+                        prog,
+                        &mut news[leader],
+                        edges,
+                        src_indxs.host(),
+                        vertex_values.host(),
+                        static_buf.as_ref().map(DevVec::host),
+                        edge_buf.as_ref().map(DevVec::host),
+                    );
+                    if prog.update_condition(&mut news[leader], &old) {
                         store_bits |= 1 << leader;
                     }
-                    news[leader] = local;
                 }
-                // Not scoped: the store mask is value-dependent, so its
-                // trace key would churn every iteration and evict stable
-                // entries. The store is at most one lane per group.
                 let store_mask = Mask(store_bits);
                 b.exec(leaders, 1);
                 if !store_mask.is_empty() {
+                    let vertex_of = |lane: usize| base + vws.group_of(lane);
                     b.gstore(&mut vertex_values, store_mask, vertex_of, |l| news[l]);
                     block_updated = true;
                     updated_this_iter += store_mask.count() as u64;
@@ -408,56 +433,48 @@ fn vwc_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
             // Second pass: deferred outliers, one full 32-lane warp each.
             if !deferred.is_empty() {
                 b.phase("deferred");
-            }
-            for &(v, start, deg, old) in &deferred {
-                let mut local = P::V::default();
-                prog.init_compute(&mut local, &old);
-                // The sweep and the full-warp ladder touch memory in a
-                // pattern fixed by the vertex's CSR slice; the
-                // value-dependent publish below stays outside the scope.
-                b.warp_scope(
-                    &[SITE_VWC_DEF, v as u64, start as u64, deg as u64],
-                    Mask::first(WARP),
-                    &zcol,
-                );
-                let mut k = 0u32;
-                while k < deg {
-                    let lanes = ((deg - k) as usize).min(WARP);
-                    let mask = Mask::first(lanes);
-                    let ebase = (start + k) as isize;
-                    let nbrs = b.gload_run(&src_indxs, mask, ebase);
-                    let nbr_vals = b.gload(&vertex_values, mask, |l| nbrs[l] as usize);
-                    let nbr_static = match &static_buf {
-                        Some(buf) => b.gload(buf, mask, |l| nbrs[l] as usize),
-                        None => [P::SV::default(); WARP],
-                    };
-                    let evals = match &edge_buf {
-                        Some(buf) => b.gload_run(buf, mask, ebase),
-                        None => [P::E::default(); WARP],
-                    };
-                    b.exec(mask, P::COMPUTE_COST);
-                    for l in mask.iter() {
-                        prog.compute(&nbr_vals[l], &nbr_static[l], &evals[l], &mut local);
+                // The sweeps and the full-warp ladders touch memory in a
+                // pattern fixed by the block's CSR slices; the
+                // value-dependent publishes below stay outside the scope.
+                let site = [SITE_VWC_DEF, b.id() as u64, 0, 0];
+                accounted(b, key_per_block.then_some(site), |b| {
+                    let stored = [P::V::default(); WARP];
+                    for (_, edges, _) in &deferred {
+                        for k in edges.clone().step_by(WARP) {
+                            let mask = Mask::first((edges.end - k).min(WARP));
+                            let nbrs = b.gload_run(&src_indxs, mask, k as isize);
+                            b.gload(&vertex_values, mask, |l| nbrs[l] as usize);
+                            if let Some(buf) = &static_buf {
+                                b.gload(buf, mask, |l| nbrs[l] as usize);
+                            }
+                            if let Some(buf) = &edge_buf {
+                                b.gload_run(buf, mask, k as isize);
+                            }
+                            b.exec(mask, P::COMPUTE_COST);
+                            b.sstore_run(&mut outcome, mask, 0, &stored);
+                        }
+                        ladder(b, &mut outcome, 0, WARP, 1); // full-warp
                     }
-                    b.sstore_run(&mut outcome, mask, 0, &[local; WARP]);
-                    k += lanes as u32;
-                }
-                // Full-warp reduction ladder.
-                let mut off = WARP / 2;
-                while off >= 1 {
-                    let mask = Mask::first(off);
-                    let partial = b.sload_run(&outcome, mask, off as isize);
-                    b.sstore_run(&mut outcome, mask, 0, &partial);
-                    b.exec(mask, 1);
-                    off /= 2;
-                }
-                b.warp_scope_end();
-                let cond = prog.update_condition(&mut local, &old);
-                b.exec(Mask::first(1), 1);
-                if cond {
-                    b.gstore(&mut vertex_values, Mask::first(1), |_| v, |_| local);
-                    block_updated = true;
-                    updated_this_iter += 1;
+                });
+                for (v, edges, old) in deferred {
+                    let mut local = P::V::default();
+                    prog.init_compute(&mut local, &old);
+                    fold_in_edges(
+                        prog,
+                        &mut local,
+                        edges,
+                        src_indxs.host(),
+                        vertex_values.host(),
+                        static_buf.as_ref().map(DevVec::host),
+                        edge_buf.as_ref().map(DevVec::host),
+                    );
+                    let cond = prog.update_condition(&mut local, &old);
+                    b.exec(Mask::first(1), 1);
+                    if cond {
+                        b.gstore(&mut vertex_values, Mask::first(1), |_| v, |_| local);
+                        block_updated = true;
+                        updated_this_iter += 1;
+                    }
                 }
             }
 
@@ -542,6 +559,64 @@ fn vwc_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
     })
 }
 
+/// Issues `body` — ops whose data nothing reads, there to be accounted —
+/// inside the replay scope `site` names, unless that scope replays: the
+/// recorded deltas then stand in for them (see `Block::warp_scope`). `None`
+/// issues them unscoped. Trace keys are site-determined, hence the zero
+/// column.
+fn accounted(b: &mut Block<'_>, site: Option<[u64; 4]>, body: impl FnOnce(&mut Block<'_>)) {
+    let replays = site.is_some_and(|site| b.warp_scope(&site, Mask::FULL, &[0; WARP]));
+    if !replays {
+        body(b);
+    }
+    if site.is_some() {
+        b.warp_scope_end();
+    }
+}
+
+/// One warp's parallel reduction ladder over `outcome[thread_base..]`:
+/// `log2(vw)` halving steps with shrinking active masks (the intra-warp
+/// divergence source), each over the low `off` lanes of the warp's `nvalid`
+/// groups. It reads and writes at a fixed lane offset, so both halves are
+/// stride-1 run ops.
+fn ladder<V: Pod>(
+    b: &mut Block<'_>,
+    outcome: &mut SharedVec<V>,
+    thread_base: usize,
+    vw: usize,
+    nvalid: usize,
+) {
+    let mut off = vw / 2;
+    while off >= 1 {
+        let sub = ((1u64 << off) - 1) as u32;
+        let mask = Mask((0..nvalid).fold(0, |bits, g| bits | sub << (g * vw)));
+        let partial = b.sload_run(outcome, mask, (thread_base + off) as isize);
+        b.sstore_run(outcome, mask, thread_base as isize, &partial);
+        b.exec(mask, 1);
+        off /= 2;
+    }
+}
+
+/// Folds the in-edges `edges` (CSR positions) of one vertex into `acc`, in
+/// CSR order, reading neighbour, static and edge values from the device
+/// buffers' host views.
+fn fold_in_edges<P: VertexProgram>(
+    prog: &P,
+    acc: &mut P::V,
+    edges: Range<usize>,
+    src_indxs: &[u32],
+    values: &[P::V],
+    statics: Option<&[P::SV]>,
+    edge_values: Option<&[P::E]>,
+) {
+    for e in edges {
+        let src = src_indxs[e] as usize;
+        let sv = statics.map_or_else(P::SV::default, |s| s[src]);
+        let ev = edge_values.map_or_else(P::E::default, |ev| ev[e]);
+        prog.compute(&values[src], &sv, &ev, acc);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -579,6 +654,48 @@ mod tests {
             let out = run_vwc(&Bfs::new(0), &g, &cfg);
             assert_eq!(out.values, oracle, "tpb={tpb}");
         }
+    }
+
+    /// The error `try_run_vwc` refuses `cfg` with, before running anything.
+    fn rejection(cfg: &VwcConfig) -> String {
+        let g = rmat(&RmatConfig::graph500(7, 700, 30));
+        match try_run_vwc(&Bfs::new(0), &g, cfg, None, &mut NoopObserver) {
+            Err(EngineError::InvalidConfig(msg)) => msg,
+            Err(e) => panic!("expected InvalidConfig, got {e}"),
+            Ok(out) => panic!(
+                "accepted {cfg:?}; oracle agreement: {}",
+                out.values == bfs_levels(&g, 0)
+            ),
+        }
+    }
+
+    #[test]
+    fn rejects_blocks_that_are_not_whole_warps() {
+        // 16 used to "converge" on the initial values after one iteration,
+        // 48 (at vw 8) never visited the vertices past the last whole warp.
+        let limit = DeviceConfig::gtx780().max_threads_per_block;
+        for tpb in [0, 16, 48, limit + 32] {
+            let mut cfg = VwcConfig::new(8);
+            cfg.threads_per_block = tpb;
+            assert!(rejection(&cfg).contains("threads_per_block"), "tpb={tpb}");
+        }
+    }
+
+    #[test]
+    fn rejects_virtual_warps_that_do_not_divide_a_warp() {
+        for vw in [0, 1, 3, 64] {
+            assert!(
+                rejection(&VwcConfig::new(vw)).contains("virtual_warp"),
+                "vw={vw}"
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_a_zero_iteration_cap() {
+        let mut cfg = VwcConfig::new(8);
+        cfg.max_iterations = 0;
+        assert!(rejection(&cfg).contains("max_iterations"));
     }
 
     #[test]

@@ -9,14 +9,22 @@
 //! operations per iteration): the global and bank analyses on their own,
 //! and `supdate`, a replay hit and a replay miss inside one single-block
 //! launch; `layer/stage_scope_hit` is the shape the CuSha kernel uses — one
-//! replayed scope around a whole 256-chunk stage-2 body. `warm_query/*` times
-//! `try_run_warm` on a layout that has never run against one that has.
+//! replayed scope around a whole 256-chunk stage-2 body — and
+//! `layer/vwc_block_*` the shape the VWC baseline uses: three scopes a block
+//! whose bodies are issued only on a miss, 256 blocks a launch: interpreted,
+//! replayed, with every sweep key evicted from a table at its cap between
+//! launches, and with the sweep left unscoped (the kernel's answer to that).
+//! `warm_query/*` times `try_run_warm` on a layout that has never run against
+//! one that has.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use cusha_algos::Bfs;
 use cusha_core::{try_run_warm, CuShaConfig, NoopObserver, PreparedLayout, Repr};
 use cusha_graph::generators::rmat::{rmat, RmatConfig};
-use cusha_simt::{warp_chunks, Block, CoalesceMemo, DeviceConfig, Gpu, KernelDesc, Mask, WARP};
+use cusha_simt::replay::MAX_SLOTS;
+use cusha_simt::{
+    warp_chunks, Block, CoalesceMemo, DevVec, DeviceConfig, Gpu, KernelDesc, Mask, WARP,
+};
 use std::hint::black_box;
 
 const N: usize = 1 << 14;
@@ -189,6 +197,134 @@ fn layers(c: &mut Criterion) {
     assert_eq!(gpu.replay_stats().1, 1, "the stage scope re-recorded");
 }
 
+/// One VWC/32 block as `cusha_baselines::vwc` issues it — 8 warps, a vertex
+/// each: the SISD loads, the sweep and the ladder are accounted inside one
+/// scope apiece and issued only when that scope does not replay, then the
+/// functional pass folds from the host views. `sweep_key` names the block;
+/// `None` leaves the sweep unscoped, as the kernel does for a grid of more
+/// blocks than half the table's cap.
+fn vwc_block(
+    blk: &mut Block<'_>,
+    offsets: &DevVec<u32>,
+    srcs: &DevVec<u32>,
+    values: &DevVec<u32>,
+    sweep_key: Option<u64>,
+) {
+    const WARPS: usize = 8;
+    let zcol = [0u32; WARP];
+    let leader = Mask::first(1);
+    let edges = |w: usize| offsets.host()[w] as usize..offsets.host()[w + 1] as usize;
+    let mut outcome = blk.shared_alloc::<u32>(WARPS * WARP);
+    if !blk.warp_scope(&[0x7662_5349, 0, WARPS as u64, 0], Mask::FULL, &zcol) {
+        for w in 0..WARPS {
+            blk.gload(offsets, leader, |_| w);
+            blk.gload(offsets, leader, |_| w + 1);
+            blk.gload(values, leader, |_| w);
+            blk.exec(leader, 1);
+        }
+    }
+    blk.warp_scope_end();
+    let replays =
+        sweep_key.is_some_and(|key| blk.warp_scope(&[0x7662_5357, key, 0, 0], Mask::FULL, &zcol));
+    if !replays {
+        for w in 0..WARPS {
+            for k in edges(w).step_by(WARP) {
+                let mask = Mask::first((edges(w).end - k).min(WARP));
+                let nbrs = blk.gload_run(srcs, mask, k as isize);
+                blk.gload(values, mask, |l| nbrs[l] as usize);
+                blk.exec(mask, 2);
+                blk.sstore_run(&mut outcome, mask, (w * WARP) as isize, &zcol);
+            }
+        }
+    }
+    if sweep_key.is_some() {
+        blk.warp_scope_end();
+    }
+    if !blk.warp_scope(&[0x7662_5245, WARPS as u64, 1, 0], Mask::FULL, &zcol) {
+        for w in 0..WARPS {
+            let mut off = WARP / 2;
+            while off >= 1 {
+                let mask = Mask::first(off);
+                let partial = blk.sload_run(&outcome, mask, (w * WARP + off) as isize);
+                blk.sstore_run(&mut outcome, mask, (w * WARP) as isize, &partial);
+                blk.exec(mask, 1);
+                off /= 2;
+            }
+        }
+    }
+    blk.warp_scope_end();
+    for w in 0..WARPS {
+        let nbrs = &srcs.host()[edges(w)];
+        let fold = nbrs.iter().map(|&s| values.host()[s as usize]).min();
+        blk.exec(leader, 1);
+        black_box(fold);
+    }
+}
+
+fn vwc_block_layers(c: &mut Criterion) {
+    // [`OPS`] blocks a launch, all over the same 8 vertices: the road
+    // lattice's shape at VWC/32 — four in-edges a vertex, one 4-lane sweep
+    // step a warp — where a block is lightest and a probe weighs most.
+    const DEG: usize = 4;
+    let desc = KernelDesc::new("vwc-block", OPS as u32, 256);
+    let device = |replay: bool| {
+        let mut cfg = DeviceConfig::gtx780();
+        cfg.replay_memo = replay;
+        let mut gpu = Gpu::new(cfg);
+        let offsets = gpu.upload(&(0..=8).map(|v| (v * DEG) as u32).collect::<Vec<_>>());
+        let srcs = gpu.upload(
+            &(0..8 * DEG)
+                .map(|e| (e * 7919 % N) as u32)
+                .collect::<Vec<_>>(),
+        );
+        let values = gpu.upload(&(0..N as u32).collect::<Vec<_>>());
+        (gpu, offsets, srcs, values)
+    };
+    let (mut gpu, offsets, srcs, values) = device(false);
+    c.bench_function("layer/vwc_block_interpret_x256", |b| {
+        b.iter(|| gpu.launch(&desc, |blk| vwc_block(blk, &offsets, &srcs, &values, None)))
+    });
+
+    // `Some(epoch)`: every block keys its sweep `(epoch, block id)`.
+    let (mut gpu, offsets, srcs, values) = device(true);
+    let run = |gpu: &mut Gpu, epoch: Option<u64>| {
+        gpu.launch(&desc, |blk| {
+            let key = epoch.map(|e| e << 32 | blk.id() as u64);
+            vwc_block(blk, &offsets, &srcs, &values, key)
+        })
+    };
+    run(&mut gpu, Some(0));
+    c.bench_function("layer/vwc_block_replay_x256", |b| {
+        b.iter(|| run(&mut gpu, Some(0)))
+    });
+    assert_eq!(gpu.replay_stats().1, OPS as u64 + 2, "a block re-recorded");
+
+    // A grid the table cannot hold. `overcap`: each block's sweep key was
+    // evicted since the last iteration, so its probe walks a full window of a
+    // full table, misses, and the sweep is interpreted and re-recorded (the
+    // two class scopes still replay). `unscoped`: the same block with no
+    // sweep scope at all — what the kernel does instead, as long as this row
+    // is the cheaper one (and a table at its cap is 10 MB it never maps).
+    gpu.launch(&KernelDesc::new("fill", 1, 32), |blk| {
+        for k in 0..2 * MAX_SLOTS as u64 {
+            blk.warp_scope(&[0x6f76_6572, k, 0, 0], Mask::FULL, &[0u32; WARP]);
+            blk.exec(Mask::FULL, 1);
+            blk.warp_scope_end();
+        }
+    });
+    assert_eq!(gpu.replay_table().slots().1, MAX_SLOTS, "table not at cap");
+    let mut epoch = 0;
+    c.bench_function("layer/vwc_block_overcap_x256", |b| {
+        b.iter(|| {
+            epoch += 1;
+            run(&mut gpu, Some(epoch))
+        })
+    });
+    c.bench_function("layer/vwc_block_unscoped_x256", |b| {
+        b.iter(|| run(&mut gpu, None))
+    });
+}
+
 fn warm_query(c: &mut Criterion) {
     let g = rmat(&RmatConfig::graph500(15, 200_000, 1));
     let cfg = CuShaConfig::cw();
@@ -207,5 +343,5 @@ fn warm_query(c: &mut Criterion) {
     c.bench_function("warm_query/second_run", |b| b.iter(|| query(&built)));
 }
 
-criterion_group!(benches, bench, layers, warm_query);
+criterion_group!(benches, bench, layers, vwc_block_layers, warm_query);
 criterion_main!(benches);

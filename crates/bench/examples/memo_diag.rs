@@ -1,10 +1,11 @@
-//! Prints per-cell simulator telemetry — scattered-access analyses performed
-//! and warp-trace replay scopes opened / hits / misses / fallbacks — for the
+//! Prints per-cell simulator telemetry — scattered-access analyses performed,
+//! warp-trace replay scopes opened / hits / misses / fallbacks, and the slots
+//! (filled / allocated) and bytes of the table the cell ended on — for the
 //! simwall subset plus a road lattice, then, per dataset and representation,
 //! three consecutive warm runs on one `PreparedLayout` with the slots its
 //! replay tables hold: the quick way to confirm that the CuSha kernels open a
 //! few scopes per shard, that the second run on a layout misses nothing, and
-//! that VWC's class keys stay constant as |V| grows.
+//! that VWC holds one sweep key per block plus a constant.
 
 use cusha_algos::{Bfs, Sssp};
 use cusha_bench::bench_defs::{default_source, Benchmark, Engine};
@@ -13,6 +14,7 @@ use cusha_core::{
 };
 use cusha_graph::surrogates::Dataset;
 use cusha_graph::Graph;
+use cusha_simt::replay::SLOT_BYTES;
 
 fn scopes(m: &MemoStats) -> u64 {
     m.replay_hits + m.replay_misses + m.replay_fallbacks
@@ -61,8 +63,9 @@ fn main() {
                 let t = std::time::Instant::now();
                 let stats = b.run(&g, e, max_iterations);
                 let m = stats.memo;
+                let (filled, allocated) = m.replay_slots;
                 println!(
-                    "{ds:<12} {b:<5} {:<10} {:>7.3}s iters {:>3} | analyses {:>9} | scopes {:>8} hit {:>8} miss {:>7} fallback {}",
+                    "{ds:<12} {b:<5} {:<10} {:>7.3}s iters {:>3} | analyses {:>9} | scopes {:>8} hit {:>8} miss {:>7} fallback {} | slots {filled}/{allocated} ({} KB)",
                     e.label(),
                     t.elapsed().as_secs_f64(),
                     stats.iterations,
@@ -71,6 +74,7 @@ fn main() {
                     m.replay_hits,
                     m.replay_misses,
                     m.replay_fallbacks,
+                    allocated as usize * SLOT_BYTES / 1024,
                 );
             }
         }

@@ -163,11 +163,39 @@ pub fn run_matrix(
     )
 }
 
-/// [`run_matrix`] with an explicit worker-thread count for the GPU cells
-/// (`0` = auto: `CUSHA_JOBS`, then the host's available parallelism). Every
-/// cell is a deterministic simulator run and the result vector is
-/// reassembled in work-item order, so any `jobs` value yields a
-/// byte-identical matrix — `jobs` only changes how the wall clock is spent.
+/// `work(0..n)` on `effective_jobs(jobs).min(n)` scoped threads, results in
+/// item order. Slot-indexed reassembly: workers claim items through the
+/// shared counter in whatever order the scheduler allows, but every result
+/// lands in its item's own slot, so the finished vector is in work-item
+/// order no matter how the race went.
+fn pooled<T: Send>(n: usize, jobs: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    let workers = cusha_core::effective_jobs(jobs).min(n.max(1));
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                *slots[i].lock().expect("a slot is locked only to be filled") = Some(work(i));
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|s| s.into_inner().expect("scope joined every worker"))
+        .map(|cell| cell.expect("every item computed"))
+        .collect()
+}
+
+/// [`run_matrix`] with an explicit worker-thread count for surrogate
+/// generation and the GPU cells (`0` = auto: `CUSHA_JOBS`, then the host's
+/// available parallelism). Generation and every cell are deterministic and
+/// both result vectors are reassembled in work-item order, so any `jobs`
+/// value yields a byte-identical matrix — `jobs` only changes how the wall
+/// clock is spent.
 #[allow(clippy::too_many_arguments)]
 pub fn run_matrix_jobs(
     datasets: &[Dataset],
@@ -178,10 +206,10 @@ pub fn run_matrix_jobs(
     verbose: bool,
     jobs: usize,
 ) -> MatrixResult {
-    let graphs: Vec<(Dataset, Graph)> = datasets
-        .iter()
-        .map(|&ds| (ds, ds.generate(scale)))
-        .collect();
+    // Surrogates are generated on the worker pool too — one item per
+    // dataset, results in dataset order — not serially before it starts.
+    let generated = pooled(datasets.len(), jobs, |i| datasets[i].generate(scale));
+    let graphs: Vec<(Dataset, Graph)> = datasets.iter().copied().zip(generated).collect();
     let graph_sizes = graphs
         .iter()
         .map(|(ds, g)| (*ds, g.num_edges() as u64, g.num_vertices() as u64))
@@ -202,46 +230,26 @@ pub fn run_matrix_jobs(
         }
     }
 
-    // Slot-indexed reassembly: workers claim items through the shared
-    // counter in whatever order the scheduler allows, but every result
-    // lands in its item's own slot, so the finished vector is in work-item
-    // order no matter how the race went.
-    let slots: Vec<Mutex<Option<CellResult>>> =
-        gpu_items.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let workers = cusha_core::effective_jobs(jobs).min(gpu_items.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= gpu_items.len() {
-                    break;
-                }
-                let (gi, ds, b, e) = gpu_items[i];
-                let cell = run_cell(&graphs[gi].1, ds, b, e, max_iterations);
-                if verbose {
-                    cusha_obs::log::write(
-                        cusha_obs::Level::Info,
-                        &format!(
-                            "matrix [{}/{}] {} {} {}: {:.1} ms ({} iters)",
-                            i + 1,
-                            gpu_items.len(),
-                            ds,
-                            b,
-                            e.label(),
-                            cell.stats.total_ms(),
-                            cell.stats.iterations
-                        ),
-                    );
-                }
-                *slots[i].lock().unwrap() = Some(cell);
-            });
+    let mut cells = pooled(gpu_items.len(), jobs, |i| {
+        let (gi, ds, b, e) = gpu_items[i];
+        let cell = run_cell(&graphs[gi].1, ds, b, e, max_iterations);
+        if verbose {
+            cusha_obs::log::write(
+                cusha_obs::Level::Info,
+                &format!(
+                    "matrix [{}/{}] {} {} {}: {:.1} ms ({} iters)",
+                    i + 1,
+                    gpu_items.len(),
+                    ds,
+                    b,
+                    e.label(),
+                    cell.stats.total_ms(),
+                    cell.stats.iterations
+                ),
+            );
         }
+        cell
     });
-    let mut cells: Vec<CellResult> = slots
-        .into_iter()
-        .map(|s| s.into_inner().unwrap().expect("every GPU cell computed"))
-        .collect();
     cells.reserve(cpu_items.len());
     for (gi, ds, b, e) in cpu_items {
         let cell = run_cell(&graphs[gi].1, ds, b, e, max_iterations);

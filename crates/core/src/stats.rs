@@ -252,6 +252,12 @@ pub struct MemoStats {
     /// Scopes interpreted without recording because replay was gated off
     /// (disabled by config, or a fault plan could still disrupt the run).
     pub replay_fallbacks: u64,
+    /// Sampled replay verifications that disagreed with their recording — a
+    /// violated scope contract. 0 for every in-tree kernel.
+    pub replay_verify_failures: u64,
+    /// Slots holding a recording, and slots allocated, in the replay tables
+    /// the run's devices ended on (`size_of` a slot apiece: the footprint).
+    pub replay_slots: (u64, u64),
 }
 
 impl MemoStats {
@@ -259,12 +265,15 @@ impl MemoStats {
     pub fn from_gpu(gpu: &cusha_simt::Gpu) -> Self {
         let (coalesce_hits, coalesce_misses) = gpu.memo_stats();
         let (replay_hits, replay_misses, replay_fallbacks) = gpu.replay_stats();
+        let (filled, allocated) = gpu.replay_table().slots();
         MemoStats {
             coalesce_hits,
             coalesce_misses,
             replay_hits,
             replay_misses,
             replay_fallbacks,
+            replay_verify_failures: gpu.replay_table().verify_failures(),
+            replay_slots: (filled as u64, allocated as u64),
         }
     }
 
@@ -275,6 +284,9 @@ impl MemoStats {
         self.replay_hits += other.replay_hits;
         self.replay_misses += other.replay_misses;
         self.replay_fallbacks += other.replay_fallbacks;
+        self.replay_verify_failures += other.replay_verify_failures;
+        self.replay_slots.0 += other.replay_slots.0;
+        self.replay_slots.1 += other.replay_slots.1;
     }
 
     /// Records the memo counters under the unified metrics schema.

@@ -222,9 +222,16 @@ impl<'cfg> Block<'cfg> {
     ///
     /// Returns `true` when the scope replays (recorded counter/cycle deltas
     /// were just applied; operations until [`Block::warp_scope_end`] move
-    /// data without accounting). The caller's instruction stream must be
-    /// identical either way. Scopes must not nest and must not contain
-    /// [`Block::sync`] or [`Block::phase`].
+    /// data without accounting). What the caller must then still issue is
+    /// every operation whose *data* is live — a load whose result is read, a
+    /// store something later loads. An operation issued only to be
+    /// accounted — a load nobody reads, a store to memory nothing reads back
+    /// — may be skipped when the scope replays: its counters and cycles are
+    /// in the recorded deltas already, and data nobody reads is not
+    /// observable. (Skipped or not must depend on this return value alone,
+    /// so that a recording or verifying pass interprets the whole scope.)
+    /// Scopes must not nest and must not contain [`Block::sync`] or
+    /// [`Block::phase`].
     #[inline]
     pub fn warp_scope(&mut self, site: &[u64; SITE_WORDS], mask: Mask, col: &[u32; WARP]) -> bool {
         debug_assert!(

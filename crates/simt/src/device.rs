@@ -115,6 +115,13 @@ impl Gpu {
         (h - h0, m - m0, f - f0)
     }
 
+    /// The replay memo the device runs on, its own or one lent to it
+    /// (diagnostics: its slots and verify failures are the table's, whoever
+    /// filled them).
+    pub fn replay_table(&self) -> &ReplayMemo {
+        &self.replay
+    }
+
     /// Installs `table` as the device's replay memo and returns the one it
     /// replaces. An owner whose scope keys outlive the device (a prepared
     /// layout) lends its table for a run and swaps it back out after; one

@@ -8,16 +8,17 @@
 //! `(site, active mask, per-lane access-pattern fingerprint)` and, on a
 //! hit, replays the recorded counter/timing deltas instead of re-deriving
 //! addresses and running the scattered-access analysis. Data movement is
-//! *never* replayed — loads and stores inside a replayed scope still
-//! execute on real data — so outputs are bit-identical by construction and
-//! injected bit flips (which change values, never access patterns) are
-//! never swallowed.
+//! *never* replayed — loads and stores issued inside a replayed scope still
+//! execute on real data, and the only ones a caller may leave out are those
+//! whose data nothing reads (see `Block::warp_scope`) — so outputs are
+//! bit-identical by construction and injected bit flips (which change
+//! values, never access patterns) are never swallowed.
 //!
 //! Validity rests on three rules:
 //!
-//! * the full key (site words, mask, fingerprint column) is stored and
-//!   compared on every probe, so a colliding slot is overwritten, never
-//!   trusted;
+//! * the full key (site words, mask, and a 64-bit fold of the fingerprint
+//!   column — see [`fold_col`]) is stored and compared on every probe, so a
+//!   colliding slot is overwritten, never trusted;
 //! * the caller contracts that the scope's accounting is a pure function
 //!   of the key for as long as the table lives — which is why a table
 //!   belongs to whatever bounds that purity (the device for kernels keyed on
@@ -44,8 +45,10 @@ const VERIFY_SAMPLE: u32 = 64;
 const MIN_SLOTS: usize = 64;
 
 /// Growth cap (power of two): keys that churn without bound degrade to
-/// overwriting and interpretation here, never to unbounded memory.
-const MAX_SLOTS: usize = 1 << 16;
+/// overwriting and interpretation here, never to unbounded memory. A caller
+/// whose key count is known up front should stay under half of it — past that
+/// load a probe window can fill and recordings start evicting each other.
+pub const MAX_SLOTS: usize = 1 << 16;
 
 /// Linear-probe window: a key sits within this many slots of its home slot.
 /// A miss takes the first unfilled one and, only when all are taken (at load
@@ -64,8 +67,36 @@ pub(crate) struct TraceDelta {
 #[derive(Clone, Copy, Default)]
 struct TraceKey {
     site: [u64; SITE_WORDS],
+    /// [`fold_col`] of the caller's fingerprint column.
+    col: u64,
     mask: u32,
-    col: [u32; WARP],
+}
+
+/// Word-wise FNV-1a with a murmur-style finalizer. Every step is a
+/// bijection of the running state for a fixed input word and of the word for
+/// a fixed state, so two inputs that differ in exactly one word never hash
+/// alike.
+fn fnv1a(words: impl Iterator<Item = u64>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for w in words {
+        h ^= w;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^ h >> 33
+}
+
+/// Folds a 32-sample fingerprint column to the 64 bits a slot stores:
+/// [`fnv1a`] over the 16 packed lane pairs. Columns that differ in one lane
+/// pair never fold alike; columns that differ in more collide with
+/// probability 2^-64, which is what a slot a quarter the size trades away —
+/// and what verify-on-sample would catch.
+fn fold_col(col: &[u32; WARP]) -> u64 {
+    fnv1a(
+        col.chunks_exact(2)
+            .map(|pair| pair[0] as u64 | (pair[1] as u64) << 32),
+    )
 }
 
 #[derive(Clone, Copy, Default)]
@@ -76,6 +107,9 @@ struct TraceSlot {
     hits: u32,
     filled: bool,
 }
+
+/// Bytes one slot of a table occupies ([`ReplayMemo::slots`] counts them).
+pub const SLOT_BYTES: usize = std::mem::size_of::<TraceSlot>();
 
 /// Outcome of a replay-table probe.
 pub(crate) enum Lookup<'a> {
@@ -136,15 +170,14 @@ impl ReplayMemo {
     /// Walks the key's window — [`PROBE`] slots from its home slot — to the
     /// slot holding it (`true`) or the one a recording of it takes: the first
     /// unfilled slot (windows fill front to back, so it also ends the
-    /// search), else the home slot. Exact full-key compare, in place and
-    /// cheapest words first: the 128-byte column is only read once site and
-    /// mask already agree.
-    fn probe(&self, site: &[u64; SITE_WORDS], mask: u32, col: &[u32; WARP]) -> (usize, bool) {
+    /// search), else the home slot. Exact full-key compare, in place, against
+    /// the caller's words where they lie (`col` is the column's fold).
+    fn probe(&self, site: &[u64; SITE_WORDS], mask: u32, col: u64) -> (usize, bool) {
         let last = self.slots.len().wrapping_sub(1);
         let home = slot_index(site, mask) & last;
         for idx in (0..PROBE.min(self.slots.len())).map(|i| (home + i) & last) {
             let (slot, key) = (&self.slots[idx], &self.slots[idx].key);
-            if !slot.filled || (key.site == *site && key.mask == mask && key.col == *col) {
+            if !slot.filled || (key.site == *site && key.mask == mask && key.col == col) {
                 return (idx, slot.filled);
             }
         }
@@ -157,6 +190,7 @@ impl ReplayMemo {
         mask: Mask,
         col: &[u32; WARP],
     ) -> Lookup<'_> {
+        let col = fold_col(col);
         let (mut idx, found) = self.probe(site, mask.0, col);
         if found {
             self.hits += 1;
@@ -176,8 +210,8 @@ impl ReplayMemo {
         self.filled -= usize::from(slot.filled);
         slot.key = TraceKey {
             site: *site,
+            col,
             mask: mask.0,
-            col: *col,
         };
         slot.filled = false; // pending until commit
         slot.hits = 0;
@@ -190,7 +224,7 @@ impl ReplayMemo {
         let len = (self.slots.len() * 2).max(MIN_SLOTS);
         let old = std::mem::replace(&mut self.slots, vec![TraceSlot::default(); len]);
         for slot in old.into_iter().filter(|s| s.filled) {
-            let idx = self.probe(&slot.key.site, slot.key.mask, &slot.key.col).0;
+            let idx = self.probe(&slot.key.site, slot.key.mask, slot.key.col).0;
             self.filled -= usize::from(self.slots[idx].filled);
             self.slots[idx] = slot;
         }
@@ -233,26 +267,12 @@ impl std::fmt::Debug for ReplayMemo {
 }
 
 fn slot_index(site: &[u64; SITE_WORDS], mask: u32) -> usize {
-    // Word-wise FNV-1a over the site words and mask with a murmur-style
-    // finalizer. The fingerprint column is deliberately NOT hashed: the
-    // in-tree kernels make their keys distinct through the site words
-    // (stage tag + loop indices), so hashing the 16 packed column words
-    // would cost 4x the probe work for no extra distribution. The column
-    // still participates in the exact key compare, so correctness is
-    // unaffected — a column-only difference is a compare miss, not a
-    // false hit.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    for &w in site {
-        h ^= w;
-        h = h.wrapping_mul(PRIME);
-    }
-    h ^= mask as u64;
-    h = h.wrapping_mul(PRIME);
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    h ^= h >> 33;
-    h as usize
+    // Over the site words and the mask. The column fold is deliberately NOT
+    // hashed: the in-tree kernels make their keys distinct through the site
+    // words (stage tag + loop indices), so it would add no distribution. It
+    // still participates in the exact key compare — a column-only difference
+    // is a compare miss, not a false hit.
+    fnv1a(site.iter().copied().chain([mask as u64])) as usize
 }
 
 #[cfg(test)]
@@ -305,6 +325,48 @@ mod tests {
             m.lookup(&site, Mask::FULL, &col2),
             Lookup::Miss(_)
         ));
+    }
+
+    #[test]
+    fn slot_stays_small_enough_for_one_key_per_block() {
+        // A VWC run keeps one sweep key per thread block — thousands of
+        // slots — so the slot's size is the table's footprint: 96 bytes of
+        // deltas, 44 of key, 5 of state.
+        let bytes = std::mem::size_of::<TraceSlot>();
+        assert!(bytes <= 152, "TraceSlot grew to {bytes} bytes");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(100))]
+
+        /// What the fold trades away, looked for and not found: 100 cases of
+        /// 1,000 columns each — random ones and near-copies of them (one to
+        /// three lanes nudged, the way two index columns of one graph
+        /// differ) — and whenever two fold alike they are the same column.
+        #[test]
+        fn columns_with_equal_fold_are_equal(seed in proptest::prelude::any::<u64>()) {
+            let mut rng = seed | 1;
+            let mut next = move || {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng
+            };
+            let mut seen = std::collections::HashMap::new();
+            let mut col = [0u32; WARP];
+            for draw in 0..1000 {
+                if draw % 2 == 0 {
+                    col.iter_mut().for_each(|c| *c = next() as u32);
+                } else {
+                    for _ in 0..1 + next() % 3 {
+                        let lane = (next() % WARP as u64) as usize;
+                        col[lane] = col[lane].wrapping_add(1 + (next() % 4) as u32);
+                    }
+                }
+                let other = *seen.entry(fold_col(&col)).or_insert(col);
+                proptest::prop_assert_eq!(other, col, "two columns share a fold");
+            }
+        }
     }
 
     #[test]
@@ -365,27 +427,29 @@ mod tests {
 
     #[test]
     fn grows_instead_of_thrashing() {
-        // 3 scopes x 4,096 shards: every key recorded once must hit on every
+        // 3 scopes x 4,096 shards, and one sweep key for each of a VWC
+        // run's 8,192 blocks: every key recorded once must hit on every
         // later pass — linear probing in a table at most half full leaves
         // no pair of keys fighting over a slot.
-        const KEYS: u64 = 3 * 4096;
-        let mut m = ReplayMemo::new();
-        assert_eq!(m.slots(), (0, 0), "no allocation before the first miss");
-        let col = [0u32; WARP];
-        for pass in 0..3 {
-            for k in 0..KEYS {
-                match m.lookup(&site_of(k), Mask::FULL, &col) {
-                    Lookup::Miss(i) => {
-                        assert_eq!(pass, 0, "key {k} missed on pass {pass}");
-                        m.commit(i, delta(k));
+        for (keys, allocated) in [(3 * 4096, 32768), (8192, 16384)] {
+            let mut m = ReplayMemo::new();
+            assert_eq!(m.slots(), (0, 0), "no allocation before the first miss");
+            let col = [0u32; WARP];
+            for pass in 0..3 {
+                for k in 0..keys {
+                    match m.lookup(&site_of(k), Mask::FULL, &col) {
+                        Lookup::Miss(i) => {
+                            assert_eq!(pass, 0, "key {k} of {keys} missed on pass {pass}");
+                            m.commit(i, delta(k));
+                        }
+                        Lookup::Hit(d) => assert_eq!(*d, delta(k)),
+                        Lookup::Verify(_) => panic!("two hits cannot reach the sample"),
                     }
-                    Lookup::Hit(d) => assert_eq!(*d, delta(k)),
-                    Lookup::Verify(_) => panic!("two hits cannot reach the sample"),
                 }
             }
+            assert_eq!(m.stats(), (2 * keys, keys, 0));
+            assert_eq!(m.slots(), (keys as usize, allocated));
         }
-        assert_eq!(m.stats(), (2 * KEYS, KEYS, 0));
-        assert_eq!(m.slots(), (KEYS as usize, 32768));
     }
 
     #[test]

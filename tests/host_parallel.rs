@@ -186,3 +186,31 @@ fn effective_jobs_resolution_order() {
     std::env::remove_var("CUSHA_JOBS");
     assert!(effective_jobs(0) >= 1);
 }
+
+/// The repro matrix generates its surrogates and runs its cells on one
+/// worker pool; the graphs it reports and every cell it renders must be the
+/// same at one worker and at four (one more than there are datasets here, so
+/// the pool is also larger than the generation work list).
+#[test]
+fn jobs_do_not_change_the_matrix_or_its_graphs() {
+    use cusha_bench::{run_matrix_jobs, Benchmark, Engine};
+    let run = |jobs| {
+        run_matrix_jobs(
+            &[Dataset::Amazon0312, Dataset::WebGoogle, Dataset::RoadNetCA],
+            &[Benchmark::Bfs, Benchmark::Sssp],
+            &[Engine::CuShaCw, Engine::Vwc(32)],
+            2048,
+            300,
+            false,
+            jobs,
+        )
+    };
+    let (one, four) = (run(1), run(4));
+    assert_eq!(one.graph_sizes, four.graph_sizes, "surrogates diverged");
+    assert_eq!(
+        one.graph_sizes.iter().map(|s| s.0).collect::<Vec<_>>(),
+        [Dataset::Amazon0312, Dataset::WebGoogle, Dataset::RoadNetCA],
+        "graphs not in dataset order"
+    );
+    assert_eq!(one.to_csv(), four.to_csv(), "matrix CSV diverged");
+}

@@ -239,27 +239,31 @@ fn replay_never_swallows_faults() {
 
 #[test]
 fn vwc_class_keys_hit_at_any_size_traced_or_not() {
-    // VWC keys its two scopes on alignment classes (SISD: vertex base mod
-    // 32; reduce: warp slot in the block), so traced and untraced runs probe
-    // the same keys and a run misses once per class — a constant — while
-    // the warps it replays grow with |V|. Nothing observable may depend on
-    // the tracer or the replay switch. The bound: 32 alignment classes + 8
-    // warp slots at VWC/32, plus a tail warp's, rounded up.
-    const CLASS_KEYS: u64 = 64;
+    // VWC opens three scopes per block: the SISD loads and the reduction
+    // ladder keyed on small classes (vertex base mod 32 and vertex count;
+    // warp count and the last warp's groups), the sweep keyed on the block,
+    // whose CSR slice fixes its pattern for the run. So traced and untraced
+    // runs probe the same keys, a run misses once per block plus a constant,
+    // all of it in its first iteration, and replays every scope after that.
+    // Nothing observable may depend on the tracer or the replay switch.
+    // The constant: at most 4 base residues (VWC/32: 8 vertices per block)
+    // x {full, tail} blocks for SISD, {full, tail} for the ladder.
+    const CLASS_KEYS: u64 = 16;
     fn check<P: VertexProgram>(prog: &P, g: &Graph, tag: &str) {
         for vw in VIRTUAL_WARP_SIZES {
-            let run = |traced: bool, replay: bool| {
+            let run = |traced: bool, replay: bool, max_iterations: u32| {
                 let mut cfg = VwcConfig::new(vw);
                 cfg.device.replay_memo = replay;
+                cfg.max_iterations = max_iterations;
                 if traced {
                     cfg.trace = Tracer::enabled();
                 }
                 run_vwc(prog, g, &cfg)
             };
-            let base = run(false, true);
+            let base = run(false, true, MAX_ITERS);
             assert!(base.stats.converged, "{tag}/{vw}");
             for (traced, replay) in [(true, true), (false, false), (true, false)] {
-                let other = run(traced, replay);
+                let other = run(traced, replay, MAX_ITERS);
                 let tag = format!("{tag}/{vw} traced={traced} replay={replay}");
                 assert_eq!(base.values, other.values, "{tag}: values");
                 assert_stats_identical(&tag, &base.stats, &other.stats);
@@ -271,16 +275,26 @@ fn vwc_class_keys_hit_at_any_size_traced_or_not() {
                 }
             }
             let memo = base.stats.memo;
+            let grid = (g.num_vertices() as u64).div_ceil(256 / vw as u64);
+            let iterations = base.stats.iterations as u64;
+            assert!(iterations >= 2, "{tag}/{vw}: nothing to replay");
             assert!(
-                memo.replay_misses <= CLASS_KEYS,
-                "{tag}/{vw}: {} misses over {} vertices — keyed per vertex?",
-                memo.replay_misses,
-                g.num_vertices()
+                memo.replay_misses <= grid + CLASS_KEYS,
+                "{tag}/{vw}: {} misses over {grid} blocks — keyed per warp?",
+                memo.replay_misses
             );
+            let first = run(false, true, 1).stats.memo;
+            assert_eq!(
+                first.replay_misses, memo.replay_misses,
+                "{tag}/{vw}: a scope missed after the first iteration"
+            );
+            // Three scopes a block in every later iteration, each a hit (a
+            // sampled verify counts as one).
             assert!(
-                memo.replay_hits > memo.replay_misses,
-                "{tag}/{vw}: {memo:?}"
+                memo.replay_hits >= 3 * grid * (iterations - 1),
+                "{tag}/{vw}: {memo:?} over {grid} blocks x {iterations} iterations"
             );
+            assert_eq!(memo.replay_verify_failures, 0, "{tag}/{vw}");
         }
     }
     for (scale, edges) in [(8, 3_500), (11, 24_000)] {
@@ -288,6 +302,39 @@ fn vwc_class_keys_hit_at_any_size_traced_or_not() {
         check(&Bfs::new(0), &g, &format!("bfs@{scale}"));
         check(&Sssp::new(0), &g, &format!("sssp@{scale}"));
     }
+}
+
+#[test]
+fn vwc_grid_past_the_table_cap_interprets_its_sweep() {
+    // One block per vertex: 70,000 sweep keys would cycle through a table
+    // that holds 65,536 slots, evicting each other every iteration. Past half
+    // the cap the kernel leaves the sweep unscoped, so the run records only
+    // its class keys — and is, as ever, the run `replay_memo = false` gives.
+    const N: u32 = 70_000;
+    let dense = rmat(&RmatConfig::graph500(17, 300_000, 78));
+    let edges = dense.edges().iter().filter(|e| e.src < N && e.dst < N);
+    let g = Graph::new(N, edges.copied().collect());
+    let run = |replay: bool| {
+        let mut cfg = VwcConfig::new(32);
+        cfg.threads_per_block = 32;
+        cfg.device.replay_memo = replay;
+        run_vwc(&Bfs::new(0), &g, &cfg)
+    };
+    let (on, off) = (run(true), run(false));
+    assert!(on.stats.converged && on.stats.iterations >= 2);
+    assert_eq!(on.stats.kernel.blocks, N, "one block per vertex");
+    assert!(N as usize > cusha::simt::replay::MAX_SLOTS / 2);
+    assert_eq!(on.values, off.values);
+    assert_stats_identical("vwc32 over the cap", &on.stats, &off.stats);
+    let memo = on.stats.memo;
+    assert_eq!(memo.replay_verify_failures, 0);
+    // 32 vertex-base residues for SISD, one ladder shape.
+    assert_eq!(memo.replay_misses, 33, "{memo:?}: sweep keys recorded");
+    assert_eq!(
+        memo.replay_hits + memo.replay_misses,
+        2 * N as u64 * on.stats.iterations as u64,
+        "{memo:?}: two class scopes a block, and no other"
+    );
 }
 
 // ---- Layout-owned replay tables -------------------------------------------
