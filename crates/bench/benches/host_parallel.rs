@@ -1,8 +1,9 @@
-//! Micro-benchmarks of the host-parallel hot paths: coalescing-memo hit
-//! vs. miss, a single steady-state kernel launch, and whole fleet runs at
-//! 1/2/4 devices (on this host the fleet numbers mostly show the threading
-//! overhead — device work is simulated, so the interesting comparison is
-//! the per-launch and memo costs).
+//! Micro-benchmarks of the host-side hot paths: coalescing-memo hit vs.
+//! miss, a single steady-state kernel launch, and whole fleet runs at 1/2/4
+//! devices. The fleet runs its devices in order on one thread, so the three
+//! fleet rows show what partitioning costs the *host* at a fixed iteration
+//! count: the same shards in more, smaller launches, plus the outbox, spill
+//! application and halo accounting a one-device fleet does not have.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use cusha_algos::PageRank;

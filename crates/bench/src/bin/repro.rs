@@ -19,10 +19,10 @@
 //!                   and frontier_matrix (gs|cw|frontier|vwc:<w>|mtcpu:<t>),
 //!                   e.g. `--engines gs,frontier` for a head-to-head
 //!                   without the full matrix
-//! --jobs N          host worker threads for simulator cells and fleet
-//!                   devices (default: available parallelism; CUSHA_JOBS
-//!                   env is the fallback). Outputs are byte-identical for
-//!                   any value — only the host wall clock changes.
+//! --jobs N          host worker threads for simulator matrix cells
+//!                   (default: available parallelism; CUSHA_JOBS env is
+//!                   the fallback). Outputs are byte-identical for any
+//!                   value — only the host wall clock changes.
 //! --out-dir DIR     also write each artifact report and the raw matrix CSV
 //! --verbose         stream per-cell progress to stderr
 //! --log-level LEVEL error|warn|info|debug|trace (default info)
@@ -105,8 +105,8 @@ fn main() {
             "--jobs" | "-j" => {
                 i += 1;
                 ctx.jobs = parse(&args, i, "--jobs") as usize;
-                // The fleet engine and any nested run resolve through the
-                // environment, so one flag covers every simulator layer.
+                // Matrix runs that are handed no job count resolve through
+                // the environment, so one flag covers them too.
                 std::env::set_var("CUSHA_JOBS", ctx.jobs.to_string());
             }
             "--verbose" | "-v" => ctx.verbose = true,
@@ -335,8 +335,8 @@ frontier_matrix to a comma-separated subset (gs|cw|frontier|vwc:<width>|
 mtcpu:<threads>), e.g. `--engines gs,frontier`.
 
 --jobs N (or CUSHA_JOBS=N) sets the host worker-thread count for simulator
-matrix cells and fleet devices; any value produces byte-identical artifacts
-(default: the host's available parallelism).
+matrix cells; any value produces byte-identical artifacts (default: the
+host's available parallelism).
 
 Progress goes to stderr via the leveled logger (--log-level error|warn|
 info|debug|trace, default info); stdout carries only artifact reports.

@@ -35,9 +35,9 @@ pub struct Ctx {
     pub max_iterations: u32,
     /// Stream per-cell progress to stderr.
     pub verbose: bool,
-    /// Host worker threads for simulator cells and fleet devices (`0` =
-    /// auto: `CUSHA_JOBS`, then available parallelism). Never changes a
-    /// result — only the host wall clock.
+    /// Host worker threads for simulator matrix cells (`0` = auto:
+    /// `CUSHA_JOBS`, then available parallelism). Never changes a result —
+    /// only the host wall clock.
     pub jobs: usize,
 }
 

@@ -163,6 +163,26 @@ pub fn run_matrix(
     )
 }
 
+/// Resolves a requested job count to the worker-thread count actually used:
+/// an explicit `requested > 0` wins, else the `CUSHA_JOBS` environment
+/// variable (if set to a positive integer), else the host's available
+/// parallelism, else 1.
+pub fn effective_jobs(requested: usize) -> usize {
+    if requested > 0 {
+        return requested;
+    }
+    if let Some(j) = std::env::var("CUSHA_JOBS")
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok())
+        .filter(|&v| v > 0)
+    {
+        return j;
+    }
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
 /// `work(0..n)` on `effective_jobs(jobs).min(n)` scoped threads, results in
 /// item order. Slot-indexed reassembly: workers claim items through the
 /// shared counter in whatever order the scheduler allows, but every result
@@ -171,7 +191,7 @@ pub fn run_matrix(
 fn pooled<T: Send>(n: usize, jobs: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    let workers = cusha_core::effective_jobs(jobs).min(n.max(1));
+    let workers = effective_jobs(jobs).min(n.max(1));
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {

@@ -9,7 +9,7 @@
 //! its CPU count; a single-core host will honestly report ~1x).
 
 use crate::bench_defs::{Benchmark, Engine};
-use crate::matrix::{run_cell, run_matrix_jobs, MatrixResult};
+use crate::matrix::{effective_jobs, run_cell, run_matrix_jobs, MatrixResult};
 use cusha_graph::surrogates::Dataset;
 use std::time::Instant;
 
@@ -158,7 +158,7 @@ impl SimwallResult {
 /// parallel pass at `jobs` workers (`0` = auto), and a byte-compare of the
 /// two matrices.
 pub fn run(scale: u64, max_iterations: u32, jobs: usize) -> SimwallResult {
-    let jobs = cusha_core::effective_jobs(jobs);
+    let jobs = effective_jobs(jobs);
 
     // Sequential pass, timed per cell, over pre-generated graphs (graph
     // generation is shared setup, not simulation, so it stays untimed).

@@ -24,16 +24,17 @@ use crate::autotune::select_vertices_per_shard;
 use crate::cw::ConcatWindows;
 use crate::error::EngineError;
 use crate::fallback::run_fallback;
-use crate::integrity::{apply_flips, checksum, CheckpointManager, IntegrityConfig};
-use crate::kernel::{upload_resident, HostArrays, RetryPolicy, SpillVia};
+use crate::integrity::{
+    apply_flips, checksum, scrub_crcs, Ask, Detector, IntegrityConfig, Recovery, Rung,
+};
+use crate::kernel::{fault_instant, upload_resident, HostArrays, RetryPolicy, SpillVia};
 use crate::middleware::DeadlineObserver;
-use crate::program::{Value, VertexProgram};
+use crate::program::VertexProgram;
 use crate::shards::GShards;
 use crate::stats::{FaultStats, IterationStat, RunStats, SdcStats};
 use cusha_graph::Graph;
 use cusha_obs::trace::{lanes, ArgVal, Tracer};
-use cusha_simt::{DevVec, DeviceConfig, FaultPlan, Gpu, Pod, ReplayMemo};
-use std::collections::HashSet;
+use cusha_simt::{DeviceConfig, FaultPlan, Gpu, Pod, ReplayMemo};
 use std::sync::Mutex;
 
 /// Which CuSha representation to run.
@@ -430,88 +431,6 @@ pub fn run<P: VertexProgram>(prog: &P, graph: &Graph, cfg: &CuShaConfig) -> CuSh
     }
 }
 
-/// Which SDC detector flagged a corruption.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum Detector {
-    /// The checksum scrubber (deterministic, pre-consumption).
-    Checksum,
-    /// An algorithm invariant at a checkpoint (best-effort).
-    Invariant,
-}
-
-/// One step of the in-core engine's recovery ladder after a detected
-/// corruption: roll back to the latest verified checkpoint while the
-/// rollback budget lasts, then restart from the initial state, and finally
-/// report `Ok(false)` to tell the caller to escalate to the host fallback.
-/// Restores are real, charged H2D uploads.
-#[allow(clippy::too_many_arguments)]
-fn sdc_recover<V: Value>(
-    gpu: &mut Gpu,
-    integ: &IntegrityConfig,
-    detector: Detector,
-    sdc: &mut SdcStats,
-    ckpts: &mut CheckpointManager<V>,
-    vertex_values: &mut DevVec<V>,
-    src_value: &mut DevVec<V>,
-    init: &[V],
-    src_value_init: &[V],
-    total: &mut RunStats,
-    watchdog_seen: &mut HashSet<u64>,
-    vv_crc: &mut u64,
-    sv_crc: &mut u64,
-    trace: &Tracer,
-    pid: u32,
-) -> Result<bool, cusha_simt::DeviceFault> {
-    match detector {
-        Detector::Checksum => sdc.checksum_detections += 1,
-        Detector::Invariant => sdc.invariant_detections += 1,
-    }
-    trace.instant(
-        pid,
-        lanes::FAULT,
-        "sdc",
-        "corruption-detected",
-        gpu.total_seconds(),
-    );
-    if sdc.rollbacks < integ.max_rollbacks {
-        let cp = ckpts.latest().expect("initial checkpoint always present");
-        gpu.try_h2d(vertex_values, &cp.values)?;
-        gpu.try_h2d(src_value, &cp.src_value)?;
-        *vv_crc = cp.values_crc;
-        *sv_crc = cp.src_crc;
-        sdc.reexecuted_iterations += total.iterations - cp.iteration;
-        total.iterations = cp.iteration;
-        total.per_iteration.truncate(cp.iteration as usize);
-        *watchdog_seen = cp.watchdog.clone();
-        sdc.rollbacks += 1;
-        trace.instant(pid, lanes::FAULT, "sdc", "rollback", gpu.total_seconds());
-        Ok(true)
-    } else if sdc.full_restarts < integ.max_full_restarts {
-        gpu.try_h2d(vertex_values, init)?;
-        gpu.try_h2d(src_value, src_value_init)?;
-        *vv_crc = checksum(init);
-        *sv_crc = checksum(src_value_init);
-        sdc.reexecuted_iterations += total.iterations;
-        total.iterations = 0;
-        total.per_iteration.clear();
-        watchdog_seen.clear();
-        ckpts.clear();
-        ckpts.push(0, init.to_vec(), src_value_init.to_vec(), HashSet::new());
-        sdc.full_restarts += 1;
-        trace.instant(
-            pid,
-            lanes::FAULT,
-            "sdc",
-            "full-restart",
-            gpu.total_seconds(),
-        );
-        Ok(true)
-    } else {
-        sdc.host_fallbacks += 1;
-        Ok(false)
-    }
-}
-
 /// Executes `prog` over `graph`, returning every failure as an
 /// [`EngineError`] instead of panicking: bad configurations and graphs are
 /// rejected up front, device faults (injected via
@@ -614,7 +533,6 @@ fn run_core<P: VertexProgram, O: RunObserver + ?Sized>(
 
     // ---- Host-side preparation and upload (H2D) --------------------------
     let host = HostArrays::new(prog, graph, layout.gs());
-    let (init, src_value_init) = (&host.values, &host.src_value);
     // The in-core engine surfaces device faults instead of retrying them,
     // so its fault record stays clean by construction.
     let (retry, mut fault) = (RetryPolicy::NONE, FaultStats::default());
@@ -645,59 +563,55 @@ fn run_core<P: VertexProgram, O: RunObserver + ?Sized>(
         ..Default::default()
     };
     let mut converged = false;
-    let mut watchdog_seen: HashSet<u64> = HashSet::new();
 
     // ---- SDC defense state ------------------------------------------------
     let integ = &cfg.integrity;
     let mut sdc = SdcStats::default();
-    let mut ckpts: CheckpointManager<P::V> = CheckpointManager::new(integ.max_checkpoints);
-    // The initial state is verified by construction (it came from the
-    // host), so it seeds the checkpoint ring for free: a rollback target
-    // exists before the first snapshot interval elapses.
-    if integ.mode.enabled() {
-        ckpts.push(0, init.clone(), src_value_init.clone(), HashSet::new());
-        sdc.checkpoints += 1;
-    }
-    // Scrubber references: checksums of the protected buffers as last
-    // legitimately written (post-kernel / post-restore).
-    let (mut vv_crc, mut sv_crc) = if integ.mode.checksums() {
-        (checksum(init), checksum(src_value_init))
-    } else {
-        (0, 0)
-    };
-    let mut need_reverify = false;
+    let mut recovery = Recovery::new(cfg, &mut sdc, &host.values, &host.src_value);
+    // Everything is uploaded and `recovery` keeps the restart image it needs.
+    drop(host);
+    // Scrubber references: checksums of `VertexValues` and `SrcValue` as
+    // last legitimately written (post-kernel / post-restore).
+    let initial = recovery.latest();
+    let mut crcs = (initial.values_crc, initial.src_crc);
 
-    // One rung of the recovery ladder; `false` once its budgets are spent.
-    macro_rules! recover {
-        ($detector:expr) => {
-            sdc_recover(
-                gpu,
-                integ,
-                $detector,
-                &mut sdc,
-                &mut ckpts,
-                &mut res.vertex_values,
-                &mut slice.src_value,
-                init,
-                src_value_init,
-                &mut total,
-                &mut watchdog_seen,
-                &mut vv_crc,
-                &mut sv_crc,
-                &cfg.trace,
-                0,
-            )?
+    // The device as `Recovery` drives it.
+    macro_rules! device {
+        () => {
+            |ask: Ask<'_, P::V>| {
+                match ask {
+                    Ask::Restore(cp) => {
+                        gpu.try_h2d(&mut res.vertex_values, &cp.values)?;
+                        gpu.try_h2d(&mut slice.src_value, &cp.src_value)?;
+                        crcs = (cp.values_crc, cp.src_crc);
+                    }
+                    Ask::Snapshot(values, src_value) => {
+                        *values = gpu.try_download(&res.vertex_values)?;
+                        if let Some(src_value) = src_value {
+                            *src_value = gpu.try_download(&slice.src_value)?;
+                        }
+                    }
+                    Ask::Mark(name) => fault_instant(gpu, "sdc", name),
+                }
+                Ok(())
+            }
         };
     }
-    // Pull the escalate-to-host rung out of the deep control flow: the loop
-    // breaks here with the flips-fired count, runs the fallback (which no
-    // device flip can reach), and grafts the SDC record onto its stats.
-    macro_rules! host_fallback {
-        () => {{
-            sdc.flips_injected = flips_fired(gpu.fault_plan()) - flips_baseline;
-            let mut out = run_fallback(prog, graph, cfg)?;
-            out.stats.sdc = sdc;
-            return Ok(out);
+    // One rung of the recovery ladder. The last one abandons the device for
+    // the host fallback (which no device flip can reach) and grafts the SDC
+    // record onto its stats.
+    macro_rules! recover {
+        ($detector:expr) => {{
+            let spent = (sdc.rollbacks, sdc.full_restarts);
+            let (iterations, detail) = (&mut total.iterations, &mut total.per_iteration);
+            let rung = recovery.step($detector, &mut sdc, spent, iterations, detail, device!())?;
+            if let Rung::Exhausted = rung {
+                sdc.host_fallbacks += 1;
+                sdc.flips_injected = flips_fired(gpu.fault_plan()) - flips_baseline;
+                let mut out = run_fallback(prog, graph, cfg)?;
+                out.stats.sdc = sdc;
+                return Ok(out);
+            }
         }};
     }
 
@@ -712,15 +626,9 @@ fn run_core<P: VertexProgram, O: RunObserver + ?Sized>(
             // …and the modeled ECC scrubber verifies the protected buffers
             // before the kernel consumes them (host-side, charge-free —
             // hardware scrubbing runs in the background).
-            if integ.mode.checksums()
-                && (checksum(res.vertex_values.host()) != vv_crc
-                    || checksum(slice.src_value.host()) != sv_crc)
-            {
-                if recover!(Detector::Checksum) {
-                    need_reverify = true;
-                    continue;
-                }
-                host_fallback!();
+            if integ.mode.checksums() && scrub_crcs(&res.vertex_values, &slice.src_value) != crcs {
+                recover!(Detector::Checksum);
+                continue;
             }
             let iter_ts = gpu.total_seconds();
             res.reset_flag(gpu, &retry, &mut fault)?;
@@ -746,8 +654,7 @@ fn run_core<P: VertexProgram, O: RunObserver + ?Sized>(
             // Record the post-kernel checksums: this is the state the next
             // scrub pass must find untouched.
             if integ.mode.checksums() {
-                vv_crc = checksum(res.vertex_values.host());
-                sv_crc = checksum(slice.src_value.host());
+                crcs = scrub_crcs(&res.vertex_values, &slice.src_value);
             }
             let flag = res.read_flag(gpu, &retry, &mut fault)?;
             trace_iteration(
@@ -769,53 +676,14 @@ fn run_core<P: VertexProgram, O: RunObserver + ?Sized>(
                 converged = true;
                 break;
             }
-            // Iteration-boundary cancellation (the modeled-time deadline
-            // arrives wrapped around the caller's observer) shares the
-            // watchdog's discipline — the in-flight kernel has completed,
-            // so aborting here never leaves partial device writes behind.
-            let elapsed = gpu.total_seconds();
-            if !observer.on_iteration(total.iterations, updated_this_iter, elapsed) {
-                return Err(EngineError::Deadline {
-                    iterations: total.iterations,
-                    elapsed_seconds: elapsed,
-                });
-            }
-            // Checkpoint boundary: download the state (real, charged D2H),
-            // verify the algorithm invariant against the last verified
-            // snapshot, and store it as the new rollback target.
-            if integ.mode.enabled() && total.iterations.is_multiple_of(integ.checkpoint_every) {
-                let vals = gpu.try_download(&res.vertex_values)?;
-                let srcs = gpu.try_download(&slice.src_value)?;
-                if integ.mode.invariants() {
-                    let prev = &ckpts.latest().expect("initial checkpoint").values;
-                    if prog.check_invariant(prev, &vals).is_err() {
-                        if recover!(Detector::Invariant) {
-                            need_reverify = true;
-                            continue;
-                        }
-                        host_fallback!();
-                    }
-                }
-                ckpts.push(total.iterations, vals, srcs, watchdog_seen.clone());
-                sdc.checkpoints += 1;
-                if need_reverify {
-                    need_reverify = false;
-                    cfg.trace
-                        .instant(0, lanes::FAULT, "sdc", "reverify", gpu.total_seconds());
-                }
-            }
-            if let Some(w) = cfg.watchdog_interval {
-                if total.iterations.is_multiple_of(w) {
-                    // Snapshot the value vector (a real D2H, charged as such);
-                    // a recurring fingerprint without convergence means the
-                    // loop is cycling through the same states forever.
-                    let snapshot = gpu.try_download(&res.vertex_values)?;
-                    if !watchdog_seen.insert(checksum(&snapshot)) {
-                        return Err(EngineError::Watchdog {
-                            iterations: total.iterations,
-                        });
-                    }
-                }
+            // Iteration boundary: cancellation (the modeled-time deadline
+            // arrives wrapped around the caller's observer), checkpoint and
+            // watchdog all act here — the in-flight kernel has completed,
+            // so aborting never leaves partial device writes behind.
+            let (iterations, elapsed) = (total.iterations, gpu.total_seconds());
+            let (updated, dev) = (updated_this_iter, device!());
+            if recovery.boundary(observer, prog, &mut sdc, iterations, updated, elapsed, dev)? {
+                recover!(Detector::Invariant);
             }
         }
 
@@ -835,18 +703,12 @@ fn run_core<P: VertexProgram, O: RunObserver + ?Sized>(
         // verify them against the scrubber reference before publishing. (A
         // rejected download's transfer time rolls into the compute/recovery
         // share of the next pass.)
-        if integ.mode.checksums() && checksum(&values) != vv_crc {
-            if recover!(Detector::Checksum) {
-                need_reverify = true;
-                converged = false;
-                continue 'run;
-            }
-            host_fallback!();
+        if integ.mode.checksums() && checksum(&values) != crcs.0 {
+            recover!(Detector::Checksum);
+            converged = false;
+            continue 'run;
         }
-        if need_reverify {
-            cfg.trace
-                .instant(0, lanes::FAULT, "sdc", "reverify", gpu.total_seconds());
-        }
+        recovery.finish(device!())?;
         break 'run (values, d2h_before_results);
     };
 

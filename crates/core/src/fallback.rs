@@ -23,7 +23,7 @@ use cusha_simt::Pod;
 pub const FALLBACK_LABEL: &str = "host-fallback";
 
 /// Executes `prog` over `graph` on the host, re-enacting the G-Shards
-/// engine's deterministic schedule ([`crate::kernel::host_sweep`]). Only
+/// engine's deterministic schedule (`HostArrays::sweep`). Only
 /// `vertices_per_shard`, `max_iterations` and the autotuner-relevant fields
 /// of `cfg` are used; device-specific settings are ignored. Modeled
 /// transfer/kernel times are zero (there is no device).

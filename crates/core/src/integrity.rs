@@ -20,14 +20,19 @@
 //!   coordinates are one-shot, the replay reproduces the fault-free values
 //!   bit for bit. Repeated detections escalate: rollback → full restart →
 //!   host fallback (host memory is outside the simulated device, so no
-//!   injected flip can reach it).
+//!   injected flip can reach it). `Recovery` is that ladder and the
+//!   iteration boundary around it, written once for the three host loops
+//!   (in-core, streamed, fleet).
 //!
 //! The scrubber's comparisons are host-side and charge no modeled time
 //! (ECC runs in hardware, in the background); checkpoint snapshots and
 //! rollback restores are real transfers and are charged as D2H/H2D.
 
-use crate::program::Value;
-use cusha_simt::{BitFlip, DevVec, FlipTarget, Pod};
+use crate::engine::{CuShaConfig, RunObserver};
+use crate::error::EngineError;
+use crate::program::{Value, VertexProgram};
+use crate::stats::{IterationStat, SdcStats};
+use cusha_simt::{BitFlip, DevVec, DeviceFault, FlipTarget, Pod};
 use std::collections::HashSet;
 use std::collections::VecDeque;
 
@@ -98,7 +103,7 @@ pub struct IntegrityConfig {
     /// Snapshots retained (ring buffer) — the memory bound.
     pub max_checkpoints: usize,
     /// Rollbacks before escalating to a full restart. Counted per engine
-    /// run (per device in the fleet).
+    /// run (fleet-wide in the fleet).
     pub max_rollbacks: u32,
     /// Full restarts before escalating to the host fallback.
     pub max_full_restarts: u32,
@@ -153,6 +158,13 @@ pub fn checksum<V: Value>(values: &[V]) -> u64 {
     h
 }
 
+/// [`checksum`]s of an engine's two protected buffers as they sit in device
+/// memory: what the scrubber records after a kernel and re-verifies before
+/// the next.
+pub(crate) fn scrub_crcs<V: Value>(vertex_values: &DevVec<V>, src_value: &DevVec<V>) -> (u64, u64) {
+    (checksum(vertex_values.host()), checksum(src_value.host()))
+}
+
 /// XOR-flips one bit of one word of a typed device buffer, reducing the
 /// plan's raw coordinates modulo the buffer length and the value width so
 /// any plan is valid for any graph. No-op on an empty buffer.
@@ -203,6 +215,19 @@ pub struct Checkpoint<V> {
     pub watchdog: HashSet<u64>,
 }
 
+impl<V: Value> Checkpoint<V> {
+    fn new(iteration: u32, values: Vec<V>, src_value: Vec<V>, watchdog: HashSet<u64>) -> Self {
+        Checkpoint {
+            iteration,
+            values_crc: checksum(&values),
+            src_crc: checksum(&src_value),
+            values,
+            src_value,
+            watchdog,
+        }
+    }
+}
+
 /// Bounded ring of verified snapshots: pushing beyond the capacity drops
 /// the oldest, so the memory held is at most `capacity` full snapshots
 /// regardless of run length.
@@ -230,18 +255,11 @@ impl<V: Value> CheckpointManager<V> {
         src_value: Vec<V>,
         watchdog: HashSet<u64>,
     ) {
-        let cp = Checkpoint {
-            iteration,
-            values_crc: checksum(&values),
-            src_crc: checksum(&src_value),
-            values,
-            src_value,
-            watchdog,
-        };
         if self.snaps.len() == self.capacity {
             self.snaps.pop_front();
         }
-        self.snaps.push_back(cp);
+        self.snaps
+            .push_back(Checkpoint::new(iteration, values, src_value, watchdog));
     }
 
     /// The most recent snapshot (the rollback target).
@@ -268,6 +286,206 @@ impl<V: Value> CheckpointManager<V> {
     /// from the initial state).
     pub fn clear(&mut self) {
         self.snaps.clear();
+    }
+}
+
+/// Which SDC detector flagged a corruption.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Detector {
+    /// The checksum scrubber (deterministic, pre-consumption).
+    Checksum,
+    /// An algorithm invariant at a checkpoint (best-effort).
+    Invariant,
+}
+
+/// What [`Recovery`] asks of the engine it guards. One closure answers all
+/// three because all three need the device, two of them mutably.
+pub(crate) enum Ask<'a, V> {
+    /// Bring the device state back to this verified snapshot — real, charged
+    /// uploads — and make it the scrubber's reference.
+    Restore(&'a Checkpoint<V>),
+    /// Download the global vertex values into the first vector and, for a
+    /// checkpoint, the global `SrcValue` column into the second — real,
+    /// charged downloads.
+    Snapshot(&'a mut Vec<V>, Option<&'a mut Vec<V>>),
+    /// Mark this `sdc` event on the fault lane, at the engine's clock now.
+    Mark(&'static str),
+}
+
+/// How [`Recovery::step`] left the run.
+pub(crate) enum Rung {
+    /// Rolled back or restarted: re-execute from the rewound iteration.
+    Resumed,
+    /// Both budgets are spent and nothing was restored. The last rung is the
+    /// engine's own, because what it can still trust differs: the in-core and
+    /// streamed engines abandon the device for [`crate::run_fallback`], the
+    /// fleet degrades only the devices under suspicion.
+    Exhausted,
+}
+
+/// The recovery ladder and iteration boundary shared by the in-core, streamed
+/// and fleet host loops: the checkpoint ring, the verified initial state (the
+/// full-restart image, and the rollback target until the first checkpoint),
+/// the watchdog's fingerprints and the pending re-verification. Engines supply
+/// how their device state is restored, snapshotted and marked ([`Ask`]) and
+/// their own last rung. With integrity off and no watchdog it holds nothing
+/// and [`Recovery::boundary`] only consults the observer.
+pub(crate) struct Recovery<V> {
+    integ: IntegrityConfig,
+    watchdog_interval: Option<u32>,
+    initial: Checkpoint<V>,
+    ring: CheckpointManager<V>,
+    watchdog_seen: HashSet<u64>,
+    need_reverify: bool,
+}
+
+impl<V: Value> Recovery<V> {
+    /// `values` and `src_value` are the host's initial `VertexValues` and
+    /// `SrcValue` — verified by construction, so with integrity on they are
+    /// kept as the first checkpoint.
+    pub(crate) fn new(
+        cfg: &CuShaConfig,
+        sdc: &mut SdcStats,
+        values: &[V],
+        src_value: &[V],
+    ) -> Self {
+        let integ = cfg.integrity;
+        let (values, src_value) = if integ.mode.enabled() {
+            sdc.checkpoints += 1;
+            (values.to_vec(), src_value.to_vec())
+        } else {
+            Default::default()
+        };
+        Recovery {
+            integ,
+            watchdog_interval: cfg.watchdog_interval,
+            initial: Checkpoint::new(0, values, src_value, HashSet::new()),
+            ring: CheckpointManager::new(integ.max_checkpoints),
+            watchdog_seen: HashSet::new(),
+            need_reverify: false,
+        }
+    }
+
+    /// The latest verified snapshot: the rollback target.
+    pub(crate) fn latest(&self) -> &Checkpoint<V> {
+        self.ring.latest().unwrap_or(&self.initial)
+    }
+
+    /// Called when the loop ends: a recovered trajectory that got here before
+    /// its next checkpoint re-verified it is marked `reverify` now — the
+    /// converged state itself is the proof.
+    pub(crate) fn finish(
+        &mut self,
+        mut dev: impl FnMut(Ask<'_, V>) -> Result<(), DeviceFault>,
+    ) -> Result<(), DeviceFault> {
+        if std::mem::take(&mut self.need_reverify) {
+            dev(Ask::Mark("reverify"))?;
+        }
+        Ok(())
+    }
+
+    /// One rung of the ladder after `detector` fired: roll back to the latest
+    /// verified snapshot while the rollback budget lasts, then restart from
+    /// the initial state, else report [`Rung::Exhausted`]. `spent` is the
+    /// `(rollbacks, full restarts)` already charged against the budgets —
+    /// fleet-wide for the fleet, whose `sdc` is the detecting device's.
+    pub(crate) fn step(
+        &mut self,
+        detector: Detector,
+        sdc: &mut SdcStats,
+        spent: (u32, u32),
+        iterations: &mut u32,
+        per_iteration: &mut Vec<IterationStat>,
+        mut dev: impl FnMut(Ask<'_, V>) -> Result<(), DeviceFault>,
+    ) -> Result<Rung, DeviceFault> {
+        match detector {
+            Detector::Checksum => sdc.checksum_detections += 1,
+            Detector::Invariant => sdc.invariant_detections += 1,
+        }
+        dev(Ask::Mark("corruption-detected"))?;
+        self.need_reverify = true;
+        let taken = if spent.0 < self.integ.max_rollbacks {
+            sdc.rollbacks += 1;
+            "rollback"
+        } else if spent.1 < self.integ.max_full_restarts {
+            self.ring.clear();
+            sdc.full_restarts += 1;
+            "full-restart"
+        } else {
+            return Ok(Rung::Exhausted);
+        };
+        self.rewind(sdc, iterations, per_iteration, &mut dev)?;
+        dev(Ask::Mark(taken))?;
+        Ok(Rung::Resumed)
+    }
+
+    /// Restores the engine to the latest verified snapshot and rewinds the
+    /// run's bookkeeping (iteration count, per-iteration detail, watchdog
+    /// set) to it.
+    pub(crate) fn rewind(
+        &mut self,
+        sdc: &mut SdcStats,
+        iterations: &mut u32,
+        per_iteration: &mut Vec<IterationStat>,
+        dev: &mut impl FnMut(Ask<'_, V>) -> Result<(), DeviceFault>,
+    ) -> Result<(), DeviceFault> {
+        // Not `self.latest()`: `watchdog_seen` is written while `cp` is held.
+        let cp = self.ring.latest().unwrap_or(&self.initial);
+        dev(Ask::Restore(cp))?;
+        sdc.reexecuted_iterations += *iterations - cp.iteration;
+        *iterations = cp.iteration;
+        per_iteration.truncate(cp.iteration as usize);
+        self.watchdog_seen.clone_from(&cp.watchdog);
+        Ok(())
+    }
+
+    /// The boundary after a non-converged iteration: consult the observer
+    /// (a refusal is [`EngineError::Deadline`]); at a checkpoint interval
+    /// snapshot the state, verify the program's invariant against the last
+    /// verified snapshot and store it as the new rollback target; at a
+    /// watchdog interval fingerprint the values (a repeat is
+    /// [`EngineError::Watchdog`]). Returns whether the invariant was violated
+    /// — a corruption for [`Recovery::step`]; nothing is stored then.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn boundary<P: VertexProgram<V = V>, O: RunObserver + ?Sized>(
+        &mut self,
+        observer: &mut O,
+        prog: &P,
+        sdc: &mut SdcStats,
+        iterations: u32,
+        updated: u64,
+        elapsed_seconds: f64,
+        mut dev: impl FnMut(Ask<'_, V>) -> Result<(), DeviceFault>,
+    ) -> Result<bool, EngineError<V>> {
+        if !observer.on_iteration(iterations, updated, elapsed_seconds) {
+            return Err(EngineError::Deadline {
+                iterations,
+                elapsed_seconds,
+            });
+        }
+        let integ = self.integ;
+        if integ.mode.enabled() && iterations.is_multiple_of(integ.checkpoint_every) {
+            let (mut values, mut src_value) = (Vec::new(), Vec::new());
+            dev(Ask::Snapshot(&mut values, Some(&mut src_value)))?;
+            let verified = &self.latest().values;
+            if integ.mode.invariants() && prog.check_invariant(verified, &values).is_err() {
+                return Ok(true);
+            }
+            let watchdog = self.watchdog_seen.clone();
+            self.ring.push(iterations, values, src_value, watchdog);
+            sdc.checkpoints += 1;
+            if std::mem::take(&mut self.need_reverify) {
+                dev(Ask::Mark("reverify"))?;
+            }
+        }
+        if (self.watchdog_interval).is_some_and(|w| iterations.is_multiple_of(w)) {
+            let mut values = Vec::new();
+            dev(Ask::Snapshot(&mut values, None))?;
+            if !self.watchdog_seen.insert(checksum(&values)) {
+                return Err(EngineError::Watchdog { iterations });
+            }
+        }
+        Ok(false)
     }
 }
 

@@ -4,8 +4,8 @@
 //! The in-core engine, the streamed engine and the multi-device fleet all
 //! run the same thing: upload the device buffers of a contiguous shard
 //! range, launch one thread block per shard through stages 1–4, and — for
-//! recovery and for the fleet's serial oracle — re-enact that schedule on
-//! the host. This module owns each of those exactly once:
+//! recovery — re-enact that schedule on the host. This module owns each of
+//! those exactly once:
 //!
 //! * [`HostArrays`] — the host master copies of the per-vertex and
 //!   per-entry arrays, built once per run;
@@ -18,7 +18,8 @@
 //!   has no such write), a device outbox plus an ordered spill list (the
 //!   fleet's halo updates), or the host master with a PCIe byte count (the
 //!   streamed engine);
-//! * [`host_sweep`] — the host re-enactment, bit-identical to the kernel.
+//! * [`HostArrays::sweep`] — the host re-enactment, bit-identical to the
+//!   kernel.
 //!
 //! Control metadata (shard boundaries, window ranges) is treated as
 //! uniform/cached and charged neither traffic nor instructions; the bulk
@@ -129,6 +130,20 @@ pub(crate) fn entry_bytes<P: VertexProgram>(repr: Repr) -> u64 {
     b
 }
 
+/// Where the batch starting at shard `from` ends: the longest run of
+/// consecutive shards below `to` whose entry arrays fit `budget` bytes, and
+/// never fewer than one shard — the kernel cannot split a shard, so one
+/// larger than the budget forms its own batch.
+pub(crate) fn batch_end(gs: &GShards, per_entry: u64, budget: u64, from: u32, to: u32) -> u32 {
+    let bytes_of = |s: u32| gs.shard_entries(s).len() as u64 * per_entry;
+    let (mut end, mut bytes) = (from + 1, bytes_of(from));
+    while end < to && bytes + bytes_of(end) <= budget {
+        bytes += bytes_of(end);
+        end += 1;
+    }
+    end
+}
+
 /// Host master copies of the arrays the kernel consumes, indexed globally:
 /// `values` by vertex, everything else by shard entry.
 pub(crate) struct HostArrays<P: VertexProgram> {
@@ -168,7 +183,13 @@ impl<P: VertexProgram> HostArrays<P> {
         }
     }
 
-    /// One [`host_sweep`] of `shards` over these (global) arrays.
+    /// The functional core of the CuSha iteration on the host masters: the
+    /// exact per-shard schedule of the kernel (init, fold in entry order,
+    /// update condition, window write-back) over `shards`, so results are
+    /// bit-identical to a launch for every program, floats included. Every
+    /// stage-4 write lands in the master column; one that falls outside
+    /// `own` is also pushed to `spills`. Returns the number of vertex values
+    /// published.
     pub(crate) fn sweep(
         &mut self,
         prog: &P,
@@ -177,89 +198,60 @@ impl<P: VertexProgram> HostArrays<P> {
         own: &Range<usize>,
         spills: &mut Vec<(usize, P::V)>,
     ) -> u64 {
-        let (statics, edges) = (self.statics.as_deref(), self.edges.as_deref());
         let (vv, sv) = (&mut self.values, &mut self.src_value);
-        host_sweep(prog, gs, statics, edges, shards, own, vv, 0, sv, 0, spills)
-    }
-}
+        let mut updated = 0u64;
+        for s in shards {
+            let vrange = gs.vertex_range(s);
+            let offset = vrange.start as usize;
 
-/// The functional core of the CuSha iteration on host memory: the exact
-/// per-shard schedule of the kernel (init, fold in entry order, update
-/// condition, window write-back), so results are bit-identical to a launch
-/// for every program, floats included. `vv`/`sv` hold vertex values and the
-/// `SrcValue` column starting at global offsets `voff`/`eoff`. A stage-4
-/// write lands in `sv` when `sv` covers its position, and is also pushed to
-/// `spills` when it falls outside `own` — so full master arrays take every
-/// write while a slice-sized scratch takes only its own. Returns the number
-/// of vertex values published.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn host_sweep<P: VertexProgram>(
-    prog: &P,
-    gs: &GShards,
-    statics: Option<&[P::SV]>,
-    edges: Option<&[P::E]>,
-    shards: Range<u32>,
-    own: &Range<usize>,
-    vv: &mut [P::V],
-    voff: usize,
-    sv: &mut [P::V],
-    eoff: usize,
-    spills: &mut Vec<(usize, P::V)>,
-) -> u64 {
-    let mut updated = 0u64;
-    for s in shards {
-        let vrange = gs.vertex_range(s);
-        let offset = vrange.start as usize;
+            // Stage 1: shard-local working copy.
+            let mut local: Vec<P::V> = vrange
+                .clone()
+                .map(|v| {
+                    let mut lv = P::V::default();
+                    prog.init_compute(&mut lv, &vv[v as usize]);
+                    lv
+                })
+                .collect();
 
-        // Stage 1: shard-local working copy.
-        let mut local: Vec<P::V> = vrange
-            .clone()
-            .map(|v| {
-                let mut lv = P::V::default();
-                prog.init_compute(&mut lv, &vv[v as usize - voff]);
-                lv
-            })
-            .collect();
-
-        // Stage 2: fold every shard entry into its destination's slot, in
-        // entry order (the simulator's lane-serialized order).
-        for e in gs.shard_entries(s) {
-            let statv = statics.map(|v| v[e]).unwrap_or_default();
-            let ev = edges.map(|v| v[e]).unwrap_or_default();
-            let slot = gs.dest_index()[e] as usize - offset;
-            prog.compute(&sv[e - eoff], &statv, &ev, &mut local[slot]);
-        }
-
-        // Stage 3: publish values passing the update condition.
-        let mut block_updated = false;
-        for v in vrange {
-            let (i, g) = (v as usize - offset, v as usize - voff);
-            let mut newv = local[i];
-            let cond = prog.update_condition(&mut newv, &vv[g]);
-            local[i] = newv;
-            if cond {
-                vv[g] = newv;
-                block_updated = true;
-                updated += 1;
+            // Stage 2: fold every shard entry into its destination's slot, in
+            // entry order (the simulator's lane-serialized order).
+            for e in gs.shard_entries(s) {
+                let statv = self.statics.as_ref().map(|v| v[e]).unwrap_or_default();
+                let ev = self.edges.as_ref().map(|v| v[e]).unwrap_or_default();
+                let slot = gs.dest_index()[e] as usize - offset;
+                prog.compute(&sv[e], &statv, &ev, &mut local[slot]);
             }
-        }
 
-        // Stage 4: write the shard's column back to every window.
-        if block_updated {
-            for j in 0..gs.num_shards() {
-                for e in gs.window(s, j) {
-                    let val = local[gs.src_index()[e] as usize - offset];
-                    if let Some(slot) = e.checked_sub(eoff).and_then(|k| sv.get_mut(k)) {
-                        *slot = val;
-                    }
-                    if !own.contains(&e) {
-                        spills.push((e, val));
+            // Stage 3: publish values passing the update condition.
+            let mut block_updated = false;
+            for v in vrange {
+                let (i, g) = (v as usize - offset, v as usize);
+                let mut newv = local[i];
+                let cond = prog.update_condition(&mut newv, &vv[g]);
+                local[i] = newv;
+                if cond {
+                    vv[g] = newv;
+                    block_updated = true;
+                    updated += 1;
+                }
+            }
+
+            // Stage 4: write the shard's column back to every window.
+            if block_updated {
+                for j in 0..gs.num_shards() {
+                    for e in gs.window(s, j) {
+                        let val = local[gs.src_index()[e] as usize - offset];
+                        sv[e] = val;
+                        if !own.contains(&e) {
+                            spills.push((e, val));
+                        }
                     }
                 }
             }
         }
+        updated
     }
-    updated
 }
 
 /// Global entry range covered by the contiguous shard range `shards`.

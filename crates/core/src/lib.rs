@@ -62,8 +62,8 @@ pub use middleware::{
     run_engine, DeadlineObserver, Engine, EngineCtx, FleetEngine, ShardEngine, StreamedEngine,
 };
 pub use multi::{
-    effective_jobs, run_multi, try_run_multi, try_run_multi_observed, DeviceRunStats, MultiConfig,
-    MultiOutput, MultiRunStats,
+    run_multi, try_run_multi, try_run_multi_observed, DeviceRunStats, MultiConfig, MultiOutput,
+    MultiRunStats,
 };
 pub use program::{Value, VertexProgram};
 pub use shards::GShards;

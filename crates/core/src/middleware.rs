@@ -296,8 +296,6 @@ pub struct FleetEngine {
     pub devices: usize,
     /// Interconnect preset for the halo exchange.
     pub interconnect: Interconnect,
-    /// Host worker threads (`0` = auto).
-    pub jobs: usize,
     /// Fleet statistics of the most recent successful run.
     pub last: Option<MultiRunStats>,
 }
@@ -308,7 +306,6 @@ impl FleetEngine {
         FleetEngine {
             devices,
             interconnect: Interconnect::pcie_gen3(),
-            jobs: 0,
             last: None,
         }
     }
@@ -333,9 +330,8 @@ impl<P: VertexProgram> Engine<P> for FleetEngine {
         // The fleet engine clones the plan per device internally; hand it
         // the middleware's current state (device 0 receives it).
         base.fault_plan = ctx.fault_plan.map(|p| p.clone());
-        let mcfg = MultiConfig::new(base, self.devices)
-            .with_interconnect(self.interconnect.clone())
-            .with_jobs(self.jobs);
+        let mcfg =
+            MultiConfig::new(base, self.devices).with_interconnect(self.interconnect.clone());
         let out = try_run_multi_observed(prog, graph, &mcfg, ctx.observer)?;
         self.last = Some(out.stats.clone());
         Ok(CuShaOutput {

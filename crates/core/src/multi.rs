@@ -32,19 +32,19 @@
 //! devices keep running on hardware, and results stay bit-identical.
 
 use crate::engine::{
-    flips_fired, trace_iteration, CuShaConfig, CuShaOutput, Detector, NoopObserver, PreparedLayout,
+    flips_fired, trace_iteration, CuShaConfig, CuShaOutput, NoopObserver, PreparedLayout,
     RunObserver,
 };
 use crate::error::EngineError;
 use crate::fallback::FALLBACK_LABEL;
-use crate::integrity::{apply_flips, checksum, CheckpointManager};
+use crate::integrity::{apply_flips, scrub_crcs, Ask, Checkpoint, Detector, Recovery, Rung};
 use crate::kernel::{
-    entry_bytes, entry_range, host_sweep, upload_resident, vertex_range, with_copy_retries,
+    batch_end, entry_bytes, entry_range, upload_resident, vertex_range, with_copy_retries,
     DeviceSlice, HostArrays, Resident, RetryPolicy, SpillVia,
 };
 use crate::middleware::DeadlineObserver;
 use crate::program::VertexProgram;
-use crate::stats::{FaultStats, IterationStat, RunStats, SdcStats};
+use crate::stats::{FaultStats, IterationStat, MemoStats, RunStats, SdcStats};
 use cusha_graph::{FleetPartition, Graph};
 use cusha_obs::trace::{lanes, ArgVal};
 use cusha_simt::{DeviceFault, DeviceFleet, Gpu, Interconnect, KernelStats, Pod, Profile};
@@ -73,12 +73,6 @@ pub struct MultiConfig {
     pub max_kernel_retries: u32,
     /// Budget-halving cycles allowed per device on OOM before it degrades.
     pub max_rebatches: u32,
-    /// Host worker threads driving per-device kernel execution. `0` (the
-    /// default) resolves through the `CUSHA_JOBS` environment variable and
-    /// then the host's available parallelism. Any value produces bit-identical
-    /// outputs, modeled times, and counters: parallelism only changes how the
-    /// wall clock is spent (see DESIGN.md §4.9).
-    pub jobs: usize,
 }
 
 impl MultiConfig {
@@ -93,14 +87,15 @@ impl MultiConfig {
             backoff_base_seconds: 1e-3,
             max_kernel_retries: 1,
             max_rebatches: 8,
-            jobs: 0,
         }
     }
 
-    /// Sets the host worker-thread count (`0` = auto; see
-    /// [`effective_jobs`]).
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs;
+    /// Does nothing: the fleet runs its devices in order on the calling
+    /// thread. Kept only because `crates/bench/examples/ledger/matrix.rs`
+    /// calls it and is frozen to this change; the `benchmark` PR that retires
+    /// simwall (ROADMAP "One benchmark") removes the call and this shim.
+    #[doc(hidden)]
+    pub fn with_jobs(self, _: usize) -> Self {
         self
     }
 
@@ -145,26 +140,6 @@ impl MultiConfig {
     }
 }
 
-/// Resolves a requested job count to the worker-thread count actually used:
-/// an explicit `requested > 0` wins, else the `CUSHA_JOBS` environment
-/// variable (if set to a positive integer), else the host's available
-/// parallelism, else 1.
-pub fn effective_jobs(requested: usize) -> usize {
-    if requested > 0 {
-        return requested;
-    }
-    if let Some(j) = std::env::var("CUSHA_JOBS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&v| v > 0)
-    {
-        return j;
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 /// Per-device breakdown inside a [`MultiRunStats`].
 #[derive(Clone, Debug)]
 pub struct DeviceRunStats {
@@ -205,7 +180,7 @@ pub struct DeviceRunStats {
 }
 
 /// Statistics of one multi-device run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct MultiRunStats {
     /// Engine label, e.g. `"CuSha-CW x4"`.
     pub engine: String,
@@ -240,6 +215,9 @@ pub struct MultiRunStats {
     pub sdc: SdcStats,
     /// Per-iteration detail (seconds = slowest device's kernel time).
     pub per_iteration: Vec<IterationStat>,
+    /// Simulator memo activity summed over every `Gpu` the run used (each
+    /// device's, and those a rebatching device retired).
+    pub memo: MemoStats,
 }
 
 impl MultiRunStats {
@@ -267,9 +245,7 @@ impl MultiRunStats {
             fault: self.fault,
             sdc: self.sdc,
             frontier: None,
-            // Per-device memo telemetry is not aggregated fleet-wide; the
-            // flattened shape reports none rather than a partial sum.
-            memo: Default::default(),
+            memo: self.memo,
         }
     }
 
@@ -431,14 +407,15 @@ impl<P: VertexProgram> Mode<P> {
     }
 }
 
-/// Time totals carried across device rebuilds (rebatching replaces the
-/// `Gpu`, which restarts its counters).
+/// Totals carried across device rebuilds (rebatching replaces the `Gpu`,
+/// which restarts its counters).
 #[derive(Clone, Copy, Default)]
 struct TimeAcc {
     h2d: f64,
     d2h: f64,
     kernel: f64,
     launched: u64,
+    memo: MemoStats,
 }
 
 /// Everything the convergence loop needs, shared across devices.
@@ -454,31 +431,24 @@ struct MultiState<'a, P: VertexProgram> {
     /// master slices are stale). The column also receives every halo update.
     host: HostArrays<P>,
     faults: Vec<FaultStats>,
-    sdcs: Vec<SdcStats>,
+    /// Each device's clock when its time was last accounted (see `lap`).
+    marks: Vec<f64>,
+    /// Scrub references: each resident device's checksums as of the end of
+    /// the previous fleet iteration (or the last restore).
+    crcs: Vec<(u64, u64)>,
     acc: Vec<TimeAcc>,
     profiles: Vec<Option<Profile>>,
     desc_name: std::sync::Arc<str>,
-    /// `devices + 1` prefix of global entry starts, for owner lookup.
-    estarts: Vec<usize>,
 }
 
 /// Outcome of one device's slice of one iteration.
+#[derive(Default)]
 struct DeviceIter<V> {
     updated: u64,
     kernel_seconds: f64,
     /// Stage-4 writes outside the launch's own entry range, in write order:
     /// `(global entry position, value)`.
     spills: Vec<(usize, V)>,
-}
-
-impl<V> Default for DeviceIter<V> {
-    fn default() -> Self {
-        DeviceIter {
-            updated: 0,
-            kernel_seconds: 0.0,
-            spills: Vec::new(),
-        }
-    }
 }
 
 impl<P: VertexProgram> MultiState<'_, P> {
@@ -488,8 +458,19 @@ impl<P: VertexProgram> MultiState<'_, P> {
         a.h2d + a.d2h + a.kernel + g.h2d_seconds + g.d2h_seconds + g.kernel_seconds
     }
 
+    /// Seconds device `d`'s clock advanced since it was last asked, which is
+    /// how every span of fleet time is measured: an iteration's wall, a
+    /// snapshot's or a restore's transfers, the final download.
+    fn lap(&mut self, d: usize) -> f64 {
+        let now = self.device_time(d);
+        now - std::mem::replace(&mut self.marks[d], now)
+    }
+
+    /// The device whose entry range holds global entry `k` (the ranges tile
+    /// the entry space; an empty partition's is empty).
     fn owner_of_entry(&self, k: usize) -> usize {
-        self.estarts.partition_point(|&s| s <= k) - 1
+        let owner = self.infos.iter().position(|i| i.erange.contains(&k));
+        owner.expect("device entry ranges tile the layout")
     }
 
     /// Emits a recovery instant on device `d`'s fault lane at its clock.
@@ -509,19 +490,22 @@ impl<P: VertexProgram> MultiState<'_, P> {
         self.modes[d] = Mode::Fallback;
     }
 
-    /// Folds a retired `Gpu`'s counters into the device's carried totals
-    /// (called when rebatching swaps in a fresh device).
-    fn retire_gpu(&mut self, d: usize, mut old: Gpu) {
+    /// Swaps a fresh `Gpu` in for device `d` — the simulated allocator never
+    /// frees, so each batch of a rebatched device starts on an empty one —
+    /// carrying the fault plan over and folding the retired device's counters
+    /// into the carried totals.
+    fn fresh_gpu(&mut self, d: usize) {
+        let mut fresh = Gpu::new(self.cfg.base.device.clone());
+        fresh.set_profiling(self.cfg.base.profile);
+        let mut old = self.fleet.replace_device(d, fresh);
         let a = &mut self.acc[d];
         a.h2d += old.h2d_seconds;
         a.d2h += old.d2h_seconds;
         a.kernel += old.kernel_seconds;
         a.launched += old.kernels_launched;
+        a.memo.add(&MemoStats::from_gpu(&old));
         if let Some(p) = old.profile.take() {
-            let merged = self.profiles[d].get_or_insert_with(Profile::default);
-            for launch in p.launches() {
-                merged.record(launch);
-            }
+            self.profiles[d].get_or_insert_default().absorb(&p);
         }
         if let Some(plan) = old.take_fault_plan() {
             self.fleet.device_mut(d).set_fault_plan(plan);
@@ -564,26 +548,23 @@ impl<P: VertexProgram> MultiState<'_, P> {
 
     /// Checksums of a resident device's two protected buffers.
     fn crcs_of(dev: &Held<P>) -> (u64, u64) {
-        (
-            checksum(dev.res.vertex_values.host()),
-            checksum(dev.slice.src_value.host()),
-        )
+        scrub_crcs(&dev.res.vertex_values, &dev.slice.src_value)
     }
 
     /// Scrub pass: verifies every resident device's protected buffers
     /// against the checksums recorded at the end of the previous fleet
     /// iteration, returning the first device whose state no longer matches.
-    fn scrub(&self, crcs: &[(u64, u64)]) -> Option<usize> {
-        (0..self.cfg.devices).find(
-            |&d| matches!(&self.modes[d], Mode::Resident(dev) if Self::crcs_of(dev) != crcs[d]),
-        )
+    fn scrub(&self) -> Option<usize> {
+        (0..self.cfg.devices).find(|&d| {
+            matches!(&self.modes[d], Mode::Resident(dev) if Self::crcs_of(dev) != self.crcs[d])
+        })
     }
 
     /// Records the post-iteration checksums of every resident device's
     /// protected buffers (after all spills of the iteration have landed) —
     /// the state the next scrub pass must find untouched.
-    fn store_crcs(&self, crcs: &mut [(u64, u64)]) {
-        for (mode, crc) in self.modes.iter().zip(crcs.iter_mut()) {
+    fn store_crcs(&mut self) {
+        for (mode, crc) in self.modes.iter().zip(&mut self.crcs) {
             if let Mode::Resident(dev) = mode {
                 *crc = Self::crcs_of(dev);
             }
@@ -593,20 +574,14 @@ impl<P: VertexProgram> MultiState<'_, P> {
     /// Assembles the global vertex values from the host master plus every
     /// resident device's slice (real, charged D2H downloads). With `srcs` —
     /// a copy of the master `SrcValue` column — resident slices of that
-    /// column are downloaded into it as well. `charged(d, before, after)`
-    /// reports each downloading device's clock around its copies.
-    fn snapshot(
-        &mut self,
-        mut srcs: Option<&mut Vec<P::V>>,
-        mut charged: impl FnMut(usize, f64, f64),
-    ) -> Result<Vec<P::V>, DeviceFault> {
+    /// column are downloaded into it as well.
+    fn snapshot(&mut self, mut srcs: Option<&mut Vec<P::V>>) -> Result<Vec<P::V>, DeviceFault> {
         let retry = self.cfg.retry();
         let mut vals = self.host.values.clone();
         for d in 0..self.cfg.devices {
             let Mode::Resident(dev) = &self.modes[d] else {
                 continue;
             };
-            let before = self.device_time(d);
             let gpu = self.fleet.device_mut(d);
             let fault = &mut self.faults[d];
             let v = with_copy_retries(gpu, &retry, fault, |g| {
@@ -619,128 +594,31 @@ impl<P: VertexProgram> MultiState<'_, P> {
                 })?;
                 srcs[self.infos[d].erange.clone()].copy_from_slice(&sv);
             }
-            charged(d, before, self.device_time(d));
         }
         Ok(vals)
     }
 
     /// Restores the whole fleet to the given verified global state: both
     /// host masters, plus each resident device's slices as real, charged
-    /// H2D uploads. Refreshes the scrub references and the per-device time
-    /// marks (restore time is recovery activity, accumulated into
-    /// `integrity_seconds`).
-    fn restore_global(
-        &mut self,
-        values: &[P::V],
-        src: &[P::V],
-        crcs: &mut [(u64, u64)],
-        time_marks: &mut [f64],
-        integrity_seconds: &mut f64,
-    ) -> Result<(), DeviceFault> {
-        self.host.values.copy_from_slice(values);
-        self.host.src_value.copy_from_slice(src);
+    /// H2D uploads, which become the scrub references.
+    fn restore_global(&mut self, to: &Checkpoint<P::V>) -> Result<(), DeviceFault> {
+        self.host.values.copy_from_slice(&to.values);
+        self.host.src_value.copy_from_slice(&to.src_value);
         let retry = self.cfg.retry();
         for d in 0..self.cfg.devices {
-            let before = self.device_time(d);
-            let info = self.infos[d].clone();
+            let info = &self.infos[d];
             let Mode::Resident(dev) = &mut self.modes[d] else {
                 continue;
             };
             let gpu = self.fleet.device_mut(d);
             let fault = &mut self.faults[d];
             with_copy_retries(gpu, &retry, fault, |g| {
-                g.try_h2d(&mut dev.res.vertex_values, &values[info.vrange.clone()])
+                g.try_h2d(&mut dev.res.vertex_values, &to.values[info.vrange.clone()])
             })?;
             with_copy_retries(gpu, &retry, fault, |g| {
-                g.try_h2d(&mut dev.slice.src_value, &src[info.erange.clone()])
+                g.try_h2d(&mut dev.slice.src_value, &to.src_value[info.erange.clone()])
             })?;
-            crcs[d] = Self::crcs_of(dev);
-            let after = self.device_time(d);
-            *integrity_seconds += after - before;
-            time_marks[d] = after;
-        }
-        Ok(())
-    }
-
-    /// One rung of the fleet's SDC recovery ladder after a corruption was
-    /// detected on (or attributed to) device `det`: global rollback to the
-    /// latest verified checkpoint while the fleet-wide budget lasts, then
-    /// one full restart from the initial state, and finally degradation to
-    /// the host re-enactment — the detecting device for a checksum hit, or
-    /// every resident device for an invariant hit (whose culprit is
-    /// unknown) — since host masters are immune to device flips.
-    #[allow(clippy::too_many_arguments)]
-    fn sdc_recover_fleet(
-        &mut self,
-        det: usize,
-        detector: Detector,
-        ckpts: &mut CheckpointManager<P::V>,
-        crcs: &mut [(u64, u64)],
-        stats: &mut MultiRunStats,
-        watchdog_seen: &mut HashSet<u64>,
-        init_values: &[P::V],
-        init_src: &[P::V],
-        time_marks: &mut [f64],
-        integrity_seconds: &mut f64,
-    ) -> Result<(), DeviceFault> {
-        match detector {
-            Detector::Checksum => self.sdcs[det].checksum_detections += 1,
-            Detector::Invariant => self.sdcs[det].invariant_detections += 1,
-        }
-        self.fault_instant(det, "sdc", "corruption-detected");
-        let integ = &self.cfg.base.integrity;
-        let rollbacks: u32 = self.sdcs.iter().map(|s| s.rollbacks).sum();
-        let restarts: u32 = self.sdcs.iter().map(|s| s.full_restarts).sum();
-        if rollbacks < integ.max_rollbacks {
-            let cp = ckpts.latest().expect("initial checkpoint always present");
-            let (iteration, watchdog) = (cp.iteration, cp.watchdog.clone());
-            let (values, src) = (cp.values.clone(), cp.src_value.clone());
-            self.restore_global(&values, &src, crcs, time_marks, integrity_seconds)?;
-            self.sdcs[det].reexecuted_iterations += stats.iterations - iteration;
-            stats.iterations = iteration;
-            stats.per_iteration.truncate(iteration as usize);
-            *watchdog_seen = watchdog;
-            self.sdcs[det].rollbacks += 1;
-            self.fault_instant(det, "sdc", "rollback");
-        } else if restarts < integ.max_full_restarts {
-            self.restore_global(init_values, init_src, crcs, time_marks, integrity_seconds)?;
-            self.sdcs[det].reexecuted_iterations += stats.iterations;
-            stats.iterations = 0;
-            stats.per_iteration.clear();
-            watchdog_seen.clear();
-            ckpts.clear();
-            ckpts.push(0, init_values.to_vec(), init_src.to_vec(), HashSet::new());
-            self.sdcs[det].full_restarts += 1;
-            self.fault_instant(det, "sdc", "full-restart");
-        } else {
-            let victims: Vec<usize> = match detector {
-                Detector::Checksum => vec![det],
-                Detector::Invariant => (0..self.cfg.devices)
-                    .filter(|&d| matches!(self.modes[d], Mode::Resident(_)))
-                    .collect(),
-            };
-            if victims.is_empty() {
-                // Nothing left to degrade (the whole fleet already runs on
-                // host masters, which flips cannot reach): let the run
-                // proceed rather than rewinding without progress — the
-                // iteration cap still bounds the loop.
-                return Ok(());
-            }
-            let cp = ckpts.latest().expect("initial checkpoint always present");
-            let (iteration, watchdog) = (cp.iteration, cp.watchdog.clone());
-            let (values, src) = (cp.values.clone(), cp.src_value.clone());
-            self.restore_global(&values, &src, crcs, time_marks, integrity_seconds)?;
-            self.sdcs[det].reexecuted_iterations += stats.iterations - iteration;
-            stats.iterations = iteration;
-            stats.per_iteration.truncate(iteration as usize);
-            *watchdog_seen = watchdog;
-            for v in victims {
-                if matches!(self.modes[v], Mode::Resident(_) | Mode::Rebatched { .. }) {
-                    self.modes[v] = Mode::Fallback;
-                }
-                self.sdcs[v].host_fallbacks += 1;
-                self.fault_instant(v, "sdc", "host-fallback");
-            }
+            self.crcs[d] = Self::crcs_of(dev);
         }
         Ok(())
     }
@@ -753,36 +631,47 @@ impl<P: VertexProgram> MultiState<'_, P> {
         out.updated += self.host.sweep(self.prog, gs, shards, own, &mut out.spills);
     }
 
-    /// Phase A of the host-parallel schedule: re-enacts resident device
-    /// `d`'s upcoming launch on scratch clones of its host mirrors, without
-    /// touching the device. The oracle yields the iteration's spills and
-    /// updated count at the serial point in the device order — so halo
-    /// visibility matches the sequential engine — while the real launch
-    /// (which recomputes the same values bit-for-bit) runs concurrently in
-    /// Phase B. The scratch is also the post-iteration device state, reused
-    /// as the master copy if the launch degrades to host fallback.
-    fn oracle_resident(&self, d: usize) -> (DeviceIter<P::V>, OracleState<P>) {
-        let info = &self.infos[d];
-        let Mode::Resident(dev) = &self.modes[d] else {
-            unreachable!("oracle runs only for resident devices")
-        };
-        let mut vv = dev.res.vertex_values.host().to_vec();
-        let mut sv = dev.slice.src_value.host().to_vec();
+    /// One iteration of a resident device: flag reset, launch (in-place
+    /// retries inside), flag readback. When the kernel retries are exhausted
+    /// the device's state is downloaded into the masters — launch faults fire
+    /// before any block runs, so it is the pre-iteration state — and the host
+    /// re-enacts this iteration and every later one.
+    fn iterate_resident(&mut self, d: usize) -> Result<DeviceIter<P::V>, DeviceFault> {
+        let retry = self.cfg.retry();
+        let threads = self.cfg.base.threads_per_block;
         let mut out = DeviceIter::default();
-        out.updated = host_sweep(
-            self.prog,
-            self.layout.gs(),
-            self.host.statics.as_deref(),
-            self.host.edges.as_deref(),
-            info.shards.clone(),
-            &info.erange,
-            &mut vv,
-            info.vrange.start,
-            &mut sv,
-            info.erange.start,
-            &mut out.spills,
-        );
-        (out, OracleState { vv, sv })
+        let Mode::Resident(dev) = &mut self.modes[d] else {
+            unreachable!("caller matched a resident device")
+        };
+        let Held { res, slice } = &mut **dev;
+        let gpu = self.fleet.device_mut(d);
+        let fault = &mut self.faults[d];
+        res.reset_flag(gpu, &retry, fault)?;
+        let (name, layout) = (&self.desc_name, &self.layout);
+        match slice.launch(
+            gpu, name, threads, self.prog, layout, res, None, &retry, fault,
+        ) {
+            Ok((kstats, updated)) => {
+                res.read_flag(gpu, &retry, fault)?;
+                out.kernel_seconds = kstats.seconds;
+                out.updated = updated;
+                out.spills = slice.take_spills();
+                self.fleet.record_launch(d, &kstats);
+            }
+            Err(DeviceFault::Kernel { .. }) => {
+                let info = self.infos[d].clone();
+                let vals =
+                    with_copy_retries(gpu, &retry, fault, |g| g.try_download(&res.vertex_values))?;
+                self.host.values[info.vrange].copy_from_slice(&vals);
+                let srcv =
+                    with_copy_retries(gpu, &retry, fault, |g| g.try_download(&slice.src_value))?;
+                self.host.src_value[info.erange].copy_from_slice(&srcv);
+                self.degrade_to_host(d);
+                self.host_iterate(d, info.shards, &mut out);
+            }
+            Err(other) => return Err(other),
+        }
+        Ok(out)
     }
 
     /// One iteration of a rebatched device: its shards stream through a
@@ -799,19 +688,7 @@ impl<P: VertexProgram> MultiState<'_, P> {
             let Mode::Rebatched { budget } = self.modes[d] else {
                 unreachable!()
             };
-            // Greedy contiguous batch from `s` under the budget (always at
-            // least one shard — a shard is indivisible).
-            let gs = self.layout.gs();
-            let mut end = s + 1;
-            let mut bytes = gs.shard_entries(s).len() as u64 * per_entry;
-            while end < shards.end {
-                let nb = gs.shard_entries(end).len() as u64 * per_entry;
-                if bytes + nb > budget {
-                    break;
-                }
-                bytes += nb;
-                end += 1;
-            }
+            let end = batch_end(self.layout.gs(), per_entry, budget, s, shards.end);
             let degrade = match self.run_batch(d, s..end, &mut out) {
                 Ok(()) => {
                     s = end;
@@ -847,13 +724,7 @@ impl<P: VertexProgram> MultiState<'_, P> {
         out: &mut DeviceIter<P::V>,
     ) -> Result<(), DeviceFault> {
         let retry = self.cfg.retry();
-        // Fresh device for the batch, carrying the fault plan and retiring
-        // the previous device's time totals.
-        let mut fresh = Gpu::new(self.cfg.base.device.clone());
-        fresh.set_profiling(self.cfg.base.profile);
-        let old = self.fleet.replace_device(d, fresh);
-        self.retire_gpu(d, old);
-
+        self.fresh_gpu(d);
         let mut dev = self.upload(d, batch)?;
         let gpu = self.fleet.device_mut(d);
         let fault = &mut self.faults[d];
@@ -893,69 +764,6 @@ impl<P: VertexProgram> MultiState<'_, P> {
     }
 }
 
-/// Post-iteration host mirror of one resident device, produced by the
-/// Phase A oracle: `vv` covers the device's vertex range, `sv` its entry
-/// range. Bit-identical to what the device holds after a successful Phase B
-/// launch — and to what the serial degrade path would download and
-/// re-enact, which is why it doubles as the master copy on degradation.
-struct OracleState<P: VertexProgram> {
-    vv: Vec<P::V>,
-    sv: Vec<P::V>,
-}
-
-/// What one resident device's Phase B worker brings back to the join point.
-struct ResidentOutcome<P: VertexProgram> {
-    /// `Some` for a completed launch; `None` when kernel retries were
-    /// exhausted and the device must degrade to host fallback.
-    kstats: Option<KernelStats>,
-    updated: u64,
-    spills: Vec<(usize, P::V)>,
-}
-
-/// Phase B body for one resident device, run on a worker thread against
-/// disjoint `&mut` borrows of the device's simulator, buffers, and fault
-/// counters: flag reset upload, kernel launch with in-place retries, and
-/// converged-flag readback — the same op sequence, in the same per-device
-/// order, as the serial engine, so every modeled charge and fault-plan
-/// consumption is identical. Exhausted kernel retries charge the degrade
-/// path's state downloads (the data itself is discarded — the Phase A
-/// oracle already holds those bytes) and report `kstats: None`; the join
-/// point performs the actual degradation serially.
-fn resident_iteration<P: VertexProgram>(
-    prog: &P,
-    cfg: &MultiConfig,
-    layout: &PreparedLayout,
-    name: &std::sync::Arc<str>,
-    gpu: &mut Gpu,
-    dev: &mut Held<P>,
-    fault: &mut FaultStats,
-) -> Result<ResidentOutcome<P>, DeviceFault> {
-    let retry = cfg.retry();
-    let threads = cfg.base.threads_per_block;
-    dev.res.reset_flag(gpu, &retry, fault)?;
-    let Held { res, slice } = dev;
-    match slice.launch(gpu, name, threads, prog, layout, res, None, &retry, fault) {
-        Ok((k, updated)) => {
-            res.read_flag(gpu, &retry, fault)?;
-            Ok(ResidentOutcome {
-                kstats: Some(k),
-                updated,
-                spills: slice.take_spills(),
-            })
-        }
-        Err(DeviceFault::Kernel { .. }) => {
-            with_copy_retries(gpu, &retry, fault, |g| g.try_download(&res.vertex_values))?;
-            with_copy_retries(gpu, &retry, fault, |g| g.try_download(&slice.src_value))?;
-            Ok(ResidentOutcome {
-                kstats: None,
-                updated: 0,
-                spills: Vec::new(),
-            })
-        }
-        Err(other) => Err(other),
-    }
-}
-
 /// Runs the fleet to completion. Returns the output whether or not it
 /// converged (the `converged` flag tells); hard failures are errors.
 fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
@@ -982,12 +790,7 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
     }
     let mut plans = cfg.fault_plans.clone();
     if plans.iter().all(Option::is_none) {
-        if let Some(base_plan) = cfg.base.fault_plan.clone() {
-            if plans.is_empty() {
-                plans.push(None);
-            }
-            plans[0] = Some(base_plan);
-        }
+        plans = vec![cfg.base.fault_plan.clone()];
     }
     // Per-run injection accounting differences against each plan's starting
     // log: a carried plan arrives with earlier runs' fires recorded.
@@ -1012,21 +815,6 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
             }
         })
         .collect();
-    // Monotone entry starts for owner lookup; empty partitions inherit the
-    // running boundary so `partition_point` never sees a regression.
-    let mut estarts: Vec<usize> = Vec::with_capacity(cfg.devices + 1);
-    let mut boundary = 0usize;
-    for info in &infos {
-        if !info.shards.is_empty() {
-            boundary = info.erange.start;
-        }
-        estarts.push(boundary);
-        if !info.shards.is_empty() {
-            boundary = info.erange.end;
-        }
-    }
-    estarts.push(gs.num_edges() as usize);
-
     let desc_name: std::sync::Arc<str> =
         format!("{}::{}", cfg.base.repr.label(), prog.name()).into();
     let engine_label = if cfg.devices == 1 {
@@ -1044,11 +832,11 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
         modes: (0..cfg.devices).map(|_| Mode::Idle).collect(),
         host,
         faults: vec![FaultStats::default(); cfg.devices],
-        sdcs: vec![SdcStats::default(); cfg.devices],
+        marks: vec![0.0; cfg.devices],
+        crcs: vec![(0, 0); cfg.devices],
         acc: vec![TimeAcc::default(); cfg.devices],
         profiles: vec![None; cfg.devices],
         desc_name,
-        estarts,
     };
 
     // ---- Setup: upload every non-empty partition (H2D) --------------------
@@ -1070,8 +858,7 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
             Err(f) => return Err(f.into()),
         }
     }
-    let setup_marks: Vec<f64> = (0..cfg.devices).map(|d| st.device_time(d)).collect();
-    let setup_seconds = setup_marks.iter().copied().fold(0.0f64, f64::max);
+    let setup_seconds = (0..cfg.devices).map(|d| st.lap(d)).fold(0.0, f64::max);
     cfg.base.trace.complete(
         fleet_pid,
         lanes::ENGINE,
@@ -1090,67 +877,103 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
         engine: engine_label,
         interconnect: cfg.interconnect.name.to_string(),
         devices: cfg.devices,
-        iterations: 0,
-        converged: false,
         setup_seconds,
-        compute_seconds: 0.0,
-        exchange_bytes: 0,
-        exchange_seconds: 0.0,
-        teardown_seconds: 0.0,
         load_imbalance: fp.imbalance(),
-        per_device: Vec::new(),
-        aggregate: KernelStats::default(),
-        fault: FaultStats::default(),
-        sdc: SdcStats::default(),
-        per_iteration: Vec::new(),
+        ..Default::default()
     };
     let mut sent_bytes_total = vec![0u64; cfg.devices];
     let mut recv_bytes_total = vec![0u64; cfg.devices];
-    let mut time_marks = setup_marks;
-    let mut watchdog_seen: HashSet<u64> = HashSet::new();
     let mut watchdog_seconds = 0.0f64;
     let mut converged = false;
 
     // ---- SDC defense state ------------------------------------------------
     // The masters still hold the untouched initial state here (no iteration
-    // has run), so they seed both the checkpoint ring and the full-restart
-    // image for free. Fleet-global bookkeeping (checkpoints, invariant
-    // detections) is attributed to device 0.
+    // has run), so they seed the recovery ladder for free. Fleet-global
+    // bookkeeping (checkpoints, invariant detections) is attributed to
+    // device 0.
     let integ = cfg.base.integrity;
-    let mut ckpts: CheckpointManager<P::V> = CheckpointManager::new(integ.max_checkpoints);
-    let init_state = if integ.mode.enabled() {
-        let (values, src) = (st.host.values.clone(), st.host.src_value.clone());
-        ckpts.push(0, values.clone(), src.clone(), HashSet::new());
-        st.sdcs[0].checkpoints += 1;
-        Some((values, src))
-    } else {
-        None
-    };
-    let mut crcs: Vec<(u64, u64)> = vec![(0, 0); cfg.devices];
+    let mut sdcs = vec![SdcStats::default(); cfg.devices];
+    let (sdc, host) = (&mut sdcs[0], &st.host);
+    let mut recovery = Recovery::new(&cfg.base, sdc, &host.values, &host.src_value);
     if integ.mode.checksums() {
-        st.store_crcs(&mut crcs);
+        st.store_crcs();
     }
     let mut integrity_seconds = 0.0f64;
-    let mut need_reverify = false;
 
-    // One rung of the fleet's recovery ladder (see `sdc_recover_fleet`).
+    // The fleet as `Recovery` drives it: restores and snapshots are global
+    // (masters plus every resident device's slices), and each books its
+    // transfers — the recovery share of the run, kept apart from the
+    // watchdog's. Marks go to device `$lane`'s fault lane, or to the fleet's
+    // when the event belongs to no device.
+    macro_rules! fleet {
+        ($lane:expr) => {
+            |ask: Ask<'_, P::V>| {
+                let seconds = match ask {
+                    Ask::Restore(cp) => {
+                        st.restore_global(cp)?;
+                        &mut integrity_seconds
+                    }
+                    Ask::Snapshot(values, Some(srcs)) => {
+                        srcs.clone_from(&st.host.src_value);
+                        *values = st.snapshot(Some(srcs))?;
+                        &mut integrity_seconds
+                    }
+                    Ask::Snapshot(values, None) => {
+                        *values = st.snapshot(None)?;
+                        &mut watchdog_seconds
+                    }
+                    Ask::Mark(name) => {
+                        match $lane {
+                            Some(d) => st.fault_instant(d, "sdc", name),
+                            None => {
+                                let trace = &cfg.base.trace;
+                                trace.instant(fleet_pid, lanes::FAULT, "sdc", name, fleet_clock)
+                            }
+                        }
+                        return Ok(());
+                    }
+                };
+                for d in 0..cfg.devices {
+                    *seconds += st.lap(d);
+                }
+                Ok(())
+            }
+        };
+    }
+    // One rung of the ladder after a corruption was detected on (or
+    // attributed to) device `$det`; the budgets are fleet-wide. The last
+    // rung degrades to the host re-enactment — the detecting device for a
+    // checksum hit, every resident device for an invariant hit (whose
+    // culprit is unknown) — since host masters are immune to device flips.
     macro_rules! recover {
         ($det:expr, $detector:expr) => {{
-            let (iv, is) = init_state.as_ref().expect("integrity mode has init state");
-            st.sdc_recover_fleet(
-                $det,
-                $detector,
-                &mut ckpts,
-                &mut crcs,
-                &mut stats,
-                &mut watchdog_seen,
-                iv,
-                is,
-                &mut time_marks,
-                &mut integrity_seconds,
-            )?;
-            need_reverify = true;
-            continue;
+            let det: usize = $det;
+            let spent = sdcs.iter().fold((0, 0), |sum, s| {
+                (sum.0 + s.rollbacks, sum.1 + s.full_restarts)
+            });
+            let (iterations, detail) = (&mut stats.iterations, &mut stats.per_iteration);
+            let sdc = &mut sdcs[det];
+            let rung =
+                recovery.step($detector, sdc, spent, iterations, detail, fleet!(Some(det)))?;
+            if let Rung::Exhausted = rung {
+                let victims: Vec<usize> = match $detector {
+                    Detector::Checksum => vec![det],
+                    Detector::Invariant => (0..cfg.devices)
+                        .filter(|&d| matches!(st.modes[d], Mode::Resident(_)))
+                        .collect(),
+                };
+                // With nothing left to degrade (the whole fleet already runs
+                // on host masters) the run proceeds rather than rewinding
+                // without progress; the iteration cap still bounds the loop.
+                if !victims.is_empty() {
+                    recovery.rewind(sdc, iterations, detail, &mut fleet!(Some(det)))?;
+                }
+                for v in victims {
+                    st.modes[v] = Mode::Fallback;
+                    sdcs[v].host_fallbacks += 1;
+                    st.fault_instant(v, "sdc", "host-fallback");
+                }
+            }
         }};
     }
 
@@ -1161,8 +984,9 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
         // corrupted words.
         st.apply_due_flips();
         if integ.mode.checksums() {
-            if let Some(det) = st.scrub(&crcs) {
+            if let Some(det) = st.scrub() {
                 recover!(det, Detector::Checksum);
+                continue;
             }
         }
         let mut iter_updated = 0u64;
@@ -1170,27 +994,15 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
         let mut max_kernel = 0.0f64;
         let mut sent_pairs: Vec<HashSet<(u32, usize)>> =
             (0..cfg.devices).map(|_| HashSet::new()).collect();
-        // ---- Phase A: serial functional oracle, in device order ----------
-        // Resident devices are re-enacted on host scratch without touching
-        // the device; rebatched and fallback devices, whose work is
-        // host-mastered and inherently order-dependent, run in full. Every
-        // spill therefore lands in the masters — and in later resident
-        // devices' `SrcValue` mirrors — at exactly the serial schedule's
-        // points, before any Phase B launch consumes it.
-        let mut iters: Vec<Option<DeviceIter<P::V>>> = (0..cfg.devices).map(|_| None).collect();
-        let mut oracle: Vec<Option<OracleState<P>>> = (0..cfg.devices).map(|_| None).collect();
-        // Spills whose resident owner precedes the writer in device order:
-        // the serial schedule lands them after the owner's launch, so the
-        // parallel one must hold them until every launch has joined.
-        let mut deferred: Vec<(usize, usize, P::V)> = Vec::new();
-        for d in 0..cfg.devices {
+        // Devices run in ascending order, continuing the global block order;
+        // each device's halo updates land — in the master column and in the
+        // owning resident device's buffer — before the next device launches,
+        // so later devices observe them this iteration and earlier ones next:
+        // the single-buffer stage-4 visibility of the one-device engine.
+        for (d, sent) in sent_pairs.iter_mut().enumerate() {
             let res = match &st.modes[d] {
                 Mode::Idle => continue,
-                Mode::Resident(_) => {
-                    let (res, scratch) = st.oracle_resident(d);
-                    oracle[d] = Some(scratch);
-                    res
-                }
+                Mode::Resident(_) => st.iterate_resident(d)?,
                 Mode::Rebatched { .. } => st.iterate_rebatched(d)?,
                 Mode::Fallback => {
                     let mut out = DeviceIter::default();
@@ -1198,160 +1010,25 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
                     out
                 }
             };
-            // Apply the device's halo updates in write order: later devices
-            // observe them this iteration, earlier ones next — exactly the
-            // single-buffer stage-4 visibility of the serial engine.
             for &(k, v) in &res.spills {
                 st.host.src_value[k] = v;
                 let t = st.owner_of_entry(k);
                 if t != d {
-                    match &mut st.modes[t] {
-                        Mode::Resident(dev) if t > d => {
-                            dev.slice.src_value.host_mut()[k - st.infos[t].erange.start] = v;
-                        }
-                        Mode::Resident(_) => deferred.push((t, k, v)),
-                        _ => {}
+                    if let Mode::Resident(dev) = &mut st.modes[t] {
+                        dev.slice.src_value.host_mut()[k - st.infos[t].erange.start] = v;
                     }
-                    sent_pairs[d].insert((st.layout.gs().src_index()[k], t));
+                    sent.insert((st.layout.gs().src_index()[k], t));
                 }
             }
-            iters[d] = Some(res);
-        }
-
-        // ---- Phase B: the real resident launches, on worker threads ------
-        // Each worker owns disjoint `&mut` borrows of one device's
-        // simulator, buffers, and fault counters, plus a private fork of
-        // the tracer. All modeled time and every fault-plan draw is
-        // per-device, so the thread interleaving cannot change a single
-        // charge, counter, or value — only how fast the host gets through
-        // them.
-        let mut outcomes: Vec<Option<Result<ResidentOutcome<P>, DeviceFault>>> =
-            (0..cfg.devices).map(|_| None).collect();
-        {
-            let (layout, name) = (&st.layout, &st.desc_name);
-            let mut work: Vec<(usize, &mut Gpu, &mut Held<P>, &mut FaultStats)> = Vec::new();
-            for (d, ((gpu, mode), fault)) in st
-                .fleet
-                .devices_mut()
-                .iter_mut()
-                .zip(st.modes.iter_mut())
-                .zip(st.faults.iter_mut())
-                .enumerate()
-            {
-                if let Mode::Resident(dev) = mode {
-                    work.push((d, gpu, &mut **dev, fault));
-                }
-            }
-            let jobs = effective_jobs(cfg.jobs).min(work.len()).max(1);
-            let mut buckets: Vec<Vec<_>> = (0..jobs).map(|_| Vec::new()).collect();
-            for (i, w) in work.into_iter().enumerate() {
-                buckets[i % jobs].push(w);
-            }
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = buckets
-                    .into_iter()
-                    .map(|bucket| {
-                        scope.spawn(move || {
-                            bucket
-                                .into_iter()
-                                .map(|(d, gpu, dev, fault)| {
-                                    let pid = gpu.trace_pid();
-                                    let fork = gpu.tracer().fork();
-                                    gpu.set_tracer(fork, pid);
-                                    (
-                                        d,
-                                        resident_iteration(
-                                            prog, cfg, layout, name, gpu, dev, fault,
-                                        ),
-                                    )
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    for (d, r) in h.join().expect("phase B worker panicked") {
-                        outcomes[d] = Some(r);
-                    }
-                }
-            });
-        }
-
-        // ---- Join: fold Phase B back in, in device order -----------------
-        let mut first_err: Option<DeviceFault> = None;
-        for d in 0..cfg.devices {
-            let Some(outcome) = outcomes[d].take() else {
-                continue;
-            };
-            // Merge the worker's private trace lane and restore the shared
-            // tracer, so absorbed events sit in device order just as the
-            // serial engine emitted them.
-            {
-                let gpu = st.fleet.device_mut(d);
-                let fork = gpu.tracer().clone();
-                cfg.base.trace.absorb(&fork);
-                gpu.set_tracer(cfg.base.trace.clone(), d as u32);
-            }
-            let oc = match outcome {
-                Ok(oc) => oc,
-                Err(f) => {
-                    first_err.get_or_insert(f);
-                    continue;
-                }
-            };
-            let it = iters[d].as_mut().expect("oracle ran for this device");
-            match oc.kstats {
-                Some(k) => {
-                    debug_assert_eq!(
-                        oc.updated, it.updated,
-                        "device {d}: launch diverged from the Phase A oracle"
-                    );
-                    debug_assert_eq!(oc.spills, it.spills);
-                    it.kernel_seconds = k.seconds;
-                    st.fleet.record_launch(d, &k);
-                }
-                None => {
-                    // Kernel retries exhausted: degrade to host fallback.
-                    // The worker already charged the serial path's state
-                    // downloads; the oracle scratch is bit-identical to
-                    // download-then-re-enact, so it becomes the master copy.
-                    let OracleState { vv, sv } = oracle[d].take().expect("oracle state");
-                    let info = &st.infos[d];
-                    st.host.values[info.vrange.clone()].copy_from_slice(&vv);
-                    st.host.src_value[info.erange.clone()].copy_from_slice(&sv);
-                    st.degrade_to_host(d);
-                }
-            }
-        }
-        // Deferred spills land now that every launch has joined. An owner
-        // that just degraded takes them in its master slice instead (the
-        // scratch copy-in above rolled the slice back to the owner's own
-        // post-iteration state, which predates these writes).
-        for &(t, k, v) in &deferred {
-            if let Mode::Resident(dev) = &mut st.modes[t] {
-                dev.slice.src_value.host_mut()[k - st.infos[t].erange.start] = v;
-            } else {
-                st.host.src_value[k] = v;
-            }
-        }
-        if let Some(f) = first_err {
-            return Err(EngineError::from(f));
-        }
-        // Per-device iteration accounting, in device order; all Phase B
-        // charges are in, so every modeled clock reads the serial value.
-        for d in 0..cfg.devices {
-            let Some(res) = &iters[d] else { continue };
             iter_updated += res.updated;
             max_kernel = max_kernel.max(res.kernel_seconds);
-            let now = st.device_time(d);
-            max_wall = max_wall.max(now - time_marks[d]);
-            time_marks[d] = now;
+            max_wall = max_wall.max(st.lap(d));
         }
         // Record the post-iteration checksums once every device's spills
         // have landed — legitimate halo writes into a peer's `SrcValue`
         // must be inside the reference, not flagged by the next scrub.
         if integ.mode.checksums() {
-            st.store_crcs(&mut crcs);
+            st.store_crcs();
         }
         stats.iterations += 1;
         stats.per_iteration.push(IterationStat {
@@ -1404,66 +1081,21 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
             converged = true;
             break;
         }
-        if !observer.on_iteration(stats.iterations, iter_updated, fleet_clock) {
-            return Err(EngineError::Deadline {
-                iterations: stats.iterations,
-                elapsed_seconds: fleet_clock,
-            });
-        }
-        // Checkpoint boundary: assemble the global state, verify the
-        // algorithm invariant against the last verified snapshot, and store
-        // it as the new rollback target.
-        if integ.mode.enabled() && stats.iterations.is_multiple_of(integ.checkpoint_every) {
-            let mut srcs = st.host.src_value.clone();
-            let vals = st.snapshot(Some(&mut srcs), |d, before, after| {
-                integrity_seconds += after - before;
-                time_marks[d] = after;
-            })?;
-            let violated = integ.mode.invariants()
-                && prog
-                    .check_invariant(&ckpts.latest().expect("initial checkpoint").values, &vals)
-                    .is_err();
-            if violated {
-                recover!(0, Detector::Invariant);
-            }
-            ckpts.push(stats.iterations, vals, srcs, watchdog_seen.clone());
-            st.sdcs[0].checkpoints += 1;
-            if need_reverify {
-                need_reverify = false;
-                cfg.base
-                    .trace
-                    .instant(fleet_pid, lanes::FAULT, "sdc", "reverify", fleet_clock);
-            }
-        }
-        if let Some(w) = cfg.base.watchdog_interval {
-            if stats.iterations.is_multiple_of(w) {
-                let snapshot = st.snapshot(None, |d, before, after| {
-                    watchdog_seconds += after - before;
-                    time_marks[d] = after;
-                })?;
-                if !watchdog_seen.insert(checksum(&snapshot)) {
-                    return Err(EngineError::Watchdog {
-                        iterations: stats.iterations,
-                    });
-                }
-            }
+        // Iteration boundary: deadline, checkpoint (assembling the global
+        // state from every device) and watchdog.
+        let (iterations, updated) = (stats.iterations, iter_updated);
+        let (sdc, dev) = (&mut sdcs[0], fleet!(None::<usize>));
+        if recovery.boundary(observer, prog, sdc, iterations, updated, fleet_clock, dev)? {
+            recover!(0, Detector::Invariant);
         }
     }
     stats.converged = converged;
     stats.compute_seconds += watchdog_seconds + integrity_seconds;
-    if need_reverify {
-        // The recovered trajectory converged before the next checkpoint
-        // boundary re-verified it; the converged state itself is the proof.
-        cfg.base
-            .trace
-            .instant(fleet_pid, lanes::FAULT, "sdc", "reverify", fleet_clock);
-    }
+    recovery.finish(fleet!(None::<usize>))?;
 
     // ---- Download results (D2H) -------------------------------------------
-    let mut teardown = 0.0f64;
-    let values = st.snapshot(None, |_, before, after| {
-        teardown = teardown.max(after - before);
-    })?;
+    let values = st.snapshot(None)?;
+    let teardown = (0..cfg.devices).map(|d| st.lap(d)).fold(0.0, f64::max);
     stats.teardown_seconds = teardown;
     cfg.base.trace.complete(
         fleet_pid,
@@ -1477,15 +1109,12 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
     // ---- Per-device breakdown ---------------------------------------------
     for d in 0..cfg.devices {
         let gpu = st.fleet.device(d);
-        st.sdcs[d].flips_injected = flips_fired(gpu.fault_plan()) - flips_baseline[d];
+        sdcs[d].flips_injected = flips_fired(gpu.fault_plan()) - flips_baseline[d];
         let a = st.acc[d];
         let part = &fp.parts()[d];
         let mut profile = st.profiles[d].take();
-        if let Some(fresh) = st.fleet.device(d).profile.as_ref() {
-            let merged = profile.get_or_insert_with(Profile::default);
-            for launch in fresh.launches() {
-                merged.record(launch);
-            }
+        if let Some(fresh) = &gpu.profile {
+            profile.get_or_insert_default().absorb(fresh);
         }
         stats.per_device.push(DeviceRunStats {
             device: d,
@@ -1502,7 +1131,7 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
             exchange_sent_bytes: sent_bytes_total[d],
             exchange_recv_bytes: recv_bytes_total[d],
             fault: st.faults[d],
-            sdc: st.sdcs[d],
+            sdc: sdcs[d],
             profile,
         });
         let f = &st.faults[d];
@@ -1511,7 +1140,9 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
         stats.fault.oom_rebatches += f.oom_rebatches;
         stats.fault.degradations += f.degradations;
         stats.fault.kernel_retries += f.kernel_retries;
-        stats.sdc.absorb(&st.sdcs[d]);
+        stats.sdc.absorb(&sdcs[d]);
+        stats.memo.add(&a.memo);
+        stats.memo.add(&MemoStats::from_gpu(gpu));
     }
     stats.aggregate = st.fleet.aggregate_stats();
     stats.aggregate.name = st.desc_name.clone();

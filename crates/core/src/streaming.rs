@@ -45,15 +45,14 @@
 //! recovery activity is recorded in [`RunStats::fault`].
 
 use crate::engine::{
-    flips_fired, trace_iteration, CuShaConfig, CuShaOutput, Detector, PreparedLayout, Repr,
-    RunObserver,
+    flips_fired, trace_iteration, CuShaConfig, CuShaOutput, PreparedLayout, Repr, RunObserver,
 };
 use crate::error::EngineError;
 use crate::fallback::run_fallback;
-use crate::integrity::{apply_flips, checksum, CheckpointManager};
+use crate::integrity::{apply_flips, checksum, Ask, Detector, Recovery, Rung};
 use crate::kernel::{
-    entry_bytes, fault_instant, with_copy_retries, DeviceSlice, HostArrays, HostMaster, Resident,
-    RetryPolicy, SpillVia,
+    batch_end, entry_bytes, fault_instant, with_copy_retries, DeviceSlice, HostArrays, HostMaster,
+    Resident, RetryPolicy, SpillVia,
 };
 use crate::middleware::DeadlineObserver;
 use crate::program::VertexProgram;
@@ -62,7 +61,6 @@ use crate::stats::{FaultStats, IterationStat, RunStats, SdcStats};
 use cusha_graph::Graph;
 use cusha_obs::trace::{lanes, ArgVal};
 use cusha_simt::{DeviceFault, FaultPlan, Gpu, Pod};
-use std::collections::HashSet;
 
 /// Configuration of the streamed engine.
 #[derive(Clone, Debug)]
@@ -126,47 +124,38 @@ impl StreamingConfig {
     }
 }
 
-/// Splits shards into batches of consecutive shards whose entry arrays fit
-/// the byte budget. Every batch holds at least one shard (a single shard
-/// larger than the budget still forms its own batch — the kernel cannot
-/// split a shard).
+/// Splits all shards into the batches [`batch_end`] delimits under `budget`.
 fn plan_batches(gs: &GShards, per_entry: u64, budget: u64) -> Vec<std::ops::Range<u32>> {
     let mut batches = Vec::new();
     let mut start = 0u32;
-    let mut bytes = 0u64;
-    for s in 0..gs.num_shards() {
-        let b = gs.shard_entries(s).len() as u64 * per_entry;
-        if s > start && bytes + b > budget {
-            batches.push(start..s);
-            start = s;
-            bytes = 0;
-        }
-        bytes += b;
+    while start < gs.num_shards() {
+        let end = batch_end(gs, per_entry, budget, start, gs.num_shards());
+        batches.push(start..end);
+        start = end;
     }
-    batches.push(start..gs.num_shards());
     batches
 }
 
 /// Why one from-scratch attempt of the streamed loop gave up.
-enum AttemptError {
-    /// A device fault escaped the in-attempt retries.
-    Fault(DeviceFault),
-    /// The watchdog saw the value vector revisit an earlier state.
-    Watchdog { iterations: u32 },
+enum AttemptError<V> {
+    /// The loop stopped: a device fault escaped the in-attempt retries (the
+    /// caller rebatches on OOM and degrades on a kernel fault), the watchdog
+    /// fired, or the observer cancelled the run.
+    Stopped(EngineError<V>),
     /// Detected silent corruption outlived the rollback and restart
     /// budgets; the caller escalates to the host fallback.
     SdcExhausted,
-    /// The caller's observer cancelled the run at an iteration boundary
-    /// (deadline enforcement).
-    Cancelled {
-        iterations: u32,
-        elapsed_seconds: f64,
-    },
 }
 
-impl From<DeviceFault> for AttemptError {
+impl<V> From<EngineError<V>> for AttemptError<V> {
+    fn from(e: EngineError<V>) -> Self {
+        AttemptError::Stopped(e)
+    }
+}
+
+impl<V> From<DeviceFault> for AttemptError<V> {
     fn from(f: DeviceFault) -> Self {
-        AttemptError::Fault(f)
+        AttemptError::Stopped(f.into())
     }
 }
 
@@ -236,15 +225,12 @@ pub fn try_run_streamed_observed<P: VertexProgram, O: RunObserver + ?Sized>(
     // Last rung of both ladders: abandon the device for the host fallback,
     // whose memory no device fault or flip can reach.
     let host_fallback = |fault, sdc, profile: Option<cusha_simt::Profile>| {
-        let mut base = cfg.base.clone();
-        base.repr = Repr::GShards;
-        base.fault_plan = None;
         let graft = |stats: &mut RunStats| {
             stats.fault = fault;
             stats.sdc = sdc;
             stats.profile = profile;
         };
-        match run_fallback(prog, graph, &base) {
+        match run_fallback(prog, graph, &cfg.base) {
             Ok(mut out) => {
                 graft(&mut out.stats);
                 Ok(out)
@@ -312,39 +298,19 @@ pub fn try_run_streamed_observed<P: VertexProgram, O: RunObserver + ?Sized>(
                     })
                 };
             }
-            Err(AttemptError::Watchdog { iterations }) => {
-                return Err(EngineError::Watchdog { iterations });
-            }
-            Err(AttemptError::Cancelled {
-                iterations,
-                elapsed_seconds,
-            }) => {
-                return Err(EngineError::Deadline {
-                    iterations,
-                    elapsed_seconds,
-                });
-            }
             Err(AttemptError::SdcExhausted) => {
                 sdc.host_fallbacks += 1;
                 instant("sdc", "host-fallback");
                 return host_fallback(fault, sdc, run_profile);
             }
-            Err(AttemptError::Fault(DeviceFault::Oom {
-                requested_bytes,
-                capacity_bytes,
-                ..
-            })) => {
-                if fault.oom_rebatches >= cfg.max_rebatches {
-                    return Err(EngineError::DeviceOom {
-                        requested_bytes,
-                        capacity_bytes,
-                    });
-                }
+            Err(AttemptError::Stopped(EngineError::DeviceOom { .. }))
+                if fault.oom_rebatches < cfg.max_rebatches =>
+            {
                 fault.oom_rebatches += 1;
                 resident = (resident / 2).max(1);
                 instant("fault", "oom-rebatch");
             }
-            Err(AttemptError::Fault(DeviceFault::Kernel { .. })) => {
+            Err(AttemptError::Stopped(EngineError::KernelFault { .. })) => {
                 fault.degradations += 1;
                 match repr {
                     // First rung: fall back to G-Shards, whose kernels are
@@ -360,9 +326,9 @@ pub fn try_run_streamed_observed<P: VertexProgram, O: RunObserver + ?Sized>(
                     }
                 }
             }
-            Err(AttemptError::Fault(f @ DeviceFault::Copy { .. })) => {
-                return Err(f.into());
-            }
+            // Rebatches spent, a copy fault past its retries, the watchdog
+            // or a deadline: nothing left to try.
+            Err(AttemptError::Stopped(e)) => return Err(e),
         }
     }
 }
@@ -384,7 +350,7 @@ fn stream_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
     sdc: &mut SdcStats,
     observer: &mut O,
     elapsed_base: f64,
-) -> Result<CuShaOutput<P::V>, AttemptError> {
+) -> Result<CuShaOutput<P::V>, AttemptError<P::V>> {
     let base = &cfg.base;
     let retry = cfg.retry();
     let n_per = PreparedLayout::select_n_per(graph, base, <P::V as Pod>::SIZE);
@@ -414,7 +380,6 @@ fn stream_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
     let mut kernel_seconds_pipelined = 0.0f64;
     let mut extra_transfer_seconds = 0.0f64;
     let mut converged = false;
-    let mut watchdog_seen: HashSet<u64> = HashSet::new();
 
     // ---- SDC defense state ------------------------------------------------
     // The resident `VertexValues` is scrubbed against the checksum recorded
@@ -423,71 +388,43 @@ fn stream_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
     // downloaded value vector plus a clone of the master `SrcValue` column
     // (the host side is authoritative between batches).
     let integ = &base.integrity;
-    let mut ckpts: CheckpointManager<P::V> = CheckpointManager::new(integ.max_checkpoints);
-    if integ.mode.enabled() {
-        ckpts.push(
-            0,
-            host.values.clone(),
-            host.src_value.clone(),
-            HashSet::new(),
-        );
-        sdc.checkpoints += 1;
-    }
-    let mut vv_crc = if integ.mode.checksums() {
-        checksum(&host.values)
-    } else {
-        0
-    };
-    let mut need_reverify = false;
-    // One rung of the recovery ladder; evaluates to `false` once the
-    // rollback and restart budgets are spent (caller escalates).
-    macro_rules! sdc_recover {
-        ($detector:expr) => {{
-            match $detector {
-                Detector::Checksum => sdc.checksum_detections += 1,
-                Detector::Invariant => sdc.invariant_detections += 1,
-            }
-            fault_instant(gpu, "sdc", "corruption-detected");
-            if sdc.rollbacks < integ.max_rollbacks {
-                let cp = ckpts.latest().expect("initial checkpoint always present");
-                with_copy_retries(gpu, &retry, fault, |g| {
-                    g.try_h2d(&mut res.vertex_values, &cp.values)
-                })?;
-                host.src_value.copy_from_slice(&cp.src_value);
-                vv_crc = cp.values_crc;
-                sdc.reexecuted_iterations += total.iterations - cp.iteration;
-                total.iterations = cp.iteration;
-                total.per_iteration.truncate(cp.iteration as usize);
-                watchdog_seen = cp.watchdog.clone();
-                sdc.rollbacks += 1;
-                need_reverify = true;
-                fault_instant(gpu, "sdc", "rollback");
-                true
-            } else if sdc.full_restarts < integ.max_full_restarts {
-                with_copy_retries(gpu, &retry, fault, |g| {
-                    g.try_h2d(&mut res.vertex_values, &host.values)
-                })?;
-                for (k, &s) in gs.src_index().iter().enumerate() {
-                    host.src_value[k] = host.values[s as usize];
+    let mut recovery = Recovery::new(base, sdc, &host.values, &host.src_value);
+    let mut vv_crc = recovery.latest().values_crc;
+    // The device (and the host master beside it) as `Recovery` drives it.
+    macro_rules! device {
+        () => {
+            |ask: Ask<'_, P::V>| {
+                match ask {
+                    Ask::Restore(cp) => {
+                        with_copy_retries(gpu, &retry, fault, |g| {
+                            g.try_h2d(&mut res.vertex_values, &cp.values)
+                        })?;
+                        host.src_value.copy_from_slice(&cp.src_value);
+                        vv_crc = cp.values_crc;
+                    }
+                    Ask::Snapshot(values, src_value) => {
+                        *values = with_copy_retries(gpu, &retry, fault, |g| {
+                            g.try_download(&res.vertex_values)
+                        })?;
+                        if let Some(src_value) = src_value {
+                            src_value.clone_from(&host.src_value);
+                        }
+                    }
+                    Ask::Mark(name) => fault_instant(gpu, "sdc", name),
                 }
-                vv_crc = checksum(&host.values);
-                sdc.reexecuted_iterations += total.iterations;
-                total.iterations = 0;
-                total.per_iteration.clear();
-                watchdog_seen.clear();
-                ckpts.clear();
-                ckpts.push(
-                    0,
-                    host.values.clone(),
-                    host.src_value.clone(),
-                    HashSet::new(),
-                );
-                sdc.full_restarts += 1;
-                need_reverify = true;
-                fault_instant(gpu, "sdc", "full-restart");
-                true
-            } else {
-                false
+                Ok(())
+            }
+        };
+    }
+    // One rung of the recovery ladder. Spent budgets end the attempt: the
+    // caller abandons the device for the host fallback.
+    macro_rules! recover {
+        ($detector:expr) => {{
+            let spent = (sdc.rollbacks, sdc.full_restarts);
+            let (iterations, detail) = (&mut total.iterations, &mut total.per_iteration);
+            let rung = recovery.step($detector, sdc, spent, iterations, detail, device!())?;
+            if let Rung::Exhausted = rung {
+                return Err(AttemptError::SdcExhausted);
             }
         }};
     }
@@ -530,10 +467,8 @@ fn stream_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
                     || checksum(slice.src_value.host())
                         != checksum(&host.src_value[slice.erange.clone()]))
             {
-                if sdc_recover!(Detector::Checksum) {
-                    continue 'iter;
-                }
-                return Err(AttemptError::SdcExhausted);
+                recover!(Detector::Checksum);
+                continue 'iter;
             }
 
             // ---- Process the batch's shards. Stage-4 writes to resident
@@ -620,64 +555,18 @@ fn stream_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
             converged = true;
             break;
         }
-        // Iteration-boundary cancellation: deadlines and resident callers'
-        // observers share the watchdog's discipline (the in-flight batch
-        // has completed). The elapsed clock spans the engine's earlier
-        // restarts, so a deadline bounds the whole recovery trajectory.
-        let elapsed = elapsed_base + gpu.total_seconds();
-        if !observer.on_iteration(total.iterations, updated_this_iter, elapsed) {
-            return Err(AttemptError::Cancelled {
-                iterations: total.iterations,
-                elapsed_seconds: elapsed,
-            });
-        }
-        // Checkpoint boundary: download the resident values (real, charged
-        // D2H), verify the algorithm invariant against the last verified
-        // snapshot, and store it (with the master `SrcValue` column) as the
-        // new rollback target.
-        if integ.mode.enabled() && total.iterations.is_multiple_of(integ.checkpoint_every) {
-            let vals =
-                with_copy_retries(gpu, &retry, fault, |g| g.try_download(&res.vertex_values))?;
-            if integ.mode.invariants() {
-                let prev = &ckpts.latest().expect("initial checkpoint").values;
-                if prog.check_invariant(prev, &vals).is_err() {
-                    if sdc_recover!(Detector::Invariant) {
-                        continue 'iter;
-                    }
-                    return Err(AttemptError::SdcExhausted);
-                }
-            }
-            ckpts.push(
-                total.iterations,
-                vals,
-                host.src_value.clone(),
-                watchdog_seen.clone(),
-            );
-            sdc.checkpoints += 1;
-            if need_reverify {
-                need_reverify = false;
-                fault_instant(gpu, "sdc", "reverify");
-            }
-        }
-        if let Some(w) = base.watchdog_interval {
-            if total.iterations.is_multiple_of(w) {
-                let snapshot =
-                    with_copy_retries(gpu, &retry, fault, |g| g.try_download(&res.vertex_values))?;
-                if !watchdog_seen.insert(checksum(&snapshot)) {
-                    return Err(AttemptError::Watchdog {
-                        iterations: total.iterations,
-                    });
-                }
-            }
+        // Iteration boundary (the in-flight batch has completed). The
+        // elapsed clock spans the engine's earlier restarts, so a deadline
+        // bounds the whole recovery trajectory.
+        let (iterations, elapsed) = (total.iterations, elapsed_base + gpu.total_seconds());
+        let (updated, dev) = (updated_this_iter, device!());
+        if recovery.boundary(observer, prog, sdc, iterations, updated, elapsed, dev)? {
+            recover!(Detector::Invariant);
         }
     }
 
     let values = with_copy_retries(gpu, &retry, fault, |g| g.try_download(&res.vertex_values))?;
-    if need_reverify {
-        // The recovered trajectory converged before the next checkpoint
-        // boundary re-verified it; the converged state itself is the proof.
-        fault_instant(gpu, "sdc", "reverify");
-    }
+    recovery.finish(device!())?;
     total.converged = converged;
     total.kernel.name = kernel_name;
     total.h2d_seconds = h2d_resident;

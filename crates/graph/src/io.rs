@@ -53,14 +53,37 @@ impl std::fmt::Display for IoError {
 
 impl std::error::Error for IoError {}
 
-/// FNV-1a over raw bytes — the per-section digest of the binary v2 format
-/// (the same constants the engine's integrity scrubber uses).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+/// Streaming byte-wise FNV-1a (64-bit): the per-section digest of the binary
+/// v2 format and the per-record checksum of the service's write-ahead log.
+/// Both are on-disk formats, so the digests are pinned by a unit test.
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    h
+}
+
+impl Fnv1a {
+    /// Folds `bytes` into the digest.
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    /// The digest of everything folded in so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+
+    /// The digest of `bytes` alone.
+    pub fn of(bytes: &[u8]) -> u64 {
+        let mut h = Fnv1a::default();
+        h.update(bytes);
+        h.finish()
+    }
 }
 
 /// Parses a text edge list from a reader.
@@ -138,19 +161,17 @@ pub fn write_binary<W: Write>(g: &Graph, writer: W) -> Result<(), IoError> {
     header[..4].copy_from_slice(&g.num_vertices().to_le_bytes());
     header[4..].copy_from_slice(&g.num_edges().to_le_bytes());
     w.write_all(&header)?;
-    w.write_all(&fnv1a(&header).to_le_bytes())?;
-    let mut crc = 0xcbf2_9ce4_8422_2325u64;
+    w.write_all(&Fnv1a::of(&header).to_le_bytes())?;
+    let mut crc = Fnv1a::default();
     for e in g.edges() {
         let mut record = [0u8; EDGE_RECORD_BYTES];
         record[..4].copy_from_slice(&e.src.to_le_bytes());
         record[4..8].copy_from_slice(&e.dst.to_le_bytes());
         record[8..].copy_from_slice(&e.weight.to_le_bytes());
-        for &b in &record {
-            crc = (crc ^ b as u64).wrapping_mul(0x100_0000_01b3);
-        }
+        crc.update(&record);
         w.write_all(&record)?;
     }
-    w.write_all(&crc.to_le_bytes())?;
+    w.write_all(&crc.finish().to_le_bytes())?;
     w.flush()?;
     Ok(())
 }
@@ -212,21 +233,19 @@ pub fn read_binary<R: Read>(reader: R) -> Result<Graph, IoError> {
         let mut crc = [0u8; 8];
         r.read_exact(&mut crc)
             .map_err(|e| short("header checksum", e))?;
-        if u64::from_le_bytes(crc) != fnv1a(&header) {
+        if u64::from_le_bytes(crc) != Fnv1a::of(&header) {
             return Err(IoError::Corrupt(
                 "header checksum mismatch (vertex/edge counts are damaged)".into(),
             ));
         }
     }
     let mut edges = Vec::with_capacity((m as usize).min(MAX_TRUSTED_CAPACITY));
-    let mut payload_crc = 0xcbf2_9ce4_8422_2325u64;
+    let mut payload_crc = Fnv1a::default();
     for i in 0..m {
         let mut record = [0u8; EDGE_RECORD_BYTES];
         r.read_exact(&mut record)
             .map_err(|e| short(&format!("edge #{i} of {m} claimed by the header"), e))?;
-        for &b in &record {
-            payload_crc = (payload_crc ^ b as u64).wrapping_mul(0x100_0000_01b3);
-        }
+        payload_crc.update(&record);
         let word = |k: usize| u32::from_le_bytes(record[4 * k..4 * k + 4].try_into().unwrap());
         let (src, dst, weight) = (word(0), word(1), word(2));
         if src >= n || dst >= n {
@@ -246,7 +265,7 @@ pub fn read_binary<R: Read>(reader: R) -> Result<Graph, IoError> {
         let mut crc = [0u8; 8];
         r.read_exact(&mut crc)
             .map_err(|e| short("payload checksum", e))?;
-        if u64::from_le_bytes(crc) != payload_crc {
+        if u64::from_le_bytes(crc) != payload_crc.finish() {
             return Err(IoError::Corrupt(format!(
                 "payload checksum mismatch over {m} edge records"
             )));
@@ -291,6 +310,31 @@ pub fn save_binary(g: &Graph, path: impl AsRef<Path>) -> Result<(), IoError> {
 mod tests {
     use super::*;
     use crate::generators::erdos_renyi;
+
+    /// On-disk v2 graph files and the service's WAL records carry these
+    /// digests; the three below were computed before the four hand-written
+    /// copies of the loop became [`Fnv1a`], so files written then still read.
+    #[test]
+    fn fnv1a_digests_are_pinned() {
+        assert_eq!(Fnv1a::of(&[]), 0xcbf2_9ce4_8422_2325);
+        let g = Graph::new(
+            4,
+            vec![Edge::new(0, 1, 5), Edge::new(1, 2, 7), Edge::new(3, 0, 9)],
+        );
+        let mut file = Vec::new();
+        write_binary(&g, &mut file).unwrap();
+        let (header, payload) = (&file[8..16], &file[24..file.len() - 8]);
+        assert_eq!(Fnv1a::of(header), 0xccd7_8816_5292_cdd2);
+        assert_eq!(file[16..24], 0xccd7_8816_5292_cdd2u64.to_le_bytes());
+        assert_eq!(
+            file[file.len() - 8..],
+            0xaa60_d187_45ad_40efu64.to_le_bytes()
+        );
+        // Streaming in pieces is the same digest.
+        let mut pieces = Fnv1a::default();
+        payload.chunks(5).for_each(|chunk| pieces.update(chunk));
+        assert_eq!(pieces.finish(), 0xaa60_d187_45ad_40ef);
+    }
 
     #[test]
     fn text_round_trip() {

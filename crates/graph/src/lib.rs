@@ -36,6 +36,7 @@ pub mod types;
 
 pub use builder::GraphBuilder;
 pub use csr::Csr;
+pub use io::Fnv1a;
 pub use mutate::{fingerprint, Mutation, MutationBatch, MutationDelta, MutationError};
 pub use partition::{edge_balanced_ranges, DevicePartition, FleetPartition};
 pub use types::{Edge, EdgeId, Graph, GraphError, VertexId};

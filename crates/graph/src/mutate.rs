@@ -212,6 +212,11 @@ impl MutationBatch {
     }
 }
 
+/// Not the FNV prime `0x100_0000_01b3` (one digit longer), and deliberate by
+/// now: it is odd, and [`fingerprint`]'s value is the `graph_rev` existing
+/// WALs are checked against on recovery.
+const REV_MULTIPLIER: u64 = 0x1000_0000_01b3;
+
 /// Structural FNV-1a fingerprint of a graph: vertex count plus every edge
 /// (endpoints and weight) in list order. This is the `graph_rev` the
 /// result cache keys on — a pure function of content, so replaying a WAL's
@@ -221,7 +226,7 @@ pub fn fingerprint(graph: &Graph) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut fold = |x: u64| {
         h ^= x;
-        h = h.wrapping_mul(0x1000_0000_01b3);
+        h = h.wrapping_mul(REV_MULTIPLIER);
     };
     fold(graph.num_vertices() as u64);
     for e in graph.edges() {
@@ -240,6 +245,17 @@ mod tests {
             4,
             vec![Edge::new(0, 1, 5), Edge::new(1, 2, 3), Edge::new(0, 1, 7)],
         )
+    }
+
+    /// `graph_rev` is compared across process lifetimes (WAL recovery), so
+    /// the digest — computed before the multiplier got its name — is pinned.
+    #[test]
+    fn fingerprint_is_pinned() {
+        let g = Graph::new(
+            4,
+            vec![Edge::new(0, 1, 5), Edge::new(1, 2, 7), Edge::new(3, 0, 9)],
+        );
+        assert_eq!(fingerprint(&g), 0x2e31_f35f_ce4b_9b9d);
     }
 
     #[test]

@@ -271,45 +271,6 @@ impl Tracer {
         }
     }
 
-    /// A private tracer with the same enablement and capacity as this one,
-    /// backed by its **own** buffer. Worker threads record into a fork so
-    /// they never contend on the shared buffer; the owner merges forks back
-    /// in a deterministic order with [`Tracer::absorb`]. Forking a disabled
-    /// tracer yields another no-op handle.
-    pub fn fork(&self) -> Tracer {
-        match &self.inner {
-            None => Tracer::disabled(),
-            Some(b) => Self::with_capacity(b.lock().unwrap().capacity),
-        }
-    }
-
-    /// Drains `other`'s buffered events into this tracer, in `other`'s
-    /// record order, honouring this buffer's capacity bound (overflow drops
-    /// this buffer's oldest events, counted as usual). `other`'s own drop
-    /// count carries over, and its process/lane labels are merged. No-op
-    /// when either handle is disabled or both share the same buffer.
-    pub fn absorb(&self, other: &Tracer) {
-        let (Some(dst), Some(src)) = (&self.inner, &other.inner) else {
-            return;
-        };
-        if Arc::ptr_eq(dst, src) {
-            return;
-        }
-        let mut src = src.lock().unwrap();
-        let mut dst = dst.lock().unwrap();
-        dst.dropped += src.dropped;
-        src.dropped = 0;
-        for e in src.events.drain(..) {
-            dst.push(e);
-        }
-        for (pid, name) in std::mem::take(&mut src.process_names) {
-            dst.process_names.insert(pid, name);
-        }
-        for (key, name) in std::mem::take(&mut src.lane_names) {
-            dst.lane_names.insert(key, name);
-        }
-    }
-
     /// Opens a span at modeled time `start`; finish it with
     /// [`SpanGuard::end`]. A guard from a disabled tracer is inert.
     pub fn span(
@@ -426,55 +387,6 @@ mod tests {
             assert_eq!(ev[0].args.len(), 1);
         })
         .unwrap();
-    }
-
-    #[test]
-    fn fork_and_absorb_merge_in_order() {
-        let t = Tracer::enabled();
-        t.complete(0, 0, "engine", "before", 0.0, 1.0);
-        let f = t.fork();
-        assert!(f.is_enabled());
-        f.complete(1, 2, "kernel", "worker-a", 1.0, 1.0);
-        f.complete(1, 2, "kernel", "worker-b", 2.0, 1.0);
-        f.name_process(1, "device1");
-        t.absorb(&f);
-        assert_eq!(f.event_count(), 0, "absorb drains the fork");
-        t.with_events(|ev| {
-            let names: Vec<&str> = ev.iter().map(|e| e.name.as_str()).collect();
-            assert_eq!(names, vec!["before", "worker-a", "worker-b"]);
-        })
-        .unwrap();
-        t.with_buf(|b| assert_eq!(b.process_names[&1], "device1"))
-            .unwrap();
-    }
-
-    #[test]
-    fn fork_of_disabled_is_disabled_and_absorb_is_safe() {
-        let t = Tracer::disabled();
-        let f = t.fork();
-        assert!(f.is_noop());
-        t.absorb(&f); // both disabled: no-op
-        let e = Tracer::enabled();
-        e.absorb(&e); // same buffer: no-op, must not deadlock
-        e.complete(0, 0, "engine", "x", 0.0, 1.0);
-        e.absorb(&t); // disabled source: no-op
-        assert_eq!(e.event_count(), 1);
-    }
-
-    #[test]
-    fn absorb_honours_capacity_and_carries_drops() {
-        let t = Tracer::with_capacity(2);
-        let f = t.fork();
-        for i in 0..4 {
-            f.instant(0, 0, "engine", &format!("e{i}"), i as f64);
-        }
-        assert_eq!(f.dropped_count(), 2);
-        t.absorb(&f);
-        assert_eq!(t.event_count(), 2);
-        // 2 dropped in the fork; absorbing 2 into an empty capacity-2
-        // buffer drops nothing further.
-        assert_eq!(t.dropped_count(), 2);
-        t.with_events(|ev| assert_eq!(ev[0].name, "e2")).unwrap();
     }
 
     #[test]

@@ -48,7 +48,7 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use cusha_graph::mutate::{fingerprint, Mutation, MutationBatch};
-use cusha_graph::Graph;
+use cusha_graph::{Fnv1a, Graph};
 
 /// Magic bytes opening every WAL file.
 pub const MAGIC: &[u8; 4] = b"CWAL";
@@ -246,24 +246,15 @@ pub fn snapshot_path(wal: &Path) -> PathBuf {
     PathBuf::from(os)
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 fn encode_record(kind: u8, payload: &[u8]) -> Vec<u8> {
     let mut rec = Vec::with_capacity(4 + 1 + payload.len() + 8);
     rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     rec.push(kind);
     rec.extend_from_slice(payload);
-    let mut sum = Vec::with_capacity(1 + payload.len());
-    sum.push(kind);
-    sum.extend_from_slice(payload);
-    rec.extend_from_slice(&fnv1a(&sum).to_le_bytes());
+    let mut sum = Fnv1a::default();
+    sum.update(&[kind]);
+    sum.update(payload);
+    rec.extend_from_slice(&sum.finish().to_le_bytes());
     rec
 }
 
@@ -354,7 +345,7 @@ fn read_record(r: &mut File, offset: u64) -> Result<ReadOutcome, WalError> {
     let kind = body[0];
     let (checked, sum_bytes) = body.split_at(1 + payload_len as usize);
     let stored = u64::from_le_bytes(sum_bytes.try_into().unwrap());
-    if fnv1a(checked) != stored {
+    if Fnv1a::of(checked) != stored {
         return Err(WalError::Corrupt(format!(
             "record at offset {offset} fails its checksum"
         )));

@@ -152,12 +152,6 @@ impl DeviceFleet {
         &mut self.devices[d]
     }
 
-    /// Mutable access to every device at once, so a host-parallel engine can
-    /// split the fleet into disjoint `&mut Gpu` borrows for scoped threads.
-    pub fn devices_mut(&mut self) -> &mut [Gpu] {
-        &mut self.devices
-    }
-
     /// Swaps in a replacement device (an engine rebuilding a device after
     /// an OOM rebatch), returning the old one so its fault plan and time
     /// totals can be carried over. The replacement inherits the old

@@ -1,0 +1,585 @@
+//! The fleet's run records, pinned. The multi-device engine promises the
+//! single-device schedule — devices in ascending order, halo writes visible
+//! to later devices within the iteration — and charges every device its own
+//! modeled clock. How the *host* gets through that schedule is free to change;
+//! what a run reports is not. `tests/golden/fleet_records.txt` was generated
+//! at the commit before the fleet's host-parallel phases were removed and is
+//! compared line by line: one hand-written fingerprint per run, covering the
+//! values, every `MultiRunStats` field that existed then (modeled seconds as
+//! bit patterns) and, for traced runs, the Chrome-trace bytes.
+//!
+//! Runs: three surrogates x {GS, CW} x 1-4 devices x {PageRank, SSSP}, clean;
+//! then the recovery scenarios (allocation fault -> rebatched, kernel faults
+//! -> host fallback, a D2H fault during the degrade download, in-place kernel
+//! retries, SDC defense under seeded flips, every rung of the SDC ladder, the
+//! watchdog, idle devices, NVLink, profiling). The last lines pin the in-core
+//! and streamed engines through the same ladder, which they share with the
+//! fleet. Regenerate — only for an intended change of the *model* — with:
+//!
+//! ```sh
+//! CUSHA_REGEN_GOLDEN=1 cargo test --test fleet_golden
+//! ```
+
+use cusha::algos::{Bfs, PageRank, Sssp};
+use cusha::core::integrity::checksum;
+use cusha::core::{
+    run_multi, try_run, try_run_multi, try_run_streamed, CuShaConfig, FaultStats, IntegrityConfig,
+    IntegrityMode, MultiConfig, MultiOutput, MultiRunStats, Repr, RunStats, SdcStats,
+    StreamingConfig, VertexProgram,
+};
+use cusha::graph::generators::rmat::{rmat, RmatConfig};
+use cusha::graph::surrogates::Dataset;
+use cusha::graph::{Edge, Fnv1a, Graph};
+use cusha::obs::{chrome_trace_json, Tracer};
+use cusha::simt::counters::Counters;
+use cusha::simt::{FaultPlan, FlipTarget, Interconnect, KernelStats};
+use std::fmt::Write;
+
+const GOLDEN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/fleet_records.txt"
+);
+
+fn bits(x: f64) -> String {
+    format!("{:016x}", x.to_bits())
+}
+
+fn counters(c: &Counters) -> String {
+    format!(
+        "{},{},{},{},{},{},{},{},{},{}",
+        c.warp_instructions,
+        c.active_lane_sum,
+        c.gld_transactions,
+        c.gld_requested_bytes,
+        c.gst_transactions,
+        c.gst_requested_bytes,
+        c.dram_sectors,
+        c.shared_accesses,
+        c.bank_conflict_replays,
+        c.atomic_replays,
+    )
+}
+
+fn kernel(k: &KernelStats) -> String {
+    format!(
+        "{}|{}|{}|{}|{}|{}|{}|{}",
+        k.name,
+        k.blocks,
+        k.threads_per_block,
+        k.sm_count,
+        counters(&k.counters),
+        bits(k.issue_seconds),
+        bits(k.dram_seconds),
+        bits(k.seconds),
+    )
+}
+
+fn fault(f: &FaultStats) -> String {
+    format!(
+        "{},{},{},{},{}",
+        f.copy_retries,
+        bits(f.backoff_seconds),
+        f.oom_rebatches,
+        f.degradations,
+        f.kernel_retries,
+    )
+}
+
+fn sdc(s: &SdcStats) -> String {
+    format!(
+        "{},{},{},{},{},{},{},{}",
+        s.flips_injected,
+        s.checksum_detections,
+        s.invariant_detections,
+        s.rollbacks,
+        s.full_restarts,
+        s.host_fallbacks,
+        s.checkpoints,
+        s.reexecuted_iterations,
+    )
+}
+
+fn per_iteration(out: &mut String, its: &[cusha::core::IterationStat]) {
+    out.push_str(" per_iter=");
+    for it in its {
+        write!(out, "{}:{};", bits(it.seconds), it.updated_vertices).unwrap();
+    }
+}
+
+fn trace_hash(out: &mut String, tracer: &Tracer) {
+    if tracer.is_enabled() {
+        let doc = chrome_trace_json(tracer);
+        write!(
+            out,
+            " trace={}/{:016x}",
+            doc.len(),
+            Fnv1a::of(doc.as_bytes())
+        )
+        .unwrap();
+    } else {
+        out.push_str(" trace=-");
+    }
+}
+
+/// Every field of a fleet run record, spelled out.
+fn fleet_fingerprint<V: cusha::core::Value>(name: &str, values: &[V], s: &MultiRunStats) -> String {
+    let mut out = format!(
+        "{name} values={:016x} engine={} ic={} devices={} iters={} conv={} setup={} compute={} \
+         xbytes={} exchange={} teardown={} imbalance={}",
+        checksum(values),
+        s.engine.replace(' ', "_"),
+        s.interconnect,
+        s.devices,
+        s.iterations,
+        s.converged,
+        bits(s.setup_seconds),
+        bits(s.compute_seconds),
+        s.exchange_bytes,
+        bits(s.exchange_seconds),
+        bits(s.teardown_seconds),
+        bits(s.load_imbalance),
+    );
+    per_iteration(&mut out, &s.per_iteration);
+    for d in &s.per_device {
+        let profile = d.profile.as_ref().map_or("-".to_string(), |p| {
+            let launches: String = p.launches().iter().map(kernel).collect();
+            format!(
+                "{}/{:016x}",
+                p.launches().len(),
+                Fnv1a::of(launches.as_bytes())
+            )
+        });
+        write!(
+            out,
+            " dev{}={{{} shards={} v={} e={} halo={} h2d={} d2h={} k={} launched={} kernel={} \
+             sent={} recv={} fault={} sdc={} profile={profile}}}",
+            d.device,
+            d.mode,
+            d.shards,
+            d.vertices,
+            d.edges,
+            d.halo_vertices,
+            bits(d.h2d_seconds),
+            bits(d.d2h_seconds),
+            bits(d.kernel_seconds),
+            d.kernels_launched,
+            kernel(&d.kernel),
+            d.exchange_sent_bytes,
+            d.exchange_recv_bytes,
+            fault(&d.fault),
+            sdc(&d.sdc),
+        )
+        .unwrap();
+    }
+    write!(
+        out,
+        " agg={} fault={} sdc={}",
+        kernel(&s.aggregate),
+        fault(&s.fault),
+        sdc(&s.sdc)
+    )
+    .unwrap();
+    out
+}
+
+/// One fleet run as a golden line; `traced` adds the Chrome-trace digest.
+fn fleet_line<P: VertexProgram>(
+    lines: &mut Vec<String>,
+    name: &str,
+    prog: &P,
+    g: &Graph,
+    mut cfg: MultiConfig,
+    traced: bool,
+) -> MultiOutput<P::V> {
+    if traced {
+        cfg.base.trace = Tracer::enabled();
+    }
+    let out = run_multi(prog, g, &cfg);
+    let mut line = fleet_fingerprint(name, &out.values, &out.stats);
+    trace_hash(&mut line, &cfg.base.trace);
+    lines.push(line);
+    out
+}
+
+/// One in-core or streamed run as a golden line (everything but `memo`,
+/// which is host-side telemetry).
+fn single_line<V: cusha::core::Value>(
+    lines: &mut Vec<String>,
+    name: &str,
+    values: &[V],
+    s: &RunStats,
+    tracer: &Tracer,
+) {
+    let mut line = format!(
+        "{name} values={:016x} engine={} iters={} conv={} h2d={} compute={} d2h={}",
+        checksum(values),
+        s.engine,
+        s.iterations,
+        s.converged,
+        bits(s.h2d_seconds),
+        bits(s.compute_seconds),
+        bits(s.d2h_seconds),
+    );
+    per_iteration(&mut line, &s.per_iteration);
+    write!(
+        line,
+        " kernel={} fault={} sdc={}",
+        kernel(&s.kernel),
+        fault(&s.fault),
+        sdc(&s.sdc)
+    )
+    .unwrap();
+    trace_hash(&mut line, tracer);
+    lines.push(line);
+}
+
+/// The same scenario under the in-core and the streamed host loop, traced.
+fn both<P: VertexProgram>(
+    lines: &mut Vec<String>,
+    name: &str,
+    prog: &P,
+    g: &Graph,
+    base: &CuShaConfig,
+) {
+    let mut base = base.clone();
+    base.trace = Tracer::enabled();
+    let out = try_run(prog, g, &base).expect("in-core run recovers");
+    let incore = format!("incore/{name}");
+    single_line(lines, &incore, &out.values, &out.stats, &base.trace);
+    base.trace = Tracer::enabled();
+    let scfg = StreamingConfig::new(base, 1 << 14);
+    let out = try_run_streamed(prog, g, &scfg).expect("streamed run recovers");
+    let streamed = format!("streamed/{name}");
+    single_line(lines, &streamed, &out.values, &out.stats, &scfg.base.trace);
+}
+
+fn surrogates() -> [(&'static str, Graph); 3] {
+    [
+        ("road", Dataset::RoadNetCA.generate(2048)),
+        ("web", Dataset::WebGoogle.generate(2048)),
+        ("amazon", Dataset::Amazon0312.generate(2048)),
+    ]
+}
+
+fn sdc_graph() -> Graph {
+    rmat(&RmatConfig::graph500(8, 3000, 97))
+}
+
+fn sdc_base() -> CuShaConfig {
+    CuShaConfig::new(Repr::GShards).with_vertices_per_shard(32)
+}
+
+fn full_integrity() -> IntegrityConfig {
+    IntegrityConfig::with_mode(IntegrityMode::Full)
+}
+
+/// An allocation fault rebatches device 1 while two kernel faults (the
+/// launch and its one retry) degrade device 2 to its host re-enactment.
+fn fault_recovery_cfg() -> MultiConfig {
+    MultiConfig::new(CuShaConfig::cw(), 4)
+        .with_device_fault_plan(1, FaultPlan::new().fail_alloc_at(&[2]))
+        .with_device_fault_plan(2, FaultPlan::new().fail_kernel_at(&[1, 2]))
+}
+
+/// Spaced-out single kernel faults on two devices: each recovers in place
+/// via relaunch, no degradation.
+fn transient_retries_cfg() -> MultiConfig {
+    let mut cfg = MultiConfig::new(CuShaConfig::gs(), 4);
+    cfg.max_kernel_retries = 2;
+    cfg.with_device_fault_plan(0, FaultPlan::new().fail_kernel_at(&[1]))
+        .with_device_fault_plan(3, FaultPlan::new().fail_kernel_at(&[2]))
+}
+
+/// Seeded flips on device 1 plus one scheduled `SrcValue` flip on device 2,
+/// under both detectors.
+fn sdc_defense_cfg(seed: u64) -> MultiConfig {
+    let mut cfg = MultiConfig::new(sdc_base(), 3);
+    cfg.base.integrity = full_integrity();
+    cfg.with_device_fault_plan(1, FaultPlan::seeded(seed).with_bitflip_rate(0.5))
+        .with_device_fault_plan(2, FaultPlan::new().flip_at(0, FlipTarget::SrcValue, 9, 12))
+}
+
+fn records() -> Vec<String> {
+    let mut lines = Vec::new();
+    let graphs = surrogates();
+
+    // ---- Clean fleets ------------------------------------------------------
+    for (gname, g) in &graphs {
+        for repr in [Repr::GShards, Repr::ConcatWindows] {
+            for devices in 1..=4usize {
+                let cfg = || MultiConfig::new(CuShaConfig::new(repr), devices);
+                let traced = devices % 2 == 1;
+                let name = format!("{gname}/{}/x{devices}", repr.label());
+                let pr = format!("{name}/pagerank");
+                fleet_line(&mut lines, &pr, &PageRank::new(), g, cfg(), traced);
+                let sssp = format!("{name}/sssp");
+                fleet_line(&mut lines, &sssp, &Sssp::new(0), g, cfg(), traced);
+            }
+        }
+    }
+    let (road, web, amazon) = (&graphs[0].1, &graphs[1].1, &graphs[2].1);
+
+    // ---- Fail-stop recovery ------------------------------------------------
+    let sssp = Sssp::new(0);
+    fleet_line(
+        &mut lines,
+        "fault/alloc+kernel",
+        &sssp,
+        amazon,
+        fault_recovery_cfg(),
+        false,
+    );
+    // Device 0 rebatches (it precedes every resident device, so the trace
+    // order is the device order under any schedule).
+    let cfg = MultiConfig::new(CuShaConfig::gs(), 3)
+        .with_device_fault_plan(0, FaultPlan::new().fail_alloc_at(&[3]));
+    fleet_line(&mut lines, "fault/rebatch-dev0", &sssp, web, cfg, true);
+    // A rebatched device that keeps hitting OOM halves its budget again.
+    let cfg = MultiConfig::new(CuShaConfig::cw(), 2)
+        .with_device_fault_plan(1, FaultPlan::new().fail_alloc_at(&[2, 9, 17]));
+    fleet_line(&mut lines, "fault/rebatch-again", &sssp, road, cfg, false);
+    // Kernel faults degrade device 1; the first D2H of the degrade download
+    // faults too and is retried.
+    let cfg = MultiConfig::new(CuShaConfig::gs(), 3).with_device_fault_plan(
+        1,
+        FaultPlan::new().fail_kernel_at(&[1, 2]).fail_d2h_at(&[1]),
+    );
+    let out = fleet_line(&mut lines, "fault/degrade+d2h", &sssp, web, cfg, true);
+    assert_eq!(out.stats.per_device[1].mode, "host-fallback");
+    assert_eq!(out.stats.per_device[1].fault.copy_retries, 1);
+    // A later kernel fault: the device degrades mid-run, after halo traffic.
+    let cfg = MultiConfig::new(CuShaConfig::cw(), 4)
+        .with_device_fault_plan(2, FaultPlan::new().fail_kernel_at(&[3, 4]));
+    fleet_line(&mut lines, "fault/degrade-late", &sssp, amazon, cfg, true);
+    fleet_line(
+        &mut lines,
+        "fault/retries",
+        &sssp,
+        web,
+        transient_retries_cfg(),
+        true,
+    );
+    let cfg = MultiConfig::new(CuShaConfig::gs(), 2)
+        .with_device_fault_plan(0, FaultPlan::new().fail_h2d_at(&[3]).fail_d2h_at(&[2]));
+    fleet_line(
+        &mut lines,
+        "fault/copy-retries",
+        &PageRank::new(),
+        road,
+        cfg,
+        true,
+    );
+
+    // ---- SDC defense -------------------------------------------------------
+    let (g, bfs, pr) = (sdc_graph(), Bfs::new(0), PageRank::new());
+    fleet_line(&mut lines, "sdc/bfs", &bfs, &g, sdc_defense_cfg(13), true);
+    // Sparse flips over a long run: rollbacks to mid-run checkpoints.
+    for (seed, rate) in [(13u64, 0.1), (7, 0.1), (21, 0.03), (99, 0.03)] {
+        let mut cfg = sdc_defense_cfg(seed);
+        cfg.fault_plans[1] = Some(FaultPlan::seeded(seed).with_bitflip_rate(rate));
+        let name = format!("sdc/full/seed{seed}");
+        fleet_line(&mut lines, &name, &pr, &g, cfg, true);
+    }
+    // Every rung: one rollback, one restart, then the victims degrade.
+    let mut cfg = sdc_defense_cfg(5);
+    cfg.base.integrity.max_rollbacks = 1;
+    cfg.base.integrity.max_full_restarts = 1;
+    cfg.fault_plans[1] = Some(FaultPlan::seeded(5).with_bitflip_rate(0.2));
+    fleet_line(&mut lines, "sdc/ladder", &pr, &g, cfg, true);
+    let mut cfg = sdc_defense_cfg(13);
+    cfg.base.integrity.max_rollbacks = 0;
+    cfg.base.integrity.max_full_restarts = 0;
+    fleet_line(&mut lines, "sdc/exhausted", &bfs, &g, cfg, true);
+    // Invariant detections have no culprit: every resident device degrades.
+    let mut cfg = MultiConfig::new(sdc_base(), 3).with_device_fault_plan(
+        0,
+        FaultPlan::new()
+            .flip_at(1, FlipTarget::VertexValues, 0, 20)
+            .flip_at(3, FlipTarget::VertexValues, 0, 21),
+    );
+    cfg.base.integrity = IntegrityConfig::with_mode(IntegrityMode::Invariant);
+    cfg.base.integrity.checkpoint_every = 1;
+    cfg.base.integrity.max_rollbacks = 1;
+    cfg.base.integrity.max_full_restarts = 0;
+    fleet_line(&mut lines, "sdc/invariant", &bfs, &g, cfg, true);
+    // Rollback over a fleet with a rebatched device and a watchdog.
+    let mut cfg =
+        sdc_defense_cfg(7).with_device_fault_plan(0, FaultPlan::new().fail_alloc_at(&[3]));
+    cfg.fault_plans[1] = Some(FaultPlan::seeded(7).with_bitflip_rate(0.1));
+    cfg.base.watchdog_interval = Some(3);
+    cfg.base.integrity.checkpoint_every = 2;
+    fleet_line(&mut lines, "sdc/rebatched+watchdog", &pr, &g, cfg, true);
+    let mut cfg = MultiConfig::new(sdc_base(), 2);
+    cfg.base.integrity = IntegrityConfig::with_mode(IntegrityMode::Checksum);
+    fleet_line(&mut lines, "sdc/clean-checksum", &pr, &g, cfg, true);
+
+    // ---- Odds and ends -----------------------------------------------------
+    let mut cfg = MultiConfig::new(CuShaConfig::cw(), 3);
+    cfg.base.watchdog_interval = Some(3);
+    fleet_line(&mut lines, "misc/watchdog", &sssp, road, cfg, true);
+    let cfg = MultiConfig::new(CuShaConfig::gs(), 4).with_interconnect(Interconnect::nvlink());
+    fleet_line(
+        &mut lines,
+        "misc/nvlink",
+        &PageRank::new(),
+        amazon,
+        cfg,
+        false,
+    );
+    let mut cfg = MultiConfig::new(CuShaConfig::cw(), 2);
+    cfg.base.profile = true;
+    fleet_line(&mut lines, "misc/profile", &sssp, web, cfg, false);
+    let mut cfg = MultiConfig::new(CuShaConfig::gs(), 2);
+    cfg.base.max_iterations = 2;
+    fleet_line(&mut lines, "misc/capped", &sssp, road, cfg, false);
+    // 3 vertices at 2 per shard -> 2 shards on 4 devices: two stay idle.
+    let tiny = Graph::new(
+        3,
+        vec![Edge::new(0, 1, 1), Edge::new(1, 2, 1), Edge::new(0, 2, 5)],
+    );
+    let cfg = MultiConfig::new(CuShaConfig::gs().with_vertices_per_shard(2), 4);
+    fleet_line(&mut lines, "misc/idle", &sssp, &tiny, cfg, true);
+
+    // ---- The same ladder under the in-core and streamed loops --------------
+    let flips = |seed: u64, rate: f64| FaultPlan::seeded(seed).with_bitflip_rate(rate);
+    let tight = IntegrityConfig {
+        max_rollbacks: 1,
+        max_full_restarts: 1,
+        ..full_integrity()
+    };
+    let every_iteration = IntegrityConfig {
+        checkpoint_every: 1,
+        ..IntegrityConfig::with_mode(IntegrityMode::Invariant)
+    };
+    let law_breaker = FaultPlan::new().flip_at(2, FlipTarget::VertexValues, 0, 20);
+    for (name, repr, plan, integ, watchdog) in [
+        (
+            "gs/full",
+            Repr::GShards,
+            flips(7, 0.02),
+            full_integrity(),
+            None,
+        ),
+        (
+            "cw/full",
+            Repr::ConcatWindows,
+            flips(23, 0.02),
+            full_integrity(),
+            None,
+        ),
+        (
+            "gs/watchdog",
+            Repr::GShards,
+            flips(1, 0.1),
+            full_integrity(),
+            Some(3),
+        ),
+        ("gs/ladder", Repr::GShards, flips(5, 0.2), tight, None),
+    ] {
+        let mut base = sdc_base().with_fault_plan(plan).with_integrity(integ);
+        base.repr = repr;
+        base.watchdog_interval = watchdog;
+        both(&mut lines, name, &pr, &g, &base);
+    }
+    let base = sdc_base()
+        .with_fault_plan(law_breaker)
+        .with_integrity(every_iteration);
+    both(&mut lines, "gs/invariant", &bfs, &g, &base);
+    lines
+}
+
+#[test]
+fn fleet_records_match_the_golden_file() {
+    let lines = records();
+    if std::env::var_os("CUSHA_REGEN_GOLDEN").is_some() {
+        std::fs::write(GOLDEN, lines.join("\n") + "\n").expect("write golden records");
+        return;
+    }
+    let golden = std::fs::read_to_string(GOLDEN).expect("read golden records");
+    let golden: Vec<&str> = golden.lines().collect();
+    assert_eq!(lines.len(), golden.len(), "record count differs");
+    for (now, then) in lines.iter().zip(golden) {
+        let name = now.split(' ').next().unwrap_or_default();
+        let field = now
+            .split(' ')
+            .zip(then.split(' '))
+            .find(|(a, b)| a != b)
+            .map(|(a, b)| format!("\n  now:    {a}\n  golden: {b}"));
+        assert!(
+            now == then,
+            "{name} drifted from {GOLDEN}: {}",
+            field.unwrap_or_else(|| "field counts differ".into())
+        );
+    }
+}
+
+/// Kernel faults degrade one device to its host re-enactment while an
+/// allocation fault rebatches another; both recoveries fire exactly once and
+/// the untouched devices stay clean.
+#[test]
+fn alloc_and_kernel_faults_recover_once_each() {
+    let g = Dataset::Amazon0312.generate(2048);
+    let out = run_multi(&Sssp::new(0), &g, &fault_recovery_cfg());
+    assert_eq!(out.stats.per_device[1].mode, "rebatched");
+    assert_eq!(out.stats.per_device[2].mode, "host-fallback");
+    assert_eq!(
+        out.stats.per_device[2].fault.degradations, 1,
+        "degradation fired a wrong number of times"
+    );
+    for d in [0usize, 3] {
+        assert_eq!(out.stats.per_device[d].mode, "resident");
+        assert!(out.stats.per_device[d].fault.is_clean());
+    }
+}
+
+/// Transient kernel faults recover by in-place relaunch: each retry fires
+/// exactly once on its own device.
+#[test]
+fn transient_kernel_faults_retry_in_place() {
+    let g = Dataset::WebGoogle.generate(2048);
+    let clean = run_multi(&Sssp::new(0), &g, &MultiConfig::new(CuShaConfig::gs(), 4));
+    let out = run_multi(&Sssp::new(0), &g, &transient_retries_cfg());
+    assert_eq!(clean.values, out.values);
+    assert_eq!(out.stats.per_device[0].fault.kernel_retries, 1);
+    assert_eq!(out.stats.per_device[3].fault.kernel_retries, 1);
+    assert_eq!(out.stats.fault.kernel_retries, 2, "lost or doubled retry");
+    for d in 0..4 {
+        assert_eq!(out.stats.per_device[d].mode, "resident");
+    }
+}
+
+/// Bit-flip injection plus integrity checking: flips fire, and outputs stay
+/// bit-identical to the fault-free fleet, with the per-device SDC records
+/// summing to the aggregate.
+#[test]
+fn sdc_defense_masks_flips_and_sums_per_device() {
+    let (g, prog) = (sdc_graph(), Bfs::new(0));
+    let clean = try_run_multi(&prog, &g, &MultiConfig::new(sdc_base(), 3)).expect("clean fleet");
+    let out = try_run_multi(&prog, &g, &sdc_defense_cfg(13)).expect("recovered fleet");
+    assert_eq!(out.values, clean.values);
+    assert!(out.stats.sdc.flips_injected >= 1, "no flip fired at all");
+    let mut summed = SdcStats::default();
+    for dev in &out.stats.per_device {
+        summed.absorb(&dev.sdc);
+    }
+    assert_eq!(summed, out.stats.sdc, "aggregate must equal per-device sum");
+}
+
+/// `memo` is the one record field the golden leaves out (host-side telemetry
+/// the fleet did not report when it was generated): a one-device fleet makes
+/// the in-core engine's launches on an equally cold table, and a longer run
+/// on several devices replays what each device recorded.
+#[test]
+fn fleet_reports_its_devices_memo_activity() {
+    let g = Dataset::WebGoogle.generate(2048);
+    let (prog, base) = (Sssp::new(0), CuShaConfig::cw());
+    let single = try_run(&prog, &g, &base).expect("in-core run");
+    let fleet = run_multi(&prog, &g, &MultiConfig::new(base.clone(), 1));
+    assert_eq!(fleet.stats.memo, single.stats.memo);
+    assert_eq!(fleet.stats.as_run_stats().memo, single.stats.memo);
+
+    let fleet = run_multi(&PageRank::new(), &g, &MultiConfig::new(base, 3));
+    assert!(fleet.stats.iterations > 2);
+    assert!(fleet.stats.memo.replay_hits > 0, "{:?}", fleet.stats.memo);
+    assert_eq!(fleet.stats.memo.replay_verify_failures, 0);
+}
