@@ -36,7 +36,7 @@ use cusha_core::{
 };
 use cusha_graph::{Csr, Graph};
 use cusha_obs::trace::{lanes, ArgVal, Tracer};
-use cusha_simt::replay::MAX_SLOTS;
+use cusha_simt::replay::keys_fit;
 use cusha_simt::{
     Block, DevVec, DeviceConfig, FaultPlan, Gpu, KernelDesc, Mask, Pod, SharedVec, VirtualWarps,
     WARP,
@@ -239,10 +239,8 @@ fn vwc_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
     let vertices_per_block = cfg.threads_per_block as usize / vw;
     let grid = (n.div_ceil(vertices_per_block)).max(1) as u32;
     let all_leaders = vws.leaders();
-    // One sweep key per block: a grid past half the table's cap would evict
-    // its own recordings every iteration and pay a full probe window per
-    // block to do it, so there the sweep is simply interpreted.
-    let key_per_block = grid as usize <= MAX_SLOTS / 2;
+    // One sweep key per block, when the table can hold a grid's worth.
+    let key_per_block = keys_fit(grid as usize);
     let desc = KernelDesc::new(
         format!("VWC-CSR/{}::{}", cfg.virtual_warp, prog.name()),
         grid,
@@ -299,7 +297,7 @@ fn vwc_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
                 block_vertices as u64,
                 0,
             ];
-            accounted(b, Some(site), |b| {
+            b.accounted(Some(site), |b| {
                 for w in 0..warps {
                     let (base, _, leaders) = warp(w);
                     let vertex_of = |lane: usize| base + vws.group_of(lane);
@@ -314,7 +312,7 @@ fn vwc_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
             b.phase("sweep");
             let site = [SITE_VWC_SWEEP, b.id() as u64, 0, 0];
             let offsets = in_edge_idxs.host();
-            accounted(b, key_per_block.then_some(site), |b| {
+            b.accounted(key_per_block.then_some(site), |b| {
                 let stored = [P::V::default(); WARP]; // nothing reads `outcome`
                 for w in 0..warps {
                     let (base, nvalid, _) = warp(w);
@@ -380,7 +378,7 @@ fn vwc_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
             b.phase("reduce");
             let last_valid = block_vertices - (warps - 1) * wpg;
             let site = [SITE_VWC_REDUCE, warps as u64, last_valid as u64, 0];
-            accounted(b, Some(site), |b| {
+            b.accounted(Some(site), |b| {
                 for w in 0..warps {
                     ladder(b, &mut outcome, w * WARP, vw, warp(w).1);
                 }
@@ -437,7 +435,7 @@ fn vwc_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
                 // pattern fixed by the block's CSR slices; the
                 // value-dependent publishes below stay outside the scope.
                 let site = [SITE_VWC_DEF, b.id() as u64, 0, 0];
-                accounted(b, key_per_block.then_some(site), |b| {
+                b.accounted(key_per_block.then_some(site), |b| {
                     let stored = [P::V::default(); WARP];
                     for (_, edges, _) in &deferred {
                         for k in edges.clone().step_by(WARP) {
@@ -557,21 +555,6 @@ fn vwc_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
         values,
         stats: total,
     })
-}
-
-/// Issues `body` — ops whose data nothing reads, there to be accounted —
-/// inside the replay scope `site` names, unless that scope replays: the
-/// recorded deltas then stand in for them (see `Block::warp_scope`). `None`
-/// issues them unscoped. Trace keys are site-determined, hence the zero
-/// column.
-fn accounted(b: &mut Block<'_>, site: Option<[u64; 4]>, body: impl FnOnce(&mut Block<'_>)) {
-    let replays = site.is_some_and(|site| b.warp_scope(&site, Mask::FULL, &[0; WARP]));
-    if !replays {
-        body(b);
-    }
-    if site.is_some() {
-        b.warp_scope_end();
-    }
 }
 
 /// One warp's parallel reduction ladder over `outcome[thread_base..]`:

@@ -14,6 +14,9 @@
 //! whose bodies are issued only on a miss, 256 blocks a launch: interpreted,
 //! replayed, with every sweep key evicted from a table at its cap between
 //! launches, and with the sweep left unscoped (the kernel's answer to that).
+//! `layer/kcore_scan_*` is the shape k-core's dense filter kernels use: one
+//! scope a block around stride-1 run loads, then a functional pass over the
+//! host views that stores a flag for the few vertices the values pick.
 //! `warm_query/*` times `try_run_warm` on a layout that has never run against
 //! one that has.
 
@@ -325,6 +328,59 @@ fn vwc_block_layers(c: &mut Criterion) {
     });
 }
 
+fn kcore_scan_layers(c: &mut Criterion) {
+    // [`OPS`] blocks of 8 warps a launch, as `cusha_frontier::kcore` issues
+    // its degree scan on the road lattice: every vertex alive, one in 61
+    // below `k`. The accounting pass sits inside `Block::accounted`.
+    const K: u32 = 2;
+    let n = OPS * TPB as usize;
+    let desc = KernelDesc::new("kcore-scan", OPS as u32, TPB);
+    let device = |replay: bool| {
+        let mut cfg = DeviceConfig::gtx780();
+        cfg.replay_memo = replay;
+        let mut gpu = Gpu::new(cfg);
+        let alive = gpu.upload(&vec![1u32; n]);
+        let deg = gpu.upload(
+            &(0..n)
+                .map(|v| 1 + (v % 61).min(3) as u32)
+                .collect::<Vec<_>>(),
+        );
+        let active = gpu.alloc::<u32>(n);
+        (gpu, alive, deg, active)
+    };
+    let scan = |gpu: &mut Gpu, alive: &DevVec<u32>, deg: &DevVec<u32>, active: &mut DevVec<u32>| {
+        gpu.launch(&desc, |blk| {
+            let block_base = blk.id() as usize * TPB as usize;
+            let tiles = || warp_chunks(TPB as usize).map(move |(w, m)| (block_base + w, m));
+            let site = [0x6b63_5343, blk.id() as u64, n as u64, TPB as u64];
+            blk.accounted(Some(site), |blk| {
+                for (base, mask) in tiles() {
+                    blk.gload_run(alive, mask, base as isize);
+                    blk.gload_run(deg, mask, base as isize);
+                    blk.exec(mask, 1);
+                }
+            });
+            for (base, mask) in tiles() {
+                let (alive, deg) = (&alive.host()[base..], &deg.host()[base..]);
+                let set = Mask::from_fn(|l| mask.lane(l) && alive[l] != 0 && deg[l] < K);
+                if !set.is_empty() {
+                    blk.gstore_run(active, set, base as isize, &[1; WARP]);
+                }
+            }
+        })
+    };
+    let (mut gpu, alive, deg, mut active) = device(false);
+    c.bench_function("layer/kcore_scan_interpret_x256", |b| {
+        b.iter(|| scan(&mut gpu, &alive, &deg, &mut active))
+    });
+    let (mut gpu, alive, deg, mut active) = device(true);
+    scan(&mut gpu, &alive, &deg, &mut active);
+    c.bench_function("layer/kcore_scan_replay_x256", |b| {
+        b.iter(|| scan(&mut gpu, &alive, &deg, &mut active))
+    });
+    assert_eq!(gpu.replay_stats().1, OPS as u64, "a block re-recorded");
+}
+
 fn warm_query(c: &mut Criterion) {
     let g = rmat(&RmatConfig::graph500(15, 200_000, 1));
     let cfg = CuShaConfig::cw();
@@ -343,5 +399,12 @@ fn warm_query(c: &mut Criterion) {
     c.bench_function("warm_query/second_run", |b| b.iter(|| query(&built)));
 }
 
-criterion_group!(benches, bench, layers, vwc_block_layers, warm_query);
+criterion_group!(
+    benches,
+    bench,
+    layers,
+    vwc_block_layers,
+    kcore_scan_layers,
+    warm_query
+);
 criterion_main!(benches);

@@ -5,19 +5,39 @@
 //! three consecutive warm runs on one `PreparedLayout` with the slots its
 //! replay tables hold: the quick way to confirm that the CuSha kernels open a
 //! few scopes per shard, that the second run on a layout misses nothing, and
-//! that VWC holds one sweep key per block plus a constant.
+//! that VWC holds one sweep key per block plus a constant, and (the
+//! `Frontier/kcore` row on the road lattice) that k-core holds two keys per
+//! dense block, all recorded in its first round.
 
 use cusha_algos::{Bfs, Sssp};
 use cusha_bench::bench_defs::{default_source, Benchmark, Engine};
 use cusha_core::{
-    try_run_warm, CuShaConfig, MemoStats, NoopObserver, PreparedLayout, Repr, VertexProgram,
+    try_run_warm, CuShaConfig, MemoStats, NoopObserver, PreparedLayout, Repr, RunStats,
+    VertexProgram,
 };
+use cusha_frontier::{run_kcore, KcoreConfig};
 use cusha_graph::surrogates::Dataset;
 use cusha_graph::Graph;
 use cusha_simt::replay::SLOT_BYTES;
 
 fn scopes(m: &MemoStats) -> u64 {
     m.replay_hits + m.replay_misses + m.replay_fallbacks
+}
+
+/// One cell's line: `steps` names what its iterations are.
+fn cell_line(ds: Dataset, what: &str, engine: &str, seconds: f64, steps: &str, stats: &RunStats) {
+    let m = stats.memo;
+    let (filled, allocated) = m.replay_slots;
+    println!(
+        "{ds:<12} {what:<5} {engine:<10} {seconds:>7.3}s {steps} {:>3} | analyses {:>9} | scopes {:>8} hit {:>8} miss {:>7} fallback {} | slots {filled}/{allocated} ({} KB)",
+        stats.iterations,
+        m.coalesce_misses,
+        scopes(&m),
+        m.replay_hits,
+        m.replay_misses,
+        m.replay_fallbacks,
+        allocated as usize * SLOT_BYTES / 1024,
+    );
 }
 
 /// Three runs of `prog` on `layout`, one line each.
@@ -62,21 +82,15 @@ fn main() {
             for e in [Engine::CuShaGs, Engine::CuShaCw, Engine::Vwc(32)] {
                 let t = std::time::Instant::now();
                 let stats = b.run(&g, e, max_iterations);
-                let m = stats.memo;
-                let (filled, allocated) = m.replay_slots;
-                println!(
-                    "{ds:<12} {b:<5} {:<10} {:>7.3}s iters {:>3} | analyses {:>9} | scopes {:>8} hit {:>8} miss {:>7} fallback {} | slots {filled}/{allocated} ({} KB)",
-                    e.label(),
-                    t.elapsed().as_secs_f64(),
-                    stats.iterations,
-                    m.coalesce_misses,
-                    scopes(&m),
-                    m.replay_hits,
-                    m.replay_misses,
-                    m.replay_fallbacks,
-                    allocated as usize * SLOT_BYTES / 1024,
-                );
+                let seconds = t.elapsed().as_secs_f64();
+                cell_line(ds, &b.to_string(), &e.label(), seconds, "iters", &stats);
             }
+        }
+        if ds == Dataset::RoadNetCA {
+            let t = std::time::Instant::now();
+            let stats = run_kcore(&g, &KcoreConfig::new()).stats;
+            let seconds = t.elapsed().as_secs_f64();
+            cell_line(ds, "kcore", "Frontier", seconds, "rounds", &stats);
         }
         // One layout serves both programs (4-byte values pick one shard
         // size); each keeps its own table (BFS moves no edge column).

@@ -13,75 +13,105 @@
 //! scalar readback per iteration (the same modeled PCIe latency as the
 //! shard engines' `is_converged` readback).
 //!
+//! A block runs in two passes, like the VWC baseline's. The flag scan — one
+//! stride-1 load and one `exec` per warp — costs what the tile's position
+//! says and nothing the flags say, and nothing reads the data it moves: it is
+//! the **accounting pass**, one replay scope per block, issued only when the
+//! scope does not replay. The **functional pass** then reads the same flags
+//! from the buffer's host view and issues, interpreted and in warp order,
+//! what does depend on them: the rank `exec`, the compacted write (ranks are
+//! consecutive, so it is a run store of the packed lanes) and the flag clear.
+//!
 //! The generic frontier engine fuses its filter into the advance kernel
 //! (activations append directly to the next frontier), so this standalone
 //! kernel serves the peel-style workloads — k-core flags vertices in a
 //! scan kernel and compacts the peel set here.
 
-use cusha_simt::{DevVec, DeviceFault, Gpu, KernelDesc, KernelStats, Mask, WARP};
+use cusha_simt::{aligned_chunks, DevVec, DeviceFault, Gpu, KernelDesc, KernelStats, Mask, WARP};
+
+/// Replay site tag of the flag scan (see `cusha_simt::replay`); the key is
+/// `[tag, block id, |V|, threads per block]` — the tile's pattern is fixed
+/// for the run that owns the device, its buffers and its table.
+const SITE_FILTER: u64 = 0x6672_464c_5452;
+
+/// The warps of block `bid` over items `0..n`, `tpb` (whole warps) per block:
+/// each warp's first item and its lanes in range, ending where the items do.
+pub(crate) fn block_warps(bid: u32, tpb: usize, n: usize) -> impl Iterator<Item = (usize, Mask)> {
+    let base = bid as usize * tpb;
+    aligned_chunks(base..n.min(base + tpb))
+}
 
 /// Compacts `active` (0/1 per vertex) into `frontier_buf`, returning the
 /// frontier length and the kernel's stats. Clears the flags it consumed.
 /// `ctrl` is a two-cell scratch buffer `[cursor, length]` that must be
 /// zero-initialized once; the kernel leaves the cursor re-zeroed for the
-/// next iteration.
+/// next iteration. `desc` is the launch over `n` vertices (one thread each);
+/// `scoped` says whether a grid's worth of keys fits the replay table.
 pub(crate) fn compact_flags(
     gpu: &mut Gpu,
     active: &mut DevVec<u32>,
     frontier_buf: &mut DevVec<u32>,
     ctrl: &mut DevVec<u32>,
     n: usize,
-    tpb: usize,
-    name: &str,
+    desc: &KernelDesc,
+    scoped: bool,
 ) -> Result<(usize, KernelStats), DeviceFault> {
-    let grid = n.div_ceil(tpb).max(1) as u32;
-    let desc = KernelDesc::new(format!("frontier-filter::{name}"), grid, tpb as u32);
-    let ks = gpu.try_launch(&desc, |b| {
-        let bid = b.id() as usize;
-        let block_base = bid * tpb;
-        let warps = tpb / WARP;
+    let tpb = desc.threads_per_block as usize;
+    let ks = gpu.try_launch(desc, |b| {
+        let bid = b.id();
         b.phase("filter");
-        let mut cursor = b.gload(&*ctrl, Mask::first(1), |_| 0)[0] as usize;
-        for w in 0..warps {
-            let warp_base = block_base + w * WARP;
-            if warp_base >= n {
-                break;
+        let mut cursor = b.gload_run(&*ctrl, Mask::first(1), 0)[0] as usize;
+        let site = [SITE_FILTER, bid as u64, n as u64, tpb as u64];
+        b.accounted(scoped.then_some(site), |b| {
+            for (base, mask) in block_warps(bid, tpb, n) {
+                b.gload_run(&*active, mask, base as isize);
+                b.exec(mask, 1);
             }
-            let mask = Mask::from_fn(|l| warp_base + l < n);
-            let flags = b.gload(active, mask, |l| warp_base + l);
-            let set = Mask::from_fn(|l| mask.lane(l) && flags[l] != 0);
-            b.exec(mask, 1);
-            if set.is_empty() {
-                continue;
-            }
+        });
+        for (base, mask) in block_warps(bid, tpb, n) {
             // In-warp ranks assign positions in vertex order: together with
             // the serial block schedule the compacted list comes out sorted
             // and unique.
-            let mut pos = [0usize; WARP];
-            let mut rank = 0usize;
-            for l in set.iter() {
-                pos[l] = cursor + rank;
-                rank += 1;
+            let flags = &active.host()[base..base + mask.count() as usize];
+            let set = lanes_where(flags.iter().map(|&flag| flag != 0));
+            if set.is_empty() {
+                continue;
             }
+            let mut packed = [0u32; WARP];
+            for (rank, l) in set.iter().enumerate() {
+                packed[rank] = (base + l) as u32;
+            }
+            let count = set.count() as usize;
             b.exec(set, 1);
-            b.gstore(frontier_buf, set, |l| pos[l], |l| (warp_base + l) as u32);
-            b.gstore(active, set, |l| warp_base + l, |_| 0u32);
-            cursor += rank;
+            b.gstore_run(frontier_buf, Mask::first(count), cursor as isize, &packed);
+            b.gstore_run(active, set, base as isize, &[0; WARP]);
+            cursor += count;
         }
-        if bid + 1 == grid as usize {
-            // Publish the total and reset the cursor for the next pass.
-            let cur = cursor as u32;
-            b.gstore(
-                ctrl,
-                Mask::first(2),
-                |l| l,
-                move |l| if l == 0 { 0 } else { cur },
-            );
+        // Publish the running cursor; the last block parks it as the total
+        // and resets the cursor for the next pass.
+        let cur = cursor as u32;
+        if bid + 1 == desc.grid_blocks {
+            b.gstore_run(ctrl, Mask::first(2), 0, &column([0, cur]));
         } else {
-            let cur = cursor as u32;
-            b.gstore(ctrl, Mask::first(1), |_| 0, move |_| cur);
+            b.gstore_run(ctrl, Mask::first(1), 0, &column([cur]));
         }
     })?;
     let len = gpu.try_download_scalar(&*ctrl, 1)?;
     Ok((len as usize, ks))
+}
+
+/// The mask of the lanes, counted from lane 0, whose item is `true`.
+pub(crate) fn lanes_where(lanes: impl Iterator<Item = bool>) -> Mask {
+    Mask(
+        lanes
+            .enumerate()
+            .fold(0, |bits, (l, set)| bits | u32::from(set) << l),
+    )
+}
+
+/// A lane column holding `head` in its first lanes and zeros after.
+pub(crate) fn column<const N: usize>(head: [u32; N]) -> [u32; WARP] {
+    let mut col = [0; WARP];
+    col[..N].copy_from_slice(&head);
+    col
 }

@@ -40,8 +40,9 @@ pub struct FrontierConfig {
     pub trace: Tracer,
     /// Silent-data-corruption defense configuration.
     pub integrity: IntegrityConfig,
-    /// Modeled-time deadline (the CLI's `--timeout-ms`); enforcement is at
-    /// iteration boundaries, like every other engine.
+    /// Modeled-time deadline (the CLI's `--timeout-ms`), enforced by the
+    /// frontier engine and k-core at iteration boundaries, like every other
+    /// engine (the single-kernel triangle count has none).
     pub deadline_seconds: Option<f64>,
 }
 
@@ -119,6 +120,13 @@ impl FrontierConfig {
                 self.density_threshold
             ));
         }
+        if let Some(d) = self.deadline_seconds {
+            if d.is_nan() || d <= 0.0 {
+                return Err(format!(
+                    "deadline_seconds must be positive when set, got {d}"
+                ));
+            }
+        }
         Ok(())
     }
 }
@@ -137,6 +145,11 @@ mod tests {
         cfg.threads_per_block = 128;
         cfg.density_threshold = f64::NAN;
         assert!(cfg.validate().is_err());
+        cfg.density_threshold = DEFAULT_DENSITY_THRESHOLD;
+        for (deadline, ok) in [(1e-9, true), (0.0, false), (-1.0, false), (f64::NAN, false)] {
+            cfg.deadline_seconds = Some(deadline);
+            assert_eq!(cfg.validate().is_ok(), ok, "deadline {deadline}");
+        }
     }
 
     #[test]

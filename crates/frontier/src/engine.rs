@@ -39,16 +39,17 @@
 //! same checksum/invariant → rollback → restart → host-fallback ladder
 //! defends against silent corruption.
 
+use crate::compact::{block_warps, column};
 use crate::config::FrontierConfig;
 use crate::prepared::PreparedFrontier;
 use cusha_core::integrity::{apply_flip, checksum};
 use cusha_core::{
-    CuShaOutput, Direction, Engine, EngineCtx, EngineError, FrontierStats, IterationStat,
-    NoopObserver, RunObserver, RunStats, VertexProgram,
+    CuShaOutput, DeadlineObserver, Direction, Engine, EngineCtx, EngineError, FrontierStats,
+    IterationStat, NoopObserver, RunObserver, RunStats, VertexProgram,
 };
 use cusha_graph::{Graph, VertexId};
 use cusha_obs::trace::{lanes, ArgVal};
-use cusha_simt::{DevVec, FaultPlan, FlipTarget, Gpu, KernelDesc, Mask, WARP};
+use cusha_simt::{Block, DevVec, FaultPlan, FlipTarget, Gpu, KernelDesc, Mask, WARP};
 
 /// Per-program edge values permuted into the out-CSR and in-CSR edge orders
 /// (`None` when the program has no edge values).
@@ -96,7 +97,8 @@ pub fn try_run_frontier<P: VertexProgram>(
 /// `cusha serve` re-entry path), threading the middleware's fault plan
 /// (installed before the run, advanced state written back on every exit)
 /// and consulting `observer` after every non-converged iteration (`false`
-/// aborts with [`EngineError::Deadline`]).
+/// aborts with [`EngineError::Deadline`], as does an iteration ending past
+/// `cfg.deadline_seconds`).
 pub fn try_run_frontier_warm<P: VertexProgram, O: RunObserver + ?Sized>(
     prog: &P,
     graph: &Graph,
@@ -113,7 +115,8 @@ pub fn try_run_frontier_warm<P: VertexProgram, O: RunObserver + ?Sized>(
     if let Some(p) = fault_plan.as_deref().or(cfg.fault_plan.as_ref()) {
         gpu.set_fault_plan(p.clone());
     }
-    let result = frontier_attempt(prog, graph, pf, cfg, &mut gpu, observer);
+    let mut observer = DeadlineObserver::new(cfg.deadline_seconds, observer);
+    let result = frontier_attempt(prog, graph, pf, cfg, &mut gpu, &mut observer);
     if let (Some(slot), Some(p)) = (fault_plan, gpu.take_fault_plan()) {
         *slot = p;
     }
@@ -239,10 +242,21 @@ fn frontier_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
     );
 
     // ---- Integrity state ---------------------------------------------------
-    let mut vv_crc = checksum(values.host());
-    let mut af_crc = checksum(active.host());
+    // All of it exists only in the modes that read it: the scrub digests of
+    // the two protected buffers with checksums on (`None` never mismatches),
+    // the verified values and the snapshot ring with any mode on. With
+    // integrity off the host touches no |V|-sized buffer between kernels.
+    let scrub = |values: &DevVec<P::V>, active: &DevVec<u32>| {
+        let digests = || (checksum(values.host()), checksum(active.host()));
+        integ.mode.checksums().then(digests)
+    };
+    let mut crcs = scrub(&values, &active);
     let mut snaps: Vec<Snapshot<P::V>> = Vec::new();
-    let mut verified_values: Vec<P::V> = init.clone();
+    let mut verified_values: Vec<P::V> = if integ.mode.enabled() {
+        init.clone()
+    } else {
+        Vec::new()
+    };
 
     let mut total = RunStats {
         engine: FRONTIER_LABEL.to_string(),
@@ -251,6 +265,17 @@ fn frontier_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
     let mut fstats = FrontierStats::default();
     let mut last_dir: Option<Direction> = None;
     let mut converged = false;
+    // Built once: a launch clones the name's refcount, not its bytes.
+    let mut desc_push = KernelDesc::new(
+        format!("frontier-advance-push::{}", prog.name()),
+        1,
+        cfg.threads_per_block,
+    );
+    let desc_pull = KernelDesc::new(
+        format!("frontier-advance-pull::{}", prog.name()),
+        grid_dense,
+        cfg.threads_per_block,
+    );
 
     // Recovery macro: roll back to the newest verified snapshot, else
     // restart from the initial state, else escalate to the host fallback.
@@ -266,8 +291,7 @@ fn frontier_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
                     frontier_len = cp.frontier_len;
                     frontier_edges = cp.frontier_edges;
                     total.iterations = cp.iteration;
-                    vv_crc = checksum(values.host());
-                    af_crc = checksum(active.host());
+                    crcs = scrub(&values, &active);
                     cfg.trace
                         .instant(0, lanes::FAULT, "sdc", "rollback", gpu.total_seconds());
                     continue;
@@ -284,8 +308,7 @@ fn frontier_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
                 total.iterations = 0;
                 snaps.clear();
                 verified_values = init.clone();
-                vv_crc = checksum(values.host());
-                af_crc = checksum(active.host());
+                crcs = scrub(&values, &active);
                 cfg.trace
                     .instant(0, lanes::FAULT, "sdc", "restart", gpu.total_seconds());
                 continue;
@@ -325,9 +348,7 @@ fn frontier_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
             }
         }
         total.sdc.flips_injected += flips.len() as u64;
-        if integ.mode.checksums()
-            && (checksum(values.host()) != vv_crc || checksum(active.host()) != af_crc)
-        {
+        if scrub(&values, &active) != crcs {
             total.sdc.checksum_detections += 1;
             recover!();
         }
@@ -363,34 +384,25 @@ fn frontier_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
         );
 
         // ---- advance (+ fused compute) ------------------------------------
+        // Both directions are frontier- or value-dependent and interpreted;
+        // what is stride-1 in them — the frontier read, the per-vertex loads
+        // of a pull tile, the rank-packed append to the next frontier — is
+        // issued in run form.
         let mut updated_this_iter = 0u64;
         let kstats = match dir {
             Direction::Push => {
-                let grid = frontier_len.div_ceil(tpb).max(1) as u32;
-                let desc = KernelDesc::new(
-                    format!("frontier-advance-push::{}", prog.name()),
-                    grid,
-                    cfg.threads_per_block,
-                );
-                gpu.try_launch(&desc, |b| {
-                    let bid = b.id() as usize;
-                    let block_base = bid * tpb;
-                    let warps = tpb / WARP;
+                desc_push.grid_blocks = frontier_len.div_ceil(tpb).max(1) as u32;
+                let last_block = desc_push.grid_blocks - 1;
+                gpu.try_launch(&desc_push, |b| {
                     // Fused filter: each serially-executed block continues
                     // the running append cursor and out-edge accumulator.
                     b.phase("filter");
-                    let c = b.gload(&filter_ctrl, Mask::first(4), |l| l);
-                    let mut cursor = c[0] as usize;
-                    let mut edge_acc = c[2];
-                    for w in 0..warps {
-                        let warp_base = block_base + w * WARP;
-                        if warp_base >= frontier_len {
-                            break;
-                        }
+                    let c = b.gload_run(&filter_ctrl, Mask::first(4), 0);
+                    let (mut cursor, mut edge_acc) = (c[0] as usize, c[2]);
+                    for (warp_base, mask) in block_warps(b.id(), tpb, frontier_len) {
                         b.phase("advance");
-                        let mask = Mask::from_fn(|l| warp_base + l < frontier_len);
                         // Coalesced frontier read, gathered source values.
-                        let us = b.gload(&frontier_cur, mask, |l| warp_base + l);
+                        let us = b.gload_run(&frontier_cur, mask, warp_base as isize);
                         let uvals = b.gload(&values, mask, |l| us[l] as usize);
                         let ustat = match &static_buf {
                             Some(buf) => b.gload(buf, mask, |l| us[l] as usize),
@@ -424,28 +436,20 @@ fn frontier_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
                             // destination sees the earlier lane's update, so
                             // the lane-order store (last writer wins) always
                             // publishes the most-relaxed value.
-                            let mut pending: Vec<(usize, P::V)> = Vec::new();
-                            let mut changed = [false; WARP];
+                            let mut st = Mask::NONE;
                             let mut outv = [P::V::default(); WARP];
                             for l in smask.iter() {
-                                let d = dsts[l] as usize;
-                                let cur = pending
-                                    .iter()
-                                    .rev()
-                                    .find(|&&(t, _)| t == d)
-                                    .map(|&(_, v)| v)
-                                    .unwrap_or(dvals[l]);
+                                let earlier = st.iter().filter(|&e| dsts[e] == dsts[l]).last();
+                                let cur = earlier.map_or(dvals[l], |e| outv[e]);
                                 let mut local = P::V::default();
                                 prog.init_compute(&mut local, &cur);
                                 prog.compute(&uvals[l], &ustat[l], &evals[l], &mut local);
                                 if prog.update_condition(&mut local, &cur) {
-                                    pending.push((d, local));
-                                    changed[l] = true;
                                     outv[l] = local;
+                                    st.0 |= 1 << l;
                                 }
                             }
                             b.exec(smask, P::COMPUTE_COST + 1);
-                            let st = Mask::from_fn(|l| changed[l]);
                             if !st.is_empty() {
                                 b.gstore(&mut values, st, |l| dsts[l] as usize, |l| outv[l]);
                                 updated_this_iter += st.count() as u64;
@@ -455,186 +459,114 @@ fn frontier_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
                                 // device memory across warps and blocks.
                                 b.phase("filter");
                                 let tags = b.gload(&active, st, |l| dsts[l] as usize);
-                                let mut fresh = [false; WARP];
+                                let mut fresh = Mask::NONE;
                                 let mut batch = [0u32; WARP];
                                 let mut seen = 0usize;
                                 for l in st.iter() {
                                     if tags[l] != next_tag && !batch[..seen].contains(&dsts[l]) {
-                                        fresh[l] = true;
+                                        fresh.0 |= 1 << l;
                                         batch[seen] = dsts[l];
                                         seen += 1;
                                     }
                                 }
                                 b.exec(st, 1);
-                                let fm = Mask::from_fn(|l| fresh[l]);
-                                if !fm.is_empty() {
-                                    b.gstore(
-                                        &mut active,
-                                        fm,
-                                        |l| dsts[l] as usize,
-                                        move |_| next_tag,
+                                if !fresh.is_empty() {
+                                    let at = |l: usize| dsts[l] as usize;
+                                    b.gstore(&mut active, fresh, at, move |_| next_tag);
+                                    let d0 = b.gload(&out_idxs, fresh, at);
+                                    let d1 = b.gload(&out_idxs, fresh, |l| at(l) + 1);
+                                    edge_acc += fresh.iter().map(|l| d1[l] - d0[l]).sum::<u32>();
+                                    // `batch` is the fresh lanes packed by
+                                    // rank: they take consecutive slots.
+                                    let slots = Mask::first(seen);
+                                    b.gstore_run(
+                                        &mut frontier_next,
+                                        slots,
+                                        cursor as isize,
+                                        &batch,
                                     );
-                                    let d0 = b.gload(&out_idxs, fm, |l| dsts[l] as usize);
-                                    let d1 = b.gload(&out_idxs, fm, |l| dsts[l] as usize + 1);
-                                    let mut pos = [0usize; WARP];
-                                    for l in fm.iter() {
-                                        pos[l] = cursor;
-                                        cursor += 1;
-                                        edge_acc += d1[l] - d0[l];
-                                    }
-                                    b.gstore(&mut frontier_next, fm, |l| pos[l], |l| dsts[l]);
+                                    cursor += seen;
                                 }
                             }
                             b.phase("advance");
                         }
                     }
-                    // Publish the running totals; the last block also parks
-                    // the outputs and re-zeroes the accumulators.
-                    b.phase("filter");
-                    let (cur, es) = (cursor as u32, edge_acc);
-                    if bid + 1 == grid as usize {
-                        b.gstore(
-                            &mut filter_ctrl,
-                            Mask::first(4),
-                            |l| l,
-                            move |l| match l {
-                                1 => cur,
-                                3 => es,
-                                _ => 0,
-                            },
-                        );
-                    } else {
-                        let m2 = Mask::from_fn(|l| l == 0 || l == 2);
-                        b.gstore(
-                            &mut filter_ctrl,
-                            m2,
-                            |l| l,
-                            move |l| {
-                                if l == 0 {
-                                    cur
-                                } else {
-                                    es
-                                }
-                            },
-                        );
-                    }
+                    let last = b.id() == last_block;
+                    publish_totals(b, &mut filter_ctrl, cursor, edge_acc, last);
                 })?
             }
-            Direction::Pull => {
-                let desc = KernelDesc::new(
-                    format!("frontier-advance-pull::{}", prog.name()),
-                    grid_dense,
-                    cfg.threads_per_block,
-                );
-                gpu.try_launch(&desc, |b| {
-                    let bid = b.id() as usize;
-                    let block_base = bid * tpb;
-                    let warps = tpb / WARP;
-                    b.phase("filter");
-                    let c = b.gload(&filter_ctrl, Mask::first(4), |l| l);
-                    let mut cursor = c[0] as usize;
-                    let mut edge_acc = c[2];
-                    for w in 0..warps {
-                        let warp_base = block_base + w * WARP;
-                        if warp_base >= n {
-                            break;
+            Direction::Pull => gpu.try_launch(&desc_pull, |b| {
+                b.phase("filter");
+                let c = b.gload_run(&filter_ctrl, Mask::first(4), 0);
+                let (mut cursor, mut edge_acc) = (c[0] as usize, c[2]);
+                for (warp_base, mask) in block_warps(b.id(), tpb, n) {
+                    b.phase("advance");
+                    let tile = warp_base as isize;
+                    let olds = b.gload_run(&values, mask, tile);
+                    let starts = b.gload_run(&in_idxs, mask, tile);
+                    let ends = b.gload_run(&in_idxs, mask, tile + 1);
+                    b.exec(mask, 1);
+                    let mut deg = [0u32; WARP];
+                    let mut local = [P::V::default(); WARP];
+                    for l in mask.iter() {
+                        deg[l] = ends[l] - starts[l];
+                        prog.init_compute(&mut local[l], &olds[l]);
+                    }
+                    let max_deg = (0..WARP).map(|l| deg[l]).max().unwrap_or(0);
+                    for step in 0..max_deg {
+                        let smask = Mask::from_fn(|l| mask.lane(l) && step < deg[l]);
+                        if smask.is_empty() {
+                            continue;
                         }
-                        b.phase("advance");
-                        let mask = Mask::from_fn(|l| warp_base + l < n);
-                        let vidx = |l: usize| warp_base + l;
-                        let olds = b.gload(&values, mask, vidx);
-                        let starts = b.gload(&in_idxs, mask, vidx);
-                        let ends = b.gload(&in_idxs, mask, |l| vidx(l) + 1);
-                        b.exec(mask, 1);
-                        let mut deg = [0u32; WARP];
-                        let mut local = [P::V::default(); WARP];
-                        for l in mask.iter() {
-                            deg[l] = ends[l] - starts[l];
-                            prog.init_compute(&mut local[l], &olds[l]);
+                        let eidx = |l: usize| (starts[l] + step) as usize;
+                        let srcs = b.gload(&in_srcs, smask, eidx);
+                        let svals = b.gload(&values, smask, |l| srcs[l] as usize);
+                        let sstat = match &static_buf {
+                            Some(buf) => b.gload(buf, smask, |l| srcs[l] as usize),
+                            None => [P::SV::default(); WARP],
+                        };
+                        let evals = match &in_evals {
+                            Some(buf) => b.gload(buf, smask, eidx),
+                            None => [P::E::default(); WARP],
+                        };
+                        for l in smask.iter() {
+                            prog.compute(&svals[l], &sstat[l], &evals[l], &mut local[l]);
                         }
-                        let max_deg = (0..WARP).map(|l| deg[l]).max().unwrap_or(0);
-                        for step in 0..max_deg {
-                            let smask = Mask::from_fn(|l| mask.lane(l) && step < deg[l]);
-                            if smask.is_empty() {
-                                continue;
-                            }
-                            let eidx = |l: usize| (starts[l] + step) as usize;
-                            let srcs = b.gload(&in_srcs, smask, eidx);
-                            let svals = b.gload(&values, smask, |l| srcs[l] as usize);
-                            let sstat = match &static_buf {
-                                Some(buf) => b.gload(buf, smask, |l| srcs[l] as usize),
-                                None => [P::SV::default(); WARP],
-                            };
-                            let evals = match &in_evals {
-                                Some(buf) => b.gload(buf, smask, eidx),
-                                None => [P::E::default(); WARP],
-                            };
-                            for l in smask.iter() {
-                                prog.compute(&svals[l], &sstat[l], &evals[l], &mut local[l]);
-                            }
-                            b.exec(smask, P::COMPUTE_COST);
-                        }
-                        // compute: publish values passing the condition.
-                        b.phase("compute");
-                        let mut changed = [false; WARP];
-                        let mut outv = [P::V::default(); WARP];
-                        for l in mask.iter() {
-                            let mut lv = local[l];
-                            changed[l] = prog.update_condition(&mut lv, &olds[l]);
-                            outv[l] = lv;
-                        }
-                        b.exec(mask, 1);
-                        let st = Mask::from_fn(|l| changed[l]);
-                        if !st.is_empty() {
-                            b.gstore(&mut values, st, vidx, |l| outv[l]);
-                            updated_this_iter += st.count() as u64;
-                            // Fused filter: activation is tile-local in
-                            // pull (a vertex admits itself), so the append
-                            // needs no dedup and lands in vertex order.
-                            b.phase("filter");
-                            b.gstore(&mut active, st, vidx, move |_| next_tag);
-                            let d0 = b.gload(&out_idxs, st, vidx);
-                            let d1 = b.gload(&out_idxs, st, |l| vidx(l) + 1);
-                            let mut pos = [0usize; WARP];
-                            for l in st.iter() {
-                                pos[l] = cursor;
-                                cursor += 1;
-                                edge_acc += d1[l] - d0[l];
-                            }
-                            b.exec(st, 1);
-                            b.gstore(&mut frontier_next, st, |l| pos[l], |l| vidx(l) as u32);
+                        b.exec(smask, P::COMPUTE_COST);
+                    }
+                    // compute: publish values passing the condition.
+                    b.phase("compute");
+                    let mut st = Mask::NONE;
+                    for l in mask.iter() {
+                        if prog.update_condition(&mut local[l], &olds[l]) {
+                            st.0 |= 1 << l;
                         }
                     }
-                    b.phase("filter");
-                    let (cur, es) = (cursor as u32, edge_acc);
-                    if bid + 1 == grid_dense as usize {
-                        b.gstore(
-                            &mut filter_ctrl,
-                            Mask::first(4),
-                            |l| l,
-                            move |l| match l {
-                                1 => cur,
-                                3 => es,
-                                _ => 0,
-                            },
-                        );
-                    } else {
-                        let m2 = Mask::from_fn(|l| l == 0 || l == 2);
-                        b.gstore(
-                            &mut filter_ctrl,
-                            m2,
-                            |l| l,
-                            move |l| {
-                                if l == 0 {
-                                    cur
-                                } else {
-                                    es
-                                }
-                            },
-                        );
+                    b.exec(mask, 1);
+                    if !st.is_empty() {
+                        b.gstore_run(&mut values, st, tile, &local);
+                        updated_this_iter += st.count() as u64;
+                        // Fused filter: activation is tile-local in
+                        // pull (a vertex admits itself), so the append
+                        // needs no dedup and lands in vertex order.
+                        b.phase("filter");
+                        b.gstore_run(&mut active, st, tile, &[next_tag; WARP]);
+                        let d0 = b.gload_run(&out_idxs, st, tile);
+                        let d1 = b.gload_run(&out_idxs, st, tile + 1);
+                        let mut packed = [0u32; WARP];
+                        for (rank, l) in st.iter().enumerate() {
+                            packed[rank] = (warp_base + l) as u32;
+                            edge_acc += d1[l] - d0[l];
+                        }
+                        b.exec(st, 1);
+                        let slots = Mask::first(st.count() as usize);
+                        b.gstore_run(&mut frontier_next, slots, cursor as isize, &packed);
+                        cursor += st.count() as usize;
                     }
-                })?
-            }
+                }
+                let last = b.id() + 1 == grid_dense;
+                publish_totals(b, &mut filter_ctrl, cursor, edge_acc, last);
+            })?,
         };
         total.kernel.counters.add(&kstats.counters);
         total.kernel.blocks = kstats.blocks;
@@ -651,8 +583,7 @@ fn frontier_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
         std::mem::swap(&mut frontier_cur, &mut frontier_next);
 
         // New verified reference state for the next boundary's scrub.
-        vv_crc = checksum(values.host());
-        af_crc = checksum(active.host());
+        crcs = scrub(&values, &active);
 
         total.iterations += 1;
         total.per_iteration.push(IterationStat {
@@ -746,6 +677,25 @@ fn frontier_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
         values,
         stats: total,
     })
+}
+
+/// Publishes a block's running totals to the fused filter's control cells
+/// `[cursor, length out, edge-sum accumulator, edge-sum out]`; the last block
+/// parks the outputs instead and re-zeroes the accumulators.
+fn publish_totals(
+    b: &mut Block<'_>,
+    ctrl: &mut DevVec<u32>,
+    cursor: usize,
+    edges: u32,
+    last: bool,
+) {
+    b.phase("filter");
+    let cur = cursor as u32;
+    if last {
+        b.gstore_run(ctrl, Mask::first(4), 0, &column([0, cur, 0, edges]));
+    } else {
+        b.gstore_run(ctrl, Mask(0b101), 0, &column([cur, 0, edges]));
+    }
 }
 
 /// Trusted host re-execution — the bottom rung of the SDC ladder. Runs the

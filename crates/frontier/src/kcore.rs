@@ -8,7 +8,16 @@
 //! dead, and decrements surviving neighbors' degrees; when a round peels
 //! nothing, `k` advances. The graph is treated as undirected: edges are
 //! symmetrized, self-loops dropped and parallel edges deduplicated before
-//! upload.
+//! upload (`undirected_adjacency`, shared with triangle counting).
+//!
+//! The filter is two dense kernels — the degree scan here and the compaction
+//! of `crate::compact` — that sweep every vertex every round in a pattern
+//! that never changes. Each block of either accounts its stride-1 loads once
+//! (an accounting pass inside one replay scope per block, see `compact`'s
+//! module docs) and then, in a functional pass over the buffers' host views,
+//! issues only the flag stores the values call for. The peel kernel is
+//! frontier- and data-dependent and stays interpreted; only its peel-list
+//! read is stride-1, and is issued in run form.
 //!
 //! Duplicate-decrement hazard: several peeled vertices in one warp
 //! operation may share a surviving neighbor, and a plain `gstore` keeps a
@@ -16,16 +25,21 @@
 //! (a later lane sees the earlier lane's subtraction) before storing, the
 //! same intra-op overlay the generic push kernel uses for value relaxation.
 
-use crate::compact::compact_flags;
+use crate::compact::{block_warps, compact_flags, lanes_where};
 use crate::config::FrontierConfig;
 use cusha_core::integrity::{apply_flip, checksum};
 use cusha_core::{
-    CuShaOutput, Direction, EngineError, FrontierStats, IterationStat, NoopObserver, RunObserver,
-    RunStats,
+    CuShaOutput, DeadlineObserver, Direction, EngineError, FrontierStats, IterationStat,
+    NoopObserver, RunObserver, RunStats,
 };
 use cusha_graph::Graph;
 use cusha_obs::trace::lanes;
-use cusha_simt::{FaultPlan, FlipTarget, Gpu, KernelDesc, Mask, WARP};
+use cusha_simt::replay::keys_fit;
+use cusha_simt::{DevVec, FaultPlan, FlipTarget, Gpu, KernelDesc, Mask, WARP};
+
+/// Replay site tag of the degree scan's accounting pass; keyed like the
+/// compaction's (`[tag, block id, |V|, threads per block]`).
+const SITE_KCORE_SCAN: u64 = 0x6b63_5343_414e;
 
 /// k-core reuses the frontier configuration (`max_iterations` caps peel
 /// rounds; the density threshold is unused — peeling is always push-shaped).
@@ -42,25 +56,44 @@ pub struct KcoreOutput {
     pub stats: RunStats,
 }
 
-/// Symmetrized, deduplicated, loop-free adjacency in CSR form.
-fn undirected_adjacency(g: &Graph) -> (Vec<u32>, Vec<u32>) {
+/// Symmetrized, deduplicated, loop-free adjacency in CSR form `(idxs, nbrs)`,
+/// every list ascending. A two-pass counting sort — count, prefix, fill —
+/// then each vertex's list is sorted and its distinct entries compacted to
+/// the front of the same array.
+pub(crate) fn undirected_adjacency(g: &Graph) -> (Vec<u32>, Vec<u32>) {
     let n = g.num_vertices() as usize;
-    let mut nbrs: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for e in g.edges() {
-        if e.src != e.dst {
-            nbrs[e.src as usize].push(e.dst);
-            nbrs[e.dst as usize].push(e.src);
+    let links = || g.edges().iter().filter(|e| e.src != e.dst);
+    let mut ends = vec![0usize; n + 1];
+    for e in links() {
+        ends[e.src as usize + 1] += 1;
+        ends[e.dst as usize + 1] += 1;
+    }
+    for v in 0..n {
+        ends[v + 1] += ends[v];
+    }
+    // `ends[v]` starts at `v`'s first slot and ends, filled, one past its last.
+    let mut nbrs = vec![0u32; ends[n]];
+    for e in links() {
+        for (v, u) in [(e.src, e.dst), (e.dst, e.src)] {
+            nbrs[ends[v as usize]] = u;
+            ends[v as usize] += 1;
         }
     }
     let mut idxs = vec![0u32; n + 1];
-    let mut flat = Vec::new();
-    for (v, list) in nbrs.iter_mut().enumerate() {
-        list.sort_unstable();
-        list.dedup();
-        flat.extend_from_slice(list);
-        idxs[v + 1] = flat.len() as u32;
+    let (mut start, mut kept) = (0, 0);
+    for v in 0..n {
+        nbrs[start..ends[v]].sort_unstable();
+        for i in start..ends[v] {
+            if i == start || nbrs[i] != nbrs[kept - 1] {
+                nbrs[kept] = nbrs[i];
+                kept += 1;
+            }
+        }
+        idxs[v + 1] = kept as u32;
+        start = ends[v];
     }
-    (idxs, flat)
+    nbrs.truncate(kept);
+    (idxs, nbrs)
 }
 
 /// Runs the decomposition, panicking on device faults.
@@ -73,7 +106,8 @@ pub fn run_kcore(graph: &Graph, cfg: &KcoreConfig) -> KcoreOutput {
 
 /// Runs the decomposition on the simulated device. The observer is
 /// consulted after every peel round (`false` aborts with
-/// [`EngineError::Deadline`]); the fault plan, if given, is installed on
+/// [`EngineError::Deadline`], as does a round ending past
+/// `cfg.deadline_seconds`); the fault plan, if given, is installed on
 /// the device and its advanced state written back on exit.
 #[allow(clippy::too_many_lines)]
 pub fn try_run_kcore<O: RunObserver + ?Sized>(
@@ -94,8 +128,15 @@ pub fn try_run_kcore<O: RunObserver + ?Sized>(
     if let Some(p) = fault_plan.as_deref().or(cfg.fault_plan.as_ref()) {
         gpu.set_fault_plan(p.clone());
     }
+    let mut observer = DeadlineObserver::new(cfg.deadline_seconds, observer);
     let result = kcore_attempt(
-        graph, cfg, &mut gpu, observer, &idxs_host, &nbrs_host, &deg_host,
+        graph,
+        cfg,
+        &mut gpu,
+        &mut observer,
+        &idxs_host,
+        &nbrs_host,
+        &deg_host,
     );
     if let (Some(slot), Some(p)) = (fault_plan, gpu.take_fault_plan()) {
         *slot = p;
@@ -129,7 +170,14 @@ fn kcore_attempt<O: RunObserver + ?Sized>(
     let mut filter_ctrl = gpu.try_upload(&[0u32, 0u32])?;
     let h2d_initial = gpu.h2d_seconds;
 
-    let mut state_crc = checksum(core.host()) ^ checksum(deg.host()) ^ checksum(alive.host());
+    // Scrub digest of the three protected buffers — computed, like every
+    // other piece of integrity state, only when checksums are on (`None`
+    // never mismatches).
+    let scrub = |core: &DevVec<u32>, deg: &DevVec<u32>, alive: &DevVec<u32>| {
+        let digest = || checksum(core.host()) ^ checksum(deg.host()) ^ checksum(alive.host());
+        integ.mode.checksums().then(digest)
+    };
+    let mut state_crc = scrub(&core, &deg, &alive);
     let mut total = RunStats {
         engine: "Frontier/kcore".to_string(),
         ..Default::default()
@@ -138,6 +186,17 @@ fn kcore_attempt<O: RunObserver + ?Sized>(
     let mut k = 1u32;
     let mut alive_count = n;
     let mut rounds = 0u32;
+    // The two dense kernels hold one replay key per block each; the grid and
+    // the compaction's name never change, the other names only with `k`.
+    let scoped = keys_fit(2 * grid_dense as usize);
+    let desc_filter = KernelDesc::new("frontier-filter::kcore", grid_dense, tpb as u32);
+    let descs = |k: u32| {
+        (
+            KernelDesc::new(format!("kcore-scan::k{k}"), grid_dense, tpb as u32),
+            KernelDesc::new(format!("kcore-peel::k{k}"), 1, tpb as u32),
+        )
+    };
+    let (mut desc_scan, mut desc_peel) = descs(k);
 
     'outer: while alive_count > 0 && rounds < cfg.max_iterations {
         let round_ts = gpu.total_seconds();
@@ -153,62 +212,63 @@ fn kcore_attempt<O: RunObserver + ?Sized>(
             }
         }
         total.sdc.flips_injected += flips.len() as u64;
-        if integ.mode.checksums() {
-            let crc = checksum(core.host()) ^ checksum(deg.host()) ^ checksum(alive.host());
-            if crc != state_crc {
-                total.sdc.checksum_detections += 1;
-                // Peeling keeps no cheap checkpoint (the damage is spread
-                // across four buffers), so the ladder is restart → host.
-                if total.sdc.full_restarts < integ.max_full_restarts {
-                    total.sdc.full_restarts += 1;
-                    total.sdc.reexecuted_iterations += rounds;
-                    gpu.try_h2d(&mut deg, deg_host)?;
-                    gpu.try_h2d(&mut core, &vec![0u32; n.max(1)])?;
-                    gpu.try_h2d(&mut alive, &vec![1u32; n.max(1)])?;
-                    gpu.try_h2d(&mut active, &vec![0u32; n.max(1)])?;
-                    k = 1;
-                    alive_count = n;
-                    rounds = 0;
-                    total.iterations = 0;
-                    state_crc =
-                        checksum(core.host()) ^ checksum(deg.host()) ^ checksum(alive.host());
-                    cfg.trace
-                        .instant(0, lanes::FAULT, "sdc", "restart", gpu.total_seconds());
-                    continue 'outer;
-                }
-                let core = host_kcore(graph);
-                let degeneracy = core.iter().copied().max().unwrap_or(0);
-                total.sdc.host_fallbacks += 1;
-                total.converged = true;
-                total.frontier = Some(fstats);
+        if scrub(&core, &deg, &alive) != state_crc {
+            total.sdc.checksum_detections += 1;
+            // Peeling keeps no cheap checkpoint (the damage is spread
+            // across four buffers), so the ladder is restart → host.
+            if total.sdc.full_restarts < integ.max_full_restarts {
+                total.sdc.full_restarts += 1;
+                total.sdc.reexecuted_iterations += rounds;
+                gpu.try_h2d(&mut deg, deg_host)?;
+                gpu.try_h2d(&mut core, &vec![0u32; n.max(1)])?;
+                gpu.try_h2d(&mut alive, &vec![1u32; n.max(1)])?;
+                gpu.try_h2d(&mut active, &vec![0u32; n.max(1)])?;
+                k = 1;
+                (desc_scan, desc_peel) = descs(k);
+                alive_count = n;
+                rounds = 0;
+                total.iterations = 0;
+                state_crc = scrub(&core, &deg, &alive);
                 cfg.trace
-                    .instant(0, lanes::FAULT, "sdc", "host-fallback", gpu.total_seconds());
-                return Ok(KcoreOutput {
-                    core,
-                    degeneracy,
-                    stats: total,
-                });
+                    .instant(0, lanes::FAULT, "sdc", "restart", gpu.total_seconds());
+                continue 'outer;
             }
+            let core = host_kcore(graph);
+            let degeneracy = core.iter().copied().max().unwrap_or(0);
+            total.sdc.host_fallbacks += 1;
+            total.converged = true;
+            total.frontier = Some(fstats);
+            cfg.trace
+                .instant(0, lanes::FAULT, "sdc", "host-fallback", gpu.total_seconds());
+            return Ok(KcoreOutput {
+                core,
+                degeneracy,
+                stats: total,
+            });
         }
 
         // filter: flag alive vertices whose degree fell below k …
-        let desc_scan = KernelDesc::new(format!("kcore-scan::k{k}"), grid_dense, tpb as u32);
         let ksc = gpu.try_launch(&desc_scan, |b| {
-            let block_base = b.id() as usize * tpb;
-            for w in 0..tpb / WARP {
-                let warp_base = block_base + w * WARP;
-                if warp_base >= n {
-                    break;
+            let bid = b.id();
+            b.phase("filter");
+            let site = [SITE_KCORE_SCAN, bid as u64, n as u64, tpb as u64];
+            b.accounted(scoped.then_some(site), |b| {
+                for (base, mask) in block_warps(bid, tpb, n) {
+                    b.gload_run(&alive, mask, base as isize);
+                    b.gload_run(&deg, mask, base as isize);
+                    b.exec(mask, 1);
                 }
-                b.phase("filter");
-                let mask = Mask::from_fn(|l| warp_base + l < n);
-                let vidx = |l: usize| warp_base + l;
-                let al = b.gload(&alive, mask, vidx);
-                let dg = b.gload(&deg, mask, vidx);
-                let set = Mask::from_fn(|l| mask.lane(l) && al[l] != 0 && dg[l] < k);
-                b.exec(mask, 1);
+            });
+            for (base, mask) in block_warps(bid, tpb, n) {
+                let tile = base..base + mask.count() as usize;
+                let (alive, deg) = (&alive.host()[tile.clone()], &deg.host()[tile]);
+                let below = alive
+                    .iter()
+                    .zip(deg)
+                    .map(|(&alive, &deg)| alive != 0 && deg < k);
+                let set = lanes_where(below);
                 if !set.is_empty() {
-                    b.gstore(&mut active, set, vidx, |_| 1u32);
+                    b.gstore_run(&mut active, set, base as isize, &[1; WARP]);
                 }
             }
         })?;
@@ -220,31 +280,25 @@ fn kcore_attempt<O: RunObserver + ?Sized>(
             &mut frontier_buf,
             &mut filter_ctrl,
             n,
-            tpb,
-            "kcore",
+            &desc_filter,
+            scoped,
         )?;
         total.kernel.counters.add(&kf.counters);
         if peel_len == 0 {
             // Nothing below k: the k-core is stable, advance the threshold.
             k += 1;
-            state_crc = checksum(core.host()) ^ checksum(deg.host()) ^ checksum(alive.host());
+            (desc_scan, desc_peel) = descs(k);
+            state_crc = scrub(&core, &deg, &alive);
             continue;
         }
 
         // compute: peel the set — assign core numbers, kill the vertices,
         // damage surviving neighbors' degrees.
-        let grid_peel = peel_len.div_ceil(tpb).max(1) as u32;
-        let desc_peel = KernelDesc::new(format!("kcore-peel::k{k}"), grid_peel, tpb as u32);
+        desc_peel.grid_blocks = peel_len.div_ceil(tpb).max(1) as u32;
         let kp = gpu.try_launch(&desc_peel, |b| {
-            let block_base = b.id() as usize * tpb;
-            for w in 0..tpb / WARP {
-                let warp_base = block_base + w * WARP;
-                if warp_base >= peel_len {
-                    break;
-                }
+            for (warp_base, mask) in block_warps(b.id(), tpb, peel_len) {
                 b.phase("compute");
-                let mask = Mask::from_fn(|l| warp_base + l < peel_len);
-                let vs = b.gload(&frontier_buf, mask, |l| warp_base + l);
+                let vs = b.gload_run(&frontier_buf, mask, warp_base as isize);
                 b.gstore(&mut core, mask, |l| vs[l] as usize, |_| k - 1);
                 b.gstore(&mut alive, mask, |l| vs[l] as usize, |_| 0u32);
                 let starts = b.gload(&adj_idxs, mask, |l| vs[l] as usize);
@@ -264,29 +318,19 @@ fn kcore_attempt<O: RunObserver + ?Sized>(
                     let us = b.gload(&adj_nbrs, smask, eidx);
                     let al = b.gload(&alive, smask, |l| us[l] as usize);
                     let cur = b.gload(&deg, smask, |l| us[l] as usize);
-                    // Lane-serial merged decrement (see module docs).
-                    let mut pending: Vec<(u32, u32)> = Vec::new();
-                    let mut hit = [false; WARP];
+                    // Lane-serial merged decrement (see module docs): a lane
+                    // starts from the newest value an earlier lane of this
+                    // step left for the same neighbor.
+                    let mut hit = Mask::NONE;
                     let mut newv = [0u32; WARP];
-                    for l in smask.iter() {
-                        if al[l] == 0 {
-                            continue;
-                        }
-                        let base = pending
-                            .iter()
-                            .rev()
-                            .find(|&&(t, _)| t == us[l])
-                            .map(|&(_, v)| v)
-                            .unwrap_or(cur[l]);
-                        let v = base.saturating_sub(1);
-                        pending.push((us[l], v));
-                        hit[l] = true;
-                        newv[l] = v;
+                    for l in smask.iter().filter(|&l| al[l] != 0) {
+                        let earlier = hit.iter().filter(|&e| us[e] == us[l]).last();
+                        newv[l] = earlier.map_or(cur[l], |e| newv[e]).saturating_sub(1);
+                        hit.0 |= 1 << l;
                     }
                     b.exec(smask, 2);
-                    let st = Mask::from_fn(|l| hit[l]);
-                    if !st.is_empty() {
-                        b.gstore(&mut deg, st, |l| us[l] as usize, |l| newv[l]);
+                    if !hit.is_empty() {
+                        b.gstore(&mut deg, hit, |l| us[l] as usize, |l| newv[l]);
                     }
                 }
             }
@@ -297,7 +341,7 @@ fn kcore_attempt<O: RunObserver + ?Sized>(
         alive_count -= peel_len;
         rounds += 1;
         total.iterations = rounds;
-        state_crc = checksum(core.host()) ^ checksum(deg.host()) ^ checksum(alive.host());
+        state_crc = scrub(&core, &deg, &alive);
 
         fstats.sizes.push(peel_len as u64);
         fstats.directions.push(Direction::Push);
@@ -426,7 +470,62 @@ pub fn kcore_invariant(graph: &Graph, core: &[u32]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::triangles::{host_triangles, run_triangles};
     use cusha_graph::Edge;
+    use proptest::prelude::*;
+
+    /// The builder [`undirected_adjacency`] replaced, kept as its reference:
+    /// per-vertex lists, both directions pushed, sorted and deduplicated.
+    fn reference_adjacency(g: &Graph) -> (Vec<u32>, Vec<u32>) {
+        let n = g.num_vertices() as usize;
+        let mut nbrs: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for e in g.edges() {
+            if e.src != e.dst {
+                nbrs[e.src as usize].push(e.dst);
+                nbrs[e.dst as usize].push(e.src);
+            }
+        }
+        let mut idxs = vec![0u32; n + 1];
+        let mut flat = Vec::new();
+        for (v, list) in nbrs.iter_mut().enumerate() {
+            list.sort_unstable();
+            list.dedup();
+            flat.extend_from_slice(list);
+            idxs[v + 1] = flat.len() as u32;
+        }
+        (idxs, flat)
+    }
+
+    /// Random multigraphs: edges over the first `n - tail` vertices only (the
+    /// tail stays isolated), self-loops as they fall, and a slice of the
+    /// edges repeated as duplicates and as antiparallel twins.
+    fn arb_multigraph() -> impl Strategy<Value = Graph> {
+        (1u32..60, 0u32..8, 0usize..40).prop_flat_map(|(live, tail, repeats)| {
+            let edge = (0..live, 0..live, 1u32..65).prop_map(|(s, d, w)| Edge::new(s, d, w));
+            proptest::collection::vec(edge, 0..200).prop_map(move |mut edges| {
+                for i in 0..repeats.min(edges.len()) {
+                    let e = edges[i];
+                    edges.push(e);
+                    edges.push(Edge::new(e.dst, e.src, e.weight));
+                }
+                Graph::new(live + tail, edges)
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn counting_sort_adjacency_equals_the_reference_builder(g in arb_multigraph()) {
+            prop_assert_eq!(undirected_adjacency(&g), reference_adjacency(&g));
+            // Both device paths built on it: every triangle survives the
+            // orientation exactly once, every vertex peels at its core.
+            let cfg = KcoreConfig::new();
+            prop_assert_eq!(run_triangles(&g, &cfg).triangles, host_triangles(&g));
+            prop_assert_eq!(run_kcore(&g, &cfg).core, host_kcore(&g));
+        }
+    }
 
     fn clique_plus_tail() -> Graph {
         // 4-clique {0,1,2,3} (core 3) with a path 3-4-5 hanging off

@@ -10,7 +10,9 @@
 //! per step), per-block sums land in a partials buffer, and the host folds
 //! the partials into the final count.
 
+use crate::compact::block_warps;
 use crate::config::FrontierConfig;
+use crate::kcore::undirected_adjacency;
 use cusha_core::{EngineError, RunStats};
 use cusha_graph::Graph;
 use cusha_simt::{Gpu, KernelDesc, Mask, WARP};
@@ -24,38 +26,25 @@ pub struct TriangleOutput {
     pub stats: RunStats,
 }
 
-/// Oriented CSR: edges point from lower to higher `(degree, id)` rank,
-/// adjacency sorted by neighbor id. Returns `(idxs, nbrs, esrc, edst)`.
-fn oriented(g: &Graph) -> (Vec<u32>, Vec<u32>, Vec<u32>, Vec<u32>) {
+/// Oriented CSR over the symmetrized simple graph: edges point from lower to
+/// higher `(degree, id)` rank, adjacency sorted by neighbor id. Returns
+/// `(idxs, nbrs, esrc)`; the oriented edge list is `esrc[e] -> nbrs[e]`.
+fn oriented(g: &Graph) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
     let n = g.num_vertices() as usize;
-    let mut nbrs: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for e in g.edges() {
-        if e.src != e.dst {
-            nbrs[e.src as usize].push(e.dst);
-            nbrs[e.dst as usize].push(e.src);
-        }
-    }
-    for list in nbrs.iter_mut() {
-        list.sort_unstable();
-        list.dedup();
-    }
-    let deg: Vec<u32> = nbrs.iter().map(|l| l.len() as u32).collect();
-    let rank = |v: u32| (deg[v as usize], v);
+    let (adj_idxs, adj) = undirected_adjacency(g);
+    let rank = |v: u32| (adj_idxs[v as usize + 1] - adj_idxs[v as usize], v);
     let mut idxs = vec![0u32; n + 1];
     let mut flat = Vec::new();
     let mut esrc = Vec::new();
-    let mut edst = Vec::new();
     for v in 0..n as u32 {
-        for &u in &nbrs[v as usize] {
-            if rank(v) < rank(u) {
-                flat.push(u);
-                esrc.push(v);
-                edst.push(u);
-            }
+        let list = adj_idxs[v as usize] as usize..adj_idxs[v as usize + 1] as usize;
+        for &u in adj[list].iter().filter(|&&u| rank(v) < rank(u)) {
+            flat.push(u);
+            esrc.push(v);
         }
         idxs[v as usize + 1] = flat.len() as u32;
     }
-    (idxs, flat, esrc, edst)
+    (idxs, flat, esrc)
 }
 
 /// Counts triangles, panicking on device faults.
@@ -74,9 +63,8 @@ pub fn try_run_triangles(
 ) -> Result<TriangleOutput, EngineError<u32>> {
     cfg.validate().map_err(EngineError::InvalidConfig)?;
     graph.validate()?;
-    let n = graph.num_vertices() as usize;
     let tpb = cfg.threads_per_block as usize;
-    let (idxs_host, nbrs_host, esrc_host, edst_host) = oriented(graph);
+    let (idxs_host, nbrs_host, esrc_host) = oriented(graph);
     let m = esrc_host.len();
 
     let mut gpu = Gpu::new(cfg.device.clone());
@@ -89,26 +77,20 @@ pub fn try_run_triangles(
     let idxs = gpu.try_upload(&idxs_host)?;
     let nbrs = gpu.try_upload(&nbrs_host)?;
     let esrc = gpu.try_upload(&esrc_host)?;
-    let edst = gpu.try_upload(&edst_host)?;
+    // The edge list's destination column has its own device copy: the
+    // kernel streams it by edge while it gathers `nbrs` by vertex.
+    let edst = gpu.try_upload(&nbrs_host)?;
     let grid = m.div_ceil(tpb).max(1) as u32;
     let mut block_sums = gpu.try_upload(&vec![0u64; grid as usize])?;
     let h2d_initial = gpu.h2d_seconds;
-    let _ = n;
 
     let desc = KernelDesc::new("triangles-intersect", grid, tpb as u32);
     let kstats = gpu.try_launch(&desc, |b| {
-        let block_base = b.id() as usize * tpb;
         let mut block_total = 0u64;
-        for w in 0..tpb / WARP {
-            let warp_base = block_base + w * WARP;
-            if warp_base >= m {
-                break;
-            }
+        for (warp_base, mask) in block_warps(b.id(), tpb, m) {
             b.phase("advance");
-            let mask = Mask::from_fn(|l| warp_base + l < m);
-            let eidx = |l: usize| warp_base + l;
-            let us = b.gload(&esrc, mask, eidx);
-            let vs = b.gload(&edst, mask, eidx);
+            let us = b.gload_run(&esrc, mask, warp_base as isize);
+            let vs = b.gload_run(&edst, mask, warp_base as isize);
             let ui0 = b.gload(&idxs, mask, |l| us[l] as usize);
             let ui1 = b.gload(&idxs, mask, |l| us[l] as usize + 1);
             let vi0 = b.gload(&idxs, mask, |l| vs[l] as usize);

@@ -285,6 +285,22 @@ impl<'cfg> Block<'cfg> {
         }
     }
 
+    /// Issues `body` — ops whose data nothing reads, there to be accounted —
+    /// inside the replay scope `site` names, unless that scope replays: the
+    /// recorded deltas then stand in for them (see [`Block::warp_scope`]).
+    /// `None` issues them unscoped — what a kernel passes when its keys would
+    /// not fit the table ([`crate::replay::keys_fit`]). Trace keys are
+    /// site-determined, hence the zero column.
+    pub fn accounted(&mut self, site: Option<[u64; SITE_WORDS]>, body: impl FnOnce(&mut Self)) {
+        let replays = site.is_some_and(|site| self.warp_scope(&site, Mask::FULL, &[0; WARP]));
+        if !replays {
+            body(self);
+        }
+        if site.is_some() {
+            self.warp_scope_end();
+        }
+    }
+
     /// Warp-wide global load: lane `l` (if active) reads `buf[idx(l)]`.
     pub fn gload<T: Pod>(
         &mut self,

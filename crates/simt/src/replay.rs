@@ -50,6 +50,14 @@ const MIN_SLOTS: usize = 64;
 /// load a probe window can fill and recordings start evicting each other.
 pub const MAX_SLOTS: usize = 1 << 16;
 
+/// Whether a kernel that holds `keys` recordings at once (one per block and
+/// scoped phase, say) may scope them: past half the cap they would evict each
+/// other every launch and pay a full probe window per scope to do it, so
+/// there the kernel interprets instead (`Block::accounted(None, ..)`).
+pub fn keys_fit(keys: usize) -> bool {
+    keys <= MAX_SLOTS / 2
+}
+
 /// Linear-probe window: a key sits within this many slots of its home slot.
 /// A miss takes the first unfilled one and, only when all are taken (at load
 /// one half: a table at its cap), overwrites the home slot.

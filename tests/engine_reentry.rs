@@ -6,6 +6,7 @@ use cusha::core::{
     try_run, try_run_multi, try_run_streamed, try_run_warm, CuShaConfig, EngineError, MultiConfig,
     NoopObserver, PreparedLayout, Repr, RunObserver, StreamingConfig,
 };
+use cusha::frontier::{try_run_frontier_warm, try_run_kcore, FrontierConfig, PreparedFrontier};
 use cusha::graph::generators::rmat::{rmat, RmatConfig};
 use cusha::graph::Graph;
 use cusha::simt::FaultPlan;
@@ -85,6 +86,39 @@ fn deadline_cancels_streamed_and_fleet_runs_called_directly() {
             other => panic!("{engine}: expected a deadline error, got {other:?}"),
         }
     }
+}
+
+/// The frontier family reads `deadline_seconds` from its own config, so the
+/// same holds there: a direct call, no middleware, a no-op observer.
+#[test]
+fn deadline_cancels_frontier_and_kcore_runs_called_directly() {
+    let g = graph();
+    let mut cfg = FrontierConfig::new();
+    cfg.deadline_seconds = Some(1e-9);
+    let pf = PreparedFrontier::build(&g);
+    let frontier = try_run_frontier_warm(&Bfs::new(0), &g, &pf, &cfg, None, &mut NoopObserver);
+    let kcore = try_run_kcore(&g, &cfg, None, &mut NoopObserver);
+    for (engine, err) in [
+        ("frontier", frontier.map(|_| ()).unwrap_err()),
+        ("k-core", kcore.map(|_| ()).unwrap_err()),
+    ] {
+        match err {
+            EngineError::Deadline {
+                iterations,
+                elapsed_seconds,
+            } => {
+                assert_eq!(iterations, 1, "{engine}: cancels at the first boundary");
+                assert!(elapsed_seconds >= 1e-9, "{engine}");
+            }
+            other => panic!("{engine}: expected a deadline error, got {other:?}"),
+        }
+    }
+    // A generous deadline changes nothing.
+    cfg.deadline_seconds = Some(3600.0);
+    let timed = try_run_kcore(&g, &cfg, None, &mut NoopObserver).unwrap();
+    let plain = try_run_kcore(&g, &FrontierConfig::new(), None, &mut NoopObserver).unwrap();
+    assert_eq!(timed.core, plain.core);
+    assert_eq!(timed.stats.iterations, plain.stats.iterations);
 }
 
 #[test]

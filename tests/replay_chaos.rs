@@ -13,9 +13,10 @@ use cusha::core::{
     IntegrityMode, MemoStats, NoopObserver, PreparedLayout, Repr, RunObserver, RunStats,
     ShardEngine, StreamedEngine, VertexProgram,
 };
-use cusha::frontier::FrontierEngine;
+use cusha::frontier::{host_kcore, try_run_kcore, FrontierEngine, KcoreConfig};
+use cusha::graph::generators::lattice::lattice2d;
 use cusha::graph::generators::rmat::{rmat, RmatConfig};
-use cusha::graph::Graph;
+use cusha::graph::{Edge, Graph};
 use cusha::obs::Tracer;
 use cusha::simt::{DeviceConfig, FaultPlan, FlipTarget};
 
@@ -102,8 +103,9 @@ fn assert_stats_identical(tag: &str, on: &RunStats, off: &RunStats) {
 }
 
 /// Engines whose kernels delimit warp-trace scopes (and therefore exercise
-/// the replay table); the CPU baseline and the frontier engine account
-/// per-op only.
+/// the replay table); the CPU baseline and the generic frontier engine
+/// account per-op only (of the frontier family only k-core's two dense
+/// filter kernels open scopes — see `kcore_block_scopes_are_invisible_and_bounded`).
 fn uses_replay_scopes(label: &str) -> bool {
     label.starts_with("CuSha-") || label.starts_with("VWC-") || label.starts_with("Streamed")
 }
@@ -334,6 +336,124 @@ fn vwc_grid_past_the_table_cap_interprets_its_sweep() {
         memo.replay_hits + memo.replay_misses,
         2 * N as u64 * on.stats.iterations as u64,
         "{memo:?}: two class scopes a block, and no other"
+    );
+}
+
+#[test]
+fn kcore_block_scopes_are_invisible_and_bounded() {
+    // k-core's filter is two dense kernels a round — the degree scan and the
+    // flag compaction — whose blocks each account their stride-1 loads inside
+    // one scope keyed on the block: a run records 2 x grid keys, all of them
+    // in its first round, and replays every dense block after that. Nothing
+    // observable may depend on the replay switch, the tracer, or a fault plan
+    // that gates the scopes off.
+    let run = |g: &Graph, tpb: u32, replay: bool, traced: bool, plan: Option<&mut FaultPlan>| {
+        let mut cfg = KcoreConfig::new();
+        cfg.threads_per_block = tpb;
+        cfg.device.replay_memo = replay;
+        if traced {
+            cfg.trace = Tracer::enabled();
+        }
+        let out = try_run_kcore(g, &cfg, plan, &mut NoopObserver);
+        (out, cfg.trace)
+    };
+    for (tag, g, tpb) in [
+        ("rmat", chaos_graph(123), 64),
+        ("lattice", lattice2d(40, 40, 0.9, 60, 3), 128),
+    ] {
+        let grid = u64::from(g.num_vertices().div_ceil(tpb));
+        let (base, _) = run(&g, tpb, true, false, None);
+        let base = base.unwrap();
+        assert_eq!(base.core, host_kcore(&g), "{tag}");
+        // Dense launch pairs of the run: one scan kernel each, by name.
+        let (traced, trace) = run(&g, tpb, true, true, None);
+        let pairs = trace
+            .with_events(|events| {
+                let scans = events.iter().filter(|e| e.cat == "kernel");
+                scans.filter(|e| e.name.starts_with("kcore-scan")).count() as u64
+            })
+            .unwrap();
+        assert!(
+            pairs > u64::from(base.stats.iterations),
+            "{tag}: k never advanced"
+        );
+        let memo = base.stats.memo;
+        assert_eq!(memo.replay_misses, 2 * grid, "{tag}: {memo:?}");
+        assert_eq!(memo.replay_hits, 2 * grid * (pairs - 1), "{tag}: {memo:?}");
+        assert_eq!(memo.replay_verify_failures, 0, "{tag}");
+        assert_eq!(traced.unwrap().stats.memo, memo, "{tag}: same keys traced");
+        let mut capped = KcoreConfig::new();
+        capped.threads_per_block = tpb;
+        capped.max_iterations = 1;
+        let first = match try_run_kcore(&g, &capped, None, &mut NoopObserver) {
+            Err(EngineError::NonConverged { partial }) => partial.stats.memo,
+            other => panic!(
+                "{tag}: one round peeled the graph? {:?}",
+                other.map(|o| o.core)
+            ),
+        };
+        assert_eq!(
+            first.replay_misses, memo.replay_misses,
+            "{tag}: a scope missed after the first round"
+        );
+
+        // A plan that could still fire gates the whole run to fallbacks.
+        let mut pending = FaultPlan::new().fail_kernel_at(&[u64::MAX]);
+        // One that does fire fails its run and leaves the next one clean.
+        let mut firing = FaultPlan::new().fail_kernel_at(&[4]);
+        let failed = run(&g, tpb, true, false, Some(&mut firing)).0;
+        assert!(
+            matches!(failed, Err(EngineError::KernelFault { .. })),
+            "{tag}"
+        );
+        for (variant, replay, traced, plan) in [
+            ("replay off", false, false, None),
+            ("replay off, traced", false, true, None),
+            ("traced", true, true, None),
+            ("pending plan", true, false, Some(&mut pending)),
+            ("drained plan", true, false, Some(&mut firing)),
+        ] {
+            let tag = format!("{tag}/{variant}");
+            let other = run(&g, tpb, replay, traced, plan).0.unwrap();
+            assert_eq!(other.core, base.core, "{tag}: core numbers");
+            assert_stats_identical(&tag, &other.stats, &base.stats);
+            let m = other.stats.memo;
+            match variant {
+                "traced" | "drained plan" => assert_eq!(m, memo, "{tag}"),
+                _ => {
+                    assert_eq!((m.replay_hits, m.replay_misses), (0, 0), "{tag}: {m:?}");
+                    assert_eq!(m.replay_fallbacks, 2 * grid * pairs, "{tag}: {m:?}");
+                }
+            }
+        }
+    }
+
+    // One warp per block over 16,385 x 32 vertices: twice that many keys is
+    // past what the table holds at half load, so the run opens no scope at
+    // all — and is the run `replay_memo = false` gives. Paired vertices plus
+    // a tail of isolated ones: two peel rounds, four dense launch pairs.
+    let n = 16_385 * 32;
+    let g = Graph::new(
+        n,
+        (0..n / 4).map(|v| Edge::new(2 * v, 2 * v + 1, 1)).collect(),
+    );
+    assert!(!cusha::simt::replay::keys_fit(2 * (n as usize / 32)));
+    let (on, _) = run(&g, 32, true, false, None);
+    let (off, _) = run(&g, 32, false, false, None);
+    let (on, off) = (on.unwrap(), off.unwrap());
+    assert_eq!(on.stats.iterations, 2);
+    assert!(on
+        .core
+        .iter()
+        .enumerate()
+        .all(|(v, &c)| c == u32::from(v < n as usize / 2)));
+    assert_eq!(on.core, off.core);
+    assert_stats_identical("k-core over the cap", &on.stats, &off.stats);
+    let m = on.stats.memo;
+    assert_eq!(
+        (m.replay_hits, m.replay_misses, m.replay_fallbacks),
+        (0, 0, 0),
+        "{m:?}"
     );
 }
 

@@ -6,11 +6,19 @@
 //! allocations** in steady state (tracing disabled, no profiler, no fault
 //! plan). The first launches are warm-up: they fill the thread-local
 //! shared-memory scratch pools and the launch-cycle scratch; everything
-//! after that must recycle.
+//! after that must recycle. Above the launch, the frontier family's host
+//! loops must not allocate in proportion to the work either: per iteration
+//! they pay the control readback and amortised stats pushes, nothing per
+//! relaxation step, per launch or per vertex.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use cusha::algos::Bfs;
+use cusha::core::RunObserver;
+use cusha::frontier::{try_run_frontier_warm, try_run_kcore, FrontierConfig, PreparedFrontier};
+use cusha::graph::generators::lattice::lattice2d;
+use cusha::graph::{Edge, Graph};
 use cusha::simt::{warp_chunks, DeviceConfig, Gpu, KernelDesc};
 
 /// Counts allocations per thread, so concurrently running tests in this
@@ -197,4 +205,66 @@ fn launch_results_are_identical_with_and_without_memo_reuse() {
         4 * cold.memo_stats().1,
         "same work, launch by launch"
     );
+}
+
+/// Records the thread's allocation count at every iteration boundary, into
+/// space reserved up front (the observer itself must not allocate).
+struct AllocsAtBoundaries(Vec<u64>);
+
+impl RunObserver for AllocsAtBoundaries {
+    fn on_iteration(&mut self, _iteration: u32, _updated: u64, _elapsed: f64) -> bool {
+        assert!(self.0.len() < self.0.capacity(), "reserve more boundaries");
+        self.0.push(ALLOCS.with(|c| c.get()));
+        true
+    }
+}
+
+/// Allocations between consecutive iteration boundaries of `run`.
+fn allocations_per_iteration(run: impl FnOnce(&mut AllocsAtBoundaries)) -> Vec<u64> {
+    let mut observer = AllocsAtBoundaries(Vec::with_capacity(1 << 12));
+    run(&mut observer);
+    observer.0.windows(2).map(|w| w[1] - w[0]).collect()
+}
+
+#[test]
+fn frontier_family_heap_traffic_does_not_scale_with_the_work() {
+    // Frontier BFS down a path: every iteration pushes one vertex, whatever
+    // the path's length, so iteration i costs the same allocations on a path
+    // four times as long — the 16-byte control readback, plus the stats
+    // vectors' doublings at the same i. Nothing per relaxation step (the
+    // lane-serial overlay lives in lane arrays), nothing per launch (kernel
+    // names are built once a run).
+    let path = |len: u32| Graph::new(len, (1..len).map(|v| Edge::new(v - 1, v, 1)).collect());
+    let bfs = |len: u32| {
+        allocations_per_iteration(|observer| {
+            let (g, cfg) = (path(len), FrontierConfig::new());
+            let pf = PreparedFrontier::build(&g);
+            let out = try_run_frontier_warm(&Bfs::new(0), &g, &pf, &cfg, None, observer).unwrap();
+            assert_eq!(out.stats.iterations, len, "one vertex per iteration");
+        })
+    };
+    let (short, long) = (bfs(300), bfs(1200));
+    assert_eq!(short[..], long[..short.len()], "allocations follow |V|");
+    let readback_only = long.iter().filter(|&&a| a == 1).count();
+    assert!(
+        long.iter().all(|&a| a <= 4) && readback_only >= long.len() - 12,
+        "per-iteration allocations: {long:?}"
+    );
+
+    // k-core on a lattice: the replay table grows while the first round's
+    // dense blocks record; after that a peel round costs a constant — the
+    // stats pushes, a kernel-name pair when `k` advances, a doubling of the
+    // analysis scratch — whether the lattice has 400 vertices or 3,600 and
+    // whether the round peels two vertices or hundreds.
+    for side in [20, 60] {
+        let g = lattice2d(side, side, 0.9, u64::from(side), 11);
+        let rounds = allocations_per_iteration(|observer| {
+            try_run_kcore(&g, &FrontierConfig::new(), None, observer).unwrap();
+        });
+        assert!(rounds.len() >= 8, "{side}: {} peel rounds", rounds.len());
+        assert!(
+            rounds.iter().all(|&a| a <= 8),
+            "{side}x{side}: allocations per peel round {rounds:?}"
+        );
+    }
 }
