@@ -25,6 +25,16 @@ pub enum ShedReason {
 }
 
 impl ShedReason {
+    /// Every reason, for code that reports over all of them (the `stats`
+    /// line's `shed` total).
+    pub const ALL: [ShedReason; 5] = [
+        ShedReason::QueueFull,
+        ShedReason::BadSource,
+        ShedReason::BadSourceSet,
+        ShedReason::ShuttingDown,
+        ShedReason::Rebuilding,
+    ];
+
     /// Wire label carried in the `rejected` response.
     pub fn label(self) -> &'static str {
         match self {
@@ -116,6 +126,24 @@ mod tests {
             deadline_ms: None,
             want_values: false,
         }
+    }
+
+    #[test]
+    fn all_covers_every_reason() {
+        // Exhaustive on purpose: a new variant does not compile until it is
+        // chained in here, and then the walk no longer equals `ALL`.
+        fn next(r: ShedReason) -> Option<ShedReason> {
+            match r {
+                ShedReason::QueueFull => Some(ShedReason::BadSource),
+                ShedReason::BadSource => Some(ShedReason::BadSourceSet),
+                ShedReason::BadSourceSet => Some(ShedReason::ShuttingDown),
+                ShedReason::ShuttingDown => Some(ShedReason::Rebuilding),
+                ShedReason::Rebuilding => None,
+            }
+        }
+        let walk: Vec<ShedReason> =
+            std::iter::successors(Some(ShedReason::QueueFull), |&r| next(r)).collect();
+        assert_eq!(walk, ShedReason::ALL);
     }
 
     #[test]

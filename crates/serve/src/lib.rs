@@ -45,6 +45,7 @@ pub mod proto;
 pub mod service;
 pub mod telemetry;
 pub mod wal;
+mod warm;
 
 pub use admission::{AdmissionQueue, ShedReason};
 pub use cache::{cache_key, CachedResult, ResultCache};

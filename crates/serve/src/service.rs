@@ -1,12 +1,16 @@
 //! The resident query service.
 //!
-//! Lifecycle of a query: **admission** (bounded queue; shed with a typed
-//! rejection when full) → **batching** at flush (same-kind traversals fuse
-//! two-per-launch, `reach` queries bitset-pack up to 64 sources per
-//! launch) → **launch** on warm prepared state (shard layouts built once
-//! per value size, or one shared [`PreparedFrontier`] topology under
-//! [`ServeEngine::Frontier`]; never rebuilt unless scrubbed) → **settle**
-//! (exactly one typed response per admitted query, in arrival order).
+//! Lifecycle of a query: **parse** → **admit** (a cache hit settles at the
+//! door; a full queue sheds with a typed rejection) → **plan** at flush
+//! (`plan_flush`: same-kind traversals fuse two-per-launch, `reach` queries
+//! bitset-pack up to 64 sources per launch) → **prepare** + **run**
+//! (`Service::launch`, with retries, on the serving `Epoch`'s warm state —
+//! built once per key, never rebuilt unless scrubbed or superseded) →
+//! **settle** (`launch_and_settle`: exactly one typed response per admitted
+//! query) → **render**, in arrival order. Lifecycle of a mutation: **commit**
+//! (WAL) → **apply** to the live `Epoch`, opening a `Window` → **rebuild**
+//! when the next flush closes it; while a serve-previous window is open the
+//! epoch it keeps is the serving one, chosen by reference.
 //!
 //! Isolation guarantees:
 //!
@@ -31,22 +35,21 @@ use crate::cache::{cache_key, CachedResult, ResultCache};
 use crate::proto::{parse_line, Json, MutateRequest, Query, QueryOp, Request};
 use crate::telemetry::{QueryOutcome, QueryRecord, SloConfig, Telemetry};
 use crate::wal::{CrashPoint, CrashSpec, RecoveryStats, Wal, WalError, MODELED_FSYNC_S};
+use crate::warm::Warm;
 use cusha_algos::{
     extract_lane, Bfs, ConnectedComponents, FusedPair, MultiSourceBfs, PageRank, Sssp, Sswp,
     TraversalKind,
 };
 use cusha_core::integrity::checksum;
 use cusha_core::{
-    try_run_warm, CuShaConfig, CuShaOutput, EngineError, IntegrityConfig, IntegrityMode,
-    PreparedLayout, Repr, RunObserver, RunStats, Value, VertexProgram,
+    CuShaOutput, EngineError, IntegrityConfig, Repr, RunObserver, Value, VertexProgram,
 };
-use cusha_frontier::{try_run_frontier_warm, FrontierConfig, PreparedFrontier};
 use cusha_graph::Graph;
 use cusha_obs::json::{push_f64, push_str_lit};
 use cusha_obs::trace::lanes;
 use cusha_obs::{MetricsRegistry, Tracer};
 use cusha_simt::{DeviceConfig, FaultPlan};
-use std::collections::HashMap;
+use std::collections::BTreeSet;
 
 /// Modeled seconds of backoff before retry attempt `n` (0-based):
 /// 0.1 ms, 0.2 ms, 0.4 ms, ... capped at attempt 10.
@@ -96,10 +99,10 @@ pub struct WalConfig {
 /// Which warm engine the service launches queries on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ServeEngine {
-    /// CuSha shard engine over warm [`PreparedLayout`]s; [`ServeConfig::repr`]
+    /// CuSha shard engine over warm `PreparedLayout`s; [`ServeConfig::repr`]
     /// selects G-Shards or Concatenated Windows.
     Shard,
-    /// Frontier engine over a warm [`PreparedFrontier`] (push/pull direction
+    /// Frontier engine over a warm `PreparedFrontier` (push/pull direction
     /// switching); `repr` is ignored.
     Frontier,
 }
@@ -173,12 +176,32 @@ impl Default for ServeConfig {
     }
 }
 
-fn integrity_label(mode: IntegrityMode) -> &'static str {
-    match mode {
-        IntegrityMode::Off => "off",
-        IntegrityMode::Checksum => "checksum",
-        IntegrityMode::Invariant => "invariant",
-        IntegrityMode::Full => "full",
+impl ServeConfig {
+    /// Checks the service-level fields, returning the first defect (the
+    /// engine-level ones are checked when [`Service::new`] derives the
+    /// engine configuration).
+    pub fn validate(&self) -> Result<(), String> {
+        let positive = |field: &str, v: f64| {
+            // NaN fails `>` too.
+            if v > 0.0 {
+                Ok(())
+            } else {
+                Err(format!("{field} must be positive, got {v}"))
+            }
+        };
+        if let Some(ms) = self.default_deadline_ms {
+            positive("default_deadline_ms", ms)?;
+        }
+        positive("slo.latency_objective_s", self.slo.latency_objective_s)?;
+        for (field, target) in [
+            ("slo.latency_target", self.slo.latency_target),
+            ("slo.availability_target", self.slo.availability_target),
+        ] {
+            if target.is_nan() || target <= 0.0 || target > 1.0 {
+                return Err(format!("{field} must be in (0, 1], got {target}"));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -259,14 +282,41 @@ enum Settled {
         reason: &'static str,
         detail: String,
     },
-    Rejected {
-        reason: &'static str,
-    },
+    Rejected(ShedReason),
 }
 
-/// Serving facts about the launch a lane rode in, captured when the
-/// launch settles and joined back to each query at flush end.
-#[derive(Clone, Debug)]
+impl Settled {
+    /// The terminal state this response reports; its label is the wire
+    /// `status`.
+    fn outcome(&self) -> QueryOutcome {
+        match self {
+            Settled::Ok { .. } => QueryOutcome::Ok,
+            Settled::Deadline { .. } => QueryOutcome::Deadline,
+            Settled::Failed { .. } => QueryOutcome::Failed,
+            Settled::Rejected { .. } => QueryOutcome::Rejected,
+        }
+    }
+}
+
+/// One launch the flush planner emits: which admitted queries ride it
+/// (indices into the drained queue, in lane order), which program runs and
+/// how lane `l`'s answer is cut from its output.
+enum Planned {
+    /// One or two same-kind traversals on a `FusedPair` (kernel `BFSx2`);
+    /// lane `l`'s answer is `extract_lane(l)`.
+    Fused(FusedPair, Vec<usize>),
+    /// `reach` queries packed into one `MultiSourceBfs`; lane `l`'s answer
+    /// is its bit range of every vertex word.
+    Reach(Vec<usize>),
+    /// One query on its own plain program (kernel `BFS`), whose whole output
+    /// is the answer: a PageRank / CC refresh, or one lane of a multi-lane
+    /// launch that exhausted its fault retries.
+    Solo(usize),
+}
+
+/// Serving facts about the launch that settled a lane, joined back to each
+/// query at flush end; all zero but the clocks for a query no launch served.
+#[derive(Clone, Debug, Default)]
 struct LaneMeta {
     /// Monotonic launch id (the `serve_batches_total` counter value).
     batch_id: u64,
@@ -282,60 +332,63 @@ struct LaneMeta {
     settle_clock: f64,
 }
 
-/// The previous epoch's prepared state, kept alive through a
-/// serve-previous rebuild window so in-window queries run on a complete,
-/// consistent snapshot.
-struct PrevEpoch {
+/// A settled lane and the launch that settled it; `None` until then.
+type Slot = Option<(Settled, LaneMeta)>;
+
+/// One graph revision and everything prepared from it. The three travel
+/// together: prepared state answers only for the graph it was built from,
+/// and the revision is what cache keys and layout stamps pin.
+struct Epoch {
     graph: Graph,
     rev: u64,
-    layouts: HashMap<u32, PreparedLayout>,
-    frontier: Option<PreparedFrontier>,
+    warm: Warm,
+}
+
+/// An open rebuild window: from a committed mutation to the end of the next
+/// flush.
+#[derive(Default)]
+struct Window {
+    /// Keys whose prepared state was warm when a batch joined the window;
+    /// the close rebuilds exactly these, once, however many batches the
+    /// window covered.
+    warm_keys: BTreeSet<u32>,
+    /// Under `ServePrevious` only: the epoch before the window's first
+    /// batch — the snapshot in-window queries are admitted, cache-keyed and
+    /// run against.
+    prev: Option<Epoch>,
+}
+
+/// The epoch queries are served from: the one a serve-previous window
+/// keeps while it is open, the live one otherwise.
+fn serving_mut<'a>(live: &'a mut Epoch, window: &'a mut Option<Window>) -> &'a mut Epoch {
+    window
+        .as_mut()
+        .and_then(|w| w.prev.as_mut())
+        .unwrap_or(live)
 }
 
 /// The resident service: one loaded graph, warm layouts, a stream of
 /// queries. Drive it with [`Service::handle_line`] (one input line →
 /// zero or more response lines) or [`run_session`].
 pub struct Service {
-    graph: Graph,
     cfg: ServeConfig,
-    rev: u64,
-    /// Mutation epoch: 0 at load (or the recovered epoch when a WAL
+    /// The newest epoch: the one mutations land on.
+    live: Epoch,
+    /// Mutation epoch number: 0 at load (or the recovered epoch when a WAL
     /// replayed), +1 per committed batch.
     epoch: u64,
-    layouts: HashMap<u32, PreparedLayout>,
-    frontier: Option<PreparedFrontier>,
-    /// The pre-mutation epoch a serve-previous rebuild window serves
-    /// from; `None` outside a window (and always under `Shed`).
-    prev: Option<PrevEpoch>,
-    /// True from a committed mutation until the next flush closes the
-    /// rebuild window.
-    rebuilding: bool,
-    /// Superseded revisions whose cache entries are invalidated when the
-    /// window closes (immediately, under `Shed`).
-    stale_revs: Vec<u64>,
-    /// Shard sizes that were warm before the window opened; the window
-    /// close rebuilds exactly these, once, however many batches the
-    /// window covered.
-    warm_sizes: std::collections::BTreeSet<u32>,
-    /// Whether the frontier topology was warm before the window opened.
-    warm_frontier: bool,
+    /// Open from a committed mutation until the next flush closes it.
+    window: Option<Window>,
     wal: Option<Wal>,
     /// What WAL recovery found at startup, when a WAL is configured.
     recovery: Option<RecoveryStats>,
     /// Set when an injected WAL crash point fired; the session stops
     /// cold, as a real crash would.
     crashed: Option<CrashPoint>,
-    plan: Option<FaultPlan>,
     cache: ResultCache,
     queue: AdmissionQueue,
     metrics: MetricsRegistry,
     telemetry: Telemetry,
-    /// Per-lane launch facts for the flush in progress (index-aligned
-    /// with the drained queue; split retries overwrite with singleton
-    /// launch facts).
-    flush_meta: Vec<Option<LaneMeta>>,
-    /// Facts of the most recent launch, stamped onto its lanes.
-    last_launch: Option<LaneMeta>,
     assigned_ids: u64,
     clock: f64,
     shut_down: bool,
@@ -350,8 +403,9 @@ impl Service {
     /// or the compaction snapshot, torn tails truncated) and the service
     /// starts at the recovered epoch — see [`Service::recovery`].
     pub fn new(graph: Graph, cfg: ServeConfig) -> Result<Self, String> {
+        cfg.validate()?;
         graph.validate().map_err(|e| e.to_string())?;
-        Self::engine_cfg_for(&cfg).validate()?;
+        let warm = Warm::new(&cfg)?;
         cfg.trace.name_lane(0, lanes::SERVE, "service");
         cfg.trace.name_lane(0, lanes::MUTATE, "mutate");
         let (graph, epoch, wal, recovery) = match &cfg.wal {
@@ -377,7 +431,6 @@ impl Service {
             }
         };
         let rev = graph_rev(&graph);
-        let plan = cfg.fault_plan.clone();
         let cache = ResultCache::new(cfg.cache_capacity);
         let queue = AdmissionQueue::new(cfg.queue_capacity);
         let telemetry = Telemetry::new(cfg.query_log_capacity, cfg.slow_log_capacity, cfg.slo);
@@ -388,27 +441,17 @@ impl Service {
             metrics.add("serve_wal_truncated_bytes_total", &[], rs.truncated_bytes);
         }
         Ok(Service {
-            graph,
             cfg,
-            rev,
+            live: Epoch { graph, rev, warm },
             epoch,
-            layouts: HashMap::new(),
-            frontier: None,
-            prev: None,
-            rebuilding: false,
-            stale_revs: Vec::new(),
-            warm_sizes: std::collections::BTreeSet::new(),
-            warm_frontier: false,
+            window: None,
             wal,
             recovery,
             crashed: None,
-            plan,
             cache,
             queue,
             metrics,
             telemetry,
-            flush_meta: Vec::new(),
-            last_launch: None,
             assigned_ids: 0,
             clock: 0.0,
             shut_down: false,
@@ -417,7 +460,7 @@ impl Service {
 
     /// The loaded graph's structural fingerprint.
     pub fn graph_rev(&self) -> u64 {
-        self.rev
+        self.live.rev
     }
 
     /// The mutation epoch (0 at load, +1 per committed batch; recovered
@@ -464,15 +507,10 @@ impl Service {
         }
     }
 
-    fn engine_cfg_for(cfg: &ServeConfig) -> CuShaConfig {
-        let mut c = CuShaConfig::new(cfg.repr);
-        c.vertices_per_shard = cfg.vertices_per_shard;
-        c.max_iterations = cfg.max_iterations;
-        c.device = cfg.device.clone();
-        c.watchdog_interval = cfg.watchdog_interval;
-        c.integrity = cfg.integrity;
-        c.trace = cfg.trace.clone();
-        c
+    /// The epoch queries are served from (see [`serving_mut`]).
+    fn serving(&self) -> &Epoch {
+        let prev = self.window.as_ref().and_then(|w| w.prev.as_ref());
+        prev.unwrap_or(&self.live)
     }
 
     /// Handles one input line, returning the response lines it settles
@@ -533,7 +571,7 @@ impl Service {
         let start = self.clock;
         // Validate against the live graph — mutations always land on the
         // newest epoch, even mid-window.
-        if let Err(e) = m.batch.validate(&self.graph) {
+        if let Err(e) = m.batch.validate(&self.live.graph) {
             self.metrics
                 .add("serve_mutations_total", &[("status", "invalid")], 1);
             out.push(render_mutate_error(&id, "invalid", &e.to_string()));
@@ -565,81 +603,61 @@ impl Service {
                 }
             }
         }
-        // Committed. Remember which prepared state was warm so the window
-        // close can rebuild exactly that, once, however many batches the
-        // window covers.
-        for &k in self.layouts.keys() {
-            self.warm_sizes.insert(k);
-        }
-        if let Some(p) = &self.prev {
-            for &k in p.layouts.keys() {
-                self.warm_sizes.insert(k);
-            }
-            self.warm_frontier |= p.frontier.is_some();
-        }
-        self.warm_frontier |= self.frontier.is_some();
-        let old_rev = self.rev;
-        let took_prev =
-            self.cfg.rebuild_policy == RebuildPolicy::ServePrevious && self.prev.is_none();
-        if took_prev {
-            // The window serves the oldest pre-window epoch; later batches
-            // in the same window keep the same serving snapshot.
-            self.prev = Some(PrevEpoch {
-                graph: self.graph.clone(),
-                rev: old_rev,
-                layouts: std::mem::take(&mut self.layouts),
-                frontier: self.frontier.take(),
-            });
-        }
-        let delta = match m.batch.apply(&mut self.graph) {
+        // Committed. The first batch of a serve-previous window keeps the
+        // pre-mutation graph serving.
+        let opens_serving_window =
+            self.cfg.rebuild_policy == RebuildPolicy::ServePrevious && self.window.is_none();
+        let snapshot = opens_serving_window.then(|| self.live.graph.clone());
+        let delta = match m.batch.apply(&mut self.live.graph) {
             Ok(d) => d,
             Err(e) => {
-                // Unreachable (validated above) — but restore and report
-                // as a typed internal error rather than trust an
-                // impossible state.
-                if took_prev {
-                    if let Some(p) = self.prev.take() {
-                        self.graph = p.graph;
-                        self.layouts = p.layouts;
-                        self.frontier = p.frontier;
-                    }
-                }
+                // Unreachable (validated above, and a refused batch leaves
+                // the graph untouched) — report a typed internal error
+                // rather than trust an impossible state.
                 self.metrics.add("serve_internal_errors_total", &[], 1);
                 out.push(render_mutate_error(&id, "internal", &e.to_string()));
                 return out;
             }
         };
-        self.layouts.clear();
-        self.frontier = None;
         self.epoch = next_epoch;
-        self.rev = graph_rev(&self.graph);
-        self.stale_revs.push(old_rev);
-        self.rebuilding = true;
-        if let Some(wal) = self.wal.as_mut() {
-            let syncs_before = wal.stats().syncs;
-            match wal.note_applied(&self.graph, self.epoch) {
-                Ok(compacted) => {
-                    self.clock += (wal.stats().syncs - syncs_before) as f64 * MODELED_FSYNC_S;
-                    if compacted {
-                        self.metrics.add("serve_wal_snapshots_total", &[], 1);
-                    }
-                }
-                Err(e) => {
-                    // The batch is committed and applied; a failed
-                    // compaction costs replay time on restart, not
-                    // correctness.
-                    self.clock += (wal.stats().syncs - syncs_before) as f64 * MODELED_FSYNC_S;
-                    cusha_obs::log::write(
-                        cusha_obs::log::Level::Warn,
-                        &format!("serve: wal compaction failed, continuing on full log: {e}"),
-                    );
-                }
+        let old_rev = std::mem::replace(&mut self.live.rev, graph_rev(&self.live.graph));
+        // Whatever is warm now is what the window close rebuilds, once,
+        // however many batches the window covers.
+        let window = self.window.get_or_insert_with(Window::default);
+        window.warm_keys.extend(self.live.warm.keys());
+        if let Some(prev) = &window.prev {
+            window.warm_keys.extend(prev.warm.keys());
+        }
+        match (self.cfg.rebuild_policy, snapshot) {
+            // The pre-mutation epoch keeps serving, on the layouts it has.
+            (RebuildPolicy::ServePrevious, Some(graph)) => {
+                let (rev, warm) = (old_rev, self.live.warm.take());
+                window.prev = Some(Epoch { graph, rev, warm });
+            }
+            // A later batch of the same window: it keeps its snapshot.
+            (RebuildPolicy::ServePrevious, None) => {}
+            // Shed serves nothing in the window: the superseded layouts go
+            // before the new ones are built, and their revision's cache
+            // entries with them.
+            (RebuildPolicy::Shed, _) => {
+                drop(self.live.warm.take());
+                self.invalidate(old_rev);
             }
         }
-        // Shed has no serving window: superseded revisions are stale the
-        // moment the batch applies.
-        if self.cfg.rebuild_policy == RebuildPolicy::Shed {
-            self.invalidate_stale();
+        if let Some(wal) = self.wal.as_mut() {
+            let syncs_before = wal.stats().syncs;
+            let noted = wal.note_applied(&self.live.graph, self.epoch);
+            self.clock += (wal.stats().syncs - syncs_before) as f64 * MODELED_FSYNC_S;
+            match noted {
+                Ok(true) => self.metrics.add("serve_wal_snapshots_total", &[], 1),
+                Ok(false) => {}
+                // The batch is committed and applied; a failed compaction
+                // costs replay time on restart, not correctness.
+                Err(e) => cusha_obs::log::write(
+                    cusha_obs::log::Level::Warn,
+                    &format!("serve: wal compaction failed, continuing on full log: {e}"),
+                ),
+            }
         }
         self.metrics
             .add("serve_mutations_total", &[("status", "ok")], 1);
@@ -657,16 +675,13 @@ impl Service {
             start,
             self.clock - start,
         );
-        out.push(render_mutate_ok(&id, self.epoch, self.rev, &delta));
+        out.push(render_mutate_ok(&id, self.epoch, self.live.rev, &delta));
         out
     }
 
-    /// Drops every cache entry keyed on a superseded revision.
-    fn invalidate_stale(&mut self) {
-        let mut dropped = 0;
-        for rev in std::mem::take(&mut self.stale_revs) {
-            dropped += self.cache.invalidate_rev(rev);
-        }
+    /// Drops every cache entry keyed on the superseded revision `rev`.
+    fn invalidate(&mut self, rev: u64) {
+        let dropped = self.cache.invalidate_rev(rev);
         if dropped > 0 {
             self.metrics
                 .add("serve_cache_invalidated_total", &[], dropped as u64);
@@ -688,7 +703,7 @@ impl Service {
         if self.shut_down {
             return Some(self.shed(&q, ShedReason::ShuttingDown));
         }
-        if self.rebuilding && self.cfg.rebuild_policy == RebuildPolicy::Shed {
+        if self.window.is_some() && self.cfg.rebuild_policy == RebuildPolicy::Shed {
             return Some(self.shed(&q, ShedReason::Rebuilding));
         }
         // Cache pass: a hit settles at the door without queue or device.
@@ -702,23 +717,7 @@ impl Service {
                 cached: true,
                 value_bits: q.want_values.then(|| hit.value_bits.clone()),
             };
-            self.metrics
-                .add("serve_responses_total", &[("status", "ok")], 1);
-            // A hit settles in zero modeled time with no launch.
-            self.record_query(QueryRecord {
-                seq: 0,
-                op: q.op.label(),
-                queue_wait_s: 0.0,
-                batch_id: 0,
-                batch_width: 0,
-                warm: false,
-                cache_hit: true,
-                retries: 0,
-                latency_s: 0.0,
-                deadline_slack_s: self.deadline_of(&q),
-                outcome: QueryOutcome::Ok,
-            });
-            return Some(render_response(&q, &settled));
+            return Some(self.respond_at_the_door(&q, &settled));
         }
         self.metrics.add("serve_cache_misses_total", &[], 1);
         match self.queue.admit(q.clone(), self.clock) {
@@ -734,52 +733,72 @@ impl Service {
     fn shed(&mut self, q: &Query, reason: ShedReason) -> String {
         self.metrics
             .add("serve_shed_total", &[("reason", reason.label())], 1);
-        self.metrics
-            .add("serve_responses_total", &[("status", "rejected")], 1);
-        self.record_query(QueryRecord {
-            seq: 0,
-            op: q.op.label(),
-            queue_wait_s: 0.0,
-            batch_id: 0,
-            batch_width: 0,
-            warm: false,
-            cache_hit: false,
-            retries: 0,
-            latency_s: 0.0,
-            deadline_slack_s: None,
-            outcome: QueryOutcome::Rejected,
-        });
         self.cfg
             .trace
             .instant(0, lanes::SERVE, "serve", "shed", self.clock);
-        render_response(
-            q,
-            &Settled::Rejected {
-                reason: reason.label(),
-            },
-        )
+        self.respond_at_the_door(q, &Settled::Rejected(reason))
     }
 
-    /// The revision in-window queries are served (and cache-keyed)
-    /// against: the previous epoch's during a serve-previous rebuild
-    /// window, the live one otherwise.
-    fn active_rev(&self) -> u64 {
-        match &self.prev {
-            Some(p) if self.rebuilding => p.rev,
-            _ => self.rev,
-        }
+    /// Responds to a query that never launched — a cache hit or a shed — in
+    /// zero modeled time.
+    fn respond_at_the_door(&mut self, q: &Query, settled: &Settled) -> String {
+        let no_launch = LaneMeta {
+            launch_start: self.clock,
+            settle_clock: self.clock,
+            ..LaneMeta::default()
+        };
+        self.respond(q, settled, (0, self.clock), &no_launch)
     }
 
-    /// The graph matching [`Service::active_rev`].
-    fn active_graph(&self) -> &Graph {
-        match &self.prev {
-            Some(p) if self.rebuilding => &p.graph,
-            _ => &self.graph,
+    /// The one way a query leaves the service: counted by status, recorded
+    /// in the telemetry bundle, rendered. `admitted` is its (sequence number,
+    /// admission clock), `meta` the launch that settled it.
+    fn respond(
+        &mut self,
+        q: &Query,
+        settled: &Settled,
+        (seq, admit_clock): (u64, f64),
+        meta: &LaneMeta,
+    ) -> String {
+        let outcome = settled.outcome();
+        self.metrics
+            .add("serve_responses_total", &[("status", outcome.label())], 1);
+        if outcome == QueryOutcome::Deadline {
+            self.metrics.add("serve_deadline_cancelled_total", &[], 1);
         }
+        // Latency spans admission to the settling launch's end; queue wait
+        // spans admission to that launch's start (both in modeled seconds,
+        // so later lanes in a flush accrue the time earlier launches spent
+        // running). A rejection has no meaningful latency: no slack, no
+        // histogram sample.
+        let served = outcome != QueryOutcome::Rejected;
+        let latency_s = (meta.settle_clock - admit_clock).max(0.0);
+        let queue_wait_s = (meta.launch_start - admit_clock).max(0.0);
+        if served {
+            self.metrics
+                .observe("serve_query_latency_seconds", &[], latency_s);
+            self.metrics
+                .observe("serve_queue_wait_seconds", &[], queue_wait_s);
+        }
+        let deadline = self.deadline_of(q).filter(|_| served);
+        self.telemetry.record(QueryRecord {
+            seq,
+            op: q.op.label(),
+            queue_wait_s,
+            batch_id: meta.batch_id,
+            batch_width: meta.batch_width,
+            warm: meta.warm,
+            cache_hit: matches!(settled, Settled::Ok { cached: true, .. }),
+            retries: meta.retries,
+            latency_s,
+            deadline_slack_s: deadline.map(|d| d - latency_s),
+            outcome,
+        });
+        render_response(q, settled)
     }
 
     fn validate_query(&self, op: &QueryOp) -> Option<ShedReason> {
-        let n = self.active_graph().num_vertices();
+        let n = self.serving().graph.num_vertices();
         match op {
             QueryOp::Traversal { source, .. } => (*source >= n).then_some(ShedReason::BadSource),
             QueryOp::Reach { sources } => {
@@ -796,8 +815,8 @@ impl Service {
     }
 
     fn query_key(&self, op: &QueryOp) -> String {
-        let rev = self.active_rev();
-        let integ = integrity_label(self.cfg.integrity.mode);
+        let rev = self.serving().rev;
+        let integ = self.cfg.integrity.mode.label();
         match op {
             QueryOp::Traversal { kind, source } => cache_key(rev, kind.label(), &[*source], integ),
             QueryOp::Reach { sources } => cache_key(rev, "reach", sources, integ),
@@ -816,68 +835,37 @@ impl Service {
         responses
     }
 
-    /// Settles everything queued without closing the rebuild window, so
-    /// consecutive mutation batches amortize a single rebuild. During a
-    /// serve-previous window the launches run on the previous epoch's
-    /// state — the snapshot in-window queries were admitted and
-    /// cache-keyed against.
-    fn flush_queries(&mut self) -> Vec<String> {
-        let swap = self.rebuilding && self.prev.is_some();
-        if swap {
-            self.swap_prev();
-        }
-        let responses = self.run_flush_body();
-        if swap {
-            self.swap_prev();
-        }
-        responses
-    }
-
-    /// Swaps the live epoch's serving state with the previous epoch's.
-    fn swap_prev(&mut self) {
-        if let Some(p) = self.prev.as_mut() {
-            std::mem::swap(&mut self.graph, &mut p.graph);
-            std::mem::swap(&mut self.rev, &mut p.rev);
-            std::mem::swap(&mut self.layouts, &mut p.layouts);
-            std::mem::swap(&mut self.frontier, &mut p.frontier);
-        }
-    }
-
-    /// Ends the rebuild window opened by a committed mutation: rebuilds
-    /// (warm) exactly the prepared state that was warm before the window,
-    /// drops the previous epoch, and invalidates superseded revisions.
+    /// Ends the rebuild window opened by a committed mutation: drops the
+    /// previous epoch, rebuilds (warm) exactly the prepared state that was
+    /// warm before the window, and invalidates superseded revisions.
     fn close_window(&mut self) {
-        if !self.rebuilding {
+        let Some(window) = self.window.take() else {
             return;
+        };
+        // The only superseded revision with cache entries is the one the
+        // window served: nothing was ever keyed on the revisions between it
+        // and the live one. Its layouts go before the new ones are built.
+        if let Some(prev) = window.prev {
+            self.invalidate(prev.rev);
         }
-        self.prev = None;
-        let warm_sizes = std::mem::take(&mut self.warm_sizes);
-        let warm_frontier = std::mem::replace(&mut self.warm_frontier, false);
-        let mut rebuilt = 0u64;
-        if self.cfg.engine == ServeEngine::Shard {
-            for n_per in warm_sizes {
-                let mut l = PreparedLayout::build(&self.graph, self.cfg.repr, n_per);
-                l.stamp_rev(self.rev);
-                self.layouts.insert(n_per, l);
-                rebuilt += 1;
-            }
+        for &key in &window.warm_keys {
+            let live = &mut self.live;
+            live.warm.ensure(key, &live.graph, live.rev);
         }
-        if self.cfg.engine == ServeEngine::Frontier && warm_frontier {
-            self.frontier = Some(PreparedFrontier::build(&self.graph));
-            rebuilt += 1;
-        }
-        if rebuilt > 0 {
+        if !window.warm_keys.is_empty() {
+            let rebuilt = window.warm_keys.len() as u64;
             self.metrics.add("serve_rebuilds_total", &[], rebuilt);
         }
-        self.rebuilding = false;
-        self.invalidate_stale();
         self.cfg
             .trace
             .instant(0, lanes::MUTATE, "serve", "window-close", self.clock);
     }
 
-    /// The flush body proper: drain, batch, launch, settle.
-    fn run_flush_body(&mut self) -> Vec<String> {
+    /// Settles everything queued without closing the rebuild window, so
+    /// consecutive mutation batches amortize a single rebuild: drain, plan,
+    /// launch and settle, render. Launches run on the serving epoch — the
+    /// snapshot the queries were admitted and cache-keyed against.
+    fn flush_queries(&mut self) -> Vec<String> {
         let admitted = self.queue.drain();
         self.metrics.set_gauge("serve_queue_depth", &[], 0.0);
         if admitted.is_empty() {
@@ -887,67 +875,9 @@ impl Service {
         self.metrics.add("serve_flushes_total", &[], 1);
         self.metrics
             .set_gauge("serve_inflight", &[], admitted.len() as f64);
-        let mut settled: Vec<Option<Settled>> = admitted.iter().map(|_| None).collect();
-        self.flush_meta = admitted.iter().map(|_| None).collect();
-        self.last_launch = None;
-
-        // Valued traversals, fused two-per-launch per kind.
-        for kind in [TraversalKind::Bfs, TraversalKind::Sssp, TraversalKind::Sswp] {
-            let idxs: Vec<usize> = admitted
-                .iter()
-                .enumerate()
-                .filter(
-                    |(_, a)| matches!(a.query.op, QueryOp::Traversal { kind: k, .. } if k == kind),
-                )
-                .map(|(i, _)| i)
-                .collect();
-            for pair in idxs.chunks(2) {
-                self.run_traversal_pair(kind, pair, &admitted, &mut settled);
-            }
-        }
-
-        // Reach queries, bitset-packed greedily up to 64 sources per launch.
-        let reach_idxs: Vec<usize> = admitted
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| matches!(a.query.op, QueryOp::Reach { .. }))
-            .map(|(i, _)| i)
-            .collect();
-        let mut group: Vec<usize> = Vec::new();
-        let mut group_bits = 0usize;
-        for &i in &reach_idxs {
-            let w = match &admitted[i].query.op {
-                QueryOp::Reach { sources } => sources.len(),
-                _ => unreachable!(),
-            };
-            if group_bits + w > 64 && !group.is_empty() {
-                self.run_reach_group(&group, &admitted, &mut settled);
-                group.clear();
-                group_bits = 0;
-            }
-            group.push(i);
-            group_bits += w;
-        }
-        if !group.is_empty() {
-            self.run_reach_group(&group, &admitted, &mut settled);
-        }
-
-        // Whole-graph refreshes, one launch each.
-        for (i, a) in admitted.iter().enumerate() {
-            match a.query.op {
-                QueryOp::PageRank => {
-                    let outcome = self.launch(&PageRank::new(), &[self.deadline_of(&a.query)]);
-                    self.stamp(&[i]);
-                    self.settle_single(i, a, outcome, &mut settled);
-                }
-                QueryOp::ConnectedComponents => {
-                    let outcome =
-                        self.launch(&ConnectedComponents::new(), &[self.deadline_of(&a.query)]);
-                    self.stamp(&[i]);
-                    self.settle_single(i, a, outcome, &mut settled);
-                }
-                _ => {}
-            }
+        let mut slots: Vec<Slot> = admitted.iter().map(|_| None).collect();
+        for planned in plan_flush(&admitted) {
+            self.run_planned(planned, &admitted, &mut slots);
         }
 
         self.metrics.set_gauge("serve_inflight", &[], 0.0);
@@ -961,58 +891,25 @@ impl Service {
             flush_start,
             self.clock - flush_start,
         );
-        let flush_meta = std::mem::take(&mut self.flush_meta);
         let mut responses = Vec::with_capacity(admitted.len());
-        for ((a, s), meta) in admitted.iter().zip(settled).zip(flush_meta) {
-            // Every admitted query settles exactly once; a lane no batcher
+        for (a, slot) in admitted.iter().zip(slots) {
+            // Every admitted query settles exactly once; a lane no launch
             // claimed is an internal bug that must shed that one query
             // with a typed response, not take the service down.
-            let s = s.unwrap_or_else(|| {
+            let (settled, meta) = slot.unwrap_or_else(|| {
                 self.metrics.add("serve_internal_errors_total", &[], 1);
-                Settled::Failed {
+                let failed = Settled::Failed {
                     reason: "internal",
                     detail: "admitted query was never settled by any launch".into(),
-                }
+                };
+                let no_launch = LaneMeta {
+                    launch_start: flush_start,
+                    settle_clock: self.clock,
+                    ..LaneMeta::default()
+                };
+                (failed, no_launch)
             });
-            let status = match &s {
-                Settled::Ok { .. } => "ok",
-                Settled::Deadline { .. } => "deadline",
-                Settled::Failed { .. } => "failed",
-                Settled::Rejected { .. } => "rejected",
-            };
-            self.metrics
-                .add("serve_responses_total", &[("status", status)], 1);
-            if matches!(s, Settled::Deadline { .. }) {
-                self.metrics.add("serve_deadline_cancelled_total", &[], 1);
-            }
-            let outcome = match &s {
-                Settled::Ok { .. } => QueryOutcome::Ok,
-                Settled::Deadline { .. } => QueryOutcome::Deadline,
-                Settled::Failed { .. } => QueryOutcome::Failed,
-                Settled::Rejected { .. } => QueryOutcome::Rejected,
-            };
-            // Latency spans admission to the settling launch's end;
-            // queue wait spans admission to that launch's start (both in
-            // modeled seconds, so later lanes in a flush accrue the time
-            // earlier launches spent running).
-            let settle_clock = meta.as_ref().map_or(self.clock, |m| m.settle_clock);
-            let launch_start = meta.as_ref().map_or(flush_start, |m| m.launch_start);
-            let latency_s = (settle_clock - a.admit_clock).max(0.0);
-            let rec = QueryRecord {
-                seq: a.seq,
-                op: a.query.op.label(),
-                queue_wait_s: (launch_start - a.admit_clock).max(0.0),
-                batch_id: meta.as_ref().map_or(0, |m| m.batch_id),
-                batch_width: meta.as_ref().map_or(0, |m| m.batch_width),
-                warm: meta.as_ref().is_some_and(|m| m.warm),
-                cache_hit: false,
-                retries: meta.as_ref().map_or(0, |m| m.retries),
-                latency_s,
-                deadline_slack_s: self.deadline_of(&a.query).map(|d| d - latency_s),
-                outcome,
-            };
-            self.record_query(rec);
-            responses.push(render_response(&a.query, &s));
+            responses.push(self.respond(&a.query, &settled, (a.seq, a.admit_clock), &meta));
         }
         responses
     }
@@ -1023,32 +920,20 @@ impl Service {
             .map(|ms| ms / 1e3)
     }
 
-    /// One engine launch with the service's retry policy. `deadlines` has
-    /// one slot per lane; the observer state feeds per-lane settlement.
-    fn launch<P: VertexProgram>(&mut self, prog: &P, deadlines: &[Option<f64>]) -> Outcome<P::V> {
-        let ecfg = Self::engine_cfg_for(&self.cfg);
-        let fcfg = FrontierConfig::from_cusha(&ecfg);
-        let n_per =
-            PreparedLayout::select_n_per(&self.graph, &ecfg, <P::V as cusha_simt::Pod>::SIZE);
+    /// One engine launch on the serving epoch with the service's retry
+    /// policy: prepares the warm state the program needs (a cold launch
+    /// builds it), then runs, retrying device faults with modeled backoff.
+    /// `deadlines` has one slot per lane; the observer state feeds per-lane
+    /// settlement.
+    fn launch<P: VertexProgram>(
+        &mut self,
+        prog: &P,
+        deadlines: &[Option<f64>],
+    ) -> (Outcome<P::V>, LaneMeta) {
+        let epoch = serving_mut(&mut self.live, &mut self.window);
+        let key = epoch.warm.key_for::<P>(&epoch.graph);
         let launch_start = self.clock;
-        let warm = match self.cfg.engine {
-            ServeEngine::Shard => self.layouts.contains_key(&n_per),
-            ServeEngine::Frontier => self.frontier.is_some(),
-        };
-        match self.cfg.engine {
-            ServeEngine::Shard => {
-                if !self.layouts.contains_key(&n_per) {
-                    let mut l = PreparedLayout::build(&self.graph, self.cfg.repr, n_per);
-                    l.stamp_rev(self.rev);
-                    self.layouts.insert(n_per, l);
-                }
-            }
-            ServeEngine::Frontier => {
-                if self.frontier.is_none() {
-                    self.frontier = Some(PreparedFrontier::build(&self.graph));
-                }
-            }
-        }
+        let warm = epoch.warm.ensure(key, &epoch.graph, epoch.rev);
         self.metrics.add("serve_batches_total", &[], 1);
         let batch_id = self
             .metrics
@@ -1062,69 +947,34 @@ impl Service {
         let mut attempt = 0u32;
         let outcome = 'run: loop {
             let mut observer = DeadlineObserver::new(deadlines.to_vec());
-            // Missing or wrong-revision prepared state here is an internal
-            // bug (it was built and stamped above): shed this one launch
-            // with a typed failure instead of panicking the service.
-            let result = match self.cfg.engine {
-                ServeEngine::Shard => match self.layouts.get(&n_per) {
-                    Some(layout) if layout.valid_for(self.rev) => try_run_warm(
-                        prog,
-                        &self.graph,
-                        layout,
-                        &ecfg,
-                        self.plan.as_mut(),
-                        &mut observer,
-                    ),
-                    stale => {
-                        self.metrics.add("serve_internal_errors_total", &[], 1);
-                        let detail = if stale.is_some() {
-                            format!(
-                                "prepared layout for shard size {n_per} is stamped for a \
-                                 superseded graph revision"
-                            )
-                        } else {
-                            format!("prepared layout for shard size {n_per} missing after build")
-                        };
-                        break 'run Outcome::Typed {
-                            kind: "internal",
-                            detail,
-                        };
-                    }
-                },
-                ServeEngine::Frontier => match self.frontier.as_ref() {
-                    Some(pf) => try_run_frontier_warm(
-                        prog,
-                        &self.graph,
-                        pf,
-                        &fcfg,
-                        self.plan.as_mut(),
-                        &mut observer,
-                    )
-                    .map(|o| CuShaOutput {
-                        values: o.values,
-                        stats: o.stats,
-                    }),
-                    None => {
-                        self.metrics.add("serve_internal_errors_total", &[], 1);
-                        break 'run Outcome::Typed {
-                            kind: "internal",
-                            detail: "prepared frontier topology missing after build".into(),
-                        };
-                    }
-                },
-            };
-            match result {
-                Ok(out) => {
-                    self.account_run(&out.stats);
+            let plan = self.cfg.fault_plan.as_mut();
+            let ran = epoch
+                .warm
+                .run(key, prog, &epoch.graph, epoch.rev, plan, &mut observer);
+            match ran {
+                Err(detail) => {
+                    self.metrics.add("serve_internal_errors_total", &[], 1);
+                    break 'run Outcome::Typed {
+                        kind: "internal",
+                        detail,
+                    };
+                }
+                Ok(Ok(out)) => {
+                    let (stats, scope) = (&out.stats, [("scope", "serve")]);
+                    self.clock += stats.total_seconds();
+                    self.metrics
+                        .observe("serve_query_modeled_seconds", &[], stats.total_seconds());
+                    stats.fault.record_metrics(&mut self.metrics, &scope);
+                    stats.sdc.record_metrics(&mut self.metrics, &scope);
                     break 'run Outcome::Done {
                         out: Box::new(out),
                         expired: observer.expired,
                     };
                 }
-                Err(EngineError::Deadline {
+                Ok(Err(EngineError::Deadline {
                     iterations,
                     elapsed_seconds,
-                }) => {
+                })) => {
                     self.clock += elapsed_seconds;
                     break 'run Outcome::AllExpired {
                         expired: observer
@@ -1134,11 +984,11 @@ impl Service {
                             .collect(),
                     };
                 }
-                Err(
+                Ok(Err(
                     e @ (EngineError::CopyFault { .. }
                     | EngineError::KernelFault { .. }
                     | EngineError::DeviceOom { .. }),
-                ) => {
+                )) => {
                     if attempt >= self.cfg.max_retries {
                         break 'run Outcome::FaultExhausted {
                             detail: e.to_string(),
@@ -1157,7 +1007,7 @@ impl Service {
                         &format!("serve: retrying {} after fault: {e}", prog.name()),
                     );
                 }
-                Err(e) => {
+                Ok(Err(e)) => {
                     break 'run Outcome::Typed {
                         kind: e.kind(),
                         detail: e.to_string(),
@@ -1165,63 +1015,23 @@ impl Service {
                 }
             }
         };
-        self.last_launch = Some(LaneMeta {
+        let meta = LaneMeta {
             batch_id,
             batch_width: deadlines.len() as u32,
             retries: attempt,
             warm,
             launch_start,
             settle_clock: self.clock,
-        });
-        outcome
+        };
+        (outcome, meta)
     }
 
-    /// Copies the most recent launch's facts onto each of its lanes.
-    /// Split retries call back through [`Service::launch`] per lane, so
-    /// the overwrite leaves each query tagged with the launch that
-    /// actually settled it.
-    fn stamp(&mut self, idxs: &[usize]) {
-        if let Some(meta) = self.last_launch.clone() {
-            for &i in idxs {
-                if let Some(slot) = self.flush_meta.get_mut(i) {
-                    *slot = Some(meta.clone());
-                }
-            }
-        }
-    }
-
-    /// Routes one terminal query record into metrics and the telemetry
-    /// bundle. Rejections carry no meaningful latency and skip the
-    /// histograms.
-    fn record_query(&mut self, rec: QueryRecord) {
-        if rec.outcome != QueryOutcome::Rejected {
-            self.metrics
-                .observe("serve_query_latency_seconds", &[], rec.latency_s);
-            self.metrics
-                .observe("serve_queue_wait_seconds", &[], rec.queue_wait_s);
-        }
-        self.telemetry.record(rec);
-    }
-
-    fn account_run(&mut self, stats: &RunStats) {
-        self.clock += stats.total_seconds();
-        self.metrics
-            .observe("serve_query_modeled_seconds", &[], stats.total_seconds());
-        stats
-            .fault
-            .record_metrics(&mut self.metrics, &[("scope", "serve")]);
-        stats
-            .sdc
-            .record_metrics(&mut self.metrics, &[("scope", "serve")]);
-    }
-
-    /// Drops warm state after an unrecoverable fault so later queries see
-    /// a clean slate: layouts are rebuilt on demand; verified cache
-    /// entries stay (their keys pin the graph revision and they were
+    /// Drops the serving epoch's warm state after an unrecoverable fault so
+    /// later queries see a clean slate: it is rebuilt on demand; verified
+    /// cache entries stay (their keys pin the graph revision and they were
     /// settled before the fault).
     fn scrub(&mut self) {
-        self.layouts.clear();
-        self.frontier = None;
+        serving_mut(&mut self.live, &mut self.window).warm.take();
         self.metrics.add("serve_scrubs_total", &[], 1);
         self.cfg
             .trace
@@ -1232,259 +1042,153 @@ impl Service {
         );
     }
 
-    fn cache_fill(&mut self, op: &QueryOp, out_iter: u32, seconds: f64, bits: Vec<u64>) -> u64 {
-        let crc = checksum(&bits);
-        let key = self.query_key(op);
-        self.cache.put(
-            key,
-            CachedResult {
-                iterations: out_iter,
-                modeled_seconds: seconds,
-                checksum: crc,
-                value_bits: bits,
+    /// Builds the program a planned launch runs and hands it, with the rule
+    /// that cuts lane `l`'s answer out of its output, to the one settle path.
+    fn run_planned(&mut self, planned: Planned, admitted: &[Admitted], slots: &mut [Slot]) {
+        match planned {
+            Planned::Fused(prog, lanes) => {
+                let cut = |values: &[(u32, u32)], lane| {
+                    let lane_values = extract_lane(values, lane);
+                    lane_values.iter().map(|v| v.to_bits()).collect()
+                };
+                self.launch_and_settle(&prog, &lanes, cut, admitted, slots);
+            }
+            Planned::Reach(lanes) => {
+                let mut all_sources: Vec<u32> = Vec::new();
+                let mut ranges: Vec<(usize, usize)> = Vec::new(); // (lo bit, width)
+                for &i in &lanes {
+                    let QueryOp::Reach { sources } = &admitted[i].query.op else {
+                        unreachable!("the planner puts only reach queries on a reach launch");
+                    };
+                    ranges.push((all_sources.len(), sources.len()));
+                    all_sources.extend_from_slice(sources);
+                }
+                let cut = |values: &[u64], lane: usize| {
+                    let (lo, width) = ranges[lane];
+                    let mask = if width == 64 {
+                        u64::MAX
+                    } else {
+                        (1u64 << width) - 1
+                    };
+                    values.iter().map(|v| (v >> lo) & mask).collect()
+                };
+                let prog = MultiSourceBfs::new(all_sources);
+                self.launch_and_settle(&prog, &lanes, cut, admitted, slots);
+            }
+            Planned::Solo(i) => match &admitted[i].query.op {
+                &QueryOp::Traversal { kind, source } => match kind {
+                    TraversalKind::Bfs => self.solo(&Bfs::new(source), i, admitted, slots),
+                    TraversalKind::Sssp => self.solo(&Sssp::new(source), i, admitted, slots),
+                    TraversalKind::Sswp => self.solo(&Sswp::new(source), i, admitted, slots),
+                },
+                // Alone, a `reach` sets only its own `sources.len()` low bits:
+                // its whole output is its bit range.
+                QueryOp::Reach { sources } => {
+                    self.solo(&MultiSourceBfs::new(sources.clone()), i, admitted, slots)
+                }
+                QueryOp::PageRank => self.solo(&PageRank::new(), i, admitted, slots),
+                QueryOp::ConnectedComponents => {
+                    self.solo(&ConnectedComponents::new(), i, admitted, slots)
+                }
             },
-        );
-        crc
+        }
     }
 
-    fn run_traversal_pair(
+    /// A one-lane launch whose whole output, as value bits, is the answer.
+    fn solo<P: VertexProgram>(
         &mut self,
-        kind: TraversalKind,
-        pair: &[usize],
+        prog: &P,
+        i: usize,
         admitted: &[Admitted],
-        settled: &mut [Option<Settled>],
+        slots: &mut [Slot],
     ) {
-        let sources: Vec<u32> = pair
-            .iter()
-            .map(|&i| match admitted[i].query.op {
-                QueryOp::Traversal { source, .. } => source,
-                _ => unreachable!(),
-            })
-            .collect();
-        let deadlines: Vec<Option<f64>> = pair
+        let whole = |values: &[P::V], _lane| values.iter().map(|v| v.to_bits()).collect();
+        self.launch_and_settle(prog, &[i], whole, admitted, slots);
+    }
+
+    /// The one settle path: launches `prog` for the admitted queries
+    /// `lanes` and turns the outcome into one settled slot per lane —
+    /// per-lane expiry, cache fill, typed failure. A multi-lane launch that
+    /// exhausted its fault retries is split instead: each lane re-runs
+    /// alone, so only the genuinely poisoned query fails; an exhausted
+    /// single lane settles `failed` and the warm state is scrubbed.
+    fn launch_and_settle<P: VertexProgram>(
+        &mut self,
+        prog: &P,
+        lanes: &[usize],
+        cut: impl Fn(&[P::V], usize) -> Vec<u64>,
+        admitted: &[Admitted],
+        slots: &mut [Slot],
+    ) {
+        let deadlines: Vec<Option<f64>> = lanes
             .iter()
             .map(|&i| self.deadline_of(&admitted[i].query))
             .collect();
-        let prog = FusedPair::new(kind, [Some(sources[0]), sources.get(1).copied()]);
-        let outcome = self.launch(&prog, &deadlines);
-        self.stamp(pair);
+        let (outcome, meta) = self.launch(prog, &deadlines);
+        let expired = |(iterations, elapsed_seconds): (u32, f64)| Settled::Deadline {
+            iterations,
+            elapsed_seconds,
+        };
         match outcome {
-            Outcome::Done { out, expired } => {
-                let seconds = out.stats.total_seconds();
-                for (lane, &i) in pair.iter().enumerate() {
-                    settled[i] = Some(match expired[lane] {
-                        Some((iterations, elapsed_seconds)) => Settled::Deadline {
-                            iterations,
-                            elapsed_seconds,
-                        },
+            Outcome::Done { out, expired: at } => {
+                let (iterations, modeled_seconds) =
+                    (out.stats.iterations, out.stats.total_seconds());
+                for (lane, &i) in lanes.iter().enumerate() {
+                    let settled = match at[lane] {
+                        Some(expiry) => expired(expiry),
                         None => {
-                            let values = extract_lane(&out.values, lane);
-                            let bits: Vec<u64> = values.iter().map(|v| v.to_bits()).collect();
-                            let crc = self.cache_fill(
-                                &admitted[i].query.op,
-                                out.stats.iterations,
-                                seconds,
-                                bits.clone(),
-                            );
+                            let query = &admitted[i].query;
+                            let value_bits = cut(&out.values, lane);
+                            let checksum = checksum(&value_bits);
+                            let wanted = query.want_values.then(|| value_bits.clone());
+                            let answer = CachedResult {
+                                iterations,
+                                modeled_seconds,
+                                checksum,
+                                value_bits,
+                            };
+                            self.cache.put(self.query_key(&query.op), answer);
                             Settled::Ok {
-                                iterations: out.stats.iterations,
-                                modeled_seconds: seconds,
-                                checksum: crc,
+                                iterations,
+                                modeled_seconds,
+                                checksum,
                                 cached: false,
-                                value_bits: admitted[i].query.want_values.then_some(bits),
+                                value_bits: wanted,
                             }
                         }
-                    });
+                    };
+                    slots[i] = Some((settled, meta.clone()));
                 }
             }
-            Outcome::AllExpired { expired } => {
-                for (lane, &i) in pair.iter().enumerate() {
-                    settled[i] = Some(Settled::Deadline {
-                        iterations: expired[lane].0,
-                        elapsed_seconds: expired[lane].1,
-                    });
+            Outcome::AllExpired { expired: at } => {
+                for (lane, &i) in lanes.iter().enumerate() {
+                    slots[i] = Some((expired(at[lane]), meta.clone()));
                 }
             }
             Outcome::Typed { kind, detail } => {
-                for &i in pair {
-                    settled[i] = Some(Settled::Failed {
+                for &i in lanes {
+                    let failed = Settled::Failed {
                         reason: kind,
                         detail: detail.clone(),
-                    });
+                    };
+                    slots[i] = Some((failed, meta.clone()));
                 }
             }
             Outcome::FaultExhausted { detail } => {
-                if pair.len() > 1 {
+                if let [i] = *lanes {
+                    let failed = Settled::Failed {
+                        reason: "fault-exhausted",
+                        detail,
+                    };
+                    slots[i] = Some((failed, meta));
+                    self.scrub();
+                } else {
                     // Blast-radius isolation: re-run each query alone so
                     // only the poisoned one fails.
                     self.metrics.add("serve_splits_total", &[], 1);
-                    for &i in pair {
-                        self.run_traversal_single(kind, i, admitted, settled);
+                    for &i in lanes {
+                        self.run_planned(Planned::Solo(i), admitted, slots);
                     }
-                } else {
-                    settled[pair[0]] = Some(Settled::Failed {
-                        reason: "fault-exhausted",
-                        detail,
-                    });
-                    self.scrub();
-                }
-            }
-        }
-    }
-
-    fn run_traversal_single(
-        &mut self,
-        kind: TraversalKind,
-        i: usize,
-        admitted: &[Admitted],
-        settled: &mut [Option<Settled>],
-    ) {
-        let source = match admitted[i].query.op {
-            QueryOp::Traversal { source, .. } => source,
-            _ => unreachable!(),
-        };
-        let deadlines = [self.deadline_of(&admitted[i].query)];
-        let outcome = match kind {
-            TraversalKind::Bfs => self.launch(&Bfs::new(source), &deadlines),
-            TraversalKind::Sssp => self.launch(&Sssp::new(source), &deadlines),
-            TraversalKind::Sswp => self.launch(&Sswp::new(source), &deadlines),
-        };
-        self.stamp(&[i]);
-        self.settle_single(i, &admitted[i], outcome, settled);
-    }
-
-    /// Settles one single-lane outcome (singleton traversal, PR, CC).
-    fn settle_single<V: Value>(
-        &mut self,
-        i: usize,
-        a: &Admitted,
-        outcome: Outcome<V>,
-        settled: &mut [Option<Settled>],
-    ) {
-        settled[i] = Some(match outcome {
-            Outcome::Done { out, expired } => match expired[0] {
-                Some((iterations, elapsed_seconds)) => Settled::Deadline {
-                    iterations,
-                    elapsed_seconds,
-                },
-                None => {
-                    let seconds = out.stats.total_seconds();
-                    let bits: Vec<u64> = out.values.iter().map(|v| v.to_bits()).collect();
-                    let crc =
-                        self.cache_fill(&a.query.op, out.stats.iterations, seconds, bits.clone());
-                    Settled::Ok {
-                        iterations: out.stats.iterations,
-                        modeled_seconds: seconds,
-                        checksum: crc,
-                        cached: false,
-                        value_bits: a.query.want_values.then_some(bits),
-                    }
-                }
-            },
-            Outcome::AllExpired { expired } => Settled::Deadline {
-                iterations: expired[0].0,
-                elapsed_seconds: expired[0].1,
-            },
-            Outcome::Typed { kind, detail } => Settled::Failed {
-                reason: kind,
-                detail,
-            },
-            Outcome::FaultExhausted { detail } => {
-                self.scrub();
-                Settled::Failed {
-                    reason: "fault-exhausted",
-                    detail,
-                }
-            }
-        });
-    }
-
-    fn run_reach_group(
-        &mut self,
-        group: &[usize],
-        admitted: &[Admitted],
-        settled: &mut [Option<Settled>],
-    ) {
-        let mut all_sources: Vec<u32> = Vec::new();
-        let mut ranges: Vec<(usize, usize)> = Vec::new(); // (lo bit, width)
-        for &i in group {
-            let sources = match &admitted[i].query.op {
-                QueryOp::Reach { sources } => sources,
-                _ => unreachable!(),
-            };
-            ranges.push((all_sources.len(), sources.len()));
-            all_sources.extend_from_slice(sources);
-        }
-        let deadlines: Vec<Option<f64>> = group
-            .iter()
-            .map(|&i| self.deadline_of(&admitted[i].query))
-            .collect();
-        let prog = MultiSourceBfs::new(all_sources);
-        let outcome = self.launch(&prog, &deadlines);
-        self.stamp(group);
-        match outcome {
-            Outcome::Done { out, expired } => {
-                let seconds = out.stats.total_seconds();
-                for (q, &i) in group.iter().enumerate() {
-                    settled[i] = Some(match expired[q] {
-                        Some((iterations, elapsed_seconds)) => Settled::Deadline {
-                            iterations,
-                            elapsed_seconds,
-                        },
-                        None => {
-                            let (lo, width) = ranges[q];
-                            let mask = if width == 64 {
-                                u64::MAX
-                            } else {
-                                (1u64 << width) - 1
-                            };
-                            let bits: Vec<u64> =
-                                out.values.iter().map(|v| (v >> lo) & mask).collect();
-                            let crc = self.cache_fill(
-                                &admitted[i].query.op,
-                                out.stats.iterations,
-                                seconds,
-                                bits.clone(),
-                            );
-                            Settled::Ok {
-                                iterations: out.stats.iterations,
-                                modeled_seconds: seconds,
-                                checksum: crc,
-                                cached: false,
-                                value_bits: admitted[i].query.want_values.then_some(bits),
-                            }
-                        }
-                    });
-                }
-            }
-            Outcome::AllExpired { expired } => {
-                for (q, &i) in group.iter().enumerate() {
-                    settled[i] = Some(Settled::Deadline {
-                        iterations: expired[q].0,
-                        elapsed_seconds: expired[q].1,
-                    });
-                }
-            }
-            Outcome::Typed { kind, detail } => {
-                for &i in group {
-                    settled[i] = Some(Settled::Failed {
-                        reason: kind,
-                        detail: detail.clone(),
-                    });
-                }
-            }
-            Outcome::FaultExhausted { detail } => {
-                if group.len() > 1 {
-                    self.metrics.add("serve_splits_total", &[], 1);
-                    for &i in group {
-                        self.run_reach_group(&[i], admitted, settled);
-                    }
-                } else {
-                    settled[group[0]] = Some(Settled::Failed {
-                        reason: "fault-exhausted",
-                        detail,
-                    });
-                    self.scrub();
                 }
             }
         }
@@ -1492,21 +1196,18 @@ impl Service {
 
     fn render_stats(&mut self) -> String {
         let (hits, misses) = self.cache.hit_miss();
-        let shed: u64 = [
-            "queue-full",
-            "bad-source",
-            "bad-source-set",
-            "shutting-down",
-            "rebuilding",
-        ]
-        .iter()
-        .filter_map(|r| self.metrics.counter("serve_shed_total", &[("reason", r)]))
-        .sum();
+        let shed: u64 = ShedReason::ALL
+            .iter()
+            .filter_map(|r| {
+                self.metrics
+                    .counter("serve_shed_total", &[("reason", r.label())])
+            })
+            .sum();
         let mut out = String::from("{\"status\":\"stats\"");
         out.push_str(&format!(",\"epoch\":{}", self.epoch));
         out.push_str(",\"graph_rev\":");
-        push_str_lit(&mut out, &format!("{:016x}", self.rev));
-        out.push_str(&format!(",\"rebuilding\":{}", self.rebuilding));
+        push_str_lit(&mut out, &format!("{:016x}", self.live.rev));
+        out.push_str(&format!(",\"rebuilding\":{}", self.window.is_some()));
         out.push_str(&format!(",\"queue_depth\":{}", self.queue.depth()));
         out.push_str(&format!(",\"admitted\":{}", self.queue.admitted_total()));
         out.push_str(&format!(",\"shed\":{shed}"));
@@ -1565,6 +1266,53 @@ impl Service {
     }
 }
 
+/// The flush planner: the launches one flush makes, in launch order, as
+/// data. The order is part of the contract — the service clock and the batch
+/// ids follow from it.
+fn plan_flush(admitted: &[Admitted]) -> Vec<Planned> {
+    let mut plan = Vec::new();
+    // Valued traversals, fused two-per-launch per kind, in arrival order.
+    for kind in [TraversalKind::Bfs, TraversalKind::Sssp, TraversalKind::Sswp] {
+        let of_kind: Vec<(usize, u32)> = admitted
+            .iter()
+            .enumerate()
+            .filter_map(|(i, a)| match a.query.op {
+                QueryOp::Traversal { kind: k, source } if k == kind => Some((i, source)),
+                _ => None,
+            })
+            .collect();
+        for pair in of_kind.chunks(2) {
+            let sources = [Some(pair[0].1), pair.get(1).map(|p| p.1)];
+            let lanes = pair.iter().map(|p| p.0).collect();
+            plan.push(Planned::Fused(FusedPair::new(kind, sources), lanes));
+        }
+    }
+    // Reach queries, bitset-packed greedily up to 64 sources per launch.
+    let mut group: Vec<usize> = Vec::new();
+    let mut group_bits = 0usize;
+    for (i, a) in admitted.iter().enumerate() {
+        let QueryOp::Reach { sources } = &a.query.op else {
+            continue;
+        };
+        if group_bits + sources.len() > 64 && !group.is_empty() {
+            plan.push(Planned::Reach(std::mem::take(&mut group)));
+            group_bits = 0;
+        }
+        group.push(i);
+        group_bits += sources.len();
+    }
+    if !group.is_empty() {
+        plan.push(Planned::Reach(group));
+    }
+    // Whole-graph refreshes, one launch each, in arrival order.
+    for (i, a) in admitted.iter().enumerate() {
+        if matches!(a.query.op, QueryOp::PageRank | QueryOp::ConnectedComponents) {
+            plan.push(Planned::Solo(i));
+        }
+    }
+    plan
+}
+
 /// Renders a committed mutation's response line.
 fn render_mutate_ok(id: &Json, epoch: u64, rev: u64, delta: &cusha_graph::MutationDelta) -> String {
     let mut out = String::from("{\"id\":");
@@ -1600,6 +1348,8 @@ fn render_response(q: &Query, settled: &Settled) -> String {
     q.id.render(&mut out);
     out.push_str(",\"op\":");
     push_str_lit(&mut out, q.op.label());
+    out.push_str(",\"status\":");
+    push_str_lit(&mut out, settled.outcome().label());
     match settled {
         Settled::Ok {
             iterations,
@@ -1608,7 +1358,7 @@ fn render_response(q: &Query, settled: &Settled) -> String {
             cached,
             value_bits,
         } => {
-            out.push_str(",\"status\":\"ok\",\"iterations\":");
+            out.push_str(",\"iterations\":");
             out.push_str(&iterations.to_string());
             out.push_str(",\"modeled_ms\":");
             push_f64(&mut out, modeled_seconds * 1e3);
@@ -1639,20 +1389,20 @@ fn render_response(q: &Query, settled: &Settled) -> String {
             iterations,
             elapsed_seconds,
         } => {
-            out.push_str(",\"status\":\"deadline\",\"iterations\":");
+            out.push_str(",\"iterations\":");
             out.push_str(&iterations.to_string());
             out.push_str(",\"modeled_ms\":");
             push_f64(&mut out, elapsed_seconds * 1e3);
         }
         Settled::Failed { reason, detail } => {
-            out.push_str(",\"status\":\"failed\",\"reason\":");
+            out.push_str(",\"reason\":");
             push_str_lit(&mut out, reason);
             out.push_str(",\"detail\":");
             push_str_lit(&mut out, detail);
         }
-        Settled::Rejected { reason } => {
-            out.push_str(",\"status\":\"rejected\",\"reason\":");
-            push_str_lit(&mut out, reason);
+        Settled::Rejected(reason) => {
+            out.push_str(",\"reason\":");
+            push_str_lit(&mut out, reason.label());
         }
     }
     out.push('}');

@@ -494,3 +494,185 @@ fn frontier_launch_retries_faults_under_serve() {
         Some(1)
     );
 }
+
+#[test]
+fn service_new_rejects_out_of_range_config() {
+    // `Service::new` is what the ledger, the tests and any library caller
+    // use; the CLI's flag checks do not protect it. A NaN deadline would
+    // silently disable every default deadline, a negative one cancel every
+    // query at its first boundary, and an SLO target outside (0, 1] make
+    // the error budget zero or negative.
+    type Spoil = fn(&mut ServeConfig);
+    let bad: [(&str, Spoil); 7] = [
+        ("default_deadline_ms", |c| {
+            c.default_deadline_ms = Some(f64::NAN)
+        }),
+        ("default_deadline_ms", |c| {
+            c.default_deadline_ms = Some(-1.0)
+        }),
+        ("slo.latency_objective_s", |c| {
+            c.slo.latency_objective_s = f64::NAN
+        }),
+        ("slo.latency_objective_s", |c| {
+            c.slo.latency_objective_s = 0.0
+        }),
+        ("slo.latency_target", |c| c.slo.latency_target = 1.5),
+        ("slo.availability_target", |c| {
+            c.slo.availability_target = 0.0
+        }),
+        ("slo.availability_target", |c| {
+            c.slo.availability_target = f64::NAN
+        }),
+    ];
+    for (field, spoil) in bad {
+        let mut cfg = ServeConfig::default();
+        spoil(&mut cfg);
+        let err = cfg.validate().expect_err(field);
+        assert!(err.contains(field), "{err:?} does not name {field}");
+        let refused = Service::new(graph(), cfg).err();
+        assert_eq!(refused, Some(err), "Service::new must validate first");
+    }
+    // The boundaries that are in range stay accepted.
+    let mut cfg = ServeConfig {
+        default_deadline_ms: Some(0.001),
+        ..ServeConfig::default()
+    };
+    cfg.slo.latency_target = 1.0;
+    assert!(Service::new(graph(), cfg).is_ok());
+}
+
+/// The oracle for mutation tests: [`graph`] with `inserts` applied.
+fn mutated(inserts: &[(u32, u32, u32)]) -> Graph {
+    let mut g = graph();
+    let batch = inserts
+        .iter()
+        .fold(cusha::graph::MutationBatch::new(), |b, &(s, d, w)| {
+            b.insert(s, d, w)
+        });
+    batch.apply(&mut g).expect("oracle apply");
+    g
+}
+
+#[test]
+fn two_batches_in_one_window_rebuild_each_warm_key_once() {
+    // Two committed batches before one flush share one window: its close
+    // rebuilds what was warm exactly once, over the final graph, and the
+    // answers equal a from-scratch service's on that graph.
+    for policy in [RebuildPolicy::Shed, RebuildPolicy::ServePrevious] {
+        let cfg = ServeConfig {
+            rebuild_policy: policy,
+            ..no_cache()
+        };
+        let script = "bfs 0\nflush\ninsert 0 300 5\ninsert 300 7 2\nflush\nbfs 0\nsssp 3\nflush\n";
+        let (lines, svc) = run_script(cfg, script);
+        let rs = query_responses(&lines);
+        assert_eq!(rs.len(), 5);
+        let rebuilds = svc.metrics().counter("serve_rebuilds_total", &[]);
+        assert_eq!(rebuilds, Some(1), "{policy:?}: one warm key, one rebuild");
+        let cold = svc.metrics().counter("serve_cold_launches_total", &[]);
+        assert_eq!(cold, Some(1), "{policy:?}: only the first launch is cold");
+        let fresh = mutated(&[(0, 300, 5), (300, 7, 2)]);
+        assert_eq!(svc.graph_rev(), cusha::serve::graph_rev(&fresh));
+        assert_eq!(crc(rs[3]), cold_crc_on(&Bfs::new(0), &fresh));
+        assert_eq!(crc(rs[4]), cold_crc_on(&Sssp::new(3), &fresh));
+    }
+}
+
+#[test]
+fn scrub_inside_a_serve_previous_window_spares_both_epochs() {
+    // A launch exhausts its retries inside a serve-previous window: the
+    // scrub drops the *previous* epoch's warm state (the one serving). The
+    // previous epoch must keep answering bit-identically (cold again), and
+    // the live epoch must still come back warm when the window closes.
+    let cfg = ServeConfig {
+        rebuild_policy: RebuildPolicy::ServePrevious,
+        fault_plan: Some(FaultPlan::seeded(3).fail_kernels_named("SSSP", 2)),
+        max_retries: 1,
+        ..no_cache()
+    };
+    let script = "bfs 0\nflush\ninsert 0 300 5\nsssp 3\ninsert 1 301 2\nbfs 0\nflush\n\
+                  bfs 0\nsssp 3\nflush\n";
+    let (lines, svc) = run_script(cfg, script);
+    let rs = query_responses(&lines);
+    assert_eq!(rs.len(), 7);
+    let before = crc(rs[0]);
+    // The in-window SSSP settles when the second batch flushes the queue.
+    assert_eq!(status(rs[2]), "failed");
+    assert_eq!(
+        rs[2].get("reason").and_then(Json::as_str),
+        Some("fault-exhausted")
+    );
+    assert_eq!(svc.metrics().counter("serve_scrubs_total", &[]), Some(1));
+    assert_eq!(status(rs[4]), "ok");
+    assert_eq!(crc(rs[4]), before, "the previous epoch answers as before");
+    let fresh = mutated(&[(0, 300, 5), (1, 301, 2)]);
+    assert_eq!(crc(rs[5]), cold_crc_on(&Bfs::new(0), &fresh));
+    assert_eq!(crc(rs[6]), cold_crc_on(&Sssp::new(3), &fresh));
+    // Launches: first BFS (cold), exhausted SSSP (warm), in-window BFS
+    // (cold: scrubbed), then the two post-window pairs on the rebuilt layout.
+    let warm: Vec<bool> = svc.telemetry().log.iter().map(|r| r.warm).collect();
+    assert_eq!(warm, [false, true, false, true, true]);
+    assert_eq!(svc.metrics().counter("serve_rebuilds_total", &[]), Some(1));
+}
+
+#[test]
+fn frontier_topology_is_rebuilt_at_close_iff_it_was_warm() {
+    for policy in [RebuildPolicy::Shed, RebuildPolicy::ServePrevious] {
+        let cfg = || ServeConfig {
+            engine: ServeEngine::Frontier,
+            rebuild_policy: policy,
+            ..no_cache()
+        };
+        // Warm when the window opened: rebuilt at the close, so the first
+        // post-window query launches warm and no cold launch is counted.
+        let (lines, svc) = run_script(cfg(), "bfs 0\nflush\ninsert 0 300 5\nflush\nbfs 0\nflush\n");
+        let rs = query_responses(&lines);
+        assert_eq!(rs.len(), 3);
+        assert_eq!(
+            crc(rs[2]),
+            cold_crc_on(&Bfs::new(0), &mutated(&[(0, 300, 5)]))
+        );
+        let last = svc.telemetry().log.iter().last().expect("a record");
+        assert!(last.warm, "{policy:?}: post-window launch must be warm");
+        assert_eq!(svc.metrics().counter("serve_rebuilds_total", &[]), Some(1));
+        let cold = svc.metrics().counter("serve_cold_launches_total", &[]);
+        assert_eq!(cold, Some(1), "{policy:?}: only the very first launch");
+        // Nothing warm when the window opened: nothing to rebuild, and the
+        // first query afterwards pays the build.
+        let (_, svc) = run_script(cfg(), "insert 0 300 5\nflush\nbfs 0\nflush\n");
+        let last = svc.telemetry().log.iter().last().expect("a record");
+        assert!(!last.warm, "{policy:?}: nothing was warm to rebuild");
+        assert_eq!(svc.metrics().counter("serve_rebuilds_total", &[]), None);
+    }
+}
+
+#[test]
+fn in_window_answers_are_cached_under_the_epoch_that_computed_them() {
+    // An answer computed inside a serve-previous window comes from the
+    // previous epoch's graph, so it must be cached under the previous
+    // revision: a repeat inside the window hits it, and the same query after
+    // the window misses and sees the mutated graph. (While the service
+    // swapped the two epochs' fields around a flush, the fill was keyed on
+    // the *live* revision: in-window repeats missed, and the post-window
+    // query was answered `cached:true` with the superseded graph's result.)
+    let cfg = ServeConfig {
+        rebuild_policy: RebuildPolicy::ServePrevious,
+        ..ServeConfig::default()
+    };
+    let script =
+        "bfs 0\nflush\ninsert 0 300 5\nbfs 1\ninsert 1 301 2\nbfs 1\nflush\nbfs 1\nflush\n";
+    let (lines, _) = run_script(cfg, script);
+    let rs = query_responses(&lines);
+    assert_eq!(rs.len(), 6);
+    let cached = |r: &Json| r.get("cached").and_then(Json::as_bool);
+    // Launched on the previous epoch when the second batch flushed the queue.
+    assert_eq!(cached(rs[2]), Some(false));
+    assert_eq!(crc(rs[2]), cold_crc(&Bfs::new(1)));
+    // Repeated inside the same window: the previous epoch's entry answers.
+    assert_eq!(cached(rs[4]), Some(true), "in-window repeat must hit");
+    assert_eq!(crc(rs[4]), crc(rs[2]));
+    // After the window: a fresh answer on the mutated graph.
+    assert_eq!(cached(rs[5]), Some(false), "superseded entry answered");
+    let fresh = mutated(&[(0, 300, 5), (1, 301, 2)]);
+    assert_eq!(crc(rs[5]), cold_crc_on(&Bfs::new(1), &fresh));
+}
