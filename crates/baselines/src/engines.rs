@@ -46,11 +46,7 @@ impl<P: VertexProgram> Engine<P> for VwcEngine {
         cfg.profile = ctx.cfg.profile;
         cfg.device = ctx.cfg.device.clone();
         cfg.trace = ctx.cfg.trace.clone();
-        let out = try_run_vwc(prog, graph, &cfg, ctx.fault_plan, ctx.observer)?;
-        Ok(CuShaOutput {
-            values: out.values,
-            stats: out.stats,
-        })
+        try_run_vwc(prog, graph, &cfg, ctx.fault_plan, ctx.observer)
     }
 }
 
@@ -83,11 +79,7 @@ impl<P: VertexProgram> Engine<P> for MtcpuEngine {
         let mut cfg = MtcpuConfig::new(self.threads);
         cfg.max_iterations = ctx.cfg.max_iterations;
         cfg.trace = ctx.cfg.trace.clone();
-        let out = try_run_mtcpu(prog, graph, &cfg, ctx.observer)?;
-        Ok(CuShaOutput {
-            values: out.values,
-            stats: out.stats,
-        })
+        try_run_mtcpu(prog, graph, &cfg, ctx.observer)
     }
 }
 
@@ -111,6 +103,18 @@ mod tests {
                 .expect("baseline under middleware");
             assert_eq!(out.values, oracle, "{}", engine.label());
         }
+    }
+
+    #[test]
+    fn baseline_outputs_are_the_engine_output_type() {
+        // `VwcOutput` / `MtcpuOutput` are aliases: no conversion anywhere.
+        use crate::mtcpu::{run_mtcpu, MtcpuOutput};
+        use crate::vwc::{run_vwc, VwcOutput};
+        let g = rmat(&RmatConfig::graph500(6, 300, 52));
+        let vwc: CuShaOutput<u32> = run_vwc(&Bfs::new(0), &g, &VwcConfig::new(8));
+        let cpu: CuShaOutput<u32> = run_mtcpu(&Bfs::new(0), &g, &MtcpuConfig::new(2));
+        let (vwc, cpu): (VwcOutput<u32>, MtcpuOutput<u32>) = (vwc, cpu);
+        assert_eq!(vwc.values, cpu.values);
     }
 
     #[test]

@@ -54,14 +54,9 @@ impl MtcpuConfig {
     }
 }
 
-/// Output of an MTCPU run.
-#[derive(Clone, Debug)]
-pub struct MtcpuOutput<V> {
-    /// Final vertex values.
-    pub values: Vec<V>,
-    /// Run statistics (wall-clock compute time; no transfer components).
-    pub stats: RunStats,
-}
+/// Output of an MTCPU run: final vertex values and run statistics
+/// (wall-clock compute time; no transfer components).
+pub type MtcpuOutput<V> = CuShaOutput<V>;
 
 /// Executes `prog` over `graph` with `cfg.threads` CPU threads.
 pub fn run_mtcpu<P: VertexProgram>(
@@ -72,10 +67,7 @@ pub fn run_mtcpu<P: VertexProgram>(
     assert!(cfg.threads > 0, "need at least one thread");
     match try_run_mtcpu(prog, graph, cfg, &mut NoopObserver) {
         Ok(out) => out,
-        Err(EngineError::NonConverged { partial }) => MtcpuOutput {
-            values: partial.values,
-            stats: partial.stats,
-        },
+        Err(EngineError::NonConverged { partial }) => *partial,
         Err(e) => panic!("{e}"),
     }
 }
@@ -273,18 +265,16 @@ pub fn try_run_mtcpu<P: VertexProgram, O: RunObserver + ?Sized>(
         per_iteration,
         ..Default::default()
     };
-    if !converged {
-        return Err(EngineError::NonConverged {
-            partial: Box::new(CuShaOutput {
-                values: out_values,
-                stats,
-            }),
-        });
-    }
-    Ok(MtcpuOutput {
+    let out = CuShaOutput {
         values: out_values,
         stats,
-    })
+    };
+    if !converged {
+        return Err(EngineError::NonConverged {
+            partial: Box::new(out),
+        });
+    }
+    Ok(out)
 }
 
 #[cfg(test)]

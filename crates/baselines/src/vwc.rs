@@ -31,6 +31,7 @@
 //! the interleaved order produced (`tests/vwc_golden.rs` pins them).
 
 use cusha_core::integrity::apply_flip;
+use cusha_core::memsize::{check_fits, ValueSizes};
 use cusha_core::{
     CuShaOutput, EngineError, IterationStat, NoopObserver, RunObserver, RunStats, VertexProgram,
 };
@@ -133,14 +134,8 @@ impl VwcConfig {
     }
 }
 
-/// Output of a VWC run.
-#[derive(Clone, Debug)]
-pub struct VwcOutput<V> {
-    /// Final vertex values.
-    pub values: Vec<V>,
-    /// Run statistics.
-    pub stats: RunStats,
-}
+/// Output of a VWC run: final vertex values and run statistics.
+pub type VwcOutput<V> = CuShaOutput<V>;
 
 /// Executes `prog` over `graph` with the virtual warp-centric method.
 ///
@@ -150,10 +145,7 @@ pub struct VwcOutput<V> {
 pub fn run_vwc<P: VertexProgram>(prog: &P, graph: &Graph, cfg: &VwcConfig) -> VwcOutput<P::V> {
     match try_run_vwc(prog, graph, cfg, None, &mut NoopObserver) {
         Ok(out) => out,
-        Err(EngineError::NonConverged { partial }) => VwcOutput {
-            values: partial.values,
-            stats: partial.stats,
-        },
+        Err(EngineError::NonConverged { partial }) => *partial,
         Err(e) => panic!("{e}"),
     }
 }
@@ -166,7 +158,9 @@ pub fn run_vwc<P: VertexProgram>(prog: &P, graph: &Graph, cfg: &VwcConfig) -> Vw
 /// boundary land in the vertex-value buffer — the only resident value state
 /// this engine keeps — whatever their nominal target. A configuration the
 /// kernel cannot execute faithfully ([`VwcConfig::validate`]) is refused with
-/// [`EngineError::InvalidConfig`] before anything runs.
+/// [`EngineError::InvalidConfig`] before anything runs, and a graph whose CSR
+/// the device cannot hold with [`EngineError::DeviceOom`] before it is built
+/// ([`check_fits`]).
 pub fn try_run_vwc<P: VertexProgram, O: RunObserver + ?Sized>(
     prog: &P,
     graph: &Graph,
@@ -175,6 +169,8 @@ pub fn try_run_vwc<P: VertexProgram, O: RunObserver + ?Sized>(
     observer: &mut O,
 ) -> Result<VwcOutput<P::V>, EngineError<P::V>> {
     cfg.validate().map_err(EngineError::InvalidConfig)?;
+    let (v, e) = (graph.num_vertices() as u64, graph.num_edges() as u64);
+    check_fits(v, e, ValueSizes::of::<P>(), None, &cfg.device)?;
     let mut gpu = Gpu::new(cfg.device.clone());
     gpu.set_profiling(cfg.profile);
     gpu.set_tracer(cfg.trace.clone(), 0);
@@ -543,18 +539,16 @@ fn vwc_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
     total.d2h_seconds = gpu.d2h_seconds - d2h_before_results;
     total.memo.add(&cusha_core::MemoStats::from_gpu(gpu));
     total.profile = gpu.profile.take();
-    if !converged {
-        return Err(EngineError::NonConverged {
-            partial: Box::new(CuShaOutput {
-                values,
-                stats: total,
-            }),
-        });
-    }
-    Ok(VwcOutput {
+    let out = CuShaOutput {
         values,
         stats: total,
-    })
+    };
+    if !converged {
+        return Err(EngineError::NonConverged {
+            partial: Box::new(out),
+        });
+    }
+    Ok(out)
 }
 
 /// One warp's parallel reduction ladder over `outcome[thread_base..]`:

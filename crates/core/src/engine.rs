@@ -28,13 +28,14 @@ use crate::integrity::{
     apply_flips, checksum, scrub_crcs, Ask, Detector, IntegrityConfig, Recovery, Rung,
 };
 use crate::kernel::{fault_instant, upload_resident, HostArrays, RetryPolicy, SpillVia};
+use crate::memsize::{check_fits, ValueSizes};
 use crate::middleware::DeadlineObserver;
 use crate::program::VertexProgram;
 use crate::shards::GShards;
 use crate::stats::{FaultStats, IterationStat, RunStats, SdcStats};
 use cusha_graph::Graph;
 use cusha_obs::trace::{lanes, ArgVal, Tracer};
-use cusha_simt::{DeviceConfig, FaultPlan, Gpu, Pod, ReplayMemo};
+use cusha_simt::{DeviceConfig, FaultPlan, Gpu, ReplayMemo};
 use std::sync::Mutex;
 
 /// Which CuSha representation to run.
@@ -168,6 +169,15 @@ impl CuShaConfig {
         self
     }
 
+    /// The shard size a graph of `v` vertices and `e` edges runs at with
+    /// `value_size`-byte vertex values: the explicit override, else the
+    /// autotuner's pick.
+    pub fn n_per_for(&self, v: u64, e: u64, value_size: u32) -> u32 {
+        self.vertices_per_shard.unwrap_or_else(|| {
+            select_vertices_per_shard(v, e, value_size, &self.device, self.resident_blocks)
+        })
+    }
+
     /// Checks the configuration's invariants, returning a message naming
     /// the offending field on failure. Shared by every fallible engine
     /// entry point so no `assert!` is reachable from user-supplied
@@ -220,11 +230,11 @@ pub struct CuShaOutput<V> {
 type AccountingId = [u64; 8];
 
 fn accounting_id<P: VertexProgram>(dev: &DeviceConfig) -> AccountingId {
-    let in_use = |used: bool, size: u32| u64::from(if used { size } else { 0 });
+    let sizes = ValueSizes::of::<P>();
     [
-        u64::from(<P::V as Pod>::SIZE),
-        in_use(P::HAS_STATIC_VALUES, <P::SV as Pod>::SIZE),
-        in_use(P::HAS_EDGE_VALUES, <P::E as Pod>::SIZE),
+        u64::from(sizes.vertex),
+        u64::from(sizes.static_vertex),
+        u64::from(sizes.edge),
         P::COMPUTE_COST,
         u64::from(dev.segment_bytes),
         u64::from(dev.sector_bytes),
@@ -300,6 +310,20 @@ impl PreparedLayout {
         }
     }
 
+    /// Builds the layout program `P` runs on under `cfg` — the shard size
+    /// [`PreparedLayout::select_n_per`] picks — unless the representation
+    /// cannot fit `cfg.device` ([`check_fits`]): the one-shot engines' way in.
+    pub fn for_program<P: VertexProgram>(
+        graph: &Graph,
+        cfg: &CuShaConfig,
+    ) -> Result<Self, EngineError<P::V>> {
+        let sizes = ValueSizes::of::<P>();
+        let n_per = Self::select_n_per(graph, cfg, sizes.vertex);
+        let (v, e) = (graph.num_vertices() as u64, graph.num_edges() as u64);
+        check_fits(v, e, sizes, Some((cfg.repr, n_per)), &cfg.device)?;
+        Ok(Self::build(graph, cfg.repr, n_per))
+    }
+
     /// Stamps the layout with the revision of the graph it was built from.
     ///
     /// Layouts are immutable snapshots of one graph revision; a caller
@@ -328,15 +352,11 @@ impl PreparedLayout {
     /// selects for a program with `value_size`-byte vertex values — the
     /// cache key a resident caller should build layouts under.
     pub fn select_n_per(graph: &Graph, cfg: &CuShaConfig, value_size: u32) -> u32 {
-        cfg.vertices_per_shard.unwrap_or_else(|| {
-            select_vertices_per_shard(
-                graph.num_vertices() as u64,
-                graph.num_edges() as u64,
-                value_size,
-                &cfg.device,
-                cfg.resident_blocks,
-            )
-        })
+        cfg.n_per_for(
+            graph.num_vertices() as u64,
+            graph.num_edges() as u64,
+            value_size,
+        )
     }
 
     /// The representation this layout was built for.
@@ -432,7 +452,8 @@ pub fn run<P: VertexProgram>(prog: &P, graph: &Graph, cfg: &CuShaConfig) -> CuSh
 }
 
 /// Executes `prog` over `graph`, returning every failure as an
-/// [`EngineError`] instead of panicking: bad configurations and graphs are
+/// [`EngineError`] instead of panicking: bad configurations and graphs — one
+/// the device cannot hold included ([`PreparedLayout::for_program`]) — are
 /// rejected up front, device faults (injected via
 /// [`CuShaConfig::fault_plan`] or a genuinely exhausted device) surface as
 /// their taxonomy variant, a capped run yields
@@ -446,8 +467,7 @@ pub fn try_run<P: VertexProgram>(
 ) -> Result<CuShaOutput<P::V>, EngineError<P::V>> {
     cfg.validate().map_err(EngineError::InvalidConfig)?;
     graph.validate()?;
-    let n_per = PreparedLayout::select_n_per(graph, cfg, <P::V as Pod>::SIZE);
-    let layout = PreparedLayout::build(graph, cfg.repr, n_per);
+    let layout = PreparedLayout::for_program::<P>(graph, cfg)?;
     try_run_warm(prog, graph, &layout, cfg, None, &mut NoopObserver)
 }
 

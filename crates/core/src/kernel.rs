@@ -25,7 +25,7 @@
 //! uniform/cached and charged neither traffic nor instructions; the bulk
 //! per-edge and per-vertex arrays dominate, and they are fully accounted.
 
-use crate::engine::{PreparedLayout, Repr};
+use crate::engine::PreparedLayout;
 use crate::program::{Value, VertexProgram};
 use crate::shards::GShards;
 use crate::stats::FaultStats;
@@ -112,22 +112,6 @@ pub(crate) fn with_copy_retries<T>(
 pub(crate) fn fault_instant(gpu: &Gpu, cat: &'static str, name: &str) {
     let (pid, ts) = (gpu.trace_pid(), gpu.total_seconds());
     gpu.tracer().instant(pid, lanes::FAULT, cat, name, ts);
-}
-
-/// Per-entry bytes a shard entry occupies on the device for program `P` —
-/// what the streamed and rebatched planners budget batches with.
-pub(crate) fn entry_bytes<P: VertexProgram>(repr: Repr) -> u64 {
-    let mut b = <P::V as Pod>::SIZE as u64 + 4 /* DestIndex */ + 4 /* SrcIndex */;
-    if P::HAS_EDGE_VALUES {
-        b += <P::E as Pod>::SIZE as u64;
-    }
-    if P::HAS_STATIC_VALUES {
-        b += <P::SV as Pod>::SIZE as u64;
-    }
-    if matches!(repr, Repr::ConcatWindows) {
-        b += 4; // Mapper
-    }
-    b
 }
 
 /// Where the batch starting at shard `from` ends: the longest run of
@@ -861,6 +845,7 @@ impl<P: VertexProgram> DeviceSlice<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Repr;
     use crate::program::testing::MiniSssp;
     use cusha_graph::generators::rmat::{rmat, RmatConfig};
     use cusha_simt::DeviceConfig;

@@ -4,7 +4,14 @@
 //! input graph across the eight benchmarks. The byte counts depend on the
 //! benchmark through `sizeof(Vertex)`, `sizeof(Edge)` and
 //! `sizeof(StaticVertex)`; this module centralizes the arithmetic so the
-//! harness and the engine account identically.
+//! harness and the engine account identically — including the engines'
+//! pre-flight, [`check_fits`]: a graph whose modeled footprint the device
+//! cannot hold is refused before the host builds anything for it.
+
+use crate::engine::Repr;
+use crate::error::EngineError;
+use crate::program::VertexProgram;
+use cusha_simt::{DeviceConfig, Pod};
 
 /// Value sizes of one benchmark (bytes; 0 when the array is absent).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -17,8 +24,32 @@ pub struct ValueSizes {
     pub static_vertex: u32,
 }
 
+impl ValueSizes {
+    /// The sizes of the values program `P` moves.
+    pub fn of<P: VertexProgram>() -> Self {
+        let present = |has: bool, size: u32| if has { size } else { 0 };
+        ValueSizes {
+            vertex: <P::V as Pod>::SIZE,
+            edge: present(P::HAS_EDGE_VALUES, <P::E as Pod>::SIZE),
+            static_vertex: present(P::HAS_STATIC_VALUES, <P::SV as Pod>::SIZE),
+        }
+    }
+}
+
 /// Index width used throughout (u32).
 pub const INDEX_BYTES: u64 = 4;
+
+/// Bytes one shard entry occupies on the device: the `(SrcIndex, SrcValue,
+/// EdgeValue, DestIndex)` tuple, the static source value, and under CW the
+/// `Mapper` cell — what the footprint formulas charge per edge and what the
+/// streamed and rebatched planners budget batches with.
+pub fn entry_bytes(s: ValueSizes, repr: Repr) -> u64 {
+    let mapper = match repr {
+        Repr::GShards => 0,
+        Repr::ConcatWindows => INDEX_BYTES,
+    };
+    2 * INDEX_BYTES + s.vertex as u64 + s.edge as u64 + s.static_vertex as u64 + mapper
+}
 
 /// Bytes occupied by the CSR representation: `VertexValues` +
 /// `InEdgeIdxs` + `SrcIndxs` + `EdgeValues` (+ static values if used).
@@ -34,19 +65,45 @@ pub fn csr_bytes(v: u64, e: u64, s: ValueSizes) -> u64 {
 /// `(SrcIndex, SrcValue, EdgeValue, DestIndex)` tuples (+ per-entry static
 /// source values), plus shard/window offset tables.
 pub fn gshards_bytes(v: u64, e: u64, num_shards: u64, s: ValueSizes) -> u64 {
-    let per_entry =
-        INDEX_BYTES + s.vertex as u64 + s.edge as u64 + INDEX_BYTES + s.static_vertex as u64;
-    v * s.vertex as u64
-        + e * per_entry
-        + (num_shards + 1) * INDEX_BYTES
-        + num_shards * num_shards * INDEX_BYTES
+    // The p² window table saturates: a shard size of 1 on a 2³²-vertex graph
+    // is input a user can type.
+    let windows = num_shards.saturating_mul(num_shards);
+    (v * s.vertex as u64 + e * entry_bytes(s, Repr::GShards) + (num_shards + 1) * INDEX_BYTES)
+        .saturating_add(windows.saturating_mul(INDEX_BYTES))
 }
 
 /// Bytes occupied by Concatenated Windows: G-Shards plus the `Mapper`
 /// column (the `SrcIndex` column is the same size, just reordered) and the
 /// per-shard CW offsets.
 pub fn cw_bytes(v: u64, e: u64, num_shards: u64, s: ValueSizes) -> u64 {
-    gshards_bytes(v, e, num_shards, s) + e * INDEX_BYTES + (num_shards + 1) * INDEX_BYTES
+    gshards_bytes(v, e, num_shards, s).saturating_add((e + num_shards + 1) * INDEX_BYTES)
+}
+
+/// The engines' pre-flight: refuses a graph of `v` vertices and `e` edges
+/// whose footprint exceeds the device's memory with the error its uploads
+/// would end in — G-Shards / CW at `(repr, vertices per shard)` when `shards`
+/// is given, CSR otherwise — before the host allocates the |V|- and p²-sized
+/// tables of that representation. A graph that fits is not touched.
+pub fn check_fits<V>(
+    v: u64,
+    e: u64,
+    s: ValueSizes,
+    shards: Option<(Repr, u32)>,
+    device: &DeviceConfig,
+) -> Result<(), EngineError<V>> {
+    let requested_bytes = match shards {
+        None => csr_bytes(v, e, s),
+        Some((Repr::GShards, n)) => gshards_bytes(v, e, v.div_ceil(n.max(1) as u64), s),
+        Some((Repr::ConcatWindows, n)) => cw_bytes(v, e, v.div_ceil(n.max(1) as u64), s),
+    };
+    let capacity_bytes = device.global_mem_bytes;
+    if requested_bytes <= capacity_bytes {
+        return Ok(());
+    }
+    Err(EngineError::DeviceOom {
+        requested_bytes,
+        capacity_bytes,
+    })
 }
 
 #[cfg(test)]
@@ -110,5 +167,65 @@ mod tests {
             assert!(ratio_cw > ratio);
             assert!(ratio_cw < 4.5, "CW ratio {ratio_cw}");
         }
+    }
+
+    #[test]
+    fn value_sizes_and_entry_bytes_follow_the_program() {
+        use crate::program::testing::MiniSssp;
+        let sssp = ValueSizes::of::<MiniSssp>();
+        assert_eq!(sssp, SSSP, "u32 distances, u32 weights, no static values");
+        // (SrcIndex, SrcValue, EdgeValue, DestIndex) = 16 B; CW adds the Mapper.
+        assert_eq!(entry_bytes(SSSP, Repr::GShards), 16);
+        assert_eq!(entry_bytes(SSSP, Repr::ConcatWindows), 20);
+        assert_eq!(
+            entry_bytes(PR, Repr::GShards),
+            16,
+            "a static value per entry"
+        );
+    }
+
+    #[test]
+    fn check_fits_is_the_footprint_against_the_device() {
+        let device = DeviceConfig::gtx780();
+        let cap = device.global_mem_bytes;
+        let fits = |v, e, shards| check_fits::<u32>(v, e, SSSP, shards, &device);
+        // A million-edge graph fits under every representation.
+        for shards in [
+            None,
+            Some((Repr::GShards, 6144)),
+            Some((Repr::ConcatWindows, 6144)),
+        ] {
+            assert!(fits(100_000, 1_000_000, shards).is_ok(), "{shards:?}");
+        }
+        // The boundary is the formula's value, to the byte.
+        let v = (cap - 4) / 8; // csr_bytes(v, 0, SSSP) = 8 v + 4
+        assert!(fits(v, 0, None).is_ok());
+        let refused = fits(v + 1, 0, None).unwrap_err();
+        assert!(
+            matches!(refused, EngineError::DeviceOom { requested_bytes, capacity_bytes }
+                if requested_bytes == csr_bytes(v + 1, 0, SSSP) && capacity_bytes == cap),
+            "{refused}"
+        );
+        // One edge to vertex four billion: |V| values and a p x p table.
+        for repr in [Repr::GShards, Repr::ConcatWindows] {
+            assert!(
+                fits(4_000_000_001, 1, Some((repr, 6144))).is_err(),
+                "{repr:?}"
+            );
+            assert!(
+                fits(300_000_001, 1, Some((repr, 6144))).is_err(),
+                "{repr:?}"
+            );
+        }
+        assert!(fits(4_000_000_001, 1, None).is_err());
+        assert!(
+            fits(300_000_001, 1, None).is_ok(),
+            "2.4 GB of CSR fits 3 GiB"
+        );
+        // A shard size of 1 (or 0) on 2^32 vertices saturates instead of wrapping.
+        assert_eq!(gshards_bytes(1 << 32, 0, 1 << 32, SSSP), u64::MAX);
+        assert_eq!(cw_bytes(1 << 32, 0, 1 << 32, SSSP), u64::MAX);
+        assert!(fits(1 << 32, 0, Some((Repr::GShards, 1))).is_err());
+        assert!(fits(1 << 32, 0, Some((Repr::ConcatWindows, 0))).is_err());
     }
 }

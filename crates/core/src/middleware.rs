@@ -33,7 +33,7 @@ use crate::program::VertexProgram;
 use crate::stats::FaultStats;
 use crate::streaming::{try_run_streamed_observed, StreamingConfig};
 use cusha_graph::Graph;
-use cusha_simt::{FaultPlan, Interconnect, Pod};
+use cusha_simt::{FaultPlan, Interconnect};
 
 /// Per-attempt context the middleware hands an engine: the effective
 /// configuration, the (middleware-owned) fault plan to install on the
@@ -71,6 +71,12 @@ pub trait Engine<P: VertexProgram> {
     /// past recovery.
     fn recovers_faults(&self) -> bool {
         false
+    }
+
+    /// Fleet-level statistics of the latest successful run, for engines that
+    /// run on more than one device.
+    fn fleet_stats(&self) -> Option<&MultiRunStats> {
+        None
     }
 
     /// Runs the program to convergence (or error) under `ctx`.
@@ -147,13 +153,10 @@ pub fn run_engine<P: VertexProgram, O: RunObserver + ?Sized>(
     let mut mw_detections: u32 = 0;
     let mut mw_restarts: u32 = 0;
 
-    // Rest state for the final invariant scrub (built lazily: only
-    // integrity modes that check invariants pay for it).
-    let init: Option<Vec<P::V>> = cfg.integrity.mode.invariants().then(|| {
-        (0..graph.num_vertices())
-            .map(|v| prog.initial_value(v))
-            .collect()
-    });
+    // Rest state for the final invariant scrub, built when the first result
+    // arrives: only integrity modes that check invariants pay for it, and an
+    // engine that refuses the graph (its pre-flight) has refused by then.
+    let mut init: Option<Vec<P::V>> = None;
 
     loop {
         let mut dl = DeadlineObserver::new(cfg.deadline_seconds, observer);
@@ -164,8 +167,10 @@ pub fn run_engine<P: VertexProgram, O: RunObserver + ?Sized>(
         };
         match engine.execute(prog, graph, ctx) {
             Ok(mut out) => {
-                if let Some(init) = &init {
-                    if let Err(law) = prog.check_invariant(init, &out.values) {
+                if cfg.integrity.mode.invariants() {
+                    let rest = || (0..graph.num_vertices()).map(|v| prog.initial_value(v));
+                    let init = init.get_or_insert_with(|| rest().collect());
+                    if prog.check_invariant(init, &out.values).is_err() {
                         mw_detections += 1;
                         cfg.trace.instant(
                             0,
@@ -182,15 +187,8 @@ pub fn run_engine<P: VertexProgram, O: RunObserver + ?Sized>(
                         // Ladder exhausted: the host fallback's memory is
                         // outside the device flip model, so its result is
                         // trusted (same bottom rung as the shard engines).
-                        let mut fb = run_fallback(prog, graph, &cfg)?;
-                        fb.stats.sdc.invariant_detections += mw_detections;
-                        fb.stats.sdc.full_restarts += mw_restarts;
-                        fb.stats.sdc.host_fallbacks += 1;
-                        fb.stats.fault.copy_retries += mw_fault.copy_retries;
-                        fb.stats.fault.kernel_retries += mw_fault.kernel_retries;
-                        fb.stats.fault.backoff_seconds += mw_fault.backoff_seconds;
-                        let _ = law;
-                        return Ok(fb);
+                        out = run_fallback(prog, graph, &cfg)?;
+                        out.stats.sdc.host_fallbacks += 1;
                     }
                 }
                 out.stats.sdc.invariant_detections += mw_detections;
@@ -247,8 +245,7 @@ impl<P: VertexProgram> Engine<P> for ShardEngine {
     ) -> Result<CuShaOutput<P::V>, EngineError<P::V>> {
         let mut cfg = ctx.cfg.clone();
         cfg.repr = self.repr;
-        let n_per = PreparedLayout::select_n_per(graph, &cfg, <P::V as Pod>::SIZE);
-        let layout = PreparedLayout::build(graph, cfg.repr, n_per);
+        let layout = PreparedLayout::for_program::<P>(graph, &cfg)?;
         try_run_warm(prog, graph, &layout, &cfg, ctx.fault_plan, ctx.observer)
     }
 }
@@ -318,6 +315,10 @@ impl<P: VertexProgram> Engine<P> for FleetEngine {
 
     fn recovers_faults(&self) -> bool {
         true
+    }
+
+    fn fleet_stats(&self) -> Option<&MultiRunStats> {
+        self.last.as_ref()
     }
 
     fn execute(

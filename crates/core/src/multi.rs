@@ -39,9 +39,10 @@ use crate::error::EngineError;
 use crate::fallback::FALLBACK_LABEL;
 use crate::integrity::{apply_flips, scrub_crcs, Ask, Checkpoint, Detector, Recovery, Rung};
 use crate::kernel::{
-    batch_end, entry_bytes, entry_range, upload_resident, vertex_range, with_copy_retries,
-    DeviceSlice, HostArrays, Resident, RetryPolicy, SpillVia,
+    batch_end, entry_range, upload_resident, vertex_range, with_copy_retries, DeviceSlice,
+    HostArrays, Resident, RetryPolicy, SpillVia,
 };
+use crate::memsize::{entry_bytes, ValueSizes};
 use crate::middleware::DeadlineObserver;
 use crate::program::VertexProgram;
 use crate::stats::{FaultStats, IterationStat, MemoStats, RunStats, SdcStats};
@@ -681,7 +682,7 @@ impl<P: VertexProgram> MultiState<'_, P> {
     /// kernel retries degrade to host fallback.
     fn iterate_rebatched(&mut self, d: usize) -> Result<DeviceIter<P::V>, DeviceFault> {
         let shards = self.infos[d].shards.clone();
-        let per_entry = entry_bytes::<P>(self.cfg.base.repr);
+        let per_entry = entry_bytes(ValueSizes::of::<P>(), self.cfg.base.repr);
         let mut out = DeviceIter::default();
         let mut s = shards.start;
         while s < shards.end {

@@ -51,9 +51,10 @@ use crate::error::EngineError;
 use crate::fallback::run_fallback;
 use crate::integrity::{apply_flips, checksum, Ask, Detector, Recovery, Rung};
 use crate::kernel::{
-    batch_end, entry_bytes, fault_instant, with_copy_retries, DeviceSlice, HostArrays, HostMaster,
-    Resident, RetryPolicy, SpillVia,
+    batch_end, fault_instant, with_copy_retries, DeviceSlice, HostArrays, HostMaster, Resident,
+    RetryPolicy, SpillVia,
 };
+use crate::memsize::{entry_bytes, ValueSizes};
 use crate::middleware::DeadlineObserver;
 use crate::program::VertexProgram;
 use crate::shards::GShards;
@@ -369,7 +370,7 @@ fn stream_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
     };
     let h2d_resident = gpu.h2d_seconds;
 
-    let batches = plan_batches(gs, entry_bytes::<P>(repr), resident_bytes);
+    let batches = plan_batches(gs, entry_bytes(ValueSizes::of::<P>(), repr), resident_bytes);
     let kernel_name: std::sync::Arc<str> =
         format!("{}-streamed::{}", repr.label(), prog.name()).into();
 

@@ -1,6 +1,8 @@
 //! Frontier-engine configuration.
 
-use cusha_core::{CuShaConfig, IntegrityConfig};
+use cusha_core::memsize::{check_fits, ValueSizes};
+use cusha_core::{CuShaConfig, EngineError, IntegrityConfig};
+use cusha_graph::Graph;
 use cusha_obs::Tracer;
 use cusha_simt::{DeviceConfig, FaultPlan};
 
@@ -17,6 +19,13 @@ use cusha_simt::{DeviceConfig, FaultPlan};
 /// scattered (~1.7 ns/edge), so pull pays off once the frontier covers
 /// roughly a third of the edges.
 pub const DEFAULT_DENSITY_THRESHOLD: f64 = 0.35;
+
+/// Value sizes of the frontier-native workloads: one `u32` per vertex.
+pub(crate) const U32_PER_VERTEX: ValueSizes = ValueSizes {
+    vertex: 4,
+    edge: 0,
+    static_vertex: 0,
+};
 
 /// Configuration of the frontier engine.
 #[derive(Clone, Debug)]
@@ -96,6 +105,14 @@ impl FrontierConfig {
     pub fn with_tracer(mut self, trace: Tracer) -> Self {
         self.trace = trace;
         self
+    }
+
+    /// Refuses a graph whose CSR footprint at value sizes `s` the device
+    /// cannot hold ([`check_fits`]) — what every entry asks before it builds
+    /// its topology.
+    pub(crate) fn check_fits<V>(&self, graph: &Graph, s: ValueSizes) -> Result<(), EngineError<V>> {
+        let (v, e) = (graph.num_vertices() as u64, graph.num_edges() as u64);
+        check_fits(v, e, s, None, &self.device)
     }
 
     /// Checks the configuration, returning the first defect.

@@ -43,6 +43,7 @@ use crate::compact::{block_warps, column};
 use crate::config::FrontierConfig;
 use crate::prepared::PreparedFrontier;
 use cusha_core::integrity::{apply_flip, checksum};
+use cusha_core::memsize::ValueSizes;
 use cusha_core::{
     CuShaOutput, DeadlineObserver, Direction, Engine, EngineCtx, EngineError, FrontierStats,
     IterationStat, NoopObserver, RunObserver, RunStats, VertexProgram,
@@ -58,14 +59,9 @@ type EdgeValuePair<E> = (Option<Vec<E>>, Option<Vec<E>>);
 /// Engine label reported in [`RunStats::engine`].
 pub const FRONTIER_LABEL: &str = "Frontier";
 
-/// Output of a frontier run.
-#[derive(Clone, Debug)]
-pub struct FrontierOutput<V> {
-    /// Final vertex values.
-    pub values: Vec<V>,
-    /// Run statistics, with [`RunStats::frontier`] populated.
-    pub stats: RunStats,
-}
+/// Output of a frontier run: final vertex values and run statistics, with
+/// [`RunStats::frontier`] populated.
+pub type FrontierOutput<V> = CuShaOutput<V>;
 
 /// Executes `prog` over `graph` with the frontier engine.
 ///
@@ -89,6 +85,7 @@ pub fn try_run_frontier<P: VertexProgram>(
     graph: &Graph,
     cfg: &FrontierConfig,
 ) -> Result<FrontierOutput<P::V>, EngineError<P::V>> {
+    cfg.check_fits(graph, ValueSizes::of::<P>())?;
     let pf = PreparedFrontier::build(graph);
     try_run_frontier_warm(prog, graph, &pf, cfg, None, &mut NoopObserver)
 }
@@ -665,18 +662,16 @@ fn frontier_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
     total.memo.add(&cusha_core::MemoStats::from_gpu(gpu));
     total.profile = gpu.profile.take();
     total.frontier = Some(fstats);
-    if !converged {
-        return Err(EngineError::NonConverged {
-            partial: Box::new(CuShaOutput {
-                values,
-                stats: total,
-            }),
-        });
-    }
-    Ok(FrontierOutput {
+    let out = CuShaOutput {
         values,
         stats: total,
-    })
+    };
+    if !converged {
+        return Err(EngineError::NonConverged {
+            partial: Box::new(out),
+        });
+    }
+    Ok(out)
 }
 
 /// Publishes a block's running totals to the fused filter's control cells
@@ -812,13 +807,10 @@ impl<P: VertexProgram> Engine<P> for FrontierEngine {
         graph: &Graph,
         ctx: EngineCtx<'_>,
     ) -> Result<CuShaOutput<P::V>, EngineError<P::V>> {
-        let pf = PreparedFrontier::build(graph);
         let mut cfg = FrontierConfig::from_cusha(ctx.cfg);
         cfg.density_threshold = self.density_threshold;
-        let out = try_run_frontier_warm(prog, graph, &pf, &cfg, ctx.fault_plan, ctx.observer)?;
-        Ok(CuShaOutput {
-            values: out.values,
-            stats: out.stats,
-        })
+        cfg.check_fits(graph, ValueSizes::of::<P>())?;
+        let pf = PreparedFrontier::build(graph);
+        try_run_frontier_warm(prog, graph, &pf, &cfg, ctx.fault_plan, ctx.observer)
     }
 }

@@ -26,7 +26,7 @@
 //! same intra-op overlay the generic push kernel uses for value relaxation.
 
 use crate::compact::{block_warps, compact_flags, lanes_where};
-use crate::config::FrontierConfig;
+use crate::config::{FrontierConfig, U32_PER_VERTEX};
 use cusha_core::integrity::{apply_flip, checksum};
 use cusha_core::{
     CuShaOutput, DeadlineObserver, Direction, EngineError, FrontierStats, IterationStat,
@@ -118,6 +118,7 @@ pub fn try_run_kcore<O: RunObserver + ?Sized>(
 ) -> Result<KcoreOutput, EngineError<u32>> {
     cfg.validate().map_err(EngineError::InvalidConfig)?;
     graph.validate()?;
+    cfg.check_fits(graph, U32_PER_VERTEX)?;
     let n = graph.num_vertices() as usize;
     let (idxs_host, nbrs_host) = undirected_adjacency(graph);
     let deg_host: Vec<u32> = (0..n).map(|v| idxs_host[v + 1] - idxs_host[v]).collect();

@@ -11,7 +11,7 @@
 //! the partials into the final count.
 
 use crate::compact::block_warps;
-use crate::config::FrontierConfig;
+use crate::config::{FrontierConfig, U32_PER_VERTEX};
 use crate::kcore::undirected_adjacency;
 use cusha_core::{EngineError, RunStats};
 use cusha_graph::Graph;
@@ -63,6 +63,7 @@ pub fn try_run_triangles(
 ) -> Result<TriangleOutput, EngineError<u32>> {
     cfg.validate().map_err(EngineError::InvalidConfig)?;
     graph.validate()?;
+    cfg.check_fits(graph, U32_PER_VERTEX)?;
     let tpb = cfg.threads_per_block as usize;
     let (idxs_host, nbrs_host, esrc_host) = oriented(graph);
     let m = esrc_host.len();

@@ -270,3 +270,13 @@ fn engine_adapter_reports_label() {
     assert_eq!(Engine::<Bfs>::label(&e), "Frontier");
     assert!(!Engine::<Bfs>::recovers_faults(&e));
 }
+
+#[test]
+fn frontier_output_is_the_engine_output_type() {
+    // `FrontierOutput` is an alias: the adapter and the service convert nothing.
+    let g = test_graph(9);
+    let out: cusha_core::CuShaOutput<u32> = run_frontier(&Bfs::new(0), &g, &FrontierConfig::new());
+    let out: cusha_frontier::FrontierOutput<u32> = out;
+    assert_eq!(out.values, gs_values(&Bfs::new(0), &g));
+    assert!(out.stats.frontier.is_some());
+}

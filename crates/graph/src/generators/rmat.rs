@@ -63,29 +63,40 @@ impl RmatConfig {
         }
     }
 
-    fn validate(&self) {
-        assert!(
-            self.scale <= 31,
-            "scale {} too large for u32 ids",
-            self.scale
-        );
+    /// Checks the parameters, returning the first defect: the scale must
+    /// leave vertex ids in `u32`, the edge count in [`crate::EdgeId`], and the
+    /// quadrant probabilities must be positive and sum to 1.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.scale > 31 {
+            return Err(format!("scale {} too large for u32 ids", self.scale));
+        }
+        if self.edges > crate::EdgeId::MAX as u64 {
+            return Err(format!(
+                "{} edges do not fit the 32-bit edge-id space",
+                self.edges
+            ));
+        }
         let sum = self.a + self.b + self.c + self.d;
-        assert!(
-            (sum - 1.0).abs() < 1e-9,
-            "quadrant probabilities must sum to 1 (got {sum})"
-        );
-        assert!(
-            self.a > 0.0 && self.b > 0.0 && self.c > 0.0 && self.d > 0.0,
-            "quadrant probabilities must be positive"
-        );
+        if (sum - 1.0).abs() >= 1e-9 {
+            return Err(format!("quadrant probabilities must sum to 1 (got {sum})"));
+        }
+        if !(self.a > 0.0 && self.b > 0.0 && self.c > 0.0 && self.d > 0.0) {
+            return Err("quadrant probabilities must be positive".into());
+        }
+        Ok(())
     }
 }
 
 /// Generates an R-MAT graph. Parallel edges and self-loops are kept (as in
 /// the reference model); callers wanting a simple graph can route through
 /// [`crate::GraphBuilder`].
+///
+/// # Panics
+/// Panics on parameters [`RmatConfig::validate`] refuses.
 pub fn rmat(cfg: &RmatConfig) -> Graph {
-    cfg.validate();
+    if let Err(defect) = cfg.validate() {
+        panic!("{defect}");
+    }
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let n = 1u32 << cfg.scale;
     let mut edges = Vec::with_capacity(cfg.edges as usize);
@@ -190,5 +201,17 @@ mod tests {
             d: 0.5,
             ..RmatConfig::graph500(4, 8, 0)
         });
+    }
+
+    #[test]
+    fn validate_names_the_defect_without_panicking() {
+        assert!(RmatConfig::graph500(31, u32::MAX as u64, 0)
+            .validate()
+            .is_ok());
+        let err = RmatConfig::graph500(32, 10, 0).validate().unwrap_err();
+        assert!(err.contains("scale 32"), "{err}");
+        let edges = 9_999_999_999_999_999;
+        let err = RmatConfig::graph500(10, edges, 0).validate().unwrap_err();
+        assert!(err.contains(&edges.to_string()), "{err}");
     }
 }

@@ -11,6 +11,8 @@
 //! null): the serve wire protocol, the metrics snapshot reader, and the
 //! bench perf-regression gate all parse through here.
 
+use std::fmt::Write as _;
+
 /// Appends `s` as a JSON string literal (quoted, escaped) to `out`.
 pub fn push_str_lit(out: &mut String, s: &str) {
     out.push('"');
@@ -37,6 +39,54 @@ pub fn push_f64(out: &mut String, v: f64) {
         out.push_str(&format!("{v}"));
     } else {
         out.push_str("null");
+    }
+}
+
+/// Renders one compact JSON object at the end of `out`; `fields` writes its
+/// fields through the writer, which owns the comma, the key quoting and the
+/// number rules, and formats every value in place.
+pub fn push_obj(out: &mut String, fields: impl FnOnce(&mut ObjWriter<'_>)) {
+    out.push('{');
+    fields(&mut ObjWriter(out, true));
+    out.push('}');
+}
+
+/// The fields of the object [`push_obj`] is rendering; they chain.
+pub struct ObjWriter<'a>(&'a mut String, bool);
+
+impl ObjWriter<'_> {
+    /// Writes `"key":` and lends the buffer for a value the caller renders.
+    pub fn key(&mut self, key: &str) -> &mut String {
+        if !std::mem::take(&mut self.1) {
+            self.0.push(',');
+        }
+        push_str_lit(self.0, key);
+        self.0.push(':');
+        self.0
+    }
+
+    /// A field whose `Display` form is its JSON form: an integer, a boolean.
+    pub fn plain(&mut self, key: &str, v: impl std::fmt::Display) -> &mut Self {
+        let _ = write!(self.key(key), "{v}");
+        self
+    }
+
+    /// A 64-bit digest as 16 hex digits: f64-based parsers stop at 2^53.
+    pub fn hex64(&mut self, key: &str, v: u64) -> &mut Self {
+        let _ = write!(self.key(key), "\"{v:016x}\"");
+        self
+    }
+
+    /// A float field ([`push_f64`]); `None`, like a non-finite value, is `null`.
+    pub fn f64(&mut self, key: &str, v: impl Into<Option<f64>>) -> &mut Self {
+        push_f64(self.key(key), v.into().unwrap_or(f64::NAN));
+        self
+    }
+
+    /// A string field ([`push_str_lit`]).
+    pub fn str(&mut self, key: &str, v: &str) -> &mut Self {
+        push_str_lit(self.key(key), v);
+        self
     }
 }
 
@@ -314,6 +364,42 @@ mod tests {
         assert_eq!(lit("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(lit("\u{1}"), "\"\\u0001\"");
         assert_eq!(lit("héllo"), "\"héllo\"");
+    }
+
+    #[test]
+    fn object_writer_owns_commas_quoting_and_number_rules() {
+        let mut out = String::from("x=");
+        push_obj(&mut out, |o| {
+            o.plain("n", u64::MAX)
+                .plain("on", true)
+                .hex64("rev", 0x2a)
+                .f64("ms", 0.5)
+                .f64("nan", f64::NAN)
+                .f64("none", None)
+                .f64("some", Some(3.0))
+                .str("q\"k", "a\"b\n");
+            push_obj(o.key("nested"), |inner| {
+                inner.plain("deep", -1);
+            });
+            o.key("list").push_str("[1,2]");
+            push_obj(o.key("empty"), |_| {});
+        });
+        let expected = "x={\"n\":18446744073709551615,\"on\":true,\
+                        \"rev\":\"000000000000002a\",\"ms\":0.5,\"nan\":null,\"none\":null,\
+                        \"some\":3,\"q\\\"k\":\"a\\\"b\\n\",\"nested\":{\"deep\":-1},\
+                        \"list\":[1,2],\"empty\":{}}";
+        assert_eq!(out, expected);
+        // What it writes, the parser reads back.
+        let back = parse_json(&out[2..]).expect("valid JSON");
+        assert_eq!(
+            back.get("rev").and_then(Json::as_str),
+            Some("000000000000002a")
+        );
+        assert_eq!(
+            back.get("nested").and_then(|n| n.get("deep")),
+            Some(&Json::Num(-1.0))
+        );
+        assert_eq!(back.get("q\"k").and_then(Json::as_str), Some("a\"b\n"));
     }
 
     #[test]

@@ -90,6 +90,11 @@ impl QueryOp {
     }
 }
 
+/// A JSON number that is exactly a `u32`: a vertex id, an edge weight.
+fn as_u32(x: &Json) -> Option<u32> {
+    x.as_u64().and_then(|n| u32::try_from(n).ok())
+}
+
 /// Parses one input line (JSON or REPL shorthand) into a [`Request`].
 pub fn parse_line(line: &str) -> Result<Request, String> {
     let line = line.trim();
@@ -134,9 +139,7 @@ fn parse_json_request(line: &str) -> Result<Request, String> {
         .unwrap_or(false);
     let source = || -> Result<VertexId, String> {
         v.get("source")
-            .and_then(Json::as_u64)
-            .filter(|&s| s <= u32::MAX as u64)
-            .map(|s| s as VertexId)
+            .and_then(as_u32)
             .ok_or_else(|| format!("op {op:?} needs a \"source\" vertex id"))
     };
     let op = if let Some(kind) = cusha_algos::TraversalKind::parse(op) {
@@ -151,14 +154,7 @@ fn parse_json_request(line: &str) -> Result<Request, String> {
                     Some(Json::Arr(items)) => items,
                     _ => return Err("op \"reach\" needs a \"sources\" array".into()),
                 };
-                let sources: Option<Vec<VertexId>> = arr
-                    .iter()
-                    .map(|x| {
-                        x.as_u64()
-                            .filter(|&s| s <= u32::MAX as u64)
-                            .map(|s| s as VertexId)
-                    })
-                    .collect();
+                let sources: Option<Vec<VertexId>> = arr.iter().map(as_u32).collect();
                 QueryOp::Reach {
                     sources: sources.ok_or("\"sources\" must be vertex ids")?,
                 }
@@ -182,10 +178,7 @@ fn parse_json_request(line: &str) -> Result<Request, String> {
 fn parse_mutate(v: &Json) -> Result<Request, String> {
     let id = v.get("id").cloned().unwrap_or(Json::Null);
     let vertex = |x: &Json, what: &str| -> Result<VertexId, String> {
-        x.as_u64()
-            .filter(|&s| s <= u32::MAX as u64)
-            .map(|s| s as VertexId)
-            .ok_or_else(|| format!("{what} must be a vertex id"))
+        as_u32(x).ok_or_else(|| format!("{what} must be a vertex id"))
     };
     let mut batch = MutationBatch::new();
     if let Some(arr) = v.get("insert") {
@@ -200,10 +193,7 @@ fn parse_mutate(v: &Json) -> Result<Request, String> {
             };
             let weight = match t.get(2) {
                 None => 1,
-                Some(w) => w
-                    .as_u64()
-                    .filter(|&w| w <= u32::MAX as u64)
-                    .ok_or("insert weight must be a u32")? as u32,
+                Some(w) => as_u32(w).ok_or("insert weight must be a u32")?,
             };
             batch = batch.insert(
                 vertex(&t[0], "insert src")?,

@@ -41,11 +41,12 @@ use cusha_algos::{
     TraversalKind,
 };
 use cusha_core::integrity::checksum;
+use cusha_core::memsize::ValueSizes;
 use cusha_core::{
     CuShaOutput, EngineError, IntegrityConfig, Repr, RunObserver, Value, VertexProgram,
 };
 use cusha_graph::Graph;
-use cusha_obs::json::{push_f64, push_str_lit};
+use cusha_obs::json::{push_f64, push_obj, push_str_lit, ObjWriter};
 use cusha_obs::trace::lanes;
 use cusha_obs::{MetricsRegistry, Tracer};
 use cusha_simt::{DeviceConfig, FaultPlan};
@@ -224,16 +225,6 @@ struct DeadlineObserver {
     expired: Vec<Option<(u32, f64)>>,
 }
 
-impl DeadlineObserver {
-    fn new(deadline_s: Vec<Option<f64>>) -> Self {
-        let n = deadline_s.len();
-        DeadlineObserver {
-            deadline_s,
-            expired: vec![None; n],
-        }
-    }
-}
-
 impl RunObserver for DeadlineObserver {
     fn on_iteration(&mut self, iteration: u32, _updated: u64, elapsed_seconds: f64) -> bool {
         for (l, d) in self.deadline_s.iter().enumerate() {
@@ -265,36 +256,74 @@ enum Outcome<V> {
     FaultExhausted { detail: String },
 }
 
-/// One query's settled response, pre-rendering.
-enum Settled {
-    Ok {
-        iterations: u32,
-        modeled_seconds: f64,
-        checksum: u64,
-        cached: bool,
-        value_bits: Option<Vec<u64>>,
-    },
-    Deadline {
-        iterations: u32,
-        elapsed_seconds: f64,
-    },
-    Failed {
-        reason: &'static str,
-        detail: String,
-    },
-    Rejected(ShedReason),
+/// One query's settled response: how it ended, and the line that says so
+/// (rendered when it settles, emitted at flush end in arrival order).
+struct Settled {
+    outcome: QueryOutcome,
+    cached: bool,
+    line: String,
 }
 
 impl Settled {
-    /// The terminal state this response reports; its label is the wire
-    /// `status`.
-    fn outcome(&self) -> QueryOutcome {
-        match self {
-            Settled::Ok { .. } => QueryOutcome::Ok,
-            Settled::Deadline { .. } => QueryOutcome::Deadline,
-            Settled::Failed { .. } => QueryOutcome::Failed,
-            Settled::Rejected { .. } => QueryOutcome::Rejected,
+    /// A response of status `outcome`: the id, op and status every response
+    /// line carries, then the fields `rest` adds.
+    fn new(q: &Query, outcome: QueryOutcome, rest: impl FnOnce(&mut ObjWriter<'_>)) -> Self {
+        let line = obj_line(|o| {
+            q.id.render(o.key("id"));
+            o.str("op", q.op.label()).str("status", outcome.label());
+            rest(o);
+        });
+        Settled {
+            outcome,
+            cached: false,
+            line,
         }
+    }
+
+    /// `answer`, fresh from a launch or `cached`; its values if `q` asked.
+    fn ok(q: &Query, answer: &CachedResult, cached: bool) -> Self {
+        let fields = |o: &mut ObjWriter<'_>| {
+            o.plain("iterations", answer.iterations)
+                .f64("modeled_ms", answer.modeled_seconds * 1e3)
+                .plain("cached", cached)
+                .hex64("checksum", answer.checksum);
+            if q.want_values {
+                let out = o.key("values");
+                out.push('[');
+                for (i, &b) in answer.value_bits.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    match q.op {
+                        QueryOp::PageRank => push_f64(out, f32::from_bits(b as u32) as f64),
+                        // Reach bitsets are u64 words; hex strings survive
+                        // f64-based JSON parsers (like the checksum).
+                        QueryOp::Reach { .. } => push_str_lit(out, &format!("{b:x}")),
+                        _ => out.push_str(&(b as u32).to_string()),
+                    }
+                }
+                out.push(']');
+            }
+        };
+        Settled {
+            cached,
+            ..Settled::new(q, QueryOutcome::Ok, fields)
+        }
+    }
+
+    /// The deadline expired after `iterations`, `elapsed_seconds` in.
+    fn expired(q: &Query, (iterations, elapsed_seconds): (u32, f64)) -> Self {
+        Settled::new(q, QueryOutcome::Deadline, |o| {
+            o.plain("iterations", iterations)
+                .f64("modeled_ms", elapsed_seconds * 1e3);
+        })
+    }
+
+    /// A typed failure.
+    fn failed(q: &Query, reason: &str, detail: &str) -> Self {
+        Settled::new(q, QueryOutcome::Failed, |o| {
+            o.str("reason", reason).str("detail", detail);
+        })
     }
 }
 
@@ -330,6 +359,18 @@ struct LaneMeta {
     launch_start: f64,
     /// Service clock when the launch settled (latency anchor).
     settle_clock: f64,
+}
+
+impl LaneMeta {
+    /// The serving facts of a query no launch served, waiting from `start`
+    /// until it settled at `settle_clock`.
+    fn no_launch(launch_start: f64, settle_clock: f64) -> Self {
+        LaneMeta {
+            launch_start,
+            settle_clock,
+            ..LaneMeta::default()
+        }
+    }
 }
 
 /// A settled lane and the launch that settled it; `None` until then.
@@ -522,21 +563,19 @@ impl Service {
             Ok(Request::Mutate(m)) => self.mutate(m),
             Ok(Request::Flush) => {
                 let mut out = self.flush();
-                out.push(format!(
-                    "{{\"status\":\"flushed\",\"settled\":{}}}",
-                    out.len()
-                ));
+                let settled = out.len();
+                out.push(obj_line(|o| {
+                    o.str("status", "flushed").plain("settled", settled);
+                }));
                 out
             }
             Ok(Request::Stats) => vec![self.render_stats()],
             Ok(Request::Shutdown) => self.shutdown(),
-            Err(msg) => {
-                let mut out =
-                    String::from("{\"status\":\"error\",\"reason\":\"parse\",\"detail\":");
-                push_str_lit(&mut out, &msg);
-                out.push('}');
-                vec![out]
-            }
+            Err(msg) => vec![obj_line(|o| {
+                o.str("status", "error")
+                    .str("reason", "parse")
+                    .str("detail", &msg);
+            })],
         }
     }
 
@@ -563,18 +602,24 @@ impl Service {
             id = Json::Num(self.assigned_ids as f64);
         }
         if self.shut_down {
-            self.metrics
-                .add("serve_mutations_total", &[("status", "rejected")], 1);
-            return vec![render_mutate_error(&id, "rejected", "shutting-down")];
+            return vec![self.refuse_mutation(&id, "rejected", "shutting-down")];
         }
         let mut out = self.flush_queries();
         let start = self.clock;
         // Validate against the live graph — mutations always land on the
-        // newest epoch, even mid-window.
-        if let Err(e) = m.batch.validate(&self.live.graph) {
-            self.metrics
-                .add("serve_mutations_total", &[("status", "invalid")], 1);
-            out.push(render_mutate_error(&id, "invalid", &e.to_string()));
+        // newest epoch, even mid-window — and never grow it past what the
+        // device holds for the widest served program: refused here, nothing
+        // has been logged yet.
+        let graph = &self.live.graph;
+        let admissible = m.batch.validate(graph).map_err(|e| e.to_string());
+        let admissible = admissible.and_then(|delta| {
+            let v = graph.num_vertices() as u64 + delta.grew_vertices as u64;
+            let e = graph.num_edges() as u64 + delta.inserted as u64 - delta.deleted as u64;
+            let key = self.live.warm.admit(v, e, ValueSizes::of::<FusedPair>());
+            key.map_err(|e| e.to_string())
+        });
+        if let Err(why) = admissible {
+            out.push(self.refuse_mutation(&id, "invalid", &why));
             return out;
         }
         let next_epoch = self.epoch + 1;
@@ -596,9 +641,7 @@ impl Service {
                     return out;
                 }
                 Err(e) => {
-                    self.metrics
-                        .add("serve_mutations_total", &[("status", "wal-error")], 1);
-                    out.push(render_mutate_error(&id, "wal-error", &e.to_string()));
+                    out.push(self.refuse_mutation(&id, "wal-error", &e.to_string()));
                     return out;
                 }
             }
@@ -615,7 +658,7 @@ impl Service {
                 // the graph untouched) — report a typed internal error
                 // rather than trust an impossible state.
                 self.metrics.add("serve_internal_errors_total", &[], 1);
-                out.push(render_mutate_error(&id, "internal", &e.to_string()));
+                out.push(self.refuse_mutation(&id, "internal", &e.to_string()));
                 return out;
             }
         };
@@ -675,8 +718,30 @@ impl Service {
             start,
             self.clock - start,
         );
-        out.push(render_mutate_ok(&id, self.epoch, self.live.rev, &delta));
+        out.push(obj_line(|o| {
+            id.render(o.key("id"));
+            o.str("op", "mutate")
+                .str("status", "ok")
+                .plain("epoch", self.epoch)
+                .hex64("graph_rev", self.live.rev)
+                .plain("inserted", delta.inserted)
+                .plain("deleted", delta.deleted)
+                .plain("grew_vertices", delta.grew_vertices);
+        }));
         out
+    }
+
+    /// The one way a refused mutation leaves: counted by `status`, rendered.
+    fn refuse_mutation(&mut self, id: &Json, status: &str, detail: &str) -> String {
+        self.metrics
+            .add("serve_mutations_total", &[("status", status)], 1);
+        obj_line(|o| {
+            id.render(o.key("id"));
+            o.str("op", "mutate")
+                .str("status", "error")
+                .str("reason", status)
+                .str("detail", detail);
+        })
     }
 
     /// Drops every cache entry keyed on the superseded revision `rev`.
@@ -710,14 +775,8 @@ impl Service {
         let key = self.query_key(&q.op);
         if let Some(hit) = self.cache.get(&key) {
             self.metrics.add("serve_cache_hits_total", &[], 1);
-            let settled = Settled::Ok {
-                iterations: hit.iterations,
-                modeled_seconds: hit.modeled_seconds,
-                checksum: hit.checksum,
-                cached: true,
-                value_bits: q.want_values.then(|| hit.value_bits.clone()),
-            };
-            return Some(self.respond_at_the_door(&q, &settled));
+            let settled = Settled::ok(&q, &hit, true);
+            return Some(self.respond_at_the_door(&q, settled));
         }
         self.metrics.add("serve_cache_misses_total", &[], 1);
         match self.queue.admit(q.clone(), self.clock) {
@@ -736,17 +795,16 @@ impl Service {
         self.cfg
             .trace
             .instant(0, lanes::SERVE, "serve", "shed", self.clock);
-        self.respond_at_the_door(q, &Settled::Rejected(reason))
+        let rejected = Settled::new(q, QueryOutcome::Rejected, |o| {
+            o.str("reason", reason.label());
+        });
+        self.respond_at_the_door(q, rejected)
     }
 
     /// Responds to a query that never launched — a cache hit or a shed — in
     /// zero modeled time.
-    fn respond_at_the_door(&mut self, q: &Query, settled: &Settled) -> String {
-        let no_launch = LaneMeta {
-            launch_start: self.clock,
-            settle_clock: self.clock,
-            ..LaneMeta::default()
-        };
+    fn respond_at_the_door(&mut self, q: &Query, settled: Settled) -> String {
+        let no_launch = LaneMeta::no_launch(self.clock, self.clock);
         self.respond(q, settled, (0, self.clock), &no_launch)
     }
 
@@ -756,11 +814,11 @@ impl Service {
     fn respond(
         &mut self,
         q: &Query,
-        settled: &Settled,
+        settled: Settled,
         (seq, admit_clock): (u64, f64),
         meta: &LaneMeta,
     ) -> String {
-        let outcome = settled.outcome();
+        let outcome = settled.outcome;
         self.metrics
             .add("serve_responses_total", &[("status", outcome.label())], 1);
         if outcome == QueryOutcome::Deadline {
@@ -788,13 +846,13 @@ impl Service {
             batch_id: meta.batch_id,
             batch_width: meta.batch_width,
             warm: meta.warm,
-            cache_hit: matches!(settled, Settled::Ok { cached: true, .. }),
+            cache_hit: settled.cached,
             retries: meta.retries,
             latency_s,
             deadline_slack_s: deadline.map(|d| d - latency_s),
             outcome,
         });
-        render_response(q, settled)
+        settled.line
     }
 
     fn validate_query(&self, op: &QueryOp) -> Option<ShedReason> {
@@ -898,18 +956,11 @@ impl Service {
             // with a typed response, not take the service down.
             let (settled, meta) = slot.unwrap_or_else(|| {
                 self.metrics.add("serve_internal_errors_total", &[], 1);
-                let failed = Settled::Failed {
-                    reason: "internal",
-                    detail: "admitted query was never settled by any launch".into(),
-                };
-                let no_launch = LaneMeta {
-                    launch_start: flush_start,
-                    settle_clock: self.clock,
-                    ..LaneMeta::default()
-                };
-                (failed, no_launch)
+                let detail = "admitted query was never settled by any launch";
+                let failed = Settled::failed(&a.query, "internal", detail);
+                (failed, LaneMeta::no_launch(flush_start, self.clock))
             });
-            responses.push(self.respond(&a.query, &settled, (a.seq, a.admit_clock), &meta));
+            responses.push(self.respond(&a.query, settled, (a.seq, a.admit_clock), &meta));
         }
         responses
     }
@@ -931,8 +982,17 @@ impl Service {
         deadlines: &[Option<f64>],
     ) -> (Outcome<P::V>, LaneMeta) {
         let epoch = serving_mut(&mut self.live, &mut self.window);
-        let key = epoch.warm.key_for::<P>(&epoch.graph);
         let launch_start = self.clock;
+        let (v, e) = (epoch.graph.num_vertices(), epoch.graph.num_edges());
+        let key = match epoch.warm.admit(v as u64, e as u64, ValueSizes::of::<P>()) {
+            Ok(key) => key,
+            // A graph the device cannot hold launches nothing.
+            Err(e) => {
+                let (kind, detail) = (e.kind(), e.to_string());
+                let no_launch = LaneMeta::no_launch(launch_start, launch_start);
+                return (Outcome::Typed { kind, detail }, no_launch);
+            }
+        };
         let warm = epoch.warm.ensure(key, &epoch.graph, epoch.rev);
         self.metrics.add("serve_batches_total", &[], 1);
         let batch_id = self
@@ -946,7 +1006,10 @@ impl Service {
         }
         let mut attempt = 0u32;
         let outcome = 'run: loop {
-            let mut observer = DeadlineObserver::new(deadlines.to_vec());
+            let mut observer = DeadlineObserver {
+                deadline_s: deadlines.to_vec(),
+                expired: vec![None; deadlines.len()],
+            };
             let plan = self.cfg.fault_plan.as_mut();
             let ran = epoch
                 .warm
@@ -1125,36 +1188,25 @@ impl Service {
             .map(|&i| self.deadline_of(&admitted[i].query))
             .collect();
         let (outcome, meta) = self.launch(prog, &deadlines);
-        let expired = |(iterations, elapsed_seconds): (u32, f64)| Settled::Deadline {
-            iterations,
-            elapsed_seconds,
-        };
+        let query = |i: usize| &admitted[i].query;
         match outcome {
             Outcome::Done { out, expired: at } => {
                 let (iterations, modeled_seconds) =
                     (out.stats.iterations, out.stats.total_seconds());
                 for (lane, &i) in lanes.iter().enumerate() {
                     let settled = match at[lane] {
-                        Some(expiry) => expired(expiry),
+                        Some(expiry) => Settled::expired(query(i), expiry),
                         None => {
-                            let query = &admitted[i].query;
                             let value_bits = cut(&out.values, lane);
-                            let checksum = checksum(&value_bits);
-                            let wanted = query.want_values.then(|| value_bits.clone());
                             let answer = CachedResult {
                                 iterations,
                                 modeled_seconds,
-                                checksum,
+                                checksum: checksum(&value_bits),
                                 value_bits,
                             };
-                            self.cache.put(self.query_key(&query.op), answer);
-                            Settled::Ok {
-                                iterations,
-                                modeled_seconds,
-                                checksum,
-                                cached: false,
-                                value_bits: wanted,
-                            }
+                            let settled = Settled::ok(query(i), &answer, false);
+                            self.cache.put(self.query_key(&query(i).op), answer);
+                            settled
                         }
                     };
                     slots[i] = Some((settled, meta.clone()));
@@ -1162,24 +1214,17 @@ impl Service {
             }
             Outcome::AllExpired { expired: at } => {
                 for (lane, &i) in lanes.iter().enumerate() {
-                    slots[i] = Some((expired(at[lane]), meta.clone()));
+                    slots[i] = Some((Settled::expired(query(i), at[lane]), meta.clone()));
                 }
             }
             Outcome::Typed { kind, detail } => {
                 for &i in lanes {
-                    let failed = Settled::Failed {
-                        reason: kind,
-                        detail: detail.clone(),
-                    };
-                    slots[i] = Some((failed, meta.clone()));
+                    slots[i] = Some((Settled::failed(query(i), kind, &detail), meta.clone()));
                 }
             }
             Outcome::FaultExhausted { detail } => {
                 if let [i] = *lanes {
-                    let failed = Settled::Failed {
-                        reason: "fault-exhausted",
-                        detail,
-                    };
+                    let failed = Settled::failed(query(i), "fault-exhausted", &detail);
                     slots[i] = Some((failed, meta));
                     self.scrub();
                 } else {
@@ -1203,67 +1248,53 @@ impl Service {
                     .counter("serve_shed_total", &[("reason", r.label())])
             })
             .sum();
-        let mut out = String::from("{\"status\":\"stats\"");
-        out.push_str(&format!(",\"epoch\":{}", self.epoch));
-        out.push_str(",\"graph_rev\":");
-        push_str_lit(&mut out, &format!("{:016x}", self.live.rev));
-        out.push_str(&format!(",\"rebuilding\":{}", self.window.is_some()));
-        out.push_str(&format!(",\"queue_depth\":{}", self.queue.depth()));
-        out.push_str(&format!(",\"admitted\":{}", self.queue.admitted_total()));
-        out.push_str(&format!(",\"shed\":{shed}"));
-        out.push_str(&format!(",\"cache_hits\":{hits}"));
-        out.push_str(&format!(",\"cache_misses\":{misses}"));
-        out.push_str(&format!(",\"cache_entries\":{}", self.cache.len()));
-        out.push_str(",\"cache_hit_rate\":");
-        let looked_up = hits + misses;
-        push_f64(
-            &mut out,
-            if looked_up == 0 {
-                0.0
-            } else {
-                hits as f64 / looked_up as f64
-            },
-        );
+        let hit_rate = match hits + misses {
+            0 => 0.0,
+            looked_up => hits as f64 / looked_up as f64,
+        };
         // Live latency quantiles out of the log-bucketed histogram.
         let (p50, p99) = self
             .metrics
             .histogram("serve_query_latency_seconds", &[])
             .map_or((0.0, 0.0), |h| (h.quantile(0.5), h.quantile(0.99)));
-        out.push_str(",\"latency_p50_ms\":");
-        push_f64(&mut out, p50 * 1e3);
-        out.push_str(",\"latency_p99_ms\":");
-        push_f64(&mut out, p99 * 1e3);
-        let slo = self.telemetry.slo.config();
-        out.push_str(",\"slo\":{\"latency_objective_ms\":");
-        push_f64(&mut out, slo.latency_objective_s * 1e3);
-        out.push_str(",\"latency_target\":");
-        push_f64(&mut out, slo.latency_target);
-        out.push_str(",\"availability_target\":");
-        push_f64(&mut out, slo.availability_target);
-        out.push_str(&format!(",\"window\":{}", self.telemetry.slo.window_len()));
-        out.push_str(",\"latency_burn_rate\":");
-        push_f64(&mut out, self.telemetry.slo.latency_burn_rate());
-        out.push_str(",\"error_burn_rate\":");
-        push_f64(&mut out, self.telemetry.slo.error_burn_rate());
-        out.push('}');
-        out.push_str(",\"slowest_ms\":");
-        push_f64(
-            &mut out,
-            self.telemetry
-                .slow
-                .entries()
-                .first()
-                .map_or(0.0, |r| r.latency_s * 1e3),
-        );
-        out.push_str(&format!(
-            ",\"query_log_dropped\":{}",
-            self.telemetry.log.dropped()
-        ));
-        out.push_str(",\"clock_ms\":");
-        push_f64(&mut out, self.clock * 1e3);
-        out.push('}');
-        out
+        let (slo, slowest) = (&self.telemetry.slo, self.telemetry.slow.entries().first());
+        obj_line(|o| {
+            o.str("status", "stats")
+                .plain("epoch", self.epoch)
+                .hex64("graph_rev", self.live.rev)
+                .plain("rebuilding", self.window.is_some())
+                .plain("queue_depth", self.queue.depth())
+                .plain("admitted", self.queue.admitted_total())
+                .plain("shed", shed)
+                .plain("cache_hits", hits)
+                .plain("cache_misses", misses)
+                .plain("cache_entries", self.cache.len())
+                .f64("cache_hit_rate", hit_rate)
+                .f64("latency_p50_ms", p50 * 1e3)
+                .f64("latency_p99_ms", p99 * 1e3);
+            push_obj(o.key("slo"), |o| {
+                o.f64(
+                    "latency_objective_ms",
+                    slo.config().latency_objective_s * 1e3,
+                )
+                .f64("latency_target", slo.config().latency_target)
+                .f64("availability_target", slo.config().availability_target)
+                .plain("window", slo.window_len())
+                .f64("latency_burn_rate", slo.latency_burn_rate())
+                .f64("error_burn_rate", slo.error_burn_rate());
+            });
+            o.f64("slowest_ms", slowest.map_or(0.0, |r| r.latency_s * 1e3))
+                .plain("query_log_dropped", self.telemetry.log.dropped())
+                .f64("clock_ms", self.clock * 1e3);
+        })
     }
+}
+
+/// One response line: a compact JSON object.
+fn obj_line(fields: impl FnOnce(&mut ObjWriter<'_>)) -> String {
+    let mut line = String::new();
+    push_obj(&mut line, fields);
+    line
 }
 
 /// The flush planner: the launches one flush makes, in launch order, as
@@ -1311,102 +1342,6 @@ fn plan_flush(admitted: &[Admitted]) -> Vec<Planned> {
         }
     }
     plan
-}
-
-/// Renders a committed mutation's response line.
-fn render_mutate_ok(id: &Json, epoch: u64, rev: u64, delta: &cusha_graph::MutationDelta) -> String {
-    let mut out = String::from("{\"id\":");
-    id.render(&mut out);
-    out.push_str(",\"op\":\"mutate\",\"status\":\"ok\"");
-    out.push_str(&format!(",\"epoch\":{epoch}"));
-    // Hex string like the result checksums: u64 revisions overflow the
-    // 53-bit integer range f64-based JSON parsers round-trip.
-    out.push_str(",\"graph_rev\":");
-    push_str_lit(&mut out, &format!("{rev:016x}"));
-    out.push_str(&format!(
-        ",\"inserted\":{},\"deleted\":{},\"grew_vertices\":{}}}",
-        delta.inserted, delta.deleted, delta.grew_vertices
-    ));
-    out
-}
-
-/// Renders a refused mutation's response line.
-fn render_mutate_error(id: &Json, reason: &str, detail: &str) -> String {
-    let mut out = String::from("{\"id\":");
-    id.render(&mut out);
-    out.push_str(",\"op\":\"mutate\",\"status\":\"error\",\"reason\":");
-    push_str_lit(&mut out, reason);
-    out.push_str(",\"detail\":");
-    push_str_lit(&mut out, detail);
-    out.push('}');
-    out
-}
-
-/// Renders one settled response line.
-fn render_response(q: &Query, settled: &Settled) -> String {
-    let mut out = String::from("{\"id\":");
-    q.id.render(&mut out);
-    out.push_str(",\"op\":");
-    push_str_lit(&mut out, q.op.label());
-    out.push_str(",\"status\":");
-    push_str_lit(&mut out, settled.outcome().label());
-    match settled {
-        Settled::Ok {
-            iterations,
-            modeled_seconds,
-            checksum,
-            cached,
-            value_bits,
-        } => {
-            out.push_str(",\"iterations\":");
-            out.push_str(&iterations.to_string());
-            out.push_str(",\"modeled_ms\":");
-            push_f64(&mut out, modeled_seconds * 1e3);
-            out.push_str(",\"cached\":");
-            out.push_str(if *cached { "true" } else { "false" });
-            // Hex string, not a JSON number: u64 checksums overflow the
-            // 53-bit integer range f64-based JSON parsers round-trip.
-            out.push_str(",\"checksum\":");
-            push_str_lit(&mut out, &format!("{checksum:016x}"));
-            if let Some(bits) = value_bits {
-                out.push_str(",\"values\":[");
-                for (i, &b) in bits.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    match q.op {
-                        QueryOp::PageRank => push_f64(&mut out, f32::from_bits(b as u32) as f64),
-                        // Reach bitsets are u64 words; hex strings survive
-                        // f64-based JSON parsers (like the checksum).
-                        QueryOp::Reach { .. } => push_str_lit(&mut out, &format!("{b:x}")),
-                        _ => out.push_str(&(b as u32).to_string()),
-                    }
-                }
-                out.push(']');
-            }
-        }
-        Settled::Deadline {
-            iterations,
-            elapsed_seconds,
-        } => {
-            out.push_str(",\"iterations\":");
-            out.push_str(&iterations.to_string());
-            out.push_str(",\"modeled_ms\":");
-            push_f64(&mut out, elapsed_seconds * 1e3);
-        }
-        Settled::Failed { reason, detail } => {
-            out.push_str(",\"reason\":");
-            push_str_lit(&mut out, reason);
-            out.push_str(",\"detail\":");
-            push_str_lit(&mut out, detail);
-        }
-        Settled::Rejected(reason) => {
-            out.push_str(",\"reason\":");
-            push_str_lit(&mut out, reason.label());
-        }
-    }
-    out.push('}');
-    out
 }
 
 /// Drives a service over line-based input/output until EOF, shutdown, or

@@ -21,7 +21,7 @@
 //! sustainable rate, above 1.0 the service is burning budget it does not
 //! have. See DESIGN.md §4.7.
 
-use cusha_obs::json::{push_f64, push_str_lit};
+use cusha_obs::json::push_obj;
 use std::collections::VecDeque;
 
 /// Terminal state of a served query.
@@ -83,32 +83,19 @@ impl QueryRecord {
     /// Serializes the record as one compact JSON object (the slow-query
     /// log's line format).
     pub fn to_json(&self, out: &mut String) {
-        out.push_str("{\"seq\":");
-        out.push_str(&self.seq.to_string());
-        out.push_str(",\"op\":");
-        push_str_lit(out, self.op);
-        out.push_str(",\"outcome\":");
-        push_str_lit(out, self.outcome.label());
-        out.push_str(",\"latency_ms\":");
-        push_f64(out, self.latency_s * 1e3);
-        out.push_str(",\"queue_wait_ms\":");
-        push_f64(out, self.queue_wait_s * 1e3);
-        out.push_str(",\"batch_id\":");
-        out.push_str(&self.batch_id.to_string());
-        out.push_str(",\"batch_width\":");
-        out.push_str(&self.batch_width.to_string());
-        out.push_str(",\"warm\":");
-        out.push_str(if self.warm { "true" } else { "false" });
-        out.push_str(",\"cache_hit\":");
-        out.push_str(if self.cache_hit { "true" } else { "false" });
-        out.push_str(",\"retries\":");
-        out.push_str(&self.retries.to_string());
-        out.push_str(",\"deadline_slack_ms\":");
-        match self.deadline_slack_s {
-            Some(s) => push_f64(out, s * 1e3),
-            None => out.push_str("null"),
-        }
-        out.push('}');
+        push_obj(out, |o| {
+            o.plain("seq", self.seq)
+                .str("op", self.op)
+                .str("outcome", self.outcome.label())
+                .f64("latency_ms", self.latency_s * 1e3)
+                .f64("queue_wait_ms", self.queue_wait_s * 1e3)
+                .plain("batch_id", self.batch_id)
+                .plain("batch_width", self.batch_width)
+                .plain("warm", self.warm)
+                .plain("cache_hit", self.cache_hit)
+                .plain("retries", self.retries)
+                .f64("deadline_slack_ms", self.deadline_slack_s.map(|s| s * 1e3));
+        });
     }
 }
 

@@ -5,12 +5,13 @@
 //! window can remember "what was warm" without knowing the family.
 
 use crate::service::{ServeConfig, ServeEngine};
+use cusha_core::memsize::{check_fits, ValueSizes};
 use cusha_core::{
     try_run_warm, CuShaConfig, CuShaOutput, EngineError, PreparedLayout, RunObserver, VertexProgram,
 };
 use cusha_frontier::{try_run_frontier_warm, FrontierConfig, PreparedFrontier};
 use cusha_graph::Graph;
-use cusha_simt::{FaultPlan, Pod};
+use cusha_simt::FaultPlan;
 use std::collections::HashMap;
 
 /// What one engine run returns, whichever family ran it.
@@ -56,14 +57,20 @@ impl Warm {
         })
     }
 
-    /// The key `P`'s prepared state lives under for `graph`.
-    pub(crate) fn key_for<P: VertexProgram>(&self, graph: &Graph) -> u32 {
-        match self {
+    /// The key a graph of `v` vertices and `e` edges files its prepared state
+    /// under at value sizes `s`, unless this family's representation of it
+    /// cannot fit the device ([`check_fits`]): asked before a launch prepares
+    /// state, and before a mutation commits to growing the graph.
+    pub(crate) fn admit(&self, v: u64, e: u64, s: ValueSizes) -> Result<u32, EngineError<()>> {
+        let (shards, device) = match self {
             Warm::Shard { cfg, .. } => {
-                PreparedLayout::select_n_per(graph, cfg, <P::V as Pod>::SIZE)
+                let n_per = cfg.n_per_for(v, e, s.vertex);
+                (Some((cfg.repr, n_per)), &cfg.device)
             }
-            Warm::Frontier { .. } => 0,
-        }
+            Warm::Frontier { cfg, .. } => (None, &cfg.device),
+        };
+        check_fits(v, e, s, shards, device)?;
+        Ok(shards.map_or(0, |(_, n_per)| n_per))
     }
 
     /// Every key with prepared state.
@@ -138,16 +145,10 @@ impl Warm {
                     "prepared layout for shard size {key} missing after build"
                 )),
             },
-            Warm::Frontier { cfg, topology } => {
-                match topology {
-                    Some(pf) => Ok(try_run_frontier_warm(prog, graph, pf, cfg, plan, observer)
-                        .map(|o| CuShaOutput {
-                            values: o.values,
-                            stats: o.stats,
-                        })),
-                    None => Err("prepared frontier topology missing after build".into()),
-                }
-            }
+            Warm::Frontier { cfg, topology } => match topology {
+                Some(pf) => Ok(try_run_frontier_warm(prog, graph, pf, cfg, plan, observer)),
+                None => Err("prepared frontier topology missing after build".into()),
+            },
         }
     }
 }

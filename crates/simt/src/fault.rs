@@ -36,6 +36,17 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
+    /// Parses the spec-text name (`h2d`, `d2h`, `alloc`, `kernel`).
+    pub fn parse(name: &str) -> Option<Self> {
+        match name {
+            "h2d" => Some(FaultKind::H2d),
+            "d2h" => Some(FaultKind::D2h),
+            "alloc" => Some(FaultKind::Alloc),
+            "kernel" => Some(FaultKind::Kernel),
+            _ => None,
+        }
+    }
+
     fn tag(self) -> u64 {
         match self {
             FaultKind::H2d => 0x683264,    // "h2d"
@@ -78,6 +89,16 @@ impl FlipTarget {
             FlipTarget::VertexValues => "vv",
             FlipTarget::SrcValue => "sv",
             FlipTarget::Window => "win",
+        }
+    }
+
+    /// Parses a label (or its long form `values` / `src` / `window`).
+    pub fn parse(name: &str) -> Option<Self> {
+        match name {
+            "vv" | "values" => Some(FlipTarget::VertexValues),
+            "sv" | "src" => Some(FlipTarget::SrcValue),
+            "win" | "window" => Some(FlipTarget::Window),
+            _ => None,
         }
     }
 }
@@ -251,6 +272,100 @@ impl FaultPlan {
     /// The configured random-fault seed, if any.
     pub fn seed(&self) -> Option<u64> {
         self.seed
+    }
+
+    /// Parses a fault spec — the `--inject` grammar — into a plan: comma
+    /// separated directives `seed=<u64>`, `<kind>@<op index>` (fail that
+    /// operation), `<kind>%<rate>` (seeded random faults, rate in `[0, 1]`)
+    /// and `kernel~<pattern>:<count>` (fail the next `count` launches whose
+    /// name contains `pattern`), with `<kind>` one of `h2d`, `d2h`, `alloc`,
+    /// `kernel`; e.g. `seed=7,alloc@2,h2d@5,kernel~CW:3,d2h%0.01`. A rate
+    /// needs a seed in the same spec. Errors name the offending directive.
+    pub fn parse_inject(spec: &str) -> Result<FaultPlan, String> {
+        let mut plan = FaultPlan::new();
+        let mut rated = None;
+        for part in directives(spec) {
+            let kind = |name: &str| {
+                let expected = "expected h2d, d2h, alloc, or kernel";
+                FaultKind::parse(name)
+                    .ok_or_else(|| format!("bad fault kind {name:?} in {part:?} ({expected})"))
+            };
+            if let Some(seed) = part.strip_prefix("seed=") {
+                plan.seed = Some(number("seed", seed, part)?);
+            } else if let Some(named) = part.strip_prefix("kernel~") {
+                let (pattern, count) = named
+                    .split_once(':')
+                    .ok_or_else(|| format!("{part:?} needs the form kernel~<pattern>:<count>"))?;
+                plan = plan.fail_kernels_named(pattern, number("count", count, part)?);
+            } else if let Some((name, index)) = part.split_once('@') {
+                let index = number("op index", index, part)?;
+                plan.kind_mut(kind(name)?).0.scheduled.insert(index);
+            } else if let Some((name, rate)) = part.split_once('%') {
+                *plan.kind_mut(kind(name)?).1 = unit_rate(rate, part)?;
+                rated.get_or_insert(part);
+            } else {
+                return Err(format!("unrecognized fault spec {part:?}"));
+            }
+        }
+        plan.rates_seeded(rated)
+    }
+
+    /// Parses a bit-flip spec — the `--inject-bitflips` grammar — onto this
+    /// plan, so copy/kernel faults and silent corruption share one seed:
+    /// `seed=<u64>`, `rate=<p>` (seeded flip probability per flip point, in
+    /// `[0, 1]`) and `<vv|sv|win>@<flip point>:<word>:<bit>`; e.g.
+    /// `seed=3,rate=0.01,vv@2:0:20`. A rate needs a seed, here or already on
+    /// the plan (`--inject`'s). Errors name the offending directive.
+    pub fn parse_bitflips(mut self, spec: &str) -> Result<FaultPlan, String> {
+        let mut rated = None;
+        for part in directives(spec) {
+            if let Some(seed) = part.strip_prefix("seed=") {
+                self.seed = Some(number("seed", seed, part)?);
+            } else if let Some(rate) = part.strip_prefix("rate=") {
+                self.bitflip_rate = unit_rate(rate, part)?;
+                rated = Some(part);
+            } else if let Some((target, coords)) = part.split_once('@') {
+                let target = FlipTarget::parse(target).ok_or_else(|| {
+                    format!("bad target {target:?} in {part:?} (expected vv, sv, or win)")
+                })?;
+                let fields: Vec<&str> = coords.split(':').collect();
+                let [op, word, bit] = fields[..] else {
+                    return Err(format!(
+                        "bad spec {part:?}: expected <target>@<flip point>:<word>:<bit>"
+                    ));
+                };
+                self = self.flip_at(
+                    number("flip point", op, part)?,
+                    target,
+                    number("word index", word, part)?,
+                    number("bit index", bit, part)?,
+                );
+            } else {
+                return Err(format!("unrecognized bit-flip spec {part:?}"));
+            }
+        }
+        self.rates_seeded(rated)
+    }
+
+    /// The plan, unless it carries the rate directive `rated` and no seed:
+    /// an unseeded rate never fires, so it is refused rather than ignored.
+    fn rates_seeded(self, rated: Option<&str>) -> Result<FaultPlan, String> {
+        match (rated, self.seed) {
+            (Some(part), None) => Err(format!(
+                "{part:?} needs a seed=<u64> directive (rates are seeded)"
+            )),
+            _ => Ok(self),
+        }
+    }
+
+    /// The schedule and the random-fault rate of `kind`.
+    fn kind_mut(&mut self, kind: FaultKind) -> (&mut KindState, &mut f64) {
+        match kind {
+            FaultKind::H2d => (&mut self.h2d, &mut self.h2d_rate),
+            FaultKind::D2h => (&mut self.d2h, &mut self.d2h_rate),
+            FaultKind::Alloc => (&mut self.alloc, &mut self.alloc_rate),
+            FaultKind::Kernel => (&mut self.kernel, &mut self.kernel_rate),
+        }
     }
 
     /// Fails host→device copies at the given zero-based operation indices.
@@ -431,18 +546,8 @@ impl FaultPlan {
     /// must fail. Scheduled one-shot indices are consumed; named kernel
     /// matches decrement their budget.
     pub(crate) fn check(&mut self, kind: FaultKind, kernel_name: Option<&str>) -> Option<u64> {
-        let rate = match kind {
-            FaultKind::H2d => self.h2d_rate,
-            FaultKind::D2h => self.d2h_rate,
-            FaultKind::Alloc => self.alloc_rate,
-            FaultKind::Kernel => self.kernel_rate,
-        };
-        let state = match kind {
-            FaultKind::H2d => &mut self.h2d,
-            FaultKind::D2h => &mut self.d2h,
-            FaultKind::Alloc => &mut self.alloc,
-            FaultKind::Kernel => &mut self.kernel,
-        };
+        let (state, rate) = self.kind_mut(kind);
+        let rate = *rate;
         let index = state.counter;
         state.counter += 1;
         let mut fires = state.scheduled.remove(&index);
@@ -471,6 +576,31 @@ impl FaultPlan {
         } else {
             None
         }
+    }
+}
+
+/// The non-empty comma-separated directives of a spec.
+fn directives(spec: &str) -> impl Iterator<Item = &str> {
+    spec.split(',').map(str::trim).filter(|p| !p.is_empty())
+}
+
+/// Parses one numeric field of directive `part`.
+fn number<T: std::str::FromStr>(what: &str, text: &str, part: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    text.parse()
+        .map_err(|e| format!("bad {what} {text:?} in {part:?}: {e}"))
+}
+
+/// Parses a probability: the one range check every rate of both grammars
+/// passes (NaN is outside every range).
+fn unit_rate(text: &str, part: &str) -> Result<f64, String> {
+    let rate: f64 = number("rate", text, part)?;
+    if (0.0..=1.0).contains(&rate) {
+        Ok(rate)
+    } else {
+        Err(format!("bad rate {text:?} in {part:?}: must be in [0, 1]"))
     }
 }
 
@@ -639,6 +769,124 @@ mod tests {
         assert!(FaultPlan::seeded(1).with_h2d_rate(0.1).could_disrupt());
         assert!(FaultPlan::seeded(1).with_bitflip_rate(0.1).could_disrupt());
         assert!(!FaultPlan::new().with_h2d_rate(1.0).could_disrupt());
+    }
+
+    #[test]
+    fn inject_grammar_drives_every_directive() {
+        let spec =
+            " seed=7, h2d@1,d2h@2,alloc@0,kernel@3,,kernel~CW:2,h2d%0.5,d2h%0,alloc%1,kernel%0.25 ";
+        let mut plan = FaultPlan::parse_inject(spec).expect("valid spec");
+        assert_eq!(plan.seed(), Some(7));
+        assert_eq!(
+            (
+                plan.h2d_rate,
+                plan.d2h_rate,
+                plan.alloc_rate,
+                plan.kernel_rate
+            ),
+            (0.5, 0.0, 1.0, 0.25)
+        );
+        for (kind, index) in [
+            (FaultKind::H2d, 1),
+            (FaultKind::D2h, 2),
+            (FaultKind::Alloc, 0),
+            (FaultKind::Kernel, 3),
+        ] {
+            assert!(plan.kind_mut(kind).0.scheduled.contains(&index), "{kind:?}");
+        }
+        assert_eq!(plan.kernel_named, vec![("CW".to_string(), 2)]);
+        // A pattern may hold the other directives' separators; a seed may
+        // come after the rate it seeds; an empty spec is an empty plan.
+        let named = FaultPlan::parse_inject("kernel~a@b%c:18446744073709551615").expect("named");
+        assert_eq!(named.kernel_named, vec![("a@b%c".to_string(), u64::MAX)]);
+        assert!(FaultPlan::parse_inject("h2d%0.1,seed=1").is_ok());
+        assert!(!FaultPlan::parse_inject("").expect("empty").could_disrupt());
+    }
+
+    #[test]
+    fn bitflip_grammar_drives_every_directive() {
+        let plan = FaultPlan::new()
+            .parse_bitflips("seed=3,rate=0.01,vv@2:0:20,src@2:5:6,window@4:1:63")
+            .expect("valid spec");
+        assert_eq!((plan.seed(), plan.bitflip_rate), (Some(3), 0.01));
+        let flip = |target, word, bit| BitFlip { target, word, bit };
+        assert_eq!(
+            plan.scheduled_flips[&2],
+            vec![
+                flip(FlipTarget::VertexValues, 0, 20),
+                flip(FlipTarget::SrcValue, 5, 6)
+            ]
+        );
+        assert_eq!(
+            plan.scheduled_flips[&4],
+            vec![flip(FlipTarget::Window, 1, 63)]
+        );
+        for target in [
+            FlipTarget::VertexValues,
+            FlipTarget::SrcValue,
+            FlipTarget::Window,
+        ] {
+            assert_eq!(FlipTarget::parse(target.label()), Some(target));
+        }
+        // The spec extends a plan: its schedule and its seed carry over.
+        let base = FaultPlan::parse_inject("seed=9,h2d@4").expect("base");
+        let merged = base
+            .parse_bitflips("rate=1")
+            .expect("seed comes from the plan");
+        assert_eq!((merged.seed(), merged.bitflip_rate), (Some(9), 1.0));
+        assert!(merged.h2d.scheduled.contains(&4));
+    }
+
+    #[test]
+    fn spec_errors_name_their_directive() {
+        let inject = |spec: &str| FaultPlan::parse_inject(spec).unwrap_err();
+        let flips = |spec: &str| FaultPlan::new().parse_bitflips(spec).unwrap_err();
+        for (err, token) in [
+            (inject("h2d@1,bogus"), "\"bogus\""),
+            (inject("seed=x"), "\"seed=x\""),
+            (inject("h2d@-1"), "\"h2d@-1\""),
+            (inject("disk@3"), "\"disk\""),
+            (inject("seed=1,disk%0.5"), "\"disk\""),
+            (inject("kernel~CW"), "\"kernel~CW\""),
+            (inject("kernel~CW:many"), "\"many\""),
+            (inject("seed=1,d2h%half"), "\"half\""),
+            (flips("bogus"), "\"bogus\""),
+            (flips("seed=-3"), "\"seed=-3\""),
+            (flips("seed=1,rate=lots"), "\"lots\""),
+            (flips("xx@1:2:3"), "\"xx\""),
+            (flips("vv@1:2"), "\"vv@1:2\""),
+            (flips("vv@1:2:3:4"), "\"vv@1:2:3:4\""),
+            (flips("vv@a:2:3"), "\"a\""),
+            (flips("sv@1:b:3"), "\"b\""),
+            (flips("win@1:2:256"), "\"256\""),
+        ] {
+            assert!(err.contains(token), "{err:?} does not name {token}");
+        }
+    }
+
+    #[test]
+    fn rates_are_probabilities_and_need_a_seed() {
+        // One range check serves every rate of both grammars.
+        for rate in ["nan", "NaN", "7.5", "-1", "-0.0001", "1.0001", "inf"] {
+            for kind in ["h2d", "d2h", "alloc", "kernel"] {
+                let err = FaultPlan::parse_inject(&format!("seed=1,{kind}%{rate}")).unwrap_err();
+                assert!(err.contains("[0, 1]") && err.contains(rate), "{err}");
+            }
+            let err = FaultPlan::new()
+                .parse_bitflips(&format!("seed=1,rate={rate}"))
+                .unwrap_err();
+            assert!(err.contains("[0, 1]") && err.contains(rate), "{err}");
+        }
+        for rate in ["0", "1", "0.5", "1e-9"] {
+            assert!(FaultPlan::parse_inject(&format!("seed=1,kernel%{rate}")).is_ok());
+        }
+        let err = FaultPlan::parse_inject("h2d@1,h2d%0.1").unwrap_err();
+        assert!(err.contains("\"h2d%0.1\"") && err.contains("seed"), "{err}");
+        let err = FaultPlan::new().parse_bitflips("rate=0.5").unwrap_err();
+        assert!(
+            err.contains("\"rate=0.5\"") && err.contains("seed"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!
 //! Exit codes: `0` success (including a capped, non-converged run), `1` IO
 //! failure, `2` usage error, `3` unrecovered engine error, `4` modeled-time
-//! deadline expired (`--timeout-ms`).
+//! deadline expired (`--timeout-ms`), `9` injected WAL crash (`--crash-at`).
 
 use cusha::algos::{
     Bfs, CircuitSimulation, ConnectedComponents, HeatSimulation, NeuralNetwork, PageRank, Sssp,
@@ -33,19 +33,20 @@ use cusha::algos::{
 };
 use cusha::baselines::{MtcpuEngine, VwcEngine};
 use cusha::core::{
-    run_engine, CuShaConfig, CuShaOutput, Engine, EngineError, FleetEngine, IntegrityConfig,
-    IntegrityMode, NoopObserver, Repr, RunStats, ShardEngine, StreamedEngine, Value, VertexProgram,
+    run_engine, CuShaConfig, CuShaOutput, Engine, EngineError, FleetEngine, IntegrityMode,
+    MultiRunStats, NoopObserver, Repr, RunStats, ShardEngine, StreamedEngine, VertexProgram,
 };
-use cusha::frontier::{try_run_kcore, try_run_triangles, FrontierConfig, FrontierEngine};
+use cusha::frontier::{
+    try_run_kcore, try_run_triangles, FrontierConfig, FrontierEngine, TriangleOutput,
+    DEFAULT_DENSITY_THRESHOLD,
+};
 use cusha::graph::generators::rmat::{rmat, RmatConfig};
 use cusha::graph::{io, Graph};
 use cusha::obs::{chrome_trace_json, log, Level, MetricsRegistry, Tracer};
 use cusha::serve::{
     run_session, CrashSpec, RebuildPolicy, ServeConfig, ServeEngine, Service, WalConfig,
 };
-use cusha::simt::{FaultPlan, FlipTarget, Interconnect};
-use std::io::Write;
-use std::process::exit;
+use cusha::simt::{FaultPlan, Interconnect, Profile};
 
 const EXIT_IO: i32 = 1;
 const EXIT_USAGE: i32 = 2;
@@ -56,80 +57,385 @@ const EXIT_DEADLINE: i32 = 4;
 /// can restart and assert the invariants.
 const EXIT_CRASH: i32 = 9;
 
+/// Why the process stops early: its exit code and what stderr says.
+type Failure = (i32, String);
+
+/// What the flags set. The engine and service configurations are filled in
+/// place, so their defaults are the libraries'; `serving` is read under
+/// `cusha serve` only.
 struct Args {
     serve: bool,
+    help: bool,
     algo: String,
     input: Option<String>,
-    rmat: Option<(u32, u64)>,
-    engine: String,
+    rmat: Option<RmatConfig>,
+    engine: EngineSpec,
+    cfg: CuShaConfig,
+    serving: ServeConfig,
     source: u32,
-    shard_size: Option<u32>,
-    max_iters: u32,
-    output: Option<String>,
     resident_bytes: u64,
-    watchdog: Option<u32>,
-    inject: Option<FaultPlan>,
+    density_threshold: f64,
     bitflips: Option<String>,
-    integrity: IntegrityMode,
-    checkpoint_every: Option<u32>,
     devices: Option<usize>,
     interconnect: Option<Interconnect>,
+    output: Option<String>,
     trace_out: Option<String>,
     metrics_out: Option<String>,
-    profile: bool,
     profile_json: Option<String>,
-    timeout_ms: Option<f64>,
-    queue_capacity: usize,
-    cache_capacity: usize,
-    retries: u32,
-    deadline_ms: Option<f64>,
     script: Option<String>,
-    density_threshold: Option<f64>,
     slow_log: Option<String>,
-    slo_latency_ms: Option<f64>,
-    slo_window: Option<usize>,
     wal: Option<String>,
     snapshot_every: u32,
     crash_at: Option<CrashSpec>,
-    rebuild_policy: Option<RebuildPolicy>,
 }
 
-/// Fleet-level counters the single-engine [`RunStats`] cannot carry; shown
-/// after the main stats line when the multi engine ran.
-struct FleetSummary {
-    devices: usize,
-    interconnect: String,
-    exchange_bytes: u64,
-    exchange_seconds: f64,
-    load_imbalance: f64,
-    degraded: usize,
+impl Default for Args {
+    /// The state before any flag.
+    fn default() -> Self {
+        Args {
+            serve: false,
+            help: false,
+            algo: String::new(),
+            input: None,
+            rmat: None,
+            engine: EngineSpec {
+                name: "cw".into(),
+                kind: EngineKind::Shard,
+                repr: Repr::ConcatWindows,
+            },
+            cfg: CuShaConfig::cw(),
+            serving: ServeConfig::default(),
+            source: 0,
+            resident_bytes: 16 << 20,
+            density_threshold: DEFAULT_DENSITY_THRESHOLD,
+            bitflips: None,
+            devices: None,
+            interconnect: None,
+            output: None,
+            trace_out: None,
+            metrics_out: None,
+            profile_json: None,
+            script: None,
+            slow_log: None,
+            wal: None,
+            snapshot_every: 0,
+            crash_at: None,
+        }
+    }
 }
 
-fn usage_text() -> &'static str {
-    "usage: cusha --algo <bfs|sssp|pagerank|cc|sswp|nn|hs|cs|kcore|tc>\n\
-         \x20      (--input <edge-list-or-.bin> | --rmat <scale>:<edges>)\n\
-         \x20      [--engine <cw|gs|cw-streamed|gs-streamed|frontier|vwc:<2|4|8|16|32>|mtcpu:<threads>>]\n\
-         \x20      [--source <vertex>] [--shard-size <N>] [--max-iters <n>]\n\
-         \x20      [--resident-bytes <bytes>] [--watchdog <interval>]\n\
-         \x20      [--timeout-ms <ms>] [--inject <spec>[,<spec>...]]\n\
-         \x20      [--density-threshold <d>] [--output <path>]\n\
-         \x20      [--inject-bitflips <spec>[,<spec>...]]\n\
-         \x20      [--integrity <off|checksum|invariant|full>]\n\
-         \x20      [--checkpoint-every <iterations>]\n\
-         \x20      [--devices <N>] [--interconnect <pcie|nvlink>]\n\
-         \x20      [--trace-out <path>] [--metrics-out <path>]\n\
-         \x20      [--log-level <error|warn|info|debug|trace>] [--profile]\n\
-         \x20      [--profile-json <path>]\n\
-         \x20  cusha serve (--input <path> | --rmat <scale>:<edges>)\n\
-         \x20      [--engine <cw|gs|frontier>] [--shard-size <N>] [--max-iters <n>]\n\
-         \x20      [--queue-capacity <N>] [--cache-capacity <N>]\n\
-         \x20      [--retries <N>] [--deadline-ms <ms>] [--watchdog <interval>]\n\
-         \x20      [--inject ...] [--inject-bitflips ...] [--integrity ...]\n\
-         \x20      [--script <path>] [--trace-out <path>] [--metrics-out <path>]\n\
-         \x20      [--slow-log <path>] [--slo-latency-ms <ms>] [--slo-window <N>]\n\
-         \x20      [--wal <path>] [--snapshot-every <N>]\n\
-         \x20      [--rebuild-policy <shed|serve-previous>]\n\
-         \x20      [--crash-at <mid-record|pre-commit|pre-apply>@<n>]\n\
+/// The engine family `--engine` selects.
+#[derive(Clone, Copy, PartialEq)]
+enum EngineKind {
+    Shard,
+    Streamed,
+    Frontier,
+    Vwc(usize),
+    Mtcpu(usize),
+}
+
+/// A parsed `--engine` value: the name as typed (summaries and metric labels
+/// show it), the family, and the representation the engine configuration
+/// names (the CSR-based families ignore it).
+struct EngineSpec {
+    name: String,
+    kind: EngineKind,
+    repr: Repr,
+}
+
+impl EngineSpec {
+    /// The `--engine` grammar.
+    fn parse(name: &str) -> Result<Self, String> {
+        let name = name.to_lowercase();
+        let (kind, repr) = match (name.as_str(), name.split_once(':')) {
+            ("cw", _) => (EngineKind::Shard, Repr::ConcatWindows),
+            ("gs", _) => (EngineKind::Shard, Repr::GShards),
+            ("cw-streamed", _) => (EngineKind::Streamed, Repr::ConcatWindows),
+            ("gs-streamed", _) => (EngineKind::Streamed, Repr::GShards),
+            ("frontier", _) => (EngineKind::Frontier, Repr::GShards),
+            (_, Some(("vwc", width))) => (EngineKind::Vwc(nonzero(width)?), Repr::GShards),
+            (_, Some(("mtcpu", threads))) => (EngineKind::Mtcpu(nonzero(threads)?), Repr::GShards),
+            _ => return Err(expected(ENGINE_FORMS)),
+        };
+        Ok(EngineSpec { name, kind, repr })
+    }
+
+    /// The adapter [`run_engine`] drives: the engine the name selects, the
+    /// fleet around cw/gs under `--devices`.
+    fn build<P: VertexProgram>(&self, args: &Args) -> Box<dyn Engine<P>> {
+        match (self.kind, args.devices) {
+            (EngineKind::Shard, Some(devices)) => {
+                let mut fleet = FleetEngine::new(devices);
+                if let Some(interconnect) = &args.interconnect {
+                    fleet.interconnect = interconnect.clone();
+                }
+                Box::new(fleet)
+            }
+            (EngineKind::Shard, None) => Box::new(ShardEngine::new(self.repr)),
+            (EngineKind::Streamed, _) => Box::new(StreamedEngine::new(args.resident_bytes)),
+            (EngineKind::Frontier, _) => {
+                let mut frontier = FrontierEngine::new();
+                frontier.density_threshold = args.density_threshold;
+                Box::new(frontier)
+            }
+            (EngineKind::Vwc(width), _) => Box::new(VwcEngine::new(width)),
+            (EngineKind::Mtcpu(threads), _) => Box::new(MtcpuEngine::new(threads)),
+        }
+    }
+}
+
+/// Which invocations a flag applies to.
+#[derive(Clone, Copy, PartialEq)]
+enum Scope {
+    OneShot,
+    Serve,
+    Both,
+}
+use Scope::{Both, OneShot, Serve};
+
+/// Parses and range-checks a flag's value into its field; `Err` says why not.
+type Setter = fn(&mut Args, &str) -> Result<(), String>;
+
+/// One command-line flag — everything the parser, the cross-flag checks and
+/// the synopsis of `--help` know about it: its name; the placeholder of its
+/// value in the synopsis (empty for a switch); where it applies; a flag it is
+/// meaningless without; how its value becomes a field.
+type Flag = (
+    &'static str,
+    &'static str,
+    Scope,
+    Option<&'static str>,
+    Setter,
+);
+
+const ALGO_NAMES: &str = "<bfs|sssp|pagerank|cc|sswp|nn|hs|cs|kcore|tc>";
+const ENGINE_FORMS: &str =
+    "<cw|gs|cw-streamed|gs-streamed|frontier|vwc:<2|4|8|16|32>|mtcpu:<threads>>";
+const MODES: &str = "<off|checksum|invariant|full>";
+const LEVELS: &str = "<error|warn|info|debug|trace>";
+const LINKS: &str = "<pcie|nvlink>";
+const POLICIES: &str = "<shed|serve-previous>";
+const SPECS: &str = "<spec>[,<spec>...]";
+const CRASHES: &str = "<mid-record|pre-commit|pre-apply>@<n>";
+const DEVICES: &str = "--devices";
+const WAL: &str = "--wal";
+
+/// The flag table: one row per flag, the only place its name is spelled. To
+/// add a flag, add a row (and the field it sets); the parse loop, the "needs
+/// a value" / "bad value" / scope / prerequisite errors and the synopsis of
+/// `--help` follow from it.
+#[rustfmt::skip] // a table: one row per line
+const FLAGS: &[Flag] = &[
+    ("--algo", ALGO_NAMES, OneShot, None, |a, v| {
+        let name = v.to_lowercase();
+        put(&mut a.algo, one_of(algo(&name).map(|_| name), ALGO_NAMES))
+    }),
+    ("--input", "<edge-list-or-.bin>", Both, None, |a, v| some(&mut a.input, Ok(v.into()))),
+    ("--rmat", "<scale>:<edges>", Both, None, |a, v| {
+        let (scale, edges) = v.split_once(':').ok_or("expected <scale>:<edges>")?;
+        let cfg = RmatConfig::graph500(number(scale)?, number(edges)?, 42);
+        some(&mut a.rmat, cfg.validate().map(|()| cfg))
+    }),
+    ("--engine", ENGINE_FORMS, Both, None, |a, v| put(&mut a.engine, EngineSpec::parse(v))),
+    ("--source", "<vertex>", OneShot, None, |a, v| put(&mut a.source, number(v))),
+    ("--shard-size", "<N>", Both, None, |a, v| some(&mut a.cfg.vertices_per_shard, number(v))),
+    ("--max-iters", "<n>", Both, None, |a, v| put(&mut a.cfg.max_iterations, number(v))),
+    ("--resident-bytes", "<bytes>", OneShot, None, |a, v| put(&mut a.resident_bytes, number(v))),
+    ("--watchdog", "<interval>", Both, None, |a, v| some(&mut a.cfg.watchdog_interval, number(v))),
+    ("--timeout-ms", "<ms>", OneShot, None, |a, v| {
+        some(&mut a.cfg.deadline_seconds, positive(v).map(|ms| ms / 1e3))
+    }),
+    ("--inject", SPECS, Both, None, |a, v| some(&mut a.cfg.fault_plan, FaultPlan::parse_inject(v))),
+    ("--inject-bitflips", SPECS, Both, None, |a, v| some(&mut a.bitflips, Ok(v.into()))),
+    ("--integrity", MODES, Both, None, |a, v| {
+        put(&mut a.cfg.integrity.mode, one_of(IntegrityMode::parse(v), MODES))
+    }),
+    ("--checkpoint-every", "<iterations>", Both, None, |a, v| {
+        put(&mut a.cfg.integrity.checkpoint_every, nonzero(v))
+    }),
+    (DEVICES, "<N>", OneShot, None, |a, v| some(&mut a.devices, nonzero(v))),
+    ("--interconnect", LINKS, OneShot, Some(DEVICES), |a, v| {
+        some(&mut a.interconnect, one_of(Interconnect::from_name(v), LINKS))
+    }),
+    ("--density-threshold", "<d>", OneShot, None, |a, v| match number::<f64>(v)? {
+        d if d.is_finite() && d >= 0.0 => put(&mut a.density_threshold, Ok(d)),
+        _ => Err("must be finite and non-negative".into()),
+    }),
+    ("--output", "<path>", OneShot, None, |a, v| some(&mut a.output, Ok(v.into()))),
+    ("--trace-out", "<path>", Both, None, |a, v| some(&mut a.trace_out, Ok(v.into()))),
+    ("--metrics-out", "<path>", Both, None, |a, v| some(&mut a.metrics_out, Ok(v.into()))),
+    ("--log-level", LEVELS, Both, None, |_, v| one_of(Level::parse(v), LEVELS).map(log::set_level)),
+    ("--profile", "", OneShot, None, |a, _| put(&mut a.cfg.profile, Ok(true))),
+    ("--profile-json", "<path>", OneShot, None, |a, v| {
+        a.cfg.profile = true;
+        some(&mut a.profile_json, Ok(v.into()))
+    }),
+    ("--queue-capacity", "<N>", Serve, None, |a, v| put(&mut a.serving.queue_capacity, nonzero(v))),
+    ("--cache-capacity", "<N>", Serve, None, |a, v| put(&mut a.serving.cache_capacity, number(v))),
+    ("--retries", "<N>", Serve, None, |a, v| put(&mut a.serving.max_retries, number(v))),
+    ("--deadline-ms", "<ms>", Serve, None, |a, v| {
+        some(&mut a.serving.default_deadline_ms, positive(v))
+    }),
+    ("--script", "<path>", Serve, None, |a, v| some(&mut a.script, Ok(v.into()))),
+    ("--slow-log", "<path>", Serve, None, |a, v| some(&mut a.slow_log, Ok(v.into()))),
+    ("--slo-latency-ms", "<ms>", Serve, None, |a, v| {
+        put(&mut a.serving.slo.latency_objective_s, positive(v).map(|ms| ms / 1e3))
+    }),
+    ("--slo-window", "<N>", Serve, None, |a, v| put(&mut a.serving.slo.window, nonzero(v))),
+    (WAL, "<path>", Serve, None, |a, v| some(&mut a.wal, Ok(v.into()))),
+    ("--snapshot-every", "<N>", Serve, Some(WAL), |a, v| put(&mut a.snapshot_every, number(v))),
+    ("--crash-at", CRASHES, Serve, Some(WAL), |a, v| some(&mut a.crash_at, CrashSpec::parse(v))),
+    ("--rebuild-policy", POLICIES, Serve, None, |a, v| {
+        put(&mut a.serving.rebuild_policy, one_of(RebuildPolicy::parse(v), POLICIES))
+    }),
+];
+
+/// Stores a parsed value.
+fn put<T>(field: &mut T, value: Result<T, String>) -> Result<(), String> {
+    *field = value?;
+    Ok(())
+}
+
+/// Stores a parsed value in an optional field.
+fn some<T>(field: &mut Option<T>, value: Result<T, String>) -> Result<(), String> {
+    put(field, value.map(Some))
+}
+
+/// A number of the field's type.
+fn number<T: std::str::FromStr<Err: std::fmt::Display>>(v: &str) -> Result<T, String> {
+    v.parse().map_err(|e: T::Err| e.to_string())
+}
+
+/// A count of at least one.
+fn nonzero<T>(v: &str) -> Result<T, String>
+where
+    T: std::str::FromStr<Err: std::fmt::Display> + PartialEq + Default,
+{
+    match number::<T>(v)? {
+        n if n == T::default() => Err("must be at least 1".into()),
+        n => Ok(n),
+    }
+}
+
+/// A finite amount above zero.
+fn positive(v: &str) -> Result<f64, String> {
+    match number::<f64>(v)? {
+        x if x.is_finite() && x > 0.0 => Ok(x),
+        _ => Err("must be positive and finite".into()),
+    }
+}
+
+/// What a value type's own `parse` recognised, or the forms it expects.
+fn one_of<T>(parsed: Option<T>, forms: &str) -> Result<T, String> {
+    parsed.ok_or_else(|| expected(forms))
+}
+
+/// "expected" and a synopsis placeholder without its angle brackets.
+fn expected(forms: &str) -> String {
+    format!("expected {}", &forms[1..forms.len() - 1])
+}
+
+/// Parses the command line: the flag loop, then the rules that span flags.
+/// Never exits — `main` owns the process's one way out.
+fn parse(argv: &[String]) -> Result<Args, String> {
+    let mut args = Args::default();
+    let mut given: Vec<&Flag> = Vec::new();
+    let mut words = argv.iter();
+    while let Some(word) = words.next() {
+        if word == "serve" && !args.serve {
+            args.serve = true;
+            continue;
+        }
+        if word == "--help" || word == "-h" {
+            args.help = true;
+            return Ok(args);
+        }
+        let flag = FLAGS.iter().find(|(name, ..)| name == word);
+        let flag @ &(name, value, _, _, set) =
+            flag.ok_or_else(|| format!("unknown flag {word:?}"))?;
+        let value = match value {
+            "" => "",
+            _ => words
+                .next()
+                .ok_or_else(|| format!("{name} needs a value"))?,
+        };
+        set(&mut args, value).map_err(|why| format!("bad value {value:?} for {name}: {why}"))?;
+        given.push(flag);
+    }
+    for &&(name, _, scope, requires, _) in &given {
+        match scope {
+            Serve if !args.serve => return Err(format!("{name} applies to cusha serve only")),
+            OneShot if args.serve => return Err(format!("{name} applies to one-shot runs only")),
+            _ => {}
+        }
+        let unmet = |needed: &&str| !given.iter().any(|(given, ..)| given == needed);
+        if let Some(needed) = requires.filter(unmet) {
+            return Err(format!("{name} needs {needed}"));
+        }
+    }
+    if args.algo.is_empty() && !args.serve {
+        return Err("--algo is required".into());
+    }
+    if args.input.is_some() == args.rmat.is_some() {
+        return Err("exactly one of --input or --rmat is required".into());
+    }
+    // The frontier-native workloads only exist on the frontier engine;
+    // typing `--algo kcore` alone should just work.
+    if algo(&args.algo).is_some_and(|(_, frontier_native, _)| *frontier_native) {
+        if args.engine.name == "cw" {
+            args.engine = EngineSpec::parse("frontier")?;
+        } else if args.engine.kind != EngineKind::Frontier {
+            let (algo, engine) = (&args.algo, &args.engine.name);
+            return Err(format!(
+                "--algo {algo} is frontier-native; it cannot run on engine {engine:?}"
+            ));
+        }
+    }
+    let EngineSpec { name, kind, repr } = &args.engine;
+    if args.serve && !matches!(kind, EngineKind::Shard | EngineKind::Frontier) {
+        return Err(format!(
+            "cusha serve keeps prepared engine state warm, so it only runs the \
+             cw/gs/frontier engines, not {name:?}"
+        ));
+    }
+    if args.devices.is_some() && *kind != EngineKind::Shard {
+        return Err(format!(
+            "--devices only runs the cw/gs engines, not {name:?}"
+        ));
+    }
+    args.cfg.repr = *repr;
+    // Bit flips merge into the --inject plan so a single seed drives both
+    // transient faults and silent corruption.
+    if let Some(spec) = args.bitflips.take() {
+        let plan = args.cfg.fault_plan.take().unwrap_or_default();
+        let plan = plan.parse_bitflips(&spec);
+        let why_not = |why| format!("bad value {spec:?} for --inject-bitflips: {why}");
+        args.cfg.fault_plan = Some(plan.map_err(why_not)?);
+    }
+    Ok(args)
+}
+
+/// `--help`: the synopsis, derived from [`FLAGS`], then the prose.
+fn usage_text() -> String {
+    let mut text = String::new();
+    for (head, other) in [("usage: cusha", Serve), ("       cusha serve", OneShot)] {
+        let mut line = head.to_string();
+        for (name, value, ..) in FLAGS.iter().filter(|(_, _, scope, ..)| *scope != other) {
+            let item = format!(" [{name} {value}");
+            if line.len() + item.len() > 78 {
+                text += &(line + "\n");
+                line = " ".repeat(11);
+            }
+            line += &(item.trim_end().to_string() + "]");
+        }
+        text += &(line + "\n");
+    }
+    text + HELP_PROSE
+}
+
+const HELP_PROSE: &str = "\n\
+         A one-shot run needs --algo; every run needs exactly one of --input\n\
+         / --rmat; serve runs the cw, gs and frontier engines only.\n\
          \n\
          serve keeps the graph and prepared engine state resident (shard\n\
          layouts, or the frontier topology under --engine frontier) and answers a\n\
@@ -218,979 +524,175 @@ fn usage_text() -> &'static str {
          --integrity arms the silent-data-corruption defense: checksum\n\
          scrubs, per-algorithm invariant checks, or both (full), with\n\
          checkpoint/rollback recovery every --checkpoint-every iterations\n\
-         (default 4)."
-}
+         (default 4).";
 
-/// Reports a usage error naming the offending flag/value, then exits 2.
-fn usage_error(msg: &str) -> ! {
-    eprintln!("cusha: {msg}");
-    eprintln!("cusha: run with --help for usage");
-    exit(EXIT_USAGE)
-}
-
-/// Informational stderr chatter; silenced by `--log-level warn` or lower.
-/// Errors always print unconditionally.
-fn info(msg: &str) {
-    if log::enabled(Level::Info) {
-        eprintln!("cusha: {msg}");
-    }
-}
-
-/// Warnings (fault-recovery summaries); silenced only by `--log-level error`.
-fn warn(msg: &str) {
-    if log::enabled(Level::Warn) {
-        eprintln!("cusha: {msg}");
-    }
-}
-
-/// Parses `--inject` specs like `seed=7,alloc@2,h2d@5,kernel~CW:3,d2h%0.01`.
-fn parse_inject(spec: &str) -> Result<FaultPlan, String> {
-    let mut plan = FaultPlan::new();
-    let mut seed: Option<u64> = None;
-    let mut directives: Vec<(String, String)> = Vec::new();
-    for part in spec.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
+/// Stderr chatter: `say!(Info, ..)` is silenced by `--log-level warn` or
+/// lower, `say!(Warn, ..)` (the fault-recovery summaries) only by
+/// `--log-level error`. Errors always print unconditionally.
+macro_rules! say {
+    ($level:ident, $($message:tt)*) => {
+        if log::enabled(Level::$level) {
+            eprintln!("cusha: {}", format_args!($($message)*));
         }
-        if let Some(v) = part.strip_prefix("seed=") {
-            seed = Some(
-                v.parse()
-                    .map_err(|e| format!("bad seed value {v:?} in --inject: {e}"))?,
-            );
-            continue;
-        }
-        if let Some((kind, idx)) = part.split_once('@') {
-            directives.push((format!("{kind}@"), idx.to_string()));
-        } else if let Some((kind, rate)) = part.split_once('%') {
-            directives.push((format!("{kind}%"), rate.to_string()));
-        } else if let Some(rest) = part.strip_prefix("kernel~") {
-            directives.push(("kernel~".into(), rest.to_string()));
-        } else {
-            return Err(format!("unrecognized --inject spec {part:?}"));
-        }
-    }
-    if let Some(s) = seed {
-        plan = FaultPlan::seeded(s);
-    }
-    for (kind, val) in directives {
-        match kind.as_str() {
-            "h2d@" | "d2h@" | "alloc@" | "kernel@" => {
-                let i: u64 = val
-                    .parse()
-                    .map_err(|e| format!("bad op index {val:?} in --inject {kind}: {e}"))?;
-                plan = match kind.as_str() {
-                    "h2d@" => plan.fail_h2d_at(&[i]),
-                    "d2h@" => plan.fail_d2h_at(&[i]),
-                    "alloc@" => plan.fail_alloc_at(&[i]),
-                    _ => plan.fail_kernel_at(&[i]),
-                };
-            }
-            "h2d%" | "d2h%" | "alloc%" | "kernel%" => {
-                let r: f64 = val
-                    .parse()
-                    .map_err(|e| format!("bad rate {val:?} in --inject {kind}: {e}"))?;
-                if seed.is_none() {
-                    return Err(format!(
-                        "--inject {kind}{val} needs a seed=<u64> spec (rates are seeded)"
-                    ));
-                }
-                plan = match kind.as_str() {
-                    "h2d%" => plan.with_h2d_rate(r),
-                    "d2h%" => plan.with_d2h_rate(r),
-                    "alloc%" => plan.with_alloc_rate(r),
-                    _ => plan.with_kernel_rate(r),
-                };
-            }
-            "kernel~" => {
-                let (pattern, count) = val.split_once(':').ok_or_else(|| {
-                    format!("--inject kernel~{val} needs the form kernel~<pattern>:<count>")
-                })?;
-                let c: u64 = count
-                    .parse()
-                    .map_err(|e| format!("bad count {count:?} in --inject kernel~: {e}"))?;
-                plan = plan.fail_kernels_named(pattern, c);
-            }
-            _ => unreachable!(),
-        }
-    }
-    Ok(plan)
-}
-
-/// Parses `--inject-bitflips` specs like `seed=3,rate=0.01,vv@2:0:20` onto
-/// an existing plan (so copy/kernel faults and bit flips share one seed).
-fn parse_bitflips(spec: &str, mut plan: FaultPlan) -> Result<FaultPlan, String> {
-    let mut rate_given = false;
-    for part in spec.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
-        if let Some(v) = part.strip_prefix("seed=") {
-            let s: u64 = v
-                .parse()
-                .map_err(|e| format!("bad seed value {v:?} in --inject-bitflips: {e}"))?;
-            plan = plan.with_seed(s);
-        } else if let Some(v) = part.strip_prefix("rate=") {
-            let r: f64 = v
-                .parse()
-                .map_err(|e| format!("bad rate {v:?} in --inject-bitflips: {e}"))?;
-            if !(0.0..=1.0).contains(&r) {
-                return Err(format!(
-                    "bad rate {v:?} in --inject-bitflips: must be in [0, 1]"
-                ));
-            }
-            rate_given = true;
-            plan = plan.with_bitflip_rate(r);
-        } else if let Some((target, coords)) = part.split_once('@') {
-            let target = match target {
-                "vv" | "values" => FlipTarget::VertexValues,
-                "sv" | "src" => FlipTarget::SrcValue,
-                "win" | "window" => FlipTarget::Window,
-                other => {
-                    return Err(format!(
-                        "bad target {other:?} in --inject-bitflips (expected vv, sv, or win)"
-                    ))
-                }
-            };
-            let fields: Vec<&str> = coords.split(':').collect();
-            let [op, word, bit] = fields[..] else {
-                return Err(format!(
-                    "bad spec {part:?} in --inject-bitflips: expected <target>@<op>:<word>:<bit>"
-                ));
-            };
-            let op: u64 = op
-                .parse()
-                .map_err(|e| format!("bad flip point {op:?} in --inject-bitflips: {e}"))?;
-            let word: u64 = word
-                .parse()
-                .map_err(|e| format!("bad word index {word:?} in --inject-bitflips: {e}"))?;
-            let bit: u8 = bit
-                .parse()
-                .map_err(|e| format!("bad bit index {bit:?} in --inject-bitflips: {e}"))?;
-            plan = plan.flip_at(op, target, word, bit);
-        } else {
-            return Err(format!("unrecognized --inject-bitflips spec {part:?}"));
-        }
-    }
-    if rate_given && plan.seed().is_none() {
-        return Err(
-            "--inject-bitflips rate=<p> needs a seed=<u64> spec here or in --inject \
-             (rates are seeded)"
-                .into(),
-        );
-    }
-    Ok(plan)
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        serve: false,
-        algo: String::new(),
-        input: None,
-        rmat: None,
-        engine: "cw".into(),
-        source: 0,
-        shard_size: None,
-        max_iters: 10_000,
-        output: None,
-        resident_bytes: 16 << 20,
-        watchdog: None,
-        inject: None,
-        bitflips: None,
-        integrity: IntegrityMode::Off,
-        checkpoint_every: None,
-        devices: None,
-        interconnect: None,
-        trace_out: None,
-        metrics_out: None,
-        profile: false,
-        profile_json: None,
-        timeout_ms: None,
-        queue_capacity: 64,
-        cache_capacity: 128,
-        retries: 3,
-        deadline_ms: None,
-        script: None,
-        density_threshold: None,
-        slow_log: None,
-        slo_latency_ms: None,
-        slo_window: None,
-        wal: None,
-        snapshot_every: 0,
-        crash_at: None,
-        rebuild_policy: None,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let take = |argv: &[String], i: &mut usize, flag: &str| -> String {
-        *i += 1;
-        argv.get(*i)
-            .cloned()
-            .unwrap_or_else(|| usage_error(&format!("{flag} needs a value")))
-    };
-    // Parses the flag's value, naming flag and value in the failure message.
-    fn parsed<T: std::str::FromStr>(flag: &str, val: &str) -> T
-    where
-        T::Err: std::fmt::Display,
-    {
-        val.parse()
-            .unwrap_or_else(|e| usage_error(&format!("bad value {val:?} for {flag}: {e}")))
-    }
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--algo" => args.algo = take(&argv, &mut i, "--algo").to_lowercase(),
-            "--input" => args.input = Some(take(&argv, &mut i, "--input")),
-            "--rmat" => {
-                let spec = take(&argv, &mut i, "--rmat");
-                let (s, e) = spec.split_once(':').unwrap_or_else(|| {
-                    usage_error(&format!(
-                        "bad value {spec:?} for --rmat: expected <scale>:<edges>"
-                    ))
-                });
-                args.rmat = Some((parsed("--rmat scale", s), parsed("--rmat edges", e)));
-            }
-            "--engine" => args.engine = take(&argv, &mut i, "--engine").to_lowercase(),
-            "--source" => args.source = parsed("--source", &take(&argv, &mut i, "--source")),
-            "--shard-size" => {
-                args.shard_size = Some(parsed("--shard-size", &take(&argv, &mut i, "--shard-size")))
-            }
-            "--max-iters" => {
-                args.max_iters = parsed("--max-iters", &take(&argv, &mut i, "--max-iters"))
-            }
-            "--resident-bytes" => {
-                args.resident_bytes =
-                    parsed("--resident-bytes", &take(&argv, &mut i, "--resident-bytes"))
-            }
-            "--watchdog" => {
-                args.watchdog = Some(parsed("--watchdog", &take(&argv, &mut i, "--watchdog")))
-            }
-            "--inject" => {
-                let spec = take(&argv, &mut i, "--inject");
-                args.inject = Some(parse_inject(&spec).unwrap_or_else(|e| usage_error(&e)));
-            }
-            "--inject-bitflips" => {
-                args.bitflips = Some(take(&argv, &mut i, "--inject-bitflips"));
-            }
-            "--integrity" => {
-                let name = take(&argv, &mut i, "--integrity");
-                args.integrity = IntegrityMode::parse(&name).unwrap_or_else(|| {
-                    usage_error(&format!(
-                        "bad value {name:?} for --integrity (expected off, checksum, \
-                         invariant, or full)"
-                    ))
-                });
-            }
-            "--checkpoint-every" => {
-                let k: u32 = parsed(
-                    "--checkpoint-every",
-                    &take(&argv, &mut i, "--checkpoint-every"),
-                );
-                if k == 0 {
-                    usage_error("bad value 0 for --checkpoint-every: must be at least 1");
-                }
-                args.checkpoint_every = Some(k);
-            }
-            "--devices" => {
-                let n: usize = parsed("--devices", &take(&argv, &mut i, "--devices"));
-                if n == 0 {
-                    usage_error("bad value 0 for --devices: a fleet needs at least one device");
-                }
-                args.devices = Some(n);
-            }
-            "--interconnect" => {
-                let name = take(&argv, &mut i, "--interconnect");
-                args.interconnect = Some(Interconnect::from_name(&name).unwrap_or_else(|| {
-                    usage_error(&format!(
-                        "bad value {name:?} for --interconnect (expected pcie or nvlink)"
-                    ))
-                }));
-            }
-            "--output" => args.output = Some(take(&argv, &mut i, "--output")),
-            "--trace-out" => args.trace_out = Some(take(&argv, &mut i, "--trace-out")),
-            "--metrics-out" => args.metrics_out = Some(take(&argv, &mut i, "--metrics-out")),
-            "--log-level" => {
-                let name = take(&argv, &mut i, "--log-level");
-                let level = Level::parse(&name).unwrap_or_else(|| {
-                    usage_error(&format!(
-                        "bad value {name:?} for --log-level (expected error, warn, info, \
-                         debug, or trace)"
-                    ))
-                });
-                log::set_level(level);
-            }
-            "--profile" => args.profile = true,
-            "--profile-json" => {
-                args.profile_json = Some(take(&argv, &mut i, "--profile-json"));
-                args.profile = true;
-            }
-            "--slow-log" => args.slow_log = Some(take(&argv, &mut i, "--slow-log")),
-            "--slo-latency-ms" => {
-                let ms: f64 = parsed("--slo-latency-ms", &take(&argv, &mut i, "--slo-latency-ms"));
-                if ms.is_nan() || ms <= 0.0 {
-                    usage_error(&format!(
-                        "bad value {ms} for --slo-latency-ms: must be positive"
-                    ));
-                }
-                args.slo_latency_ms = Some(ms);
-            }
-            "--slo-window" => {
-                let w: usize = parsed("--slo-window", &take(&argv, &mut i, "--slo-window"));
-                if w == 0 {
-                    usage_error("bad value 0 for --slo-window: must be at least 1");
-                }
-                args.slo_window = Some(w);
-            }
-            "--timeout-ms" => {
-                let ms: f64 = parsed("--timeout-ms", &take(&argv, &mut i, "--timeout-ms"));
-                if ms.is_nan() || ms <= 0.0 {
-                    usage_error(&format!(
-                        "bad value {ms} for --timeout-ms: must be positive"
-                    ));
-                }
-                args.timeout_ms = Some(ms);
-            }
-            "--density-threshold" => {
-                let t: f64 = parsed(
-                    "--density-threshold",
-                    &take(&argv, &mut i, "--density-threshold"),
-                );
-                if !t.is_finite() || t < 0.0 {
-                    usage_error(&format!(
-                        "bad value {t} for --density-threshold: must be finite and non-negative"
-                    ));
-                }
-                args.density_threshold = Some(t);
-            }
-            "--queue-capacity" => {
-                let n: usize = parsed("--queue-capacity", &take(&argv, &mut i, "--queue-capacity"));
-                if n == 0 {
-                    usage_error("bad value 0 for --queue-capacity: must be at least 1");
-                }
-                args.queue_capacity = n;
-            }
-            "--cache-capacity" => {
-                args.cache_capacity =
-                    parsed("--cache-capacity", &take(&argv, &mut i, "--cache-capacity"));
-            }
-            "--retries" => args.retries = parsed("--retries", &take(&argv, &mut i, "--retries")),
-            "--deadline-ms" => {
-                let ms: f64 = parsed("--deadline-ms", &take(&argv, &mut i, "--deadline-ms"));
-                if ms.is_nan() || ms <= 0.0 {
-                    usage_error(&format!(
-                        "bad value {ms} for --deadline-ms: must be positive"
-                    ));
-                }
-                args.deadline_ms = Some(ms);
-            }
-            "--script" => args.script = Some(take(&argv, &mut i, "--script")),
-            "--wal" => args.wal = Some(take(&argv, &mut i, "--wal")),
-            "--snapshot-every" => {
-                args.snapshot_every =
-                    parsed("--snapshot-every", &take(&argv, &mut i, "--snapshot-every"));
-            }
-            "--crash-at" => {
-                let spec = take(&argv, &mut i, "--crash-at");
-                args.crash_at = Some(CrashSpec::parse(&spec).unwrap_or_else(|e| {
-                    usage_error(&format!("bad value {spec:?} for --crash-at: {e}"))
-                }));
-            }
-            "--rebuild-policy" => {
-                let name = take(&argv, &mut i, "--rebuild-policy");
-                args.rebuild_policy = Some(RebuildPolicy::parse(&name).unwrap_or_else(|| {
-                    usage_error(&format!(
-                        "bad value {name:?} for --rebuild-policy (expected shed or \
-                         serve-previous)"
-                    ))
-                }));
-            }
-            "serve" if !args.serve => args.serve = true,
-            "--help" | "-h" => {
-                println!("{}", usage_text());
-                exit(0)
-            }
-            other => usage_error(&format!("unknown flag {other:?}")),
-        }
-        i += 1;
-    }
-    if args.algo.is_empty() && !args.serve {
-        usage_error("--algo is required");
-    }
-    if args.input.is_none() && args.rmat.is_none() {
-        usage_error("one of --input or --rmat is required");
-    }
-    if args.serve && !matches!(args.engine.as_str(), "cw" | "gs" | "frontier") {
-        usage_error(&format!(
-            "cusha serve keeps prepared engine state warm, so it only runs the \
-             cw/gs/frontier engines, not {:?}",
-            args.engine
-        ));
-    }
-    if args.timeout_ms.is_some() && args.serve {
-        usage_error(
-            "--timeout-ms applies to one-shot runs only \
-             (use --deadline-ms for per-query deadlines under serve)",
-        );
-    }
-    if args.profile_json.is_some() && args.serve {
-        usage_error("--profile-json applies to one-shot runs only");
-    }
-    if !args.serve
-        && (args.slow_log.is_some() || args.slo_latency_ms.is_some() || args.slo_window.is_some())
-    {
-        usage_error("--slow-log / --slo-latency-ms / --slo-window apply to cusha serve only");
-    }
-    if !args.serve
-        && (args.wal.is_some()
-            || args.snapshot_every != 0
-            || args.crash_at.is_some()
-            || args.rebuild_policy.is_some())
-    {
-        usage_error(
-            "--wal / --snapshot-every / --crash-at / --rebuild-policy apply to \
-             cusha serve only (live mutation needs the resident service)",
-        );
-    }
-    if args.wal.is_none() && (args.snapshot_every != 0 || args.crash_at.is_some()) {
-        usage_error("--snapshot-every / --crash-at need --wal (they act on the mutation log)");
-    }
-    // The frontier-native workloads only exist on the frontier engine;
-    // typing `--algo kcore` alone should just work.
-    if matches!(args.algo.as_str(), "kcore" | "tc" | "triangles") {
-        if args.engine == "cw" {
-            args.engine = "frontier".into();
-        } else if args.engine != "frontier" {
-            usage_error(&format!(
-                "--algo {} is frontier-native; it cannot run on engine {:?}",
-                args.algo, args.engine
-            ));
-        }
-    }
-    if args.devices.is_some() && !matches!(args.engine.as_str(), "cw" | "gs") {
-        usage_error(&format!(
-            "--devices only applies to the cw/gs engines, not {:?}",
-            args.engine
-        ));
-    }
-    if args.interconnect.is_some() && args.devices.is_none() {
-        usage_error("--interconnect needs --devices (it times the fleet's halo exchange)");
-    }
-    // Bit flips merge into the --inject plan so a single seed drives both
-    // transient faults and silent corruption.
-    if let Some(spec) = args.bitflips.take() {
-        let base = args.inject.take().unwrap_or_default();
-        args.inject = Some(parse_bitflips(&spec, base).unwrap_or_else(|e| usage_error(&e)));
-    }
-    args
 }
 
-fn load_graph(args: &Args) -> Graph {
-    if let Some((scale, edges)) = args.rmat {
-        return rmat(&RmatConfig::graph500(scale, edges, 42));
+/// The graph the run is over: generated, or loaded by extension.
+fn load_graph(args: &Args) -> Result<Graph, Failure> {
+    if let Some(cfg) = &args.rmat {
+        return Ok(rmat(cfg));
     }
-    let path = args.input.as_ref().unwrap();
-    let result = if path.ends_with(".bin") {
-        io::load_binary(path)
-    } else {
-        io::load_edge_list(path)
+    let path = args.input.as_deref().unwrap_or_default();
+    let loaded = match path.ends_with(".bin") {
+        true => io::load_binary(path),
+        false => io::load_edge_list(path),
     };
-    result.unwrap_or_else(|e| {
-        eprintln!("cusha: cannot load {path}: {e}");
-        exit(EXIT_IO)
-    })
+    loaded.map_err(|e| (EXIT_IO, format!("cannot load {path}: {e}")))
 }
 
-/// Unwraps a CuSha engine result: a capped run degrades to its partial
-/// output (the historical CLI behavior); everything else exits 3 with the
-/// error's taxonomy tag.
-fn engine_result<V: Value>(r: Result<CuShaOutput<V>, EngineError<V>>) -> CuShaOutput<V> {
-    match r {
-        Ok(out) => out,
-        Err(EngineError::NonConverged { partial }) => *partial,
-        Err(e @ EngineError::Deadline { .. }) => {
-            eprintln!("cusha: engine error [{}]: {e}", e.kind());
-            exit(EXIT_DEADLINE)
-        }
-        Err(e) => {
-            eprintln!("cusha: engine error [{}]: {e}", e.kind());
-            exit(EXIT_ENGINE)
-        }
+/// The one way out of a failed engine call: a capped run degrades to its
+/// partial output (the historical CLI behavior); a deadline is exit 4 and
+/// every other error exit 3, tagged with the error's taxonomy.
+fn failed<V>(e: EngineError<V>) -> Result<CuShaOutput<V>, Failure> {
+    let code = match e {
+        EngineError::NonConverged { partial } => return Ok(*partial),
+        EngineError::Deadline { .. } => EXIT_DEADLINE,
+        _ => EXIT_ENGINE,
+    };
+    Err((code, format!("engine error [{}]: {e}", e.kind())))
+}
+
+/// What a one-shot run reads.
+#[derive(Clone, Copy)]
+struct Run<'a> {
+    args: &'a Args,
+    graph: &'a Graph,
+}
+
+/// A finished run: its statistics, one printable line per value, and the
+/// fleet's statistics when the multi engine ran.
+type Ran = Result<(RunStats, Vec<String>, Option<MultiRunStats>), Failure>;
+
+/// One `--algo` row: its names (metrics carry the first for a frontier-native
+/// one, the typed one otherwise), whether only the frontier engine has it, and
+/// how it runs.
+type Algo = (&'static [&'static str], bool, fn(Run<'_>) -> Ran);
+
+/// The algorithm table: each algorithm named once, with its value formatter.
+#[rustfmt::skip] // a table: one row per line
+const ALGOS: &[Algo] = &[
+    (&["bfs"], false, |r| r.vertex(&Bfs::new(r.args.source), distance)),
+    (&["sssp"], false, |r| r.vertex(&Sssp::new(r.args.source), distance)),
+    (&["pagerank", "pr"], false, |r| r.vertex(&PageRank::new(), |v| format!("{v:.6}"))),
+    (&["cc"], false, |r| r.vertex(&ConnectedComponents::new(), u32::to_string)),
+    (&["sswp"], false, |r| r.vertex(&Sswp::new(r.args.source), distance)),
+    (&["nn"], false, |r| r.vertex(&NeuralNetwork::new(), |v| format!("{v:.6}"))),
+    (&["hs"], false, |r| r.vertex(&HeatSimulation::new(), |v| format!("{:.4}", v.0))),
+    (&["cs"], false, |r| {
+        let ground = r.graph.num_vertices().saturating_sub(1);
+        r.vertex(&CircuitSimulation::new(r.args.source, ground), |v| format!("{:.6}", v.0))
+    }),
+    (&["kcore"], true, |r| r.kcore()),
+    (&["tc", "triangles"], true, |r| r.triangles()),
+];
+
+fn algo(name: &str) -> Option<&'static Algo> {
+    ALGOS.iter().find(|(names, ..)| names.contains(&name))
+}
+
+/// A hop count or distance; unreachable prints `inf`.
+fn distance(v: &u32) -> String {
+    match *v {
+        u32::MAX => "inf".to_string(),
+        v => v.to_string(),
     }
 }
 
-/// Runs `prog` on the selected engine and returns printable value lines
-/// (plus fleet counters when the multi engine ran). Records the run's
-/// statistics into `metrics` under `algo`/`engine` labels and threads
-/// `tracer` into whichever engine executes.
-fn execute<P: VertexProgram>(
-    prog: &P,
-    g: &Graph,
-    args: &Args,
-    tracer: &Tracer,
-    metrics: &mut MetricsRegistry,
-    show: impl Fn(&P::V) -> String,
-) -> (RunStats, Vec<String>, Option<FleetSummary>) {
-    let labels: &[(&str, &str)] = &[("algo", &args.algo), ("engine", &args.engine)];
-    let cusha_cfg = |repr: Repr| {
-        let mut cfg = CuShaConfig::new(repr);
-        cfg.vertices_per_shard = args.shard_size;
-        cfg.max_iterations = args.max_iters;
-        cfg.fault_plan = args.inject.clone();
-        cfg.integrity = IntegrityConfig::with_mode(args.integrity);
-        if let Some(k) = args.checkpoint_every {
-            cfg.integrity.checkpoint_every = k;
-        }
-        cfg.watchdog_interval = args.watchdog;
-        cfg.deadline_seconds = args.timeout_ms.map(|ms| ms / 1e3);
-        cfg.profile = args.profile;
-        cfg.trace = tracer.clone();
-        cfg
-    };
-    let mut fleet = None;
-    let mut metrics_recorded = false;
-    // Every engine funnels through the same middleware entry point
-    // (`run_engine`): validation, deadline enforcement, copy/kernel fault
-    // retries and the final integrity scrub are applied in one place
-    // regardless of which engine runs underneath.
-    let mw = |engine: &mut dyn Engine<P>, repr: Repr| {
-        engine_result(run_engine(
-            engine,
-            prog,
-            g,
-            &cusha_cfg(repr),
+impl Run<'_> {
+    /// A vertex program on the `--engine` adapter. Every engine funnels
+    /// through the same middleware entry point (`run_engine`): validation,
+    /// deadline enforcement, copy/kernel fault retries and the final
+    /// integrity scrub are applied in one place regardless of which engine
+    /// runs underneath.
+    fn vertex<P: VertexProgram>(self, prog: &P, show: impl Fn(&P::V) -> String) -> Ran {
+        let mut engine = self.args.engine.build::<P>(self.args);
+        let cfg = &self.args.cfg;
+        let ran = run_engine(&mut *engine, prog, self.graph, cfg, None, &mut NoopObserver);
+        let out = ran.or_else(failed)?;
+        let lines = out.values.iter().map(show).collect();
+        Ok((out.stats, lines, engine.fleet_stats().cloned()))
+    }
+
+    /// The frontier crate's configuration for its native workloads, which
+    /// bypass `run_engine` (no `VertexProgram`).
+    fn frontier_cfg(self) -> FrontierConfig {
+        let cfg = FrontierConfig::from_cusha(&self.args.cfg);
+        cfg.with_density_threshold(self.args.density_threshold)
+    }
+
+    fn kcore(self) -> Ran {
+        let ran = try_run_kcore(self.graph, &self.frontier_cfg(), None, &mut NoopObserver);
+        let ran = ran.map(|out| CuShaOutput {
+            values: out.core,
+            stats: out.stats,
+        });
+        let out = ran.or_else(failed)?;
+        Ok((
+            out.stats,
+            out.values.iter().map(u32::to_string).collect(),
             None,
-            &mut NoopObserver,
         ))
-    };
-    let (stats, values): (RunStats, Vec<P::V>) = match args.engine.as_str() {
-        "cw" | "gs" if args.devices.is_some() => {
-            let repr = if args.engine == "gs" {
-                Repr::GShards
-            } else {
-                Repr::ConcatWindows
-            };
-            let mut fe = FleetEngine::new(args.devices.unwrap());
-            if let Some(ic) = &args.interconnect {
-                fe.interconnect = ic.clone();
-            }
-            let out = engine_result(run_engine(
-                &mut fe,
-                prog,
-                g,
-                &cusha_cfg(repr),
-                None,
-                &mut NoopObserver,
-            ));
-            if let Some(s) = &fe.last {
-                // Full fleet stats (per-device breakdown included) go
-                // through MultiRunStats' own recorder, not the flattened
-                // RunStats.
-                s.record_metrics(metrics, labels);
-                metrics_recorded = true;
-                fleet = Some(FleetSummary {
-                    devices: s.devices,
-                    interconnect: s.interconnect.clone(),
-                    exchange_bytes: s.exchange_bytes,
-                    exchange_seconds: s.exchange_seconds,
-                    load_imbalance: s.load_imbalance,
-                    degraded: s
-                        .per_device
-                        .iter()
-                        .filter(|d| d.mode != "resident" && d.mode != "idle")
-                        .count(),
-                });
-            }
-            (out.stats, out.values)
-        }
-        "cw" | "gs" => {
-            let repr = if args.engine == "gs" {
-                Repr::GShards
-            } else {
-                Repr::ConcatWindows
-            };
-            let out = mw(&mut ShardEngine::new(repr), repr);
-            (out.stats, out.values)
-        }
-        "cw-streamed" | "gs-streamed" => {
-            let repr = if args.engine == "gs-streamed" {
-                Repr::GShards
-            } else {
-                Repr::ConcatWindows
-            };
-            let out = mw(&mut StreamedEngine::new(args.resident_bytes), repr);
-            (out.stats, out.values)
-        }
-        "frontier" => {
-            let mut fe = FrontierEngine::new();
-            if let Some(t) = args.density_threshold {
-                fe.density_threshold = t;
-            }
-            let out = mw(&mut fe, Repr::GShards);
-            (out.stats, out.values)
-        }
-        e if e.starts_with("vwc:") => {
-            let vw = parsed_engine_num("vwc", &e[4..]);
-            let out = mw(&mut VwcEngine::new(vw), Repr::GShards);
-            (out.stats, out.values)
-        }
-        e if e.starts_with("mtcpu:") => {
-            let t = parsed_engine_num("mtcpu", &e[6..]);
-            let out = mw(&mut MtcpuEngine::new(t), Repr::GShards);
-            (out.stats, out.values)
-        }
-        other => usage_error(&format!(
-            "unknown engine {other:?} (expected cw, gs, cw-streamed, gs-streamed, \
-             frontier, vwc:<width>, or mtcpu:<threads>)"
-        )),
-    };
-    if !metrics_recorded {
-        stats.record_metrics(metrics, labels);
     }
-    let lines = values.iter().map(show).collect();
-    (stats, lines, fleet)
+
+    fn triangles(self) -> Ran {
+        // One kernel, no iteration cap to hit: a "capped" count has no value.
+        let uncounted = |capped: CuShaOutput<u32>| TriangleOutput {
+            triangles: 0,
+            stats: capped.stats,
+        };
+        let ran = try_run_triangles(self.graph, &self.frontier_cfg());
+        let out = ran.or_else(|e| failed(e).map(uncounted))?;
+        say!(Info, "triangles: {}", out.triangles);
+        Ok((out.stats, vec![out.triangles.to_string()], None))
+    }
 }
 
-/// Maps the CLI flags onto the frontier crate's configuration (the
-/// frontier-native workloads kcore/tc bypass `CuShaConfig`).
-fn frontier_cfg(args: &Args, tracer: &Tracer) -> FrontierConfig {
-    let mut cfg = FrontierConfig::new();
-    cfg.max_iterations = args.max_iters;
-    cfg.profile = args.profile;
-    cfg.fault_plan = args.inject.clone();
-    cfg.integrity = IntegrityConfig::with_mode(args.integrity);
-    if let Some(k) = args.checkpoint_every {
-        cfg.integrity.checkpoint_every = k;
-    }
-    cfg.deadline_seconds = args.timeout_ms.map(|ms| ms / 1e3);
-    if let Some(t) = args.density_threshold {
-        cfg.density_threshold = t;
-    }
-    cfg.trace = tracer.clone();
-    cfg
-}
-
-/// Parses the numeric suffix of `vwc:<n>` / `mtcpu:<n>`, rejecting zero.
-fn parsed_engine_num(engine: &str, val: &str) -> usize {
-    let n: usize = val
-        .parse()
-        .unwrap_or_else(|e| usage_error(&format!("bad value {val:?} for --engine {engine}: {e}")));
-    if n == 0 {
-        usage_error(&format!("--engine {engine}:{val}: value must be nonzero"));
-    }
-    n
-}
-
-/// The `cusha serve` entry point: loads the graph once, then runs the
-/// resident service loop over stdin/stdout (or `--script`), writing the
-/// metrics snapshot and trace on exit.
-fn serve_main(args: Args) -> ! {
-    let g = load_graph(&args);
-    info(&format!(
-        "{} vertices, {} edges; serving queries on {} (queue {}, cache {}, {} retries)",
-        g.num_vertices(),
-        g.num_edges(),
-        args.engine,
-        args.queue_capacity,
-        args.cache_capacity,
-        args.retries,
-    ));
-    let tracer = if args.trace_out.is_some() {
-        Tracer::enabled()
-    } else {
-        Tracer::disabled()
+/// The run's summary on stderr: the statistics line, the fleet line when the
+/// multi engine ran, and the recovery lines of a run that was not clean.
+fn report(stats: &RunStats, fleet: Option<&MultiRunStats>, engine: &EngineSpec) {
+    let clock = match engine.kind {
+        EngineKind::Mtcpu(_) => "measured",
+        _ => "modeled",
     };
-    let mut cfg = ServeConfig {
-        engine: if args.engine == "frontier" {
-            ServeEngine::Frontier
-        } else {
-            ServeEngine::Shard
-        },
-        repr: if args.engine == "gs" {
-            Repr::GShards
-        } else {
-            Repr::ConcatWindows
-        },
-        vertices_per_shard: args.shard_size,
-        max_iterations: args.max_iters,
-        queue_capacity: args.queue_capacity,
-        cache_capacity: args.cache_capacity,
-        max_retries: args.retries,
-        default_deadline_ms: args.deadline_ms,
-        watchdog_interval: args.watchdog,
-        integrity: IntegrityConfig::with_mode(args.integrity),
-        fault_plan: args.inject.clone(),
-        trace: tracer.clone(),
-        ..ServeConfig::default()
-    };
-    if let Some(k) = args.checkpoint_every {
-        cfg.integrity.checkpoint_every = k;
-    }
-    if let Some(ms) = args.slo_latency_ms {
-        cfg.slo.latency_objective_s = ms / 1e3;
-    }
-    if let Some(w) = args.slo_window {
-        cfg.slo.window = w;
-    }
-    if let Some(policy) = args.rebuild_policy {
-        cfg.rebuild_policy = policy;
-    }
-    cfg.wal = args.wal.as_ref().map(|path| WalConfig {
-        path: path.into(),
-        snapshot_every: args.snapshot_every,
-        crash: args.crash_at,
-    });
-    let mut svc = Service::new(g, cfg).unwrap_or_else(|e| {
-        eprintln!("cusha: cannot start service: {e}");
-        exit(EXIT_IO)
-    });
-    if let Some(rec) = svc.recovery() {
-        info(&format!(
-            "WAL recovery from {}: epoch {}, {} batches replayed, {} torn bytes truncated, \
-             {} uncommitted discarded",
-            rec.source.label(),
-            rec.epoch,
-            rec.replayed_batches,
-            rec.truncated_bytes,
-            rec.discarded_uncommitted,
-        ));
-    }
-
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    let session = match &args.script {
-        Some(path) => {
-            let f = std::fs::File::open(path).unwrap_or_else(|e| {
-                eprintln!("cusha: cannot open {path}: {e}");
-                exit(EXIT_IO)
-            });
-            run_session(&mut svc, std::io::BufReader::new(f), &mut out)
-        }
-        None => {
-            let stdin = std::io::stdin();
-            run_session(&mut svc, stdin.lock(), &mut out)
-        }
-    };
-    drop(out);
-    session.unwrap_or_else(|e| {
-        eprintln!("cusha: session IO error: {e}");
-        exit(EXIT_IO)
-    });
-    if let Some(point) = svc.injected_crash() {
-        // A real crash writes no artifacts: stop exactly where the kill
-        // landed so the recovery harness sees the same on-disk state a
-        // power cut would leave.
-        eprintln!("cusha: injected crash at {} commit point", point.label());
-        exit(EXIT_CRASH);
-    }
-
-    if let Some(path) = &args.trace_out {
-        let doc = chrome_trace_json(&tracer);
-        std::fs::write(path, &doc).unwrap_or_else(|e| {
-            eprintln!("cusha: cannot write {path}: {e}");
-            exit(EXIT_IO)
-        });
-        info(&format!(
-            "wrote {} trace events to {path} (load in chrome://tracing)",
-            tracer.event_count()
-        ));
-    }
-    if let Some(path) = &args.slow_log {
-        std::fs::write(path, svc.telemetry().slow.render()).unwrap_or_else(|e| {
-            eprintln!("cusha: cannot write {path}: {e}");
-            exit(EXIT_IO)
-        });
-        info(&format!(
-            "wrote {} slow-query records to {path}",
-            svc.telemetry().slow.entries().len()
-        ));
-    }
-    if let Some(path) = &args.metrics_out {
-        svc.sync_trace_drops();
-        std::fs::write(path, svc.metrics().to_json()).unwrap_or_else(|e| {
-            eprintln!("cusha: cannot write {path}: {e}");
-            exit(EXIT_IO)
-        });
-        info(&format!(
-            "wrote {} metric series to {path}",
-            svc.metrics().len()
-        ));
-    }
-    exit(0)
-}
-
-fn main() {
-    let args = parse_args();
-    if args.serve {
-        serve_main(args)
-    }
-    let g = load_graph(&args);
-    info(&format!(
-        "{} vertices, {} edges; running {} on {}",
-        g.num_vertices(),
-        g.num_edges(),
-        args.algo,
-        args.engine
-    ));
-    if args.source >= g.num_vertices() && g.num_vertices() > 0 {
-        usage_error(&format!(
-            "bad value {} for --source: graph has {} vertices",
-            args.source,
-            g.num_vertices()
-        ));
-    }
-
-    // The tracer stays a no-op handle unless a trace is actually wanted, so
-    // plain runs take the zero-allocation disabled path.
-    let tracer = if args.trace_out.is_some() {
-        Tracer::enabled()
-    } else {
-        Tracer::disabled()
-    };
-    let mut metrics = MetricsRegistry::new();
-
-    let show_u32 = |v: &u32| {
-        if *v == u32::MAX {
-            "inf".to_string()
-        } else {
-            v.to_string()
-        }
-    };
-    let (stats, lines, fleet) = match args.algo.as_str() {
-        "bfs" => execute(
-            &Bfs::new(args.source),
-            &g,
-            &args,
-            &tracer,
-            &mut metrics,
-            show_u32,
-        ),
-        "sssp" => execute(
-            &Sssp::new(args.source),
-            &g,
-            &args,
-            &tracer,
-            &mut metrics,
-            show_u32,
-        ),
-        "pagerank" | "pr" => execute(
-            &PageRank::new(),
-            &g,
-            &args,
-            &tracer,
-            &mut metrics,
-            |v: &f32| format!("{v:.6}"),
-        ),
-        "cc" => execute(
-            &ConnectedComponents::new(),
-            &g,
-            &args,
-            &tracer,
-            &mut metrics,
-            |v: &u32| v.to_string(),
-        ),
-        "sswp" => execute(
-            &Sswp::new(args.source),
-            &g,
-            &args,
-            &tracer,
-            &mut metrics,
-            show_u32,
-        ),
-        "nn" => execute(
-            &NeuralNetwork::new(),
-            &g,
-            &args,
-            &tracer,
-            &mut metrics,
-            |v: &f32| format!("{v:.6}"),
-        ),
-        "hs" => execute(
-            &HeatSimulation::new(),
-            &g,
-            &args,
-            &tracer,
-            &mut metrics,
-            |v: &(f32, f32)| format!("{:.4}", v.0),
-        ),
-        "cs" => {
-            let gnd = g.num_vertices().saturating_sub(1);
-            execute(
-                &CircuitSimulation::new(args.source, gnd),
-                &g,
-                &args,
-                &tracer,
-                &mut metrics,
-                |v: &(f32, f32)| format!("{:.6}", v.0),
-            )
-        }
-        // Frontier-native workloads: no VertexProgram, so they bypass
-        // `execute` and drive the frontier crate directly (the same
-        // engine_result unwrapping keeps the exit-code taxonomy, including
-        // exit 4 on --timeout-ms).
-        "kcore" => {
-            let cfg = frontier_cfg(&args, &tracer);
-            let mut noop = NoopObserver;
-            let mut observer = cusha::core::DeadlineObserver::new(cfg.deadline_seconds, &mut noop);
-            let out =
-                engine_result(
-                    try_run_kcore(&g, &cfg, None, &mut observer).map(|o| CuShaOutput {
-                        values: o.core,
-                        stats: o.stats,
-                    }),
-                );
-            let labels: &[(&str, &str)] = &[("algo", "kcore"), ("engine", "frontier")];
-            out.stats.record_metrics(&mut metrics, labels);
-            let lines = out.values.iter().map(|v| v.to_string()).collect();
-            (out.stats, lines, None)
-        }
-        "tc" | "triangles" => {
-            let cfg = frontier_cfg(&args, &tracer);
-            let out = match try_run_triangles(&g, &cfg) {
-                Ok(out) => out,
-                Err(e) => {
-                    eprintln!("cusha: engine error [{}]: {e}", e.kind());
-                    exit(EXIT_ENGINE)
-                }
-            };
-            let labels: &[(&str, &str)] = &[("algo", "tc"), ("engine", "frontier")];
-            out.stats.record_metrics(&mut metrics, labels);
-            info(&format!("triangles: {}", out.triangles));
-            (out.stats, vec![format!("{}", out.triangles)], None)
-        }
-        other => usage_error(&format!("unknown algorithm {other:?}")),
-    };
-
-    info(&format!(
-        "{} ({}) {} iterations, converged: {}, {:.3} ms {}",
+    say!(
+        Info,
+        "{} ({}) {} iterations, converged: {}, {:.3} ms {clock}",
         stats.engine,
-        args.engine,
+        engine.name,
         stats.iterations,
         stats.converged,
         stats.total_ms(),
-        if args.engine.starts_with("mtcpu") {
-            "measured"
-        } else {
-            "modeled"
-        },
-    ));
-    if let Some(f) = &fleet {
-        info(&format!(
+    );
+    if let Some(f) = fleet {
+        let healthy = |mode| matches!(mode, "resident" | "idle");
+        let degraded = match f.per_device.iter().filter(|d| !healthy(d.mode)).count() {
+            0 => String::new(),
+            degraded => format!(", {degraded} device(s) degraded"),
+        };
+        say!(
+            Info,
             "fleet: {} devices over {}, {} halo bytes exchanged in {:.3} ms, \
-             load imbalance {:.3}{}",
+             load imbalance {:.3}{degraded}",
             f.devices,
             f.interconnect,
             f.exchange_bytes,
             f.exchange_seconds * 1e3,
             f.load_imbalance,
-            if f.degraded > 0 {
-                format!(", {} device(s) degraded", f.degraded)
-            } else {
-                String::new()
-            },
-        ));
+        );
     }
     if !stats.fault.is_clean() {
-        warn(&format!(
+        say!(
+            Warn,
             "recovered from faults: {} copy retries ({:.3} ms backoff), \
              {} kernel retries, {} OOM rebatches, {} degradations",
             stats.fault.copy_retries,
@@ -1198,10 +700,11 @@ fn main() {
             stats.fault.kernel_retries,
             stats.fault.oom_rebatches,
             stats.fault.degradations,
-        ));
+        );
     }
     if !stats.sdc.is_clean() || stats.sdc.flips_injected > 0 {
-        warn(&format!(
+        say!(
+            Warn,
             "silent-data-corruption: {} bit flips injected, {} detected \
              ({} checksum, {} invariant); {} rollbacks, {} full restarts, \
              {} host fallbacks, {} iterations re-executed",
@@ -1213,16 +716,141 @@ fn main() {
             stats.sdc.full_restarts,
             stats.sdc.host_fallbacks,
             stats.sdc.reexecuted_iterations,
-        ));
+        );
+    }
+}
+
+/// The one way a file leaves the process: the text goes to `path` unbuffered,
+/// so a full disk is an error here and not a silently short file; any IO
+/// error is exit 1. No path, no file.
+fn write_artifact(
+    path: &Option<String>,
+    what: &str,
+    text: impl FnOnce() -> String,
+) -> Result<(), Failure> {
+    let Some(path) = path else { return Ok(()) };
+    std::fs::write(path, text()).map_err(|e| (EXIT_IO, format!("cannot write {path}: {e}")))?;
+    say!(Info, "wrote {what} to {path}");
+    Ok(())
+}
+
+/// `--trace-out` and `--metrics-out`, which both modes write on the way out.
+fn write_telemetry(args: &Args, metrics: &MetricsRegistry) -> Result<(), Failure> {
+    let tracer = &args.cfg.trace;
+    let events = format!("{} trace events", tracer.event_count());
+    write_artifact(&args.trace_out, &events, || chrome_trace_json(tracer))?;
+    let series = format!("{} metric series", metrics.len());
+    write_artifact(&args.metrics_out, &series, || metrics.to_json())
+}
+
+/// `cusha serve`: runs the resident service loop over stdin/stdout (or
+/// `--script`), writing its artifacts on exit.
+fn serve(mut args: Args, graph: Graph) -> Result<(), Failure> {
+    say!(
+        Info,
+        "{} vertices, {} edges; serving queries on {} (queue {}, cache {}, {} retries)",
+        graph.num_vertices(),
+        graph.num_edges(),
+        args.engine.name,
+        args.serving.queue_capacity,
+        args.serving.cache_capacity,
+        args.serving.max_retries,
+    );
+    let cfg = ServeConfig {
+        engine: match args.engine.kind {
+            EngineKind::Frontier => ServeEngine::Frontier,
+            _ => ServeEngine::Shard,
+        },
+        repr: args.cfg.repr,
+        vertices_per_shard: args.cfg.vertices_per_shard,
+        max_iterations: args.cfg.max_iterations,
+        watchdog_interval: args.cfg.watchdog_interval,
+        integrity: args.cfg.integrity,
+        fault_plan: args.cfg.fault_plan.take(),
+        trace: args.cfg.trace.clone(),
+        wal: args.wal.as_ref().map(|path| WalConfig {
+            path: path.into(),
+            snapshot_every: args.snapshot_every,
+            crash: args.crash_at,
+        }),
+        ..args.serving.clone()
+    };
+    let started = Service::new(graph, cfg);
+    let mut svc = started.map_err(|e| (EXIT_IO, format!("cannot start service: {e}")))?;
+    if let Some(rec) = svc.recovery() {
+        say!(
+            Info,
+            "WAL recovery from {}: epoch {}, {} batches replayed, {} torn bytes truncated, \
+             {} uncommitted discarded",
+            rec.source.label(),
+            rec.epoch,
+            rec.replayed_batches,
+            rec.truncated_bytes,
+            rec.discarded_uncommitted,
+        );
+    }
+
+    let mut out = std::io::stdout().lock();
+    let session = match &args.script {
+        Some(path) => {
+            let script = std::fs::File::open(path);
+            let script = script.map_err(|e| (EXIT_IO, format!("cannot open {path}: {e}")))?;
+            run_session(&mut svc, std::io::BufReader::new(script), &mut out)
+        }
+        None => run_session(&mut svc, std::io::stdin().lock(), &mut out),
+    };
+    drop(out);
+    session.map_err(|e| (EXIT_IO, format!("session IO error: {e}")))?;
+    if let Some(point) = svc.injected_crash() {
+        // A real crash writes no artifacts: stop exactly where the kill
+        // landed so the recovery harness sees the same on-disk state a
+        // power cut would leave.
+        let at = format!("injected crash at {} commit point", point.label());
+        return Err((EXIT_CRASH, at));
+    }
+
+    let slow = &svc.telemetry().slow;
+    let records = format!("{} slow-query records", slow.entries().len());
+    write_artifact(&args.slow_log, &records, || slow.render())?;
+    svc.sync_trace_drops();
+    write_telemetry(&args, svc.metrics())
+}
+
+/// A one-shot run: the algorithm on the engine, its report, its artifacts,
+/// its values.
+fn one_shot(args: &Args, graph: &Graph) -> Result<(), Failure> {
+    let (vertices, edges) = (graph.num_vertices(), graph.num_edges());
+    let (algo_name, engine) = (&args.algo, &args.engine.name);
+    say!(
+        Info,
+        "{vertices} vertices, {edges} edges; running {algo_name} on {engine}"
+    );
+    if args.source >= vertices && vertices > 0 {
+        let source = args.source;
+        let why = format!("bad value {source} for --source: graph has {vertices} vertices");
+        return Err((EXIT_USAGE, why));
+    }
+    let &(names, frontier_native, run) =
+        algo(algo_name).ok_or((EXIT_USAGE, expected(ALGO_NAMES)))?;
+    let (stats, lines, fleet) = run(Run { args, graph })?;
+    report(&stats, fleet.as_ref(), &args.engine);
+    let algo_label = if frontier_native { names[0] } else { algo_name };
+    let labels: &[(&str, &str)] = &[("algo", algo_label), ("engine", engine)];
+    let mut metrics = MetricsRegistry::new();
+    // Full fleet stats (per-device breakdown included) go through
+    // MultiRunStats' own recorder, not the flattened RunStats.
+    match &fleet {
+        Some(fleet) => fleet.record_metrics(&mut metrics, labels),
+        None => stats.record_metrics(&mut metrics, labels),
     }
 
     // A saturated trace ring is silent data loss for the observer; make
     // it loud in the metrics snapshot and the profile report.
-    let trace_dropped = tracer.dropped_count();
+    let trace_dropped = args.cfg.trace.dropped_count();
     if trace_dropped > 0 {
         metrics.add("obs_trace_dropped", &[], trace_dropped);
     }
-    if args.profile {
+    if args.cfg.profile {
         // Unified profile report on stderr: nvprof-style per-kernel lines
         // (when the engine retained a launch history) plus the metrics
         // snapshot.
@@ -1230,62 +858,412 @@ fn main() {
             eprint!("{}", p.report());
         }
         if trace_dropped > 0 {
-            warn(&format!(
+            say!(
+                Warn,
                 "tracer dropped {trace_dropped} events (ring full) — the trace \
                  and span-derived numbers undercount"
-            ));
+            );
         }
         eprint!("{}", metrics.render_text());
     }
-    if let Some(path) = &args.profile_json {
-        let doc = stats.profile.as_ref().map_or_else(
-            || cusha::simt::Profile::default().to_json(),
-            |p| p.to_json(),
-        );
-        std::fs::write(path, &doc).unwrap_or_else(|e| {
-            eprintln!("cusha: cannot write {path}: {e}");
-            exit(EXIT_IO)
-        });
-        info(&format!("wrote kernel profile to {path}"));
+    write_artifact(&args.profile_json, "kernel profile", || {
+        let profile = stats.profile.as_ref();
+        profile.map_or_else(|| Profile::default().to_json(), Profile::to_json)
+    })?;
+    write_telemetry(args, &metrics)?;
+
+    let numbered = |lines: &[String]| -> String {
+        let numbered = lines.iter().enumerate();
+        numbered.map(|(v, line)| format!("{v} {line}\n")).collect()
+    };
+    if args.output.is_some() {
+        let values = format!("{} values", lines.len());
+        return write_artifact(&args.output, &values, || numbered(&lines));
     }
-    if let Some(path) = &args.trace_out {
-        let doc = chrome_trace_json(&tracer);
-        std::fs::write(path, &doc).unwrap_or_else(|e| {
-            eprintln!("cusha: cannot write {path}: {e}");
-            exit(EXIT_IO)
-        });
-        info(&format!(
-            "wrote {} trace events to {path} (load in chrome://tracing)",
-            tracer.event_count()
-        ));
+    // Print the first few values as a preview.
+    print!("{}", numbered(&lines[..lines.len().min(10)]));
+    if lines.len() > 10 {
+        println!("... ({} more; use --output to save all)", lines.len() - 10);
     }
-    if let Some(path) = &args.metrics_out {
-        std::fs::write(path, metrics.to_json()).unwrap_or_else(|e| {
-            eprintln!("cusha: cannot write {path}: {e}");
-            exit(EXIT_IO)
-        });
-        info(&format!("wrote {} metric series to {path}", metrics.len()));
+    Ok(())
+}
+
+/// Everything between the command line and the exit code.
+fn run(argv: &[String]) -> Result<(), Failure> {
+    let mut args = parse(argv).map_err(|why| (EXIT_USAGE, why))?;
+    if args.help {
+        println!("{}", usage_text());
+        return Ok(());
+    }
+    let graph = load_graph(&args)?;
+    // The tracer stays a no-op handle unless a trace is actually wanted, so
+    // plain runs take the zero-allocation disabled path.
+    if args.trace_out.is_some() {
+        args.cfg.trace = Tracer::enabled();
+    }
+    match args.serve {
+        true => serve(args, graph),
+        false => one_shot(&args, &graph),
+    }
+}
+
+fn main() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if let Err((code, why)) = run(&argv) {
+        eprintln!("cusha: {why}");
+        if code == EXIT_USAGE {
+            eprintln!("cusha: run with --help for usage");
+        }
+        std::process::exit(code)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `parse` over a whitespace-separated command line.
+    fn parsed(line: &str) -> Result<Args, String> {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse(&argv)
     }
 
-    match &args.output {
-        Some(path) => {
-            let mut f = std::io::BufWriter::new(std::fs::File::create(path).unwrap_or_else(|e| {
-                eprintln!("cusha: cannot create {path}: {e}");
-                exit(EXIT_IO)
-            }));
-            for (v, line) in lines.iter().enumerate() {
-                writeln!(f, "{v} {line}").unwrap();
+    /// Per flag: a value it takes, and one it refuses (`""` for a flag that
+    /// takes any text). A row added to `FLAGS` must be added here.
+    const SAMPLES: &[(&str, &str, &str)] = &[
+        ("--algo", "pagerank", "nope"),
+        ("--input", "graph.txt", ""),
+        ("--rmat", "8:600", "32:10"),
+        ("--engine", "vwc:8", "vwc:0"),
+        ("--source", "7", "-1"),
+        ("--shard-size", "64", "many"),
+        ("--max-iters", "50", "1.5"),
+        ("--resident-bytes", "4096", "4k"),
+        ("--watchdog", "4", "x"),
+        ("--timeout-ms", "2.5", "0"),
+        ("--inject", "seed=7,alloc@2,h2d%0.5", "h2d%7.5"),
+        ("--inject-bitflips", "seed=1,rate=0.5", "seed=1,rate=2"),
+        ("--integrity", "full", "maybe"),
+        ("--checkpoint-every", "2", "0"),
+        ("--devices", "2", "0"),
+        ("--interconnect", "nvlink", "warp"),
+        ("--density-threshold", "0", "-0.5"),
+        ("--output", "out.txt", ""),
+        ("--trace-out", "t.json", ""),
+        ("--metrics-out", "m.json", ""),
+        ("--log-level", "info", "loud"),
+        ("--profile", "", ""),
+        ("--profile-json", "p.json", ""),
+        ("--queue-capacity", "16", "0"),
+        ("--cache-capacity", "0", "-1"),
+        ("--retries", "2", "x"),
+        ("--deadline-ms", "5", "nan"),
+        ("--script", "q.txt", ""),
+        ("--slow-log", "s.jsonl", ""),
+        ("--slo-latency-ms", "0.5", "inf"),
+        ("--slo-window", "4", "0"),
+        ("--wal", "log.wal", ""),
+        ("--snapshot-every", "2", "two"),
+        ("--crash-at", "pre-commit@1", "nowhere@1"),
+        ("--rebuild-policy", "serve-previous", "never"),
+    ];
+
+    /// A command line on which `flag value` is in scope and has what it needs.
+    fn line_with(flag: &Flag, value: &str) -> String {
+        let &(name, _, scope, requires, _) = flag;
+        let mode = if scope == Serve {
+            "serve"
+        } else {
+            "--algo bfs"
+        };
+        let graph = if matches!(name, "--input" | "--rmat") {
+            ""
+        } else {
+            "--rmat 8:600"
+        };
+        let needed = SAMPLES.iter().find(|(n, ..)| Some(*n) == requires);
+        let needed = needed.map_or(String::new(), |(n, v, _)| format!("{n} {v}"));
+        format!("{mode} {graph} {needed} {name} {value}")
+    }
+
+    #[test]
+    fn every_row_takes_a_valid_value_and_names_itself_refusing_a_bad_one() {
+        assert_eq!(SAMPLES.len(), FLAGS.len(), "one sample per table row");
+        for flag in FLAGS {
+            let &(name, placeholder, ..) = flag;
+            let sample = SAMPLES.iter().find(|(n, ..)| *n == name);
+            let &(_, good, bad) = sample.unwrap_or_else(|| panic!("{name}: no sample"));
+            if let Err(why) = parsed(&line_with(flag, good)) {
+                panic!("{name} {good}: {why}");
             }
-            info(&format!("wrote {} values to {path}", lines.len()));
+            if !bad.is_empty() {
+                let why = parsed(&line_with(flag, bad)).err();
+                let why = why.unwrap_or_else(|| panic!("{name} {bad} was accepted"));
+                assert!(
+                    why.contains(name) && why.contains(bad),
+                    "{name} {bad}: {why}"
+                );
+            }
+            if !placeholder.is_empty() {
+                let argv = [name.to_string()];
+                let why = parse(&argv).err().expect("a missing value is refused");
+                assert_eq!(why, format!("{name} needs a value"));
+            }
         }
-        None => {
-            // Print the first few values as a preview.
-            for (v, line) in lines.iter().take(10).enumerate() {
-                println!("{v} {line}");
+    }
+
+    #[test]
+    fn values_land_in_their_fields() {
+        let a = parsed(
+            "--algo SSSP --rmat 9:700 --engine GS-Streamed --source 3 --shard-size 64 \
+             --max-iters 50 --resident-bytes 4096 --watchdog 4 --timeout-ms 2.5 \
+             --inject seed=7,h2d@1 --inject-bitflips rate=0.5 --integrity full \
+             --checkpoint-every 2 --density-threshold 0.5 --output o --trace-out t \
+             --metrics-out m --profile-json p",
+        )
+        .expect("valid line");
+        assert_eq!(
+            (a.algo.as_str(), a.source, a.resident_bytes),
+            ("sssp", 3, 4096)
+        );
+        assert_eq!(
+            a.rmat.map(|r| (r.scale, r.edges, r.seed)),
+            Some((9, 700, 42))
+        );
+        assert_eq!(a.engine.name, "gs-streamed");
+        assert!(a.engine.kind == EngineKind::Streamed && a.cfg.repr == Repr::GShards);
+        assert_eq!(a.cfg.vertices_per_shard, Some(64));
+        assert_eq!(
+            (a.cfg.max_iterations, a.cfg.watchdog_interval),
+            (50, Some(4))
+        );
+        assert_eq!(a.cfg.deadline_seconds, Some(2.5e-3));
+        let plan = a.cfg.fault_plan.expect("merged plan");
+        assert!(
+            plan.seed() == Some(7) && plan.has_bitflips(),
+            "one seed drives both"
+        );
+        assert_eq!(a.cfg.integrity.mode, IntegrityMode::Full);
+        assert_eq!(
+            (a.cfg.integrity.checkpoint_every, a.density_threshold),
+            (2, 0.5)
+        );
+        assert!(a.cfg.profile, "--profile-json implies --profile");
+        let paths = [a.output, a.trace_out, a.metrics_out, a.profile_json];
+        assert_eq!(
+            paths.map(|p| p.unwrap_or_default()),
+            ["o", "t", "m", "p"].map(String::from)
+        );
+
+        let s = parsed(
+            "serve --input g.bin --engine frontier --queue-capacity 16 --cache-capacity 0 \
+             --retries 2 --deadline-ms 5 --script q --slow-log s --slo-latency-ms 0.5 \
+             --slo-window 4 --wal w --snapshot-every 2 --crash-at pre-apply@3 \
+             --rebuild-policy serve-previous",
+        )
+        .expect("valid serve line");
+        assert!(s.serve && s.engine.kind == EngineKind::Frontier);
+        let serving = &s.serving;
+        assert_eq!((serving.queue_capacity, serving.cache_capacity), (16, 0));
+        assert_eq!(
+            (serving.max_retries, serving.default_deadline_ms),
+            (2, Some(5.0))
+        );
+        assert_eq!(
+            (serving.slo.latency_objective_s, serving.slo.window),
+            (0.5e-3, 4)
+        );
+        assert_eq!(serving.rebuild_policy, RebuildPolicy::ServePrevious);
+        assert_eq!((s.wal.as_deref(), s.snapshot_every), (Some("w"), 2));
+        assert_eq!(s.crash_at, CrashSpec::parse("pre-apply@3").ok());
+        assert_eq!(
+            (s.input.as_deref(), s.script.as_deref()),
+            (Some("g.bin"), Some("q"))
+        );
+        assert_eq!(s.slow_log.as_deref(), Some("s"));
+    }
+
+    #[test]
+    fn defaults_are_the_documented_ones() {
+        let a = parsed("--algo bfs --rmat 8:600").expect("minimal line");
+        assert_eq!(a.engine.name, "cw");
+        assert!(a.engine.kind == EngineKind::Shard && a.cfg.repr == Repr::ConcatWindows);
+        assert_eq!((a.cfg.max_iterations, a.resident_bytes), (10_000, 16 << 20));
+        let serving = &a.serving;
+        assert_eq!((serving.queue_capacity, serving.cache_capacity), (64, 128));
+        assert_eq!((serving.max_retries, a.snapshot_every), (3, 0));
+        assert_eq!(
+            (a.source, a.density_threshold),
+            (0, DEFAULT_DENSITY_THRESHOLD)
+        );
+        assert_eq!(a.cfg.integrity.mode, IntegrityMode::Off);
+        assert!(a.cfg.vertices_per_shard.is_none() && a.cfg.fault_plan.is_none());
+        assert!(a.cfg.deadline_seconds.is_none() && !a.cfg.profile && !a.serve && !a.help);
+        assert!(serving.default_deadline_ms.is_none() && serving.wal.is_none());
+    }
+
+    #[test]
+    fn scope_and_prerequisites_hold_for_every_row_that_declares_them() {
+        for flag in FLAGS {
+            let &(name, _, scope, requires, _) = flag;
+            let (_, value, _) = SAMPLES.iter().find(|(n, ..)| *n == name).expect("sample");
+            let elsewhere = match scope {
+                Serve => Some(format!("--algo bfs --rmat 8:600 {name} {value}")),
+                OneShot => Some(format!("serve --rmat 8:600 {name} {value}")),
+                Both => None,
+            };
+            if let Some(line) = elsewhere {
+                let why = parsed(&line)
+                    .err()
+                    .unwrap_or_else(|| panic!("accepted: {line}"));
+                assert!(why.contains(name) && why.contains("only"), "{line}: {why}");
             }
-            if lines.len() > 10 {
-                println!("... ({} more; use --output to save all)", lines.len() - 10);
+            if let Some(needed) = requires {
+                let mode = if scope == Serve {
+                    "serve"
+                } else {
+                    "--algo bfs"
+                };
+                let line = format!("{mode} --rmat 8:600 {name} {value}");
+                let why = parsed(&line)
+                    .err()
+                    .unwrap_or_else(|| panic!("accepted: {line}"));
+                assert_eq!(why, format!("{name} needs {needed}"), "{line}");
             }
+        }
+        let declared = FLAGS
+            .iter()
+            .filter(|(_, _, scope, needs, _)| *scope != Both || needs.is_some());
+        assert!(
+            declared.count() > 8,
+            "more rows are checked than the parent spelled out"
+        );
+    }
+
+    #[test]
+    fn rules_that_span_flags() {
+        let refused = |line: &str, names: &str| {
+            let why = parsed(line)
+                .err()
+                .unwrap_or_else(|| panic!("accepted: {line}"));
+            assert!(why.contains(names), "{line}: {why}");
+        };
+        refused("--rmat 8:600", "--algo is required");
+        refused("--algo bfs", "--input or --rmat");
+        refused("--algo bfs --rmat 8:600 --input g.txt", "--input or --rmat");
+        refused(
+            "--algo bfs --rmat 8:600 --bogus",
+            "unknown flag \"--bogus\"",
+        );
+        refused("serve --rmat 8:600 --engine vwc:8", "vwc:8");
+        refused("serve --rmat 8:600 --engine cw-streamed", "cw-streamed");
+        refused("--algo kcore --rmat 8:600 --engine gs", "frontier-native");
+        refused("--algo tc --rmat 8:600 --engine vwc:8", "frontier-native");
+        refused(
+            "--algo bfs --rmat 8:600 --devices 2 --engine frontier",
+            "--devices",
+        );
+        refused(
+            "--algo bfs --rmat 8:600 --devices 2 --engine gs-streamed",
+            "--devices",
+        );
+        refused("--algo bfs --rmat 8:600 --inject-bitflips rate=0.5", "seed");
+        refused("serve serve --rmat 8:600", "unknown flag \"serve\"");
+        // `kcore` / `tc` imply the frontier engine; cw/gs take the fleet.
+        for line in [
+            "--algo kcore --rmat 8:600",
+            "--algo triangles --rmat 8:600 --engine frontier",
+        ] {
+            let a = parsed(line).expect(line);
+            assert!(a.engine.kind == EngineKind::Frontier && a.engine.name == "frontier");
+        }
+        assert!(parsed("--algo bfs --rmat 8:600 --engine gs --devices 3").is_ok());
+        assert!(
+            parsed("serve --rmat 8:600").is_ok(),
+            "serve needs no --algo"
+        );
+        // A later flag wins; --help stops the parse.
+        let a = parsed("--algo bfs --algo cc --rmat 8:600").expect("repeated flag");
+        assert_eq!(a.algo, "cc");
+        assert!(parsed("--help --bogus").is_ok_and(|a| a.help));
+        assert!(parsed("--algo bfs -h").is_ok_and(|a| a.help));
+    }
+
+    #[test]
+    fn engine_grammar() {
+        for (name, kind, repr) in [
+            ("cw", EngineKind::Shard, Repr::ConcatWindows),
+            ("gs", EngineKind::Shard, Repr::GShards),
+            ("CW-streamed", EngineKind::Streamed, Repr::ConcatWindows),
+            ("gs-streamed", EngineKind::Streamed, Repr::GShards),
+            ("frontier", EngineKind::Frontier, Repr::GShards),
+            ("vwc:32", EngineKind::Vwc(32), Repr::GShards),
+            ("mtcpu:4", EngineKind::Mtcpu(4), Repr::GShards),
+        ] {
+            let spec = EngineSpec::parse(name).expect(name);
+            assert!(spec.kind == kind && spec.repr == repr, "{name}");
+            assert_eq!(spec.name, name.to_lowercase());
+        }
+        for bad in [
+            "nope", "vwc", "vwc:", "vwc:0", "vwc:wide", "mtcpu:0", "gs:2", "",
+        ] {
+            assert!(EngineSpec::parse(bad).is_err(), "{bad:?} was accepted");
+        }
+        let forms = EngineSpec::parse("nope").err().expect("refused");
+        assert!(
+            forms.contains("cw-streamed") && forms.contains("mtcpu:<threads>"),
+            "{forms}"
+        );
+    }
+
+    #[test]
+    fn every_algorithm_name_dispatches_and_is_documented() {
+        let typed = [
+            "bfs", "sssp", "pagerank", "pr", "cc", "sswp", "nn", "hs", "cs", "kcore", "tc",
+        ];
+        for name in typed.iter().chain(&["triangles"]) {
+            assert!(algo(name).is_some(), "{name}");
+        }
+        assert!(algo("nope").is_none() && algo("").is_none());
+        for (names, ..) in ALGOS {
+            assert!(
+                ALGO_NAMES.contains(names[0]),
+                "{} missing from --help",
+                names[0]
+            );
+        }
+    }
+
+    #[test]
+    fn help_and_readme_name_every_flag() {
+        let help = usage_text();
+        let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/README.md"));
+        let readme = readme.expect("read README.md");
+        for &(name, value, scope, ..) in FLAGS {
+            // Once per synopsis block it belongs to, with its placeholder.
+            let item = format!("[{name} {value}").trim_end().to_string() + "]";
+            let listed = help.matches(&item).count();
+            assert_eq!(
+                listed,
+                if scope == Both { 2 } else { 1 },
+                "{item} in --help"
+            );
+            assert!(
+                readme.contains(&format!("`{name}")),
+                "{name} missing from README.md"
+            );
+        }
+        assert!(
+            help.starts_with("usage: cusha [--algo <bfs|sssp|"),
+            "{help}"
+        );
+        assert!(help.contains("\n       cusha serve [--input "), "{help}");
+        assert!(help.contains("fault-injection specs") && help.ends_with("(default 4)."));
+        for code in ["`0`", "`1`", "`2`", "`3`", "`4`", "`9`"] {
+            assert!(
+                readme.contains(code),
+                "exit code {code} missing from README.md"
+            );
         }
     }
 }

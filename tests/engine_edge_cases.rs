@@ -172,3 +172,81 @@ fn mtcpu_thread_counts_beyond_cores() {
     let out = run_mtcpu(&Bfs::new(0), &g, &MtcpuConfig::new(128));
     assert_eq!(out.values, bfs_levels(&g, 0));
 }
+
+/// A graph the modeled device cannot hold is refused with the typed error its
+/// uploads would end in, before the host builds the |V|- and p²-sized tables
+/// of its representation (each of these used to abort the process on a
+/// GB-to-TB-sized allocation instead).
+#[test]
+fn graphs_past_the_device_are_refused_before_anything_is_built() {
+    use cusha::baselines::{try_run_vwc, VwcEngine};
+    use cusha::core::{run_engine, try_run, EngineError, NoopObserver, Repr, ShardEngine};
+    use cusha::frontier::{
+        try_run_frontier, try_run_kcore, try_run_triangles, FrontierConfig, FrontierEngine,
+    };
+    use cusha::simt::DeviceConfig;
+
+    fn refused<T, V>(what: &str, ran: Result<T, EngineError<V>>) {
+        match ran.err() {
+            Some(EngineError::DeviceOom {
+                requested_bytes,
+                capacity_bytes,
+            }) => assert!(requested_bytes > capacity_bytes, "{what}"),
+            Some(other) => panic!("{what}: expected DeviceOom, got {other}"),
+            None => panic!("{what}: ran"),
+        }
+    }
+    // The shard engines' p x p window table outgrows the 3 GiB GTX 780 at
+    // 300 M vertices; a CSR of that many u32 values still fits it (2.4 GB),
+    // so the CSR-based engines meet the 2 GiB GTX 680 there.
+    for (far, csr_device) in [
+        (4_000_000_000u32, DeviceConfig::gtx780()),
+        (300_000_000, DeviceConfig::gtx680()),
+    ] {
+        let g = Graph::new(far + 1, vec![Edge::new(0, far, 1)]);
+        let bfs = Bfs::new(0);
+        let mut cfg = CuShaConfig::cw();
+        for repr in [Repr::ConcatWindows, Repr::GShards] {
+            cfg.repr = repr;
+            refused(&format!("try_run {repr:?} {far}"), try_run(&bfs, &g, &cfg));
+            let mut shard = ShardEngine::new(repr);
+            let ran = run_engine(&mut shard, &bfs, &g, &cfg, None, &mut NoopObserver);
+            refused(&format!("ShardEngine {repr:?} {far}"), ran);
+        }
+        cfg.device = csr_device.clone();
+        let mut frontier_cfg = FrontierConfig::new();
+        frontier_cfg.device = csr_device.clone();
+        refused("frontier", try_run_frontier(&bfs, &g, &frontier_cfg));
+        refused(
+            "kcore",
+            try_run_kcore(&g, &frontier_cfg, None, &mut NoopObserver),
+        );
+        refused("triangles", try_run_triangles(&g, &frontier_cfg));
+        let mut frontier = FrontierEngine::new();
+        let ran = run_engine(&mut frontier, &bfs, &g, &cfg, None, &mut NoopObserver);
+        refused("FrontierEngine", ran);
+        let mut vwc_cfg = VwcConfig::new(8);
+        vwc_cfg.device = csr_device;
+        refused(
+            "vwc:8",
+            try_run_vwc(&bfs, &g, &vwc_cfg, None, &mut NoopObserver),
+        );
+        let ran = run_engine(
+            &mut VwcEngine::new(8),
+            &bfs,
+            &g,
+            &cfg,
+            None,
+            &mut NoopObserver,
+        );
+        refused("VwcEngine", ran);
+    }
+    // The same arithmetic lets a graph that fits through untouched.
+    let small = Graph::new(2, vec![Edge::new(0, 1, 1)]);
+    assert_eq!(
+        try_run(&Bfs::new(0), &small, &CuShaConfig::cw())
+            .expect("fits")
+            .values,
+        [0, 1]
+    );
+}

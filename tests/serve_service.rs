@@ -8,7 +8,7 @@ use cusha::core::{try_run, CuShaConfig, IntegrityConfig, IntegrityMode, Value, V
 use cusha::graph::generators::rmat::{rmat, RmatConfig};
 use cusha::graph::Graph;
 use cusha::serve::{
-    parse_json, run_session, Json, RebuildPolicy, ServeConfig, ServeEngine, Service,
+    parse_json, run_session, Json, RebuildPolicy, ServeConfig, ServeEngine, Service, WalConfig,
 };
 use cusha::simt::{FaultPlan, FlipTarget};
 use proptest::prelude::*;
@@ -675,4 +675,78 @@ fn in_window_answers_are_cached_under_the_epoch_that_computed_them() {
     assert_eq!(cached(rs[5]), Some(false), "superseded entry answered");
     let fresh = mutated(&[(0, 300, 5), (1, 301, 2)]);
     assert_eq!(crc(rs[5]), cold_crc_on(&Bfs::new(1), &fresh));
+}
+
+#[test]
+fn vertex_growth_past_the_device_is_refused_before_commit() {
+    // One wire line tries to grow the graph to four billion vertices — past
+    // what the modeled device holds; the next mutation is an ordinary one.
+    let dir = std::env::temp_dir().join(format!("cusha-growth-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    for (name, engine) in [
+        ("shard", ServeEngine::Shard),
+        ("frontier", ServeEngine::Frontier),
+    ] {
+        let wal = WalConfig {
+            path: dir.join(format!("{name}.wal")),
+            snapshot_every: 0,
+            crash: None,
+        };
+        let cfg = || ServeConfig {
+            engine,
+            wal: Some(wal.clone()),
+            ..ServeConfig::default()
+        };
+        let script = "bfs 0\nflush\ninsert 4000000000 0 1\nstats\nbfs 0\nsssp 3\nflush\n\
+                      insert 1 2 9\nflush\nbfs 0\nflush\nstats\n";
+        let (lines, svc) = run_script(cfg(), script);
+        let mutations: Vec<&Json> = lines
+            .iter()
+            .filter(|l| l.get("op").and_then(Json::as_str) == Some("mutate"))
+            .collect();
+        let [refused, committed] = mutations[..] else {
+            panic!("{name}: expected two mutate responses, got {mutations:?}");
+        };
+        assert_eq!(status(refused), "error", "{name}: {refused:?}");
+        assert_eq!(
+            refused.get("reason").and_then(Json::as_str),
+            Some("invalid")
+        );
+        let detail = refused
+            .get("detail")
+            .and_then(Json::as_str)
+            .expect("detail");
+        assert!(detail.contains("device out of memory"), "{name}: {detail}");
+        assert_eq!(status(committed), "ok", "{name}: {committed:?}");
+        // The service kept answering, at the epoch and revision it had.
+        let stats: Vec<&Json> = lines.iter().filter(|l| status(l) == "stats").collect();
+        assert_eq!(stats[0].get("epoch").and_then(Json::as_u64), Some(0));
+        assert_eq!(stats[1].get("epoch").and_then(Json::as_u64), Some(1));
+        let answered = query_responses(&lines)
+            .iter()
+            .filter(|r| r.get("op").and_then(Json::as_str) != Some("mutate") && status(r) == "ok")
+            .count();
+        assert_eq!(answered, 4, "{name}: {lines:?}");
+        let invalid = [("status", "invalid")];
+        assert_eq!(
+            svc.metrics().counter("serve_mutations_total", &invalid),
+            Some(1)
+        );
+        assert_eq!(svc.epoch(), 1);
+        let served_rev = svc.graph_rev();
+        drop(svc);
+        // The log holds the committed batch and no record of the refused one:
+        // a restart replays one batch and answers.
+        let (lines, svc) = run_script(cfg(), "bfs 0\nflush\n");
+        let recovery = svc.recovery().expect("a WAL was configured");
+        assert_eq!(
+            (recovery.replayed_batches, recovery.epoch),
+            (1, 1),
+            "{name}"
+        );
+        assert_eq!(svc.graph_rev(), served_rev, "{name}");
+        assert_eq!(status(query_responses(&lines)[0]), "ok", "{name}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
