@@ -183,25 +183,33 @@ pub fn effective_jobs(requested: usize) -> usize {
         .unwrap_or(1)
 }
 
-/// `work(0..n)` on `effective_jobs(jobs).min(n)` scoped threads, results in
-/// item order. Slot-indexed reassembly: workers claim items through the
-/// shared counter in whatever order the scheduler allows, but every result
-/// lands in its item's own slot, so the finished vector is in work-item
-/// order no matter how the race went.
+/// `work(0..n)` on `effective_jobs(jobs).min(n)` workers, results in item
+/// order. Slot-indexed reassembly: workers claim items through the shared
+/// counter in whatever order the scheduler allows, but every result lands in
+/// its item's own slot, so the finished vector is in work-item order no
+/// matter how the race went.
+///
+/// The calling thread is one of the workers; only the others are spawned.
+/// Its allocator arena holds what earlier calls freed, so a repeated call
+/// reuses that memory instead of growing one more fresh arena per call —
+/// with every worker spawned, the process's peak resident set moved 10% from
+/// run to run with where the allocator had parked the freed pages.
 fn pooled<T: Send>(n: usize, jobs: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     let workers = effective_jobs(jobs).min(n.max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                *slots[i].lock().expect("a slot is locked only to be filled") = Some(work(i));
-            });
+    let drain = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
         }
+        *slots[i].lock().expect("a slot is locked only to be filled") = Some(work(i));
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(drain);
+        }
+        drain();
     });
     slots
         .into_iter()
