@@ -16,26 +16,25 @@
 //! `s` writes `SrcValue` entries that shards processed later in the same
 //! launch observe in their stage 2.
 //!
-//! The kernel itself, the device buffers it runs over and their upload
-//! live in [`crate::kernel`], shared with the streamed and multi-device
-//! engines; this module owns the in-core host loop around it.
+//! The kernel itself, the device buffers it runs over and their upload live
+//! in `crate::kernel`; the host loop around it is `crate::multi::drive`, the
+//! fleet's, which an in-core run enters as a fleet of one. This module holds
+//! what every engine takes — configuration, [`PreparedLayout`], the observer
+//! trait — and the in-core façades over that loop.
 
 use crate::autotune::select_vertices_per_shard;
 use crate::cw::ConcatWindows;
 use crate::error::EngineError;
-use crate::fallback::run_fallback;
-use crate::integrity::{
-    apply_flips, checksum, scrub_crcs, Ask, Detector, IntegrityConfig, Recovery, Rung,
-};
-use crate::kernel::{fault_instant, upload_resident, HostArrays, RetryPolicy, SpillVia};
+use crate::fallback::run_fallback_after;
+use crate::integrity::{IntegrityConfig, Stop};
 use crate::memsize::{check_fits, ValueSizes};
-use crate::middleware::DeadlineObserver;
+use crate::multi::{drive, FaultPolicy, MultiOutput};
 use crate::program::VertexProgram;
 use crate::shards::GShards;
-use crate::stats::{FaultStats, IterationStat, RunStats, SdcStats};
+use crate::stats::{FaultStats, RunStats};
 use cusha_graph::Graph;
 use cusha_obs::trace::{lanes, ArgVal, Tracer};
-use cusha_simt::{DeviceConfig, FaultPlan, Gpu, ReplayMemo};
+use cusha_simt::{DeviceConfig, DeviceFleet, FaultPlan, Gpu, KernelStats, ReplayMemo};
 use std::sync::Mutex;
 
 /// Which CuSha representation to run.
@@ -521,8 +520,16 @@ pub fn try_run_warm<P: VertexProgram, O: RunObserver + ?Sized>(
     }
     let id = accounting_id::<P>(&cfg.device);
     gpu.swap_replay_memo(layout.replay.lend(&id));
-    let mut observer = DeadlineObserver::new(cfg.deadline_seconds, observer);
-    let result = run_core(prog, graph, layout, cfg, &mut gpu, &mut observer);
+    // In-core is a fleet of one: this device, every shard, no fabric, the
+    // engine lane on the device's own trace process, and every fault surfaced
+    // — the caller owns recovery.
+    let mut fleet = DeviceFleet::solo(gpu);
+    let (shards, policy) = (0..layout.num_shards(), FaultPolicy::Surface);
+    let shards = std::slice::from_ref(&shards);
+    let result = drive(
+        prog, graph, cfg, layout, shards, &mut fleet, 0, policy, observer,
+    );
+    let gpu = fleet.device_mut(0);
     layout
         .replay
         .give_back(id, gpu.swap_replay_memo(ReplayMemo::new()));
@@ -533,234 +540,49 @@ pub fn try_run_warm<P: VertexProgram, O: RunObserver + ?Sized>(
             *slot = advanced;
         }
     }
-    result
-}
-
-/// The convergence loop proper, over a prepared layout and caller-owned
-/// device. Split from [`try_run_warm`] so the fault-plan writeback wraps
-/// every early return (`?`, host fallback, cancellation) in one place.
-fn run_core<P: VertexProgram, O: RunObserver + ?Sized>(
-    prog: &P,
-    graph: &Graph,
-    layout: &PreparedLayout,
-    cfg: &CuShaConfig,
-    gpu: &mut Gpu,
-    observer: &mut O,
-) -> Result<CuShaOutput<P::V>, EngineError<P::V>> {
-    // Per-run injection accounting must difference against the plan's
-    // starting log: a warm plan arrives with earlier runs' fires recorded.
-    let flips_baseline = flips_fired(gpu.fault_plan());
-
-    // ---- Host-side preparation and upload (H2D) --------------------------
-    let host = HostArrays::new(prog, graph, layout.gs());
-    // The in-core engine surfaces device faults instead of retrying them,
-    // so its fault record stays clean by construction.
-    let (retry, mut fault) = (RetryPolicy::NONE, FaultStats::default());
-    let shards = 0..layout.num_shards();
-    let (mut res, mut slice) = upload_resident(
-        gpu,
-        &retry,
-        &mut fault,
-        layout,
-        &host,
-        shards,
-        SpillVia::Outbox,
-    )?;
-    let h2d_initial = gpu.h2d_seconds;
-    cfg.trace.complete(
-        0,
-        lanes::ENGINE,
-        "engine",
-        "setup",
-        0.0,
-        gpu.total_seconds(),
-    );
-
-    // ---- Convergence loop -------------------------------------------------
-    let kernel_name: std::sync::Arc<str> = format!("{}::{}", cfg.repr.label(), prog.name()).into();
-    let mut total = RunStats {
-        engine: cfg.repr.label().to_string(),
-        ..Default::default()
-    };
-    let mut converged = false;
-
-    // ---- SDC defense state ------------------------------------------------
-    let integ = &cfg.integrity;
-    let mut sdc = SdcStats::default();
-    let mut recovery = Recovery::new(cfg, &mut sdc, &host.values, &host.src_value);
-    // Everything is uploaded and `recovery` keeps the restart image it needs.
-    drop(host);
-    // Scrubber references: checksums of `VertexValues` and `SrcValue` as
-    // last legitimately written (post-kernel / post-restore).
-    let initial = recovery.latest();
-    let mut crcs = (initial.values_crc, initial.src_crc);
-
-    // The device as `Recovery` drives it.
-    macro_rules! device {
-        () => {
-            |ask: Ask<'_, P::V>| {
-                match ask {
-                    Ask::Restore(cp) => {
-                        gpu.try_h2d(&mut res.vertex_values, &cp.values)?;
-                        gpu.try_h2d(&mut slice.src_value, &cp.src_value)?;
-                        crcs = (cp.values_crc, cp.src_crc);
-                    }
-                    Ask::Snapshot(values, src_value) => {
-                        *values = gpu.try_download(&res.vertex_values)?;
-                        if let Some(src_value) = src_value {
-                            *src_value = gpu.try_download(&slice.src_value)?;
-                        }
-                    }
-                    Ask::Mark(name) => fault_instant(gpu, "sdc", name),
-                }
-                Ok(())
-            }
-        };
-    }
-    // One rung of the recovery ladder. The last one abandons the device for
-    // the host fallback (which no device flip can reach) and grafts the SDC
-    // record onto its stats.
-    macro_rules! recover {
-        ($detector:expr) => {{
-            let spent = (sdc.rollbacks, sdc.full_restarts);
-            let (iterations, detail) = (&mut total.iterations, &mut total.per_iteration);
-            let rung = recovery.step($detector, &mut sdc, spent, iterations, detail, device!())?;
-            if let Rung::Exhausted = rung {
-                sdc.host_fallbacks += 1;
-                sdc.flips_injected = flips_fired(gpu.fault_plan()) - flips_baseline;
-                let mut out = run_fallback(prog, graph, cfg)?;
-                out.stats.sdc = sdc;
-                return Ok(out);
-            }
-        }};
-    }
-
-    let (values, d2h_before_results) = 'run: loop {
-        while total.iterations < cfg.max_iterations {
-            // Silent bit flips scheduled at this kernel boundary land while
-            // the data sits at rest in device DRAM…
-            let flips = gpu.take_due_bit_flips();
-            if !flips.is_empty() {
-                apply_flips(&flips, &mut res.vertex_values, &mut slice.src_value);
-            }
-            // …and the modeled ECC scrubber verifies the protected buffers
-            // before the kernel consumes them (host-side, charge-free —
-            // hardware scrubbing runs in the background).
-            if integ.mode.checksums() && scrub_crcs(&res.vertex_values, &slice.src_value) != crcs {
-                recover!(Detector::Checksum);
-                continue;
-            }
-            let iter_ts = gpu.total_seconds();
-            res.reset_flag(gpu, &retry, &mut fault)?;
-            let (kstats, updated_this_iter) = slice.launch(
-                gpu,
-                &kernel_name,
-                cfg.threads_per_block,
-                prog,
-                layout,
-                &mut res,
-                None,
-                &retry,
-                &mut fault,
-            )?;
-            total.iterations += 1;
-            total.per_iteration.push(IterationStat {
-                seconds: kstats.seconds,
-                updated_vertices: updated_this_iter,
-            });
-            total.kernel.counters.add(&kstats.counters);
-            total.kernel.blocks = kstats.blocks;
-            total.kernel.threads_per_block = kstats.threads_per_block;
-            // Record the post-kernel checksums: this is the state the next
-            // scrub pass must find untouched.
-            if integ.mode.checksums() {
-                crcs = scrub_crcs(&res.vertex_values, &slice.src_value);
-            }
-            let flag = res.read_flag(gpu, &retry, &mut fault)?;
-            trace_iteration(
-                &cfg.trace,
-                0,
-                iter_ts,
-                gpu.total_seconds() - iter_ts,
-                total.iterations,
-                updated_this_iter,
-            );
-            cfg.trace.counter(
-                0,
-                lanes::ENGINE,
-                "updated_vertices",
-                gpu.total_seconds(),
-                updated_this_iter as f64,
-            );
-            if flag == 1 {
-                converged = true;
-                break;
-            }
-            // Iteration boundary: cancellation (the modeled-time deadline
-            // arrives wrapped around the caller's observer), checkpoint and
-            // watchdog all act here — the in-flight kernel has completed,
-            // so aborting never leaves partial device writes behind.
-            let (iterations, elapsed) = (total.iterations, gpu.total_seconds());
-            let (updated, dev) = (updated_this_iter, device!());
-            if recovery.boundary(observer, prog, &mut sdc, iterations, updated, elapsed, dev)? {
-                recover!(Detector::Invariant);
-            }
-        }
-
-        // ---- Download results (D2H) -------------------------------------------
-        let d2h_before_results = gpu.d2h_seconds;
-        let teardown_ts = gpu.total_seconds();
-        let values = gpu.try_download(&res.vertex_values)?;
-        cfg.trace.complete(
-            0,
-            lanes::ENGINE,
-            "engine",
-            "download",
-            teardown_ts,
-            gpu.total_seconds() - teardown_ts,
-        );
-        // Per-buffer checksum on download: the values just crossed the bus;
-        // verify them against the scrubber reference before publishing. (A
-        // rejected download's transfer time rolls into the compute/recovery
-        // share of the next pass.)
-        if integ.mode.checksums() && checksum(&values) != crcs.0 {
-            recover!(Detector::Checksum);
-            converged = false;
-            continue 'run;
-        }
-        recovery.finish(device!())?;
-        break 'run (values, d2h_before_results);
-    };
-
-    total.converged = converged;
-    total.kernel.name = kernel_name;
-    total.h2d_seconds = h2d_initial;
-    // Per-iteration flag traffic counts as part of the compute loop.
-    total.compute_seconds =
-        gpu.kernel_seconds + (gpu.h2d_seconds - h2d_initial) + d2h_before_results;
-    total.d2h_seconds = gpu.d2h_seconds - d2h_before_results;
-    total.memo.add(&crate::stats::MemoStats::from_gpu(gpu));
-    total.profile = gpu.profile.take();
-    sdc.flips_injected = flips_fired(gpu.fault_plan()) - flips_baseline;
-    total.sdc = sdc;
-    let output = CuShaOutput {
-        values,
-        stats: total,
-    };
-    if converged {
-        Ok(output)
-    } else {
-        Err(EngineError::NonConverged {
+    match result.map(|(out, d2h_from)| in_core_output(cfg, layout, out, d2h_from[0])) {
+        Ok(output) if output.stats.converged => Ok(output),
+        Ok(output) => Err(EngineError::NonConverged {
             partial: Box::new(output),
-        })
+        }),
+        Err(Stop::Error(e)) => Err(e),
+        // The ladder's last rung: abandon the device for the host fallback,
+        // which no device flip can reach.
+        Err(Stop::Abandon(mut sdc)) => {
+            sdc.host_fallbacks += 1;
+            run_fallback_after(prog, graph, cfg, FaultStats::default(), sdc, None)
+        }
     }
 }
 
-/// Bit flips `plan` has fired so far (0 without a plan). Runs report the
-/// difference against the plan's starting log, so a plan carried across
-/// runs never re-reports earlier flips.
-pub(crate) fn flips_fired(plan: Option<&FaultPlan>) -> u64 {
-    plan.map_or(0, |p| p.injected().bit_flips)
+/// A one-device [`drive`] record in the single-engine shape: the flattened
+/// fleet record, but for the device's raw clocks split where the upload ended
+/// and the final download began, and one launch's geometry over every
+/// launch's counters.
+fn in_core_output<V>(
+    cfg: &CuShaConfig,
+    layout: &PreparedLayout,
+    out: MultiOutput<V>,
+    d2h_before_results: f64,
+) -> CuShaOutput<V> {
+    let (values, mut fleet) = (out.values, out.stats);
+    fleet.engine = cfg.repr.label().to_string();
+    let (dev, h2d_initial) = (fleet.per_device.swap_remove(0), fleet.setup_seconds);
+    let stats = RunStats {
+        // Per-iteration flag traffic counts as part of the compute loop.
+        compute_seconds: dev.kernel_seconds + (dev.h2d_seconds - h2d_initial) + d2h_before_results,
+        d2h_seconds: dev.d2h_seconds - d2h_before_results,
+        kernel: KernelStats {
+            name: fleet.aggregate.name.clone(),
+            blocks: layout.num_shards(),
+            threads_per_block: dev.kernel.threads_per_block,
+            counters: dev.kernel.counters,
+            ..Default::default()
+        },
+        profile: dev.profile,
+        ..fleet.as_run_stats()
+    };
+    CuShaOutput { values, stats }
 }
 
 #[cfg(test)]

@@ -15,9 +15,9 @@ use crate::error::EngineError;
 use crate::kernel::HostArrays;
 use crate::program::VertexProgram;
 use crate::shards::GShards;
-use crate::stats::{IterationStat, RunStats};
+use crate::stats::{FaultStats, IterationStat, RunStats, SdcStats};
 use cusha_graph::Graph;
-use cusha_simt::Pod;
+use cusha_simt::{Pod, Profile};
 
 /// Engine label reported by the fallback in [`RunStats::engine`].
 pub const FALLBACK_LABEL: &str = "host-fallback";
@@ -65,6 +65,36 @@ pub fn run_fallback<P: VertexProgram>(
         Err(EngineError::NonConverged {
             partial: Box::new(output),
         })
+    }
+}
+
+/// The last rung of every ladder that abandons its device: [`run_fallback`],
+/// with the abandoned run's record — recovery counters, SDC record, launch
+/// profile — grafted onto the fallback's statistics (a capped fallback
+/// carries them in its partial output).
+pub(crate) fn run_fallback_after<P: VertexProgram>(
+    prog: &P,
+    graph: &Graph,
+    cfg: &CuShaConfig,
+    fault: FaultStats,
+    sdc: SdcStats,
+    profile: Option<Profile>,
+) -> Result<CuShaOutput<P::V>, EngineError<P::V>> {
+    let graft = |stats: &mut RunStats| {
+        stats.fault = fault;
+        stats.sdc = sdc;
+        stats.profile = profile;
+    };
+    match run_fallback(prog, graph, cfg) {
+        Ok(mut out) => {
+            graft(&mut out.stats);
+            Ok(out)
+        }
+        Err(EngineError::NonConverged { mut partial }) => {
+            graft(&mut partial.stats);
+            Err(EngineError::NonConverged { partial })
+        }
+        Err(e) => Err(e),
     }
 }
 

@@ -21,8 +21,9 @@
 //!   bit for bit. Repeated detections escalate: rollback → full restart →
 //!   host fallback (host memory is outside the simulated device, so no
 //!   injected flip can reach it). `Recovery` is that ladder and the
-//!   iteration boundary around it, written once for the three host loops
-//!   (in-core, streamed, fleet).
+//!   iteration boundary around it, written once for the host loops (the
+//!   fleet's, which the in-core engine enters as a fleet of one, and the
+//!   streamed engine's).
 //!
 //! The scrubber's comparisons are host-side and charge no modeled time
 //! (ECC runs in hardware, in the background); checkpoint snapshots and
@@ -156,13 +157,6 @@ pub fn checksum<V: Value>(values: &[V]) -> u64 {
         }
     }
     h
-}
-
-/// [`checksum`]s of an engine's two protected buffers as they sit in device
-/// memory: what the scrubber records after a kernel and re-verifies before
-/// the next.
-pub(crate) fn scrub_crcs<V: Value>(vertex_values: &DevVec<V>, src_value: &DevVec<V>) -> (u64, u64) {
-    (checksum(vertex_values.host()), checksum(src_value.host()))
 }
 
 /// XOR-flips one bit of one word of a typed device buffer, reducing the
@@ -317,15 +311,32 @@ pub(crate) enum Rung {
     /// Rolled back or restarted: re-execute from the rewound iteration.
     Resumed,
     /// Both budgets are spent and nothing was restored. The last rung is the
-    /// engine's own, because what it can still trust differs: the in-core and
-    /// streamed engines abandon the device for [`crate::run_fallback`], the
-    /// fleet degrades only the devices under suspicion.
+    /// loop's fault policy, because what it can still trust differs: the
+    /// in-core and streamed engines abandon the device ([`Stop::Abandon`]) for
+    /// the host fallback, the fleet degrades only the devices under suspicion.
     Exhausted,
 }
 
-/// The recovery ladder and iteration boundary shared by the in-core, streamed
-/// and fleet host loops: the checkpoint ring, the verified initial state (the
-/// full-restart image, and the rollback target until the first checkpoint),
+/// Why a host loop ended without an output.
+pub(crate) enum Stop<V> {
+    /// A fault past recovery, the watchdog, or a cancellation.
+    Error(EngineError<V>),
+    /// Detected corruption outlived the rollback and restart budgets and the
+    /// loop does not recover in place: the caller abandons the device for the
+    /// host fallback. Carries the run's SDC record so far.
+    Abandon(SdcStats),
+}
+
+impl<V, E: Into<EngineError<V>>> From<E> for Stop<V> {
+    fn from(e: E) -> Self {
+        Stop::Error(e.into())
+    }
+}
+
+/// The recovery ladder and iteration boundary shared by the host loops
+/// (`multi::drive` and the streamed engine's): the checkpoint ring, the
+/// verified initial state (the full-restart image, and the rollback target
+/// until the first checkpoint),
 /// the watchdog's fingerprints and the pending re-verification. Engines supply
 /// how their device state is restored, snapshotted and marked ([`Ask`]) and
 /// their own last rung. With integrity off and no watchdog it holds nothing

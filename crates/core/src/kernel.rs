@@ -167,6 +167,13 @@ impl<P: VertexProgram> HostArrays<P> {
         }
     }
 
+    /// Drops every column. For a caller whose devices hold everything and
+    /// can never be re-uploaded to: nothing reads the masters again.
+    pub(crate) fn release(&mut self) {
+        (self.values, self.src_value) = Default::default();
+        (self.statics, self.edges) = (None, None);
+    }
+
     /// The functional core of the CuSha iteration on the host masters: the
     /// exact per-shard schedule of the kernel (init, fold in entry order,
     /// update condition, window write-back) over `shards`, so results are
@@ -598,12 +605,14 @@ impl<P: VertexProgram> DeviceSlice<P> {
         })
     }
 
-    /// The latest launch's remote stage-4 writes, in write order.
-    pub(crate) fn take_spills(&mut self) -> Vec<(usize, P::V)> {
-        self.outbox
-            .as_mut()
-            .map(|ob| std::mem::take(&mut ob.spills))
-            .unwrap_or_default()
+    /// Moves the latest launch's remote stage-4 writes, in write order, to
+    /// the end of `into` (an empty one trades buffers with the outbox: no copy).
+    pub(crate) fn take_spills(&mut self, into: &mut Vec<(usize, P::V)>) {
+        match &mut self.outbox {
+            Some(ob) if into.is_empty() => std::mem::swap(into, &mut ob.spills),
+            Some(ob) => into.append(&mut ob.spills),
+            None => {}
+        }
     }
 
     /// Launches the four-stage kernel over the slice's shards — one thread

@@ -18,9 +18,10 @@
 //!   [`cusha_simt`] simulator, the device slice it runs over (one upload
 //!   routine, one typed sink for stage-4 writes leaving the slice) and its
 //!   host re-enactment; shared by the three engines below and the fallback.
-//! * [`engine`] — the in-core engine: the whole layout resident on one
-//!   device, in both GS and CW modes, plus the configuration and observer
-//!   types every engine takes.
+//! * [`engine`] — the in-core engine's façades (the whole layout resident on
+//!   one device, in both GS and CW modes: a fleet of one in [`multi`]'s host
+//!   loop), plus the configuration, prepared-layout and observer types every
+//!   engine takes.
 //! * [`streaming`] — the out-of-core engine: batches of shards stream
 //!   through a device-memory budget, with the fault-recovery ladder.
 //! * [`fallback`] — the host-side reference engine (the ladders' last rung).
@@ -63,7 +64,7 @@ pub use middleware::{
 };
 pub use multi::{
     run_multi, try_run_multi, try_run_multi_observed, DeviceRunStats, MultiConfig, MultiOutput,
-    MultiRunStats,
+    MultiRunStats, MAX_DEVICES,
 };
 pub use program::{Value, VertexProgram};
 pub use shards::GShards;

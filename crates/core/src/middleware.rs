@@ -43,10 +43,9 @@ pub struct EngineCtx<'a> {
     /// the plan travels through [`EngineCtx::fault_plan`] so the middleware
     /// keeps ownership across retries.
     pub cfg: &'a CuShaConfig,
-    /// Fault plan to install on the device for this attempt. Engines with a
-    /// plan-threading entry point must write the advanced plan back through
-    /// this slot on every exit; engines cloning it internally (streamed,
-    /// fleet) consume it in place.
+    /// Fault plan to install on the device for this attempt (device 0 of a
+    /// fleet). Every engine writes the advanced plan back through this slot
+    /// on every exit, so a retry never re-fires what an attempt consumed.
     pub fault_plan: Option<&'a mut FaultPlan>,
     /// Iteration-boundary hook. Engines must call it after every
     /// non-converged iteration and translate a `false` return into
@@ -327,13 +326,10 @@ impl<P: VertexProgram> Engine<P> for FleetEngine {
         graph: &Graph,
         ctx: EngineCtx<'_>,
     ) -> Result<CuShaOutput<P::V>, EngineError<P::V>> {
-        let mut base = ctx.cfg.clone();
-        // The fleet engine clones the plan per device internally; hand it
-        // the middleware's current state (device 0 receives it).
-        base.fault_plan = ctx.fault_plan.map(|p| p.clone());
-        let mcfg =
-            MultiConfig::new(base, self.devices).with_interconnect(self.interconnect.clone());
-        let out = try_run_multi_observed(prog, graph, &mcfg, ctx.observer)?;
+        let mcfg = MultiConfig::new(ctx.cfg.clone(), self.devices)
+            .with_interconnect(self.interconnect.clone());
+        // Device 0 runs under the middleware's plan and hands it back.
+        let out = try_run_multi_observed(prog, graph, &mcfg, ctx.fault_plan, ctx.observer)?;
         self.last = Some(out.stats.clone());
         Ok(CuShaOutput {
             values: out.values,

@@ -1,5 +1,7 @@
 //! The multi-device engine: G-Shards/CW over a [`DeviceFleet`] with a
-//! modeled halo exchange.
+//! modeled halo exchange — and, in `drive`, the one host loop the fleet and
+//! the in-core engine share: [`crate::try_run_warm`] enters it as a fleet of
+//! one over a borrowed layout, with no fabric and every fault surfaced.
 //!
 //! The graph's shard sequence is split into N edge-balanced contiguous
 //! ranges ([`FleetPartition`]); device `d` holds the vertex values, shard
@@ -29,15 +31,16 @@
 //! rebatches it through a fresh device under a shrinking budget, and a
 //! device whose kernel keeps faulting degrades to a host-side re-enactment
 //! of its own shards. A faulted device never poisons the fleet: the other
-//! devices keep running on hardware, and results stay bit-identical.
+//! devices keep running on hardware, and results stay bit-identical. That
+//! is the *recover in place* value of the loop's one fault policy; the
+//! in-core engine passes *surface*, and the same faults leave as typed errors.
 
 use crate::engine::{
-    flips_fired, trace_iteration, CuShaConfig, CuShaOutput, NoopObserver, PreparedLayout,
-    RunObserver,
+    trace_iteration, CuShaConfig, CuShaOutput, NoopObserver, PreparedLayout, RunObserver,
 };
 use crate::error::EngineError;
 use crate::fallback::FALLBACK_LABEL;
-use crate::integrity::{apply_flips, scrub_crcs, Ask, Checkpoint, Detector, Recovery, Rung};
+use crate::integrity::{apply_flips, checksum, Ask, Checkpoint, Detector, Recovery, Rung, Stop};
 use crate::kernel::{
     batch_end, entry_range, upload_resident, vertex_range, with_copy_retries, DeviceSlice,
     HostArrays, Resident, RetryPolicy, SpillVia,
@@ -48,9 +51,17 @@ use crate::program::VertexProgram;
 use crate::stats::{FaultStats, IterationStat, MemoStats, RunStats, SdcStats};
 use cusha_graph::{FleetPartition, Graph};
 use cusha_obs::trace::{lanes, ArgVal};
-use cusha_simt::{DeviceFault, DeviceFleet, Gpu, Interconnect, KernelStats, Pod, Profile};
+use cusha_simt::{
+    DeviceFault, DeviceFleet, FaultPlan, Gpu, Interconnect, KernelStats, Pod, Profile,
+};
 use std::collections::HashSet;
 use std::ops::Range;
+
+/// Most devices a fleet may have: the interconnect presets model one host's
+/// fabric (a PCIe root complex, an NVLink island), and no such host carries
+/// more. Idle devices are legal, so the shard count is not the bound; every
+/// per-device structure is allocated up front, so the count must have one.
+pub const MAX_DEVICES: usize = 64;
 
 /// Configuration of the multi-device engine.
 #[derive(Clone, Debug)]
@@ -119,8 +130,11 @@ impl MultiConfig {
     /// [`CuShaConfig::validate`].
     pub fn validate(&self) -> Result<(), String> {
         self.base.validate()?;
-        if self.devices == 0 {
-            return Err("devices must be at least 1".into());
+        if !(1..=MAX_DEVICES).contains(&self.devices) {
+            return Err(format!(
+                "devices must be between 1 and {MAX_DEVICES}, got {}",
+                self.devices
+            ));
         }
         if self.fault_plans.len() > self.devices {
             return Err(format!(
@@ -130,14 +144,6 @@ impl MultiConfig {
             ));
         }
         Ok(())
-    }
-
-    fn retry(&self) -> RetryPolicy {
-        RetryPolicy {
-            max_copy_retries: self.max_copy_retries,
-            backoff_base_seconds: self.backoff_base_seconds,
-            max_kernel_retries: self.max_kernel_retries,
-        }
     }
 }
 
@@ -322,7 +328,7 @@ pub fn run_multi<P: VertexProgram>(
     graph: &Graph,
     cfg: &MultiConfig,
 ) -> MultiOutput<P::V> {
-    match run_multi_inner(prog, graph, cfg, &mut NoopObserver) {
+    match run_fleet(prog, graph, cfg, None, &mut NoopObserver) {
         Ok(out) => out,
         Err(e) => panic!("{e}"),
     }
@@ -336,20 +342,25 @@ pub fn try_run_multi<P: VertexProgram>(
     graph: &Graph,
     cfg: &MultiConfig,
 ) -> Result<MultiOutput<P::V>, EngineError<P::V>> {
-    try_run_multi_observed(prog, graph, cfg, &mut NoopObserver)
+    try_run_multi_observed(prog, graph, cfg, None, &mut NoopObserver)
 }
 
-/// [`try_run_multi`] with a [`RunObserver`] consulted after every fleet
-/// iteration (elapsed is the modeled fleet clock: per-iteration critical
-/// path plus halo exchange). The observer returning `false` aborts with
+/// [`try_run_multi`] with the resident-caller extras of
+/// [`try_run_warm`](crate::try_run_warm): a caller-owned [`FaultPlan`]
+/// (installed on device 0 in place of `cfg.base.fault_plan` unless
+/// `cfg.fault_plans` names per-device plans; its advanced state is written
+/// back on every exit) and a [`RunObserver`] consulted after every iteration
+/// (elapsed is the modeled fleet clock: per-iteration critical path plus halo
+/// exchange). The observer returning `false` aborts with
 /// [`EngineError::Deadline`].
 pub fn try_run_multi_observed<P: VertexProgram, O: RunObserver + ?Sized>(
     prog: &P,
     graph: &Graph,
     cfg: &MultiConfig,
+    fault_plan: Option<&mut FaultPlan>,
     observer: &mut O,
 ) -> Result<MultiOutput<P::V>, EngineError<P::V>> {
-    let out = run_multi_inner(prog, graph, cfg, observer)?;
+    let out = run_fleet(prog, graph, cfg, fault_plan, observer)?;
     if out.stats.converged {
         Ok(out)
     } else {
@@ -362,6 +373,112 @@ pub fn try_run_multi_observed<P: VertexProgram, O: RunObserver + ?Sized>(
         })
     }
 }
+
+/// The fleet façade over [`drive`]: it owns the layout and the partition,
+/// builds the devices (share-sized replay tables, a fault plan each) over the
+/// configured interconnect, and recovers in place. Returns the output whether
+/// or not it converged (the `converged` flag tells); hard failures are errors.
+fn run_fleet<P: VertexProgram, O: RunObserver + ?Sized>(
+    prog: &P,
+    graph: &Graph,
+    cfg: &MultiConfig,
+    fault_plan: Option<&mut FaultPlan>,
+    observer: &mut O,
+) -> Result<MultiOutput<P::V>, EngineError<P::V>> {
+    cfg.validate().map_err(EngineError::InvalidConfig)?;
+    graph.validate()?;
+    let n_per = PreparedLayout::select_n_per(graph, &cfg.base, <P::V as Pod>::SIZE);
+    let layout = PreparedLayout::build(graph, cfg.base.repr, n_per);
+    let fp = FleetPartition::from_graph(graph, n_per, cfg.devices);
+    debug_assert_eq!(fp.num_shards(), layout.num_shards() as usize);
+
+    let mut fleet = DeviceFleet::new(&cfg.base.device, cfg.devices, cfg.interconnect.clone());
+    fleet.set_tracer(&cfg.base.trace);
+    for d in 0..cfg.devices {
+        fleet.device_mut(d).set_profiling(cfg.base.profile);
+    }
+    // The base plan (the caller's, when one is carried) lands on device 0
+    // unless per-device plans override it.
+    let carried = cfg.fault_plans.iter().all(Option::is_none);
+    let mut plans = cfg.fault_plans.clone();
+    if carried {
+        let base = fault_plan.as_deref().cloned();
+        plans = vec![base.or_else(|| cfg.base.fault_plan.clone())];
+    }
+    for (d, plan) in plans.into_iter().enumerate() {
+        if let Some(p) = plan {
+            fleet.device_mut(d).set_fault_plan(p);
+        }
+    }
+
+    let shards = fp.parts().iter().map(|part| &part.shards);
+    let shards: Vec<_> = shards.map(|s| s.start as u32..s.end as u32).collect();
+    let retry = RetryPolicy {
+        max_copy_retries: cfg.max_copy_retries,
+        backoff_base_seconds: cfg.backoff_base_seconds,
+        max_kernel_retries: cfg.max_kernel_retries,
+    };
+    let policy = FaultPolicy::Recover(retry, cfg.max_rebatches);
+    let (base, pid, fleet) = (&cfg.base, fleet.fleet_pid(), &mut fleet);
+    let result = drive(
+        prog, graph, base, &layout, &shards, fleet, pid, policy, observer,
+    );
+    // Counters consumed by a failed or cancelled run are consumed for good.
+    if let (true, Some(slot)) = (carried, fault_plan) {
+        if let Some(advanced) = fleet.device_mut(0).take_fault_plan() {
+            *slot = advanced;
+        }
+    }
+    let mut out = match result {
+        Ok((out, _)) => out,
+        Err(Stop::Error(e)) => return Err(e),
+        Err(Stop::Abandon(_)) => unreachable!("the fleet recovers in place"),
+    };
+    let stats = &mut out.stats;
+    stats.engine = match cfg.devices {
+        1 => cfg.base.repr.label().to_string(),
+        n => format!("{} x{n}", cfg.base.repr.label()),
+    };
+    stats.interconnect = cfg.interconnect.name.to_string();
+    stats.load_imbalance = fp.imbalance();
+    for (dev, part) in stats.per_device.iter_mut().zip(fp.parts()) {
+        dev.halo_vertices = part.halo.len();
+    }
+    Ok(out)
+}
+
+/// What a fault does once its in-place retries are spent — the one thing the
+/// engines' recovery differs in. Each façade derives its value; it is never a
+/// setting.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum FaultPolicy {
+    /// The in-core engine: nothing is retried and nothing recovers in place.
+    /// An upload OOM, a kernel or copy fault and a spent SDC ladder each
+    /// leave [`drive`] as a typed [`Stop`]; the caller owns what comes next.
+    Surface,
+    /// The fleet: copies and launches retry under the [`RetryPolicy`], a
+    /// device that cannot hold its partition rebatches it (at most this many
+    /// halvings), and a device whose kernel keeps faulting — or that a spent
+    /// SDC ladder suspects — degrades to the host re-enactment of its shards.
+    Recover(RetryPolicy, u32),
+}
+
+impl FaultPolicy {
+    /// The one decision between the two values: `Err(stop())` leaves the loop
+    /// with the fault; `Ok(())` tells the caller to recover in place.
+    fn absorb<S>(self, stop: impl FnOnce() -> S) -> Result<(), S> {
+        match self {
+            FaultPolicy::Surface => Err(stop()),
+            FaultPolicy::Recover(..) => Ok(()),
+        }
+    }
+}
+
+/// What [`drive`] returns: the values with a fleet-shaped record — complete but
+/// for what only a partition knows (`engine`, `interconnect`,
+/// `load_imbalance`, each device's `halo_vertices`) — and each device's D2H
+/// clock when the final download began.
+pub(crate) type Driven<V> = (MultiOutput<V>, Vec<f64>);
 
 /// Global ranges of one device's slice of the layout.
 #[derive(Clone, Debug)]
@@ -422,14 +539,18 @@ struct TimeAcc {
 /// Everything the convergence loop needs, shared across devices.
 struct MultiState<'a, P: VertexProgram> {
     prog: &'a P,
-    cfg: &'a MultiConfig,
-    layout: PreparedLayout,
-    fleet: DeviceFleet,
+    base: &'a CuShaConfig,
+    policy: FaultPolicy,
+    retry: RetryPolicy,
+    max_rebatches: u32,
+    layout: &'a PreparedLayout,
+    fleet: &'a mut DeviceFleet,
     infos: Vec<DevInfo>,
     modes: Vec<Mode<P>>,
     /// Host-authoritative vertex values and `SrcValue` column for
     /// non-resident devices (resident devices keep theirs on device; their
-    /// master slices are stale). The column also receives every halo update.
+    /// master slices are stale). Released once everything is uploaded under
+    /// [`FaultPolicy::Surface`], where no device can leave `Resident`.
     host: HostArrays<P>,
     faults: Vec<FaultStats>,
     /// Each device's clock when its time was last accounted (see `lap`).
@@ -467,6 +588,15 @@ impl<P: VertexProgram> MultiState<'_, P> {
         now - std::mem::replace(&mut self.marks[d], now)
     }
 
+    /// The engine lane's clock: the fleet clock over a fabric, else the
+    /// devices' own clocks end to end.
+    fn now(&self, fleet_clock: f64) -> f64 {
+        match self.fleet.interconnect() {
+            Some(_) => fleet_clock,
+            None => (0..self.infos.len()).map(|d| self.device_time(d)).sum(),
+        }
+    }
+
     /// The device whose entry range holds global entry `k` (the ranges tile
     /// the entry space; an empty partition's is empty).
     fn owner_of_entry(&self, k: usize) -> usize {
@@ -476,11 +606,8 @@ impl<P: VertexProgram> MultiState<'_, P> {
 
     /// Emits a recovery instant on device `d`'s fault lane at its clock.
     fn fault_instant(&self, d: usize, cat: &'static str, name: &str) {
-        let ts = self.device_time(d);
-        self.cfg
-            .base
-            .trace
-            .instant(d as u32, lanes::FAULT, cat, name, ts);
+        let (pid, ts) = (self.fleet.device(d).trace_pid(), self.device_time(d));
+        self.base.trace.instant(pid, lanes::FAULT, cat, name, ts);
     }
 
     /// Switches device `d` to the host re-enactment after its kernel (or
@@ -496,8 +623,8 @@ impl<P: VertexProgram> MultiState<'_, P> {
     /// carrying the fault plan over and folding the retired device's counters
     /// into the carried totals.
     fn fresh_gpu(&mut self, d: usize) {
-        let mut fresh = Gpu::new(self.cfg.base.device.clone());
-        fresh.set_profiling(self.cfg.base.profile);
+        let mut fresh = Gpu::new(self.base.device.clone());
+        fresh.set_profiling(self.base.profile);
         let mut old = self.fleet.replace_device(d, fresh);
         let a = &mut self.acc[d];
         a.h2d += old.h2d_seconds;
@@ -519,9 +646,9 @@ impl<P: VertexProgram> MultiState<'_, P> {
     fn upload(&mut self, d: usize, shards: Range<u32>) -> Result<Held<P>, DeviceFault> {
         let (res, slice) = upload_resident(
             self.fleet.device_mut(d),
-            &self.cfg.retry(),
+            &self.retry,
             &mut self.faults[d],
-            &self.layout,
+            self.layout,
             &self.host,
             shards,
             SpillVia::Outbox,
@@ -535,11 +662,13 @@ impl<P: VertexProgram> MultiState<'_, P> {
     /// (spills from other devices' stage 4) are legitimate and must not be
     /// mistaken for corruption by the scrub that follows. Devices running
     /// rebatched or on the host stage through trusted host masters, which
-    /// the flip model (device DRAM) cannot reach.
-    fn apply_due_flips(&mut self) {
-        for d in 0..self.cfg.devices {
-            if let Mode::Resident(dev) = &mut self.modes[d] {
+    /// the flip model (device DRAM) cannot reach. Each flip is counted in its
+    /// device's record.
+    fn apply_due_flips(&mut self, sdcs: &mut [SdcStats]) {
+        for (d, mode) in self.modes.iter_mut().enumerate() {
+            if let Mode::Resident(dev) = mode {
                 let flips = self.fleet.device_mut(d).take_due_bit_flips();
+                sdcs[d].flips_injected += flips.len() as u64;
                 if !flips.is_empty() {
                     apply_flips(&flips, &mut dev.res.vertex_values, &mut dev.slice.src_value);
                 }
@@ -549,15 +678,15 @@ impl<P: VertexProgram> MultiState<'_, P> {
 
     /// Checksums of a resident device's two protected buffers.
     fn crcs_of(dev: &Held<P>) -> (u64, u64) {
-        scrub_crcs(&dev.res.vertex_values, &dev.slice.src_value)
+        let (values, src_value) = (dev.res.vertex_values.host(), dev.slice.src_value.host());
+        (checksum(values), checksum(src_value))
     }
 
-    /// Scrub pass: verifies every resident device's protected buffers
-    /// against the checksums recorded at the end of the previous fleet
-    /// iteration, returning the first device whose state no longer matches.
-    fn scrub(&self) -> Option<usize> {
-        (0..self.cfg.devices).find(|&d| {
-            matches!(&self.modes[d], Mode::Resident(dev) if Self::crcs_of(dev) != self.crcs[d])
+    /// Scrub pass: the first resident device `stale` says no longer matches
+    /// the checksums recorded at the end of the previous fleet iteration.
+    fn scrub(&self, stale: impl Fn(&Held<P>, &DevInfo, (u64, u64)) -> bool) -> Option<usize> {
+        (0..self.infos.len()).find(|&d| {
+            matches!(&self.modes[d], Mode::Resident(dev) if stale(dev, &self.infos[d], self.crcs[d]))
         })
     }
 
@@ -572,41 +701,56 @@ impl<P: VertexProgram> MultiState<'_, P> {
         }
     }
 
-    /// Assembles the global vertex values from the host master plus every
-    /// resident device's slice (real, charged D2H downloads). With `srcs` —
-    /// a copy of the master `SrcValue` column — resident slices of that
-    /// column are downloaded into it as well.
+    /// Assembles the global vertex values, device by device (their ranges
+    /// tile the vertex space in order): a resident device's slice is a real,
+    /// charged D2H download, the rest comes from the host master. With `srcs`,
+    /// the global `SrcValue` column into it the same way.
     fn snapshot(&mut self, mut srcs: Option<&mut Vec<P::V>>) -> Result<Vec<P::V>, DeviceFault> {
-        let retry = self.cfg.retry();
-        let mut vals = self.host.values.clone();
-        for d in 0..self.cfg.devices {
+        let retry = self.retry;
+        let mut vals = Vec::new();
+        if let Some(srcs) = srcs.as_deref_mut() {
+            srcs.clear();
+        }
+        for (d, info) in self.infos.iter().enumerate() {
             let Mode::Resident(dev) = &self.modes[d] else {
+                vals.extend_from_slice(&self.host.values[info.vrange.clone()]);
+                if let Some(srcs) = srcs.as_deref_mut() {
+                    srcs.extend_from_slice(&self.host.src_value[info.erange.clone()]);
+                }
                 continue;
             };
             let gpu = self.fleet.device_mut(d);
             let fault = &mut self.faults[d];
-            let v = with_copy_retries(gpu, &retry, fault, |g| {
+            let mut v = with_copy_retries(gpu, &retry, fault, |g| {
                 g.try_download(&dev.res.vertex_values)
             })?;
-            vals[self.infos[d].vrange.clone()].copy_from_slice(&v);
+            // A lone device's download is the snapshot: no second buffer.
+            if vals.is_empty() {
+                vals = v;
+            } else {
+                vals.append(&mut v);
+            }
             if let Some(srcs) = srcs.as_deref_mut() {
                 let sv = with_copy_retries(gpu, &retry, fault, |g| {
                     g.try_download(&dev.slice.src_value)
                 })?;
-                srcs[self.infos[d].erange.clone()].copy_from_slice(&sv);
+                srcs.extend_from_slice(&sv);
             }
         }
         Ok(vals)
     }
 
     /// Restores the whole fleet to the given verified global state: both
-    /// host masters, plus each resident device's slices as real, charged
-    /// H2D uploads, which become the scrub references.
+    /// host masters (while they are kept), plus each resident device's
+    /// slices as real, charged H2D uploads, which become the scrub
+    /// references.
     fn restore_global(&mut self, to: &Checkpoint<P::V>) -> Result<(), DeviceFault> {
-        self.host.values.copy_from_slice(&to.values);
-        self.host.src_value.copy_from_slice(&to.src_value);
-        let retry = self.cfg.retry();
-        for d in 0..self.cfg.devices {
+        if let FaultPolicy::Recover(..) = self.policy {
+            self.host.values.copy_from_slice(&to.values);
+            self.host.src_value.copy_from_slice(&to.src_value);
+        }
+        let retry = self.retry;
+        for d in 0..self.infos.len() {
             let info = &self.infos[d];
             let Mode::Resident(dev) = &mut self.modes[d] else {
                 continue;
@@ -633,14 +777,18 @@ impl<P: VertexProgram> MultiState<'_, P> {
     }
 
     /// One iteration of a resident device: flag reset, launch (in-place
-    /// retries inside), flag readback. When the kernel retries are exhausted
-    /// the device's state is downloaded into the masters — launch faults fire
-    /// before any block runs, so it is the pre-iteration state — and the host
-    /// re-enacts this iteration and every later one.
-    fn iterate_resident(&mut self, d: usize) -> Result<DeviceIter<P::V>, DeviceFault> {
-        let retry = self.cfg.retry();
-        let threads = self.cfg.base.threads_per_block;
-        let mut out = DeviceIter::default();
+    /// retries inside), flag readback. When the kernel retries are spent the
+    /// fault surfaces, or — recovering in place — the device's state is
+    /// downloaded into the masters (launch faults fire before any block runs,
+    /// so it is the pre-iteration state) and the host re-enacts this
+    /// iteration and every later one.
+    fn iterate_resident(
+        &mut self,
+        d: usize,
+        out: &mut DeviceIter<P::V>,
+    ) -> Result<(), DeviceFault> {
+        let retry = self.retry;
+        let threads = self.base.threads_per_block;
         let Mode::Resident(dev) = &mut self.modes[d] else {
             unreachable!("caller matched a resident device")
         };
@@ -648,18 +796,21 @@ impl<P: VertexProgram> MultiState<'_, P> {
         let gpu = self.fleet.device_mut(d);
         let fault = &mut self.faults[d];
         res.reset_flag(gpu, &retry, fault)?;
-        let (name, layout) = (&self.desc_name, &self.layout);
+        let (name, layout) = (&self.desc_name, self.layout);
         match slice.launch(
             gpu, name, threads, self.prog, layout, res, None, &retry, fault,
         ) {
             Ok((kstats, updated)) => {
-                res.read_flag(gpu, &retry, fault)?;
+                // Read back for its modeled charge; the count already tells.
+                let flag = res.read_flag(gpu, &retry, fault)?;
+                debug_assert_eq!(flag == 1, updated == 0, "is_converged disagrees");
                 out.kernel_seconds = kstats.seconds;
                 out.updated = updated;
-                out.spills = slice.take_spills();
+                slice.take_spills(&mut out.spills);
                 self.fleet.record_launch(d, &kstats);
             }
-            Err(DeviceFault::Kernel { .. }) => {
+            Err(f @ DeviceFault::Kernel { .. }) => {
+                self.policy.absorb(|| f)?;
                 let info = self.infos[d].clone();
                 let vals =
                     with_copy_retries(gpu, &retry, fault, |g| g.try_download(&res.vertex_values))?;
@@ -668,11 +819,11 @@ impl<P: VertexProgram> MultiState<'_, P> {
                     with_copy_retries(gpu, &retry, fault, |g| g.try_download(&slice.src_value))?;
                 self.host.src_value[info.erange].copy_from_slice(&srcv);
                 self.degrade_to_host(d);
-                self.host_iterate(d, info.shards, &mut out);
+                self.host_iterate(d, info.shards, out);
             }
             Err(other) => return Err(other),
         }
-        Ok(out)
+        Ok(())
     }
 
     /// One iteration of a rebatched device: its shards stream through a
@@ -680,17 +831,20 @@ impl<P: VertexProgram> MultiState<'_, P> {
     /// batch's updated slices are downloaded back into the masters. A
     /// further OOM halves the budget (up to the rebatch cap); exhausted
     /// kernel retries degrade to host fallback.
-    fn iterate_rebatched(&mut self, d: usize) -> Result<DeviceIter<P::V>, DeviceFault> {
+    fn iterate_rebatched(
+        &mut self,
+        d: usize,
+        out: &mut DeviceIter<P::V>,
+    ) -> Result<(), DeviceFault> {
         let shards = self.infos[d].shards.clone();
-        let per_entry = entry_bytes(ValueSizes::of::<P>(), self.cfg.base.repr);
-        let mut out = DeviceIter::default();
+        let per_entry = entry_bytes(ValueSizes::of::<P>(), self.base.repr);
         let mut s = shards.start;
         while s < shards.end {
             let Mode::Rebatched { budget } = self.modes[d] else {
                 unreachable!()
             };
             let end = batch_end(self.layout.gs(), per_entry, budget, s, shards.end);
-            let degrade = match self.run_batch(d, s..end, &mut out) {
+            let degrade = match self.run_batch(d, s..end, out) {
                 Ok(()) => {
                     s = end;
                     continue;
@@ -701,18 +855,18 @@ impl<P: VertexProgram> MultiState<'_, P> {
                     self.modes[d] = Mode::Rebatched {
                         budget: (budget / 2).max(per_entry),
                     };
-                    self.faults[d].oom_rebatches > self.cfg.max_rebatches
+                    self.faults[d].oom_rebatches > self.max_rebatches
                 }
                 Err(DeviceFault::Kernel { .. }) => true,
                 Err(other) => return Err(other),
             };
             if degrade {
                 self.degrade_to_host(d);
-                self.host_iterate(d, s..shards.end, &mut out);
+                self.host_iterate(d, s..shards.end, out);
                 break;
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Uploads, launches and downloads one batch of a rebatched device
@@ -724,7 +878,7 @@ impl<P: VertexProgram> MultiState<'_, P> {
         batch: Range<u32>,
         out: &mut DeviceIter<P::V>,
     ) -> Result<(), DeviceFault> {
-        let retry = self.cfg.retry();
+        let retry = self.retry;
         self.fresh_gpu(d);
         let mut dev = self.upload(d, batch)?;
         let gpu = self.fleet.device_mut(d);
@@ -732,9 +886,9 @@ impl<P: VertexProgram> MultiState<'_, P> {
         let (kstats, updated) = dev.slice.launch(
             gpu,
             &self.desc_name,
-            self.cfg.base.threads_per_block,
+            self.base.threads_per_block,
             self.prog,
-            &self.layout,
+            self.layout,
             &mut dev.res,
             None,
             &retry,
@@ -755,147 +909,132 @@ impl<P: VertexProgram> MultiState<'_, P> {
         // Cross-batch stage-4 writes must land in the master `SrcValue`
         // before the next batch uploads its slice — that is exactly the
         // single-buffer visibility the resident kernel has for free.
-        let mut spills = dev.slice.take_spills();
-        for &(k, v) in &spills {
+        let first = out.spills.len();
+        dev.slice.take_spills(&mut out.spills);
+        for &(k, v) in &out.spills[first..] {
             self.host.src_value[k] = v;
         }
         out.updated += updated;
-        out.spills.append(&mut spills);
         Ok(())
     }
 }
 
-/// Runs the fleet to completion. Returns the output whether or not it
-/// converged (the `converged` flag tells); hard failures are errors.
-fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
+/// The one host loop around the kernel: upload each device's shard range,
+/// iterate the devices in order until no vertex value changes, download. An
+/// in-core run is a fleet of one whose device stays resident; what the two
+/// callers differ in is exactly what they pass:
+///
+/// * `layout` is borrowed — its owner decides whether it outlives the run —
+///   and `shards` gives each device its contiguous share of `0..num_shards`;
+/// * `fleet` holds the devices as their owner set them up (tracer, fault
+///   plan, profiling, replay table) and takes them back, plus their fabric.
+///   Over one, devices overlap and the engine lane runs on the fleet clock
+///   (slowest device per iteration, then the exchange); with none there is no
+///   exchange step and the lane's clock is the devices' own, end to end;
+/// * `engine_pid` is the trace process of the engine lane (setup, iteration
+///   and download spans, events that belong to no one device);
+/// * `policy` surfaces a fault or recovers from it in place.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
     prog: &P,
     graph: &Graph,
-    cfg: &MultiConfig,
+    base: &CuShaConfig,
+    layout: &PreparedLayout,
+    shards: &[Range<u32>],
+    fleet: &mut DeviceFleet,
+    engine_pid: u32,
+    policy: FaultPolicy,
     observer: &mut O,
-) -> Result<MultiOutput<P::V>, EngineError<P::V>> {
-    cfg.validate().map_err(EngineError::InvalidConfig)?;
-    graph.validate()?;
-    let observer = &mut DeadlineObserver::new(cfg.base.deadline_seconds, observer);
-    let n_per = PreparedLayout::select_n_per(graph, &cfg.base, <P::V as Pod>::SIZE);
-    let layout = PreparedLayout::build(graph, cfg.base.repr, n_per);
-    let gs = layout.gs();
-    let fp = FleetPartition::from_graph(graph, n_per, cfg.devices);
-    debug_assert_eq!(fp.num_shards(), gs.num_shards() as usize);
-    let host = HostArrays::new(prog, graph, gs);
-
-    let mut fleet = DeviceFleet::new(&cfg.base.device, cfg.devices, cfg.interconnect.clone());
-    fleet.set_tracer(&cfg.base.trace);
-    let fleet_pid = fleet.fleet_pid();
-    for d in 0..cfg.devices {
-        fleet.device_mut(d).set_profiling(cfg.base.profile);
-    }
-    let mut plans = cfg.fault_plans.clone();
-    if plans.iter().all(Option::is_none) {
-        plans = vec![cfg.base.fault_plan.clone()];
-    }
-    // Per-run injection accounting differences against each plan's starting
-    // log: a carried plan arrives with earlier runs' fires recorded.
-    let mut flips_baseline = vec![0u64; cfg.devices];
-    for (d, plan) in plans.into_iter().enumerate() {
-        if let Some(p) = plan {
-            flips_baseline[d] = flips_fired(Some(&p));
-            fleet.device_mut(d).set_fault_plan(p);
-        }
-    }
-
-    // Per-device global ranges from the edge-balanced partition.
-    let infos: Vec<DevInfo> = fp
-        .parts()
-        .iter()
-        .map(|part| {
-            let shards = part.shards.start as u32..part.shards.end as u32;
-            DevInfo {
-                vrange: vertex_range(gs, &shards),
-                erange: entry_range(gs, &shards),
-                shards,
-            }
-        })
-        .collect();
-    let desc_name: std::sync::Arc<str> =
-        format!("{}::{}", cfg.base.repr.label(), prog.name()).into();
-    let engine_label = if cfg.devices == 1 {
-        cfg.base.repr.label().to_string()
-    } else {
-        format!("{} x{}", cfg.base.repr.label(), cfg.devices)
+) -> Result<Driven<P::V>, Stop<P::V>> {
+    let observer = &mut DeadlineObserver::new(base.deadline_seconds, observer);
+    let (retry, max_rebatches) = match policy {
+        FaultPolicy::Surface => (RetryPolicy::NONE, 0),
+        FaultPolicy::Recover(retry, max_rebatches) => (retry, max_rebatches),
     };
-
+    let (gs, n) = (layout.gs(), shards.len());
+    let infos = shards.iter().map(|shards| DevInfo {
+        vrange: vertex_range(gs, shards),
+        erange: entry_range(gs, shards),
+        shards: shards.clone(),
+    });
     let mut st = MultiState {
         prog,
-        cfg,
+        base,
+        policy,
+        retry,
+        max_rebatches,
         layout,
         fleet,
-        infos,
-        modes: (0..cfg.devices).map(|_| Mode::Idle).collect(),
-        host,
-        faults: vec![FaultStats::default(); cfg.devices],
-        marks: vec![0.0; cfg.devices],
-        crcs: vec![(0, 0); cfg.devices],
-        acc: vec![TimeAcc::default(); cfg.devices],
-        profiles: vec![None; cfg.devices],
-        desc_name,
+        infos: infos.collect(),
+        modes: (0..n).map(|_| Mode::Idle).collect(),
+        host: HostArrays::new(prog, graph, gs),
+        faults: vec![FaultStats::default(); n],
+        marks: vec![0.0; n],
+        crcs: vec![(0, 0); n],
+        acc: vec![TimeAcc::default(); n],
+        profiles: vec![None; n],
+        desc_name: format!("{}::{}", base.repr.label(), prog.name()).into(),
     };
 
     // ---- Setup: upload every non-empty partition (H2D) --------------------
-    for d in 0..cfg.devices {
+    for d in 0..n {
         if st.infos[d].shards.is_empty() {
             continue;
         }
         match st.upload(d, st.infos[d].shards.clone()) {
             Ok(held) => st.modes[d] = Mode::Resident(Box::new(held)),
-            Err(DeviceFault::Oom { .. }) => {
+            Err(f @ DeviceFault::Oom { .. }) => {
+                policy.absorb(|| f)?;
                 // The partition does not fit: stream it in batches under
                 // half the device's memory, like the streamed engine.
                 st.faults[d].oom_rebatches += 1;
                 st.fault_instant(d, "fault", "oom-rebatch");
                 st.modes[d] = Mode::Rebatched {
-                    budget: (cfg.base.device.global_mem_bytes / 2).max(1),
+                    budget: (base.device.global_mem_bytes / 2).max(1),
                 };
             }
             Err(f) => return Err(f.into()),
         }
     }
-    let setup_seconds = (0..cfg.devices).map(|d| st.lap(d)).fold(0.0, f64::max);
-    cfg.base.trace.complete(
-        fleet_pid,
-        lanes::ENGINE,
-        "engine",
-        "setup",
-        0.0,
-        setup_seconds,
-    );
-    // Fleet-lane clock: devices overlap, so the fleet timeline advances by
-    // the slowest device's wall per iteration plus each exchange.
+    let setup_seconds = (0..n).map(|d| st.lap(d)).fold(0.0, f64::max);
+    let trace = &base.trace;
+    let span = |name, ts, dur| trace.complete(engine_pid, lanes::ENGINE, "engine", name, ts, dur);
+    span("setup", 0.0, setup_seconds);
+    // Fleet clock: devices overlap, so the fleet timeline advances by the
+    // slowest device's wall per iteration plus each exchange.
     let mut fleet_clock = setup_seconds;
 
     // ---- Convergence loop -------------------------------------------------
     let halo_bytes_per_vertex = <P::V as Pod>::SIZE as u64 + 4; // value + vertex id
     let mut stats = MultiRunStats {
-        engine: engine_label,
-        interconnect: cfg.interconnect.name.to_string(),
-        devices: cfg.devices,
+        devices: n,
         setup_seconds,
-        load_imbalance: fp.imbalance(),
         ..Default::default()
     };
-    let mut sent_bytes_total = vec![0u64; cfg.devices];
-    let mut recv_bytes_total = vec![0u64; cfg.devices];
+    let mut sent_bytes_total = vec![0u64; n];
+    let mut recv_bytes_total = vec![0u64; n];
     let mut watchdog_seconds = 0.0f64;
     let mut converged = false;
+    // Per-iteration scratch, cleared and reused: `(halo vertex, target)`
+    // pairs and bytes each device sent, one device's iteration outcome.
+    let mut sent_pairs: Vec<HashSet<(u32, usize)>> = vec![HashSet::new(); n];
+    let mut sent = vec![0u64; n];
+    let mut res = DeviceIter::default();
 
     // ---- SDC defense state ------------------------------------------------
     // The masters still hold the untouched initial state here (no iteration
     // has run), so they seed the recovery ladder for free. Fleet-global
     // bookkeeping (checkpoints, invariant detections) is attributed to
     // device 0.
-    let integ = cfg.base.integrity;
-    let mut sdcs = vec![SdcStats::default(); cfg.devices];
+    let integ = base.integrity;
+    let mut sdcs = vec![SdcStats::default(); n];
     let (sdc, host) = (&mut sdcs[0], &st.host);
-    let mut recovery = Recovery::new(&cfg.base, sdc, &host.values, &host.src_value);
+    let mut recovery = Recovery::new(base, sdc, &host.values, &host.src_value);
+    if let FaultPolicy::Surface = policy {
+        // Everything is uploaded, no device can leave `Resident`, and
+        // `recovery` keeps the restart image it needs.
+        st.host.release();
+    }
     if integ.mode.checksums() {
         st.store_crcs();
     }
@@ -904,8 +1043,8 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
     // The fleet as `Recovery` drives it: restores and snapshots are global
     // (masters plus every resident device's slices), and each books its
     // transfers — the recovery share of the run, kept apart from the
-    // watchdog's. Marks go to device `$lane`'s fault lane, or to the fleet's
-    // when the event belongs to no device.
+    // watchdog's. Marks go to device `$lane`'s fault lane, or to the engine
+    // lane's process when the event belongs to no device.
     macro_rules! fleet {
         ($lane:expr) => {
             |ask: Ask<'_, P::V>| {
@@ -915,7 +1054,6 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
                         &mut integrity_seconds
                     }
                     Ask::Snapshot(values, Some(srcs)) => {
-                        srcs.clone_from(&st.host.src_value);
                         *values = st.snapshot(Some(srcs))?;
                         &mut integrity_seconds
                     }
@@ -927,14 +1065,14 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
                         match $lane {
                             Some(d) => st.fault_instant(d, "sdc", name),
                             None => {
-                                let trace = &cfg.base.trace;
-                                trace.instant(fleet_pid, lanes::FAULT, "sdc", name, fleet_clock)
+                                let now = st.now(fleet_clock);
+                                trace.instant(engine_pid, lanes::FAULT, "sdc", name, now)
                             }
                         }
                         return Ok(());
                     }
                 };
-                for d in 0..cfg.devices {
+                for d in 0..n {
                     *seconds += st.lap(d);
                 }
                 Ok(())
@@ -942,10 +1080,11 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
         };
     }
     // One rung of the ladder after a corruption was detected on (or
-    // attributed to) device `$det`; the budgets are fleet-wide. The last
-    // rung degrades to the host re-enactment — the detecting device for a
+    // attributed to) device `$det`; the budgets are fleet-wide. Past the last
+    // rung the run is abandoned with its SDC record, or — recovering in
+    // place — degrades to the host re-enactment the detecting device for a
     // checksum hit, every resident device for an invariant hit (whose
-    // culprit is unknown) — since host masters are immune to device flips.
+    // culprit is unknown), since host masters are immune to device flips.
     macro_rules! recover {
         ($det:expr, $detector:expr) => {{
             let det: usize = $det;
@@ -957,9 +1096,14 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
             let rung =
                 recovery.step($detector, sdc, spent, iterations, detail, fleet!(Some(det)))?;
             if let Rung::Exhausted = rung {
+                policy.absorb(|| {
+                    let mut total = SdcStats::default();
+                    sdcs.iter().for_each(|sdc| total.absorb(sdc));
+                    Stop::Abandon(total)
+                })?;
                 let victims: Vec<usize> = match $detector {
                     Detector::Checksum => vec![det],
-                    Detector::Invariant => (0..cfg.devices)
+                    Detector::Invariant => (0..n)
                         .filter(|&d| matches!(st.modes[d], Mode::Resident(_)))
                         .collect(),
                 };
@@ -967,6 +1111,7 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
                 // on host masters) the run proceeds rather than rewinding
                 // without progress; the iteration cap still bounds the loop.
                 if !victims.is_empty() {
+                    let sdc = &mut sdcs[det];
                     recovery.rewind(sdc, iterations, detail, &mut fleet!(Some(det)))?;
                 }
                 for v in victims {
@@ -978,141 +1123,160 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
         }};
     }
 
-    while stats.iterations < cfg.base.max_iterations {
-        // Flip points: every device's due silent bit flips land while the
-        // fleet is quiescent, and the scrubber verifies every resident
-        // device before any kernel consumes (or spill overwrites) the
-        // corrupted words.
-        st.apply_due_flips();
-        if integ.mode.checksums() {
-            if let Some(det) = st.scrub() {
-                recover!(det, Detector::Checksum);
-                continue;
-            }
-        }
-        let mut iter_updated = 0u64;
-        let mut max_wall = 0.0f64;
-        let mut max_kernel = 0.0f64;
-        let mut sent_pairs: Vec<HashSet<(u32, usize)>> =
-            (0..cfg.devices).map(|_| HashSet::new()).collect();
-        // Devices run in ascending order, continuing the global block order;
-        // each device's halo updates land — in the master column and in the
-        // owning resident device's buffer — before the next device launches,
-        // so later devices observe them this iteration and earlier ones next:
-        // the single-buffer stage-4 visibility of the one-device engine.
-        for (d, sent) in sent_pairs.iter_mut().enumerate() {
-            let res = match &st.modes[d] {
-                Mode::Idle => continue,
-                Mode::Resident(_) => st.iterate_resident(d)?,
-                Mode::Rebatched { .. } => st.iterate_rebatched(d)?,
-                Mode::Fallback => {
-                    let mut out = DeviceIter::default();
-                    st.host_iterate(d, st.infos[d].shards.clone(), &mut out);
-                    out
+    let (values, teardown, download_from) = 'run: loop {
+        while stats.iterations < base.max_iterations {
+            // Flip points: every device's due silent bit flips land while the
+            // fleet is quiescent, and the scrubber verifies every resident
+            // device before any kernel consumes (or spill overwrites) the
+            // corrupted words.
+            st.apply_due_flips(&mut sdcs);
+            if integ.mode.checksums() {
+                if let Some(det) = st.scrub(|dev, _, crcs| MultiState::crcs_of(dev) != crcs) {
+                    recover!(det, Detector::Checksum);
+                    continue;
                 }
-            };
-            for &(k, v) in &res.spills {
-                st.host.src_value[k] = v;
-                let t = st.owner_of_entry(k);
-                if t != d {
-                    if let Mode::Resident(dev) = &mut st.modes[t] {
-                        dev.slice.src_value.host_mut()[k - st.infos[t].erange.start] = v;
+            }
+            let iter_ts = st.now(fleet_clock);
+            let mut iter_updated = 0u64;
+            let mut max_wall = 0.0f64;
+            let mut max_kernel = 0.0f64;
+            // Devices run in ascending order, continuing the global block
+            // order; each device's halo updates land — in the owning resident
+            // device's buffer, else the master column — before the next
+            // device launches, so later devices observe them this iteration
+            // and earlier ones next: the single-buffer stage-4 visibility of
+            // the one-device engine.
+            for (d, sent) in sent_pairs.iter_mut().enumerate() {
+                res.updated = 0;
+                res.kernel_seconds = 0.0;
+                res.spills.clear();
+                sent.clear();
+                match &st.modes[d] {
+                    Mode::Idle => continue,
+                    Mode::Resident(_) => st.iterate_resident(d, &mut res)?,
+                    Mode::Rebatched { .. } => st.iterate_rebatched(d, &mut res)?,
+                    Mode::Fallback => st.host_iterate(d, st.infos[d].shards.clone(), &mut res),
+                }
+                for &(k, v) in &res.spills {
+                    let t = st.owner_of_entry(k);
+                    match &mut st.modes[t] {
+                        // Its slice is authoritative; a degrade downloads it
+                        // into the master before the host reads that.
+                        Mode::Resident(dev) => {
+                            dev.slice.src_value.host_mut()[k - st.infos[t].erange.start] = v
+                        }
+                        _ => st.host.src_value[k] = v,
                     }
-                    sent.insert((st.layout.gs().src_index()[k], t));
+                    if t != d {
+                        sent.insert((gs.src_index()[k], t));
+                    }
+                }
+                iter_updated += res.updated;
+                max_kernel = max_kernel.max(res.kernel_seconds);
+                max_wall = max_wall.max(st.lap(d));
+            }
+            // Record the post-iteration checksums once every device's spills
+            // have landed — legitimate halo writes into a peer's `SrcValue`
+            // must be inside the reference, not flagged by the next scrub.
+            if integ.mode.checksums() {
+                st.store_crcs();
+            }
+            stats.iterations += 1;
+            stats.per_iteration.push(IterationStat {
+                seconds: max_kernel,
+                updated_vertices: iter_updated,
+            });
+            stats.compute_seconds += max_wall;
+            trace_iteration(
+                trace,
+                engine_pid,
+                iter_ts,
+                max_wall,
+                stats.iterations,
+                iter_updated,
+            );
+            fleet_clock += max_wall;
+            let (now, updated) = (st.now(fleet_clock), iter_updated as f64);
+            trace.counter(engine_pid, lanes::ENGINE, "updated_vertices", now, updated);
+            // Bulk-synchronous halo exchange over the interconnect.
+            if let Some(fabric) = st.fleet.interconnect() {
+                for (bytes, set) in sent.iter_mut().zip(&sent_pairs) {
+                    *bytes = set.len() as u64 * halo_bytes_per_vertex;
+                }
+                let exchange = fabric.exchange_seconds(&sent);
+                stats.exchange_seconds += exchange;
+                let exchanged_bytes: u64 = sent.iter().sum();
+                trace.complete_with(
+                    engine_pid,
+                    lanes::ENGINE,
+                    "exchange",
+                    "halo-exchange",
+                    fleet_clock,
+                    exchange,
+                    || vec![("bytes", ArgVal::U64(exchanged_bytes))],
+                );
+                fleet_clock += exchange;
+                for (d, set) in sent_pairs.iter().enumerate() {
+                    sent_bytes_total[d] += sent[d];
+                    stats.exchange_bytes += sent[d];
+                    for &(_, t) in set {
+                        recv_bytes_total[t] += halo_bytes_per_vertex;
+                    }
                 }
             }
-            iter_updated += res.updated;
-            max_kernel = max_kernel.max(res.kernel_seconds);
-            max_wall = max_wall.max(st.lap(d));
-        }
-        // Record the post-iteration checksums once every device's spills
-        // have landed — legitimate halo writes into a peer's `SrcValue`
-        // must be inside the reference, not flagged by the next scrub.
-        if integ.mode.checksums() {
-            st.store_crcs();
-        }
-        stats.iterations += 1;
-        stats.per_iteration.push(IterationStat {
-            seconds: max_kernel,
-            updated_vertices: iter_updated,
-        });
-        stats.compute_seconds += max_wall;
-        trace_iteration(
-            &cfg.base.trace,
-            fleet_pid,
-            fleet_clock,
-            max_wall,
-            stats.iterations,
-            iter_updated,
-        );
-        fleet_clock += max_wall;
-        cfg.base.trace.counter(
-            fleet_pid,
-            lanes::ENGINE,
-            "updated_vertices",
-            fleet_clock,
-            iter_updated as f64,
-        );
-        // Bulk-synchronous halo exchange over the interconnect.
-        let sent: Vec<u64> = sent_pairs
-            .iter()
-            .map(|s| s.len() as u64 * halo_bytes_per_vertex)
-            .collect();
-        let exchange = st.fleet.exchange_seconds(&sent);
-        stats.exchange_seconds += exchange;
-        let exchanged_bytes: u64 = sent.iter().sum();
-        cfg.base.trace.complete_with(
-            fleet_pid,
-            lanes::ENGINE,
-            "exchange",
-            "halo-exchange",
-            fleet_clock,
-            exchange,
-            || vec![("bytes", ArgVal::U64(exchanged_bytes))],
-        );
-        fleet_clock += exchange;
-        for (d, set) in sent_pairs.iter().enumerate() {
-            sent_bytes_total[d] += sent[d];
-            stats.exchange_bytes += sent[d];
-            for &(_, t) in set {
-                recv_bytes_total[t] += halo_bytes_per_vertex;
+            if iter_updated == 0 {
+                converged = true;
+                break;
+            }
+            // Iteration boundary: deadline, checkpoint (assembling the global
+            // state from every device) and watchdog — the in-flight kernels
+            // have completed, so aborting never leaves partial device writes.
+            let (iterations, elapsed) = (stats.iterations, st.now(fleet_clock));
+            let (sdc, dev) = (&mut sdcs[0], fleet!(None::<usize>));
+            if recovery.boundary(observer, prog, sdc, iterations, iter_updated, elapsed, dev)? {
+                recover!(0, Detector::Invariant);
             }
         }
-        if iter_updated == 0 {
-            converged = true;
-            break;
+        // The loop's end is marked in the engine lane's own time order: the
+        // fleet clock stops here (the teardown hangs off it), a device's own
+        // clock runs on through its download.
+        if st.fleet.interconnect().is_some() {
+            recovery.finish(fleet!(None::<usize>))?;
         }
-        // Iteration boundary: deadline, checkpoint (assembling the global
-        // state from every device) and watchdog.
-        let (iterations, updated) = (stats.iterations, iter_updated);
-        let (sdc, dev) = (&mut sdcs[0], fleet!(None::<usize>));
-        if recovery.boundary(observer, prog, sdc, iterations, updated, fleet_clock, dev)? {
-            recover!(0, Detector::Invariant);
+
+        // ---- Download results (D2H) ---------------------------------------
+        let download_ts = st.now(fleet_clock);
+        let d2h_of = |d: usize| st.acc[d].d2h + st.fleet.device(d).d2h_seconds;
+        let download_from = (0..n).map(d2h_of).collect();
+        let values = st.snapshot(None)?;
+        let teardown = (0..n).map(|d| st.lap(d)).fold(0.0, f64::max);
+        span("download", download_ts, teardown);
+        // Per-buffer checksum on download: the values just crossed the bus;
+        // verify them against the scrubber reference before publishing. A
+        // rejected download costs one more rung, and its transfer time rolls
+        // into the recovery share of the next pass.
+        if integ.mode.checksums() {
+            let crossed = |_: &Held<P>, i: &DevInfo, crcs: (u64, u64)| {
+                checksum(&values[i.vrange.clone()]) != crcs.0
+            };
+            if let Some(det) = st.scrub(crossed) {
+                integrity_seconds += teardown;
+                recover!(det, Detector::Checksum);
+                converged = false;
+                continue 'run;
+            }
         }
-    }
+        recovery.finish(fleet!(None::<usize>))?;
+        break 'run (values, teardown, download_from);
+    };
     stats.converged = converged;
     stats.compute_seconds += watchdog_seconds + integrity_seconds;
-    recovery.finish(fleet!(None::<usize>))?;
-
-    // ---- Download results (D2H) -------------------------------------------
-    let values = st.snapshot(None)?;
-    let teardown = (0..cfg.devices).map(|d| st.lap(d)).fold(0.0, f64::max);
     stats.teardown_seconds = teardown;
-    cfg.base.trace.complete(
-        fleet_pid,
-        lanes::ENGINE,
-        "engine",
-        "download",
-        fleet_clock,
-        teardown,
-    );
 
     // ---- Per-device breakdown ---------------------------------------------
-    for d in 0..cfg.devices {
+    for d in 0..n {
         let gpu = st.fleet.device(d);
-        sdcs[d].flips_injected = flips_fired(gpu.fault_plan()) - flips_baseline[d];
-        let a = st.acc[d];
-        let part = &fp.parts()[d];
+        let (a, info) = (st.acc[d], &st.infos[d]);
         let mut profile = st.profiles[d].take();
         if let Some(fresh) = &gpu.profile {
             profile.get_or_insert_default().absorb(fresh);
@@ -1120,10 +1284,10 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
         stats.per_device.push(DeviceRunStats {
             device: d,
             mode: st.modes[d].label(),
-            shards: part.shards.len(),
-            vertices: part.vertices.len(),
-            edges: part.edges,
-            halo_vertices: part.halo.len(),
+            shards: info.shards.len(),
+            vertices: info.vrange.len(),
+            edges: info.erange.len(),
+            halo_vertices: 0,
             h2d_seconds: a.h2d + gpu.h2d_seconds,
             d2h_seconds: a.d2h + gpu.d2h_seconds,
             kernel_seconds: a.kernel + gpu.kernel_seconds,
@@ -1148,7 +1312,7 @@ fn run_multi_inner<P: VertexProgram, O: RunObserver + ?Sized>(
     stats.aggregate = st.fleet.aggregate_stats();
     stats.aggregate.name = st.desc_name.clone();
 
-    Ok(MultiOutput { values, stats })
+    Ok((MultiOutput { values, stats }, download_from))
 }
 
 #[cfg(test)]
@@ -1409,6 +1573,19 @@ mod tests {
             try_run_multi(&MiniSssp { source: 0 }, &g, &zero),
             Err(EngineError::InvalidConfig(_))
         ));
+        // Every per-device structure is allocated up front: the count is
+        // bounded, never an unbounded allocation.
+        for devices in [MAX_DEVICES + 1, 4_000_000_000, usize::MAX] {
+            let huge = MultiConfig::new(base.clone(), devices);
+            assert!(huge.validate().unwrap_err().contains("devices"));
+            assert!(matches!(
+                try_run_multi(&MiniSssp { source: 0 }, &g, &huge),
+                Err(EngineError::InvalidConfig(_))
+            ));
+        }
+        assert!(MultiConfig::new(base.clone(), MAX_DEVICES)
+            .validate()
+            .is_ok());
         let overfull = MultiConfig::new(base, 2).with_device_fault_plan(5, FaultPlan::new());
         assert!(matches!(
             try_run_multi(&MiniSssp { source: 0 }, &g, &overfull),

@@ -44,12 +44,10 @@
 //! counters persist), so consumed one-shot faults do not re-fire. All
 //! recovery activity is recorded in [`RunStats::fault`].
 
-use crate::engine::{
-    flips_fired, trace_iteration, CuShaConfig, CuShaOutput, PreparedLayout, Repr, RunObserver,
-};
+use crate::engine::{trace_iteration, CuShaConfig, CuShaOutput, PreparedLayout, Repr, RunObserver};
 use crate::error::EngineError;
-use crate::fallback::run_fallback;
-use crate::integrity::{apply_flips, checksum, Ask, Detector, Recovery, Rung};
+use crate::fallback::run_fallback_after;
+use crate::integrity::{apply_flips, checksum, Ask, Detector, Recovery, Rung, Stop};
 use crate::kernel::{
     batch_end, fault_instant, with_copy_retries, DeviceSlice, HostArrays, HostMaster, Resident,
     RetryPolicy, SpillVia,
@@ -61,7 +59,7 @@ use crate::shards::GShards;
 use crate::stats::{FaultStats, IterationStat, RunStats, SdcStats};
 use cusha_graph::Graph;
 use cusha_obs::trace::{lanes, ArgVal};
-use cusha_simt::{DeviceFault, FaultPlan, Gpu, Pod};
+use cusha_simt::{FaultPlan, Gpu, Pod};
 
 /// Configuration of the streamed engine.
 #[derive(Clone, Debug)]
@@ -137,29 +135,6 @@ fn plan_batches(gs: &GShards, per_entry: u64, budget: u64) -> Vec<std::ops::Rang
     batches
 }
 
-/// Why one from-scratch attempt of the streamed loop gave up.
-enum AttemptError<V> {
-    /// The loop stopped: a device fault escaped the in-attempt retries (the
-    /// caller rebatches on OOM and degrades on a kernel fault), the watchdog
-    /// fired, or the observer cancelled the run.
-    Stopped(EngineError<V>),
-    /// Detected silent corruption outlived the rollback and restart
-    /// budgets; the caller escalates to the host fallback.
-    SdcExhausted,
-}
-
-impl<V> From<EngineError<V>> for AttemptError<V> {
-    fn from(e: EngineError<V>) -> Self {
-        AttemptError::Stopped(e)
-    }
-}
-
-impl<V> From<DeviceFault> for AttemptError<V> {
-    fn from(f: DeviceFault) -> Self {
-        AttemptError::Stopped(f.into())
-    }
-}
-
 /// Executes `prog` over `graph` with the streamed engine.
 ///
 /// # Panics
@@ -215,6 +190,8 @@ pub fn try_run_streamed_observed<P: VertexProgram, O: RunObserver + ?Sized>(
         .as_deref()
         .cloned()
         .or_else(|| cfg.base.fault_plan.clone());
+    // Flips fired so far: a carried plan arrives with earlier runs' recorded.
+    let flips_fired = |plan: Option<&FaultPlan>| plan.map_or(0, |p| p.injected().bit_flips);
     let flips_baseline = flips_fired(plan.as_ref());
     let mut resident = cfg.resident_bytes;
     let mut repr = cfg.base.repr;
@@ -222,27 +199,6 @@ pub fn try_run_streamed_observed<P: VertexProgram, O: RunObserver + ?Sized>(
     // Per-launch profile history accumulated across restarts/rebatches, so
     // the streamed engine reports through `--profile` like every other.
     let mut run_profile: Option<cusha_simt::Profile> = None;
-
-    // Last rung of both ladders: abandon the device for the host fallback,
-    // whose memory no device fault or flip can reach.
-    let host_fallback = |fault, sdc, profile: Option<cusha_simt::Profile>| {
-        let graft = |stats: &mut RunStats| {
-            stats.fault = fault;
-            stats.sdc = sdc;
-            stats.profile = profile;
-        };
-        match run_fallback(prog, graph, &cfg.base) {
-            Ok(mut out) => {
-                graft(&mut out.stats);
-                Ok(out)
-            }
-            Err(EngineError::NonConverged { mut partial }) => {
-                graft(&mut partial.stats);
-                Err(EngineError::NonConverged { partial })
-            }
-            Err(e) => Err(e),
-        }
-    };
 
     loop {
         let mut gpu = Gpu::new(cfg.base.device.clone());
@@ -299,19 +255,20 @@ pub fn try_run_streamed_observed<P: VertexProgram, O: RunObserver + ?Sized>(
                     })
                 };
             }
-            Err(AttemptError::SdcExhausted) => {
+            // Detected corruption outlived the rollback and restart budgets.
+            Err(Stop::Abandon(_)) => {
                 sdc.host_fallbacks += 1;
                 instant("sdc", "host-fallback");
-                return host_fallback(fault, sdc, run_profile);
+                return run_fallback_after(prog, graph, &cfg.base, fault, sdc, run_profile);
             }
-            Err(AttemptError::Stopped(EngineError::DeviceOom { .. }))
+            Err(Stop::Error(EngineError::DeviceOom { .. }))
                 if fault.oom_rebatches < cfg.max_rebatches =>
             {
                 fault.oom_rebatches += 1;
                 resident = (resident / 2).max(1);
                 instant("fault", "oom-rebatch");
             }
-            Err(AttemptError::Stopped(EngineError::KernelFault { .. })) => {
+            Err(Stop::Error(EngineError::KernelFault { .. })) => {
                 fault.degradations += 1;
                 match repr {
                     // First rung: fall back to G-Shards, whose kernels are
@@ -323,13 +280,13 @@ pub fn try_run_streamed_observed<P: VertexProgram, O: RunObserver + ?Sized>(
                     }
                     Repr::GShards => {
                         instant("fault", "degrade-to-host");
-                        return host_fallback(fault, sdc, run_profile);
+                        return run_fallback_after(prog, graph, &cfg.base, fault, sdc, run_profile);
                     }
                 }
             }
             // Rebatches spent, a copy fault past its retries, the watchdog
             // or a deadline: nothing left to try.
-            Err(AttemptError::Stopped(e)) => return Err(e),
+            Err(Stop::Error(e)) => return Err(e),
         }
     }
 }
@@ -351,7 +308,7 @@ fn stream_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
     sdc: &mut SdcStats,
     observer: &mut O,
     elapsed_base: f64,
-) -> Result<CuShaOutput<P::V>, AttemptError<P::V>> {
+) -> Result<CuShaOutput<P::V>, Stop<P::V>> {
     let base = &cfg.base;
     let retry = cfg.retry();
     let n_per = PreparedLayout::select_n_per(graph, base, <P::V as Pod>::SIZE);
@@ -425,7 +382,7 @@ fn stream_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
             let (iterations, detail) = (&mut total.iterations, &mut total.per_iteration);
             let rung = recovery.step($detector, sdc, spent, iterations, detail, device!())?;
             if let Rung::Exhausted = rung {
-                return Err(AttemptError::SdcExhausted);
+                return Err(Stop::Abandon(*sdc));
             }
         }};
     }

@@ -101,7 +101,8 @@ impl Interconnect {
 /// via [`DeviceFleet::record_launch`]) so per-device behavior stays
 /// inspectable next to the fleet-level aggregate.
 pub struct DeviceFleet {
-    interconnect: Interconnect,
+    /// `None` for [`DeviceFleet::solo`]: one device has no peer to reach.
+    interconnect: Option<Interconnect>,
     devices: Vec<Gpu>,
     tallies: Vec<KernelStats>,
 }
@@ -114,7 +115,18 @@ impl DeviceFleet {
     pub fn new(cfg: &DeviceConfig, count: usize, interconnect: Interconnect) -> Self {
         assert!(count > 0, "a device fleet needs at least one device");
         let devices = (0..count).map(|_| Gpu::new(cfg.clone())).collect();
-        let tallies = (0..count)
+        Self::of(devices, Some(interconnect))
+    }
+
+    /// A fleet of one around a device its caller built (tracer, fault plan and
+    /// replay table already installed) and takes back through
+    /// [`DeviceFleet::device_mut`]. It has no fabric: nothing is exchanged.
+    pub fn solo(gpu: Gpu) -> Self {
+        Self::of(vec![gpu], None)
+    }
+
+    fn of(devices: Vec<Gpu>, interconnect: Option<Interconnect>) -> Self {
+        let tallies = (0..devices.len())
             .map(|d| KernelStats {
                 name: format!("device-{d}").into(),
                 ..Default::default()
@@ -137,9 +149,9 @@ impl DeviceFleet {
         self.devices.is_empty()
     }
 
-    /// The fleet's interconnect model.
-    pub fn interconnect(&self) -> &Interconnect {
-        &self.interconnect
+    /// The fleet's interconnect model (`None` for a [`DeviceFleet::solo`]).
+    pub fn interconnect(&self) -> Option<&Interconnect> {
+        self.interconnect.as_ref()
     }
 
     /// Immutable access to device `d`.
@@ -215,12 +227,6 @@ impl DeviceFleet {
             agg.seconds += t.seconds;
         }
         agg
-    }
-
-    /// Modeled exchange time for per-device sent byte counts; delegates to
-    /// the interconnect.
-    pub fn exchange_seconds(&self, sent_bytes: &[u64]) -> f64 {
-        self.interconnect.exchange_seconds(sent_bytes)
     }
 }
 

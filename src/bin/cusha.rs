@@ -35,6 +35,7 @@ use cusha::baselines::{MtcpuEngine, VwcEngine};
 use cusha::core::{
     run_engine, CuShaConfig, CuShaOutput, Engine, EngineError, FleetEngine, IntegrityMode,
     MultiRunStats, NoopObserver, Repr, RunStats, ShardEngine, StreamedEngine, VertexProgram,
+    MAX_DEVICES,
 };
 use cusha::frontier::{
     try_run_kcore, try_run_triangles, FrontierConfig, FrontierEngine, TriangleOutput,
@@ -253,7 +254,10 @@ const FLAGS: &[Flag] = &[
     ("--checkpoint-every", "<iterations>", Both, None, |a, v| {
         put(&mut a.cfg.integrity.checkpoint_every, nonzero(v))
     }),
-    (DEVICES, "<N>", OneShot, None, |a, v| some(&mut a.devices, nonzero(v))),
+    (DEVICES, "<N>", OneShot, None, |a, v| match nonzero(v)? {
+        n if n > MAX_DEVICES => Err(format!("a fleet has at most {MAX_DEVICES} devices")),
+        n => some(&mut a.devices, Ok(n)),
+    }),
     ("--interconnect", LINKS, OneShot, Some(DEVICES), |a, v| {
         some(&mut a.interconnect, one_of(Interconnect::from_name(v), LINKS))
     }),

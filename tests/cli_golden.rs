@@ -524,6 +524,13 @@ fn defect_rows() -> Vec<Row> {
             "--algo kcore --input @edge4g.txt",
             "device-oom",
         ),
+        // Aborted (134) on 32 GB of per-device state until PR 21 bounded the
+        // fleet (`cusha_core::MAX_DEVICES`).
+        named(
+            "defect/devices-4g",
+            "--algo bfs --rmat 8:600 --engine cw --devices 4000000000",
+            "--devices",
+        ),
         named(
             "defect/serve-growth",
             "serve --rmat 8:600 --script @growth.txt",
@@ -670,6 +677,7 @@ fn closed_defects_stay_closed() {
         ("defect/one-edge-4g ", "3"),
         ("defect/one-edge-300m ", "3"),
         ("defect/one-edge-4g-kcore ", "3"),
+        ("defect/devices-4g ", "2"),
         ("defect/serve-growth ", "0"),
         ("defect/serve-growth-wal ", "0"),
     ] {

@@ -3,8 +3,9 @@
 
 use cusha::algos::{Bfs, Sssp};
 use cusha::core::{
-    try_run, try_run_multi, try_run_streamed, try_run_warm, CuShaConfig, EngineError, MultiConfig,
-    NoopObserver, PreparedLayout, Repr, RunObserver, StreamingConfig,
+    try_run, try_run_multi, try_run_streamed, try_run_warm, CuShaConfig, Engine, EngineCtx,
+    EngineError, FleetEngine, MultiConfig, NoopObserver, PreparedLayout, Repr, RunObserver,
+    ShardEngine, StreamedEngine, StreamingConfig,
 };
 use cusha::frontier::{try_run_frontier_warm, try_run_kcore, FrontierConfig, PreparedFrontier};
 use cusha::graph::generators::rmat::{rmat, RmatConfig};
@@ -189,6 +190,51 @@ fn fault_plan_advances_across_warm_runs() {
     );
     let cold = try_run(&Bfs::new(0), &g, &cfg).unwrap();
     assert_eq!(r2.values, cold.values);
+}
+
+/// `EngineCtx::fault_plan`'s contract, adapter by adapter: whatever an attempt
+/// consumed is written back through the slot, whether the attempt succeeded,
+/// recovered inside the engine or failed — or the middleware's next attempt
+/// (a retry, the final scrub's restart) re-fires it.
+#[test]
+fn every_adapter_writes_the_advanced_plan_back() {
+    let (g, prog, cfg) = (graph(), Sssp::new(4), CuShaConfig::cw());
+    let adapters = || -> [(&str, Box<dyn Engine<Sssp>>); 3] {
+        [
+            ("shard", Box::new(ShardEngine::new(Repr::ConcatWindows))),
+            ("streamed", Box::new(StreamedEngine::new(1 << 14))),
+            ("fleet", Box::new(FleetEngine::new(2))),
+        ]
+    };
+    // (plan, which adapters still succeed under it)
+    let table = [
+        (FaultPlan::new(), ["shard", "streamed", "fleet"].as_slice()),
+        // One kernel fault: surfaced by the shard engine, retried by the rest.
+        (
+            FaultPlan::seeded(2).fail_kernel_at(&[0]),
+            ["streamed", "fleet"].as_slice(),
+        ),
+        // The first upload fails past every copy-retry budget.
+        (FaultPlan::new().fail_h2d_at(&[0, 1, 2, 3]), [].as_slice()),
+    ];
+    for (start, succeed) in table {
+        for (name, mut engine) in adapters() {
+            let mut plan = start.clone();
+            let ctx = EngineCtx {
+                cfg: &cfg,
+                fault_plan: Some(&mut plan),
+                observer: &mut NoopObserver,
+            };
+            let result = engine.execute(&prog, &g, ctx);
+            assert_eq!(result.is_ok(), succeed.contains(&name), "{name}: {start:?}");
+            assert!(plan.op_counters().0 > 0, "{name}: h2d counter not advanced");
+            let armed = start.could_disrupt() as u64;
+            assert!(
+                plan.injected().total() >= armed,
+                "{name}: the fault it consumed is still armed in the caller's plan"
+            );
+        }
+    }
 }
 
 #[test]

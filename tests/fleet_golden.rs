@@ -14,7 +14,12 @@
 //! retries, SDC defense under seeded flips, every rung of the SDC ladder, the
 //! watchdog, idle devices, NVLink, profiling). The last lines pin the in-core
 //! and streamed engines through the same ladder, which they share with the
-//! fleet. Regenerate — only for an intended change of the *model* — with:
+//! fleet. After them come the in-core rows (`incore_records`): everything the
+//! in-core host loop decides — clean runs, warm re-entry over one layout, a
+//! carried fault plan, every surfaced fault with the plan's counters after it,
+//! cancellation, the watchdog, the iteration cap, profiling and the SDC ladder
+//! under seeded flips — generated at the commit before that loop became the
+//! fleet's. Regenerate — only for an intended change of the *model* — with:
 //!
 //! ```sh
 //! CUSHA_REGEN_GOLDEN=1 cargo test --test fleet_golden
@@ -23,8 +28,9 @@
 use cusha::algos::{Bfs, PageRank, Sssp};
 use cusha::core::integrity::checksum;
 use cusha::core::{
-    run_multi, try_run, try_run_multi, try_run_streamed, CuShaConfig, FaultStats, IntegrityConfig,
-    IntegrityMode, MultiConfig, MultiOutput, MultiRunStats, Repr, RunStats, SdcStats,
+    run_multi, try_run, try_run_multi, try_run_streamed, try_run_warm, CuShaConfig, CuShaOutput,
+    EngineError, FaultStats, IntegrityConfig, IntegrityMode, MultiConfig, MultiOutput,
+    MultiRunStats, NoopObserver, PreparedLayout, Repr, RunObserver, RunStats, SdcStats,
     StreamingConfig, VertexProgram,
 };
 use cusha::graph::generators::rmat::{rmat, RmatConfig};
@@ -203,13 +209,12 @@ fn fleet_line<P: VertexProgram>(
 
 /// One in-core or streamed run as a golden line (everything but `memo`,
 /// which is host-side telemetry).
-fn single_line<V: cusha::core::Value>(
-    lines: &mut Vec<String>,
+fn single_record<V: cusha::core::Value>(
     name: &str,
     values: &[V],
     s: &RunStats,
     tracer: &Tracer,
-) {
+) -> String {
     let mut line = format!(
         "{name} values={:016x} engine={} iters={} conv={} h2d={} compute={} d2h={}",
         checksum(values),
@@ -230,7 +235,17 @@ fn single_line<V: cusha::core::Value>(
     )
     .unwrap();
     trace_hash(&mut line, tracer);
-    lines.push(line);
+    line
+}
+
+fn single_line<V: cusha::core::Value>(
+    lines: &mut Vec<String>,
+    name: &str,
+    values: &[V],
+    s: &RunStats,
+    tracer: &Tracer,
+) {
+    lines.push(single_record(name, values, s, tracer));
 }
 
 /// The same scenario under the in-core and the streamed host loop, traced.
@@ -251,6 +266,337 @@ fn both<P: VertexProgram>(
     let out = try_run_streamed(prog, g, &scfg).expect("streamed run recovers");
     let streamed = format!("streamed/{name}");
     single_line(lines, &streamed, &out.values, &out.stats, &scfg.base.trace);
+}
+
+/// What a fault plan has consumed and fired: operation counters
+/// `(h2d, d2h, alloc, kernel)`, the injection log and the flip-point counter.
+fn plan_state(p: &FaultPlan) -> String {
+    let ((h2d, d2h, alloc, kernel), inj) = (p.op_counters(), p.injected());
+    format!(
+        " plan={h2d},{d2h},{alloc},{kernel}/{},{},{},{},{}/{}",
+        inj.h2d,
+        inj.d2h,
+        inj.alloc,
+        inj.kernel,
+        inj.bit_flips,
+        p.flip_counter()
+    )
+}
+
+/// One in-core outcome as a golden line: a run record (`NonConverged` carries
+/// one too), or the error's variant and coordinates; then `extra`.
+fn outcome_line<V: cusha::core::Value>(
+    lines: &mut Vec<String>,
+    name: &str,
+    result: Result<CuShaOutput<V>, EngineError<V>>,
+    tracer: &Tracer,
+    extra: &str,
+) {
+    let line = match result {
+        Ok(out) => single_record(name, &out.values, &out.stats, tracer),
+        Err(EngineError::NonConverged { partial }) => {
+            single_record(name, &partial.values, &partial.stats, tracer)
+        }
+        Err(e) => {
+            let what = match &e {
+                EngineError::DeviceOom {
+                    requested_bytes,
+                    capacity_bytes,
+                } => format!("oom:{requested_bytes}/{capacity_bytes}"),
+                EngineError::CopyFault {
+                    direction,
+                    op_index,
+                } => format!("copy:{direction:?}@{op_index}"),
+                EngineError::KernelFault { name, op_index } => format!("kernel:{name}@{op_index}"),
+                EngineError::Watchdog { iterations } => format!("watchdog@{iterations}"),
+                EngineError::Deadline {
+                    iterations,
+                    elapsed_seconds,
+                } => format!("deadline@{iterations}/{}", bits(*elapsed_seconds)),
+                other => format!("other:{other}").replace(' ', "_"),
+            };
+            let mut line = format!("{name} error={what}");
+            trace_hash(&mut line, tracer);
+            line
+        }
+    };
+    lines.push(line + extra);
+}
+
+/// Cancels the run at the boundary after iteration `.0`.
+struct CancelAt(u32);
+
+impl RunObserver for CancelAt {
+    fn on_iteration(&mut self, iteration: u32, _updated: u64, _elapsed: f64) -> bool {
+        iteration < self.0
+    }
+}
+
+/// Everything the in-core host loop decides, one line per run.
+fn incore_records(lines: &mut Vec<String>, graphs: &[(&'static str, Graph); 3]) {
+    // ---- Clean runs; a third of them traced --------------------------------
+    for (gi, (gname, g)) in graphs.iter().enumerate() {
+        for (ri, repr) in [Repr::GShards, Repr::ConcatWindows].into_iter().enumerate() {
+            let cfg = |ai: usize| {
+                let mut cfg = CuShaConfig::new(repr);
+                if (gi + ri + ai).is_multiple_of(3) {
+                    cfg.trace = Tracer::enabled();
+                }
+                cfg
+            };
+            let name = |algo: &str| format!("incore/{gname}/{}/{algo}", repr.label());
+            let c = cfg(0);
+            outcome_line(
+                lines,
+                &name("bfs"),
+                try_run(&Bfs::new(0), g, &c),
+                &c.trace,
+                "",
+            );
+            let c = cfg(1);
+            let out = try_run(&Sssp::new(0), g, &c);
+            outcome_line(lines, &name("sssp"), out, &c.trace, "");
+            let c = cfg(2);
+            let out = try_run(&PageRank::new(), g, &c);
+            outcome_line(lines, &name("pagerank"), out, &c.trace, "");
+        }
+    }
+    let (road, web) = (&graphs[0].1, &graphs[1].1);
+    let sssp = Sssp::new(0);
+
+    // ---- Warm re-entry: two runs over one layout ---------------------------
+    for repr in [Repr::GShards, Repr::ConcatWindows] {
+        let cfg = CuShaConfig::new(repr);
+        let n_per = PreparedLayout::select_n_per(web, &cfg, 4);
+        let layout = PreparedLayout::build(web, repr, n_per);
+        for pass in 1..=2 {
+            let out = try_run_warm(&sssp, web, &layout, &cfg, None, &mut NoopObserver);
+            let memo = out.as_ref().map(|o| o.stats.memo).expect("warm run");
+            let slots = layout.replay_slots();
+            let extra = format!(
+                " memo={},{},{} slots={}/{}",
+                memo.replay_hits, memo.replay_misses, memo.replay_fallbacks, slots.0, slots.1
+            );
+            let name = format!("incore/warm/{}/pass{pass}", repr.label());
+            outcome_line(lines, &name, out, &cfg.trace, &extra);
+        }
+    }
+
+    // ---- A carried plan: counters and log after each of two warm runs ------
+    let cfg = CuShaConfig::cw();
+    let n_per = PreparedLayout::select_n_per(road, &cfg, 4);
+    let layout = PreparedLayout::build(road, Repr::ConcatWindows, n_per);
+    let mut plan = FaultPlan::seeded(9).with_bitflip_rate(0.05);
+    for pass in 1..=2 {
+        let out = try_run_warm(
+            &sssp,
+            road,
+            &layout,
+            &cfg,
+            Some(&mut plan),
+            &mut NoopObserver,
+        );
+        let name = format!("incore/carried/pass{pass}");
+        outcome_line(lines, &name, out, &cfg.trace, &plan_state(&plan));
+    }
+
+    // ---- Every surfaced fault, with what the plan consumed -----------------
+    let mut clean = FaultPlan::new();
+    let out = try_run_warm(
+        &sssp,
+        road,
+        &layout,
+        &cfg,
+        Some(&mut clean),
+        &mut NoopObserver,
+    );
+    outcome_line(
+        lines,
+        "incore/surfaced/none",
+        out,
+        &cfg.trace,
+        &plan_state(&clean),
+    );
+    let last_d2h = clean.op_counters().1 - 1;
+    for (name, plan) in [
+        ("alloc-first", FaultPlan::new().fail_alloc_at(&[0])),
+        ("alloc-mid", FaultPlan::new().fail_alloc_at(&[3])),
+        ("h2d-upload", FaultPlan::new().fail_h2d_at(&[2])),
+        (
+            "h2d-flag-reset",
+            FaultPlan::new().fail_h2d_at(&[clean.op_counters().0 - 1]),
+        ),
+        ("d2h-flag-readback", FaultPlan::new().fail_d2h_at(&[1])),
+        (
+            "d2h-final-download",
+            FaultPlan::new().fail_d2h_at(&[last_d2h]),
+        ),
+        ("kernel-first", FaultPlan::new().fail_kernel_at(&[0])),
+        ("kernel-third", FaultPlan::new().fail_kernel_at(&[2])),
+    ] {
+        let mut cfg = cfg.clone();
+        cfg.trace = Tracer::enabled();
+        let mut plan = plan;
+        let out = try_run_warm(
+            &sssp,
+            road,
+            &layout,
+            &cfg,
+            Some(&mut plan),
+            &mut NoopObserver,
+        );
+        assert!(out.is_err(), "{name}: the in-core engine surfaces faults");
+        let name = format!("incore/surfaced/{name}");
+        outcome_line(lines, &name, out, &cfg.trace, &plan_state(&plan));
+    }
+    // The config's own plan takes the same path when none is carried.
+    let c = cfg
+        .clone()
+        .with_fault_plan(FaultPlan::new().fail_kernel_at(&[1]));
+    outcome_line(
+        lines,
+        "incore/surfaced/cfg-plan",
+        try_run(&sssp, road, &c),
+        &c.trace,
+        "",
+    );
+
+    // ---- Cancellation, the watchdog, the cap, profiling --------------------
+    let mut c = cfg.clone();
+    c.trace = Tracer::enabled();
+    let out = try_run_warm(&sssp, road, &layout, &c, None, &mut CancelAt(2));
+    outcome_line(lines, "incore/cancel-at-2", out, &c.trace, "");
+    let whole = try_run(&sssp, road, &cfg).expect("clean run").stats;
+    let mut c = cfg.clone().with_deadline(whole.total_seconds() / 2.0);
+    c.trace = Tracer::enabled();
+    outcome_line(
+        lines,
+        "incore/deadline",
+        try_run(&sssp, road, &c),
+        &c.trace,
+        "",
+    );
+    let mut c = cfg.clone().with_watchdog(3);
+    c.trace = Tracer::enabled();
+    outcome_line(
+        lines,
+        "incore/watchdog-quiet",
+        try_run(&sssp, road, &c),
+        &c.trace,
+        "",
+    );
+    let ring = Graph::new(32, (0..31).map(|v| Edge::new(v, v + 1, 1)).collect());
+    let mut c = CuShaConfig::cw()
+        .with_vertices_per_shard(8)
+        .with_watchdog(2);
+    c.trace = Tracer::enabled();
+    let out = try_run(&Oscillator, &ring, &c);
+    outcome_line(lines, "incore/watchdog-trip", out, &c.trace, "");
+    for repr in [Repr::GShards, Repr::ConcatWindows] {
+        let mut c = CuShaConfig::new(repr);
+        c.max_iterations = 3;
+        c.trace = Tracer::enabled();
+        let out = try_run(&PageRank::new(), web, &c);
+        assert!(matches!(out, Err(EngineError::NonConverged { .. })));
+        let name = format!("incore/capped/{}", repr.label());
+        outcome_line(lines, &name, out, &c.trace, "");
+    }
+    let mut c = CuShaConfig::gs();
+    c.profile = true;
+    let out = try_run(&sssp, web, &c).expect("profiled run");
+    let profile = out.stats.profile.as_ref().expect("profile retained");
+    let launches: String = profile.launches().iter().map(kernel).collect();
+    let extra = format!(
+        " profile={}/{:016x}/{:016x}",
+        profile.launches().len(),
+        Fnv1a::of(launches.as_bytes()),
+        Fnv1a::of(profile.report().as_bytes())
+    );
+    outcome_line(lines, "incore/profile", Ok(out), &c.trace, &extra);
+
+    // ---- The SDC ladder under seeded flips ---------------------------------
+    let (g, bfs, pr) = (sdc_graph(), Bfs::new(0), PageRank::new());
+    for mode in [
+        IntegrityMode::Checksum,
+        IntegrityMode::Invariant,
+        IntegrityMode::Full,
+    ] {
+        for seed in [3u64, 11, 29, 71] {
+            let mut plan = FaultPlan::seeded(seed).with_bitflip_rate(0.05);
+            let mut c = sdc_base().with_integrity(IntegrityConfig::with_mode(mode));
+            if seed % 2 == 1 {
+                c.trace = Tracer::enabled();
+            }
+            let n_per = PreparedLayout::select_n_per(&g, &c, 4);
+            let layout = PreparedLayout::build(&g, c.repr, n_per);
+            let out = try_run_warm(&pr, &g, &layout, &c, Some(&mut plan), &mut NoopObserver);
+            let name = format!("incore/sdc/{}/seed{seed}", mode.label());
+            outcome_line(lines, &name, out, &c.trace, &plan_state(&plan));
+        }
+    }
+    // Spent budgets: the run abandons the device for the host fallback.
+    for (seed, repr) in [(5u64, Repr::GShards), (13, Repr::ConcatWindows)] {
+        let mut plan = FaultPlan::seeded(seed).with_bitflip_rate(0.3);
+        let mut c = sdc_base().with_integrity(IntegrityConfig {
+            max_rollbacks: 1,
+            max_full_restarts: 0,
+            ..full_integrity()
+        });
+        c.repr = repr;
+        c.trace = Tracer::enabled();
+        let n_per = PreparedLayout::select_n_per(&g, &c, 4);
+        let layout = PreparedLayout::build(&g, repr, n_per);
+        let out = try_run_warm(&pr, &g, &layout, &c, Some(&mut plan), &mut NoopObserver);
+        let fell_back = out.as_ref().is_ok_and(|o| o.stats.sdc.host_fallbacks == 1);
+        assert!(fell_back, "seed {seed} must reach the host fallback");
+        let name = format!("incore/sdc/exhausted/seed{seed}");
+        outcome_line(lines, &name, out, &c.trace, &plan_state(&plan));
+    }
+    // A flip at the last flip point before the final download: the kernel
+    // that would have converged is preceded by a scrub that rolls back.
+    let clean = try_run(&bfs, &g, &sdc_base()).expect("clean bfs").stats;
+    for (mode, target) in [
+        (IntegrityMode::Checksum, FlipTarget::VertexValues),
+        (IntegrityMode::Full, FlipTarget::SrcValue),
+        (IntegrityMode::Invariant, FlipTarget::VertexValues),
+    ] {
+        let at = u64::from(clean.iterations) - 1;
+        let mut plan = FaultPlan::new().flip_at(at, target, 1, 30);
+        let mut c = sdc_base().with_integrity(IntegrityConfig::with_mode(mode));
+        c.trace = Tracer::enabled();
+        let n_per = PreparedLayout::select_n_per(&g, &c, 4);
+        let layout = PreparedLayout::build(&g, c.repr, n_per);
+        let out = try_run_warm(&bfs, &g, &layout, &c, Some(&mut plan), &mut NoopObserver);
+        let name = format!("incore/sdc/late-flip/{}", mode.label());
+        outcome_line(lines, &name, out, &c.trace, &plan_state(&plan));
+    }
+}
+
+/// A program whose values oscillate forever: the watchdog's livelock.
+struct Oscillator;
+
+impl VertexProgram for Oscillator {
+    type V = u32;
+    type E = u32;
+    type SV = u32;
+    const HAS_EDGE_VALUES: bool = false;
+    const HAS_STATIC_VALUES: bool = false;
+    fn name(&self) -> &'static str {
+        "oscillator"
+    }
+    fn initial_value(&self, _v: u32) -> u32 {
+        0
+    }
+    fn edge_value(&self, _w: u32) -> u32 {
+        0
+    }
+    fn init_compute(&self, local: &mut u32, global: &u32) {
+        *local = 1 - *global;
+    }
+    fn compute(&self, _src: &u32, _st: &u32, _e: &u32, _local: &mut u32) {}
+    fn update_condition(&self, local: &mut u32, old: &u32) -> bool {
+        local != old
+    }
 }
 
 fn surrogates() -> [(&'static str, Graph); 3] {
@@ -485,6 +831,7 @@ fn records() -> Vec<String> {
         .with_fault_plan(law_breaker)
         .with_integrity(every_iteration);
     both(&mut lines, "gs/invariant", &bfs, &g, &base);
+    incore_records(&mut lines, &graphs);
     lines
 }
 

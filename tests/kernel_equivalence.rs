@@ -4,8 +4,9 @@
 //! both representations and an integer, a weighted and a float program:
 //!
 //! * every engine's values are bit-identical to `run_fallback`'s,
-//! * a fleet of one device issues exactly the in-core engine's warp
-//!   operations (its slice *is* the whole graph),
+//! * a fleet of one device walks the in-core engine's trajectory and issues
+//!   exactly its warp operations, iteration by iteration — by construction:
+//!   an in-core run *is* a one-device run of the fleet's loop,
 //! * a streamed run whose budget holds every shard walks the in-core
 //!   engine's convergence trajectory,
 //! * every slicing — one shard per streamed batch, one batch, fleets of
@@ -100,29 +101,39 @@ fn check<P: VertexProgram>(prog: &P, g: &Graph, repr: Repr, n_per: u32) -> Resul
         ));
     }
 
+    // A fleet run in the single-engine shape (`as_run_stats`), capped or not.
+    let fleet_run = |cfg: &CuShaConfig, devices| {
+        let flat = try_run_multi(prog, g, &MultiConfig::new(cfg.clone(), devices)).map(|out| {
+            let stats = out.stats.as_run_stats();
+            let values = out.values;
+            CuShaOutput { values, stats }
+        });
+        settle(flat)
+    };
+    let trajectory = |o: &CuShaOutput<P::V>| -> Vec<(u64, u64)> {
+        let detail = o.stats.per_iteration.iter();
+        detail
+            .map(|it| (it.seconds.to_bits(), it.updated_vertices))
+            .collect()
+    };
     for devices in 1..=4 {
-        let fleet = match try_run_multi(prog, g, &MultiConfig::new(cfg.clone(), devices)) {
-            Ok(out) => (out.values, out.stats.aggregate.counters),
-            Err(EngineError::NonConverged { partial }) => {
-                (partial.values, partial.stats.kernel.counters)
-            }
-            Err(e) => return Err(format!("{tag} x{devices}: {e}")),
-        };
-        if bits(&fleet.0) != want_bits {
+        let fleet = fleet_run(&cfg, devices);
+        if bits(&fleet.values) != want_bits {
             return Err(format!("{tag} x{devices}: fleet diverged"));
         }
-        if devices == 1 && fleet.1 != in_core.stats.kernel.counters {
+        let (f, i) = (&fleet.stats, &in_core.stats);
+        if devices == 1
+            && (f.iterations != i.iterations
+                || trajectory(&fleet) != trajectory(&in_core)
+                || f.kernel.counters != i.kernel.counters)
+        {
             return Err(format!(
-                "{tag}: fleet-of-1 counters {:?} != in-core {:?}",
-                fleet.1, in_core.stats.kernel.counters
+                "{tag}: fleet-of-1 {} iterations, counters {:?} != in-core {}, {:?}",
+                f.iterations, f.kernel.counters, i.iterations, i.kernel.counters
             ));
         }
-        let interpreted = match try_run_multi(prog, g, &MultiConfig::new(plain.clone(), devices)) {
-            Ok(out) => out.stats.aggregate.counters,
-            Err(EngineError::NonConverged { partial }) => partial.stats.kernel.counters,
-            Err(e) => return Err(format!("{tag} x{devices} replay off: {e}")),
-        };
-        if fleet.1 != interpreted {
+        let interpreted = fleet_run(&plain, devices).stats.kernel.counters;
+        if fleet.stats.kernel.counters != interpreted {
             return Err(format!(
                 "{tag} x{devices}: replay changed the fleet's counters"
             ));

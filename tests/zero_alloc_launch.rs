@@ -15,7 +15,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use cusha::algos::Bfs;
-use cusha::core::RunObserver;
+use cusha::core::{
+    try_run_multi_observed, try_run_warm, CuShaConfig, MultiConfig, PreparedLayout, RunObserver,
+};
 use cusha::frontier::{try_run_frontier_warm, try_run_kcore, FrontierConfig, PreparedFrontier};
 use cusha::graph::generators::lattice::lattice2d;
 use cusha::graph::{Edge, Graph};
@@ -266,5 +268,45 @@ fn frontier_family_heap_traffic_does_not_scale_with_the_work() {
             rounds.iter().all(|&a| a <= 8),
             "{side}x{side}: allocations per peel round {rounds:?}"
         );
+    }
+}
+
+#[test]
+fn shard_family_heap_traffic_per_iteration_is_constant() {
+    // The in-core engine and the fleet share one host loop (`multi::drive`),
+    // so every warm query pays its per-iteration cost 30-40 times a run. BFS
+    // across a lattice: the wavefront takes as many iterations as the lattice
+    // is wide, and once the replay table holds every stage (integrity off, no
+    // tracer) an iteration allocates a constant — the flag readback, a stats
+    // push — whatever its index, the lattice's size or the launches so far.
+    // The loop's halo sets, byte counts and spill list are cleared and reused.
+    let per_iteration = |side: u32, devices: usize| {
+        let g = lattice2d(side, side, 1.0, 4, 11);
+        let cfg = CuShaConfig::cw().with_vertices_per_shard(64);
+        allocations_per_iteration(|observer| match devices {
+            0 => {
+                let layout = PreparedLayout::build(&g, cfg.repr, 64);
+                let out = try_run_warm(&Bfs::new(0), &g, &layout, &cfg, None, observer);
+                assert!(out.unwrap().stats.iterations > 8);
+            }
+            n => {
+                let cfg = MultiConfig::new(cfg, n);
+                let out = try_run_multi_observed(&Bfs::new(0), &g, &cfg, None, observer);
+                assert!(out.unwrap().stats.exchange_bytes > 0);
+            }
+        })
+    };
+    // In-core: nothing but the stats vector's doublings, at the same
+    // iterations on a lattice four times the size.
+    let (small, large) = (per_iteration(12, 0), per_iteration(24, 0));
+    assert_eq!(small[..], large[..small.len()], "allocations follow |V|");
+    assert!(large.iter().all(|&a| a <= 1), "in-core: {large:?}");
+    // Three devices: the halo sets and spill lists grow to the widest
+    // wavefront during the first iterations, then are reused.
+    for side in [12, 24] {
+        let fleet = per_iteration(side, 3);
+        let (warming, warm) = fleet.split_at(8);
+        assert!(warming.iter().all(|&a| a <= 16), "{side}: {fleet:?}");
+        assert!(warm.iter().all(|&a| a <= 1), "{side}: {fleet:?}");
     }
 }
