@@ -27,14 +27,15 @@ use crate::cw::ConcatWindows;
 use crate::error::EngineError;
 use crate::fallback::run_fallback_after;
 use crate::integrity::{IntegrityConfig, Stop};
+use crate::kernel::RetryPolicy;
 use crate::memsize::{check_fits, ValueSizes};
-use crate::multi::{drive, FaultPolicy, MultiOutput};
+use crate::multi::{drive, Driven, FaultPolicy, Start};
 use crate::program::VertexProgram;
 use crate::shards::GShards;
-use crate::stats::{FaultStats, RunStats};
+use crate::stats::RunStats;
 use cusha_graph::Graph;
 use cusha_obs::trace::{lanes, ArgVal, Tracer};
-use cusha_simt::{DeviceConfig, DeviceFleet, FaultPlan, Gpu, KernelStats, ReplayMemo};
+use cusha_simt::{DeviceConfig, DeviceFleet, FaultPlan, Gpu, ReplayMemo};
 use std::sync::Mutex;
 
 /// Which CuSha representation to run.
@@ -520,14 +521,32 @@ pub fn try_run_warm<P: VertexProgram, O: RunObserver + ?Sized>(
     }
     let id = accounting_id::<P>(&cfg.device);
     gpu.swap_replay_memo(layout.replay.lend(&id));
-    // In-core is a fleet of one: this device, every shard, no fabric, the
-    // engine lane on the device's own trace process, and every fault surfaced
-    // — the caller owns recovery.
+    // In-core is a fleet of one: this device, every shard resident, no
+    // fabric (so the engine lane is on the device's own trace process), and
+    // every fault surfaced unretried — the caller owns recovery.
     let mut fleet = DeviceFleet::solo(gpu);
-    let (shards, policy) = (0..layout.num_shards(), FaultPolicy::Surface);
-    let shards = std::slice::from_ref(&shards);
+    let (shards, policy) = (
+        0..layout.num_shards(),
+        FaultPolicy::Surface(RetryPolicy::NONE, 0),
+    );
+    let name = format!("{}::{}", cfg.repr.label(), prog.name());
+    let (mut fault, mut sdc) = Default::default();
+    let records = (
+        std::slice::from_mut(&mut fault),
+        std::slice::from_mut(&mut sdc),
+    );
     let result = drive(
-        prog, graph, cfg, layout, shards, &mut fleet, 0, policy, observer,
+        prog,
+        graph,
+        cfg,
+        layout,
+        std::slice::from_ref(&shards),
+        &mut fleet,
+        policy,
+        Start::Resident,
+        &name,
+        records,
+        observer,
     );
     let gpu = fleet.device_mut(0);
     layout
@@ -540,7 +559,16 @@ pub fn try_run_warm<P: VertexProgram, O: RunObserver + ?Sized>(
             *slot = advanced;
         }
     }
-    match result.map(|(out, d2h_from)| in_core_output(cfg, layout, out, d2h_from[0])) {
+    // The single-engine shape of an in-core run: the device's raw clocks split
+    // where the upload ended and the final download began — per-iteration flag
+    // traffic counts as part of the compute loop.
+    let shaped = |(out, clocks): Driven<P::V>| {
+        let (dev, before) = (&out.stats.per_device[0], clocks[0].d2h_before_results);
+        let compute = dev.kernel_seconds + (dev.h2d_seconds - out.stats.setup_seconds) + before;
+        let d2h = dev.d2h_seconds - before;
+        out.into_solo(cfg.repr.label().into(), layout.num_shards(), compute, d2h)
+    };
+    match result.map(shaped) {
         Ok(output) if output.stats.converged => Ok(output),
         Ok(output) => Err(EngineError::NonConverged {
             partial: Box::new(output),
@@ -548,41 +576,11 @@ pub fn try_run_warm<P: VertexProgram, O: RunObserver + ?Sized>(
         Err(Stop::Error(e)) => Err(e),
         // The ladder's last rung: abandon the device for the host fallback,
         // which no device flip can reach.
-        Err(Stop::Abandon(mut sdc)) => {
+        Err(Stop::Abandon) => {
             sdc.host_fallbacks += 1;
-            run_fallback_after(prog, graph, cfg, FaultStats::default(), sdc, None)
+            run_fallback_after(prog, graph, cfg, fault, sdc, None)
         }
     }
-}
-
-/// A one-device [`drive`] record in the single-engine shape: the flattened
-/// fleet record, but for the device's raw clocks split where the upload ended
-/// and the final download began, and one launch's geometry over every
-/// launch's counters.
-fn in_core_output<V>(
-    cfg: &CuShaConfig,
-    layout: &PreparedLayout,
-    out: MultiOutput<V>,
-    d2h_before_results: f64,
-) -> CuShaOutput<V> {
-    let (values, mut fleet) = (out.values, out.stats);
-    fleet.engine = cfg.repr.label().to_string();
-    let (dev, h2d_initial) = (fleet.per_device.swap_remove(0), fleet.setup_seconds);
-    let stats = RunStats {
-        // Per-iteration flag traffic counts as part of the compute loop.
-        compute_seconds: dev.kernel_seconds + (dev.h2d_seconds - h2d_initial) + d2h_before_results,
-        d2h_seconds: dev.d2h_seconds - d2h_before_results,
-        kernel: KernelStats {
-            name: fleet.aggregate.name.clone(),
-            blocks: layout.num_shards(),
-            threads_per_block: dev.kernel.threads_per_block,
-            counters: dev.kernel.counters,
-            ..Default::default()
-        },
-        profile: dev.profile,
-        ..fleet.as_run_stats()
-    };
-    CuShaOutput { values, stats }
 }
 
 #[cfg(test)]

@@ -21,9 +21,9 @@
 //!   bit for bit. Repeated detections escalate: rollback → full restart →
 //!   host fallback (host memory is outside the simulated device, so no
 //!   injected flip can reach it). `Recovery` is that ladder and the
-//!   iteration boundary around it, written once for the host loops (the
-//!   fleet's, which the in-core engine enters as a fleet of one, and the
-//!   streamed engine's).
+//!   iteration boundary around it, written once for the one host loop (the
+//!   fleet's, which the in-core and streamed engines enter as a fleet of
+//!   one).
 //!
 //! The scrubber's comparisons are host-side and charge no modeled time
 //! (ECC runs in hardware, in the background); checkpoint snapshots and
@@ -323,8 +323,8 @@ pub(crate) enum Stop<V> {
     Error(EngineError<V>),
     /// Detected corruption outlived the rollback and restart budgets and the
     /// loop does not recover in place: the caller abandons the device for the
-    /// host fallback. Carries the run's SDC record so far.
-    Abandon(SdcStats),
+    /// host fallback (the run's SDC record so far is in its hands already).
+    Abandon,
 }
 
 impl<V, E: Into<EngineError<V>>> From<E> for Stop<V> {
@@ -333,10 +333,9 @@ impl<V, E: Into<EngineError<V>>> From<E> for Stop<V> {
     }
 }
 
-/// The recovery ladder and iteration boundary shared by the host loops
-/// (`multi::drive` and the streamed engine's): the checkpoint ring, the
-/// verified initial state (the full-restart image, and the rollback target
-/// until the first checkpoint),
+/// The recovery ladder and iteration boundary of the host loop
+/// (`multi::drive`): the checkpoint ring, the verified initial state (the
+/// full-restart image, and the rollback target until the first checkpoint),
 /// the watchdog's fingerprints and the pending re-verification. Engines supply
 /// how their device state is restored, snapshotted and marked ([`Ask`]) and
 /// their own last rung. With integrity off and no watchdog it holds nothing

@@ -16,8 +16,8 @@
 //!   where a stage-4 write that falls *outside* the slice's own entry range
 //!   goes, which is a typed [`Sink`]: nowhere (a slice covering every shard
 //!   has no such write), a device outbox plus an ordered spill list (the
-//!   fleet's halo updates), or the host master with a PCIe byte count (the
-//!   streamed engine);
+//!   fleet's halo updates), or the host master with a PCIe byte count (a
+//!   streamed device, alone or in a fleet);
 //! * [`HostArrays::sweep`] — the host re-enactment, bit-identical to the
 //!   kernel.
 //!
@@ -112,6 +112,16 @@ pub(crate) fn with_copy_retries<T>(
 pub(crate) fn fault_instant(gpu: &Gpu, cat: &'static str, name: &str) {
     let (pid, ts) = (gpu.trace_pid(), gpu.total_seconds());
     gpu.tracer().instant(pid, lanes::FAULT, cat, name, ts);
+}
+
+/// Runs an upload of several buffers; one that fails midway gives back what
+/// it had allocated, so its caller can retry on the same device.
+fn or_free<T>(
+    gpu: &mut Gpu,
+    upload: impl FnOnce(&mut Gpu) -> Result<T, DeviceFault>,
+) -> Result<T, DeviceFault> {
+    let held = gpu.allocated_bytes();
+    upload(gpu).inspect_err(|_| gpu.free(gpu.allocated_bytes() - held))
 }
 
 /// Where the batch starting at shard `from` ends: the longest run of
@@ -330,13 +340,19 @@ fn slot_of(remote: &[usize], pos: usize) -> usize {
     slot
 }
 
-/// The streamed engine's spill destination: the host master `SrcValue`
-/// column, with the bytes that crossed PCIe to reach it.
+/// A streamed device's spill destination: the host master `SrcValue` column,
+/// with the bytes that crossed PCIe to reach it. [`HostArrays::sweep`]'s
+/// contract: a write outside the *device's* entry range is also pushed to the
+/// spill list, so it still flows through the fleet's halo exchange.
 pub(crate) struct HostMaster<'a, V> {
     /// The full master column, indexed by global entry position.
     pub src_value: &'a mut [V],
     /// Incremented by the size of every value written.
     pub bytes: &'a mut u64,
+    /// The entry range of the device the slice streams through.
+    pub own: &'a Range<usize>,
+    /// Writes outside `own`, in write order: `(global entry position, value)`.
+    pub spills: &'a mut Vec<(usize, V)>,
 }
 
 /// Where a stage-4 write outside the slice's own entry range goes.
@@ -417,8 +433,12 @@ impl<V: Value> Sink<'_, V> {
             Sink::Outbox(ob) => ob.spills.extend(mask.iter().map(|l| (pos(l), vals[l]))),
             Sink::Host(host) => {
                 for l in mask.iter() {
-                    host.src_value[pos(l)] = vals[l];
+                    let at = pos(l);
+                    host.src_value[at] = vals[l];
                     *host.bytes += <V as Pod>::SIZE as u64;
+                    if !host.own.contains(&at) {
+                        host.spills.push((at, vals[l]));
+                    }
                 }
             }
         }
@@ -437,6 +457,24 @@ pub(crate) struct Resident<V: Value> {
 }
 
 impl<V: Value> Resident<V> {
+    /// Uploads `values` — `VertexValues[voff..]` — and the flag: all a
+    /// streamed device keeps between batches.
+    pub(crate) fn upload(
+        gpu: &mut Gpu,
+        retry: &RetryPolicy,
+        fault: &mut FaultStats,
+        values: &[V],
+        voff: usize,
+    ) -> Result<Self, DeviceFault> {
+        or_free(gpu, |gpu| {
+            Ok(Resident {
+                vertex_values: with_copy_retries(gpu, retry, fault, |g| g.try_upload(values))?,
+                voff,
+                flag: with_copy_retries(gpu, retry, fault, |g| g.try_upload(&[1u32]))?,
+            })
+        })
+    }
+
     /// Host resets `is_converged` before a launch.
     pub(crate) fn reset_flag(
         &mut self,
@@ -480,11 +518,14 @@ pub(crate) struct DeviceSlice<P: VertexProgram> {
     window_offsets: Option<DevVec<u32>>,
     /// Present when some stage-4 target lies outside `erange`.
     outbox: Option<Outbox<P::V>>,
+    /// Device bytes the buffers above hold, given back by
+    /// [`DeviceSlice::retire`].
+    bytes: u64,
 }
 
-/// Uploads `VertexValues` for the vertices of `shards`, then the slice,
-/// then the convergence flag — the whole device state of an engine that
-/// keeps a shard range resident.
+/// Uploads `VertexValues` for the vertices of `shards`, then the slice
+/// (spilling through its outbox), then the convergence flag — the whole
+/// state of a device that keeps a shard range resident.
 pub(crate) fn upload_resident<P: VertexProgram>(
     gpu: &mut Gpu,
     retry: &RetryPolicy,
@@ -492,21 +533,22 @@ pub(crate) fn upload_resident<P: VertexProgram>(
     layout: &PreparedLayout,
     host: &HostArrays<P>,
     shards: Range<u32>,
-    via: SpillVia,
 ) -> Result<(Resident<P::V>, DeviceSlice<P>), DeviceFault> {
     let vrange = vertex_range(layout.gs(), &shards);
-    let voff = vrange.start;
-    let vertex_values = with_copy_retries(gpu, retry, fault, |g| {
-        g.try_upload(&host.values[vrange.clone()])
-    })?;
-    let slice = DeviceSlice::upload(gpu, retry, fault, layout, host, shards, via)?;
-    let flag = with_copy_retries(gpu, retry, fault, |g| g.try_upload(&[1u32]))?;
-    let resident = Resident {
-        vertex_values,
-        voff,
-        flag,
-    };
-    Ok((resident, slice))
+    or_free(gpu, |gpu| {
+        let vertex_values = with_copy_retries(gpu, retry, fault, |g| {
+            g.try_upload(&host.values[vrange.clone()])
+        })?;
+        let via = SpillVia::Outbox;
+        let slice = DeviceSlice::upload(gpu, retry, fault, layout, host, shards, via)?;
+        let flag = with_copy_retries(gpu, retry, fault, |g| g.try_upload(&[1u32]))?;
+        let resident = Resident {
+            vertex_values,
+            voff: vrange.start,
+            flag,
+        };
+        Ok((resident, slice))
+    })
 }
 
 impl<P: VertexProgram> DeviceSlice<P> {
@@ -523,86 +565,97 @@ impl<P: VertexProgram> DeviceSlice<P> {
         shards: Range<u32>,
         via: SpillVia,
     ) -> Result<Self, DeviceFault> {
-        fn up<T: Pod>(
-            gpu: &mut Gpu,
-            retry: &RetryPolicy,
-            fault: &mut FaultStats,
-            data: &[T],
-        ) -> Result<DevVec<T>, DeviceFault> {
-            with_copy_retries(gpu, retry, fault, |g| g.try_upload(data))
-        }
-        let gs = layout.gs();
-        let erange = entry_range(gs, &shards);
-        let src_value = up(gpu, retry, fault, &host.src_value[erange.clone()])?;
-        let src_static = match &host.statics {
-            Some(v) => Some(up(gpu, retry, fault, &v[erange.clone()])?),
-            None => None,
-        };
-        let edge_value = match &host.edges {
-            Some(v) => Some(up(gpu, retry, fault, &v[erange.clone()])?),
-            None => None,
-        };
-        let dest_index = up(gpu, retry, fault, &gs.dest_index()[erange.clone()])?;
-        let (cwoff, src_index, mapper) = match layout.cw() {
-            Some(cw) => {
-                let r = cw.cw_entries(shards.start).start..cw.cw_entries(shards.end - 1).end;
-                let src_index = up(gpu, retry, fault, &cw.src_index()[r.clone()])?;
-                let mapper = up(gpu, retry, fault, &cw.mapper()[r.clone()])?;
-                (r.start, src_index, Some(mapper))
+        let held = gpu.allocated_bytes();
+        or_free(gpu, |gpu| {
+            fn up<T: Pod>(
+                gpu: &mut Gpu,
+                retry: &RetryPolicy,
+                fault: &mut FaultStats,
+                data: &[T],
+            ) -> Result<DevVec<T>, DeviceFault> {
+                with_copy_retries(gpu, retry, fault, |g| g.try_upload(data))
             }
-            None => {
-                let src_index = up(gpu, retry, fault, &gs.src_index()[erange.clone()])?;
-                (0, src_index, None)
-            }
-        };
-        // G-Shards' stage 4 must look up every window's boundaries — a p×p
-        // offset table the CW layout does not need (its per-shard ranges
-        // are one entry each). The table lives in device memory and its
-        // reads are charged, which is part of why small windows hurt
-        // G-Shards.
-        let window_offsets = if mapper.is_none() && via == SpillVia::Outbox {
-            let p = gs.num_shards();
-            let flat: Vec<u32> = (0..p)
-                .flat_map(|j| (0..p).map(move |i| gs.window(i, j).start as u32))
-                .collect();
-            Some(up(gpu, retry, fault, &flat)?)
-        } else {
-            None
-        };
-        let remote = match via {
-            SpillVia::Outbox => remote_targets(layout, shards.clone(), &erange),
-            SpillVia::Host => Vec::new(),
-        };
-        let outbox = if remote.is_empty() {
-            None
-        } else {
-            let src_index = if mapper.is_none() {
-                let rsi: Vec<u32> = remote.iter().map(|&k| gs.src_index()[k]).collect();
-                Some(up(gpu, retry, fault, &rsi)?)
+            let gs = layout.gs();
+            let erange = entry_range(gs, &shards);
+            let src_value = up(gpu, retry, fault, &host.src_value[erange.clone()])?;
+            let src_static = match &host.statics {
+                Some(v) => Some(up(gpu, retry, fault, &v[erange.clone()])?),
+                None => None,
+            };
+            let edge_value = match &host.edges {
+                Some(v) => Some(up(gpu, retry, fault, &v[erange.clone()])?),
+                None => None,
+            };
+            let dest_index = up(gpu, retry, fault, &gs.dest_index()[erange.clone()])?;
+            let (cwoff, src_index, mapper) = match layout.cw() {
+                Some(cw) => {
+                    let r = cw.cw_entries(shards.start).start..cw.cw_entries(shards.end - 1).end;
+                    let src_index = up(gpu, retry, fault, &cw.src_index()[r.clone()])?;
+                    let mapper = up(gpu, retry, fault, &cw.mapper()[r.clone()])?;
+                    (r.start, src_index, Some(mapper))
+                }
+                None => {
+                    let src_index = up(gpu, retry, fault, &gs.src_index()[erange.clone()])?;
+                    (0, src_index, None)
+                }
+            };
+            // G-Shards' stage 4 must look up every window's boundaries — a p×p
+            // offset table the CW layout does not need (its per-shard ranges
+            // are one entry each). The table lives in device memory and its
+            // reads are charged, which is part of why small windows hurt
+            // G-Shards.
+            let window_offsets = if mapper.is_none() && via == SpillVia::Outbox {
+                let p = gs.num_shards();
+                let flat: Vec<u32> = (0..p)
+                    .flat_map(|j| (0..p).map(move |i| gs.window(i, j).start as u32))
+                    .collect();
+                Some(up(gpu, retry, fault, &flat)?)
             } else {
                 None
             };
-            let buf = gpu.try_alloc::<P::V>(remote.len())?;
-            Some(Outbox {
-                remote,
+            let remote = match via {
+                SpillVia::Outbox => remote_targets(layout, shards.clone(), &erange),
+                SpillVia::Host => Vec::new(),
+            };
+            let outbox = if remote.is_empty() {
+                None
+            } else {
+                let src_index = if mapper.is_none() {
+                    let rsi: Vec<u32> = remote.iter().map(|&k| gs.src_index()[k]).collect();
+                    Some(up(gpu, retry, fault, &rsi)?)
+                } else {
+                    None
+                };
+                let buf = gpu.try_alloc::<P::V>(remote.len())?;
+                Some(Outbox {
+                    remote,
+                    src_index,
+                    buf,
+                    spills: Vec::new(),
+                })
+            };
+            Ok(DeviceSlice {
+                shards,
+                erange,
+                cwoff,
+                src_value,
+                src_static,
+                edge_value,
+                dest_index,
                 src_index,
-                buf,
-                spills: Vec::new(),
+                mapper,
+                window_offsets,
+                outbox,
+                bytes: gpu.allocated_bytes() - held,
             })
-        };
-        Ok(DeviceSlice {
-            shards,
-            erange,
-            cwoff,
-            src_value,
-            src_static,
-            edge_value,
-            dest_index,
-            src_index,
-            mapper,
-            window_offsets,
-            outbox,
         })
+    }
+
+    /// Retires the slice: its buffers' bytes go back to the device. A streamed
+    /// device does this to every batch once its `SrcValue` is back in the
+    /// master, so it never holds more than its resident part and one batch.
+    pub(crate) fn retire(self, gpu: &mut Gpu) {
+        gpu.free(self.bytes);
     }
 
     /// Moves the latest launch's remote stage-4 writes, in write order, to
@@ -645,6 +698,8 @@ impl<P: VertexProgram> DeviceSlice<P> {
                 (Some(h), _) => Sink::Host(HostMaster {
                     src_value: &mut *h.src_value,
                     bytes: &mut *h.bytes,
+                    own: h.own,
+                    spills: &mut *h.spills,
                 }),
                 (None, Some(ob)) => {
                     ob.spills.clear();
@@ -867,16 +922,8 @@ mod tests {
         shards: Range<u32>,
     ) -> KernelStats {
         let (retry, mut fault) = (RetryPolicy::NONE, FaultStats::default());
-        let (mut res, mut slice) = upload_resident(
-            gpu,
-            &retry,
-            &mut fault,
-            layout,
-            host,
-            shards,
-            SpillVia::Outbox,
-        )
-        .expect("upload");
+        let (mut res, mut slice) =
+            upload_resident(gpu, &retry, &mut fault, layout, host, shards).expect("upload");
         let prog = MiniSssp { source: 0 };
         let name: Arc<str> = "slice-probe".into();
         let launched = slice.launch(

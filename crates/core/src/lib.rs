@@ -22,8 +22,10 @@
 //!   one device, in both GS and CW modes: a fleet of one in [`multi`]'s host
 //!   loop), plus the configuration, prepared-layout and observer types every
 //!   engine takes.
-//! * [`streaming`] — the out-of-core engine: batches of shards stream
-//!   through a device-memory budget, with the fault-recovery ladder.
+//! * [`streaming`] — the out-of-core engine's façade: a fleet of one whose
+//!   device starts streamed (batches of shards through a device-memory
+//!   budget, [`multi`]'s `Mode::Streamed`), and the CW → G-Shards → host
+//!   degradation ladder around it.
 //! * [`fallback`] — the host-side reference engine (the ladders' last rung).
 //! * [`middleware`] — [`run_engine`]: validation, deadlines, retry and the
 //!   final integrity scrub around any [`Engine`].

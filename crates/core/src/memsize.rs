@@ -5,8 +5,9 @@
 //! benchmark through `sizeof(Vertex)`, `sizeof(Edge)` and
 //! `sizeof(StaticVertex)`; this module centralizes the arithmetic so the
 //! harness and the engine account identically — including the engines'
-//! pre-flight, [`check_fits`]: a graph whose modeled footprint the device
-//! cannot hold is refused before the host builds anything for it.
+//! pre-flights, [`check_fits`] and [`check_streams`]: a graph whose modeled
+//! footprint the device cannot hold is refused before the host builds
+//! anything for it.
 
 use crate::engine::Repr;
 use crate::error::EngineError;
@@ -42,7 +43,7 @@ pub const INDEX_BYTES: u64 = 4;
 /// Bytes one shard entry occupies on the device: the `(SrcIndex, SrcValue,
 /// EdgeValue, DestIndex)` tuple, the static source value, and under CW the
 /// `Mapper` cell — what the footprint formulas charge per edge and what the
-/// streamed and rebatched planners budget batches with.
+/// streamed mode's planner budgets batches with.
 pub fn entry_bytes(s: ValueSizes, repr: Repr) -> u64 {
     let mapper = match repr {
         Repr::GShards => 0,
@@ -96,6 +97,31 @@ pub fn check_fits<V>(
         Some((Repr::GShards, n)) => gshards_bytes(v, e, v.div_ceil(n.max(1) as u64), s),
         Some((Repr::ConcatWindows, n)) => cw_bytes(v, e, v.div_ceil(n.max(1) as u64), s),
     };
+    refuse_over(requested_bytes, device)
+}
+
+/// The out-of-core engines' pre-flight (the fleet's, and with one device the
+/// streamed engine's): what streaming cannot shrink — a device's share of
+/// `VertexValues` plus the shard/window offset tables of the whole layout,
+/// the footprint at `e = 0` — must fit one device. Refused like
+/// [`check_fits`], before anything |V|- or p²-sized is built.
+pub fn check_streams<V>(
+    v: u64,
+    devices: u64,
+    s: ValueSizes,
+    (repr, n): (Repr, u32),
+    device: &DeviceConfig,
+) -> Result<(), EngineError<V>> {
+    let p = v.div_ceil(n.max(1) as u64);
+    let tables = match repr {
+        Repr::GShards => gshards_bytes(0, 0, p, s),
+        Repr::ConcatWindows => cw_bytes(0, 0, p, s),
+    };
+    let share = v.div_ceil(devices.max(1)) * s.vertex as u64;
+    refuse_over(tables.saturating_add(share), device)
+}
+
+fn refuse_over<V>(requested_bytes: u64, device: &DeviceConfig) -> Result<(), EngineError<V>> {
     let capacity_bytes = device.global_mem_bytes;
     if requested_bytes <= capacity_bytes {
         return Ok(());
@@ -227,5 +253,51 @@ mod tests {
         assert_eq!(cw_bytes(1 << 32, 0, 1 << 32, SSSP), u64::MAX);
         assert!(fits(1 << 32, 0, Some((Repr::GShards, 1))).is_err());
         assert!(fits(1 << 32, 0, Some((Repr::ConcatWindows, 0))).is_err());
+    }
+
+    #[test]
+    fn check_streams_is_what_no_batching_can_shrink() {
+        let device = DeviceConfig::gtx780();
+        let cap = device.global_mem_bytes;
+        let streams = |v, devices, shards| check_streams::<u32>(v, devices, SSSP, shards, &device);
+        for repr in [Repr::GShards, Repr::ConcatWindows] {
+            // Edges are not in it: a graph `check_fits` refuses for its entry
+            // arrays streams.
+            assert!(
+                check_fits::<u32>(100_000, 1 << 30, SSSP, Some((repr, 6144)), &device).is_err()
+            );
+            assert!(streams(100_000, 1, (repr, 6144)).is_ok(), "{repr:?}");
+            // One edge to vertex four billion, in million-vertex shards: 16 GB
+            // of values on one device, 8 GB each on two; sixty-four devices
+            // hold their 250 MB shares.
+            for devices in [1, 2] {
+                let refused = streams(4_000_000_001, devices, (repr, 1 << 20)).unwrap_err();
+                assert!(
+                    matches!(refused, EngineError::DeviceOom { requested_bytes, capacity_bytes }
+                        if requested_bytes > 4_000_000_001 * 4 / devices && capacity_bytes == cap),
+                    "{refused}"
+                );
+            }
+            assert!(
+                streams(4_000_000_001, 64, (repr, 1 << 20)).is_ok(),
+                "{repr:?}"
+            );
+            // The p x p table is every device's, whatever its share: 1.7 TB
+            // at the autotuner's shard size.
+            assert!(
+                streams(4_000_000_001, 64, (repr, 6144)).is_err(),
+                "{repr:?}"
+            );
+            assert!(streams(1 << 20, 64, (repr, 16)).is_err(), "{repr:?}");
+            assert!(streams(1 << 32, 64, (repr, 1)).is_err(), "{repr:?}");
+        }
+        // The boundary is the formula's value, to the byte: values, p + 1
+        // shard offsets, p x p window offsets.
+        let (v, p) = (1u64 << 20, (1u64 << 20) / 64);
+        let mut exact = device.clone();
+        exact.global_mem_bytes = 4 * v + 4 * (p + 1) + 4 * p * p;
+        assert!(check_streams::<u32>(v, 1, SSSP, (Repr::GShards, 64), &exact).is_ok());
+        exact.global_mem_bytes -= 1;
+        assert!(check_streams::<u32>(v, 1, SSSP, (Repr::GShards, 64), &exact).is_err());
     }
 }

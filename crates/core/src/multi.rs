@@ -1,7 +1,9 @@
 //! The multi-device engine: G-Shards/CW over a [`DeviceFleet`] with a
-//! modeled halo exchange — and, in `drive`, the one host loop the fleet and
-//! the in-core engine share: [`crate::try_run_warm`] enters it as a fleet of
-//! one over a borrowed layout, with no fabric and every fault surfaced.
+//! modeled halo exchange — and, in `drive`, the one host loop every shard
+//! engine runs in: [`crate::try_run_warm`] enters it as a fleet of one over a
+//! borrowed layout, with no fabric and every fault surfaced, and
+//! [`crate::try_run_streamed`] as a fleet of one whose device starts out of
+//! core.
 //!
 //! The graph's shard sequence is split into N edge-balanced contiguous
 //! ranges ([`FleetPartition`]); device `d` holds the vertex values, shard
@@ -28,12 +30,14 @@
 //! recovery ladder — transient copy faults retry with exponential backoff,
 //! kernel faults relaunch in place (launch faults fire before any block
 //! runs, so the relaunch is exact), a device that cannot hold its partition
-//! rebatches it through a fresh device under a shrinking budget, and a
-//! device whose kernel keeps faulting degrades to a host-side re-enactment
-//! of its own shards. A faulted device never poisons the fleet: the other
+//! streams it — values resident, shards in batches under a byte budget that
+//! halves on every further OOM, the streamed engine's scheme — and a device
+//! whose kernel keeps faulting degrades to a host-side re-enactment of its
+//! own shards. A faulted device never poisons the fleet: the other
 //! devices keep running on hardware, and results stay bit-identical. That
 //! is the *recover in place* value of the loop's one fault policy; the
-//! in-core engine passes *surface*, and the same faults leave as typed errors.
+//! in-core and streamed engines pass *surface*, and the same faults leave as
+//! typed errors once their budgets are spent.
 
 use crate::engine::{
     trace_iteration, CuShaConfig, CuShaOutput, NoopObserver, PreparedLayout, RunObserver,
@@ -42,17 +46,17 @@ use crate::error::EngineError;
 use crate::fallback::FALLBACK_LABEL;
 use crate::integrity::{apply_flips, checksum, Ask, Checkpoint, Detector, Recovery, Rung, Stop};
 use crate::kernel::{
-    batch_end, entry_range, upload_resident, vertex_range, with_copy_retries, DeviceSlice,
-    HostArrays, Resident, RetryPolicy, SpillVia,
+    batch_end, entry_range, fault_instant, upload_resident, vertex_range, with_copy_retries,
+    DeviceSlice, HostArrays, HostMaster, Resident, RetryPolicy, SpillVia,
 };
-use crate::memsize::{entry_bytes, ValueSizes};
+use crate::memsize::{check_streams, entry_bytes, ValueSizes};
 use crate::middleware::DeadlineObserver;
 use crate::program::VertexProgram;
 use crate::stats::{FaultStats, IterationStat, MemoStats, RunStats, SdcStats};
 use cusha_graph::{FleetPartition, Graph};
 use cusha_obs::trace::{lanes, ArgVal};
 use cusha_simt::{
-    DeviceFault, DeviceFleet, FaultPlan, Gpu, Interconnect, KernelStats, Pod, Profile,
+    DevVec, DeviceFault, DeviceFleet, FaultPlan, Gpu, Interconnect, KernelStats, Pod, Profile,
 };
 use std::collections::HashSet;
 use std::ops::Range;
@@ -153,8 +157,9 @@ pub struct DeviceRunStats {
     /// Device id within the fleet.
     pub device: usize,
     /// How the device finished the run: `"resident"` (whole partition on
-    /// device), `"rebatched"` (OOM recovery: batches through a fresh
-    /// device), or `"host-fallback"` (kernel-fault recovery).
+    /// device), `"rebatched"` (out of core: values resident, shards streamed
+    /// in batches — where an OOM sends a fleet device and a streamed run
+    /// starts), `"host-fallback"` (kernel-fault recovery) or `"idle"`.
     pub mode: &'static str,
     /// Shards owned by this device.
     pub shards: usize,
@@ -222,8 +227,7 @@ pub struct MultiRunStats {
     pub sdc: SdcStats,
     /// Per-iteration detail (seconds = slowest device's kernel time).
     pub per_iteration: Vec<IterationStat>,
-    /// Simulator memo activity summed over every `Gpu` the run used (each
-    /// device's, and those a rebatching device retired).
+    /// Simulator memo activity summed over the fleet's devices.
     pub memo: MemoStats,
 }
 
@@ -316,6 +320,39 @@ pub struct MultiOutput<V> {
     pub stats: MultiRunStats,
 }
 
+impl<V> MultiOutput<V> {
+    /// A one-device run in the single-engine shape: the flattened fleet
+    /// record under `engine`'s label, but for the compute and download
+    /// seconds, which the engine splits its own way, and one launch geometry
+    /// (`blocks` as the engine counts them) over every launch's counters.
+    pub(crate) fn into_solo(
+        self,
+        engine: String,
+        blocks: u32,
+        compute_seconds: f64,
+        d2h_seconds: f64,
+    ) -> CuShaOutput<V> {
+        let (values, mut fleet) = (self.values, self.stats);
+        let dev = fleet.per_device.swap_remove(0);
+        fleet.engine = engine;
+        let kernel = KernelStats {
+            name: fleet.aggregate.name.clone(),
+            blocks,
+            threads_per_block: dev.kernel.threads_per_block,
+            counters: dev.kernel.counters,
+            ..Default::default()
+        };
+        let stats = RunStats {
+            compute_seconds,
+            d2h_seconds,
+            kernel,
+            profile: dev.profile,
+            ..fleet.as_run_stats()
+        };
+        CuShaOutput { values, stats }
+    }
+}
+
 /// Executes `prog` over `graph` on a fleet of `cfg.devices` devices.
 ///
 /// # Panics
@@ -388,6 +425,9 @@ fn run_fleet<P: VertexProgram, O: RunObserver + ?Sized>(
     cfg.validate().map_err(EngineError::InvalidConfig)?;
     graph.validate()?;
     let n_per = PreparedLayout::select_n_per(graph, &cfg.base, <P::V as Pod>::SIZE);
+    let (v, sizes) = (graph.num_vertices() as u64, ValueSizes::of::<P>());
+    let devices = cfg.devices as u64;
+    check_streams(v, devices, sizes, (cfg.base.repr, n_per), &cfg.base.device)?;
     let layout = PreparedLayout::build(graph, cfg.base.repr, n_per);
     let fp = FleetPartition::from_graph(graph, n_per, cfg.devices);
     debug_assert_eq!(fp.num_shards(), layout.num_shards() as usize);
@@ -419,9 +459,22 @@ fn run_fleet<P: VertexProgram, O: RunObserver + ?Sized>(
         max_kernel_retries: cfg.max_kernel_retries,
     };
     let policy = FaultPolicy::Recover(retry, cfg.max_rebatches);
-    let (base, pid, fleet) = (&cfg.base, fleet.fleet_pid(), &mut fleet);
+    let name = format!("{}::{}", cfg.base.repr.label(), prog.name());
+    let mut faults = vec![FaultStats::default(); cfg.devices];
+    let mut sdcs = vec![SdcStats::default(); cfg.devices];
+    let (base, fleet, records) = (&cfg.base, &mut fleet, (&mut faults[..], &mut sdcs[..]));
     let result = drive(
-        prog, graph, base, &layout, &shards, fleet, pid, policy, observer,
+        prog,
+        graph,
+        base,
+        &layout,
+        &shards,
+        fleet,
+        policy,
+        Start::Resident,
+        &name,
+        records,
+        observer,
     );
     // Counters consumed by a failed or cancelled run are consumed for good.
     if let (true, Some(slot)) = (carried, fault_plan) {
@@ -432,7 +485,7 @@ fn run_fleet<P: VertexProgram, O: RunObserver + ?Sized>(
     let mut out = match result {
         Ok((out, _)) => out,
         Err(Stop::Error(e)) => return Err(e),
-        Err(Stop::Abandon(_)) => unreachable!("the fleet recovers in place"),
+        Err(Stop::Abandon) => unreachable!("the fleet recovers in place"),
     };
     let stats = &mut out.stats;
     stats.engine = match cfg.devices {
@@ -447,19 +500,20 @@ fn run_fleet<P: VertexProgram, O: RunObserver + ?Sized>(
     Ok(out)
 }
 
-/// What a fault does once its in-place retries are spent — the one thing the
-/// engines' recovery differs in. Each façade derives its value; it is never a
-/// setting.
+/// What a fault does once its in-place budgets are spent — the one thing the
+/// engines' recovery differs in. Both values carry the budgets, which are
+/// data: the copy and kernel retries, and the budget halvings a device may
+/// spend on OOM. Each façade derives its value; it is never a setting.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum FaultPolicy {
-    /// The in-core engine: nothing is retried and nothing recovers in place.
-    /// An upload OOM, a kernel or copy fault and a spent SDC ladder each
-    /// leave [`drive`] as a typed [`Stop`]; the caller owns what comes next.
-    Surface,
-    /// The fleet: copies and launches retry under the [`RetryPolicy`], a
-    /// device that cannot hold its partition rebatches it (at most this many
-    /// halvings), and a device whose kernel keeps faulting — or that a spent
-    /// SDC ladder suspects — degrades to the host re-enactment of its shards.
+    /// The in-core engine (`Surface(RetryPolicy::NONE, 0)`: nothing is
+    /// retried) and the streamed engine: past the budgets an OOM, a kernel or
+    /// copy fault and a spent SDC ladder each leave [`drive`] as a typed
+    /// [`Stop`]; the caller owns what comes next.
+    Surface(RetryPolicy, u32),
+    /// The fleet: a device past its rebatch budget, one whose kernel keeps
+    /// faulting, or one a spent SDC ladder suspects degrades to the host
+    /// re-enactment of its shards.
     Recover(RetryPolicy, u32),
 }
 
@@ -468,17 +522,42 @@ impl FaultPolicy {
     /// with the fault; `Ok(())` tells the caller to recover in place.
     fn absorb<S>(self, stop: impl FnOnce() -> S) -> Result<(), S> {
         match self {
-            FaultPolicy::Surface => Err(stop()),
+            FaultPolicy::Surface(..) => Err(stop()),
             FaultPolicy::Recover(..) => Ok(()),
         }
     }
 }
 
+/// How a device with shards begins the run.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Start {
+    /// Its whole share goes up; one that does not fit streams instead, under
+    /// half the device's memory.
+    Resident,
+    /// Out of core from the first iteration: batches of at most `budget`
+    /// bytes; with `streams >= 2` a batch's upload overlaps the kernel before.
+    Streamed { budget: u64, streams: u32 },
+}
+
+/// Clocks of one device that the fleet-shaped record has no field for; the
+/// façades reporting in the single-engine shape read them.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct DeviceClocks {
+    /// The device's D2H clock when the final download began.
+    pub d2h_before_results: f64,
+    /// What its iterations reported, summed, rewound ones too. A streamed
+    /// device reports its batch pipeline, `copy_0 + Σ max(kernel_k,
+    /// copy_{k+1})`, or on one stream the serial sum.
+    pub iteration_seconds: f64,
+    /// A streamed device's modeled PCIe terms that no device clock sees: the
+    /// flag reset of every iteration, the host-master writes of every batch.
+    pub host_transfer_seconds: f64,
+}
+
 /// What [`drive`] returns: the values with a fleet-shaped record — complete but
 /// for what only a partition knows (`engine`, `interconnect`,
-/// `load_imbalance`, each device's `halo_vertices`) — and each device's D2H
-/// clock when the final download began.
-pub(crate) type Driven<V> = (MultiOutput<V>, Vec<f64>);
+/// `load_imbalance`, each device's `halo_vertices`) — and each device's clocks.
+pub(crate) type Driven<V> = (MultiOutput<V>, Vec<DeviceClocks>);
 
 /// Global ranges of one device's slice of the layout.
 #[derive(Clone, Debug)]
@@ -503,12 +582,11 @@ enum Mode<P: VertexProgram> {
     Idle,
     /// Whole partition slice resident on the device.
     Resident(Box<Held<P>>),
-    /// OOM recovery: shards stream through a fresh device in batches under
-    /// the byte budget.
-    Rebatched {
-        /// Current per-batch byte budget; halved on each further OOM.
-        budget: u64,
-    },
+    /// Out of core (paper §5.1): `VertexValues` and the flag stay resident,
+    /// the shards stream through in batches, each retired once its `SrcValue`
+    /// is back in the host master. With them the current per-batch byte
+    /// budget, halved on each further OOM, and the stream count.
+    Streamed(Resident<P::V>, u64, u32),
     /// Kernel-fault recovery: the device's shards are re-enacted on the
     /// host (bit-identical, zero modeled device time).
     Fallback,
@@ -519,21 +597,20 @@ impl<P: VertexProgram> Mode<P> {
         match self {
             Mode::Idle => "idle",
             Mode::Resident(_) => "resident",
-            Mode::Rebatched { .. } => "rebatched",
+            Mode::Streamed(..) => "rebatched",
             Mode::Fallback => FALLBACK_LABEL,
         }
     }
-}
 
-/// Totals carried across device rebuilds (rebatching replaces the `Gpu`,
-/// which restarts its counters).
-#[derive(Clone, Copy, Default)]
-struct TimeAcc {
-    h2d: f64,
-    d2h: f64,
-    kernel: f64,
-    launched: u64,
-    memo: MemoStats,
+    /// The `VertexValues` buffer of a device that holds one — what a device
+    /// flip can reach.
+    fn vertex_values(&mut self) -> Option<&mut DevVec<P::V>> {
+        match self {
+            Mode::Resident(dev) => Some(&mut dev.res.vertex_values),
+            Mode::Streamed(res, ..) => Some(&mut res.vertex_values),
+            Mode::Idle | Mode::Fallback => None,
+        }
+    }
 }
 
 /// Everything the convergence loop needs, shared across devices.
@@ -547,19 +624,20 @@ struct MultiState<'a, P: VertexProgram> {
     fleet: &'a mut DeviceFleet,
     infos: Vec<DevInfo>,
     modes: Vec<Mode<P>>,
-    /// Host-authoritative vertex values and `SrcValue` column for
-    /// non-resident devices (resident devices keep theirs on device; their
-    /// master slices are stale). Released once everything is uploaded under
-    /// [`FaultPolicy::Surface`], where no device can leave `Resident`.
+    /// Host-authoritative vertex values and `SrcValue` column for devices
+    /// that are not resident (resident devices keep theirs on device, their
+    /// master slices are stale; a streamed device's `SrcValue` is the
+    /// master's). Released once everything is uploaded when no device can
+    /// come to read them.
     host: HostArrays<P>,
-    faults: Vec<FaultStats>,
+    faults: &'a mut [FaultStats],
     /// Each device's clock when its time was last accounted (see `lap`).
     marks: Vec<f64>,
     /// Scrub references: each resident device's checksums as of the end of
-    /// the previous fleet iteration (or the last restore).
+    /// the previous fleet iteration (or the last restore); a streamed
+    /// device's `VertexValues` checksum as of its last launch.
     crcs: Vec<(u64, u64)>,
-    acc: Vec<TimeAcc>,
-    profiles: Vec<Option<Profile>>,
+    clocks: Vec<DeviceClocks>,
     desc_name: std::sync::Arc<str>,
 }
 
@@ -571,20 +649,17 @@ struct DeviceIter<V> {
     /// Stage-4 writes outside the launch's own entry range, in write order:
     /// `(global entry position, value)`.
     spills: Vec<(usize, V)>,
+    /// A streamed device's scrub found a protected buffer changed at rest:
+    /// the iteration stopped before the batch launched.
+    corrupt: bool,
 }
 
 impl<P: VertexProgram> MultiState<'_, P> {
-    fn device_time(&self, d: usize) -> f64 {
-        let g = self.fleet.device(d);
-        let a = &self.acc[d];
-        a.h2d + a.d2h + a.kernel + g.h2d_seconds + g.d2h_seconds + g.kernel_seconds
-    }
-
     /// Seconds device `d`'s clock advanced since it was last asked, which is
     /// how every span of fleet time is measured: an iteration's wall, a
     /// snapshot's or a restore's transfers, the final download.
     fn lap(&mut self, d: usize) -> f64 {
-        let now = self.device_time(d);
+        let now = self.fleet.device(d).total_seconds();
         now - std::mem::replace(&mut self.marks[d], now)
     }
 
@@ -593,7 +668,9 @@ impl<P: VertexProgram> MultiState<'_, P> {
     fn now(&self, fleet_clock: f64) -> f64 {
         match self.fleet.interconnect() {
             Some(_) => fleet_clock,
-            None => (0..self.infos.len()).map(|d| self.device_time(d)).sum(),
+            None => (0..self.infos.len())
+                .map(|d| self.fleet.device(d).total_seconds())
+                .sum(),
         }
     }
 
@@ -604,66 +681,60 @@ impl<P: VertexProgram> MultiState<'_, P> {
         owner.expect("device entry ranges tile the layout")
     }
 
-    /// Emits a recovery instant on device `d`'s fault lane at its clock.
-    fn fault_instant(&self, d: usize, cat: &'static str, name: &str) {
-        let (pid, ts) = (self.fleet.device(d).trace_pid(), self.device_time(d));
-        self.base.trace.instant(pid, lanes::FAULT, cat, name, ts);
-    }
-
     /// Switches device `d` to the host re-enactment after its kernel (or
     /// rebatch budget) gave out.
     fn degrade_to_host(&mut self, d: usize) {
         self.faults[d].degradations += 1;
-        self.fault_instant(d, "fault", "degrade-to-host");
+        fault_instant(self.fleet.device(d), "fault", "degrade-to-host");
         self.modes[d] = Mode::Fallback;
     }
 
-    /// Swaps a fresh `Gpu` in for device `d` — the simulated allocator never
-    /// frees, so each batch of a rebatched device starts on an empty one —
-    /// carrying the fault plan over and folding the retired device's counters
-    /// into the carried totals.
-    fn fresh_gpu(&mut self, d: usize) {
-        let mut fresh = Gpu::new(self.base.device.clone());
-        fresh.set_profiling(self.base.profile);
-        let mut old = self.fleet.replace_device(d, fresh);
-        let a = &mut self.acc[d];
-        a.h2d += old.h2d_seconds;
-        a.d2h += old.d2h_seconds;
-        a.kernel += old.kernel_seconds;
-        a.launched += old.kernels_launched;
-        a.memo.add(&MemoStats::from_gpu(&old));
-        if let Some(p) = old.profile.take() {
-            self.profiles[d].get_or_insert_default().absorb(&p);
+    /// Device `d` goes out of core under `budget`: its resident part goes up,
+    /// an OOM there treated like a batch's. `oom` is the fault that sent a
+    /// device here from its whole-share upload. Past the rebatch budget the
+    /// fault surfaces, or — recovering in place — the device degrades.
+    fn stream(
+        &mut self,
+        d: usize,
+        mut budget: u64,
+        streams: u32,
+        mut oom: Option<DeviceFault>,
+    ) -> Result<(), DeviceFault> {
+        let (vrange, max) = (self.infos[d].vrange.clone(), self.max_rebatches);
+        let values = &self.host.values[vrange.clone()];
+        let (gpu, fault) = (self.fleet.device_mut(d), &mut self.faults[d]);
+        let res = loop {
+            if let Some(f) = oom.take() {
+                if !rebatch(fault, max, gpu, &mut budget) {
+                    self.policy.absorb(|| f)?;
+                    break None;
+                }
+            }
+            match Resident::upload(gpu, &self.retry, fault, values, vrange.start) {
+                Ok(res) => break Some(res),
+                Err(f @ DeviceFault::Oom { .. }) => oom = Some(f),
+                Err(f) => return Err(f),
+            }
+        };
+        let Some(res) = res else {
+            self.degrade_to_host(d);
+            return Ok(());
+        };
+        if self.base.integrity.mode.checksums() {
+            self.crcs[d].0 = checksum(values);
         }
-        if let Some(plan) = old.take_fault_plan() {
-            self.fleet.device_mut(d).set_fault_plan(plan);
-        }
-    }
-
-    /// Uploads device `d`'s state for `shards` from the host masters; `Err`
-    /// carries the device fault (OOM → caller switches the device to
-    /// rebatched mode or shrinks the batch).
-    fn upload(&mut self, d: usize, shards: Range<u32>) -> Result<Held<P>, DeviceFault> {
-        let (res, slice) = upload_resident(
-            self.fleet.device_mut(d),
-            &self.retry,
-            &mut self.faults[d],
-            self.layout,
-            &self.host,
-            shards,
-            SpillVia::Outbox,
-        )?;
-        Ok(Held { res, slice })
+        self.modes[d] = Mode::Streamed(res, budget, streams);
+        Ok(())
     }
 
     /// Applies every resident device's due bit flips to its on-device
     /// buffers. Flips land while the data is at rest in device DRAM, before
     /// any device of the fleet launches — later writes into those buffers
     /// (spills from other devices' stage 4) are legitimate and must not be
-    /// mistaken for corruption by the scrub that follows. Devices running
-    /// rebatched or on the host stage through trusted host masters, which
-    /// the flip model (device DRAM) cannot reach. Each flip is counted in its
-    /// device's record.
+    /// mistaken for corruption by the scrub that follows. A streamed device
+    /// takes its flips batch by batch; one on the host stages through trusted
+    /// host masters, which the flip model (device DRAM) cannot reach. Each
+    /// flip is counted in its device's record.
     fn apply_due_flips(&mut self, sdcs: &mut [SdcStats]) {
         for (d, mode) in self.modes.iter_mut().enumerate() {
             if let Mode::Resident(dev) = mode {
@@ -702,7 +773,7 @@ impl<P: VertexProgram> MultiState<'_, P> {
     }
 
     /// Assembles the global vertex values, device by device (their ranges
-    /// tile the vertex space in order): a resident device's slice is a real,
+    /// tile the vertex space in order): what a device holds is a real,
     /// charged D2H download, the rest comes from the host master. With `srcs`,
     /// the global `SrcValue` column into it the same way.
     fn snapshot(&mut self, mut srcs: Option<&mut Vec<P::V>>) -> Result<Vec<P::V>, DeviceFault> {
@@ -712,58 +783,59 @@ impl<P: VertexProgram> MultiState<'_, P> {
             srcs.clear();
         }
         for (d, info) in self.infos.iter().enumerate() {
-            let Mode::Resident(dev) = &self.modes[d] else {
-                vals.extend_from_slice(&self.host.values[info.vrange.clone()]);
-                if let Some(srcs) = srcs.as_deref_mut() {
-                    srcs.extend_from_slice(&self.host.src_value[info.erange.clone()]);
+            let (gpu, fault) = (self.fleet.device_mut(d), &mut self.faults[d]);
+            match self.modes[d].vertex_values() {
+                None => vals.extend_from_slice(&self.host.values[info.vrange.clone()]),
+                Some(vv) => {
+                    let mut v = with_copy_retries(gpu, &retry, fault, |g| g.try_download(vv))?;
+                    // A lone device's download is the snapshot: no second buffer.
+                    if vals.is_empty() {
+                        vals = v;
+                    } else {
+                        vals.append(&mut v);
+                    }
                 }
-                continue;
-            };
-            let gpu = self.fleet.device_mut(d);
-            let fault = &mut self.faults[d];
-            let mut v = with_copy_retries(gpu, &retry, fault, |g| {
-                g.try_download(&dev.res.vertex_values)
-            })?;
-            // A lone device's download is the snapshot: no second buffer.
-            if vals.is_empty() {
-                vals = v;
-            } else {
-                vals.append(&mut v);
             }
-            if let Some(srcs) = srcs.as_deref_mut() {
-                let sv = with_copy_retries(gpu, &retry, fault, |g| {
-                    g.try_download(&dev.slice.src_value)
-                })?;
-                srcs.extend_from_slice(&sv);
+            match (srcs.as_deref_mut(), &self.modes[d]) {
+                (None, _) => {}
+                (Some(srcs), Mode::Resident(dev)) => {
+                    let sv = with_copy_retries(gpu, &retry, fault, |g| {
+                        g.try_download(&dev.slice.src_value)
+                    })?;
+                    srcs.extend_from_slice(&sv);
+                }
+                (Some(srcs), _) => {
+                    srcs.extend_from_slice(&self.host.src_value[info.erange.clone()])
+                }
             }
         }
         Ok(vals)
     }
 
     /// Restores the whole fleet to the given verified global state: both
-    /// host masters (while they are kept), plus each resident device's
-    /// slices as real, charged H2D uploads, which become the scrub
-    /// references.
+    /// host masters (while they are kept), plus what each device holds as
+    /// real, charged H2D uploads, which become the scrub references.
     fn restore_global(&mut self, to: &Checkpoint<P::V>) -> Result<(), DeviceFault> {
-        if let FaultPolicy::Recover(..) = self.policy {
+        // Released masters are empty; kept ones are the checkpoint's size.
+        if self.host.values.len() == to.values.len() {
             self.host.values.copy_from_slice(&to.values);
             self.host.src_value.copy_from_slice(&to.src_value);
         }
         let retry = self.retry;
         for d in 0..self.infos.len() {
-            let info = &self.infos[d];
-            let Mode::Resident(dev) = &mut self.modes[d] else {
-                continue;
-            };
-            let gpu = self.fleet.device_mut(d);
-            let fault = &mut self.faults[d];
-            with_copy_retries(gpu, &retry, fault, |g| {
-                g.try_h2d(&mut dev.res.vertex_values, &to.values[info.vrange.clone()])
-            })?;
-            with_copy_retries(gpu, &retry, fault, |g| {
-                g.try_h2d(&mut dev.slice.src_value, &to.src_value[info.erange.clone()])
-            })?;
-            self.crcs[d] = Self::crcs_of(dev);
+            let (info, mode) = (&self.infos[d], &mut self.modes[d]);
+            let (gpu, fault) = (self.fleet.device_mut(d), &mut self.faults[d]);
+            let values = &to.values[info.vrange.clone()];
+            if let Some(vv) = mode.vertex_values() {
+                with_copy_retries(gpu, &retry, fault, |g| g.try_h2d(vv, values))?;
+                self.crcs[d].0 = checksum(values);
+            }
+            if let Mode::Resident(dev) = mode {
+                with_copy_retries(gpu, &retry, fault, |g| {
+                    g.try_h2d(&mut dev.slice.src_value, &to.src_value[info.erange.clone()])
+                })?;
+                self.crcs[d].1 = checksum(dev.slice.src_value.host());
+            }
         }
         Ok(())
     }
@@ -776,12 +848,35 @@ impl<P: VertexProgram> MultiState<'_, P> {
         out.updated += self.host.sweep(self.prog, gs, shards, own, &mut out.spills);
     }
 
+    /// Device `d` gives up its device mid-iteration: what it holds comes down
+    /// into the masters — a failed launch ran no block, so it is the state
+    /// before it — and the host re-enacts shards `from..` of this iteration
+    /// and every later one.
+    fn fall_back(
+        &mut self,
+        d: usize,
+        from: u32,
+        out: &mut DeviceIter<P::V>,
+    ) -> Result<(), DeviceFault> {
+        let (retry, info) = (self.retry, self.infos[d].clone());
+        let (gpu, fault) = (self.fleet.device_mut(d), &mut self.faults[d]);
+        if let Some(vv) = self.modes[d].vertex_values() {
+            let vals = with_copy_retries(gpu, &retry, fault, |g| g.try_download(vv))?;
+            self.host.values[info.vrange].copy_from_slice(&vals);
+        }
+        if let Mode::Resident(dev) = &self.modes[d] {
+            let srcv =
+                with_copy_retries(gpu, &retry, fault, |g| g.try_download(&dev.slice.src_value))?;
+            self.host.src_value[info.erange].copy_from_slice(&srcv);
+        }
+        self.degrade_to_host(d);
+        self.host_iterate(d, from..info.shards.end, out);
+        Ok(())
+    }
+
     /// One iteration of a resident device: flag reset, launch (in-place
     /// retries inside), flag readback. When the kernel retries are spent the
-    /// fault surfaces, or — recovering in place — the device's state is
-    /// downloaded into the masters (launch faults fire before any block runs,
-    /// so it is the pre-iteration state) and the host re-enacts this
-    /// iteration and every later one.
+    /// fault surfaces, or — recovering in place — the device falls back.
     fn iterate_resident(
         &mut self,
         d: usize,
@@ -811,129 +906,169 @@ impl<P: VertexProgram> MultiState<'_, P> {
             }
             Err(f @ DeviceFault::Kernel { .. }) => {
                 self.policy.absorb(|| f)?;
-                let info = self.infos[d].clone();
-                let vals =
-                    with_copy_retries(gpu, &retry, fault, |g| g.try_download(&res.vertex_values))?;
-                self.host.values[info.vrange].copy_from_slice(&vals);
-                let srcv =
-                    with_copy_retries(gpu, &retry, fault, |g| g.try_download(&slice.src_value))?;
-                self.host.src_value[info.erange].copy_from_slice(&srcv);
-                self.degrade_to_host(d);
-                self.host_iterate(d, info.shards, out);
+                self.fall_back(d, self.infos[d].shards.start, out)?;
             }
             Err(other) => return Err(other),
         }
         Ok(())
     }
 
-    /// One iteration of a rebatched device: its shards stream through a
-    /// fresh device in contiguous batches under the byte budget; each
-    /// batch's updated slices are downloaded back into the masters. A
-    /// further OOM halves the budget (up to the rebatch cap); exhausted
-    /// kernel retries degrade to host fallback.
-    fn iterate_rebatched(
+    /// One iteration of a streamed device (paper §5.1): flag reset; its
+    /// shards in contiguous batches under the byte budget — upload, flip
+    /// point and scrub, launch, `SrcValue` back into the master, retire —;
+    /// flag readback. It reports the batch pipeline's seconds. An OOM inside
+    /// the rebatch budget halves the byte budget and retries the batch. Past
+    /// it, or when a launch's retries are spent, the fault surfaces, or —
+    /// recovering in place — the device falls back from that batch on.
+    fn iterate_streamed(
         &mut self,
         d: usize,
         out: &mut DeviceIter<P::V>,
+        sdc: &mut SdcStats,
     ) -> Result<(), DeviceFault> {
-        let shards = self.infos[d].shards.clone();
-        let per_entry = entry_bytes(ValueSizes::of::<P>(), self.base.repr);
-        let mut s = shards.start;
-        while s < shards.end {
-            let Mode::Rebatched { budget } = self.modes[d] else {
-                unreachable!()
-            };
-            let end = batch_end(self.layout.gs(), per_entry, budget, s, shards.end);
-            let degrade = match self.run_batch(d, s..end, out) {
-                Ok(()) => {
-                    s = end;
-                    continue;
+        let (retry, layout, max) = (self.retry, self.layout, self.max_rebatches);
+        let (shards, own) = (self.infos[d].shards.clone(), &self.infos[d].erange);
+        let per_entry = entry_bytes(ValueSizes::of::<P>(), layout.repr());
+        let (device, checksums) = (&self.base.device, self.base.integrity.mode.checksums());
+        let (name, threads) = (&self.desc_name, self.base.threads_per_block);
+        let Mode::Streamed(res, budget, streams) = &mut self.modes[d] else {
+            unreachable!("caller matched a streamed device")
+        };
+        let (fault, vv_crc) = (&mut self.faults[d], &mut self.crcs[d].0);
+        let host_seconds = &mut self.clocks[d].host_transfer_seconds;
+        res.reset_flag(self.fleet.device_mut(d), &retry, fault)?;
+        *host_seconds += device.transfer_seconds(4);
+        let (mut s, mut index) = (shards.start, 0u64);
+        // The batch pipeline's clock — with >= 2 streams, copy k+1 overlaps
+        // kernel k: `copy_0 + Σ max(kernel_k, copy_{k+1})` — beside the serial
+        // one: `Σ copy_k + Σ kernel_k`.
+        let (mut piped, mut copied, mut in_kernels, mut last_kernel) = (0.0, 0.0, 0.0, 0.0f64);
+        let failed = 'batches: {
+            while s < shards.end {
+                let gpu = self.fleet.device_mut(d);
+                let end = batch_end(layout.gs(), per_entry, *budget, s, shards.end);
+                let (batch_ts, h2d_before) = (gpu.total_seconds(), gpu.h2d_seconds);
+                let (host, via) = (&self.host, SpillVia::Host);
+                let up = DeviceSlice::upload(gpu, &retry, fault, layout, host, s..end, via);
+                let mut slice = match up {
+                    Ok(slice) => slice,
+                    Err(DeviceFault::Oom { .. }) if rebatch(fault, max, gpu, budget) => continue,
+                    Err(f) => break 'batches f,
+                };
+                let copy = gpu.h2d_seconds - h2d_before;
+                (piped, copied) = (piped + last_kernel.max(copy), copied + copy);
+                // Flip point: silent bit flips land while the batch sits in
+                // device DRAM, and the scrubber verifies both protected
+                // buffers before the kernel consumes them. The batch's
+                // `SrcValue` came from the trusted host master, so the master
+                // slice's checksum is its reference; `VertexValues`' is its
+                // own after the last launch. A hit is `drive`'s to recover.
+                let flips = gpu.take_due_bit_flips();
+                sdc.flips_injected += flips.len() as u64;
+                if !flips.is_empty() {
+                    apply_flips(&flips, &mut res.vertex_values, &mut slice.src_value);
                 }
-                Err(DeviceFault::Oom { .. }) => {
-                    self.faults[d].oom_rebatches += 1;
-                    self.fault_instant(d, "fault", "oom-rebatch");
-                    self.modes[d] = Mode::Rebatched {
-                        budget: (budget / 2).max(per_entry),
-                    };
-                    self.faults[d].oom_rebatches > self.max_rebatches
+                let master = &mut self.host.src_value;
+                if checksums
+                    && (checksum(res.vertex_values.host()) != *vv_crc
+                        || checksum(slice.src_value.host())
+                            != checksum(&master[slice.erange.clone()]))
+                {
+                    out.corrupt = true;
+                    slice.retire(gpu);
+                    return Ok(());
                 }
-                Err(DeviceFault::Kernel { .. }) => true,
-                Err(other) => return Err(other),
-            };
-            if degrade {
-                self.degrade_to_host(d);
-                self.host_iterate(d, s..shards.end, out);
-                break;
+                // Stage-4 writes to targets in the batch are device stores;
+                // the rest land in the host master (the real implementation
+                // would buffer them in pinned memory; either way they cross
+                // PCIe, and `host_writes` bytes are charged as such).
+                let mut host_writes = 0u64;
+                let sink = HostMaster {
+                    src_value: master,
+                    bytes: &mut host_writes,
+                    own,
+                    spills: &mut out.spills,
+                };
+                let (prog, sink) = (self.prog, Some(sink));
+                let (kstats, updated) = match slice
+                    .launch(gpu, name, threads, prog, layout, res, sink, &retry, fault)
+                {
+                    Ok(launched) => launched,
+                    Err(f) => break 'batches f,
+                };
+                out.updated += updated;
+                (last_kernel, in_kernels) = (kstats.seconds, in_kernels + kstats.seconds);
+                // The launch legitimately rewrote the resident values.
+                if checksums {
+                    *vv_crc = checksum(res.vertex_values.host());
+                }
+                self.fleet.record_launch(d, &kstats);
+                let gpu = self.fleet.device_mut(d);
+                let srcv =
+                    with_copy_retries(gpu, &retry, fault, |g| g.try_download(&slice.src_value))?;
+                master[slice.erange.clone()].copy_from_slice(&srcv);
+                *host_seconds += device.transfer_seconds(host_writes);
+                let (pid, dur) = (gpu.trace_pid(), gpu.total_seconds() - batch_ts);
+                let args = || {
+                    let shards = ArgVal::U64(u64::from(end - s));
+                    vec![("batch", ArgVal::U64(index)), ("shards", shards)]
+                };
+                let tracer = gpu.tracer();
+                tracer.complete_with(pid, lanes::ENGINE, "engine", "batch", batch_ts, dur, args);
+                slice.retire(gpu);
+                (s, index) = (end, index + 1);
             }
+            out.kernel_seconds = match *streams >= 2 {
+                true => piped + last_kernel,
+                false => copied + in_kernels,
+            };
+            res.read_flag(self.fleet.device_mut(d), &retry, fault)?;
+            return Ok(());
+        };
+        match failed {
+            f @ (DeviceFault::Oom { .. } | DeviceFault::Kernel { .. }) => {
+                self.policy.absorb(|| f)?;
+                self.fall_back(d, s, out)
+            }
+            other => Err(other),
         }
-        Ok(())
-    }
-
-    /// Uploads, launches and downloads one batch of a rebatched device
-    /// through a fresh `Gpu`. Kernel faults are retried in place up to the
-    /// cap and then surface to the caller for degradation.
-    fn run_batch(
-        &mut self,
-        d: usize,
-        batch: Range<u32>,
-        out: &mut DeviceIter<P::V>,
-    ) -> Result<(), DeviceFault> {
-        let retry = self.retry;
-        self.fresh_gpu(d);
-        let mut dev = self.upload(d, batch)?;
-        let gpu = self.fleet.device_mut(d);
-        let fault = &mut self.faults[d];
-        let (kstats, updated) = dev.slice.launch(
-            gpu,
-            &self.desc_name,
-            self.base.threads_per_block,
-            self.prog,
-            self.layout,
-            &mut dev.res,
-            None,
-            &retry,
-            fault,
-        )?;
-        out.kernel_seconds += kstats.seconds;
-        self.fleet.record_launch(d, &kstats);
-        let gpu = self.fleet.device_mut(d);
-        dev.res.read_flag(gpu, &retry, fault)?;
-        // Sync the batch's updated state back into the masters — the next
-        // batch (and the next iteration) upload from them.
-        let vals = with_copy_retries(gpu, &retry, fault, |g| {
-            g.try_download(&dev.res.vertex_values)
-        })?;
-        self.host.values[dev.res.voff..][..vals.len()].copy_from_slice(&vals);
-        let srcv = with_copy_retries(gpu, &retry, fault, |g| g.try_download(&dev.slice.src_value))?;
-        self.host.src_value[dev.slice.erange.clone()].copy_from_slice(&srcv);
-        // Cross-batch stage-4 writes must land in the master `SrcValue`
-        // before the next batch uploads its slice — that is exactly the
-        // single-buffer visibility the resident kernel has for free.
-        let first = out.spills.len();
-        dev.slice.take_spills(&mut out.spills);
-        for &(k, v) in &out.spills[first..] {
-            self.host.src_value[k] = v;
-        }
-        out.updated += updated;
-        Ok(())
     }
 }
 
-/// The one host loop around the kernel: upload each device's shard range,
+/// Absorbs an OOM inside a device's rebatch budget: the byte budget halves
+/// and the caller retries in place. `false` past it: the policy decides.
+fn rebatch(fault: &mut FaultStats, max_rebatches: u32, gpu: &Gpu, budget: &mut u64) -> bool {
+    let inside = fault.oom_rebatches < max_rebatches;
+    if inside {
+        fault.oom_rebatches += 1;
+        fault_instant(gpu, "fault", "oom-rebatch");
+        *budget = (*budget / 2).max(1);
+    }
+    inside
+}
+
+/// The one host loop around the kernel: bring each device's shard range up,
 /// iterate the devices in order until no vertex value changes, download. An
-/// in-core run is a fleet of one whose device stays resident; what the two
-/// callers differ in is exactly what they pass:
+/// in-core run is a fleet of one whose device stays resident, a streamed run
+/// a fleet of one whose device starts out of core; what the callers differ in
+/// is exactly what they pass:
 ///
 /// * `layout` is borrowed — its owner decides whether it outlives the run —
 ///   and `shards` gives each device its contiguous share of `0..num_shards`;
 /// * `fleet` holds the devices as their owner set them up (tracer, fault
 ///   plan, profiling, replay table) and takes them back, plus their fabric.
-///   Over one, devices overlap and the engine lane runs on the fleet clock
-///   (slowest device per iteration, then the exchange); with none there is no
-///   exchange step and the lane's clock is the devices' own, end to end;
-/// * `engine_pid` is the trace process of the engine lane (setup, iteration
-///   and download spans, events that belong to no one device);
-/// * `policy` surfaces a fault or recovers from it in place.
+///   Over one, devices overlap and the engine lane — setup, iteration and
+///   download spans, events that belong to no one device, on
+///   [`DeviceFleet::fleet_pid`] — runs on the fleet clock (slowest device per
+///   iteration, then the exchange); with none there is no exchange step and
+///   the lane's clock is the devices' own, end to end;
+/// * `policy` carries the in-place budgets, and past them surfaces a fault or
+///   recovers from it in place;
+/// * `start` is how a device with shards begins, `name` what its launches
+///   are called (fault plans match on it);
+/// * `records` are the devices' fail-stop and SDC records, the caller's so
+///   that they outlive an `Err` and a caller re-entering rung after rung
+///   carries device 0's budgets across.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
     prog: &P,
@@ -942,16 +1077,16 @@ pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
     layout: &PreparedLayout,
     shards: &[Range<u32>],
     fleet: &mut DeviceFleet,
-    engine_pid: u32,
     policy: FaultPolicy,
+    start: Start,
+    name: &str,
+    (faults, sdcs): (&mut [FaultStats], &mut [SdcStats]),
     observer: &mut O,
 ) -> Result<Driven<P::V>, Stop<P::V>> {
     let observer = &mut DeadlineObserver::new(base.deadline_seconds, observer);
-    let (retry, max_rebatches) = match policy {
-        FaultPolicy::Surface => (RetryPolicy::NONE, 0),
-        FaultPolicy::Recover(retry, max_rebatches) => (retry, max_rebatches),
-    };
-    let (gs, n) = (layout.gs(), shards.len());
+    let (FaultPolicy::Surface(retry, max_rebatches) | FaultPolicy::Recover(retry, max_rebatches)) =
+        policy;
+    let (gs, n, engine_pid) = (layout.gs(), shards.len(), fleet.fleet_pid());
     let infos = shards.iter().map(|shards| DevInfo {
         vrange: vertex_range(gs, shards),
         erange: entry_range(gs, shards),
@@ -968,32 +1103,36 @@ pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
         infos: infos.collect(),
         modes: (0..n).map(|_| Mode::Idle).collect(),
         host: HostArrays::new(prog, graph, gs),
-        faults: vec![FaultStats::default(); n],
+        faults,
         marks: vec![0.0; n],
         crcs: vec![(0, 0); n],
-        acc: vec![TimeAcc::default(); n],
-        profiles: vec![None; n],
-        desc_name: format!("{}::{}", base.repr.label(), prog.name()).into(),
+        clocks: vec![DeviceClocks::default(); n],
+        desc_name: name.into(),
     };
 
-    // ---- Setup: upload every non-empty partition (H2D) --------------------
+    // ---- Setup: bring every non-empty partition up (H2D) ------------------
     for d in 0..n {
         if st.infos[d].shards.is_empty() {
             continue;
         }
-        match st.upload(d, st.infos[d].shards.clone()) {
-            Ok(held) => st.modes[d] = Mode::Resident(Box::new(held)),
-            Err(f @ DeviceFault::Oom { .. }) => {
-                policy.absorb(|| f)?;
-                // The partition does not fit: stream it in batches under
-                // half the device's memory, like the streamed engine.
-                st.faults[d].oom_rebatches += 1;
-                st.fault_instant(d, "fault", "oom-rebatch");
-                st.modes[d] = Mode::Rebatched {
-                    budget: (base.device.global_mem_bytes / 2).max(1),
-                };
+        let (gpu, fault, shards) = (
+            st.fleet.device_mut(d),
+            &mut st.faults[d],
+            &st.infos[d].shards,
+        );
+        match start {
+            Start::Resident => {
+                match upload_resident(gpu, &retry, fault, layout, &st.host, shards.clone()) {
+                    Ok((res, slice)) => st.modes[d] = Mode::Resident(Box::new(Held { res, slice })),
+                    // The partition does not fit: stream it, on one stream — the
+                    // fleet clock is each device's own serial clock.
+                    Err(f @ DeviceFault::Oom { .. }) => {
+                        st.stream(d, base.device.global_mem_bytes, 1, Some(f))?
+                    }
+                    Err(f) => return Err(f.into()),
+                }
             }
-            Err(f) => return Err(f.into()),
+            Start::Streamed { budget, streams } => st.stream(d, budget, streams, None)?,
         }
     }
     let setup_seconds = (0..n).map(|d| st.lap(d)).fold(0.0, f64::max);
@@ -1027,12 +1166,12 @@ pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
     // bookkeeping (checkpoints, invariant detections) is attributed to
     // device 0.
     let integ = base.integrity;
-    let mut sdcs = vec![SdcStats::default(); n];
     let (sdc, host) = (&mut sdcs[0], &st.host);
     let mut recovery = Recovery::new(base, sdc, &host.values, &host.src_value);
-    if let FaultPolicy::Surface = policy {
-        // Everything is uploaded, no device can leave `Resident`, and
-        // `recovery` keeps the restart image it needs.
+    let streaming = st.modes.iter().any(|m| matches!(m, Mode::Streamed(..)));
+    if matches!(policy, FaultPolicy::Surface(..)) && !streaming {
+        // Everything is uploaded, a fault will surface before a device leaves
+        // `Resident`, and `recovery` keeps the restart image it needs.
         st.host.release();
     }
     if integ.mode.checksums() {
@@ -1041,10 +1180,10 @@ pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
     let mut integrity_seconds = 0.0f64;
 
     // The fleet as `Recovery` drives it: restores and snapshots are global
-    // (masters plus every resident device's slices), and each books its
-    // transfers — the recovery share of the run, kept apart from the
-    // watchdog's. Marks go to device `$lane`'s fault lane, or to the engine
-    // lane's process when the event belongs to no device.
+    // (masters plus what every device holds), and each books its transfers —
+    // the recovery share of the run, kept apart from the watchdog's. Marks go
+    // to device `$lane`'s fault lane, or to the engine lane's process when
+    // the event belongs to no device.
     macro_rules! fleet {
         ($lane:expr) => {
             |ask: Ask<'_, P::V>| {
@@ -1063,7 +1202,7 @@ pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
                     }
                     Ask::Mark(name) => {
                         match $lane {
-                            Some(d) => st.fault_instant(d, "sdc", name),
+                            Some(d) => fault_instant(st.fleet.device(d), "sdc", name),
                             None => {
                                 let now = st.now(fleet_clock);
                                 trace.instant(engine_pid, lanes::FAULT, "sdc", name, now)
@@ -1081,10 +1220,10 @@ pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
     }
     // One rung of the ladder after a corruption was detected on (or
     // attributed to) device `$det`; the budgets are fleet-wide. Past the last
-    // rung the run is abandoned with its SDC record, or — recovering in
-    // place — degrades to the host re-enactment the detecting device for a
-    // checksum hit, every resident device for an invariant hit (whose
-    // culprit is unknown), since host masters are immune to device flips.
+    // rung the run is abandoned, or — recovering in place — degrades to the
+    // host re-enactment the detecting device for a checksum hit, every device
+    // holding values for an invariant hit (whose culprit is unknown), since
+    // host masters are immune to device flips.
     macro_rules! recover {
         ($det:expr, $detector:expr) => {{
             let det: usize = $det;
@@ -1096,15 +1235,11 @@ pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
             let rung =
                 recovery.step($detector, sdc, spent, iterations, detail, fleet!(Some(det)))?;
             if let Rung::Exhausted = rung {
-                policy.absorb(|| {
-                    let mut total = SdcStats::default();
-                    sdcs.iter().for_each(|sdc| total.absorb(sdc));
-                    Stop::Abandon(total)
-                })?;
+                policy.absorb(|| Stop::Abandon)?;
                 let victims: Vec<usize> = match $detector {
                     Detector::Checksum => vec![det],
                     Detector::Invariant => (0..n)
-                        .filter(|&d| matches!(st.modes[d], Mode::Resident(_)))
+                        .filter(|&d| st.modes[d].vertex_values().is_some())
                         .collect(),
                 };
                 // With nothing left to degrade (the whole fleet already runs
@@ -1117,19 +1252,20 @@ pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
                 for v in victims {
                     st.modes[v] = Mode::Fallback;
                     sdcs[v].host_fallbacks += 1;
-                    st.fault_instant(v, "sdc", "host-fallback");
+                    fault_instant(st.fleet.device(v), "sdc", "host-fallback");
                 }
             }
         }};
     }
 
-    let (values, teardown, download_from) = 'run: loop {
-        while stats.iterations < base.max_iterations {
-            // Flip points: every device's due silent bit flips land while the
-            // fleet is quiescent, and the scrubber verifies every resident
-            // device before any kernel consumes (or spill overwrites) the
-            // corrupted words.
-            st.apply_due_flips(&mut sdcs);
+    let (values, teardown) = 'run: loop {
+        'iteration: while stats.iterations < base.max_iterations {
+            // Flip points: every resident device's due silent bit flips land
+            // while the fleet is quiescent, and the scrubber verifies every
+            // resident device before any kernel consumes (or spill
+            // overwrites) the corrupted words. A streamed device's flip
+            // points and scrubs are its batches'.
+            st.apply_due_flips(sdcs);
             if integ.mode.checksums() {
                 if let Some(det) = st.scrub(|dev, _, crcs| MultiState::crcs_of(dev) != crcs) {
                     recover!(det, Detector::Checksum);
@@ -1147,15 +1283,18 @@ pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
             // and earlier ones next: the single-buffer stage-4 visibility of
             // the one-device engine.
             for (d, sent) in sent_pairs.iter_mut().enumerate() {
-                res.updated = 0;
-                res.kernel_seconds = 0.0;
+                (res.updated, res.kernel_seconds) = (0, 0.0);
                 res.spills.clear();
                 sent.clear();
                 match &st.modes[d] {
                     Mode::Idle => continue,
                     Mode::Resident(_) => st.iterate_resident(d, &mut res)?,
-                    Mode::Rebatched { .. } => st.iterate_rebatched(d, &mut res)?,
+                    Mode::Streamed(..) => st.iterate_streamed(d, &mut res, &mut sdcs[d])?,
                     Mode::Fallback => st.host_iterate(d, st.infos[d].shards.clone(), &mut res),
+                }
+                if std::mem::take(&mut res.corrupt) {
+                    recover!(d, Detector::Checksum);
+                    continue 'iteration;
                 }
                 for &(k, v) in &res.spills {
                     let t = st.owner_of_entry(k);
@@ -1172,6 +1311,7 @@ pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
                     }
                 }
                 iter_updated += res.updated;
+                st.clocks[d].iteration_seconds += res.kernel_seconds;
                 max_kernel = max_kernel.max(res.kernel_seconds);
                 max_wall = max_wall.max(st.lap(d));
             }
@@ -1246,8 +1386,9 @@ pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
 
         // ---- Download results (D2H) ---------------------------------------
         let download_ts = st.now(fleet_clock);
-        let d2h_of = |d: usize| st.acc[d].d2h + st.fleet.device(d).d2h_seconds;
-        let download_from = (0..n).map(d2h_of).collect();
+        for d in 0..n {
+            st.clocks[d].d2h_before_results = st.fleet.device(d).d2h_seconds;
+        }
         let values = st.snapshot(None)?;
         let teardown = (0..n).map(|d| st.lap(d)).fold(0.0, f64::max);
         span("download", download_ts, teardown);
@@ -1267,7 +1408,7 @@ pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
             }
         }
         recovery.finish(fleet!(None::<usize>))?;
-        break 'run (values, teardown, download_from);
+        break 'run (values, teardown);
     };
     stats.converged = converged;
     stats.compute_seconds += watchdog_seconds + integrity_seconds;
@@ -1275,12 +1416,7 @@ pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
 
     // ---- Per-device breakdown ---------------------------------------------
     for d in 0..n {
-        let gpu = st.fleet.device(d);
-        let (a, info) = (st.acc[d], &st.infos[d]);
-        let mut profile = st.profiles[d].take();
-        if let Some(fresh) = &gpu.profile {
-            profile.get_or_insert_default().absorb(fresh);
-        }
+        let (gpu, info) = (st.fleet.device(d), &st.infos[d]);
         stats.per_device.push(DeviceRunStats {
             device: d,
             mode: st.modes[d].label(),
@@ -1288,16 +1424,16 @@ pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
             vertices: info.vrange.len(),
             edges: info.erange.len(),
             halo_vertices: 0,
-            h2d_seconds: a.h2d + gpu.h2d_seconds,
-            d2h_seconds: a.d2h + gpu.d2h_seconds,
-            kernel_seconds: a.kernel + gpu.kernel_seconds,
-            kernels_launched: a.launched + gpu.kernels_launched,
+            h2d_seconds: gpu.h2d_seconds,
+            d2h_seconds: gpu.d2h_seconds,
+            kernel_seconds: gpu.kernel_seconds,
+            kernels_launched: gpu.kernels_launched,
             kernel: st.fleet.device_stats(d).clone(),
             exchange_sent_bytes: sent_bytes_total[d],
             exchange_recv_bytes: recv_bytes_total[d],
             fault: st.faults[d],
             sdc: sdcs[d],
-            profile,
+            profile: gpu.profile.clone(),
         });
         let f = &st.faults[d];
         stats.fault.copy_retries += f.copy_retries;
@@ -1306,13 +1442,12 @@ pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
         stats.fault.degradations += f.degradations;
         stats.fault.kernel_retries += f.kernel_retries;
         stats.sdc.absorb(&sdcs[d]);
-        stats.memo.add(&a.memo);
         stats.memo.add(&MemoStats::from_gpu(gpu));
     }
     stats.aggregate = st.fleet.aggregate_stats();
-    stats.aggregate.name = st.desc_name.clone();
+    stats.aggregate.name = st.desc_name;
 
-    Ok((MultiOutput { values, stats }, download_from))
+    Ok((MultiOutput { values, stats }, st.clocks))
 }
 
 #[cfg(test)]
@@ -1657,5 +1792,54 @@ mod tests {
             }
             other => panic!("expected NonConverged, got {other}"),
         }
+    }
+
+    #[test]
+    fn a_streamed_device_holds_its_resident_part_and_one_batch() {
+        // The chain the streamed engine used to run out of memory on: every
+        // batch of every iteration stayed allocated. A device with room for
+        // exactly the resident part and the largest batch streams it clean —
+        // one more held byte would OOM, and be counted — and is left holding
+        // the resident part.
+        let g = Graph::new(400, (0..399).map(|v| Edge::new(v, v + 1, 1)).collect());
+        let prog = MiniSssp { source: 0 };
+        let mut base = CuShaConfig::gs().with_vertices_per_shard(8);
+        base.max_iterations = 2000;
+        let want = run(&prog, &g, &base);
+        let layout = PreparedLayout::build(&g, base.repr, 8);
+        let (gs, per_entry, budget) = (layout.gs(), 16, 1024);
+        let (mut s, mut largest) = (0, 0);
+        while s < gs.num_shards() {
+            let end = batch_end(gs, per_entry, budget, s, gs.num_shards());
+            let entries = gs.shard_entries(s).start..gs.shard_entries(end - 1).end;
+            largest = largest.max(entries.len() as u64 * per_entry);
+            s = end;
+        }
+        let resident = 400 * 4 + 4;
+        base.device.global_mem_bytes = resident + largest;
+        let mut fleet = DeviceFleet::solo(Gpu::new(base.device.clone()));
+        let (mut fault, mut sdc) = (FaultStats::default(), SdcStats::default());
+        let (shards, streams) = (0..layout.num_shards(), 2);
+        let (out, _) = drive(
+            &prog,
+            &g,
+            &base,
+            &layout,
+            std::slice::from_ref(&shards),
+            &mut fleet,
+            FaultPolicy::Surface(RetryPolicy::NONE, 0),
+            Start::Streamed { budget, streams },
+            "chain",
+            (
+                std::slice::from_mut(&mut fault),
+                std::slice::from_mut(&mut sdc),
+            ),
+            &mut NoopObserver,
+        )
+        .unwrap_or_else(|_| panic!("streams within resident part + one batch"));
+        assert_eq!(out.values, want.values);
+        assert_eq!(out.stats.iterations, want.stats.iterations);
+        assert!(fault.is_clean(), "{fault:?}");
+        assert_eq!(fleet.device(0).allocated_bytes(), resident);
     }
 }

@@ -21,8 +21,8 @@ pub struct FaultStats {
     pub copy_retries: u32,
     /// Modeled seconds spent in exponential backoff before copy retries.
     pub backoff_seconds: f64,
-    /// Times the streamed engine halved its residency budget and restarted
-    /// after a device OOM.
+    /// Times a streamed device halved its byte budget, in place, after a
+    /// device OOM.
     pub oom_rebatches: u32,
     /// Rungs of the degradation ladder taken after repeated kernel faults
     /// (CW → G-Shards → host fallback).

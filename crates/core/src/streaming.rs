@@ -7,30 +7,38 @@
 //! the device; the per-entry shard arrays — the bulk of G-Shards/CW — are
 //! split into **batches** of consecutive shards that fit a configurable
 //! device-memory budget. Every iteration uploads each batch in turn,
-//! processes its shards with the normal 4-stage kernel, and copies the
-//! batch's (possibly updated) `SrcValue` column back to the host master
-//! copy. Stage-4 write-backs that target a *non-resident* batch are
-//! applied to the host master directly (the real implementation would
-//! buffer them in pinned memory; either way they cross PCIe, and we charge
-//! them to the device-to-host budget).
+//! processes its shards with the normal 4-stage kernel, copies the batch's
+//! (possibly updated) `SrcValue` column back to the host master copy and
+//! retires the batch, whose memory goes back to the device. Stage-4
+//! write-backs that target a *non-resident* batch are applied to the host
+//! master directly (the real implementation would buffer them in pinned
+//! memory; either way they cross PCIe, and we charge them as such).
 //!
 //! With `streams >= 2`, batch `k+1`'s upload overlaps batch `k`'s kernel, so
 //! an iteration's modeled time is the pipelined
 //! `copy_0 + Σ max(kernel_k, copy_{k+1}) + kernel_last` instead of the
 //! serial sum.
 //!
+//! That residency is `Mode::Streamed` of the one host loop,
+//! `crate::multi::drive` — the mode a fleet device that cannot hold its
+//! partition enters, too. This module is the façade that starts a fleet of
+//! one in it: the configuration, the single-engine shape of the statistics,
+//! and the degradation ladder, which needs a new layout per rung where
+//! `drive` borrows one.
+//!
 //! # Fault tolerance
 //!
-//! Because it owns the batching loop, the streamed engine is also where
-//! recovery lives (see `DESIGN.md`, "Failure model & recovery"):
+//! The budgets below are data the façade passes; what happens inside them
+//! happens in `drive` (see `DESIGN.md`, "Failure model & recovery"):
 //!
 //! * **Transient copy faults** (H2D/D2H) are retried in place with
 //!   exponential backoff, up to [`StreamingConfig::max_copy_retries`] per
 //!   operation. A failed copy transferred nothing, so the retry re-issues
 //!   the identical transfer.
-//! * **Device OOM** halves [`StreamingConfig::resident_bytes`] and restarts
-//!   the computation from scratch with more, smaller batches — up to
-//!   [`StreamingConfig::max_rebatches`] times.
+//! * **Device OOM** — a batch's upload or the resident part's — halves
+//!   [`StreamingConfig::resident_bytes`] in place and continues from the
+//!   failing batch with more, smaller batches, up to
+//!   [`StreamingConfig::max_rebatches`] times; past that it is an error.
 //! * **Kernel faults** are retried up to
 //!   [`StreamingConfig::max_kernel_retries`] per launch; past that the
 //!   engine walks the degradation ladder CW → G-Shards → host fallback
@@ -38,28 +46,25 @@
 //! * A **watchdog** (opt-in via `base.watchdog_interval`) snapshots the
 //!   value vector periodically and flags livelock when a state recurs.
 //!
-//! Restarts are safe because every engine in the ladder computes the same
-//! deterministic fixed point from scratch; the installed
-//! [`cusha_simt::FaultPlan`] is carried across restarts (its operation
+//! A rung's restart is safe because every engine in the ladder computes the
+//! same deterministic fixed point from scratch; the installed
+//! [`cusha_simt::FaultPlan`] is carried across rungs (its operation
 //! counters persist), so consumed one-shot faults do not re-fire. All
 //! recovery activity is recorded in [`RunStats::fault`].
 
-use crate::engine::{trace_iteration, CuShaConfig, CuShaOutput, PreparedLayout, Repr, RunObserver};
+use crate::engine::{CuShaConfig, CuShaOutput, PreparedLayout, Repr, RunObserver};
 use crate::error::EngineError;
 use crate::fallback::run_fallback_after;
-use crate::integrity::{apply_flips, checksum, Ask, Detector, Recovery, Rung, Stop};
-use crate::kernel::{
-    batch_end, fault_instant, with_copy_retries, DeviceSlice, HostArrays, HostMaster, Resident,
-    RetryPolicy, SpillVia,
-};
-use crate::memsize::{entry_bytes, ValueSizes};
+use crate::integrity::Stop;
+use crate::kernel::RetryPolicy;
+use crate::memsize::{check_streams, ValueSizes};
 use crate::middleware::DeadlineObserver;
+use crate::multi::{drive, FaultPolicy, Start};
 use crate::program::VertexProgram;
-use crate::shards::GShards;
-use crate::stats::{FaultStats, IterationStat, RunStats, SdcStats};
+use crate::stats::{FaultStats, MemoStats, SdcStats};
 use cusha_graph::Graph;
-use cusha_obs::trace::{lanes, ArgVal};
-use cusha_simt::{FaultPlan, Gpu, Pod};
+use cusha_obs::trace::lanes;
+use cusha_simt::{DeviceFleet, FaultPlan, Gpu, Profile};
 
 /// Configuration of the streamed engine.
 #[derive(Clone, Debug)]
@@ -81,7 +86,7 @@ pub struct StreamingConfig {
     /// In-place re-launches allowed per kernel fault before the engine
     /// degrades to the next representation.
     pub max_kernel_retries: u32,
-    /// Halve-and-restart cycles allowed on device OOM before giving up.
+    /// Budget halvings allowed on device OOM before giving up.
     pub max_rebatches: u32,
 }
 
@@ -123,18 +128,6 @@ impl StreamingConfig {
     }
 }
 
-/// Splits all shards into the batches [`batch_end`] delimits under `budget`.
-fn plan_batches(gs: &GShards, per_entry: u64, budget: u64) -> Vec<std::ops::Range<u32>> {
-    let mut batches = Vec::new();
-    let mut start = 0u32;
-    while start < gs.num_shards() {
-        let end = batch_end(gs, per_entry, budget, start, gs.num_shards());
-        batches.push(start..end);
-        start = end;
-    }
-    batches
-}
-
 /// Executes `prog` over `graph` with the streamed engine.
 ///
 /// # Panics
@@ -170,9 +163,8 @@ pub fn try_run_streamed<P: VertexProgram>(
 /// [`try_run_warm`](crate::try_run_warm): a caller-owned [`FaultPlan`]
 /// (installed in place of `cfg.base.fault_plan`, advanced state written
 /// back on every exit) and an iteration-boundary observer. The observer's
-/// elapsed clock accumulates across the engine's internal restarts
-/// (rebatches, degradations), so deadlines measure the whole recovery
-/// trajectory, not just the final attempt.
+/// elapsed clock accumulates across the ladder's rungs, so deadlines measure
+/// the whole recovery trajectory, not just the final rung.
 pub fn try_run_streamed_observed<P: VertexProgram, O: RunObserver + ?Sized>(
     prog: &P,
     graph: &Graph,
@@ -182,369 +174,159 @@ pub fn try_run_streamed_observed<P: VertexProgram, O: RunObserver + ?Sized>(
 ) -> Result<CuShaOutput<P::V>, EngineError<P::V>> {
     cfg.validate().map_err(EngineError::InvalidConfig)?;
     graph.validate()?;
-    let observer = &mut DeadlineObserver::new(cfg.base.deadline_seconds, observer);
+    let (base, sizes) = (&cfg.base, ValueSizes::of::<P>());
+    let n_per = PreparedLayout::select_n_per(graph, base, sizes.vertex);
+    let v = graph.num_vertices() as u64;
+    check_streams(v, 1, sizes, (base.repr, n_per), &base.device)?;
 
-    let mut fault = FaultStats::default();
-    let mut sdc = SdcStats::default();
-    let mut plan = fault_plan
-        .as_deref()
-        .cloned()
-        .or_else(|| cfg.base.fault_plan.clone());
-    // Flips fired so far: a carried plan arrives with earlier runs' recorded.
-    let flips_fired = |plan: Option<&FaultPlan>| plan.map_or(0, |p| p.injected().bit_flips);
-    let flips_baseline = flips_fired(plan.as_ref());
-    let mut resident = cfg.resident_bytes;
-    let mut repr = cfg.base.repr;
-    let mut elapsed_base = 0.0f64;
-    // Per-launch profile history accumulated across restarts/rebatches, so
-    // the streamed engine reports through `--profile` like every other.
-    let mut run_profile: Option<cusha_simt::Profile> = None;
-
-    loop {
-        let mut gpu = Gpu::new(cfg.base.device.clone());
-        gpu.set_tracer(cfg.base.trace.clone(), 0);
-        gpu.set_profiling(cfg.base.profile);
+    // What the rungs share: the fault plan (its operation counters persist,
+    // so consumed one-shot faults and fired bit flips never re-fire), the
+    // recovery and SDC records with the budgets they count against, the
+    // device clock — a deadline bounds the whole trajectory — and the memo
+    // and launch-profile totals.
+    let mut plan = fault_plan.as_deref().cloned();
+    plan = plan.or_else(|| base.fault_plan.clone());
+    let (mut fault, mut sdc) = (FaultStats::default(), SdcStats::default());
+    let (mut memo, mut profile) = (MemoStats::default(), None::<Profile>);
+    let mut elapsed = 0.0f64;
+    let observer = &mut DeadlineObserver::new(base.deadline_seconds, observer);
+    // The device starts out of core and, past its budgets, surfaces the fault:
+    // the next rung needs a layout of its own, which this function builds.
+    let policy = FaultPolicy::Surface(cfg.retry(), cfg.max_rebatches);
+    let start = Start::Streamed {
+        budget: cfg.resident_bytes,
+        streams: cfg.streams,
+    };
+    let ladder = [Repr::ConcatWindows, Repr::GShards];
+    for repr in ladder.into_iter().skip_while(|&r| r != base.repr) {
+        let layout = PreparedLayout::build(graph, repr, n_per);
+        let mut gpu = Gpu::new(base.device.clone());
+        gpu.set_tracer(base.trace.clone(), 0);
+        gpu.set_profiling(base.profile);
         if let Some(p) = plan.take() {
             gpu.set_fault_plan(p);
         }
-        let result = stream_attempt(
+        let mut fleet = DeviceFleet::solo(gpu);
+        let (label, shards) = (format!("{}-streamed", repr.label()), 0..layout.num_shards());
+        let name = format!("{label}::{}", prog.name());
+        let records = (
+            std::slice::from_mut(&mut fault),
+            std::slice::from_mut(&mut sdc),
+        );
+        let mut clock = Later(elapsed, &mut *observer);
+        let result = drive(
             prog,
             graph,
-            cfg,
-            repr,
-            resident,
-            &mut gpu,
-            &mut fault,
-            &mut sdc,
-            observer,
-            elapsed_base,
+            base,
+            &layout,
+            std::slice::from_ref(&shards),
+            &mut fleet,
+            policy,
+            start,
+            &name,
+            records,
+            &mut clock,
         );
-        // The plan's operation counters persist across restarts, so
-        // consumed one-shot faults (and fired bit flips) never re-fire.
+        let gpu = fleet.device_mut(0);
         plan = gpu.take_fault_plan();
         if let (Some(slot), Some(p)) = (fault_plan.as_deref_mut(), plan.as_ref()) {
             *slot = p.clone();
         }
-        sdc.flips_injected = flips_fired(plan.as_ref()) - flips_baseline;
-        let attempt_end = gpu.total_seconds();
-        elapsed_base += attempt_end;
-        let attempt_memo = crate::stats::MemoStats::from_gpu(&gpu);
+        let (rung_start, rung_end) = (elapsed, gpu.total_seconds());
+        elapsed += rung_end;
+        memo.add(&MemoStats::from_gpu(gpu));
         if let Some(p) = gpu.profile.take() {
-            run_profile
-                .get_or_insert_with(cusha_simt::Profile::default)
-                .absorb(&p);
+            profile.get_or_insert_default().absorb(&p);
         }
-        drop(gpu);
         let instant = |cat: &'static str, name: &str| {
-            cfg.base
-                .trace
-                .instant(0, lanes::FAULT, cat, name, attempt_end);
+            base.trace.instant(0, lanes::FAULT, cat, name, rung_end);
         };
-
         match result {
-            Ok(mut out) => {
-                out.stats.fault = fault;
-                out.stats.sdc = sdc;
-                out.stats.memo.add(&attempt_memo);
-                out.stats.profile = run_profile.take();
-                return if out.stats.converged {
-                    Ok(out)
-                } else {
-                    Err(EngineError::NonConverged {
+            Ok((out, clocks)) => {
+                // The single-engine shape of a streamed run: H2D is the
+                // resident upload, compute the batch pipeline plus the PCIe
+                // terms no device clock sees, D2H the values' one transfer.
+                let (blocks, clock) = (out.stats.per_device[0].kernel.blocks, clocks[0]);
+                let compute = clock.iteration_seconds + clock.host_transfer_seconds;
+                let d2h = base.device.transfer_seconds(v * sizes.vertex as u64);
+                let mut out = out.into_solo(label, blocks, compute, d2h);
+                let stats = &mut out.stats;
+                (stats.fault, stats.sdc, stats.memo, stats.profile) = (fault, sdc, memo, profile);
+                return match stats.converged {
+                    true => Ok(out),
+                    false => Err(EngineError::NonConverged {
                         partial: Box::new(out),
-                    })
+                    }),
                 };
             }
             // Detected corruption outlived the rollback and restart budgets.
-            Err(Stop::Abandon(_)) => {
+            Err(Stop::Abandon) => {
                 sdc.host_fallbacks += 1;
                 instant("sdc", "host-fallback");
-                return run_fallback_after(prog, graph, &cfg.base, fault, sdc, run_profile);
+                break;
             }
-            Err(Stop::Error(EngineError::DeviceOom { .. }))
-                if fault.oom_rebatches < cfg.max_rebatches =>
-            {
-                fault.oom_rebatches += 1;
-                resident = (resident / 2).max(1);
-                instant("fault", "oom-rebatch");
-            }
+            // The next rung's kernels are a different code path (and, under
+            // injection, a different name pattern); the last one is the host.
             Err(Stop::Error(EngineError::KernelFault { .. })) => {
                 fault.degradations += 1;
-                match repr {
-                    // First rung: fall back to G-Shards, whose kernels are
-                    // a different code path (and, under injection, a
-                    // different name pattern).
-                    Repr::ConcatWindows => {
-                        repr = Repr::GShards;
-                        instant("fault", "degrade-to-gshards");
-                    }
-                    Repr::GShards => {
-                        instant("fault", "degrade-to-host");
-                        return run_fallback_after(prog, graph, &cfg.base, fault, sdc, run_profile);
-                    }
-                }
+                instant(
+                    "fault",
+                    match repr {
+                        Repr::ConcatWindows => "degrade-to-gshards",
+                        Repr::GShards => "degrade-to-host",
+                    },
+                );
             }
-            // Rebatches spent, a copy fault past its retries, the watchdog
-            // or a deadline: nothing left to try.
+            Err(Stop::Error(EngineError::Deadline {
+                iterations,
+                elapsed_seconds,
+            })) => {
+                return Err(EngineError::Deadline {
+                    iterations,
+                    elapsed_seconds: rung_start + elapsed_seconds,
+                })
+            }
+            // Rebatches spent, a copy fault past its retries or the watchdog:
+            // nothing left to try.
             Err(Stop::Error(e)) => return Err(e),
         }
     }
+    run_fallback_after(prog, graph, base, fault, sdc, profile)
 }
 
-/// One from-scratch pass of the streamed convergence loop with the given
-/// representation and residency budget. Copy faults and (up to the cap)
-/// kernel faults are retried inside; OOM, persistent kernel faults and
-/// exhausted SDC-recovery budgets bubble up for the caller's
-/// coarser-grained recovery.
-#[allow(clippy::too_many_arguments)]
-fn stream_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
-    prog: &P,
-    graph: &Graph,
-    cfg: &StreamingConfig,
-    repr: Repr,
-    resident_bytes: u64,
-    gpu: &mut Gpu,
-    fault: &mut FaultStats,
-    sdc: &mut SdcStats,
-    observer: &mut O,
-    elapsed_base: f64,
-) -> Result<CuShaOutput<P::V>, Stop<P::V>> {
-    let base = &cfg.base;
-    let retry = cfg.retry();
-    let n_per = PreparedLayout::select_n_per(graph, base, <P::V as Pod>::SIZE);
-    let layout = PreparedLayout::build(graph, repr, n_per);
-    let gs = layout.gs();
+/// An observer whose clock started `.0` modeled seconds before the rung it
+/// watches did.
+struct Later<'a, O: ?Sized>(f64, &'a mut O);
 
-    // Host master copies: `host.src_value` is the authoritative `SrcValue`
-    // column between batches; `host.values` stays the initial state.
-    let mut host = HostArrays::new(prog, graph, gs);
-
-    // Resident state: vertex values + convergence flag.
-    let mut res = Resident {
-        vertex_values: with_copy_retries(gpu, &retry, fault, |g| g.try_upload(&host.values))?,
-        voff: 0,
-        flag: with_copy_retries(gpu, &retry, fault, |g| g.try_upload(&[1u32]))?,
-    };
-    let h2d_resident = gpu.h2d_seconds;
-
-    let batches = plan_batches(gs, entry_bytes(ValueSizes::of::<P>(), repr), resident_bytes);
-    let kernel_name: std::sync::Arc<str> =
-        format!("{}-streamed::{}", repr.label(), prog.name()).into();
-
-    let mut total = RunStats {
-        engine: format!("{}-streamed", repr.label()),
-        ..Default::default()
-    };
-    let mut kernel_seconds_pipelined = 0.0f64;
-    let mut extra_transfer_seconds = 0.0f64;
-    let mut converged = false;
-
-    // ---- SDC defense state ------------------------------------------------
-    // The resident `VertexValues` is scrubbed against the checksum recorded
-    // after the previous launch; each batch's freshly-uploaded `SrcValue`
-    // is scrubbed against its trusted host-master slice. A checkpoint is a
-    // downloaded value vector plus a clone of the master `SrcValue` column
-    // (the host side is authoritative between batches).
-    let integ = &base.integrity;
-    let mut recovery = Recovery::new(base, sdc, &host.values, &host.src_value);
-    let mut vv_crc = recovery.latest().values_crc;
-    // The device (and the host master beside it) as `Recovery` drives it.
-    macro_rules! device {
-        () => {
-            |ask: Ask<'_, P::V>| {
-                match ask {
-                    Ask::Restore(cp) => {
-                        with_copy_retries(gpu, &retry, fault, |g| {
-                            g.try_h2d(&mut res.vertex_values, &cp.values)
-                        })?;
-                        host.src_value.copy_from_slice(&cp.src_value);
-                        vv_crc = cp.values_crc;
-                    }
-                    Ask::Snapshot(values, src_value) => {
-                        *values = with_copy_retries(gpu, &retry, fault, |g| {
-                            g.try_download(&res.vertex_values)
-                        })?;
-                        if let Some(src_value) = src_value {
-                            src_value.clone_from(&host.src_value);
-                        }
-                    }
-                    Ask::Mark(name) => fault_instant(gpu, "sdc", name),
-                }
-                Ok(())
-            }
-        };
+impl<O: RunObserver + ?Sized> RunObserver for Later<'_, O> {
+    fn on_iteration(&mut self, iteration: u32, updated: u64, elapsed_seconds: f64) -> bool {
+        self.1
+            .on_iteration(iteration, updated, self.0 + elapsed_seconds)
     }
-    // One rung of the recovery ladder. Spent budgets end the attempt: the
-    // caller abandons the device for the host fallback.
-    macro_rules! recover {
-        ($detector:expr) => {{
-            let spent = (sdc.rollbacks, sdc.full_restarts);
-            let (iterations, detail) = (&mut total.iterations, &mut total.per_iteration);
-            let rung = recovery.step($detector, sdc, spent, iterations, detail, device!())?;
-            if let Rung::Exhausted = rung {
-                return Err(Stop::Abandon(*sdc));
-            }
-        }};
-    }
-
-    'iter: while total.iterations < base.max_iterations {
-        let iter_ts = gpu.total_seconds();
-        res.reset_flag(gpu, &retry, fault)?;
-        extra_transfer_seconds += base.device.transfer_seconds(4);
-        let mut updated_this_iter = 0u64;
-        let mut copy_times = Vec::with_capacity(batches.len());
-        let mut kernel_times = Vec::with_capacity(batches.len());
-
-        for (batch_index, batch) in batches.iter().enumerate() {
-            let batch_ts = gpu.total_seconds();
-
-            // ---- Upload the batch (tracked separately for pipelining). ----
-            let h2d_before = gpu.h2d_seconds;
-            let mut slice = DeviceSlice::upload(
-                gpu,
-                &retry,
-                fault,
-                &layout,
-                &host,
-                batch.clone(),
-                SpillVia::Host,
-            )?;
-            copy_times.push(gpu.h2d_seconds - h2d_before);
-
-            // Flip point: silent bit flips land while the batch sits in
-            // device DRAM, and the scrubber verifies both protected buffers
-            // before the kernel consumes them. The batch `SrcValue` was
-            // uploaded from the trusted host master, so the master slice's
-            // checksum is its reference.
-            let flips = gpu.take_due_bit_flips();
-            if !flips.is_empty() {
-                apply_flips(&flips, &mut res.vertex_values, &mut slice.src_value);
-            }
-            if integ.mode.checksums()
-                && (checksum(res.vertex_values.host()) != vv_crc
-                    || checksum(slice.src_value.host())
-                        != checksum(&host.src_value[slice.erange.clone()]))
-            {
-                recover!(Detector::Checksum);
-                continue 'iter;
-            }
-
-            // ---- Process the batch's shards. Stage-4 writes to resident
-            // targets are device stores; the rest land in the host master
-            // (the real implementation would buffer them in pinned memory;
-            // either way they cross PCIe, counted in `host_writes`). -------
-            let mut host_writes = 0u64;
-            let master = HostMaster {
-                src_value: &mut host.src_value,
-                bytes: &mut host_writes,
-            };
-            let (kstats, updated) = slice.launch(
-                gpu,
-                &kernel_name,
-                base.threads_per_block,
-                prog,
-                &layout,
-                &mut res,
-                Some(master),
-                &retry,
-                fault,
-            )?;
-            updated_this_iter += updated;
-            kernel_times.push(kstats.seconds);
-            // The launch legitimately rewrote the resident values; record
-            // the state the next scrub pass must find untouched.
-            if integ.mode.checksums() {
-                vv_crc = checksum(res.vertex_values.host());
-            }
-            total.kernel.counters.add(&kstats.counters);
-            total.kernel.blocks += kstats.blocks;
-            total.kernel.threads_per_block = kstats.threads_per_block;
-
-            // ---- Write the batch's SrcValue back to the host master. ------
-            let batch_values =
-                with_copy_retries(gpu, &retry, fault, |g| g.try_download(&slice.src_value))?;
-            host.src_value[slice.erange.clone()].copy_from_slice(&batch_values);
-            extra_transfer_seconds += base.device.transfer_seconds(host_writes);
-            let shards = batch.len() as u64;
-            gpu.tracer().complete_with(
-                gpu.trace_pid(),
-                lanes::ENGINE,
-                "engine",
-                "batch",
-                batch_ts,
-                gpu.total_seconds() - batch_ts,
-                || {
-                    vec![
-                        ("batch", ArgVal::U64(batch_index as u64)),
-                        ("shards", ArgVal::U64(shards)),
-                    ]
-                },
-            );
-        }
-
-        // Pipelined iteration time: with >= 2 streams, copy k+1 overlaps
-        // kernel k.
-        let iter_seconds = if cfg.streams >= 2 {
-            let mut t = copy_times[0];
-            for (k, &kernel) in kernel_times.iter().enumerate() {
-                let next_copy = copy_times.get(k + 1).copied().unwrap_or(0.0);
-                t += kernel.max(next_copy);
-            }
-            t
-        } else {
-            copy_times.iter().sum::<f64>() + kernel_times.iter().sum::<f64>()
-        };
-        kernel_seconds_pipelined += iter_seconds;
-        total.iterations += 1;
-        total.per_iteration.push(IterationStat {
-            seconds: iter_seconds,
-            updated_vertices: updated_this_iter,
-        });
-        let flag = res.read_flag(gpu, &retry, fault)?;
-        trace_iteration(
-            gpu.tracer(),
-            gpu.trace_pid(),
-            iter_ts,
-            gpu.total_seconds() - iter_ts,
-            total.iterations,
-            updated_this_iter,
-        );
-        if flag == 1 {
-            converged = true;
-            break;
-        }
-        // Iteration boundary (the in-flight batch has completed). The
-        // elapsed clock spans the engine's earlier restarts, so a deadline
-        // bounds the whole recovery trajectory.
-        let (iterations, elapsed) = (total.iterations, elapsed_base + gpu.total_seconds());
-        let (updated, dev) = (updated_this_iter, device!());
-        if recovery.boundary(observer, prog, sdc, iterations, updated, elapsed, dev)? {
-            recover!(Detector::Invariant);
-        }
-    }
-
-    let values = with_copy_retries(gpu, &retry, fault, |g| g.try_download(&res.vertex_values))?;
-    recovery.finish(device!())?;
-    total.converged = converged;
-    total.kernel.name = kernel_name;
-    total.h2d_seconds = h2d_resident;
-    total.compute_seconds = kernel_seconds_pipelined + extra_transfer_seconds;
-    total.d2h_seconds = base
-        .device
-        .transfer_seconds(graph.num_vertices() as u64 * <P::V as Pod>::SIZE as u64);
-    Ok(CuShaOutput {
-        values,
-        stats: total,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::run;
+    use crate::kernel::batch_end;
     use crate::program::testing::MiniSssp;
+    use crate::shards::GShards;
     use cusha_graph::generators::rmat::{rmat, RmatConfig};
     use cusha_graph::Edge;
+
+    /// All shards, cut where [`batch_end`] — the streamed mode's planner —
+    /// cuts them under `budget`.
+    fn plan_batches(gs: &GShards, per_entry: u64, budget: u64) -> Vec<std::ops::Range<u32>> {
+        let mut batches = Vec::new();
+        let mut start = 0u32;
+        while start < gs.num_shards() {
+            let end = batch_end(gs, per_entry, budget, start, gs.num_shards());
+            batches.push(start..end);
+            start = end;
+        }
+        batches
+    }
 
     fn tiny_budget(gs_like_edges: u64) -> u64 {
         // Force several batches: room for roughly a third of the entries.

@@ -242,6 +242,14 @@ impl Gpu {
         Ok(DevVec::from_parts(vec![T::default(); len], base))
     }
 
+    /// Gives `bytes` of retired buffers back to the capacity (like `cudaFree`;
+    /// the caller drops the [`DevVec`]s). Addresses are never handed out
+    /// again, so no later buffer aliases a retired one's layout.
+    pub fn free(&mut self, bytes: u64) {
+        debug_assert!(bytes <= self.allocated_bytes, "freeing more than is held");
+        self.allocated_bytes -= bytes;
+    }
+
     /// Allocates a zero-initialized device buffer.
     ///
     /// # Panics
@@ -582,6 +590,26 @@ mod tests {
         assert_eq!(b.base() % ALLOC_ALIGN, 0);
         assert!(b.base() >= a.base() + 40);
         assert_eq!(gpu.allocated_bytes(), 80);
+    }
+
+    #[test]
+    fn free_restores_capacity_and_never_reuses_addresses() {
+        let mut cfg = DeviceConfig::tiny_test();
+        cfg.global_mem_bytes = 1024;
+        let mut gpu = Gpu::new(cfg);
+        let kept = gpu.alloc::<u32>(16);
+        let mut seen = vec![kept.base()];
+        // Ten rounds of a batch that would not fit twice.
+        for _ in 0..10 {
+            let batch = gpu
+                .try_alloc::<u32>(200)
+                .expect("the retired batch's room is back");
+            assert!(gpu.try_alloc::<u32>(200).is_err(), "two batches do not fit");
+            assert!(!seen.contains(&batch.base()), "address handed out twice");
+            seen.push(batch.base());
+            gpu.free(batch.size_bytes());
+            assert_eq!(gpu.allocated_bytes(), kept.size_bytes());
+        }
     }
 
     #[test]

@@ -164,19 +164,6 @@ impl DeviceFleet {
         &mut self.devices[d]
     }
 
-    /// Swaps in a replacement device (an engine rebuilding a device after
-    /// an OOM rebatch), returning the old one so its fault plan and time
-    /// totals can be carried over. The replacement inherits the old
-    /// device's tracer and process lane so a rebuild doesn't truncate the
-    /// timeline.
-    pub fn replace_device(&mut self, d: usize, mut gpu: Gpu) -> Gpu {
-        gpu.set_tracer(
-            self.devices[d].tracer().clone(),
-            self.devices[d].trace_pid(),
-        );
-        std::mem::replace(&mut self.devices[d], gpu)
-    }
-
     /// Installs a tracer across the fleet: device `d` gets process lane
     /// `d`, and one extra process lane (`pid = len()`, named "fleet") is
     /// reserved for fleet-level spans — bulk-synchronous iterations and
@@ -191,9 +178,13 @@ impl DeviceFleet {
         tracer.name_lane(fleet, lanes::FAULT, "fault");
     }
 
-    /// The Chrome-trace process lane reserved for fleet-level spans.
+    /// The Chrome-trace process of the engine lane: the one reserved after
+    /// the last device for fleet-level spans, or — with no fabric, so nothing
+    /// that belongs to no one device — the solo device's own.
     pub fn fleet_pid(&self) -> u32 {
-        self.devices.len() as u32
+        self.interconnect
+            .as_ref()
+            .map_or(0, |_| self.devices.len() as u32)
     }
 
     /// Folds one launch's stats into device `d`'s tally.
@@ -315,16 +306,6 @@ mod tests {
         assert_eq!(agg.blocks, 6);
         assert!((agg.seconds - 1.75).abs() < 1e-12);
         assert_eq!(&*agg.name, "fleet-aggregate");
-    }
-
-    #[test]
-    fn replace_device_swaps_allocator_state() {
-        let cfg = DeviceConfig::tiny_test();
-        let mut fleet = DeviceFleet::new(&cfg, 1, Interconnect::pcie_gen3());
-        let _ = fleet.device_mut(0).upload(&[1u32; 64]);
-        let old = fleet.replace_device(0, Gpu::new(cfg));
-        assert!(old.allocated_bytes() > 0);
-        assert_eq!(fleet.device(0).allocated_bytes(), 0);
     }
 
     #[test]

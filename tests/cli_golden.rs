@@ -524,6 +524,24 @@ fn defect_rows() -> Vec<Row> {
             "--algo kcore --input @edge4g.txt",
             "device-oom",
         ),
+        // Aborted (134) inside `PreparedLayout::build` (a 1.7 TB window
+        // table) until the out-of-core engines got their own pre-flight,
+        // `memsize::check_streams`.
+        named(
+            "defect/one-edge-4g-gs-streamed",
+            "--algo bfs --input @edge4g.txt --engine gs-streamed",
+            "device-oom",
+        ),
+        named(
+            "defect/one-edge-4g-cw-streamed",
+            "--algo bfs --input @edge4g.txt --engine cw-streamed",
+            "device-oom",
+        ),
+        named(
+            "defect/one-edge-4g-devices-2",
+            "--algo bfs --input @edge4g.txt --engine cw --devices 2",
+            "device-oom",
+        ),
         // Aborted (134) on 32 GB of per-device state until PR 21 bounded the
         // fleet (`cusha_core::MAX_DEVICES`).
         named(
@@ -677,6 +695,9 @@ fn closed_defects_stay_closed() {
         ("defect/one-edge-4g ", "3"),
         ("defect/one-edge-300m ", "3"),
         ("defect/one-edge-4g-kcore ", "3"),
+        ("defect/one-edge-4g-gs-streamed ", "3"),
+        ("defect/one-edge-4g-cw-streamed ", "3"),
+        ("defect/one-edge-4g-devices-2 ", "3"),
         ("defect/devices-4g ", "2"),
         ("defect/serve-growth ", "0"),
         ("defect/serve-growth-wal ", "0"),

@@ -27,11 +27,12 @@
 
 use cusha::algos::{Bfs, PageRank, Sssp};
 use cusha::core::integrity::checksum;
+use cusha::core::memsize::{entry_bytes, ValueSizes};
 use cusha::core::{
-    run_multi, try_run, try_run_multi, try_run_streamed, try_run_warm, CuShaConfig, CuShaOutput,
-    EngineError, FaultStats, IntegrityConfig, IntegrityMode, MultiConfig, MultiOutput,
-    MultiRunStats, NoopObserver, PreparedLayout, Repr, RunObserver, RunStats, SdcStats,
-    StreamingConfig, VertexProgram,
+    run_multi, try_run, try_run_multi, try_run_streamed, try_run_streamed_observed, try_run_warm,
+    CuShaConfig, CuShaOutput, EngineError, FaultStats, GShards, IntegrityConfig, IntegrityMode,
+    MultiConfig, MultiOutput, MultiRunStats, NoopObserver, PreparedLayout, Repr, RunObserver,
+    RunStats, SdcStats, StreamingConfig, VertexProgram,
 };
 use cusha::graph::generators::rmat::{rmat, RmatConfig};
 use cusha::graph::surrogates::Dataset;
@@ -572,6 +573,262 @@ fn incore_records(lines: &mut Vec<String>, graphs: &[(&'static str, Graph); 3]) 
     }
 }
 
+/// Records the modeled clock at every iteration boundary.
+struct Clock(Vec<f64>);
+
+impl RunObserver for Clock {
+    fn on_iteration(&mut self, _iteration: u32, _updated: u64, elapsed: f64) -> bool {
+        self.0.push(elapsed);
+        true
+    }
+}
+
+/// A budget that cuts program `P`'s shard arrays over `g` into at least three
+/// batches (checked against the planner's greedy cut).
+fn three_batch_budget<P: VertexProgram>(g: &Graph, cfg: &CuShaConfig) -> u64 {
+    let gs = GShards::from_graph(g, PreparedLayout::select_n_per(g, cfg, 4));
+    let per_entry = entry_bytes(ValueSizes::of::<P>(), cfg.repr);
+    let budget = g.num_edges() as u64 * per_entry / 4;
+    let (mut batches, mut held) = (0, u64::MAX);
+    for s in 0..gs.num_shards() {
+        let bytes = gs.shard_entries(s).len() as u64 * per_entry;
+        if held.saturating_add(bytes) > budget {
+            (batches, held) = (batches + 1, 0);
+        }
+        held += bytes;
+    }
+    assert!(batches >= 3, "{batches} batches under {budget} B");
+    budget
+}
+
+/// Everything the streamed host loop decides. Class A (must never move): the
+/// clean runs, in-place copy and kernel retries, the CW -> G-Shards -> host
+/// ladder, every surfaced error with the plan's counters, cancellation, the
+/// deadline across a rung, the watchdog, the cap, profiling, a carried plan.
+/// Class B (`streamed/oom/*`): out-of-memory recovery.
+fn streamed_records(lines: &mut Vec<String>, graphs: &[(&'static str, Graph); 3]) {
+    let memo = |s: &RunStats| {
+        let m = s.memo;
+        format!(
+            " memo={},{},{}",
+            m.replay_hits, m.replay_misses, m.replay_fallbacks
+        )
+    };
+    /// One clean streamed run under a three-batch budget.
+    fn clean<P: VertexProgram>(
+        lines: &mut Vec<String>,
+        name: String,
+        prog: &P,
+        g: &Graph,
+        mut base: CuShaConfig,
+        (traced, streams): (bool, u32),
+        memo: impl Fn(&RunStats) -> String,
+    ) {
+        if traced {
+            base.trace = Tracer::enabled();
+        }
+        let budget = three_batch_budget::<P>(g, &base);
+        let mut cfg = StreamingConfig::new(base, budget);
+        cfg.streams = streams;
+        let out = try_run_streamed(prog, g, &cfg).expect("clean streamed run");
+        assert!(out.stats.fault.is_clean());
+        let extra = memo(&out.stats);
+        outcome_line(lines, &name, Ok(out), &cfg.base.trace, &extra);
+    }
+    for (gi, (gname, g)) in graphs.iter().enumerate() {
+        for (ri, repr) in [Repr::GShards, Repr::ConcatWindows].into_iter().enumerate() {
+            let base = CuShaConfig::new(repr);
+            // Two traced rows; one graph's SSSP also with a single stream.
+            let how = |ai: usize| ((gi + ri, ai) == (1, 1) || (gi, ri, ai) == (2, 1, 2), 2);
+            let name = |algo: &str| format!("streamed/{gname}/{}/{algo}", repr.label());
+            let (b, m) = (base.clone(), &memo);
+            clean(lines, name("bfs"), &Bfs::new(0), g, b, how(0), m);
+            clean(
+                lines,
+                name("sssp"),
+                &Sssp::new(0),
+                g,
+                base.clone(),
+                how(1),
+                m,
+            );
+            clean(
+                lines,
+                name("pagerank"),
+                &PageRank::new(),
+                g,
+                base,
+                how(2),
+                m,
+            );
+        }
+    }
+    let (road, web) = (&graphs[0].1, &graphs[1].1);
+    let sssp = Sssp::new(0);
+    let cw = CuShaConfig::cw();
+    let budget = three_batch_budget::<Sssp>(road, &cw);
+    let mut serial = StreamingConfig::new(cw.clone(), budget);
+    serial.streams = 1;
+    let out = try_run_streamed(&sssp, road, &serial);
+    outcome_line(lines, "streamed/streams-1", out, &cw.trace, "");
+    let whole = StreamingConfig::new(cw.clone(), u64::MAX);
+    let out = try_run_streamed(&sssp, road, &whole).expect("one batch");
+    let extra = memo(&out.stats);
+    outcome_line(lines, "streamed/one-batch", Ok(out), &cw.trace, &extra);
+    let mut c = StreamingConfig::new(CuShaConfig::gs(), three_batch_budget::<Sssp>(web, &cw));
+    c.base.profile = true;
+    let out = try_run_streamed(&sssp, web, &c).expect("profiled run");
+    let profile = out.stats.profile.as_ref().expect("profile retained");
+    let launches: String = profile.launches().iter().map(kernel).collect();
+    let extra = format!(
+        " profile={}/{:016x}/{:016x}",
+        profile.launches().len(),
+        Fnv1a::of(launches.as_bytes()),
+        Fnv1a::of(profile.report().as_bytes())
+    );
+    outcome_line(lines, "streamed/profile", Ok(out), &cw.trace, &extra);
+
+    // ---- Fail-stop faults: what a carried plan consumed after each ---------
+    let cfg = StreamingConfig::new(cw.clone(), budget);
+    let run = |cfg: &StreamingConfig, plan: &mut FaultPlan, observer: &mut dyn RunObserver| {
+        let mut cfg = cfg.clone();
+        cfg.base.trace = Tracer::enabled();
+        let out = try_run_streamed_observed(&sssp, road, &cfg, Some(plan), observer);
+        (out, cfg.base.trace)
+    };
+    let mut none = FaultPlan::new();
+    let (out, trace) = run(&cfg, &mut none, &mut NoopObserver);
+    let iterations = out.as_ref().expect("clean run").stats.iterations as u64;
+    outcome_line(
+        lines,
+        "streamed/fault/none",
+        out,
+        &trace,
+        &plan_state(&none),
+    );
+    let (h2d, d2h, allocs, _) = none.op_counters();
+    // Per iteration: one D2H per batch and the flag readback; then the values.
+    let batches = (d2h - 1) / iterations - 1;
+    assert!(batches >= 3 && (d2h - 1) % iterations == 0);
+    for (name, plan) in [
+        ("h2d-batch-upload", FaultPlan::new().fail_h2d_at(&[3])),
+        ("d2h-batch-download", FaultPlan::new().fail_d2h_at(&[1])),
+        (
+            "d2h-flag-readback",
+            FaultPlan::new().fail_d2h_at(&[batches]),
+        ),
+        (
+            "d2h-final-download",
+            FaultPlan::new().fail_d2h_at(&[d2h - 1]),
+        ),
+        ("h2d-flag-reset", FaultPlan::new().fail_h2d_at(&[2])),
+        ("kernel-retry", FaultPlan::new().fail_kernel_at(&[1])),
+        (
+            "cw-to-gs",
+            FaultPlan::new().fail_kernels_named("CuSha-CW", u64::MAX),
+        ),
+        (
+            "cw-to-host",
+            FaultPlan::new().fail_kernels_named("streamed", u64::MAX),
+        ),
+        (
+            "copy-exhausted",
+            FaultPlan::new().fail_h2d_at(&[h2d / 2, h2d / 2 + 1, h2d / 2 + 2, h2d / 2 + 3]),
+        ),
+        ("d2h-exhausted", FaultPlan::new().fail_d2h_at(&[0, 1, 2, 3])),
+    ] {
+        let mut plan = plan;
+        let (out, trace) = run(&cfg, &mut plan, &mut NoopObserver);
+        let name = format!("streamed/fault/{name}");
+        outcome_line(lines, &name, out, &trace, &plan_state(&plan));
+    }
+    // A seeded plan carried across two runs: the second starts where the
+    // first left its counters.
+    let mut plan = FaultPlan::seeded(9).with_h2d_rate(0.02).with_d2h_rate(0.02);
+    for pass in 1..=2 {
+        let (out, trace) = run(&cfg, &mut plan, &mut NoopObserver);
+        let name = format!("streamed/carried/pass{pass}");
+        outcome_line(lines, &name, out, &trace, &plan_state(&plan));
+    }
+
+    // ---- Cancellation, a deadline across a rung, the watchdog, the cap -----
+    let (out, trace) = run(&cfg, &mut FaultPlan::new(), &mut CancelAt(2));
+    outcome_line(lines, "streamed/cancel-at-2", out, &trace, "");
+    // The CW rung's launch faults cost modeled time before G-Shards starts:
+    // the deadline falls inside the second rung and counts both.
+    let cw_faults = || FaultPlan::new().fail_kernels_named("CuSha-CW", u64::MAX);
+    let (mut degraded, mut straight) = (Clock(Vec::new()), Clock(Vec::new()));
+    run(&cfg, &mut cw_faults(), &mut degraded)
+        .0
+        .expect("degraded run");
+    let gs = StreamingConfig::new(CuShaConfig::gs(), budget);
+    run(&gs, &mut FaultPlan::new(), &mut straight)
+        .0
+        .expect("G-Shards run");
+    assert!(
+        degraded.0[0] > straight.0[0],
+        "the first rung's clock is lost"
+    );
+    let mut c = cfg.clone();
+    c.base.deadline_seconds = Some((degraded.0[1] + degraded.0[2]) / 2.0);
+    let (out, trace) = run(&c, &mut cw_faults(), &mut NoopObserver);
+    assert!(matches!(
+        out,
+        Err(EngineError::Deadline { iterations: 3, .. })
+    ));
+    outcome_line(lines, "streamed/deadline-across-rungs", out, &trace, "");
+    let mut c = cfg.clone();
+    c.base.watchdog_interval = Some(3);
+    let (out, trace) = run(&c, &mut FaultPlan::new(), &mut NoopObserver);
+    outcome_line(lines, "streamed/watchdog-quiet", out, &trace, "");
+    let ring = Graph::new(32, (0..31).map(|v| Edge::new(v, v + 1, 1)).collect());
+    let mut c = CuShaConfig::cw()
+        .with_vertices_per_shard(8)
+        .with_watchdog(2);
+    c.trace = Tracer::enabled();
+    let c = StreamingConfig::new(c, 1 << 8);
+    let out = try_run_streamed(&Oscillator, &ring, &c);
+    assert!(matches!(out, Err(EngineError::Watchdog { .. })));
+    outcome_line(lines, "streamed/watchdog-trip", out, &c.base.trace, "");
+    for repr in [Repr::GShards, Repr::ConcatWindows] {
+        let mut c = CuShaConfig::new(repr);
+        c.max_iterations = 3;
+        c.trace = Tracer::enabled();
+        let budget = three_batch_budget::<PageRank>(web, &c);
+        let c = StreamingConfig::new(c, budget);
+        let out = try_run_streamed(&PageRank::new(), web, &c);
+        assert!(matches!(out, Err(EngineError::NonConverged { .. })));
+        let name = format!("streamed/capped/{}", repr.label());
+        outcome_line(lines, &name, out, &c.base.trace, "");
+    }
+
+    // ---- Class B: out-of-memory recovery -----------------------------------
+    // The resident part, the first batch, a batch of the second iteration.
+    let mid_run = 2 + (allocs - 2) / iterations + 7;
+    for (name, at) in [("resident", 0), ("first-batch", 2), ("mid-run", mid_run)] {
+        let mut plan = FaultPlan::new().fail_alloc_at(&[at]);
+        let (out, trace) = run(&cfg, &mut plan, &mut NoopObserver);
+        let rebatches = out.as_ref().map(|o| o.stats.fault.oom_rebatches);
+        assert_eq!(rebatches.ok(), Some(1), "{name}");
+        let name = format!("streamed/oom/{name}");
+        outcome_line(lines, &name, out, &trace, &plan_state(&plan));
+    }
+    // A device with room for the resident values and one batch, not two.
+    let g = sdc_graph();
+    let mut base = sdc_base();
+    base.device.global_mem_bytes = 24 << 10;
+    let c = StreamingConfig::new(base, 1 << 14);
+    let mut plan = FaultPlan::new();
+    let out = try_run_streamed_observed(&sssp, &g, &c, Some(&mut plan), &mut NoopObserver);
+    outcome_line(
+        lines,
+        "streamed/oom/one-batch-device",
+        out,
+        &c.base.trace,
+        &plan_state(&plan),
+    );
+}
+
 /// A program whose values oscillate forever: the watchdog's livelock.
 struct Oscillator;
 
@@ -832,6 +1089,7 @@ fn records() -> Vec<String> {
         .with_integrity(every_iteration);
     both(&mut lines, "gs/invariant", &bfs, &g, &base);
     incore_records(&mut lines, &graphs);
+    streamed_records(&mut lines, &graphs);
     lines
 }
 

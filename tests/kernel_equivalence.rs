@@ -8,7 +8,11 @@
 //!   exactly its warp operations, iteration by iteration — by construction:
 //!   an in-core run *is* a one-device run of the fleet's loop,
 //! * a streamed run whose budget holds every shard walks the in-core
-//!   engine's convergence trajectory,
+//!   engine's convergence trajectory and issues its warp operations — by
+//!   construction too: a streamed run is a one-device run of the same loop
+//!   whose device starts out of core,
+//! * a fleet device forced out of core streams like the streamed engine's
+//!   and still feeds the halo exchange what the resident device would,
 //! * every slicing — one shard per streamed batch, one batch, fleets of
 //!   1–4 — counts exactly what it counts with the replay memo off,
 //! * an OOM rebatch, which re-cuts every slice, records its stage scopes
@@ -100,6 +104,25 @@ fn check<P: VertexProgram>(prog: &P, g: &Graph, repr: Repr, n_per: u32) -> Resul
             "{tag}: single-batch streaming left the in-core trajectory"
         ));
     }
+    // ... and launches the in-core engine's kernels. (A streamed G-Shards
+    // slice takes its window boundaries from the host, a resident one loads
+    // them from the p x p table it carries: those loads are all that differ.)
+    let (w, i) = (&whole.stats.kernel.counters, &in_core.stats.kernel.counters);
+    let beside_loads = |c: &cusha::simt::counters::Counters| {
+        let shared = (c.shared_accesses, c.bank_conflict_replays, c.atomic_replays);
+        (c.gst_transactions, c.gst_requested_bytes, shared)
+    };
+    let same = match repr {
+        Repr::ConcatWindows => w == i,
+        Repr::GShards => {
+            beside_loads(w) == beside_loads(i) && w.gld_transactions <= i.gld_transactions
+        }
+    };
+    if !same {
+        return Err(format!(
+            "{tag}: single-batch streaming counted {w:?}, in-core {i:?}"
+        ));
+    }
 
     // A fleet run in the single-engine shape (`as_run_stats`), capped or not.
     let fleet_run = |cfg: &CuShaConfig, devices| {
@@ -136,6 +159,38 @@ fn check<P: VertexProgram>(prog: &P, g: &Graph, repr: Repr, n_per: u32) -> Resul
         if fleet.stats.kernel.counters != interpreted {
             return Err(format!(
                 "{tag} x{devices}: replay changed the fleet's counters"
+            ));
+        }
+    }
+
+    // A fleet whose middle device cannot hold its share streams it — the same
+    // mode, the same code as the streamed engine — and still feeds the halo
+    // exchange: the host-master sink pushes what leaves the device's range to
+    // the spill list, like the outbox it stands in for.
+    let three = |plan: Option<FaultPlan>| {
+        let mut mcfg = MultiConfig::new(cfg.clone(), 3);
+        mcfg.fault_plans = vec![None, plan];
+        match try_run_multi(prog, g, &mcfg) {
+            Ok(out) => Ok(out),
+            Err(EngineError::NonConverged { .. }) => Err(()),
+            Err(e) => panic!("{tag} x3: {e}"),
+        }
+    };
+    if let (Ok(resident), Ok(streamed)) = (
+        three(None),
+        three(Some(FaultPlan::new().fail_alloc_at(&[0]))),
+    ) {
+        let middle = &streamed.stats.per_device[1];
+        if middle.shards > 0 && (middle.mode != "rebatched" || middle.fault.oom_rebatches != 1) {
+            return Err(format!("{tag} x3: the middle device is {}", middle.mode));
+        }
+        if bits(&streamed.values) != want_bits {
+            return Err(format!("{tag} x3: a streamed middle device diverged"));
+        }
+        if streamed.stats.exchange_bytes != resident.stats.exchange_bytes {
+            return Err(format!(
+                "{tag} x3: a streamed middle device exchanged {} B, a resident one {} B",
+                streamed.stats.exchange_bytes, resident.stats.exchange_bytes
             ));
         }
     }

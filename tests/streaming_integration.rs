@@ -3,9 +3,12 @@
 //! with pair-typed vertex values (Heat Simulation).
 
 use cusha::algos::{assert_approx_eq, Bfs, HeatSimulation, PageRank, Sssp};
-use cusha::core::{run, run_streamed, CuShaConfig, Repr, StreamingConfig};
+use cusha::core::{
+    run, run_streamed, try_run, try_run_streamed, CuShaConfig, Repr, StreamingConfig,
+};
 use cusha::graph::generators::lattice2d;
 use cusha::graph::generators::rmat::{rmat, RmatConfig};
+use cusha::graph::{Edge, Graph};
 
 fn configs() -> [CuShaConfig; 2] {
     [
@@ -120,4 +123,31 @@ fn one_shard_per_batch_still_works() {
     let in_core = run(&Bfs::new(0), &g, &base);
     let streamed = run_streamed(&Bfs::new(0), &g, &StreamingConfig::new(base, 1));
     assert_eq!(streamed.values, in_core.values);
+}
+
+#[test]
+fn a_long_run_streams_through_a_device_the_in_core_engine_fits() {
+    // A 400-vertex chain converges in 351 iterations of 7 batches each. A
+    // retired batch's memory goes back to the device, so what is held stays
+    // at the resident values plus one batch, however long the run: devices
+    // the whole graph fits — where every batch ever uploaded used to stay
+    // allocated until the device ran out — stream it without a rebatch.
+    let g = Graph::new(400, (0..399).map(|v| Edge::new(v, v + 1, 1)).collect());
+    let prog = Sssp::new(0);
+    for device_bytes in [64u64 << 10, 1 << 20] {
+        let mut base = CuShaConfig::gs().with_vertices_per_shard(8);
+        base.max_iterations = 2000;
+        base.device.global_mem_bytes = device_bytes;
+        let in_core = try_run(&prog, &g, &base).expect("the graph fits the device");
+        let streamed = try_run_streamed(&prog, &g, &StreamingConfig::new(base, 1024))
+            .unwrap_or_else(|e| panic!("{device_bytes} B device: {e}"));
+        assert!(streamed.stats.converged);
+        assert!(
+            streamed.stats.fault.is_clean(),
+            "{:?}",
+            streamed.stats.fault
+        );
+        assert_eq!(streamed.values, in_core.values);
+        assert_eq!(streamed.stats.iterations, in_core.stats.iterations);
+    }
 }

@@ -8,8 +8,10 @@ use std::{fs, ops::RangeInclusive};
 
 const CORE: &str = "crates/core/src/**";
 const MULTI: &str = "crates/core/src/multi.rs";
+const FACADES: &str = "crates/core/src/engine.rs crates/core/src/streaming.rs";
 const LOOPS: &str =
     "crates/core/src/engine.rs crates/core/src/streaming.rs crates/core/src/multi.rs";
+const SERVE: &str = "crates/serve/src/**";
 const VWC: &str = "crates/baselines/src/vwc.rs";
 
 /// `(files, patterns, occurrences allowed in code, why)`. Files are paths or
@@ -38,20 +40,37 @@ const ROWS: &[(&str, &str, RangeInclusive<usize>, &str)] = &[
     ("crates/obs/src/trace.rs", "fn fork", 0..=0, "the tracer has no fork to merge back"),
     ("crates/core/src/** !integrity.rs !middleware.rs", "max_rollbacks|max_full_restarts", 0..=0, "SDC budgets are read by the ladder (and the final scrub's own rung) only"),
     (LOOPS, ".expect(|.unwrap()", 0..=4, "no unwraps beyond ReplayTables' three lock()s and the entry-range tiling"),
-    // One loop where there were two (DESIGN 4.2): engine.rs holds façades.
-    ("crates/core/src/engine.rs", "macro_rules!|Recovery::new|.launch(|loop {|while ", 0..=0, "an in-core run enters multi::drive; engine.rs has no host loop"),
-    (CORE, "Recovery::new(", 2..=2, "two host loops: drive and stream_attempt"),
-    (CORE, ".launch(", 3..=3, "DeviceSlice::launch: resident, rebatched, streamed"),
+    // One loop where there were three, one out-of-core residency where there
+    // were two (DESIGN 4.2): engine.rs and streaming.rs hold façades.
+    (FACADES, "macro_rules!|Recovery::new|.launch(|loop {|while ", 0..=0, "in-core and streamed runs enter multi::drive; the streamed ladder is a `for` over its rungs"),
+    (CORE, "Recovery::new(", 1..=1, "one host loop: drive"),
+    (CORE, ".launch(", 2..=2, "DeviceSlice::launch: a resident device's, a streamed device's batch"),
+    ("crates/**", "fresh_gpu|replace_device|Mode::Rebatched|TimeAcc|stream_attempt|iterate_rebatched|fn run_batch", 0..=0, "a retired batch's memory is freed; no second device, no second batch loop"),
+    (MULTI, "Gpu::new(", 0..=0, "the fleet's devices come from DeviceFleet::new"),
+    (CORE, "Gpu::new(", 2..=2, "the in-core and streamed façades build their one device"),
     ("crates/core/src/** !fallback.rs !middleware.rs", "run_fallback(", 0..=0, "ladders reach the host fallback through run_fallback_after"),
     ("crates/core/src/fallback.rs", "run_fallback(", 1..=1, "one graft"),
     (MULTI, "devices == 1|n == 1|len() == 1", 0..=0, "no arity test in drive(); only the engine label matches on the count"),
+    (MULTI, "Start::", 3..=3, "which façade called is data: the fleet passes its value, setup matches on it once (two arms)"),
+    // The service gives each of its decisions one owner (DESIGN 4.10).
+    (SERVE, "try_run_warm(", 1..=1, "Warm::run is the only caller of a warm entry point"),
+    (SERVE, "try_run_frontier_warm(", 1..=1, "Warm::run is the only caller of a warm entry point"),
+    (SERVE, "Outcome::FaultExhausted { detail } =>", 1..=1, "one function (launch_and_settle) turns an outcome into responses"),
+    (SERVE, "swap_prev|warm_sizes|warm_frontier|stale_revs|fn integrity_label|rebuilding: bool", 0..=0, "deleted rebuild-window fields, the epoch swap, integrity_label"),
+    (SERVE, "push_str(\",\\\"", 0..=0, "wire lines render through obs::json::push_obj"),
+    // `cusha` is flag parsing over library calls (DESIGN 4.15).
+    ("src/**", "exit(", 0..=1, "the process has one exit"),
+    ("src/**", "File::create|fs::write", 0..=1, "one file-writing site"),
+    ("src/**", ".unwrap()|.expect(", 0..=0, "failures are typed and leave through main"),
+    ("crates/** src/** !fault.rs", "fn parse_inject|fn parse_bitflips", 0..=0, "the fault-spec grammars live beside FaultPlan"),
+    ("crates/** src/**", "pub struct VwcOutput|pub struct MtcpuOutput|pub struct FrontierOutput", 0..=0, "CuShaOutput is the one {values, stats} struct"),
 ];
 
 /// Non-test line ceilings: a second copy of anything shows up here first.
-/// Core's is the count landed by the PR that made the in-core engine a fleet
-/// of one; nothing adds to it without taking as much out.
+/// Core's is the count landed by the PR that made the streamed engine's loop
+/// a mode of the fleet's; nothing adds to it without taking as much out.
 const CEILINGS: &[(&str, usize)] = &[
-    ("crates/core/src/**", 5553),
+    ("crates/core/src/**", 5535),
     ("crates/frontier/src/**", 1930),
     ("crates/serve/src/**", 3150),
     ("src/**", 1015),

@@ -16,7 +16,8 @@ use std::cell::Cell;
 
 use cusha::algos::Bfs;
 use cusha::core::{
-    try_run_multi_observed, try_run_warm, CuShaConfig, MultiConfig, PreparedLayout, RunObserver,
+    try_run_multi_observed, try_run_streamed_observed, try_run_warm, CuShaConfig, MultiConfig,
+    PreparedLayout, RunObserver, StreamingConfig,
 };
 use cusha::frontier::{try_run_frontier_warm, try_run_kcore, FrontierConfig, PreparedFrontier};
 use cusha::graph::generators::lattice::lattice2d;
@@ -273,8 +274,9 @@ fn frontier_family_heap_traffic_does_not_scale_with_the_work() {
 
 #[test]
 fn shard_family_heap_traffic_per_iteration_is_constant() {
-    // The in-core engine and the fleet share one host loop (`multi::drive`),
-    // so every warm query pays its per-iteration cost 30-40 times a run. BFS
+    // The in-core engine, the streamed engine and the fleet share one host
+    // loop (`multi::drive`), so every warm query pays its per-iteration cost
+    // 30-40 times a run. BFS
     // across a lattice: the wavefront takes as many iterations as the lattice
     // is wide, and once the replay table holds every stage (integrity off, no
     // tracer) an iteration allocates a constant — the flag readback, a stats
@@ -301,6 +303,27 @@ fn shard_family_heap_traffic_per_iteration_is_constant() {
     let (small, large) = (per_iteration(12, 0), per_iteration(24, 0));
     assert_eq!(small[..], large[..small.len()], "allocations follow |V|");
     assert!(large.iter().all(|&a| a <= 1), "in-core: {large:?}");
+    // Streamed: a batch costs its four buffers' uploads and its `SrcValue`
+    // download — nothing else, whatever the iteration, the lattice's size or
+    // the batch count (one batch; one per shard): the pipeline's clock is
+    // running sums, not a vector of per-batch times per iteration.
+    for (side, budget, batches) in [(12, u64::MAX, 1), (24, u64::MAX, 1), (24, 1, 9)] {
+        let g = lattice2d(side, side, 1.0, 4, 11);
+        let cfg = StreamingConfig::new(CuShaConfig::cw().with_vertices_per_shard(64), budget);
+        let streamed = allocations_per_iteration(|observer| {
+            let out = try_run_streamed_observed(&Bfs::new(0), &g, &cfg, None, observer);
+            assert!(out.unwrap().stats.iterations > 8);
+        });
+        let (warming, warm) = streamed.split_at(8);
+        assert!(
+            warming.iter().all(|&a| a <= 5 * batches + 2),
+            "{side}: {streamed:?}"
+        );
+        assert!(
+            warm.iter().all(|&a| a - 5 * batches <= 1),
+            "{side}: {streamed:?}"
+        );
+    }
     // Three devices: the halo sets and spill lists grow to the widest
     // wavefront during the first iterations, then are reused.
     for side in [12, 24] {
