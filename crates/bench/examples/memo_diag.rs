@@ -1,13 +1,14 @@
 //! Prints per-cell simulator telemetry — scattered-access analyses performed,
 //! warp-trace replay scopes opened / hits / misses / fallbacks, and the slots
-//! (filled / allocated) and bytes of the table the cell ended on — for the
-//! simwall subset plus a road lattice, then, per dataset and representation,
-//! three consecutive warm runs on one `PreparedLayout` with the slots its
-//! replay tables hold: the quick way to confirm that the CuSha kernels open a
-//! few scopes per shard, that the second run on a layout misses nothing, and
-//! that VWC holds one sweep key per block plus a constant, and (the
-//! `Frontier/kcore` row on the road lattice) that k-core holds two keys per
-//! dense block, all recorded in its first round.
+//! (filled / allocated) and bytes of the table the cell ended on — for BFS and
+//! SSSP on GS, CW and VWC/32 over two power-law surrogates plus a road
+//! lattice, then, per dataset and representation, three consecutive warm runs
+//! on one `PreparedLayout` with the slots its replay tables hold: the quick
+//! way to confirm that the CuSha kernels open a few scopes per shard, that the
+//! second run on a layout misses nothing, and that VWC holds one sweep key per
+//! block plus a constant, and (the `Frontier/kcore` row on the road lattice)
+//! that k-core holds two keys per dense block, all recorded in its first
+//! round.
 
 use cusha_algos::{Bfs, Sssp};
 use cusha_bench::bench_defs::{default_source, Benchmark, Engine};

@@ -4,7 +4,7 @@ use cusha_algos::{
     Bfs, CircuitSimulation, ConnectedComponents, HeatSimulation, NeuralNetwork, PageRank, Sssp,
     Sswp,
 };
-use cusha_baselines::{run_mtcpu, run_vwc, MtcpuConfig, VwcConfig};
+use cusha_baselines::{run_mtcpu, run_vwc, MtcpuConfig, VwcConfig, VIRTUAL_WARP_SIZES};
 use cusha_core::{run as run_cusha, CuShaConfig, Repr, RunStats, VertexProgram};
 use cusha_frontier::{run_frontier, FrontierConfig};
 use cusha_graph::{Graph, VertexId};
@@ -155,7 +155,7 @@ impl Engine {
     }
 
     /// Parses one `--engines` list element: `gs`, `cw`, `frontier`,
-    /// `vwc:<width>`, `mtcpu:<threads>`.
+    /// `vwc:<width>` (a width [`run_vwc`] accepts), `mtcpu:<threads>`.
     pub fn parse(s: &str) -> Option<Engine> {
         match s {
             "gs" => Some(Engine::CuShaGs),
@@ -166,7 +166,7 @@ impl Engine {
                 let n: usize = n.parse().ok()?;
                 match (kind, n) {
                     (_, 0) => None,
-                    ("vwc", _) => Some(Engine::Vwc(n)),
+                    ("vwc", _) if VIRTUAL_WARP_SIZES.contains(&n) => Some(Engine::Vwc(n)),
                     ("mtcpu", _) => Some(Engine::Mtcpu(n)),
                     _ => None,
                 }
@@ -269,7 +269,9 @@ mod tests {
         assert_eq!(Engine::parse("frontier"), Some(Engine::Frontier));
         assert_eq!(Engine::parse("vwc:8"), Some(Engine::Vwc(8)));
         assert_eq!(Engine::parse("mtcpu:4"), Some(Engine::Mtcpu(4)));
-        for bad in ["", "vwc", "vwc:0", "vwc:x", "mtcpu:", "warp:8", "GS"] {
+        for bad in [
+            "", "vwc", "vwc:0", "vwc:3", "vwc:64", "vwc:x", "mtcpu:", "warp:8", "GS",
+        ] {
             assert_eq!(Engine::parse(bad), None, "{bad:?} should not parse");
         }
     }

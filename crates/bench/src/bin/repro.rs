@@ -1,343 +1,312 @@
-//! `repro` — regenerates every table and figure of the CuSha paper.
-//!
-//! ```text
-//! repro [ARTIFACT ...] [--scale N] [--rmat-scale N] [--max-iters N]
-//!       [--jobs N] [--engines LIST] [--out-dir DIR] [--verbose]
-//!       [--log-level LEVEL]
-//! repro --check BASELINE.json [--tolerance R]
-//!
-//! ARTIFACT: all (default) | layouts | table1 | table2 | table4 | table5 |
-//!           table6 | table7 | fig1 | fig7 | fig8 | fig9 | fig10 | fig11 |
-//!           fig12 | fig13 | ablation | frontier_matrix |
-//!           simwall (opt-in, not part of all)
-//!
-//! --scale N         dataset surrogate scale divisor (default 64;
-//!                   1 = full Table-1 sizes)
-//! --rmat-scale N    RMAT sweep scale divisor for fig11/12/13 (default 64)
-//! --max-iters N     convergence-loop cap (default 300)
-//! --engines LIST    comma-separated engine filter for the result matrix
-//!                   and frontier_matrix (gs|cw|frontier|vwc:<w>|mtcpu:<t>),
-//!                   e.g. `--engines gs,frontier` for a head-to-head
-//!                   without the full matrix
-//! --jobs N          host worker threads for simulator matrix cells
-//!                   (default: available parallelism; CUSHA_JOBS env is
-//!                   the fallback). Outputs are byte-identical for any
-//!                   value — only the host wall clock changes.
-//! --out-dir DIR     also write each artifact report and the raw matrix CSV
-//! --verbose         stream per-cell progress to stderr
-//! --log-level LEVEL error|warn|info|debug|trace (default info)
-//! ```
+//! `repro` — regenerates every table and figure of the CuSha paper, or
+//! (`--check`) gates the tree against a committed baseline. The artifact
+//! table and the flag table below are the source of truth; `repro --help`
+//! prints both.
 //!
 //! All progress chatter goes through the [`cusha_obs::log`] leveled stderr
 //! logger; stdout carries only the artifact reports, so
 //! `repro table2 > table2.txt` stays clean under any log level.
+//!
+//! Exit codes: `0` success, `1` I/O (unreadable or unrecognized baseline,
+//! unwritable `--out-dir`), `2` usage, `3` a `--check` regression.
 
 use cusha_baselines::{MTCPU_THREADS, VIRTUAL_WARP_SIZES};
 use cusha_bench::bench_defs::{Benchmark, Engine};
-use cusha_bench::experiments::{self, Ctx};
+use cusha_bench::experiments::{self as exp, Ctx};
 use cusha_bench::matrix::{run_matrix_jobs, MatrixResult};
-use cusha_bench::simwall;
 use cusha_graph::surrogates::Dataset;
 use cusha_obs::{log, Level};
+use std::fmt::Display;
+use std::num::{NonZeroU32, NonZeroU64};
+use std::str::FromStr;
 
-const MATRIX_ARTIFACTS: [&str; 7] = [
-    "table2", "table4", "table5", "table6", "table7", "fig7", "fig8",
+const EXIT_IO: i32 = 1;
+const EXIT_USAGE: i32 = 2;
+const EXIT_REGRESSION: i32 = 3;
+
+/// Why the process stops early: its exit code and what stderr says.
+type Failure = (i32, String);
+
+/// What an artifact yields: its report, and the machine-readable files
+/// (name, text) that go to `--out-dir` beside it.
+type Output = (String, Vec<(&'static str, String)>);
+
+/// How an artifact is computed.
+enum Run {
+    /// From the experiment parameters alone.
+    Params(fn(&Ctx) -> String),
+    /// From the shared (dataset x benchmark x engine) result matrix.
+    Matrix(fn(&MatrixResult) -> String),
+    /// From the shared matrix, which then holds the MTCPU cells too (real
+    /// host threads: the one nondeterministic part of a run).
+    MatrixMtcpu(fn(&MatrixResult) -> String),
+    /// From the parameters and the `--engines` filter; also yields files.
+    Engines(fn(&Ctx, &[Engine]) -> Output),
+}
+use Run::{Engines, Matrix, MatrixMtcpu, Params};
+
+/// The artifact table: one row per artifact, in the order `all` runs them —
+/// the only place a name is spelled. The name is also the report's file
+/// name under `--out-dir`. `--help`, `all` and the unknown-artifact refusal
+/// follow from it.
+#[rustfmt::skip] // a table: one row per line
+const ARTIFACTS: &[(&str, Run)] = &[
+    ("layouts", Params(|_| exp::layouts::run())),
+    ("table1", Params(exp::table1::run)),
+    ("fig1", Params(exp::fig1::run)),
+    ("table2", Matrix(exp::table2::run)),
+    ("table4", Matrix(exp::table4::run)),
+    ("table5", Matrix(exp::table5::run)),
+    ("table6", MatrixMtcpu(exp::table6::run)),
+    ("table7", Matrix(exp::table7::run)),
+    ("fig7", Matrix(exp::fig7::run)),
+    ("fig8", Matrix(exp::fig8::run)),
+    ("fig9", Params(exp::fig9::run)),
+    ("fig10", Matrix(exp::fig10::run)),
+    ("fig11", Params(exp::fig11::run)),
+    ("fig12", Params(exp::fig12::run)),
+    ("fig13", Params(exp::fig13::run)),
+    ("ablation", Params(exp::ablation::run_all)),
+    ("multi_gpu_scaling", Engines(|ctx, _| {
+        let res = exp::multi_gpu_scaling::run(ctx);
+        let files = vec![
+            ("multi_gpu_scaling.json", res.to_json()),
+            ("multi_gpu_scaling_metrics.json", res.metrics_json()),
+        ];
+        (res.report(), files)
+    })),
+    ("frontier_matrix", Engines(|ctx, engines| {
+        let res = exp::frontier_matrix::run_with_engines(ctx, engines);
+        (res.report(), vec![("frontier_matrix.json", res.to_json())])
+    })),
 ];
-const ALL_ARTIFACTS: [&str; 18] = [
-    "layouts",
-    "table1",
-    "fig1",
-    "table2",
-    "table4",
-    "table5",
-    "table6",
-    "table7",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "ablation",
-    "multi_gpu_scaling",
-    "frontier_matrix",
+
+/// What the command line sets.
+#[derive(Default)]
+struct Opts {
+    ctx: Ctx,
+    /// Rows of [`ARTIFACTS`] to run, each once, in the order first named.
+    artifacts: Vec<&'static (&'static str, Run)>,
+    /// `--engines`; empty = each experiment's own engine list.
+    engines: Vec<Engine>,
+    out_dir: Option<String>,
+    check: Option<String>,
+    tolerance: Option<f64>,
+    help: bool,
+}
+
+/// One flag: name, short alias, value placeholder (empty for a switch), what
+/// `--help` says, and how the value — parsed *and range-checked* — is stored.
+type Flag = (
+    Str,
+    Str,
+    Str,
+    Str,
+    fn(&mut Opts, &str) -> Result<(), String>,
+);
+type Str = &'static str;
+
+const ENGINE_LIST: &str = "<gs|cw|frontier|vwc:<2|4|8|16|32>|mtcpu:<threads>>[,...]";
+const LEVELS: &str = "<error|warn|info|debug|trace>";
+
+/// The flag table: one row per flag, the only place its name is spelled.
+#[rustfmt::skip] // a table: one row per line
+const FLAGS: &[Flag] = &[
+    ("--scale", "", "<N>", "dataset surrogate scale divisor (default 64; 1 = full Table-1 sizes)", |o, v| match nonzero::<NonZeroU64, _>(v)? {
+        n if n > exp::max_scale() => Err(format!("at most {}: the smallest dataset keeps two vertices", exp::max_scale())),
+        n => put(&mut o.ctx.scale, Ok(n)),
+    }),
+    ("--rmat-scale", "", "<N>", "RMAT sweep scale divisor of the sensitivity figures (default 64)", |o, v| put(&mut o.ctx.rmat_scale, nonzero::<NonZeroU64, _>(v))),
+    ("--max-iters", "", "<N>", "convergence-loop cap (default 300)", |o, v| put(&mut o.ctx.max_iterations, nonzero::<NonZeroU32, _>(v))),
+    ("--jobs", "-j", "<N>", "host worker threads (default 0 = all available); artifacts are byte-identical for any value", |o, v| put(&mut o.ctx.jobs, number(v))),
+    ("--engines", "", ENGINE_LIST, "engine subset for the shared matrix and the frontier head-to-head", |o, v| {
+        let list: Option<Vec<Engine>> = v.split(',').map(Engine::parse).collect();
+        put(&mut o.engines, list.ok_or_else(|| format!("expected {ENGINE_LIST}")))
+    }),
+    ("--out-dir", "", "<DIR>", "also write each report (NAME.txt), the raw matrix.csv and the .json results", |o, v| put(&mut o.out_dir, Ok(Some(v.into())))),
+    ("--check", "", "<BASELINE.json>", "perf gate, no artifacts: rerun the baseline at its recorded configuration, exit 3 on a regression", |o, v| put(&mut o.check, Ok(Some(v.into())))),
+    ("--tolerance", "", "<R>", "relative band of the gate's modeled milliseconds (default 0.10)", |o, v| match number::<f64>(v)? {
+        r if r.is_finite() && r >= 0.0 => put(&mut o.tolerance, Ok(Some(r))),
+        _ => Err("must be finite and non-negative".into()),
+    }),
+    ("--verbose", "-v", "", "stream per-cell progress to stderr", |o, _| put(&mut o.ctx.verbose, Ok(true))),
+    ("--log-level", "", LEVELS, "what reaches stderr (default info)", |_, v| Level::parse(v).map(log::set_level).ok_or_else(|| format!("expected {LEVELS}"))),
+    ("--help", "-h", "", "print this and exit", |o, _| put(&mut o.help, Ok(true))),
 ];
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut ctx = Ctx::default();
-    let mut artifacts: Vec<String> = Vec::new();
-    let mut out_dir: Option<String> = None;
-    let mut engines_filter: Option<Vec<Engine>> = None;
-    let mut check_path: Option<String> = None;
-    let mut check_tolerance: Option<f64> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--check" => {
-                i += 1;
-                check_path = Some(args.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("--check needs a baseline JSON path");
-                    std::process::exit(2);
-                }));
-            }
-            "--tolerance" => {
-                i += 1;
-                check_tolerance =
-                    Some(args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                        eprintln!("--tolerance needs a relative fraction, e.g. 0.1");
-                        std::process::exit(2);
-                    }));
-            }
-            "--scale" => {
-                i += 1;
-                ctx.scale = parse(&args, i, "--scale");
-            }
-            "--rmat-scale" => {
-                i += 1;
-                ctx.rmat_scale = parse(&args, i, "--rmat-scale");
-            }
-            "--max-iters" => {
-                i += 1;
-                ctx.max_iterations = parse(&args, i, "--max-iters") as u32;
-            }
-            "--jobs" | "-j" => {
-                i += 1;
-                ctx.jobs = parse(&args, i, "--jobs") as usize;
-                // Matrix runs that are handed no job count resolve through
-                // the environment, so one flag covers them too.
-                std::env::set_var("CUSHA_JOBS", ctx.jobs.to_string());
-            }
-            "--verbose" | "-v" => ctx.verbose = true,
-            "--log-level" => {
-                i += 1;
-                let value = args.get(i).cloned().unwrap_or_default();
-                match Level::parse(&value) {
-                    Some(level) => log::set_level(level),
-                    None => {
-                        eprintln!("--log-level needs one of error|warn|info|debug|trace");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--engines" => {
-                i += 1;
-                let list = args.get(i).cloned().unwrap_or_default();
-                let parsed: Option<Vec<Engine>> = list.split(',').map(Engine::parse).collect();
-                match parsed {
-                    Some(es) if !es.is_empty() => engines_filter = Some(es),
-                    _ => {
-                        eprintln!(
-                            "--engines needs a comma-separated list of \
-                             gs|cw|frontier|vwc:<width>|mtcpu:<threads>, got {list:?}"
-                        );
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--out-dir" => {
-                i += 1;
-                out_dir = Some(args.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("--out-dir needs a path");
-                    std::process::exit(2);
-                }));
-            }
-            "--help" | "-h" => {
-                print!("{HELP}");
-                return;
-            }
-            a if a.starts_with('-') => {
-                eprintln!("unknown flag {a}\n{HELP}");
-                std::process::exit(2);
-            }
-            a => artifacts.push(a.to_string()),
-        }
-        i += 1;
-    }
-    // Perf-regression gate: rerun the baseline's experiment at its own
-    // recorded configuration, compare within tolerance bands, and exit
-    // non-zero on any regression. No artifact generation happens.
-    if let Some(path) = check_path {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("--check: cannot read {path}: {e}");
-            std::process::exit(1);
-        });
-        log::write(Level::Info, &format!("repro: checking against {path}"));
-        match cusha_bench::check::check_baseline(&text, check_tolerance, &ctx) {
-            Ok(rep) => {
-                print!("{}", rep.render());
-                std::process::exit(if rep.passed() { 0 } else { 3 });
-            }
-            Err(e) => {
-                eprintln!("--check: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if artifacts.is_empty() || artifacts.iter().any(|a| a == "all") {
-        artifacts = ALL_ARTIFACTS.iter().map(|s| s.to_string()).collect();
-    }
-    for a in &artifacts {
-        // simwall is valid but opt-in only: it exists to measure the host
-        // wall clock, so it must not ride along inside a bigger run.
-        if !ALL_ARTIFACTS.contains(&a.as_str()) && a != "simwall" {
-            eprintln!("unknown artifact {a}\n{HELP}");
-            std::process::exit(2);
-        }
-    }
-    let needs_mtcpu = artifacts.iter().any(|a| a == "table6");
-    let needs_matrix = artifacts
-        .iter()
-        .any(|a| MATRIX_ARTIFACTS.contains(&a.as_str()));
+/// Progress, on stderr at the info level.
+fn say(what: String) {
+    log::write(Level::Info, &what);
+}
 
-    log::write(
-        Level::Info,
-        &format!(
-            "repro: scale 1/{}, rmat scale 1/{}, max {} iterations",
-            ctx.scale, ctx.rmat_scale, ctx.max_iterations
-        ),
+/// Stores a parsed value.
+fn put<T>(field: &mut T, value: Result<T, String>) -> Result<(), String> {
+    *field = value?;
+    Ok(())
+}
+
+/// A number of the field's type (so out of its range is refused, not cut).
+fn number<T: FromStr<Err: Display>>(v: &str) -> Result<T, String> {
+    v.parse().map_err(|e: T::Err| e.to_string())
+}
+
+/// A count of at least one: parsed as the `NonZero` type `N`, which refuses 0.
+fn nonzero<N: FromStr<Err: Display> + Into<T>, T>(v: &str) -> Result<T, String> {
+    number::<N>(v).map(N::into)
+}
+
+/// Parses the command line against the two tables. Never exits.
+fn parse(argv: &[String]) -> Result<Opts, String> {
+    let mut opts = Opts::default();
+    let mut all = false;
+    let mut words = argv.iter();
+    while let Some(word) = words.next() {
+        if word == "all" {
+            all = true;
+        } else if !word.starts_with('-') {
+            let row = ARTIFACTS.iter().find(|(name, _)| name == word);
+            let row = row.ok_or_else(|| format!("unknown artifact {word:?}"))?;
+            if !opts.artifacts.iter().any(|(name, _)| name == word) {
+                opts.artifacts.push(row);
+            }
+        } else {
+            let flag = FLAGS
+                .iter()
+                .find(|(name, alias, ..)| name == word || alias == word);
+            let &(name, _, value, _, set) = flag.ok_or_else(|| format!("unknown flag {word:?}"))?;
+            let value = match value {
+                "" => "",
+                _ => words
+                    .next()
+                    .ok_or_else(|| format!("{name} needs a value {value}"))?,
+            };
+            set(&mut opts, value)
+                .map_err(|why| format!("bad value {value:?} for {name}: {why}"))?;
+        }
+    }
+    if all || opts.artifacts.is_empty() {
+        opts.artifacts = ARTIFACTS.iter().collect();
+    }
+    Ok(opts)
+}
+
+/// `--help`: both tables, then the prose.
+fn help_text() -> String {
+    let mut text = String::from(
+        "repro — regenerate the CuSha paper's tables and figures\n\n\
+         usage: repro [ARTIFACT ...] [FLAG ...]\n\n\
+         artifacts (default `all`: each of these, in this order):\n ",
     );
-    let matrix: Option<MatrixResult> = needs_matrix.then(|| {
-        let engines = engines_filter.clone().unwrap_or_else(|| {
-            let mut engines = vec![Engine::CuShaGs, Engine::CuShaCw];
-            engines.extend(VIRTUAL_WARP_SIZES.iter().map(|&vw| Engine::Vwc(vw)));
-            if needs_mtcpu {
-                engines.extend(MTCPU_THREADS.iter().map(|&t| Engine::Mtcpu(t)));
-            }
-            engines
-        });
-        log::write(
-            Level::Info,
-            &format!(
-                "repro: computing {}x{}x{} result matrix...",
-                Dataset::ALL.len(),
-                Benchmark::ALL.len(),
-                engines.len()
-            ),
-        );
-        run_matrix_jobs(
-            &Dataset::ALL,
-            &Benchmark::ALL,
-            &engines,
-            ctx.scale,
-            ctx.max_iterations,
-            ctx.verbose,
-            ctx.jobs,
-        )
-    });
-    if let (Some(dir), Some(m)) = (&out_dir, &matrix) {
-        std::fs::create_dir_all(dir).expect("create --out-dir");
-        let path = format!("{dir}/matrix.csv");
-        std::fs::write(&path, m.to_csv()).expect("write matrix.csv");
-        log::write(Level::Info, &format!("repro: wrote {path}"));
+    for (i, (name, _)) in ARTIFACTS.iter().enumerate() {
+        text += if i > 0 && i % 8 == 0 { "\n  " } else { " " };
+        text += name;
     }
+    text += "\n\nflags:\n";
+    for (name, alias, value, what, _) in FLAGS {
+        let comma = if alias.is_empty() { "" } else { ", " };
+        text += format!("  {alias}{comma}{name} {value}").trim_end();
+        text += &format!("\n      {what}\n");
+    }
+    text + "\nProgress goes to stderr through the leveled logger; stdout carries only\n\
+            the artifact reports. Exit codes: 0 success, 1 I/O, 2 usage, 3 regression.\n"
+}
 
-    for a in &artifacts {
-        let report = match a.as_str() {
-            "layouts" => experiments::layouts::run(),
-            "table1" => experiments::table1::run(&ctx),
-            "fig1" => experiments::fig1::run(&ctx),
-            "table2" => experiments::table2::run(matrix.as_ref().unwrap()),
-            "table4" => experiments::table4::run(matrix.as_ref().unwrap()),
-            "table5" => experiments::table5::run(matrix.as_ref().unwrap()),
-            "table6" => experiments::table6::run(matrix.as_ref().unwrap()),
-            "table7" => experiments::table7::run(matrix.as_ref().unwrap()),
-            "fig7" => experiments::fig7::run(matrix.as_ref().unwrap()),
-            "fig8" => experiments::fig8::run(matrix.as_ref().unwrap()),
-            "fig9" => experiments::fig9::run(&ctx),
-            "fig10" => experiments::fig10::run(matrix.as_ref().unwrap()),
-            "fig11" => experiments::fig11::run(&ctx),
-            "fig12" => experiments::fig12::run(&ctx),
-            "fig13" => experiments::fig13::run(&ctx),
-            "ablation" => experiments::ablation::run_all(&ctx),
-            "simwall" => {
-                let res = simwall::run(ctx.scale, ctx.max_iterations, ctx.jobs);
-                if let Some(dir) = &out_dir {
-                    std::fs::create_dir_all(dir).expect("create --out-dir");
-                    let path = format!("{dir}/BENCH_simwall.json");
-                    std::fs::write(&path, res.to_json()).expect("write simwall json");
-                    log::write(Level::Info, &format!("repro: wrote {path}"));
+/// The one way a file leaves the process; without `--out-dir`, no file.
+fn write_artifact(out_dir: &Option<String>, file: &str, text: &str) -> Result<(), Failure> {
+    let Some(dir) = out_dir else { return Ok(()) };
+    let path = format!("{dir}/{file}");
+    std::fs::write(&path, text).map_err(|e| (EXIT_IO, format!("cannot write {path}: {e}")))?;
+    say(format!("repro: wrote {path}"));
+    Ok(())
+}
+
+/// The perf-regression gate: rerun the baseline's experiment at its own
+/// recorded configuration and compare within tolerance bands.
+fn check(path: &str, opts: &Opts) -> Result<(), Failure> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| (EXIT_IO, format!("--check: cannot read {path}: {e}")))?;
+    say(format!("repro: checking against {path}"));
+    let rep = cusha_bench::check::check_baseline(&text, opts.tolerance, &opts.ctx)
+        .map_err(|e| (EXIT_IO, format!("--check: {e}")))?;
+    print!("{}", rep.render());
+    let (bad, of) = (rep.regressions, rep.checked);
+    match bad {
+        0 => Ok(()),
+        _ => Err((EXIT_REGRESSION, format!("{bad} of {of} metrics regressed"))),
+    }
+}
+
+/// The shared result matrix over `--engines`, or over CuSha and every VWC
+/// width (and every MTCPU thread count, if an artifact reads those cells).
+fn shared_matrix(opts: &Opts) -> MatrixResult {
+    let mut engines = opts.engines.clone();
+    if engines.is_empty() {
+        engines = vec![Engine::CuShaGs, Engine::CuShaCw];
+        engines.extend(VIRTUAL_WARP_SIZES.map(Engine::Vwc));
+        let timed = |row: &&(_, Run)| matches!(row.1, MatrixMtcpu(_));
+        if opts.artifacts.iter().any(timed) {
+            engines.extend(MTCPU_THREADS.map(Engine::Mtcpu));
+        }
+    }
+    let (sets, algos, ctx) = (Dataset::ALL, Benchmark::ALL, &opts.ctx);
+    let shape = format!("{}x{}x{}", sets.len(), algos.len(), engines.len());
+    say(format!("repro: computing {shape} result matrix..."));
+    run_matrix_jobs(
+        &sets,
+        &algos,
+        &engines,
+        ctx.scale,
+        ctx.max_iterations,
+        ctx.verbose,
+        ctx.jobs,
+    )
+}
+
+fn run(argv: &[String]) -> Result<(), Failure> {
+    let opts = parse(argv).map_err(|why| (EXIT_USAGE, why))?;
+    if opts.help {
+        print!("{}", help_text());
+        return Ok(());
+    }
+    if let Some(path) = &opts.check {
+        return check(path, &opts);
+    }
+    // Before any work: a run can take minutes, an unusable directory none.
+    if let Some(dir) = &opts.out_dir {
+        std::fs::create_dir_all(dir).map_err(|e| (EXIT_IO, format!("cannot create {dir}: {e}")))?;
+    }
+    let (scale, rmat, cap) = (opts.ctx.scale, opts.ctx.rmat_scale, opts.ctx.max_iterations);
+    say(format!(
+        "repro: scale 1/{scale}, rmat scale 1/{rmat}, max {cap} iterations"
+    ));
+    // Computed when the first artifact that reads it runs, then shared.
+    let mut matrix: Option<MatrixResult> = None;
+    for (name, how) in &opts.artifacts {
+        let (report, files) = match how {
+            Params(run) => (run(&opts.ctx), Vec::new()),
+            Engines(run) => run(&opts.ctx, &opts.engines),
+            Matrix(run) | MatrixMtcpu(run) => {
+                let fresh = matrix.is_none();
+                let matrix = matrix.get_or_insert_with(|| shared_matrix(&opts));
+                if fresh {
+                    write_artifact(&opts.out_dir, "matrix.csv", &matrix.to_csv())?;
                 }
-                res.report()
+                (run(matrix), Vec::new())
             }
-            "frontier_matrix" => {
-                let res = experiments::frontier_matrix::run_with_engines(
-                    &ctx,
-                    engines_filter.as_deref().unwrap_or(&[]),
-                );
-                if let Some(dir) = &out_dir {
-                    std::fs::create_dir_all(dir).expect("create --out-dir");
-                    let path = format!("{dir}/frontier_matrix.json");
-                    std::fs::write(&path, res.to_json()).expect("write frontier matrix json");
-                    log::write(Level::Info, &format!("repro: wrote {path}"));
-                }
-                res.report()
-            }
-            "multi_gpu_scaling" => {
-                let res = experiments::multi_gpu_scaling::run(&ctx);
-                if let Some(dir) = &out_dir {
-                    std::fs::create_dir_all(dir).expect("create --out-dir");
-                    let path = format!("{dir}/multi_gpu_scaling.json");
-                    std::fs::write(&path, res.to_json()).expect("write scaling json");
-                    log::write(Level::Info, &format!("repro: wrote {path}"));
-                    let mpath = format!("{dir}/multi_gpu_scaling_metrics.json");
-                    std::fs::write(&mpath, res.metrics_json()).expect("write scaling metrics");
-                    log::write(Level::Info, &format!("repro: wrote {mpath}"));
-                }
-                res.report()
-            }
-            _ => unreachable!(),
         };
         println!("{report}");
-        if let Some(dir) = &out_dir {
-            std::fs::create_dir_all(dir).expect("create --out-dir");
-            let path = format!("{dir}/{a}.txt");
-            std::fs::write(&path, &report).expect("write artifact report");
+        for (file, text) in &files {
+            write_artifact(&opts.out_dir, file, text)?;
         }
+        write_artifact(&opts.out_dir, &format!("{name}.txt"), &report)?;
+    }
+    Ok(())
+}
+
+fn main() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if let Err((code, why)) = run(&argv) {
+        eprintln!("repro: {why}");
+        std::process::exit(code)
     }
 }
-
-fn parse(args: &[String], i: usize, flag: &str) -> u64 {
-    args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-        eprintln!("{flag} needs a positive integer");
-        std::process::exit(2);
-    })
-}
-
-const HELP: &str = "\
-repro — regenerate the CuSha paper's tables and figures
-
-usage: repro [ARTIFACT ...] [--scale N] [--rmat-scale N] [--max-iters N]
-             [--jobs N] [--engines LIST] [--out-dir DIR] [--verbose]
-             [--log-level LEVEL]
-       repro --check BASELINE.json [--tolerance R]
-
---check BASELINE.json  perf-regression gate: rerun the baseline artifact's
-                       experiment (frontier_matrix or cusha-simwall/v1) at
-                       its recorded configuration and compare every metric
-                       within a tolerance band (deterministic modeled ms:
-                       10%; host wall-clock: 75%; override with
-                       --tolerance R). Exits 3 on any regression.
-
-artifacts: all layouts table1 fig1 table2 table4 table5 table6 table7
-           fig7 fig8 fig9 fig10 fig11 fig12 fig13 ablation
-           multi_gpu_scaling (also writes multi_gpu_scaling.json and
-           multi_gpu_scaling_metrics.json to --out-dir)
-           frontier_matrix (frontier-vs-shard head-to-head; also writes
-           frontier_matrix.json to --out-dir)
-           simwall (opt-in, not part of 'all': times the host wall clock
-           sequential vs parallel and writes BENCH_simwall.json to
-           --out-dir)
-
---engines LIST narrows the engine set of the shared result matrix and of
-frontier_matrix to a comma-separated subset (gs|cw|frontier|vwc:<width>|
-mtcpu:<threads>), e.g. `--engines gs,frontier`.
-
---jobs N (or CUSHA_JOBS=N) sets the host worker-thread count for simulator
-matrix cells; any value produces byte-identical artifacts (default: the
-host's available parallelism).
-
-Progress goes to stderr via the leveled logger (--log-level error|warn|
-info|debug|trace, default info); stdout carries only artifact reports.
-";

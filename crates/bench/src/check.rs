@@ -1,34 +1,23 @@
 //! `repro --check` — the perf-regression gate.
 //!
-//! Takes a committed baseline artifact (`results/frontier_matrix.json` or
-//! `BENCH_simwall.json`), reruns the experiment **at the baseline's own
-//! recorded configuration**, and compares every metric against a
-//! per-metric tolerance band:
-//!
-//! * `frontier_matrix` carries *modeled* milliseconds, which are
-//!   deterministic — the default band is tight (10%, and in practice the
-//!   diff is zero unless the model changed), and structural facts
-//!   (iterations, convergence, winner, the road-network flip) must match
-//!   exactly.
-//! * `cusha-simwall/v1` carries *host* wall-clock seconds, which depend
-//!   on the machine — the default band is loose (75%) and the gate is a
-//!   sanity check against order-of-magnitude slowdowns, not a timer. The
-//!   committed `BENCH_simwall.json` is a `cusha-simwall-history/v1`
-//!   document (every recorded run, oldest first); the gate checks the
-//!   latest entry, including its total sequential seconds.
+//! Takes the committed baseline artifact (`results/frontier_matrix.json`),
+//! reruns the experiment **at the baseline's own recorded configuration**,
+//! and compares every metric against a per-metric tolerance band:
+//! `frontier_matrix` carries *modeled* milliseconds, which are
+//! deterministic — the default band is tight (10%, and in practice the diff
+//! is zero unless the model changed), and structural facts (iterations,
+//! convergence, winner, the road-network flip) must match exactly. Host
+//! time is not gated here: the ledger (`examples/ledger`) measures it.
 //!
 //! The report lists one line per compared metric; any line outside its
 //! band is a regression and the caller exits non-zero (the CI perf-gate
 //! job fails).
 
-use crate::experiments::{frontier_matrix, Ctx};
-use crate::simwall;
+use crate::experiments::{frontier_matrix, max_scale, Ctx};
 use cusha_obs::{parse_json, Json};
 
 /// Default relative tolerance for deterministic modeled milliseconds.
 pub const MODELED_TOLERANCE: f64 = 0.10;
-/// Default relative tolerance for host wall-clock seconds.
-pub const WALL_TOLERANCE: f64 = 0.75;
 
 /// Outcome of one `--check` run.
 pub struct CheckReport {
@@ -107,69 +96,33 @@ pub fn check_baseline(
     ctx: &Ctx,
 ) -> Result<CheckReport, String> {
     let doc = parse_json(baseline_text).map_err(|e| format!("baseline is not valid JSON: {e}"))?;
-    if doc.get("schema").and_then(Json::as_str) == Some("cusha-simwall/v1") {
-        return Ok(check_simwall(
-            &doc,
-            tolerance.unwrap_or(WALL_TOLERANCE),
-            ctx,
-        ));
+    if doc.get("experiment").and_then(Json::as_str) != Some("frontier_matrix") {
+        return Err("unrecognized baseline: expected a frontier_matrix artifact".into());
     }
-    if doc.get("schema").and_then(Json::as_str) == Some("cusha-simwall-history/v1") {
-        // The committed artifact keeps every recorded run; the gate compares
-        // against the latest entry (the one the current tree should match).
-        let last = doc
-            .get("runs")
-            .and_then(Json::as_arr)
-            .and_then(<[Json]>::last)
-            .ok_or_else(|| "cusha-simwall-history/v1 baseline has no runs".to_string())?;
-        return Ok(check_simwall(
-            last,
-            tolerance.unwrap_or(WALL_TOLERANCE),
-            ctx,
-        ));
-    }
-    if doc.get("experiment").and_then(Json::as_str) == Some("frontier_matrix") {
-        return Ok(check_frontier_matrix(
-            &doc,
-            tolerance.unwrap_or(MODELED_TOLERANCE),
-            ctx,
-        ));
-    }
-    Err(
-        "unrecognized baseline: expected a cusha-simwall/v1, cusha-simwall-history/v1 \
-         or frontier_matrix artifact"
-            .into(),
-    )
+    check_frontier_matrix(&doc, tolerance.unwrap_or(MODELED_TOLERANCE), ctx)
 }
 
-fn u64_field(doc: &Json, key: &str) -> Result<u64, String> {
-    doc.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("baseline is missing numeric field {key:?}"))
+/// A configuration field of the baseline, refused outside `1..=most`: the
+/// rerun happens at these values, and the experiment panics outside them.
+fn field(doc: &Json, key: &str, most: u64) -> Result<u64, String> {
+    match doc.get(key).and_then(Json::as_u64) {
+        Some(n) if (1..=most).contains(&n) => Ok(n),
+        Some(n) => Err(format!("baseline field {key:?} is {n}, not in 1..={most}")),
+        None => Err(format!("baseline is missing numeric field {key:?}")),
+    }
 }
 
-fn check_frontier_matrix(doc: &Json, tol: f64, host: &Ctx) -> CheckReport {
+fn check_frontier_matrix(doc: &Json, tol: f64, host: &Ctx) -> Result<CheckReport, String> {
+    let cap = field(doc, "max_iterations", u32::MAX.into())?;
+    let ctx = Ctx {
+        scale: field(doc, "scale_divisor", max_scale())?,
+        max_iterations: cap.try_into().unwrap_or(u32::MAX),
+        ..*host
+    };
     let mut rep = CheckReport {
         lines: Vec::new(),
         checked: 0,
         regressions: 0,
-    };
-    let (scale, max_iterations) = match (
-        u64_field(doc, "scale_divisor"),
-        u64_field(doc, "max_iterations"),
-    ) {
-        (Ok(s), Ok(m)) => (s, m),
-        (s, m) => {
-            for e in [s.err(), m.err()].into_iter().flatten() {
-                rep.fail(e);
-            }
-            return rep;
-        }
-    };
-    let ctx = Ctx {
-        scale,
-        max_iterations: max_iterations as u32,
-        ..*host
     };
     let cur = frontier_matrix::run(&ctx);
     rep.compare_exact(
@@ -235,67 +188,7 @@ fn check_frontier_matrix(doc: &Json, tol: f64, host: &Ctx) -> CheckReport {
             );
         }
     }
-    rep
-}
-
-fn check_simwall(doc: &Json, tol: f64, host: &Ctx) -> CheckReport {
-    let mut rep = CheckReport {
-        lines: Vec::new(),
-        checked: 0,
-        regressions: 0,
-    };
-    let (scale, max_iterations) = match (u64_field(doc, "scale"), u64_field(doc, "max_iterations"))
-    {
-        (Ok(s), Ok(m)) => (s, m),
-        (s, m) => {
-            for e in [s.err(), m.err()].into_iter().flatten() {
-                rep.fail(e);
-            }
-            return rep;
-        }
-    };
-    let cur = simwall::run(scale, max_iterations as u32, host.jobs);
-    rep.compare_exact("outputs_identical", true, cur.outputs_identical);
-    // The headline number the simulator-perf work is graded on: total
-    // sequential host seconds over the fixed cell subset, banded like the
-    // per-cell times.
-    if let Some(base_seq) = doc
-        .get("sequential")
-        .and_then(|s| s.get("total_seconds"))
-        .and_then(Json::as_f64)
-    {
-        rep.compare_f64(
-            "sequential total_seconds",
-            base_seq,
-            cur.sequential_seconds,
-            tol,
-        );
-    }
-    let cells = doc
-        .get("cells")
-        .and_then(Json::as_arr)
-        .map(<[Json]>::to_vec)
-        .unwrap_or_default();
-    for cell in &cells {
-        let ds = cell.get("dataset").and_then(Json::as_str).unwrap_or("?");
-        let bench = cell.get("benchmark").and_then(Json::as_str).unwrap_or("?");
-        let eng = cell.get("engine").and_then(Json::as_str).unwrap_or("?");
-        let Some(cur_cell) = cur.cells.iter().find(|c| {
-            c.dataset.to_string() == ds
-                && c.benchmark.to_string() == bench
-                && c.engine.label() == eng
-        }) else {
-            rep.fail(format!("{ds}/{bench}/{eng}: cell missing from current run"));
-            continue;
-        };
-        rep.compare_f64(
-            &format!("{ds}/{bench}/{eng} host seconds"),
-            cell.get("seconds").and_then(Json::as_f64).unwrap_or(0.0),
-            cur_cell.seconds,
-            tol,
-        );
-    }
-    rep
+    Ok(rep)
 }
 
 #[cfg(test)]
@@ -346,54 +239,17 @@ mod tests {
         }
     }
 
-    /// The committed `BENCH_simwall.json` is a history document; the gate
-    /// must pick its latest run and band the sequential total alongside the
-    /// per-cell times.
-    #[test]
-    fn simwall_history_baseline_checks_latest_run() {
-        let ctx = tiny_ctx();
-        // Discarded warm-up: the process's first run pays one-time costs
-        // (lazy page faults, thread-pool spin-up) that at this tiny scale
-        // dwarf the cells themselves and would blow the tolerance band.
-        let _ = simwall::run(4096, 50, 2);
-        let run_json = simwall::run(4096, 50, 2).to_json();
-        // A bogus older run that would fail hard if the gate compared
-        // against it (zero cells would all be "missing from current run").
-        let stale = "{\"schema\": \"cusha-simwall/v1\", \"scale\": 1, \
-                     \"max_iterations\": 1, \"cells\": [], \
-                     \"sequential\": {\"jobs\": 1, \"total_seconds\": 9999.0}}";
-        let history = format!(
-            "{{\"schema\": \"cusha-simwall-history/v1\", \"runs\": [{stale}, {run_json}]}}"
-        );
-        // What is under test is which run is compared and which bands exist,
-        // not how two timings of a microsecond-scale cell compare on a noisy
-        // host: a relative error is below 1.0 by construction, so at this
-        // tolerance timing cannot decide the outcome (at the default 75% band
-        // it did, 2-4 runs in 12).
-        let rep = check_baseline(&history, Some(1.0), &ctx).unwrap();
-        assert!(rep.passed(), "{}", rep.render());
-        assert!(
-            rep.render().contains("sequential total_seconds"),
-            "sequential band missing:\n{}",
-            rep.render()
-        );
-        assert!(
-            rep.render().contains("host seconds") && !rep.render().contains("baseline 9999.0"),
-            "the stale run was compared, not the latest:\n{}",
-            rep.render()
-        );
-        // An empty history is a configuration error, not a pass.
-        assert!(check_baseline(
-            "{\"schema\": \"cusha-simwall-history/v1\", \"runs\": []}",
-            None,
-            &ctx
-        )
-        .is_err());
-    }
-
     #[test]
     fn unknown_baseline_is_an_error() {
         assert!(check_baseline("{\"schema\":\"nope\"}", None, &tiny_ctx()).is_err());
         assert!(check_baseline("not json", None, &tiny_ctx()).is_err());
+        // A configuration the rerun would panic at is refused, not run.
+        for (scale, cap) in [(0, 50), (u64::MAX, 50), (4096, 0), (4096, 1u64 << 32)] {
+            let doc = format!(
+                "{{\"experiment\":\"frontier_matrix\",\"scale_divisor\":{scale},\
+                 \"max_iterations\":{cap}}}"
+            );
+            assert!(check_baseline(&doc, None, &tiny_ctx()).is_err(), "{doc}");
+        }
     }
 }

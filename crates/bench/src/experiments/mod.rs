@@ -24,6 +24,8 @@ pub mod table5;
 pub mod table6;
 pub mod table7;
 
+use cusha_graph::surrogates::Dataset;
+
 /// Common experiment parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct Ctx {
@@ -35,9 +37,9 @@ pub struct Ctx {
     pub max_iterations: u32,
     /// Stream per-cell progress to stderr.
     pub verbose: bool,
-    /// Host worker threads for simulator matrix cells (`0` = auto:
-    /// `CUSHA_JOBS`, then available parallelism). Never changes a result —
-    /// only the host wall clock.
+    /// Host worker threads for simulator matrix cells (`0` = the host's
+    /// available parallelism). Never changes a result — only the host wall
+    /// clock.
     pub jobs: usize,
 }
 
@@ -54,6 +56,13 @@ impl Default for Ctx {
             jobs: 0,
         }
     }
+}
+
+/// The largest `scale` every Table-1 surrogate can be generated at:
+/// [`Dataset::generate`] needs two vertices of the smallest dataset.
+pub fn max_scale() -> u64 {
+    let smallest = Dataset::ALL.iter().map(|d| d.paper_size().1).min();
+    smallest.map_or(1, |vertices| vertices / 2)
 }
 
 /// The paper's RMAT sensitivity graphs: `(name, edges, vertices)` at full
@@ -110,6 +119,14 @@ mod tests {
         let scaled =
             expected_window_size(67_000_000 / scale, 8_000_000 / scale, scaled_n(3072, scale));
         assert!((full - scaled).abs() / full < 0.1, "{full} vs {scaled}");
+    }
+
+    #[test]
+    fn max_scale_is_the_last_divisor_that_generates() {
+        assert_eq!(max_scale(), 400_727 / 2);
+        for ds in Dataset::ALL {
+            assert!(ds.generate(max_scale()).num_vertices() >= 2, "{ds}");
+        }
     }
 
     #[test]

@@ -12,7 +12,6 @@ pub mod bench_defs;
 pub mod check;
 pub mod experiments;
 pub mod matrix;
-pub mod simwall;
 pub mod table;
 
 pub use bench_defs::{default_source, Benchmark, Engine};

@@ -164,19 +164,11 @@ pub fn run_matrix(
 }
 
 /// Resolves a requested job count to the worker-thread count actually used:
-/// an explicit `requested > 0` wins, else the `CUSHA_JOBS` environment
-/// variable (if set to a positive integer), else the host's available
-/// parallelism, else 1.
+/// an explicit `requested > 0` wins, else the host's available parallelism,
+/// else 1.
 pub fn effective_jobs(requested: usize) -> usize {
     if requested > 0 {
         return requested;
-    }
-    if let Some(j) = std::env::var("CUSHA_JOBS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&v| v > 0)
-    {
-        return j;
     }
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -219,11 +211,10 @@ fn pooled<T: Send>(n: usize, jobs: usize, work: impl Fn(usize) -> T + Sync) -> V
 }
 
 /// [`run_matrix`] with an explicit worker-thread count for surrogate
-/// generation and the GPU cells (`0` = auto: `CUSHA_JOBS`, then the host's
-/// available parallelism). Generation and every cell are deterministic and
-/// both result vectors are reassembled in work-item order, so any `jobs`
-/// value yields a byte-identical matrix — `jobs` only changes how the wall
-/// clock is spent.
+/// generation and the GPU cells (`0` = the host's available parallelism).
+/// Generation and every cell are deterministic and both result vectors are
+/// reassembled in work-item order, so any `jobs` value yields a
+/// byte-identical matrix — `jobs` only changes how the wall clock is spent.
 #[allow(clippy::too_many_arguments)]
 pub fn run_matrix_jobs(
     datasets: &[Dataset],

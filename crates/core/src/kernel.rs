@@ -64,7 +64,9 @@ fn sampled(column: &[u32], range: &Range<usize>) -> [u32; WARP] {
 
 /// Transient-fault retry budget of one engine. Copy faults transferred
 /// nothing and launch faults fire before any block runs, so either retry
-/// re-issues the identical operation.
+/// re-issues the identical operation. An engine retries by
+/// [`RetryPolicy::DEFAULT`] or not at all ([`RetryPolicy::NONE`]); it is not
+/// a setting of any configuration.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct RetryPolicy {
     /// Retries allowed per copy operation.
@@ -76,7 +78,18 @@ pub(crate) struct RetryPolicy {
     pub max_kernel_retries: u32,
 }
 
+/// Budget halvings a device may spend on OOM before the fault is final.
+pub(crate) const MAX_REBATCHES: u32 = 8;
+
 impl RetryPolicy {
+    /// What every engine that recovers in place grants: the streamed engine,
+    /// each fleet device, and the middleware around engines with no ladder.
+    pub(crate) const DEFAULT: RetryPolicy = RetryPolicy {
+        max_copy_retries: 3,
+        backoff_base_seconds: 1e-3,
+        max_kernel_retries: 1,
+    };
+
     /// No retries: every device fault surfaces to the caller (the in-core
     /// engine, whose callers own recovery).
     pub(crate) const NONE: RetryPolicy = RetryPolicy {
@@ -84,6 +97,16 @@ impl RetryPolicy {
         backoff_base_seconds: 0.0,
         max_kernel_retries: 0,
     };
+
+    /// `(copy retries, kernel retries, first backoff)` for a caller that
+    /// spends the budget down itself (the middleware, around whole runs).
+    pub(crate) fn counts(self) -> (u32, u32, f64) {
+        (
+            self.max_copy_retries,
+            self.max_kernel_retries,
+            self.backoff_base_seconds,
+        )
+    }
 }
 
 /// Retries `op` on transient copy faults with exponential backoff; other

@@ -28,6 +28,7 @@
 use crate::engine::{try_run_warm, CuShaConfig, CuShaOutput, PreparedLayout, Repr, RunObserver};
 use crate::error::EngineError;
 use crate::fallback::run_fallback;
+use crate::kernel::RetryPolicy;
 use crate::multi::{try_run_multi_observed, MultiConfig, MultiRunStats};
 use crate::program::VertexProgram;
 use crate::stats::FaultStats;
@@ -114,14 +115,6 @@ impl<O: RunObserver + ?Sized> RunObserver for DeadlineObserver<'_, O> {
     }
 }
 
-/// Transient-copy-fault retries the middleware grants engines without an
-/// internal ladder (mirrors [`StreamingConfig::max_copy_retries`]).
-const MAX_COPY_RETRIES: u32 = 3;
-/// Kernel-fault relaunches (mirrors [`StreamingConfig::max_kernel_retries`]).
-const MAX_KERNEL_RETRIES: u32 = 1;
-/// First retry's modeled backoff; doubles per retry.
-const BACKOFF_BASE_SECONDS: f64 = 1e-3;
-
 /// Runs `prog` over `graph` on `engine` under the full middleware stack.
 ///
 /// `fault_plan` (or, if `None`, `cfg.fault_plan`) is owned by the
@@ -143,10 +136,14 @@ pub fn run_engine<P: VertexProgram, O: RunObserver + ?Sized>(
     let mut cfg = cfg.clone();
     cfg.fault_plan = None;
 
-    let retryable = !engine.recovers_faults();
-    let mut copy_left = if retryable { MAX_COPY_RETRIES } else { 0 };
-    let mut kernel_left = if retryable { MAX_KERNEL_RETRIES } else { 0 };
-    let mut backoff = BACKOFF_BASE_SECONDS;
+    // An engine without a ladder of its own is granted the one retry budget
+    // around whole attempts; the backoff doubles per copy retry.
+    let budget = if engine.recovers_faults() {
+        RetryPolicy::NONE
+    } else {
+        RetryPolicy::DEFAULT
+    };
+    let (mut copy_left, mut kernel_left, mut backoff) = budget.counts();
     let mut restarts_left: u32 = cfg.integrity.max_full_restarts;
     let mut mw_fault = FaultStats::default();
     let mut mw_detections: u32 = 0;

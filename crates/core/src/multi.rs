@@ -47,7 +47,7 @@ use crate::fallback::FALLBACK_LABEL;
 use crate::integrity::{apply_flips, checksum, Ask, Checkpoint, Detector, Recovery, Rung, Stop};
 use crate::kernel::{
     batch_end, entry_range, fault_instant, upload_resident, vertex_range, with_copy_retries,
-    DeviceSlice, HostArrays, HostMaster, Resident, RetryPolicy, SpillVia,
+    DeviceSlice, HostArrays, HostMaster, Resident, RetryPolicy, SpillVia, MAX_REBATCHES,
 };
 use crate::memsize::{check_streams, entry_bytes, ValueSizes};
 use crate::middleware::DeadlineObserver;
@@ -81,14 +81,6 @@ pub struct MultiConfig {
     /// Per-device fault plans (index = device id); shorter than `devices`
     /// leaves the remaining devices fault-free.
     pub fault_plans: Vec<Option<cusha_simt::FaultPlan>>,
-    /// Transient-copy-fault retries allowed per operation per device.
-    pub max_copy_retries: u32,
-    /// First retry's backoff in seconds; doubles per subsequent retry.
-    pub backoff_base_seconds: f64,
-    /// In-place kernel relaunches before a device degrades to the host.
-    pub max_kernel_retries: u32,
-    /// Budget-halving cycles allowed per device on OOM before it degrades.
-    pub max_rebatches: u32,
 }
 
 impl MultiConfig {
@@ -99,17 +91,13 @@ impl MultiConfig {
             devices,
             interconnect: Interconnect::pcie_gen3(),
             fault_plans: Vec::new(),
-            max_copy_retries: 3,
-            backoff_base_seconds: 1e-3,
-            max_kernel_retries: 1,
-            max_rebatches: 8,
         }
     }
 
     /// Does nothing: the fleet runs its devices in order on the calling
     /// thread. Kept only because `crates/bench/examples/ledger/matrix.rs`
-    /// calls it and is frozen to this change; the `benchmark` PR that retires
-    /// simwall (ROADMAP "One benchmark") removes the call and this shim.
+    /// calls it and is frozen to this change; the `benchmark` PR of ROADMAP
+    /// "One benchmark" removes the call and this shim.
     #[doc(hidden)]
     pub fn with_jobs(self, _: usize) -> Self {
         self
@@ -453,12 +441,7 @@ fn run_fleet<P: VertexProgram, O: RunObserver + ?Sized>(
 
     let shards = fp.parts().iter().map(|part| &part.shards);
     let shards: Vec<_> = shards.map(|s| s.start as u32..s.end as u32).collect();
-    let retry = RetryPolicy {
-        max_copy_retries: cfg.max_copy_retries,
-        backoff_base_seconds: cfg.backoff_base_seconds,
-        max_kernel_retries: cfg.max_kernel_retries,
-    };
-    let policy = FaultPolicy::Recover(retry, cfg.max_rebatches);
+    let policy = FaultPolicy::Recover(RetryPolicy::DEFAULT, MAX_REBATCHES);
     let name = format!("{}::{}", cfg.base.repr.label(), prog.name());
     let mut faults = vec![FaultStats::default(); cfg.devices];
     let mut sdcs = vec![SdcStats::default(); cfg.devices];

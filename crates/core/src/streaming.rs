@@ -32,15 +32,14 @@
 //! happens in `drive` (see `DESIGN.md`, "Failure model & recovery"):
 //!
 //! * **Transient copy faults** (H2D/D2H) are retried in place with
-//!   exponential backoff, up to [`StreamingConfig::max_copy_retries`] per
-//!   operation. A failed copy transferred nothing, so the retry re-issues
-//!   the identical transfer.
+//!   exponential backoff, 3 times per operation (`RetryPolicy::DEFAULT`, the
+//!   one retry budget). A failed copy transferred nothing, so the retry
+//!   re-issues the identical transfer.
 //! * **Device OOM** — a batch's upload or the resident part's — halves
 //!   [`StreamingConfig::resident_bytes`] in place and continues from the
-//!   failing batch with more, smaller batches, up to
-//!   [`StreamingConfig::max_rebatches`] times; past that it is an error.
-//! * **Kernel faults** are retried up to
-//!   [`StreamingConfig::max_kernel_retries`] per launch; past that the
+//!   failing batch with more, smaller batches, up to `MAX_REBATCHES` (8)
+//!   times; past that it is an error.
+//! * **Kernel faults** are retried once per launch; past that the
 //!   engine walks the degradation ladder CW → G-Shards → host fallback
 //!   ([`crate::run_fallback`]), restarting from scratch on each rung.
 //! * A **watchdog** (opt-in via `base.watchdog_interval`) snapshots the
@@ -56,7 +55,7 @@ use crate::engine::{CuShaConfig, CuShaOutput, PreparedLayout, Repr, RunObserver}
 use crate::error::EngineError;
 use crate::fallback::run_fallback_after;
 use crate::integrity::Stop;
-use crate::kernel::RetryPolicy;
+use crate::kernel::{RetryPolicy, MAX_REBATCHES};
 use crate::memsize::{check_streams, ValueSizes};
 use crate::middleware::DeadlineObserver;
 use crate::multi::{drive, FaultPolicy, Start};
@@ -77,32 +76,16 @@ pub struct StreamingConfig {
     /// Number of copy/compute streams; `>= 2` overlaps uploads with
     /// kernels, `1` serializes them.
     pub streams: u32,
-    /// Transient-copy-fault retries allowed per operation before the fault
-    /// is considered permanent.
-    pub max_copy_retries: u32,
-    /// First retry's backoff in seconds; doubles per subsequent retry of
-    /// the same operation. Recorded in [`FaultStats::backoff_seconds`].
-    pub backoff_base_seconds: f64,
-    /// In-place re-launches allowed per kernel fault before the engine
-    /// degrades to the next representation.
-    pub max_kernel_retries: u32,
-    /// Budget halvings allowed on device OOM before giving up.
-    pub max_rebatches: u32,
 }
 
 impl StreamingConfig {
     /// Streams the given base configuration within `resident_bytes`,
-    /// double-buffered, with default recovery limits (3 copy retries,
-    /// 1 ms base backoff, 1 kernel retry, 8 rebatches).
+    /// double-buffered.
     pub fn new(base: CuShaConfig, resident_bytes: u64) -> Self {
         StreamingConfig {
             base,
             resident_bytes,
             streams: 2,
-            max_copy_retries: 3,
-            backoff_base_seconds: 1e-3,
-            max_kernel_retries: 1,
-            max_rebatches: 8,
         }
     }
 
@@ -117,14 +100,6 @@ impl StreamingConfig {
             return Err("resident_bytes must be nonzero".into());
         }
         Ok(())
-    }
-
-    fn retry(&self) -> RetryPolicy {
-        RetryPolicy {
-            max_copy_retries: self.max_copy_retries,
-            backoff_base_seconds: self.backoff_base_seconds,
-            max_kernel_retries: self.max_kernel_retries,
-        }
     }
 }
 
@@ -192,7 +167,7 @@ pub fn try_run_streamed_observed<P: VertexProgram, O: RunObserver + ?Sized>(
     let observer = &mut DeadlineObserver::new(base.deadline_seconds, observer);
     // The device starts out of core and, past its budgets, surfaces the fault:
     // the next rung needs a layout of its own, which this function builds.
-    let policy = FaultPolicy::Surface(cfg.retry(), cfg.max_rebatches);
+    let policy = FaultPolicy::Surface(RetryPolicy::DEFAULT, MAX_REBATCHES);
     let start = Start::Streamed {
         budget: cfg.resident_bytes,
         streams: cfg.streams,

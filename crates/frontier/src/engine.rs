@@ -63,7 +63,9 @@ pub const FRONTIER_LABEL: &str = "Frontier";
 /// [`RunStats::frontier`] populated.
 pub type FrontierOutput<V> = CuShaOutput<V>;
 
-/// Executes `prog` over `graph` with the frontier engine.
+/// Executes `prog` over `graph` with the frontier engine. Like
+/// `cusha_core::run`, a run that merely hits the iteration cap returns its
+/// partial output with `stats.converged == false`.
 ///
 /// # Panics
 /// Panics on device faults; see [`try_run_frontier`].
@@ -74,6 +76,7 @@ pub fn run_frontier<P: VertexProgram>(
 ) -> FrontierOutput<P::V> {
     match try_run_frontier(prog, graph, cfg) {
         Ok(out) => out,
+        Err(EngineError::NonConverged { partial }) => *partial,
         Err(e) => panic!("{e}"),
     }
 }

@@ -887,9 +887,8 @@ fn fault_recovery_cfg() -> MultiConfig {
 /// Spaced-out single kernel faults on two devices: each recovers in place
 /// via relaunch, no degradation.
 fn transient_retries_cfg() -> MultiConfig {
-    let mut cfg = MultiConfig::new(CuShaConfig::gs(), 4);
-    cfg.max_kernel_retries = 2;
-    cfg.with_device_fault_plan(0, FaultPlan::new().fail_kernel_at(&[1]))
+    MultiConfig::new(CuShaConfig::gs(), 4)
+        .with_device_fault_plan(0, FaultPlan::new().fail_kernel_at(&[1]))
         .with_device_fault_plan(3, FaultPlan::new().fail_kernel_at(&[2]))
 }
 

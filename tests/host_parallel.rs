@@ -1,23 +1,16 @@
 //! Host-parallelism determinism contract: the bench matrix's worker-thread
-//! count (`--jobs` / `CUSHA_JOBS`) must never change anything it reports —
-//! only how the host wall clock is spent. (The fleet has one schedule and no
-//! job count; its run records are pinned by `tests/fleet_golden.rs`.)
+//! count (`--jobs`) must never change anything it reports — only how the host
+//! wall clock is spent. (The fleet has one schedule and no job count; its run
+//! records are pinned by `tests/fleet_golden.rs`.)
 
 use cusha::graph::surrogates::Dataset;
 use cusha_bench::effective_jobs;
 
-/// `effective_jobs` resolution order: explicit request, then `CUSHA_JOBS`,
-/// then host parallelism (≥ 1). The other test in this binary passes an
-/// explicit job count, so mutating the process environment here is safe.
+/// `effective_jobs` resolution order: an explicit request, else the host's
+/// parallelism (>= 1). Nothing in the environment is read.
 #[test]
 fn effective_jobs_resolution_order() {
-    assert_eq!(effective_jobs(3), 3);
-    std::env::set_var("CUSHA_JOBS", "5");
-    assert_eq!(effective_jobs(0), 5, "env fallback ignored");
-    assert_eq!(effective_jobs(2), 2, "explicit request must beat the env");
-    std::env::set_var("CUSHA_JOBS", "not-a-number");
-    assert!(effective_jobs(0) >= 1, "junk env must fall through");
-    std::env::remove_var("CUSHA_JOBS");
+    assert_eq!(effective_jobs(3), 3, "an explicit request must beat auto");
     assert!(effective_jobs(0) >= 1);
 }
 
