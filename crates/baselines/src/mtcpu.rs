@@ -88,12 +88,23 @@ pub fn try_run_mtcpu<P: VertexProgram, O: RunObserver + ?Sized>(
     cfg: &MtcpuConfig,
     observer: &mut O,
 ) -> Result<MtcpuOutput<P::V>, EngineError<P::V>> {
+    try_run_mtcpu_warm(prog, graph, &Csr::from_graph(graph), cfg, observer)
+}
+
+/// [`try_run_mtcpu`] over a caller-held in-edge CSR of `graph`.
+pub fn try_run_mtcpu_warm<P: VertexProgram, O: RunObserver + ?Sized>(
+    prog: &P,
+    graph: &Graph,
+    csr: &Csr,
+    cfg: &MtcpuConfig,
+    observer: &mut O,
+) -> Result<MtcpuOutput<P::V>, EngineError<P::V>> {
     if cfg.threads == 0 {
         return Err(EngineError::InvalidConfig(
             "need at least one thread".into(),
         ));
     }
-    let csr = Csr::from_graph(graph);
+    crate::check_csr(graph, csr)?;
     let statics = prog.static_values(graph);
     let edge_values: Vec<P::E> = {
         let by_edge_id = prog.edge_values(graph);

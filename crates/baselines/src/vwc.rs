@@ -168,16 +168,38 @@ pub fn try_run_vwc<P: VertexProgram, O: RunObserver + ?Sized>(
     fault_plan: Option<&mut FaultPlan>,
     observer: &mut O,
 ) -> Result<VwcOutput<P::V>, EngineError<P::V>> {
+    preflight::<P>(graph, cfg)?;
+    let csr = Csr::from_graph(graph);
+    try_run_vwc_warm(prog, graph, &csr, cfg, fault_plan, observer)
+}
+
+/// What every entry asks before anything is built or uploaded.
+fn preflight<P: VertexProgram>(graph: &Graph, cfg: &VwcConfig) -> Result<(), EngineError<P::V>> {
     cfg.validate().map_err(EngineError::InvalidConfig)?;
     let (v, e) = (graph.num_vertices() as u64, graph.num_edges() as u64);
-    check_fits(v, e, ValueSizes::of::<P>(), None, &cfg.device)?;
+    check_fits(v, e, ValueSizes::of::<P>(), None, &cfg.device)
+}
+
+/// [`try_run_vwc`] over a caller-held in-edge CSR of `graph` — built once,
+/// run by many programs and virtual-warp widths. The pre-flight runs per
+/// call: whether the device holds the run depends on the program's sizes.
+pub fn try_run_vwc_warm<P: VertexProgram, O: RunObserver + ?Sized>(
+    prog: &P,
+    graph: &Graph,
+    csr: &Csr,
+    cfg: &VwcConfig,
+    fault_plan: Option<&mut FaultPlan>,
+    observer: &mut O,
+) -> Result<VwcOutput<P::V>, EngineError<P::V>> {
+    preflight::<P>(graph, cfg)?;
+    crate::check_csr(graph, csr)?;
     let mut gpu = Gpu::new(cfg.device.clone());
     gpu.set_profiling(cfg.profile);
     gpu.set_tracer(cfg.trace.clone(), 0);
     if let Some(p) = fault_plan.as_deref() {
         gpu.set_fault_plan(p.clone());
     }
-    let result = vwc_attempt(prog, graph, cfg, &mut gpu, observer);
+    let result = vwc_attempt(prog, graph, csr, cfg, &mut gpu, observer);
     if let (Some(slot), Some(p)) = (fault_plan, gpu.take_fault_plan()) {
         *slot = p;
     }
@@ -187,12 +209,12 @@ pub fn try_run_vwc<P: VertexProgram, O: RunObserver + ?Sized>(
 fn vwc_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
     prog: &P,
     graph: &Graph,
+    csr: &Csr,
     cfg: &VwcConfig,
     gpu: &mut Gpu,
     observer: &mut O,
 ) -> Result<VwcOutput<P::V>, EngineError<P::V>> {
     let vws = VirtualWarps::new(cfg.virtual_warp);
-    let csr = Csr::from_graph(graph);
     let n = graph.num_vertices() as usize;
 
     // ---- Upload CSR (H2D) --------------------------------------------------
@@ -611,6 +633,28 @@ mod tests {
             assert!(out.stats.converged, "vw={vw}");
             assert_eq!(out.values, oracle, "vw={vw}");
         }
+    }
+
+    #[test]
+    fn one_csr_serves_every_width_and_a_foreign_one_is_refused() {
+        let g = rmat(&RmatConfig::graph500(7, 700, 30));
+        let csr = Csr::from_graph(&g);
+        for vw in crate::VIRTUAL_WARP_SIZES {
+            let cfg = VwcConfig::new(vw);
+            let warm = try_run_vwc_warm(&Sssp::new(0), &g, &csr, &cfg, None, &mut NoopObserver);
+            let (warm, cold) = (warm.unwrap(), run_vwc(&Sssp::new(0), &g, &cfg));
+            assert_eq!(warm.values, cold.values, "vw={vw}");
+            assert_eq!(format!("{:?}", warm.stats), format!("{:?}", cold.stats));
+        }
+        let mt = crate::MtcpuConfig::new(2);
+        let warm = crate::try_run_mtcpu_warm(&Sssp::new(0), &g, &csr, &mt, &mut NoopObserver);
+        assert_eq!(warm.unwrap().values, dijkstra(&g, 0));
+        let other = Csr::from_graph(&rmat(&RmatConfig::graph500(7, 600, 31)));
+        let cfg = VwcConfig::new(8);
+        let refused = try_run_vwc_warm(&Bfs::new(0), &g, &other, &cfg, None, &mut NoopObserver);
+        assert!(matches!(refused, Err(EngineError::InvalidConfig(_))));
+        let refused = crate::try_run_mtcpu_warm(&Bfs::new(0), &g, &other, &mt, &mut NoopObserver);
+        assert!(matches!(refused, Err(EngineError::InvalidConfig(_))));
     }
 
     #[test]

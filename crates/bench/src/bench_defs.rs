@@ -4,10 +4,17 @@ use cusha_algos::{
     Bfs, CircuitSimulation, ConnectedComponents, HeatSimulation, NeuralNetwork, PageRank, Sssp,
     Sswp,
 };
-use cusha_baselines::{run_mtcpu, run_vwc, MtcpuConfig, VwcConfig, VIRTUAL_WARP_SIZES};
-use cusha_core::{run as run_cusha, CuShaConfig, Repr, RunStats, VertexProgram};
-use cusha_frontier::{run_frontier, FrontierConfig};
-use cusha_graph::{Graph, VertexId};
+use cusha_baselines::{
+    try_run_mtcpu_warm, try_run_vwc_warm, MtcpuConfig, VwcConfig, VIRTUAL_WARP_SIZES,
+};
+use cusha_core::memsize::{check_fits, ValueSizes};
+use cusha_core::{
+    try_run_warm, CuShaConfig, CuShaOutput, EngineError, NoopObserver, PreparedLayout, Repr,
+    RunStats, VertexProgram,
+};
+use cusha_frontier::{try_run_frontier_warm, FrontierConfig, PreparedFrontier};
+use cusha_graph::{Csr, Graph, VertexId};
+use std::sync::{Arc, Mutex};
 
 /// The eight benchmarks of Table 3, in the paper's column order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -59,8 +66,7 @@ impl Benchmark {
 
     /// `sizeof(Vertex)`, `sizeof(Edge)`, `sizeof(StaticVertex)` of this
     /// benchmark (Figure 9's inputs).
-    pub fn value_sizes(self) -> cusha_core::memsize::ValueSizes {
-        use cusha_core::memsize::ValueSizes;
+    pub fn value_sizes(self) -> ValueSizes {
         match self {
             Benchmark::Bfs | Benchmark::Cc => ValueSizes {
                 vertex: 4,
@@ -91,25 +97,35 @@ impl Benchmark {
     }
 
     /// Runs this benchmark on `engine`, returning only the statistics
-    /// (values are validated in the test suites, not the harness).
+    /// (values are validated in the test suites, not the harness): one cell
+    /// over topology nobody else will use, [`Benchmark::run_on`] a fresh
+    /// [`Prepared`].
     pub fn run(self, g: &Graph, engine: Engine, max_iterations: u32) -> RunStats {
-        let source = default_source(g);
+        self.run_on(g, &Prepared::new(g), engine, max_iterations)
+    }
+
+    /// [`Benchmark::run`] over the topology `shared` holds for `g` (built
+    /// here if this is the first cell to ask): a warm run on a cold replay
+    /// table, so the statistics are those of `run`.
+    pub fn run_on(
+        self,
+        g: &Graph,
+        shared: &Prepared,
+        engine: Engine,
+        max_iterations: u32,
+    ) -> RunStats {
+        let (source, at) = (shared.source, (g, shared, engine, max_iterations));
         match self {
-            Benchmark::Bfs => dispatch(&Bfs::new(source), g, engine, max_iterations),
-            Benchmark::Sssp => dispatch(&Sssp::new(source), g, engine, max_iterations),
-            Benchmark::Pr => dispatch(&PageRank::new(), g, engine, max_iterations),
-            Benchmark::Cc => dispatch(&ConnectedComponents::new(), g, engine, max_iterations),
-            Benchmark::Sswp => dispatch(&Sswp::new(source), g, engine, max_iterations),
-            Benchmark::Nn => dispatch(&NeuralNetwork::new(), g, engine, max_iterations),
-            Benchmark::Hs => dispatch(&HeatSimulation::new(), g, engine, max_iterations),
+            Benchmark::Bfs => dispatch(&Bfs::new(source), at),
+            Benchmark::Sssp => dispatch(&Sssp::new(source), at),
+            Benchmark::Pr => dispatch(&PageRank::new(), at),
+            Benchmark::Cc => dispatch(&ConnectedComponents::new(), at),
+            Benchmark::Sswp => dispatch(&Sswp::new(source), at),
+            Benchmark::Nn => dispatch(&NeuralNetwork::new(), at),
+            Benchmark::Hs => dispatch(&HeatSimulation::new(), at),
             Benchmark::Cs => {
                 let gnd = g.num_vertices().saturating_sub(1);
-                dispatch(
-                    &CircuitSimulation::new(source, gnd),
-                    g,
-                    engine,
-                    max_iterations,
-                )
+                dispatch(&CircuitSimulation::new(source, gnd), at)
             }
         }
     }
@@ -175,43 +191,182 @@ impl Engine {
     }
 }
 
-fn dispatch<P: VertexProgram>(
-    prog: &P,
-    g: &Graph,
-    engine: Engine,
-    max_iterations: u32,
-) -> RunStats {
-    match engine {
-        Engine::CuShaGs => {
-            let mut cfg = CuShaConfig::new(Repr::GShards);
-            cfg.max_iterations = max_iterations;
-            run_cusha(prog, g, &cfg).stats
-        }
-        Engine::CuShaCw => {
-            let mut cfg = CuShaConfig::new(Repr::ConcatWindows);
-            cfg.max_iterations = max_iterations;
-            run_cusha(prog, g, &cfg).stats
-        }
-        Engine::Vwc(vw) => {
-            let mut cfg = VwcConfig::new(vw);
-            cfg.max_iterations = max_iterations;
-            run_vwc(prog, g, &cfg).stats
-        }
-        Engine::Mtcpu(t) => {
-            let mut cfg = MtcpuConfig::new(t);
-            cfg.max_iterations = max_iterations;
-            run_mtcpu(prog, g, &cfg).stats
-        }
-        Engine::Frontier => {
-            let mut cfg = FrontierConfig::new();
-            cfg.max_iterations = max_iterations;
-            run_frontier(prog, g, &cfg).stats
+/// The topology a cell runs over: cells of one graph that name the same
+/// family share one build of it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Family {
+    /// The G-Shards sort and the CW mapper at this `|N|`: GS and CW cells.
+    Shards(u32),
+    /// The in-edge CSR: VWC and MTCPU cells.
+    Csr,
+    /// The out-adjacency around the in-edge CSR: Frontier cells.
+    Frontier,
+}
+
+impl Family {
+    /// The family the cell `(b, e)` of `g` runs over.
+    pub fn of(g: &Graph, b: Benchmark, e: Engine) -> Family {
+        match e {
+            Engine::CuShaGs | Engine::CuShaCw => {
+                let vertex = b.value_sizes().vertex;
+                Family::Shards(PreparedLayout::select_n_per(g, &CuShaConfig::gs(), vertex))
+            }
+            Engine::Vwc(_) | Engine::Mtcpu(_) => Family::Csr,
+            Engine::Frontier => Family::Frontier,
         }
     }
 }
 
+/// Built topology by key: the first caller to ask for a key builds it while
+/// the others wait, every caller leaves with a counted handle, and a released
+/// key's state goes when the last handle does.
+struct Held<K, T>(Mutex<Vec<(K, Arc<T>)>>);
+
+impl<K, T> Default for Held<K, T> {
+    fn default() -> Self {
+        Held(Mutex::new(Vec::new()))
+    }
+}
+
+impl<K: Copy + PartialEq, T> Held<K, T> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<(K, Arc<T>)>> {
+        self.0.lock().expect("a build that panicked took the run")
+    }
+
+    /// What is held under `key` right now (after any build in progress).
+    fn peek(&self, key: K) -> Option<Arc<T>> {
+        let held = self.lock();
+        held.iter().find(|(k, _)| *k == key).map(|(_, t)| t.clone())
+    }
+
+    fn get(&self, key: K, build: impl FnOnce() -> T) -> Arc<T> {
+        let mut held = self.lock();
+        let at = held.iter().position(|(k, _)| *k == key);
+        let at = at.unwrap_or_else(|| {
+            held.push((key, Arc::new(build())));
+            held.len() - 1
+        });
+        held[at].1.clone()
+    }
+
+    fn release(&self, key: K) {
+        self.lock().retain(|(k, _)| *k != key);
+    }
+}
+
+/// What the cells of one graph have in common: the source vertex, and each
+/// topology [`Family`] built on first use. Everything a cell is handed is
+/// immutable and every cell runs on a replay table of its own, so a cell's
+/// statistics do not depend on which cells ran before it or beside it.
+pub struct Prepared {
+    source: VertexId,
+    /// By `|N|`, built with the mapper: CW cells run on a clone, GS cells on
+    /// its G-Shards view.
+    shards: Held<u32, PreparedLayout>,
+    csr: Held<(), Csr>,
+    frontier: Held<(), PreparedFrontier>,
+}
+
+impl Prepared {
+    /// Scans `g` for its [`default_source`]; builds nothing else yet.
+    pub fn new(g: &Graph) -> Self {
+        Prepared {
+            source: default_source(g),
+            shards: Held::default(),
+            csr: Held::default(),
+            frontier: Held::default(),
+        }
+    }
+
+    /// Lets `family`'s state go (its last cell has retired); a later cell
+    /// that asks for it builds it again.
+    pub fn release(&self, family: Family) {
+        match family {
+            Family::Shards(n_per) => self.shards.release(n_per),
+            Family::Csr => self.csr.release(()),
+            Family::Frontier => self.frontier.release(()),
+        }
+    }
+
+    fn csr(&self, g: &Graph) -> Arc<Csr> {
+        self.csr.get((), || Csr::from_graph(g))
+    }
+
+    /// Around the VWC cells' CSR while they hold one; it is not put there for
+    /// them, where it would outlive this family's release.
+    fn frontier(&self, g: &Graph) -> Arc<PreparedFrontier> {
+        self.frontier.get((), || {
+            let csr = self.csr.peek(());
+            PreparedFrontier::around(g, csr.unwrap_or_else(|| Arc::new(Csr::from_graph(g))))
+        })
+    }
+}
+
+/// What `cusha_core::run` and its siblings make of an outcome: a capped run
+/// is its partial output, any other failure ends the harness.
+fn settle<V>(outcome: Result<CuShaOutput<V>, EngineError<V>>) -> RunStats {
+    match outcome {
+        Ok(out) => out.stats,
+        Err(EngineError::NonConverged { partial }) => partial.stats,
+        Err(e) => panic!("{e}"),
+    }
+}
+
+/// One cell: each engine's warm entry over `shared`'s topology, behind the
+/// pre-flight its cold entry runs ([`check_fits`]; VWC's warm entry runs its
+/// own, MTCPU has none).
+fn dispatch<P: VertexProgram>(
+    prog: &P,
+    (g, shared, engine, max_iterations): (&Graph, &Prepared, Engine, u32),
+) -> RunStats {
+    let (v, e, sizes) = (
+        g.num_vertices() as u64,
+        g.num_edges() as u64,
+        ValueSizes::of::<P>(),
+    );
+    let observer = &mut NoopObserver;
+    settle(match engine {
+        Engine::CuShaGs | Engine::CuShaCw => {
+            let gs = engine == Engine::CuShaGs;
+            let repr = if gs {
+                Repr::GShards
+            } else {
+                Repr::ConcatWindows
+            };
+            let mut cfg = CuShaConfig::new(repr);
+            cfg.max_iterations = max_iterations;
+            let n_per = PreparedLayout::select_n_per(g, &cfg, sizes.vertex);
+            check_fits(v, e, sizes, Some((repr, n_per)), &cfg.device).and_then(|()| {
+                let build = || PreparedLayout::build(g, Repr::ConcatWindows, n_per);
+                let layout = shared.shards.get(n_per, build).view(repr);
+                try_run_warm(prog, g, &layout, &cfg, None, observer)
+            })
+        }
+        Engine::Vwc(vw) => {
+            let mut cfg = VwcConfig::new(vw);
+            cfg.max_iterations = max_iterations;
+            try_run_vwc_warm(prog, g, &shared.csr(g), &cfg, None, observer)
+        }
+        Engine::Mtcpu(t) => {
+            let mut cfg = MtcpuConfig::new(t);
+            cfg.max_iterations = max_iterations;
+            try_run_mtcpu_warm(prog, g, &shared.csr(g), &cfg, observer)
+        }
+        Engine::Frontier => {
+            let mut cfg = FrontierConfig::new();
+            cfg.max_iterations = max_iterations;
+            check_fits(v, e, sizes, None, &cfg.device).and_then(|()| {
+                try_run_frontier_warm(prog, g, &shared.frontier(g), &cfg, None, observer)
+            })
+        }
+    })
+}
+
 /// Default traversal source: the vertex with the largest out-degree, so the
 /// single-source algorithms reach a substantial part of every surrogate.
+/// Among tied hubs it is the one with the *highest* id (`max_by_key` keeps the
+/// last maximum) — an accident every committed golden now rests on, pinned by
+/// `default_source_breaks_ties_towards_the_last_hub`.
 pub fn default_source(g: &Graph) -> VertexId {
     let out = g.out_degrees();
     out.iter()
@@ -242,6 +397,96 @@ mod tests {
                 assert!(stats.converged, "{b} on {} did not converge", e.label());
             }
         }
+    }
+
+    /// Every simulated cell over one `Prepared` against the same cell run
+    /// cold. `RunStats` of a simulated engine holds no host time, so its
+    /// `Debug` text is every field: modeled seconds to the bit, counters,
+    /// per-iteration detail and `memo` — equal replay hits, misses and slots
+    /// are what "each cell starts on a cold table" means.
+    #[test]
+    fn cells_over_one_prepared_match_cold_runs() {
+        use cusha_graph::generators::lattice::lattice2d;
+        let engines = [
+            Engine::CuShaGs,
+            Engine::CuShaCw,
+            Engine::Vwc(8),
+            Engine::Vwc(32),
+            Engine::Frontier,
+        ];
+        // The last graph is sparse enough for the shared-memory quota to
+        // clamp |N|: its 8-byte programs (HS, CS) run at half the 4-byte |N|.
+        let graphs = [
+            (rmat(&RmatConfig::graph500(8, 3000, 52)), 1),
+            (lattice2d(20, 20, 0.9, 6, 53), 1),
+            (rmat(&RmatConfig::graph500(14, 150, 54)), 2),
+        ];
+        for (g, shard_families) in &graphs {
+            let shared = Prepared::new(g);
+            let mut planned = Vec::new();
+            for b in Benchmark::ALL {
+                for e in engines {
+                    let warm = b.run_on(g, &shared, e, 150);
+                    let cold = b.run(g, e, 150);
+                    assert_eq!(
+                        format!("{warm:?}"),
+                        format!("{cold:?}"),
+                        "{b} on {}",
+                        e.label()
+                    );
+                    if let Family::Shards(n_per) = Family::of(g, b, e) {
+                        planned.push(n_per);
+                    }
+                }
+            }
+            // The sorts held are the ones `Family::of` plans releases by:
+            // one per |N|, whatever the benchmark or representation.
+            let mut held: Vec<u32> = shared.shards.lock().iter().map(|(n, _)| *n).collect();
+            held.sort_unstable();
+            planned.sort_unstable();
+            planned.dedup();
+            assert_eq!(held, planned);
+            assert_eq!(held.len(), *shard_families);
+        }
+    }
+
+    #[test]
+    fn a_cell_builds_its_family_and_release_lets_it_go() {
+        let g = rmat(&RmatConfig::graph500(6, 300, 50));
+        let shared = Prepared::new(&g);
+        Benchmark::Bfs.run_on(&g, &shared, Engine::Mtcpu(2), 100);
+        assert!(shared.csr.peek(()).is_some());
+        assert!(shared.frontier.peek(()).is_none() && shared.shards.lock().is_empty());
+        // The frontier family borrows the CSR while there is one to borrow.
+        Benchmark::Bfs.run_on(&g, &shared, Engine::Frontier, 100);
+        let (csr, frontier) = (
+            shared.csr.peek(()).unwrap(),
+            shared.frontier.peek(()).unwrap(),
+        );
+        assert!(std::ptr::eq(&*csr, frontier.csr()));
+        Benchmark::Bfs.run_on(&g, &shared, Engine::CuShaGs, 100);
+        for family in [
+            Family::Csr,
+            Family::Frontier,
+            Family::of(&g, Benchmark::Bfs, Engine::CuShaGs),
+        ] {
+            shared.release(family);
+        }
+        assert!(shared.csr.peek(()).is_none() && shared.frontier.peek(()).is_none());
+        assert!(shared.shards.lock().is_empty());
+    }
+
+    #[test]
+    fn default_source_breaks_ties_towards_the_last_hub() {
+        use cusha_graph::Edge;
+        // Vertices 1 and 3 both have out-degree 2.
+        let edges = [(1, 0), (1, 2), (3, 0), (3, 4), (2, 0)];
+        let edges = edges.iter().map(|&(s, d)| Edge::new(s, d, 1)).collect();
+        let g = Graph::new(5, edges);
+        assert_eq!(default_source(&g), 3);
+        assert_eq!(Prepared::new(&g).source, 3);
+        assert_eq!(default_source(&Graph::empty(4)), 3, "all tied at zero");
+        assert_eq!(default_source(&Graph::empty(0)), 0);
     }
 
     #[test]

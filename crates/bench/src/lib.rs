@@ -16,5 +16,5 @@ pub mod table;
 
 pub use bench_defs::{default_source, Benchmark, Engine};
 pub use check::{check_baseline, CheckReport};
-pub use matrix::{effective_jobs, run_cell, run_matrix_jobs, CellResult, MatrixResult};
+pub use matrix::{effective_jobs, run_matrix_jobs, CellResult, MatrixResult};
 pub use table::Table;

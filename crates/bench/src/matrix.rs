@@ -5,9 +5,10 @@
 //! once. GPU-engine cells are simulator runs (deterministic, modeled time)
 //! and execute concurrently across host threads; MTCPU cells measure real
 //! wall-clock time and therefore run sequentially with the machine to
-//! themselves.
+//! themselves. Cells of one dataset that run over the same topology
+//! ([`Family`]) borrow one build of it from the dataset's [`Prepared`].
 
-use crate::bench_defs::{Benchmark, Engine};
+use crate::bench_defs::{Benchmark, Engine, Family, Prepared};
 use cusha_core::RunStats;
 use cusha_graph::surrogates::Dataset;
 use cusha_graph::Graph;
@@ -122,47 +123,6 @@ fn range_ms(cells: &[&CellResult]) -> Option<(f64, f64)> {
     Some((lo, hi))
 }
 
-/// Runs one cell.
-pub fn run_cell(
-    g: &Graph,
-    ds: Dataset,
-    b: Benchmark,
-    e: Engine,
-    max_iterations: u32,
-) -> CellResult {
-    CellResult {
-        dataset: ds,
-        benchmark: b,
-        engine: e,
-        stats: b.run(g, e, max_iterations),
-    }
-}
-
-/// Computes the matrix over the cross product of the inputs.
-///
-/// `scale` is the surrogate scale divisor (see
-/// [`cusha_graph::surrogates::Dataset::generate`]); `verbose` streams
-/// per-cell progress to stderr through the [`cusha_obs::log`] logger
-/// (info level, so `--log-level warn` silences it).
-pub fn run_matrix(
-    datasets: &[Dataset],
-    benchmarks: &[Benchmark],
-    engines: &[Engine],
-    scale: u64,
-    max_iterations: u32,
-    verbose: bool,
-) -> MatrixResult {
-    run_matrix_jobs(
-        datasets,
-        benchmarks,
-        engines,
-        scale,
-        max_iterations,
-        verbose,
-        0,
-    )
-}
-
 /// Resolves a requested job count to the worker-thread count actually used:
 /// an explicit `requested > 0` wins, else the host's available parallelism,
 /// else 1.
@@ -210,11 +170,43 @@ fn pooled<T: Send>(n: usize, jobs: usize, work: impl Fn(usize) -> T + Sync) -> V
         .collect()
 }
 
-/// [`run_matrix`] with an explicit worker-thread count for surrogate
-/// generation and the GPU cells (`0` = the host's available parallelism).
-/// Generation and every cell are deterministic and both result vectors are
-/// reassembled in work-item order, so any `jobs` value yields a
+/// The cells that borrow one build: a dataset index and a family, and where
+/// in the items those cells are.
+type Group = ((usize, Family), Vec<usize>);
+
+/// The order the pool claims `items` (each cell's dataset index and family,
+/// in matrix order) in: dataset by dataset, a dataset's cells family by family
+/// in order of first appearance, a family's cells in matrix order. The first
+/// of a group to run builds the family while the previous group's last cells
+/// still run beside it, and the group's last to retire lets it go — so the
+/// live topology is one family, briefly two, never a dataset's worth. Which
+/// worker claims what does not reach the result: cells land by index.
+fn schedule(items: &[(usize, Family)]) -> Vec<Group> {
+    let mut groups: Vec<Group> = Vec::new();
+    for (i, key) in items.iter().enumerate() {
+        match groups.iter_mut().find(|(k, _)| k == key) {
+            Some((_, cells)) => cells.push(i),
+            None => groups.push((*key, vec![i])),
+        }
+    }
+    groups.sort_by_key(|&((dataset, _), _)| dataset);
+    groups
+}
+
+/// Computes the matrix over the cross product of the inputs.
+///
+/// `scale` is the surrogate scale divisor (see
+/// [`cusha_graph::surrogates::Dataset::generate`]); `verbose` streams
+/// per-cell progress to stderr through the [`cusha_obs::log`] logger
+/// (info level, so `--log-level warn` silences it); `jobs` is the
+/// worker-thread count for surrogate generation and the GPU cells (`0` = the
+/// host's available parallelism).
+/// Generation and every cell are deterministic — a cell borrows immutable
+/// topology and starts on a replay table of its own — and both result
+/// vectors are reassembled in work-item order, so any `jobs` value yields a
 /// byte-identical matrix — `jobs` only changes how the wall clock is spent.
+/// A family's state is let go when its last cell retires: a dataset's
+/// topology is never all alive at once, nor alive past its cells.
 #[allow(clippy::too_many_arguments)]
 pub fn run_matrix_jobs(
     datasets: &[Dataset],
@@ -226,72 +218,102 @@ pub fn run_matrix_jobs(
     jobs: usize,
 ) -> MatrixResult {
     // Surrogates are generated on the worker pool too — one item per
-    // dataset, results in dataset order — not serially before it starts.
-    let generated = pooled(datasets.len(), jobs, |i| datasets[i].generate(scale));
-    let graphs: Vec<(Dataset, Graph)> = datasets.iter().copied().zip(generated).collect();
+    // dataset, results in dataset order — not serially before it starts;
+    // each one's source vertex is found there, once for all of its cells.
+    let graphs: Vec<(Dataset, Graph, Prepared)> = pooled(datasets.len(), jobs, |i| {
+        let g = datasets[i].generate(scale);
+        let shared = Prepared::new(&g);
+        (datasets[i], g, shared)
+    });
     let graph_sizes = graphs
         .iter()
-        .map(|(ds, g)| (*ds, g.num_edges() as u64, g.num_vertices() as u64))
+        .map(|(ds, g, _)| (*ds, g.num_edges() as u64, g.num_vertices() as u64))
         .collect();
 
-    // Work items, GPU first (parallel), CPU afterwards (sequential).
-    let mut gpu_items = Vec::new();
-    let mut cpu_items = Vec::new();
-    for (gi, (ds, _)) in graphs.iter().enumerate() {
-        for &b in benchmarks {
-            for &e in engines {
-                if e.is_gpu() {
-                    gpu_items.push((gi, *ds, b, e));
-                } else {
-                    cpu_items.push((gi, *ds, b, e));
-                }
+    let items = |gpu: bool| {
+        let mut items = Vec::new();
+        for gi in 0..graphs.len() {
+            for &b in benchmarks {
+                let on = engines.iter().filter(|e| e.is_gpu() == gpu);
+                items.extend(on.map(|&e| (gi, b, e)));
             }
         }
-    }
-
-    let mut cells = pooled(gpu_items.len(), jobs, |i| {
-        let (gi, ds, b, e) = gpu_items[i];
-        let cell = run_cell(&graphs[gi].1, ds, b, e, max_iterations);
-        if verbose {
-            cusha_obs::log::write(
-                cusha_obs::Level::Info,
-                &format!(
-                    "matrix [{}/{}] {} {} {}: {:.1} ms ({} iters)",
-                    i + 1,
-                    gpu_items.len(),
-                    ds,
-                    b,
-                    e.label(),
-                    cell.stats.total_ms(),
-                    cell.stats.iterations
-                ),
-            );
-        }
-        cell
-    });
-    cells.reserve(cpu_items.len());
-    for (gi, ds, b, e) in cpu_items {
-        let cell = run_cell(&graphs[gi].1, ds, b, e, max_iterations);
-        if verbose {
-            cusha_obs::log::write(
-                cusha_obs::Level::Info,
-                &format!(
-                    "matrix [cpu] {} {} {}: {:.1} ms ({} iters)",
-                    ds,
-                    b,
-                    e.label(),
-                    cell.stats.total_ms(),
-                    cell.stats.iterations
-                ),
-            );
-        }
-        cells.push(cell);
-    }
+        items
+    };
+    // One phase: `items` claimed in schedule order by `jobs` workers, back in
+    // matrix order.
+    let phase = |items: Vec<(usize, Benchmark, Engine)>, jobs: usize, label: &str| {
+        let of = |&(gi, b, e): &(usize, _, _)| (gi, Family::of(&graphs[gi].1, b, e));
+        let groups = schedule(&items.iter().map(of).collect::<Vec<_>>());
+        let order: Vec<(usize, usize)> = groups
+            .iter()
+            .enumerate()
+            .flat_map(|(group, (_, cells))| cells.iter().map(move |&i| (i, group)))
+            .collect();
+        // Per group, its cells yet to retire; and the cells retired in all.
+        let left: Vec<AtomicUsize> = groups
+            .iter()
+            .map(|(_, cells)| AtomicUsize::new(cells.len()))
+            .collect();
+        let retired = AtomicUsize::new(0);
+        let mut ran = pooled(order.len(), jobs, |t| {
+            let ((i, group), (gi, b, e)) = (order[t], items[order[t].0]);
+            let (ds, g, shared) = &graphs[gi];
+            let stats = b.run_on(g, shared, e, max_iterations);
+            if left[group].fetch_sub(1, Ordering::Relaxed) == 1 {
+                shared.release(groups[group].0 .1);
+            }
+            if verbose {
+                // Claim order is not matrix order: progress counts completions.
+                let k = retired.fetch_add(1, Ordering::Relaxed) + 1;
+                let (n, e, ms, iters) =
+                    (order.len(), e.label(), stats.total_ms(), stats.iterations);
+                let line =
+                    format!("matrix [{label}{k}/{n}] {ds} {b} {e}: {ms:.1} ms ({iters} iters)");
+                cusha_obs::log::write(cusha_obs::Level::Info, &line);
+            }
+            let cell = CellResult {
+                dataset: *ds,
+                benchmark: b,
+                engine: e,
+                stats,
+            };
+            (i, cell)
+        });
+        ran.sort_by_key(|&(i, _)| i);
+        ran.into_iter().map(|(_, cell)| cell)
+    };
+    // GPU cells first, in parallel; then the MTCPU cells one at a time, the
+    // machine to themselves, one CSR per dataset.
+    let mut cells: Vec<CellResult> = phase(items(true), jobs, "").collect();
+    cells.extend(phase(items(false), 1, "cpu "));
     MatrixResult {
         cells,
         scale,
         graph_sizes,
     }
+}
+
+/// [`run_matrix_jobs`] at the host's parallelism: the artifacts' tests' way in.
+#[cfg(test)]
+pub(crate) fn run_matrix(
+    datasets: &[Dataset],
+    benchmarks: &[Benchmark],
+    engines: &[Engine],
+    scale: u64,
+    max_iterations: u32,
+    verbose: bool,
+) -> MatrixResult {
+    let jobs = 0;
+    run_matrix_jobs(
+        datasets,
+        benchmarks,
+        engines,
+        scale,
+        max_iterations,
+        verbose,
+        jobs,
+    )
 }
 
 #[cfg(test)]
@@ -324,7 +346,10 @@ mod tests {
         let (lo, hi) = m.vwc_range_ms(Dataset::Amazon0312, Benchmark::Bfs).unwrap();
         assert!(lo <= hi);
         let best = m.best_vwc(Dataset::Amazon0312, Benchmark::Sssp).unwrap();
-        assert!((best.stats.total_ms() - lo).abs() >= 0.0);
+        let (lo, _) = m
+            .vwc_range_ms(Dataset::Amazon0312, Benchmark::Sssp)
+            .unwrap();
+        assert_eq!(best.stats.total_ms(), lo);
         assert!(m
             .mtcpu_range_ms(Dataset::Amazon0312, Benchmark::Bfs)
             .is_some());
@@ -348,16 +373,19 @@ mod tests {
 
     #[test]
     fn jobs_do_not_change_the_matrix() {
-        // The slot-indexed reassembly must make the worker count
+        // Sharing topology and reordering cells must leave the worker count
         // observationally invisible: byte-identical CSV (every modeled
-        // time, counter and convergence flag) at 1 vs 4 workers. Simulated
-        // engines only — the MTCPU baseline reports real host wall clock,
-        // which is nondeterministic run-to-run regardless of jobs.
+        // time, counter and convergence flag) at 1, 2 and 4 workers, over
+        // every benchmark and every simulated engine of `repro all`.
+        // Simulated engines only — the MTCPU baseline reports real host wall
+        // clock, which is nondeterministic run-to-run regardless of jobs.
+        let mut engines = vec![Engine::CuShaGs, Engine::CuShaCw, Engine::Frontier];
+        engines.extend(cusha_baselines::VIRTUAL_WARP_SIZES.map(Engine::Vwc));
         let run = |jobs| {
             run_matrix_jobs(
                 &[Dataset::Amazon0312, Dataset::WebGoogle],
-                &[Benchmark::Bfs, Benchmark::Pr],
-                &[Engine::CuShaGs, Engine::CuShaCw, Engine::Vwc(32)],
+                &Benchmark::ALL,
+                &engines,
                 SCALE,
                 200,
                 false,
@@ -365,7 +393,52 @@ mod tests {
             )
             .to_csv()
         };
-        assert_eq!(run(1), run(4), "matrix CSV diverged across job counts");
+        let one = run(1);
+        assert_eq!(one.lines().count(), 1 + 2 * 8 * 8);
+        assert_eq!(one, run(2), "matrix CSV diverged at 2 workers");
+        assert_eq!(one, run(4), "matrix CSV diverged at 4 workers");
+    }
+
+    #[test]
+    fn schedule_is_family_major_within_a_dataset_and_keeps_every_cell() {
+        use Family::{Csr, Frontier, Shards};
+        // Two datasets x {4-byte, 8-byte benchmark} x {gs, cw, vwc, frontier,
+        // vwc}, in matrix order; the 8-byte benchmark has an |N| of its own
+        // on dataset 0 only.
+        let row = |n| [Shards(n), Shards(n), Csr, Frontier, Csr];
+        let items: Vec<(usize, Family)> = [(0, 64), (0, 32), (1, 96), (1, 96)]
+            .iter()
+            .flat_map(|&(ds, n)| row(n).map(|f| (ds, f)))
+            .collect();
+        let groups = schedule(&items);
+        let keys: Vec<(usize, Family)> = groups.iter().map(|(key, _)| *key).collect();
+        assert_eq!(
+            keys,
+            [
+                (0, Shards(64)),
+                (0, Csr),
+                (0, Frontier),
+                (0, Shards(32)),
+                (1, Shards(96)),
+                (1, Csr),
+                (1, Frontier),
+            ],
+            "one group per (dataset, family): datasets contiguous, families by first appearance"
+        );
+        for (key, cells) in &groups {
+            assert!(cells.iter().all(|&i| items[i] == *key));
+            assert!(cells.is_sorted(), "matrix order inside a family");
+        }
+        // Every cell exactly once: sorted by index, the order is the matrix's.
+        let mut order: Vec<usize> = groups.iter().flat_map(|(_, cells)| cells.clone()).collect();
+        assert_eq!(
+            order[..4],
+            [0, 1, 2, 4],
+            "dataset 0: both sorts' cells, then CSR"
+        );
+        order.sort_unstable();
+        assert_eq!(order, (0..items.len()).collect::<Vec<_>>());
+        assert!(schedule(&[]).is_empty());
     }
 
     #[test]

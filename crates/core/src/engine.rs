@@ -36,7 +36,7 @@ use crate::stats::RunStats;
 use cusha_graph::Graph;
 use cusha_obs::trace::{lanes, ArgVal, Tracer};
 use cusha_simt::{DeviceConfig, DeviceFleet, FaultPlan, Gpu, ReplayMemo};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Which CuSha representation to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -283,22 +283,25 @@ impl ReplayTables {
 /// immutable: faulty or cancelled runs cannot poison it. It keeps the
 /// simulator's replay tables between runs, so only the first run per program
 /// shape after a build interprets the kernel's statically accounted stages.
+/// The arrays sit behind `Arc`s: a clone is a handle on the same arrays with
+/// cold replay tables of its own.
 #[derive(Clone, Debug)]
 pub struct PreparedLayout {
     repr: Repr,
     n_per: u32,
     num_vertices: u32,
     rev: Option<u64>,
-    gs: GShards,
-    cw: Option<ConcatWindows>,
+    gs: Arc<GShards>,
+    cw: Option<Arc<ConcatWindows>>,
     replay: ReplayTables,
 }
 
 impl PreparedLayout {
     /// Builds the layout for `graph` with shard size `n_per` under `repr`.
     pub fn build(graph: &Graph, repr: Repr, n_per: u32) -> Self {
-        let gs = GShards::from_graph(graph, n_per);
-        let cw = matches!(repr, Repr::ConcatWindows).then(|| ConcatWindows::from_gshards(&gs));
+        let gs = Arc::new(GShards::from_graph(graph, n_per));
+        let cw =
+            matches!(repr, Repr::ConcatWindows).then(|| Arc::new(ConcatWindows::from_gshards(&gs)));
         PreparedLayout {
             repr,
             n_per,
@@ -307,6 +310,23 @@ impl PreparedLayout {
             gs,
             cw,
             replay: ReplayTables::default(),
+        }
+    }
+
+    /// The same shard arrays under `repr`, on replay tables of its own: one
+    /// shard sort serves the G-Shards and the CW runs over a (graph, `|N|`).
+    /// The kernel takes the CW path iff the layout carries a mapper, so the
+    /// G-Shards view of a CW layout is that layout without one; the CW view of
+    /// a G-Shards layout derives the mapper (no sort), once per call.
+    pub fn view(&self, repr: Repr) -> Self {
+        let cw = matches!(repr, Repr::ConcatWindows).then(|| match &self.cw {
+            Some(cw) => Arc::clone(cw),
+            None => Arc::new(ConcatWindows::from_gshards(&self.gs)),
+        });
+        PreparedLayout {
+            repr,
+            cw,
+            ..self.clone()
         }
     }
 
@@ -389,7 +409,7 @@ impl PreparedLayout {
 
     /// The Concatenated Windows arrays (CW layouts only).
     pub(crate) fn cw(&self) -> Option<&ConcatWindows> {
-        self.cw.as_ref()
+        self.cw.as_deref()
     }
 }
 
@@ -638,6 +658,34 @@ mod tests {
         );
         assert_eq!(gs_out.values, cw_out.values);
         assert!(gs_out.stats.converged && cw_out.stats.converged);
+    }
+
+    #[test]
+    fn views_share_the_sort_and_run_like_a_build_of_their_own() {
+        use cusha_graph::generators::rmat::{rmat, RmatConfig};
+        let g = rmat(&RmatConfig::graph500(8, 1500, 21));
+        let prog = MiniSssp { source: 0 };
+        let warm = |layout: &PreparedLayout| {
+            let cfg = CuShaConfig::new(layout.repr());
+            let out = try_run_warm(&prog, &g, layout, &cfg, None, &mut NoopObserver).unwrap();
+            (out.values, format!("{:?}", out.stats))
+        };
+        for (built, other) in [
+            (Repr::ConcatWindows, Repr::GShards),
+            (Repr::GShards, Repr::ConcatWindows),
+        ] {
+            let layout = PreparedLayout::build(&g, built, 32);
+            let view = layout.view(other);
+            assert!(Arc::ptr_eq(&layout.gs, &view.gs));
+            assert_eq!(view.repr(), other);
+            assert_eq!(view.cw().is_some(), other == Repr::ConcatWindows);
+            assert_eq!(warm(&view), warm(&PreparedLayout::build(&g, other, 32)));
+            // A run left its recordings with the view; the layout it came
+            // from, and a clone of either, still start cold.
+            assert_ne!(view.replay_slots(), (0, 0));
+            assert_eq!(layout.replay_slots(), (0, 0));
+            assert_eq!(view.clone().replay_slots(), (0, 0));
+        }
     }
 
     #[test]

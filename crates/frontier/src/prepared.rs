@@ -9,6 +9,7 @@
 //! and warm re-entries (`cusha serve`).
 
 use cusha_graph::{Csr, EdgeId, Graph, VertexId};
+use std::sync::Arc;
 
 /// Out-edge + in-edge CSR of one graph, shared by every frontier run.
 #[derive(Clone, Debug)]
@@ -21,13 +22,19 @@ pub struct PreparedFrontier {
     out_dsts: Vec<VertexId>,
     /// Original edge id of each out-edge slot (weight lookups).
     out_eids: Vec<EdgeId>,
-    /// In-edge CSR (the pull direction).
-    csr: Csr,
+    /// In-edge CSR (the pull direction); shared with whoever else holds it.
+    csr: Arc<Csr>,
 }
 
 impl PreparedFrontier {
     /// Builds both directions from the edge list.
     pub fn build(g: &Graph) -> Self {
+        Self::around(g, Arc::new(Csr::from_graph(g)))
+    }
+
+    /// Builds the out-edge direction around a caller-held in-edge CSR of `g`
+    /// (one the VWC cells of the same graph run over, say).
+    pub fn around(g: &Graph, csr: Arc<Csr>) -> Self {
         let n = g.num_vertices() as usize;
         let m = g.num_edges() as usize;
         // Stable counting sort of edges by source vertex.
@@ -53,7 +60,7 @@ impl PreparedFrontier {
             out_idxs,
             out_dsts,
             out_eids,
-            csr: Csr::from_graph(g),
+            csr,
         }
     }
 
@@ -129,6 +136,19 @@ mod tests {
         assert_eq!(pf.out_eids(), &[1, 3, 0, 2]);
         assert_eq!(pf.out_degree(2), 2);
         assert_eq!(pf.out_range(1), 2..2);
+    }
+
+    #[test]
+    fn around_a_shared_csr_is_the_same_topology() {
+        let g = Graph::new(3, vec![Edge::new(0, 1, 1), Edge::new(2, 1, 1)]);
+        let csr = Arc::new(Csr::from_graph(&g));
+        let (shared, own) = (
+            PreparedFrontier::around(&g, Arc::clone(&csr)),
+            PreparedFrontier::build(&g),
+        );
+        assert!(std::ptr::eq(shared.csr(), &*csr));
+        assert_eq!(shared.out_dsts(), own.out_dsts());
+        assert_eq!(shared.csr().src_indxs(), own.csr().src_indxs());
     }
 
     #[test]
