@@ -14,17 +14,12 @@ use cusha_graph::Graph;
 pub struct VwcEngine {
     /// Virtual warp width (2, 4, 8, 16 or 32).
     pub virtual_warp: usize,
-    /// Outlier-deferral degree threshold (`None` disables deferral).
-    pub defer_outliers: Option<u32>,
 }
 
 impl VwcEngine {
-    /// Adapter with the given virtual warp width, no deferral.
+    /// Adapter with the given virtual warp width (no outlier deferral).
     pub fn new(virtual_warp: usize) -> Self {
-        VwcEngine {
-            virtual_warp,
-            defer_outliers: None,
-        }
+        VwcEngine { virtual_warp }
     }
 }
 
@@ -42,7 +37,6 @@ impl<P: VertexProgram> Engine<P> for VwcEngine {
         let mut cfg = VwcConfig::new(self.virtual_warp);
         cfg.threads_per_block = ctx.cfg.threads_per_block;
         cfg.max_iterations = ctx.cfg.max_iterations;
-        cfg.defer_outliers = self.defer_outliers;
         cfg.profile = ctx.cfg.profile;
         cfg.device = ctx.cfg.device.clone();
         cfg.trace = ctx.cfg.trace.clone();

@@ -22,24 +22,6 @@ pub use engines::{MtcpuEngine, VwcEngine};
 pub use mtcpu::{run_mtcpu, try_run_mtcpu, try_run_mtcpu_warm, MtcpuConfig};
 pub use vwc::{run_vwc, try_run_vwc, try_run_vwc_warm, VwcConfig};
 
-/// Refuses a caller-held CSR that is not `graph`'s, by its counts: what the
-/// warm entries ask before they index one by the other.
-pub(crate) fn check_csr<V>(
-    graph: &cusha_graph::Graph,
-    csr: &cusha_graph::Csr,
-) -> Result<(), cusha_core::EngineError<V>> {
-    let (of_csr, of_graph) = (
-        (csr.num_vertices(), csr.num_edges()),
-        (graph.num_vertices(), graph.num_edges()),
-    );
-    if of_csr != of_graph {
-        return Err(cusha_core::EngineError::InvalidConfig(format!(
-            "csr was built for {of_csr:?} (vertices, edges), graph has {of_graph:?}"
-        )));
-    }
-    Ok(())
-}
-
 /// The virtual warp sizes the paper sweeps for VWC-CSR.
 pub const VIRTUAL_WARP_SIZES: [usize; 5] = [2, 4, 8, 16, 32];
 

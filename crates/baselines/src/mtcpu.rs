@@ -15,8 +15,8 @@
 //! undefined behaviour).
 
 use cusha_core::{
-    CuShaOutput, EngineError, IterationStat, NoopObserver, RunObserver, RunStats, Value,
-    VertexProgram,
+    check_topology, CuShaOutput, EngineError, IterationStat, NoopObserver, RunObserver, RunStats,
+    Value, VertexProgram,
 };
 use cusha_graph::{Csr, Graph};
 use cusha_obs::trace::{lanes, ArgVal, Tracer};
@@ -104,7 +104,7 @@ pub fn try_run_mtcpu_warm<P: VertexProgram, O: RunObserver + ?Sized>(
             "need at least one thread".into(),
         ));
     }
-    crate::check_csr(graph, csr)?;
+    check_topology("csr", (csr.num_vertices(), csr.num_edges()), graph)?;
     let statics = prog.static_values(graph);
     let edge_values: Vec<P::E> = {
         let by_edge_id = prog.edge_values(graph);

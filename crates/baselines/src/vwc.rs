@@ -33,7 +33,8 @@
 use cusha_core::integrity::apply_flip;
 use cusha_core::memsize::{check_fits, ValueSizes};
 use cusha_core::{
-    CuShaOutput, EngineError, IterationStat, NoopObserver, RunObserver, RunStats, VertexProgram,
+    check_topology, CuShaOutput, EngineError, IterationStat, NoopObserver, RunObserver, RunStats,
+    VertexProgram,
 };
 use cusha_graph::{Csr, Graph};
 use cusha_obs::trace::{lanes, ArgVal, Tracer};
@@ -192,7 +193,7 @@ pub fn try_run_vwc_warm<P: VertexProgram, O: RunObserver + ?Sized>(
     observer: &mut O,
 ) -> Result<VwcOutput<P::V>, EngineError<P::V>> {
     preflight::<P>(graph, cfg)?;
-    crate::check_csr(graph, csr)?;
+    check_topology("csr", (csr.num_vertices(), csr.num_edges()), graph)?;
     let mut gpu = Gpu::new(cfg.device.clone());
     gpu.set_profiling(cfg.profile);
     gpu.set_tracer(cfg.trace.clone(), 0);

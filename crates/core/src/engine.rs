@@ -24,7 +24,7 @@
 
 use crate::autotune::select_vertices_per_shard;
 use crate::cw::ConcatWindows;
-use crate::error::EngineError;
+use crate::error::{check_topology, EngineError};
 use crate::fallback::run_fallback_after;
 use crate::integrity::{IntegrityConfig, Stop};
 use crate::kernel::RetryPolicy;
@@ -289,7 +289,6 @@ impl ReplayTables {
 pub struct PreparedLayout {
     repr: Repr,
     n_per: u32,
-    num_vertices: u32,
     rev: Option<u64>,
     gs: Arc<GShards>,
     cw: Option<Arc<ConcatWindows>>,
@@ -305,7 +304,6 @@ impl PreparedLayout {
         PreparedLayout {
             repr,
             n_per,
-            num_vertices: graph.num_vertices(),
             rev: None,
             gs,
             cw,
@@ -354,11 +352,6 @@ impl PreparedLayout {
     /// instead of silently answering from a superseded epoch.
     pub fn stamp_rev(&mut self, rev: u64) {
         self.rev = Some(rev);
-    }
-
-    /// The revision stamped at build time, when the caller revisioned it.
-    pub fn stamped_rev(&self) -> Option<u64> {
-        self.rev
     }
 
     /// Whether this layout may serve a graph at revision `rev`. Unstamped
@@ -515,13 +508,8 @@ pub fn try_run_warm<P: VertexProgram, O: RunObserver + ?Sized>(
 ) -> Result<CuShaOutput<P::V>, EngineError<P::V>> {
     cfg.validate().map_err(EngineError::InvalidConfig)?;
     graph.validate()?;
-    if layout.num_vertices != graph.num_vertices() {
-        return Err(EngineError::InvalidConfig(format!(
-            "layout was built for {} vertices, graph has {}",
-            layout.num_vertices,
-            graph.num_vertices()
-        )));
-    }
+    let built = (layout.gs.num_vertices(), layout.gs.num_edges());
+    check_topology("layout", built, graph)?;
     if layout.repr != cfg.repr {
         return Err(EngineError::InvalidConfig(format!(
             "layout was built for {}, config asks for {}",

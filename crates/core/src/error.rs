@@ -16,7 +16,7 @@
 //! [`RunStats::sdc`]: crate::stats::RunStats
 
 use crate::engine::CuShaOutput;
-use cusha_graph::GraphError;
+use cusha_graph::{Graph, GraphError};
 use cusha_simt::{DeviceFault, FaultKind};
 
 /// Why a CuSha run could not produce a (converged) result.
@@ -94,6 +94,18 @@ impl<V> EngineError<V> {
             EngineError::Deadline { .. } => "deadline",
         }
     }
+}
+
+/// Refuses topology (a shard layout, a CSR, a frontier adjacency) built for a
+/// graph of another shape, before a warm entry indexes one by the other. O(1):
+/// a same-shape graph passes; a caller that mutates stamps revisions besides.
+pub fn check_topology<V>(what: &str, built: (u32, u32), g: &Graph) -> Result<(), EngineError<V>> {
+    let of_graph = (g.num_vertices(), g.num_edges());
+    (built == of_graph).then_some(()).ok_or_else(|| {
+        let msg =
+            format!("{what} was built for {built:?} (vertices, edges), graph has {of_graph:?}");
+        EngineError::InvalidConfig(msg)
+    })
 }
 
 impl<V> From<DeviceFault> for EngineError<V> {

@@ -58,7 +58,7 @@ pub use engine::{
     run, try_run, try_run_warm, CuShaConfig, CuShaOutput, NoopObserver, PreparedLayout, Repr,
     RunObserver,
 };
-pub use error::EngineError;
+pub use error::{check_topology, EngineError};
 pub use fallback::run_fallback;
 pub use integrity::{CheckpointManager, IntegrityConfig, IntegrityMode};
 pub use middleware::{

@@ -45,8 +45,8 @@ use crate::prepared::PreparedFrontier;
 use cusha_core::integrity::{apply_flip, checksum};
 use cusha_core::memsize::ValueSizes;
 use cusha_core::{
-    CuShaOutput, DeadlineObserver, Direction, Engine, EngineCtx, EngineError, FrontierStats,
-    IterationStat, NoopObserver, RunObserver, RunStats, VertexProgram,
+    check_topology, CuShaOutput, DeadlineObserver, Direction, Engine, EngineCtx, EngineError,
+    FrontierStats, IterationStat, NoopObserver, RunObserver, RunStats, VertexProgram,
 };
 use cusha_graph::{Graph, VertexId};
 use cusha_obs::trace::{lanes, ArgVal};
@@ -109,6 +109,8 @@ pub fn try_run_frontier_warm<P: VertexProgram, O: RunObserver + ?Sized>(
 ) -> Result<FrontierOutput<P::V>, EngineError<P::V>> {
     cfg.validate().map_err(EngineError::InvalidConfig)?;
     graph.validate()?;
+    let built = (pf.num_vertices(), pf.num_edges());
+    check_topology("frontier topology", built, graph)?;
     let mut gpu = Gpu::new(cfg.device.clone());
     gpu.set_profiling(cfg.profile);
     gpu.set_tracer(cfg.trace.clone(), 0);

@@ -14,6 +14,14 @@
 //! but its wording is not pinned. An argument starting with `@` names a file
 //! in the row's scratch directory.
 //!
+//! Digests say *that* bytes moved, not what they must say: [`SAYS`] names
+//! what some rows' artifacts must contain and [`SAME`] which rows must answer
+//! identically, checked on every run and before a regeneration is written.
+//! The four rows CI's smoke steps added (`engine/gs-bfs`,
+//! `fault/bitflips-traced`, `fault/bitflips-pagerank`,
+//! `artifact/output-pagerank`) were generated at the commit before CI stopped
+//! running them.
+//!
 //! The `defect/` rows are inputs the parent commit mishandled (a panic, an
 //! abort on a TB-sized allocation, an unflushed file reported as written,
 //! unchecked fault rates, a committed mutation the next query cannot
@@ -47,6 +55,60 @@ const MUTATIONS: &str =
     "bfs 0\nflush\ninsert 0 200 5\nbfs 0\nflush\ninsert 300 1 2\ndelete 0 200\n\
                          delete 7 7\nbfs 0\nflush\nstats\n";
 const GROWTH: &str = "bfs 0\nflush\ninsert 4000000000 0 1\nstats\nbfs 0\nflush\n";
+
+/// What a row's artifact must contain: `(row, artifact, needle)`, the
+/// artifact a flag's name without `--`, or `stdout`.
+#[rustfmt::skip] // a table: one row per line
+const SAYS: &[(&str, &str, &str)] = &[
+    // Telemetry: a versioned metrics snapshot with every section, a Chrome
+    // trace of complete spans — from a fleet, the widest run.
+    ("fleet/three-nvlink", "metrics-out", "\"schema\":\"cusha-metrics/v2\""),
+    ("fleet/three-nvlink", "metrics-out", "\"counters\""),
+    ("fleet/three-nvlink", "metrics-out", "\"gauges\""),
+    ("fleet/three-nvlink", "metrics-out", "\"histograms\""),
+    ("fleet/three-nvlink", "trace-out", "\"traceEvents\""),
+    ("fleet/three-nvlink", "trace-out", "\"schema\":\"cusha-trace/v1\""),
+    ("fleet/three-nvlink", "trace-out", "\"ph\":\"X\""),
+    // Silent corruption is detected and rolled back, and says so.
+    ("fault/bitflips-traced", "metrics-out", "\"schema\":\"cusha-metrics/v2\""),
+    ("fault/bitflips-traced", "metrics-out", "\"sdc_flips_injected{algo=bfs,engine=cw}\":2"),
+    ("fault/bitflips-traced", "metrics-out", "\"sdc_rollbacks{algo=bfs,engine=cw}\":2"),
+    ("fault/bitflips-traced", "trace-out", "\"name\":\"corruption-detected\""),
+    ("fault/bitflips-traced", "trace-out", "\"name\":\"rollback\""),
+    ("fault/bitflips-pagerank", "metrics-out", "\"sdc_rollbacks{algo=pagerank,engine=cw}\":2"),
+    ("engine/frontier", "metrics-out", "\"schema\":\"cusha-metrics/v2\""),
+    ("engine/frontier", "metrics-out", "frontier_switches"),
+    // The paper's coalescing contrast (Table 2, Fig. 8) in roofline form:
+    // CuSha-CW's coalesced shard sweeps are latency-bound, VWC-CSR/32's
+    // scattered neighbour walks memory-bound. One kernel per profile.
+    ("artifact/profile-json", "profile-json", "\"schema\":\"cusha-profile/v1\""),
+    ("artifact/profile-json", "profile-json", "\"bound\":\"latency\""),
+    ("artifact/profile-json-vwc", "profile-json", "\"bound\":\"memory\""),
+    // The service's stats line, slow log and metrics.
+    ("serve/artifacts", "stdout", "\"latency_p50_ms\""),
+    ("serve/artifacts", "stdout", "\"latency_p99_ms\""),
+    ("serve/artifacts", "stdout", "\"cache_hit_rate\""),
+    ("serve/artifacts", "stdout", "\"latency_burn_rate\""),
+    ("serve/artifacts", "slow-log", "\"latency_ms\""),
+    ("serve/artifacts", "slow-log", "\"queue_wait_ms\""),
+    ("serve/artifacts", "slow-log", "\"batch_id\""),
+    ("serve/artifacts", "metrics-out", "\"schema\":\"cusha-metrics/v2\""),
+    ("serve/artifacts", "metrics-out", "serve_queries_total"),
+    ("serve/artifacts", "metrics-out", "serve_responses_total"),
+    ("serve/artifacts", "metrics-out", "serve_cache_hits_total"),
+    ("serve/artifacts", "metrics-out", "serve_query_latency_seconds"),
+];
+
+/// Rows whose `--output` must be byte-identical: a run that recovered from
+/// silent corruption answers what the clean run does, and the frontier
+/// engine what CuSha-GS does.
+const SAME: &[(&str, &str)] = &[
+    ("fault/bitflips-full", "artifact/output"),
+    ("fault/bitflips-traced", "artifact/output"),
+    ("fault/bitflips-pagerank", "artifact/output-pagerank"),
+    ("engine/frontier", "engine/gs-bfs"),
+    ("fault/frontier-bitflips", "engine/gs-bfs"),
+];
 
 struct Row {
     name: &'static str,
@@ -95,6 +157,7 @@ fn parent_rows() -> Vec<Row> {
     ok("algo/uppercase", "--algo BFS --engine CW");
     // Every engine form.
     ok("engine/gs", "--algo sssp --engine gs --output @v.txt");
+    ok("engine/gs-bfs", "--algo bfs --engine gs --output @v.txt");
     ok(
         "engine/cw-streamed",
         "--algo bfs --engine cw-streamed --resident-bytes 4096 --output @v.txt",
@@ -173,6 +236,8 @@ fn parent_rows() -> Vec<Row> {
     ok("fault/rates", "--algo bfs --engine gs --inject seed=11,h2d%0.01,d2h%0.01,kernel%0.01,alloc%0 --metrics-out @m.json");
     ok("fault/fleet-device0", "--algo sssp --engine gs --devices 2 --inject kernel@1,kernel@2 --output @v.txt --metrics-out @m.json");
     ok("fault/frontier-bitflips", "--algo bfs --engine frontier --integrity full --inject-bitflips seed=13,rate=0.05,vv@0:0:20 --output @v.txt");
+    ok("fault/bitflips-traced", "--algo bfs --integrity full --inject-bitflips seed=13,rate=0.05,vv@0:0:20 --output @v.txt --metrics-out @m.json --trace-out @t.json");
+    ok("fault/bitflips-pagerank", "--algo pagerank --integrity full --inject-bitflips seed=7,rate=0.05 --checkpoint-every 2 --output @v.txt --metrics-out @m.json");
     rows.push(on_rmat(
         "fault/kernel-exhausted",
         "--algo bfs --inject kernel~CW:9",
@@ -201,6 +266,10 @@ fn parent_rows() -> Vec<Row> {
     // Artifacts.
     let mut ok = |name, rest| rows.push(on_rmat(name, rest, ""));
     ok("artifact/output", "--algo bfs --output @v.txt");
+    ok(
+        "artifact/output-pagerank",
+        "--algo pagerank --output @v.txt",
+    );
     ok("artifact/metrics", "--algo bfs --metrics-out @m.json");
     ok("artifact/trace", "--algo bfs --trace-out @t.json");
     ok("artifact/profile", "--algo bfs --profile");
@@ -574,6 +643,7 @@ fn scratch(tag: &str) -> PathBuf {
         ("queries.txt", QUERIES),
         ("mutations.txt", MUTATIONS),
         ("growth.txt", GROWTH),
+        ("bfs.txt", "bfs 0\nflush\n"),
         ("edge4g.txt", "0 4000000000\n"),
         ("edge300m.txt", "0 300000000\n"),
     ] {
@@ -586,8 +656,12 @@ fn digest(bytes: &[u8]) -> String {
     format!("{}:{:016x}", bytes.len(), Fnv1a::of(bytes))
 }
 
-/// Runs one row and renders its golden line.
-fn run_row(row: &Row, dir: &Path) -> String {
+/// What a row printed and wrote: `stdout`, then each artifact under its
+/// flag's name without `--`.
+type Bytes = Vec<(&'static str, Vec<u8>)>;
+
+/// Runs one row: its golden line and its bytes.
+fn run_row(row: &Row, dir: &Path) -> (String, Bytes) {
     // Artifacts and logs of an earlier row must not leak into this one.
     for stale in [
         "v.txt",
@@ -626,31 +700,67 @@ fn run_row(row: &Row, dir: &Path) -> String {
         );
     }
     let mut line = format!("{} exit={code} stdout={}", row.name, digest(&out.stdout));
+    let mut bytes = vec![("stdout", out.stdout)];
     for pair in row.args.windows(2) {
         if ARTIFACT_FLAGS.contains(&pair[0]) && pair[1].starts_with('@') {
-            let bytes = std::fs::read(resolve(pair[1]));
-            let shown = bytes.map_or_else(|_| "missing".to_string(), |b| digest(&b));
+            let read = std::fs::read(resolve(pair[1]));
+            let shown = read
+                .as_ref()
+                .map_or_else(|_| "missing".to_string(), |b| digest(b));
             write!(line, " {}={shown}", &pair[0][2..]).expect("write to string");
+            bytes.push((&pair[0][2..], read.unwrap_or_default()));
         }
     }
-    line
+    (line, bytes)
+}
+
+/// The [`SAYS`] and [`SAME`] entries about `rows` that their bytes break.
+fn unsaid(rows: &[Row], ran: &[(String, Bytes)]) -> String {
+    let bytes = |row: &str, artifact: &str| {
+        let at = rows.iter().position(|r| r.name == row)?;
+        let found = ran[at].1.iter().find(|(a, _)| *a == artifact);
+        Some(found.map_or(&[][..], |(_, b)| b.as_slice()))
+    };
+    let mut wrong = String::new();
+    for &(row, artifact, needle) in SAYS {
+        if let Some(b) = bytes(row, artifact) {
+            if !String::from_utf8_lossy(b).contains(needle) {
+                writeln!(wrong, "  {row}: {artifact} lacks {needle}").expect("write");
+            }
+        }
+    }
+    for &(a, b) in SAME {
+        if let (Some(x), Some(y)) = (bytes(a, "output"), bytes(b, "output")) {
+            if x != y {
+                writeln!(wrong, "  {a}: output differs from {b}'s").expect("write");
+            }
+        }
+    }
+    wrong
 }
 
 /// Compares `rows` with their golden lines (or, regenerating, replaces them
-/// and keeps every other line of the file).
+/// in place and appends new ones) once their bytes say what [`SAYS`] and
+/// [`SAME`] ask.
 fn check(rows: &[Row], tag: &str) {
     let dir = scratch(tag);
-    let lines: Vec<String> = rows.iter().map(|r| run_row(r, &dir)).collect();
+    let ran: Vec<(String, Bytes)> = rows.iter().map(|r| run_row(r, &dir)).collect();
     let _ = std::fs::remove_dir_all(&dir);
+    let wrong = unsaid(rows, &ran);
+    assert!(wrong.is_empty(), "cusha's bytes no longer say:\n{wrong}");
+    let lines: Vec<&String> = ran.iter().map(|(line, _)| line).collect();
     let golden = std::fs::read_to_string(GOLDEN).unwrap_or_default();
     let name_of = |line: &str| line.split(' ').next().unwrap_or_default().to_string();
+    let ours = |name: &str| lines.iter().find(|l| name_of(l) == name).copied();
     if std::env::var_os("CUSHA_REGEN_GOLDEN").is_some() {
-        let ours: Vec<String> = lines.iter().map(|l| name_of(l)).collect();
-        let mut doc: Vec<&str> = golden
+        let kept = golden
             .lines()
-            .filter(|l| !ours.contains(&name_of(l)))
-            .collect();
-        doc.extend(lines.iter().map(String::as_str));
+            .map(|g| ours(&name_of(g)).map_or(g, String::as_str));
+        let mut doc: Vec<&str> = kept.collect();
+        let new = lines
+            .iter()
+            .filter(|l| !golden.lines().any(|g| name_of(g) == name_of(l)));
+        doc.extend(new.map(|l| l.as_str()));
         std::fs::write(GOLDEN, doc.join("\n") + "\n").expect("write golden cases");
         return;
     }
@@ -658,7 +768,7 @@ fn check(rows: &[Row], tag: &str) {
     for line in &lines {
         let name = name_of(line);
         match golden.lines().find(|g| name_of(g) == name) {
-            Some(g) if g == line => {}
+            Some(g) if g == line.as_str() => {}
             Some(g) => writeln!(drift, "  now:    {line}\n  golden: {g}").expect("write"),
             None => writeln!(drift, "  now:    {line}\n  golden: (no such row)").expect("write"),
         }
@@ -668,7 +778,12 @@ fn check(rows: &[Row], tag: &str) {
 
 #[test]
 fn cli_cases_match_the_golden_file() {
-    check(&parent_rows(), "parent");
+    let rows = parent_rows();
+    let named = SAYS.iter().map(|s| s.0);
+    for name in named.chain(SAME.iter().flat_map(|&(a, b)| [a, b])) {
+        assert!(rows.iter().any(|r| r.name == name), "{name}: no such row");
+    }
+    check(&rows, "parent");
 }
 
 #[test]
@@ -706,20 +821,29 @@ fn closed_defects_stay_closed() {
     }
 }
 
-/// The grown-past-the-device mutation is refused typed, and the service
-/// keeps answering (the golden row pins the transcript's bytes; this names
-/// what they must say).
+/// The grown-past-the-device mutation is refused typed, the service keeps
+/// answering, and nothing reached its WAL: a restart on it still serves (the
+/// golden rows pin the transcript's bytes; this names what they must say).
 #[test]
 fn oversized_growth_is_a_typed_mutate_error() {
     let dir = scratch("growth");
-    let out = Command::new(env!("CARGO_BIN_EXE_cusha"))
-        .args(["serve", "--rmat", "8:600", "--script"])
-        .arg(dir.join("growth.txt"))
-        .output()
-        .expect("spawn cusha");
+    let serve = |script: &str| {
+        let out = Command::new(env!("CARGO_BIN_EXE_cusha"))
+            .args(["serve", "--rmat", "8:600", "--wal"])
+            .arg(dir.join("log.wal"))
+            .arg("--script")
+            .arg(dir.join(script))
+            .output()
+            .expect("spawn cusha");
+        assert_eq!(out.status.code(), Some(0), "{script}");
+        String::from_utf8(out.stdout).expect("utf8 stdout")
+    };
+    let (stdout, restarted) = (serve("growth.txt"), serve("bfs.txt"));
     let _ = std::fs::remove_dir_all(&dir);
-    assert_eq!(out.status.code(), Some(0));
-    let stdout = String::from_utf8(out.stdout).expect("utf8 stdout");
+    assert!(
+        restarted.contains("\"op\":\"bfs\",\"status\":\"ok\""),
+        "{restarted}"
+    );
     let lines: Vec<&str> = stdout.lines().collect();
     let refused = lines.iter().find(|l| l.contains("\"op\":\"mutate\""));
     let refused = refused.expect("a mutate response");

@@ -2,6 +2,7 @@
 //! iteration-boundary deadlines, and fault-plan threading across runs.
 
 use cusha::algos::{Bfs, Sssp};
+use cusha::baselines::{try_run_mtcpu_warm, try_run_vwc_warm, MtcpuConfig, VwcConfig};
 use cusha::core::{
     try_run, try_run_multi, try_run_streamed, try_run_warm, CuShaConfig, Engine, EngineCtx,
     EngineError, FleetEngine, MultiConfig, NoopObserver, PreparedLayout, Repr, RunObserver,
@@ -9,7 +10,7 @@ use cusha::core::{
 };
 use cusha::frontier::{try_run_frontier_warm, try_run_kcore, FrontierConfig, PreparedFrontier};
 use cusha::graph::generators::rmat::{rmat, RmatConfig};
-use cusha::graph::Graph;
+use cusha::graph::{Csr, Edge, Graph};
 use cusha::simt::FaultPlan;
 
 fn graph() -> Graph {
@@ -38,6 +39,72 @@ fn warm_runs_are_bit_identical_to_cold_runs() {
             assert_eq!(prev, warm.values, "layout reuse is not idempotent");
         }
     }
+}
+
+/// A 5-vertex chain `0 -> 1 -> 2 -> 3 -> 4`, and graphs of other shapes.
+fn chain() -> Graph {
+    Graph::new(5, (0..4).map(|v| Edge::new(v, v + 1, 1)).collect())
+}
+
+/// A warm entry handed topology built for another graph refuses it, typed.
+fn refused<T: std::fmt::Debug>(entry: &str, result: Result<T, EngineError<u32>>) {
+    match result {
+        Err(EngineError::InvalidConfig(msg)) => assert!(msg.contains("vertices"), "{entry}: {msg}"),
+        other => panic!("{entry}: expected InvalidConfig, got {other:?}"),
+    }
+}
+
+/// The chain's layout over the one-edge graph `0 -> 4` of as many vertices:
+/// the vertex counts agree, so only the edge count tells them apart (BFS
+/// would answer the chain's levels `[0, 1, 2, 3, 4]`, not `[0, ∞, ∞, ∞, 1]`).
+#[test]
+fn a_shard_layout_built_for_another_graph_is_refused() {
+    let one_edge = Graph::new(5, vec![Edge::new(0, 4, 1)]);
+    for repr in [Repr::GShards, Repr::ConcatWindows] {
+        let cfg = CuShaConfig::new(repr);
+        let layout = PreparedLayout::build(&chain(), repr, 2);
+        let bfs = try_run_warm(
+            &Bfs::new(0),
+            &one_edge,
+            &layout,
+            &cfg,
+            None,
+            &mut NoopObserver,
+        );
+        refused("bfs", bfs.map(|o| o.values));
+        let sssp = try_run_warm(
+            &Sssp::new(0),
+            &one_edge,
+            &layout,
+            &cfg,
+            None,
+            &mut NoopObserver,
+        );
+        refused("sssp", sssp.map(|o| o.values));
+    }
+}
+
+/// The frontier adjacency and the in-edge CSR of the chain over a 10-vertex
+/// graph (the frontier entry would answer BFS for five vertices and leave the
+/// rest unreached).
+#[test]
+fn frontier_and_csr_topology_built_for_another_graph_is_refused() {
+    let ten = Graph::new(10, (0..9).map(|v| Edge::new(v, v + 1, 1)).collect());
+    let pf = PreparedFrontier::build(&chain());
+    let cfg = FrontierConfig::new();
+    let frontier = try_run_frontier_warm(&Bfs::new(0), &ten, &pf, &cfg, None, &mut NoopObserver);
+    refused("frontier", frontier.map(|o| o.values));
+    let csr = Csr::from_graph(&chain());
+    let vwc = VwcConfig::new(8);
+    refused(
+        "vwc",
+        try_run_vwc_warm(&Bfs::new(0), &ten, &csr, &vwc, None, &mut NoopObserver).map(|o| o.values),
+    );
+    let mtcpu = MtcpuConfig::new(2);
+    refused(
+        "mtcpu",
+        try_run_mtcpu_warm(&Bfs::new(0), &ten, &csr, &mtcpu, &mut NoopObserver).map(|o| o.values),
+    );
 }
 
 #[test]

@@ -282,71 +282,96 @@ proptest! {
 fn soak_mixed_load_under_faults_settles_every_query() {
     // ~100 mixed queries under seeded transient faults, bit flips, full
     // integrity and an oversubscribed queue: no panic, exactly one typed
-    // response per query.
-    let cfg = ServeConfig {
-        queue_capacity: 12,
-        cache_capacity: 16,
-        fault_plan: Some(
-            FaultPlan::seeded(1234)
-                .with_kernel_rate(0.02)
-                .with_h2d_rate(0.01)
-                .with_bitflip_rate(0.002),
-        ),
-        integrity: IntegrityConfig::with_mode(IntegrityMode::Full),
-        ..ServeConfig::default()
-    };
-    let mut script = String::new();
-    let mut expected = 0u64;
-    for i in 0..100u32 {
-        match i % 7 {
-            0 => script.push_str(&format!("bfs {}\n", i % 256)),
-            1 => script.push_str(&format!("sssp {}\n", (i * 3) % 256)),
-            2 => script.push_str(&format!("sswp {}\n", (i * 5) % 256)),
-            3 => script.push_str(&format!("reach {} {}\n", i % 256, (i * 7) % 256)),
-            4 => script.push_str("pagerank\n"),
-            5 => script.push_str("cc\n"),
-            _ => script.push_str(&format!(
-                "{{\"id\":\"q{i}\",\"op\":\"bfs\",\"source\":{},\"deadline_ms\":0.05}}\n",
-                i % 256
-            )),
-        }
-        expected += 1;
-        if i % 20 == 19 {
-            script.push_str("flush\n");
-        }
-    }
-    script.push_str("flush\nstats\n");
-    let (lines, svc) = run_script(cfg, &script);
-    let rs = query_responses(&lines);
-    assert_eq!(rs.len() as u64, expected, "exactly one response per query");
-    let mut by_status = std::collections::BTreeMap::new();
-    for r in &rs {
-        *by_status.entry(status(r).to_string()).or_insert(0u64) += 1;
-    }
-    // Every status is one of the typed four; the load was heavy enough
-    // that admission shedding actually triggered.
-    for s in by_status.keys() {
-        assert!(
-            matches!(s.as_str(), "ok" | "deadline" | "failed" | "rejected"),
-            "unexpected status {s}"
-        );
-    }
-    assert!(
-        by_status.get("rejected").copied().unwrap_or(0) > 0,
-        "soak should oversubscribe the queue: {by_status:?}"
-    );
-    assert!(
-        by_status.get("ok").copied().unwrap_or(0) >= expected / 2,
-        "most queries should still succeed: {by_status:?}"
-    );
-    // The metrics snapshot carries the serve_* series for the artifact.
-    let json = svc.metrics().to_json();
-    for key in [
-        "serve_queries_total",
-        "serve_responses_total",
-        "serve_cache_hits_total",
+    // response per query. Then the same load with an insert after every 40th
+    // query (some with queries still queued) under serve-previous: one `ok`
+    // acknowledgement per mutation besides, and no query shed for a rebuild.
+    for (mutate_every, rebuild_policy) in [
+        (None, RebuildPolicy::Shed),
+        (Some(40), RebuildPolicy::ServePrevious),
     ] {
-        assert!(json.contains(key), "metrics JSON missing {key}");
+        let cfg = ServeConfig {
+            queue_capacity: 12,
+            cache_capacity: 16,
+            fault_plan: Some(
+                FaultPlan::seeded(1234)
+                    .with_kernel_rate(0.02)
+                    .with_h2d_rate(0.01)
+                    .with_bitflip_rate(0.002),
+            ),
+            integrity: IntegrityConfig::with_mode(IntegrityMode::Full),
+            rebuild_policy,
+            ..ServeConfig::default()
+        };
+        let mut script = String::new();
+        let (mut expected, mut mutations) = (0u64, 0usize);
+        for i in 0..100u32 {
+            match i % 7 {
+                0 => script.push_str(&format!("bfs {}\n", i % 256)),
+                1 => script.push_str(&format!("sssp {}\n", (i * 3) % 256)),
+                2 => script.push_str(&format!("sswp {}\n", (i * 5) % 256)),
+                3 => script.push_str(&format!("reach {} {}\n", i % 256, (i * 7) % 256)),
+                4 => script.push_str("pagerank\n"),
+                5 => script.push_str("cc\n"),
+                _ => script.push_str(&format!(
+                    "{{\"id\":\"q{i}\",\"op\":\"bfs\",\"source\":{},\"deadline_ms\":0.05}}\n",
+                    i % 256
+                )),
+            }
+            expected += 1;
+            if mutate_every.is_some_and(|n| i % n == 14) {
+                script.push_str(&format!("insert {} {} 3\n", i % 256, (i * 13) % 256));
+                mutations += 1;
+            }
+            if i % 20 == 19 {
+                script.push_str("flush\n");
+            }
+        }
+        script.push_str("flush\nstats\n");
+        let (lines, svc) = run_script(cfg, &script);
+        let is_mutate = |r: &&Json| r.get("op").and_then(Json::as_str) == Some("mutate");
+        let (acks, rs): (Vec<&Json>, Vec<&Json>) =
+            query_responses(&lines).into_iter().partition(is_mutate);
+        assert_eq!(rs.len() as u64, expected, "exactly one response per query");
+        assert_eq!(acks.len(), mutations, "one acknowledgement per mutation");
+        assert!(acks.iter().all(|r| status(r) == "ok"), "{acks:?}");
+        let mut by_status = std::collections::BTreeMap::new();
+        for r in &rs {
+            *by_status.entry(status(r).to_string()).or_insert(0u64) += 1;
+        }
+        // Every status is one of the typed four; the load was heavy enough
+        // that admission shedding actually triggered.
+        for s in by_status.keys() {
+            assert!(
+                matches!(s.as_str(), "ok" | "deadline" | "failed" | "rejected"),
+                "unexpected status {s}"
+            );
+        }
+        assert!(
+            by_status.get("rejected").copied().unwrap_or(0) > 0,
+            "soak should oversubscribe the queue: {by_status:?}"
+        );
+        assert!(
+            by_status.get("ok").copied().unwrap_or(0) >= expected / 2,
+            "most queries should still succeed: {by_status:?}"
+        );
+        // The metrics snapshot carries the serve_* series for the artifact.
+        let json = svc.metrics().to_json();
+        for key in [
+            "serve_queries_total",
+            "serve_responses_total",
+            "serve_cache_hits_total",
+        ] {
+            assert!(json.contains(key), "metrics JSON missing {key}");
+        }
+        if mutations > 0 {
+            // serve-previous never sheds for a rebuild, and every window that
+            // opened was closed and rebuilt what was warm.
+            let reason = |r: &&Json| r.get("reason").and_then(Json::as_str) == Some("rebuilding");
+            assert!(!rs.iter().any(reason), "{by_status:?}");
+            assert!(json.contains("serve_rebuilds_total"), "no rebuild counted");
+            let stats = lines.iter().rfind(|l| status(l) == "stats").expect("stats");
+            assert_eq!(stats.get("rebuilding").and_then(Json::as_bool), Some(false));
+        }
     }
 }
 

@@ -15,13 +15,16 @@ const SERVE: &str = "crates/serve/src/**";
 const VWC: &str = "crates/baselines/src/vwc.rs";
 const REPRO: &str = "crates/bench/src/bin/repro.rs";
 const ALL_RS: &str = "crates/** src/**";
+const CI: &str = ".github/workflows/ci.yml";
 
 /// `(files, patterns, occurrences allowed in code, why)`. Files are paths or
-/// `dir/**` (every `.rs` below), space-separated, `!name.rs` excluding one;
-/// patterns are literal alternatives separated by `|`.
+/// `dir/**` (every `.rs` below), space-separated, `!name.rs` excluding one; a
+/// file that is not `.rs` is read whole. Patterns are literal alternatives
+/// separated by `|`.
 #[rustfmt::skip] // a table: one row per line
 const ROWS: &[(&str, &str, RangeInclusive<usize>, &str)] = &[
     // One of each shared engine piece (ROADMAP aim 2).
+    ("crates/**", "fn check_topology|fn check_csr", 1..=1, "one (vertices, edges) check before a warm entry indexes topology by a graph"),
     (CORE, "fn entry_bytes", 0..=1, "one entry-size model"),
     (CORE, "fn with_copy_retries", 0..=1, "one copy-retry loop"),
     (CORE, "fn fingerprint", 0..=0, "the watchdog digest is integrity::checksum"),
@@ -37,6 +40,13 @@ const ROWS: &[(&str, &str, RangeInclusive<usize>, &str)] = &[
     (VWC, "warp_scope(", 0..=0, "scopes go through Block::accounted"),
     ("crates/**", "fn accounted(|fn accounted<", 1..=1, "Block::accounted is the one such helper"),
     ("crates/simt/src/replay.rs", "col: [u32; WARP]", 0..=0, "a replay slot stores a fold of the column, not the column"),
+    // The frontier family's dense filters (k-core's degree scan, the flag
+    // compaction) account once per block; the advances stay interpreted. One
+    // symmetrised adjacency, built by counting sort.
+    ("crates/frontier/src/**", "warp_scope(", 0..=0, "scopes go through Block::accounted"),
+    ("crates/frontier/src/**", "accounted(", 0..=3, "the two dense filters, and a pull sweep's at most"),
+    ("crates/frontier/src/kcore.rs", "Vec<Vec<u32>>", 0..=0, "the per-vertex builder survives only as the test reference"),
+    ("crates/frontier/src/triangles.rs", "Vec<Vec<u32>>", 1..=1, "the host_triangles oracle's"),
     // One schedule, one ladder (DESIGN 4.9, 4.8).
     (MULTI, "thread::|oracle", 0..=0, "the fleet runs its devices in order on the calling thread"),
     ("crates/obs/src/trace.rs", "fn fork", 0..=0, "the tracer has no fork to merge back"),
@@ -60,6 +70,9 @@ const ROWS: &[(&str, &str, RangeInclusive<usize>, &str)] = &[
     (SERVE, "Outcome::FaultExhausted { detail } =>", 1..=1, "one function (launch_and_settle) turns an outcome into responses"),
     (SERVE, "swap_prev|warm_sizes|warm_frontier|stale_revs|fn integrity_label|rebuilding: bool", 0..=0, "deleted rebuild-window fields, the epoch swap, integrity_label"),
     (SERVE, "push_str(\",\\\"", 0..=0, "wire lines render through obs::json::push_obj"),
+    ("crates/serve/src/warm.rs", "ServeEngine::", 2..=2, "Warm::new's two arms: Warm is the only code that knows the engine family"),
+    ("crates/serve/src/service.rs", "ServeEngine::", 1..=1, "ServeConfig's default"),
+    ("crates/serve/src/** !warm.rs !service.rs", "ServeEngine::", 0..=0, "Warm is the only code that knows the engine family"),
     // `cusha` is flag parsing over library calls (DESIGN 4.15).
     ("src/**", "exit(", 0..=1, "the process has one exit"),
     ("src/**", "File::create|fs::write", 0..=1, "one file-writing site"),
@@ -82,6 +95,13 @@ const ROWS: &[(&str, &str, RangeInclusive<usize>, &str)] = &[
     ("crates/** src/** !repro_cli.rs", "simwall|Simwall", 0..=0, "host time is the ledger's; repro_cli.rs pins the refusals"),
     (ALL_RS, "set_var|CUSHA_JOBS", 0..=0, "a job count is an argument; 0 means available parallelism"),
     ("crates/** src/** !kernel.rs", "max_copy_retries", 0..=0, "RetryPolicy::DEFAULT is the one retry budget, not a config field"),
+    // Nobody sets these.
+    ("crates/baselines/src/engines.rs", "defer_outliers", 0..=0, "VwcConfig::defer_outliers is the switch; the adapter only ever copied None"),
+    (ALL_RS, "stamped_rev", 0..=0, "layouts are stamped and checked through valid_for; nothing read the stamp back"),
+    // Every check runs in tier-1: CI builds, tests, lints and runs the two
+    // release-scale gates, and greps nothing.
+    (CI, "grep |awk |printf |seq ", 0..=0, "a check is a row here or a tier-1 test, not bash"),
+    (CI, "cmp ", 0..=1, "the fleet-scaling artifact against its snapshot"),
 ];
 
 /// Non-test line ceilings: a second copy of anything shows up here first.
@@ -114,12 +134,23 @@ fn code(spec: &str) -> Vec<String> {
     let (skip, keep): (Vec<&str>, Vec<&str>) = spec.split(' ').partition(|w| w.starts_with('!'));
     let mut paths = Vec::new();
     for word in keep {
-        rs_files(&root.join(word.trim_end_matches("/**")), &mut paths);
+        let at = root.join(word.trim_end_matches("/**"));
+        if at.is_file() {
+            paths.push(at);
+        } else {
+            rs_files(&at, &mut paths);
+        }
     }
     paths.retain(|p| !skip.iter().any(|s| p.ends_with(&s[1..])));
     let mut lines = Vec::new();
-    for text in paths.iter().map(|p| fs::read_to_string(p).unwrap()) {
-        let kept = text.lines().take_while(|l| !l.starts_with("#[cfg(test)]"));
+    for p in paths {
+        let (text, rs) = (
+            fs::read_to_string(&p).unwrap(),
+            p.extension() == Some("rs".as_ref()),
+        );
+        let kept = text
+            .lines()
+            .take_while(|l| !(rs && l.starts_with("#[cfg(test)]")));
         lines.extend(kept.map(str::to_string));
     }
     lines
@@ -162,5 +193,40 @@ fn the_tree_keeps_its_shape() {
         "{}\nnon-test lines:\n{}",
         broken.join("\n"),
         table.join("\n")
+    );
+}
+
+/// `cusha` is a flag table (DESIGN 4.15): each flag literal (`"--wal"`, ...)
+/// is spelled once in non-test `src/` — its table row, or the constant a
+/// `requires` column shares with it. A flag inside a longer string (help
+/// prose, an error message) is not a flag literal.
+#[test]
+fn each_flag_literal_is_spelled_once() {
+    let mut seen: Vec<String> = Vec::new();
+    let mut twice = Vec::new();
+    for line in code("src/**")
+        .iter()
+        .filter(|l| !l.trim_start().starts_with("//"))
+    {
+        for piece in line.split("\"--").skip(1) {
+            let name = piece.split('"').next().unwrap_or_default();
+            if name.is_empty() || !name.bytes().all(|b| b.is_ascii_lowercase() || b == b'-') {
+                continue;
+            }
+            if seen.iter().any(|s| s == name) {
+                twice.push(format!("--{name}"));
+            } else {
+                seen.push(name.to_string());
+            }
+        }
+    }
+    assert!(
+        twice.is_empty(),
+        "flag literals spelled more than once under src/: {twice:?}"
+    );
+    assert!(
+        seen.len() >= 36,
+        "only {} flag literals under src/ (the table has 36: is this test's pattern stale?)",
+        seen.len()
     );
 }

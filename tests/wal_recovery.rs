@@ -171,6 +171,13 @@ fn crash_matrix_recovers_exactly_the_committed_prefix() {
             }
         }
         assert_eq!(svc.epoch(), committed as u64);
+        // The restart's metrics record the replay.
+        let replayed = svc
+            .metrics()
+            .counter("serve_wal_replayed_batches_total", &[]);
+        assert_eq!(replayed, Some(committed as u64), "{}", point.label());
+        let epoch = svc.metrics().gauge("serve_epoch", &[]);
+        assert_eq!(epoch, Some(committed as f64), "{}", point.label());
         assert_eq!(
             svc.graph_rev(),
             fingerprint(&oracle_graph),
