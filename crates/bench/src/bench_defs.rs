@@ -304,10 +304,10 @@ impl Prepared {
 
 /// What `cusha_core::run` and its siblings make of an outcome: a capped run
 /// is its partial output, any other failure ends the harness.
-fn settle<V>(outcome: Result<CuShaOutput<V>, EngineError<V>>) -> RunStats {
+pub(crate) fn settle<V>(outcome: Result<CuShaOutput<V>, EngineError<V>>) -> CuShaOutput<V> {
     match outcome {
-        Ok(out) => out.stats,
-        Err(EngineError::NonConverged { partial }) => partial.stats,
+        Ok(out) => out,
+        Err(EngineError::NonConverged { partial }) => *partial,
         Err(e) => panic!("{e}"),
     }
 }
@@ -360,6 +360,7 @@ fn dispatch<P: VertexProgram>(
             })
         }
     })
+    .stats
 }
 
 /// Default traversal source: the vertex with the largest out-degree, so the

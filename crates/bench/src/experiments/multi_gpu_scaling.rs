@@ -10,10 +10,11 @@
 //! edge-count load imbalance. Outputs are bit-identical across device
 //! counts (asserted here), so the sweep measures *timing* only.
 
+use crate::bench_defs::settle;
 use crate::experiments::Ctx;
 use crate::table::{fmt_ms, fmt_pct, fmt_speedup, Table};
 use cusha_algos::PageRank;
-use cusha_core::{run_multi, CuShaConfig, MultiConfig};
+use cusha_core::{try_run_placed, CuShaConfig, NoopObserver, Placement, PreparedLayout};
 use cusha_graph::surrogates::Dataset;
 use cusha_obs::{log, Level, MetricsRegistry};
 
@@ -87,39 +88,34 @@ pub fn run(ctx: &Ctx) -> ScalingResult {
         }
         let mut base = CuShaConfig::cw();
         base.max_iterations = ctx.max_iterations;
-        let mut cells: Vec<ScalingCell> = Vec::new();
-        let mut baseline_values = None;
-        let mut baseline_seconds = 0.0;
+        // One layout per dataset, borrowed by every fleet of the sweep: the
+        // narrowest fleet's pre-flight admits the wider ones.
+        let prog = PageRank::new();
+        let layout = PreparedLayout::for_program::<PageRank>(&g, &base, &Placement::fleet(1));
+        let layout = layout.unwrap_or_else(|e| panic!("{e}"));
+        let (mut cells, mut baseline) = (Vec::new(), None);
         for devices in DEVICE_SWEEP {
-            let out = run_multi(
-                &PageRank::new(),
-                &g,
-                &MultiConfig::new(base.clone(), devices),
-            );
-            let s = &out.stats;
+            let fleet = Placement::fleet(devices);
+            let ran = try_run_placed(&prog, &g, &layout, &base, &fleet, None, &mut NoopObserver);
+            let out = settle(ran);
+            let s = out.stats.fleet.as_deref().expect("a fleet record");
             let modeled = s.modeled_seconds();
             let devices_label = devices.to_string();
             s.record_metrics(
                 &mut metrics,
                 &[("dataset", ds.name()), ("devices", &devices_label)],
             );
-            match &baseline_values {
-                None => {
-                    baseline_values = Some(out.values);
-                    baseline_seconds = modeled;
-                }
-                Some(v) => assert_eq!(
-                    v,
-                    &out.values,
-                    "{}: {} devices diverged from single-device output",
-                    ds.name(),
-                    devices
-                ),
-            }
+            let (values, baseline_seconds) =
+                baseline.get_or_insert_with(|| (out.values.clone(), modeled));
+            let name = ds.name();
+            assert_eq!(
+                values, &out.values,
+                "{name}: {devices} devices diverged from one device"
+            );
             cells.push(ScalingCell {
                 devices,
                 modeled_seconds: modeled,
-                speedup: baseline_seconds / modeled,
+                speedup: *baseline_seconds / modeled,
                 exchange_bytes: s.exchange_bytes,
                 exchange_seconds: s.exchange_seconds,
                 exchange_fraction: s.exchange_seconds / modeled,

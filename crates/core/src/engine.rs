@@ -17,25 +17,27 @@
 //! launch observe in their stage 2.
 //!
 //! The kernel itself, the device buffers it runs over and their upload live
-//! in `crate::kernel`; the host loop around it is `crate::multi::drive`, the
-//! fleet's, which an in-core run enters as a fleet of one. This module holds
-//! what every engine takes — configuration, [`PreparedLayout`], the observer
-//! trait — and the in-core façades over that loop.
+//! in `crate::kernel`; the host loop around it is `crate::multi::drive`,
+//! which every run of the shard family enters. This module holds what every
+//! engine takes — configuration, [`PreparedLayout`], the observer trait —
+//! and the family's one entry, [`try_run_placed`]: a layout and where it
+//! lives ([`Placement`]: one device, streamed batches, or a fleet), which
+//! picks the data that loop is handed and nothing else.
 
 use crate::autotune::select_vertices_per_shard;
 use crate::cw::ConcatWindows;
 use crate::error::{check_topology, EngineError};
 use crate::fallback::run_fallback_after;
 use crate::integrity::{IntegrityConfig, Stop};
-use crate::kernel::RetryPolicy;
-use crate::memsize::{check_fits, ValueSizes};
-use crate::multi::{drive, Driven, FaultPolicy, Start};
+use crate::kernel::fault_instant;
+use crate::memsize::{check_fits, check_streams, ValueSizes};
+use crate::multi::drive;
 use crate::program::VertexProgram;
 use crate::shards::GShards;
-use crate::stats::RunStats;
-use cusha_graph::Graph;
-use cusha_obs::trace::{lanes, ArgVal, Tracer};
-use cusha_simt::{DeviceConfig, DeviceFleet, FaultPlan, Gpu, ReplayMemo};
+use crate::stats::{FaultStats, MemoStats, RunStats, SdcStats};
+use cusha_graph::{FleetPartition, Graph};
+use cusha_obs::trace::Tracer;
+use cusha_simt::{DeviceConfig, DeviceFleet, FaultPlan, Gpu, Interconnect, Profile, ReplayMemo};
 use std::sync::{Arc, Mutex};
 
 /// Which CuSha representation to run.
@@ -79,8 +81,8 @@ pub struct CuShaConfig {
     /// Simulated device.
     pub device: DeviceConfig,
     /// Optional fault-injection schedule installed on the device; see
-    /// [`cusha_simt::FaultPlan`]. The in-core engine surfaces injected
-    /// faults as [`EngineError`]s; the streamed engine recovers from them.
+    /// [`cusha_simt::FaultPlan`]. A resident run surfaces injected faults
+    /// as [`EngineError`]s; a streamed or fleet run recovers from them.
     pub fault_plan: Option<FaultPlan>,
     /// Livelock watchdog: every this-many iterations the engine snapshots
     /// the value vector and errors with [`EngineError::Watchdog`] if a
@@ -223,6 +225,104 @@ pub struct CuShaOutput<V> {
     pub stats: RunStats,
 }
 
+/// Most devices a fleet may have: the interconnect presets model one host's
+/// fabric (a PCIe root complex, an NVLink island), and every per-device
+/// structure is allocated up front, so the count must have a bound.
+pub const MAX_DEVICES: usize = 64;
+
+/// Where a run's layout lives: all [`try_run_placed`] is told of it. The
+/// paper's `cusha_process` is handed the built G-Shards/CW arrays; whether
+/// they sit on one device, stream through it or split over a fleet is the
+/// caller's business.
+#[derive(Clone, Debug)]
+pub enum Placement {
+    /// The whole layout on one device; a device fault surfaces unretried.
+    Resident,
+    /// Out of core on one device (paper §5.1): `VertexValues` resident, the
+    /// shards in batches of at most `bytes`, a batch's upload overlapping the
+    /// kernel before it on `streams >= 2`. Faults are retried, an OOM halves
+    /// `bytes` in place, and a kernel that keeps faulting walks the ladder
+    /// CW → G-Shards → host.
+    Streamed {
+        /// Device-memory budget of one batch of shard arrays.
+        bytes: u64,
+        /// Copy/compute streams; 1 serializes uploads and kernels.
+        streams: u32,
+    },
+    /// The shard sequence edge-balanced over `devices` devices, halo updates
+    /// exchanged over `interconnect` once per iteration; each device
+    /// recovers from its own faults in place.
+    Fleet {
+        /// Devices in the fleet.
+        devices: usize,
+        /// The fabric timing the exchange.
+        interconnect: Interconnect,
+        /// Per-device fault plans (index = device id); when any is set they
+        /// replace the carried plan, which otherwise lands on device 0.
+        fault_plans: Vec<Option<FaultPlan>>,
+    },
+}
+
+impl Placement {
+    /// Double-buffered streaming under `bytes`.
+    pub fn streamed(bytes: u64) -> Self {
+        Placement::Streamed { bytes, streams: 2 }
+    }
+
+    /// `devices` devices over PCIe, none with a plan of its own.
+    pub fn fleet(devices: usize) -> Self {
+        let (interconnect, fault_plans) = (Interconnect::pcie_gen3(), Vec::new());
+        Placement::Fleet {
+            devices,
+            interconnect,
+            fault_plans,
+        }
+    }
+
+    /// Checks the placement's invariants, returning a message naming the
+    /// offending field on failure.
+    pub fn validate(&self) -> Result<(), String> {
+        let named = match self {
+            Placement::Streamed { streams: 0, .. } => {
+                return Err("streams must be at least 1".into())
+            }
+            Placement::Streamed { bytes: 0, .. } => {
+                return Err("streamed bytes must be nonzero".into())
+            }
+            Placement::Fleet { fault_plans, .. } => fault_plans.len(),
+            _ => return Ok(()),
+        };
+        match self.devices() {
+            n if !(1..=MAX_DEVICES).contains(&n) => Err(format!(
+                "devices must be between 1 and {MAX_DEVICES}, got {n}"
+            )),
+            n if named > n => Err(format!(
+                "fault_plans names device {} but the fleet has {n} devices",
+                named - 1
+            )),
+            _ => Ok(()),
+        }
+    }
+
+    /// What a run of `repr` placed here is called, in its statistics and by
+    /// the adapter that runs it: "CuSha-CW", "CuSha-CW-streamed", "CuSha-CW x4".
+    pub fn label(&self, repr: Repr) -> String {
+        match (self, self.devices()) {
+            (Placement::Streamed { .. }, _) => format!("{}-streamed", repr.label()),
+            (_, 1) => repr.label().into(),
+            (_, n) => format!("{} x{n}", repr.label()),
+        }
+    }
+
+    /// The devices the layout is spread over.
+    fn devices(&self) -> usize {
+        match self {
+            Placement::Fleet { devices, .. } => *devices,
+            _ => 1,
+        }
+    }
+}
+
 /// What the kernel's replay-scoped stages account by besides the layout: the
 /// bytes of `V`/`SV`/`E` the program moves (0 for a column it leaves out),
 /// its per-edge compute cost, and the device's segment, sector, bank count
@@ -329,17 +429,28 @@ impl PreparedLayout {
     }
 
     /// Builds the layout program `P` runs on under `cfg` — the shard size
-    /// [`PreparedLayout::select_n_per`] picks — unless the representation
-    /// cannot fit `cfg.device` ([`check_fits`]): the one-shot engines' way in.
+    /// [`PreparedLayout::select_n_per`] picks — after the pre-flight: the
+    /// configuration, placement and graph are checked, and a layout the
+    /// placement cannot hold is refused before anything |V|- or p²-sized is
+    /// built ([`check_fits`] for a resident one; [`check_streams`] for what
+    /// no batching or partition can shrink). The one-shot entries' way in.
     pub fn for_program<P: VertexProgram>(
         graph: &Graph,
         cfg: &CuShaConfig,
+        placement: &Placement,
     ) -> Result<Self, EngineError<P::V>> {
+        cfg.validate().map_err(EngineError::InvalidConfig)?;
+        placement.validate().map_err(EngineError::InvalidConfig)?;
+        graph.validate()?;
         let sizes = ValueSizes::of::<P>();
         let n_per = Self::select_n_per(graph, cfg, sizes.vertex);
         let (v, e) = (graph.num_vertices() as u64, graph.num_edges() as u64);
-        check_fits(v, e, sizes, Some((cfg.repr, n_per)), &cfg.device)?;
-        Ok(Self::build(graph, cfg.repr, n_per))
+        let (shards, device, devices) = ((cfg.repr, n_per), &cfg.device, placement.devices());
+        match placement {
+            Placement::Resident => check_fits(v, e, sizes, Some(shards), device),
+            _ => check_streams(v, devices as u64, sizes, shards, device),
+        }?;
+        Ok(PreparedLayout::build(graph, cfg.repr, n_per))
     }
 
     /// Stamps the layout with the revision of the graph it was built from.
@@ -431,24 +542,6 @@ impl RunObserver for NoopObserver {
     }
 }
 
-/// Emits one engine-lane `iteration` span. `iteration` is 1-based — the
-/// number [`RunObserver::on_iteration`] reports — on every engine.
-pub(crate) fn trace_iteration(
-    trace: &Tracer,
-    pid: u32,
-    ts: f64,
-    dur: f64,
-    iteration: u32,
-    updated: u64,
-) {
-    trace.complete_with(pid, lanes::ENGINE, "engine", "iteration", ts, dur, || {
-        vec![
-            ("iteration", ArgVal::U64(iteration as u64)),
-            ("updated_vertices", ArgVal::U64(updated)),
-        ]
-    });
-}
-
 /// Executes `prog` over `graph` with the given configuration.
 ///
 /// # Panics
@@ -478,117 +571,217 @@ pub fn try_run<P: VertexProgram>(
     graph: &Graph,
     cfg: &CuShaConfig,
 ) -> Result<CuShaOutput<P::V>, EngineError<P::V>> {
-    cfg.validate().map_err(EngineError::InvalidConfig)?;
-    graph.validate()?;
-    let layout = PreparedLayout::for_program::<P>(graph, cfg)?;
-    try_run_warm(prog, graph, &layout, cfg, None, &mut NoopObserver)
+    try_run_cold(prog, graph, cfg, &Placement::Resident)
 }
 
-/// Executes `prog` over `graph` reusing a caller-held [`PreparedLayout`] —
-/// the resident-service entry point.
-///
-/// Beyond [`try_run`]'s behavior this entry:
-///
-/// * skips shard/window construction (the layout is warm),
-/// * threads the caller's [`FaultPlan`] through the run when `fault_plan`
-///   is `Some`: the plan is installed in place of
-///   [`CuShaConfig::fault_plan`] and its advanced state (operation and
-///   flip-point counters, injection log) is written back on **every** exit
-///   path, so consumed one-shot faults and bit flips never re-fire on the
-///   next run sharing the plan,
-/// * calls `observer` at every iteration boundary; an observer returning
-///   `false` cancels the run with [`EngineError::Deadline`].
+/// The one-shot entries' body: [`try_run_placed`] over a layout built for the
+/// placement, with no plan or observer of the caller's.
+pub(crate) fn try_run_cold<P: VertexProgram>(
+    prog: &P,
+    graph: &Graph,
+    cfg: &CuShaConfig,
+    placement: &Placement,
+) -> Result<CuShaOutput<P::V>, EngineError<P::V>> {
+    let layout = PreparedLayout::for_program::<P>(graph, cfg, placement)?;
+    try_run_placed(
+        prog,
+        graph,
+        &layout,
+        cfg,
+        placement,
+        None,
+        &mut NoopObserver,
+    )
+}
+
+/// [`try_run_placed`] on one device, the whole layout resident — the
+/// resident service's entry point.
 pub fn try_run_warm<P: VertexProgram, O: RunObserver + ?Sized>(
     prog: &P,
     graph: &Graph,
     layout: &PreparedLayout,
     cfg: &CuShaConfig,
+    fault_plan: Option<&mut FaultPlan>,
+    observer: &mut O,
+) -> Result<CuShaOutput<P::V>, EngineError<P::V>> {
+    let resident = &Placement::Resident;
+    try_run_placed(prog, graph, layout, cfg, resident, fault_plan, observer)
+}
+
+/// Executes `prog` over `graph` on a caller-held [`PreparedLayout`] wherever
+/// `placement` puts it: the shard family's one entry, which [`try_run`],
+/// [`try_run_warm`], [`crate::try_run_streamed`] and [`crate::try_run_multi`]
+/// are one-liners over. Beyond [`try_run`]'s behavior it skips the layout's
+/// construction; it installs the caller's [`FaultPlan`] in place of
+/// [`CuShaConfig::fault_plan`] — on device 0 of a fleet that names no plans of
+/// its own — and writes the plan's advanced state back on **every** exit, so
+/// consumed faults and bit flips never re-fire on the next run sharing it; and
+/// it calls `observer` at every iteration boundary, on the modeled clock of
+/// the whole run, a `false` cancelling it with [`EngineError::Deadline`].
+///
+/// The placement picks the data the one host loop is handed, nothing else:
+/// the devices (one per run or rung, or a fleet over its fabric); what a
+/// fault past its budget does (surface; take the streamed ladder's next rung,
+/// G-Shards on a view of the layout, then the host; recover in place); the
+/// replay tables (the layout's, lent; cold per rung; per device); and the
+/// shape of the statistics (single-engine, or flattened with
+/// [`RunStats::fleet`]).
+pub fn try_run_placed<P: VertexProgram, O: RunObserver + ?Sized>(
+    prog: &P,
+    graph: &Graph,
+    layout: &PreparedLayout,
+    cfg: &CuShaConfig,
+    placement: &Placement,
     mut fault_plan: Option<&mut FaultPlan>,
     observer: &mut O,
 ) -> Result<CuShaOutput<P::V>, EngineError<P::V>> {
     cfg.validate().map_err(EngineError::InvalidConfig)?;
+    placement.validate().map_err(EngineError::InvalidConfig)?;
     graph.validate()?;
     let built = (layout.gs.num_vertices(), layout.gs.num_edges());
     check_topology("layout", built, graph)?;
     if layout.repr != cfg.repr {
-        return Err(EngineError::InvalidConfig(format!(
-            "layout was built for {}, config asks for {}",
-            layout.repr.label(),
-            cfg.repr.label()
-        )));
+        let (built, asked) = (layout.repr.label(), cfg.repr.label());
+        let why = format!("layout was built for {built}, config asks for {asked}");
+        return Err(EngineError::InvalidConfig(why));
     }
-    let mut gpu = Gpu::new(cfg.device.clone());
-    gpu.set_profiling(cfg.profile);
-    // Single-device runs occupy process lane 0 of the trace; a device
-    // embedded in a fleet is instead wired by `DeviceFleet::set_tracer`.
-    gpu.set_tracer(cfg.trace.clone(), 0);
-    if let Some(plan) = fault_plan.as_deref_mut() {
-        gpu.set_fault_plan(plan.clone());
-    } else if let Some(plan) = cfg.fault_plan.clone() {
-        gpu.set_fault_plan(plan);
-    }
-    let id = accounting_id::<P>(&cfg.device);
-    gpu.swap_replay_memo(layout.replay.lend(&id));
-    // In-core is a fleet of one: this device, every shard resident, no
-    // fabric (so the engine lane is on the device's own trace process), and
-    // every fault surfaced unretried — the caller owns recovery.
-    let mut fleet = DeviceFleet::solo(gpu);
-    let (shards, policy) = (
-        0..layout.num_shards(),
-        FaultPolicy::Surface(RetryPolicy::NONE, 0),
-    );
-    let name = format!("{}::{}", cfg.repr.label(), prog.name());
-    let (mut fault, mut sdc) = Default::default();
-    let records = (
-        std::slice::from_mut(&mut fault),
-        std::slice::from_mut(&mut sdc),
-    );
-    let result = drive(
-        prog,
-        graph,
-        cfg,
-        layout,
-        std::slice::from_ref(&shards),
-        &mut fleet,
-        policy,
-        Start::Resident,
-        &name,
-        records,
-        observer,
-    );
-    let gpu = fleet.device_mut(0);
-    layout
-        .replay
-        .give_back(id, gpu.swap_replay_memo(ReplayMemo::new()));
-    // Write the advanced plan back regardless of outcome: counters consumed
-    // by a failed or cancelled run are consumed for good.
-    if let Some(slot) = fault_plan {
-        if let Some(advanced) = gpu.take_fault_plan() {
-            *slot = advanced;
+    let n = placement.devices();
+    let resident = matches!(placement, Placement::Resident);
+    let streamed = matches!(placement, Placement::Streamed { .. });
+    // A fleet's edge-balanced shard ranges, its fabric and the plans it names.
+    let (fleet, mut plans) = match placement {
+        Placement::Fleet {
+            interconnect,
+            fault_plans,
+            ..
+        } => {
+            let fp = FleetPartition::from_graph(graph, layout.n_per, n);
+            (Some((fp, interconnect)), fault_plans.clone())
         }
-    }
-    // The single-engine shape of an in-core run: the device's raw clocks split
-    // where the upload ended and the final download began — per-iteration flag
-    // traffic counts as part of the compute loop.
-    let shaped = |(out, clocks): Driven<P::V>| {
-        let (dev, before) = (&out.stats.per_device[0], clocks[0].d2h_before_results);
-        let compute = dev.kernel_seconds + (dev.h2d_seconds - out.stats.setup_seconds) + before;
-        let d2h = dev.d2h_seconds - before;
-        out.into_solo(cfg.repr.label().into(), layout.num_shards(), compute, d2h)
+        _ => (None, Vec::new()),
     };
-    match result.map(shaped) {
-        Ok(output) if output.stats.converged => Ok(output),
-        Ok(output) => Err(EngineError::NonConverged {
-            partial: Box::new(output),
-        }),
-        Err(Stop::Error(e)) => Err(e),
-        // The ladder's last rung: abandon the device for the host fallback,
-        // which no device flip can reach.
-        Err(Stop::Abandon) => {
-            sdc.host_fallbacks += 1;
-            run_fallback_after(prog, graph, cfg, fault, sdc, None)
-        }
+    let shards: Vec<_> = match &fleet {
+        Some((fp, _)) => fp
+            .parts()
+            .iter()
+            .map(|p| p.shards.start as u32..p.shards.end as u32)
+            .collect(),
+        None => std::iter::once(0..layout.num_shards()).collect(),
+    };
+    // What the streamed ladder's rungs share: the fault plan (consumed faults
+    // never re-fire) unless a fleet names its own, each device's records and
+    // the budgets they count against, the clock a deadline bounds, and the
+    // memo and profile totals.
+    let carried = plans.iter().all(Option::is_none);
+    if carried {
+        let plan = fault_plan.as_deref().cloned();
+        plans = vec![plan.or_else(|| cfg.fault_plan.clone())];
     }
+    let (mut faults, mut sdcs) = (vec![FaultStats::default(); n], vec![SdcStats::default(); n]);
+    let (mut memo, mut profile, mut elapsed) = (MemoStats::default(), None::<Profile>, 0.0);
+    let id = accounting_id::<P>(&cfg.device);
+    let rungs = match streamed {
+        true => &[Repr::ConcatWindows, Repr::GShards][..],
+        false => std::slice::from_ref(&layout.repr),
+    };
+    for &repr in rungs.iter().skip_while(|&&r| r != layout.repr) {
+        // A later rung runs on the layout's own shard arrays: no sort.
+        let view = (repr != layout.repr).then(|| layout.view(repr));
+        let mut devices = match &fleet {
+            Some((_, link)) => DeviceFleet::new(&cfg.device, n, (*link).clone()),
+            None => DeviceFleet::solo(Gpu::new(cfg.device.clone())),
+        };
+        devices.set_tracer(&cfg.trace);
+        for d in 0..n {
+            let gpu = devices.device_mut(d);
+            gpu.set_profiling(cfg.profile);
+            if let Some(plan) = plans.get_mut(d).and_then(Option::take) {
+                gpu.set_fault_plan(plan);
+            }
+        }
+        if resident {
+            let lent = layout.replay.lend(&id);
+            devices.device_mut(0).swap_replay_memo(lent);
+        }
+        // Launches are named for the representation; fault plans match on it.
+        let label = placement.label(repr);
+        let name = match streamed {
+            true => format!("{label}::{}", prog.name()),
+            false => format!("{}::{}", repr.label(), prog.name()),
+        };
+        let ran = drive(
+            prog,
+            graph,
+            cfg,
+            view.as_ref().unwrap_or(layout),
+            &shards,
+            &mut devices,
+            placement,
+            &name,
+            (&mut faults[..], &mut sdcs[..]),
+            (elapsed, &mut *observer),
+        );
+        let gpu = devices.device_mut(0);
+        memo.add(&MemoStats::from_gpu(gpu));
+        if let Some(p) = gpu.profile.take() {
+            profile.get_or_insert_default().absorb(&p);
+        }
+        if resident {
+            let table = gpu.swap_replay_memo(ReplayMemo::new());
+            layout.replay.give_back(id, table);
+        }
+        // Counters consumed by a failed or cancelled run are consumed for good.
+        if carried {
+            plans[0] = gpu.take_fault_plan();
+            if let (Some(slot), Some(plan)) = (fault_plan.as_deref_mut(), &plans[0]) {
+                slot.clone_from(plan);
+            }
+        }
+        elapsed += gpu.total_seconds();
+        let (out, clocks) = match ran {
+            Ok(driven) => driven,
+            // Detected corruption outlived the rollback and restart budgets:
+            // abandon the device for the host fallback, which no flip reaches.
+            Err(Stop::Abandon) => {
+                sdcs[0].host_fallbacks += 1;
+                if streamed {
+                    fault_instant(gpu, "sdc", "host-fallback");
+                }
+                break;
+            }
+            // The next rung's kernels are another code path (and, under
+            // injection, another name pattern); the last one is the host.
+            Err(Stop::Error(EngineError::KernelFault { .. })) if streamed => {
+                faults[0].degradations += 1;
+                let next = match repr {
+                    Repr::ConcatWindows => "degrade-to-gshards",
+                    Repr::GShards => "degrade-to-host",
+                };
+                fault_instant(gpu, "fault", next);
+                continue;
+            }
+            Err(Stop::Error(e)) => return Err(e),
+        };
+        let out = match &fleet {
+            Some((fp, link)) => out.into_fleet(label, link.name, fp),
+            None => {
+                let values = graph.num_vertices() as u64 * u64::from(ValueSizes::of::<P>().vertex);
+                let streamed = streamed.then(|| cfg.device.transfer_seconds(values));
+                let mut out = out.into_solo(label, &clocks[0], streamed);
+                let stats = &mut out.stats;
+                (stats.fault, stats.sdc, stats.memo, stats.profile) =
+                    (faults[0], sdcs[0], memo, profile);
+                out
+            }
+        };
+        return match out.stats.converged {
+            true => Ok(out),
+            false => Err(EngineError::NonConverged {
+                partial: Box::new(out),
+            }),
+        };
+    }
+    run_fallback_after(prog, graph, cfg, faults[0], sdcs[0], profile)
 }
 
 #[cfg(test)]
@@ -674,6 +867,77 @@ mod tests {
             assert_eq!(layout.replay_slots(), (0, 0));
             assert_eq!(view.clone().replay_slots(), (0, 0));
         }
+    }
+
+    /// Every placement over one layout answers what its one-shot twin does,
+    /// statistics included; a streamed run that degrades from CW runs its
+    /// G-Shards rung on the layout's own shard arrays.
+    #[test]
+    fn every_placement_over_one_layout_matches_its_one_shot_twin() {
+        use crate::multi::{try_run_multi, MultiConfig};
+        use crate::streaming::{try_run_streamed, StreamingConfig};
+        use cusha_graph::generators::rmat::{rmat, RmatConfig};
+        let g = rmat(&RmatConfig::graph500(8, 1500, 21));
+        let prog = MiniSssp { source: 0 };
+        let cfg = CuShaConfig::cw().with_vertices_per_shard(32);
+        let layout =
+            PreparedLayout::for_program::<MiniSssp>(&g, &cfg, &Placement::Resident).unwrap();
+        let placed = |placement: &Placement,
+                      plan: Option<&mut FaultPlan>,
+                      observer: &mut dyn RunObserver| {
+            try_run_placed(&prog, &g, &layout, &cfg, placement, plan, observer).unwrap()
+        };
+        let shown = |out: CuShaOutput<u32>| (out.values, format!("{:?}", out.stats));
+        // Resident first: it records into the layout's replay tables, which
+        // no other placement reads.
+        let resident = placed(&Placement::Resident, None, &mut NoopObserver);
+        assert_eq!(shown(resident), shown(try_run(&prog, &g, &cfg).unwrap()));
+        let (bytes, streamed) = (4096, StreamingConfig::new(cfg.clone(), 4096));
+        let out = placed(&Placement::streamed(bytes), None, &mut NoopObserver);
+        assert_eq!(
+            shown(out),
+            shown(try_run_streamed(&prog, &g, &streamed).unwrap())
+        );
+        for devices in [1, 2, 4] {
+            let out = placed(&Placement::fleet(devices), None, &mut NoopObserver);
+            let twin = try_run_multi(&prog, &g, &MultiConfig::new(cfg.clone(), devices)).unwrap();
+            let fleet = out.stats.fleet.as_deref().expect("a fleet record");
+            assert_eq!(out.values, twin.values, "x{devices}");
+            assert_eq!(
+                format!("{fleet:?}"),
+                format!("{:?}", twin.stats),
+                "x{devices}"
+            );
+        }
+
+        /// The holders of the layout's G-Shards arrays at each boundary.
+        struct Holders<'a>(&'a Arc<GShards>, Vec<usize>);
+        impl RunObserver for Holders<'_> {
+            fn on_iteration(&mut self, _iteration: u32, _updated: u64, _elapsed: f64) -> bool {
+                self.1.push(Arc::strong_count(self.0));
+                true
+            }
+        }
+        let cw_faults = FaultPlan::new().fail_kernels_named("CuSha-CW", u64::MAX);
+        let (mut plan, mut holders) = (cw_faults.clone(), Holders(&layout.gs, Vec::new()));
+        let out = placed(&Placement::streamed(bytes), Some(&mut plan), &mut holders);
+        assert_eq!(
+            (out.stats.engine.as_str(), out.stats.fault.degradations),
+            ("CuSha-GS-streamed", 1)
+        );
+        // The CW rung never reached a boundary; at every boundary of the
+        // G-Shards rung the layout's arrays had a second holder, the rung's view.
+        assert!(
+            !holders.1.is_empty() && holders.1.iter().all(|&n| n == 2),
+            "{:?}",
+            holders.1
+        );
+        assert!(Arc::ptr_eq(&layout.view(Repr::GShards).gs, &layout.gs));
+        let twin = StreamingConfig::new(cfg.clone().with_fault_plan(cw_faults), bytes);
+        assert_eq!(
+            shown(out),
+            shown(try_run_streamed(&prog, &g, &twin).unwrap())
+        );
     }
 
     #[test]

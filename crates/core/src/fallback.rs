@@ -32,6 +32,27 @@ pub fn run_fallback<P: VertexProgram>(
     graph: &Graph,
     cfg: &CuShaConfig,
 ) -> Result<CuShaOutput<P::V>, EngineError<P::V>> {
+    run_fallback_after(
+        prog,
+        graph,
+        cfg,
+        FaultStats::default(),
+        SdcStats::default(),
+        None,
+    )
+}
+
+/// The last rung of every ladder that abandons its device: [`run_fallback`],
+/// its statistics carrying the abandoned run's record — recovery counters,
+/// SDC record, launch profile — (a capped fallback's partial output too).
+pub(crate) fn run_fallback_after<P: VertexProgram>(
+    prog: &P,
+    graph: &Graph,
+    cfg: &CuShaConfig,
+    fault: FaultStats,
+    sdc: SdcStats,
+    profile: Option<Profile>,
+) -> Result<CuShaOutput<P::V>, EngineError<P::V>> {
     cfg.validate().map_err(EngineError::InvalidConfig)?;
     graph.validate()?;
     let n_per = PreparedLayout::select_n_per(graph, cfg, <P::V as Pod>::SIZE);
@@ -41,6 +62,9 @@ pub fn run_fallback<P: VertexProgram>(
 
     let mut total = RunStats {
         engine: FALLBACK_LABEL.to_string(),
+        fault,
+        sdc,
+        profile,
         ..Default::default()
     };
     while total.iterations < cfg.max_iterations && !total.converged {
@@ -65,36 +89,6 @@ pub fn run_fallback<P: VertexProgram>(
         Err(EngineError::NonConverged {
             partial: Box::new(output),
         })
-    }
-}
-
-/// The last rung of every ladder that abandons its device: [`run_fallback`],
-/// with the abandoned run's record — recovery counters, SDC record, launch
-/// profile — grafted onto the fallback's statistics (a capped fallback
-/// carries them in its partial output).
-pub(crate) fn run_fallback_after<P: VertexProgram>(
-    prog: &P,
-    graph: &Graph,
-    cfg: &CuShaConfig,
-    fault: FaultStats,
-    sdc: SdcStats,
-    profile: Option<Profile>,
-) -> Result<CuShaOutput<P::V>, EngineError<P::V>> {
-    let graft = |stats: &mut RunStats| {
-        stats.fault = fault;
-        stats.sdc = sdc;
-        stats.profile = profile;
-    };
-    match run_fallback(prog, graph, cfg) {
-        Ok(mut out) => {
-            graft(&mut out.stats);
-            Ok(out)
-        }
-        Err(EngineError::NonConverged { mut partial }) => {
-            graft(&mut partial.stats);
-            Err(EngineError::NonConverged { partial })
-        }
-        Err(e) => Err(e),
     }
 }
 

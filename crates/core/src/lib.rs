@@ -17,24 +17,26 @@
 //! * `kernel` (crate-private) — the one 4-stage kernel of Figure 5 on the
 //!   [`cusha_simt`] simulator, the device slice it runs over (one upload
 //!   routine, one typed sink for stage-4 writes leaving the slice) and its
-//!   host re-enactment; shared by the three engines below and the fallback.
-//! * [`engine`] — the in-core engine's façades (the whole layout resident on
-//!   one device, in both GS and CW modes: a fleet of one in [`multi`]'s host
-//!   loop), plus the configuration, prepared-layout and observer types every
-//!   engine takes.
-//! * [`streaming`] — the out-of-core engine's façade: a fleet of one whose
-//!   device starts streamed (batches of shards through a device-memory
-//!   budget, [`multi`]'s `Mode::Streamed`), and the CW → G-Shards → host
-//!   degradation ladder around it.
+//!   host re-enactment; shared by every placement below and the fallback.
+//! * [`engine`] — the shard family's one entry, [`try_run_placed`]: a
+//!   prepared layout and a [`Placement`] (resident on one device, streamed
+//!   through one in batches, or split over a fleet), which picks the data
+//!   [`multi`]'s host loop is handed; the configuration, prepared-layout and
+//!   observer types every engine takes; the in-core one-liners.
+//! * [`streaming`] — the out-of-core one-liners over [`Placement::Streamed`]
+//!   (the paper's §5.1 sketch).
 //! * [`fallback`] — the host-side reference engine (the ladders' last rung).
 //! * [`middleware`] — [`run_engine`]: validation, deadlines, retry and the
-//!   final integrity scrub around any [`Engine`].
+//!   final integrity scrub around any [`Engine`]; [`ShardEngine`], the shard
+//!   family's adapter.
 //! * [`memsize`] — representation footprint model (Figure 9).
 //! * [`integrity`] — silent-data-corruption defense: per-buffer checksums,
 //!   algorithm invariants, bounded checkpoint/rollback recovery.
-//! * [`multi`] — the multi-device engine: partitions the shard sequence
-//!   over a [`cusha_simt::DeviceFleet`] and exchanges halo updates over a
+//! * [`multi`] — `drive`, the one host loop, with the multi-device engine's
+//!   one-liners over [`Placement::Fleet`]: the shard sequence partitioned
+//!   over a [`cusha_simt::DeviceFleet`], halo updates exchanged over a
 //!   modeled interconnect, bit-identical to the single-device engine.
+//! * [`stats`] — run statistics, the fleet-shaped record among them.
 
 pub mod autotune;
 pub mod cw;
@@ -55,22 +57,18 @@ pub mod windows;
 pub use autotune::select_vertices_per_shard;
 pub use cw::ConcatWindows;
 pub use engine::{
-    run, try_run, try_run_warm, CuShaConfig, CuShaOutput, NoopObserver, PreparedLayout, Repr,
-    RunObserver,
+    run, try_run, try_run_placed, try_run_warm, CuShaConfig, CuShaOutput, NoopObserver, Placement,
+    PreparedLayout, Repr, RunObserver, MAX_DEVICES,
 };
 pub use error::{check_topology, EngineError};
 pub use fallback::run_fallback;
 pub use integrity::{CheckpointManager, IntegrityConfig, IntegrityMode};
-pub use middleware::{
-    run_engine, DeadlineObserver, Engine, EngineCtx, FleetEngine, ShardEngine, StreamedEngine,
-};
-pub use multi::{
-    run_multi, try_run_multi, try_run_multi_observed, DeviceRunStats, MultiConfig, MultiOutput,
-    MultiRunStats, MAX_DEVICES,
-};
+pub use middleware::{run_engine, DeadlineObserver, Engine, EngineCtx, ShardEngine};
+pub use multi::{run_multi, try_run_multi, MultiConfig};
 pub use program::{Value, VertexProgram};
 pub use shards::GShards;
 pub use stats::{
-    Direction, FaultStats, FrontierStats, IterationStat, MemoStats, RunStats, SdcStats,
+    DeviceRunStats, Direction, FaultStats, FrontierStats, IterationStat, MemoStats, MultiOutput,
+    MultiRunStats, RunStats, SdcStats,
 };
-pub use streaming::{run_streamed, try_run_streamed, try_run_streamed_observed, StreamingConfig};
+pub use streaming::{run_streamed, try_run_streamed, StreamingConfig};

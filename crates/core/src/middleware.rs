@@ -1,11 +1,6 @@
-//! Engine middleware: one wrapper for every engine.
-//!
-//! Historically each engine re-wired the cross-cutting machinery itself —
-//! deadline enforcement only reached [`try_run_warm`](crate::try_run_warm),
-//! the streamed engine had its own copy-retry loop, the baselines had
-//! nothing. This module centralizes the stack: implement [`Engine`] (a thin
-//! adapter around an engine's entry point) and [`run_engine`] provides, in
-//! one code path,
+//! Engine middleware: one wrapper for every engine. Implement [`Engine`] (a
+//! thin adapter around an engine's entry point) and [`run_engine`] provides,
+//! in one code path,
 //!
 //! * configuration and graph validation,
 //! * deadline enforcement and observer cancellation ([`DeadlineObserver`]
@@ -21,20 +16,20 @@
 //!   detection → restart → fallback ladder the shard engines run
 //!   internally, applied as a last line of defense for engines without one.
 //!
-//! The adapters for the in-core engines live here ([`ShardEngine`],
-//! [`StreamedEngine`], [`FleetEngine`]); the baselines and the frontier
+//! The shard family's one adapter lives here ([`ShardEngine`]: a
+//! representation and a [`Placement`]); the baselines and the frontier
 //! engine implement [`Engine`] in their own crates.
 
-use crate::engine::{try_run_warm, CuShaConfig, CuShaOutput, PreparedLayout, Repr, RunObserver};
+use crate::engine::{
+    try_run_placed, CuShaConfig, CuShaOutput, Placement, PreparedLayout, Repr, RunObserver,
+};
 use crate::error::EngineError;
 use crate::fallback::run_fallback;
 use crate::kernel::RetryPolicy;
-use crate::multi::{try_run_multi_observed, MultiConfig, MultiRunStats};
 use crate::program::VertexProgram;
 use crate::stats::FaultStats;
-use crate::streaming::{try_run_streamed_observed, StreamingConfig};
 use cusha_graph::Graph;
-use cusha_simt::{FaultPlan, Interconnect};
+use cusha_simt::FaultPlan;
 
 /// Per-attempt context the middleware hands an engine: the effective
 /// configuration, the (middleware-owned) fault plan to install on the
@@ -71,12 +66,6 @@ pub trait Engine<P: VertexProgram> {
     /// past recovery.
     fn recovers_faults(&self) -> bool {
         false
-    }
-
-    /// Fleet-level statistics of the latest successful run, for engines that
-    /// run on more than one device.
-    fn fleet_stats(&self) -> Option<&MultiRunStats> {
-        None
     }
 
     /// Runs the program to convergence (or error) under `ctx`.
@@ -215,59 +204,35 @@ pub fn run_engine<P: VertexProgram, O: RunObserver + ?Sized>(
     }
 }
 
-/// Adapter for the in-core shard engines (CuSha-GS / CuSha-CW): builds the
-/// layout per call and enters [`try_run_warm`].
+/// The shard family's adapter (CuSha-GS / CuSha-CW, wherever `placement`
+/// puts the layout): builds the layout per call and enters
+/// [`try_run_placed`]. Every placement but [`Placement::Resident`] recovers
+/// from faults itself; fleet statistics come back in
+/// [`RunStats::fleet`](crate::RunStats::fleet).
 pub struct ShardEngine {
-    repr: Repr,
+    /// The representation to run.
+    pub repr: Repr,
+    /// Where the layout lives.
+    pub placement: Placement,
 }
 
 impl ShardEngine {
-    /// Adapter for the given representation.
+    /// Adapter for the given representation, the whole layout resident.
     pub fn new(repr: Repr) -> Self {
-        ShardEngine { repr }
+        ShardEngine {
+            repr,
+            placement: Placement::Resident,
+        }
     }
 }
 
 impl<P: VertexProgram> Engine<P> for ShardEngine {
     fn label(&self) -> String {
-        self.repr.label().into()
-    }
-
-    fn execute(
-        &mut self,
-        prog: &P,
-        graph: &Graph,
-        ctx: EngineCtx<'_>,
-    ) -> Result<CuShaOutput<P::V>, EngineError<P::V>> {
-        let mut cfg = ctx.cfg.clone();
-        cfg.repr = self.repr;
-        let layout = PreparedLayout::for_program::<P>(graph, &cfg)?;
-        try_run_warm(prog, graph, &layout, &cfg, ctx.fault_plan, ctx.observer)
-    }
-}
-
-/// Adapter for the streamed engine. Recovery (copy retry, OOM rebatch,
-/// representation degradation) stays internal; the middleware adds
-/// validation, deadlines, and the final scrub on top.
-pub struct StreamedEngine {
-    /// Device-memory budget for the resident shard window, in bytes.
-    pub resident_bytes: u64,
-}
-
-impl StreamedEngine {
-    /// Streams within the given residency budget.
-    pub fn new(resident_bytes: u64) -> Self {
-        StreamedEngine { resident_bytes }
-    }
-}
-
-impl<P: VertexProgram> Engine<P> for StreamedEngine {
-    fn label(&self) -> String {
-        "CuSha-streamed".into()
+        self.placement.label(self.repr)
     }
 
     fn recovers_faults(&self) -> bool {
-        true
+        !matches!(self.placement, Placement::Resident)
     }
 
     fn execute(
@@ -276,62 +241,23 @@ impl<P: VertexProgram> Engine<P> for StreamedEngine {
         graph: &Graph,
         ctx: EngineCtx<'_>,
     ) -> Result<CuShaOutput<P::V>, EngineError<P::V>> {
-        let scfg = StreamingConfig::new(ctx.cfg.clone(), self.resident_bytes);
-        try_run_streamed_observed(prog, graph, &scfg, ctx.fault_plan, ctx.observer)
-    }
-}
-
-/// Adapter for the multi-device fleet engine. The fleet's per-device
-/// recovery stays internal; the flattened [`MultiRunStats`] of the last run
-/// is kept for callers that report the per-device breakdown.
-pub struct FleetEngine {
-    /// Devices in the fleet.
-    pub devices: usize,
-    /// Interconnect preset for the halo exchange.
-    pub interconnect: Interconnect,
-    /// Fleet statistics of the most recent successful run.
-    pub last: Option<MultiRunStats>,
-}
-
-impl FleetEngine {
-    /// A PCIe-gen3 fleet of `devices` devices.
-    pub fn new(devices: usize) -> Self {
-        FleetEngine {
-            devices,
-            interconnect: Interconnect::pcie_gen3(),
-            last: None,
-        }
-    }
-}
-
-impl<P: VertexProgram> Engine<P> for FleetEngine {
-    fn label(&self) -> String {
-        format!("CuSha x{}", self.devices)
-    }
-
-    fn recovers_faults(&self) -> bool {
-        true
-    }
-
-    fn fleet_stats(&self) -> Option<&MultiRunStats> {
-        self.last.as_ref()
-    }
-
-    fn execute(
-        &mut self,
-        prog: &P,
-        graph: &Graph,
-        ctx: EngineCtx<'_>,
-    ) -> Result<CuShaOutput<P::V>, EngineError<P::V>> {
-        let mcfg = MultiConfig::new(ctx.cfg.clone(), self.devices)
-            .with_interconnect(self.interconnect.clone());
-        // Device 0 runs under the middleware's plan and hands it back.
-        let out = try_run_multi_observed(prog, graph, &mcfg, ctx.fault_plan, ctx.observer)?;
-        self.last = Some(out.stats.clone());
-        Ok(CuShaOutput {
-            values: out.values,
-            stats: out.stats.as_run_stats(),
-        })
+        let (cfg, placement) = (
+            CuShaConfig {
+                repr: self.repr,
+                ..ctx.cfg.clone()
+            },
+            &self.placement,
+        );
+        let layout = PreparedLayout::for_program::<P>(graph, &cfg, placement)?;
+        try_run_placed(
+            prog,
+            graph,
+            &layout,
+            &cfg,
+            placement,
+            ctx.fault_plan,
+            ctx.observer,
+        )
     }
 }
 
@@ -361,6 +287,30 @@ mod tests {
         assert!(!dl.on_iteration(4, 10, 0.9));
         // The inner observer is not consulted once the deadline expired.
         assert_eq!(inner.calls, 2);
+    }
+
+    /// One function names an adapter and the runs it makes.
+    #[test]
+    fn an_adapter_is_called_what_its_runs_report() {
+        use crate::program::testing::MiniSssp;
+        use cusha_graph::generators::rmat::{rmat, RmatConfig};
+        let g = rmat(&RmatConfig::graph500(8, 1500, 21));
+        for repr in [Repr::GShards, Repr::ConcatWindows] {
+            let placements = [
+                Placement::Resident,
+                Placement::streamed(4096),
+                Placement::fleet(1),
+                Placement::fleet(4),
+            ];
+            for placement in placements {
+                let mut engine = ShardEngine { repr, placement };
+                let label = Engine::<MiniSssp>::label(&engine);
+                let cfg = CuShaConfig::new(repr);
+                let prog = MiniSssp { source: 0 };
+                let out = run_engine(&mut engine, &prog, &g, &cfg, None, &mut NoopObserver);
+                assert_eq!(label, out.unwrap().stats.engine);
+            }
+        }
     }
 
     #[test]

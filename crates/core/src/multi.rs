@@ -1,18 +1,19 @@
 //! The multi-device engine: G-Shards/CW over a [`DeviceFleet`] with a
-//! modeled halo exchange — and, in `drive`, the one host loop every shard
-//! engine runs in: [`crate::try_run_warm`] enters it as a fleet of one over a
-//! borrowed layout, with no fabric and every fault surfaced, and
-//! [`crate::try_run_streamed`] as a fleet of one whose device starts out of
-//! core.
+//! modeled halo exchange — and, in `drive`, the one host loop every
+//! placement of the shard family runs in ([`crate::try_run_placed`]): a
+//! resident run is a fleet of one over a borrowed layout, with no fabric and
+//! every fault surfaced, and a streamed run a fleet of one whose device
+//! starts out of core.
 //!
 //! The graph's shard sequence is split into N edge-balanced contiguous
-//! ranges ([`FleetPartition`]); device `d` holds the vertex values, shard
-//! entries and (CW) concatenated windows of its own range. Each iteration
-//! every device runs the same four-stage kernel as the single-device engine
-//! over its shards; stage-4 writes that land in *another* device's shard
-//! arrays — the halo updates — are written to a per-device outbox buffer
-//! (charging normal store traffic) and then exchanged: one bulk-synchronous
-//! all-to-all per iteration, timed by the fleet's [`Interconnect`].
+//! ranges ([`cusha_graph::FleetPartition`]); device `d` holds the vertex
+//! values, shard entries and (CW) concatenated windows of its own range. Each
+//! iteration every device runs the same four-stage kernel as the
+//! single-device engine over its shards; stage-4 writes that land in
+//! *another* device's shard arrays — the halo updates — are written to a
+//! per-device outbox buffer (charging normal store traffic) and then
+//! exchanged: one bulk-synchronous all-to-all per iteration, timed by the
+//! fleet's [`Interconnect`].
 //!
 //! **Determinism / bit-identity.** Functionally the fleet re-enacts the
 //! single-device engine's exact schedule: devices are processed in
@@ -26,21 +27,21 @@
 //! plus the exchange, which is where the speedup (and the interconnect
 //! bottleneck) appears.
 //!
-//! **Fault isolation.** Each device has its own [`FaultPlan`] and its own
-//! recovery ladder — transient copy faults retry with exponential backoff,
-//! kernel faults relaunch in place (launch faults fire before any block
-//! runs, so the relaunch is exact), a device that cannot hold its partition
-//! streams it — values resident, shards in batches under a byte budget that
-//! halves on every further OOM, the streamed engine's scheme — and a device
-//! whose kernel keeps faulting degrades to a host-side re-enactment of its
-//! own shards. A faulted device never poisons the fleet: the other
-//! devices keep running on hardware, and results stay bit-identical. That
-//! is the *recover in place* value of the loop's one fault policy; the
-//! in-core and streamed engines pass *surface*, and the same faults leave as
-//! typed errors once their budgets are spent.
+//! **Fault isolation.** Each device has its own `FaultPlan` and its own
+//! recovery ladder — transient copy faults retry with
+//! exponential backoff, kernel faults relaunch in place (launch faults fire
+//! before any block runs, so the relaunch is exact), a device that cannot
+//! hold its partition streams it — values resident, shards in batches under
+//! a byte budget that halves on every further OOM, the streamed placement's
+//! scheme — and a device whose kernel keeps faulting degrades to a host-side
+//! re-enactment of its own shards. A faulted device never poisons the fleet:
+//! the other devices keep running on hardware, and results stay
+//! bit-identical. That is the *recover in place* value of the loop's one
+//! fault policy; the resident and streamed placements pass *surface*, and
+//! the same faults leave as typed errors once their budgets are spent.
 
 use crate::engine::{
-    trace_iteration, CuShaConfig, CuShaOutput, NoopObserver, PreparedLayout, RunObserver,
+    try_run_cold, CuShaConfig, CuShaOutput, Placement, PreparedLayout, RunObserver,
 };
 use crate::error::EngineError;
 use crate::fallback::FALLBACK_LABEL;
@@ -49,25 +50,20 @@ use crate::kernel::{
     batch_end, entry_range, fault_instant, upload_resident, vertex_range, with_copy_retries,
     DeviceSlice, HostArrays, HostMaster, Resident, RetryPolicy, SpillVia, MAX_REBATCHES,
 };
-use crate::memsize::{check_streams, entry_bytes, ValueSizes};
+use crate::memsize::{entry_bytes, ValueSizes};
 use crate::middleware::DeadlineObserver;
 use crate::program::VertexProgram;
-use crate::stats::{FaultStats, IterationStat, MemoStats, RunStats, SdcStats};
-use cusha_graph::{FleetPartition, Graph};
-use cusha_obs::trace::{lanes, ArgVal};
-use cusha_simt::{
-    DevVec, DeviceFault, DeviceFleet, FaultPlan, Gpu, Interconnect, KernelStats, Pod, Profile,
+use crate::stats::{
+    DeviceRunStats, FaultStats, IterationStat, MemoStats, MultiOutput, MultiRunStats, SdcStats,
 };
+use cusha_graph::Graph;
+use cusha_obs::trace::{lanes, ArgVal};
+use cusha_simt::{DevVec, DeviceFault, DeviceFleet, Gpu, Interconnect, Pod};
 use std::collections::HashSet;
 use std::ops::Range;
 
-/// Most devices a fleet may have: the interconnect presets model one host's
-/// fabric (a PCIe root complex, an NVLink island), and no such host carries
-/// more. Idle devices are legal, so the shard count is not the bound; every
-/// per-device structure is allocated up front, so the count must have one.
-pub const MAX_DEVICES: usize = 64;
-
-/// Configuration of the multi-device engine.
+/// Configuration of the multi-device engine: the base configuration and a
+/// [`Placement::Fleet`], spelled as fields.
 #[derive(Clone, Debug)]
 pub struct MultiConfig {
     /// Base engine configuration (representation, shard size, per-device
@@ -118,226 +114,13 @@ impl MultiConfig {
         self
     }
 
-    /// Checks the multi-device invariants on top of
-    /// [`CuShaConfig::validate`].
-    pub fn validate(&self) -> Result<(), String> {
-        self.base.validate()?;
-        if !(1..=MAX_DEVICES).contains(&self.devices) {
-            return Err(format!(
-                "devices must be between 1 and {MAX_DEVICES}, got {}",
-                self.devices
-            ));
+    /// The placement these fields spell.
+    pub fn placement(&self) -> Placement {
+        Placement::Fleet {
+            devices: self.devices,
+            interconnect: self.interconnect.clone(),
+            fault_plans: self.fault_plans.clone(),
         }
-        if self.fault_plans.len() > self.devices {
-            return Err(format!(
-                "fault_plans names device {} but the fleet has {} devices",
-                self.fault_plans.len() - 1,
-                self.devices
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// Per-device breakdown inside a [`MultiRunStats`].
-#[derive(Clone, Debug)]
-pub struct DeviceRunStats {
-    /// Device id within the fleet.
-    pub device: usize,
-    /// How the device finished the run: `"resident"` (whole partition on
-    /// device), `"rebatched"` (out of core: values resident, shards streamed
-    /// in batches — where an OOM sends a fleet device and a streamed run
-    /// starts), `"host-fallback"` (kernel-fault recovery) or `"idle"`.
-    pub mode: &'static str,
-    /// Shards owned by this device.
-    pub shards: usize,
-    /// Vertices owned by this device.
-    pub vertices: usize,
-    /// Shard entries (edges) owned by this device.
-    pub edges: usize,
-    /// Remote vertices this device's entries read (the partition halo).
-    pub halo_vertices: usize,
-    /// Host→device seconds charged on this device.
-    pub h2d_seconds: f64,
-    /// Device→host seconds charged on this device.
-    pub d2h_seconds: f64,
-    /// Kernel seconds charged on this device.
-    pub kernel_seconds: f64,
-    /// Kernels launched on this device.
-    pub kernels_launched: u64,
-    /// Accumulated simulator counters of this device's launches.
-    pub kernel: KernelStats,
-    /// Halo bytes this device sent over the interconnect.
-    pub exchange_sent_bytes: u64,
-    /// Halo bytes this device received over the interconnect.
-    pub exchange_recv_bytes: u64,
-    /// Recovery activity on this device.
-    pub fault: FaultStats,
-    /// Silent-data-corruption defense activity on this device.
-    pub sdc: SdcStats,
-    /// Per-launch kernel history when profiling was enabled.
-    pub profile: Option<Profile>,
-}
-
-/// Statistics of one multi-device run.
-#[derive(Clone, Debug, Default)]
-pub struct MultiRunStats {
-    /// Engine label, e.g. `"CuSha-CW x4"`.
-    pub engine: String,
-    /// Interconnect preset name.
-    pub interconnect: String,
-    /// Devices in the fleet.
-    pub devices: usize,
-    /// Iterations until convergence (or the cap).
-    pub iterations: u32,
-    /// Whether the fleet converged before the iteration cap.
-    pub converged: bool,
-    /// Modeled setup seconds: the slowest device's initial upload.
-    pub setup_seconds: f64,
-    /// Modeled iteration seconds: per iteration, the slowest device's wall
-    /// (transfers + kernels + watchdog snapshots), devices overlapping.
-    pub compute_seconds: f64,
-    /// Total halo bytes moved over the interconnect.
-    pub exchange_bytes: u64,
-    /// Modeled interconnect seconds across all exchanges.
-    pub exchange_seconds: f64,
-    /// Modeled final-download seconds: the slowest device's result copy.
-    pub teardown_seconds: f64,
-    /// Edge-count load imbalance of the partition (1.0 = perfect).
-    pub load_imbalance: f64,
-    /// Per-device breakdown.
-    pub per_device: Vec<DeviceRunStats>,
-    /// Fleet-level aggregate of every device's kernel counters.
-    pub aggregate: KernelStats,
-    /// Fleet-level aggregate of every device's recovery activity.
-    pub fault: FaultStats,
-    /// Fleet-level aggregate of every device's SDC-defense activity.
-    pub sdc: SdcStats,
-    /// Per-iteration detail (seconds = slowest device's kernel time).
-    pub per_iteration: Vec<IterationStat>,
-    /// Simulator memo activity summed over the fleet's devices.
-    pub memo: MemoStats,
-}
-
-impl MultiRunStats {
-    /// End-to-end modeled seconds: setup + overlapped iterations +
-    /// exchanges + teardown.
-    pub fn modeled_seconds(&self) -> f64 {
-        self.setup_seconds + self.compute_seconds + self.exchange_seconds + self.teardown_seconds
-    }
-
-    /// Flattens into a single-engine [`RunStats`] (setup → `h2d`,
-    /// iterations + exchange → `compute`, teardown → `d2h`, aggregate
-    /// counters → `kernel`) for code paths that consume the single-device
-    /// shape, e.g. [`EngineError::NonConverged`].
-    pub fn as_run_stats(&self) -> RunStats {
-        RunStats {
-            engine: self.engine.clone(),
-            iterations: self.iterations,
-            converged: self.converged,
-            h2d_seconds: self.setup_seconds,
-            compute_seconds: self.compute_seconds + self.exchange_seconds,
-            d2h_seconds: self.teardown_seconds,
-            per_iteration: self.per_iteration.clone(),
-            kernel: self.aggregate.clone(),
-            profile: None,
-            fault: self.fault,
-            sdc: self.sdc,
-            frontier: None,
-            memo: self.memo,
-        }
-    }
-
-    /// Records the fleet run — overlapped phase timings, exchange volume,
-    /// aggregate kernel counters, fleet fault activity, and a per-device
-    /// breakdown under an added `device=N` label — into a metrics registry.
-    pub fn record_metrics(&self, reg: &mut cusha_obs::MetricsRegistry, labels: &[(&str, &str)]) {
-        reg.add("multi_devices", labels, self.devices as u64);
-        reg.add("run_iterations", labels, self.iterations as u64);
-        reg.set_gauge(
-            "run_converged",
-            labels,
-            if self.converged { 1.0 } else { 0.0 },
-        );
-        reg.set_gauge("multi_setup_seconds", labels, self.setup_seconds);
-        reg.set_gauge("multi_compute_seconds", labels, self.compute_seconds);
-        reg.set_gauge("multi_exchange_seconds", labels, self.exchange_seconds);
-        reg.set_gauge("multi_teardown_seconds", labels, self.teardown_seconds);
-        reg.set_gauge("multi_total_seconds", labels, self.modeled_seconds());
-        reg.add("multi_exchange_bytes", labels, self.exchange_bytes);
-        reg.set_gauge("multi_load_imbalance", labels, self.load_imbalance);
-        for it in &self.per_iteration {
-            reg.observe("iteration_seconds", labels, it.seconds);
-            reg.observe(
-                "iteration_updated_vertices",
-                labels,
-                it.updated_vertices as f64,
-            );
-        }
-        self.aggregate.record_metrics(reg, labels);
-        self.fault.record_metrics(reg, labels);
-        self.sdc.record_metrics(reg, labels);
-        for dev in &self.per_device {
-            let id = dev.device.to_string();
-            let mut dl: Vec<(&str, &str)> = labels.to_vec();
-            dl.push(("device", &id));
-            reg.add("device_shards", &dl, dev.shards as u64);
-            reg.add("device_vertices", &dl, dev.vertices as u64);
-            reg.add("device_edges", &dl, dev.edges as u64);
-            reg.add("device_halo_vertices", &dl, dev.halo_vertices as u64);
-            reg.add("device_kernels_launched", &dl, dev.kernels_launched);
-            reg.add("device_exchange_sent_bytes", &dl, dev.exchange_sent_bytes);
-            reg.add("device_exchange_recv_bytes", &dl, dev.exchange_recv_bytes);
-            reg.set_gauge("device_h2d_seconds", &dl, dev.h2d_seconds);
-            reg.set_gauge("device_d2h_seconds", &dl, dev.d2h_seconds);
-            reg.set_gauge("device_kernel_seconds", &dl, dev.kernel_seconds);
-            dev.kernel.record_metrics(reg, &dl);
-            dev.fault.record_metrics(reg, &dl);
-            dev.sdc.record_metrics(reg, &dl);
-        }
-    }
-}
-
-/// Result of a multi-device run.
-#[derive(Clone, Debug)]
-pub struct MultiOutput<V> {
-    /// Final vertex values, indexed by vertex id — bit-identical to the
-    /// single-device engine's.
-    pub values: Vec<V>,
-    /// Multi-device statistics.
-    pub stats: MultiRunStats,
-}
-
-impl<V> MultiOutput<V> {
-    /// A one-device run in the single-engine shape: the flattened fleet
-    /// record under `engine`'s label, but for the compute and download
-    /// seconds, which the engine splits its own way, and one launch geometry
-    /// (`blocks` as the engine counts them) over every launch's counters.
-    pub(crate) fn into_solo(
-        self,
-        engine: String,
-        blocks: u32,
-        compute_seconds: f64,
-        d2h_seconds: f64,
-    ) -> CuShaOutput<V> {
-        let (values, mut fleet) = (self.values, self.stats);
-        let dev = fleet.per_device.swap_remove(0);
-        fleet.engine = engine;
-        let kernel = KernelStats {
-            name: fleet.aggregate.name.clone(),
-            blocks,
-            threads_per_block: dev.kernel.threads_per_block,
-            counters: dev.kernel.counters,
-            ..Default::default()
-        };
-        let stats = RunStats {
-            compute_seconds,
-            d2h_seconds,
-            kernel,
-            profile: dev.profile,
-            ..fleet.as_run_stats()
-        };
-        CuShaOutput { values, stats }
     }
 }
 
@@ -353,177 +136,66 @@ pub fn run_multi<P: VertexProgram>(
     graph: &Graph,
     cfg: &MultiConfig,
 ) -> MultiOutput<P::V> {
-    match run_fleet(prog, graph, cfg, None, &mut NoopObserver) {
+    match try_run_multi(prog, graph, cfg) {
         Ok(out) => out,
+        Err(EngineError::NonConverged { partial }) => fleet_of(*partial),
         Err(e) => panic!("{e}"),
     }
 }
 
 /// Executes `prog` over `graph` on the fleet, returning every failure as an
-/// [`EngineError`]. A capped run yields [`EngineError::NonConverged`]
-/// carrying the flattened partial output.
+/// [`EngineError`]: [`crate::try_run_placed`] over a layout built for the
+/// placement. A capped run yields [`EngineError::NonConverged`] carrying the
+/// flattened partial output, its fleet record in [`RunStats::fleet`].
+///
+/// [`RunStats::fleet`]: crate::RunStats::fleet
 pub fn try_run_multi<P: VertexProgram>(
     prog: &P,
     graph: &Graph,
     cfg: &MultiConfig,
 ) -> Result<MultiOutput<P::V>, EngineError<P::V>> {
-    try_run_multi_observed(prog, graph, cfg, None, &mut NoopObserver)
+    try_run_cold(prog, graph, &cfg.base, &cfg.placement()).map(fleet_of)
 }
 
-/// [`try_run_multi`] with the resident-caller extras of
-/// [`try_run_warm`](crate::try_run_warm): a caller-owned [`FaultPlan`]
-/// (installed on device 0 in place of `cfg.base.fault_plan` unless
-/// `cfg.fault_plans` names per-device plans; its advanced state is written
-/// back on every exit) and a [`RunObserver`] consulted after every iteration
-/// (elapsed is the modeled fleet clock: per-iteration critical path plus halo
-/// exchange). The observer returning `false` aborts with
-/// [`EngineError::Deadline`].
-pub fn try_run_multi_observed<P: VertexProgram, O: RunObserver + ?Sized>(
-    prog: &P,
-    graph: &Graph,
-    cfg: &MultiConfig,
-    fault_plan: Option<&mut FaultPlan>,
-    observer: &mut O,
-) -> Result<MultiOutput<P::V>, EngineError<P::V>> {
-    let out = run_fleet(prog, graph, cfg, fault_plan, observer)?;
-    if out.stats.converged {
-        Ok(out)
-    } else {
-        let partial = CuShaOutput {
-            values: out.values,
-            stats: out.stats.as_run_stats(),
-        };
-        Err(EngineError::NonConverged {
-            partial: Box::new(partial),
-        })
-    }
-}
-
-/// The fleet façade over [`drive`]: it owns the layout and the partition,
-/// builds the devices (share-sized replay tables, a fault plan each) over the
-/// configured interconnect, and recovers in place. Returns the output whether
-/// or not it converged (the `converged` flag tells); hard failures are errors.
-fn run_fleet<P: VertexProgram, O: RunObserver + ?Sized>(
-    prog: &P,
-    graph: &Graph,
-    cfg: &MultiConfig,
-    fault_plan: Option<&mut FaultPlan>,
-    observer: &mut O,
-) -> Result<MultiOutput<P::V>, EngineError<P::V>> {
-    cfg.validate().map_err(EngineError::InvalidConfig)?;
-    graph.validate()?;
-    let n_per = PreparedLayout::select_n_per(graph, &cfg.base, <P::V as Pod>::SIZE);
-    let (v, sizes) = (graph.num_vertices() as u64, ValueSizes::of::<P>());
-    let devices = cfg.devices as u64;
-    check_streams(v, devices, sizes, (cfg.base.repr, n_per), &cfg.base.device)?;
-    let layout = PreparedLayout::build(graph, cfg.base.repr, n_per);
-    let fp = FleetPartition::from_graph(graph, n_per, cfg.devices);
-    debug_assert_eq!(fp.num_shards(), layout.num_shards() as usize);
-
-    let mut fleet = DeviceFleet::new(&cfg.base.device, cfg.devices, cfg.interconnect.clone());
-    fleet.set_tracer(&cfg.base.trace);
-    for d in 0..cfg.devices {
-        fleet.device_mut(d).set_profiling(cfg.base.profile);
-    }
-    // The base plan (the caller's, when one is carried) lands on device 0
-    // unless per-device plans override it.
-    let carried = cfg.fault_plans.iter().all(Option::is_none);
-    let mut plans = cfg.fault_plans.clone();
-    if carried {
-        let base = fault_plan.as_deref().cloned();
-        plans = vec![base.or_else(|| cfg.base.fault_plan.clone())];
-    }
-    for (d, plan) in plans.into_iter().enumerate() {
-        if let Some(p) = plan {
-            fleet.device_mut(d).set_fault_plan(p);
-        }
-    }
-
-    let shards = fp.parts().iter().map(|part| &part.shards);
-    let shards: Vec<_> = shards.map(|s| s.start as u32..s.end as u32).collect();
-    let policy = FaultPolicy::Recover(RetryPolicy::DEFAULT, MAX_REBATCHES);
-    let name = format!("{}::{}", cfg.base.repr.label(), prog.name());
-    let mut faults = vec![FaultStats::default(); cfg.devices];
-    let mut sdcs = vec![SdcStats::default(); cfg.devices];
-    let (base, fleet, records) = (&cfg.base, &mut fleet, (&mut faults[..], &mut sdcs[..]));
-    let result = drive(
-        prog,
-        graph,
-        base,
-        &layout,
-        &shards,
-        fleet,
-        policy,
-        Start::Resident,
-        &name,
-        records,
-        observer,
-    );
-    // Counters consumed by a failed or cancelled run are consumed for good.
-    if let (true, Some(slot)) = (carried, fault_plan) {
-        if let Some(advanced) = fleet.device_mut(0).take_fault_plan() {
-            *slot = advanced;
-        }
-    }
-    let mut out = match result {
-        Ok((out, _)) => out,
-        Err(Stop::Error(e)) => return Err(e),
-        Err(Stop::Abandon) => unreachable!("the fleet recovers in place"),
+/// The fleet-shaped record of a fleet placement's output.
+fn fleet_of<V>(out: CuShaOutput<V>) -> MultiOutput<V> {
+    let Some(stats) = out.stats.fleet else {
+        unreachable!("a fleet placement reports its fleet")
     };
-    let stats = &mut out.stats;
-    stats.engine = match cfg.devices {
-        1 => cfg.base.repr.label().to_string(),
-        n => format!("{} x{n}", cfg.base.repr.label()),
-    };
-    stats.interconnect = cfg.interconnect.name.to_string();
-    stats.load_imbalance = fp.imbalance();
-    for (dev, part) in stats.per_device.iter_mut().zip(fp.parts()) {
-        dev.halo_vertices = part.halo.len();
+    MultiOutput {
+        values: out.values,
+        stats: *stats,
     }
-    Ok(out)
 }
 
-/// What a fault does once its in-place budgets are spent — the one thing the
-/// engines' recovery differs in. Both values carry the budgets, which are
-/// data: the copy and kernel retries, and the budget halvings a device may
-/// spend on OOM. Each façade derives its value; it is never a setting.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum FaultPolicy {
-    /// The in-core engine (`Surface(RetryPolicy::NONE, 0)`: nothing is
-    /// retried) and the streamed engine: past the budgets an OOM, a kernel or
-    /// copy fault and a spent SDC ladder each leave [`drive`] as a typed
-    /// [`Stop`]; the caller owns what comes next.
-    Surface(RetryPolicy, u32),
-    /// The fleet: a device past its rebatch budget, one whose kernel keeps
-    /// faulting, or one a spent SDC ladder suspects degrades to the host
-    /// re-enactment of its shards.
-    Recover(RetryPolicy, u32),
-}
-
-impl FaultPolicy {
-    /// The one decision between the two values: `Err(stop())` leaves the loop
-    /// with the fault; `Ok(())` tells the caller to recover in place.
-    fn absorb<S>(self, stop: impl FnOnce() -> S) -> Result<(), S> {
+/// What a placement hands [`drive`] besides its devices and shards.
+impl Placement {
+    /// The in-place budgets a device may spend: copy and kernel retries, and
+    /// the budget halvings an OOM may cost it. A resident run spends none —
+    /// its caller owns recovery.
+    fn budgets(&self) -> (RetryPolicy, u32) {
         match self {
-            FaultPolicy::Surface(..) => Err(stop()),
-            FaultPolicy::Recover(..) => Ok(()),
+            Placement::Resident => (RetryPolicy::NONE, 0),
+            _ => (RetryPolicy::DEFAULT, MAX_REBATCHES),
         }
     }
-}
 
-/// How a device with shards begins the run.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum Start {
-    /// Its whole share goes up; one that does not fit streams instead, under
-    /// half the device's memory.
-    Resident,
-    /// Out of core from the first iteration: batches of at most `budget`
-    /// bytes; with `streams >= 2` a batch's upload overlaps the kernel before.
-    Streamed { budget: u64, streams: u32 },
+    /// What a fault past those budgets does — the one thing the placements'
+    /// recovery differs in. `Err(stop())`: it leaves [`drive`] as a typed
+    /// [`Stop`] (a resident or streamed run: an OOM, a kernel or copy fault,
+    /// a spent SDC ladder; the caller owns what comes next). `Ok(())`: the
+    /// caller recovers in place (a fleet device degrades to the host
+    /// re-enactment of its shards).
+    fn absorb<S>(&self, stop: impl FnOnce() -> S) -> Result<(), S> {
+        match self {
+            Placement::Fleet { .. } => Ok(()),
+            _ => Err(stop()),
+        }
+    }
 }
 
 /// Clocks of one device that the fleet-shaped record has no field for; the
-/// façades reporting in the single-engine shape read them.
+/// placements reporting in the single-engine shape read them.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct DeviceClocks {
     /// The device's D2H clock when the final download began.
@@ -600,7 +272,7 @@ impl<P: VertexProgram> Mode<P> {
 struct MultiState<'a, P: VertexProgram> {
     prog: &'a P,
     base: &'a CuShaConfig,
-    policy: FaultPolicy,
+    placement: &'a Placement,
     retry: RetryPolicy,
     max_rebatches: u32,
     layout: &'a PreparedLayout,
@@ -689,7 +361,7 @@ impl<P: VertexProgram> MultiState<'_, P> {
         let res = loop {
             if let Some(f) = oom.take() {
                 if !rebatch(fault, max, gpu, &mut budget) {
-                    self.policy.absorb(|| f)?;
+                    self.placement.absorb(|| f)?;
                     break None;
                 }
             }
@@ -888,7 +560,7 @@ impl<P: VertexProgram> MultiState<'_, P> {
                 self.fleet.record_launch(d, &kstats);
             }
             Err(f @ DeviceFault::Kernel { .. }) => {
-                self.policy.absorb(|| f)?;
+                self.placement.absorb(|| f)?;
                 self.fall_back(d, self.infos[d].shards.start, out)?;
             }
             Err(other) => return Err(other),
@@ -1010,7 +682,7 @@ impl<P: VertexProgram> MultiState<'_, P> {
         };
         match failed {
             f @ (DeviceFault::Oom { .. } | DeviceFault::Kernel { .. }) => {
-                self.policy.absorb(|| f)?;
+                self.placement.absorb(|| f)?;
                 self.fall_back(d, s, out)
             }
             other => Err(other),
@@ -1031,10 +703,10 @@ fn rebatch(fault: &mut FaultStats, max_rebatches: u32, gpu: &Gpu, budget: &mut u
 }
 
 /// The one host loop around the kernel: bring each device's shard range up,
-/// iterate the devices in order until no vertex value changes, download. An
-/// in-core run is a fleet of one whose device stays resident, a streamed run
-/// a fleet of one whose device starts out of core; what the callers differ in
-/// is exactly what they pass:
+/// iterate the devices in order until no vertex value changes, download. A
+/// resident run is a fleet of one whose device stays resident, a streamed run
+/// a fleet of one whose device starts out of core; what the placements differ
+/// in is exactly what [`crate::try_run_placed`] passes:
 ///
 /// * `layout` is borrowed — its owner decides whether it outlives the run —
 ///   and `shards` gives each device its contiguous share of `0..num_shards`;
@@ -1045,13 +717,14 @@ fn rebatch(fault: &mut FaultStats, max_rebatches: u32, gpu: &Gpu, budget: &mut u
 ///   [`DeviceFleet::fleet_pid`] — runs on the fleet clock (slowest device per
 ///   iteration, then the exchange); with none there is no exchange step and
 ///   the lane's clock is the devices' own, end to end;
-/// * `policy` carries the in-place budgets, and past them surfaces a fault or
-///   recovers from it in place;
-/// * `start` is how a device with shards begins, `name` what its launches
-///   are called (fault plans match on it);
+/// * `placement` says how a device with shards begins — its whole share
+///   up (one that does not fit streams it), or out of core — and, past the
+///   in-place budgets, whether a fault surfaces or is recovered from in
+///   place; `name` is what its launches are called (fault plans match on it);
 /// * `records` are the devices' fail-stop and SDC records, the caller's so
 ///   that they outlive an `Err` and a caller re-entering rung after rung
-///   carries device 0's budgets across.
+///   carries device 0's budgets across; `since` is what the earlier rungs'
+///   modeled clock read, where the observer's and a deadline's run on from.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
     prog: &P,
@@ -1060,15 +733,13 @@ pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
     layout: &PreparedLayout,
     shards: &[Range<u32>],
     fleet: &mut DeviceFleet,
-    policy: FaultPolicy,
-    start: Start,
+    placement: &Placement,
     name: &str,
     (faults, sdcs): (&mut [FaultStats], &mut [SdcStats]),
-    observer: &mut O,
+    (since, observer): (f64, &mut O),
 ) -> Result<Driven<P::V>, Stop<P::V>> {
     let observer = &mut DeadlineObserver::new(base.deadline_seconds, observer);
-    let (FaultPolicy::Surface(retry, max_rebatches) | FaultPolicy::Recover(retry, max_rebatches)) =
-        policy;
+    let (retry, max_rebatches) = placement.budgets();
     let (gs, n, engine_pid) = (layout.gs(), shards.len(), fleet.fleet_pid());
     let infos = shards.iter().map(|shards| DevInfo {
         vrange: vertex_range(gs, shards),
@@ -1078,7 +749,7 @@ pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
     let mut st = MultiState {
         prog,
         base,
-        policy,
+        placement,
         retry,
         max_rebatches,
         layout,
@@ -1103,8 +774,9 @@ pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
             &mut st.faults[d],
             &st.infos[d].shards,
         );
-        match start {
-            Start::Resident => {
+        match *placement {
+            Placement::Streamed { bytes, streams } => st.stream(d, bytes, streams, None)?,
+            _ => {
                 match upload_resident(gpu, &retry, fault, layout, &st.host, shards.clone()) {
                     Ok((res, slice)) => st.modes[d] = Mode::Resident(Box::new(Held { res, slice })),
                     // The partition does not fit: stream it, on one stream — the
@@ -1115,7 +787,6 @@ pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
                     Err(f) => return Err(f.into()),
                 }
             }
-            Start::Streamed { budget, streams } => st.stream(d, budget, streams, None)?,
         }
     }
     let setup_seconds = (0..n).map(|d| st.lap(d)).fold(0.0, f64::max);
@@ -1152,7 +823,7 @@ pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
     let (sdc, host) = (&mut sdcs[0], &st.host);
     let mut recovery = Recovery::new(base, sdc, &host.values, &host.src_value);
     let streaming = st.modes.iter().any(|m| matches!(m, Mode::Streamed(..)));
-    if matches!(policy, FaultPolicy::Surface(..)) && !streaming {
+    if !matches!(placement, Placement::Fleet { .. }) && !streaming {
         // Everything is uploaded, a fault will surface before a device leaves
         // `Resident`, and `recovery` keeps the restart image it needs.
         st.host.release();
@@ -1218,7 +889,7 @@ pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
             let rung =
                 recovery.step($detector, sdc, spent, iterations, detail, fleet!(Some(det)))?;
             if let Rung::Exhausted = rung {
-                policy.absorb(|| Stop::Abandon)?;
+                placement.absorb(|| Stop::Abandon)?;
                 let victims: Vec<usize> = match $detector {
                     Detector::Checksum => vec![det],
                     Detector::Invariant => (0..n)
@@ -1310,13 +981,23 @@ pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
                 updated_vertices: iter_updated,
             });
             stats.compute_seconds += max_wall;
-            trace_iteration(
-                trace,
+            // `iteration` is 1-based: the number the observer is told.
+            let args = || {
+                let iteration = ArgVal::U64(u64::from(stats.iterations));
+                vec![
+                    ("iteration", iteration),
+                    ("updated_vertices", ArgVal::U64(iter_updated)),
+                ]
+            };
+            let (name, dur) = ("iteration", max_wall);
+            trace.complete_with(
                 engine_pid,
+                lanes::ENGINE,
+                "engine",
+                name,
                 iter_ts,
-                max_wall,
-                stats.iterations,
-                iter_updated,
+                dur,
+                args,
             );
             fleet_clock += max_wall;
             let (now, updated) = (st.now(fleet_clock), iter_updated as f64);
@@ -1354,7 +1035,7 @@ pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
             // Iteration boundary: deadline, checkpoint (assembling the global
             // state from every device) and watchdog — the in-flight kernels
             // have completed, so aborting never leaves partial device writes.
-            let (iterations, elapsed) = (stats.iterations, st.now(fleet_clock));
+            let (iterations, elapsed) = (stats.iterations, since + st.now(fleet_clock));
             let (sdc, dev) = (&mut sdcs[0], fleet!(None::<usize>));
             if recovery.boundary(observer, prog, sdc, iterations, iter_updated, elapsed, dev)? {
                 recover!(0, Detector::Invariant);
@@ -1436,7 +1117,7 @@ pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{run, CuShaConfig};
+    use crate::engine::{run, CuShaConfig, NoopObserver, MAX_DEVICES};
     use crate::program::testing::{MiniSssp, INF};
     use cusha_graph::generators::rmat::{rmat, RmatConfig};
     use cusha_graph::Edge;
@@ -1695,15 +1376,15 @@ mod tests {
         // bounded, never an unbounded allocation.
         for devices in [MAX_DEVICES + 1, 4_000_000_000, usize::MAX] {
             let huge = MultiConfig::new(base.clone(), devices);
-            assert!(huge.validate().unwrap_err().contains("devices"));
+            let refused = huge.placement().validate().unwrap_err();
+            assert!(refused.contains("devices"), "{refused}");
             assert!(matches!(
                 try_run_multi(&MiniSssp { source: 0 }, &g, &huge),
                 Err(EngineError::InvalidConfig(_))
             ));
         }
-        assert!(MultiConfig::new(base.clone(), MAX_DEVICES)
-            .validate()
-            .is_ok());
+        let widest = MultiConfig::new(base.clone(), MAX_DEVICES).placement();
+        assert!(widest.validate().is_ok());
         let overfull = MultiConfig::new(base, 2).with_device_fault_plan(5, FaultPlan::new());
         assert!(matches!(
             try_run_multi(&MiniSssp { source: 0 }, &g, &overfull),
@@ -1810,14 +1491,16 @@ mod tests {
             &layout,
             std::slice::from_ref(&shards),
             &mut fleet,
-            FaultPolicy::Surface(RetryPolicy::NONE, 0),
-            Start::Streamed { budget, streams },
+            &Placement::Streamed {
+                bytes: budget,
+                streams,
+            },
             "chain",
             (
                 std::slice::from_mut(&mut fault),
                 std::slice::from_mut(&mut sdc),
             ),
-            &mut NoopObserver,
+            (0.0, &mut NoopObserver),
         )
         .unwrap_or_else(|_| panic!("streams within resident part + one batch"));
         assert_eq!(out.values, want.values);

@@ -1,6 +1,10 @@
-//! Run statistics shared by every engine (CuSha, VWC, MTCPU).
+//! Run statistics shared by every engine (CuSha, VWC, MTCPU), and the
+//! fleet-shaped record a multi-device run adds to them.
 
-use cusha_simt::KernelStats;
+use crate::engine::CuShaOutput;
+use crate::multi::DeviceClocks;
+use cusha_graph::FleetPartition;
+use cusha_simt::{KernelStats, Profile};
 
 /// One iteration of the convergence loop.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -234,6 +238,9 @@ pub struct RunStats {
     /// exactness-preserving, so these counters never influence modeled
     /// results — they exist to prove the fast paths are actually taken.
     pub memo: MemoStats,
+    /// The fleet-shaped record (per-device breakdown, exchange volume) of a
+    /// run placed on a fleet; `None` on every other placement and engine.
+    pub fleet: Option<Box<MultiRunStats>>,
 }
 
 /// Hit/miss activity of the simulator's accounting memos, accumulated
@@ -363,6 +370,248 @@ impl RunStats {
         // series group per kernel name, uniform across all six engines.
         if let Some(p) = &self.profile {
             p.record_metrics(reg, labels);
+        }
+    }
+}
+
+/// Per-device breakdown inside a [`MultiRunStats`].
+#[derive(Clone, Debug)]
+pub struct DeviceRunStats {
+    /// Device id within the fleet.
+    pub device: usize,
+    /// How the device finished the run: `"resident"` (whole partition on
+    /// device), `"rebatched"` (out of core: values resident, shards streamed
+    /// in batches — where an OOM sends a fleet device and a streamed run
+    /// starts), `"host-fallback"` (kernel-fault recovery) or `"idle"`.
+    pub mode: &'static str,
+    /// Shards owned by this device.
+    pub shards: usize,
+    /// Vertices owned by this device.
+    pub vertices: usize,
+    /// Shard entries (edges) owned by this device.
+    pub edges: usize,
+    /// Remote vertices this device's entries read (the partition halo).
+    pub halo_vertices: usize,
+    /// Host→device seconds charged on this device.
+    pub h2d_seconds: f64,
+    /// Device→host seconds charged on this device.
+    pub d2h_seconds: f64,
+    /// Kernel seconds charged on this device.
+    pub kernel_seconds: f64,
+    /// Kernels launched on this device.
+    pub kernels_launched: u64,
+    /// Accumulated simulator counters of this device's launches.
+    pub kernel: KernelStats,
+    /// Halo bytes this device sent over the interconnect.
+    pub exchange_sent_bytes: u64,
+    /// Halo bytes this device received over the interconnect.
+    pub exchange_recv_bytes: u64,
+    /// Recovery activity on this device.
+    pub fault: FaultStats,
+    /// Silent-data-corruption defense activity on this device.
+    pub sdc: SdcStats,
+    /// Per-launch kernel history when profiling was enabled.
+    pub profile: Option<Profile>,
+}
+
+/// Statistics of one multi-device run.
+#[derive(Clone, Debug, Default)]
+pub struct MultiRunStats {
+    /// Engine label, e.g. `"CuSha-CW x4"`.
+    pub engine: String,
+    /// Interconnect preset name.
+    pub interconnect: String,
+    /// Devices in the fleet.
+    pub devices: usize,
+    /// Iterations until convergence (or the cap).
+    pub iterations: u32,
+    /// Whether the fleet converged before the iteration cap.
+    pub converged: bool,
+    /// Modeled setup seconds: the slowest device's initial upload.
+    pub setup_seconds: f64,
+    /// Modeled iteration seconds: per iteration, the slowest device's wall
+    /// (transfers + kernels + watchdog snapshots), devices overlapping.
+    pub compute_seconds: f64,
+    /// Total halo bytes moved over the interconnect.
+    pub exchange_bytes: u64,
+    /// Modeled interconnect seconds across all exchanges.
+    pub exchange_seconds: f64,
+    /// Modeled final-download seconds: the slowest device's result copy.
+    pub teardown_seconds: f64,
+    /// Edge-count load imbalance of the partition (1.0 = perfect).
+    pub load_imbalance: f64,
+    /// Per-device breakdown.
+    pub per_device: Vec<DeviceRunStats>,
+    /// Fleet-level aggregate of every device's kernel counters.
+    pub aggregate: KernelStats,
+    /// Fleet-level aggregate of every device's recovery activity.
+    pub fault: FaultStats,
+    /// Fleet-level aggregate of every device's SDC-defense activity.
+    pub sdc: SdcStats,
+    /// Per-iteration detail (seconds = slowest device's kernel time).
+    pub per_iteration: Vec<IterationStat>,
+    /// Simulator memo activity summed over the fleet's devices.
+    pub memo: MemoStats,
+}
+
+impl MultiRunStats {
+    /// End-to-end modeled seconds: setup + overlapped iterations +
+    /// exchanges + teardown.
+    pub fn modeled_seconds(&self) -> f64 {
+        self.setup_seconds + self.compute_seconds + self.exchange_seconds + self.teardown_seconds
+    }
+
+    /// Flattens into a single-engine [`RunStats`] (setup → `h2d`,
+    /// iterations + exchange → `compute`, teardown → `d2h`, aggregate
+    /// counters → `kernel`) for code paths that consume the single-device
+    /// shape, e.g. [`EngineError::NonConverged`](crate::EngineError).
+    pub fn as_run_stats(&self) -> RunStats {
+        RunStats {
+            engine: self.engine.clone(),
+            iterations: self.iterations,
+            converged: self.converged,
+            h2d_seconds: self.setup_seconds,
+            compute_seconds: self.compute_seconds + self.exchange_seconds,
+            d2h_seconds: self.teardown_seconds,
+            per_iteration: self.per_iteration.clone(),
+            kernel: self.aggregate.clone(),
+            profile: None,
+            fault: self.fault,
+            sdc: self.sdc,
+            frontier: None,
+            memo: self.memo,
+            fleet: None,
+        }
+    }
+
+    /// Records the fleet run — overlapped phase timings, exchange volume,
+    /// aggregate kernel counters, fleet fault activity, and a per-device
+    /// breakdown under an added `device=N` label — into a metrics registry.
+    pub fn record_metrics(&self, reg: &mut cusha_obs::MetricsRegistry, labels: &[(&str, &str)]) {
+        reg.add("multi_devices", labels, self.devices as u64);
+        reg.add("run_iterations", labels, self.iterations as u64);
+        reg.set_gauge(
+            "run_converged",
+            labels,
+            if self.converged { 1.0 } else { 0.0 },
+        );
+        reg.set_gauge("multi_setup_seconds", labels, self.setup_seconds);
+        reg.set_gauge("multi_compute_seconds", labels, self.compute_seconds);
+        reg.set_gauge("multi_exchange_seconds", labels, self.exchange_seconds);
+        reg.set_gauge("multi_teardown_seconds", labels, self.teardown_seconds);
+        reg.set_gauge("multi_total_seconds", labels, self.modeled_seconds());
+        reg.add("multi_exchange_bytes", labels, self.exchange_bytes);
+        reg.set_gauge("multi_load_imbalance", labels, self.load_imbalance);
+        for it in &self.per_iteration {
+            reg.observe("iteration_seconds", labels, it.seconds);
+            reg.observe(
+                "iteration_updated_vertices",
+                labels,
+                it.updated_vertices as f64,
+            );
+        }
+        self.aggregate.record_metrics(reg, labels);
+        self.fault.record_metrics(reg, labels);
+        self.sdc.record_metrics(reg, labels);
+        for dev in &self.per_device {
+            let id = dev.device.to_string();
+            let mut dl: Vec<(&str, &str)> = labels.to_vec();
+            dl.push(("device", &id));
+            reg.add("device_shards", &dl, dev.shards as u64);
+            reg.add("device_vertices", &dl, dev.vertices as u64);
+            reg.add("device_edges", &dl, dev.edges as u64);
+            reg.add("device_halo_vertices", &dl, dev.halo_vertices as u64);
+            reg.add("device_kernels_launched", &dl, dev.kernels_launched);
+            reg.add("device_exchange_sent_bytes", &dl, dev.exchange_sent_bytes);
+            reg.add("device_exchange_recv_bytes", &dl, dev.exchange_recv_bytes);
+            reg.set_gauge("device_h2d_seconds", &dl, dev.h2d_seconds);
+            reg.set_gauge("device_d2h_seconds", &dl, dev.d2h_seconds);
+            reg.set_gauge("device_kernel_seconds", &dl, dev.kernel_seconds);
+            dev.kernel.record_metrics(reg, &dl);
+            dev.fault.record_metrics(reg, &dl);
+            dev.sdc.record_metrics(reg, &dl);
+        }
+    }
+}
+
+/// Result of a multi-device run.
+#[derive(Clone, Debug)]
+pub struct MultiOutput<V> {
+    /// Final vertex values, indexed by vertex id — bit-identical to the
+    /// single-device engine's.
+    pub values: Vec<V>,
+    /// Multi-device statistics.
+    pub stats: MultiRunStats,
+}
+
+impl<V> MultiOutput<V> {
+    /// A one-device run in the single-engine shape: the flattened fleet
+    /// record under `engine`'s label, with one launch geometry over every
+    /// launch's counters. A resident device's clocks split where the upload
+    /// ended and the final download began (per-iteration flag traffic is
+    /// compute); a streamed one's compute is its batch pipeline plus the PCIe
+    /// terms no device clock sees, and its D2H `streamed`, the values' one
+    /// transfer.
+    pub(crate) fn into_solo(
+        self,
+        engine: String,
+        clock: &DeviceClocks,
+        streamed: Option<f64>,
+    ) -> CuShaOutput<V> {
+        let (values, mut fleet) = (self.values, self.stats);
+        let dev = fleet.per_device.swap_remove(0);
+        let before = clock.d2h_before_results;
+        let (blocks, compute_seconds, d2h_seconds) = match streamed {
+            None => {
+                let compute = dev.kernel_seconds + (dev.h2d_seconds - fleet.setup_seconds) + before;
+                (dev.shards as u32, compute, dev.d2h_seconds - before)
+            }
+            Some(d2h) => {
+                let compute = clock.iteration_seconds + clock.host_transfer_seconds;
+                (dev.kernel.blocks, compute, d2h)
+            }
+        };
+        fleet.engine = engine;
+        let kernel = KernelStats {
+            name: fleet.aggregate.name.clone(),
+            blocks,
+            threads_per_block: dev.kernel.threads_per_block,
+            counters: dev.kernel.counters,
+            ..Default::default()
+        };
+        let stats = RunStats {
+            compute_seconds,
+            d2h_seconds,
+            kernel,
+            profile: dev.profile,
+            ..fleet.as_run_stats()
+        };
+        CuShaOutput { values, stats }
+    }
+
+    /// A fleet run in the flattened shape, its record in [`RunStats::fleet`]
+    /// completed by what only the placement knows: the `engine` label, the
+    /// `interconnect`'s name and what the partition says of each device.
+    pub(crate) fn into_fleet(
+        self,
+        engine: String,
+        interconnect: &str,
+        partition: &FleetPartition,
+    ) -> CuShaOutput<V> {
+        let mut fleet = self.stats;
+        (fleet.engine, fleet.interconnect) = (engine, interconnect.into());
+        fleet.load_imbalance = partition.imbalance();
+        for (dev, part) in fleet.per_device.iter_mut().zip(partition.parts()) {
+            dev.halo_vertices = part.halo.len();
+        }
+        let flat = fleet.as_run_stats();
+        let stats = RunStats {
+            fleet: Some(Box::new(fleet)),
+            ..flat
+        };
+        CuShaOutput {
+            values: self.values,
+            stats,
         }
     }
 }

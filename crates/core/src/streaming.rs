@@ -20,52 +20,18 @@
 //! serial sum.
 //!
 //! That residency is `Mode::Streamed` of the one host loop,
-//! `crate::multi::drive` — the mode a fleet device that cannot hold its
-//! partition enters, too. This module is the façade that starts a fleet of
-//! one in it: the configuration, the single-engine shape of the statistics,
-//! and the degradation ladder, which needs a new layout per rung where
-//! `drive` borrows one.
-//!
-//! # Fault tolerance
-//!
-//! The budgets below are data the façade passes; what happens inside them
-//! happens in `drive` (see `DESIGN.md`, "Failure model & recovery"):
-//!
-//! * **Transient copy faults** (H2D/D2H) are retried in place with
-//!   exponential backoff, 3 times per operation (`RetryPolicy::DEFAULT`, the
-//!   one retry budget). A failed copy transferred nothing, so the retry
-//!   re-issues the identical transfer.
-//! * **Device OOM** — a batch's upload or the resident part's — halves
-//!   [`StreamingConfig::resident_bytes`] in place and continues from the
-//!   failing batch with more, smaller batches, up to `MAX_REBATCHES` (8)
-//!   times; past that it is an error.
-//! * **Kernel faults** are retried once per launch; past that the
-//!   engine walks the degradation ladder CW → G-Shards → host fallback
-//!   ([`crate::run_fallback`]), restarting from scratch on each rung.
-//! * A **watchdog** (opt-in via `base.watchdog_interval`) snapshots the
-//!   value vector periodically and flags livelock when a state recurs.
-//!
-//! A rung's restart is safe because every engine in the ladder computes the
-//! same deterministic fixed point from scratch; the installed
-//! [`cusha_simt::FaultPlan`] is carried across rungs (its operation
-//! counters persist), so consumed one-shot faults do not re-fire. All
-//! recovery activity is recorded in [`RunStats::fault`].
+//! `crate::multi::drive`, and [`Placement::Streamed`] is how a caller asks for
+//! it; its recovery — copy retries, an OOM halving the budget in place, the
+//! CW → G-Shards → host ladder — is that placement's (DESIGN §4.5). This
+//! module holds its one-shot entry and configuration.
 
-use crate::engine::{CuShaConfig, CuShaOutput, PreparedLayout, Repr, RunObserver};
+use crate::engine::{try_run_cold, CuShaConfig, CuShaOutput, Placement};
 use crate::error::EngineError;
-use crate::fallback::run_fallback_after;
-use crate::integrity::Stop;
-use crate::kernel::{RetryPolicy, MAX_REBATCHES};
-use crate::memsize::{check_streams, ValueSizes};
-use crate::middleware::DeadlineObserver;
-use crate::multi::{drive, FaultPolicy, Start};
 use crate::program::VertexProgram;
-use crate::stats::{FaultStats, MemoStats, SdcStats};
 use cusha_graph::Graph;
-use cusha_obs::trace::lanes;
-use cusha_simt::{DeviceFleet, FaultPlan, Gpu, Profile};
 
-/// Configuration of the streamed engine.
+/// Configuration of the streamed engine: the base configuration and a
+/// [`Placement::Streamed`], spelled as fields.
 #[derive(Clone, Debug)]
 pub struct StreamingConfig {
     /// Base engine configuration (representation, shard size, device...).
@@ -87,19 +53,6 @@ impl StreamingConfig {
             resident_bytes,
             streams: 2,
         }
-    }
-
-    /// Checks the streaming-specific invariants on top of
-    /// [`CuShaConfig::validate`].
-    pub fn validate(&self) -> Result<(), String> {
-        self.base.validate()?;
-        if self.streams == 0 {
-            return Err("streams must be at least 1".into());
-        }
-        if self.resident_bytes == 0 {
-            return Err("resident_bytes must be nonzero".into());
-        }
-        Ok(())
     }
 }
 
@@ -124,160 +77,18 @@ pub fn run_streamed<P: VertexProgram>(
 
 /// Executes `prog` over `graph` with the streamed engine, recovering from
 /// injected or genuine device faults as described in the module docs and
-/// returning unrecoverable failures as [`EngineError`]s. Recovery activity
-/// is recorded in the output's [`RunStats::fault`].
+/// returning unrecoverable failures as [`EngineError`]s:
+/// [`crate::try_run_placed`] over a layout built for the placement. Recovery
+/// activity is recorded in
+/// the output's [`RunStats::fault`](crate::RunStats).
 pub fn try_run_streamed<P: VertexProgram>(
     prog: &P,
     graph: &Graph,
     cfg: &StreamingConfig,
 ) -> Result<CuShaOutput<P::V>, EngineError<P::V>> {
-    try_run_streamed_observed(prog, graph, cfg, None, &mut crate::engine::NoopObserver)
-}
-
-/// [`try_run_streamed`] with the resident-caller extras of
-/// [`try_run_warm`](crate::try_run_warm): a caller-owned [`FaultPlan`]
-/// (installed in place of `cfg.base.fault_plan`, advanced state written
-/// back on every exit) and an iteration-boundary observer. The observer's
-/// elapsed clock accumulates across the ladder's rungs, so deadlines measure
-/// the whole recovery trajectory, not just the final rung.
-pub fn try_run_streamed_observed<P: VertexProgram, O: RunObserver + ?Sized>(
-    prog: &P,
-    graph: &Graph,
-    cfg: &StreamingConfig,
-    mut fault_plan: Option<&mut FaultPlan>,
-    observer: &mut O,
-) -> Result<CuShaOutput<P::V>, EngineError<P::V>> {
-    cfg.validate().map_err(EngineError::InvalidConfig)?;
-    graph.validate()?;
-    let (base, sizes) = (&cfg.base, ValueSizes::of::<P>());
-    let n_per = PreparedLayout::select_n_per(graph, base, sizes.vertex);
-    let v = graph.num_vertices() as u64;
-    check_streams(v, 1, sizes, (base.repr, n_per), &base.device)?;
-
-    // What the rungs share: the fault plan (its operation counters persist,
-    // so consumed one-shot faults and fired bit flips never re-fire), the
-    // recovery and SDC records with the budgets they count against, the
-    // device clock — a deadline bounds the whole trajectory — and the memo
-    // and launch-profile totals.
-    let mut plan = fault_plan.as_deref().cloned();
-    plan = plan.or_else(|| base.fault_plan.clone());
-    let (mut fault, mut sdc) = (FaultStats::default(), SdcStats::default());
-    let (mut memo, mut profile) = (MemoStats::default(), None::<Profile>);
-    let mut elapsed = 0.0f64;
-    let observer = &mut DeadlineObserver::new(base.deadline_seconds, observer);
-    // The device starts out of core and, past its budgets, surfaces the fault:
-    // the next rung needs a layout of its own, which this function builds.
-    let policy = FaultPolicy::Surface(RetryPolicy::DEFAULT, MAX_REBATCHES);
-    let start = Start::Streamed {
-        budget: cfg.resident_bytes,
-        streams: cfg.streams,
-    };
-    let ladder = [Repr::ConcatWindows, Repr::GShards];
-    for repr in ladder.into_iter().skip_while(|&r| r != base.repr) {
-        let layout = PreparedLayout::build(graph, repr, n_per);
-        let mut gpu = Gpu::new(base.device.clone());
-        gpu.set_tracer(base.trace.clone(), 0);
-        gpu.set_profiling(base.profile);
-        if let Some(p) = plan.take() {
-            gpu.set_fault_plan(p);
-        }
-        let mut fleet = DeviceFleet::solo(gpu);
-        let (label, shards) = (format!("{}-streamed", repr.label()), 0..layout.num_shards());
-        let name = format!("{label}::{}", prog.name());
-        let records = (
-            std::slice::from_mut(&mut fault),
-            std::slice::from_mut(&mut sdc),
-        );
-        let mut clock = Later(elapsed, &mut *observer);
-        let result = drive(
-            prog,
-            graph,
-            base,
-            &layout,
-            std::slice::from_ref(&shards),
-            &mut fleet,
-            policy,
-            start,
-            &name,
-            records,
-            &mut clock,
-        );
-        let gpu = fleet.device_mut(0);
-        plan = gpu.take_fault_plan();
-        if let (Some(slot), Some(p)) = (fault_plan.as_deref_mut(), plan.as_ref()) {
-            *slot = p.clone();
-        }
-        let (rung_start, rung_end) = (elapsed, gpu.total_seconds());
-        elapsed += rung_end;
-        memo.add(&MemoStats::from_gpu(gpu));
-        if let Some(p) = gpu.profile.take() {
-            profile.get_or_insert_default().absorb(&p);
-        }
-        let instant = |cat: &'static str, name: &str| {
-            base.trace.instant(0, lanes::FAULT, cat, name, rung_end);
-        };
-        match result {
-            Ok((out, clocks)) => {
-                // The single-engine shape of a streamed run: H2D is the
-                // resident upload, compute the batch pipeline plus the PCIe
-                // terms no device clock sees, D2H the values' one transfer.
-                let (blocks, clock) = (out.stats.per_device[0].kernel.blocks, clocks[0]);
-                let compute = clock.iteration_seconds + clock.host_transfer_seconds;
-                let d2h = base.device.transfer_seconds(v * sizes.vertex as u64);
-                let mut out = out.into_solo(label, blocks, compute, d2h);
-                let stats = &mut out.stats;
-                (stats.fault, stats.sdc, stats.memo, stats.profile) = (fault, sdc, memo, profile);
-                return match stats.converged {
-                    true => Ok(out),
-                    false => Err(EngineError::NonConverged {
-                        partial: Box::new(out),
-                    }),
-                };
-            }
-            // Detected corruption outlived the rollback and restart budgets.
-            Err(Stop::Abandon) => {
-                sdc.host_fallbacks += 1;
-                instant("sdc", "host-fallback");
-                break;
-            }
-            // The next rung's kernels are a different code path (and, under
-            // injection, a different name pattern); the last one is the host.
-            Err(Stop::Error(EngineError::KernelFault { .. })) => {
-                fault.degradations += 1;
-                instant(
-                    "fault",
-                    match repr {
-                        Repr::ConcatWindows => "degrade-to-gshards",
-                        Repr::GShards => "degrade-to-host",
-                    },
-                );
-            }
-            Err(Stop::Error(EngineError::Deadline {
-                iterations,
-                elapsed_seconds,
-            })) => {
-                return Err(EngineError::Deadline {
-                    iterations,
-                    elapsed_seconds: rung_start + elapsed_seconds,
-                })
-            }
-            // Rebatches spent, a copy fault past its retries or the watchdog:
-            // nothing left to try.
-            Err(Stop::Error(e)) => return Err(e),
-        }
-    }
-    run_fallback_after(prog, graph, base, fault, sdc, profile)
-}
-
-/// An observer whose clock started `.0` modeled seconds before the rung it
-/// watches did.
-struct Later<'a, O: ?Sized>(f64, &'a mut O);
-
-impl<O: RunObserver + ?Sized> RunObserver for Later<'_, O> {
-    fn on_iteration(&mut self, iteration: u32, updated: u64, elapsed_seconds: f64) -> bool {
-        self.1
-            .on_iteration(iteration, updated, self.0 + elapsed_seconds)
-    }
+    let (bytes, streams) = (cfg.resident_bytes, cfg.streams);
+    let placement = Placement::Streamed { bytes, streams };
+    try_run_cold(prog, graph, &cfg.base, &placement)
 }
 
 #[cfg(test)]

@@ -165,12 +165,15 @@ impl DeviceFleet {
     }
 
     /// Installs a tracer across the fleet: device `d` gets process lane
-    /// `d`, and one extra process lane (`pid = len()`, named "fleet") is
-    /// reserved for fleet-level spans — bulk-synchronous iterations and
-    /// halo exchanges that belong to no single device.
+    /// `d`, and — over a fabric — one extra process lane (`pid = len()`,
+    /// named "fleet") is reserved for fleet-level spans: bulk-synchronous
+    /// iterations and halo exchanges that belong to no single device.
     pub fn set_tracer(&mut self, tracer: &Tracer) {
         for (d, gpu) in self.devices.iter_mut().enumerate() {
             gpu.set_tracer(tracer.clone(), d as u32);
+        }
+        if self.interconnect.is_none() {
+            return;
         }
         let fleet = self.fleet_pid();
         tracer.name_process(fleet, "fleet");

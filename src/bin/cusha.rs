@@ -33,9 +33,8 @@ use cusha::algos::{
 };
 use cusha::baselines::{MtcpuEngine, VwcEngine};
 use cusha::core::{
-    run_engine, CuShaConfig, CuShaOutput, Engine, EngineError, FleetEngine, IntegrityMode,
-    MultiRunStats, NoopObserver, Repr, RunStats, ShardEngine, StreamedEngine, VertexProgram,
-    MAX_DEVICES,
+    run_engine, CuShaConfig, CuShaOutput, Engine, EngineError, IntegrityMode, MultiRunStats,
+    NoopObserver, Placement, Repr, RunStats, ShardEngine, VertexProgram, MAX_DEVICES,
 };
 use cusha::frontier::{
     try_run_kcore, try_run_triangles, FrontierConfig, FrontierEngine, TriangleOutput,
@@ -74,11 +73,9 @@ struct Args {
     cfg: CuShaConfig,
     serving: ServeConfig,
     source: u32,
-    resident_bytes: u64,
+    placement: Placement,
     density_threshold: f64,
     bitflips: Option<String>,
-    devices: Option<usize>,
-    interconnect: Option<Interconnect>,
     output: Option<String>,
     trace_out: Option<String>,
     metrics_out: Option<String>,
@@ -107,11 +104,9 @@ impl Default for Args {
             cfg: CuShaConfig::cw(),
             serving: ServeConfig::default(),
             source: 0,
-            resident_bytes: 16 << 20,
+            placement: Placement::Resident,
             density_threshold: DEFAULT_DENSITY_THRESHOLD,
             bitflips: None,
-            devices: None,
-            interconnect: None,
             output: None,
             trace_out: None,
             metrics_out: None,
@@ -161,26 +156,18 @@ impl EngineSpec {
         Ok(EngineSpec { name, kind, repr })
     }
 
-    /// The adapter [`run_engine`] drives: the engine the name selects, the
-    /// fleet around cw/gs under `--devices`.
+    /// The adapter [`run_engine`] drives: the engine the name selects, placed.
     fn build<P: VertexProgram>(&self, args: &Args) -> Box<dyn Engine<P>> {
-        match (self.kind, args.devices) {
-            (EngineKind::Shard, Some(devices)) => {
-                let mut fleet = FleetEngine::new(devices);
-                if let Some(interconnect) = &args.interconnect {
-                    fleet.interconnect = interconnect.clone();
-                }
-                Box::new(fleet)
-            }
-            (EngineKind::Shard, None) => Box::new(ShardEngine::new(self.repr)),
-            (EngineKind::Streamed, _) => Box::new(StreamedEngine::new(args.resident_bytes)),
-            (EngineKind::Frontier, _) => {
+        let (repr, placement) = (self.repr, args.placement.clone());
+        match self.kind {
+            EngineKind::Shard | EngineKind::Streamed => Box::new(ShardEngine { repr, placement }),
+            EngineKind::Frontier => {
                 let mut frontier = FrontierEngine::new();
                 frontier.density_threshold = args.density_threshold;
                 Box::new(frontier)
             }
-            (EngineKind::Vwc(width), _) => Box::new(VwcEngine::new(width)),
-            (EngineKind::Mtcpu(threads), _) => Box::new(MtcpuEngine::new(threads)),
+            EngineKind::Vwc(width) => Box::new(VwcEngine::new(width)),
+            EngineKind::Mtcpu(threads) => Box::new(MtcpuEngine::new(threads)),
         }
     }
 }
@@ -219,6 +206,7 @@ const POLICIES: &str = "<shed|serve-previous>";
 const SPECS: &str = "<spec>[,<spec>...]";
 const CRASHES: &str = "<mid-record|pre-commit|pre-apply>@<n>";
 const DEVICES: &str = "--devices";
+const RESIDENT_BYTES: &str = "--resident-bytes";
 const WAL: &str = "--wal";
 
 /// The flag table: one row per flag, the only place its name is spelled. To
@@ -241,7 +229,7 @@ const FLAGS: &[Flag] = &[
     ("--source", "<vertex>", OneShot, None, |a, v| put(&mut a.source, number(v))),
     ("--shard-size", "<N>", Both, None, |a, v| some(&mut a.cfg.vertices_per_shard, number(v))),
     ("--max-iters", "<n>", Both, None, |a, v| put(&mut a.cfg.max_iterations, number(v))),
-    ("--resident-bytes", "<bytes>", OneShot, None, |a, v| put(&mut a.resident_bytes, number(v))),
+    (RESIDENT_BYTES, "<bytes>", OneShot, None, |a, v| put(&mut a.placement, nonzero(v).map(Placement::streamed))),
     ("--watchdog", "<interval>", Both, None, |a, v| some(&mut a.cfg.watchdog_interval, number(v))),
     ("--timeout-ms", "<ms>", OneShot, None, |a, v| {
         some(&mut a.cfg.deadline_seconds, positive(v).map(|ms| ms / 1e3))
@@ -256,10 +244,10 @@ const FLAGS: &[Flag] = &[
     }),
     (DEVICES, "<N>", OneShot, None, |a, v| match nonzero(v)? {
         n if n > MAX_DEVICES => Err(format!("a fleet has at most {MAX_DEVICES} devices")),
-        n => some(&mut a.devices, Ok(n)),
+        n => put(fleet(a).0, Ok(n)),
     }),
     ("--interconnect", LINKS, OneShot, Some(DEVICES), |a, v| {
-        some(&mut a.interconnect, one_of(Interconnect::from_name(v), LINKS))
+        put(fleet(a).1, one_of(Interconnect::from_name(v), LINKS))
     }),
     ("--density-threshold", "<d>", OneShot, None, |a, v| match number::<f64>(v)? {
         d if d.is_finite() && d >= 0.0 => put(&mut a.density_threshold, Ok(d)),
@@ -308,6 +296,21 @@ fn some<T>(field: &mut Option<T>, value: Result<T, String>) -> Result<(), String
 /// A number of the field's type.
 fn number<T: std::str::FromStr<Err: std::fmt::Display>>(v: &str) -> Result<T, String> {
     v.parse().map_err(|e: T::Err| e.to_string())
+}
+
+/// The fleet `--devices` and `--interconnect` fill in, whichever comes first.
+fn fleet(a: &mut Args) -> (&mut usize, &mut Interconnect) {
+    if !matches!(a.placement, Placement::Fleet { .. }) {
+        a.placement = Placement::fleet(1);
+    }
+    match &mut a.placement {
+        Placement::Fleet {
+            devices: n,
+            interconnect: link,
+            ..
+        } => (n, link),
+        _ => unreachable!("placed on a fleet above"),
+    }
 }
 
 /// A count of at least one.
@@ -385,27 +388,29 @@ fn parse(argv: &[String]) -> Result<Args, String> {
     }
     // The frontier-native workloads only exist on the frontier engine;
     // typing `--algo kcore` alone should just work.
-    if algo(&args.algo).is_some_and(|(_, frontier_native, _)| *frontier_native) {
-        if args.engine.name == "cw" {
-            args.engine = EngineSpec::parse("frontier")?;
-        } else if args.engine.kind != EngineKind::Frontier {
-            let (algo, engine) = (&args.algo, &args.engine.name);
-            return Err(format!(
-                "--algo {algo} is frontier-native; it cannot run on engine {engine:?}"
-            ));
+    let native = algo(&args.algo).is_some_and(|(_, frontier_native, _)| *frontier_native);
+    if native && args.engine.name == "cw" {
+        args.engine = EngineSpec::parse("frontier")?;
+    }
+    // Which engines take such a workload, the service (it keeps prepared
+    // engine state warm), and each flag that places the shard layout.
+    let EngineSpec { name, kind, repr } = &args.engine;
+    let asked = |flag| given.iter().any(|(given, ..)| *given == flag);
+    use EngineKind::{Frontier, Shard, Streamed};
+    #[rustfmt::skip] // a table: one row per line
+    let takes = [
+        (native.then_some(args.algo.as_str()), "frontier", &[Frontier][..]),
+        (args.serve.then_some("cusha serve"), "cw/gs/frontier", &[Shard, Frontier]),
+        (asked(DEVICES).then_some(DEVICES), "cw/gs", &[Shard]),
+        (asked(RESIDENT_BYTES).then_some(RESIDENT_BYTES), "cw-streamed/gs-streamed", &[Streamed]),
+    ];
+    for (who, engines, runs) in takes {
+        if let Some(who) = who.filter(|_| !runs.contains(kind)) {
+            return Err(format!("{who} runs on {engines} engines, not {name:?}"));
         }
     }
-    let EngineSpec { name, kind, repr } = &args.engine;
-    if args.serve && !matches!(kind, EngineKind::Shard | EngineKind::Frontier) {
-        return Err(format!(
-            "cusha serve keeps prepared engine state warm, so it only runs the \
-             cw/gs/frontier engines, not {name:?}"
-        ));
-    }
-    if args.devices.is_some() && *kind != EngineKind::Shard {
-        return Err(format!(
-            "--devices only runs the cw/gs engines, not {name:?}"
-        ));
+    if *kind == Streamed && matches!(args.placement, Placement::Resident) {
+        args.placement = Placement::streamed(16 << 20);
     }
     args.cfg.repr = *repr;
     // Bit flips merge into the --inject plan so a single seed drives both
@@ -573,9 +578,8 @@ struct Run<'a> {
     graph: &'a Graph,
 }
 
-/// A finished run: its statistics, one printable line per value, and the
-/// fleet's statistics when the multi engine ran.
-type Ran = Result<(RunStats, Vec<String>, Option<MultiRunStats>), Failure>;
+/// A finished run: its statistics and one printable line per value.
+type Ran = Result<(RunStats, Vec<String>), Failure>;
 
 /// One `--algo` row: its names (metrics carry the first for a frontier-native
 /// one, the typed one otherwise), whether only the frontier engine has it, and
@@ -624,7 +628,7 @@ impl Run<'_> {
         let ran = run_engine(&mut *engine, prog, self.graph, cfg, None, &mut NoopObserver);
         let out = ran.or_else(failed)?;
         let lines = out.values.iter().map(show).collect();
-        Ok((out.stats, lines, engine.fleet_stats().cloned()))
+        Ok((out.stats, lines))
     }
 
     /// The frontier crate's configuration for its native workloads, which
@@ -641,11 +645,7 @@ impl Run<'_> {
             stats: out.stats,
         });
         let out = ran.or_else(failed)?;
-        Ok((
-            out.stats,
-            out.values.iter().map(u32::to_string).collect(),
-            None,
-        ))
+        Ok((out.stats, out.values.iter().map(u32::to_string).collect()))
     }
 
     fn triangles(self) -> Ran {
@@ -657,7 +657,7 @@ impl Run<'_> {
         let ran = try_run_triangles(self.graph, &self.frontier_cfg());
         let out = ran.or_else(|e| failed(e).map(uncounted))?;
         say!(Info, "triangles: {}", out.triangles);
-        Ok((out.stats, vec![out.triangles.to_string()], None))
+        Ok((out.stats, vec![out.triangles.to_string()]))
     }
 }
 
@@ -836,14 +836,14 @@ fn one_shot(args: &Args, graph: &Graph) -> Result<(), Failure> {
     }
     let &(names, frontier_native, run) =
         algo(algo_name).ok_or((EXIT_USAGE, expected(ALGO_NAMES)))?;
-    let (stats, lines, fleet) = run(Run { args, graph })?;
-    report(&stats, fleet.as_ref(), &args.engine);
+    let (stats, lines) = run(Run { args, graph })?;
+    // A fleet adds its per-device series; a capped run reports flat, fleet or not.
+    let fleet = stats.fleet.as_deref().filter(|_| stats.converged);
+    report(&stats, fleet, &args.engine);
     let algo_label = if frontier_native { names[0] } else { algo_name };
     let labels: &[(&str, &str)] = &[("algo", algo_label), ("engine", engine)];
     let mut metrics = MetricsRegistry::new();
-    // Full fleet stats (per-device breakdown included) go through
-    // MultiRunStats' own recorder, not the flattened RunStats.
-    match &fleet {
+    match fleet {
         Some(fleet) => fleet.record_metrics(&mut metrics, labels),
         None => stats.record_metrics(&mut metrics, labels),
     }
@@ -942,7 +942,7 @@ mod tests {
         ("--source", "7", "-1"),
         ("--shard-size", "64", "many"),
         ("--max-iters", "50", "1.5"),
-        ("--resident-bytes", "4096", "4k"),
+        ("--resident-bytes", "4096 --engine cw-streamed", "0"),
         ("--watchdog", "4", "x"),
         ("--timeout-ms", "2.5", "0"),
         ("--inject", "seed=7,alloc@2,h2d%0.5", "h2d%7.5"),
@@ -1026,10 +1026,14 @@ mod tests {
              --metrics-out m --profile-json p",
         )
         .expect("valid line");
-        assert_eq!(
-            (a.algo.as_str(), a.source, a.resident_bytes),
-            ("sssp", 3, 4096)
-        );
+        assert_eq!((a.algo.as_str(), a.source), ("sssp", 3));
+        assert!(matches!(
+            a.placement,
+            Placement::Streamed {
+                bytes: 4096,
+                streams: 2
+            }
+        ));
         assert_eq!(
             a.rmat.map(|r| (r.scale, r.edges, r.seed)),
             Some((9, 700, 42))
@@ -1092,7 +1096,23 @@ mod tests {
         let a = parsed("--algo bfs --rmat 8:600").expect("minimal line");
         assert_eq!(a.engine.name, "cw");
         assert!(a.engine.kind == EngineKind::Shard && a.cfg.repr == Repr::ConcatWindows);
-        assert_eq!((a.cfg.max_iterations, a.resident_bytes), (10_000, 16 << 20));
+        assert!(matches!(a.placement, Placement::Resident));
+        assert_eq!(a.cfg.max_iterations, 10_000);
+        let streamed = parsed("--algo bfs --rmat 8:600 --engine gs-streamed").expect("streamed");
+        let Placement::Streamed { bytes, streams } = streamed.placement else {
+            panic!("a streamed engine is placed streamed")
+        };
+        assert_eq!((bytes, streams), (16 << 20, 2));
+        let fleet = parsed("--algo bfs --rmat 8:600 --interconnect nvlink --devices 3");
+        let Placement::Fleet {
+            devices,
+            interconnect,
+            ..
+        } = fleet.expect("fleet").placement
+        else {
+            panic!("--devices places the run on a fleet")
+        };
+        assert_eq!((devices, interconnect.name), (3, "nvlink"));
         let serving = &a.serving;
         assert_eq!((serving.queue_capacity, serving.cache_capacity), (64, 128));
         assert_eq!((serving.max_retries, a.snapshot_every), (3, 0));
@@ -1161,14 +1181,28 @@ mod tests {
         );
         refused("serve --rmat 8:600 --engine vwc:8", "vwc:8");
         refused("serve --rmat 8:600 --engine cw-streamed", "cw-streamed");
-        refused("--algo kcore --rmat 8:600 --engine gs", "frontier-native");
-        refused("--algo tc --rmat 8:600 --engine vwc:8", "frontier-native");
+        refused(
+            "--algo kcore --rmat 8:600 --engine gs",
+            "kcore runs on frontier",
+        );
+        refused(
+            "--algo tc --rmat 8:600 --engine vwc:8",
+            "tc runs on frontier",
+        );
         refused(
             "--algo bfs --rmat 8:600 --devices 2 --engine frontier",
             "--devices",
         );
         refused(
             "--algo bfs --rmat 8:600 --devices 2 --engine gs-streamed",
+            "--devices",
+        );
+        for engine in ["cw", "gs", "frontier", "vwc:8", "mtcpu:2"] {
+            let line = format!("--algo bfs --rmat 8:600 --resident-bytes 4096 --engine {engine}");
+            refused(&line, "--resident-bytes");
+        }
+        refused(
+            "--algo bfs --rmat 8:600 --engine cw-streamed --resident-bytes 4096 --devices 2",
             "--devices",
         );
         refused("--algo bfs --rmat 8:600 --inject-bitflips rate=0.5", "seed");

@@ -481,6 +481,16 @@ fn parent_rows() -> Vec<Row> {
         "--interconnect",
     );
     bad(
+        "usage/resident-bytes-0",
+        "--algo bfs --rmat 8:600 --engine cw-streamed --resident-bytes 0",
+        "--resident-bytes",
+    );
+    bad(
+        "usage/resident-bytes-on-cw",
+        "--algo bfs --rmat 8:600 --resident-bytes 4096",
+        "--resident-bytes",
+    );
+    bad(
         "usage/source-past-graph",
         "--algo bfs --rmat 8:600 --source 999",
         "999",

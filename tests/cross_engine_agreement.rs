@@ -15,8 +15,8 @@ use cusha::algos::{
 };
 use cusha::baselines::{run_mtcpu, run_vwc, MtcpuConfig, MtcpuEngine, VwcConfig, VwcEngine};
 use cusha::core::{
-    run, run_engine, CuShaConfig, Engine, IntegrityConfig, IntegrityMode, NoopObserver, Repr,
-    ShardEngine, StreamedEngine, Value, VertexProgram,
+    run, run_engine, CuShaConfig, Engine, IntegrityConfig, IntegrityMode, NoopObserver, Placement,
+    Repr, ShardEngine, Value, VertexProgram,
 };
 use cusha::frontier::{run_frontier, FrontierConfig, FrontierEngine};
 use cusha::graph::generators::lattice2d;
@@ -237,7 +237,10 @@ fn chaos_faultplan_and_bitflip_through_one_middleware_path() {
     let engines: Vec<Box<dyn Engine<Bfs>>> = vec![
         Box::new(ShardEngine::new(Repr::GShards)),
         Box::new(ShardEngine::new(Repr::ConcatWindows)),
-        Box::new(StreamedEngine::new(64 << 20)),
+        Box::new(ShardEngine {
+            repr: Repr::GShards,
+            placement: Placement::streamed(64 << 20),
+        }),
         Box::new(VwcEngine::new(8)),
         Box::new(MtcpuEngine::new(2)),
         Box::new(FrontierEngine::new()),

@@ -5,8 +5,8 @@ use cusha::algos::{Bfs, Sssp};
 use cusha::baselines::{try_run_mtcpu_warm, try_run_vwc_warm, MtcpuConfig, VwcConfig};
 use cusha::core::{
     try_run, try_run_multi, try_run_streamed, try_run_warm, CuShaConfig, Engine, EngineCtx,
-    EngineError, FleetEngine, MultiConfig, NoopObserver, PreparedLayout, Repr, RunObserver,
-    ShardEngine, StreamedEngine, StreamingConfig,
+    EngineError, MultiConfig, NoopObserver, Placement, PreparedLayout, Repr, RunObserver,
+    ShardEngine, StreamingConfig,
 };
 use cusha::frontier::{try_run_frontier_warm, try_run_kcore, FrontierConfig, PreparedFrontier};
 use cusha::graph::generators::rmat::{rmat, RmatConfig};
@@ -267,10 +267,16 @@ fn fault_plan_advances_across_warm_runs() {
 fn every_adapter_writes_the_advanced_plan_back() {
     let (g, prog, cfg) = (graph(), Sssp::new(4), CuShaConfig::cw());
     let adapters = || -> [(&str, Box<dyn Engine<Sssp>>); 3] {
+        let placed = |placement| {
+            Box::new(ShardEngine {
+                repr: Repr::ConcatWindows,
+                placement,
+            })
+        };
         [
             ("shard", Box::new(ShardEngine::new(Repr::ConcatWindows))),
-            ("streamed", Box::new(StreamedEngine::new(1 << 14))),
-            ("fleet", Box::new(FleetEngine::new(2))),
+            ("streamed", placed(Placement::streamed(1 << 14))),
+            ("fleet", placed(Placement::fleet(2))),
         ]
     };
     // (plan, which adapters still succeed under it)

@@ -29,9 +29,9 @@ use cusha::algos::{Bfs, PageRank, Sssp};
 use cusha::core::integrity::checksum;
 use cusha::core::memsize::{entry_bytes, ValueSizes};
 use cusha::core::{
-    run_multi, try_run, try_run_multi, try_run_streamed, try_run_streamed_observed, try_run_warm,
-    CuShaConfig, CuShaOutput, EngineError, FaultStats, GShards, IntegrityConfig, IntegrityMode,
-    MultiConfig, MultiOutput, MultiRunStats, NoopObserver, PreparedLayout, Repr, RunObserver,
+    run_multi, try_run, try_run_multi, try_run_placed, try_run_streamed, try_run_warm, CuShaConfig,
+    CuShaOutput, EngineError, FaultStats, GShards, IntegrityConfig, IntegrityMode, MultiConfig,
+    MultiOutput, MultiRunStats, NoopObserver, Placement, PreparedLayout, Repr, RunObserver,
     RunStats, SdcStats, StreamingConfig, VertexProgram,
 };
 use cusha::graph::generators::rmat::{rmat, RmatConfig};
@@ -601,6 +601,29 @@ fn three_batch_budget<P: VertexProgram>(g: &Graph, cfg: &CuShaConfig) -> u64 {
     budget
 }
 
+/// A streamed run over a layout built for it, under a carried plan and an
+/// observer.
+fn streamed_observed<P: VertexProgram>(
+    prog: &P,
+    g: &Graph,
+    cfg: &StreamingConfig,
+    plan: &mut FaultPlan,
+    observer: &mut dyn RunObserver,
+) -> Result<CuShaOutput<P::V>, EngineError<P::V>> {
+    let (bytes, streams) = (cfg.resident_bytes, cfg.streams);
+    let placement = Placement::Streamed { bytes, streams };
+    let layout = PreparedLayout::for_program::<P>(g, &cfg.base, &placement)?;
+    try_run_placed(
+        prog,
+        g,
+        &layout,
+        &cfg.base,
+        &placement,
+        Some(plan),
+        observer,
+    )
+}
+
 /// Everything the streamed host loop decides. Class A (must never move): the
 /// clean runs, in-place copy and kernel retries, the CW -> G-Shards -> host
 /// ladder, every surfaced error with the plan's counters, cancellation, the
@@ -693,7 +716,7 @@ fn streamed_records(lines: &mut Vec<String>, graphs: &[(&'static str, Graph); 3]
     let run = |cfg: &StreamingConfig, plan: &mut FaultPlan, observer: &mut dyn RunObserver| {
         let mut cfg = cfg.clone();
         cfg.base.trace = Tracer::enabled();
-        let out = try_run_streamed_observed(&sssp, road, &cfg, Some(plan), observer);
+        let out = streamed_observed(&sssp, road, &cfg, plan, observer);
         (out, cfg.base.trace)
     };
     let mut none = FaultPlan::new();
@@ -819,7 +842,7 @@ fn streamed_records(lines: &mut Vec<String>, graphs: &[(&'static str, Graph); 3]
     base.device.global_mem_bytes = 24 << 10;
     let c = StreamingConfig::new(base, 1 << 14);
     let mut plan = FaultPlan::new();
-    let out = try_run_streamed_observed(&sssp, &g, &c, Some(&mut plan), &mut NoopObserver);
+    let out = streamed_observed(&sssp, &g, &c, &mut plan, &mut NoopObserver);
     outcome_line(
         lines,
         "streamed/oom/one-batch-device",

@@ -9,9 +9,7 @@
 
 use cusha::algos::Bfs;
 use cusha::baselines::{MtcpuEngine, VwcEngine};
-use cusha::core::{
-    run_engine, CuShaConfig, Engine, NoopObserver, Repr, ShardEngine, StreamedEngine,
-};
+use cusha::core::{run_engine, CuShaConfig, Engine, NoopObserver, Placement, Repr, ShardEngine};
 use cusha::frontier::FrontierEngine;
 use cusha::graph::generators::rmat::{rmat, RmatConfig};
 use cusha::graph::Graph;
@@ -50,7 +48,13 @@ fn modeled_engines_are_byte_stable() {
     let engines: &[(&str, &EngineFactory)] = &[
         ("gs", &|| Box::new(ShardEngine::new(Repr::GShards))),
         ("cw", &|| Box::new(ShardEngine::new(Repr::ConcatWindows))),
-        ("cw-streamed", &|| Box::new(StreamedEngine::new(8 << 20))),
+        ("cw-streamed", &|| {
+            let placement = Placement::streamed(8 << 20);
+            Box::new(ShardEngine {
+                repr: Repr::ConcatWindows,
+                placement,
+            })
+        }),
         ("frontier", &|| Box::new(FrontierEngine::new())),
         ("vwc:32", &|| Box::new(VwcEngine::new(32))),
     ];

@@ -10,8 +10,8 @@ use cusha::algos::{Bfs, PageRank, Sssp, Sswp};
 use cusha::baselines::{run_vwc, MtcpuEngine, VwcConfig, VwcEngine, VIRTUAL_WARP_SIZES};
 use cusha::core::{
     run_engine, try_run_warm, CuShaConfig, CuShaOutput, Engine, EngineError, IntegrityConfig,
-    IntegrityMode, MemoStats, NoopObserver, PreparedLayout, Repr, RunObserver, RunStats,
-    ShardEngine, StreamedEngine, VertexProgram,
+    IntegrityMode, MemoStats, NoopObserver, Placement, PreparedLayout, Repr, RunObserver, RunStats,
+    ShardEngine, VertexProgram,
 };
 use cusha::frontier::{host_kcore, try_run_kcore, FrontierEngine, KcoreConfig};
 use cusha::graph::generators::lattice::lattice2d;
@@ -31,7 +31,10 @@ fn all_engines<P: VertexProgram>() -> Vec<Box<dyn Engine<P>>> {
     vec![
         Box::new(ShardEngine::new(Repr::GShards)),
         Box::new(ShardEngine::new(Repr::ConcatWindows)),
-        Box::new(StreamedEngine::new(64 << 20)),
+        Box::new(ShardEngine {
+            repr: Repr::GShards,
+            placement: Placement::streamed(64 << 20),
+        }),
         Box::new(VwcEngine::new(8)),
         // One CPU thread: the multithreaded schedule is honest-to-goodness
         // nondeterministic (iteration counts vary run to run), which would

@@ -8,8 +8,8 @@ use cusha::algos::{
     PageRank, Sssp, Sswp,
 };
 use cusha::core::{
-    try_run, try_run_multi, try_run_streamed, try_run_streamed_observed, CuShaConfig,
-    IntegrityConfig, IntegrityMode, MultiConfig, NoopObserver, Repr, StreamingConfig,
+    try_run, try_run_multi, try_run_placed, try_run_streamed, CuShaConfig, IntegrityConfig,
+    IntegrityMode, MultiConfig, NoopObserver, Placement, PreparedLayout, Repr, StreamingConfig,
 };
 use cusha::graph::generators::rmat::{rmat, RmatConfig};
 use cusha::graph::Graph;
@@ -83,12 +83,22 @@ fn flips_injected_counts_only_this_runs_flips_on_a_carried_plan() {
     let prog = Bfs::new(0);
     let mut plan = FaultPlan::new().flip_at(0, FlipTarget::VertexValues, 0, 20);
     let base = base_cfg(Repr::ConcatWindows).with_integrity(full_integrity());
-    let scfg = StreamingConfig::new(base.clone(), 1 << 14);
+    let streamed = Placement::streamed(1 << 14);
+    let layout = PreparedLayout::for_program::<Bfs>(&g, &base, &streamed).expect("layout");
 
     let mut reported = Vec::new();
     for _ in 0..2 {
-        let out = try_run_streamed_observed(&prog, &g, &scfg, Some(&mut plan), &mut NoopObserver)
-            .expect("recovered run");
+        let plan = Some(&mut plan);
+        let out = try_run_placed(
+            &prog,
+            &g,
+            &layout,
+            &base,
+            &streamed,
+            plan,
+            &mut NoopObserver,
+        )
+        .expect("recovered run");
         reported.push(out.stats.sdc.flips_injected);
     }
     assert_eq!(

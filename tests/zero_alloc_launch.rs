@@ -16,8 +16,7 @@ use std::cell::Cell;
 
 use cusha::algos::Bfs;
 use cusha::core::{
-    try_run_multi_observed, try_run_streamed_observed, try_run_warm, CuShaConfig, MultiConfig,
-    PreparedLayout, RunObserver, StreamingConfig,
+    try_run_placed, try_run_warm, CuShaConfig, Placement, PreparedLayout, RunObserver,
 };
 use cusha::frontier::{try_run_frontier_warm, try_run_kcore, FrontierConfig, PreparedFrontier};
 use cusha::graph::generators::lattice::lattice2d;
@@ -285,16 +284,16 @@ fn shard_family_heap_traffic_per_iteration_is_constant() {
     let per_iteration = |side: u32, devices: usize| {
         let g = lattice2d(side, side, 1.0, 4, 11);
         let cfg = CuShaConfig::cw().with_vertices_per_shard(64);
+        let layout = PreparedLayout::build(&g, cfg.repr, 64);
         allocations_per_iteration(|observer| match devices {
             0 => {
-                let layout = PreparedLayout::build(&g, cfg.repr, 64);
                 let out = try_run_warm(&Bfs::new(0), &g, &layout, &cfg, None, observer);
                 assert!(out.unwrap().stats.iterations > 8);
             }
             n => {
-                let cfg = MultiConfig::new(cfg, n);
-                let out = try_run_multi_observed(&Bfs::new(0), &g, &cfg, None, observer);
-                assert!(out.unwrap().stats.exchange_bytes > 0);
+                let fleet = Placement::fleet(n);
+                let out = try_run_placed(&Bfs::new(0), &g, &layout, &cfg, &fleet, None, observer);
+                assert!(out.unwrap().stats.fleet.unwrap().exchange_bytes > 0);
             }
         })
     };
@@ -309,9 +308,13 @@ fn shard_family_heap_traffic_per_iteration_is_constant() {
     // running sums, not a vector of per-batch times per iteration.
     for (side, budget, batches) in [(12, u64::MAX, 1), (24, u64::MAX, 1), (24, 1, 9)] {
         let g = lattice2d(side, side, 1.0, 4, 11);
-        let cfg = StreamingConfig::new(CuShaConfig::cw().with_vertices_per_shard(64), budget);
+        let cfg = CuShaConfig::cw().with_vertices_per_shard(64);
+        let (layout, streamed) = (
+            PreparedLayout::build(&g, cfg.repr, 64),
+            Placement::streamed(budget),
+        );
         let streamed = allocations_per_iteration(|observer| {
-            let out = try_run_streamed_observed(&Bfs::new(0), &g, &cfg, None, observer);
+            let out = try_run_placed(&Bfs::new(0), &g, &layout, &cfg, &streamed, None, observer);
             assert!(out.unwrap().stats.iterations > 8);
         });
         let (warming, warm) = streamed.split_at(8);
