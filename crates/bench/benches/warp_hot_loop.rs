@@ -8,8 +8,11 @@
 //! Below the launch, one case per simulator layer (`layer/*_x256`, [`OPS`]
 //! operations per iteration): the global and bank analyses on their own,
 //! and `supdate`, a replay hit and a replay miss inside one single-block
-//! launch; `layer/stage_scope_hit` is the shape the CuSha kernel uses — one
-//! replayed scope around a whole 256-chunk stage-2 body — and
+//! launch; `layer/stage_scope_hit` is one replayed scope around a whole
+//! 256-chunk stage-2 body whose ops still move the data (the path the
+//! ledger's `simt.launch_replay_us` probe times), `layer/stage_plain_loop` the
+//! same stage as the CuSha kernel runs it once its scope replays — no ops, one
+//! fold over the buffers' host views — and
 //! `layer/vwc_block_*` the shape the VWC baseline uses: three scopes a block
 //! whose bodies are issued only on a miss, 256 blocks a launch: interpreted,
 //! replayed, with every sweep key evicted from a table at its cap between
@@ -175,28 +178,42 @@ fn layers(c: &mut Criterion) {
         "layer cases missed their regimes"
     );
 
-    // Stage 2 of one shard, as the kernel issues it: per chunk a stride-1
-    // index load, a stride-1 value load, the compute and the atomic shared
-    // update — all inside one scope, so a hit pays the data movement only.
+    // Stage 2 of one shard: per chunk a stride-1 index load, a stride-1
+    // value load, the compute and the atomic shared update — all inside one
+    // scope, so a hit pays the data movement only. `plain`: a hit moves that
+    // data as the kernel's replayed stage does, in one loop over host views.
     let n = OPS * WARP;
     let mut gpu = Gpu::new(DeviceConfig::gtx780());
     let dest = gpu.upload(&(0..n as u32).map(|e| e * 7 % 1024).collect::<Vec<_>>());
     let vals = gpu.upload(&vec![1u32; n]);
-    let stage = |gpu: &mut Gpu| {
+    let stage = |gpu: &mut Gpu, plain: bool| {
         gpu.launch(&desc, |blk| {
             let mut local = blk.shared_alloc::<u32>(1024);
-            blk.warp_scope(&[0x7374_616765, 0, n as u64, 0], Mask::FULL, &[0u32; WARP]);
-            for (base, mask) in warp_chunks(n) {
-                let dst = blk.gload_run(&dest, mask, base as isize);
-                let src = blk.gload_run(&vals, mask, base as isize);
-                blk.exec(mask, 2);
-                blk.supdate(&mut local, mask, |l| dst[l] as usize, |l, v| *v += src[l]);
+            let site = [0x7374_616765, 0, n as u64, 0];
+            if blk.warp_scope(&site, Mask::FULL, &[0u32; WARP]) && plain {
+                let slots = local.host_mut();
+                for (&d, &v) in dest.host().iter().zip(vals.host()) {
+                    slots[d as usize] += v;
+                }
+            } else {
+                for (base, mask) in warp_chunks(n) {
+                    let dst = blk.gload_run(&dest, mask, base as isize);
+                    let src = blk.gload_run(&vals, mask, base as isize);
+                    blk.exec(mask, 2);
+                    blk.supdate(&mut local, mask, |l| dst[l] as usize, |l, v| *v += src[l]);
+                }
             }
             blk.warp_scope_end();
+            black_box(local.host()[0]);
         })
     };
-    stage(&mut gpu);
-    c.bench_function("layer/stage_scope_hit", |b| b.iter(|| stage(&mut gpu)));
+    stage(&mut gpu, false);
+    c.bench_function("layer/stage_scope_hit", |b| {
+        b.iter(|| stage(&mut gpu, false))
+    });
+    c.bench_function("layer/stage_plain_loop", |b| {
+        b.iter(|| stage(&mut gpu, true))
+    });
     assert_eq!(gpu.replay_stats().1, 1, "the stage scope re-recorded");
 }
 

@@ -25,6 +25,7 @@
 //! uniform/cached and charged neither traffic nor instructions; the bulk
 //! per-edge and per-vertex arrays dominate, and they are fully accounted.
 
+use crate::cw::ConcatWindows;
 use crate::engine::PreparedLayout;
 use crate::program::{Value, VertexProgram};
 use crate::shards::GShards;
@@ -34,6 +35,7 @@ use cusha_obs::trace::lanes;
 use cusha_simt::{
     aligned_chunks, Block, DevVec, DeviceFault, Gpu, KernelDesc, KernelStats, Mask, Pod, WARP,
 };
+use std::array::from_fn;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -56,7 +58,7 @@ const SITE_WRITEBACK: u64 = 0x6373_5752495445; // "WRITE"
 /// the index column driving it. The exact key already determines the
 /// accounting; these backstop a table that outlived its layout.
 fn sampled(column: &[u32], range: &Range<usize>) -> [u32; WARP] {
-    std::array::from_fn(|l| match range.len() {
+    from_fn(|l| match range.len() {
         0 => 0,
         n => column[range.start + l * n / WARP],
     })
@@ -208,12 +210,11 @@ impl<P: VertexProgram> HostArrays<P> {
     }
 
     /// The functional core of the CuSha iteration on the host masters: the
-    /// exact per-shard schedule of the kernel (init, fold in entry order,
-    /// update condition, window write-back) over `shards`, so results are
-    /// bit-identical to a launch for every program, floats included. Every
-    /// stage-4 write lands in the master column; one that falls outside
-    /// `own` is also pushed to `spills`. Returns the number of vertex values
-    /// published.
+    /// kernel's per-shard schedule ([`init_local`], [`fold`], the update
+    /// condition, [`write_back`]) over `shards`, bit-identical to a launch for
+    /// every program, floats included. Every stage-4 write lands in the master
+    /// column, and one outside `own` in `spills` too. Returns the number of
+    /// vertex values published.
     pub(crate) fn sweep(
         &mut self,
         prog: &P,
@@ -223,58 +224,83 @@ impl<P: VertexProgram> HostArrays<P> {
         spills: &mut Vec<(usize, P::V)>,
     ) -> u64 {
         let (vv, sv) = (&mut self.values, &mut self.src_value);
-        let mut updated = 0u64;
+        let (mut updated, mut local) = (0u64, Vec::new());
         for s in shards {
             let vrange = gs.vertex_range(s);
-            let offset = vrange.start as usize;
-
-            // Stage 1: shard-local working copy.
-            let mut local: Vec<P::V> = vrange
-                .clone()
-                .map(|v| {
-                    let mut lv = P::V::default();
-                    prog.init_compute(&mut lv, &vv[v as usize]);
-                    lv
-                })
-                .collect();
-
-            // Stage 2: fold every shard entry into its destination's slot, in
-            // entry order (the simulator's lane-serialized order).
-            for e in gs.shard_entries(s) {
-                let statv = self.statics.as_ref().map(|v| v[e]).unwrap_or_default();
-                let ev = self.edges.as_ref().map(|v| v[e]).unwrap_or_default();
-                let slot = gs.dest_index()[e] as usize - offset;
-                prog.compute(&sv[e], &statv, &ev, &mut local[slot]);
-            }
+            let (offset, entries) = (vrange.start as usize, gs.shard_entries(s));
+            local.resize(vrange.len(), P::V::default());
+            init_local(prog, &vv[offset..], &mut local);
+            let (r, dest) = (|| entries.clone(), gs.dest_index());
+            let (st, ed) = (self.statics.as_deref(), self.edges.as_deref());
+            let (st, ed) = (st.map(|c| &c[r()]), ed.map(|c| &c[r()]));
+            fold(prog, &dest[r()], &sv[r()], st, ed, offset, &mut local);
 
             // Stage 3: publish values passing the update condition.
-            let mut block_updated = false;
-            for v in vrange {
-                let (i, g) = (v as usize - offset, v as usize);
-                let mut newv = local[i];
-                let cond = prog.update_condition(&mut newv, &vv[g]);
-                local[i] = newv;
-                if cond {
-                    vv[g] = newv;
-                    block_updated = true;
+            let published = updated;
+            for (lv, g) in local.iter_mut().zip(&mut vv[offset..]) {
+                if prog.update_condition(lv, g) {
+                    *g = *lv;
                     updated += 1;
                 }
             }
-
-            // Stage 4: write the shard's column back to every window.
-            if block_updated {
-                for j in 0..gs.num_shards() {
-                    for e in gs.window(s, j) {
-                        let val = local[gs.src_index()[e] as usize - offset];
-                        sv[e] = val;
-                        if !own.contains(&e) {
-                            spills.push((e, val));
-                        }
+            if updated > published {
+                write_back(gs, None, s, &local, offset, |e, val| {
+                    sv[e] = val;
+                    if !own.contains(&e) {
+                        spills.push((e, val));
                     }
-                }
+                });
             }
         }
         updated
+    }
+}
+
+/// Stage 1 of one shard: `local[i]` starts from `values[i]`, its `VertexValues`.
+fn init_local<P: VertexProgram>(prog: &P, values: &[P::V], local: &mut [P::V]) {
+    for (lv, v) in local.iter_mut().zip(values) {
+        *lv = P::V::default();
+        prog.init_compute(lv, v);
+    }
+}
+
+/// Stage 2 of one shard, whose first vertex is `offset`: folds each entry of
+/// the columns into its destination's slot in entry order (the lanes' order).
+fn fold<P: VertexProgram>(
+    prog: &P,
+    dest: &[u32],
+    src: &[P::V],
+    statics: Option<&[P::SV]>,
+    edges: Option<&[P::E]>,
+    offset: usize,
+    local: &mut [P::V],
+) {
+    for (k, (&d, srcv)) in dest.iter().zip(src).enumerate() {
+        let statv = statics.map_or_else(P::SV::default, |c| c[k]);
+        let ev = edges.map_or_else(P::E::default, |c| c[k]);
+        prog.compute(srcv, &statv, &ev, &mut local[d as usize - offset]);
+    }
+}
+
+/// Stage 4 of shard `s`: hands `emit` each `(entry, value)` of its windows in
+/// window order — or of `CW_s`, those windows concatenated: the same sequence.
+fn write_back<V: Copy>(
+    gs: &GShards,
+    cw: Option<&ConcatWindows>,
+    s: u32,
+    local: &[V],
+    offset: usize,
+    mut emit: impl FnMut(usize, V),
+) {
+    let Some(cw) = cw else {
+        for e in (0..gs.num_shards()).flat_map(|j| gs.window(s, j)) {
+            emit(e, local[gs.src_index()[e] as usize - offset]);
+        }
+        return;
+    };
+    let r = cw.cw_entries(s);
+    for (&at, &src) in cw.mapper()[r.clone()].iter().zip(&cw.src_index()[r]) {
+        emit(at as usize, local[src as usize - offset]);
     }
 }
 
@@ -435,7 +461,7 @@ impl<V: Value> Sink<'_, V> {
         mask: Mask,
         vals: &[V; WARP],
     ) {
-        self.record(mask, |l| base + l, vals);
+        mask.iter().for_each(|l| self.put(base + l, vals[l]));
         if let Sink::Outbox(ob) = self {
             b.gstore_run(&mut ob.buf, mask, at, vals);
         }
@@ -443,25 +469,22 @@ impl<V: Value> Sink<'_, V> {
 
     /// Scatters the lanes of `mask` to remote targets `pos[l]` (CW stage 4).
     fn scatter(&mut self, b: &mut Block<'_>, mask: Mask, pos: &[u32; WARP], vals: &[V; WARP]) {
-        self.record(mask, |l| pos[l] as usize, vals);
+        mask.iter().for_each(|l| self.put(pos[l] as usize, vals[l]));
         if let Sink::Outbox(Outbox { remote, buf, .. }) = self {
             b.gstore(buf, mask, |l| slot_of(remote, pos[l] as usize), |l| vals[l]);
         }
     }
 
-    /// The host-visible half of a remote write, in lane order.
-    fn record(&mut self, mask: Mask, pos: impl Fn(usize) -> usize, vals: &[V; WARP]) {
+    /// The host-visible half of a remote write: all a replayed stage 4 makes.
+    fn put(&mut self, at: usize, val: V) {
         match self {
             Sink::None => debug_assert!(false, "stage-4 write left a whole-graph slice"),
-            Sink::Outbox(ob) => ob.spills.extend(mask.iter().map(|l| (pos(l), vals[l]))),
+            Sink::Outbox(ob) => ob.spills.push((at, val)),
             Sink::Host(host) => {
-                for l in mask.iter() {
-                    let at = pos(l);
-                    host.src_value[at] = vals[l];
-                    *host.bytes += <V as Pod>::SIZE as u64;
-                    if !host.own.contains(&at) {
-                        host.spills.push((at, vals[l]));
-                    }
+                host.src_value[at] = val;
+                *host.bytes += <V as Pod>::SIZE as u64;
+                if !host.own.contains(&at) {
+                    host.spills.push((at, val));
                 }
             }
         }
@@ -747,7 +770,8 @@ impl<P: VertexProgram> DeviceSlice<P> {
 
     /// The kernel body: stages 1–4 of Figure 5 for every shard of the
     /// slice, in run-form ops, with one replay scope around each statically
-    /// accounted stage.
+    /// accounted stage; one that replays moves its data with the loop of
+    /// [`HostArrays::sweep`] over host views instead.
     #[allow(clippy::too_many_arguments)]
     fn launch_once(
         &mut self,
@@ -777,15 +801,19 @@ impl<P: VertexProgram> DeviceSlice<P> {
             // Pure stride-1 traffic: SoA run operations copy whole lane
             // columns and account in closed form.
             b.phase("gather");
-            b.warp_scope(&site(SITE_GATHER, res.voff as u64), Mask::FULL, &[0; WARP]);
-            for (base, mask) in aligned_chunks(offset..offset + nv) {
-                let vals = b.gload_run(&res.vertex_values, mask, base as isize - voff);
-                let mut inited = [P::V::default(); WARP];
-                for l in mask.iter() {
-                    prog.init_compute(&mut inited[l], &vals[l]);
+            if b.warp_scope(&site(SITE_GATHER, res.voff as u64), Mask::FULL, &[0; WARP]) {
+                let vv = &res.vertex_values.host()[offset - res.voff..][..nv];
+                init_local(prog, vv, local.host_mut());
+            } else {
+                for (base, mask) in aligned_chunks(offset..offset + nv) {
+                    let vals = b.gload_run(&res.vertex_values, mask, base as isize - voff);
+                    let mut inited = [P::V::default(); WARP];
+                    for l in mask.iter() {
+                        prog.init_compute(&mut inited[l], &vals[l]);
+                    }
+                    b.exec(mask, 1);
+                    b.sstore_run(&mut local, mask, base as isize - offset as isize, &inited);
                 }
-                b.exec(mask, 1);
-                b.sstore_run(&mut local, mask, base as isize - offset as isize, &inited);
             }
             b.warp_scope_end();
             b.sync();
@@ -796,26 +824,33 @@ impl<P: VertexProgram> DeviceSlice<P> {
             b.phase("apply");
             let entries = gs.shard_entries(s);
             let col = sampled(gs.dest_index(), &entries);
-            b.warp_scope(&site(SITE_APPLY, slice_word), Mask::FULL, &col);
-            for (base, mask) in aligned_chunks(entries) {
-                let shift = base as isize - eoff;
-                let dst = b.gload_run(&self.dest_index, mask, shift);
-                let srcv = b.gload_run(&self.src_value, mask, shift);
-                let statv = match &self.src_static {
-                    Some(buf) => b.gload_run(buf, mask, shift),
-                    None => [P::SV::default(); WARP],
-                };
-                let ev = match &self.edge_value {
-                    Some(buf) => b.gload_run(buf, mask, shift),
-                    None => [P::E::default(); WARP],
-                };
-                b.exec(mask, P::COMPUTE_COST);
-                b.supdate(
-                    &mut local,
-                    mask,
-                    |l| dst[l] as usize - offset,
-                    |l, slot| prog.compute(&srcv[l], &statv[l], &ev[l], slot),
-                );
+            if b.warp_scope(&site(SITE_APPLY, slice_word), Mask::FULL, &col) {
+                let r = || entries.start - erange.start..entries.end - erange.start;
+                let statics = self.src_static.as_ref().map(|c| &c.host()[r()]);
+                let edges = self.edge_value.as_ref().map(|c| &c.host()[r()]);
+                let (dest, srcv) = (&self.dest_index.host()[r()], &self.src_value.host()[r()]);
+                fold(prog, dest, srcv, statics, edges, offset, local.host_mut());
+            } else {
+                for (base, mask) in aligned_chunks(entries) {
+                    let shift = base as isize - eoff;
+                    let dst = b.gload_run(&self.dest_index, mask, shift);
+                    let srcv = b.gload_run(&self.src_value, mask, shift);
+                    let statv = match &self.src_static {
+                        Some(buf) => b.gload_run(buf, mask, shift),
+                        None => [P::SV::default(); WARP],
+                    };
+                    let ev = match &self.edge_value {
+                        Some(buf) => b.gload_run(buf, mask, shift),
+                        None => [P::E::default(); WARP],
+                    };
+                    b.exec(mask, P::COMPUTE_COST);
+                    b.supdate(
+                        &mut local,
+                        mask,
+                        |l| dst[l] as usize - offset,
+                        |l, slot| prog.compute(&srcv[l], &statv[l], &ev[l], slot),
+                    );
+                }
             }
             b.warp_scope_end();
             b.sync();
@@ -848,19 +883,30 @@ impl<P: VertexProgram> DeviceSlice<P> {
             // Stage 4: write-back to the windows in all shards. Targets
             // inside the slice are device stores into its `SrcValue`;
             // the rest go to the sink. Whether it runs is the values'
-            // business; what it costs when it does is the layout's.
+            // business; what it costs when it does is the layout's (CW's
+            // `Mapper`, or G-Shards' window starts, fingerprint it).
             b.phase("compact");
             if !block_updated {
                 return;
             }
+            let col = match layout.cw() {
+                Some(cw) => sampled(cw.mapper(), &cw.cw_entries(s)),
+                None => from_fn(|l| gs.window(s, (l * p as usize / WARP) as u32).start as u32),
+            };
+            let replays = b.warp_scope(&site(SITE_WRITEBACK, slice_word), Mask::FULL, &col);
             match (layout.cw(), &self.mapper) {
+                _ if replays => {
+                    let srcv = self.src_value.host_mut();
+                    let emit = |e: usize, val| match erange.contains(&e) {
+                        true => srcv[e - erange.start] = val,
+                        false => sink.put(e, val),
+                    };
+                    write_back(gs, layout.cw(), s, local.host(), offset, emit);
+                }
                 (Some(cw), Some(mapper)) => {
                     // Concatenated Windows: dense sweep of CW_s through the
                     // Mapper.
-                    let entries = cw.cw_entries(s);
-                    let col = sampled(cw.mapper(), &entries);
-                    b.warp_scope(&site(SITE_WRITEBACK, slice_word), Mask::FULL, &col);
-                    for (base, mask) in aligned_chunks(entries) {
+                    for (base, mask) in aligned_chunks(cw.cw_entries(s)) {
                         let shift = base as isize - self.cwoff as isize;
                         let sidx = b.gload_run(&self.src_index, mask, shift);
                         let map = b.gload_run(mapper, mask, shift);
@@ -883,13 +929,7 @@ impl<P: VertexProgram> DeviceSlice<P> {
                 }
                 _ => {
                     // G-Shards: one warp walks each window W_sj, first
-                    // fetching its boundary from the offset table. The
-                    // window starts fingerprint the walk.
-                    let col = std::array::from_fn(|l| {
-                        gs.window(s, (l as u64 * p as u64 / WARP as u64) as u32)
-                            .start as u32
-                    });
-                    b.warp_scope(&site(SITE_WRITEBACK, slice_word), Mask::FULL, &col);
+                    // fetching its boundary from the offset table.
                     for j in 0..p {
                         if let Some(wo) = &self.window_offsets {
                             let lanes = if s + 1 < p { 2 } else { 1 };
@@ -937,22 +977,64 @@ mod tests {
     use cusha_graph::generators::rmat::{rmat, RmatConfig};
     use cusha_simt::DeviceConfig;
 
-    /// Uploads `shards` to `gpu` and launches once; the launch's statistics.
+    /// What a launch leaves behind: the slice's `SrcValue`, the device's
+    /// `VertexValues`, the remote writes in write order, the host master
+    /// column and the bytes written to it.
+    #[derive(Debug, PartialEq)]
+    struct Effects {
+        src_value: Vec<u32>,
+        vertex_values: Vec<u32>,
+        spills: Vec<(usize, u32)>,
+        master: Vec<u32>,
+        host_writes: u64,
+    }
+
+    /// Uploads `shards` to `gpu` and launches once; the launch's statistics
+    /// and effects. The slice spills through its outbox, or — given the entry
+    /// range of the streamed device it is a batch of — to a host master, with
+    /// every vertex resident.
     fn launch_slice(
         gpu: &mut Gpu,
         layout: &PreparedLayout,
         host: &HostArrays<MiniSssp>,
         shards: Range<u32>,
-    ) -> KernelStats {
+        streamed: Option<&Range<usize>>,
+    ) -> (KernelStats, Effects) {
         let (retry, mut fault) = (RetryPolicy::NONE, FaultStats::default());
-        let (mut res, mut slice) =
-            upload_resident(gpu, &retry, &mut fault, layout, host, shards).expect("upload");
+        let (mut master, mut host_writes, mut spills) = (host.src_value.clone(), 0, Vec::new());
+        let ((mut res, mut slice), sink) = match streamed {
+            None => {
+                let up = upload_resident(gpu, &retry, &mut fault, layout, host, shards);
+                (up.expect("upload"), None)
+            }
+            Some(own) => {
+                let res = Resident::upload(gpu, &retry, &mut fault, &host.values, 0);
+                let via = SpillVia::Host;
+                let slice = DeviceSlice::upload(gpu, &retry, &mut fault, layout, host, shards, via);
+                let sink = HostMaster {
+                    src_value: &mut master,
+                    bytes: &mut host_writes,
+                    own,
+                    spills: &mut spills,
+                };
+                ((res.expect("upload"), slice.expect("upload")), Some(sink))
+            }
+        };
         let prog = MiniSssp { source: 0 };
         let name: Arc<str> = "slice-probe".into();
         let launched = slice.launch(
-            gpu, &name, 128, &prog, layout, &mut res, None, &retry, &mut fault,
+            gpu, &name, 128, &prog, layout, &mut res, sink, &retry, &mut fault,
         );
-        launched.expect("launch").0
+        let kstats = launched.expect("launch").0;
+        slice.take_spills(&mut spills);
+        let effects = Effects {
+            src_value: slice.src_value.host().to_vec(),
+            vertex_values: res.vertex_values.host().to_vec(),
+            spills,
+            master,
+            host_writes,
+        };
+        (kstats, effects)
     }
 
     #[test]
@@ -966,21 +1048,77 @@ mod tests {
             let layout = PreparedLayout::build(&g, repr, 16);
             let host = HostArrays::new(&MiniSssp { source: 0 }, &g, layout.gs());
             let p = layout.num_shards();
-            let alone = launch_slice(&mut Gpu::new(DeviceConfig::gtx780()), &layout, &host, 1..p);
+            let mut lone = Gpu::new(DeviceConfig::gtx780());
+            let alone = launch_slice(&mut lone, &layout, &host, 1..p, None).0;
 
             let mut gpu = Gpu::new(DeviceConfig::gtx780());
-            launch_slice(&mut gpu, &layout, &host, 0..p);
+            launch_slice(&mut gpu, &layout, &host, 0..p, None);
             let (hits, misses, _) = gpu.replay_stats();
-            let shifted = launch_slice(&mut gpu, &layout, &host, 1..p);
+            let shifted = launch_slice(&mut gpu, &layout, &host, 1..p, None).0;
             assert_eq!(shifted.counters, alone.counters, "{}", repr.label());
             assert_eq!(shifted.seconds.to_bits(), alone.seconds.to_bits());
             let (hits_after, misses_after, _) = gpu.replay_stats();
             assert_eq!(hits_after, hits, "{}: replayed another slice", repr.label());
             assert!(misses_after > misses);
             // The same slice again is the same key: everything replays.
-            let again = launch_slice(&mut gpu, &layout, &host, 1..p);
+            let again = launch_slice(&mut gpu, &layout, &host, 1..p, None).0;
             assert_eq!(again.counters, alone.counters);
             assert_eq!(gpu.replay_stats().1, misses_after);
+        }
+    }
+
+    #[test]
+    fn a_replayed_launch_leaves_what_an_interpreted_one_does() {
+        // A replayed stage moves its data outside the block ops, straight
+        // into the slice and the sink. For every stage-4 sink — none (a
+        // whole-graph slice), an outbox, a streamed batch's host master —
+        // the launch that replays every stage must leave the same values,
+        // spills in the same order and the same PCIe bytes as one
+        // interpreted with replay off.
+        let g = rmat(&RmatConfig::graph500(8, 2500, 5));
+        for repr in [Repr::GShards, Repr::ConcatWindows] {
+            let layout = PreparedLayout::build(&g, repr, 16);
+            let mut host = HostArrays::new(&MiniSssp { source: 0 }, &g, layout.gs());
+            // A mid-run `SrcValue`: nearly every shard updates and writes back.
+            for (e, v) in host.src_value.iter_mut().enumerate() {
+                *v = (e % 7) as u32;
+            }
+            let p = layout.num_shards();
+            let own = entry_range(layout.gs(), &(1..p));
+            for (shards, streamed) in [(0..p, None), (1..p, None), (2..p, Some(&own))] {
+                let tag = format!(
+                    "{} {shards:?} streamed={}",
+                    repr.label(),
+                    streamed.is_some()
+                );
+                let mut gpu = Gpu::new(DeviceConfig::gtx780());
+                let recorded = launch_slice(&mut gpu, &layout, &host, shards.clone(), streamed);
+                let (_, scopes, _) = gpu.replay_stats();
+                let replayed = launch_slice(&mut gpu, &layout, &host, shards.clone(), streamed);
+                let (hits, misses, _) = gpu.replay_stats();
+                assert_eq!(
+                    (hits, misses),
+                    (scopes, scopes),
+                    "{tag}: not every stage replayed"
+                );
+
+                let mut off = DeviceConfig::gtx780();
+                off.replay_memo = false;
+                let interpreted =
+                    launch_slice(&mut Gpu::new(off), &layout, &host, shards.clone(), streamed);
+                assert_eq!(replayed.1, interpreted.1, "{tag}");
+                assert_eq!(recorded.1, interpreted.1, "{tag}");
+                let (on, off) = (&replayed.0, &interpreted.0);
+                assert_eq!(on.counters, off.counters, "{tag}");
+                assert_eq!(on.seconds.to_bits(), off.seconds.to_bits(), "{tag}");
+                // The sinks saw traffic: the comparison is not vacuous.
+                let fx = &interpreted.1;
+                match (shards.start, streamed) {
+                    (0, _) => assert!(fx.spills.is_empty() && fx.host_writes == 0, "{tag}"),
+                    (_, None) => assert!(!fx.spills.is_empty(), "{tag}"),
+                    (_, Some(_)) => assert!(!fx.spills.is_empty() && fx.host_writes > 0, "{tag}"),
+                }
+            }
         }
     }
 }

@@ -35,6 +35,6 @@ pub mod trace;
 pub use export::{chrome_trace_json, validate_chrome_trace};
 pub use json::{parse_json, Json};
 pub use log::Level;
-pub use metrics::{Histogram, MetricsRegistry, METRICS_SCHEMA, METRICS_SCHEMA_V1};
+pub use metrics::{Histogram, MetricsRegistry, METRICS_SCHEMA};
 pub use snapshot::{HistogramSnapshot, MetricsSnapshot};
 pub use trace::{lanes, ArgVal, Event, Ph, SpanGuard, Tracer, TRACE_SCHEMA};

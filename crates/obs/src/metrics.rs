@@ -26,10 +26,6 @@ use std::collections::BTreeMap;
 /// Schema tag of the metrics snapshot format.
 pub const METRICS_SCHEMA: &str = "cusha-metrics/v2";
 
-/// Previous snapshot schema (moments-only histograms); still accepted by
-/// the [`crate::snapshot::MetricsSnapshot`] reader.
-pub const METRICS_SCHEMA_V1: &str = "cusha-metrics/v1";
-
 /// Sub-buckets per power-of-two octave (a power of two; 8 gives buckets
 /// ~12.5% wide, so a mid-bucket quantile estimate is within ~6%).
 const SUB_BUCKETS: u64 = 8;

@@ -1,15 +1,10 @@
 //! Reader for serialized metrics snapshots.
 //!
 //! [`MetricsRegistry::to_json`](crate::MetricsRegistry::to_json) writes
-//! `cusha-metrics/v2`; snapshots from PR 3 through PR 7 are
-//! `cusha-metrics/v1` (moments-only histograms, no quantiles or buckets).
-//! [`MetricsSnapshot::parse`] accepts both, so tooling that consumes
-//! committed artifacts (the bench perf gate, dashboard scripts) keeps
-//! working across the schema bump: v1 histograms surface with
-//! `p50/p90/p99 = None`.
+//! `cusha-metrics/v2`, the one schema [`MetricsSnapshot::parse`] accepts.
 
 use crate::json::{parse_json, Json};
-use crate::metrics::{METRICS_SCHEMA, METRICS_SCHEMA_V1};
+use crate::metrics::METRICS_SCHEMA;
 use std::collections::BTreeMap;
 
 /// One deserialized histogram series.
@@ -25,17 +20,17 @@ pub struct HistogramSnapshot {
     pub max: f64,
     /// Mean as serialized.
     pub mean: f64,
-    /// Median estimate (v2 only).
-    pub p50: Option<f64>,
-    /// 90th-percentile estimate (v2 only).
-    pub p90: Option<f64>,
-    /// 99th-percentile estimate (v2 only).
-    pub p99: Option<f64>,
-    /// Sparse log-bucket counts (v2 only; empty for v1).
+    /// Median estimate.
+    pub p50: f64,
+    /// 90th-percentile estimate.
+    pub p90: f64,
+    /// 99th-percentile estimate.
+    pub p99: f64,
+    /// Sparse log-bucket counts.
     pub buckets: BTreeMap<i32, u64>,
 }
 
-/// A deserialized metrics snapshot (v1 or v2).
+/// A deserialized metrics snapshot.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// The schema tag the snapshot was written under.
@@ -49,15 +44,14 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Parses a serialized snapshot, accepting both `cusha-metrics/v1`
-    /// and `cusha-metrics/v2`.
+    /// Parses a serialized `cusha-metrics/v2` snapshot.
     pub fn parse(s: &str) -> Result<Self, String> {
         let v = parse_json(s.trim_end())?;
         let schema = v
             .get("schema")
             .and_then(Json::as_str)
             .ok_or("missing \"schema\"")?;
-        if schema != METRICS_SCHEMA && schema != METRICS_SCHEMA_V1 {
+        if schema != METRICS_SCHEMA {
             return Err(format!("unknown metrics schema {schema:?}"));
         }
         let mut snap = MetricsSnapshot {
@@ -80,9 +74,9 @@ impl MetricsSnapshot {
                 min: field(h, "min"),
                 max: field(h, "max"),
                 mean: field(h, "mean"),
-                p50: h.get("p50").map(num),
-                p90: h.get("p90").map(num),
-                p99: h.get("p99").map(num),
+                p50: field(h, "p50"),
+                p90: field(h, "p90"),
+                p99: field(h, "p99"),
                 buckets: BTreeMap::new(),
             };
             if let Some(Json::Obj(buckets)) = h.get("buckets") {
@@ -140,26 +134,17 @@ mod tests {
         assert_eq!(h.count, 3);
         assert_eq!(h.sum, 6.0);
         let expected = r.histogram("lat", &[]).unwrap();
-        assert_eq!(h.p50, Some(expected.p50()));
+        assert_eq!(h.p50, expected.p50());
         assert_eq!(h.buckets, expected.buckets);
     }
 
     #[test]
-    fn v1_snapshots_still_parse() {
+    fn unknown_schema_is_rejected() {
+        // v1 (moments-only histograms) is no longer read: nothing writes it.
         let v1 = "{\"schema\":\"cusha-metrics/v1\",\"counters\":{\"iters\":5},\
                   \"gauges\":{},\"histograms\":{\"h\":{\"count\":2,\"sum\":3,\
                   \"min\":1,\"max\":2,\"mean\":1.5}}}\n";
-        let snap = MetricsSnapshot::parse(v1).unwrap();
-        assert_eq!(snap.schema, METRICS_SCHEMA_V1);
-        assert_eq!(snap.counters.get("iters"), Some(&5));
-        let h = &snap.histograms["h"];
-        assert_eq!(h.count, 2);
-        assert_eq!(h.mean, 1.5);
-        assert_eq!(h.p99, None, "v1 has no quantiles");
-    }
-
-    #[test]
-    fn unknown_schema_is_rejected() {
+        assert!(MetricsSnapshot::parse(v1).is_err());
         assert!(MetricsSnapshot::parse("{\"schema\":\"cusha-metrics/v9\"}").is_err());
         assert!(MetricsSnapshot::parse("not json").is_err());
     }

@@ -31,7 +31,8 @@
 //!   [`Block::warp_scope_end`]) memoize the *accounting* of a whole warp
 //!   iteration keyed on (site, mask, access fingerprint); inside a replayed
 //!   scope every operation still moves real data but skips address
-//!   derivation and the scattered-access analysis.
+//!   derivation and the scattered-access analysis — or the caller issues
+//!   none and moves the data through the buffers' host views itself.
 //!
 //! Underneath, the closure operations fill a `[u64; WARP]` of lane byte
 //! addresses under the mask and hand it to the device's O(active-lanes)
@@ -222,9 +223,11 @@ impl<'cfg> Block<'cfg> {
     ///
     /// Returns `true` when the scope replays (recorded counter/cycle deltas
     /// were just applied; operations until [`Block::warp_scope_end`] move
-    /// data without accounting). What the caller must then still issue is
-    /// every operation whose *data* is live — a load whose result is read, a
-    /// store something later loads. An operation issued only to be
+    /// data without accounting). What the caller must then still do is move
+    /// every *live* datum — a load whose result is read, a store something
+    /// later loads — either by issuing its operation or through the buffers'
+    /// un-accounted host views (`DevVec::host_mut`, `SharedVec::host_mut`),
+    /// as the CuSha kernel's replayed stages do. An operation issued only to be
     /// accounted — a load nobody reads, a store to memory nothing reads back
     /// — may be skipped when the scope replays: its counters and cycles are
     /// in the recorded deltas already, and data nobody reads is not

@@ -43,8 +43,10 @@ pub struct DeviceConfig {
     pub global_mem_bytes: u64,
     /// Enables the warp-trace replay memo (see `crate::replay`). Replay is
     /// an exactness-preserving simulator acceleration, not a device
-    /// property; the flag exists so A/B tests can prove outputs and
-    /// counters are bit-identical with it off.
+    /// property. The flag is an A/B switch: tests turn it off to prove
+    /// outputs and counters bit-identical with it off, and the benchmark
+    /// ledger for its `simt.replay_off_ratio` probe and its PageRank
+    /// reference run. No production path sets it.
     pub replay_memo: bool,
 }
 

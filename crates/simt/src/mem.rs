@@ -17,9 +17,10 @@ pub const ALLOC_ALIGN: u64 = 256;
 /// Created through [`crate::Gpu::alloc`] / [`crate::Gpu::upload`]; element
 /// access from kernels goes through the accounting operations on
 /// [`crate::Block`]. Host-side access (`host` / `host_mut`) is free and
-/// un-accounted — use it for test setup and assertions only; transfers that
-/// should cost PCIe time go through [`crate::Gpu::download`] and
-/// [`crate::Gpu::h2d`].
+/// un-accounted — use it for test setup and assertions, and inside a kernel
+/// only where the accounting is already paid (a replayed scope, see
+/// [`crate::Block::warp_scope`]); transfers that should cost PCIe time go
+/// through [`crate::Gpu::download`] and [`crate::Gpu::h2d`].
 #[derive(Debug)]
 pub struct DevVec<T: Pod> {
     data: Vec<T>,
@@ -67,13 +68,13 @@ impl<T: Pod> DevVec<T> {
         self.data.len() as u64 * T::SIZE as u64
     }
 
-    /// Un-accounted host view (test setup / assertions).
+    /// Un-accounted host view (test setup, assertions, replayed scopes).
     #[inline]
     pub fn host(&self) -> &[T] {
         &self.data
     }
 
-    /// Un-accounted mutable host view (test setup only).
+    /// Un-accounted mutable host view (test setup, replayed scopes).
     #[inline]
     pub fn host_mut(&mut self) -> &mut [T] {
         &mut self.data

@@ -61,10 +61,18 @@ impl<T: Pod> SharedVec<T> {
         self.base
     }
 
-    /// Direct (un-accounted) view; for assertions inside kernels and tests.
+    /// Direct (un-accounted) view; for assertions inside kernels and tests,
+    /// and for the data a replayed scope moves (see [`crate::Block::warp_scope`]).
     #[inline]
     pub fn host(&self) -> &[T] {
         &self.data
+    }
+
+    /// Direct (un-accounted) mutable view; what a kernel writes through inside
+    /// a replayed scope, whose accounting is already applied.
+    #[inline]
+    pub fn host_mut(&mut self) -> &mut [T] {
+        &mut self.data
     }
 
     #[inline]
@@ -122,5 +130,13 @@ mod tests {
         assert_eq!(s.addr(2), 136);
         assert_eq!(s.len(), 4);
         assert!(!s.is_empty());
+    }
+
+    #[test]
+    fn host_views() {
+        let mut s: SharedVec<u32> = SharedVec::recycled(3, 0);
+        s.host_mut()[1] = 9;
+        assert_eq!(s.host(), &[0, 9, 0]);
+        assert_eq!(s.get(1), 9);
     }
 }

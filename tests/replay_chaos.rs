@@ -10,8 +10,8 @@ use cusha::algos::{Bfs, PageRank, Sssp, Sswp};
 use cusha::baselines::{run_vwc, MtcpuEngine, VwcConfig, VwcEngine, VIRTUAL_WARP_SIZES};
 use cusha::core::{
     run_engine, try_run_warm, CuShaConfig, CuShaOutput, Engine, EngineError, IntegrityConfig,
-    IntegrityMode, MemoStats, NoopObserver, Placement, PreparedLayout, Repr, RunObserver, RunStats,
-    ShardEngine, VertexProgram,
+    IntegrityMode, MemoStats, MultiRunStats, NoopObserver, Placement, PreparedLayout, Repr,
+    RunObserver, RunStats, ShardEngine, VertexProgram,
 };
 use cusha::frontier::{host_kcore, try_run_kcore, FrontierEngine, KcoreConfig};
 use cusha::graph::generators::lattice::lattice2d;
@@ -27,14 +27,18 @@ fn chaos_graph(seed: u64) -> Graph {
 }
 
 /// The six engine families, fresh boxes each call (engines are stateful).
+/// The shard family runs under every placement, so a replayed stage 4 meets
+/// each of its sinks: none (resident), the host master (streamed) and the
+/// outbox (a fleet device).
 fn all_engines<P: VertexProgram>() -> Vec<Box<dyn Engine<P>>> {
+    let shard = |repr, placement| Box::new(ShardEngine { repr, placement });
     vec![
         Box::new(ShardEngine::new(Repr::GShards)),
         Box::new(ShardEngine::new(Repr::ConcatWindows)),
-        Box::new(ShardEngine {
-            repr: Repr::GShards,
-            placement: Placement::streamed(64 << 20),
-        }),
+        shard(Repr::GShards, Placement::streamed(64 << 20)),
+        shard(Repr::ConcatWindows, Placement::streamed(64 << 20)),
+        shard(Repr::GShards, Placement::fleet(3)),
+        shard(Repr::ConcatWindows, Placement::fleet(3)),
         Box::new(VwcEngine::new(8)),
         // One CPU thread: the multithreaded schedule is honest-to-goodness
         // nondeterministic (iteration counts vary run to run), which would
@@ -103,6 +107,22 @@ fn assert_stats_identical(tag: &str, on: &RunStats, off: &RunStats) {
     assert_eq!(on.fault, off.fault, "{tag}: fault stats");
     assert_eq!(on.sdc, off.sdc, "{tag}: sdc stats");
     assert_eq!(on.frontier, off.frontier, "{tag}: frontier stats");
+    assert_eq!(fleet_record(on), fleet_record(off), "{tag}: fleet record");
+}
+
+/// A fleet's record without its memo telemetry. Its `Debug` prints every
+/// `f64` in round-trip form, so equal strings are equal bits.
+fn fleet_record(stats: &RunStats) -> Option<String> {
+    let fleet = stats.fleet.as_deref().cloned();
+    fleet.map(|f| {
+        format!(
+            "{:?}",
+            MultiRunStats {
+                memo: MemoStats::default(),
+                ..f
+            }
+        )
+    })
 }
 
 /// Engines whose kernels delimit warp-trace scopes (and therefore exercise
@@ -143,6 +163,8 @@ fn replay_toggle_is_invisible_across_engines_and_algorithms() {
                 );
                 assert_eq!(on.values, off.values, "{tag}: values diverged");
                 assert_stats_identical(&tag, &on.stats, &off.stats);
+                let fleet = on.stats.fleet.is_some();
+                assert_eq!(fleet, label.contains(" x"), "{tag}: fleet record");
                 if uses_replay_scopes(&label) {
                     assert!(
                         on.stats.memo.replay_hits > 0,

@@ -34,7 +34,10 @@ const ROWS: &[(&str, &str, RangeInclusive<usize>, &str)] = &[
     ("crates/**", "MEMO_SLOTS|pack_coalesce_key|pack_bank_key|SITE_VWC_WARP", 0..=0, "deleted memo-table and replay-key names"),
     // Safe simulator, per-device replay tables, one scope per stage.
     ("crates/simt/src/**", "zeroed_table|Zeroable|with_share|in_fleet|unsafe", 0..=0, "no unsafe, no fixed-size or fleet-shared replay table"),
-    ("crates/core/src/kernel.rs", "warp_scope(", 0..=4, "one scope per stage (stage 4 once per representation), not per chunk"),
+    ("crates/core/src/kernel.rs", "warp_scope(", 0..=3, "one scope per statically accounted stage, not per chunk"),
+    // A replayed stage moves its data through the host re-enactment's loop.
+    (CORE, "prog.compute(", 2..=2, "the interpreted stage 2 and fold, which a replayed stage 2 and the sweep share"),
+    (CORE, "prog.init_compute(", 2..=2, "the interpreted stage 1 and init_local, which a replayed stage 1 and the sweep share"),
     // VWC accounts once per block-stage through the one Block::accounted.
     (VWC, "accounted(", 0..=4, "sisd, sweep, reduce, deferred: per block-stage, not per warp"),
     (VWC, "warp_scope(", 0..=0, "scopes go through Block::accounted"),
@@ -108,13 +111,15 @@ const ROWS: &[(&str, &str, RangeInclusive<usize>, &str)] = &[
 ];
 
 /// Non-test line ceilings: a second copy of anything shows up here first.
-/// Core's, `multi.rs`'s and the bench crate's are the counts landed by the
-/// change that made a run's placement data (one entry, `try_run_placed`, and
-/// one adapter where three façades and three adapters were; `multi.rs` holds
-/// `drive` once the statistics types moved to `stats.rs`); nothing adds to
-/// any of them without taking as much out.
+/// `multi.rs`'s and the bench crate's are the counts landed by the change
+/// that made a run's placement data (one entry, `try_run_placed`, and one
+/// adapter where three façades and three adapters were; `multi.rs` holds
+/// `drive` once the statistics types moved to `stats.rs`). Core's is that
+/// count plus 40: the three stage loops (`init_local`, `fold`, `write_back`)
+/// a replayed kernel stage and the host sweep share, and their call sites.
+/// Nothing adds to any of them without taking as much out.
 const CEILINGS: &[(&str, usize)] = &[
-    ("crates/core/src/**", 5385),
+    ("crates/core/src/**", 5425),
     (MULTI, 1116),
     ("crates/bench/src/**", 2920),
     ("crates/frontier/src/**", 1930),
