@@ -129,13 +129,15 @@ pub fn try_run_mtcpu_warm<P: VertexProgram, O: RunObserver + ?Sized>(
     };
 
     let barrier = Barrier::new(t);
-    let changed = AtomicBool::new(false);
     let stop = AtomicBool::new(false);
     let cancelled = AtomicBool::new(false);
-    let iterations = AtomicU64::new(0);
-    let updated_counts: Vec<AtomicU64> = (0..cfg.max_iterations as usize)
-        .map(|_| AtomicU64::new(0))
-        .collect();
+    // Vertices the sweep under way updated, summed by every worker; the
+    // coordinator moves it into `updated` between the two barriers, so the
+    // tally grows with the sweeps run, not with the iteration cap. Relaxed
+    // suffices: the first barrier orders every add before the swap, the
+    // second the swap before the next sweep's adds.
+    let tally = AtomicU64::new(0);
+    let mut updated: Vec<u64> = Vec::new();
 
     // One sweep of a worker's vertex range; returns its update count.
     let sweep = |range: std::ops::Range<usize>| -> u64 {
@@ -161,73 +163,55 @@ pub fn try_run_mtcpu_warm<P: VertexProgram, O: RunObserver + ?Sized>(
     std::thread::scope(|scope| {
         for i in 1..t {
             let range = range_of(i);
-            let sweep = &sweep;
-            let barrier = &barrier;
-            let changed = &changed;
-            let stop = &stop;
-            let updated_counts = &updated_counts;
-            scope.spawn(move || {
-                let mut iter = 0usize;
-                loop {
-                    let local_updates = sweep(range.clone());
-                    if local_updates > 0 {
-                        changed.store(true, Ordering::Relaxed);
-                        updated_counts[iter].fetch_add(local_updates, Ordering::Relaxed);
-                    }
-                    barrier.wait();
-                    // Worker 0 evaluates the stop condition between barriers.
-                    barrier.wait();
-                    if stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    iter += 1;
+            let (sweep, barrier, stop, tally) = (&sweep, &barrier, &stop, &tally);
+            scope.spawn(move || loop {
+                tally.fetch_add(sweep(range.clone()), Ordering::Relaxed);
+                barrier.wait();
+                // Worker 0 evaluates the stop condition between barriers.
+                barrier.wait();
+                if stop.load(Ordering::Relaxed) {
+                    break;
                 }
             });
         }
         // Worker 0 — the convergence coordinator — runs on the calling
         // thread so it can consult the (thread-bound) observer.
         let range = range_of(0);
-        let mut iter = 0usize;
         loop {
-            let local_updates = sweep(range.clone());
-            if local_updates > 0 {
-                changed.store(true, Ordering::Relaxed);
-                updated_counts[iter].fetch_add(local_updates, Ordering::Relaxed);
-            }
+            tally.fetch_add(sweep(range.clone()), Ordering::Relaxed);
             barrier.wait();
-            iterations.fetch_add(1, Ordering::Relaxed);
-            let any = changed.swap(false, Ordering::Relaxed);
-            let cap = iter + 1 >= cfg.max_iterations as usize;
-            let mut halt = !any || cap;
+            let count = tally.swap(0, Ordering::Relaxed);
+            updated.push(count);
+            let sweeps = updated.len() as u32;
+            let mut halt = count == 0 || sweeps >= cfg.max_iterations;
             if !halt {
-                let updated = updated_counts[iter].load(Ordering::Relaxed);
                 let elapsed = start.elapsed().as_secs_f64();
-                if !observer.on_iteration((iter + 1) as u32, updated, elapsed) {
+                if !observer.on_iteration(sweeps, count, elapsed) {
                     cancelled.store(true, Ordering::Relaxed);
                     halt = true;
                 }
             }
             stop.store(halt, Ordering::Relaxed);
             barrier.wait();
-            if stop.load(Ordering::Relaxed) {
+            if halt {
                 break;
             }
-            iter += 1;
         }
     });
     let elapsed = start.elapsed().as_secs_f64();
 
-    let iters = iterations.load(Ordering::Relaxed) as u32;
+    let iters = updated.len() as u32;
     if cancelled.load(Ordering::Relaxed) {
         return Err(EngineError::Deadline {
             iterations: iters,
             elapsed_seconds: elapsed,
         });
     }
-    let per_iteration: Vec<IterationStat> = (0..iters as usize)
-        .map(|k| IterationStat {
+    let per_iteration: Vec<IterationStat> = updated
+        .iter()
+        .map(|&updated_vertices| IterationStat {
             seconds: elapsed / iters.max(1) as f64,
-            updated_vertices: updated_counts[k].load(Ordering::Relaxed),
+            updated_vertices,
         })
         .collect();
     let converged = iters < cfg.max_iterations
@@ -253,7 +237,7 @@ pub fn try_run_mtcpu_warm<P: VertexProgram, O: RunObserver + ?Sized>(
                 it.seconds,
                 || {
                     vec![
-                        ("iteration", ArgVal::U64(k as u64)),
+                        ("iteration", ArgVal::U64(k as u64 + 1)),
                         ("updated_vertices", ArgVal::U64(it.updated_vertices)),
                     ]
                 },
@@ -276,16 +260,11 @@ pub fn try_run_mtcpu_warm<P: VertexProgram, O: RunObserver + ?Sized>(
         per_iteration,
         ..Default::default()
     };
-    let out = CuShaOutput {
+    CuShaOutput {
         values: out_values,
         stats,
-    };
-    if !converged {
-        return Err(EngineError::NonConverged {
-            partial: Box::new(out),
-        });
     }
-    Ok(out)
+    .into_result()
 }
 
 #[cfg(test)]

@@ -33,15 +33,14 @@
 use cusha_core::integrity::apply_flip;
 use cusha_core::memsize::{check_fits, ValueSizes};
 use cusha_core::{
-    check_topology, CuShaOutput, EngineError, IterationStat, NoopObserver, RunObserver, RunStats,
+    check_topology, CuShaOutput, DeviceRun, DeviceSetup, EngineError, NoopObserver, RunObserver,
     VertexProgram,
 };
 use cusha_graph::{Csr, Graph};
-use cusha_obs::trace::{lanes, ArgVal, Tracer};
+use cusha_obs::trace::Tracer;
 use cusha_simt::replay::keys_fit;
 use cusha_simt::{
-    Block, DevVec, DeviceConfig, FaultPlan, Gpu, KernelDesc, Mask, Pod, SharedVec, VirtualWarps,
-    WARP,
+    Block, DevVec, DeviceConfig, FaultPlan, KernelDesc, Mask, Pod, SharedVec, VirtualWarps, WARP,
 };
 use std::ops::Range;
 
@@ -194,17 +193,17 @@ pub fn try_run_vwc_warm<P: VertexProgram, O: RunObserver + ?Sized>(
 ) -> Result<VwcOutput<P::V>, EngineError<P::V>> {
     preflight::<P>(graph, cfg)?;
     check_topology("csr", (csr.num_vertices(), csr.num_edges()), graph)?;
-    let mut gpu = Gpu::new(cfg.device.clone());
-    gpu.set_profiling(cfg.profile);
-    gpu.set_tracer(cfg.trace.clone(), 0);
-    if let Some(p) = fault_plan.as_deref() {
-        gpu.set_fault_plan(p.clone());
-    }
-    let result = vwc_attempt(prog, graph, csr, cfg, &mut gpu, observer);
-    if let (Some(slot), Some(p)) = (fault_plan, gpu.take_fault_plan()) {
-        *slot = p;
-    }
-    result
+    let setup = DeviceSetup {
+        device: &cfg.device,
+        profile: cfg.profile,
+        trace: &cfg.trace,
+        fault_plan: None,
+        deadline_seconds: None,
+    };
+    let engine = format!("VWC-CSR/{}", cfg.virtual_warp);
+    DeviceRun::open(setup, engine, fault_plan, observer, |run| {
+        vwc_attempt(prog, graph, csr, cfg, run)
+    })
 }
 
 fn vwc_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
@@ -212,9 +211,9 @@ fn vwc_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
     graph: &Graph,
     csr: &Csr,
     cfg: &VwcConfig,
-    gpu: &mut Gpu,
-    observer: &mut O,
+    run: &mut DeviceRun<'_, O>,
 ) -> Result<VwcOutput<P::V>, EngineError<P::V>> {
+    let gpu = &mut run.gpu;
     let vws = VirtualWarps::new(cfg.virtual_warp);
     let n = graph.num_vertices() as usize;
 
@@ -242,15 +241,7 @@ fn vwc_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
         false => None,
     };
     let mut converged_flag = gpu.try_upload(&[1u32])?;
-    let h2d_initial = gpu.h2d_seconds;
-    cfg.trace.complete(
-        0,
-        lanes::ENGINE,
-        "engine",
-        "setup",
-        0.0,
-        gpu.total_seconds(),
-    );
+    run.uploaded();
 
     // ---- Convergence loop --------------------------------------------------
     let vw = cfg.virtual_warp;
@@ -265,12 +256,9 @@ fn vwc_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
         grid,
         cfg.threads_per_block,
     );
-    let mut total = RunStats {
-        engine: format!("VWC-CSR/{}", cfg.virtual_warp),
-        ..Default::default()
-    };
     let mut converged = false;
-    while total.iterations < cfg.max_iterations {
+    while run.stats.iterations < cfg.max_iterations {
+        let gpu = &mut run.gpu;
         let iter_ts = gpu.total_seconds();
         gpu.try_h2d(&mut converged_flag, &[1u32])?;
         // Silent bit flips scheduled at this kernel boundary land while the
@@ -280,7 +268,7 @@ fn vwc_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
         for flip in &flips {
             apply_flip(&mut vertex_values, flip);
         }
-        total.sdc.flips_injected += flips.len() as u64;
+        run.stats.sdc.flips_injected += flips.len() as u64;
         let mut updated_this_iter = 0u64;
         let kstats = gpu.try_launch(&desc, |b| {
             let block_vertex_base = b.id() as usize * vertices_per_block;
@@ -499,79 +487,23 @@ fn vwc_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
                 b.gstore(&mut converged_flag, Mask::first(1), |_| 0, |_| 0u32);
             }
         })?;
-        total.iterations += 1;
-        total.per_iteration.push(IterationStat {
-            seconds: kstats.seconds,
-            updated_vertices: updated_this_iter,
-        });
+        let total = &mut run.stats;
         total.kernel.counters.add(&kstats.counters);
         total.kernel.blocks = kstats.blocks;
         total.kernel.threads_per_block = kstats.threads_per_block;
         let flag = gpu.try_download_scalar(&converged_flag, 0)?;
-        let iter = total.iterations as u64 - 1;
-        cfg.trace.complete_with(
-            0,
-            lanes::ENGINE,
-            "engine",
-            "iteration",
-            iter_ts,
-            gpu.total_seconds() - iter_ts,
-            || {
-                vec![
-                    ("iteration", ArgVal::U64(iter)),
-                    ("updated_vertices", ArgVal::U64(updated_this_iter)),
-                ]
-            },
-        );
-        cfg.trace.counter(
-            0,
-            lanes::ENGINE,
-            "updated_vertices",
-            gpu.total_seconds(),
-            updated_this_iter as f64,
-        );
+        run.iteration(iter_ts, kstats.seconds, updated_this_iter, Vec::new);
         if flag == 1 {
             converged = true;
             break;
         }
-        if !observer.on_iteration(total.iterations, updated_this_iter, gpu.total_seconds()) {
-            return Err(EngineError::Deadline {
-                iterations: total.iterations,
-                elapsed_seconds: gpu.total_seconds(),
-            });
-        }
+        run.proceed()?;
     }
 
-    // ---- Download results (D2H) --------------------------------------------
-    let d2h_before_results = gpu.d2h_seconds;
-    let dl_ts = gpu.total_seconds();
-    let values = gpu.try_download(&vertex_values)?;
-    cfg.trace.complete(
-        0,
-        lanes::ENGINE,
-        "engine",
-        "download",
-        dl_ts,
-        gpu.total_seconds() - dl_ts,
-    );
-    total.converged = converged;
-    total.kernel.name = desc.name.clone();
-    total.h2d_seconds = h2d_initial;
-    total.compute_seconds =
-        gpu.kernel_seconds + (gpu.h2d_seconds - h2d_initial) + d2h_before_results;
-    total.d2h_seconds = gpu.d2h_seconds - d2h_before_results;
-    total.memo.add(&cusha_core::MemoStats::from_gpu(gpu));
-    total.profile = gpu.profile.take();
-    let out = CuShaOutput {
-        values,
-        stats: total,
-    };
-    if !converged {
-        return Err(EngineError::NonConverged {
-            partial: Box::new(out),
-        });
-    }
-    Ok(out)
+    run.stats.converged = converged;
+    run.stats.kernel.name = desc.name.clone();
+    let (values, stats) = run.close(|gpu| gpu.try_download(&vertex_values))?;
+    CuShaOutput { values, stats }.into_result()
 }
 
 /// One warp's parallel reduction ladder over `outcome[thread_base..]`:

@@ -225,6 +225,19 @@ pub struct CuShaOutput<V> {
     pub stats: RunStats,
 }
 
+impl<V> CuShaOutput<V> {
+    /// The output as its run's result: a run that hit its iteration cap is
+    /// [`EngineError::NonConverged`], carrying it.
+    pub fn into_result(self) -> Result<Self, EngineError<V>> {
+        match self.stats.converged {
+            true => Ok(self),
+            false => Err(EngineError::NonConverged {
+                partial: Box::new(self),
+            }),
+        }
+    }
+}
+
 /// Most devices a fleet may have: the interconnect presets model one host's
 /// fabric (a PCIe root complex, an NVLink island), and every per-device
 /// structure is allocated up front, so the count must have a bound.
@@ -774,14 +787,9 @@ pub fn try_run_placed<P: VertexProgram, O: RunObserver + ?Sized>(
                 out
             }
         };
-        return match out.stats.converged {
-            true => Ok(out),
-            false => Err(EngineError::NonConverged {
-                partial: Box::new(out),
-            }),
-        };
+        return out.into_result();
     }
-    run_fallback_after(prog, graph, cfg, faults[0], sdcs[0], profile)
+    run_fallback_after(prog, graph, &layout.gs, cfg, faults[0], sdcs[0], profile)
 }
 
 #[cfg(test)]

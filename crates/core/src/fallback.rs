@@ -32,32 +32,28 @@ pub fn run_fallback<P: VertexProgram>(
     graph: &Graph,
     cfg: &CuShaConfig,
 ) -> Result<CuShaOutput<P::V>, EngineError<P::V>> {
-    run_fallback_after(
-        prog,
-        graph,
-        cfg,
-        FaultStats::default(),
-        SdcStats::default(),
-        None,
-    )
+    cfg.validate().map_err(EngineError::InvalidConfig)?;
+    graph.validate()?;
+    let n_per = PreparedLayout::select_n_per(graph, cfg, <P::V as Pod>::SIZE);
+    let gs = GShards::from_graph(graph, n_per);
+    let (fault, sdc) = (FaultStats::default(), SdcStats::default());
+    run_fallback_after(prog, graph, &gs, cfg, fault, sdc, None)
 }
 
-/// The last rung of every ladder that abandons its device: [`run_fallback`],
-/// its statistics carrying the abandoned run's record — recovery counters,
+/// The last rung of every ladder that abandons its device: [`run_fallback`]
+/// on the abandoned run's own shards `gs`, so it finishes on that run's
+/// schedule, its statistics carrying the run's record — recovery counters,
 /// SDC record, launch profile — (a capped fallback's partial output too).
 pub(crate) fn run_fallback_after<P: VertexProgram>(
     prog: &P,
     graph: &Graph,
+    gs: &GShards,
     cfg: &CuShaConfig,
     fault: FaultStats,
     sdc: SdcStats,
     profile: Option<Profile>,
 ) -> Result<CuShaOutput<P::V>, EngineError<P::V>> {
-    cfg.validate().map_err(EngineError::InvalidConfig)?;
-    graph.validate()?;
-    let n_per = PreparedLayout::select_n_per(graph, cfg, <P::V as Pod>::SIZE);
-    let gs = GShards::from_graph(graph, n_per);
-    let mut host = HostArrays::new(prog, graph, &gs);
+    let mut host = HostArrays::new(prog, graph, gs);
     let all_entries = 0..gs.num_edges() as usize;
 
     let mut total = RunStats {
@@ -69,7 +65,7 @@ pub(crate) fn run_fallback_after<P: VertexProgram>(
     };
     while total.iterations < cfg.max_iterations && !total.converged {
         // Every stage-4 write is the sweep's own: nothing spills.
-        let updated = host.sweep(prog, &gs, 0..gs.num_shards(), &all_entries, &mut Vec::new());
+        let updated = host.sweep(prog, gs, 0..gs.num_shards(), &all_entries, &mut Vec::new());
         total.iterations += 1;
         total.per_iteration.push(IterationStat {
             seconds: 0.0,
@@ -77,19 +73,8 @@ pub(crate) fn run_fallback_after<P: VertexProgram>(
         });
         total.converged = updated == 0;
     }
-
-    let converged = total.converged;
-    let output = CuShaOutput {
-        values: host.values,
-        stats: total,
-    };
-    if converged {
-        Ok(output)
-    } else {
-        Err(EngineError::NonConverged {
-            partial: Box::new(output),
-        })
-    }
+    let (values, stats) = (host.values, total);
+    CuShaOutput { values, stats }.into_result()
 }
 
 #[cfg(test)]

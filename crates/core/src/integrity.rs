@@ -13,8 +13,8 @@
 //!   ([`crate::VertexProgram::check_invariant`]) are the second, weaker
 //!   detector: they need no reference state, so they also run at checkpoint
 //!   boundaries on downloaded data.
-//! * **Recovery** — a [`CheckpointManager`] keeps a bounded ring of
-//!   verified `(VertexValues, SrcValue)` snapshots. On detection the engine
+//! * **Recovery** — `Recovery` keeps a bounded ring of verified
+//!   `(VertexValues, SrcValue)` snapshots. On detection the engine
 //!   restores the latest snapshot (a real, charged H2D upload) and
 //!   re-executes; because the convergence loop is deterministic and flip
 //!   coordinates are one-shot, the replay reproduces the fault-free values
@@ -200,87 +200,9 @@ pub struct Checkpoint<V> {
     pub values: Vec<V>,
     /// Source-value column, by shard entry.
     pub src_value: Vec<V>,
-    /// Checksum of `values` (the scrubber reference after a rollback).
-    pub values_crc: u64,
-    /// Checksum of `src_value`.
-    pub src_crc: u64,
     /// Watchdog fingerprints seen up to this point; restored on rollback so
     /// a replay does not trip the livelock detector on its own states.
     pub watchdog: HashSet<u64>,
-}
-
-impl<V: Value> Checkpoint<V> {
-    fn new(iteration: u32, values: Vec<V>, src_value: Vec<V>, watchdog: HashSet<u64>) -> Self {
-        Checkpoint {
-            iteration,
-            values_crc: checksum(&values),
-            src_crc: checksum(&src_value),
-            values,
-            src_value,
-            watchdog,
-        }
-    }
-}
-
-/// Bounded ring of verified snapshots: pushing beyond the capacity drops
-/// the oldest, so the memory held is at most `capacity` full snapshots
-/// regardless of run length.
-#[derive(Clone, Debug)]
-pub struct CheckpointManager<V> {
-    capacity: usize,
-    snaps: VecDeque<Checkpoint<V>>,
-}
-
-impl<V: Value> CheckpointManager<V> {
-    /// An empty manager holding at most `capacity >= 1` snapshots.
-    pub fn new(capacity: usize) -> Self {
-        CheckpointManager {
-            capacity: capacity.max(1),
-            snaps: VecDeque::new(),
-        }
-    }
-
-    /// Builds and stores a snapshot, computing its checksums; evicts the
-    /// oldest when full.
-    pub fn push(
-        &mut self,
-        iteration: u32,
-        values: Vec<V>,
-        src_value: Vec<V>,
-        watchdog: HashSet<u64>,
-    ) {
-        if self.snaps.len() == self.capacity {
-            self.snaps.pop_front();
-        }
-        self.snaps
-            .push_back(Checkpoint::new(iteration, values, src_value, watchdog));
-    }
-
-    /// The most recent snapshot (the rollback target).
-    pub fn latest(&self) -> Option<&Checkpoint<V>> {
-        self.snaps.back()
-    }
-
-    /// Snapshots currently held.
-    pub fn len(&self) -> usize {
-        self.snaps.len()
-    }
-
-    /// True when no snapshot is held.
-    pub fn is_empty(&self) -> bool {
-        self.snaps.is_empty()
-    }
-
-    /// The configured bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Drops every snapshot (used by the full-restart rung, which re-seeds
-    /// from the initial state).
-    pub fn clear(&mut self) {
-        self.snaps.clear();
-    }
 }
 
 /// Which SDC detector flagged a corruption.
@@ -344,7 +266,8 @@ pub(crate) struct Recovery<V> {
     integ: IntegrityConfig,
     watchdog_interval: Option<u32>,
     initial: Checkpoint<V>,
-    ring: CheckpointManager<V>,
+    /// Verified snapshots, newest last, at most `integ.max_checkpoints`.
+    ring: VecDeque<Checkpoint<V>>,
     watchdog_seen: HashSet<u64>,
     need_reverify: bool,
 }
@@ -369,8 +292,13 @@ impl<V: Value> Recovery<V> {
         Recovery {
             integ,
             watchdog_interval: cfg.watchdog_interval,
-            initial: Checkpoint::new(0, values, src_value, HashSet::new()),
-            ring: CheckpointManager::new(integ.max_checkpoints),
+            initial: Checkpoint {
+                iteration: 0,
+                values,
+                src_value,
+                watchdog: HashSet::new(),
+            },
+            ring: VecDeque::new(),
             watchdog_seen: HashSet::new(),
             need_reverify: false,
         }
@@ -378,7 +306,23 @@ impl<V: Value> Recovery<V> {
 
     /// The latest verified snapshot: the rollback target.
     pub(crate) fn latest(&self) -> &Checkpoint<V> {
-        self.ring.latest().unwrap_or(&self.initial)
+        self.ring.back().unwrap_or(&self.initial)
+    }
+
+    /// Stores a verified snapshot as the rollback target, with the watchdog
+    /// fingerprints seen so far, dropping the oldest beyond `max_checkpoints`:
+    /// the memory held is bounded whatever the run's length.
+    fn keep(&mut self, iteration: u32, values: Vec<V>, src_value: Vec<V>) {
+        if self.ring.len() >= self.integ.max_checkpoints {
+            self.ring.pop_front();
+        }
+        let watchdog = self.watchdog_seen.clone();
+        self.ring.push_back(Checkpoint {
+            iteration,
+            values,
+            src_value,
+            watchdog,
+        });
     }
 
     /// Called when the loop ends: a recovered trajectory that got here before
@@ -440,7 +384,7 @@ impl<V: Value> Recovery<V> {
         dev: &mut impl FnMut(Ask<'_, V>) -> Result<(), DeviceFault>,
     ) -> Result<(), DeviceFault> {
         // Not `self.latest()`: `watchdog_seen` is written while `cp` is held.
-        let cp = self.ring.latest().unwrap_or(&self.initial);
+        let cp = self.ring.back().unwrap_or(&self.initial);
         dev(Ask::Restore(cp))?;
         sdc.reexecuted_iterations += *iterations - cp.iteration;
         *iterations = cp.iteration;
@@ -481,8 +425,7 @@ impl<V: Value> Recovery<V> {
             if integ.mode.invariants() && prog.check_invariant(verified, &values).is_err() {
                 return Ok(true);
             }
-            let watchdog = self.watchdog_seen.clone();
-            self.ring.push(iterations, values, src_value, watchdog);
+            self.keep(iterations, values, src_value);
             sdc.checkpoints += 1;
             if std::mem::take(&mut self.need_reverify) {
                 dev(Ask::Mark("reverify"))?;
@@ -559,45 +502,56 @@ mod tests {
     }
 
     #[test]
-    fn manager_holds_at_most_capacity_snapshots() {
-        let mut m: CheckpointManager<u32> = CheckpointManager::new(3);
-        for i in 0..10u32 {
-            m.push(i, vec![i; 4], vec![i; 2], HashSet::new());
-            assert!(m.len() <= 3, "bounded at capacity");
+    fn the_ring_holds_at_most_max_checkpoints_snapshots() {
+        let integ = IntegrityConfig {
+            max_checkpoints: 3,
+            ..IntegrityConfig::with_mode(IntegrityMode::Checksum)
+        };
+        let cfg = CuShaConfig::gs().with_integrity(integ);
+        let mut sdc = SdcStats::default();
+        let mut rec = Recovery::new(&cfg, &mut sdc, &[0u32; 4], &[0u32; 2]);
+        for i in 1..=10u32 {
+            rec.keep(i, vec![i; 4], vec![i; 2]);
+            assert!(rec.ring.len() <= 3, "bounded at max_checkpoints");
         }
-        assert_eq!(m.len(), 3);
-        assert_eq!(m.latest().unwrap().iteration, 9);
-        m.clear();
-        assert!(m.is_empty());
-        assert_eq!(m.capacity(), 3);
-    }
-
-    #[test]
-    fn zero_capacity_is_clamped_to_one() {
-        let m: CheckpointManager<u32> = CheckpointManager::new(0);
-        assert_eq!(m.capacity(), 1);
+        assert_eq!((rec.ring.len(), rec.latest().iteration), (3, 10));
+        // A full restart drops every snapshot: the initial state is the
+        // rollback target again.
+        let (mut iterations, mut per_iteration) = (10, Vec::new());
+        let spent = (integ.max_rollbacks, 0);
+        let rung = rec.step(
+            Detector::Checksum,
+            &mut sdc,
+            spent,
+            &mut iterations,
+            &mut per_iteration,
+            |_| Ok(()),
+        );
+        assert!(matches!(rung, Ok(Rung::Resumed)));
+        assert_eq!(rec.ring.len(), 0);
+        assert_eq!((rec.latest().iteration, iterations), (0, 0));
     }
 
     /// Checkpointed state must round-trip bit-exactly for every value type
     /// the framework supports — including NaN payloads and negative zeros,
-    /// which `==` on floats would silently conflate.
+    /// which `==` on floats would silently conflate: the initial state
+    /// `Recovery` starts from, and a snapshot it keeps.
     #[test]
     fn checkpoints_round_trip_bit_exactly_for_every_value_type() {
         fn case<V: Value>(vals: Vec<V>, src: Vec<V>) {
-            let vcrc = checksum(&vals);
-            let scrc = checksum(&src);
-            let mut m: CheckpointManager<V> = CheckpointManager::new(2);
-            m.push(7, vals.clone(), src.clone(), HashSet::from([99u64]));
-            let cp = m.latest().unwrap();
+            let integ = IntegrityConfig::with_mode(IntegrityMode::Full);
+            let cfg = CuShaConfig::gs().with_integrity(integ);
+            let mut rec = Recovery::new(&cfg, &mut SdcStats::default(), &vals, &src);
+            let bits = |vs: &[V]| vs.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+            let initial = rec.latest();
+            assert_eq!(bits(&initial.values), bits(&vals), "initial values");
+            assert_eq!(bits(&initial.src_value), bits(&src), "initial src values");
+            rec.watchdog_seen.insert(99);
+            rec.keep(7, vals.clone(), src.clone());
+            let cp = rec.latest();
             assert_eq!(cp.iteration, 7);
-            assert_eq!(cp.values_crc, vcrc);
-            assert_eq!(cp.src_crc, scrc);
-            let restored: Vec<u64> = cp.values.iter().map(|v| v.to_bits()).collect();
-            let original: Vec<u64> = vals.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(restored, original, "values round-trip");
-            let restored: Vec<u64> = cp.src_value.iter().map(|v| v.to_bits()).collect();
-            let original: Vec<u64> = src.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(restored, original, "src values round-trip");
+            assert_eq!(bits(&cp.values), bits(&vals), "values round-trip");
+            assert_eq!(bits(&cp.src_value), bits(&src), "src values round-trip");
             assert!(cp.watchdog.contains(&99));
         }
         case::<u32>(vec![0, 1, u32::MAX], vec![5, 6]);

@@ -26,6 +26,8 @@
 //! * [`streaming`] — the out-of-core one-liners over [`Placement::Streamed`]
 //!   (the paper's §5.1 sketch).
 //! * [`fallback`] — the host-side reference engine (the ladders' last rung).
+//! * [`device_run`] — [`DeviceRun`], the single-device engines' shared run:
+//!   device, iteration boundary, download and the H2D / GPU / D2H split.
 //! * [`middleware`] — [`run_engine`]: validation, deadlines, retry and the
 //!   final integrity scrub around any [`Engine`]; [`ShardEngine`], the shard
 //!   family's adapter.
@@ -40,6 +42,7 @@
 
 pub mod autotune;
 pub mod cw;
+pub mod device_run;
 pub mod engine;
 pub mod error;
 pub mod fallback;
@@ -56,13 +59,14 @@ pub mod windows;
 
 pub use autotune::select_vertices_per_shard;
 pub use cw::ConcatWindows;
+pub use device_run::{DeviceRun, DeviceSetup};
 pub use engine::{
     run, try_run, try_run_placed, try_run_warm, CuShaConfig, CuShaOutput, NoopObserver, Placement,
     PreparedLayout, Repr, RunObserver, MAX_DEVICES,
 };
 pub use error::{check_topology, EngineError};
 pub use fallback::run_fallback;
-pub use integrity::{CheckpointManager, IntegrityConfig, IntegrityMode};
+pub use integrity::{IntegrityConfig, IntegrityMode};
 pub use middleware::{run_engine, DeadlineObserver, Engine, EngineCtx, ShardEngine};
 pub use multi::{run_multi, try_run_multi, MultiConfig};
 pub use program::{Value, VertexProgram};

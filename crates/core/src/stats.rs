@@ -1,6 +1,7 @@
 //! Run statistics shared by every engine (CuSha, VWC, MTCPU), and the
 //! fleet-shaped record a multi-device run adds to them.
 
+use crate::device_run::split_clock;
 use crate::engine::CuShaOutput;
 use crate::multi::DeviceClocks;
 use cusha_graph::FleetPartition;
@@ -547,9 +548,9 @@ pub struct MultiOutput<V> {
 impl<V> MultiOutput<V> {
     /// A one-device run in the single-engine shape: the flattened fleet
     /// record under `engine`'s label, with one launch geometry over every
-    /// launch's counters. A resident device's clocks split where the upload
-    /// ended and the final download began (per-iteration flag traffic is
-    /// compute); a streamed one's compute is its batch pipeline plus the PCIe
+    /// launch's counters. A resident device's clocks split as every lone
+    /// device's do ([`split_clock`]: per-iteration flag traffic is compute);
+    /// a streamed one's compute is its batch pipeline plus the PCIe
     /// terms no device clock sees, and its D2H `streamed`, the values' one
     /// transfer.
     pub(crate) fn into_solo(
@@ -563,8 +564,9 @@ impl<V> MultiOutput<V> {
         let before = clock.d2h_before_results;
         let (blocks, compute_seconds, d2h_seconds) = match streamed {
             None => {
-                let compute = dev.kernel_seconds + (dev.h2d_seconds - fleet.setup_seconds) + before;
-                (dev.shards as u32, compute, dev.d2h_seconds - before)
+                let clock = (dev.kernel_seconds, dev.h2d_seconds, dev.d2h_seconds);
+                let (_, compute, d2h) = split_clock(fleet.setup_seconds, before, clock);
+                (dev.shards as u32, compute, d2h)
             }
             Some(d2h) => {
                 let compute = clock.iteration_seconds + clock.host_transfer_seconds;

@@ -1,7 +1,7 @@
 //! Frontier-engine configuration.
 
 use cusha_core::memsize::{check_fits, ValueSizes};
-use cusha_core::{CuShaConfig, EngineError, IntegrityConfig};
+use cusha_core::{CuShaConfig, DeviceSetup, EngineError, IntegrityConfig};
 use cusha_graph::Graph;
 use cusha_obs::Tracer;
 use cusha_simt::{DeviceConfig, FaultPlan};
@@ -113,6 +113,18 @@ impl FrontierConfig {
     pub(crate) fn check_fits<V>(&self, graph: &Graph, s: ValueSizes) -> Result<(), EngineError<V>> {
         let (v, e) = (graph.num_vertices() as u64, graph.num_edges() as u64);
         check_fits(v, e, s, None, &self.device)
+    }
+
+    /// What a run's [`DeviceRun`](cusha_core::DeviceRun) builds its device
+    /// from: every frontier-family entry's device, plan and deadline.
+    pub(crate) fn device_setup(&self) -> DeviceSetup<'_> {
+        DeviceSetup {
+            device: &self.device,
+            profile: self.profile,
+            trace: &self.trace,
+            fault_plan: self.fault_plan.as_ref(),
+            deadline_seconds: self.deadline_seconds,
+        }
     }
 
     /// Checks the configuration, returning the first defect.

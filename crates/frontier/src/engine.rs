@@ -42,15 +42,16 @@
 use crate::compact::{block_warps, column};
 use crate::config::FrontierConfig;
 use crate::prepared::PreparedFrontier;
+use cusha_algos::reference::run_sequential;
 use cusha_core::integrity::{apply_flip, checksum};
 use cusha_core::memsize::ValueSizes;
 use cusha_core::{
-    check_topology, CuShaOutput, DeadlineObserver, Direction, Engine, EngineCtx, EngineError,
-    FrontierStats, IterationStat, NoopObserver, RunObserver, RunStats, VertexProgram,
+    check_topology, CuShaOutput, DeviceRun, Direction, Engine, EngineCtx, EngineError,
+    FrontierStats, NoopObserver, RunObserver, VertexProgram,
 };
 use cusha_graph::{Graph, VertexId};
 use cusha_obs::trace::{lanes, ArgVal};
-use cusha_simt::{Block, DevVec, FaultPlan, FlipTarget, Gpu, KernelDesc, Mask, WARP};
+use cusha_simt::{Block, DevVec, FaultPlan, FlipTarget, KernelDesc, Mask, WARP};
 
 /// Per-program edge values permuted into the out-CSR and in-CSR edge orders
 /// (`None` when the program has no edge values).
@@ -111,18 +112,10 @@ pub fn try_run_frontier_warm<P: VertexProgram, O: RunObserver + ?Sized>(
     graph.validate()?;
     let built = (pf.num_vertices(), pf.num_edges());
     check_topology("frontier topology", built, graph)?;
-    let mut gpu = Gpu::new(cfg.device.clone());
-    gpu.set_profiling(cfg.profile);
-    gpu.set_tracer(cfg.trace.clone(), 0);
-    if let Some(p) = fault_plan.as_deref().or(cfg.fault_plan.as_ref()) {
-        gpu.set_fault_plan(p.clone());
-    }
-    let mut observer = DeadlineObserver::new(cfg.deadline_seconds, observer);
-    let result = frontier_attempt(prog, graph, pf, cfg, &mut gpu, &mut observer);
-    if let (Some(slot), Some(p)) = (fault_plan, gpu.take_fault_plan()) {
-        *slot = p;
-    }
-    result
+    let (setup, label) = (cfg.device_setup(), FRONTIER_LABEL.to_string());
+    DeviceRun::open(setup, label, fault_plan, observer, |run| {
+        frontier_attempt(prog, graph, pf, cfg, run)
+    })
 }
 
 /// Initial frontier: the program's seed (sorted, deduplicated) or, by
@@ -160,8 +153,7 @@ fn frontier_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
     graph: &Graph,
     pf: &PreparedFrontier,
     cfg: &FrontierConfig,
-    gpu: &mut Gpu,
-    observer: &mut O,
+    run: &mut DeviceRun<'_, O>,
 ) -> Result<FrontierOutput<P::V>, EngineError<P::V>> {
     let n = pf.num_vertices() as usize;
     let tpb = cfg.threads_per_block as usize;
@@ -189,6 +181,7 @@ fn frontier_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
     let seed = seed_list(prog, graph);
 
     // ---- Upload (H2D) ------------------------------------------------------
+    let gpu = &mut run.gpu;
     let mut values = gpu.try_upload(&init)?;
     let out_idxs = gpu.try_upload(pf.out_idxs())?;
     let out_dsts = gpu.try_upload(pf.out_dsts())?;
@@ -233,15 +226,7 @@ fn frontier_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
     // 16-byte readback per iteration for length, direction input, and
     // convergence combined.
     let mut filter_ctrl = gpu.try_upload(&[0u32; 4])?;
-    let h2d_initial = gpu.h2d_seconds;
-    cfg.trace.complete(
-        0,
-        lanes::ENGINE,
-        "engine",
-        "setup",
-        0.0,
-        gpu.total_seconds(),
-    );
+    run.uploaded();
 
     // ---- Integrity state ---------------------------------------------------
     // All of it exists only in the modes that read it: the scrub digests of
@@ -260,10 +245,6 @@ fn frontier_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
         Vec::new()
     };
 
-    let mut total = RunStats {
-        engine: FRONTIER_LABEL.to_string(),
-        ..Default::default()
-    };
     let mut fstats = FrontierStats::default();
     let mut last_dir: Option<Direction> = None;
     let mut converged = false;
@@ -283,6 +264,7 @@ fn frontier_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
     // restart from the initial state, else escalate to the host fallback.
     macro_rules! recover {
         () => {{
+            let (total, gpu) = (&mut run.stats, &mut run.gpu);
             if total.sdc.rollbacks < integ.max_rollbacks {
                 if let Some(cp) = snaps.last() {
                     total.sdc.rollbacks += 1;
@@ -315,27 +297,26 @@ fn frontier_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
                     .instant(0, lanes::FAULT, "sdc", "restart", gpu.total_seconds());
                 continue;
             }
-            // Ladder exhausted: finish on the host (outside the device
-            // flip model, so the result is trusted).
-            let values = host_fallback(prog, graph, pf, cfg.max_iterations);
+            // Ladder exhausted: finish on the host oracle (outside the
+            // device flip model, so the result is trusted).
+            let host = run_sequential(prog, graph, cfg.max_iterations);
             total.sdc.host_fallbacks += 1;
-            total.converged = true;
+            total.converged = host.converged;
             total.frontier = Some(fstats);
             cfg.trace
                 .instant(0, lanes::FAULT, "sdc", "host-fallback", gpu.total_seconds());
-            return Ok(FrontierOutput {
-                values,
-                stats: total,
-            });
+            let (values, stats) = (host.values, std::mem::take(total));
+            return CuShaOutput { values, stats }.into_result();
         }};
     }
 
     // ---- Convergence loop --------------------------------------------------
-    while total.iterations < cfg.max_iterations {
+    while run.stats.iterations < cfg.max_iterations {
         if frontier_len == 0 {
             converged = true;
             break;
         }
+        let gpu = &mut run.gpu;
         let iter_ts = gpu.total_seconds();
 
         // Silent bit flips scheduled at this kernel boundary land while the
@@ -349,9 +330,9 @@ fn frontier_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
                 FlipTarget::SrcValue | FlipTarget::Window => apply_flip(&mut active, flip),
             }
         }
-        total.sdc.flips_injected += flips.len() as u64;
+        run.stats.sdc.flips_injected += flips.len() as u64;
         if scrub(&values, &active) != crcs {
-            total.sdc.checksum_detections += 1;
+            run.stats.sdc.checksum_detections += 1;
             recover!();
         }
 
@@ -365,7 +346,7 @@ fn frontier_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
             Direction::Push
         };
         // Admission tag for the frontier this iteration produces.
-        let next_tag = total.iterations + 2;
+        let next_tag = run.stats.iterations + 2;
         if let Some(prev) = last_dir {
             if prev != dir {
                 fstats.switches += 1;
@@ -391,6 +372,7 @@ fn frontier_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
         // of a pull tile, the rank-packed append to the next frontier — is
         // issued in run form.
         let mut updated_this_iter = 0u64;
+        let gpu = &mut run.gpu;
         let kstats = match dir {
             Direction::Push => {
                 desc_push.grid_blocks = frontier_len.div_ceil(tpb).max(1) as u32;
@@ -570,6 +552,7 @@ fn frontier_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
                 publish_totals(b, &mut filter_ctrl, cursor, edge_acc, last);
             })?,
         };
+        let total = &mut run.stats;
         total.kernel.counters.add(&kstats.counters);
         total.kernel.blocks = kstats.blocks;
         total.kernel.threads_per_block = kstats.threads_per_block;
@@ -587,43 +570,29 @@ fn frontier_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
         // New verified reference state for the next boundary's scrub.
         crcs = scrub(&values, &active);
 
-        total.iterations += 1;
-        total.per_iteration.push(IterationStat {
-            seconds: gpu.total_seconds() - iter_ts,
-            updated_vertices: updated_this_iter,
+        let seconds = gpu.total_seconds() - iter_ts;
+        run.iteration(iter_ts, seconds, updated_this_iter, || {
+            vec![
+                ("direction", ArgVal::Str(dir.label().to_string())),
+                ("frontier_out_edges", ArgVal::U64(frontier_edges)),
+            ]
         });
-        let iter = total.iterations as u64 - 1;
-        cfg.trace.complete_with(
-            0,
-            lanes::ENGINE,
-            "engine",
-            "iteration",
-            iter_ts,
-            gpu.total_seconds() - iter_ts,
-            || {
-                vec![
-                    ("iteration", ArgVal::U64(iter)),
-                    ("updated_vertices", ArgVal::U64(updated_this_iter)),
-                    ("direction", ArgVal::Str(dir.label().to_string())),
-                    ("frontier_out_edges", ArgVal::U64(frontier_edges)),
-                ]
-            },
-        );
 
         // Checkpoint boundary: verify the algorithm invariant against the
         // last verified snapshot, then store this state as the new rollback
         // target.
-        if integ.mode.enabled() && total.iterations.is_multiple_of(integ.checkpoint_every) {
+        let iterations = run.stats.iterations;
+        if integ.mode.enabled() && iterations.is_multiple_of(integ.checkpoint_every) {
             let cur = values.host().to_vec();
             if integ.mode.invariants() {
                 if let Err(_law) = prog.check_invariant(&verified_values, &cur) {
-                    total.sdc.invariant_detections += 1;
+                    run.stats.sdc.invariant_detections += 1;
                     recover!();
                 }
             }
             verified_values = cur.clone();
             snaps.push(Snapshot {
-                iteration: total.iterations,
+                iteration: iterations,
                 values: cur,
                 active: active.host().to_vec(),
                 frontier: frontier_cur.host().to_vec(),
@@ -633,50 +602,20 @@ fn frontier_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
             if snaps.len() > integ.max_checkpoints {
                 snaps.remove(0);
             }
-            total.sdc.checkpoints += 1;
+            run.stats.sdc.checkpoints += 1;
         }
 
-        if frontier_len != 0
-            && !observer.on_iteration(total.iterations, updated_this_iter, gpu.total_seconds())
-        {
-            return Err(EngineError::Deadline {
-                iterations: total.iterations,
-                elapsed_seconds: gpu.total_seconds(),
-            });
+        if frontier_len != 0 {
+            run.proceed()?;
         }
     }
 
-    // ---- Download results (D2H) --------------------------------------------
-    let d2h_before_results = gpu.d2h_seconds;
-    let dl_ts = gpu.total_seconds();
-    let values = gpu.try_download(&values)?;
-    cfg.trace.complete(
-        0,
-        lanes::ENGINE,
-        "engine",
-        "download",
-        dl_ts,
-        gpu.total_seconds() - dl_ts,
-    );
-    total.converged = converged;
-    total.kernel.name = format!("{}::{}", FRONTIER_LABEL, prog.name()).into();
-    total.h2d_seconds = h2d_initial;
-    total.compute_seconds =
-        gpu.kernel_seconds + (gpu.h2d_seconds - h2d_initial) + d2h_before_results;
-    total.d2h_seconds = gpu.d2h_seconds - d2h_before_results;
-    total.memo.add(&cusha_core::MemoStats::from_gpu(gpu));
-    total.profile = gpu.profile.take();
-    total.frontier = Some(fstats);
-    let out = CuShaOutput {
-        values,
-        stats: total,
-    };
-    if !converged {
-        return Err(EngineError::NonConverged {
-            partial: Box::new(out),
-        });
-    }
-    Ok(out)
+    let stats = &mut run.stats;
+    stats.converged = converged;
+    stats.kernel.name = format!("{}::{}", FRONTIER_LABEL, prog.name()).into();
+    stats.frontier = Some(fstats);
+    let (values, stats) = run.close(|gpu| gpu.try_download(&values))?;
+    CuShaOutput { values, stats }.into_result()
 }
 
 /// Publishes a block's running totals to the fused filter's control cells
@@ -696,79 +635,6 @@ fn publish_totals(
     } else {
         b.gstore_run(ctrl, Mask(0b101), 0, &column([cur, 0, edges]));
     }
-}
-
-/// Trusted host re-execution — the bottom rung of the SDC ladder. Runs the
-/// same frontier schedule sequentially in host memory (push for
-/// frontier-safe programs, dense pull otherwise), which no device fault can
-/// reach.
-fn host_fallback<P: VertexProgram>(
-    prog: &P,
-    graph: &Graph,
-    pf: &PreparedFrontier,
-    max_iterations: u32,
-) -> Vec<P::V> {
-    let n = pf.num_vertices() as usize;
-    let mut values: Vec<P::V> = (0..graph.num_vertices())
-        .map(|v| prog.initial_value(v))
-        .collect();
-    let statics: Option<Vec<P::SV>> = P::HAS_STATIC_VALUES.then(|| prog.static_values(graph));
-    let by_id: Option<Vec<P::E>> = P::HAS_EDGE_VALUES.then(|| prog.edge_values(graph));
-    let stat_of = |v: usize| statics.as_ref().map(|s| s[v]).unwrap_or_default();
-    if P::FRONTIER_SAFE {
-        let mut frontier = seed_list(prog, graph);
-        let mut iters = 0u32;
-        while !frontier.is_empty() && iters < max_iterations {
-            let mut flags = vec![false; n];
-            for &u in &frontier {
-                for slot in pf.out_range(u) {
-                    let d = pf.out_dsts()[slot] as usize;
-                    let ev = by_id
-                        .as_ref()
-                        .map(|b| b[pf.out_eids()[slot] as usize])
-                        .unwrap_or_default();
-                    let old = values[d];
-                    let mut local = P::V::default();
-                    prog.init_compute(&mut local, &old);
-                    prog.compute(&values[u as usize], &stat_of(u as usize), &ev, &mut local);
-                    if prog.update_condition(&mut local, &old) {
-                        values[d] = local;
-                        flags[d] = true;
-                    }
-                }
-            }
-            frontier = (0..n as u32).filter(|&v| flags[v as usize]).collect();
-            iters += 1;
-        }
-    } else {
-        let csr = pf.csr();
-        let mut iters = 0u32;
-        loop {
-            let mut any = false;
-            for v in 0..n {
-                let old = values[v];
-                let mut local = P::V::default();
-                prog.init_compute(&mut local, &old);
-                for slot in csr.in_range(v as u32) {
-                    let s = csr.src_indxs()[slot] as usize;
-                    let ev = by_id
-                        .as_ref()
-                        .map(|b| b[csr.edge_ids()[slot] as usize])
-                        .unwrap_or_default();
-                    prog.compute(&values[s], &stat_of(s), &ev, &mut local);
-                }
-                if prog.update_condition(&mut local, &old) {
-                    values[v] = local;
-                    any = true;
-                }
-            }
-            iters += 1;
-            if !any || iters >= max_iterations {
-                break;
-            }
-        }
-    }
-    values
 }
 
 /// [`Engine`] middleware adapter: builds the two-direction topology per

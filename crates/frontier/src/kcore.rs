@@ -29,13 +29,13 @@ use crate::compact::{block_warps, compact_flags, lanes_where};
 use crate::config::{FrontierConfig, U32_PER_VERTEX};
 use cusha_core::integrity::{apply_flip, checksum};
 use cusha_core::{
-    CuShaOutput, DeadlineObserver, Direction, EngineError, FrontierStats, IterationStat,
-    NoopObserver, RunObserver, RunStats,
+    CuShaOutput, DeviceRun, Direction, EngineError, FrontierStats, NoopObserver, RunObserver,
+    RunStats,
 };
 use cusha_graph::Graph;
 use cusha_obs::trace::lanes;
 use cusha_simt::replay::keys_fit;
-use cusha_simt::{DevVec, FaultPlan, FlipTarget, Gpu, KernelDesc, Mask, WARP};
+use cusha_simt::{DevVec, FaultPlan, FlipTarget, KernelDesc, Mask, WARP};
 
 /// Replay site tag of the degree scan's accounting pass; keyed like the
 /// compaction's (`[tag, block id, |V|, threads per block]`).
@@ -123,34 +123,17 @@ pub fn try_run_kcore<O: RunObserver + ?Sized>(
     let (idxs_host, nbrs_host) = undirected_adjacency(graph);
     let deg_host: Vec<u32> = (0..n).map(|v| idxs_host[v + 1] - idxs_host[v]).collect();
 
-    let mut gpu = Gpu::new(cfg.device.clone());
-    gpu.set_profiling(cfg.profile);
-    gpu.set_tracer(cfg.trace.clone(), 0);
-    if let Some(p) = fault_plan.as_deref().or(cfg.fault_plan.as_ref()) {
-        gpu.set_fault_plan(p.clone());
-    }
-    let mut observer = DeadlineObserver::new(cfg.deadline_seconds, observer);
-    let result = kcore_attempt(
-        graph,
-        cfg,
-        &mut gpu,
-        &mut observer,
-        &idxs_host,
-        &nbrs_host,
-        &deg_host,
-    );
-    if let (Some(slot), Some(p)) = (fault_plan, gpu.take_fault_plan()) {
-        *slot = p;
-    }
-    result
+    let engine = "Frontier/kcore".to_string();
+    DeviceRun::open(cfg.device_setup(), engine, fault_plan, observer, |run| {
+        kcore_attempt(graph, cfg, run, &idxs_host, &nbrs_host, &deg_host)
+    })
 }
 
-#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
+#[allow(clippy::too_many_lines)]
 fn kcore_attempt<O: RunObserver + ?Sized>(
     graph: &Graph,
     cfg: &KcoreConfig,
-    gpu: &mut Gpu,
-    observer: &mut O,
+    run: &mut DeviceRun<'_, O>,
     idxs_host: &[u32],
     nbrs_host: &[u32],
     deg_host: &[u32],
@@ -160,6 +143,7 @@ fn kcore_attempt<O: RunObserver + ?Sized>(
     let integ = cfg.integrity;
     let grid_dense = n.div_ceil(tpb).max(1) as u32;
 
+    let gpu = &mut run.gpu;
     let adj_idxs = gpu.try_upload(idxs_host)?;
     let adj_nbrs = gpu.try_upload(nbrs_host)?;
     let mut deg = gpu.try_upload(deg_host)?;
@@ -169,7 +153,7 @@ fn kcore_attempt<O: RunObserver + ?Sized>(
     let mut frontier_buf = gpu.try_upload(&vec![0u32; n.max(1)])?;
     // Two-cell filter scratch: `[cursor, length]` for the fused compaction.
     let mut filter_ctrl = gpu.try_upload(&[0u32, 0u32])?;
-    let h2d_initial = gpu.h2d_seconds;
+    run.uploaded();
 
     // Scrub digest of the three protected buffers — computed, like every
     // other piece of integrity state, only when checksums are on (`None`
@@ -179,14 +163,9 @@ fn kcore_attempt<O: RunObserver + ?Sized>(
         integ.mode.checksums().then(digest)
     };
     let mut state_crc = scrub(&core, &deg, &alive);
-    let mut total = RunStats {
-        engine: "Frontier/kcore".to_string(),
-        ..Default::default()
-    };
     let mut fstats = FrontierStats::default();
     let mut k = 1u32;
     let mut alive_count = n;
-    let mut rounds = 0u32;
     // The two dense kernels hold one replay key per block each; the grid and
     // the compaction's name never change, the other names only with `k`.
     let scoped = keys_fit(2 * grid_dense as usize);
@@ -199,7 +178,8 @@ fn kcore_attempt<O: RunObserver + ?Sized>(
     };
     let (mut desc_scan, mut desc_peel) = descs(k);
 
-    'outer: while alive_count > 0 && rounds < cfg.max_iterations {
+    'outer: while alive_count > 0 && run.stats.iterations < cfg.max_iterations {
+        let (total, gpu) = (&mut run.stats, &mut run.gpu);
         let round_ts = gpu.total_seconds();
 
         // Bit flips at rest: core numbers take `vv` flips, the degree/alive
@@ -219,7 +199,7 @@ fn kcore_attempt<O: RunObserver + ?Sized>(
             // across four buffers), so the ladder is restart → host.
             if total.sdc.full_restarts < integ.max_full_restarts {
                 total.sdc.full_restarts += 1;
-                total.sdc.reexecuted_iterations += rounds;
+                total.sdc.reexecuted_iterations += total.iterations;
                 gpu.try_h2d(&mut deg, deg_host)?;
                 gpu.try_h2d(&mut core, &vec![0u32; n.max(1)])?;
                 gpu.try_h2d(&mut alive, &vec![1u32; n.max(1)])?;
@@ -227,7 +207,6 @@ fn kcore_attempt<O: RunObserver + ?Sized>(
                 k = 1;
                 (desc_scan, desc_peel) = descs(k);
                 alive_count = n;
-                rounds = 0;
                 total.iterations = 0;
                 state_crc = scrub(&core, &deg, &alive);
                 cfg.trace
@@ -241,10 +220,11 @@ fn kcore_attempt<O: RunObserver + ?Sized>(
             total.frontier = Some(fstats);
             cfg.trace
                 .instant(0, lanes::FAULT, "sdc", "host-fallback", gpu.total_seconds());
+            let stats = std::mem::take(total);
             return Ok(KcoreOutput {
                 core,
                 degeneracy,
-                stats: total,
+                stats,
             });
         }
 
@@ -340,50 +320,30 @@ fn kcore_attempt<O: RunObserver + ?Sized>(
         total.kernel.blocks = kp.blocks;
         total.kernel.threads_per_block = kp.threads_per_block;
         alive_count -= peel_len;
-        rounds += 1;
-        total.iterations = rounds;
         state_crc = scrub(&core, &deg, &alive);
 
         fstats.sizes.push(peel_len as u64);
         fstats.directions.push(Direction::Push);
         cfg.trace
             .counter(0, lanes::ENGINE, "frontier_size", round_ts, peel_len as f64);
-        total.per_iteration.push(IterationStat {
-            seconds: gpu.total_seconds() - round_ts,
-            updated_vertices: peel_len as u64,
-        });
-        if alive_count > 0 && !observer.on_iteration(rounds, peel_len as u64, gpu.total_seconds()) {
-            return Err(EngineError::Deadline {
-                iterations: rounds,
-                elapsed_seconds: gpu.total_seconds(),
-            });
+        let seconds = gpu.total_seconds() - round_ts;
+        run.iteration(round_ts, seconds, peel_len as u64, Vec::new);
+        if alive_count > 0 {
+            run.proceed()?;
         }
     }
 
-    let d2h_before_results = gpu.d2h_seconds;
-    let core = gpu.try_download(&core)?;
-    let degeneracy = core.iter().copied().max().unwrap_or(0);
-    total.converged = alive_count == 0;
-    total.kernel.name = "Frontier::kcore".into();
-    total.h2d_seconds = h2d_initial;
-    total.compute_seconds =
-        gpu.kernel_seconds + (gpu.h2d_seconds - h2d_initial) + d2h_before_results;
-    total.d2h_seconds = gpu.d2h_seconds - d2h_before_results;
-    total.memo.add(&cusha_core::MemoStats::from_gpu(gpu));
-    total.profile = gpu.profile.take();
-    total.frontier = Some(fstats);
-    if !total.converged {
-        return Err(EngineError::NonConverged {
-            partial: Box::new(CuShaOutput {
-                values: core,
-                stats: total,
-            }),
-        });
-    }
+    let stats = &mut run.stats;
+    stats.converged = alive_count == 0;
+    stats.kernel.name = "Frontier::kcore".into();
+    stats.frontier = Some(fstats);
+    let (values, stats) = run.close(|gpu| gpu.try_download(&core))?;
+    let degeneracy = values.iter().copied().max().unwrap_or(0);
+    let out = CuShaOutput { values, stats }.into_result()?;
     Ok(KcoreOutput {
-        core,
+        core: out.values,
         degeneracy,
-        stats: total,
+        stats: out.stats,
     })
 }
 

@@ -13,9 +13,9 @@
 use crate::compact::block_warps;
 use crate::config::{FrontierConfig, U32_PER_VERTEX};
 use crate::kcore::undirected_adjacency;
-use cusha_core::{EngineError, RunStats};
+use cusha_core::{DeviceRun, EngineError, NoopObserver, RunStats};
 use cusha_graph::Graph;
-use cusha_simt::{Gpu, KernelDesc, Mask, WARP};
+use cusha_simt::{KernelDesc, Mask, WARP};
 
 /// Result of a triangle count.
 #[derive(Clone, Debug)]
@@ -64,17 +64,23 @@ pub fn try_run_triangles(
     cfg.validate().map_err(EngineError::InvalidConfig)?;
     graph.validate()?;
     cfg.check_fits(graph, U32_PER_VERTEX)?;
+    let (setup, engine) = (cfg.device_setup(), "Frontier/triangles".to_string());
+    DeviceRun::open(setup, engine, None, &mut NoopObserver, |run| {
+        count(graph, cfg, run)
+    })
+}
+
+/// The count on the run's device: the oriented CSR's upload, one
+/// intersection launch, the per-block sums' download.
+fn count(
+    graph: &Graph,
+    cfg: &FrontierConfig,
+    run: &mut DeviceRun<'_, NoopObserver>,
+) -> Result<TriangleOutput, EngineError<u32>> {
     let tpb = cfg.threads_per_block as usize;
     let (idxs_host, nbrs_host, esrc_host) = oriented(graph);
     let m = esrc_host.len();
-
-    let mut gpu = Gpu::new(cfg.device.clone());
-    gpu.set_profiling(cfg.profile);
-    gpu.set_tracer(cfg.trace.clone(), 0);
-    if let Some(p) = cfg.fault_plan.as_ref() {
-        gpu.set_fault_plan(p.clone());
-    }
-
+    let gpu = &mut run.gpu;
     let idxs = gpu.try_upload(&idxs_host)?;
     let nbrs = gpu.try_upload(&nbrs_host)?;
     let esrc = gpu.try_upload(&esrc_host)?;
@@ -83,10 +89,10 @@ pub fn try_run_triangles(
     let edst = gpu.try_upload(&nbrs_host)?;
     let grid = m.div_ceil(tpb).max(1) as u32;
     let mut block_sums = gpu.try_upload(&vec![0u64; grid as usize])?;
-    let h2d_initial = gpu.h2d_seconds;
+    run.uploaded();
 
     let desc = KernelDesc::new("triangles-intersect", grid, tpb as u32);
-    let kstats = gpu.try_launch(&desc, |b| {
+    let kstats = run.gpu.try_launch(&desc, |b| {
         let mut block_total = 0u64;
         for (warp_base, mask) in block_warps(b.id(), tpb, m) {
             b.phase("advance");
@@ -136,25 +142,14 @@ pub fn try_run_triangles(
         b.gstore(&mut block_sums, Mask::first(1), |_| bid, |_| block_total);
     })?;
 
-    let d2h_before_results = gpu.d2h_seconds;
-    let sums = gpu.try_download(&block_sums)?;
-    let triangles: u64 = sums.iter().sum();
-    let mut stats = RunStats {
-        engine: "Frontier/triangles".to_string(),
-        iterations: 1,
-        converged: true,
-        ..Default::default()
-    };
+    let stats = &mut run.stats;
+    (stats.iterations, stats.converged) = (1, true);
     stats.kernel.counters.add(&kstats.counters);
     stats.kernel.blocks = kstats.blocks;
     stats.kernel.threads_per_block = kstats.threads_per_block;
     stats.kernel.name = "Frontier::triangles".into();
-    stats.h2d_seconds = h2d_initial;
-    stats.compute_seconds =
-        gpu.kernel_seconds + (gpu.h2d_seconds - h2d_initial) + d2h_before_results;
-    stats.d2h_seconds = gpu.d2h_seconds - d2h_before_results;
-    stats.memo.add(&cusha_core::MemoStats::from_gpu(&gpu));
-    stats.profile = gpu.profile.take();
+    let (sums, stats) = run.close(|gpu| gpu.try_download(&block_sums))?;
+    let triangles = sums.iter().sum();
     Ok(TriangleOutput { triangles, stats })
 }
 

@@ -4,13 +4,16 @@
 //! run, with the detection/rollback counters recording what happened.
 
 use cusha::algos::{
-    Bfs, CircuitSimulation, ConnectedComponents, HeatSimulation, MultiSourceBfs, NeuralNetwork,
-    PageRank, Sssp, Sswp,
+    run_sequential, Bfs, CircuitSimulation, ConnectedComponents, HeatSimulation, MultiSourceBfs,
+    NeuralNetwork, PageRank, Sssp, Sswp,
 };
 use cusha::core::{
-    try_run, try_run_multi, try_run_placed, try_run_streamed, CuShaConfig, IntegrityConfig,
-    IntegrityMode, MultiConfig, NoopObserver, Placement, PreparedLayout, Repr, StreamingConfig,
+    try_run, try_run_multi, try_run_placed, try_run_streamed, try_run_warm, CuShaConfig,
+    EngineError, IntegrityConfig, IntegrityMode, MultiConfig, NoopObserver, Placement,
+    PreparedLayout, Repr, StreamingConfig, Value, VertexProgram,
 };
+use cusha::frontier::{try_run_frontier, FrontierConfig};
+use cusha::graph::generators::lattice::lattice2d;
 use cusha::graph::generators::rmat::{rmat, RmatConfig};
 use cusha::graph::Graph;
 use cusha::simt::{FaultPlan, FlipTarget};
@@ -262,6 +265,97 @@ fn exhausted_budgets_escalate_to_host_fallback() {
     assert_eq!(out.stats.sdc.host_fallbacks, 1);
     assert_eq!(out.stats.sdc.rollbacks, 0);
     assert_eq!(out.stats.engine, "host-fallback");
+}
+
+/// Integrity that detects any at-rest flip but may neither roll back nor
+/// restart: the first detection ends the run on its ladder's last rung.
+fn no_budgets() -> IntegrityConfig {
+    IntegrityConfig {
+        max_rollbacks: 0,
+        max_full_restarts: 0,
+        ..IntegrityConfig::with_mode(IntegrityMode::Checksum)
+    }
+}
+
+/// A flip into the vertex values at the first kernel boundary.
+fn first_boundary_flip() -> FaultPlan {
+    FaultPlan::new().flip_at(0, FlipTarget::VertexValues, 0, 20)
+}
+
+fn bits<V: Value>(values: &[V]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The host rung re-enacts the run's own layout: a warm layout built at
+/// `|N|` = 16 under a config that names no shard size finishes, forced onto
+/// the rung, on the schedule its device run had — bit for bit the fault-free
+/// warm run's PageRank, not the autotuned `|N|`'s.
+#[test]
+fn the_host_rung_runs_on_the_runs_own_layout() {
+    let g = small_graph(98);
+    let prog = PageRank::new();
+    let layout = PreparedLayout::build(&g, Repr::GShards, 16);
+    let cfg = CuShaConfig::new(Repr::GShards);
+    assert_eq!(cfg.vertices_per_shard, None);
+    let warm = |cfg: &CuShaConfig| {
+        try_run_warm(&prog, &g, &layout, cfg, None, &mut NoopObserver).expect("warm run")
+    };
+    let clean = warm(&cfg);
+    let forced = warm(
+        &cfg.clone()
+            .with_fault_plan(first_boundary_flip())
+            .with_integrity(no_budgets()),
+    );
+    assert_eq!(forced.stats.sdc.host_fallbacks, 1);
+    assert_eq!(bits(&forced.values), bits(&clean.values));
+}
+
+/// A frontier run whose first boundary sees a flip it may not recover from
+/// on the device, capped at `max_iterations`.
+fn forced_frontier(max_iterations: u32) -> FrontierConfig {
+    FrontierConfig {
+        max_iterations,
+        fault_plan: Some(first_boundary_flip()),
+        integrity: no_budgets(),
+        ..FrontierConfig::new()
+    }
+}
+
+/// The frontier ladder's last rung is the host oracle, as k-core's is
+/// `host_kcore`: forced onto it, pull-only and push-capable programs alike
+/// answer `run_sequential`'s values bit for bit.
+#[test]
+fn the_frontier_ladder_ends_on_the_sequential_oracle() {
+    let g = small_graph(99);
+    fn case<P: VertexProgram>(prog: &P, g: &Graph) {
+        let out = try_run_frontier(prog, g, &forced_frontier(10_000)).expect("host rung");
+        let oracle = run_sequential(prog, g, 10_000);
+        let name = prog.name();
+        assert_eq!(out.stats.sdc.host_fallbacks, 1, "{name}");
+        assert!(out.stats.converged && oracle.converged, "{name}");
+        assert_eq!(bits(&out.values), bits(&oracle.values), "{name}");
+    }
+    case(&PageRank::new(), &g);
+    case(&NeuralNetwork::new(), &g);
+    case(&HeatSimulation::new(), &g);
+    case(&CircuitSimulation::new(0, 1), &g);
+    case(&Bfs::new(0), &g);
+    case(&Sssp::new(0), &g);
+}
+
+/// A host rung that hits the iteration cap is a capped run like any other:
+/// BFS across a lattice allowed one iteration is `NonConverged`.
+#[test]
+fn a_capped_frontier_host_rung_is_non_converged() {
+    let g = lattice2d(8, 8, 1.0, 4, 11);
+    match try_run_frontier(&Bfs::new(0), &g, &forced_frontier(1)) {
+        Err(EngineError::NonConverged { partial }) => {
+            assert_eq!(partial.stats.sdc.host_fallbacks, 1);
+            assert!(!partial.stats.converged);
+        }
+        Ok(out) => panic!("a one-iteration host rung converged: {:?}", out.stats),
+        Err(e) => panic!("{e}"),
+    }
 }
 
 /// Streamed engine: same chaos discipline, batched residency.

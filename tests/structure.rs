@@ -65,7 +65,14 @@ const ROWS: &[(&str, &str, RangeInclusive<usize>, &str)] = &[
     (CORE, ".launch(", 2..=2, "DeviceSlice::launch: a resident device's, a streamed device's batch"),
     ("crates/**", "fresh_gpu|replace_device|Mode::Rebatched|TimeAcc|stream_attempt|iterate_rebatched|fn run_batch", 0..=0, "a retired batch's memory is freed; no second device, no second batch loop"),
     (MULTI, "Gpu::new(", 0..=0, "the fleet's devices come from DeviceFleet::new"),
-    (CORE, "Gpu::new(", 1..=1, "the entry builds a lone device; a fleet's come from DeviceFleet::new"),
+    (CORE, "Gpu::new(", 2..=2, "the shard entry's lone device and DeviceRun's; a fleet's come from DeviceFleet::new"),
+    // A single-device run is written once (DESIGN 4.2): DeviceRun builds the
+    // device, hands the plan back, marks the setup, closes each iteration
+    // and splits the clock.
+    ("crates/**", "kernel_seconds + (", 1..=1, "the H2D / GPU / D2H split is spelled once: split_clock"),
+    ("crates/baselines/src/** crates/frontier/src/**", "Gpu::new(|take_fault_plan(", 0..=0, "single-device engines open their device through DeviceRun"),
+    ("crates/**", "fn host_fallback", 0..=0, "the frontier ladder's last rung is cusha_algos::run_sequential"),
+    ("crates/** src/** tests/** !structure.rs", "CheckpointManager|values_crc", 0..=0, "Recovery holds the checkpoint ring; nothing read the snapshot digests"),
     ("crates/core/src/** !fallback.rs !middleware.rs", "run_fallback(", 0..=0, "ladders reach the host fallback through run_fallback_after"),
     ("crates/core/src/fallback.rs", "run_fallback_after(", 1..=1, "one body: run_fallback is it over an empty record"),
     (MULTI, "devices == 1|n == 1|len() == 1", 0..=0, "no arity test in drive(); only the engine label matches on the count"),
@@ -95,7 +102,7 @@ const ROWS: &[(&str, &str, RangeInclusive<usize>, &str)] = &[
     ("crates/baselines/src/vwc.rs", "Csr::from_graph(", 1..=1, "the cold façade builds; try_run_vwc_warm borrows"),
     ("crates/baselines/src/mtcpu.rs", "Csr::from_graph(", 1..=1, "the cold façade builds; try_run_mtcpu_warm borrows"),
     ("crates/frontier/src/prepared.rs", "Csr::from_graph(", 1..=1, "PreparedFrontier::build; ::around borrows"),
-    (CORE, "GShards::from_graph(", 2..=2, "PreparedLayout::build and the host fallback; a view sorts nothing"),
+    (CORE, "GShards::from_graph(", 2..=2, "PreparedLayout::build and the public run_fallback; a view sorts nothing, a ladder's host rung reuses its run's shards"),
     ("crates/bench/src/bench_defs.rs crates/bench/src/matrix.rs", "run_cusha(|run_vwc(|run_frontier(|run_mtcpu(|PreparedLayout::build(", 0..=1, "cells enter the warm entries over one Prepared, whose shard build is the one layout build"),
     // One host clock (the ledger), one job-count source, one retry budget.
     ("crates/** src/** !repro_cli.rs", "simwall|Simwall", 0..=0, "host time is the ledger's; repro_cli.rs pins the refusals"),
@@ -114,15 +121,17 @@ const ROWS: &[(&str, &str, RangeInclusive<usize>, &str)] = &[
 /// `multi.rs`'s and the bench crate's are the counts landed by the change
 /// that made a run's placement data (one entry, `try_run_placed`, and one
 /// adapter where three façades and three adapters were; `multi.rs` holds
-/// `drive` once the statistics types moved to `stats.rs`). Core's is that
-/// count plus 40: the three stage loops (`init_local`, `fold`, `write_back`)
-/// a replayed kernel stage and the host sweep share, and their call sites.
+/// `drive` once the statistics types moved to `stats.rs`). Core's, the
+/// baselines' and the frontier family's are the counts landed by the change
+/// that gave the single-device engines one `DeviceRun`: it moved into core,
+/// and the four copies it replaced left the other two.
 /// Nothing adds to any of them without taking as much out.
 const CEILINGS: &[(&str, usize)] = &[
-    ("crates/core/src/**", 5425),
+    ("crates/core/src/**", 5519),
     (MULTI, 1116),
     ("crates/bench/src/**", 2920),
-    ("crates/frontier/src/**", 1930),
+    ("crates/baselines/src/**", 928),
+    ("crates/frontier/src/**", 1736),
     ("crates/serve/src/**", 3150),
     ("src/**", 1015),
 ];

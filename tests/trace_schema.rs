@@ -11,7 +11,9 @@
 //! ```
 
 use cusha::algos::Bfs;
+use cusha::baselines::{run_mtcpu, run_vwc, MtcpuConfig, VwcConfig};
 use cusha::core::{run, run_multi, run_streamed, CuShaConfig, MultiConfig, StreamingConfig};
+use cusha::frontier::{run_frontier, run_kcore, FrontierConfig};
 use cusha::graph::generators::rmat::{rmat, RmatConfig};
 use cusha::obs::trace::{ArgVal, Ph};
 use cusha::obs::{chrome_trace_json, validate_chrome_trace, MetricsRegistry, Tracer};
@@ -132,7 +134,7 @@ fn iteration_spans_are_one_based_on_every_engine() {
         (iterations, seen)
     };
     let prog = Bfs::new(0);
-    let cases: [(&str, &dyn Fn(CuShaConfig) -> u32); 3] = [
+    let cases: [(&str, &dyn Fn(CuShaConfig) -> u32); 7] = [
         ("in-core", &|cfg| run(&prog, &g, &cfg).stats.iterations),
         ("streamed", &|cfg| {
             run_streamed(&prog, &g, &StreamingConfig::new(cfg, 1 << 14))
@@ -143,6 +145,22 @@ fn iteration_spans_are_one_based_on_every_engine() {
             run_multi(&prog, &g, &MultiConfig::new(cfg, 2))
                 .stats
                 .iterations
+        }),
+        ("VWC/8", &|cfg| {
+            let vwc = VwcConfig::new(8).with_tracer(cfg.trace);
+            run_vwc(&prog, &g, &vwc).stats.iterations
+        }),
+        ("frontier", &|cfg| {
+            let frontier = FrontierConfig::from_cusha(&cfg);
+            run_frontier(&prog, &g, &frontier).stats.iterations
+        }),
+        ("k-core", &|cfg| {
+            let rounds = run_kcore(&g, &FrontierConfig::from_cusha(&cfg));
+            rounds.stats.iterations
+        }),
+        ("MTCPU/2", &|cfg| {
+            let mtcpu = MtcpuConfig::new(2).with_tracer(cfg.trace);
+            run_mtcpu(&prog, &g, &mtcpu).stats.iterations
         }),
     ];
     for (engine, run) in cases {

@@ -15,26 +15,34 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use cusha::algos::Bfs;
+use cusha::baselines::{try_run_mtcpu, MtcpuConfig};
 use cusha::core::{
-    try_run_placed, try_run_warm, CuShaConfig, Placement, PreparedLayout, RunObserver,
+    try_run_placed, try_run_warm, CuShaConfig, NoopObserver, Placement, PreparedLayout, RunObserver,
 };
 use cusha::frontier::{try_run_frontier_warm, try_run_kcore, FrontierConfig, PreparedFrontier};
 use cusha::graph::generators::lattice::lattice2d;
 use cusha::graph::{Edge, Graph};
 use cusha::simt::{warp_chunks, DeviceConfig, Gpu, KernelDesc};
 
-/// Counts allocations per thread, so concurrently running tests in this
-/// binary cannot pollute each other's measurements.
+/// Counts allocations, and the bytes they ask for, per thread, so concurrently
+/// running tests in this binary cannot pollute each other's measurements.
 struct CountingAlloc;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation of `bytes`. `try_with`: the allocator must survive
+/// TLS teardown.
+fn count(bytes: usize) {
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // try_with: the allocator must survive TLS teardown.
-        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        count(layout.size());
         System.alloc(layout)
     }
 
@@ -43,7 +51,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -55,6 +63,13 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
     let before = ALLOCS.with(|c| c.get());
     f();
     ALLOCS.with(|c| c.get()) - before
+}
+
+/// Bytes the calling thread asked the allocator for while `f` ran.
+fn bytes_in(f: impl FnOnce()) -> u64 {
+    let before = BYTES.with(|c| c.get());
+    f();
+    BYTES.with(|c| c.get()) - before
 }
 
 /// A CuSha-shaped kernel: shared-memory staging, strided global gathers,
@@ -335,4 +350,19 @@ fn shard_family_heap_traffic_per_iteration_is_constant() {
         assert!(warming.iter().all(|&a| a <= 16), "{side}: {fleet:?}");
         assert!(warm.iter().all(|&a| a <= 1), "{side}: {fleet:?}");
     }
+}
+
+#[test]
+fn mtcpu_allocates_for_the_sweeps_it_runs_not_for_its_cap() {
+    // A 64-vertex BFS converges in a handful of sweeps; the per-sweep tally
+    // grows with them, whatever the cap. One sized at the cap would be
+    // 128 MiB here, and 32 GB at `--max-iters 4000000000`.
+    let g = Graph::new(64, (1..64).map(|v| Edge::new(v - 1, v, 1)).collect());
+    let mut cfg = MtcpuConfig::new(2);
+    cfg.max_iterations = 1 << 24;
+    let bytes = bytes_in(|| {
+        let out = try_run_mtcpu(&Bfs::new(0), &g, &cfg, &mut NoopObserver).unwrap();
+        assert!(out.stats.converged);
+    });
+    assert!(bytes < 1 << 20, "{bytes} bytes on the calling thread");
 }
