@@ -1,11 +1,15 @@
 //! [`DeviceRun`]: what a single-device engine (VWC-CSR, the frontier engine,
 //! k-core, triangle counting) does around its kernels, written once: device
 //! set-up and fault-plan hand-back, the setup mark, the 1-based iteration
-//! boundary, the final download and Fig. 10's clock split ([`split_clock`]).
+//! boundary (with [`Recovery`]'s, on this run's budgets and statistics), the
+//! final download and Fig. 10's clock split ([`split_clock`]).
 
 use crate::engine::RunObserver;
 use crate::error::EngineError;
+use crate::integrity::{Ask, Detector, Recovery, Rung};
+use crate::kernel::fault_instant;
 use crate::middleware::DeadlineObserver;
+use crate::program::Value;
 use crate::stats::{IterationStat, MemoStats, RunStats};
 use cusha_obs::trace::{lanes, ArgVal, Tracer};
 use cusha_simt::{DeviceConfig, DeviceFault, FaultPlan, Gpu};
@@ -117,6 +121,45 @@ impl<'o, O: RunObserver + ?Sized> DeviceRun<'o, O> {
             elapsed_seconds,
         };
         go.then_some(()).ok_or(deadline)
+    }
+
+    /// [`DeviceRun::proceed`] for an engine that climbs `recovery`'s ladder:
+    /// the observer, then its checkpoint (checked against `law`) and watchdog,
+    /// `dev` answering its asks on this run's device. `true`: `law` broke.
+    pub fn boundary<V: Value, S: Default>(
+        &mut self,
+        recovery: &mut Recovery<V, S>,
+        law: impl FnOnce(&[V], &[V]) -> Result<(), String>,
+        mut dev: impl FnMut(&mut Gpu, Ask<'_, V, S>) -> Result<(), DeviceFault>,
+    ) -> Result<bool, EngineError<V>> {
+        let (s, gpu, observer) = (&mut self.stats, &mut self.gpu, &mut self.observer);
+        let updated = s.per_iteration.last().map_or(0, |it| it.updated_vertices);
+        let (its, now, sdc) = (s.iterations, gpu.total_seconds(), &mut s.sdc);
+        let dev = |ask: Ask<'_, V, S>| dev(gpu, ask);
+        recovery.boundary(observer, law, sdc, its, updated, now, dev)
+    }
+
+    /// One rung of `recovery`'s ladder after `detector` fired, on this run's
+    /// budgets and statistics; past the last the engine takes its host rung
+    /// ([`DeviceRun::abandon`]).
+    pub fn recover<V: Value, S: Default>(
+        &mut self,
+        recovery: &mut Recovery<V, S>,
+        detector: Detector,
+        mut dev: impl FnMut(&mut Gpu, Ask<'_, V, S>) -> Result<(), DeviceFault>,
+    ) -> Result<Rung, DeviceFault> {
+        let (s, gpu) = (&mut self.stats, &mut self.gpu);
+        let dev = |ask: Ask<'_, V, S>| dev(gpu, ask);
+        let (sdc, its, detail) = (&mut s.sdc, &mut s.iterations, &mut s.per_iteration);
+        recovery.step(detector, sdc, its, detail, dev)
+    }
+
+    /// The statistics of the engine's host rung: this run's so far, with one
+    /// host fallback counted and marked.
+    pub fn abandon(&mut self) -> RunStats {
+        self.stats.sdc.host_fallbacks += 1;
+        fault_instant(&self.gpu, "sdc", "host-fallback");
+        std::mem::take(&mut self.stats)
     }
 
     /// Runs the final download inside the `download` span, then splits the

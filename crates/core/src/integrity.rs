@@ -21,17 +21,18 @@
 //!   bit for bit. Repeated detections escalate: rollback → full restart →
 //!   host fallback (host memory is outside the simulated device, so no
 //!   injected flip can reach it). `Recovery` is that ladder and the
-//!   iteration boundary around it, written once for the one host loop (the
+//!   iteration boundary around it, written once: for the one host loop (the
 //!   fleet's, which the in-core and streamed engines enter as a fleet of
-//!   one).
+//!   one) and, through `DeviceRun`, for the frontier engine and k-core, each
+//!   checkpointing its own state beside the vertex values.
 //!
 //! The scrubber's comparisons are host-side and charge no modeled time
 //! (ECC runs in hardware, in the background); checkpoint snapshots and
 //! rollback restores are real transfers and are charged as D2H/H2D.
 
-use crate::engine::{CuShaConfig, RunObserver};
+use crate::engine::RunObserver;
 use crate::error::EngineError;
-use crate::program::{Value, VertexProgram};
+use crate::program::Value;
 use crate::stats::{IterationStat, SdcStats};
 use cusha_simt::{BitFlip, DevVec, DeviceFault, FlipTarget, Pod};
 use std::collections::HashSet;
@@ -175,13 +176,13 @@ pub fn apply_flip<V: Value>(buf: &mut DevVec<V>, flip: &BitFlip) {
 
 /// Routes a due flip onto the engine's two mutable buffers: the
 /// `VertexValues` role hits the vertex-value array, while `SrcValue` and
-/// `Window` both land in the source-value column (windows are slices of it
-/// in both representations, addressed through an independent coordinate
-/// stream).
-pub fn apply_flips<V: Value>(
+/// `Window` both land in the second buffer — the source-value column
+/// (windows are slices of it in both representations, addressed through an
+/// independent coordinate stream), the frontier engine's admission tags.
+pub fn apply_flips<V: Value, W: Value>(
     flips: &[BitFlip],
     vertex_values: &mut DevVec<V>,
-    src_value: &mut DevVec<V>,
+    src_value: &mut DevVec<W>,
 ) {
     for f in flips {
         match f.target {
@@ -191,23 +192,25 @@ pub fn apply_flips<V: Value>(
     }
 }
 
-/// One verified snapshot of engine state at an iteration boundary.
+/// One verified snapshot of engine state at an iteration boundary: the
+/// vertex values and what the engine rewinds with them (the shard family's
+/// `SrcValue` column, the frontier engine's frontier, k-core's peel state).
 #[derive(Clone, Debug)]
-pub struct Checkpoint<V> {
+pub struct Checkpoint<V, S = Vec<V>> {
     /// Iteration count at snapshot time (re-execution resumes here).
     pub iteration: u32,
     /// Vertex values, by vertex id.
     pub values: Vec<V>,
-    /// Source-value column, by shard entry.
-    pub src_value: Vec<V>,
+    /// The engine's other state at this boundary.
+    pub state: S,
     /// Watchdog fingerprints seen up to this point; restored on rollback so
     /// a replay does not trip the livelock detector on its own states.
-    pub watchdog: HashSet<u64>,
+    watchdog: HashSet<u64>,
 }
 
 /// Which SDC detector flagged a corruption.
 #[derive(Clone, Copy, Debug)]
-pub(crate) enum Detector {
+pub enum Detector {
     /// The checksum scrubber (deterministic, pre-consumption).
     Checksum,
     /// An algorithm invariant at a checkpoint (best-effort).
@@ -216,26 +219,25 @@ pub(crate) enum Detector {
 
 /// What [`Recovery`] asks of the engine it guards. One closure answers all
 /// three because all three need the device, two of them mutably.
-pub(crate) enum Ask<'a, V> {
+pub enum Ask<'a, V, S = Vec<V>> {
     /// Bring the device state back to this verified snapshot — real, charged
     /// uploads — and make it the scrubber's reference.
-    Restore(&'a Checkpoint<V>),
-    /// Download the global vertex values into the first vector and, for a
-    /// checkpoint, the global `SrcValue` column into the second — real,
-    /// charged downloads.
-    Snapshot(&'a mut Vec<V>, Option<&'a mut Vec<V>>),
+    Restore(&'a Checkpoint<V, S>),
+    /// Download the vertex values into the first slot and, for a checkpoint,
+    /// the rest of the state into the second — real, charged downloads.
+    Snapshot(&'a mut Vec<V>, Option<&'a mut S>),
     /// Mark this `sdc` event on the fault lane, at the engine's clock now.
     Mark(&'static str),
 }
 
-/// How [`Recovery::step`] left the run.
-pub(crate) enum Rung {
+/// How one rung of the ladder (`DeviceRun::recover`, the fleet's `recover!`) left the run.
+pub enum Rung {
     /// Rolled back or restarted: re-execute from the rewound iteration.
     Resumed,
     /// Both budgets are spent and nothing was restored. The last rung is the
-    /// loop's fault policy, because what it can still trust differs: the
-    /// in-core and streamed engines abandon the device ([`Stop::Abandon`]) for
-    /// the host fallback, the fleet degrades only the devices under suspicion.
+    /// engine's, because what it can still trust differs: a single device is
+    /// abandoned for the host (the shard family's re-enactment, the frontier
+    /// family's oracles), the fleet degrades only the devices under suspicion.
     Exhausted,
 }
 
@@ -255,64 +257,64 @@ impl<V, E: Into<EngineError<V>>> From<E> for Stop<V> {
     }
 }
 
-/// The recovery ladder and iteration boundary of the host loop
-/// (`multi::drive`): the checkpoint ring, the verified initial state (the
-/// full-restart image, and the rollback target until the first checkpoint),
-/// the watchdog's fingerprints and the pending re-verification. Engines supply
-/// how their device state is restored, snapshotted and marked ([`Ask`]) and
-/// their own last rung. With integrity off and no watchdog it holds nothing
-/// and [`Recovery::boundary`] only consults the observer.
-pub(crate) struct Recovery<V> {
+/// The recovery ladder and iteration boundary of every engine that defends
+/// against silent corruption: the checkpoint ring, the verified initial state
+/// (the full-restart image, and the rollback target until the first
+/// checkpoint), the watchdog's fingerprints and the pending re-verification.
+/// Engines supply how their device state is restored, snapshotted and marked
+/// ([`Ask`]) and their own last rung — the host loop (`multi::drive`)
+/// directly, the single-device engines through
+/// [`DeviceRun`](crate::DeviceRun). With integrity off and no watchdog it
+/// holds nothing and its boundary only consults the observer.
+pub struct Recovery<V, S = Vec<V>> {
     integ: IntegrityConfig,
     watchdog_interval: Option<u32>,
-    initial: Checkpoint<V>,
+    initial: Checkpoint<V, S>,
     /// Verified snapshots, newest last, at most `integ.max_checkpoints`.
-    ring: VecDeque<Checkpoint<V>>,
+    ring: VecDeque<Checkpoint<V, S>>,
+    /// `(rollbacks, full restarts)` charged against the budgets.
+    spent: (u32, u32),
     watchdog_seen: HashSet<u64>,
     need_reverify: bool,
 }
 
-impl<V: Value> Recovery<V> {
-    /// `values` and `src_value` are the host's initial `VertexValues` and
-    /// `SrcValue` — verified by construction, so with integrity on they are
-    /// kept as the first checkpoint.
-    pub(crate) fn new(
-        cfg: &CuShaConfig,
+impl<V: Value, S: Default> Recovery<V, S> {
+    /// `initial` yields the state the run starts from — verified by
+    /// construction, so with integrity on it is called and kept as the first
+    /// checkpoint; with integrity off it is never called. `sdc`'s rollbacks
+    /// and restarts (an earlier rung's on the streamed ladder) are spent.
+    pub fn new(
+        integ: IntegrityConfig,
+        watchdog_interval: Option<u32>,
         sdc: &mut SdcStats,
-        values: &[V],
-        src_value: &[V],
+        initial: impl FnOnce() -> (Vec<V>, S),
     ) -> Self {
-        let integ = cfg.integrity;
-        let (values, src_value) = if integ.mode.enabled() {
+        let (values, state) = if integ.mode.enabled() {
             sdc.checkpoints += 1;
-            (values.to_vec(), src_value.to_vec())
+            initial()
         } else {
             Default::default()
         };
         Recovery {
             integ,
-            watchdog_interval: cfg.watchdog_interval,
+            watchdog_interval,
             initial: Checkpoint {
                 iteration: 0,
                 values,
-                src_value,
+                state,
                 watchdog: HashSet::new(),
             },
             ring: VecDeque::new(),
+            spent: (sdc.rollbacks, sdc.full_restarts),
             watchdog_seen: HashSet::new(),
             need_reverify: false,
         }
     }
 
-    /// The latest verified snapshot: the rollback target.
-    pub(crate) fn latest(&self) -> &Checkpoint<V> {
-        self.ring.back().unwrap_or(&self.initial)
-    }
-
     /// Stores a verified snapshot as the rollback target, with the watchdog
     /// fingerprints seen so far, dropping the oldest beyond `max_checkpoints`:
     /// the memory held is bounded whatever the run's length.
-    fn keep(&mut self, iteration: u32, values: Vec<V>, src_value: Vec<V>) {
+    fn keep(&mut self, iteration: u32, values: Vec<V>, state: S) {
         if self.ring.len() >= self.integ.max_checkpoints {
             self.ring.pop_front();
         }
@@ -320,7 +322,7 @@ impl<V: Value> Recovery<V> {
         self.ring.push_back(Checkpoint {
             iteration,
             values,
-            src_value,
+            state,
             watchdog,
         });
     }
@@ -328,9 +330,9 @@ impl<V: Value> Recovery<V> {
     /// Called when the loop ends: a recovered trajectory that got here before
     /// its next checkpoint re-verified it is marked `reverify` now — the
     /// converged state itself is the proof.
-    pub(crate) fn finish(
+    pub fn finish(
         &mut self,
-        mut dev: impl FnMut(Ask<'_, V>) -> Result<(), DeviceFault>,
+        mut dev: impl FnMut(Ask<'_, V, S>) -> Result<(), DeviceFault>,
     ) -> Result<(), DeviceFault> {
         if std::mem::take(&mut self.need_reverify) {
             dev(Ask::Mark("reverify"))?;
@@ -340,17 +342,15 @@ impl<V: Value> Recovery<V> {
 
     /// One rung of the ladder after `detector` fired: roll back to the latest
     /// verified snapshot while the rollback budget lasts, then restart from
-    /// the initial state, else report [`Rung::Exhausted`]. `spent` is the
-    /// `(rollbacks, full restarts)` already charged against the budgets —
-    /// fleet-wide for the fleet, whose `sdc` is the detecting device's.
+    /// the initial state, else report [`Rung::Exhausted`]. The budgets are the
+    /// run's — fleet-wide for the fleet, whose `sdc` is the detecting device's.
     pub(crate) fn step(
         &mut self,
         detector: Detector,
         sdc: &mut SdcStats,
-        spent: (u32, u32),
         iterations: &mut u32,
         per_iteration: &mut Vec<IterationStat>,
-        mut dev: impl FnMut(Ask<'_, V>) -> Result<(), DeviceFault>,
+        mut dev: impl FnMut(Ask<'_, V, S>) -> Result<(), DeviceFault>,
     ) -> Result<Rung, DeviceFault> {
         match detector {
             Detector::Checksum => sdc.checksum_detections += 1,
@@ -358,11 +358,13 @@ impl<V: Value> Recovery<V> {
         }
         dev(Ask::Mark("corruption-detected"))?;
         self.need_reverify = true;
-        let taken = if spent.0 < self.integ.max_rollbacks {
+        let taken = if self.spent.0 < self.integ.max_rollbacks {
+            self.spent.0 += 1;
             sdc.rollbacks += 1;
             "rollback"
-        } else if spent.1 < self.integ.max_full_restarts {
+        } else if self.spent.1 < self.integ.max_full_restarts {
             self.ring.clear();
+            self.spent.1 += 1;
             sdc.full_restarts += 1;
             "full-restart"
         } else {
@@ -381,9 +383,8 @@ impl<V: Value> Recovery<V> {
         sdc: &mut SdcStats,
         iterations: &mut u32,
         per_iteration: &mut Vec<IterationStat>,
-        dev: &mut impl FnMut(Ask<'_, V>) -> Result<(), DeviceFault>,
+        dev: &mut impl FnMut(Ask<'_, V, S>) -> Result<(), DeviceFault>,
     ) -> Result<(), DeviceFault> {
-        // Not `self.latest()`: `watchdog_seen` is written while `cp` is held.
         let cp = self.ring.back().unwrap_or(&self.initial);
         dev(Ask::Restore(cp))?;
         sdc.reexecuted_iterations += *iterations - cp.iteration;
@@ -395,21 +396,21 @@ impl<V: Value> Recovery<V> {
 
     /// The boundary after a non-converged iteration: consult the observer
     /// (a refusal is [`EngineError::Deadline`]); at a checkpoint interval
-    /// snapshot the state, verify the program's invariant against the last
-    /// verified snapshot and store it as the new rollback target; at a
-    /// watchdog interval fingerprint the values (a repeat is
-    /// [`EngineError::Watchdog`]). Returns whether the invariant was violated
-    /// — a corruption for [`Recovery::step`]; nothing is stored then.
+    /// snapshot the state, check the engine's `law` (`check_invariant`'s
+    /// shape: last verified values, then these) and store it as the new
+    /// rollback target; at a watchdog interval fingerprint the values (a
+    /// repeat is [`EngineError::Watchdog`]). Returns whether the law was
+    /// broken — a corruption for [`Recovery::step`]; nothing is stored then.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn boundary<P: VertexProgram<V = V>, O: RunObserver + ?Sized>(
+    pub(crate) fn boundary<O: RunObserver + ?Sized>(
         &mut self,
         observer: &mut O,
-        prog: &P,
+        law: impl FnOnce(&[V], &[V]) -> Result<(), String>,
         sdc: &mut SdcStats,
         iterations: u32,
         updated: u64,
         elapsed_seconds: f64,
-        mut dev: impl FnMut(Ask<'_, V>) -> Result<(), DeviceFault>,
+        mut dev: impl FnMut(Ask<'_, V, S>) -> Result<(), DeviceFault>,
     ) -> Result<bool, EngineError<V>> {
         if !observer.on_iteration(iterations, updated, elapsed_seconds) {
             return Err(EngineError::Deadline {
@@ -419,13 +420,13 @@ impl<V: Value> Recovery<V> {
         }
         let integ = self.integ;
         if integ.mode.enabled() && iterations.is_multiple_of(integ.checkpoint_every) {
-            let (mut values, mut src_value) = (Vec::new(), Vec::new());
-            dev(Ask::Snapshot(&mut values, Some(&mut src_value)))?;
-            let verified = &self.latest().values;
-            if integ.mode.invariants() && prog.check_invariant(verified, &values).is_err() {
+            let (mut values, mut state) = (Vec::new(), S::default());
+            dev(Ask::Snapshot(&mut values, Some(&mut state)))?;
+            let verified = &self.ring.back().unwrap_or(&self.initial).values;
+            if integ.mode.invariants() && law(verified, &values).is_err() {
                 return Ok(true);
             }
-            self.keep(iterations, values, src_value);
+            self.keep(iterations, values, state);
             sdc.checkpoints += 1;
             if std::mem::take(&mut self.need_reverify) {
                 dev(Ask::Mark("reverify"))?;
@@ -501,35 +502,38 @@ mod tests {
         assert_eq!(sv.host(), &[0, 1, 2, 0]);
     }
 
+    /// The rollback target: the newest snapshot, else the initial state.
+    fn latest<V, S>(rec: &Recovery<V, S>) -> &Checkpoint<V, S> {
+        rec.ring.back().unwrap_or(&rec.initial)
+    }
+
     #[test]
     fn the_ring_holds_at_most_max_checkpoints_snapshots() {
         let integ = IntegrityConfig {
             max_checkpoints: 3,
             ..IntegrityConfig::with_mode(IntegrityMode::Checksum)
         };
-        let cfg = CuShaConfig::gs().with_integrity(integ);
         let mut sdc = SdcStats::default();
-        let mut rec = Recovery::new(&cfg, &mut sdc, &[0u32; 4], &[0u32; 2]);
+        let mut rec = Recovery::new(integ, None, &mut sdc, || (vec![0u32; 4], vec![0u32; 2]));
         for i in 1..=10u32 {
             rec.keep(i, vec![i; 4], vec![i; 2]);
             assert!(rec.ring.len() <= 3, "bounded at max_checkpoints");
         }
-        assert_eq!((rec.ring.len(), rec.latest().iteration), (3, 10));
+        assert_eq!((rec.ring.len(), latest(&rec).iteration), (3, 10));
         // A full restart drops every snapshot: the initial state is the
         // rollback target again.
         let (mut iterations, mut per_iteration) = (10, Vec::new());
-        let spent = (integ.max_rollbacks, 0);
+        rec.spent = (integ.max_rollbacks, 0);
         let rung = rec.step(
             Detector::Checksum,
             &mut sdc,
-            spent,
             &mut iterations,
             &mut per_iteration,
             |_| Ok(()),
         );
         assert!(matches!(rung, Ok(Rung::Resumed)));
         assert_eq!(rec.ring.len(), 0);
-        assert_eq!((rec.latest().iteration, iterations), (0, 0));
+        assert_eq!((latest(&rec).iteration, iterations), (0, 0));
     }
 
     /// Checkpointed state must round-trip bit-exactly for every value type
@@ -540,18 +544,18 @@ mod tests {
     fn checkpoints_round_trip_bit_exactly_for_every_value_type() {
         fn case<V: Value>(vals: Vec<V>, src: Vec<V>) {
             let integ = IntegrityConfig::with_mode(IntegrityMode::Full);
-            let cfg = CuShaConfig::gs().with_integrity(integ);
-            let mut rec = Recovery::new(&cfg, &mut SdcStats::default(), &vals, &src);
+            let initial = || (vals.clone(), src.clone());
+            let mut rec = Recovery::new(integ, None, &mut SdcStats::default(), initial);
             let bits = |vs: &[V]| vs.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
-            let initial = rec.latest();
+            let initial = latest(&rec);
             assert_eq!(bits(&initial.values), bits(&vals), "initial values");
-            assert_eq!(bits(&initial.src_value), bits(&src), "initial src values");
+            assert_eq!(bits(&initial.state), bits(&src), "initial src values");
             rec.watchdog_seen.insert(99);
             rec.keep(7, vals.clone(), src.clone());
-            let cp = rec.latest();
+            let cp = latest(&rec);
             assert_eq!(cp.iteration, 7);
             assert_eq!(bits(&cp.values), bits(&vals), "values round-trip");
-            assert_eq!(bits(&cp.src_value), bits(&src), "src values round-trip");
+            assert_eq!(bits(&cp.state), bits(&src), "src values round-trip");
             assert!(cp.watchdog.contains(&99));
         }
         case::<u32>(vec![0, 1, u32::MAX], vec![5, 6]);

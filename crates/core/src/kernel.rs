@@ -134,7 +134,7 @@ pub(crate) fn with_copy_retries<T>(
 }
 
 /// Emits a recovery instant on the device's fault lane at its current clock.
-pub(crate) fn fault_instant(gpu: &Gpu, cat: &'static str, name: &str) {
+pub fn fault_instant(gpu: &Gpu, cat: &'static str, name: &str) {
     let (pid, ts) = (gpu.trace_pid(), gpu.total_seconds());
     gpu.tracer().instant(pid, lanes::FAULT, cat, name, ts);
 }

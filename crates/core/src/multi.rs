@@ -474,7 +474,7 @@ impl<P: VertexProgram> MultiState<'_, P> {
         // Released masters are empty; kept ones are the checkpoint's size.
         if self.host.values.len() == to.values.len() {
             self.host.values.copy_from_slice(&to.values);
-            self.host.src_value.copy_from_slice(&to.src_value);
+            self.host.src_value.copy_from_slice(&to.state);
         }
         let retry = self.retry;
         for d in 0..self.infos.len() {
@@ -487,7 +487,7 @@ impl<P: VertexProgram> MultiState<'_, P> {
             }
             if let Mode::Resident(dev) = mode {
                 with_copy_retries(gpu, &retry, fault, |g| {
-                    g.try_h2d(&mut dev.slice.src_value, &to.src_value[info.erange.clone()])
+                    g.try_h2d(&mut dev.slice.src_value, &to.state[info.erange.clone()])
                 })?;
                 self.crcs[d].1 = checksum(dev.slice.src_value.host());
             }
@@ -820,8 +820,8 @@ pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
     // bookkeeping (checkpoints, invariant detections) is attributed to
     // device 0.
     let integ = base.integrity;
-    let (sdc, host) = (&mut sdcs[0], &st.host);
-    let mut recovery = Recovery::new(base, sdc, &host.values, &host.src_value);
+    let initial = || (st.host.values.clone(), st.host.src_value.clone());
+    let mut recovery = Recovery::new(integ, base.watchdog_interval, &mut sdcs[0], initial);
     let streaming = st.modes.iter().any(|m| matches!(m, Mode::Streamed(..)));
     if !matches!(placement, Placement::Fleet { .. }) && !streaming {
         // Everything is uploaded, a fault will surface before a device leaves
@@ -881,13 +881,9 @@ pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
     macro_rules! recover {
         ($det:expr, $detector:expr) => {{
             let det: usize = $det;
-            let spent = sdcs.iter().fold((0, 0), |sum, s| {
-                (sum.0 + s.rollbacks, sum.1 + s.full_restarts)
-            });
             let (iterations, detail) = (&mut stats.iterations, &mut stats.per_iteration);
             let sdc = &mut sdcs[det];
-            let rung =
-                recovery.step($detector, sdc, spent, iterations, detail, fleet!(Some(det)))?;
+            let rung = recovery.step($detector, sdc, iterations, detail, fleet!(Some(det)))?;
             if let Rung::Exhausted = rung {
                 placement.absorb(|| Stop::Abandon)?;
                 let victims: Vec<usize> = match $detector {
@@ -1037,7 +1033,8 @@ pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
             // have completed, so aborting never leaves partial device writes.
             let (iterations, elapsed) = (stats.iterations, since + st.now(fleet_clock));
             let (sdc, dev) = (&mut sdcs[0], fleet!(None::<usize>));
-            if recovery.boundary(observer, prog, sdc, iterations, iter_updated, elapsed, dev)? {
+            let law = |verified: &[P::V], now: &[P::V]| prog.check_invariant(verified, now);
+            if recovery.boundary(observer, law, sdc, iterations, iter_updated, elapsed, dev)? {
                 recover!(0, Detector::Invariant);
             }
         }

@@ -173,6 +173,13 @@ impl FrontierStats {
         self.sizes.iter().copied().max().unwrap_or(0)
     }
 
+    /// Rewinds the record to its first `iterations` entries (a rollback's).
+    pub fn truncate(&mut self, iterations: u32) {
+        self.sizes.truncate(iterations as usize);
+        self.directions.truncate(iterations as usize);
+        self.switches = self.directions.windows(2).filter(|d| d[0] != d[1]).count() as u32;
+    }
+
     /// Iterations that ran in the given direction.
     pub fn count(&self, d: Direction) -> u64 {
         self.directions.iter().filter(|&&x| x == d).count() as u64

@@ -156,7 +156,7 @@ impl FrontierConfig {
                 ));
             }
         }
-        Ok(())
+        self.integrity.validate()
     }
 }
 
@@ -179,6 +179,12 @@ mod tests {
             cfg.deadline_seconds = Some(deadline);
             assert_eq!(cfg.validate().is_ok(), ok, "deadline {deadline}");
         }
+        cfg.deadline_seconds = None;
+        cfg.integrity.checkpoint_every = 0;
+        assert!(
+            cfg.validate().is_err(),
+            "the integrity config is checked too"
+        );
     }
 
     #[test]

@@ -36,22 +36,23 @@
 //! coalescing, bank-conflict and occupancy counters accumulate as usual, a
 //! [`FaultPlan`] injects copy/kernel faults and silent bit flips (vertex
 //! values and the activation flags are both in the blast radius), and the
-//! same checksum/invariant → rollback → restart → host-fallback ladder
-//! defends against silent corruption.
+//! shard family's checksum/invariant → rollback → restart ladder
+//! (`integrity::Recovery`, here checkpointing the pending frontier beside the
+//! values) defends against silent corruption, its last rung the host oracle.
 
 use crate::compact::{block_warps, column};
 use crate::config::FrontierConfig;
 use crate::prepared::PreparedFrontier;
 use cusha_algos::reference::run_sequential;
-use cusha_core::integrity::{apply_flip, checksum};
+use cusha_core::integrity::{apply_flips, checksum, Ask, Detector, Recovery, Rung};
 use cusha_core::memsize::ValueSizes;
 use cusha_core::{
-    check_topology, CuShaOutput, DeviceRun, Direction, Engine, EngineCtx, EngineError,
-    FrontierStats, NoopObserver, RunObserver, VertexProgram,
+    check_topology, fault_instant, CuShaOutput, DeviceRun, Direction, Engine, EngineCtx,
+    EngineError, FrontierStats, NoopObserver, RunObserver, VertexProgram,
 };
 use cusha_graph::{Graph, VertexId};
 use cusha_obs::trace::{lanes, ArgVal};
-use cusha_simt::{Block, DevVec, FaultPlan, FlipTarget, KernelDesc, Mask, WARP};
+use cusha_simt::{Block, DevVec, FaultPlan, Gpu, KernelDesc, Mask, WARP};
 
 /// Per-program edge values permuted into the out-CSR and in-CSR edge orders
 /// (`None` when the program has no edge values).
@@ -133,19 +134,11 @@ fn seed_list<P: VertexProgram>(prog: &P, graph: &Graph) -> Vec<VertexId> {
     }
 }
 
-/// One verified snapshot of the loop state at an iteration boundary:
-/// values, the admission tags (which encode frontier membership per
-/// iteration, so they must rewind with the iteration counter), and the
-/// pending frontier with its out-edge count (the direction heuristic's
-/// input).
-struct Snapshot<V> {
-    iteration: u32,
-    values: Vec<V>,
-    active: Vec<u32>,
-    frontier: Vec<u32>,
-    frontier_len: usize,
-    frontier_edges: u64,
-}
+/// What a checkpoint holds beside the values: the admission tags (which
+/// encode frontier membership per iteration, so they must rewind with the
+/// iteration counter), the pending frontier, its length and its out-edge
+/// count (the direction heuristic's input).
+type Pending = (Vec<u32>, Vec<u32>, usize, u64);
 
 #[allow(clippy::too_many_lines)]
 fn frontier_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
@@ -231,22 +224,18 @@ fn frontier_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
     // ---- Integrity state ---------------------------------------------------
     // All of it exists only in the modes that read it: the scrub digests of
     // the two protected buffers with checksums on (`None` never mismatches),
-    // the verified values and the snapshot ring with any mode on. With
+    // the ladder's initial image and checkpoints with any mode on. With
     // integrity off the host touches no |V|-sized buffer between kernels.
     let scrub = |values: &DevVec<P::V>, active: &DevVec<u32>| {
         let digests = || (checksum(values.host()), checksum(active.host()));
         integ.mode.checksums().then(digests)
     };
     let mut crcs = scrub(&values, &active);
-    let mut snaps: Vec<Snapshot<P::V>> = Vec::new();
-    let mut verified_values: Vec<P::V> = if integ.mode.enabled() {
-        init.clone()
-    } else {
-        Vec::new()
-    };
+    let pending = (active_init, frontier_host, seed.len(), seed_edges);
+    let initial = move || (init, pending);
+    let mut recovery = Recovery::new(integ, None, &mut run.stats.sdc, initial);
 
     let mut fstats = FrontierStats::default();
-    let mut last_dir: Option<Direction> = None;
     let mut converged = false;
     // Built once: a launch clones the name's refcount, not its bytes.
     let mut desc_push = KernelDesc::new(
@@ -260,53 +249,46 @@ fn frontier_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
         cfg.threads_per_block,
     );
 
-    // Recovery macro: roll back to the newest verified snapshot, else
-    // restart from the initial state, else escalate to the host fallback.
-    macro_rules! recover {
-        () => {{
-            let (total, gpu) = (&mut run.stats, &mut run.gpu);
-            if total.sdc.rollbacks < integ.max_rollbacks {
-                if let Some(cp) = snaps.last() {
-                    total.sdc.rollbacks += 1;
-                    total.sdc.reexecuted_iterations += total.iterations - cp.iteration;
-                    gpu.try_h2d(&mut values, &cp.values)?;
-                    gpu.try_h2d(&mut active, &cp.active)?;
-                    gpu.try_h2d(&mut frontier_cur, &cp.frontier)?;
-                    frontier_len = cp.frontier_len;
-                    frontier_edges = cp.frontier_edges;
-                    total.iterations = cp.iteration;
-                    crcs = scrub(&values, &active);
-                    cfg.trace
-                        .instant(0, lanes::FAULT, "sdc", "rollback", gpu.total_seconds());
-                    continue;
+    // How the ladder reaches this run's state, both ways charged: a restore
+    // uploads a checkpoint and rewinds the frontier record to it, a snapshot
+    // downloads one.
+    macro_rules! state {
+        () => {
+            |gpu: &mut Gpu, ask: Ask<'_, P::V, Pending>| {
+                match ask {
+                    Ask::Restore(cp) => {
+                        let (tags, list, len, edges) = &cp.state;
+                        gpu.try_h2d(&mut values, &cp.values)?;
+                        gpu.try_h2d(&mut active, tags)?;
+                        gpu.try_h2d(&mut frontier_cur, list)?;
+                        (frontier_len, frontier_edges) = (*len, *edges);
+                        fstats.truncate(cp.iteration);
+                        crcs = scrub(&values, &active);
+                    }
+                    Ask::Snapshot(vals, None) => *vals = gpu.try_download(&values)?,
+                    Ask::Snapshot(vals, Some(pending)) => {
+                        *vals = gpu.try_download(&values)?;
+                        let tags = gpu.try_download(&active)?;
+                        let list = gpu.try_download(&frontier_cur)?;
+                        *pending = (tags, list, frontier_len, frontier_edges);
+                    }
+                    Ask::Mark(name) => fault_instant(gpu, "sdc", name),
                 }
+                Ok(())
             }
-            if total.sdc.full_restarts < integ.max_full_restarts {
-                total.sdc.full_restarts += 1;
-                total.sdc.reexecuted_iterations += total.iterations;
-                gpu.try_h2d(&mut values, &init)?;
-                gpu.try_h2d(&mut active, &active_init)?;
-                gpu.try_h2d(&mut frontier_cur, &frontier_host)?;
-                frontier_len = seed.len();
-                frontier_edges = seed_edges;
-                total.iterations = 0;
-                snaps.clear();
-                verified_values = init.clone();
-                crcs = scrub(&values, &active);
-                cfg.trace
-                    .instant(0, lanes::FAULT, "sdc", "restart", gpu.total_seconds());
-                continue;
+        };
+    }
+    // One rung of the ladder; past the last, the host oracle (outside the
+    // device flip model, so its result is trusted) finishes the run.
+    macro_rules! recover {
+        ($detector:expr) => {{
+            if let Rung::Exhausted = run.recover(&mut recovery, $detector, state!())? {
+                let host = run_sequential(prog, graph, cfg.max_iterations);
+                let (mut stats, values) = (run.abandon(), host.values);
+                (stats.converged, stats.frontier) = (host.converged, Some(fstats));
+                return CuShaOutput { values, stats }.into_result();
             }
-            // Ladder exhausted: finish on the host oracle (outside the
-            // device flip model, so the result is trusted).
-            let host = run_sequential(prog, graph, cfg.max_iterations);
-            total.sdc.host_fallbacks += 1;
-            total.converged = host.converged;
-            total.frontier = Some(fstats);
-            cfg.trace
-                .instant(0, lanes::FAULT, "sdc", "host-fallback", gpu.total_seconds());
-            let (values, stats) = (host.values, std::mem::take(total));
-            return CuShaOutput { values, stats }.into_result();
+            continue;
         }};
     }
 
@@ -324,16 +306,10 @@ fn frontier_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
         // the activation flags take `sv`/`win` flips (the frontier engine's
         // second protected buffer).
         let flips = gpu.take_due_bit_flips();
-        for flip in &flips {
-            match flip.target {
-                FlipTarget::VertexValues => apply_flip(&mut values, flip),
-                FlipTarget::SrcValue | FlipTarget::Window => apply_flip(&mut active, flip),
-            }
-        }
+        apply_flips(&flips, &mut values, &mut active);
         run.stats.sdc.flips_injected += flips.len() as u64;
         if scrub(&values, &active) != crcs {
-            run.stats.sdc.checksum_detections += 1;
-            recover!();
+            recover!(Detector::Checksum);
         }
 
         // Direction choice: edge-density heuristic (how many edges the
@@ -347,15 +323,12 @@ fn frontier_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
         };
         // Admission tag for the frontier this iteration produces.
         let next_tag = run.stats.iterations + 2;
-        if let Some(prev) = last_dir {
-            if prev != dir {
-                fstats.switches += 1;
-                let name = format!("direction-switch:{}->{}", prev.label(), dir.label());
-                cfg.trace
-                    .instant(0, lanes::ENGINE, "frontier", &name, iter_ts);
-            }
+        if let Some(prev) = fstats.directions.last().filter(|&&prev| prev != dir) {
+            fstats.switches += 1;
+            let name = format!("direction-switch:{}->{}", prev.label(), dir.label());
+            cfg.trace
+                .instant(0, lanes::ENGINE, "frontier", &name, iter_ts);
         }
-        last_dir = Some(dir);
         fstats.sizes.push(frontier_len as u64);
         fstats.directions.push(dir);
         cfg.trace.counter(
@@ -578,37 +551,14 @@ fn frontier_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
             ]
         });
 
-        // Checkpoint boundary: verify the algorithm invariant against the
-        // last verified snapshot, then store this state as the new rollback
-        // target.
-        let iterations = run.stats.iterations;
-        if integ.mode.enabled() && iterations.is_multiple_of(integ.checkpoint_every) {
-            let cur = values.host().to_vec();
-            if integ.mode.invariants() {
-                if let Err(_law) = prog.check_invariant(&verified_values, &cur) {
-                    run.stats.sdc.invariant_detections += 1;
-                    recover!();
-                }
-            }
-            verified_values = cur.clone();
-            snaps.push(Snapshot {
-                iteration: iterations,
-                values: cur,
-                active: active.host().to_vec(),
-                frontier: frontier_cur.host().to_vec(),
-                frontier_len,
-                frontier_edges,
-            });
-            if snaps.len() > integ.max_checkpoints {
-                snaps.remove(0);
-            }
-            run.stats.sdc.checkpoints += 1;
-        }
-
         if frontier_len != 0 {
-            run.proceed()?;
+            let law = |verified: &[P::V], now: &[P::V]| prog.check_invariant(verified, now);
+            if run.boundary(&mut recovery, law, state!())? {
+                recover!(Detector::Invariant);
+            }
         }
     }
+    recovery.finish(|ask| state!()(&mut run.gpu, ask))?;
 
     let stats = &mut run.stats;
     stats.converged = converged;

@@ -19,6 +19,12 @@
 //! frontier- and data-dependent and stays interpreted; only its peel-list
 //! read is stride-1, and is issued in run form.
 //!
+//! Silent corruption climbs the shard family's ladder (`integrity::Recovery`):
+//! a checkpoint holds the core numbers with the peel state beside them
+//! (degrees, alive flags, `k`), a detection rolls back to it, then restarts,
+//! and the last rung is the host oracle [`host_kcore`]. The invariant checked
+//! at a checkpoint is that a core number, once assigned, never changes.
+//!
 //! Duplicate-decrement hazard: several peeled vertices in one warp
 //! operation may share a surviving neighbor, and a plain `gstore` keeps a
 //! single winner. The peel kernel therefore merges decrements lane-serially
@@ -27,15 +33,15 @@
 
 use crate::compact::{block_warps, compact_flags, lanes_where};
 use crate::config::{FrontierConfig, U32_PER_VERTEX};
-use cusha_core::integrity::{apply_flip, checksum};
+use cusha_core::integrity::{apply_flip, checksum, Ask, Detector, Recovery, Rung};
 use cusha_core::{
-    CuShaOutput, DeviceRun, Direction, EngineError, FrontierStats, NoopObserver, RunObserver,
-    RunStats,
+    fault_instant, CuShaOutput, DeviceRun, Direction, EngineError, FrontierStats, NoopObserver,
+    RunObserver, RunStats,
 };
 use cusha_graph::Graph;
 use cusha_obs::trace::lanes;
 use cusha_simt::replay::keys_fit;
-use cusha_simt::{DevVec, FaultPlan, FlipTarget, KernelDesc, Mask, WARP};
+use cusha_simt::{DevVec, FaultPlan, FlipTarget, Gpu, KernelDesc, Mask, WARP};
 
 /// Replay site tag of the degree scan's accounting pass; keyed like the
 /// compaction's (`[tag, block id, |V|, threads per block]`).
@@ -109,7 +115,6 @@ pub fn run_kcore(graph: &Graph, cfg: &KcoreConfig) -> KcoreOutput {
 /// [`EngineError::Deadline`], as does a round ending past
 /// `cfg.deadline_seconds`); the fault plan, if given, is installed on
 /// the device and its advanced state written back on exit.
-#[allow(clippy::too_many_lines)]
 pub fn try_run_kcore<O: RunObserver + ?Sized>(
     graph: &Graph,
     cfg: &KcoreConfig,
@@ -124,9 +129,32 @@ pub fn try_run_kcore<O: RunObserver + ?Sized>(
     let deg_host: Vec<u32> = (0..n).map(|v| idxs_host[v + 1] - idxs_host[v]).collect();
 
     let engine = "Frontier/kcore".to_string();
-    DeviceRun::open(cfg.device_setup(), engine, fault_plan, observer, |run| {
+    let out = DeviceRun::open(cfg.device_setup(), engine, fault_plan, observer, |run| {
         kcore_attempt(graph, cfg, run, &idxs_host, &nbrs_host, &deg_host)
+    })?;
+    let degeneracy = out.values.iter().copied().max().unwrap_or(0);
+    Ok(KcoreOutput {
+        core: out.values,
+        degeneracy,
+        stats: out.stats,
     })
+}
+
+/// What a checkpoint holds beside the core numbers: the peel state they
+/// rewind with — degrees, alive flags, `k` and the alive count.
+type Peel = (Vec<u32>, Vec<u32>, u32, usize);
+
+/// The invariant a checkpoint checks: a core number, once assigned (nonzero
+/// in the last verified snapshot), never changes.
+fn assigned_cores_stay(verified: &[u32], now: &[u32]) -> Result<(), String> {
+    match verified
+        .iter()
+        .zip(now)
+        .all(|(&was, &is)| was == 0 || was == is)
+    {
+        true => Ok(()),
+        false => Err("an assigned core number changed".into()),
+    }
 }
 
 #[allow(clippy::too_many_lines)]
@@ -137,7 +165,7 @@ fn kcore_attempt<O: RunObserver + ?Sized>(
     idxs_host: &[u32],
     nbrs_host: &[u32],
     deg_host: &[u32],
-) -> Result<KcoreOutput, EngineError<u32>> {
+) -> Result<CuShaOutput<u32>, EngineError<u32>> {
     let n = graph.num_vertices() as usize;
     let tpb = cfg.threads_per_block as usize;
     let integ = cfg.integrity;
@@ -166,6 +194,9 @@ fn kcore_attempt<O: RunObserver + ?Sized>(
     let mut fstats = FrontierStats::default();
     let mut k = 1u32;
     let mut alive_count = n;
+    let peel = || (deg_host.to_vec(), vec![1u32; n.max(1)], k, alive_count);
+    let initial = || (vec![0u32; n.max(1)], peel());
+    let mut recovery = Recovery::new(integ, None, &mut run.stats.sdc, initial);
     // The two dense kernels hold one replay key per block each; the grid and
     // the compaction's name never change, the other names only with `k`.
     let scoped = keys_fit(2 * grid_dense as usize);
@@ -178,7 +209,48 @@ fn kcore_attempt<O: RunObserver + ?Sized>(
     };
     let (mut desc_scan, mut desc_peel) = descs(k);
 
-    'outer: while alive_count > 0 && run.stats.iterations < cfg.max_iterations {
+    // How the ladder reaches this run's state, both ways charged (the
+    // activation flags need neither: the compaction leaves them clear).
+    macro_rules! state {
+        () => {
+            |gpu: &mut Gpu, ask: Ask<'_, u32, Peel>| {
+                match ask {
+                    Ask::Restore(cp) => {
+                        let (degs, alives, at_k, count) = &cp.state;
+                        gpu.try_h2d(&mut core, &cp.values)?;
+                        gpu.try_h2d(&mut deg, degs)?;
+                        gpu.try_h2d(&mut alive, alives)?;
+                        (k, alive_count) = (*at_k, *count);
+                        (desc_scan, desc_peel) = descs(k);
+                        fstats.truncate(cp.iteration);
+                        state_crc = scrub(&core, &deg, &alive);
+                    }
+                    Ask::Snapshot(values, None) => *values = gpu.try_download(&core)?,
+                    Ask::Snapshot(values, Some(peel)) => {
+                        *values = gpu.try_download(&core)?;
+                        let degs = gpu.try_download(&deg)?;
+                        let alives = gpu.try_download(&alive)?;
+                        *peel = (degs, alives, k, alive_count);
+                    }
+                    Ask::Mark(name) => fault_instant(gpu, "sdc", name),
+                }
+                Ok(())
+            }
+        };
+    }
+    // One rung of the ladder; past the last, the host oracle finishes.
+    macro_rules! recover {
+        ($detector:expr) => {{
+            if let Rung::Exhausted = run.recover(&mut recovery, $detector, state!())? {
+                let (mut stats, values) = (run.abandon(), host_kcore(graph));
+                (stats.converged, stats.frontier) = (true, Some(fstats));
+                return Ok(CuShaOutput { values, stats });
+            }
+            continue;
+        }};
+    }
+
+    while alive_count > 0 && run.stats.iterations < cfg.max_iterations {
         let (total, gpu) = (&mut run.stats, &mut run.gpu);
         let round_ts = gpu.total_seconds();
 
@@ -194,38 +266,7 @@ fn kcore_attempt<O: RunObserver + ?Sized>(
         }
         total.sdc.flips_injected += flips.len() as u64;
         if scrub(&core, &deg, &alive) != state_crc {
-            total.sdc.checksum_detections += 1;
-            // Peeling keeps no cheap checkpoint (the damage is spread
-            // across four buffers), so the ladder is restart → host.
-            if total.sdc.full_restarts < integ.max_full_restarts {
-                total.sdc.full_restarts += 1;
-                total.sdc.reexecuted_iterations += total.iterations;
-                gpu.try_h2d(&mut deg, deg_host)?;
-                gpu.try_h2d(&mut core, &vec![0u32; n.max(1)])?;
-                gpu.try_h2d(&mut alive, &vec![1u32; n.max(1)])?;
-                gpu.try_h2d(&mut active, &vec![0u32; n.max(1)])?;
-                k = 1;
-                (desc_scan, desc_peel) = descs(k);
-                alive_count = n;
-                total.iterations = 0;
-                state_crc = scrub(&core, &deg, &alive);
-                cfg.trace
-                    .instant(0, lanes::FAULT, "sdc", "restart", gpu.total_seconds());
-                continue 'outer;
-            }
-            let core = host_kcore(graph);
-            let degeneracy = core.iter().copied().max().unwrap_or(0);
-            total.sdc.host_fallbacks += 1;
-            total.converged = true;
-            total.frontier = Some(fstats);
-            cfg.trace
-                .instant(0, lanes::FAULT, "sdc", "host-fallback", gpu.total_seconds());
-            let stats = std::mem::take(total);
-            return Ok(KcoreOutput {
-                core,
-                degeneracy,
-                stats,
-            });
+            recover!(Detector::Checksum);
         }
 
         // filter: flag alive vertices whose degree fell below k …
@@ -328,23 +369,18 @@ fn kcore_attempt<O: RunObserver + ?Sized>(
             .counter(0, lanes::ENGINE, "frontier_size", round_ts, peel_len as f64);
         let seconds = gpu.total_seconds() - round_ts;
         run.iteration(round_ts, seconds, peel_len as u64, Vec::new);
-        if alive_count > 0 {
-            run.proceed()?;
+        if alive_count > 0 && run.boundary(&mut recovery, assigned_cores_stay, state!())? {
+            recover!(Detector::Invariant);
         }
     }
+    recovery.finish(|ask| state!()(&mut run.gpu, ask))?;
 
     let stats = &mut run.stats;
     stats.converged = alive_count == 0;
     stats.kernel.name = "Frontier::kcore".into();
     stats.frontier = Some(fstats);
     let (values, stats) = run.close(|gpu| gpu.try_download(&core))?;
-    let degeneracy = values.iter().copied().max().unwrap_or(0);
-    let out = CuShaOutput { values, stats }.into_result()?;
-    Ok(KcoreOutput {
-        core: out.values,
-        degeneracy,
-        stats: out.stats,
-    })
+    CuShaOutput { values, stats }.into_result()
 }
 
 /// Host oracle: Batagelj–Zaveršnik bin-sort peeling, O(n + m), fully

@@ -297,10 +297,11 @@ fn document(v: Variant) -> Doc {
         }
     }
 
-    // The SDC ladder: scheduled flips into all three targets, landing after
-    // the first checkpoints exist. The frontier engine rolls back, k-core
-    // (which keeps no checkpoint) restarts; with the budgets drained both end
-    // on the host fallback; with integrity off the flips reach the output.
+    // The SDC ladder (`integrity::Recovery`, one for both): scheduled flips
+    // into all three targets, landing after the first checkpoints exist. Both
+    // roll back; with the rollback budget spent the frontier engine restarts;
+    // with the budgets drained both end on their host oracle; with integrity
+    // off the flips reach the output.
     let (g, lattice) = (&graphs[0].1, &graphs[1].1);
     let defended = |mode: IntegrityMode, flips: &[u64], budgets: (u32, u32)| {
         let targets = [
@@ -340,7 +341,7 @@ fn document(v: Variant) -> Doc {
     doc.frontier("sdc/restart/frontier/bfs/road", &Bfs::new(0), lattice, cfg);
     let cfg = defended(checksum, &[2], (0, 0));
     doc.frontier("sdc/fallback/frontier/bfs/rmat8", &Bfs::new(0), g, cfg);
-    let cfg = defended(checksum, &[3, 8], (8, 1));
+    let cfg = defended(checksum, &[3, 8], (1, 0));
     doc.kcore("sdc/fallback/kcore/road", lattice, cfg);
     doc
 }

@@ -9,13 +9,15 @@ use cusha::algos::{
 };
 use cusha::core::{
     try_run, try_run_multi, try_run_placed, try_run_streamed, try_run_warm, CuShaConfig,
-    EngineError, IntegrityConfig, IntegrityMode, MultiConfig, NoopObserver, Placement,
-    PreparedLayout, Repr, StreamingConfig, Value, VertexProgram,
+    EngineError, FrontierStats, IntegrityConfig, IntegrityMode, MultiConfig, NoopObserver,
+    Placement, PreparedLayout, Repr, RunStats, StreamingConfig, Value, VertexProgram,
 };
-use cusha::frontier::{try_run_frontier, FrontierConfig};
+use cusha::frontier::{host_kcore, try_run_frontier, try_run_kcore, FrontierConfig};
 use cusha::graph::generators::lattice::lattice2d;
 use cusha::graph::generators::rmat::{rmat, RmatConfig};
 use cusha::graph::Graph;
+use cusha::obs::trace::Ph;
+use cusha::obs::Tracer;
 use cusha::simt::{FaultPlan, FlipTarget};
 
 fn small_graph(seed: u64) -> Graph {
@@ -356,6 +358,169 @@ fn a_capped_frontier_host_rung_is_non_converged() {
         Ok(out) => panic!("a one-iteration host rung converged: {:?}", out.stats),
         Err(e) => panic!("{e}"),
     }
+}
+
+/// A frontier-family run under `mode`, checkpointing every other iteration,
+/// with `plan`'s flips.
+fn frontier_defended(mode: IntegrityMode, plan: FaultPlan) -> FrontierConfig {
+    FrontierConfig {
+        fault_plan: Some(plan),
+        integrity: IntegrityConfig {
+            checkpoint_every: 2,
+            ..IntegrityConfig::with_mode(mode)
+        },
+        ..FrontierConfig::new()
+    }
+}
+
+/// Flips into the frontier family's protected buffers — vertex values (core
+/// numbers), then the second buffer (activation tags, degrees), then the
+/// third (k-core's alive flags) — landing once checkpoints exist.
+fn family_flips() -> FaultPlan {
+    let targets = [
+        (5, FlipTarget::VertexValues),
+        (9, FlipTarget::SrcValue),
+        (14, FlipTarget::Window),
+    ];
+    let plan = FaultPlan::new();
+    targets
+        .into_iter()
+        .fold(plan, |p, (op, t)| p.flip_at(op, t, 3 + op, 7))
+}
+
+/// What a run reports iteration by iteration: updated vertices, frontier
+/// sizes, directions and switches.
+fn trajectory(stats: &RunStats) -> (u32, Vec<u64>, FrontierStats) {
+    let updated = stats.per_iteration.iter().map(|it| it.updated_vertices);
+    let frontier = stats.frontier.clone().expect("frontier record");
+    (stats.iterations, updated.collect(), frontier)
+}
+
+/// The frontier engine and k-core climb the shard family's ladder: a
+/// detection rolls back to a checkpoint, k-core's included, and the rollback
+/// rewinds everything the run reports — the recovered run's iteration record
+/// is the fault-free run's, with no re-executed iteration in it.
+#[test]
+fn a_frontier_family_rollback_rewinds_what_the_run_reports() {
+    let (road, g) = (lattice2d(24, 24, 0.9, 40, 5), small_graph(41));
+    let clean = try_run_frontier(&Sssp::new(0), &road, &FrontierConfig::new()).expect("clean");
+    let cfg = frontier_defended(IntegrityMode::Checksum, family_flips());
+    let out = try_run_frontier(&Sssp::new(0), &road, &cfg).expect("recovered");
+    assert_eq!(out.values, clean.values);
+    assert!(out.stats.sdc.rollbacks >= 2, "{:?}", out.stats.sdc);
+    assert_eq!(trajectory(&out.stats), trajectory(&clean.stats));
+
+    let clean = try_run_kcore(&g, &FrontierConfig::new(), None, &mut NoopObserver).expect("clean");
+    let out = try_run_kcore(&g, &cfg, None, &mut NoopObserver).expect("recovered");
+    assert_eq!(out.core, clean.core);
+    let sdc = out.stats.sdc;
+    assert!(sdc.rollbacks >= 1 && sdc.full_restarts == 0, "{sdc:?}");
+    assert!(sdc.checkpoints >= 2, "{sdc:?}");
+    assert_eq!(trajectory(&out.stats), trajectory(&clean.stats));
+}
+
+/// k-core's invariant: a core number, once assigned, never changes. A flip
+/// into a peeled vertex's core number reaches the output with integrity off;
+/// `Invariant` mode catches it at the next checkpoint and rolls back.
+#[test]
+fn k_core_invariant_catches_a_changed_core_number() {
+    let g = lattice2d(16, 16, 0.9, 40, 5);
+    let run = |mode| {
+        let mut cfg = frontier_defended(
+            mode,
+            FaultPlan::new().flip_at(6, FlipTarget::VertexValues, 0, 3),
+        );
+        cfg.integrity.checkpoint_every = 1;
+        try_run_kcore(&g, &cfg, None, &mut NoopObserver).expect("k-core run")
+    };
+    assert_ne!(
+        run(IntegrityMode::Off).core,
+        host_kcore(&g),
+        "the flip is harmful"
+    );
+    let out = run(IntegrityMode::Invariant);
+    assert_eq!(out.core, host_kcore(&g));
+    assert_eq!(out.stats.sdc.invariant_detections, 1);
+    assert_eq!(out.stats.sdc.rollbacks, 1);
+}
+
+/// The fault lane says what the ladder did in the shard family's words: one
+/// flip is `corruption-detected`, `rollback`, then `reverify` at the next
+/// checkpoint, on the frontier engine and k-core alike.
+#[test]
+fn frontier_family_sdc_marks_are_the_ladders() {
+    let marks = |run: &dyn Fn(FrontierConfig)| {
+        let tracer = Tracer::enabled();
+        let plan = FaultPlan::new().flip_at(5, FlipTarget::VertexValues, 8, 7);
+        run(frontier_defended(IntegrityMode::Checksum, plan).with_tracer(tracer.clone()));
+        let sdc = |events: &[cusha::obs::trace::Event]| {
+            let marks = events
+                .iter()
+                .filter(|e| e.ph == Ph::Instant && e.cat == "sdc");
+            marks.map(|e| e.name.to_string()).collect::<Vec<_>>()
+        };
+        tracer.with_events(sdc).expect("tracer is enabled")
+    };
+    let want = ["corruption-detected", "rollback", "reverify"];
+    let road = lattice2d(24, 24, 0.9, 40, 5);
+    let frontier = marks(&|cfg| {
+        try_run_frontier(&Bfs::new(0), &road, &cfg).expect("frontier run");
+    });
+    assert_eq!(frontier, want, "frontier");
+    let kcore = marks(&|cfg| {
+        try_run_kcore(&road, &cfg, None, &mut NoopObserver).expect("k-core run");
+    });
+    assert_eq!(kcore, want, "k-core");
+}
+
+/// A checkpoint is a real download on every engine: with integrity on and no
+/// fault, the frontier engine and k-core answer what they answer with it off,
+/// and pay for their snapshots on the modeled clock (setup unchanged).
+#[test]
+fn frontier_family_checkpoints_are_charged_transfers() {
+    let g = small_graph(42);
+    let full = frontier_defended(IntegrityMode::Full, FaultPlan::new());
+    let off = FrontierConfig::new();
+    let (a, b) = (
+        try_run_frontier(&PageRank::new(), &g, &off).expect("off"),
+        try_run_frontier(&PageRank::new(), &g, &full).expect("full"),
+    );
+    assert_eq!(
+        (a.values, a.stats.iterations),
+        (b.values, b.stats.iterations)
+    );
+    assert!(b.stats.sdc.checkpoints >= 2, "{:?}", b.stats.sdc);
+    assert_eq!(a.stats.h2d_seconds, b.stats.h2d_seconds);
+    assert!(
+        b.stats.compute_seconds > a.stats.compute_seconds,
+        "frontier"
+    );
+
+    let kcore =
+        |cfg: &FrontierConfig| try_run_kcore(&g, cfg, None, &mut NoopObserver).expect("k-core");
+    let (a, b) = (kcore(&off), kcore(&full));
+    assert_eq!((a.core, a.stats.iterations), (b.core, b.stats.iterations));
+    assert!(b.stats.sdc.checkpoints >= 2, "{:?}", b.stats.sdc);
+    assert!(b.stats.compute_seconds > a.stats.compute_seconds, "k-core");
+}
+
+/// A frontier-family config is refused for what `IntegrityConfig::validate`
+/// refuses, as a shard-family config is.
+#[test]
+fn frontier_family_configs_validate_their_integrity() {
+    let g = small_graph(43);
+    let mut cfg = FrontierConfig::new();
+    cfg.integrity.checkpoint_every = 0;
+    let refused = try_run_frontier(&Bfs::new(0), &g, &cfg);
+    assert!(
+        matches!(refused, Err(EngineError::InvalidConfig(_))),
+        "frontier"
+    );
+    let refused = try_run_kcore(&g, &cfg, None, &mut NoopObserver);
+    assert!(
+        matches!(refused, Err(EngineError::InvalidConfig(_))),
+        "k-core"
+    );
 }
 
 /// Streamed engine: same chaos discipline, batched residency.
