@@ -2,7 +2,7 @@
 //! construction, generators, and raw simulator kernel throughput.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use cusha_core::{ConcatWindows, GShards};
+use cusha_core::{ConcatWindows, CuShaConfig, GShards, PreparedLayout};
 use cusha_graph::generators::rmat::{rmat, RmatConfig};
 use cusha_graph::Csr;
 use cusha_simt::{warp_chunks, DeviceConfig, Gpu, KernelDesc, Mask};
@@ -22,6 +22,15 @@ fn bench(c: &mut Criterion) {
     c.bench_function("substrate/gshards_from_graph_n512", |b| {
         b.iter(|| black_box(GShards::from_graph(&g, 512)))
     });
+
+    // The one-shot power-law input: 1M edges at the autotuned |N| for 4-byte
+    // values (352), as `PreparedLayout::build` sees it.
+    let big = rmat(&RmatConfig::graph500(16, 1_000_000, 1));
+    let n_per = PreparedLayout::select_n_per(&big, &CuShaConfig::gs(), 4);
+    c.bench_function("substrate/gshards_from_graph_1m", |b| {
+        b.iter(|| black_box(GShards::from_graph(&big, n_per)))
+    });
+    drop(big);
 
     let gs = GShards::from_graph(&g, 512);
     c.bench_function("substrate/cw_from_gshards", |b| {

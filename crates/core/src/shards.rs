@@ -16,6 +16,10 @@
 use cusha_graph::{Graph, VertexId};
 
 /// Destination-partitioned, source-ordered shard decomposition of a graph.
+///
+/// Entries sit in (owning shard, src, dst, edge id) order. Dst and id only
+/// break ties, but an entry's position picks the lane that loads it, so this
+/// full order sets the kernel's coalescing and every modeled counter.
 #[derive(Clone, Debug)]
 pub struct GShards {
     num_vertices: u32,
@@ -23,7 +27,7 @@ pub struct GShards {
     num_shards: u32,
     /// `p + 1` offsets delimiting shards within the edge arrays.
     shard_starts: Vec<u32>,
-    /// Source vertex of each entry (shard-major, source-ordered per shard).
+    /// Source vertex of each entry (shard-major, in the order above).
     src_index: Vec<VertexId>,
     /// Destination vertex of each entry.
     dest_index: Vec<VertexId>,
@@ -38,75 +42,69 @@ impl GShards {
     /// Builds the shard decomposition with `vertices_per_shard = n_per` (the
     /// paper's `|N|`).
     ///
+    /// Three stable counting passes, least significant key first: by
+    /// destination from id order, by source, then by owning shard into the
+    /// columns, each carrying what the next one reads.
+    ///
     /// # Panics
     /// Panics if `n_per == 0`.
     pub fn from_graph(g: &Graph, n_per: u32) -> Self {
         assert!(n_per > 0, "vertices_per_shard must be positive");
-        let n = g.num_vertices();
-        let m = g.num_edges() as usize;
-        let p = n.div_ceil(n_per).max(1);
-
-        // Order edges by (owning shard, src, dst, id). A comparison sort
-        // over edge ids would chase `g.edge(id)` on every compare; instead
-        // bucket edges by owning shard in one linear pass (ids stay
-        // ascending within a bucket), then sort each shard's packed
-        // `(src << 32 | dst, id)` pairs — the same total order, with flat
-        // integer compares and no indirection.
-        let mut shard_starts = vec![0u32; p as usize + 1];
-        {
-            let mut counts = vec![0u32; p as usize];
-            for id in 0..m as u32 {
-                counts[(g.edge(id).dst / n_per) as usize] += 1;
-            }
-            for s in 0..p as usize {
-                shard_starts[s + 1] = shard_starts[s] + counts[s];
-            }
+        let (n, m) = (g.num_vertices(), g.num_edges() as usize);
+        let (nv, per) = (n as usize, n_per as usize);
+        let ps = n.div_ceil(n_per).max(1) as usize;
+        // Counts sit two slots past their vertex, so a prefix sum leaves
+        // `ends[v + 1]` at bucket v's start and a scatter moves it to v's
+        // end: `ends[..=nv]` is then the offsets the next pass walks.
+        let (mut dst_ends, mut src_ends) = (vec![0u32; nv + 2], vec![0u32; nv + 2]);
+        for e in g.edges() {
+            dst_ends[e.dst as usize + 2] += 1;
+            src_ends[e.src as usize + 2] += 1;
         }
-        let mut pairs: Vec<(u64, u32)> = vec![(0, 0); m];
-        {
-            let mut cursor: Vec<u32> = shard_starts[..p as usize].to_vec();
-            for id in 0..m as u32 {
-                let e = g.edge(id);
-                let s = (e.dst / n_per) as usize;
-                pairs[cursor[s] as usize] = (((e.src as u64) << 32) | e.dst as u64, id);
-                cursor[s] += 1;
-            }
+        for ends in [&mut dst_ends, &mut src_ends] {
+            (1..ends.len()).for_each(|k| ends[k] += ends[k - 1]);
         }
-        for s in 0..p as usize {
-            pairs[shard_starts[s] as usize..shard_starts[s + 1] as usize].sort_unstable();
+        // By destination, `(src, id)` in (dst, id) order; then by source,
+        // `(dst, id)` in (src, dst, id) order.
+        let (mut by_dst, mut by_src) = (vec![(0u32, 0u32); m], vec![(0u32, 0u32); m]);
+        for (id, e) in g.edges().iter().enumerate() {
+            let c = &mut dst_ends[e.dst as usize + 1];
+            by_dst[*c as usize] = (e.src, id as u32);
+            *c += 1;
         }
-
-        let mut src_index = Vec::with_capacity(m);
-        let mut dest_index = Vec::with_capacity(m);
-        let mut ids = Vec::with_capacity(m);
-        for &(key, id) in &pairs {
-            src_index.push((key >> 32) as VertexId);
-            dest_index.push(key as u32 as VertexId);
-            ids.push(id);
-        }
-
-        // Window offsets: within shard j (sorted by src), window W_ij starts
-        // at the first entry with src >= i * n_per.
-        let mut window_offsets = vec![0u32; (p as usize) * (p as usize)];
-        for j in 0..p as usize {
-            let lo = shard_starts[j] as usize;
-            let hi = shard_starts[j + 1] as usize;
-            let slice = &src_index[lo..hi];
-            for i in 0..p as usize {
-                let boundary = (i as u32) * n_per;
-                let off = slice.partition_point(|&s| s < boundary);
-                window_offsets[j * p as usize + i] = (lo + off) as u32;
+        for (dst, bucket) in dst_ends[..=nv].windows(2).enumerate() {
+            for &(src, id) in &by_dst[bucket[0] as usize..bucket[1] as usize] {
+                let c = &mut src_ends[src as usize + 1];
+                by_src[*c as usize] = (dst as VertexId, id);
+                *c += 1;
             }
         }
-
+        drop(by_dst);
+        let shard_starts: Vec<u32> = (0..=ps).map(|j| dst_ends[(j * per).min(nv)]).collect();
+        // By owning shard, into the columns: (shard, src, dst, id) order.
+        // Window W_ij starts at shard j's cursor when the walk enters shard i.
+        let (mut cursor, mut window_offsets) = (shard_starts[..ps].to_vec(), vec![0; ps * ps]);
+        let (mut src_index, mut dest_index, mut edge_id) = (vec![0; m], vec![0; m], vec![0; m]);
+        for (src, bucket) in src_ends[..=nv].windows(2).enumerate() {
+            if src % per == 0 {
+                let column = window_offsets.iter_mut().skip(src / per).step_by(ps);
+                column.zip(&cursor).for_each(|(slot, &c)| *slot = c);
+            }
+            for &(dst, id) in &by_src[bucket[0] as usize..bucket[1] as usize] {
+                let c = &mut cursor[(dst / n_per) as usize];
+                let k = *c as usize;
+                (src_index[k], dest_index[k], edge_id[k]) = (src as VertexId, dst, id);
+                *c += 1;
+            }
+        }
         GShards {
             num_vertices: n,
             vertices_per_shard: n_per,
-            num_shards: p,
+            num_shards: ps as u32,
             shard_starts,
             src_index,
             dest_index,
-            edge_id: ids,
+            edge_id,
             window_offsets,
         }
     }
@@ -191,6 +189,123 @@ mod tests {
     use super::*;
     use cusha_graph::generators::rmat::{rmat, RmatConfig};
     use cusha_graph::Edge;
+    use proptest::prelude::*;
+
+    /// The build [`GShards::from_graph`] replaced, kept as its reference:
+    /// bucket by owning shard, then sort each shard's packed
+    /// `(src << 32 | dst, id)` pairs, then binary-search every window start.
+    fn reference_build(g: &Graph, n_per: u32) -> GShards {
+        let n = g.num_vertices();
+        let m = g.num_edges() as usize;
+        let p = n.div_ceil(n_per).max(1) as usize;
+        let mut shard_starts = vec![0u32; p + 1];
+        for e in g.edges() {
+            shard_starts[(e.dst / n_per) as usize + 1] += 1;
+        }
+        for s in 0..p {
+            shard_starts[s + 1] += shard_starts[s];
+        }
+        let mut pairs: Vec<(u64, u32)> = vec![(0, 0); m];
+        let mut cursor = shard_starts[..p].to_vec();
+        for (id, e) in g.edges().iter().enumerate() {
+            let s = (e.dst / n_per) as usize;
+            pairs[cursor[s] as usize] = (((e.src as u64) << 32) | e.dst as u64, id as u32);
+            cursor[s] += 1;
+        }
+        for s in 0..p {
+            pairs[shard_starts[s] as usize..shard_starts[s + 1] as usize].sort_unstable();
+        }
+        let src_index: Vec<u32> = pairs.iter().map(|&(key, _)| (key >> 32) as u32).collect();
+        let mut window_offsets = vec![0u32; p * p];
+        for j in 0..p {
+            let lo = shard_starts[j] as usize;
+            let slice = &src_index[lo..shard_starts[j + 1] as usize];
+            for i in 0..p {
+                let off = slice.partition_point(|&s| s < i as u32 * n_per);
+                window_offsets[j * p + i] = (lo + off) as u32;
+            }
+        }
+        GShards {
+            num_vertices: n,
+            vertices_per_shard: n_per,
+            num_shards: p as u32,
+            shard_starts,
+            src_index,
+            dest_index: pairs.iter().map(|&(key, _)| key as u32).collect(),
+            edge_id: pairs.iter().map(|&(_, id)| id).collect(),
+            window_offsets,
+        }
+    }
+
+    /// The first of a build's arrays (or its shard count) on which two
+    /// builds differ.
+    fn first_difference(a: &GShards, b: &GShards) -> Option<&'static str> {
+        [
+            ("num_shards", a.num_shards == b.num_shards),
+            ("shard_starts", a.shard_starts == b.shard_starts),
+            ("src_index", a.src_index == b.src_index),
+            ("dest_index", a.dest_index == b.dest_index),
+            ("edge_id", a.edge_id == b.edge_id),
+            ("window_offsets", a.window_offsets == b.window_offsets),
+        ]
+        .into_iter()
+        .find_map(|(name, same)| (!same).then_some(name))
+    }
+
+    /// A graph from `seed` over `n` vertices whose last `tail` stay isolated:
+    /// `m` random edges, a share of them repeated as parallel edges (same
+    /// endpoints, a later id), a share followed by a self-loop, and, with
+    /// `hub`, vertex 0 pointing at every live vertex so its out-edges reach
+    /// every shard that owns one.
+    fn seeded_graph(n: u32, tail: u32, m: usize, seed: u64, hub: bool) -> Graph {
+        let live = n.saturating_sub(tail);
+        let mut state = seed;
+        let mut next = |bound: u32| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 31)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            ((z ^ (z >> 29)) % bound as u64) as u32
+        };
+        let mut edges = Vec::new();
+        if live > 0 {
+            for _ in 0..m {
+                let (src, dst) = (next(live), next(live));
+                edges.push(Edge::new(src, dst, 1));
+                if next(4) == 0 {
+                    edges.push(Edge::new(src, dst, 2));
+                }
+                if next(8) == 0 {
+                    edges.push(Edge::new(dst, dst, 4));
+                }
+            }
+            if hub {
+                edges.extend((0..live).map(|v| Edge::new(0, v, 3)));
+            }
+        }
+        Graph::new(n, edges)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn counting_passes_equal_the_reference_build(
+            n in 0u32..48,
+            tail in 0u32..6,
+            m in 0usize..160,
+            seed in any::<u64>(),
+            pick in 0usize..6,
+            hub in any::<bool>(),
+        ) {
+            let g = seeded_graph(n, tail, m, seed, hub);
+            let n_per = [1, 2, 3, n.saturating_sub(1), n, 2 * n][pick].max(1);
+            let differs = first_difference(&GShards::from_graph(&g, n_per), &reference_build(&g, n_per));
+            prop_assert!(
+                differs.is_none(),
+                "{differs:?} differs: |V|={n} tail={tail} |E|={} seed={seed:#x} hub={hub} n_per={n_per}",
+                g.num_edges()
+            );
+        }
+    }
 
     /// 8-vertex graph shaped like the paper's Figure 2(a) discussion: two
     /// shards of 4 vertices each.
@@ -324,9 +439,11 @@ mod tests {
     #[test]
     fn rmat_invariants() {
         let g = rmat(&RmatConfig::graph500(9, 4000, 77));
-        for n_per in [7, 32, 100, 512] {
+        for n_per in [1, 7, 32, 100, 352, 512, 1024] {
             let gs = GShards::from_graph(&g, n_per);
             check_invariants(&g, &gs);
+            let differs = first_difference(&gs, &reference_build(&g, n_per));
+            assert_eq!(differs, None, "n_per={n_per}");
         }
     }
 

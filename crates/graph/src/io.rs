@@ -86,35 +86,40 @@ impl Fnv1a {
     }
 }
 
-/// Parses a text edge list from a reader.
+/// Parses a text edge list from a reader. Lines are read into one reused
+/// buffer; a line that is not UTF-8 is malformed input ([`IoError::Parse`]),
+/// not an IO failure.
 pub fn read_edge_list<R: Read>(reader: R) -> Result<Graph, IoError> {
-    let reader = BufReader::new(reader);
+    let mut reader = BufReader::new(reader);
     let mut builder = GraphBuilder::new();
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line?;
+    let mut buf = Vec::new();
+    for lineno in 1.. {
+        buf.clear();
+        if reader.read_until(b'\n', &mut buf)? == 0 {
+            break;
+        }
+        let line = std::str::from_utf8(&buf)
+            .map_err(|e| IoError::Parse(format!("line {lineno}: not UTF-8: {e}")))?;
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
         let mut it = trimmed.split_whitespace();
         let parse = |tok: Option<&str>, what: &str| -> Result<u32, IoError> {
-            tok.ok_or_else(|| IoError::Parse(format!("line {}: missing {what}", lineno + 1)))?
+            tok.ok_or_else(|| IoError::Parse(format!("line {lineno}: missing {what}")))?
                 .parse::<u32>()
-                .map_err(|e| IoError::Parse(format!("line {}: bad {what}: {e}", lineno + 1)))
+                .map_err(|e| IoError::Parse(format!("line {lineno}: bad {what}: {e}")))
         };
         let src = parse(it.next(), "source")?;
         let dst = parse(it.next(), "destination")?;
         let weight = match it.next() {
             Some(tok) => tok
                 .parse::<u32>()
-                .map_err(|e| IoError::Parse(format!("line {}: bad weight: {e}", lineno + 1)))?,
+                .map_err(|e| IoError::Parse(format!("line {lineno}: bad weight: {e}")))?,
             None => 1,
         };
         if it.next().is_some() {
-            return Err(IoError::Parse(format!(
-                "line {}: trailing tokens",
-                lineno + 1
-            )));
+            return Err(IoError::Parse(format!("line {lineno}: trailing tokens")));
         }
         builder.add_edge(src, dst, weight);
     }
@@ -369,6 +374,25 @@ mod tests {
             read_edge_list("0 1 2 3\n".as_bytes()),
             Err(IoError::Parse(_))
         ));
+    }
+
+    /// A line that is not UTF-8 is malformed input naming its line, like any
+    /// other bad token — not an IO failure; the lines around it still parse.
+    #[test]
+    fn text_rejects_non_utf8_line_as_parse_error() {
+        let input = b"0 1\n1 \xff2\n2 3\n";
+        match read_edge_list(&input[..]) {
+            Err(IoError::Parse(msg)) => assert!(msg.starts_with("line 2: "), "{msg}"),
+            other => panic!("expected Parse(line 2), got {other:?}"),
+        }
+        // CRLF endings and a last line without a newline still parse.
+        let g = read_edge_list(&b"# c\r\n0 1 4\r\n1 2"[..]).unwrap();
+        assert_eq!(g.edges(), &[Edge::new(0, 1, 4), Edge::new(1, 2, 1)]);
+        // Existing messages keep their line numbers.
+        match read_edge_list(&b"0 1\n\n0 1 2 3\n"[..]) {
+            Err(IoError::Parse(msg)) => assert_eq!(msg, "line 3: trailing tokens"),
+            other => panic!("expected Parse(trailing), got {other:?}"),
+        }
     }
 
     #[test]

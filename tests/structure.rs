@@ -108,6 +108,7 @@ const ROWS: &[(&str, &str, RangeInclusive<usize>, &str)] = &[
     ("crates/baselines/src/mtcpu.rs", "Csr::from_graph(", 1..=1, "the cold façade builds; try_run_mtcpu_warm borrows"),
     ("crates/frontier/src/prepared.rs", "Csr::from_graph(", 1..=1, "PreparedFrontier::build; ::around borrows"),
     (CORE, "GShards::from_graph(", 2..=2, "PreparedLayout::build and the public run_fallback; a view sorts nothing, a ladder's host rung reuses its run's shards"),
+    ("crates/core/src/shards.rs", "sort_unstable|sort_by|.sort(", 0..=0, "the shard build is counting passes"),
     ("crates/bench/src/bench_defs.rs crates/bench/src/matrix.rs", "run_cusha(|run_vwc(|run_frontier(|run_mtcpu(|PreparedLayout::build(", 0..=1, "cells enter the warm entries over one Prepared, whose shard build is the one layout build"),
     // One host clock (the ledger), one job-count source, one retry budget.
     ("crates/** src/** !repro_cli.rs", "simwall|Simwall", 0..=0, "host time is the ledger's; repro_cli.rs pins the refusals"),
