@@ -1,9 +1,12 @@
 //! Micro-benchmarks of the substrates: shard/CW construction, CSR
-//! construction, generators, and raw simulator kernel throughput.
+//! construction, generators, the binary loader and its digests, and raw
+//! simulator kernel throughput.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use cusha_core::integrity::scrub;
 use cusha_core::{ConcatWindows, CuShaConfig, GShards, PreparedLayout};
 use cusha_graph::generators::rmat::{rmat, RmatConfig};
+use cusha_graph::io::{load_binary, save_binary, Fnv1a, WordDigest};
 use cusha_graph::Csr;
 use cusha_simt::{warp_chunks, DeviceConfig, Gpu, KernelDesc, Mask};
 use std::hint::black_box;
@@ -30,6 +33,34 @@ fn bench(c: &mut Criterion) {
     c.bench_function("substrate/gshards_from_graph_1m", |b| {
         b.iter(|| black_box(GShards::from_graph(&big, n_per)))
     });
+
+    // The same graph's binary payload (12 bytes per edge, 12 MB): the v2
+    // digest against the v3 one, and the scrubber's over as many bytes of
+    // `u32` values. Then a whole v3 load of the file, page-cached.
+    let payload: Vec<u8> = big
+        .edges()
+        .iter()
+        .flat_map(|e| [e.src, e.dst, e.weight])
+        .flat_map(u32::to_le_bytes)
+        .collect();
+    let values: Vec<u32> = payload
+        .chunks_exact(4)
+        .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
+        .collect();
+    let mut digest = c.benchmark_group("substrate/digest_12mb");
+    digest.throughput(Throughput::Bytes(payload.len() as u64));
+    digest.bench_function("fnv1a", |b| b.iter(|| Fnv1a::of(black_box(&payload))));
+    digest.bench_function("word", |b| b.iter(|| WordDigest::of(black_box(&payload))));
+    digest.bench_function("scrub_u32", |b| b.iter(|| scrub(black_box(&values))));
+    digest.finish();
+    drop((payload, values));
+
+    let bin = std::env::temp_dir().join(format!("cusha-substrate-{}.bin", std::process::id()));
+    save_binary(&big, &bin).expect("temp dir is writable");
+    c.bench_function("substrate/load_binary_1m", |b| {
+        b.iter(|| black_box(load_binary(&bin).expect("file just written")))
+    });
+    std::fs::remove_file(&bin).ok();
     drop(big);
 
     let gs = GShards::from_graph(&g, 512);

@@ -4,7 +4,7 @@
 //! error return; a DRAM bit flip does not. This module gives every engine
 //! the pieces of an online defense:
 //!
-//! * **Detection** — [`checksum`] fingerprints a value buffer's exact bit
+//! * **Detection** — [`scrub`] fingerprints a value buffer's exact bit
 //!   patterns. Engines model an ECC-style scrubber: after each kernel they
 //!   record the checksums of the mutable device buffers (`VertexValues`,
 //!   `SrcValue`), and before the next kernel consumes them they re-verify.
@@ -34,6 +34,7 @@ use crate::engine::RunObserver;
 use crate::error::EngineError;
 use crate::program::Value;
 use crate::stats::{IterationStat, SdcStats};
+use cusha_graph::io::WordDigest;
 use cusha_simt::{BitFlip, DevVec, DeviceFault, FlipTarget, Pod};
 use std::collections::HashSet;
 use std::collections::VecDeque;
@@ -145,19 +146,20 @@ impl IntegrityConfig {
     }
 }
 
-/// FNV-1a over the exact bit patterns of a value slice — the scrubber's
-/// per-buffer checksum. Identical values (NaN payloads included) always
-/// hash identically, and any single-bit flip changes the digest.
+/// FNV-1a over the little-endian bytes of each value's exact bit pattern: the
+/// published digest of a result (the service's wire `checksum`). Equal values
+/// (NaN payloads included) hash equally; any single-bit flip changes it.
 pub fn checksum<V: Value>(values: &[V]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &v in values {
-        let mut bits = v.to_bits();
-        for _ in 0..8 {
-            h = (h ^ (bits & 0xff)).wrapping_mul(0x100_0000_01b3);
-            bits >>= 8;
-        }
-    }
-    h
+    let fnv = |h: u64, b: u8| (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+    let bytes = values.iter().flat_map(|v| v.to_bits().to_le_bytes());
+    bytes.fold(0xcbf2_9ce4_8422_2325, fnv)
+}
+
+/// The scrubber's digest of a buffer: [`WordDigest`] over one word per value
+/// (its exact bit pattern), so any single-bit flip changes it. It never
+/// leaves the run, so it need not match [`checksum`].
+pub fn scrub<V: Value>(values: &[V]) -> u64 {
+    WordDigest::of_words(values, V::to_bits)
 }
 
 /// XOR-flips one bit of one word of a typed device buffer, reducing the
@@ -435,7 +437,7 @@ impl<V: Value, S: Default> Recovery<V, S> {
         if (self.watchdog_interval).is_some_and(|w| iterations.is_multiple_of(w)) {
             let mut values = Vec::new();
             dev(Ask::Snapshot(&mut values, None))?;
-            if !self.watchdog_seen.insert(checksum(&values)) {
+            if !self.watchdog_seen.insert(scrub(&values)) {
                 return Err(EngineError::Watchdog { iterations });
             }
         }
@@ -447,6 +449,7 @@ impl<V: Value, S: Default> Recovery<V, S> {
 mod tests {
     use super::*;
     use cusha_simt::{DeviceConfig, Gpu};
+    use proptest::prelude::*;
 
     #[test]
     fn checksum_changes_on_any_flip() {
@@ -460,6 +463,37 @@ mod tests {
             }
         }
         assert_eq!(checksum(&vals), base, "checksum is a pure function");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The scrubber's guarantee, for every value type and every length
+        /// from empty to three rounds of lanes and one more value: a flip of
+        /// any bit of any value changes the digest.
+        #[test]
+        fn scrub_catches_every_single_bit_flip(
+            bits in proptest::collection::vec(any::<u64>(), 3 * WordDigest::LANES + 1)
+        ) {
+            fn case<V: Value>(bits: &[u64]) {
+                let width = (<V as Pod>::SIZE * 8).min(64);
+                for len in 0..=bits.len() {
+                    let vals: Vec<V> = bits[..len].iter().map(|&b| V::from_bits(b)).collect();
+                    let base = scrub(&vals);
+                    for (i, bit) in (0..len).flat_map(|i| (0..width).map(move |b| (i, b))) {
+                        let mut flipped = vals.clone();
+                        flipped[i] = V::from_bits(vals[i].to_bits() ^ (1 << bit));
+                        assert_ne!(scrub(&flipped), base, "{len} values, #{i} bit {bit}");
+                    }
+                }
+            }
+            case::<u32>(&bits);
+            case::<u64>(&bits);
+            case::<f32>(&bits);
+            case::<f64>(&bits);
+            case::<(f32, f32)>(&bits);
+            case::<(u32, u32)>(&bits);
+        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ use crate::engine::{
 };
 use crate::error::EngineError;
 use crate::fallback::FALLBACK_LABEL;
-use crate::integrity::{apply_flips, checksum, Ask, Checkpoint, Detector, Recovery, Rung, Stop};
+use crate::integrity::{apply_flips, scrub, Ask, Checkpoint, Detector, Recovery, Rung, Stop};
 use crate::kernel::{
     batch_end, entry_range, fault_instant, upload_resident, vertex_range, with_copy_retries,
     DeviceSlice, HostArrays, HostMaster, Resident, RetryPolicy, SpillVia, MAX_REBATCHES,
@@ -376,7 +376,7 @@ impl<P: VertexProgram> MultiState<'_, P> {
             return Ok(());
         };
         if self.base.integrity.mode.checksums() {
-            self.crcs[d].0 = checksum(values);
+            self.crcs[d].0 = scrub(values);
         }
         self.modes[d] = Mode::Streamed(res, budget, streams);
         Ok(())
@@ -405,7 +405,7 @@ impl<P: VertexProgram> MultiState<'_, P> {
     /// Checksums of a resident device's two protected buffers.
     fn crcs_of(dev: &Held<P>) -> (u64, u64) {
         let (values, src_value) = (dev.res.vertex_values.host(), dev.slice.src_value.host());
-        (checksum(values), checksum(src_value))
+        (scrub(values), scrub(src_value))
     }
 
     /// Scrub pass: the first resident device `stale` says no longer matches
@@ -483,13 +483,13 @@ impl<P: VertexProgram> MultiState<'_, P> {
             let values = &to.values[info.vrange.clone()];
             if let Some(vv) = mode.vertex_values() {
                 with_copy_retries(gpu, &retry, fault, |g| g.try_h2d(vv, values))?;
-                self.crcs[d].0 = checksum(values);
+                self.crcs[d].0 = scrub(values);
             }
             if let Mode::Resident(dev) = mode {
                 with_copy_retries(gpu, &retry, fault, |g| {
                     g.try_h2d(&mut dev.slice.src_value, &to.state[info.erange.clone()])
                 })?;
-                self.crcs[d].1 = checksum(dev.slice.src_value.host());
+                self.crcs[d].1 = scrub(dev.slice.src_value.host());
             }
         }
         Ok(())
@@ -625,9 +625,8 @@ impl<P: VertexProgram> MultiState<'_, P> {
                 }
                 let master = &mut self.host.src_value;
                 if checksums
-                    && (checksum(res.vertex_values.host()) != *vv_crc
-                        || checksum(slice.src_value.host())
-                            != checksum(&master[slice.erange.clone()]))
+                    && (scrub(res.vertex_values.host()) != *vv_crc
+                        || scrub(slice.src_value.host()) != scrub(&master[slice.erange.clone()]))
                 {
                     out.corrupt = true;
                     slice.retire(gpu);
@@ -655,7 +654,7 @@ impl<P: VertexProgram> MultiState<'_, P> {
                 (last_kernel, in_kernels) = (kstats.seconds, in_kernels + kstats.seconds);
                 // The launch legitimately rewrote the resident values.
                 if checksums {
-                    *vv_crc = checksum(res.vertex_values.host());
+                    *vv_crc = scrub(res.vertex_values.host());
                 }
                 self.fleet.record_launch(d, &kstats);
                 let gpu = self.fleet.device_mut(d);
@@ -1059,7 +1058,7 @@ pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
         // into the recovery share of the next pass.
         if integ.mode.checksums() {
             let crossed = |_: &Held<P>, i: &DevInfo, crcs: (u64, u64)| {
-                checksum(&values[i.vrange.clone()]) != crcs.0
+                scrub(&values[i.vrange.clone()]) != crcs.0
             };
             if let Some(det) = st.scrub(crossed) {
                 integrity_seconds += teardown;

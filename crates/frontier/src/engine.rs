@@ -44,7 +44,7 @@ use crate::compact::{block_warps, column};
 use crate::config::FrontierConfig;
 use crate::prepared::PreparedFrontier;
 use cusha_algos::reference::run_sequential;
-use cusha_core::integrity::{apply_flips, checksum, Ask, Detector, Recovery, Rung};
+use cusha_core::integrity::{apply_flips, scrub, Ask, Detector, Recovery, Rung};
 use cusha_core::memsize::ValueSizes;
 use cusha_core::{
     check_topology, fault_instant, CuShaOutput, DeviceRun, Direction, Engine, EngineCtx,
@@ -226,11 +226,11 @@ fn frontier_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
     // the two protected buffers with checksums on (`None` never mismatches),
     // the ladder's initial image and checkpoints with any mode on. With
     // integrity off the host touches no |V|-sized buffer between kernels.
-    let scrub = |values: &DevVec<P::V>, active: &DevVec<u32>| {
-        let digests = || (checksum(values.host()), checksum(active.host()));
+    let crcs_of = |values: &DevVec<P::V>, active: &DevVec<u32>| {
+        let digests = || (scrub(values.host()), scrub(active.host()));
         integ.mode.checksums().then(digests)
     };
-    let mut crcs = scrub(&values, &active);
+    let mut crcs = crcs_of(&values, &active);
     let pending = (active_init, frontier_host, seed.len(), seed_edges);
     let initial = move || (init, pending);
     let mut recovery = Recovery::new(integ, None, &mut run.stats.sdc, initial);
@@ -263,7 +263,7 @@ fn frontier_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
                         gpu.try_h2d(&mut frontier_cur, list)?;
                         (frontier_len, frontier_edges) = (*len, *edges);
                         fstats.truncate(cp.iteration);
-                        crcs = scrub(&values, &active);
+                        crcs = crcs_of(&values, &active);
                     }
                     Ask::Snapshot(vals, None) => *vals = gpu.try_download(&values)?,
                     Ask::Snapshot(vals, Some(pending)) => {
@@ -308,7 +308,7 @@ fn frontier_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
         let flips = gpu.take_due_bit_flips();
         apply_flips(&flips, &mut values, &mut active);
         run.stats.sdc.flips_injected += flips.len() as u64;
-        if scrub(&values, &active) != crcs {
+        if crcs_of(&values, &active) != crcs {
             recover!(Detector::Checksum);
         }
 
@@ -541,7 +541,7 @@ fn frontier_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
         std::mem::swap(&mut frontier_cur, &mut frontier_next);
 
         // New verified reference state for the next boundary's scrub.
-        crcs = scrub(&values, &active);
+        crcs = crcs_of(&values, &active);
 
         let seconds = gpu.total_seconds() - iter_ts;
         run.iteration(iter_ts, seconds, updated_this_iter, || {

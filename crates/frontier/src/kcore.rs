@@ -33,7 +33,7 @@
 
 use crate::compact::{block_warps, compact_flags, lanes_where};
 use crate::config::{FrontierConfig, U32_PER_VERTEX};
-use cusha_core::integrity::{apply_flip, checksum, Ask, Detector, Recovery, Rung};
+use cusha_core::integrity::{apply_flip, scrub, Ask, Detector, Recovery, Rung};
 use cusha_core::{
     fault_instant, CuShaOutput, DeviceRun, Direction, EngineError, FrontierStats, NoopObserver,
     RunObserver, RunStats,
@@ -186,11 +186,11 @@ fn kcore_attempt<O: RunObserver + ?Sized>(
     // Scrub digest of the three protected buffers — computed, like every
     // other piece of integrity state, only when checksums are on (`None`
     // never mismatches).
-    let scrub = |core: &DevVec<u32>, deg: &DevVec<u32>, alive: &DevVec<u32>| {
-        let digest = || checksum(core.host()) ^ checksum(deg.host()) ^ checksum(alive.host());
+    let crc_of = |core: &DevVec<u32>, deg: &DevVec<u32>, alive: &DevVec<u32>| {
+        let digest = || scrub(core.host()) ^ scrub(deg.host()) ^ scrub(alive.host());
         integ.mode.checksums().then(digest)
     };
-    let mut state_crc = scrub(&core, &deg, &alive);
+    let mut state_crc = crc_of(&core, &deg, &alive);
     let mut fstats = FrontierStats::default();
     let mut k = 1u32;
     let mut alive_count = n;
@@ -223,7 +223,7 @@ fn kcore_attempt<O: RunObserver + ?Sized>(
                         (k, alive_count) = (*at_k, *count);
                         (desc_scan, desc_peel) = descs(k);
                         fstats.truncate(cp.iteration);
-                        state_crc = scrub(&core, &deg, &alive);
+                        state_crc = crc_of(&core, &deg, &alive);
                     }
                     Ask::Snapshot(values, None) => *values = gpu.try_download(&core)?,
                     Ask::Snapshot(values, Some(peel)) => {
@@ -265,7 +265,7 @@ fn kcore_attempt<O: RunObserver + ?Sized>(
             }
         }
         total.sdc.flips_injected += flips.len() as u64;
-        if scrub(&core, &deg, &alive) != state_crc {
+        if crc_of(&core, &deg, &alive) != state_crc {
             recover!(Detector::Checksum);
         }
 
@@ -310,7 +310,7 @@ fn kcore_attempt<O: RunObserver + ?Sized>(
             // Nothing below k: the k-core is stable, advance the threshold.
             k += 1;
             (desc_scan, desc_peel) = descs(k);
-            state_crc = scrub(&core, &deg, &alive);
+            state_crc = crc_of(&core, &deg, &alive);
             continue;
         }
 
@@ -361,7 +361,7 @@ fn kcore_attempt<O: RunObserver + ?Sized>(
         total.kernel.blocks = kp.blocks;
         total.kernel.threads_per_block = kp.threads_per_block;
         alive_count -= peel_len;
-        state_crc = scrub(&core, &deg, &alive);
+        state_crc = crc_of(&core, &deg, &alive);
 
         fstats.sizes.push(peel_len as u64);
         fstats.directions.push(Direction::Push);

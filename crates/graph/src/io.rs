@@ -7,11 +7,12 @@
 //!   ignored. A missing weight defaults to 1.
 //! * **Binary** — a compact little-endian format (`CUSH` magic, version,
 //!   counts, then packed `(src, dst, weight)` triples) for fast reloads of
-//!   generated surrogates. Version 2 (the write format) appends an FNV-1a
-//!   checksum to the header section and to the edge payload and requires
-//!   the file to end exactly after the payload checksum, so truncated or
-//!   bit-rotted files fail with a typed [`IoError::Corrupt`] instead of
-//!   silently building a wrong graph. Version 1 files remain readable.
+//!   generated surrogates. Version 3 (the write format) appends a
+//!   [`WordDigest`] to the header section and to the edge payload and
+//!   requires the file to end exactly after the payload digest, so truncated
+//!   or bit-rotted files fail with a typed [`IoError::Corrupt`] instead of
+//!   silently building a wrong graph. Version 2 (the same layout with
+//!   [`Fnv1a`] digests) and the digest-less version 1 remain readable.
 
 use crate::builder::GraphBuilder;
 use crate::types::{Edge, Graph};
@@ -20,8 +21,8 @@ use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"CUSH";
 /// The version written by [`write_binary`]. [`read_binary`] also accepts
-/// the checksum-less v1.
-const VERSION: u32 = 2;
+/// FNV-1a-checked v2 and the checksum-less v1.
+const VERSION: u32 = 3;
 
 /// Errors produced by graph IO.
 #[derive(Debug)]
@@ -30,7 +31,7 @@ pub enum IoError {
     Io(io::Error),
     /// Malformed input; the string describes line/offset and cause.
     Parse(String),
-    /// A binary v2 file failed a section checksum, ended early, or carries
+    /// A binary v2/v3 file failed a section checksum, ended early, or carries
     /// trailing bytes — the payload does not match what was written.
     Corrupt(String),
 }
@@ -53,9 +54,10 @@ impl std::fmt::Display for IoError {
 
 impl std::error::Error for IoError {}
 
-/// Streaming byte-wise FNV-1a (64-bit): the per-section digest of the binary
-/// v2 format and the per-record checksum of the service's write-ahead log.
-/// Both are on-disk formats, so the digests are pinned by a unit test.
+/// Streaming byte-wise FNV-1a (64-bit): the per-record checksum of the
+/// service's write-ahead log and the per-section digest of binary v2 files,
+/// which are still read. Both are on-disk formats, so the digests are pinned
+/// by a unit test.
 #[derive(Clone, Copy, Debug)]
 pub struct Fnv1a(u64);
 
@@ -83,6 +85,140 @@ impl Fnv1a {
         let mut h = Fnv1a::default();
         h.update(bytes);
         h.finish()
+    }
+}
+
+/// The odd multiplier of every [`WordDigest`] step and of its fold.
+const K: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// A word-parallel 64-bit digest: the section digest of binary v3 and the
+/// SDC scrubber's buffer digest.
+///
+/// The input's 8-byte little-endian words (the last one zero-padded) go
+/// round-robin to four lanes, each step `lane = (lane ^ word) * K` with `K`
+/// odd. A step is a bijection of the lane for a fixed word and of the word
+/// for a fixed lane, and the fold — the byte length, then each lane in turn,
+/// by the same step, and a final xorshift-multiply — is a bijection of each
+/// lane for fixed others. So two equal-length inputs that differ in exactly
+/// one word, which covers every single-bit flip, always digest differently:
+/// FNV-1a's guarantee at one multiply per word instead of one per byte. It
+/// is an error check, not a general-purpose hash: a bit only reaches the
+/// bits above it in its lane, so some multi-word differences cancel.
+#[derive(Clone, Copy, Debug)]
+pub struct WordDigest {
+    /// The lanes, rotated so that the next word always goes to `lanes[0]`.
+    lanes: [u64; WordDigest::LANES],
+    /// Bytes folded in so far.
+    len: u64,
+    /// The bytes of an unfinished word (the first `len % 8`).
+    tail: [u8; 8],
+}
+
+impl Default for WordDigest {
+    fn default() -> Self {
+        WordDigest {
+            lanes: [
+                0x243f_6a88_85a3_08d3,
+                0x1319_8a2e_0370_7344,
+                0xa409_3822_299f_31d0,
+                0x082e_fa98_ec4e_6c89,
+            ],
+            len: 0,
+            tail: [0; 8],
+        }
+    }
+}
+
+#[inline(always)]
+fn step(lane: u64, word: u64) -> u64 {
+    (lane ^ word).wrapping_mul(K)
+}
+
+#[inline(always)]
+fn le_word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes[..8].try_into().unwrap())
+}
+
+impl WordDigest {
+    /// Independent multiply chains, so consecutive words do not wait on
+    /// each other.
+    pub const LANES: usize = 4;
+
+    /// One word into the next lane.
+    fn absorb(&mut self, word: u64) {
+        self.lanes[0] = step(self.lanes[0], word);
+        self.lanes.rotate_left(1);
+    }
+
+    /// Folds `bytes` into the digest; any split of the input into `update`
+    /// calls gives the same digest.
+    pub fn update(&mut self, mut bytes: &[u8]) {
+        let fill = (self.len % 8) as usize;
+        self.len += bytes.len() as u64;
+        if fill > 0 {
+            let take = bytes.len().min(8 - fill);
+            self.tail[fill..fill + take].copy_from_slice(&bytes[..take]);
+            bytes = &bytes[take..];
+            if fill + take < 8 {
+                return;
+            }
+            self.absorb(le_word(&self.tail));
+        }
+        let mut rounds = bytes.chunks_exact(8 * Self::LANES);
+        for round in &mut rounds {
+            for (k, lane) in self.lanes.iter_mut().enumerate() {
+                *lane = step(*lane, le_word(&round[8 * k..]));
+            }
+        }
+        let mut words = rounds.remainder().chunks_exact(8);
+        for word in &mut words {
+            self.absorb(le_word(word));
+        }
+        self.tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    }
+
+    /// The digest of everything folded in so far.
+    pub fn finish(&self) -> u64 {
+        let mut d = *self;
+        let rest = (d.len % 8) as usize;
+        if rest > 0 {
+            d.tail[rest..].fill(0);
+            d.absorb(le_word(&d.tail));
+        }
+        d.lanes
+            .rotate_right((d.len.div_ceil(8) % Self::LANES as u64) as usize);
+        let h = d
+            .lanes
+            .iter()
+            .fold(step(0, d.len), |h, &lane| step(h, lane));
+        let h = (h ^ (h >> 32)).wrapping_mul(K);
+        h ^ (h >> 29)
+    }
+
+    /// The digest of `bytes` alone.
+    pub fn of(bytes: &[u8]) -> u64 {
+        let mut h = WordDigest::default();
+        h.update(bytes);
+        h.finish()
+    }
+
+    /// The digest of the little-endian bytes of `word(item)` for each item,
+    /// without materialising them: one word per item.
+    pub fn of_words<T: Copy>(items: &[T], word: impl Fn(T) -> u64) -> u64 {
+        let mut d = WordDigest::default();
+        let mut lanes = d.lanes;
+        let mut rounds = items.chunks_exact(Self::LANES);
+        for round in &mut rounds {
+            for k in 0..Self::LANES {
+                lanes[k] = step(lanes[k], word(round[k]));
+            }
+        }
+        d.lanes = lanes;
+        for &item in rounds.remainder() {
+            d.absorb(word(item));
+        }
+        d.len = 8 * items.len() as u64;
+        d.finish()
     }
 }
 
@@ -152,12 +288,13 @@ pub fn save_edge_list(g: &Graph, path: impl AsRef<Path>) -> Result<(), IoError> 
     write_edge_list(g, std::fs::File::create(path)?)
 }
 
-/// Writes the compact binary format (v2: checksummed sections).
+/// Writes the compact binary format (v3: [`WordDigest`]-checked sections).
 ///
-/// Layout: `CUSH` magic, version, then the header section (`n`, `m`,
-/// FNV-1a of those 8 bytes) and the payload section (`m` packed
-/// `(src, dst, weight)` records, FNV-1a of all payload bytes). Nothing
-/// may follow the payload checksum.
+/// Layout: `CUSH` magic, version, then the header section (`n`, `m`, the
+/// digest of those 8 bytes) and the payload section (`m` packed
+/// `(src, dst, weight)` records, the digest of all payload bytes). Nothing
+/// may follow the payload digest. v2 is the same layout with [`Fnv1a`]
+/// digests.
 pub fn write_binary<W: Write>(g: &Graph, writer: W) -> Result<(), IoError> {
     let mut w = BufWriter::new(writer);
     w.write_all(MAGIC)?;
@@ -166,23 +303,30 @@ pub fn write_binary<W: Write>(g: &Graph, writer: W) -> Result<(), IoError> {
     header[..4].copy_from_slice(&g.num_vertices().to_le_bytes());
     header[4..].copy_from_slice(&g.num_edges().to_le_bytes());
     w.write_all(&header)?;
-    w.write_all(&Fnv1a::of(&header).to_le_bytes())?;
-    let mut crc = Fnv1a::default();
-    for e in g.edges() {
-        let mut record = [0u8; EDGE_RECORD_BYTES];
-        record[..4].copy_from_slice(&e.src.to_le_bytes());
-        record[4..8].copy_from_slice(&e.dst.to_le_bytes());
-        record[8..].copy_from_slice(&e.weight.to_le_bytes());
-        crc.update(&record);
-        w.write_all(&record)?;
+    w.write_all(&WordDigest::of(&header).to_le_bytes())?;
+    let mut digest = WordDigest::default();
+    let mut chunk = Vec::with_capacity(CHUNK_RECORDS.min(g.edges().len()) * EDGE_RECORD_BYTES);
+    for edges in g.edges().chunks(CHUNK_RECORDS) {
+        chunk.clear();
+        for e in edges {
+            chunk.extend_from_slice(&e.src.to_le_bytes());
+            chunk.extend_from_slice(&e.dst.to_le_bytes());
+            chunk.extend_from_slice(&e.weight.to_le_bytes());
+        }
+        digest.update(&chunk);
+        w.write_all(&chunk)?;
     }
-    w.write_all(&crc.finish().to_le_bytes())?;
+    w.write_all(&digest.finish().to_le_bytes())?;
     w.flush()?;
     Ok(())
 }
 
 /// Bytes per serialized edge record: `(src, dst, weight)` as `u32` each.
 const EDGE_RECORD_BYTES: usize = 12;
+
+/// Records the payload is read and written in at a time: just under 64 KiB,
+/// and an even count, so every chunk is whole digest words.
+const CHUNK_RECORDS: usize = 5460;
 
 /// Upper bound on the edge capacity reserved up front from an untrusted
 /// header (16 MiB of records). A header claiming more edges than this gets
@@ -191,17 +335,19 @@ const EDGE_RECORD_BYTES: usize = 12;
 /// actually that long.
 const MAX_TRUSTED_CAPACITY: usize = (16 << 20) / EDGE_RECORD_BYTES;
 
-/// Reads the compact binary format (v1 or v2).
+/// Reads the compact binary format (v1, v2 or v3).
 ///
 /// The header's claimed counts are treated as untrusted: the edge vector's
 /// up-front reservation is capped (a corrupt `m` cannot trigger an
 /// allocation the payload never backs), and a payload shorter than `m`
-/// records yields a typed error naming the truncation point rather than a
-/// bare EOF. For v2 files the header and payload checksums are verified
-/// and the file must end exactly after the payload checksum; any mismatch,
-/// short section, or trailing byte is [`IoError::Corrupt`]. v1 files carry
-/// no checksums, so only structural defects are detectable there
-/// ([`IoError::Parse`], the historical behavior).
+/// records yields a typed error naming the first missing record rather than
+/// a bare EOF. The payload is read in chunks of at most 64 KiB and each edge
+/// is range-checked once, as it arrives. For v2 and v3 files the header and
+/// payload digests are verified and the file must end exactly after the
+/// payload digest; any mismatch, short section, or trailing byte is
+/// [`IoError::Corrupt`]. v1 files carry no checksums, so only structural
+/// defects are detectable there ([`IoError::Parse`], the historical
+/// behavior).
 pub fn read_binary<R: Read>(reader: R) -> Result<Graph, IoError> {
     let mut r = BufReader::new(reader);
     let mut magic = [0u8; 4];
@@ -211,12 +357,10 @@ pub fn read_binary<R: Read>(reader: R) -> Result<Graph, IoError> {
         return Err(IoError::Parse("bad magic".into()));
     }
     let mut buf4 = [0u8; 4];
-    let mut read_u32 = |r: &mut BufReader<R>, what: &str| -> Result<u32, IoError> {
-        r.read_exact(&mut buf4).map_err(|e| truncated(what, e))?;
-        Ok(u32::from_le_bytes(buf4))
-    };
-    let version = read_u32(&mut r, "version")?;
-    if version != 1 && version != VERSION {
+    r.read_exact(&mut buf4)
+        .map_err(|e| truncated("version", e))?;
+    let version = u32::from_le_bytes(buf4);
+    if !(1..=VERSION).contains(&version) {
         return Err(IoError::Parse(format!("unsupported version {version}")));
     }
     let checked = version >= 2;
@@ -238,44 +382,66 @@ pub fn read_binary<R: Read>(reader: R) -> Result<Graph, IoError> {
         let mut crc = [0u8; 8];
         r.read_exact(&mut crc)
             .map_err(|e| short("header checksum", e))?;
-        if u64::from_le_bytes(crc) != Fnv1a::of(&header) {
+        let digest = match version {
+            2 => Fnv1a::of(&header),
+            _ => WordDigest::of(&header),
+        };
+        if u64::from_le_bytes(crc) != digest {
             return Err(IoError::Corrupt(
                 "header checksum mismatch (vertex/edge counts are damaged)".into(),
             ));
         }
     }
-    let mut edges = Vec::with_capacity((m as usize).min(MAX_TRUSTED_CAPACITY));
-    let mut payload_crc = Fnv1a::default();
-    for i in 0..m {
-        let mut record = [0u8; EDGE_RECORD_BYTES];
-        r.read_exact(&mut record)
-            .map_err(|e| short(&format!("edge #{i} of {m} claimed by the header"), e))?;
-        payload_crc.update(&record);
-        let word = |k: usize| u32::from_le_bytes(record[4 * k..4 * k + 4].try_into().unwrap());
-        let (src, dst, weight) = (word(0), word(1), word(2));
-        if src >= n || dst >= n {
-            let msg = format!("edge #{i} ({src} -> {dst}) out of range for {n} vertices");
-            // Under v2 an out-of-range edge is indistinguishable from bit
-            // rot until the payload checksum settles it; report it as the
-            // corruption it almost certainly is.
-            return Err(if checked {
-                IoError::Corrupt(msg)
-            } else {
-                IoError::Parse(msg)
-            });
+    let m_records = m as usize;
+    let mut edges = Vec::with_capacity(m_records.min(MAX_TRUSTED_CAPACITY));
+    // Payload digests: v2's FNV-1a, v3's WordDigest (v1 has none).
+    let (mut fnv1a, mut words) = (Fnv1a::default(), WordDigest::default());
+    let mut chunk = vec![0u8; m_records.min(CHUNK_RECORDS) * EDGE_RECORD_BYTES];
+    while edges.len() < m_records {
+        let want = (m_records - edges.len()).min(CHUNK_RECORDS) * EDGE_RECORD_BYTES;
+        let (got, stopped) = fill(&mut r, &mut chunk[..want]);
+        let records = &chunk[..got - got % EDGE_RECORD_BYTES];
+        match version {
+            1 => {}
+            2 => fnv1a.update(records),
+            _ => words.update(records),
         }
-        edges.push(Edge::new(src, dst, weight));
+        for record in records.chunks_exact(EDGE_RECORD_BYTES) {
+            let word = |k: usize| u32::from_le_bytes(record[4 * k..4 * k + 4].try_into().unwrap());
+            let (src, dst, weight) = (word(0), word(1), word(2));
+            if src >= n || dst >= n {
+                let i = edges.len();
+                let msg = format!("edge #{i} ({src} -> {dst}) out of range for {n} vertices");
+                // Under v2/v3 an out-of-range edge is indistinguishable from
+                // bit rot until the payload checksum settles it; report it as
+                // the corruption it almost certainly is.
+                return Err(if checked {
+                    IoError::Corrupt(msg)
+                } else {
+                    IoError::Parse(msg)
+                });
+            }
+            edges.push(Edge::new(src, dst, weight));
+        }
+        if let Some(e) = stopped {
+            let i = edges.len();
+            return Err(short(&format!("edge #{i} of {m} claimed by the header"), e));
+        }
     }
     if checked {
         let mut crc = [0u8; 8];
         r.read_exact(&mut crc)
             .map_err(|e| short("payload checksum", e))?;
-        if u64::from_le_bytes(crc) != payload_crc.finish() {
+        let digest = match version {
+            2 => fnv1a.finish(),
+            _ => words.finish(),
+        };
+        if u64::from_le_bytes(crc) != digest {
             return Err(IoError::Corrupt(format!(
                 "payload checksum mismatch over {m} edge records"
             )));
         }
-        // Explicit end-of-file length check: a well-formed v2 file ends
+        // Explicit end-of-file length check: a well-formed v2/v3 file ends
         // here; trailing bytes mean the header undercounts the payload.
         let mut one = [0u8; 1];
         match r.read_exact(&mut one) {
@@ -288,7 +454,23 @@ pub fn read_binary<R: Read>(reader: R) -> Result<Graph, IoError> {
             Err(e) => return Err(IoError::Io(e)),
         }
     }
-    Graph::try_new(n, edges).map_err(|e| IoError::Parse(e.to_string()))
+    Ok(Graph::from_checked_parts(n, edges))
+}
+
+/// Reads into `buf` until it is full or the input stops; returns the bytes
+/// read and, when short, why (`UnexpectedEof` at the end of the input).
+/// Interrupted reads are retried, as `read_exact` does.
+fn fill(r: &mut impl Read, buf: &mut [u8]) -> (usize, Option<io::Error>) {
+    let mut got = 0;
+    while got < buf.len() {
+        match r.read(&mut buf[got..]) {
+            Ok(0) => return (got, Some(io::ErrorKind::UnexpectedEof.into())),
+            Ok(k) => got += k,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return (got, Some(e)),
+        }
+    }
+    (got, None)
 }
 
 /// Maps a short read to [`IoError::Parse`] (a truncated file is malformed
@@ -316,21 +498,42 @@ mod tests {
     use super::*;
     use crate::generators::erdos_renyi;
 
-    /// On-disk v2 graph files and the service's WAL records carry these
-    /// digests; the three below were computed before the four hand-written
-    /// copies of the loop became [`Fnv1a`], so files written then still read.
+    /// A v2 file as the v2 writer wrote it: [`small_graph`] in the layout
+    /// v3 kept, with FNV-1a section digests.
+    #[rustfmt::skip]
+    const V2_FIXTURE: [u8; 68] = [
+        0x43, 0x55, 0x53, 0x48, 0x02, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00,
+        0x03, 0x00, 0x00, 0x00, 0xd2, 0xcd, 0x92, 0x52, 0x16, 0x88, 0xd7, 0xcc,
+        0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00,
+        0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00,
+        0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00,
+        0xef, 0x40, 0xad, 0x45, 0x87, 0xd1, 0x60, 0xaa,
+    ];
+
+    fn small_graph() -> Graph {
+        Graph::new(
+            4,
+            vec![Edge::new(0, 1, 5), Edge::new(1, 2, 7), Edge::new(3, 0, 9)],
+        )
+    }
+
+    fn v3_bytes(g: &Graph) -> Vec<u8> {
+        let mut file = Vec::new();
+        write_binary(g, &mut file).unwrap();
+        file
+    }
+
+    /// The service's WAL records and the v2 graph files still read carry
+    /// these digests; the three below were computed before the four
+    /// hand-written copies of the loop became [`Fnv1a`].
     #[test]
     fn fnv1a_digests_are_pinned() {
         assert_eq!(Fnv1a::of(&[]), 0xcbf2_9ce4_8422_2325);
-        let g = Graph::new(
-            4,
-            vec![Edge::new(0, 1, 5), Edge::new(1, 2, 7), Edge::new(3, 0, 9)],
-        );
-        let mut file = Vec::new();
-        write_binary(&g, &mut file).unwrap();
+        let file = &V2_FIXTURE;
         let (header, payload) = (&file[8..16], &file[24..file.len() - 8]);
         assert_eq!(Fnv1a::of(header), 0xccd7_8816_5292_cdd2);
         assert_eq!(file[16..24], 0xccd7_8816_5292_cdd2u64.to_le_bytes());
+        assert_eq!(Fnv1a::of(payload), 0xaa60_d187_45ad_40ef);
         assert_eq!(
             file[file.len() - 8..],
             0xaa60_d187_45ad_40efu64.to_le_bytes()
@@ -339,6 +542,74 @@ mod tests {
         let mut pieces = Fnv1a::default();
         payload.chunks(5).for_each(|chunk| pieces.update(chunk));
         assert_eq!(pieces.finish(), 0xaa60_d187_45ad_40ef);
+    }
+
+    /// v3 files carry these [`WordDigest`]s: an on-disk format, so they are
+    /// pinned. Every split of an input into `update` calls, and the
+    /// one-word-per-item form, digest the same.
+    #[test]
+    fn word_digest_is_pinned() {
+        const WORD_EMPTY: u64 = 0x62b1_8515_dca9_89ca;
+        const WORD_HEADER: u64 = 0xeacf_b040_38b2_3df8;
+        const WORD_PAYLOAD: u64 = 0x5c0e_97f4_28ab_a612;
+        assert_eq!(WordDigest::of(&[]), WORD_EMPTY);
+        let file = v3_bytes(&small_graph());
+        assert_eq!(file[..8], *b"CUSH\x03\0\0\0");
+        assert_eq!(file[8..16], V2_FIXTURE[8..16]);
+        assert_eq!(file[16..24], WORD_HEADER.to_le_bytes());
+        assert_eq!(file[24..60], V2_FIXTURE[24..60]);
+        assert_eq!(file[60..], WORD_PAYLOAD.to_le_bytes());
+        assert_eq!(WordDigest::of(&file[24..60]), WORD_PAYLOAD);
+        let bytes: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
+        let whole = WordDigest::of(&bytes);
+        for piece in [1, 3, 5, 7, 8, 13, 32, 33, 999] {
+            let mut pieces = WordDigest::default();
+            bytes.chunks(piece).for_each(|chunk| pieces.update(chunk));
+            assert_eq!(pieces.finish(), whole, "pieces of {piece}");
+        }
+        // The rotating lanes are the plain round-robin: word `j` to lane
+        // `j % LANES`, the tail zero-padded.
+        let round_robin = |bytes: &[u8]| {
+            let mut lanes = WordDigest::default().lanes;
+            for (j, word) in bytes.chunks(8).enumerate() {
+                let mut padded = [0u8; 8];
+                padded[..word.len()].copy_from_slice(word);
+                lanes[j % WordDigest::LANES] =
+                    step(lanes[j % WordDigest::LANES], u64::from_le_bytes(padded));
+            }
+            let n = bytes.len() as u64;
+            let h = lanes.iter().fold(step(0, n), |h, &lane| step(h, lane));
+            let h = (h ^ (h >> 32)).wrapping_mul(K);
+            h ^ (h >> 29)
+        };
+        for len in [0, 1, 7, 8, 9, 31, 32, 33, 36, 100, 1000] {
+            assert_eq!(WordDigest::of(&bytes[..len]), round_robin(&bytes[..len]));
+        }
+        let words: Vec<u64> = (1..=11u64).map(|w| w.wrapping_mul(K)).collect();
+        let le: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        assert_eq!(WordDigest::of_words(&words, |w| w), WordDigest::of(&le));
+    }
+
+    /// The guarantee: equal-length inputs differing in one bit — so in one
+    /// word, full or padded tail — digest differently, at every length
+    /// from empty to three rounds of lanes and a partial word.
+    #[test]
+    fn word_digest_catches_every_single_bit_flip() {
+        for len in 0..=8 * (3 * WordDigest::LANES + 1) + 7 {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 37 + len) as u8).collect();
+            let base = WordDigest::of(&bytes);
+            for bit in 0..8 * len {
+                let mut flipped = bytes.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(WordDigest::of(&flipped), base, "len {len} bit {bit}");
+            }
+        }
+    }
+
+    /// A v2 file written by the v2 writer reads back as the graph it holds.
+    #[test]
+    fn v2_fixture_reads_back_as_written() {
+        assert_eq!(read_binary(&V2_FIXTURE[..]).unwrap(), small_graph());
     }
 
     #[test]
@@ -429,33 +700,81 @@ mod tests {
         assert!(matches!(read_binary(&buf3[..]), Err(IoError::Corrupt(_))));
     }
 
-    #[test]
-    fn binary_v2_catches_single_bit_rot_everywhere() {
-        let g = erdos_renyi(16, 40, 9);
-        let mut clean = Vec::new();
-        write_binary(&g, &mut clean).unwrap();
-        // Flip one bit at every byte position past the magic; every flip
-        // must surface as a typed error (version/corrupt), never a wrong
-        // graph. (Magic flips are covered by the bad-magic case above.)
-        for pos in 4..clean.len() {
-            let mut buf = clean.clone();
-            buf[pos] ^= 1 << (pos % 8);
+    /// Flips every bit past the magic, one at a time; every flip must
+    /// surface as a typed error (version/corrupt), never a wrong graph.
+    /// (Magic flips are covered by the bad-magic case above.)
+    fn assert_every_flip_errs(clean: &[u8]) {
+        for bit in 32..8 * clean.len() {
+            let mut buf = clean.to_vec();
+            buf[bit / 8] ^= 1 << (bit % 8);
             assert!(
                 read_binary(&buf[..]).is_err(),
-                "bit flip at byte {pos} was not detected"
+                "flip of bit {} at byte {} was not detected",
+                bit % 8,
+                bit / 8
             );
         }
     }
 
     #[test]
-    fn binary_v2_rejects_trailing_bytes() {
-        let g = erdos_renyi(8, 10, 5);
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
+    fn binary_v2_catches_single_bit_rot_everywhere() {
+        assert_every_flip_errs(&V2_FIXTURE);
+    }
+
+    #[test]
+    fn binary_v3_catches_single_bit_rot_everywhere() {
+        assert_every_flip_errs(&v3_bytes(&erdos_renyi(16, 40, 9)));
+        assert_every_flip_errs(&v3_bytes(&small_graph()));
+    }
+
+    fn assert_trailing_byte_errs(clean: &[u8]) {
+        let mut buf = clean.to_vec();
         buf.push(0);
         match read_binary(&buf[..]) {
             Err(IoError::Corrupt(msg)) => assert!(msg.contains("trailing"), "{msg}"),
             other => panic!("expected Corrupt(trailing), got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn binary_v2_rejects_trailing_bytes() {
+        assert_trailing_byte_errs(&V2_FIXTURE);
+    }
+
+    #[test]
+    fn binary_v3_rejects_trailing_bytes() {
+        assert_trailing_byte_errs(&v3_bytes(&erdos_renyi(8, 10, 5)));
+    }
+
+    /// The payload is read in chunks: a graph spanning three of them round
+    /// trips through a reader that hands out a few bytes at a time and is
+    /// sometimes interrupted, and a cut inside the second chunk names the
+    /// first record it lost.
+    #[test]
+    fn binary_chunks_are_invisible() {
+        struct Trickle<'a>(&'a [u8], usize);
+        impl Read for Trickle<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.1 += 1;
+                if self.1.is_multiple_of(7) {
+                    return Err(io::ErrorKind::Interrupted.into());
+                }
+                let k = buf.len().min(self.0.len()).min(1 + self.1 % 29);
+                buf[..k].copy_from_slice(&self.0[..k]);
+                self.0 = &self.0[k..];
+                Ok(k)
+            }
+        }
+        let g = erdos_renyi(300, 2 * CHUNK_RECORDS as u64 + 77, 3);
+        let file = v3_bytes(&g);
+        assert_eq!(read_binary(Trickle(&file, 0)).unwrap(), g);
+        let lost = CHUNK_RECORDS + 123;
+        let cut = 24 + lost * EDGE_RECORD_BYTES + 5;
+        match read_binary(Trickle(&file[..cut], 0)) {
+            Err(IoError::Corrupt(msg)) => {
+                assert!(msg.contains(&format!("edge #{lost} of ")), "{msg}")
+            }
+            other => panic!("expected Corrupt(truncated), got {other:?}"),
         }
     }
 
@@ -539,6 +858,18 @@ mod tests {
         write_binary(&g, &mut buf).unwrap();
         buf[8..12].copy_from_slice(&2u32.to_le_bytes());
         assert!(matches!(read_binary(&buf[..]), Err(IoError::Corrupt(_))));
+        // A v3 payload that names a vertex past `n` under valid digests is
+        // caught by the loader's one range check.
+        let mut buf = v3_bytes(&g);
+        buf[28..32].copy_from_slice(&4u32.to_le_bytes());
+        let digest = WordDigest::of(&buf[24..36]);
+        buf[36..].copy_from_slice(&digest.to_le_bytes());
+        match read_binary(&buf[..]) {
+            Err(IoError::Corrupt(msg)) => {
+                assert_eq!(msg, "edge #0 (0 -> 4) out of range for 4 vertices")
+            }
+            other => panic!("expected Corrupt(out of range), got {other:?}"),
+        }
         // v1 has no checksum, so the range check itself must catch it.
         let mut v1 = write_binary_v1(&g);
         v1[8..12].copy_from_slice(&2u32.to_le_bytes());

@@ -16,8 +16,10 @@
 //! * [`partition`] — edge-balanced fleet partitioning with per-device halo
 //!   sets, feeding the engine's multi-GPU mode,
 //! * [`degree`] — degree-distribution analysis used by Figure 1,
-//! * [`io`] — text edge-list and compact binary de/serialization (binary v2
-//!   carries per-section checksums so corrupt files fail typed, not silent),
+//! * [`io`] — text edge-list and compact binary de/serialization (binary v3
+//!   carries per-section [`io::WordDigest`]s so corrupt files fail typed, not
+//!   silent; v1 and v2 files still read), and the [`io::Fnv1a`] digest of the
+//!   service's write-ahead log,
 //! * [`mutate`] — validated edge insert/delete batches applied as deltas,
 //!   plus the structural [`fingerprint`] revision the service keys caches on,
 //! * [`analysis`] — structural utilities (union-find components, etc.).
@@ -36,7 +38,6 @@ pub mod types;
 
 pub use builder::GraphBuilder;
 pub use csr::Csr;
-pub use io::Fnv1a;
 pub use mutate::{fingerprint, Mutation, MutationBatch, MutationDelta, MutationError};
 pub use partition::{edge_balanced_ranges, DevicePartition, FleetPartition};
 pub use types::{Edge, EdgeId, Graph, GraphError, VertexId};

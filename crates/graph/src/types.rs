@@ -127,6 +127,17 @@ impl Graph {
         })
     }
 
+    /// Builds a graph from parts its caller has already checked edge by
+    /// edge (the binary loader range-checks each record as it arrives; its
+    /// `u32` edge count cannot exceed the id space).
+    pub(crate) fn from_checked_parts(num_vertices: u32, edges: Vec<Edge>) -> Self {
+        debug_assert_eq!(check_parts(num_vertices, &edges), Ok(()));
+        Graph {
+            num_vertices,
+            edges,
+        }
+    }
+
     /// Re-checks the graph's invariants (endpoints in range, edge count
     /// within [`EdgeId`]). Always `Ok` for graphs built through this
     /// crate's constructors; engines call it to reject hand-assembled or

@@ -24,7 +24,7 @@
 //! and the caller-supplied base graph, and replays on whichever matches.
 //!
 //! Compaction: every `snapshot_every` applied batches the current graph is
-//! written to `<wal>.snap` (binary v2, temp-file + rename so the snapshot
+//! written to `<wal>.snap` (binary v3, temp-file + rename so the snapshot
 //! is atomic), and the WAL is rewritten to a fresh `Base` record. A crash
 //! between the snapshot rename and the WAL rewrite is benign: the old WAL's
 //! base still matches the caller's base graph, and replay reproduces the
@@ -48,7 +48,7 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use cusha_graph::mutate::{fingerprint, Mutation, MutationBatch};
-use cusha_graph::{Fnv1a, Graph};
+use cusha_graph::{io::Fnv1a, Graph};
 
 /// Magic bytes opening every WAL file.
 pub const MAGIC: &[u8; 4] = b"CWAL";

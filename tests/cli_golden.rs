@@ -33,7 +33,7 @@
 //! ```
 
 use cusha::graph::generators::rmat::{rmat, RmatConfig};
-use cusha::graph::{io, Fnv1a};
+use cusha::graph::io::{self, Fnv1a};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};

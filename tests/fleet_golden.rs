@@ -36,7 +36,7 @@ use cusha::core::{
 };
 use cusha::graph::generators::rmat::{rmat, RmatConfig};
 use cusha::graph::surrogates::Dataset;
-use cusha::graph::{Edge, Fnv1a, Graph};
+use cusha::graph::{io::Fnv1a, Edge, Graph};
 use cusha::obs::{chrome_trace_json, Tracer};
 use cusha::simt::counters::Counters;
 use cusha::simt::{FaultPlan, FlipTarget, Interconnect, KernelStats};

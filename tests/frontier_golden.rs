@@ -32,7 +32,7 @@ use cusha::core::{
 use cusha::frontier::{try_run_frontier, try_run_kcore, try_run_triangles, FrontierConfig};
 use cusha::graph::generators::lattice::lattice2d;
 use cusha::graph::generators::rmat::{rmat, RmatConfig};
-use cusha::graph::{Edge, Fnv1a, Graph};
+use cusha::graph::{io::Fnv1a, Edge, Graph};
 use cusha::obs::{chrome_trace_json, Tracer};
 use cusha::simt::{FaultPlan, FlipTarget};
 use std::fmt::Write;

@@ -34,7 +34,7 @@
 
 use cusha::core::{IntegrityConfig, IntegrityMode, Repr};
 use cusha::graph::generators::rmat::{rmat, RmatConfig};
-use cusha::graph::{Fnv1a, Graph};
+use cusha::graph::{io::Fnv1a, Graph};
 use cusha::obs::{chrome_trace_json, Tracer};
 use cusha::serve::{
     run_session, QueryRecord, RebuildPolicy, ServeConfig, ServeEngine, Service, WalConfig,
