@@ -1,6 +1,6 @@
 //! [`Engine`] middleware adapters for the baselines, so
 //! [`cusha_core::run_engine`] drives VWC-CSR and MTCPU-CSR through the same
-//! validation / deadline / retry / final-scrub stack as the CuSha engines.
+//! validation / deadline / retry stack as the CuSha engines.
 
 use crate::mtcpu::{try_run_mtcpu, MtcpuConfig};
 use crate::vwc::{try_run_vwc, VwcConfig};
@@ -8,9 +8,8 @@ use cusha_core::{CuShaOutput, Engine, EngineCtx, EngineError, VertexProgram};
 use cusha_graph::Graph;
 
 /// Adapter for the VWC-CSR baseline. Maps the generic config onto
-/// [`VwcConfig`] (threads per block, iteration cap, profiling, device and
-/// tracer carry over) and threads the middleware's fault plan and observer
-/// through [`try_run_vwc`].
+/// [`VwcConfig`] (every field the two share carries over) and threads the
+/// middleware's fault plan and observer through [`try_run_vwc`].
 pub struct VwcEngine {
     /// Virtual warp width (2, 4, 8, 16 or 32).
     pub virtual_warp: usize,
@@ -40,6 +39,7 @@ impl<P: VertexProgram> Engine<P> for VwcEngine {
         cfg.profile = ctx.cfg.profile;
         cfg.device = ctx.cfg.device.clone();
         cfg.trace = ctx.cfg.trace.clone();
+        cfg.integrity = ctx.cfg.integrity;
         try_run_vwc(prog, graph, &cfg, ctx.fault_plan, ctx.observer)
     }
 }

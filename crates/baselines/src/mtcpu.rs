@@ -15,8 +15,8 @@
 //! undefined behaviour).
 
 use cusha_core::{
-    check_topology, CuShaOutput, EngineError, IterationStat, NoopObserver, RunObserver, RunStats,
-    Value, VertexProgram,
+    check_topology, settle, CuShaOutput, EngineError, IterationStat, NoopObserver, RunObserver,
+    RunStats, Value, VertexProgram,
 };
 use cusha_graph::{Csr, Graph};
 use cusha_obs::trace::{lanes, ArgVal, Tracer};
@@ -64,12 +64,7 @@ pub fn run_mtcpu<P: VertexProgram>(
     graph: &Graph,
     cfg: &MtcpuConfig,
 ) -> MtcpuOutput<P::V> {
-    assert!(cfg.threads > 0, "need at least one thread");
-    match try_run_mtcpu(prog, graph, cfg, &mut NoopObserver) {
-        Ok(out) => out,
-        Err(EngineError::NonConverged { partial }) => *partial,
-        Err(e) => panic!("{e}"),
-    }
+    settle(try_run_mtcpu(prog, graph, cfg, &mut NoopObserver))
 }
 
 /// [`run_mtcpu`] with a [`RunObserver`] consulted after every non-converged

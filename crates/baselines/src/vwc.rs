@@ -30,11 +30,11 @@
 //! the per-SM cycle sums, the phase spans and the modeled time are the ones
 //! the interleaved order produced (`tests/vwc_golden.rs` pins them).
 
-use cusha_core::integrity::apply_flip;
+use cusha_core::integrity::{apply_flip, scrub, Ask, Detector, Recovery, Rung};
 use cusha_core::memsize::{check_fits, ValueSizes};
 use cusha_core::{
-    check_topology, CuShaOutput, DeviceRun, DeviceSetup, EngineError, NoopObserver, RunObserver,
-    VertexProgram,
+    check_topology, fault_instant, run_fallback, settle, CuShaConfig, CuShaOutput, DeviceRun,
+    DeviceSetup, EngineError, IntegrityConfig, NoopObserver, RunObserver, VertexProgram,
 };
 use cusha_graph::{Csr, Graph};
 use cusha_obs::trace::Tracer;
@@ -76,6 +76,8 @@ pub struct VwcConfig {
     pub device: DeviceConfig,
     /// Span/event tracer; disabled (no-op, zero-cost) by default.
     pub trace: Tracer,
+    /// Silent-data-corruption defense; off by default (zero cost).
+    pub integrity: IntegrityConfig,
 }
 
 impl VwcConfig {
@@ -89,6 +91,7 @@ impl VwcConfig {
             profile: false,
             device: DeviceConfig::gtx780(),
             trace: Tracer::disabled(),
+            integrity: IntegrityConfig::default(),
         }
     }
 
@@ -130,7 +133,7 @@ impl VwcConfig {
         if self.max_iterations == 0 {
             return Err("max_iterations must be at least 1".into());
         }
-        Ok(())
+        self.integrity.validate()
     }
 }
 
@@ -143,11 +146,7 @@ pub type VwcOutput<V> = CuShaOutput<V>;
 /// Panics on device faults; see [`try_run_vwc`]. A capped (non-converged)
 /// run is returned with `stats.converged == false`, as before.
 pub fn run_vwc<P: VertexProgram>(prog: &P, graph: &Graph, cfg: &VwcConfig) -> VwcOutput<P::V> {
-    match try_run_vwc(prog, graph, cfg, None, &mut NoopObserver) {
-        Ok(out) => out,
-        Err(EngineError::NonConverged { partial }) => *partial,
-        Err(e) => panic!("{e}"),
-    }
+    settle(try_run_vwc(prog, graph, cfg, None, &mut NoopObserver))
 }
 
 /// [`run_vwc`] with every failure surfaced as an [`EngineError`], a
@@ -155,9 +154,9 @@ pub fn run_vwc<P: VertexProgram>(prog: &P, graph: &Graph, cfg: &VwcConfig) -> Vw
 /// the run, advanced state written back on every exit), and a
 /// [`RunObserver`] consulted after each non-converged iteration (`false`
 /// aborts with [`EngineError::Deadline`]). Silent bit flips due at a kernel
-/// boundary land in the vertex-value buffer — the only resident value state
-/// this engine keeps — whatever their nominal target. A configuration the
-/// kernel cannot execute faithfully ([`VwcConfig::validate`]) is refused with
+/// boundary land in the vertex values, the only value state this engine
+/// keeps; `cfg.integrity` arms the shard family's ladder against them. Bad
+/// configurations ([`VwcConfig::validate`]) are refused with
 /// [`EngineError::InvalidConfig`] before anything runs, and a graph whose CSR
 /// the device cannot hold with [`EngineError::DeviceOom`] before it is built
 /// ([`check_fits`]).
@@ -243,6 +242,43 @@ fn vwc_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
     let mut converged_flag = gpu.try_upload(&[1u32])?;
     run.uploaded();
 
+    // The scrub digest, only with checksums on (`None` never mismatches).
+    let crc_of = |vv: &DevVec<P::V>| cfg.integrity.mode.checksums().then(|| scrub(vv.host()));
+    let mut crc = crc_of(&vertex_values);
+    let mut recovery = Recovery::new(cfg.integrity, None, &mut run.stats.sdc, || (init, ()));
+    let law = |verified: &[P::V], now: &[P::V]| prog.check_invariant(verified, now);
+
+    // How the ladder reaches the vertex values, both ways charged.
+    macro_rules! state {
+        () => {
+            |gpu: &mut cusha_simt::Gpu, ask: Ask<'_, P::V, ()>| {
+                match ask {
+                    Ask::Restore(cp) => gpu.try_h2d(&mut vertex_values, &cp.values)?,
+                    Ask::Snapshot(values, _) => *values = gpu.try_download(&vertex_values)?,
+                    Ask::Mark(name) => fault_instant(gpu, "sdc", name),
+                    Ask::Inspect(check) => check(vertex_values.host()),
+                }
+                Ok(())
+            }
+        };
+    }
+    // One rung of the ladder, resuming on restored (and newly digested)
+    // values; past the last, the host fallback finishes the run.
+    macro_rules! recover {
+        ($detector:expr) => {{
+            if let Rung::Exhausted = run.recover(&mut recovery, $detector, state!())? {
+                let mut host_cfg = CuShaConfig::gs();
+                host_cfg.max_iterations = cfg.max_iterations;
+                let host = run_fallback(prog, graph, &host_cfg).or_else(EngineError::partial)?;
+                let (mut stats, values) = (run.abandon(), host.values);
+                stats.converged = host.stats.converged;
+                return CuShaOutput { values, stats }.into_result();
+            }
+            crc = crc_of(&vertex_values);
+            continue;
+        }};
+    }
+
     // ---- Convergence loop --------------------------------------------------
     let vw = cfg.virtual_warp;
     let wpg = vws.per_physical(); // vertices (groups) per physical warp
@@ -256,7 +292,6 @@ fn vwc_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
         grid,
         cfg.threads_per_block,
     );
-    let mut converged = false;
     while run.stats.iterations < cfg.max_iterations {
         let gpu = &mut run.gpu;
         let iter_ts = gpu.total_seconds();
@@ -269,6 +304,9 @@ fn vwc_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
             apply_flip(&mut vertex_values, flip);
         }
         run.stats.sdc.flips_injected += flips.len() as u64;
+        if crc_of(&vertex_values) != crc {
+            recover!(Detector::Checksum);
+        }
         let mut updated_this_iter = 0u64;
         let kstats = gpu.try_launch(&desc, |b| {
             let block_vertex_base = b.id() as usize * vertices_per_block;
@@ -491,16 +529,19 @@ fn vwc_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
         total.kernel.counters.add(&kstats.counters);
         total.kernel.blocks = kstats.blocks;
         total.kernel.threads_per_block = kstats.threads_per_block;
-        let flag = gpu.try_download_scalar(&converged_flag, 0)?;
+        let converged = gpu.try_download_scalar(&converged_flag, 0)? == 1;
+        crc = crc_of(&vertex_values);
         run.iteration(iter_ts, kstats.seconds, updated_this_iter, Vec::new);
-        if flag == 1 {
-            converged = true;
+        if run.boundary(&mut recovery, law, converged, state!())? {
+            recover!(Detector::Invariant);
+        }
+        if converged {
+            run.stats.converged = true;
             break;
         }
-        run.proceed()?;
     }
+    recovery.finish(|ask| state!()(&mut run.gpu, ask))?;
 
-    run.stats.converged = converged;
     run.stats.kernel.name = desc.name.clone();
     let (values, stats) = run.close(|gpu| gpu.try_download(&vertex_values))?;
     CuShaOutput { values, stats }.into_result()

@@ -9,8 +9,7 @@ use cusha_baselines::{
 };
 use cusha_core::memsize::{check_fits, ValueSizes};
 use cusha_core::{
-    try_run_warm, CuShaConfig, CuShaOutput, EngineError, NoopObserver, PreparedLayout, Repr,
-    RunStats, VertexProgram,
+    settle, try_run_warm, CuShaConfig, NoopObserver, PreparedLayout, Repr, RunStats, VertexProgram,
 };
 use cusha_frontier::{try_run_frontier_warm, FrontierConfig, PreparedFrontier};
 use cusha_graph::{Csr, Graph, VertexId};
@@ -299,16 +298,6 @@ impl Prepared {
             let csr = self.csr.peek(());
             PreparedFrontier::around(g, csr.unwrap_or_else(|| Arc::new(Csr::from_graph(g))))
         })
-    }
-}
-
-/// What `cusha_core::run` and its siblings make of an outcome: a capped run
-/// is its partial output, any other failure ends the harness.
-pub(crate) fn settle<V>(outcome: Result<CuShaOutput<V>, EngineError<V>>) -> CuShaOutput<V> {
-    match outcome {
-        Ok(out) => out,
-        Err(EngineError::NonConverged { partial }) => *partial,
-        Err(e) => panic!("{e}"),
     }
 }
 

@@ -10,10 +10,10 @@
 //! edge-count load imbalance. Outputs are bit-identical across device
 //! counts (asserted here), so the sweep measures *timing* only.
 
-use crate::bench_defs::settle;
 use crate::experiments::Ctx;
 use crate::table::{fmt_ms, fmt_pct, fmt_speedup, Table};
 use cusha_algos::PageRank;
+use cusha_core::settle;
 use cusha_core::{try_run_placed, CuShaConfig, NoopObserver, Placement, PreparedLayout};
 use cusha_graph::surrogates::Dataset;
 use cusha_obs::{log, Level, MetricsRegistry};

@@ -109,30 +109,26 @@ impl<'o, O: RunObserver + ?Sized> DeviceRun<'o, O> {
         trace.counter(0, lanes::ENGINE, "updated_vertices", now, updated as f64);
     }
 
-    /// After a non-converged iteration: the observer's `false` is
-    /// [`EngineError::Deadline`].
-    pub fn proceed<V>(&mut self) -> Result<(), EngineError<V>> {
-        let (iterations, elapsed_seconds) = (self.stats.iterations, self.gpu.total_seconds());
-        let last = self.stats.per_iteration.last();
-        let updated = last.map_or(0, |it| it.updated_vertices);
-        let go = (self.observer).on_iteration(iterations, updated, elapsed_seconds);
-        let deadline = EngineError::Deadline {
-            iterations,
-            elapsed_seconds,
-        };
-        go.then_some(()).ok_or(deadline)
-    }
-
-    /// [`DeviceRun::proceed`] for an engine that climbs `recovery`'s ladder:
-    /// the observer, then its checkpoint (checked against `law`) and watchdog,
-    /// `dev` answering its asks on this run's device. `true`: `law` broke.
+    /// The iteration boundary, `dev` answering `recovery`'s asks on this
+    /// run's device. After a non-converged iteration: the observer (its
+    /// `false` is [`EngineError::Deadline`]), then `recovery`'s checkpoint
+    /// (checked against `law`) and watchdog. At the convergence exit
+    /// (`converged`): `law` alone, against the values' host view. `true`:
+    /// `law` broke.
     pub fn boundary<V: Value, S: Default>(
         &mut self,
         recovery: &mut Recovery<V, S>,
-        law: impl FnOnce(&[V], &[V]) -> Result<(), String>,
+        law: impl Fn(&[V], &[V]) -> Result<(), String>,
+        converged: bool,
         mut dev: impl FnMut(&mut Gpu, Ask<'_, V, S>) -> Result<(), DeviceFault>,
     ) -> Result<bool, EngineError<V>> {
         let (s, gpu, observer) = (&mut self.stats, &mut self.gpu, &mut self.observer);
+        if converged {
+            let mut broken = false;
+            let mut check = |now: &[V]| broken = recovery.breaks(&law, now);
+            dev(gpu, Ask::Inspect(&mut check))?;
+            return Ok(broken);
+        }
         let updated = s.per_iteration.last().map_or(0, |it| it.updated_vertices);
         let (its, now, sdc) = (s.iterations, gpu.total_seconds(), &mut s.sdc);
         let dev = |ask: Ask<'_, V, S>| dev(gpu, ask);

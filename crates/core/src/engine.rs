@@ -26,7 +26,7 @@
 
 use crate::autotune::select_vertices_per_shard;
 use crate::cw::ConcatWindows;
-use crate::error::{check_topology, EngineError};
+use crate::error::{check_topology, settle, EngineError};
 use crate::fallback::run_fallback_after;
 use crate::integrity::{IntegrityConfig, Stop};
 use crate::kernel::fault_instant;
@@ -563,11 +563,7 @@ impl RunObserver for NoopObserver {
 /// cap returns its partial output (with `stats.converged == false`), which
 /// is the historical behavior. Fallible callers use [`try_run`].
 pub fn run<P: VertexProgram>(prog: &P, graph: &Graph, cfg: &CuShaConfig) -> CuShaOutput<P::V> {
-    match try_run(prog, graph, cfg) {
-        Ok(out) => out,
-        Err(EngineError::NonConverged { partial }) => *partial,
-        Err(e) => panic!("{e}"),
-    }
+    settle(try_run(prog, graph, cfg))
 }
 
 /// Executes `prog` over `graph`, returning every failure as an

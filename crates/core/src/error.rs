@@ -94,6 +94,22 @@ impl<V> EngineError<V> {
             EngineError::Deadline { .. } => "deadline",
         }
     }
+
+    /// A capped run's partial output as its answer; any other error stays one.
+    pub fn partial(self) -> Result<CuShaOutput<V>, Self> {
+        match self {
+            EngineError::NonConverged { partial } => Ok(*partial),
+            e => Err(e),
+        }
+    }
+}
+
+/// What a panicking entry (`run`, `run_vwc`, ...) makes of an outcome: a
+/// capped run is its partial output, any other failure panics.
+pub fn settle<V>(outcome: Result<CuShaOutput<V>, EngineError<V>>) -> CuShaOutput<V> {
+    outcome
+        .or_else(EngineError::partial)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Refuses topology (a shard layout, a CSR, a frontier adjacency) built for a

@@ -23,8 +23,9 @@
 //!   injected flip can reach it). `Recovery` is that ladder and the
 //!   iteration boundary around it, written once: for the one host loop (the
 //!   fleet's, which the in-core and streamed engines enter as a fleet of
-//!   one) and, through `DeviceRun`, for the frontier engine and k-core, each
-//!   checkpointing its own state beside the vertex values.
+//!   one) and, through `DeviceRun`, for VWC-CSR, the frontier engine and
+//!   k-core, each checkpointing its own state beside the vertex values, and
+//!   (k-core excepted) checking the law once more at convergence.
 //!
 //! The scrubber's comparisons are host-side and charge no modeled time
 //! (ECC runs in hardware, in the background); checkpoint snapshots and
@@ -215,7 +216,7 @@ pub struct Checkpoint<V, S = Vec<V>> {
 pub enum Detector {
     /// The checksum scrubber (deterministic, pre-consumption).
     Checksum,
-    /// An algorithm invariant at a checkpoint (best-effort).
+    /// An algorithm invariant at a checkpoint or at convergence (best-effort).
     Invariant,
 }
 
@@ -230,6 +231,9 @@ pub enum Ask<'a, V, S = Vec<V>> {
     Snapshot(&'a mut Vec<V>, Option<&'a mut S>),
     /// Mark this `sdc` event on the fault lane, at the engine's clock now.
     Mark(&'static str),
+    /// Show the vertex values' host view (the scrubber's: no transfer, no
+    /// modeled time) to the convergence check.
+    Inspect(&'a mut dyn FnMut(&[V])),
 }
 
 /// How one rung of the ladder (`DeviceRun::recover`, the fleet's `recover!`) left the run.
@@ -407,7 +411,7 @@ impl<V: Value, S: Default> Recovery<V, S> {
     pub(crate) fn boundary<O: RunObserver + ?Sized>(
         &mut self,
         observer: &mut O,
-        law: impl FnOnce(&[V], &[V]) -> Result<(), String>,
+        law: impl Fn(&[V], &[V]) -> Result<(), String>,
         sdc: &mut SdcStats,
         iterations: u32,
         updated: u64,
@@ -424,8 +428,7 @@ impl<V: Value, S: Default> Recovery<V, S> {
         if integ.mode.enabled() && iterations.is_multiple_of(integ.checkpoint_every) {
             let (mut values, mut state) = (Vec::new(), S::default());
             dev(Ask::Snapshot(&mut values, Some(&mut state)))?;
-            let verified = &self.ring.back().unwrap_or(&self.initial).values;
-            if integ.mode.invariants() && law(verified, &values).is_err() {
+            if self.breaks(law, &values) {
                 return Ok(true);
             }
             self.keep(iterations, values, state);
@@ -442,6 +445,14 @@ impl<V: Value, S: Default> Recovery<V, S> {
             }
         }
         Ok(false)
+    }
+
+    /// Whether `law` breaks between the latest verified snapshot and `now`,
+    /// with invariants on: a checkpoint's check, and the convergence check at
+    /// the exit no checkpoint reaches ([`Detector::Invariant`] either way).
+    pub(crate) fn breaks(&self, law: impl Fn(&[V], &[V]) -> Result<(), String>, now: &[V]) -> bool {
+        let verified = &self.ring.back().unwrap_or(&self.initial).values;
+        self.integ.mode.invariants() && law(verified, now).is_err()
     }
 }
 

@@ -28,9 +28,8 @@
 //! * [`fallback`] — the host-side reference engine (the ladders' last rung).
 //! * [`device_run`] — [`DeviceRun`], the single-device engines' shared run:
 //!   device, iteration boundary, download and the H2D / GPU / D2H split.
-//! * [`middleware`] — [`run_engine`]: validation, deadlines, retry and the
-//!   final integrity scrub around any [`Engine`]; [`ShardEngine`], the shard
-//!   family's adapter.
+//! * [`middleware`] — [`run_engine`]: validation, deadlines and retry around
+//!   any [`Engine`]; [`ShardEngine`], the shard family's adapter.
 //! * [`memsize`] — representation footprint model (Figure 9).
 //! * [`integrity`] — silent-data-corruption defense: per-buffer checksums,
 //!   algorithm invariants, bounded checkpoint/rollback recovery.
@@ -64,7 +63,7 @@ pub use engine::{
     run, try_run, try_run_placed, try_run_warm, CuShaConfig, CuShaOutput, NoopObserver, Placement,
     PreparedLayout, Repr, RunObserver, MAX_DEVICES,
 };
-pub use error::{check_topology, EngineError};
+pub use error::{check_topology, settle, EngineError};
 pub use fallback::run_fallback;
 pub use integrity::{IntegrityConfig, IntegrityMode};
 pub use kernel::fault_instant;

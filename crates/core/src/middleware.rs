@@ -9,13 +9,9 @@
 //! * transient-fault retry with modeled exponential backoff for engines
 //!   without an internal recovery ladder (the middleware owns the
 //!   [`FaultPlan`] across attempts, so consumed one-shot faults never
-//!   re-fire on a retry),
-//! * a final invariant scrub under `IntegrityMode::{Invariant, Full}`: a
-//!   result violating the program's invariant against the initial state is
-//!   re-run once and then escalated to the host fallback — the same
-//!   detection → restart → fallback ladder the shard engines run
-//!   internally, applied as a last line of defense for engines without one.
+//!   re-fire on a retry).
 //!
+//! Silent corruption is each device engine's own (`integrity::Recovery`).
 //! The shard family's one adapter lives here ([`ShardEngine`]: a
 //! representation and a [`Placement`]); the baselines and the frontier
 //! engine implement [`Engine`] in their own crates.
@@ -24,7 +20,6 @@ use crate::engine::{
     try_run_placed, CuShaConfig, CuShaOutput, Placement, PreparedLayout, Repr, RunObserver,
 };
 use crate::error::EngineError;
-use crate::fallback::run_fallback;
 use crate::kernel::RetryPolicy;
 use crate::program::VertexProgram;
 use crate::stats::FaultStats;
@@ -53,8 +48,8 @@ pub struct EngineCtx<'a> {
 /// An executor the middleware can drive: one adapter per engine family.
 ///
 /// Implementations are thin — they map the generic [`EngineCtx`] onto the
-/// engine's native entry point and config type. All cross-cutting behavior
-/// (validation, deadlines, retry, the final integrity scrub) belongs to
+/// engine's native entry point and config type, its `integrity` included.
+/// The cross-cutting behavior (validation, deadlines, retry) belongs to
 /// [`run_engine`], not to implementations.
 pub trait Engine<P: VertexProgram> {
     /// Report label ("CuSha-GS", "Frontier", "VWC-CSR/8", ...).
@@ -133,15 +128,7 @@ pub fn run_engine<P: VertexProgram, O: RunObserver + ?Sized>(
         RetryPolicy::DEFAULT
     };
     let (mut copy_left, mut kernel_left, mut backoff) = budget.counts();
-    let mut restarts_left: u32 = cfg.integrity.max_full_restarts;
     let mut mw_fault = FaultStats::default();
-    let mut mw_detections: u32 = 0;
-    let mut mw_restarts: u32 = 0;
-
-    // Rest state for the final invariant scrub, built when the first result
-    // arrives: only integrity modes that check invariants pay for it, and an
-    // engine that refuses the graph (its pre-flight) has refused by then.
-    let mut init: Option<Vec<P::V>> = None;
 
     loop {
         let mut dl = DeadlineObserver::new(cfg.deadline_seconds, observer);
@@ -151,38 +138,6 @@ pub fn run_engine<P: VertexProgram, O: RunObserver + ?Sized>(
             observer: &mut dl,
         };
         match engine.execute(prog, graph, ctx) {
-            Ok(mut out) => {
-                if cfg.integrity.mode.invariants() {
-                    let rest = || (0..graph.num_vertices()).map(|v| prog.initial_value(v));
-                    let init = init.get_or_insert_with(|| rest().collect());
-                    if prog.check_invariant(init, &out.values).is_err() {
-                        mw_detections += 1;
-                        cfg.trace.instant(
-                            0,
-                            cusha_obs::trace::lanes::FAULT,
-                            "sdc",
-                            "final-scrub",
-                            out.stats.total_seconds(),
-                        );
-                        if restarts_left > 0 {
-                            restarts_left -= 1;
-                            mw_restarts += 1;
-                            continue;
-                        }
-                        // Ladder exhausted: the host fallback's memory is
-                        // outside the device flip model, so its result is
-                        // trusted (same bottom rung as the shard engines).
-                        out = run_fallback(prog, graph, &cfg)?;
-                        out.stats.sdc.host_fallbacks += 1;
-                    }
-                }
-                out.stats.sdc.invariant_detections += mw_detections;
-                out.stats.sdc.full_restarts += mw_restarts;
-                out.stats.fault.copy_retries += mw_fault.copy_retries;
-                out.stats.fault.kernel_retries += mw_fault.kernel_retries;
-                out.stats.fault.backoff_seconds += mw_fault.backoff_seconds;
-                return Ok(out);
-            }
             Err(EngineError::CopyFault { .. }) if copy_left > 0 => {
                 copy_left -= 1;
                 mw_fault.copy_retries += 1;
@@ -193,13 +148,14 @@ pub fn run_engine<P: VertexProgram, O: RunObserver + ?Sized>(
                 kernel_left -= 1;
                 mw_fault.kernel_retries += 1;
             }
-            Err(EngineError::NonConverged { mut partial }) => {
-                partial.stats.fault.copy_retries += mw_fault.copy_retries;
-                partial.stats.fault.kernel_retries += mw_fault.kernel_retries;
-                partial.stats.fault.backoff_seconds += mw_fault.backoff_seconds;
-                return Err(EngineError::NonConverged { partial });
+            // An output, capped or not, carries the retries it took.
+            outcome => {
+                let mut out = outcome.or_else(EngineError::partial)?;
+                out.stats.fault.copy_retries += mw_fault.copy_retries;
+                out.stats.fault.kernel_retries += mw_fault.kernel_retries;
+                out.stats.fault.backoff_seconds += mw_fault.backoff_seconds;
+                return out.into_result();
             }
-            Err(e) => return Err(e),
         }
     }
 }

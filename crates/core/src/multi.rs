@@ -136,11 +136,8 @@ pub fn run_multi<P: VertexProgram>(
     graph: &Graph,
     cfg: &MultiConfig,
 ) -> MultiOutput<P::V> {
-    match try_run_multi(prog, graph, cfg) {
-        Ok(out) => out,
-        Err(EngineError::NonConverged { partial }) => fleet_of(*partial),
-        Err(e) => panic!("{e}"),
-    }
+    let ran = try_run_multi(prog, graph, cfg).or_else(|e| e.partial().map(fleet_of));
+    ran.unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Executes `prog` over `graph` on the fleet, returning every failure as an
@@ -863,6 +860,7 @@ pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
                         }
                         return Ok(());
                     }
+                    Ask::Inspect(_) => unreachable!("drive checks its final download itself"),
                 };
                 for d in 0..n {
                     *seconds += st.lap(d);
@@ -907,6 +905,7 @@ pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
         }};
     }
 
+    let law = |verified: &[P::V], now: &[P::V]| prog.check_invariant(verified, now);
     let (values, teardown) = 'run: loop {
         'iteration: while stats.iterations < base.max_iterations {
             // Flip points: every resident device's due silent bit flips land
@@ -1032,7 +1031,6 @@ pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
             // have completed, so aborting never leaves partial device writes.
             let (iterations, elapsed) = (stats.iterations, since + st.now(fleet_clock));
             let (sdc, dev) = (&mut sdcs[0], fleet!(None::<usize>));
-            let law = |verified: &[P::V], now: &[P::V]| prog.check_invariant(verified, now);
             if recovery.boundary(observer, law, sdc, iterations, iter_updated, elapsed, dev)? {
                 recover!(0, Detector::Invariant);
             }
@@ -1052,20 +1050,20 @@ pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
         let values = st.snapshot(None)?;
         let teardown = (0..n).map(|d| st.lap(d)).fold(0.0, f64::max);
         span("download", download_ts, teardown);
-        // Per-buffer checksum on download: the values just crossed the bus;
-        // verify them against the scrubber reference before publishing. A
+        // Per-buffer checksum on download (the values just crossed the bus),
+        // then the convergence check, device 0's like a checkpoint's. A
         // rejected download costs one more rung, and its transfer time rolls
         // into the recovery share of the next pass.
-        if integ.mode.checksums() {
-            let crossed = |_: &Held<P>, i: &DevInfo, crcs: (u64, u64)| {
-                scrub(&values[i.vrange.clone()]) != crcs.0
-            };
-            if let Some(det) = st.scrub(crossed) {
-                integrity_seconds += teardown;
-                recover!(det, Detector::Checksum);
-                converged = false;
-                continue 'run;
-            }
+        let crossed = |_: &Held<P>, i: &DevInfo, crcs: (u64, u64)| {
+            integ.mode.checksums() && scrub(&values[i.vrange.clone()]) != crcs.0
+        };
+        let hit = st.scrub(crossed).map(|det| (det, Detector::Checksum));
+        let broken = converged && recovery.breaks(law, &values);
+        if let Some((det, detector)) = hit.or(broken.then_some((0, Detector::Invariant))) {
+            integrity_seconds += teardown;
+            recover!(det, detector);
+            converged = false;
+            continue 'run;
         }
         recovery.finish(fleet!(None::<usize>))?;
         break 'run (values, teardown);

@@ -133,12 +133,6 @@ impl GShards {
         self.num_shards
     }
 
-    /// The shard owning vertex `v`.
-    #[inline]
-    pub fn shard_of(&self, v: VertexId) -> u32 {
-        v / self.vertices_per_shard
-    }
-
     /// Vertex range `[a, b)` owned by shard `s` (clamped at `|V|`).
     pub fn vertex_range(&self, s: u32) -> std::ops::Range<u32> {
         let lo = s * self.vertices_per_shard;

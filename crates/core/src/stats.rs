@@ -68,7 +68,7 @@ pub struct SdcStats {
     pub flips_injected: u64,
     /// Corruptions caught by the checksum scrubber.
     pub checksum_detections: u32,
-    /// Corruptions caught by an algorithm invariant at a checkpoint.
+    /// Corruptions caught by an algorithm invariant (checkpoint or convergence).
     pub invariant_detections: u32,
     /// Rollbacks to a verified checkpoint.
     pub rollbacks: u32,

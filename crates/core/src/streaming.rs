@@ -26,7 +26,7 @@
 //! module holds its one-shot entry and configuration.
 
 use crate::engine::{try_run_cold, CuShaConfig, CuShaOutput, Placement};
-use crate::error::EngineError;
+use crate::error::{settle, EngineError};
 use crate::program::VertexProgram;
 use cusha_graph::Graph;
 
@@ -68,11 +68,7 @@ pub fn run_streamed<P: VertexProgram>(
     graph: &Graph,
     cfg: &StreamingConfig,
 ) -> CuShaOutput<P::V> {
-    match try_run_streamed(prog, graph, cfg) {
-        Ok(out) => out,
-        Err(EngineError::NonConverged { partial }) => *partial,
-        Err(e) => panic!("{e}"),
-    }
+    settle(try_run_streamed(prog, graph, cfg))
 }
 
 /// Executes `prog` over `graph` with the streamed engine, recovering from

@@ -38,7 +38,8 @@
 //! values and the activation flags are both in the blast radius), and the
 //! shard family's checksum/invariant → rollback → restart ladder
 //! (`integrity::Recovery`, here checkpointing the pending frontier beside the
-//! values) defends against silent corruption, its last rung the host oracle.
+//! values, and checking the law once more when the frontier empties) defends
+//! against silent corruption, its last rung the host oracle.
 
 use crate::compact::{block_warps, column};
 use crate::config::FrontierConfig;
@@ -47,7 +48,7 @@ use cusha_algos::reference::run_sequential;
 use cusha_core::integrity::{apply_flips, scrub, Ask, Detector, Recovery, Rung};
 use cusha_core::memsize::ValueSizes;
 use cusha_core::{
-    check_topology, fault_instant, CuShaOutput, DeviceRun, Direction, Engine, EngineCtx,
+    check_topology, fault_instant, settle, CuShaOutput, DeviceRun, Direction, Engine, EngineCtx,
     EngineError, FrontierStats, NoopObserver, RunObserver, VertexProgram,
 };
 use cusha_graph::{Graph, VertexId};
@@ -76,11 +77,7 @@ pub fn run_frontier<P: VertexProgram>(
     graph: &Graph,
     cfg: &FrontierConfig,
 ) -> FrontierOutput<P::V> {
-    match try_run_frontier(prog, graph, cfg) {
-        Ok(out) => out,
-        Err(EngineError::NonConverged { partial }) => *partial,
-        Err(e) => panic!("{e}"),
-    }
+    settle(try_run_frontier(prog, graph, cfg))
 }
 
 /// Builds the two-direction topology and runs to convergence, surfacing
@@ -273,6 +270,7 @@ fn frontier_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
                         *pending = (tags, list, frontier_len, frontier_edges);
                     }
                     Ask::Mark(name) => fault_instant(gpu, "sdc", name),
+                    Ask::Inspect(check) => check(values.host()),
                 }
                 Ok(())
             }
@@ -293,6 +291,7 @@ fn frontier_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
     }
 
     // ---- Convergence loop --------------------------------------------------
+    let law = |verified: &[P::V], now: &[P::V]| prog.check_invariant(verified, now);
     while run.stats.iterations < cfg.max_iterations {
         if frontier_len == 0 {
             converged = true;
@@ -551,11 +550,9 @@ fn frontier_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
             ]
         });
 
-        if frontier_len != 0 {
-            let law = |verified: &[P::V], now: &[P::V]| prog.check_invariant(verified, now);
-            if run.boundary(&mut recovery, law, state!())? {
-                recover!(Detector::Invariant);
-            }
+        // An empty frontier is the convergence exit, checked there once.
+        if run.boundary(&mut recovery, law, frontier_len == 0, state!())? {
+            recover!(Detector::Invariant);
         }
     }
     recovery.finish(|ask| state!()(&mut run.gpu, ask))?;

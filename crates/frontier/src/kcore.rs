@@ -233,6 +233,7 @@ fn kcore_attempt<O: RunObserver + ?Sized>(
                         *peel = (degs, alives, k, alive_count);
                     }
                     Ask::Mark(name) => fault_instant(gpu, "sdc", name),
+                    Ask::Inspect(check) => check(core.host()),
                 }
                 Ok(())
             }
@@ -369,7 +370,10 @@ fn kcore_attempt<O: RunObserver + ?Sized>(
             .counter(0, lanes::ENGINE, "frontier_size", round_ts, peel_len as f64);
         let seconds = gpu.total_seconds() - round_ts;
         run.iteration(round_ts, seconds, peel_len as u64, Vec::new);
-        if alive_count > 0 && run.boundary(&mut recovery, assigned_cores_stay, state!())? {
+        // Nothing alive is the convergence exit, left unchecked: the law lets
+        // a flipped core number of a vertex not yet peeled into every later
+        // checkpoint, so a break there would roll back onto the same flip.
+        if alive_count > 0 && run.boundary(&mut recovery, assigned_cores_stay, false, state!())? {
             recover!(Detector::Invariant);
         }
     }

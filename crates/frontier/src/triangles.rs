@@ -9,6 +9,8 @@
 //! adjacency lists; lanes run their merges in lockstep (two gathered loads
 //! per step), per-block sums land in a partials buffer, and the host folds
 //! the partials into the final count.
+//! One launch and no iteration boundary: no flip point ever comes due, so no
+//! bit flip can land and there is no ladder to climb.
 
 use crate::compact::block_warps;
 use crate::config::{FrontierConfig, U32_PER_VERTEX};
@@ -227,5 +229,21 @@ mod tests {
         assert_eq!(out.triangles, 1);
         assert_eq!(out.triangles, host_triangles(&g));
         assert!(out.stats.converged);
+    }
+
+    /// One launch, no flip point: a plan flipping every buffer at every flip
+    /// point lands nothing, and the count is the oracle's.
+    #[test]
+    fn no_flip_lands_in_a_single_launch() {
+        use cusha_graph::generators::rmat::{rmat, RmatConfig};
+        let g = rmat(&RmatConfig::graph500(8, 3000, 17));
+        let plan = cusha_simt::FaultPlan::seeded(3).with_bitflip_rate(1.0);
+        let cfg = FrontierConfig {
+            fault_plan: Some(plan),
+            ..FrontierConfig::new()
+        };
+        let out = try_run_triangles(&g, &cfg).expect("triangle count");
+        assert_eq!(out.triangles, host_triangles(&g));
+        assert_eq!(out.stats.sdc.flips_injected, 0);
     }
 }

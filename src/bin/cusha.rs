@@ -619,9 +619,9 @@ fn distance(v: &u32) -> String {
 impl Run<'_> {
     /// A vertex program on the `--engine` adapter. Every engine funnels
     /// through the same middleware entry point (`run_engine`): validation,
-    /// deadline enforcement, copy/kernel fault retries and the final
-    /// integrity scrub are applied in one place regardless of which engine
-    /// runs underneath.
+    /// deadline enforcement and copy/kernel fault retries are applied in one
+    /// place regardless of which engine runs underneath; `--integrity`
+    /// reaches each device engine's own recovery ladder.
     fn vertex<P: VertexProgram>(self, prog: &P, show: impl Fn(&P::V) -> String) -> Ran {
         let mut engine = self.args.engine.build::<P>(self.args);
         let cfg = &self.args.cfg;

@@ -76,6 +76,7 @@ const SAYS: &[(&str, &str, &str)] = &[
     ("fault/bitflips-traced", "trace-out", "\"name\":\"corruption-detected\""),
     ("fault/bitflips-traced", "trace-out", "\"name\":\"rollback\""),
     ("fault/bitflips-pagerank", "metrics-out", "\"sdc_rollbacks{algo=pagerank,engine=cw}\":2"),
+    ("fault/vwc-bitflips", "metrics-out", "\"sdc_rollbacks{algo=bfs,engine=vwc:8}\":2"),
     ("engine/frontier", "metrics-out", "\"schema\":\"cusha-metrics/v2\""),
     ("engine/frontier", "metrics-out", "frontier_switches"),
     // The paper's coalescing contrast (Table 2, Fig. 8) in roofline form:
@@ -108,6 +109,7 @@ const SAME: &[(&str, &str)] = &[
     ("fault/bitflips-pagerank", "artifact/output-pagerank"),
     ("engine/frontier", "engine/gs-bfs"),
     ("fault/frontier-bitflips", "engine/gs-bfs"),
+    ("fault/vwc-bitflips", "artifact/output"),
 ];
 
 struct Row {
@@ -238,6 +240,7 @@ fn parent_rows() -> Vec<Row> {
     ok("fault/frontier-bitflips", "--algo bfs --engine frontier --integrity full --inject-bitflips seed=13,rate=0.05,vv@0:0:20 --output @v.txt");
     ok("fault/bitflips-traced", "--algo bfs --integrity full --inject-bitflips seed=13,rate=0.05,vv@0:0:20 --output @v.txt --metrics-out @m.json --trace-out @t.json");
     ok("fault/bitflips-pagerank", "--algo pagerank --integrity full --inject-bitflips seed=7,rate=0.05 --checkpoint-every 2 --output @v.txt --metrics-out @m.json");
+    ok("fault/vwc-bitflips", "--algo bfs --engine vwc:8 --integrity full --inject-bitflips seed=13,rate=0.05,vv@0:0:20 --output @v.txt --metrics-out @m.json");
     rows.push(on_rmat(
         "fault/kernel-exhausted",
         "--algo bfs --inject kernel~CW:9",

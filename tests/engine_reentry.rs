@@ -262,7 +262,7 @@ fn fault_plan_advances_across_warm_runs() {
 /// `EngineCtx::fault_plan`'s contract, adapter by adapter: whatever an attempt
 /// consumed is written back through the slot, whether the attempt succeeded,
 /// recovered inside the engine or failed — or the middleware's next attempt
-/// (a retry, the final scrub's restart) re-fires it.
+/// (a retry) re-fires it.
 #[test]
 fn every_adapter_writes_the_advanced_plan_back() {
     let (g, prog, cfg) = (graph(), Sssp::new(4), CuShaConfig::cw());

@@ -7,10 +7,11 @@ use cusha::algos::{
     run_sequential, Bfs, CircuitSimulation, ConnectedComponents, HeatSimulation, MultiSourceBfs,
     NeuralNetwork, PageRank, Sssp, Sswp,
 };
+use cusha::baselines::{try_run_vwc, VwcConfig};
 use cusha::core::{
-    try_run, try_run_multi, try_run_placed, try_run_streamed, try_run_warm, CuShaConfig,
-    EngineError, FrontierStats, IntegrityConfig, IntegrityMode, MultiConfig, NoopObserver,
-    Placement, PreparedLayout, Repr, RunStats, StreamingConfig, Value, VertexProgram,
+    run_fallback, try_run, try_run_multi, try_run_placed, try_run_streamed, try_run_warm,
+    CuShaConfig, EngineError, FrontierStats, IntegrityConfig, IntegrityMode, MultiConfig,
+    NoopObserver, Placement, PreparedLayout, Repr, RunStats, StreamingConfig, Value, VertexProgram,
 };
 use cusha::frontier::{host_kcore, try_run_frontier, try_run_kcore, FrontierConfig};
 use cusha::graph::generators::lattice::lattice2d;
@@ -186,23 +187,64 @@ fn all_algorithms_recover_bit_identical() {
 }
 
 /// Invariant-only mode (no checksums) still catches flips that break an
-/// algorithm law — here a flip that knocks the BFS source off level 0.
+/// algorithm law — here a flip that knocks the BFS source off level 0 — at
+/// the next checkpoint or, with checkpoints farther apart than the run is
+/// long, at convergence: the in-core, streamed and fleet placements, the
+/// frontier engine and VWC-CSR each answer the clean run's values.
 #[test]
 fn invariant_mode_catches_law_breaking_flips() {
     let g = small_graph(99);
     let prog = Bfs::new(0);
     let clean = try_run(&prog, &g, &base_cfg(Repr::GShards)).expect("clean run");
 
-    let plan = FaultPlan::new().flip_at(2, FlipTarget::VertexValues, 0, 20);
-    let mut integ = IntegrityConfig::with_mode(IntegrityMode::Invariant);
-    integ.checkpoint_every = 1;
-    let cfg = base_cfg(Repr::GShards)
-        .with_fault_plan(plan)
-        .with_integrity(integ);
-    let out = try_run(&prog, &g, &cfg).expect("recovered run");
-    assert_eq!(out.values, clean.values);
-    assert!(out.stats.sdc.invariant_detections >= 1);
-    assert_eq!(out.stats.sdc.checksum_detections, 0);
+    let plan = || FaultPlan::new().flip_at(2, FlipTarget::VertexValues, 0, 20);
+    for checkpoint_every in [1, 1000] {
+        let integrity = IntegrityConfig {
+            checkpoint_every,
+            ..IntegrityConfig::with_mode(IntegrityMode::Invariant)
+        };
+        let cfg = base_cfg(Repr::GShards)
+            .with_fault_plan(plan())
+            .with_integrity(integrity);
+        let placed = |placement: Placement| {
+            let layout = PreparedLayout::for_program::<Bfs>(&g, &cfg, &placement).expect("layout");
+            try_run_placed(
+                &prog,
+                &g,
+                &layout,
+                &cfg,
+                &placement,
+                None,
+                &mut NoopObserver,
+            )
+        };
+        let frontier = FrontierConfig {
+            fault_plan: Some(plan()),
+            integrity,
+            ..FrontierConfig::new()
+        };
+        let vwc = VwcConfig {
+            integrity,
+            ..VwcConfig::new(8)
+        };
+        let runs = [
+            ("in-core", try_run(&prog, &g, &cfg)),
+            ("streamed", placed(Placement::streamed(1 << 14))),
+            ("fleet", placed(Placement::fleet(2))),
+            ("frontier", try_run_frontier(&prog, &g, &frontier)),
+            (
+                "vwc",
+                try_run_vwc(&prog, &g, &vwc, Some(&mut plan()), &mut NoopObserver),
+            ),
+        ];
+        for (engine, out) in runs {
+            let at = format!("{engine}, checkpoint every {checkpoint_every}");
+            let out = out.unwrap_or_else(|e| panic!("{at}: {e}"));
+            assert_eq!(out.values, clean.values, "{at}");
+            assert!(out.stats.sdc.invariant_detections >= 1, "{at}");
+            assert_eq!(out.stats.sdc.checksum_detections, 0, "{at}");
+        }
+    }
 }
 
 /// Mixed chaos: bit flips layered on top of the existing transient-fault
@@ -388,18 +430,38 @@ fn family_flips() -> FaultPlan {
         .fold(plan, |p, (op, t)| p.flip_at(op, t, 3 + op, 7))
 }
 
-/// What a run reports iteration by iteration: updated vertices, frontier
-/// sizes, directions and switches.
-fn trajectory(stats: &RunStats) -> (u32, Vec<u64>, FrontierStats) {
+/// What a run reports iteration by iteration: its updated vertices.
+fn detail(stats: &RunStats) -> (u32, Vec<u64>) {
     let updated = stats.per_iteration.iter().map(|it| it.updated_vertices);
-    let frontier = stats.frontier.clone().expect("frontier record");
-    (stats.iterations, updated.collect(), frontier)
+    (stats.iterations, updated.collect())
 }
 
-/// The frontier engine and k-core climb the shard family's ladder: a
-/// detection rolls back to a checkpoint, k-core's included, and the rollback
-/// rewinds everything the run reports — the recovered run's iteration record
-/// is the fault-free run's, with no re-executed iteration in it.
+/// What a frontier-family run reports iteration by iteration: updated
+/// vertices, frontier sizes, directions and switches.
+fn trajectory(stats: &RunStats) -> ((u32, Vec<u64>), FrontierStats) {
+    let frontier = stats.frontier.clone().expect("frontier record");
+    (detail(stats), frontier)
+}
+
+/// VWC-CSR/8 under `integrity`, with `plan`'s faults.
+fn vwc_defended<P: VertexProgram>(
+    prog: &P,
+    g: &Graph,
+    integrity: IntegrityConfig,
+    mut plan: FaultPlan,
+) -> cusha::core::CuShaOutput<P::V> {
+    let cfg = VwcConfig {
+        integrity,
+        ..VwcConfig::new(8)
+    };
+    try_run_vwc(prog, g, &cfg, Some(&mut plan), &mut NoopObserver).expect("VWC run")
+}
+
+/// The frontier engine, k-core and VWC-CSR climb the shard family's ladder:
+/// a detection rolls back to a checkpoint, k-core's included, and the
+/// rollback rewinds everything the run reports — the recovered run's
+/// iteration record is the fault-free run's, with no re-executed iteration
+/// in it.
 #[test]
 fn a_frontier_family_rollback_rewinds_what_the_run_reports() {
     let (road, g) = (lattice2d(24, 24, 0.9, 40, 5), small_graph(41));
@@ -417,6 +479,17 @@ fn a_frontier_family_rollback_rewinds_what_the_run_reports() {
     assert!(sdc.rollbacks >= 1 && sdc.full_restarts == 0, "{sdc:?}");
     assert!(sdc.checkpoints >= 2, "{sdc:?}");
     assert_eq!(trajectory(&out.stats), trajectory(&clean.stats));
+
+    let clean = vwc_defended(
+        &Sssp::new(0),
+        &road,
+        IntegrityConfig::default(),
+        FaultPlan::new(),
+    );
+    let out = vwc_defended(&Sssp::new(0), &road, cfg.integrity, family_flips());
+    assert_eq!(out.values, clean.values);
+    assert!(out.stats.sdc.rollbacks >= 2, "{:?}", out.stats.sdc);
+    assert_eq!(detail(&out.stats), detail(&clean.stats));
 }
 
 /// k-core's invariant: a core number, once assigned, never changes. A flip
@@ -474,8 +547,9 @@ fn frontier_family_sdc_marks_are_the_ladders() {
 }
 
 /// A checkpoint is a real download on every engine: with integrity on and no
-/// fault, the frontier engine and k-core answer what they answer with it off,
-/// and pay for their snapshots on the modeled clock (setup unchanged).
+/// fault, the frontier engine, k-core and VWC-CSR answer what they answer
+/// with it off, and pay for their snapshots on the modeled clock (setup
+/// unchanged).
 #[test]
 fn frontier_family_checkpoints_are_charged_transfers() {
     let g = small_graph(42);
@@ -502,10 +576,34 @@ fn frontier_family_checkpoints_are_charged_transfers() {
     assert_eq!((a.core, a.stats.iterations), (b.core, b.stats.iterations));
     assert!(b.stats.sdc.checkpoints >= 2, "{:?}", b.stats.sdc);
     assert!(b.stats.compute_seconds > a.stats.compute_seconds, "k-core");
+
+    let vwc =
+        |cfg: &FrontierConfig| vwc_defended(&PageRank::new(), &g, cfg.integrity, FaultPlan::new());
+    let (a, b) = (vwc(&off), vwc(&full));
+    assert_eq!(
+        (a.values, a.stats.iterations),
+        (b.values, b.stats.iterations)
+    );
+    assert!(b.stats.sdc.checkpoints >= 2, "{:?}", b.stats.sdc);
+    assert_eq!(a.stats.h2d_seconds, b.stats.h2d_seconds);
+    assert!(b.stats.compute_seconds > a.stats.compute_seconds, "VWC");
 }
 
-/// A frontier-family config is refused for what `IntegrityConfig::validate`
-/// refuses, as a shard-family config is.
+/// VWC-CSR's last rung is the shard family's host fallback: forced onto it,
+/// the run counts one host fallback and answers `run_fallback`'s values.
+#[test]
+fn the_vwc_ladder_ends_on_the_host_fallback() {
+    let g = small_graph(99);
+    let prog = PageRank::new();
+    let out = vwc_defended(&prog, &g, no_budgets(), first_boundary_flip());
+    let host = run_fallback(&prog, &g, &CuShaConfig::gs()).expect("host fallback");
+    assert_eq!(out.stats.sdc.host_fallbacks, 1);
+    assert!(out.stats.converged);
+    assert_eq!(bits(&out.values), bits(&host.values));
+}
+
+/// A frontier-family or VWC config is refused for what
+/// `IntegrityConfig::validate` refuses, as a shard-family config is.
 #[test]
 fn frontier_family_configs_validate_their_integrity() {
     let g = small_graph(43);
@@ -521,6 +619,12 @@ fn frontier_family_configs_validate_their_integrity() {
         matches!(refused, Err(EngineError::InvalidConfig(_))),
         "k-core"
     );
+    let vwc = VwcConfig {
+        integrity: cfg.integrity,
+        ..VwcConfig::new(8)
+    };
+    let refused = try_run_vwc(&Bfs::new(0), &g, &vwc, None, &mut NoopObserver);
+    assert!(matches!(refused, Err(EngineError::InvalidConfig(_))), "VWC");
 }
 
 /// Streamed engine: same chaos discipline, batched residency.
