@@ -31,11 +31,6 @@ impl MultiSourceBfs {
     pub fn source(&self, bit: usize) -> VertexId {
         self.sources[bit]
     }
-
-    /// Number of sources.
-    pub fn num_sources(&self) -> usize {
-        self.sources.len()
-    }
 }
 
 impl VertexProgram for MultiSourceBfs {

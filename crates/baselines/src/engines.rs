@@ -23,10 +23,6 @@ impl VwcEngine {
 }
 
 impl<P: VertexProgram> Engine<P> for VwcEngine {
-    fn label(&self) -> String {
-        format!("VWC-CSR/{}", self.virtual_warp)
-    }
-
     fn execute(
         &mut self,
         prog: &P,
@@ -60,10 +56,6 @@ impl MtcpuEngine {
 }
 
 impl<P: VertexProgram> Engine<P> for MtcpuEngine {
-    fn label(&self) -> String {
-        format!("MTCPU-CSR/{}", self.threads)
-    }
-
     fn execute(
         &mut self,
         prog: &P,
@@ -95,7 +87,7 @@ mod tests {
         ] {
             let out = run_engine(engine, &Bfs::new(0), &g, &cfg, None, &mut NoopObserver)
                 .expect("baseline under middleware");
-            assert_eq!(out.values, oracle, "{}", engine.label());
+            assert_eq!(out.values, oracle, "{}", out.stats.engine);
         }
     }
 

@@ -112,17 +112,14 @@ impl VwcConfig {
     /// each split into whole virtual warps — anything else would leave
     /// vertices no lane visits.
     pub fn validate(&self) -> Result<(), String> {
-        let limit = self.device.max_threads_per_block;
-        if self.threads_per_block == 0
-            || !self.threads_per_block.is_multiple_of(WARP as u32)
-            || self.threads_per_block > limit
-        {
+        if self.threads_per_block == 0 || !self.threads_per_block.is_multiple_of(WARP as u32) {
             return Err(format!(
                 "threads_per_block must be a nonzero multiple of the warp \
-                 width (32) within the device limit ({limit}), got {}",
+                 width (32), got {}",
                 self.threads_per_block
             ));
         }
+        self.device.check_block(self.threads_per_block, 0)?;
         if !crate::VIRTUAL_WARP_SIZES.contains(&self.virtual_warp) {
             return Err(format!(
                 "virtual_warp must be one of {:?}, got {}",
@@ -172,11 +169,18 @@ pub fn try_run_vwc<P: VertexProgram, O: RunObserver + ?Sized>(
     try_run_vwc_warm(prog, graph, &csr, cfg, fault_plan, observer)
 }
 
-/// What every entry asks before anything is built or uploaded.
+/// What every entry asks before anything is built or uploaded: the
+/// configuration, the CSR footprint, and a block's `outcome` array of one
+/// value per thread in shared memory.
 fn preflight<P: VertexProgram>(graph: &Graph, cfg: &VwcConfig) -> Result<(), EngineError<P::V>> {
     cfg.validate().map_err(EngineError::InvalidConfig)?;
     let (v, e) = (graph.num_vertices() as u64, graph.num_edges() as u64);
-    check_fits(v, e, ValueSizes::of::<P>(), None, &cfg.device)
+    let s = ValueSizes::of::<P>();
+    check_fits(v, e, s, None, &cfg.device)?;
+    let outcome = cfg.threads_per_block as u64 * s.vertex as u64;
+    cfg.device
+        .check_block(0, outcome)
+        .map_err(EngineError::InvalidConfig)
 }
 
 /// [`try_run_vwc`] over a caller-held in-edge CSR of `graph` — built once,

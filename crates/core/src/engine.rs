@@ -30,7 +30,7 @@ use crate::error::{check_topology, settle, EngineError};
 use crate::fallback::run_fallback_after;
 use crate::integrity::{IntegrityConfig, Stop};
 use crate::kernel::fault_instant;
-use crate::memsize::{check_fits, check_streams, ValueSizes};
+use crate::memsize::{check_fits, check_shard_block, check_streams, ValueSizes};
 use crate::multi::drive;
 use crate::program::VertexProgram;
 use crate::shards::GShards;
@@ -192,6 +192,7 @@ impl CuShaConfig {
                 self.threads_per_block
             ));
         }
+        self.device.check_block(self.threads_per_block, 0)?;
         if self.vertices_per_shard == Some(0) {
             return Err("vertices_per_shard must be nonzero when set".into());
         }
@@ -402,7 +403,6 @@ impl ReplayTables {
 pub struct PreparedLayout {
     repr: Repr,
     n_per: u32,
-    rev: Option<u64>,
     gs: Arc<GShards>,
     cw: Option<Arc<ConcatWindows>>,
     replay: ReplayTables,
@@ -417,7 +417,6 @@ impl PreparedLayout {
         PreparedLayout {
             repr,
             n_per,
-            rev: None,
             gs,
             cw,
             replay: ReplayTables::default(),
@@ -464,25 +463,6 @@ impl PreparedLayout {
             _ => check_streams(v, devices as u64, sizes, shards, device),
         }?;
         Ok(PreparedLayout::build(graph, cfg.repr, n_per))
-    }
-
-    /// Stamps the layout with the revision of the graph it was built from.
-    ///
-    /// Layouts are immutable snapshots of one graph revision; a caller
-    /// that mutates its graph (the resident service's live-mutation path)
-    /// stamps each layout at build time and checks
-    /// [`PreparedLayout::valid_for`] before every warm launch, so a layout
-    /// that outlived its revision is caught as a typed internal error
-    /// instead of silently answering from a superseded epoch.
-    pub fn stamp_rev(&mut self, rev: u64) {
-        self.rev = Some(rev);
-    }
-
-    /// Whether this layout may serve a graph at revision `rev`. Unstamped
-    /// layouts (one-shot engine paths that never mutate) accept any
-    /// revision.
-    pub fn valid_for(&self, rev: u64) -> bool {
-        self.rev.is_none_or(|r| r == rev)
     }
 
     /// The shard size the autotuner (or an explicit override in `cfg`)
@@ -654,6 +634,8 @@ pub fn try_run_placed<P: VertexProgram, O: RunObserver + ?Sized>(
         let why = format!("layout was built for {built}, config asks for {asked}");
         return Err(EngineError::InvalidConfig(why));
     }
+    let (v, sizes) = (graph.num_vertices() as u64, ValueSizes::of::<P>());
+    check_shard_block(v, layout.n_per, sizes, &cfg.device)?;
     let n = placement.devices();
     let resident = matches!(placement, Placement::Resident);
     let streamed = matches!(placement, Placement::Streamed { .. });

@@ -96,6 +96,10 @@ impl IntegrityMode {
     }
 }
 
+/// Verified snapshots a run's recovery retains (a ring buffer): the memory
+/// bound of a rollback target, whatever the run's length.
+pub const MAX_CHECKPOINTS: usize = 2;
+
 /// Integrity/recovery configuration carried by every engine config.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct IntegrityConfig {
@@ -104,8 +108,6 @@ pub struct IntegrityConfig {
     /// Snapshot the verified state every this-many iterations. Bounds the
     /// re-execution window of a rollback.
     pub checkpoint_every: u32,
-    /// Snapshots retained (ring buffer) — the memory bound.
-    pub max_checkpoints: usize,
     /// Rollbacks before escalating to a full restart. Counted per engine
     /// run (fleet-wide in the fleet).
     pub max_rollbacks: u32,
@@ -118,7 +120,6 @@ impl Default for IntegrityConfig {
         IntegrityConfig {
             mode: IntegrityMode::Off,
             checkpoint_every: 4,
-            max_checkpoints: 2,
             max_rollbacks: 8,
             max_full_restarts: 1,
         }
@@ -139,9 +140,6 @@ impl IntegrityConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.checkpoint_every == 0 {
             return Err("checkpoint_every must be at least 1".into());
-        }
-        if self.max_checkpoints == 0 {
-            return Err("max_checkpoints must be at least 1".into());
         }
         Ok(())
     }
@@ -276,7 +274,7 @@ pub struct Recovery<V, S = Vec<V>> {
     integ: IntegrityConfig,
     watchdog_interval: Option<u32>,
     initial: Checkpoint<V, S>,
-    /// Verified snapshots, newest last, at most `integ.max_checkpoints`.
+    /// Verified snapshots, newest last, at most [`MAX_CHECKPOINTS`].
     ring: VecDeque<Checkpoint<V, S>>,
     /// `(rollbacks, full restarts)` charged against the budgets.
     spent: (u32, u32),
@@ -318,10 +316,10 @@ impl<V: Value, S: Default> Recovery<V, S> {
     }
 
     /// Stores a verified snapshot as the rollback target, with the watchdog
-    /// fingerprints seen so far, dropping the oldest beyond `max_checkpoints`:
+    /// fingerprints seen so far, dropping the oldest beyond [`MAX_CHECKPOINTS`]:
     /// the memory held is bounded whatever the run's length.
     fn keep(&mut self, iteration: u32, values: Vec<V>, state: S) {
-        if self.ring.len() >= self.integ.max_checkpoints {
+        if self.ring.len() >= MAX_CHECKPOINTS {
             self.ring.pop_front();
         }
         let watchdog = self.watchdog_seen.clone();
@@ -554,17 +552,20 @@ mod tests {
 
     #[test]
     fn the_ring_holds_at_most_max_checkpoints_snapshots() {
-        let integ = IntegrityConfig {
-            max_checkpoints: 3,
-            ..IntegrityConfig::with_mode(IntegrityMode::Checksum)
-        };
+        let integ = IntegrityConfig::with_mode(IntegrityMode::Checksum);
         let mut sdc = SdcStats::default();
         let mut rec = Recovery::new(integ, None, &mut sdc, || (vec![0u32; 4], vec![0u32; 2]));
         for i in 1..=10u32 {
             rec.keep(i, vec![i; 4], vec![i; 2]);
-            assert!(rec.ring.len() <= 3, "bounded at max_checkpoints");
+            assert!(
+                rec.ring.len() <= MAX_CHECKPOINTS,
+                "bounded at MAX_CHECKPOINTS"
+            );
         }
-        assert_eq!((rec.ring.len(), latest(&rec).iteration), (3, 10));
+        assert_eq!(
+            (rec.ring.len(), latest(&rec).iteration),
+            (MAX_CHECKPOINTS, 10)
+        );
         // A full restart drops every snapshot: the initial state is the
         // rollback target again.
         let (mut iterations, mut per_iteration) = (10, Vec::new());
@@ -665,7 +666,6 @@ mod tests {
         c.checkpoint_every = 0;
         assert!(c.validate().is_err());
         c.checkpoint_every = 2;
-        c.max_checkpoints = 0;
-        assert!(c.validate().is_err());
+        assert!(c.validate().is_ok());
     }
 }

@@ -84,7 +84,8 @@ pub fn cw_bytes(v: u64, e: u64, num_shards: u64, s: ValueSizes) -> u64 {
 /// whose footprint exceeds the device's memory with the error its uploads
 /// would end in — G-Shards / CW at `(repr, vertices per shard)` when `shards`
 /// is given, CSR otherwise — before the host allocates the |V|- and p²-sized
-/// tables of that representation. A graph that fits is not touched.
+/// tables of that representation; then a shard size whose stage-1 array one
+/// block cannot hold. A graph that fits is not touched.
 pub fn check_fits<V>(
     v: u64,
     e: u64,
@@ -97,14 +98,15 @@ pub fn check_fits<V>(
         Some((Repr::GShards, n)) => gshards_bytes(v, e, v.div_ceil(n.max(1) as u64), s),
         Some((Repr::ConcatWindows, n)) => cw_bytes(v, e, v.div_ceil(n.max(1) as u64), s),
     };
-    refuse_over(requested_bytes, device)
+    refuse_over(requested_bytes, device)?;
+    shards.map_or(Ok(()), |(_, n)| check_shard_block(v, n, s, device))
 }
 
 /// The out-of-core engines' pre-flight (the fleet's, and with one device the
 /// streamed engine's): what streaming cannot shrink — a device's share of
 /// `VertexValues` plus the shard/window offset tables of the whole layout,
-/// the footprint at `e = 0` — must fit one device. Refused like
-/// [`check_fits`], before anything |V|- or p²-sized is built.
+/// the footprint at `e = 0` — must fit one device, and a shard one block.
+/// Refused like [`check_fits`], before anything |V|- or p²-sized is built.
 pub fn check_streams<V>(
     v: u64,
     devices: u64,
@@ -118,7 +120,23 @@ pub fn check_streams<V>(
         Repr::ConcatWindows => cw_bytes(0, 0, p, s),
     };
     let share = v.div_ceil(devices.max(1)) * s.vertex as u64;
-    refuse_over(tables.saturating_add(share), device)
+    refuse_over(tables.saturating_add(share), device)?;
+    check_shard_block(v, n, s, device)
+}
+
+/// Refuses a shard size whose stage-1 array — one shard's `min(|N|, |V|)`
+/// vertex values, in one block's shared memory — the device cannot hold, as
+/// the typed [`EngineError::InvalidConfig`] of a block it cannot launch.
+pub(crate) fn check_shard_block<V>(
+    v: u64,
+    n: u32,
+    s: ValueSizes,
+    device: &DeviceConfig,
+) -> Result<(), EngineError<V>> {
+    let stage1 = (n as u64).min(v) * s.vertex as u64;
+    device
+        .check_block(0, stage1)
+        .map_err(EngineError::InvalidConfig)
 }
 
 fn refuse_over<V>(requested_bytes: u64, device: &DeviceConfig) -> Result<(), EngineError<V>> {
@@ -269,7 +287,8 @@ mod tests {
             assert!(streams(100_000, 1, (repr, 6144)).is_ok(), "{repr:?}");
             // One edge to vertex four billion, in million-vertex shards: 16 GB
             // of values on one device, 8 GB each on two; sixty-four devices
-            // hold their 250 MB shares.
+            // hold their 250 MB shares, but no block holds a million-vertex
+            // shard's values (the memory check comes first).
             for devices in [1, 2] {
                 let refused = streams(4_000_000_001, devices, (repr, 1 << 20)).unwrap_err();
                 assert!(
@@ -278,9 +297,10 @@ mod tests {
                     "{refused}"
                 );
             }
+            let blocked = streams(4_000_000_001, 64, (repr, 1 << 20)).unwrap_err();
             assert!(
-                streams(4_000_000_001, 64, (repr, 1 << 20)).is_ok(),
-                "{repr:?}"
+                matches!(blocked, EngineError::InvalidConfig(_)),
+                "{blocked}"
             );
             // The p x p table is every device's, whatever its share: 1.7 TB
             // at the autotuner's shard size.

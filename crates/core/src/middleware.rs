@@ -52,9 +52,6 @@ pub struct EngineCtx<'a> {
 /// The cross-cutting behavior (validation, deadlines, retry) belongs to
 /// [`run_engine`], not to implementations.
 pub trait Engine<P: VertexProgram> {
-    /// Report label ("CuSha-GS", "Frontier", "VWC-CSR/8", ...).
-    fn label(&self) -> String;
-
     /// Whether the engine runs its own fault-recovery ladder (retries,
     /// rebatching, degradation). When `true` the middleware does not retry
     /// transient faults — an error surfacing from such an engine is already
@@ -183,10 +180,6 @@ impl ShardEngine {
 }
 
 impl<P: VertexProgram> Engine<P> for ShardEngine {
-    fn label(&self) -> String {
-        self.placement.label(self.repr)
-    }
-
     fn recovers_faults(&self) -> bool {
         !matches!(self.placement, Placement::Resident)
     }
@@ -245,7 +238,7 @@ mod tests {
         assert_eq!(inner.calls, 2);
     }
 
-    /// One function names an adapter and the runs it makes.
+    /// A shard adapter's runs report its placement's label.
     #[test]
     fn an_adapter_is_called_what_its_runs_report() {
         use crate::program::testing::MiniSssp;
@@ -259,12 +252,12 @@ mod tests {
                 Placement::fleet(4),
             ];
             for placement in placements {
+                let label = placement.label(repr);
                 let mut engine = ShardEngine { repr, placement };
-                let label = Engine::<MiniSssp>::label(&engine);
                 let cfg = CuShaConfig::new(repr);
                 let prog = MiniSssp { source: 0 };
                 let out = run_engine(&mut engine, &prog, &g, &cfg, None, &mut NoopObserver);
-                assert_eq!(label, out.unwrap().stats.engine);
+                assert_eq!(out.unwrap().stats.engine, label);
             }
         }
     }

@@ -140,6 +140,7 @@ impl FrontierConfig {
                 self.threads_per_block
             ));
         }
+        self.device.check_block(self.threads_per_block, 0)?;
         if self.max_iterations == 0 {
             return Err("max_iterations must be positive".into());
         }

@@ -608,10 +608,6 @@ impl FrontierEngine {
 }
 
 impl<P: VertexProgram> Engine<P> for FrontierEngine {
-    fn label(&self) -> String {
-        FRONTIER_LABEL.into()
-    }
-
     fn recovers_faults(&self) -> bool {
         // The rollback/restart/fallback ladder recovers silent corruption,
         // but transient copy/kernel faults surface — the middleware retries

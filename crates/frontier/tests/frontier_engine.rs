@@ -12,6 +12,7 @@ use cusha_core::{
 };
 use cusha_frontier::{
     run_frontier, try_run_frontier, FrontierConfig, FrontierEngine, PreparedFrontier,
+    FRONTIER_LABEL,
 };
 use cusha_graph::generators::rmat::{rmat, RmatConfig};
 use cusha_graph::{Edge, Graph};
@@ -266,9 +267,15 @@ fn tiny_and_degenerate_graphs() {
 
 #[test]
 fn engine_adapter_reports_label() {
-    let e = FrontierEngine::new();
-    assert_eq!(Engine::<Bfs>::label(&e), "Frontier");
+    // An adapter is called what its runs report: `RunStats::engine`.
+    let mut e = FrontierEngine::new();
     assert!(!Engine::<Bfs>::recovers_faults(&e));
+    let (g, cfg) = (test_graph(5), CuShaConfig::gs());
+    let out = run_engine(&mut e, &Bfs::new(0), &g, &cfg, None, &mut NoopObserver);
+    assert_eq!(
+        out.expect("frontier under middleware").stats.engine,
+        FRONTIER_LABEL
+    );
 }
 
 #[test]

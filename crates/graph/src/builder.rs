@@ -44,12 +44,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Pre-allocates space for `n` more edges.
-    pub fn with_edge_capacity(mut self, n: usize) -> Self {
-        self.edges.reserve(n);
-        self
-    }
-
     /// Appends one edge.
     pub fn add_edge(&mut self, src: VertexId, dst: VertexId, weight: u32) -> &mut Self {
         self.edges.push(Edge::new(src, dst, weight));

@@ -50,9 +50,7 @@ mod warm;
 pub use admission::{AdmissionQueue, ShedReason};
 pub use cache::{cache_key, CachedResult, ResultCache};
 pub use proto::{parse_json, parse_line, Json, MutateRequest, Query, QueryOp, Request};
-pub use service::{
-    graph_rev, run_session, RebuildPolicy, ServeConfig, ServeEngine, Service, WalConfig,
-};
+pub use service::{run_session, RebuildPolicy, ServeConfig, ServeEngine, Service, WalConfig};
 pub use telemetry::{
     QueryLog, QueryOutcome, QueryRecord, SloConfig, SloTracker, SlowQueryLog, Telemetry,
 };

@@ -35,7 +35,7 @@ use crate::cache::{cache_key, CachedResult, ResultCache};
 use crate::proto::{parse_line, Json, MutateRequest, Query, QueryOp, Request};
 use crate::telemetry::{QueryOutcome, QueryRecord, SloConfig, Telemetry};
 use crate::wal::{CrashPoint, CrashSpec, RecoveryStats, Wal, WalError, MODELED_FSYNC_S};
-use crate::warm::Warm;
+use crate::warm::{EngineConfig, Epoch};
 use cusha_algos::{
     extract_lane, Bfs, ConnectedComponents, FusedPair, MultiSourceBfs, PageRank, Sssp, Sswp,
     TraversalKind,
@@ -141,10 +141,6 @@ pub struct ServeConfig {
     pub trace: Tracer,
     /// Service-level objectives the telemetry layer burns budget against.
     pub slo: SloConfig,
-    /// Query-record ring-buffer capacity (overflow is counted).
-    pub query_log_capacity: usize,
-    /// Slow-query log capacity (top-N by latency).
-    pub slow_log_capacity: usize,
     /// What queries see between a committed mutation and the rebuild.
     pub rebuild_policy: RebuildPolicy,
     /// Durable write-ahead mutation log; `None` = mutations are
@@ -169,8 +165,6 @@ impl Default for ServeConfig {
             fault_plan: None,
             trace: Tracer::default(),
             slo: SloConfig::default(),
-            query_log_capacity: 1024,
-            slow_log_capacity: 16,
             rebuild_policy: RebuildPolicy::default(),
             wal: None,
         }
@@ -204,14 +198,6 @@ impl ServeConfig {
         }
         Ok(())
     }
-}
-
-/// Structural fingerprint of the loaded graph — the `graph_rev`
-/// component of cache keys. Delegates to [`cusha_graph::fingerprint`] so
-/// the service, the mutation layer and WAL recovery all revision a graph
-/// identically.
-pub fn graph_rev(graph: &Graph) -> u64 {
-    cusha_graph::fingerprint(graph)
 }
 
 /// Per-lane deadline tracking at iteration boundaries.
@@ -376,15 +362,6 @@ impl LaneMeta {
 /// A settled lane and the launch that settled it; `None` until then.
 type Slot = Option<(Settled, LaneMeta)>;
 
-/// One graph revision and everything prepared from it. The three travel
-/// together: prepared state answers only for the graph it was built from,
-/// and the revision is what cache keys and layout stamps pin.
-struct Epoch {
-    graph: Graph,
-    rev: u64,
-    warm: Warm,
-}
-
 /// An open rebuild window: from a committed mutation to the end of the next
 /// flush.
 #[derive(Default)]
@@ -413,6 +390,8 @@ fn serving_mut<'a>(live: &'a mut Epoch, window: &'a mut Option<Window>) -> &'a m
 /// zero or more response lines) or [`run_session`].
 pub struct Service {
     cfg: ServeConfig,
+    /// What every launch runs under, whichever epoch it runs on.
+    engine: EngineConfig,
     /// The newest epoch: the one mutations land on.
     live: Epoch,
     /// Mutation epoch number: 0 at load (or the recovered epoch when a WAL
@@ -446,7 +425,7 @@ impl Service {
     pub fn new(graph: Graph, cfg: ServeConfig) -> Result<Self, String> {
         cfg.validate()?;
         graph.validate().map_err(|e| e.to_string())?;
-        let warm = Warm::new(&cfg)?;
+        let engine = EngineConfig::new(&cfg)?;
         cfg.trace.name_lane(0, lanes::SERVE, "service");
         cfg.trace.name_lane(0, lanes::MUTATE, "mutate");
         let (graph, epoch, wal, recovery) = match &cfg.wal {
@@ -471,10 +450,9 @@ impl Service {
                 (recovered, epoch, Some(wal), Some(rs))
             }
         };
-        let rev = graph_rev(&graph);
         let cache = ResultCache::new(cfg.cache_capacity);
         let queue = AdmissionQueue::new(cfg.queue_capacity);
-        let telemetry = Telemetry::new(cfg.query_log_capacity, cfg.slow_log_capacity, cfg.slo);
+        let telemetry = Telemetry::new(cfg.slo);
         let mut metrics = MetricsRegistry::new();
         metrics.set_gauge("serve_epoch", &[], epoch as f64);
         if let Some(rs) = &recovery {
@@ -483,7 +461,8 @@ impl Service {
         }
         Ok(Service {
             cfg,
-            live: Epoch { graph, rev, warm },
+            engine,
+            live: Epoch::new(graph),
             epoch,
             window: None,
             wal,
@@ -501,7 +480,7 @@ impl Service {
 
     /// The loaded graph's structural fingerprint.
     pub fn graph_rev(&self) -> u64 {
-        self.live.rev
+        self.live.rev()
     }
 
     /// The mutation epoch (0 at load, +1 per committed batch; recovered
@@ -610,12 +589,12 @@ impl Service {
         // newest epoch, even mid-window — and never grow it past what the
         // device holds for the widest served program: refused here, nothing
         // has been logged yet.
-        let graph = &self.live.graph;
+        let graph = self.live.graph();
         let admissible = m.batch.validate(graph).map_err(|e| e.to_string());
         let admissible = admissible.and_then(|delta| {
             let v = graph.num_vertices() as u64 + delta.grew_vertices as u64;
             let e = graph.num_edges() as u64 + delta.inserted as u64 - delta.deleted as u64;
-            let key = self.live.warm.admit(v, e, ValueSizes::of::<FusedPair>());
+            let key = self.engine.admit(v, e, ValueSizes::of::<FusedPair>());
             key.map_err(|e| e.to_string())
         });
         if let Err(why) = admissible {
@@ -646,13 +625,18 @@ impl Service {
                 }
             }
         }
-        // Committed. The first batch of a serve-previous window keeps the
-        // pre-mutation graph serving.
-        let opens_serving_window =
-            self.cfg.rebuild_policy == RebuildPolicy::ServePrevious && self.window.is_none();
-        let snapshot = opens_serving_window.then(|| self.live.graph.clone());
-        let delta = match m.batch.apply(&mut self.live.graph) {
-            Ok(d) => d,
+        // Committed. Whatever is warm now is what the window close rebuilds,
+        // once, however many batches the window covers. The first batch of a
+        // serve-previous window keeps the pre-mutation epoch serving, on the
+        // layouts it has; otherwise the superseded layouts go before the new
+        // ones are built.
+        let serve_previous = self.cfg.rebuild_policy == RebuildPolicy::ServePrevious;
+        let (old_rev, warm_keys) = (self.live.rev(), self.live.warm_keys().collect::<Vec<_>>());
+        let (delta, superseded) = match self
+            .live
+            .apply(&m.batch, serve_previous && self.window.is_none())
+        {
+            Ok(applied) => applied,
             Err(e) => {
                 // Unreachable (validated above, and a refused batch leaves
                 // the graph untouched) — report a typed internal error
@@ -663,33 +647,21 @@ impl Service {
             }
         };
         self.epoch = next_epoch;
-        let old_rev = std::mem::replace(&mut self.live.rev, graph_rev(&self.live.graph));
-        // Whatever is warm now is what the window close rebuilds, once,
-        // however many batches the window covers.
         let window = self.window.get_or_insert_with(Window::default);
-        window.warm_keys.extend(self.live.warm.keys());
+        window.warm_keys.extend(warm_keys);
         if let Some(prev) = &window.prev {
-            window.warm_keys.extend(prev.warm.keys());
+            window.warm_keys.extend(prev.warm_keys());
         }
-        match (self.cfg.rebuild_policy, snapshot) {
-            // The pre-mutation epoch keeps serving, on the layouts it has.
-            (RebuildPolicy::ServePrevious, Some(graph)) => {
-                let (rev, warm) = (old_rev, self.live.warm.take());
-                window.prev = Some(Epoch { graph, rev, warm });
-            }
-            // A later batch of the same window: it keeps its snapshot.
-            (RebuildPolicy::ServePrevious, None) => {}
-            // Shed serves nothing in the window: the superseded layouts go
-            // before the new ones are built, and their revision's cache
-            // entries with them.
-            (RebuildPolicy::Shed, _) => {
-                drop(self.live.warm.take());
-                self.invalidate(old_rev);
-            }
+        if superseded.is_some() {
+            window.prev = superseded;
+        } else if !serve_previous {
+            // Shed serves nothing in the window: the superseded revision's
+            // cache entries go with its layouts.
+            self.invalidate(old_rev);
         }
         if let Some(wal) = self.wal.as_mut() {
             let syncs_before = wal.stats().syncs;
-            let noted = wal.note_applied(&self.live.graph, self.epoch);
+            let noted = wal.note_applied(self.live.graph(), self.epoch);
             self.clock += (wal.stats().syncs - syncs_before) as f64 * MODELED_FSYNC_S;
             match noted {
                 Ok(true) => self.metrics.add("serve_wal_snapshots_total", &[], 1),
@@ -723,7 +695,7 @@ impl Service {
             o.str("op", "mutate")
                 .str("status", "ok")
                 .plain("epoch", self.epoch)
-                .hex64("graph_rev", self.live.rev)
+                .hex64("graph_rev", self.live.rev())
                 .plain("inserted", delta.inserted)
                 .plain("deleted", delta.deleted)
                 .plain("grew_vertices", delta.grew_vertices);
@@ -856,7 +828,7 @@ impl Service {
     }
 
     fn validate_query(&self, op: &QueryOp) -> Option<ShedReason> {
-        let n = self.serving().graph.num_vertices();
+        let n = self.serving().graph().num_vertices();
         match op {
             QueryOp::Traversal { source, .. } => (*source >= n).then_some(ShedReason::BadSource),
             QueryOp::Reach { sources } => {
@@ -873,7 +845,7 @@ impl Service {
     }
 
     fn query_key(&self, op: &QueryOp) -> String {
-        let rev = self.serving().rev;
+        let rev = self.serving().rev();
         let integ = self.cfg.integrity.mode.label();
         match op {
             QueryOp::Traversal { kind, source } => cache_key(rev, kind.label(), &[*source], integ),
@@ -904,11 +876,10 @@ impl Service {
         // window served: nothing was ever keyed on the revisions between it
         // and the live one. Its layouts go before the new ones are built.
         if let Some(prev) = window.prev {
-            self.invalidate(prev.rev);
+            self.invalidate(prev.rev());
         }
         for &key in &window.warm_keys {
-            let live = &mut self.live;
-            live.warm.ensure(key, &live.graph, live.rev);
+            self.live.ensure(&self.engine, key);
         }
         if !window.warm_keys.is_empty() {
             let rebuilt = window.warm_keys.len() as u64;
@@ -983,8 +954,8 @@ impl Service {
     ) -> (Outcome<P::V>, LaneMeta) {
         let epoch = serving_mut(&mut self.live, &mut self.window);
         let launch_start = self.clock;
-        let (v, e) = (epoch.graph.num_vertices(), epoch.graph.num_edges());
-        let key = match epoch.warm.admit(v as u64, e as u64, ValueSizes::of::<P>()) {
+        let (v, e) = (epoch.graph().num_vertices(), epoch.graph().num_edges());
+        let key = match self.engine.admit(v as u64, e as u64, ValueSizes::of::<P>()) {
             Ok(key) => key,
             // A graph the device cannot hold launches nothing.
             Err(e) => {
@@ -993,7 +964,7 @@ impl Service {
                 return (Outcome::Typed { kind, detail }, no_launch);
             }
         };
-        let warm = epoch.warm.ensure(key, &epoch.graph, epoch.rev);
+        let (ready, warm) = epoch.ensure(&self.engine, key);
         self.metrics.add("serve_batches_total", &[], 1);
         let batch_id = self
             .metrics
@@ -1010,19 +981,8 @@ impl Service {
                 deadline_s: deadlines.to_vec(),
                 expired: vec![None; deadlines.len()],
             };
-            let plan = self.cfg.fault_plan.as_mut();
-            let ran = epoch
-                .warm
-                .run(key, prog, &epoch.graph, epoch.rev, plan, &mut observer);
-            match ran {
-                Err(detail) => {
-                    self.metrics.add("serve_internal_errors_total", &[], 1);
-                    break 'run Outcome::Typed {
-                        kind: "internal",
-                        detail,
-                    };
-                }
-                Ok(Ok(out)) => {
+            match ready.run(prog, self.cfg.fault_plan.as_mut(), &mut observer) {
+                Ok(out) => {
                     let (stats, scope) = (&out.stats, [("scope", "serve")]);
                     self.clock += stats.total_seconds();
                     self.metrics
@@ -1034,10 +994,10 @@ impl Service {
                         expired: observer.expired,
                     };
                 }
-                Ok(Err(EngineError::Deadline {
+                Err(EngineError::Deadline {
                     iterations,
                     elapsed_seconds,
-                })) => {
+                }) => {
                     self.clock += elapsed_seconds;
                     break 'run Outcome::AllExpired {
                         expired: observer
@@ -1047,11 +1007,11 @@ impl Service {
                             .collect(),
                     };
                 }
-                Ok(Err(
+                Err(
                     e @ (EngineError::CopyFault { .. }
                     | EngineError::KernelFault { .. }
                     | EngineError::DeviceOom { .. }),
-                )) => {
+                ) => {
                     if attempt >= self.cfg.max_retries {
                         break 'run Outcome::FaultExhausted {
                             detail: e.to_string(),
@@ -1070,7 +1030,7 @@ impl Service {
                         &format!("serve: retrying {} after fault: {e}", prog.name()),
                     );
                 }
-                Ok(Err(e)) => {
+                Err(e) => {
                     break 'run Outcome::Typed {
                         kind: e.kind(),
                         detail: e.to_string(),
@@ -1094,7 +1054,7 @@ impl Service {
     /// cache entries stay (their keys pin the graph revision and they were
     /// settled before the fault).
     fn scrub(&mut self) {
-        serving_mut(&mut self.live, &mut self.window).warm.take();
+        serving_mut(&mut self.live, &mut self.window).scrub();
         self.metrics.add("serve_scrubs_total", &[], 1);
         self.cfg
             .trace
@@ -1261,7 +1221,7 @@ impl Service {
         obj_line(|o| {
             o.str("status", "stats")
                 .plain("epoch", self.epoch)
-                .hex64("graph_rev", self.live.rev)
+                .hex64("graph_rev", self.live.rev())
                 .plain("rebuilding", self.window.is_some())
                 .plain("queue_depth", self.queue.depth())
                 .plain("admitted", self.queue.admitted_total())

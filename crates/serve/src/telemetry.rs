@@ -292,6 +292,11 @@ impl SlowQueryLog {
     }
 }
 
+/// Query records the service's ring buffer keeps (overflow is counted).
+pub const QUERY_LOG_CAPACITY: usize = 1024;
+/// Queries the service's slow log keeps (top-N by latency).
+pub const SLOW_LOG_CAPACITY: usize = 16;
+
 /// The service's telemetry bundle: ring buffer, SLO window, slow log.
 #[derive(Debug)]
 pub struct Telemetry {
@@ -305,11 +310,11 @@ pub struct Telemetry {
 
 impl Telemetry {
     /// Builds the bundle.
-    pub fn new(query_log_capacity: usize, slow_log_capacity: usize, slo: SloConfig) -> Self {
+    pub fn new(slo: SloConfig) -> Self {
         Telemetry {
-            log: QueryLog::new(query_log_capacity),
+            log: QueryLog::new(QUERY_LOG_CAPACITY),
             slo: SloTracker::new(slo),
-            slow: SlowQueryLog::new(slow_log_capacity),
+            slow: SlowQueryLog::new(SLOW_LOG_CAPACITY),
         }
     }
 

@@ -1,8 +1,12 @@
-//! The warm prepared state of one graph revision, and the one place the
-//! service branches on its engine family: is there prepared state for this
-//! program, build it, run on it, drop it, which of it is warm. Either
-//! family files a piece of prepared state under a `u32` key, so the rebuild
-//! window can remember "what was warm" without knowing the family.
+//! One graph revision and the warm state prepared from it, and the one place
+//! the service branches on its engine family. An [`Epoch`] owns its graph,
+//! that graph's revision and what was prepared from it: it builds the state
+//! a launch runs on ([`Epoch::ensure`]), hands it back with the graph it was
+//! built from ([`Ready`]), and changes its graph only while handing the old
+//! state over ([`Epoch::apply`]) — so no prepared state ever meets another
+//! revision's graph. Either family files a piece of prepared state under a
+//! `u32` key, so the rebuild window can remember "what was warm" without
+//! knowing the family.
 
 use crate::service::{ServeConfig, ServeEngine};
 use cusha_core::memsize::{check_fits, ValueSizes};
@@ -10,32 +14,23 @@ use cusha_core::{
     try_run_warm, CuShaConfig, CuShaOutput, EngineError, PreparedLayout, RunObserver, VertexProgram,
 };
 use cusha_frontier::{try_run_frontier_warm, FrontierConfig, PreparedFrontier};
-use cusha_graph::Graph;
+use cusha_graph::{fingerprint, Graph, MutationBatch, MutationDelta, MutationError};
 use cusha_simt::FaultPlan;
 use std::collections::HashMap;
 
-/// What one engine run returns, whichever family ran it.
-pub(crate) type RunResult<V> = Result<CuShaOutput<V>, EngineError<V>>;
-
-/// Warm engine state plus the engine configuration every launch runs under
-/// (derived from the [`ServeConfig`] once, not per launch).
-pub(crate) enum Warm {
+/// The engine configuration every launch runs under, derived from the
+/// [`ServeConfig`] once, by `Service::new`.
+pub(crate) enum EngineConfig {
     /// CuSha shard engine: layouts by shard size (the autotuner picks one
-    /// per vertex-value width), each stamped with its graph's revision.
-    Shard {
-        cfg: CuShaConfig,
-        layouts: HashMap<u32, PreparedLayout>,
-    },
+    /// per vertex-value width).
+    Shard(CuShaConfig),
     /// Frontier engine: one topology (key 0) shared by every program.
-    Frontier {
-        cfg: FrontierConfig,
-        topology: Option<PreparedFrontier>,
-    },
+    Frontier(FrontierConfig),
 }
 
-impl Warm {
-    /// Nothing warm yet. Rejects a configuration the engines would refuse
-    /// at the first launch.
+impl EngineConfig {
+    /// Derives the family's configuration. Rejects one the engines would
+    /// refuse at the first launch.
     pub(crate) fn new(cfg: &ServeConfig) -> Result<Self, String> {
         let mut c = CuShaConfig::new(cfg.repr);
         c.vertices_per_shard = cfg.vertices_per_shard;
@@ -46,14 +41,8 @@ impl Warm {
         c.trace = cfg.trace.clone();
         c.validate()?;
         Ok(match cfg.engine {
-            ServeEngine::Shard => Warm::Shard {
-                cfg: c,
-                layouts: HashMap::new(),
-            },
-            ServeEngine::Frontier => Warm::Frontier {
-                cfg: FrontierConfig::from_cusha(&c),
-                topology: None,
-            },
+            ServeEngine::Shard => EngineConfig::Shard(c),
+            ServeEngine::Frontier => EngineConfig::Frontier(FrontierConfig::from_cusha(&c)),
         })
     }
 
@@ -63,92 +52,128 @@ impl Warm {
     /// state, and before a mutation commits to growing the graph.
     pub(crate) fn admit(&self, v: u64, e: u64, s: ValueSizes) -> Result<u32, EngineError<()>> {
         let (shards, device) = match self {
-            Warm::Shard { cfg, .. } => {
-                let n_per = cfg.n_per_for(v, e, s.vertex);
-                (Some((cfg.repr, n_per)), &cfg.device)
+            EngineConfig::Shard(cfg) => {
+                (Some((cfg.repr, cfg.n_per_for(v, e, s.vertex))), &cfg.device)
             }
-            Warm::Frontier { cfg, .. } => (None, &cfg.device),
+            EngineConfig::Frontier(cfg) => (None, &cfg.device),
         };
         check_fits(v, e, s, shards, device)?;
         Ok(shards.map_or(0, |(_, n_per)| n_per))
     }
+}
 
-    /// Every key with prepared state.
-    pub(crate) fn keys(&self) -> Vec<u32> {
-        match self {
-            Warm::Shard { layouts, .. } => layouts.keys().copied().collect(),
-            Warm::Frontier { topology, .. } => topology.iter().map(|_| 0).collect(),
-        }
-    }
+/// What was prepared from one graph: nothing at first, built on demand.
+#[derive(Default)]
+pub(crate) struct Warm {
+    layouts: HashMap<u32, PreparedLayout>,
+    topology: Option<PreparedFrontier>,
+}
 
-    /// Makes sure prepared state exists under `key`, building it from
-    /// `graph` at revision `rev` if not; returns whether it was warm already.
-    pub(crate) fn ensure(&mut self, key: u32, graph: &Graph, rev: u64) -> bool {
-        match self {
-            Warm::Shard { cfg, layouts } => {
-                let warm = layouts.contains_key(&key);
-                layouts.entry(key).or_insert_with(|| {
-                    let mut layout = PreparedLayout::build(graph, cfg.repr, key);
-                    layout.stamp_rev(rev);
-                    layout
-                });
-                warm
-            }
-            Warm::Frontier { topology, .. } => {
-                let warm = topology.is_some();
-                topology.get_or_insert_with(|| PreparedFrontier::build(graph));
-                warm
-            }
-        }
-    }
+/// An epoch's prepared state for one launch, with the graph it was built
+/// from and the configuration it runs under: what [`Epoch::ensure`] returns.
+pub(crate) enum Ready<'a> {
+    /// The graph, a layout built from it, the shard engine's configuration.
+    Shard(&'a Graph, &'a PreparedLayout, &'a CuShaConfig),
+    /// The graph, its topology, the frontier engine's configuration.
+    Frontier(&'a Graph, &'a PreparedFrontier, &'a FrontierConfig),
+}
 
-    /// Moves the prepared state out, leaving nothing warm behind (dropping
-    /// the result is a scrub: it is rebuilt on demand).
-    pub(crate) fn take(&mut self) -> Warm {
-        match self {
-            Warm::Shard { cfg, layouts } => Warm::Shard {
-                cfg: cfg.clone(),
-                layouts: std::mem::take(layouts),
-            },
-            Warm::Frontier { cfg, topology } => Warm::Frontier {
-                cfg: cfg.clone(),
-                topology: topology.take(),
-            },
-        }
-    }
-
-    /// One engine run of `prog` on the prepared state under `key`. The
-    /// caller's `plan` is installed for the run and its advanced state
-    /// written back on every exit path. The outer `Err` is an internal bug
-    /// — prepared state missing, or stamped for a revision other than the
-    /// `rev` being served — reported as its detail text so the service can
-    /// fail that one launch typed instead of panicking.
+impl Ready<'_> {
+    /// One engine run of `prog`. The caller's `plan` is installed for the
+    /// run and its advanced state written back on every exit path.
     pub(crate) fn run<P: VertexProgram, O: RunObserver>(
         &self,
-        key: u32,
         prog: &P,
-        graph: &Graph,
-        rev: u64,
         plan: Option<&mut FaultPlan>,
         observer: &mut O,
-    ) -> Result<RunResult<P::V>, String> {
-        match self {
-            Warm::Shard { cfg, layouts } => match layouts.get(&key) {
-                Some(layout) if layout.valid_for(rev) => {
-                    Ok(try_run_warm(prog, graph, layout, cfg, plan, observer))
-                }
-                Some(_) => Err(format!(
-                    "prepared layout for shard size {key} is stamped for a superseded graph \
-                     revision"
-                )),
-                None => Err(format!(
-                    "prepared layout for shard size {key} missing after build"
-                )),
-            },
-            Warm::Frontier { cfg, topology } => match topology {
-                Some(pf) => Ok(try_run_frontier_warm(prog, graph, pf, cfg, plan, observer)),
-                None => Err("prepared frontier topology missing after build".into()),
-            },
+    ) -> Result<CuShaOutput<P::V>, EngineError<P::V>> {
+        match *self {
+            Ready::Shard(graph, layout, cfg) => {
+                try_run_warm(prog, graph, layout, cfg, plan, observer)
+            }
+            Ready::Frontier(graph, pf, cfg) => {
+                try_run_frontier_warm(prog, graph, pf, cfg, plan, observer)
+            }
         }
+    }
+}
+
+/// One graph revision and everything prepared from it. The graph changes
+/// only through [`Epoch::apply`], which hands over what was prepared from
+/// it in the same step: prepared state answers only for the graph it was
+/// built from, and the revision is what cache keys pin.
+pub(crate) struct Epoch {
+    graph: Graph,
+    rev: u64,
+    warm: Warm,
+}
+
+impl Epoch {
+    /// `graph` at its revision, nothing prepared yet.
+    pub(crate) fn new(graph: Graph) -> Self {
+        let (rev, warm) = (fingerprint(&graph), Warm::default());
+        Epoch { graph, rev, warm }
+    }
+
+    /// The graph this epoch serves.
+    pub(crate) fn graph(&self) -> &Graph {
+        &self.graph
+    }
+
+    /// The graph's structural fingerprint.
+    pub(crate) fn rev(&self) -> u64 {
+        self.rev
+    }
+
+    /// Every key with prepared state.
+    pub(crate) fn warm_keys(&self) -> impl Iterator<Item = u32> + '_ {
+        let topology = self.warm.topology.iter().map(|_| 0);
+        self.warm.layouts.keys().copied().chain(topology)
+    }
+
+    /// The prepared state under `key`, built from this epoch's graph if
+    /// there was none, and whether it was warm already.
+    pub(crate) fn ensure<'a>(
+        &'a mut self,
+        engine: &'a EngineConfig,
+        key: u32,
+    ) -> (Ready<'a>, bool) {
+        let (graph, warm) = (&self.graph, &mut self.warm);
+        match engine {
+            EngineConfig::Shard(cfg) => {
+                let was_warm = warm.layouts.contains_key(&key);
+                let build = || PreparedLayout::build(graph, cfg.repr, key);
+                let layout = warm.layouts.entry(key).or_insert_with(build);
+                (Ready::Shard(graph, layout, cfg), was_warm)
+            }
+            EngineConfig::Frontier(cfg) => {
+                let was_warm = warm.topology.is_some();
+                let build = || PreparedFrontier::build(graph);
+                let topology = warm.topology.get_or_insert_with(build);
+                (Ready::Frontier(graph, topology, cfg), was_warm)
+            }
+        }
+    }
+
+    /// Drops everything prepared (a scrub): it is rebuilt on demand.
+    pub(crate) fn scrub(&mut self) {
+        self.warm = Warm::default();
+    }
+
+    /// Applies `batch` to the graph and re-fingerprints it, handing over what
+    /// was prepared from the superseded revision: as an epoch of its own (a
+    /// copy of the old graph, its revision and state) when `keep` asks for
+    /// one to go on serving, dropped otherwise. A refused batch changes
+    /// nothing.
+    pub(crate) fn apply(
+        &mut self,
+        batch: &MutationBatch,
+        keep: bool,
+    ) -> Result<(MutationDelta, Option<Epoch>), MutationError> {
+        let graph = keep.then(|| self.graph.clone());
+        let delta = batch.apply(&mut self.graph)?;
+        let rev = std::mem::replace(&mut self.rev, fingerprint(&self.graph));
+        let warm = std::mem::take(&mut self.warm);
+        Ok((delta, graph.map(|graph| Epoch { graph, rev, warm })))
     }
 }

@@ -104,11 +104,9 @@ impl<'cfg> Block<'cfg> {
         memo: &'cfg mut CoalesceMemo,
         replay: &'cfg mut ReplayMemo,
     ) -> Self {
-        assert!(
-            threads > 0 && threads <= cfg.max_threads_per_block,
-            "block of {threads} threads exceeds device limit {}",
-            cfg.max_threads_per_block
-        );
+        assert!(threads > 0, "a block has at least one thread");
+        cfg.check_block(threads, 0)
+            .unwrap_or_else(|e| panic!("{e}"));
         Block {
             id,
             threads,
@@ -155,17 +153,13 @@ impl<'cfg> Block<'cfg> {
     /// # Panics
     /// Panics if the block's total shared usage would exceed the per-SM
     /// shared memory (a kernel that over-subscribes shared memory fails to
-    /// launch on real hardware).
+    /// launch on real hardware); the engines' pre-flights refuse such a
+    /// block first, through [`DeviceConfig::check_block`].
     pub fn shared_alloc<T: Pod>(&mut self, len: usize) -> SharedVec<T> {
         let base = self.shared_cursor;
-        let bytes = len as u64 * T::SIZE as u64;
-        self.shared_cursor += bytes;
-        assert!(
-            self.shared_cursor <= self.cfg.shared_mem_per_sm as u64,
-            "block shared memory {}B exceeds SM capacity {}B",
-            self.shared_cursor,
-            self.cfg.shared_mem_per_sm
-        );
+        self.shared_cursor += len as u64 * T::SIZE as u64;
+        let fits = self.cfg.check_block(self.threads, self.shared_cursor);
+        fits.unwrap_or_else(|e| panic!("{e}"));
         SharedVec::recycled(len, base)
     }
 

@@ -127,6 +127,24 @@ impl DeviceConfig {
         }
     }
 
+    /// Refuses a block of `threads` threads holding `shared_bytes` of shared
+    /// memory that this device cannot launch: the two per-block limits, in
+    /// one place (pass 0 to ask about the other alone).
+    pub fn check_block(&self, threads: u32, shared_bytes: u64) -> Result<(), String> {
+        let (limit, sm) = (self.max_threads_per_block, self.shared_mem_per_sm);
+        if threads > limit {
+            return Err(format!(
+                "threads_per_block {threads} exceeds device limit {limit}"
+            ));
+        }
+        if shared_bytes > sm as u64 {
+            return Err(format!(
+                "block shared memory {shared_bytes}B exceeds SM capacity {sm}B"
+            ));
+        }
+        Ok(())
+    }
+
     /// Seconds taken by a host↔device copy of `bytes` bytes.
     pub fn transfer_seconds(&self, bytes: u64) -> f64 {
         self.pcie_latency_us * 1e-6 + bytes as f64 / (self.pcie_bandwidth_gbps * 1e9)

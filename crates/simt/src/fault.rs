@@ -262,13 +262,6 @@ impl FaultPlan {
         }
     }
 
-    /// Sets the random-fault seed without clearing any scheduled faults —
-    /// the merge point for CLIs that collect specs from several flags.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = Some(seed);
-        self
-    }
-
     /// The configured random-fault seed, if any.
     pub fn seed(&self) -> Option<u64> {
         self.seed
@@ -409,12 +402,6 @@ impl FaultPlan {
     /// Random d2h-copy fault probability per operation (seeded mode).
     pub fn with_d2h_rate(mut self, rate: f64) -> Self {
         self.d2h_rate = rate;
-        self
-    }
-
-    /// Random allocation fault probability per operation (seeded mode).
-    pub fn with_alloc_rate(mut self, rate: f64) -> Self {
-        self.alloc_rate = rate;
         self
     }
 

@@ -631,6 +631,14 @@ fn defect_rows() -> Vec<Row> {
             "--algo bfs --rmat 8:600 --engine cw --devices 4000000000",
             "--devices",
         ),
+        // Panicked (101) in `Block::shared_alloc` until a shard size whose
+        // stage-1 array no block can hold became a pre-flight refusal
+        // (`memsize::check_shard_block`).
+        named(
+            "defect/shard-size-over-shared",
+            "--algo bfs --rmat 14:50000 --shard-size 16384",
+            "engine error [invalid-config]",
+        ),
         named(
             "defect/serve-growth",
             "serve --rmat 8:600 --script @growth.txt",
@@ -827,6 +835,7 @@ fn closed_defects_stay_closed() {
         ("defect/one-edge-4g-cw-streamed ", "3"),
         ("defect/one-edge-4g-devices-2 ", "3"),
         ("defect/devices-4g ", "2"),
+        ("defect/shard-size-over-shared ", "3"),
         ("defect/serve-growth ", "0"),
         ("defect/serve-growth-wal ", "0"),
     ] {

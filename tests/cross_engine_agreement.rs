@@ -245,8 +245,7 @@ fn chaos_faultplan_and_bitflip_through_one_middleware_path() {
         Box::new(MtcpuEngine::new(2)),
         Box::new(FrontierEngine::new()),
     ];
-    for mut engine in engines {
-        let label = engine.label();
+    for (i, mut engine) in engines.into_iter().enumerate() {
         let out = run_engine(
             engine.as_mut(),
             &Bfs::new(0),
@@ -255,13 +254,14 @@ fn chaos_faultplan_and_bitflip_through_one_middleware_path() {
             Some(plan()),
             &mut NoopObserver,
         )
-        .unwrap_or_else(|e| panic!("{label} under chaos: {e}"));
+        .unwrap_or_else(|e| panic!("engine #{i} under chaos: {e}"));
+        let label = &out.stats.engine;
         assert_eq!(out.values, oracle.values, "{label} disagrees under chaos");
         // Every device engine must show evidence the copy fault was hit and
         // retried (internally or by the middleware). MTCPU runs on host
         // memory, outside the device fault domain, so the plan is inert
         // there by design.
-        if label != "MTCPU-CSR/2" {
+        if label.as_str() != "MTCPU-CSR/2" {
             assert!(
                 out.stats.fault.copy_retries >= 1,
                 "{label}: copy fault never retried ({:?})",

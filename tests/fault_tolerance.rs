@@ -8,9 +8,10 @@ use cusha::algos::{Bfs, PageRank};
 use cusha::core::{
     run, try_run, try_run_streamed, CuShaConfig, EngineError, Repr, StreamingConfig, VertexProgram,
 };
+use cusha::frontier::{try_run_frontier, FrontierConfig};
 use cusha::graph::generators::rmat::{rmat, RmatConfig};
 use cusha::graph::{Edge, Graph, VertexId};
-use cusha::simt::FaultPlan;
+use cusha::simt::{DeviceConfig, FaultPlan};
 
 fn streamed_cfg(repr: Repr, resident_bytes: u64) -> StreamingConfig {
     StreamingConfig::new(
@@ -190,6 +191,35 @@ fn invalid_configs_are_errors_not_panics() {
         try_run_streamed(&Bfs::new(0), &g, &zero_res),
         Err(EngineError::InvalidConfig(_))
     ));
+    // A block the device cannot launch: more threads than it allows (the
+    // default 256 on the 128-thread tiny device), or a shard whose stage-1
+    // array overflows an SM's shared memory (16384 four-byte values > 48 KiB).
+    let mut tiny = CuShaConfig::cw();
+    tiny.device = DeviceConfig::tiny_test();
+    let mut tiny_frontier = FrontierConfig::new();
+    tiny_frontier.device = DeviceConfig::tiny_test();
+    let big = rmat(&RmatConfig::graph500(14, 50_000, 82));
+    let wide = CuShaConfig::gs().with_vertices_per_shard(16384);
+    let wide_streamed = StreamingConfig::new(wide.clone(), 1 << 16);
+    for (what, refused) in [
+        ("tiny", try_run(&Bfs::new(0), &g, &tiny).map(drop)),
+        (
+            "tiny frontier",
+            try_run_frontier(&Bfs::new(0), &g, &tiny_frontier).map(drop),
+        ),
+        ("wide shards", try_run(&Bfs::new(0), &big, &wide).map(drop)),
+        (
+            "wide streamed",
+            try_run_streamed(&Bfs::new(0), &big, &wide_streamed).map(drop),
+        ),
+    ] {
+        match refused {
+            Err(EngineError::InvalidConfig(msg)) => {
+                assert!(msg.contains("exceeds"), "{what}: {msg}")
+            }
+            other => panic!("{what}: expected InvalidConfig, got {other:?}"),
+        }
+    }
 }
 
 /// Malformed graphs are rejected at construction with the offending edge

@@ -320,7 +320,6 @@ fn document(v: Variant) -> Doc {
             checkpoint_every: 2,
             max_rollbacks: budgets.0,
             max_full_restarts: budgets.1,
-            ..IntegrityConfig::default()
         };
         cfg
     };

@@ -62,7 +62,7 @@ fn run_with_replay<P: VertexProgram>(
     cfg.device.replay_memo = replay;
     cfg.integrity = integrity;
     run_engine(engine, prog, g, &cfg, plan, &mut NoopObserver)
-        .unwrap_or_else(|e| panic!("{} (replay={replay}): {e}", engine.label()))
+        .unwrap_or_else(|e| panic!("replay={replay}: {e}"))
 }
 
 /// Everything in [`RunStats`] except the memo hit/miss telemetry (which is
@@ -143,8 +143,6 @@ fn replay_toggle_is_invisible_across_engines_and_algorithms() {
             for (mut on_engine, mut off_engine) in
                 all_engines::<P>().into_iter().zip(all_engines::<P>())
             {
-                let label = on_engine.label();
-                let tag = format!("{label}/{algo}");
                 let on = run_with_replay(
                     on_engine.as_mut(),
                     prog,
@@ -153,6 +151,8 @@ fn replay_toggle_is_invisible_across_engines_and_algorithms() {
                     None,
                     IntegrityConfig::default(),
                 );
+                let label = on.stats.engine.clone();
+                let tag = format!("{label}/{algo}");
                 let off = run_with_replay(
                     off_engine.as_mut(),
                     prog,
@@ -216,7 +216,6 @@ fn replay_never_swallows_faults() {
     for (mut on_engine, mut off_engine) in
         all_engines::<Bfs>().into_iter().zip(all_engines::<Bfs>())
     {
-        let label = on_engine.label();
         let on = run_with_replay(
             on_engine.as_mut(),
             &Bfs::new(0),
@@ -225,6 +224,7 @@ fn replay_never_swallows_faults() {
             Some(plan()),
             integrity,
         );
+        let label = on.stats.engine.clone();
         let off = run_with_replay(
             off_engine.as_mut(),
             &Bfs::new(0),

@@ -2,7 +2,7 @@
 //! independence, fused-batch bit-identity, deadlines, admission shedding,
 //! blast-radius isolation, caching, and a mixed-load soak.
 
-use cusha::algos::{Bfs, Sssp, Sswp};
+use cusha::algos::{Bfs, ConnectedComponents, Sssp, Sswp};
 use cusha::core::integrity::checksum;
 use cusha::core::{try_run, CuShaConfig, IntegrityConfig, IntegrityMode, Value, VertexProgram};
 use cusha::graph::generators::rmat::{rmat, RmatConfig};
@@ -10,7 +10,7 @@ use cusha::graph::Graph;
 use cusha::serve::{
     parse_json, run_session, Json, RebuildPolicy, ServeConfig, ServeEngine, Service, WalConfig,
 };
-use cusha::simt::{FaultPlan, FlipTarget};
+use cusha::simt::{DeviceConfig, FaultPlan, FlipTarget};
 use proptest::prelude::*;
 
 fn graph() -> Graph {
@@ -597,7 +597,7 @@ fn two_batches_in_one_window_rebuild_each_warm_key_once() {
         let cold = svc.metrics().counter("serve_cold_launches_total", &[]);
         assert_eq!(cold, Some(1), "{policy:?}: only the first launch is cold");
         let fresh = mutated(&[(0, 300, 5), (300, 7, 2)]);
-        assert_eq!(svc.graph_rev(), cusha::serve::graph_rev(&fresh));
+        assert_eq!(svc.graph_rev(), cusha::graph::fingerprint(&fresh));
         assert_eq!(crc(rs[3]), cold_crc_on(&Bfs::new(0), &fresh));
         assert_eq!(crc(rs[4]), cold_crc_on(&Sssp::new(3), &fresh));
     }
@@ -774,4 +774,38 @@ fn vertex_growth_past_the_device_is_refused_before_commit() {
         assert_eq!(status(query_responses(&lines)[0]), "ok", "{name}");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_shard_no_block_can_hold_fails_its_query_not_the_service() {
+    // 256 vertices to a shard on a device with 1 KiB of shared memory per SM:
+    // a fused BFS's two-word values (2 KiB) do not fit one block, CC's
+    // one-word values (1 KiB) do.
+    let cfg = ServeConfig {
+        vertices_per_shard: Some(256),
+        device: DeviceConfig {
+            shared_mem_per_sm: 1024,
+            ..DeviceConfig::gtx780()
+        },
+        ..no_cache()
+    };
+    let (lines, svc) = run_script(
+        cfg,
+        "bfs 0
+flush
+cc
+flush
+stats
+",
+    );
+    let rs = query_responses(&lines);
+    assert_eq!(rs.len(), 2, "{lines:?}");
+    assert_eq!(status(rs[0]), "failed");
+    assert_eq!(
+        rs[0].get("reason").and_then(Json::as_str),
+        Some("invalid-config")
+    );
+    assert_eq!(status(rs[1]), "ok", "{:?}", rs[1]);
+    assert_eq!(crc(rs[1]), cold_crc(&ConnectedComponents::new()));
+    assert_eq!(svc.metrics().counter("serve_batches_total", &[]), Some(1));
 }
