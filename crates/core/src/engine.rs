@@ -442,7 +442,7 @@ impl PreparedLayout {
 
     /// Builds the layout program `P` runs on under `cfg` — the shard size
     /// [`PreparedLayout::select_n_per`] picks — after the pre-flight: the
-    /// configuration, placement and graph are checked, and a layout the
+    /// configuration and placement are checked, and a layout the
     /// placement cannot hold is refused before anything |V|- or p²-sized is
     /// built ([`check_fits`] for a resident one; [`check_streams`] for what
     /// no batching or partition can shrink). The one-shot entries' way in.
@@ -453,7 +453,6 @@ impl PreparedLayout {
     ) -> Result<Self, EngineError<P::V>> {
         cfg.validate().map_err(EngineError::InvalidConfig)?;
         placement.validate().map_err(EngineError::InvalidConfig)?;
-        graph.validate()?;
         let sizes = ValueSizes::of::<P>();
         let n_per = Self::select_n_per(graph, cfg, sizes.vertex);
         let (v, e) = (graph.num_vertices() as u64, graph.num_edges() as u64);
@@ -626,7 +625,6 @@ pub fn try_run_placed<P: VertexProgram, O: RunObserver + ?Sized>(
 ) -> Result<CuShaOutput<P::V>, EngineError<P::V>> {
     cfg.validate().map_err(EngineError::InvalidConfig)?;
     placement.validate().map_err(EngineError::InvalidConfig)?;
-    graph.validate()?;
     let built = (layout.gs.num_vertices(), layout.gs.num_edges());
     check_topology("layout", built, graph)?;
     if layout.repr != cfg.repr {

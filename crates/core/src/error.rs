@@ -16,7 +16,7 @@
 //! [`RunStats::sdc`]: crate::stats::RunStats
 
 use crate::engine::CuShaOutput;
-use cusha_graph::{Graph, GraphError};
+use cusha_graph::Graph;
 use cusha_simt::{DeviceFault, FaultKind};
 
 /// Why a CuSha run could not produce a (converged) result.
@@ -25,8 +25,6 @@ pub enum EngineError<V> {
     /// The configuration is unusable; the string names the field and the
     /// constraint it violates.
     InvalidConfig(String),
-    /// The input graph violates a structural invariant.
-    InvalidGraph(GraphError),
     /// Device memory was exhausted (and, for the streamed engine, rebatching
     /// could not shrink the working set any further).
     DeviceOom {
@@ -85,7 +83,6 @@ impl<V> EngineError<V> {
     pub fn kind(&self) -> &'static str {
         match self {
             EngineError::InvalidConfig(_) => "invalid-config",
-            EngineError::InvalidGraph(_) => "invalid-graph",
             EngineError::DeviceOom { .. } => "device-oom",
             EngineError::CopyFault { .. } => "copy-fault",
             EngineError::KernelFault { .. } => "kernel-fault",
@@ -114,7 +111,8 @@ pub fn settle<V>(outcome: Result<CuShaOutput<V>, EngineError<V>>) -> CuShaOutput
 
 /// Refuses topology (a shard layout, a CSR, a frontier adjacency) built for a
 /// graph of another shape, before a warm entry indexes one by the other. O(1):
-/// a same-shape graph passes; a caller that mutates stamps revisions besides.
+/// a same-shape graph passes; a service pairs each layout with the revision
+/// it was built from by holding both in one epoch.
 pub fn check_topology<V>(what: &str, built: (u32, u32), g: &Graph) -> Result<(), EngineError<V>> {
     let of_graph = (g.num_vertices(), g.num_edges());
     (built == of_graph).then_some(()).ok_or_else(|| {
@@ -144,17 +142,10 @@ impl<V> From<DeviceFault> for EngineError<V> {
     }
 }
 
-impl<V> From<GraphError> for EngineError<V> {
-    fn from(e: GraphError) -> Self {
-        EngineError::InvalidGraph(e)
-    }
-}
-
 impl<V> std::fmt::Display for EngineError<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             EngineError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
-            EngineError::InvalidGraph(e) => write!(f, "invalid graph: {e}"),
             EngineError::DeviceOom {
                 requested_bytes,
                 capacity_bytes,

@@ -33,7 +33,6 @@ pub fn run_fallback<P: VertexProgram>(
     cfg: &CuShaConfig,
 ) -> Result<CuShaOutput<P::V>, EngineError<P::V>> {
     cfg.validate().map_err(EngineError::InvalidConfig)?;
-    graph.validate()?;
     let n_per = PreparedLayout::select_n_per(graph, cfg, <P::V as Pod>::SIZE);
     let gs = GShards::from_graph(graph, n_per);
     let (fault, sdc) = (FaultStats::default(), SdcStats::default());

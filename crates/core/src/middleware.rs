@@ -2,7 +2,7 @@
 //! thin adapter around an engine's entry point) and [`run_engine`] provides,
 //! in one code path,
 //!
-//! * configuration and graph validation,
+//! * configuration validation,
 //! * deadline enforcement and observer cancellation ([`DeadlineObserver`]
 //!   wraps the caller's [`RunObserver`], so `--timeout-ms` works on any
 //!   engine whose loop calls the observer once per iteration),
@@ -112,7 +112,6 @@ pub fn run_engine<P: VertexProgram, O: RunObserver + ?Sized>(
     observer: &mut O,
 ) -> Result<CuShaOutput<P::V>, EngineError<P::V>> {
     cfg.validate().map_err(EngineError::InvalidConfig)?;
-    graph.validate()?;
     let mut plan = fault_plan.or_else(|| cfg.fault_plan.clone());
     let mut cfg = cfg.clone();
     cfg.fault_plan = None;

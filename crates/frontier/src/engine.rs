@@ -107,7 +107,6 @@ pub fn try_run_frontier_warm<P: VertexProgram, O: RunObserver + ?Sized>(
     observer: &mut O,
 ) -> Result<FrontierOutput<P::V>, EngineError<P::V>> {
     cfg.validate().map_err(EngineError::InvalidConfig)?;
-    graph.validate()?;
     let built = (pf.num_vertices(), pf.num_edges());
     check_topology("frontier topology", built, graph)?;
     let (setup, label) = (cfg.device_setup(), FRONTIER_LABEL.to_string());

@@ -122,7 +122,6 @@ pub fn try_run_kcore<O: RunObserver + ?Sized>(
     observer: &mut O,
 ) -> Result<KcoreOutput, EngineError<u32>> {
     cfg.validate().map_err(EngineError::InvalidConfig)?;
-    graph.validate()?;
     cfg.check_fits(graph, U32_PER_VERTEX)?;
     let n = graph.num_vertices() as usize;
     let (idxs_host, nbrs_host) = undirected_adjacency(graph);

@@ -64,7 +64,6 @@ pub fn try_run_triangles(
     cfg: &FrontierConfig,
 ) -> Result<TriangleOutput, EngineError<u32>> {
     cfg.validate().map_err(EngineError::InvalidConfig)?;
-    graph.validate()?;
     cfg.check_fits(graph, U32_PER_VERTEX)?;
     let (setup, engine) = (cfg.device_setup(), "Frontier/triangles".to_string());
     DeviceRun::open(setup, engine, None, &mut NoopObserver, |run| {

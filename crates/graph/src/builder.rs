@@ -61,7 +61,8 @@ impl GraphBuilder {
         self.edges.len()
     }
 
-    /// Finalizes the graph, applying the configured cleanup passes.
+    /// Finalizes the graph, applying the configured cleanup passes. Panics
+    /// on vertex id [`VertexId::MAX`], which no 32-bit vertex count holds.
     pub fn build(self) -> Graph {
         let GraphBuilder {
             mut edges,
@@ -80,7 +81,7 @@ impl GraphBuilder {
         }
         let high_water = edges
             .iter()
-            .map(|e| e.src.max(e.dst) + 1)
+            .map(|e| e.src.max(e.dst).saturating_add(1))
             .max()
             .unwrap_or(0);
         Graph::new(high_water.max(min_vertices), edges)

@@ -15,7 +15,7 @@
 //!   [`Fnv1a`] digests) and the digest-less version 1 remain readable.
 
 use crate::builder::GraphBuilder;
-use crate::types::{Edge, Graph};
+use crate::types::{Edge, Graph, VertexId};
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
@@ -242,9 +242,15 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<Graph, IoError> {
         }
         let mut it = trimmed.split_whitespace();
         let parse = |tok: Option<&str>, what: &str| -> Result<u32, IoError> {
-            tok.ok_or_else(|| IoError::Parse(format!("line {lineno}: missing {what}")))?
-                .parse::<u32>()
-                .map_err(|e| IoError::Parse(format!("line {lineno}: bad {what}: {e}")))
+            let tok =
+                tok.ok_or_else(|| IoError::Parse(format!("line {lineno}: missing {what}")))?;
+            match tok.parse::<u32>() {
+                Ok(VertexId::MAX) => Err(IoError::Parse(format!(
+                    "line {lineno}: {what} {tok} has no 32-bit vertex count"
+                ))),
+                Ok(id) => Ok(id),
+                Err(e) => Err(IoError::Parse(format!("line {lineno}: bad {what}: {e}"))),
+            }
         };
         let src = parse(it.next(), "source")?;
         let dst = parse(it.next(), "destination")?;
@@ -664,6 +670,24 @@ mod tests {
             Err(IoError::Parse(msg)) => assert_eq!(msg, "line 3: trailing tokens"),
             other => panic!("expected Parse(trailing), got {other:?}"),
         }
+    }
+
+    /// Vertex id `u32::MAX` leaves no 32-bit vertex count: refused naming
+    /// its line, where the builder's high-water mark wrapped to 0 and
+    /// `Graph::new` panicked.
+    #[test]
+    fn text_refuses_the_largest_vertex_id() {
+        for (input, want) in [
+            ("0 1\n4294967295 0\n", "line 2: source 4294967295 "),
+            ("0 4294967295 3\n", "line 1: destination 4294967295 "),
+        ] {
+            match read_edge_list(input.as_bytes()) {
+                Err(IoError::Parse(msg)) => assert!(msg.starts_with(want), "{msg}"),
+                other => panic!("expected Parse({want}), got {other:?}"),
+            }
+        }
+        let g = read_edge_list("4294967294 0\n".as_bytes()).unwrap();
+        assert_eq!(g.num_vertices(), u32::MAX);
     }
 
     #[test]

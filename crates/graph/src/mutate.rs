@@ -64,6 +64,11 @@ pub enum MutationError {
         /// Edge count the batch would produce.
         count: u64,
     },
+    /// An insert names vertex id [`VertexId::MAX`]: no 32-bit count holds it.
+    VertexIdTooLarge {
+        /// Index of the offending operation within the batch.
+        index: usize,
+    },
 }
 
 impl std::fmt::Display for MutationError {
@@ -78,6 +83,9 @@ impl std::fmt::Display for MutationError {
                     f,
                     "batch would grow the graph to {count} edges, past the 32-bit edge-id space"
                 )
+            }
+            MutationError::VertexIdTooLarge { index } => {
+                write!(f, "op #{index}: vertex id 4294967295 has no 32-bit count")
             }
         }
     }
@@ -147,6 +155,9 @@ impl MutationBatch {
         for (index, op) in self.ops.iter().enumerate() {
             match *op {
                 Mutation::Insert { src, dst, .. } => {
+                    if src.max(dst) == VertexId::MAX {
+                        return Err(MutationError::VertexIdTooLarge { index });
+                    }
                     let m = touched
                         .entry((src, dst))
                         .or_insert_with(|| count_in_graph(src, dst));
@@ -192,7 +203,7 @@ impl MutationBatch {
         for op in &self.ops {
             match *op {
                 Mutation::Insert { src, dst, weight } => {
-                    let needed = src.max(dst).saturating_add(1);
+                    let needed = src.max(dst) + 1;
                     if needed > n {
                         delta.grew_vertices += needed - n;
                         n = needed;
@@ -207,7 +218,7 @@ impl MutationBatch {
                 }
             }
         }
-        *graph = Graph::try_new(n, edges).expect("validated batch upholds graph invariants");
+        *graph = Graph::from_checked_parts(n, edges); // validated: ids < n, |E| fits
         Ok(delta)
     }
 }
@@ -239,6 +250,8 @@ pub fn fingerprint(graph: &Graph) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn sample() -> Graph {
         Graph::new(
@@ -341,5 +354,63 @@ mod tests {
         let c = Graph::new(4, vec![Edge::new(0, 1, 6)]);
         let d = Graph::new(4, vec![Edge::new(0, 1, 5)]);
         assert_ne!(fingerprint(&c), fingerprint(&d));
+    }
+
+    /// Vertex id `u32::MAX` leaves no 32-bit vertex count: `validate`
+    /// refuses the insert, and `apply` leaves the graph as it was instead of
+    /// panicking on a graph no constructor allows.
+    #[test]
+    fn largest_vertex_id_is_refused() {
+        let mut g = sample();
+        let before = g.clone();
+        for (index, batch) in [
+            (0, MutationBatch::new().insert(u32::MAX, 0, 1)),
+            (
+                1,
+                MutationBatch::new().insert(1, 2, 1).insert(0, u32::MAX, 1),
+            ),
+        ] {
+            let want = format!("op #{index}: vertex id 4294967295 has no 32-bit count");
+            let err = batch.validate(&g).expect_err("validate refuses the id");
+            assert_eq!(err.to_string(), want);
+            let err = batch.apply(&mut g).expect_err("apply refuses the id");
+            assert_eq!(err.to_string(), want);
+            assert_eq!(g, before, "a refused batch leaves the graph untouched");
+        }
+        // The largest id that fits grows the graph to the whole id space.
+        let d = MutationBatch::new().insert(0, u32::MAX - 1, 1);
+        assert_eq!(d.apply(&mut g).unwrap().grew_vertices, u32::MAX - 4);
+        assert_eq!(g.num_vertices(), u32::MAX);
+    }
+
+    /// An id drawn from a few small ones and the two largest.
+    fn id(pick: u32) -> VertexId {
+        [0, 1, 2, 3, u32::MAX - 1, u32::MAX][pick as usize]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// No batch `validate` accepts makes `apply` fail, and what `apply`
+        /// builds is a valid graph; a refused batch changes nothing.
+        #[test]
+        fn validated_batches_apply(ops in vec((0u32..2, 0u32..6, 0u32..6), 0..6)) {
+            let batch = ops.iter().fold(MutationBatch::new(), |b, &(tag, s, d)| match tag {
+                0 => b.insert(id(s), id(d), 1),
+                _ => b.delete(id(s), id(d)),
+            });
+            let mut g = sample();
+            let before = g.clone();
+            match batch.validate(&g) {
+                Ok(_) => {
+                    prop_assert!(batch.apply(&mut g).is_ok());
+                    prop_assert_eq!(g.validate(), Ok(()));
+                }
+                Err(_) => {
+                    prop_assert!(batch.apply(&mut g).is_err());
+                    prop_assert_eq!(&g, &before);
+                }
+            }
+        }
     }
 }

@@ -79,11 +79,11 @@ impl std::error::Error for GraphError {}
 ///
 /// This is the interchange format: generators produce it, representations
 /// ([`crate::Csr`], G-Shards, Concatenated Windows) are built from it, and IO
-/// reads/writes it. Vertex ids must be `< num_vertices`; this is enforced by
-/// [`Graph::new`] / [`Graph::try_new`] and preserved by all constructors in
-/// this crate. Weights are raw `u32` seeds, so non-finite values are
-/// unrepresentable by construction; algorithms that derive floats from the
-/// seed map it through finite-preserving transforms.
+/// reads/writes it. Vertex ids must be `< num_vertices` and `|E|` must fit an
+/// [`EdgeId`]; every constructor checks or preserves both, so nothing
+/// downstream re-checks a `Graph`. Weights are raw `u32` seeds, so non-finite
+/// values are unrepresentable; algorithms that derive floats from the seed
+/// map it through finite-preserving transforms.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Graph {
     num_vertices: u32,
@@ -129,7 +129,7 @@ impl Graph {
 
     /// Builds a graph from parts its caller has already checked edge by
     /// edge (the binary loader range-checks each record as it arrives; its
-    /// `u32` edge count cannot exceed the id space).
+    /// `u32` edge count cannot exceed the id space; a validated batch's).
     pub(crate) fn from_checked_parts(num_vertices: u32, edges: Vec<Edge>) -> Self {
         debug_assert_eq!(check_parts(num_vertices, &edges), Ok(()));
         Graph {
@@ -138,10 +138,8 @@ impl Graph {
         }
     }
 
-    /// Re-checks the graph's invariants (endpoints in range, edge count
-    /// within [`EdgeId`]). Always `Ok` for graphs built through this
-    /// crate's constructors; engines call it to reject hand-assembled or
-    /// deserialized inputs before touching the device.
+    /// Re-checks the invariants every constructor upholds (endpoints in
+    /// range, edge count within [`EdgeId`]): an O(|E|) probe, always `Ok`.
     pub fn validate(&self) -> Result<(), GraphError> {
         check_parts(self.num_vertices, &self.edges)
     }
@@ -253,6 +251,7 @@ impl Graph {
     /// Returns a copy where for every edge `u -> v` the edge `v -> u` is also
     /// present (weights duplicated). Self-loops are not duplicated. The result
     /// may contain parallel edges if the input already had both directions.
+    /// Panics if the doubled edge list exceeds the 32-bit edge-id space.
     pub fn symmetrized(&self) -> Graph {
         let mut edges = Vec::with_capacity(self.edges.len() * 2);
         for e in &self.edges {
@@ -261,10 +260,7 @@ impl Graph {
                 edges.push(Edge::new(e.dst, e.src, e.weight));
             }
         }
-        Graph {
-            num_vertices: self.num_vertices,
-            edges,
-        }
+        Graph::new(self.num_vertices, edges)
     }
 }
 

@@ -415,8 +415,8 @@ pub struct Service {
 }
 
 impl Service {
-    /// Builds a service over `graph`. The graph is validated once here;
-    /// layouts are built lazily on first use per value size.
+    /// Builds a service over `graph` (valid by construction); layouts are
+    /// built lazily on first use per value size.
     ///
     /// When [`ServeConfig::wal`] is set, the log is opened (created
     /// fresh, or recovered: committed batches replayed on top of `graph`
@@ -424,7 +424,6 @@ impl Service {
     /// starts at the recovered epoch — see [`Service::recovery`].
     pub fn new(graph: Graph, cfg: ServeConfig) -> Result<Self, String> {
         cfg.validate()?;
-        graph.validate().map_err(|e| e.to_string())?;
         let engine = EngineConfig::new(&cfg)?;
         cfg.trace.name_lane(0, lanes::SERVE, "service");
         cfg.trace.name_lane(0, lanes::MUTATE, "mutate");

@@ -315,8 +315,8 @@ struct RawRecord {
     end: u64,
 }
 
-/// `Ok(None)` is a clean EOF at a record boundary; a torn (short) read
-/// returns `Err(Torn)` through the sentinel below.
+/// What a read at a record boundary found: a complete record, a clean
+/// EOF, or a torn (short) tail.
 enum ReadOutcome {
     Record(RawRecord),
     Eof,
@@ -402,209 +402,192 @@ impl Wal {
         snapshot_every: u32,
         crash: Option<CrashSpec>,
     ) -> Result<(Wal, Graph, u64, RecoveryStats), WalError> {
-        let snap_path = snapshot_path(path);
-        let mut file = OpenOptions::new()
+        let file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
             .open(path)?;
         let file_len = file.metadata()?.len();
-        let mut stats = WalStats::default();
-
-        let wal_fresh = |file: &mut File, stats: &mut WalStats| -> Result<u64, WalError> {
-            let rev = fingerprint(base_graph);
-            file.set_len(0)?;
-            file.seek(SeekFrom::Start(0))?;
-            file.write_all(MAGIC)?;
-            let mut payload = Vec::with_capacity(16);
-            payload.extend_from_slice(&0u64.to_le_bytes());
-            payload.extend_from_slice(&rev.to_le_bytes());
-            file.write_all(&encode_record(KIND_BASE, &payload))?;
-            file.sync_all()?;
-            stats.records_appended += 1;
-            stats.syncs += 1;
-            Ok(rev)
+        let mut wal = Wal {
+            file,
+            path: path.to_path_buf(),
+            snap_path: snapshot_path(path),
+            snapshot_every,
+            crash,
+            batches_since_snapshot: 0,
+            commit_calls: 0,
+            stats: WalStats::default(),
         };
-
-        if file_len < (MAGIC.len() + 4 + 1 + 16 + 8) as u64 {
+        let mut recovered = RecoveryStats {
+            source: RecoverySource::Fresh,
+            replayed_batches: 0,
+            truncated_bytes: file_len,
+            discarded_uncommitted: 0,
+            epoch: 0,
+            rev: 0,
+        };
+        let graph = if file_len < (MAGIC.len() + 4 + 1 + 16 + 8) as u64 {
             // Empty, or torn during initial creation before the base record
             // ever synced: nothing was committed, start fresh.
-            let rev = wal_fresh(&mut file, &mut stats)?;
-            let wal = Wal {
-                file,
-                path: path.to_path_buf(),
-                snap_path,
-                snapshot_every,
-                crash,
-                batches_since_snapshot: 0,
-                commit_calls: 0,
-                stats,
-            };
-            return Ok((
-                wal,
-                base_graph.clone(),
-                0,
-                RecoveryStats {
-                    source: RecoverySource::Fresh,
-                    replayed_batches: 0,
-                    truncated_bytes: file_len,
-                    discarded_uncommitted: 0,
-                    epoch: 0,
-                    rev,
-                },
-            ));
-        }
+            recovered.rev = fingerprint(base_graph);
+            wal.write_base(0, recovered.rev)?;
+            base_graph.clone()
+        } else {
+            wal.recover(base_graph, file_len, &mut recovered)?
+        };
+        Ok((wal, graph, recovered.epoch, recovered))
+    }
 
+    /// Recovers an existing log of `file_len` bytes: anchors, replays the
+    /// committed prefix, truncates what follows it, and records all of it
+    /// in `rs`.
+    fn recover(
+        &mut self,
+        base_graph: &Graph,
+        file_len: u64,
+        rs: &mut RecoveryStats,
+    ) -> Result<Graph, WalError> {
         let mut magic = [0u8; 4];
-        file.read_exact(&mut magic)?;
+        self.file.read_exact(&mut magic)?;
         if &magic != MAGIC {
             return Err(WalError::Corrupt(format!(
                 "bad magic {magic:02x?} in {}",
-                path.display()
+                self.path.display()
             )));
         }
 
         // Base record first.
-        let mut offset = MAGIC.len() as u64;
-        let base = match read_record(&mut file, offset)? {
+        let base = match read_record(&mut self.file, MAGIC.len() as u64)? {
             ReadOutcome::Record(r) if r.kind == KIND_BASE && r.payload.len() == 16 => r,
             ReadOutcome::Record(_) => {
                 return Err(WalError::Corrupt(
                     "first record is not a base record".into(),
                 ))
             }
-            // Guarded against above by the minimum-length check.
+            // Guarded against by `open`'s minimum-length check.
             ReadOutcome::Eof | ReadOutcome::Torn => {
                 return Err(WalError::Corrupt("base record torn".into()))
             }
         };
-        let base_epoch = u64::from_le_bytes(base.payload[0..8].try_into().unwrap());
+        rs.epoch = u64::from_le_bytes(base.payload[0..8].try_into().unwrap());
         let base_rev = u64::from_le_bytes(base.payload[8..16].try_into().unwrap());
-        offset = base.end;
 
         // Pick the replay anchor whose content matches the base revision.
         // Snapshot first: it is the compacted committed state and may be
         // ahead of the graph the caller loaded.
-        let (mut graph, source) = if snap_path.exists() {
-            let snap = cusha_graph::io::read_binary(File::open(&snap_path)?)?;
-            if fingerprint(&snap) == base_rev {
-                (snap, RecoverySource::Snapshot)
-            } else if fingerprint(base_graph) == base_rev {
+        let snap = match self.snap_path.exists() {
+            true => Some(cusha_graph::io::read_binary(File::open(&self.snap_path)?)?),
+            false => None,
+        };
+        let mismatch =
+            |why: &str| WalError::Mismatch(format!("log base rev {base_rev:016x} {why}"));
+        let mut graph;
+        (graph, rs.source) = match snap {
+            Some(snap) if fingerprint(&snap) == base_rev => (snap, RecoverySource::Snapshot),
+            _ if fingerprint(base_graph) == base_rev => {
                 (base_graph.clone(), RecoverySource::BaseGraph)
-            } else {
-                return Err(WalError::Mismatch(format!(
-                    "log base rev {base_rev:016x} matches neither the snapshot nor the supplied graph"
-                )));
             }
-        } else if fingerprint(base_graph) == base_rev {
-            (base_graph.clone(), RecoverySource::BaseGraph)
-        } else {
-            return Err(WalError::Mismatch(format!(
-                "log base rev {base_rev:016x} does not match the supplied graph (no snapshot found)"
-            )));
+            Some(_) => {
+                return Err(mismatch(
+                    "matches neither the snapshot nor the supplied graph",
+                ))
+            }
+            None => {
+                return Err(mismatch(
+                    "does not match the supplied graph (no snapshot found)",
+                ))
+            }
         };
 
         // Walk Batch/Commit pairs.
-        let mut epoch = base_epoch;
-        let mut replayed = 0u64;
+        let mut offset = base.end;
         let mut last_committed_end = offset;
         let mut pending: Option<(u64, MutationBatch)> = None;
-        let mut discarded_uncommitted = 0u64;
-        loop {
-            match read_record(&mut file, offset)? {
-                ReadOutcome::Eof | ReadOutcome::Torn => break,
-                ReadOutcome::Record(rec) => {
-                    match rec.kind {
-                        KIND_BATCH => {
-                            if pending.is_some() {
-                                return Err(WalError::Corrupt(format!(
-                                    "batch record at offset {offset} follows an uncommitted batch"
-                                )));
-                            }
-                            pending = Some(decode_batch_payload(&rec.payload)?);
-                        }
-                        KIND_COMMIT => {
-                            if rec.payload.len() != 8 {
-                                return Err(WalError::Corrupt(format!(
-                                    "commit record at offset {offset} has a malformed payload"
-                                )));
-                            }
-                            let commit_epoch =
-                                u64::from_le_bytes(rec.payload[0..8].try_into().unwrap());
-                            let (batch_epoch, batch) = pending.take().ok_or_else(|| {
-                                WalError::Corrupt(format!(
-                                    "commit record at offset {offset} has no preceding batch"
-                                ))
-                            })?;
-                            if commit_epoch != batch_epoch || commit_epoch != epoch + 1 {
-                                return Err(WalError::Corrupt(format!(
-                                    "commit record at offset {offset} commits epoch {commit_epoch} \
-                                     (batch says {batch_epoch}, expected {})",
-                                    epoch + 1
-                                )));
-                            }
-                            batch.apply(&mut graph).map_err(|e| {
-                                WalError::Corrupt(format!(
-                                    "committed batch for epoch {commit_epoch} does not apply: {e}"
-                                ))
-                            })?;
-                            epoch = commit_epoch;
-                            replayed += 1;
-                            last_committed_end = rec.end;
-                        }
-                        KIND_BASE => {
-                            return Err(WalError::Corrupt(format!(
-                                "unexpected base record at offset {offset}"
-                            )))
-                        }
-                        other => {
-                            return Err(WalError::Corrupt(format!(
-                                "unknown record kind {other} at offset {offset}"
-                            )))
-                        }
+        while let ReadOutcome::Record(rec) = read_record(&mut self.file, offset)? {
+            match rec.kind {
+                KIND_BATCH => {
+                    if pending.is_some() {
+                        return Err(WalError::Corrupt(format!(
+                            "batch record at offset {offset} follows an uncommitted batch"
+                        )));
                     }
-                    offset = rec.end;
+                    pending = Some(decode_batch_payload(&rec.payload)?);
+                }
+                KIND_COMMIT => {
+                    if rec.payload.len() != 8 {
+                        return Err(WalError::Corrupt(format!(
+                            "commit record at offset {offset} has a malformed payload"
+                        )));
+                    }
+                    let commit_epoch = u64::from_le_bytes(rec.payload[0..8].try_into().unwrap());
+                    let (batch_epoch, batch) = pending.take().ok_or_else(|| {
+                        WalError::Corrupt(format!(
+                            "commit record at offset {offset} has no preceding batch"
+                        ))
+                    })?;
+                    if commit_epoch != batch_epoch || commit_epoch != rs.epoch + 1 {
+                        return Err(WalError::Corrupt(format!(
+                            "commit record at offset {offset} commits epoch {commit_epoch} \
+                             (batch says {batch_epoch}, expected {})",
+                            rs.epoch + 1
+                        )));
+                    }
+                    batch.apply(&mut graph).map_err(|e| {
+                        WalError::Corrupt(format!(
+                            "committed batch for epoch {commit_epoch} does not apply: {e}"
+                        ))
+                    })?;
+                    rs.epoch = commit_epoch;
+                    rs.replayed_batches += 1;
+                    last_committed_end = rec.end;
+                }
+                KIND_BASE => {
+                    return Err(WalError::Corrupt(format!(
+                        "unexpected base record at offset {offset}"
+                    )))
+                }
+                other => {
+                    return Err(WalError::Corrupt(format!(
+                        "unknown record kind {other} at offset {offset}"
+                    )))
                 }
             }
-        }
-        if pending.is_some() {
-            discarded_uncommitted = 1;
+            offset = rec.end;
         }
 
         // Leave the file holding exactly the committed prefix.
-        let truncated_bytes = file_len - last_committed_end;
-        if truncated_bytes > 0 {
-            file.set_len(last_committed_end)?;
-            file.sync_all()?;
-            stats.syncs += 1;
+        rs.truncated_bytes = file_len - last_committed_end;
+        if rs.truncated_bytes > 0 {
+            self.file.set_len(last_committed_end)?;
+            self.file.sync_all()?;
+            self.stats.syncs += 1;
         }
-        file.seek(SeekFrom::End(0))?;
+        self.file.seek(SeekFrom::End(0))?;
+        rs.discarded_uncommitted = pending.is_some() as u64;
+        rs.rev = fingerprint(&graph);
+        Ok(graph)
+    }
 
-        let rev = fingerprint(&graph);
-        let wal = Wal {
-            file,
-            path: path.to_path_buf(),
-            snap_path,
-            snapshot_every,
-            crash,
-            batches_since_snapshot: 0,
-            commit_calls: 0,
-            stats,
-        };
-        Ok((
-            wal,
-            graph,
-            epoch,
-            RecoveryStats {
-                source,
-                replayed_batches: replayed,
-                truncated_bytes,
-                discarded_uncommitted,
-                epoch,
-                rev,
-            },
-        ))
+    /// Writes `bytes` at the end of the log, syncs, and counts one record
+    /// and one sync: the one way a record (or a crash's torn half of one)
+    /// reaches the disk.
+    fn append(&mut self, bytes: &[u8]) -> Result<(), WalError> {
+        self.file.write_all(bytes)?;
+        self.file.sync_all()?;
+        self.stats.records_appended += 1;
+        self.stats.syncs += 1;
+        Ok(())
+    }
+
+    /// Rewrites the log as the magic and one `Base { epoch, rev }` record:
+    /// a fresh log, and the log a compaction leaves.
+    fn write_base(&mut self, epoch: u64, rev: u64) -> Result<(), WalError> {
+        self.file.set_len(0)?;
+        self.file.seek(SeekFrom::Start(0))?;
+        self.file.write_all(MAGIC)?;
+        let payload = [epoch.to_le_bytes(), rev.to_le_bytes()].concat();
+        self.append(&encode_record(KIND_BASE, &payload))
     }
 
     /// Durably commits `batch` as the transition into `epoch`.
@@ -622,34 +605,17 @@ impl Wal {
             .map(|c| c.point);
 
         let record = encode_record(KIND_BATCH, &encode_batch_payload(epoch, batch));
-        if crash_here == Some(CrashPoint::MidRecord) {
-            // Die halfway through the batch record: length prefix and part
-            // of the body hit the disk, the checksum never does.
-            let torn = record.len() / 2;
-            self.file.write_all(&record[..torn])?;
-            self.file.sync_all()?;
-            self.stats.records_appended += 1;
-            self.stats.syncs += 1;
-            return Err(WalError::InjectedCrash(CrashPoint::MidRecord));
+        // A mid-record crash dies halfway through the batch record: the
+        // length prefix and part of the body hit the disk, the checksum
+        // never does.
+        let torn = crash_here == Some(CrashPoint::MidRecord);
+        self.append(&record[..if torn { record.len() / 2 } else { record.len() }])?;
+        if !torn && crash_here != Some(CrashPoint::PreCommit) {
+            // The commit point.
+            self.append(&encode_record(KIND_COMMIT, &epoch.to_le_bytes()))?;
+            self.stats.commits += 1;
         }
-        self.file.write_all(&record)?;
-        self.file.sync_all()?;
-        self.stats.records_appended += 1;
-        self.stats.syncs += 1;
-        if crash_here == Some(CrashPoint::PreCommit) {
-            return Err(WalError::InjectedCrash(CrashPoint::PreCommit));
-        }
-
-        let commit = encode_record(KIND_COMMIT, &epoch.to_le_bytes());
-        self.file.write_all(&commit)?;
-        self.file.sync_all()?; // the commit point
-        self.stats.records_appended += 1;
-        self.stats.syncs += 1;
-        self.stats.commits += 1;
-        if crash_here == Some(CrashPoint::PreApply) {
-            return Err(WalError::InjectedCrash(CrashPoint::PreApply));
-        }
-        Ok(())
+        crash_here.map_or(Ok(()), |p| Err(WalError::InjectedCrash(p)))
     }
 
     /// Tells the log a committed batch was applied in memory, giving it a
@@ -673,18 +639,7 @@ impl Wal {
             self.stats.syncs += 1;
         }
         std::fs::rename(&tmp, &self.snap_path)?;
-
-        let rev = fingerprint(graph);
-        self.file.set_len(0)?;
-        self.file.seek(SeekFrom::Start(0))?;
-        self.file.write_all(MAGIC)?;
-        let mut payload = Vec::with_capacity(16);
-        payload.extend_from_slice(&epoch.to_le_bytes());
-        payload.extend_from_slice(&rev.to_le_bytes());
-        self.file.write_all(&encode_record(KIND_BASE, &payload))?;
-        self.file.sync_all()?;
-        self.stats.records_appended += 1;
-        self.stats.syncs += 1;
+        self.write_base(epoch, fingerprint(graph))?;
         self.stats.snapshots += 1;
         self.batches_since_snapshot = 0;
         Ok(true)
@@ -911,6 +866,23 @@ mod tests {
         let other = Graph::new(3, vec![Edge::new(0, 2, 1)]);
         let err = Wal::open(&p, &other, 0, None).unwrap_err();
         assert!(matches!(err, WalError::Mismatch(_)), "got {err}");
+    }
+
+    /// A committed batch `validate` refuses (vertex id `u32::MAX`, which no
+    /// 32-bit vertex count holds) is a log recovery cannot trust: `Corrupt`,
+    /// not a panic in the replay's `apply`.
+    #[test]
+    fn committed_batch_with_the_largest_vertex_id_is_corrupt() {
+        let p = scratch("idmax");
+        let base = sample();
+        let (mut wal, _g, epoch, _) = Wal::open(&p, &base, 0, None).unwrap();
+        let batch = MutationBatch::new().insert(u32::MAX, 0, 1);
+        wal.commit_batch(epoch + 1, &batch).unwrap();
+        drop(wal);
+
+        let err = Wal::open(&p, &base, 0, None).unwrap_err();
+        assert!(matches!(err, WalError::Corrupt(_)), "got {err}");
+        assert!(err.to_string().contains("does not apply"), "got {err}");
     }
 
     #[test]

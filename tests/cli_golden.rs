@@ -639,6 +639,14 @@ fn defect_rows() -> Vec<Row> {
             "--algo bfs --rmat 14:50000 --shard-size 16384",
             "engine error [invalid-config]",
         ),
+        // Panicked (101) in `Graph::new` ("out of range for 0 vertices")
+        // until the text loader refused the one id no 32-bit vertex count
+        // holds: the builder's high-water mark `id + 1` wrapped to 0.
+        named(
+            "defect/text-vertex-id-max",
+            "--algo bfs --input @edgemax.txt",
+            "cannot load",
+        ),
         named(
             "defect/serve-growth",
             "serve --rmat 8:600 --script @growth.txt",
@@ -667,6 +675,7 @@ fn scratch(tag: &str) -> PathBuf {
         ("bfs.txt", "bfs 0\nflush\n"),
         ("edge4g.txt", "0 4000000000\n"),
         ("edge300m.txt", "0 300000000\n"),
+        ("edgemax.txt", "4294967295 0\n"),
     ] {
         std::fs::write(dir.join(name), text).expect("write input file");
     }
@@ -836,6 +845,7 @@ fn closed_defects_stay_closed() {
         ("defect/one-edge-4g-devices-2 ", "3"),
         ("defect/devices-4g ", "2"),
         ("defect/shard-size-over-shared ", "3"),
+        ("defect/text-vertex-id-max ", "1"),
         ("defect/serve-growth ", "0"),
         ("defect/serve-growth-wal ", "0"),
     ] {

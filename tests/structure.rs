@@ -106,6 +106,14 @@ const ROWS: &[(&str, &str, RangeInclusive<usize>, &str)] = &[
     ("crates/serve/src/warm.rs", "ServeEngine::", 2..=2, "EngineConfig::new's two arms: warm.rs is the only code that knows the engine family"),
     ("crates/serve/src/service.rs", "ServeEngine::", 1..=1, "ServeConfig's default"),
     ("crates/serve/src/** !warm.rs !service.rs", "ServeEngine::", 0..=0, "warm.rs is the only code that knows the engine family"),
+    // The WAL writes one way (DESIGN 4.13): one append carries every record,
+    // whole or torn, and one base writer every rewrite of the log.
+    ("crates/serve/src/wal.rs", "records_appended +=", 1..=1, "Wal::append: write, sync, count"),
+    ("crates/serve/src/wal.rs", "encode_record(KIND_BASE", 1..=1, "Wal::write_base: a fresh log's and a compaction's base record"),
+    ("crates/serve/src/wal.rs", "sync_all()", 3..=3, "append's (every record, the commit point among them), the snapshot file's before its rename, and recovery's truncation"),
+    // A Graph is valid by construction: its constructors check or preserve
+    // validity, so no entry re-scans it and no error names it.
+    (ALL_RS, "graph.validate()|InvalidGraph", 0..=0, "a Graph is valid by construction; the ledger's g.validate() probe is outside this pattern"),
     // `cusha` is flag parsing over library calls (DESIGN 4.15).
     ("src/**", "exit(", 0..=1, "the process has one exit"),
     ("src/**", "File::create|fs::write", 0..=1, "one file-writing site"),
@@ -164,17 +172,20 @@ const ROWS: &[(&str, &str, RangeInclusive<usize>, &str)] = &[
 /// service's, the simulator's, the graph substrate's, the algorithms', the
 /// baselines' and the frontier family's are the counts landed by the change
 /// that made a serving epoch the one owner of its prepared state and gave a
-/// block's two limits one check. Nothing adds to any of them without taking
-/// as much out.
+/// block's two limits one check. The service's, core's and the frontier
+/// family's are the counts landed by the change that gave the WAL one append
+/// path and made a `Graph` valid by construction (no entry re-scans it); the
+/// graph substrate's rose there by the two vertex-id refusals that change
+/// added. Nothing adds to any of them without taking as much out.
 const CEILINGS: &[(&str, usize)] = &[
-    ("crates/core/src/**", 5520),
+    ("crates/core/src/**", 5507),
     (MULTI, 1110),
     ("crates/bench/src/**", 2909),
     ("crates/baselines/src/**", 960),
-    ("crates/frontier/src/**", 1722),
-    ("crates/serve/src/**", 3132),
+    ("crates/frontier/src/**", 1719),
+    ("crates/serve/src/**", 3086),
     ("src/**", 1015),
-    ("crates/graph/src/**", 2326),
+    ("crates/graph/src/**", 2340),
     ("crates/simt/src/**", 3937),
     ("crates/obs/src/**", 1438),
     ("crates/algos/src/**", 1411),
