@@ -9,26 +9,20 @@
 //! parallel reduction folds the partial results before the leader publishes
 //! the new value.
 //!
-//! A block executes in two passes over its warps:
-//!
-//! * the **accounting pass** issues the SISD loads, the sweep and the
-//!   reduction ladder through the simulator, phase by phase, for what they
-//!   *cost* — transactions, sectors, bank replays, issue slots. All of that
-//!   is fixed by the CSR and the launch geometry, none of it by the vertex
-//!   values, and nothing reads the data these ops move (the fold is done
-//!   host-side, below). So each phase is one warp-trace replay scope per
-//!   block, and a phase whose scope replays issues no ops at all;
-//! * the **functional pass** then walks the warps in order, folds each
-//!   vertex's in-edges straight from the device buffers' host views — in
-//!   CSR order, sound because `compute` must be commutative + associative —
-//!   and issues what does depend on the values: the publish `exec` and the
-//!   leader's `gstore`. A warp reads all its vertices' neighbours before it
-//!   publishes any of them and sees every earlier warp's stores, exactly as
-//!   when the two passes were interleaved per warp.
-//!
-//! Accounting is additive per block and per phase name, so every counter,
-//! the per-SM cycle sums, the phase spans and the modeled time are the ones
-//! the interleaved order produced (`tests/vwc_golden.rs` pins them).
+//! What a block *costs* — the SISD loads, the sweep, the ladders, the
+//! publish `exec`s, the deferred pass's sweeps — is fixed by the CSR and the
+//! launch geometry, not by the vertex values, and nothing reads the data
+//! those ops move. They are the block's `statics`, phase by phase: one
+//! launch record holds them for the run, taken at its first launch and
+//! charged whole at every later one. What remains is functional: each warp
+//! folds its vertices' in-edges straight from the device buffers' host views
+//! — in CSR order, sound because `compute` must be commutative +
+//! associative — and its leaders publish the changed ones, the one
+//! value-dependent store. A warp reads all its vertices' neighbours before
+//! it publishes any and sees every earlier warp's stores. Accounting is
+//! additive per block and phase name, so every counter, the per-SM cycles,
+//! the phase spans and the modeled time are those of issuing it all
+//! interleaved (`tests/vwc_golden.rs` pins them).
 
 use cusha_core::integrity::{apply_flip, scrub, Ask, Detector, Recovery, Rung};
 use cusha_core::memsize::{check_fits, ValueSizes};
@@ -38,22 +32,10 @@ use cusha_core::{
 };
 use cusha_graph::{Csr, Graph};
 use cusha_obs::trace::Tracer;
-use cusha_simt::replay::keys_fit;
 use cusha_simt::{
-    Block, DevVec, DeviceConfig, FaultPlan, KernelDesc, Mask, Pod, SharedVec, VirtualWarps, WARP,
+    Block, DevVec, DeviceConfig, FaultPlan, KernelDesc, LaunchRecord, Mask, Pod, SharedVec,
+    VirtualWarps, WARP,
 };
-use std::ops::Range;
-
-// Warp-trace replay site tags (see `cusha_simt::replay`), one per accounted
-// phase of a block. The SISD loads cost what the block's vertex base's
-// coalescing alignment and its vertex count say, the ladder what its warp
-// count and its last warp's group count say: a handful of keys per run. The
-// sweep and the deferred pass gather through the CSR, one pattern per block,
-// fixed for the run that owns the device and its table: one key per block.
-const SITE_VWC_SISD: u64 = 0x7677_5349_5344;
-const SITE_VWC_SWEEP: u64 = 0x7677_5357_4550;
-const SITE_VWC_REDUCE: u64 = 0x7677_524544;
-const SITE_VWC_DEF: u64 = 0x7677_444546;
 
 /// VWC-CSR configuration.
 #[derive(Clone, Debug)]
@@ -286,16 +268,34 @@ fn vwc_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
     // ---- Convergence loop --------------------------------------------------
     let vw = cfg.virtual_warp;
     let wpg = vws.per_physical(); // vertices (groups) per physical warp
-    let vertices_per_block = cfg.threads_per_block as usize / vw;
+    let tpb = cfg.threads_per_block as usize;
+    let vertices_per_block = tpb / vw;
     let grid = (n.div_ceil(vertices_per_block)).max(1) as u32;
     let all_leaders = vws.leaders();
-    // One sweep key per block, when the table can hold a grid's worth.
-    let key_per_block = keys_fit(grid as usize);
     let desc = KernelDesc::new(
         format!("VWC-CSR/{}::{}", cfg.virtual_warp, prog.name()),
         grid,
         cfg.threads_per_block,
     );
+    // What the CSR and the geometry fix, charged whole after the first launch.
+    let mut record = LaunchRecord::default();
+    let offsets = in_edge_idxs.host();
+    let defers = |deg: u32| cfg.defer_outliers.is_some_and(|t| deg > t);
+    let deg = |v: usize| offsets[v + 1] - offsets[v];
+    let (srcs, statics) = (src_indxs.host(), static_buf.as_ref().map(DevVec::host));
+    let edge_values = edge_buf.as_ref().map(DevVec::host);
+    // Vertex `v`'s new value over `values`, if it is to be published.
+    let relax = |v: usize, values: &[P::V]| {
+        let (old, mut new) = (values[v], P::V::default());
+        prog.init_compute(&mut new, &old);
+        for e in offsets[v] as usize..offsets[v + 1] as usize {
+            let src = srcs[e] as usize;
+            let sv = statics.map_or_else(P::SV::default, |s| s[src]);
+            let ev = edge_values.map_or_else(P::E::default, |ev| ev[e]);
+            prog.compute(&values[src], &sv, &ev, &mut new);
+        }
+        prog.update_condition(&mut new, &old).then_some(new)
+    };
     while run.stats.iterations < cfg.max_iterations {
         let gpu = &mut run.gpu;
         let iter_ts = gpu.total_seconds();
@@ -312,15 +312,13 @@ fn vwc_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
             recover!(Detector::Checksum);
         }
         let mut updated_this_iter = 0u64;
-        let kstats = gpu.try_launch(&desc, |b| {
+        let kstats = gpu.try_launch_recorded(&desc, &mut record, |b| {
             let block_vertex_base = b.id() as usize * vertices_per_block;
-            // `outcome` shared array (paper Appendix A line 7) used by the
-            // per-step stores and the reduction ladder.
-            let mut outcome = b.shared_alloc::<P::V>(cfg.threads_per_block as usize);
             if block_vertex_base >= n {
                 return; // the one block of an empty graph
             }
             let block_vertices = (n - block_vertex_base).min(vertices_per_block);
+            let block = block_vertex_base..block_vertex_base + block_vertices;
             let warps = block_vertices.div_ceil(wpg);
             // Physical warp `w`: its first vertex, how many of its groups
             // hold one (a prefix, so the valid lanes are a run), and those
@@ -331,22 +329,13 @@ fn vwc_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
                 let valid = Mask(((1u64 << (nvalid * vw)) - 1) as u32);
                 (base, nvalid, all_leaders.and(valid))
             };
-            let defers = |deg: u32| cfg.defer_outliers.is_some_and(|t| deg > t);
+            // The `outcome` shared array (paper Appendix A line 7) of the
+            // per-step stores and the ladders; only the statics touch it.
+            let mut outcome = None;
 
-            // ======== Accounting pass: what the block costs ================
             // --- SISD phase (leader lanes): CSR offsets + old value.
             b.phase("sisd");
-            // Keyed on the vertex base's coalescing alignment class (all
-            // device buffers are 256-byte aligned, so `base mod
-            // segment-lanes` fixes every segment/sector count), not the
-            // base itself: thousands of blocks share a handful of keys.
-            let site = [
-                SITE_VWC_SISD,
-                (block_vertex_base % 32) as u64,
-                block_vertices as u64,
-                0,
-            ];
-            b.accounted(Some(site), |b| {
+            b.statics(|b| {
                 for w in 0..warps {
                     let (base, _, leaders) = warp(w);
                     let vertex_of = |lane: usize| base + vws.group_of(lane);
@@ -359,19 +348,18 @@ fn vwc_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
 
             // --- Neighbour sweep, `vw` edges of each vertex per step.
             b.phase("sweep");
-            let site = [SITE_VWC_SWEEP, b.id() as u64, 0, 0];
-            let offsets = in_edge_idxs.host();
-            b.accounted(key_per_block.then_some(site), |b| {
+            b.statics(|b| {
+                let outcome = outcome.get_or_insert_with(|| b.shared_alloc::<P::V>(tpb));
                 let stored = [P::V::default(); WARP]; // nothing reads `outcome`
                 for w in 0..warps {
                     let (base, nvalid, _) = warp(w);
                     let mut group_start = [0u32; WARP];
                     let mut group_deg = [0u32; WARP];
                     for g in 0..nvalid {
-                        let deg = offsets[base + g + 1] - offsets[base + g];
                         group_start[g] = offsets[base + g];
                         // A deferred outlier is skipped by the main sweep.
-                        group_deg[g] = if defers(deg) { 0 } else { deg };
+                        let d = deg(base + g);
+                        group_deg[g] = if defers(d) { 0 } else { d };
                     }
                     let warp_thread_base = (w * WARP) as isize;
                     let max_deg = group_deg[..nvalid].iter().max().map_or(0, |&d| d as usize);
@@ -417,76 +405,54 @@ fn vwc_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
                         }
                         b.exec(mask, P::COMPUTE_COST);
                         // The accounted `outcome` store of Appendix A.
-                        b.sstore_run(&mut outcome, mask, warp_thread_base, &stored);
+                        b.sstore_run(outcome, mask, warp_thread_base, &stored);
                     }
                 }
             });
 
-            // --- Parallel reduction ladders. Their shared-memory pattern
-            // depends only on each warp's thread base and valid-group count.
+            // --- Parallel reduction ladders.
             b.phase("reduce");
-            let last_valid = block_vertices - (warps - 1) * wpg;
-            let site = [SITE_VWC_REDUCE, warps as u64, last_valid as u64, 0];
-            b.accounted(Some(site), |b| {
+            b.statics(|b| {
+                let outcome = outcome.get_or_insert_with(|| b.shared_alloc::<P::V>(tpb));
                 for w in 0..warps {
-                    ladder(b, &mut outcome, w * WARP, vw, warp(w).1);
+                    ladder(b, outcome, w * WARP, vw, warp(w).1);
                 }
             });
 
-            // ======== Functional pass: what the block computes =============
-            // --- Leader publishes if changed (Appendix A lines 22-25). Not
-            // scoped: the store mask is value-dependent.
+            // --- Leaders publish the changed values (Appendix A lines 22-25).
             b.phase("publish");
+            b.statics(|b| (0..warps).for_each(|w| b.exec(warp(w).2, 1)));
             let mut block_updated = false;
-            // (vertex, in-edge slice, old value) of deferred outliers.
-            let mut deferred: Vec<(usize, Range<usize>, P::V)> = Vec::new();
             for w in 0..warps {
-                let (base, nvalid, leaders) = warp(w);
-                let mut store_bits = 0u32;
-                let mut news = [P::V::default(); WARP];
-                for g in 0..nvalid {
-                    let v = base + g;
-                    let edges = offsets[v] as usize..offsets[v + 1] as usize;
-                    let old = vertex_values.host()[v];
-                    if defers(edges.len() as u32) {
-                        deferred.push((v, edges, old));
+                let (base, nvalid, _) = warp(w);
+                let (mut stores, mut news) = (0u32, [P::V::default(); WARP]);
+                for (g, new) in news[..nvalid].iter_mut().enumerate() {
+                    if defers(deg(base + g)) {
                         continue;
                     }
-                    let leader = g * vw;
-                    prog.init_compute(&mut news[leader], &old);
-                    fold_in_edges(
-                        prog,
-                        &mut news[leader],
-                        edges,
-                        src_indxs.host(),
-                        vertex_values.host(),
-                        static_buf.as_ref().map(DevVec::host),
-                        edge_buf.as_ref().map(DevVec::host),
-                    );
-                    if prog.update_condition(&mut news[leader], &old) {
-                        store_bits |= 1 << leader;
+                    if let Some(v) = relax(base + g, vertex_values.host()) {
+                        *new = v;
+                        stores |= 1 << g;
                     }
                 }
-                let store_mask = Mask(store_bits);
-                b.exec(leaders, 1);
-                if !store_mask.is_empty() {
-                    let vertex_of = |lane: usize| base + vws.group_of(lane);
-                    b.gstore(&mut vertex_values, store_mask, vertex_of, |l| news[l]);
+                // Group `g`'s leader stores to `base + g`: the leader lanes'
+                // addresses and lane count, as a run op over the groups.
+                if stores != 0 {
+                    b.gstore_run(&mut vertex_values, Mask(stores), base as isize, &news);
                     block_updated = true;
-                    updated_this_iter += store_mask.count() as u64;
+                    updated_this_iter += u64::from(stores.count_ones());
                 }
             }
 
             // Second pass: deferred outliers, one full 32-lane warp each.
-            if !deferred.is_empty() {
+            let deferred = || block.clone().filter(|&v| defers(deg(v)));
+            if deferred().next().is_some() {
                 b.phase("deferred");
-                // The sweeps and the full-warp ladders touch memory in a
-                // pattern fixed by the block's CSR slices; the
-                // value-dependent publishes below stay outside the scope.
-                let site = [SITE_VWC_DEF, b.id() as u64, 0, 0];
-                b.accounted(key_per_block.then_some(site), |b| {
+                b.statics(|b| {
+                    let outcome = outcome.get_or_insert_with(|| b.shared_alloc::<P::V>(tpb));
                     let stored = [P::V::default(); WARP];
-                    for (_, edges, _) in &deferred {
+                    for v in deferred() {
+                        let edges = offsets[v] as usize..offsets[v + 1] as usize;
                         for k in edges.clone().step_by(WARP) {
                             let mask = Mask::first((edges.end - k).min(WARP));
                             let nbrs = b.gload_run(&src_indxs, mask, k as isize);
@@ -498,27 +464,15 @@ fn vwc_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
                                 b.gload_run(buf, mask, k as isize);
                             }
                             b.exec(mask, P::COMPUTE_COST);
-                            b.sstore_run(&mut outcome, mask, 0, &stored);
+                            b.sstore_run(outcome, mask, 0, &stored);
                         }
-                        ladder(b, &mut outcome, 0, WARP, 1); // full-warp
+                        ladder(b, outcome, 0, WARP, 1); // full-warp
+                        b.exec(Mask::first(1), 1);
                     }
                 });
-                for (v, edges, old) in deferred {
-                    let mut local = P::V::default();
-                    prog.init_compute(&mut local, &old);
-                    fold_in_edges(
-                        prog,
-                        &mut local,
-                        edges,
-                        src_indxs.host(),
-                        vertex_values.host(),
-                        static_buf.as_ref().map(DevVec::host),
-                        edge_buf.as_ref().map(DevVec::host),
-                    );
-                    let cond = prog.update_condition(&mut local, &old);
-                    b.exec(Mask::first(1), 1);
-                    if cond {
-                        b.gstore(&mut vertex_values, Mask::first(1), |_| v, |_| local);
+                for v in deferred() {
+                    if let Some(new) = relax(v, vertex_values.host()) {
+                        b.gstore(&mut vertex_values, Mask::first(1), |_| v, |_| new);
                         block_updated = true;
                         updated_this_iter += 1;
                     }
@@ -526,7 +480,7 @@ fn vwc_attempt<P: VertexProgram, O: RunObserver + ?Sized>(
             }
 
             if block_updated {
-                b.gstore(&mut converged_flag, Mask::first(1), |_| 0, |_| 0u32);
+                b.gstore_run(&mut converged_flag, Mask::first(1), 0, &[0u32; WARP]);
             }
         })?;
         let total = &mut run.stats;
@@ -571,26 +525,6 @@ fn ladder<V: Pod>(
         b.sstore_run(outcome, mask, thread_base as isize, &partial);
         b.exec(mask, 1);
         off /= 2;
-    }
-}
-
-/// Folds the in-edges `edges` (CSR positions) of one vertex into `acc`, in
-/// CSR order, reading neighbour, static and edge values from the device
-/// buffers' host views.
-fn fold_in_edges<P: VertexProgram>(
-    prog: &P,
-    acc: &mut P::V,
-    edges: Range<usize>,
-    src_indxs: &[u32],
-    values: &[P::V],
-    statics: Option<&[P::SV]>,
-    edge_values: Option<&[P::E]>,
-) {
-    for e in edges {
-        let src = src_indxs[e] as usize;
-        let sv = statics.map_or_else(P::SV::default, |s| s[src]);
-        let ev = edge_values.map_or_else(P::E::default, |ev| ev[e]);
-        prog.compute(&values[src], &sv, &ev, acc);
     }
 }
 

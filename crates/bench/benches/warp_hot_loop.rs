@@ -13,13 +13,14 @@
 //! ledger's `simt.launch_replay_us` probe times), `layer/stage_plain_loop` the
 //! same stage as the CuSha kernel runs it once its scope replays — no ops, one
 //! fold over the buffers' host views — and
-//! `layer/vwc_block_*` the shape the VWC baseline uses: three scopes a block
-//! whose bodies are issued only on a miss, 256 blocks a launch: interpreted,
-//! replayed, with every sweep key evicted from a table at its cap between
-//! launches, and with the sweep left unscoped (the kernel's answer to that).
-//! `layer/kcore_scan_*` is the shape k-core's dense filter kernels use: one
-//! scope a block around stride-1 run loads, then a functional pass over the
-//! host views that stores a flag for the few vertices the values pick.
+//! `layer/vwc_block_*` the shape the VWC baseline uses, 256 blocks a launch:
+//! each block's SISD loads, sweep, ladder and publish `exec`s are its
+//! `statics`, then a fold over the host views; interpreted (a plain launch)
+//! and replayed (a launch that charges its record whole).
+//! `layer/kcore_scan_*` is the shape k-core's dense filter kernels use:
+//! stride-1 run loads as a block's `statics`, then a functional pass over the
+//! host views that stores a flag for the few vertices the values pick; the
+//! same two launches.
 //! `warm_query/*` times `try_run_warm` on a layout that has never run against
 //! one that has.
 
@@ -27,9 +28,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use cusha_algos::Bfs;
 use cusha_core::{try_run_warm, CuShaConfig, NoopObserver, PreparedLayout, Repr};
 use cusha_graph::generators::rmat::{rmat, RmatConfig};
-use cusha_simt::replay::MAX_SLOTS;
 use cusha_simt::{
-    warp_chunks, Block, CoalesceMemo, DevVec, DeviceConfig, Gpu, KernelDesc, Mask, WARP,
+    warp_chunks, Block, CoalesceMemo, DevVec, DeviceConfig, Gpu, KernelDesc, KernelStats,
+    LaunchRecord, Mask, WARP,
 };
 use std::hint::black_box;
 
@@ -218,162 +219,126 @@ fn layers(c: &mut Criterion) {
 }
 
 /// One VWC/32 block as `cusha_baselines::vwc` issues it — 8 warps, a vertex
-/// each: the SISD loads, the sweep and the ladder are accounted inside one
-/// scope apiece and issued only when that scope does not replay, then the
-/// functional pass folds from the host views. `sweep_key` names the block;
-/// `None` leaves the sweep unscoped, as the kernel does for a grid of more
-/// blocks than half the table's cap.
-fn vwc_block(
-    blk: &mut Block<'_>,
-    offsets: &DevVec<u32>,
-    srcs: &DevVec<u32>,
-    values: &DevVec<u32>,
-    sweep_key: Option<u64>,
-) {
+/// each: the SISD loads, the sweep, the ladder and the publish `exec`s are
+/// the block's statics, issued unless the launch charges its record, then
+/// the functional pass folds from the host views.
+fn vwc_block(blk: &mut Block<'_>, offsets: &DevVec<u32>, srcs: &DevVec<u32>, values: &DevVec<u32>) {
     const WARPS: usize = 8;
     let zcol = [0u32; WARP];
     let leader = Mask::first(1);
     let edges = |w: usize| offsets.host()[w] as usize..offsets.host()[w + 1] as usize;
-    let mut outcome = blk.shared_alloc::<u32>(WARPS * WARP);
-    if !blk.warp_scope(&[0x7662_5349, 0, WARPS as u64, 0], Mask::FULL, &zcol) {
+    let mut outcome = None;
+    blk.statics(|blk| {
         for w in 0..WARPS {
             blk.gload(offsets, leader, |_| w);
             blk.gload(offsets, leader, |_| w + 1);
             blk.gload(values, leader, |_| w);
             blk.exec(leader, 1);
         }
-    }
-    blk.warp_scope_end();
-    let replays =
-        sweep_key.is_some_and(|key| blk.warp_scope(&[0x7662_5357, key, 0, 0], Mask::FULL, &zcol));
-    if !replays {
+    });
+    blk.statics(|blk| {
+        let outcome = outcome.get_or_insert_with(|| blk.shared_alloc::<u32>(WARPS * WARP));
         for w in 0..WARPS {
             for k in edges(w).step_by(WARP) {
                 let mask = Mask::first((edges(w).end - k).min(WARP));
                 let nbrs = blk.gload_run(srcs, mask, k as isize);
                 blk.gload(values, mask, |l| nbrs[l] as usize);
                 blk.exec(mask, 2);
-                blk.sstore_run(&mut outcome, mask, (w * WARP) as isize, &zcol);
+                blk.sstore_run(outcome, mask, (w * WARP) as isize, &zcol);
             }
         }
-    }
-    if sweep_key.is_some() {
-        blk.warp_scope_end();
-    }
-    if !blk.warp_scope(&[0x7662_5245, WARPS as u64, 1, 0], Mask::FULL, &zcol) {
+    });
+    blk.statics(|blk| {
+        let outcome = outcome.get_or_insert_with(|| blk.shared_alloc::<u32>(WARPS * WARP));
         for w in 0..WARPS {
             let mut off = WARP / 2;
             while off >= 1 {
                 let mask = Mask::first(off);
-                let partial = blk.sload_run(&outcome, mask, (w * WARP + off) as isize);
-                blk.sstore_run(&mut outcome, mask, (w * WARP) as isize, &partial);
+                let partial = blk.sload_run(outcome, mask, (w * WARP + off) as isize);
+                blk.sstore_run(outcome, mask, (w * WARP) as isize, &partial);
                 blk.exec(mask, 1);
                 off /= 2;
             }
         }
-    }
-    blk.warp_scope_end();
+    });
+    blk.statics(|blk| (0..WARPS).for_each(|_| blk.exec(leader, 1)));
     for w in 0..WARPS {
         let nbrs = &srcs.host()[edges(w)];
         let fold = nbrs.iter().map(|&s| values.host()[s as usize]).min();
-        blk.exec(leader, 1);
         black_box(fold);
+    }
+}
+
+/// A plain launch of `desc` (its statics interpreted), or one through
+/// `record` (charged whole once recorded).
+fn launch(
+    gpu: &mut Gpu,
+    desc: &KernelDesc,
+    record: Option<&mut LaunchRecord>,
+    body: impl FnMut(&mut Block<'_>),
+) -> KernelStats {
+    match record {
+        Some(record) => gpu.try_launch_recorded(desc, record, body).unwrap(),
+        None => gpu.launch(desc, body),
     }
 }
 
 fn vwc_block_layers(c: &mut Criterion) {
     // [`OPS`] blocks a launch, all over the same 8 vertices: the road
     // lattice's shape at VWC/32 — four in-edges a vertex, one 4-lane sweep
-    // step a warp — where a block is lightest and a probe weighs most.
+    // step a warp — where a block is lightest and a per-block cost weighs
+    // most.
     const DEG: usize = 4;
     let desc = KernelDesc::new("vwc-block", OPS as u32, 256);
-    let device = |replay: bool| {
-        let mut cfg = DeviceConfig::gtx780();
-        cfg.replay_memo = replay;
-        let mut gpu = Gpu::new(cfg);
-        let offsets = gpu.upload(&(0..=8).map(|v| (v * DEG) as u32).collect::<Vec<_>>());
-        let srcs = gpu.upload(
-            &(0..8 * DEG)
-                .map(|e| (e * 7919 % N) as u32)
-                .collect::<Vec<_>>(),
-        );
-        let values = gpu.upload(&(0..N as u32).collect::<Vec<_>>());
-        (gpu, offsets, srcs, values)
+    let mut gpu = Gpu::new(DeviceConfig::gtx780());
+    let offsets = gpu.upload(&(0..=8).map(|v| (v * DEG) as u32).collect::<Vec<_>>());
+    let srcs = gpu.upload(
+        &(0..8 * DEG)
+            .map(|e| (e * 7919 % N) as u32)
+            .collect::<Vec<_>>(),
+    );
+    let values = gpu.upload(&(0..N as u32).collect::<Vec<_>>());
+    let run = |gpu: &mut Gpu, record: Option<&mut LaunchRecord>| {
+        launch(gpu, &desc, record, |blk| {
+            vwc_block(blk, &offsets, &srcs, &values)
+        })
     };
-    let (mut gpu, offsets, srcs, values) = device(false);
+    let interpreted = run(&mut gpu, None);
     c.bench_function("layer/vwc_block_interpret_x256", |b| {
-        b.iter(|| gpu.launch(&desc, |blk| vwc_block(blk, &offsets, &srcs, &values, None)))
-    });
-
-    // `Some(epoch)`: every block keys its sweep `(epoch, block id)`.
-    let (mut gpu, offsets, srcs, values) = device(true);
-    let run = |gpu: &mut Gpu, epoch: Option<u64>| {
-        gpu.launch(&desc, |blk| {
-            let key = epoch.map(|e| e << 32 | blk.id() as u64);
-            vwc_block(blk, &offsets, &srcs, &values, key)
-        })
-    };
-    run(&mut gpu, Some(0));
-    c.bench_function("layer/vwc_block_replay_x256", |b| {
-        b.iter(|| run(&mut gpu, Some(0)))
-    });
-    assert_eq!(gpu.replay_stats().1, OPS as u64 + 2, "a block re-recorded");
-
-    // A grid the table cannot hold. `overcap`: each block's sweep key was
-    // evicted since the last iteration, so its probe walks a full window of a
-    // full table, misses, and the sweep is interpreted and re-recorded (the
-    // two class scopes still replay). `unscoped`: the same block with no
-    // sweep scope at all — what the kernel does instead, as long as this row
-    // is the cheaper one (and a table at its cap is 10 MB it never maps).
-    gpu.launch(&KernelDesc::new("fill", 1, 32), |blk| {
-        for k in 0..2 * MAX_SLOTS as u64 {
-            blk.warp_scope(&[0x6f76_6572, k, 0, 0], Mask::FULL, &[0u32; WARP]);
-            blk.exec(Mask::FULL, 1);
-            blk.warp_scope_end();
-        }
-    });
-    assert_eq!(gpu.replay_table().slots().1, MAX_SLOTS, "table not at cap");
-    let mut epoch = 0;
-    c.bench_function("layer/vwc_block_overcap_x256", |b| {
-        b.iter(|| {
-            epoch += 1;
-            run(&mut gpu, Some(epoch))
-        })
-    });
-    c.bench_function("layer/vwc_block_unscoped_x256", |b| {
         b.iter(|| run(&mut gpu, None))
     });
+    let mut record = LaunchRecord::default();
+    run(&mut gpu, Some(&mut record));
+    c.bench_function("layer/vwc_block_replay_x256", |b| {
+        b.iter(|| run(&mut gpu, Some(&mut record)))
+    });
+    assert_eq!(run(&mut gpu, Some(&mut record)), interpreted);
+    assert_eq!(gpu.replay_stats().1, 1, "the record re-recorded");
 }
 
 fn kcore_scan_layers(c: &mut Criterion) {
     // [`OPS`] blocks of 8 warps a launch, as `cusha_frontier::kcore` issues
     // its degree scan on the road lattice: every vertex alive, one in 61
-    // below `k`. The accounting pass sits inside `Block::accounted`.
+    // below `k`. The accounting pass is the blocks' statics.
     const K: u32 = 2;
     let n = OPS * TPB as usize;
     let desc = KernelDesc::new("kcore-scan", OPS as u32, TPB);
-    let device = |replay: bool| {
-        let mut cfg = DeviceConfig::gtx780();
-        cfg.replay_memo = replay;
-        let mut gpu = Gpu::new(cfg);
-        let alive = gpu.upload(&vec![1u32; n]);
-        let deg = gpu.upload(
-            &(0..n)
-                .map(|v| 1 + (v % 61).min(3) as u32)
-                .collect::<Vec<_>>(),
-        );
-        let active = gpu.alloc::<u32>(n);
-        (gpu, alive, deg, active)
-    };
-    let scan = |gpu: &mut Gpu, alive: &DevVec<u32>, deg: &DevVec<u32>, active: &mut DevVec<u32>| {
-        gpu.launch(&desc, |blk| {
+    let mut gpu = Gpu::new(DeviceConfig::gtx780());
+    let alive = gpu.upload(&vec![1u32; n]);
+    let deg = gpu.upload(
+        &(0..n)
+            .map(|v| 1 + (v % 61).min(3) as u32)
+            .collect::<Vec<_>>(),
+    );
+    let mut active = gpu.alloc::<u32>(n);
+    let mut scan = |gpu: &mut Gpu, record: Option<&mut LaunchRecord>| {
+        launch(gpu, &desc, record, |blk| {
             let block_base = blk.id() as usize * TPB as usize;
             let tiles = || warp_chunks(TPB as usize).map(move |(w, m)| (block_base + w, m));
-            let site = [0x6b63_5343, blk.id() as u64, n as u64, TPB as u64];
-            blk.accounted(Some(site), |blk| {
+            blk.statics(|blk| {
                 for (base, mask) in tiles() {
-                    blk.gload_run(alive, mask, base as isize);
-                    blk.gload_run(deg, mask, base as isize);
+                    blk.gload_run(&alive, mask, base as isize);
+                    blk.gload_run(&deg, mask, base as isize);
                     blk.exec(mask, 1);
                 }
             });
@@ -381,21 +346,22 @@ fn kcore_scan_layers(c: &mut Criterion) {
                 let (alive, deg) = (&alive.host()[base..], &deg.host()[base..]);
                 let set = Mask::from_fn(|l| mask.lane(l) && alive[l] != 0 && deg[l] < K);
                 if !set.is_empty() {
-                    blk.gstore_run(active, set, base as isize, &[1; WARP]);
+                    blk.gstore_run(&mut active, set, base as isize, &[1; WARP]);
                 }
             }
         })
     };
-    let (mut gpu, alive, deg, mut active) = device(false);
+    let interpreted = scan(&mut gpu, None);
     c.bench_function("layer/kcore_scan_interpret_x256", |b| {
-        b.iter(|| scan(&mut gpu, &alive, &deg, &mut active))
+        b.iter(|| scan(&mut gpu, None))
     });
-    let (mut gpu, alive, deg, mut active) = device(true);
-    scan(&mut gpu, &alive, &deg, &mut active);
+    let mut record = LaunchRecord::default();
+    scan(&mut gpu, Some(&mut record));
     c.bench_function("layer/kcore_scan_replay_x256", |b| {
-        b.iter(|| scan(&mut gpu, &alive, &deg, &mut active))
+        b.iter(|| scan(&mut gpu, Some(&mut record)))
     });
-    assert_eq!(gpu.replay_stats().1, OPS as u64, "a block re-recorded");
+    assert_eq!(scan(&mut gpu, Some(&mut record)), interpreted);
+    assert_eq!(gpu.replay_stats().1, 1, "the record re-recorded");
 }
 
 fn warm_query(c: &mut Criterion) {

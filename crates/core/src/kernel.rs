@@ -27,6 +27,7 @@
 
 use crate::cw::ConcatWindows;
 use crate::engine::PreparedLayout;
+use crate::error::EngineError;
 use crate::program::{Value, VertexProgram};
 use crate::shards::GShards;
 use crate::stats::FaultStats;
@@ -99,15 +100,29 @@ impl RetryPolicy {
         backoff_base_seconds: 0.0,
         max_kernel_retries: 0,
     };
+}
 
-    /// `(copy retries, kernel retries, first backoff)` for a caller that
-    /// spends the budget down itself (the middleware, around whole runs).
-    pub(crate) fn counts(self) -> (u32, u32, f64) {
-        (
-            self.max_copy_retries,
-            self.max_kernel_retries,
-            self.backoff_base_seconds,
-        )
+/// The retry around whole attempts granted to an entry with no recovery
+/// ladder (the middleware's engines, k-core, triangle counting): `attempt`
+/// reruns after a transient fault while [`RetryPolicy::DEFAULT`] lasts, on
+/// the fault plan the last one advanced. Returns the last outcome and retries.
+pub fn retry_attempts<T, V>(
+    mut attempt: impl FnMut() -> Result<T, EngineError<V>>,
+) -> (Result<T, EngineError<V>>, FaultStats) {
+    use EngineError::{CopyFault, KernelFault};
+    let (budget, mut retried) = (RetryPolicy::DEFAULT, FaultStats::default());
+    loop {
+        match attempt() {
+            Err(CopyFault { .. }) if retried.copy_retries < budget.max_copy_retries => {
+                let doubled = (1u64 << retried.copy_retries) as f64;
+                retried.backoff_seconds += budget.backoff_base_seconds * doubled;
+                retried.copy_retries += 1;
+            }
+            Err(KernelFault { .. }) if retried.kernel_retries < budget.max_kernel_retries => {
+                retried.kernel_retries += 1;
+            }
+            outcome => return (outcome, retried),
+        }
     }
 }
 

@@ -6,10 +6,10 @@
 //! * deadline enforcement and observer cancellation ([`DeadlineObserver`]
 //!   wraps the caller's [`RunObserver`], so `--timeout-ms` works on any
 //!   engine whose loop calls the observer once per iteration),
-//! * transient-fault retry with modeled exponential backoff for engines
-//!   without an internal recovery ladder (the middleware owns the
-//!   [`FaultPlan`] across attempts, so consumed one-shot faults never
-//!   re-fire on a retry).
+//! * transient-fault retry ([`retry_attempts`], which k-core and triangle
+//!   counting run too) for engines without an internal recovery ladder (the
+//!   middleware owns the [`FaultPlan`] across attempts, so consumed one-shot
+//!   faults never re-fire on a retry).
 //!
 //! Silent corruption is each device engine's own (`integrity::Recovery`).
 //! The shard family's one adapter lives here ([`ShardEngine`]: a
@@ -20,7 +20,7 @@ use crate::engine::{
     try_run_placed, CuShaConfig, CuShaOutput, Placement, PreparedLayout, Repr, RunObserver,
 };
 use crate::error::EngineError;
-use crate::kernel::RetryPolicy;
+use crate::kernel::retry_attempts;
 use crate::program::VertexProgram;
 use crate::stats::FaultStats;
 use cusha_graph::Graph;
@@ -116,44 +116,25 @@ pub fn run_engine<P: VertexProgram, O: RunObserver + ?Sized>(
     let mut cfg = cfg.clone();
     cfg.fault_plan = None;
 
-    // An engine without a ladder of its own is granted the one retry budget
-    // around whole attempts; the backoff doubles per copy retry.
-    let budget = if engine.recovers_faults() {
-        RetryPolicy::NONE
-    } else {
-        RetryPolicy::DEFAULT
-    };
-    let (mut copy_left, mut kernel_left, mut backoff) = budget.counts();
-    let mut mw_fault = FaultStats::default();
-
-    loop {
+    // An engine without a ladder of its own is granted the retry budget.
+    let recovers = engine.recovers_faults();
+    let mut attempt = || {
         let mut dl = DeadlineObserver::new(cfg.deadline_seconds, observer);
         let ctx = EngineCtx {
             cfg: &cfg,
             fault_plan: plan.as_mut(),
             observer: &mut dl,
         };
-        match engine.execute(prog, graph, ctx) {
-            Err(EngineError::CopyFault { .. }) if copy_left > 0 => {
-                copy_left -= 1;
-                mw_fault.copy_retries += 1;
-                mw_fault.backoff_seconds += backoff;
-                backoff *= 2.0;
-            }
-            Err(EngineError::KernelFault { .. }) if kernel_left > 0 => {
-                kernel_left -= 1;
-                mw_fault.kernel_retries += 1;
-            }
-            // An output, capped or not, carries the retries it took.
-            outcome => {
-                let mut out = outcome.or_else(EngineError::partial)?;
-                out.stats.fault.copy_retries += mw_fault.copy_retries;
-                out.stats.fault.kernel_retries += mw_fault.kernel_retries;
-                out.stats.fault.backoff_seconds += mw_fault.backoff_seconds;
-                return out.into_result();
-            }
-        }
-    }
+        engine.execute(prog, graph, ctx)
+    };
+    let (outcome, retried) = match recovers {
+        true => (attempt(), FaultStats::default()),
+        false => retry_attempts(attempt),
+    };
+    // An output, capped or not, carries the retries it took.
+    let mut out = outcome.or_else(EngineError::partial)?;
+    out.stats.fault.absorb(&retried);
+    out.into_result()
 }
 
 /// The shard family's adapter (CuSha-GS / CuSha-CW, wherever `placement`

@@ -1093,12 +1093,7 @@ pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
             sdc: sdcs[d],
             profile: gpu.profile.clone(),
         });
-        let f = &st.faults[d];
-        stats.fault.copy_retries += f.copy_retries;
-        stats.fault.backoff_seconds += f.backoff_seconds;
-        stats.fault.oom_rebatches += f.oom_rebatches;
-        stats.fault.degradations += f.degradations;
-        stats.fault.kernel_retries += f.kernel_retries;
+        stats.fault.absorb(&st.faults[d]);
         stats.sdc.absorb(&sdcs[d]);
         stats.memo.add(&MemoStats::from_gpu(gpu));
     }

@@ -37,6 +37,15 @@ pub struct FaultStats {
 }
 
 impl FaultStats {
+    /// Element-wise accumulation (a fleet's or a retried run's total).
+    pub fn absorb(&mut self, other: &FaultStats) {
+        self.copy_retries += other.copy_retries;
+        self.backoff_seconds += other.backoff_seconds;
+        self.oom_rebatches += other.oom_rebatches;
+        self.degradations += other.degradations;
+        self.kernel_retries += other.kernel_retries;
+    }
+
     /// True when no fault-tolerance machinery fired. A run that spent any
     /// modeled time in backoff is not clean even if every other counter is
     /// zero — backoff time is recovery activity like any other.

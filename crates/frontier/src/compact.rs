@@ -16,10 +16,10 @@
 //! A block runs in two passes, like the VWC baseline's. The flag scan — one
 //! stride-1 load and one `exec` per warp — costs what the tile's position
 //! says and nothing the flags say, and nothing reads the data it moves: it is
-//! the **accounting pass**, one replay scope per block, issued only when the
-//! scope does not replay. The **functional pass** then reads the same flags
-//! from the buffer's host view and issues, interpreted and in warp order,
-//! what does depend on them: the rank `exec`, the compacted write (ranks are
+//! the block's `statics`, which the launch's record charges whole once it
+//! holds them. The **functional pass** then reads the same flags from the
+//! buffer's host view and issues, interpreted and in warp order, what does
+//! depend on them: the rank `exec`, the compacted write (ranks are
 //! consecutive, so it is a run store of the packed lanes) and the flag clear.
 //!
 //! The generic frontier engine fuses its filter into the advance kernel
@@ -27,12 +27,9 @@
 //! kernel serves the peel-style workloads — k-core flags vertices in a
 //! scan kernel and compacts the peel set here.
 
-use cusha_simt::{aligned_chunks, DevVec, DeviceFault, Gpu, KernelDesc, KernelStats, Mask, WARP};
-
-/// Replay site tag of the flag scan (see `cusha_simt::replay`); the key is
-/// `[tag, block id, |V|, threads per block]` — the tile's pattern is fixed
-/// for the run that owns the device, its buffers and its table.
-const SITE_FILTER: u64 = 0x6672_464c_5452;
+use cusha_simt::{
+    aligned_chunks, DevVec, DeviceFault, Gpu, KernelDesc, KernelStats, LaunchRecord, Mask, WARP,
+};
 
 /// The warps of block `bid` over items `0..n`, `tpb` (whole warps) per block:
 /// each warp's first item and its lanes in range, ending where the items do.
@@ -45,8 +42,8 @@ pub(crate) fn block_warps(bid: u32, tpb: usize, n: usize) -> impl Iterator<Item 
 /// frontier length and the kernel's stats. Clears the flags it consumed.
 /// `ctrl` is a two-cell scratch buffer `[cursor, length]` that must be
 /// zero-initialized once; the kernel leaves the cursor re-zeroed for the
-/// next iteration. `desc` is the launch over `n` vertices (one thread each);
-/// `scoped` says whether a grid's worth of keys fits the replay table.
+/// next iteration. `desc` is the launch over `n` vertices (one thread each),
+/// `record` the flag scan's, which the run keeps across its launches.
 pub(crate) fn compact_flags(
     gpu: &mut Gpu,
     active: &mut DevVec<u32>,
@@ -54,15 +51,14 @@ pub(crate) fn compact_flags(
     ctrl: &mut DevVec<u32>,
     n: usize,
     desc: &KernelDesc,
-    scoped: bool,
+    record: &mut LaunchRecord,
 ) -> Result<(usize, KernelStats), DeviceFault> {
     let tpb = desc.threads_per_block as usize;
-    let ks = gpu.try_launch(desc, |b| {
+    let ks = gpu.try_launch_recorded(desc, record, |b| {
         let bid = b.id();
         b.phase("filter");
         let mut cursor = b.gload_run(&*ctrl, Mask::first(1), 0)[0] as usize;
-        let site = [SITE_FILTER, bid as u64, n as u64, tpb as u64];
-        b.accounted(scoped.then_some(site), |b| {
+        b.statics(|b| {
             for (base, mask) in block_warps(bid, tpb, n) {
                 b.gload_run(&*active, mask, base as isize);
                 b.exec(mask, 1);

@@ -12,10 +12,10 @@
 //!
 //! The filter is two dense kernels — the degree scan here and the compaction
 //! of `crate::compact` — that sweep every vertex every round in a pattern
-//! that never changes. Each block of either accounts its stride-1 loads once
-//! (an accounting pass inside one replay scope per block, see `compact`'s
-//! module docs) and then, in a functional pass over the buffers' host views,
-//! issues only the flag stores the values call for. The peel kernel is
+//! that never changes. Their stride-1 loads are a block's `statics`, held by
+//! one launch record per kernel (see `compact`'s module docs); a block then,
+//! in a functional pass over the buffers' host views, issues only the flag
+//! stores the values call for. The peel kernel is
 //! frontier- and data-dependent and stays interpreted; only its peel-list
 //! read is stride-1, and is issued in run form.
 //!
@@ -35,17 +35,12 @@ use crate::compact::{block_warps, compact_flags, lanes_where};
 use crate::config::{FrontierConfig, U32_PER_VERTEX};
 use cusha_core::integrity::{apply_flip, scrub, Ask, Detector, Recovery, Rung};
 use cusha_core::{
-    fault_instant, CuShaOutput, DeviceRun, Direction, EngineError, FrontierStats, NoopObserver,
-    RunObserver, RunStats,
+    fault_instant, retry_attempts, CuShaOutput, DeviceRun, Direction, EngineError, FrontierStats,
+    NoopObserver, RunObserver, RunStats,
 };
 use cusha_graph::Graph;
 use cusha_obs::trace::lanes;
-use cusha_simt::replay::keys_fit;
-use cusha_simt::{DevVec, FaultPlan, FlipTarget, Gpu, KernelDesc, Mask, WARP};
-
-/// Replay site tag of the degree scan's accounting pass; keyed like the
-/// compaction's (`[tag, block id, |V|, threads per block]`).
-const SITE_KCORE_SCAN: u64 = 0x6b63_5343_414e;
+use cusha_simt::{DevVec, FaultPlan, FlipTarget, Gpu, KernelDesc, LaunchRecord, Mask, WARP};
 
 /// k-core reuses the frontier configuration (`max_iterations` caps peel
 /// rounds; the density threshold is unused — peeling is always push-shaped).
@@ -113,8 +108,9 @@ pub fn run_kcore(graph: &Graph, cfg: &KcoreConfig) -> KcoreOutput {
 /// Runs the decomposition on the simulated device. The observer is
 /// consulted after every peel round (`false` aborts with
 /// [`EngineError::Deadline`], as does a round ending past
-/// `cfg.deadline_seconds`); the fault plan, if given, is installed on
-/// the device and its advanced state written back on exit.
+/// `cfg.deadline_seconds`); the fault plan (else `cfg`'s) is installed on
+/// the device, its advanced state written back on exit, and a transient
+/// fault costs a [`retry_attempts`] retry.
 pub fn try_run_kcore<O: RunObserver + ?Sized>(
     graph: &Graph,
     cfg: &KcoreConfig,
@@ -127,10 +123,17 @@ pub fn try_run_kcore<O: RunObserver + ?Sized>(
     let (idxs_host, nbrs_host) = undirected_adjacency(graph);
     let deg_host: Vec<u32> = (0..n).map(|v| idxs_host[v + 1] - idxs_host[v]).collect();
 
-    let engine = "Frontier/kcore".to_string();
-    let out = DeviceRun::open(cfg.device_setup(), engine, fault_plan, observer, |run| {
-        kcore_attempt(graph, cfg, run, &idxs_host, &nbrs_host, &deg_host)
-    })?;
+    let (mut own, name) = (cfg.fault_plan.clone(), "Frontier/kcore");
+    let mut plan = fault_plan.or(own.as_mut());
+    let (out, retried) = retry_attempts(|| {
+        let (setup, plan) = (cfg.device_setup(), plan.as_deref_mut());
+        DeviceRun::open(setup, name.into(), plan, observer, |run| {
+            kcore_attempt(graph, cfg, run, &idxs_host, &nbrs_host, &deg_host)
+        })
+    });
+    let mut out = out.or_else(EngineError::partial)?;
+    out.stats.fault.absorb(&retried);
+    let out = out.into_result()?;
     let degeneracy = out.values.iter().copied().max().unwrap_or(0);
     Ok(KcoreOutput {
         core: out.values,
@@ -196,9 +199,9 @@ fn kcore_attempt<O: RunObserver + ?Sized>(
     let peel = || (deg_host.to_vec(), vec![1u32; n.max(1)], k, alive_count);
     let initial = || (vec![0u32; n.max(1)], peel());
     let mut recovery = Recovery::new(integ, None, &mut run.stats.sdc, initial);
-    // The two dense kernels hold one replay key per block each; the grid and
-    // the compaction's name never change, the other names only with `k`.
-    let scoped = keys_fit(2 * grid_dense as usize);
+    // The two dense kernels keep one launch record each: their shape never
+    // changes (the scan's name does, with `k`).
+    let (mut scan_record, mut filter_record) = (LaunchRecord::default(), LaunchRecord::default());
     let desc_filter = KernelDesc::new("frontier-filter::kcore", grid_dense, tpb as u32);
     let descs = |k: u32| {
         (
@@ -270,11 +273,10 @@ fn kcore_attempt<O: RunObserver + ?Sized>(
         }
 
         // filter: flag alive vertices whose degree fell below k …
-        let ksc = gpu.try_launch(&desc_scan, |b| {
+        let ksc = gpu.try_launch_recorded(&desc_scan, &mut scan_record, |b| {
             let bid = b.id();
             b.phase("filter");
-            let site = [SITE_KCORE_SCAN, bid as u64, n as u64, tpb as u64];
-            b.accounted(scoped.then_some(site), |b| {
+            b.statics(|b| {
                 for (base, mask) in block_warps(bid, tpb, n) {
                     b.gload_run(&alive, mask, base as isize);
                     b.gload_run(&deg, mask, base as isize);
@@ -303,7 +305,7 @@ fn kcore_attempt<O: RunObserver + ?Sized>(
             &mut filter_ctrl,
             n,
             &desc_filter,
-            scoped,
+            &mut filter_record,
         )?;
         total.kernel.counters.add(&kf.counters);
         if peel_len == 0 {

@@ -43,7 +43,7 @@ use crate::config::DeviceConfig;
 use crate::counters::{Counters, Mask, WARP};
 use crate::mem::DevVec;
 use crate::pod::Pod;
-use crate::replay::{Lookup, ReplayMemo, TraceDelta, SITE_WORDS};
+use crate::replay::{LaunchRecord, Lookup, ReplayMemo, TraceDelta, SITE_WORDS};
 use crate::shared::SharedVec;
 
 /// State of the (at most one) open warp-trace scope of a block.
@@ -78,6 +78,12 @@ pub struct Block<'cfg> {
     /// disabled in the device config.
     pub(crate) replay_on: bool,
     scope: Scope,
+    /// Whether [`Block::statics`] leaves its body out (the launch charges a
+    /// record), and the record it tallies the body into (one recording).
+    pub(crate) charged: bool,
+    pub(crate) tally: Option<&'cfg mut LaunchRecord>,
+    /// The phase marked last, whether or not the tracer records marks.
+    phase: Option<&'static str>,
     shared_cursor: u64,
     pub(crate) counters: Counters,
     /// Memory-pipe (LSU) issue slots consumed: one per memory warp
@@ -115,6 +121,9 @@ impl<'cfg> Block<'cfg> {
             replay,
             replay_on: false,
             scope: Scope::Idle,
+            charged: false,
+            tally: None,
+            phase: None,
             shared_cursor: 0,
             counters: Counters::default(),
             mem_cycles: 0,
@@ -282,19 +291,20 @@ impl<'cfg> Block<'cfg> {
         }
     }
 
-    /// Issues `body` — ops whose data nothing reads, there to be accounted —
-    /// inside the replay scope `site` names, unless that scope replays: the
-    /// recorded deltas then stand in for them (see [`Block::warp_scope`]).
-    /// `None` issues them unscoped — what a kernel passes when its keys would
-    /// not fit the table ([`crate::replay::keys_fit`]). Trace keys are
-    /// site-determined, hence the zero column.
-    pub fn accounted(&mut self, site: Option<[u64; SITE_WORDS]>, body: impl FnOnce(&mut Self)) {
-        let replays = site.is_some_and(|site| self.warp_scope(&site, Mask::FULL, &[0; WARP]));
-        if !replays {
-            body(self);
+    /// Issues `body` — ops whose data nothing reads, whose cost the shape
+    /// and what the run holds still fix — unless the launch charges its
+    /// [`LaunchRecord`] in their place ([`crate::Gpu::try_launch_recorded`]);
+    /// a recording or checking launch tallies what they cost into it. Holds
+    /// no [`Block::sync`], [`Block::phase`] or warp scope.
+    pub fn statics(&mut self, body: impl FnOnce(&mut Self)) {
+        if self.charged {
+            return;
         }
-        if site.is_some() {
-            self.warp_scope_end();
+        let snap = self.accounting_snapshot();
+        body(self);
+        let delta = self.delta_since(&snap);
+        if let Some(record) = &mut self.tally {
+            record.add(self.id, self.phase, &delta);
         }
     }
 
@@ -624,10 +634,12 @@ impl<'cfg> Block<'cfg> {
     /// Marks the start of a named kernel phase (e.g. the 4-stage CuSha
     /// kernel's `gather` / `apply` / `scatter` / `compact`). Purely an
     /// observability marker: it consumes no modeled cycles and no counters,
-    /// and when tracing is disabled it is a branch-and-return — kernels may
-    /// call it unconditionally.
+    /// and when tracing is disabled it is a store and a branch — kernels may
+    /// call it unconditionally. The store names the phase a
+    /// [`LaunchRecord`] files [`Block::statics`] cycles under.
     #[inline]
     pub fn phase(&mut self, name: &'static str) {
+        self.phase = Some(name);
         if self.trace_phases {
             self.phase_marks
                 .push((name, self.mem_cycles + self.alu_cycles));

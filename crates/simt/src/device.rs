@@ -7,7 +7,7 @@ use crate::counters::KernelStats;
 use crate::fault::{DeviceFault, FaultKind, FaultPlan};
 use crate::mem::{DevVec, ALLOC_ALIGN};
 use crate::pod::Pod;
-use crate::replay::ReplayMemo;
+use crate::replay::{add_phase, LaunchRecord, ReplayMemo, VERIFY_SAMPLE};
 use cusha_obs::trace::{lanes, ArgVal, Tracer};
 use std::sync::Arc;
 
@@ -68,9 +68,12 @@ pub struct Gpu {
     /// `replay`'s totals when it was installed: a lent table arrives with
     /// earlier runs' probes counted, and this device reports only its own.
     replay_base: (u64, u64, u64),
-    /// Reusable per-SM cycle scratch for [`Gpu::launch_unchecked`] (one slot
+    /// Reusable per-SM cycle scratch for [`Gpu::launch_with`] (one slot
     /// per SM each), so steady-state launches allocate nothing.
     launch_scratch: Vec<u64>,
+    /// A sampled [`LaunchRecord`] as it was, compared with its re-recording;
+    /// kept, like `launch_scratch`, for its allocations.
+    spare_record: LaunchRecord,
 }
 
 impl Gpu {
@@ -99,6 +102,7 @@ impl Gpu {
             replay: ReplayMemo::new(),
             replay_base: (0, 0, 0),
             launch_scratch,
+            spare_record: LaunchRecord::default(),
         }
     }
 
@@ -396,13 +400,23 @@ impl Gpu {
         desc: &KernelDesc,
         body: impl FnMut(&mut Block<'_>),
     ) -> Result<KernelStats, DeviceFault> {
-        if let Some(op_index) = self.fault_fires(FaultKind::Kernel, Some(&desc.name)) {
-            return Err(DeviceFault::Kernel {
-                name: desc.name.to_string(),
-                op_index,
-            });
-        }
-        Ok(self.launch_unchecked(desc, body))
+        self.launch_with(desc, None, body)
+    }
+
+    /// [`Gpu::try_launch`] of a kernel whose blocks' [`Block::statics`] cost
+    /// what `record` holds (see [`LaunchRecord`]): issued and recorded at the
+    /// record's first launch and at a new shape, left out and the record
+    /// charged whole — bit-identically — at every other. Every
+    /// [`crate::replay::VERIFY_SAMPLE`]-th use issues them and compares (a
+    /// mismatch counts a verify failure and corrects the record); a launch
+    /// with replay gated off issues them and counts a fallback.
+    pub fn try_launch_recorded(
+        &mut self,
+        desc: &KernelDesc,
+        record: &mut LaunchRecord,
+        body: impl FnMut(&mut Block<'_>),
+    ) -> Result<KernelStats, DeviceFault> {
+        self.launch_with(desc, Some(record), body)
     }
 
     /// Launches a kernel: runs `body` once per block (in block-id order —
@@ -417,11 +431,18 @@ impl Gpu {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    fn launch_unchecked(
+    fn launch_with(
         &mut self,
         desc: &KernelDesc,
+        record: Option<&mut LaunchRecord>,
         mut body: impl FnMut(&mut Block<'_>),
-    ) -> KernelStats {
+    ) -> Result<KernelStats, DeviceFault> {
+        if let Some(op_index) = self.fault_fires(FaultKind::Kernel, Some(&desc.name)) {
+            return Err(DeviceFault::Kernel {
+                name: desc.name.to_string(),
+                op_index,
+            });
+        }
         let mut stats = KernelStats {
             name: desc.name.clone(),
             blocks: desc.grid_blocks,
@@ -436,9 +457,32 @@ impl Gpu {
         let replay_on =
             self.cfg.replay_memo && self.fault_plan.as_ref().is_none_or(|p| !p.could_disrupt());
         let replay_hits_before = self.replay.stats().0;
+        let num_sms = self.cfg.num_sms as usize;
+        let shape = (desc.grid_blocks, desc.threads_per_block);
+        // Through a record, the blocks' statics are tallied into it (a miss,
+        // or a sampled use to `check` against the spare) or charged (a hit).
+        let (mut tally, mut charge, mut check) = (None, None, false);
+        match record {
+            Some(_) if !replay_on => self.replay.note_fallback(),
+            Some(r) => {
+                let hit = r.shape == Some(shape) && r.sm.len() == num_sms;
+                self.replay.hits += u64::from(hit);
+                self.replay.misses += u64::from(!hit);
+                r.uses = (r.uses + 1) % VERIFY_SAMPLE;
+                if hit && r.uses != 0 {
+                    charge = Some(&*r);
+                } else {
+                    if hit {
+                        std::mem::swap(&mut self.spare_record, r);
+                    }
+                    r.reset(shape, num_sms);
+                    (tally, check) = (Some(r), hit);
+                }
+            }
+            None => {}
+        }
         // Reuse the per-SM cycle scratch across launches: the steady-state
         // launch path must not allocate (see tests/zero_alloc_launch.rs).
-        let num_sms = self.cfg.num_sms as usize;
         let mut scratch = std::mem::take(&mut self.launch_scratch);
         scratch.iter_mut().for_each(|c| *c = 0);
         let (sm_mem, sm_alu) = scratch.split_at_mut(num_sms);
@@ -454,6 +498,7 @@ impl Gpu {
             );
             block.replay_on = replay_on;
             block.trace_phases = tracing;
+            (block.charged, block.tally) = (charge.is_some(), tally.as_deref_mut());
             body(&mut block);
             stats.counters.add(&block.counters);
             // Round-robin block-to-SM assignment approximates the hardware
@@ -468,11 +513,21 @@ impl Gpu {
                         .phase_marks
                         .get(i + 1)
                         .map_or(total, |&(_, next)| next);
-                    match phase_cycles.iter_mut().find(|(n, _)| *n == name) {
-                        Some((_, c)) => *c += end - start,
-                        None => phase_cycles.push((name, end - start)),
-                    }
+                    add_phase(&mut phase_cycles, name, end - start);
                 }
+            }
+        }
+        if check && tally.is_some_and(|r| *r != self.spare_record) {
+            self.replay.verify_failures += 1;
+        }
+        if let Some(r) = charge {
+            stats.counters.add(&r.counters);
+            for (sm, &(mem, alu)) in r.sm.iter().enumerate() {
+                sm_mem[sm] += mem;
+                sm_alu[sm] += alu;
+            }
+            for &(name, cycles) in r.phases.iter().filter(|_| tracing) {
+                add_phase(&mut phase_cycles, name, cycles);
             }
         }
         // Per SM, the LSU retires one memory warp instruction per cycle
@@ -570,7 +625,7 @@ impl Gpu {
             }
         }
         self.launch_scratch = scratch;
-        stats
+        Ok(stats)
     }
 }
 
@@ -579,6 +634,7 @@ mod tests {
     use super::*;
     use crate::counters::{Mask, WARP};
     use crate::warp::warp_chunks;
+    use cusha_obs::trace::Tracer;
 
     #[test]
     fn alloc_assigns_disjoint_aligned_addresses() {
@@ -889,5 +945,158 @@ mod tests {
             gpu.launch(&desc, body);
         }
         assert_eq!(gpu.replay_stats(), (1, 1, 3));
+    }
+
+    /// Blocks that differ, two marked phases with statics in each, and a
+    /// store in the second whose mask depends on `round`, like a value. A
+    /// `lie` makes the statics cost change with the round too.
+    fn two_phase(
+        b: &mut Block<'_>,
+        buf: &DevVec<u32>,
+        out: &mut DevVec<u32>,
+        round: u32,
+        lie: bool,
+    ) {
+        let id = b.id() as usize;
+        b.phase("load");
+        b.statics(|b| {
+            b.gload(buf, Mask::first(1 + id), |l| l * (id + 1));
+            b.exec(Mask::FULL, id as u64 + u64::from(lie && round >= 10));
+        });
+        b.phase("store");
+        b.statics(|b| b.exec(Mask::first(4), 2));
+        let lanes = Mask::first(1 + (round as usize + id) % WARP);
+        b.gstore(out, lanes, |l| id * WARP + l, |l| round + l as u32);
+    }
+
+    /// A `tiny_test` device (2 SMs) with the buffers [`two_phase`] uses.
+    fn two_phase_device(traced: bool) -> (Gpu, DevVec<u32>, DevVec<u32>) {
+        let mut gpu = Gpu::new(DeviceConfig::tiny_test());
+        if traced {
+            gpu.set_tracer(Tracer::enabled(), 0);
+        }
+        let buf = gpu.upload(&(0..1024u32).collect::<Vec<_>>());
+        let out = gpu.alloc::<u32>(8 * WARP);
+        (gpu, buf, out)
+    }
+
+    /// `rounds` launches of [`two_phase`], each at its grid, through
+    /// `record` when given; every launch's stats and the device.
+    fn two_phase_rounds(
+        traced: bool,
+        mut record: Option<&mut LaunchRecord>,
+        grids: &[u32],
+        lie: bool,
+    ) -> (Vec<KernelStats>, Gpu, Vec<u32>) {
+        let (mut gpu, buf, mut out) = two_phase_device(traced);
+        let mut stats = Vec::new();
+        for (round, &grid) in grids.iter().enumerate() {
+            let desc = KernelDesc::new("two-phase", grid, 64);
+            let body = |b: &mut Block<'_>| two_phase(b, &buf, &mut out, round as u32, lie);
+            stats.push(match record.as_deref_mut() {
+                Some(r) => gpu.try_launch_recorded(&desc, r, body).unwrap(),
+                None => gpu.launch(&desc, body),
+            });
+        }
+        let values = gpu.download(&out);
+        (stats, gpu, values)
+    }
+
+    #[test]
+    fn a_charged_launch_is_the_interpreted_one() {
+        // 5 blocks on 2 SMs: the record's per-SM split is not uniform. One
+        // use past the sample: an honest record passes its check.
+        let grids = [5; 2 + crate::replay::VERIFY_SAMPLE as usize];
+        let mut record = LaunchRecord::default();
+        let (charged, gpu, values) = two_phase_rounds(false, Some(&mut record), &grids, false);
+        let (plain, reference, expected) = two_phase_rounds(false, None, &grids, false);
+        assert_eq!(charged, plain, "counters, cycles and modeled seconds");
+        assert_eq!(values, expected);
+        assert_eq!(
+            gpu.total_seconds().to_bits(),
+            reference.total_seconds().to_bits()
+        );
+        let uses = grids.len() as u64 - 1;
+        assert_eq!(gpu.replay_stats(), (uses, 1, 0));
+        assert_eq!(gpu.replay_table().verify_failures(), 0);
+        assert_eq!(gpu.replay_table().slots(), (0, 0), "a record takes no slot");
+    }
+
+    #[test]
+    fn recorded_and_interpreted_launches_emit_identical_spans() {
+        let grids = [5; 4];
+        let spans = |record: Option<&mut LaunchRecord>| {
+            let (_, gpu, _) = two_phase_rounds(true, record, &grids, false);
+            let events = gpu.tracer().with_events(|ev| {
+                let kept = ev.iter().filter(|e| e.cat != "replay");
+                kept.map(|e| format!("{e:?}")).collect::<Vec<_>>()
+            });
+            events.unwrap()
+        };
+        let recorded = spans(Some(&mut LaunchRecord::default()));
+        assert!(recorded.iter().filter(|e| e.contains("\"phase\"")).count() >= 8);
+        assert_eq!(recorded, spans(None));
+    }
+
+    #[test]
+    fn a_lying_record_is_caught_at_its_sampled_use_and_corrected() {
+        let grids = [3; 2 + crate::replay::VERIFY_SAMPLE as usize];
+        let mut record = LaunchRecord::default();
+        let (charged, gpu, _) = two_phase_rounds(false, Some(&mut record), &grids, true);
+        let (plain, _, _) = two_phase_rounds(false, None, &grids, true);
+        assert_eq!(gpu.replay_table().verify_failures(), 1);
+        let sampled = crate::replay::VERIFY_SAMPLE as usize;
+        // Before the sample: round 0's cost, charged past round 10.
+        assert_ne!(charged[sampled - 1], plain[sampled - 1]);
+        // The sampled use interpreted, and the corrected record charges
+        // what interpreting does.
+        assert_eq!(charged[sampled..], plain[sampled..]);
+    }
+
+    #[test]
+    fn a_gated_launch_interprets_its_statics() {
+        let grids = [5; 3];
+        let mut off = DeviceConfig::tiny_test();
+        off.replay_memo = false;
+        for (cfg, plan) in [
+            (off, None),
+            (
+                DeviceConfig::tiny_test(),
+                Some(FaultPlan::new().fail_kernel_at(&[100])),
+            ),
+        ] {
+            let mut gpu = Gpu::new(cfg);
+            if let Some(plan) = plan {
+                gpu.set_fault_plan(plan);
+            }
+            let (mut record, mut issued) = (LaunchRecord::default(), 0);
+            for _ in grids {
+                let desc = KernelDesc::new("gated", 5, 32);
+                let body = |b: &mut Block<'_>| {
+                    b.statics(|b| {
+                        issued += 1;
+                        b.exec(Mask::FULL, 1);
+                    })
+                };
+                gpu.try_launch_recorded(&desc, &mut record, body).unwrap();
+            }
+            assert_eq!(issued, 15, "every block of every launch interprets");
+            assert_eq!(gpu.replay_stats(), (0, 0, 3), "one fallback a launch");
+            assert_eq!(record, LaunchRecord::default(), "nothing recorded");
+        }
+    }
+
+    #[test]
+    fn a_launch_of_another_shape_re_records() {
+        let grids = [4, 5, 5, 4];
+        let mut record = LaunchRecord::default();
+        let (charged, gpu, _) = two_phase_rounds(false, Some(&mut record), &grids, false);
+        let (plain, _, _) = two_phase_rounds(false, None, &grids, false);
+        assert_eq!(charged, plain);
+        assert_eq!(
+            gpu.replay_stats(),
+            (1, 3, 0),
+            "a miss at every change of shape"
+        );
     }
 }

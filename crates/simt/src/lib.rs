@@ -56,6 +56,6 @@ pub use fault::{BitFlip, DeviceFault, FaultKind, FaultPlan, FlipTarget, Injectio
 pub use mem::DevVec;
 pub use pod::Pod;
 pub use profile::{KernelAggregate, Profile, PROFILE_SCHEMA};
-pub use replay::ReplayMemo;
+pub use replay::{LaunchRecord, ReplayMemo};
 pub use shared::SharedVec;
 pub use warp::{aligned_chunks, warp_chunks, VirtualWarps};

@@ -29,6 +29,12 @@
 //! * the device gates replay off for any launch during which a fault plan
 //!   could still fire (`FaultPlan::could_disrupt`), so a scope never
 //!   replays across a due fault — those entries count as fallbacks.
+//!
+//! Where a kernel's value-independent share is fixed by the launch's shape
+//! and what the run holds still (VWC's CSR sweeps, k-core's dense scans), no
+//! key is needed at all: a [`LaunchRecord`] holds that share for the whole
+//! launch, used once per launch instead of probed once per block, and
+//! checked and gated by the same rules (its shape is its key).
 
 use crate::counters::{Counters, Mask, WARP};
 
@@ -36,9 +42,10 @@ use crate::counters::{Counters, Mask, WARP};
 /// loop indices, and a fold of the buffer base addresses the scope touches.
 pub const SITE_WORDS: usize = 4;
 
-/// Every `VERIFY_SAMPLE`-th hit of a slot is re-interpreted and compared
-/// against the recorded deltas instead of being replayed.
-const VERIFY_SAMPLE: u32 = 64;
+/// Every `VERIFY_SAMPLE`-th hit of a slot, and every `VERIFY_SAMPLE`-th use
+/// of a [`LaunchRecord`], is re-interpreted and compared against the
+/// recording instead of being replayed.
+pub const VERIFY_SAMPLE: u32 = 64;
 
 /// Slots of a table's first allocation; it doubles from there whenever half
 /// its slots are filled, up to [`MAX_SLOTS`].
@@ -49,14 +56,6 @@ const MIN_SLOTS: usize = 64;
 /// whose key count is known up front should stay under half of it — past that
 /// load a probe window can fill and recordings start evicting each other.
 pub const MAX_SLOTS: usize = 1 << 16;
-
-/// Whether a kernel that holds `keys` recordings at once (one per block and
-/// scoped phase, say) may scope them: past half the cap they would evict each
-/// other every launch and pay a full probe window per scope to do it, so
-/// there the kernel interprets instead (`Block::accounted(None, ..)`).
-pub fn keys_fit(keys: usize) -> bool {
-    keys <= MAX_SLOTS / 2
-}
 
 /// Linear-probe window: a key sits within this many slots of its home slot.
 /// A miss takes the first unfilled one and, only when all are taken (at load
@@ -140,10 +139,10 @@ pub struct ReplayMemo {
     slots: Vec<TraceSlot>,
     /// Slots holding a committed recording.
     filled: usize,
-    hits: u64,
-    misses: u64,
+    pub(crate) hits: u64,
+    pub(crate) misses: u64,
     fallbacks: u64,
-    verify_failures: u64,
+    pub(crate) verify_failures: u64,
 }
 
 impl ReplayMemo {
@@ -274,6 +273,58 @@ impl std::fmt::Debug for ReplayMemo {
     }
 }
 
+/// The fixed, value-independent share of one kernel's launches: what its
+/// blocks' [`crate::Block::statics`] cost — counter totals, each SM's memory
+/// and ALU cycles, each marked phase's cycles in first-marked order — at one
+/// shape (grid, threads per block). Its owner keeps it while that cost holds
+/// still (a run: its CSR, its buffers); [`crate::Gpu::try_launch_recorded`]
+/// records it at a new shape, charges it whole otherwise, and re-interprets
+/// every [`VERIFY_SAMPLE`]-th use to check it. O(SMs + phases), whatever the
+/// grid.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct LaunchRecord {
+    pub(crate) shape: Option<(u32, u32)>,
+    pub(crate) counters: Counters,
+    /// `(memory cycles, ALU cycles)` per SM.
+    pub(crate) sm: Vec<(u64, u64)>,
+    pub(crate) phases: Vec<(&'static str, u64)>,
+    /// Uses since it was recorded or last checked.
+    pub(crate) uses: u32,
+}
+
+impl LaunchRecord {
+    /// Empties it, allocations kept, for a recording at `shape` on `sms` SMs.
+    pub(crate) fn reset(&mut self, shape: (u32, u32), sms: usize) {
+        self.shape = Some(shape);
+        self.counters = Counters::default();
+        self.sm.clear();
+        self.sm.resize(sms, (0, 0));
+        self.phases.clear();
+        self.uses = 0;
+    }
+
+    /// Tallies what one `statics` body of block `block` cost, under the phase
+    /// marked last (none before the first mark, as in the device's split).
+    pub(crate) fn add(&mut self, block: u32, phase: Option<&'static str>, d: &TraceDelta) {
+        self.counters.add(&d.counters);
+        let sms = self.sm.len();
+        let sm = &mut self.sm[block as usize % sms];
+        sm.0 += d.mem_cycles;
+        sm.1 += d.alu_cycles;
+        if let Some(name) = phase {
+            add_phase(&mut self.phases, name, d.mem_cycles + d.alu_cycles);
+        }
+    }
+}
+
+/// Adds `cycles` to phase `name` of a first-marked-order phase list.
+pub(crate) fn add_phase(phases: &mut Vec<(&'static str, u64)>, name: &'static str, cycles: u64) {
+    match phases.iter_mut().find(|(n, _)| *n == name) {
+        Some((_, c)) => *c += cycles,
+        None => phases.push((name, cycles)),
+    }
+}
+
 fn slot_index(site: &[u64; SITE_WORDS], mask: u32) -> usize {
     // Over the site words and the mask. The column fold is deliberately NOT
     // hashed: the in-tree kernels make their keys distinct through the site
@@ -337,8 +388,8 @@ mod tests {
 
     #[test]
     fn slot_stays_small_enough_for_one_key_per_block() {
-        // A VWC run keeps one sweep key per thread block — thousands of
-        // slots — so the slot's size is the table's footprint: 96 bytes of
+        // A prepared layout keeps a stage key per shard, one shard a thread
+        // block — thousands of slots — so the slot's size is the table's footprint: 96 bytes of
         // deltas, 44 of key, 5 of state.
         let bytes = std::mem::size_of::<TraceSlot>();
         assert!(bytes <= 152, "TraceSlot grew to {bytes} bytes");
@@ -435,9 +486,8 @@ mod tests {
 
     #[test]
     fn grows_instead_of_thrashing() {
-        // 3 scopes x 4,096 shards, and one sweep key for each of a VWC
-        // run's 8,192 blocks: every key recorded once must hit on every
-        // later pass — linear probing in a table at most half full leaves
+        // 3 scopes x 4,096 shards, and one key for each of 8,192 blocks:
+        // every key recorded once must hit on every later pass — linear probing in a table at most half full leaves
         // no pair of keys fighting over a slot.
         for (keys, allocated) in [(3 * 4096, 32768), (8192, 16384)] {
             let mut m = ReplayMemo::new();

@@ -657,6 +657,13 @@ fn defect_rows() -> Vec<Row> {
             "serve --rmat 8:600 --script @growth.txt --wal @log.wal",
             "",
         ),
+        // Exited 3 (copy-fault) until k-core and triangle counting got the
+        // middleware's retry around whole attempts (`retry_attempts`).
+        named(
+            "defect/kcore-transient-copy-fault",
+            "--algo kcore --rmat 6:100 --engine frontier --inject h2d@1",
+            "",
+        ),
     ]
 }
 
@@ -848,6 +855,7 @@ fn closed_defects_stay_closed() {
         ("defect/text-vertex-id-max ", "1"),
         ("defect/serve-growth ", "0"),
         ("defect/serve-growth-wal ", "0"),
+        ("defect/kcore-transient-copy-fault ", "0"),
     ] {
         assert_eq!(exit_of(name).as_deref(), Some(code), "{name}");
     }

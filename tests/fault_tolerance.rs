@@ -6,9 +6,10 @@
 
 use cusha::algos::{Bfs, PageRank};
 use cusha::core::{
-    run, try_run, try_run_streamed, CuShaConfig, EngineError, Repr, StreamingConfig, VertexProgram,
+    run, try_run, try_run_streamed, CuShaConfig, EngineError, NoopObserver, Repr, StreamingConfig,
+    VertexProgram,
 };
-use cusha::frontier::{try_run_frontier, FrontierConfig};
+use cusha::frontier::{try_run_frontier, try_run_kcore, try_run_triangles, FrontierConfig};
 use cusha::graph::generators::rmat::{rmat, RmatConfig};
 use cusha::graph::{Edge, Graph, VertexId};
 use cusha::simt::{DeviceConfig, FaultPlan};
@@ -133,6 +134,49 @@ fn exhausted_copy_retries_surface_as_copy_fault() {
         Err(e @ EngineError::CopyFault { .. }) => assert_eq!(e.kind(), "copy-fault"),
         other => panic!("expected CopyFault, got {other:?}"),
     }
+}
+
+/// k-core and triangle counting enter the device without the middleware
+/// (they take no `VertexProgram`), yet get its retry around whole attempts:
+/// a transient copy or launch fault costs a retry, not the run, and the
+/// retried run answers what a clean one does. A fault past the budget still
+/// surfaces typed.
+#[test]
+fn kcore_and_triangles_retry_transient_faults_whole() {
+    let g = rmat(&RmatConfig::graph500(6, 100, 5));
+    let with_plan = |plan: FaultPlan| FrontierConfig {
+        fault_plan: Some(plan),
+        ..FrontierConfig::new()
+    };
+    let clean = (
+        try_run_kcore(&g, &FrontierConfig::new(), None, &mut NoopObserver).unwrap(),
+        try_run_triangles(&g, &FrontierConfig::new()).unwrap(),
+    );
+    for (plan, copies, kernels) in [
+        (FaultPlan::new().fail_h2d_at(&[1]), 1, 0),
+        (FaultPlan::new().fail_h2d_at(&[0, 3]), 2, 0),
+        (FaultPlan::new().fail_kernel_at(&[0]), 0, 1),
+    ] {
+        let cfg = with_plan(plan);
+        let kcore = try_run_kcore(&g, &cfg, None, &mut NoopObserver).expect("k-core retried");
+        assert_eq!(kcore.core, clean.0.core);
+        let tc = try_run_triangles(&g, &cfg).expect("triangles retried");
+        assert_eq!(tc.triangles, clean.1.triangles);
+        for fault in [kcore.stats.fault, tc.stats.fault] {
+            assert_eq!(
+                (fault.copy_retries, fault.kernel_retries),
+                (copies, kernels)
+            );
+        }
+    }
+    // The original attempt and all three retries fail.
+    let cfg = with_plan(FaultPlan::new().fail_h2d_at(&[0, 1, 2, 3]));
+    let refused = try_run_kcore(&g, &cfg, None, &mut NoopObserver);
+    assert!(matches!(refused, Err(EngineError::CopyFault { .. })));
+    assert!(matches!(
+        try_run_triangles(&g, &cfg),
+        Err(EngineError::CopyFault { .. })
+    ));
 }
 
 /// A capped run returns `NonConverged` carrying the partial output — the

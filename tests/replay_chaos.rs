@@ -125,10 +125,10 @@ fn fleet_record(stats: &RunStats) -> Option<String> {
     })
 }
 
-/// Engines whose kernels delimit warp-trace scopes (and therefore exercise
-/// the replay table); the CPU baseline and the generic frontier engine
-/// account per-op only (of the frontier family only k-core's two dense
-/// filter kernels open scopes — see `kcore_block_scopes_are_invisible_and_bounded`).
+/// Engines whose kernels replay accounting — warp-trace scopes, or VWC's
+/// launch record; the CPU baseline and the generic frontier engine account
+/// per-op only (of the frontier family only k-core's two dense filter
+/// kernels keep records — see `kcore_block_scopes_are_invisible_and_bounded`).
 fn uses_replay_scopes(label: &str) -> bool {
     label.starts_with("CuSha-") || label.starts_with("VWC-") || label.starts_with("Streamed")
 }
@@ -265,63 +265,56 @@ fn replay_never_swallows_faults() {
 }
 
 #[test]
-fn vwc_class_keys_hit_at_any_size_traced_or_not() {
-    // VWC opens three scopes per block: the SISD loads and the reduction
-    // ladder keyed on small classes (vertex base mod 32 and vertex count;
-    // warp count and the last warp's groups), the sweep keyed on the block,
-    // whose CSR slice fixes its pattern for the run. So traced and untraced
-    // runs probe the same keys, a run misses once per block plus a constant,
-    // all of it in its first iteration, and replays every scope after that.
-    // Nothing observable may depend on the tracer or the replay switch.
-    // The constant: at most 4 base residues (VWC/32: 8 vertices per block)
-    // x {full, tail} blocks for SISD, {full, tail} for the ladder.
-    const CLASS_KEYS: u64 = 16;
+fn vwc_records_once_at_any_size_traced_or_not() {
+    // What VWC's blocks cost besides their value-dependent stores is fixed
+    // by the CSR and the geometry: one launch record holds it, taken by the
+    // first launch and charged whole by every later one. So a run misses
+    // once and hits once a later iteration, traced or not, and with replay
+    // off it interprets every launch and counts each a fallback. Nothing
+    // observable may depend on the tracer or the replay switch.
     fn check<P: VertexProgram>(prog: &P, g: &Graph, tag: &str) {
         for vw in VIRTUAL_WARP_SIZES {
-            let run = |traced: bool, replay: bool, max_iterations: u32| {
+            let run = |traced: bool, replay: bool| {
                 let mut cfg = VwcConfig::new(vw);
                 cfg.device.replay_memo = replay;
-                cfg.max_iterations = max_iterations;
+                cfg.max_iterations = MAX_ITERS;
                 if traced {
                     cfg.trace = Tracer::enabled();
                 }
                 run_vwc(prog, g, &cfg)
             };
-            let base = run(false, true, MAX_ITERS);
+            let base = run(false, true);
             assert!(base.stats.converged, "{tag}/{vw}");
+            let iterations = base.stats.iterations as u64;
+            assert!(iterations >= 2, "{tag}/{vw}: nothing to replay");
+            let memo = base.stats.memo;
+            assert_eq!(
+                (memo.replay_hits, memo.replay_misses, memo.replay_fallbacks),
+                (iterations - 1, 1, 0),
+                "{tag}/{vw}: {memo:?} over {iterations} launches"
+            );
+            assert_eq!(memo.replay_verify_failures, 0, "{tag}/{vw}");
+            assert_eq!(
+                memo.replay_slots,
+                (0, 0),
+                "{tag}/{vw}: a record takes no slot"
+            );
             for (traced, replay) in [(true, true), (false, false), (true, false)] {
-                let other = run(traced, replay, MAX_ITERS);
+                let other = run(traced, replay);
                 let tag = format!("{tag}/{vw} traced={traced} replay={replay}");
                 assert_eq!(base.values, other.values, "{tag}: values");
                 assert_stats_identical(&tag, &base.stats, &other.stats);
-                let memo = other.stats.memo;
+                let m = other.stats.memo;
                 if replay {
-                    assert_eq!(memo, base.stats.memo, "{tag}: same keys, same probes");
+                    assert_eq!(m, memo, "{tag}: same record, same uses");
                 } else {
-                    assert_eq!((memo.replay_hits, memo.replay_misses), (0, 0), "{tag}");
+                    assert_eq!(
+                        (m.replay_hits, m.replay_misses, m.replay_fallbacks),
+                        (0, 0, iterations),
+                        "{tag}: one fallback a launch"
+                    );
                 }
             }
-            let memo = base.stats.memo;
-            let grid = (g.num_vertices() as u64).div_ceil(256 / vw as u64);
-            let iterations = base.stats.iterations as u64;
-            assert!(iterations >= 2, "{tag}/{vw}: nothing to replay");
-            assert!(
-                memo.replay_misses <= grid + CLASS_KEYS,
-                "{tag}/{vw}: {} misses over {grid} blocks — keyed per warp?",
-                memo.replay_misses
-            );
-            let first = run(false, true, 1).stats.memo;
-            assert_eq!(
-                first.replay_misses, memo.replay_misses,
-                "{tag}/{vw}: a scope missed after the first iteration"
-            );
-            // Three scopes a block in every later iteration, each a hit (a
-            // sampled verify counts as one).
-            assert!(
-                memo.replay_hits >= 3 * grid * (iterations - 1),
-                "{tag}/{vw}: {memo:?} over {grid} blocks x {iterations} iterations"
-            );
-            assert_eq!(memo.replay_verify_failures, 0, "{tag}/{vw}");
         }
     }
     for (scale, edges) in [(8, 3_500), (11, 24_000)] {
@@ -332,11 +325,11 @@ fn vwc_class_keys_hit_at_any_size_traced_or_not() {
 }
 
 #[test]
-fn vwc_grid_past_the_table_cap_interprets_its_sweep() {
-    // One block per vertex: 70,000 sweep keys would cycle through a table
-    // that holds 65,536 slots, evicting each other every iteration. Past half
-    // the cap the kernel leaves the sweep unscoped, so the run records only
-    // its class keys — and is, as ever, the run `replay_memo = false` gives.
+fn vwc_grid_of_70000_blocks_replays() {
+    // One block per vertex: 70,000 blocks, more than the replay table's
+    // 65,536 slots could ever key. A launch record holds the whole launch
+    // whatever the grid, so the run replays every launch after its first —
+    // and is, as ever, the run `replay_memo = false` gives.
     const N: u32 = 70_000;
     let dense = rmat(&RmatConfig::graph500(17, 300_000, 78));
     let edges = dense.edges().iter().filter(|e| e.src < N && e.dst < N);
@@ -350,28 +343,28 @@ fn vwc_grid_past_the_table_cap_interprets_its_sweep() {
     let (on, off) = (run(true), run(false));
     assert!(on.stats.converged && on.stats.iterations >= 2);
     assert_eq!(on.stats.kernel.blocks, N, "one block per vertex");
-    assert!(N as usize > cusha::simt::replay::MAX_SLOTS / 2);
+    assert!(N as usize > cusha::simt::replay::MAX_SLOTS);
     assert_eq!(on.values, off.values);
-    assert_stats_identical("vwc32 over the cap", &on.stats, &off.stats);
+    assert_stats_identical("vwc32 past the table's cap", &on.stats, &off.stats);
     let memo = on.stats.memo;
+    let launches = on.stats.iterations as u64;
     assert_eq!(memo.replay_verify_failures, 0);
-    // 32 vertex-base residues for SISD, one ladder shape.
-    assert_eq!(memo.replay_misses, 33, "{memo:?}: sweep keys recorded");
     assert_eq!(
-        memo.replay_hits + memo.replay_misses,
-        2 * N as u64 * on.stats.iterations as u64,
-        "{memo:?}: two class scopes a block, and no other"
+        (memo.replay_hits, memo.replay_misses, memo.replay_slots),
+        (launches - 1, 1, (0, 0)),
+        "{memo:?}"
     );
+    assert_eq!(off.stats.memo.replay_fallbacks, launches);
 }
 
 #[test]
 fn kcore_block_scopes_are_invisible_and_bounded() {
     // k-core's filter is two dense kernels a round — the degree scan and the
-    // flag compaction — whose blocks each account their stride-1 loads inside
-    // one scope keyed on the block: a run records 2 x grid keys, all of them
-    // in its first round, and replays every dense block after that. Nothing
-    // observable may depend on the replay switch, the tracer, or a fault plan
-    // that gates the scopes off.
+    // flag compaction — whose blocks' stride-1 loads cost what the shape
+    // says: one launch record per kernel, taken in the first round and
+    // charged whole by every dense launch after it. Nothing observable may
+    // depend on the replay switch, the tracer, or a fault plan that gates
+    // the records off.
     let run = |g: &Graph, tpb: u32, replay: bool, traced: bool, plan: Option<&mut FaultPlan>| {
         let mut cfg = KcoreConfig::new();
         cfg.threads_per_block = tpb;
@@ -386,7 +379,6 @@ fn kcore_block_scopes_are_invisible_and_bounded() {
         ("rmat", chaos_graph(123), 64),
         ("lattice", lattice2d(40, 40, 0.9, 60, 3), 128),
     ] {
-        let grid = u64::from(g.num_vertices().div_ceil(tpb));
         let (base, _) = run(&g, tpb, true, false, None);
         let base = base.unwrap();
         assert_eq!(base.core, host_kcore(&g), "{tag}");
@@ -403,8 +395,9 @@ fn kcore_block_scopes_are_invisible_and_bounded() {
             "{tag}: k never advanced"
         );
         let memo = base.stats.memo;
-        assert_eq!(memo.replay_misses, 2 * grid, "{tag}: {memo:?}");
-        assert_eq!(memo.replay_hits, 2 * grid * (pairs - 1), "{tag}: {memo:?}");
+        assert_eq!(memo.replay_misses, 2, "{tag}: {memo:?}");
+        assert_eq!(memo.replay_hits, 2 * (pairs - 1), "{tag}: {memo:?}");
+        assert_eq!(memo.replay_slots, (0, 0), "{tag}: a record takes no slot");
         assert_eq!(memo.replay_verify_failures, 0, "{tag}");
         assert_eq!(traced.unwrap().stats.memo, memo, "{tag}: same keys traced");
         let mut capped = KcoreConfig::new();
@@ -419,18 +412,17 @@ fn kcore_block_scopes_are_invisible_and_bounded() {
         };
         assert_eq!(
             first.replay_misses, memo.replay_misses,
-            "{tag}: a scope missed after the first round"
+            "{tag}: a record missed after the first round"
         );
 
         // A plan that could still fire gates the whole run to fallbacks.
         let mut pending = FaultPlan::new().fail_kernel_at(&[u64::MAX]);
-        // One that does fire fails its run and leaves the next one clean.
+        // One that does fire costs its attempt a retry and leaves the next
+        // run clean.
         let mut firing = FaultPlan::new().fail_kernel_at(&[4]);
-        let failed = run(&g, tpb, true, false, Some(&mut firing)).0;
-        assert!(
-            matches!(failed, Err(EngineError::KernelFault { .. })),
-            "{tag}"
-        );
+        let retried = run(&g, tpb, true, false, Some(&mut firing)).0.unwrap();
+        assert_eq!(retried.core, base.core, "{tag}: retried core numbers");
+        assert_eq!(retried.stats.fault.kernel_retries, 1, "{tag}");
         for (variant, replay, traced, plan) in [
             ("replay off", false, false, None),
             ("replay off, traced", false, true, None),
@@ -447,22 +439,23 @@ fn kcore_block_scopes_are_invisible_and_bounded() {
                 "traced" | "drained plan" => assert_eq!(m, memo, "{tag}"),
                 _ => {
                     assert_eq!((m.replay_hits, m.replay_misses), (0, 0), "{tag}: {m:?}");
-                    assert_eq!(m.replay_fallbacks, 2 * grid * pairs, "{tag}: {m:?}");
+                    assert_eq!(m.replay_fallbacks, 2 * pairs, "{tag}: {m:?}");
                 }
             }
         }
     }
 
-    // One warp per block over 16,385 x 32 vertices: twice that many keys is
-    // past what the table holds at half load, so the run opens no scope at
-    // all — and is the run `replay_memo = false` gives. Paired vertices plus
-    // a tail of isolated ones: two peel rounds, four dense launch pairs.
+    // One warp per block over 16,385 x 32 vertices: twice that many blocks
+    // is past what the replay table could key at half load, and a record
+    // holds each launch whatever its grid — and is the run
+    // `replay_memo = false` gives. Paired vertices plus a tail of isolated
+    // ones: two peel rounds, three dense launch pairs (the middle one finds
+    // nothing below `k = 1`).
     let n = 16_385 * 32;
     let g = Graph::new(
         n,
         (0..n / 4).map(|v| Edge::new(2 * v, 2 * v + 1, 1)).collect(),
     );
-    assert!(!cusha::simt::replay::keys_fit(2 * (n as usize / 32)));
     let (on, _) = run(&g, 32, true, false, None);
     let (off, _) = run(&g, 32, false, false, None);
     let (on, off) = (on.unwrap(), off.unwrap());
@@ -473,13 +466,14 @@ fn kcore_block_scopes_are_invisible_and_bounded() {
         .enumerate()
         .all(|(v, &c)| c == u32::from(v < n as usize / 2)));
     assert_eq!(on.core, off.core);
-    assert_stats_identical("k-core over the cap", &on.stats, &off.stats);
+    assert_stats_identical("k-core past the table's cap", &on.stats, &off.stats);
     let m = on.stats.memo;
     assert_eq!(
         (m.replay_hits, m.replay_misses, m.replay_fallbacks),
-        (0, 0, 0),
+        (2 * 2, 2, 0),
         "{m:?}"
     );
+    assert_eq!(off.stats.memo.replay_fallbacks, 2 * 3);
 }
 
 // ---- Layout-owned replay tables -------------------------------------------

@@ -5,8 +5,9 @@
 //! cycle scratch, and stats assembly — must perform **zero heap
 //! allocations** in steady state (tracing disabled, no profiler, no fault
 //! plan). The first launches are warm-up: they fill the thread-local
-//! shared-memory scratch pools and the launch-cycle scratch; everything
-//! after that must recycle. Above the launch, the frontier family's host
+//! shared-memory scratch pools and the launch-cycle scratch (and a launch
+//! record's first recording and first sampled check); everything after that
+//! must recycle. Above the launch, the frontier family's host
 //! loops must not allocate in proportion to the work either: per iteration
 //! they pay the control readback and amortised stats pushes, nothing per
 //! relaxation step, per launch or per vertex.
@@ -22,7 +23,8 @@ use cusha::core::{
 use cusha::frontier::{try_run_frontier_warm, try_run_kcore, FrontierConfig, PreparedFrontier};
 use cusha::graph::generators::lattice::lattice2d;
 use cusha::graph::{Edge, Graph};
-use cusha::simt::{warp_chunks, DeviceConfig, Gpu, KernelDesc};
+use cusha::simt::replay::VERIFY_SAMPLE;
+use cusha::simt::{warp_chunks, DeviceConfig, Gpu, KernelDesc, LaunchRecord};
 
 /// Counts allocations, and the bytes they ask for, per thread, so concurrently
 /// running tests in this binary cannot pollute each other's measurements.
@@ -201,6 +203,56 @@ fn soa_run_op_and_replay_scope_path_allocates_nothing() {
 }
 
 #[test]
+fn recorded_launch_path_allocates_nothing() {
+    // A launch that charges its record whole, and the sampled one that
+    // re-interprets to verify it: after the record's first launch and its
+    // first sampled use, neither allocates — the record and the device's
+    // spare are O(SMs + phases) and reused in place.
+    let n = 1 << 12;
+    let mut gpu = Gpu::new(DeviceConfig::gtx780());
+    let desc = KernelDesc::new("recorded-zero-alloc-probe", 16, 256);
+    let src = gpu.upload(&(0..n as u32).collect::<Vec<_>>());
+    let mut dst = gpu.alloc::<u32>(n);
+    let mut record = LaunchRecord::default();
+
+    let mut body = |blk: &mut cusha::simt::Block<'_>| {
+        let base = blk.id() as usize * 256;
+        blk.phase("load");
+        blk.statics(|blk| {
+            for (start, mask) in warp_chunks(256) {
+                blk.gload(&src, mask, |l| (base + start + l * 7) % n);
+                blk.exec(mask, 1);
+            }
+        });
+        blk.phase("store");
+        for (start, mask) in warp_chunks(256) {
+            let vals = std::array::from_fn(|l| (base + start + l) as u32);
+            blk.gstore_run(&mut dst, mask, (base + start) as isize, &vals);
+        }
+    };
+
+    let sample = VERIFY_SAMPLE as usize;
+    for _ in 0..=sample {
+        gpu.try_launch_recorded(&desc, &mut record, &mut body)
+            .unwrap();
+    }
+    let launches = 2 * sample;
+    let n_allocs = allocations_in(|| {
+        for _ in 0..launches {
+            gpu.try_launch_recorded(&desc, &mut record, &mut body)
+                .unwrap();
+        }
+    });
+    assert_eq!(
+        n_allocs, 0,
+        "recorded launch path performed {n_allocs} allocations over {launches} launches"
+    );
+    let (hits, misses, fallbacks) = gpu.replay_stats();
+    assert_eq!((hits, misses, fallbacks), (3 * sample as u64, 1, 0));
+    assert_eq!(gpu.replay_table().verify_failures(), 0);
+}
+
+#[test]
 fn launch_results_are_identical_with_and_without_memo_reuse() {
     // Two fresh devices run the same kernel sequence; the second device's
     // later launches reuse its warmed analysis scratch. Counters must be
@@ -268,8 +320,8 @@ fn frontier_family_heap_traffic_does_not_scale_with_the_work() {
         "per-iteration allocations: {long:?}"
     );
 
-    // k-core on a lattice: the replay table grows while the first round's
-    // dense blocks record; after that a peel round costs a constant — the
+    // k-core on a lattice: the dense kernels' launch records fill in the
+    // first round; after that a peel round costs a constant — the
     // stats pushes, a kernel-name pair when `k` advances, a doubling of the
     // analysis scratch — whether the lattice has 400 vertices or 3,600 and
     // whether the round peels two vertices or hundreds.
