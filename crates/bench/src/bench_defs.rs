@@ -7,13 +7,12 @@ use cusha_algos::{
 use cusha_baselines::{
     try_run_mtcpu_warm, try_run_vwc_warm, MtcpuConfig, VwcConfig, VIRTUAL_WARP_SIZES,
 };
-use cusha_core::memsize::{check_fits, ValueSizes};
+use cusha_core::memsize::ValueSizes;
 use cusha_core::{
     settle, try_run_warm, CuShaConfig, NoopObserver, PreparedLayout, Repr, RunStats, VertexProgram,
 };
-use cusha_frontier::{try_run_frontier_warm, FrontierConfig, PreparedFrontier};
-use cusha_graph::{Csr, Graph, VertexId};
-use std::sync::{Arc, Mutex};
+use cusha_frontier::{try_run_frontier_warm, Family, FrontierConfig, Prepared};
+use cusha_graph::{Graph, VertexId};
 
 /// The eight benchmarks of Table 3, in the paper's column order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -98,22 +97,24 @@ impl Benchmark {
     /// Runs this benchmark on `engine`, returning only the statistics
     /// (values are validated in the test suites, not the harness): one cell
     /// over topology nobody else will use, [`Benchmark::run_on`] a fresh
-    /// [`Prepared`].
+    /// [`Prepared`] from the graph's [`default_source`].
     pub fn run(self, g: &Graph, engine: Engine, max_iterations: u32) -> RunStats {
-        self.run_on(g, &Prepared::new(g), engine, max_iterations)
+        let fresh = &Prepared::default();
+        self.run_on(g, default_source(g), fresh, engine, max_iterations)
     }
 
-    /// [`Benchmark::run`] over the topology `shared` holds for `g` (built
-    /// here if this is the first cell to ask): a warm run on a cold replay
-    /// table, so the statistics are those of `run`.
+    /// [`Benchmark::run`] from `source` over the topology `shared` holds for
+    /// `g` (built there if this is the first cell to ask): a warm run on a
+    /// cold replay table, so the statistics are those of `run`.
     pub fn run_on(
         self,
         g: &Graph,
+        source: VertexId,
         shared: &Prepared,
         engine: Engine,
         max_iterations: u32,
     ) -> RunStats {
-        let (source, at) = (shared.source, (g, shared, engine, max_iterations));
+        let at = (g, shared, engine, max_iterations);
         match self {
             Benchmark::Bfs => dispatch(&Bfs::new(source), at),
             Benchmark::Sssp => dispatch(&Sssp::new(source), at),
@@ -126,6 +127,19 @@ impl Benchmark {
                 let gnd = g.num_vertices().saturating_sub(1);
                 dispatch(&CircuitSimulation::new(source, gnd), at)
             }
+        }
+    }
+
+    /// The [`Family`] the cell of this benchmark on `e` over `g` runs over:
+    /// what the matrix schedules and releases by.
+    pub fn family(self, g: &Graph, e: Engine) -> Family {
+        match e {
+            Engine::CuShaGs | Engine::CuShaCw => {
+                let vertex = self.value_sizes().vertex;
+                Family::Shards(PreparedLayout::select_n_per(g, &CuShaConfig::gs(), vertex))
+            }
+            Engine::Vwc(_) | Engine::Mtcpu(_) => Family::Csr,
+            Engine::Frontier => Family::Frontier,
         }
     }
 }
@@ -190,120 +204,11 @@ impl Engine {
     }
 }
 
-/// The topology a cell runs over: cells of one graph that name the same
-/// family share one build of it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Family {
-    /// The G-Shards sort and the CW mapper at this `|N|`: GS and CW cells.
-    Shards(u32),
-    /// The in-edge CSR: VWC and MTCPU cells.
-    Csr,
-    /// The out-adjacency around the in-edge CSR: Frontier cells.
-    Frontier,
-}
-
-impl Family {
-    /// The family the cell `(b, e)` of `g` runs over.
-    pub fn of(g: &Graph, b: Benchmark, e: Engine) -> Family {
-        match e {
-            Engine::CuShaGs | Engine::CuShaCw => {
-                let vertex = b.value_sizes().vertex;
-                Family::Shards(PreparedLayout::select_n_per(g, &CuShaConfig::gs(), vertex))
-            }
-            Engine::Vwc(_) | Engine::Mtcpu(_) => Family::Csr,
-            Engine::Frontier => Family::Frontier,
-        }
-    }
-}
-
-/// Built topology by key: the first caller to ask for a key builds it while
-/// the others wait, every caller leaves with a counted handle, and a released
-/// key's state goes when the last handle does.
-struct Held<K, T>(Mutex<Vec<(K, Arc<T>)>>);
-
-impl<K, T> Default for Held<K, T> {
-    fn default() -> Self {
-        Held(Mutex::new(Vec::new()))
-    }
-}
-
-impl<K: Copy + PartialEq, T> Held<K, T> {
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<(K, Arc<T>)>> {
-        self.0.lock().expect("a build that panicked took the run")
-    }
-
-    /// What is held under `key` right now (after any build in progress).
-    fn peek(&self, key: K) -> Option<Arc<T>> {
-        let held = self.lock();
-        held.iter().find(|(k, _)| *k == key).map(|(_, t)| t.clone())
-    }
-
-    fn get(&self, key: K, build: impl FnOnce() -> T) -> Arc<T> {
-        let mut held = self.lock();
-        let at = held.iter().position(|(k, _)| *k == key);
-        let at = at.unwrap_or_else(|| {
-            held.push((key, Arc::new(build())));
-            held.len() - 1
-        });
-        held[at].1.clone()
-    }
-
-    fn release(&self, key: K) {
-        self.lock().retain(|(k, _)| *k != key);
-    }
-}
-
-/// What the cells of one graph have in common: the source vertex, and each
-/// topology [`Family`] built on first use. Everything a cell is handed is
-/// immutable and every cell runs on a replay table of its own, so a cell's
-/// statistics do not depend on which cells ran before it or beside it.
-pub struct Prepared {
-    source: VertexId,
-    /// By `|N|`, built with the mapper: CW cells run on a clone, GS cells on
-    /// its G-Shards view.
-    shards: Held<u32, PreparedLayout>,
-    csr: Held<(), Csr>,
-    frontier: Held<(), PreparedFrontier>,
-}
-
-impl Prepared {
-    /// Scans `g` for its [`default_source`]; builds nothing else yet.
-    pub fn new(g: &Graph) -> Self {
-        Prepared {
-            source: default_source(g),
-            shards: Held::default(),
-            csr: Held::default(),
-            frontier: Held::default(),
-        }
-    }
-
-    /// Lets `family`'s state go (its last cell has retired); a later cell
-    /// that asks for it builds it again.
-    pub fn release(&self, family: Family) {
-        match family {
-            Family::Shards(n_per) => self.shards.release(n_per),
-            Family::Csr => self.csr.release(()),
-            Family::Frontier => self.frontier.release(()),
-        }
-    }
-
-    fn csr(&self, g: &Graph) -> Arc<Csr> {
-        self.csr.get((), || Csr::from_graph(g))
-    }
-
-    /// Around the VWC cells' CSR while they hold one; it is not put there for
-    /// them, where it would outlive this family's release.
-    fn frontier(&self, g: &Graph) -> Arc<PreparedFrontier> {
-        self.frontier.get((), || {
-            let csr = self.csr.peek(());
-            PreparedFrontier::around(g, csr.unwrap_or_else(|| Arc::new(Csr::from_graph(g))))
-        })
-    }
-}
-
 /// One cell: each engine's warm entry over `shared`'s topology, behind the
-/// pre-flight its cold entry runs ([`check_fits`]; VWC's warm entry runs its
-/// own, MTCPU has none).
+/// pre-flight its cold entry runs ([`Prepared::preflight`]; VWC's warm entry
+/// runs its own, MTCPU has none). A shard cell runs on a view of the CW
+/// build: one sort serves both representations, on replay tables of the
+/// cell's own.
 fn dispatch<P: VertexProgram>(
     prog: &P,
     (g, shared, engine, max_iterations): (&Graph, &Prepared, Engine, u32),
@@ -324,28 +229,29 @@ fn dispatch<P: VertexProgram>(
             };
             let mut cfg = CuShaConfig::new(repr);
             cfg.max_iterations = max_iterations;
-            let n_per = PreparedLayout::select_n_per(g, &cfg, sizes.vertex);
-            check_fits(v, e, sizes, Some((repr, n_per)), &cfg.device).and_then(|()| {
-                let build = || PreparedLayout::build(g, Repr::ConcatWindows, n_per);
-                let layout = shared.shards.get(n_per, build).view(repr);
-                try_run_warm(prog, g, &layout, &cfg, None, observer)
+            Prepared::preflight(v, e, sizes, Some(&cfg), &cfg.device).and_then(|key| {
+                let Family::Shards(n_per) = key else {
+                    unreachable!("a shard configuration keys shards")
+                };
+                let (layout, _) = shared.shards(g, Repr::ConcatWindows, n_per);
+                try_run_warm(prog, g, &layout.view(repr), &cfg, None, observer)
             })
         }
         Engine::Vwc(vw) => {
             let mut cfg = VwcConfig::new(vw);
             cfg.max_iterations = max_iterations;
-            try_run_vwc_warm(prog, g, &shared.csr(g), &cfg, None, observer)
+            try_run_vwc_warm(prog, g, &shared.csr(g).0, &cfg, None, observer)
         }
         Engine::Mtcpu(t) => {
             let mut cfg = MtcpuConfig::new(t);
             cfg.max_iterations = max_iterations;
-            try_run_mtcpu_warm(prog, g, &shared.csr(g), &cfg, observer)
+            try_run_mtcpu_warm(prog, g, &shared.csr(g).0, &cfg, observer)
         }
         Engine::Frontier => {
             let mut cfg = FrontierConfig::new();
             cfg.max_iterations = max_iterations;
-            check_fits(v, e, sizes, None, &cfg.device).and_then(|()| {
-                try_run_frontier_warm(prog, g, &shared.frontier(g), &cfg, None, observer)
+            Prepared::preflight(v, e, sizes, None, &cfg.device).and_then(|_| {
+                try_run_frontier_warm(prog, g, &shared.frontier(g).0, &cfg, None, observer)
             })
         }
     })
@@ -412,11 +318,11 @@ mod tests {
             (rmat(&RmatConfig::graph500(14, 150, 54)), 2),
         ];
         for (g, shard_families) in &graphs {
-            let shared = Prepared::new(g);
+            let (source, shared) = (default_source(g), Prepared::default());
             let mut planned = Vec::new();
             for b in Benchmark::ALL {
                 for e in engines {
-                    let warm = b.run_on(g, &shared, e, 150);
+                    let warm = b.run_on(g, source, &shared, e, 150);
                     let cold = b.run(g, e, 150);
                     assert_eq!(
                         format!("{warm:?}"),
@@ -424,15 +330,20 @@ mod tests {
                         "{b} on {}",
                         e.label()
                     );
-                    if let Family::Shards(n_per) = Family::of(g, b, e) {
+                    if let Family::Shards(n_per) = b.family(g, e) {
                         planned.push(n_per);
                     }
                 }
             }
-            // The sorts held are the ones `Family::of` plans releases by:
-            // one per |N|, whatever the benchmark or representation.
-            let mut held: Vec<u32> = shared.shards.lock().iter().map(|(n, _)| *n).collect();
-            held.sort_unstable();
+            // The sorts held are the ones `Benchmark::family` plans releases
+            // by: one per |N|, whatever the benchmark or representation.
+            let keys = shared.keys().into_iter();
+            let held: Vec<u32> = keys
+                .filter_map(|key| match key {
+                    Family::Shards(n_per) => Some(n_per),
+                    _ => None,
+                })
+                .collect();
             planned.sort_unstable();
             planned.dedup();
             assert_eq!(held, planned);
@@ -443,27 +354,23 @@ mod tests {
     #[test]
     fn a_cell_builds_its_family_and_release_lets_it_go() {
         let g = rmat(&RmatConfig::graph500(6, 300, 50));
-        let shared = Prepared::new(&g);
-        Benchmark::Bfs.run_on(&g, &shared, Engine::Mtcpu(2), 100);
-        assert!(shared.csr.peek(()).is_some());
-        assert!(shared.frontier.peek(()).is_none() && shared.shards.lock().is_empty());
+        let (source, shared) = (default_source(&g), Prepared::default());
+        let cell = |e| Benchmark::Bfs.run_on(&g, source, &shared, e, 100);
+        cell(Engine::Mtcpu(2));
+        assert_eq!(shared.keys(), [Family::Csr]);
         // The frontier family borrows the CSR while there is one to borrow.
-        Benchmark::Bfs.run_on(&g, &shared, Engine::Frontier, 100);
-        let (csr, frontier) = (
-            shared.csr.peek(()).unwrap(),
-            shared.frontier.peek(()).unwrap(),
-        );
+        cell(Engine::Frontier);
+        assert_eq!(shared.keys(), [Family::Csr, Family::Frontier]);
+        let ((csr, c), (frontier, f)) = (shared.csr(&g), shared.frontier(&g));
+        assert!(!c && !f, "the cells left both in the store");
         assert!(std::ptr::eq(&*csr, frontier.csr()));
-        Benchmark::Bfs.run_on(&g, &shared, Engine::CuShaGs, 100);
-        for family in [
-            Family::Csr,
-            Family::Frontier,
-            Family::of(&g, Benchmark::Bfs, Engine::CuShaGs),
-        ] {
+        cell(Engine::CuShaGs);
+        let shards = Benchmark::Bfs.family(&g, Engine::CuShaGs);
+        assert_eq!(shared.keys(), [shards, Family::Csr, Family::Frontier]);
+        for family in [Family::Csr, Family::Frontier, shards] {
             shared.release(family);
         }
-        assert!(shared.csr.peek(()).is_none() && shared.frontier.peek(()).is_none());
-        assert!(shared.shards.lock().is_empty());
+        assert!(shared.keys().is_empty());
     }
 
     #[test]
@@ -474,7 +381,6 @@ mod tests {
         let edges = edges.iter().map(|&(s, d)| Edge::new(s, d, 1)).collect();
         let g = Graph::new(5, edges);
         assert_eq!(default_source(&g), 3);
-        assert_eq!(Prepared::new(&g).source, 3);
         assert_eq!(default_source(&Graph::empty(4)), 3, "all tied at zero");
         assert_eq!(default_source(&Graph::empty(0)), 0);
     }

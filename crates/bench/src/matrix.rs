@@ -8,10 +8,11 @@
 //! themselves. Cells of one dataset that run over the same topology
 //! ([`Family`]) borrow one build of it from the dataset's [`Prepared`].
 
-use crate::bench_defs::{Benchmark, Engine, Family, Prepared};
+use crate::bench_defs::{default_source, Benchmark, Engine};
 use cusha_core::RunStats;
+use cusha_frontier::{Family, Prepared};
 use cusha_graph::surrogates::Dataset;
-use cusha_graph::Graph;
+use cusha_graph::{Graph, VertexId};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -220,14 +221,14 @@ pub fn run_matrix_jobs(
     // Surrogates are generated on the worker pool too — one item per
     // dataset, results in dataset order — not serially before it starts;
     // each one's source vertex is found there, once for all of its cells.
-    let graphs: Vec<(Dataset, Graph, Prepared)> = pooled(datasets.len(), jobs, |i| {
+    let graphs: Vec<(Dataset, Graph, VertexId, Prepared)> = pooled(datasets.len(), jobs, |i| {
         let g = datasets[i].generate(scale);
-        let shared = Prepared::new(&g);
-        (datasets[i], g, shared)
+        let source = default_source(&g);
+        (datasets[i], g, source, Prepared::default())
     });
     let graph_sizes = graphs
         .iter()
-        .map(|(ds, g, _)| (*ds, g.num_edges() as u64, g.num_vertices() as u64))
+        .map(|(ds, g, ..)| (*ds, g.num_edges() as u64, g.num_vertices() as u64))
         .collect();
 
     let items = |gpu: bool| {
@@ -243,7 +244,7 @@ pub fn run_matrix_jobs(
     // One phase: `items` claimed in schedule order by `jobs` workers, back in
     // matrix order.
     let phase = |items: Vec<(usize, Benchmark, Engine)>, jobs: usize, label: &str| {
-        let of = |&(gi, b, e): &(usize, _, _)| (gi, Family::of(&graphs[gi].1, b, e));
+        let of = |&(gi, b, e): &(usize, Benchmark, _)| (gi, b.family(&graphs[gi].1, e));
         let groups = schedule(&items.iter().map(of).collect::<Vec<_>>());
         let order: Vec<(usize, usize)> = groups
             .iter()
@@ -258,8 +259,8 @@ pub fn run_matrix_jobs(
         let retired = AtomicUsize::new(0);
         let mut ran = pooled(order.len(), jobs, |t| {
             let ((i, group), (gi, b, e)) = (order[t], items[order[t].0]);
-            let (ds, g, shared) = &graphs[gi];
-            let stats = b.run_on(g, shared, e, max_iterations);
+            let (ds, g, source, shared) = &graphs[gi];
+            let stats = b.run_on(g, *source, shared, e, max_iterations);
             if left[group].fetch_sub(1, Ordering::Relaxed) == 1 {
                 shared.release(groups[group].0 .1);
             }

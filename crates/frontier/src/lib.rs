@@ -31,5 +31,5 @@ pub use engine::{
     FRONTIER_LABEL,
 };
 pub use kcore::{host_kcore, kcore_invariant, run_kcore, try_run_kcore, KcoreConfig, KcoreOutput};
-pub use prepared::PreparedFrontier;
+pub use prepared::{Family, Prepared, PreparedFrontier};
 pub use triangles::{host_triangles, run_triangles, try_run_triangles, TriangleOutput};

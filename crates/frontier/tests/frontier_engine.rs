@@ -249,7 +249,6 @@ fn warm_reentry_reuses_prepared_topology() {
             .unwrap();
     assert_eq!(a.values, gs_values(&Bfs::new(0), &g));
     assert_eq!(b.values, gs_values(&Bfs::new(3), &g));
-    assert!(pf.footprint_bytes() > 0);
 }
 
 #[test]

@@ -114,16 +114,6 @@ impl Csr {
             .copied()
             .zip(self.weights[r].iter().copied())
     }
-
-    /// Bytes occupied by the CSR arrays themselves, as accounted by the
-    /// paper's Figure 9 comparison: `VertexValues` (`n * vertex_size`) +
-    /// `InEdgeIdxs` (`(n + 1) * 4`) + `SrcIndxs` (`m * 4`) + `EdgeValues`
-    /// (`m * edge_size`).
-    pub fn footprint_bytes(&self, vertex_size: usize, edge_size: usize) -> usize {
-        let n = self.num_vertices as usize;
-        let m = self.src_indxs.len();
-        n * vertex_size + (n + 1) * 4 + m * 4 + m * edge_size
-    }
 }
 
 #[cfg(test)]
@@ -210,15 +200,5 @@ mod tests {
         let c = Csr::from_graph(&g);
         assert_eq!(c.weights(), &[1, 2, 3]);
         assert_eq!(c.edge_ids(), &[0, 1, 2]);
-    }
-
-    #[test]
-    fn footprint_formula() {
-        let g = fig2_like();
-        let c = Csr::from_graph(&g);
-        // n=8, m=9, vertex 4B, edge 4B: 32 + 36 + 36 + 36 = 140.
-        assert_eq!(c.footprint_bytes(4, 4), 140);
-        // Edge-less value type (BFS): edge_size = 0.
-        assert_eq!(c.footprint_bytes(4, 0), 104);
     }
 }

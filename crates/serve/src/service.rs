@@ -45,6 +45,7 @@ use cusha_core::memsize::ValueSizes;
 use cusha_core::{
     CuShaOutput, EngineError, IntegrityConfig, Repr, RunObserver, Value, VertexProgram,
 };
+use cusha_frontier::Family;
 use cusha_graph::Graph;
 use cusha_obs::json::{push_f64, push_obj, push_str_lit, ObjWriter};
 use cusha_obs::trace::lanes;
@@ -369,7 +370,7 @@ struct Window {
     /// Keys whose prepared state was warm when a batch joined the window;
     /// the close rebuilds exactly these, once, however many batches the
     /// window covered.
-    warm_keys: BTreeSet<u32>,
+    warm_keys: BTreeSet<Family>,
     /// Under `ServePrevious` only: the epoch before the window's first
     /// batch — the snapshot in-window queries are admitted, cache-keyed and
     /// run against.
@@ -378,10 +379,10 @@ struct Window {
 
 /// The epoch queries are served from: the one a serve-previous window
 /// keeps while it is open, the live one otherwise.
-fn serving_mut<'a>(live: &'a mut Epoch, window: &'a mut Option<Window>) -> &'a mut Epoch {
+fn serving<'a>(live: &'a Epoch, window: &'a Option<Window>) -> &'a Epoch {
     window
-        .as_mut()
-        .and_then(|w| w.prev.as_mut())
+        .as_ref()
+        .and_then(|w| w.prev.as_ref())
         .unwrap_or(live)
 }
 
@@ -526,12 +527,6 @@ impl Service {
         }
     }
 
-    /// The epoch queries are served from (see [`serving_mut`]).
-    fn serving(&self) -> &Epoch {
-        let prev = self.window.as_ref().and_then(|w| w.prev.as_ref());
-        prev.unwrap_or(&self.live)
-    }
-
     /// Handles one input line, returning the response lines it settles
     /// (possibly none: an admitted query settles at the next flush).
     pub fn handle_line(&mut self, line: &str) -> Vec<String> {
@@ -630,7 +625,7 @@ impl Service {
         // layouts it has; otherwise the superseded layouts go before the new
         // ones are built.
         let serve_previous = self.cfg.rebuild_policy == RebuildPolicy::ServePrevious;
-        let (old_rev, warm_keys) = (self.live.rev(), self.live.warm_keys().collect::<Vec<_>>());
+        let (old_rev, warm_keys) = (self.live.rev(), self.live.prepared().keys());
         let (delta, superseded) = match self
             .live
             .apply(&m.batch, serve_previous && self.window.is_none())
@@ -649,7 +644,7 @@ impl Service {
         let window = self.window.get_or_insert_with(Window::default);
         window.warm_keys.extend(warm_keys);
         if let Some(prev) = &window.prev {
-            window.warm_keys.extend(prev.warm_keys());
+            window.warm_keys.extend(prev.prepared().keys());
         }
         if superseded.is_some() {
             window.prev = superseded;
@@ -827,7 +822,7 @@ impl Service {
     }
 
     fn validate_query(&self, op: &QueryOp) -> Option<ShedReason> {
-        let n = self.serving().graph().num_vertices();
+        let n = serving(&self.live, &self.window).graph().num_vertices();
         match op {
             QueryOp::Traversal { source, .. } => (*source >= n).then_some(ShedReason::BadSource),
             QueryOp::Reach { sources } => {
@@ -844,7 +839,7 @@ impl Service {
     }
 
     fn query_key(&self, op: &QueryOp) -> String {
-        let rev = self.serving().rev();
+        let rev = serving(&self.live, &self.window).rev();
         let integ = self.cfg.integrity.mode.label();
         match op {
             QueryOp::Traversal { kind, source } => cache_key(rev, kind.label(), &[*source], integ),
@@ -878,7 +873,7 @@ impl Service {
             self.invalidate(prev.rev());
         }
         for &key in &window.warm_keys {
-            self.live.ensure(&self.engine, key);
+            self.live.ready(&self.engine, key);
         }
         if !window.warm_keys.is_empty() {
             let rebuilt = window.warm_keys.len() as u64;
@@ -951,7 +946,7 @@ impl Service {
         prog: &P,
         deadlines: &[Option<f64>],
     ) -> (Outcome<P::V>, LaneMeta) {
-        let epoch = serving_mut(&mut self.live, &mut self.window);
+        let epoch = serving(&self.live, &self.window);
         let launch_start = self.clock;
         let (v, e) = (epoch.graph().num_vertices(), epoch.graph().num_edges());
         let key = match self.engine.admit(v as u64, e as u64, ValueSizes::of::<P>()) {
@@ -963,7 +958,8 @@ impl Service {
                 return (Outcome::Typed { kind, detail }, no_launch);
             }
         };
-        let (ready, warm) = epoch.ensure(&self.engine, key);
+        let (ready, built) = epoch.ready(&self.engine, key);
+        let warm = !built;
         self.metrics.add("serve_batches_total", &[], 1);
         let batch_id = self
             .metrics
@@ -1053,7 +1049,7 @@ impl Service {
     /// cache entries stay (their keys pin the graph revision and they were
     /// settled before the fault).
     fn scrub(&mut self) {
-        serving_mut(&mut self.live, &mut self.window).scrub();
+        serving(&self.live, &self.window).scrub();
         self.metrics.add("serve_scrubs_total", &[], 1);
         self.cfg
             .trace

@@ -1,22 +1,21 @@
-//! One graph revision and the warm state prepared from it, and the one place
-//! the service branches on its engine family. An [`Epoch`] owns its graph,
-//! that graph's revision and what was prepared from it: it builds the state
-//! a launch runs on ([`Epoch::ensure`]), hands it back with the graph it was
-//! built from ([`Ready`]), and changes its graph only while handing the old
-//! state over ([`Epoch::apply`]) — so no prepared state ever meets another
-//! revision's graph. Either family files a piece of prepared state under a
-//! `u32` key, so the rebuild window can remember "what was warm" without
-//! knowing the family.
+//! One graph revision and the store of what was prepared from it, and the
+//! one place the service branches on its engine family. An [`Epoch`] owns
+//! its graph, that graph's revision and a [`Prepared`] store of what was
+//! prepared from it: the store builds what a launch asks for ([`Epoch::ready`]
+//! hands it back with the graph it was built from), and the graph changes
+//! only while the store is handed over ([`Epoch::apply`]) — so no prepared
+//! state ever meets another revision's graph. The store's keys ([`Family`])
+//! are what the rebuild window remembers as "what was warm".
 
 use crate::service::{ServeConfig, ServeEngine};
-use cusha_core::memsize::{check_fits, ValueSizes};
+use cusha_core::memsize::ValueSizes;
 use cusha_core::{
     try_run_warm, CuShaConfig, CuShaOutput, EngineError, PreparedLayout, RunObserver, VertexProgram,
 };
-use cusha_frontier::{try_run_frontier_warm, FrontierConfig, PreparedFrontier};
+use cusha_frontier::{try_run_frontier_warm, Family, FrontierConfig, Prepared, PreparedFrontier};
 use cusha_graph::{fingerprint, Graph, MutationBatch, MutationDelta, MutationError};
 use cusha_simt::FaultPlan;
-use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The engine configuration every launch runs under, derived from the
 /// [`ServeConfig`] once, by `Service::new`.
@@ -24,7 +23,7 @@ pub(crate) enum EngineConfig {
     /// CuSha shard engine: layouts by shard size (the autotuner picks one
     /// per vertex-value width).
     Shard(CuShaConfig),
-    /// Frontier engine: one topology (key 0) shared by every program.
+    /// Frontier engine: one topology shared by every program.
     Frontier(FrontierConfig),
 }
 
@@ -47,35 +46,25 @@ impl EngineConfig {
     }
 
     /// The key a graph of `v` vertices and `e` edges files its prepared state
-    /// under at value sizes `s`, unless this family's representation of it
-    /// cannot fit the device ([`check_fits`]): asked before a launch prepares
-    /// state, and before a mutation commits to growing the graph.
-    pub(crate) fn admit(&self, v: u64, e: u64, s: ValueSizes) -> Result<u32, EngineError<()>> {
-        let (shards, device) = match self {
-            EngineConfig::Shard(cfg) => {
-                (Some((cfg.repr, cfg.n_per_for(v, e, s.vertex))), &cfg.device)
-            }
-            EngineConfig::Frontier(cfg) => (None, &cfg.device),
-        };
-        check_fits(v, e, s, shards, device)?;
-        Ok(shards.map_or(0, |(_, n_per)| n_per))
+    /// under at value sizes `s`, or the refusal of one this family's
+    /// representation cannot fit ([`Prepared::preflight`]): asked before a
+    /// launch prepares state, and before a mutation commits to growing the
+    /// graph.
+    pub(crate) fn admit(&self, v: u64, e: u64, s: ValueSizes) -> Result<Family, EngineError<()>> {
+        match self {
+            EngineConfig::Shard(cfg) => Prepared::preflight(v, e, s, Some(cfg), &cfg.device),
+            EngineConfig::Frontier(cfg) => Prepared::preflight(v, e, s, None, &cfg.device),
+        }
     }
 }
 
-/// What was prepared from one graph: nothing at first, built on demand.
-#[derive(Default)]
-pub(crate) struct Warm {
-    layouts: HashMap<u32, PreparedLayout>,
-    topology: Option<PreparedFrontier>,
-}
-
 /// An epoch's prepared state for one launch, with the graph it was built
-/// from and the configuration it runs under: what [`Epoch::ensure`] returns.
+/// from and the configuration it runs under: what [`Epoch::ready`] returns.
 pub(crate) enum Ready<'a> {
     /// The graph, a layout built from it, the shard engine's configuration.
-    Shard(&'a Graph, &'a PreparedLayout, &'a CuShaConfig),
+    Shard(&'a Graph, Arc<PreparedLayout>, &'a CuShaConfig),
     /// The graph, its topology, the frontier engine's configuration.
-    Frontier(&'a Graph, &'a PreparedFrontier, &'a FrontierConfig),
+    Frontier(&'a Graph, Arc<PreparedFrontier>, &'a FrontierConfig),
 }
 
 impl Ready<'_> {
@@ -87,7 +76,7 @@ impl Ready<'_> {
         plan: Option<&mut FaultPlan>,
         observer: &mut O,
     ) -> Result<CuShaOutput<P::V>, EngineError<P::V>> {
-        match *self {
+        match self {
             Ready::Shard(graph, layout, cfg) => {
                 try_run_warm(prog, graph, layout, cfg, plan, observer)
             }
@@ -99,20 +88,24 @@ impl Ready<'_> {
 }
 
 /// One graph revision and everything prepared from it. The graph changes
-/// only through [`Epoch::apply`], which hands over what was prepared from
-/// it in the same step: prepared state answers only for the graph it was
-/// built from, and the revision is what cache keys pin.
+/// only through [`Epoch::apply`], which hands over the store of what was
+/// prepared from it in the same step: prepared state answers only for the
+/// graph it was built from, and the revision is what cache keys pin.
 pub(crate) struct Epoch {
     graph: Graph,
     rev: u64,
-    warm: Warm,
+    prepared: Prepared,
 }
 
 impl Epoch {
     /// `graph` at its revision, nothing prepared yet.
     pub(crate) fn new(graph: Graph) -> Self {
-        let (rev, warm) = (fingerprint(&graph), Warm::default());
-        Epoch { graph, rev, warm }
+        let (rev, prepared) = (fingerprint(&graph), Prepared::default());
+        Epoch {
+            graph,
+            rev,
+            prepared,
+        }
     }
 
     /// The graph this epoch serves.
@@ -125,46 +118,44 @@ impl Epoch {
         self.rev
     }
 
-    /// Every key with prepared state.
-    pub(crate) fn warm_keys(&self) -> impl Iterator<Item = u32> + '_ {
-        let topology = self.warm.topology.iter().map(|_| 0);
-        self.warm.layouts.keys().copied().chain(topology)
+    /// The store of what was prepared from the graph.
+    pub(crate) fn prepared(&self) -> &Prepared {
+        &self.prepared
     }
 
-    /// The prepared state under `key`, built from this epoch's graph if
-    /// there was none, and whether it was warm already.
-    pub(crate) fn ensure<'a>(
-        &'a mut self,
-        engine: &'a EngineConfig,
-        key: u32,
-    ) -> (Ready<'a>, bool) {
-        let (graph, warm) = (&self.graph, &mut self.warm);
+    /// The prepared state under `key` (one `engine.admit` gave), asked of
+    /// this epoch's store with this epoch's graph, and whether this call
+    /// built it.
+    pub(crate) fn ready<'a>(&'a self, engine: &'a EngineConfig, key: Family) -> (Ready<'a>, bool) {
+        let (graph, prepared) = (&self.graph, &self.prepared);
         match engine {
             EngineConfig::Shard(cfg) => {
-                let was_warm = warm.layouts.contains_key(&key);
-                let build = || PreparedLayout::build(graph, cfg.repr, key);
-                let layout = warm.layouts.entry(key).or_insert_with(build);
-                (Ready::Shard(graph, layout, cfg), was_warm)
+                let Family::Shards(n_per) = key else {
+                    unreachable!("the shard engine's pre-flight keys shard layouts")
+                };
+                let (layout, built) = prepared.shards(graph, cfg.repr, n_per);
+                (Ready::Shard(graph, layout, cfg), built)
             }
             EngineConfig::Frontier(cfg) => {
-                let was_warm = warm.topology.is_some();
-                let build = || PreparedFrontier::build(graph);
-                let topology = warm.topology.get_or_insert_with(build);
-                (Ready::Frontier(graph, topology, cfg), was_warm)
+                let (topology, built) = prepared.frontier(graph);
+                (Ready::Frontier(graph, topology, cfg), built)
             }
         }
     }
 
     /// Drops everything prepared (a scrub): it is rebuilt on demand.
-    pub(crate) fn scrub(&mut self) {
-        self.warm = Warm::default();
+    pub(crate) fn scrub(&self) {
+        self.prepared
+            .keys()
+            .into_iter()
+            .for_each(|key| self.prepared.release(key));
     }
 
-    /// Applies `batch` to the graph and re-fingerprints it, handing over what
-    /// was prepared from the superseded revision: as an epoch of its own (a
-    /// copy of the old graph, its revision and state) when `keep` asks for
-    /// one to go on serving, dropped otherwise. A refused batch changes
-    /// nothing.
+    /// Applies `batch` to the graph and re-fingerprints it, handing over the
+    /// store of what was prepared from the superseded revision: as an epoch
+    /// of its own (a copy of the old graph, its revision and store) when
+    /// `keep` asks for one to go on serving, dropped otherwise. A refused
+    /// batch changes nothing.
     pub(crate) fn apply(
         &mut self,
         batch: &MutationBatch,
@@ -173,7 +164,12 @@ impl Epoch {
         let graph = keep.then(|| self.graph.clone());
         let delta = batch.apply(&mut self.graph)?;
         let rev = std::mem::replace(&mut self.rev, fingerprint(&self.graph));
-        let warm = std::mem::take(&mut self.warm);
-        Ok((delta, graph.map(|graph| Epoch { graph, rev, warm })))
+        let prepared = std::mem::take(&mut self.prepared);
+        let superseded = graph.map(|graph| Epoch {
+            graph,
+            rev,
+            prepared,
+        });
+        Ok((delta, superseded))
     }
 }
