@@ -26,7 +26,7 @@
 //! source list into this shape.
 
 use crate::INF;
-use cusha_core::VertexProgram;
+use cusha_core::{ColumnKey, VertexProgram};
 use cusha_graph::VertexId;
 
 /// Which valued single-source traversal a fused lane runs.
@@ -182,6 +182,11 @@ impl VertexProgram for FusedPair {
 
     fn initial_value(&self, v: VertexId) -> (u32, u32) {
         (self.lane_initial(0, v), self.lane_initial(1, v))
+    }
+
+    fn column_key(&self) -> Option<ColumnKey> {
+        // The edge transform is the kind's.
+        Some(ColumnKey::new("fused-pair", self.kind as u64))
     }
 
     fn edge_value(&self, raw: u32) -> u32 {

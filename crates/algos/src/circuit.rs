@@ -9,7 +9,7 @@
 //! voltage solution. The control flow is a faithful transcription of the
 //! Table 3 cell.
 
-use cusha_core::VertexProgram;
+use cusha_core::{ColumnKey, VertexProgram};
 use cusha_graph::VertexId;
 
 /// Default convergence tolerance on voltage change.
@@ -47,6 +47,10 @@ impl VertexProgram for CircuitSimulation {
 
     fn name(&self) -> &'static str {
         "CS"
+    }
+
+    fn column_key(&self) -> Option<ColumnKey> {
+        Some(ColumnKey::new(self.name(), 0))
     }
 
     fn initial_value(&self, v: VertexId) -> (f32, f32) {

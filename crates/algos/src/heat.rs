@@ -6,7 +6,7 @@
 //! tolerance. Edge coefficients map to small conductances so the explicit
 //! scheme is stable (`Σ coeff` per vertex below 1 on the graphs we build).
 
-use cusha_core::VertexProgram;
+use cusha_core::{ColumnKey, VertexProgram};
 use cusha_graph::VertexId;
 
 /// Default convergence tolerance on temperature change. Temperatures span
@@ -66,6 +66,14 @@ impl VertexProgram for HeatSimulation {
 
     fn name(&self) -> &'static str {
         "HS"
+    }
+
+    fn column_key(&self) -> Option<ColumnKey> {
+        // The edge values scale by `coeff_scale`.
+        Some(ColumnKey::new(
+            self.name(),
+            self.coeff_scale.to_bits().into(),
+        ))
     }
 
     fn initial_value(&self, v: VertexId) -> (f32, f32) {

@@ -60,3 +60,83 @@ pub fn assert_approx_eq(a: &[f32], b: &[f32], tol: f32) {
         assert!((x - y).abs() <= tol, "index {i}: {x} vs {y} (tol {tol})");
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cusha_core::{Value, VertexProgram};
+    use cusha_graph::generators::rmat::{rmat, RmatConfig};
+    use cusha_graph::Graph;
+
+    fn bits<V: Value>(column: Vec<V>) -> Vec<u64> {
+        column.into_iter().map(V::to_bits).collect()
+    }
+
+    /// Two instances of a program that agree on its column key.
+    fn same_key_same_columns<P: VertexProgram>(a: P, b: P, g: &Graph) {
+        assert!(P::HAS_STATIC_VALUES || P::HAS_EDGE_VALUES, "{}", a.name());
+        let key = a.column_key();
+        assert!(key.is_some() && key == b.column_key(), "{}", a.name());
+        assert_eq!(bits(a.static_values(g)), bits(b.static_values(g)));
+        assert_eq!(bits(a.edge_values(g)), bits(b.edge_values(g)));
+    }
+
+    /// Every in-tree program with a constant column declares a key, and
+    /// instances that differ only in what no column reads (sources, lanes,
+    /// tolerances) share it and derive equal columns.
+    #[test]
+    fn equal_column_keys_derive_equal_columns() {
+        let g = rmat(&RmatConfig::graph500(8, 1500, 3));
+        same_key_same_columns(Sssp::new(0), Sssp::new(9), &g);
+        same_key_same_columns(Sswp::new(0), Sswp::new(9), &g);
+        same_key_same_columns(PageRank::new(), PageRank::with_tolerance(0.5), &g);
+        let (hs, nn) = (
+            HeatSimulation::with_tolerance(0.5),
+            NeuralNetwork::with_tolerance(0.5),
+        );
+        same_key_same_columns(HeatSimulation::new(), hs, &g);
+        same_key_same_columns(NeuralNetwork::new(), nn, &g);
+        same_key_same_columns(
+            CircuitSimulation::new(0, 1),
+            CircuitSimulation::new(2, 3),
+            &g,
+        );
+        for kind in [TraversalKind::Bfs, TraversalKind::Sssp, TraversalKind::Sswp] {
+            let (a, b) = ([Some(0), None], [Some(4), Some(5)]);
+            same_key_same_columns(FusedPair::new(kind, a), FusedPair::new(kind, b), &g);
+        }
+        // The rest have no column to share.
+        let none = |edge: bool, stat: bool| !edge && !stat;
+        assert!(none(Bfs::HAS_EDGE_VALUES, Bfs::HAS_STATIC_VALUES));
+        let cc = (
+            ConnectedComponents::HAS_EDGE_VALUES,
+            ConnectedComponents::HAS_STATIC_VALUES,
+        );
+        assert!(none(cc.0, cc.1));
+        let ms = (
+            MultiSourceBfs::HAS_EDGE_VALUES,
+            MultiSourceBfs::HAS_STATIC_VALUES,
+        );
+        assert!(none(ms.0, ms.1));
+    }
+
+    /// What a column reads is in its key: a scale, a fused kind, the program.
+    #[test]
+    fn what_a_column_reads_is_in_its_key() {
+        let hs = HeatSimulation {
+            coeff_scale: 0.2,
+            ..HeatSimulation::new()
+        };
+        assert_ne!(hs.column_key(), HeatSimulation::new().column_key());
+        let nn = NeuralNetwork {
+            weight_scale: 0.4,
+            ..NeuralNetwork::new()
+        };
+        assert_ne!(nn.column_key(), NeuralNetwork::new().column_key());
+        let kinds = [TraversalKind::Bfs, TraversalKind::Sssp, TraversalKind::Sswp];
+        let fused = kinds.map(|k| FusedPair::new(k, [Some(0), None]).column_key());
+        assert!(fused[0] != fused[1] && fused[1] != fused[2] && fused[0] != fused[2]);
+        assert_ne!(Sssp::new(0).column_key(), Sswp::new(0).column_key());
+        assert_ne!(fused[1], Sssp::new(0).column_key());
+    }
+}

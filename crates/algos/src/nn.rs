@@ -6,7 +6,7 @@
 //! contraction on the graphs we generate, and a tolerance bounds the stop
 //! condition exactly as in Table 3.
 
-use cusha_core::VertexProgram;
+use cusha_core::{ColumnKey, VertexProgram};
 use cusha_graph::VertexId;
 
 /// Default convergence tolerance on activation change.
@@ -65,6 +65,14 @@ impl VertexProgram for NeuralNetwork {
 
     fn name(&self) -> &'static str {
         "NN"
+    }
+
+    fn column_key(&self) -> Option<ColumnKey> {
+        // The edge values scale by `weight_scale`.
+        Some(ColumnKey::new(
+            self.name(),
+            self.weight_scale.to_bits().into(),
+        ))
     }
 
     fn initial_value(&self, v: VertexId) -> f32 {

@@ -7,7 +7,7 @@
 //! example of splitting edge-parallel and vertex-parallel logic between the
 //! two hooks.
 
-use cusha_core::VertexProgram;
+use cusha_core::{ColumnKey, VertexProgram};
 use cusha_graph::{Graph, VertexId};
 
 /// Damping factor `d` (the paper's `DAMPING_FACTOR`).
@@ -52,6 +52,10 @@ impl VertexProgram for PageRank {
 
     fn name(&self) -> &'static str {
         "PR"
+    }
+
+    fn column_key(&self) -> Option<ColumnKey> {
+        Some(ColumnKey::new(self.name(), 0))
     }
 
     fn initial_value(&self, _v: VertexId) -> f32 {

@@ -5,7 +5,7 @@
 //! dist(u) + w(u, v)`, applied asynchronously until fixpoint.
 
 use crate::INF;
-use cusha_core::VertexProgram;
+use cusha_core::{ColumnKey, VertexProgram};
 use cusha_graph::{Graph, VertexId};
 
 /// SSSP from a single source over non-negative integer weights.
@@ -31,6 +31,10 @@ impl VertexProgram for Sssp {
 
     fn name(&self) -> &'static str {
         "SSSP"
+    }
+
+    fn column_key(&self) -> Option<ColumnKey> {
+        Some(ColumnKey::new(self.name(), 0))
     }
 
     fn initial_value(&self, v: VertexId) -> u32 {

@@ -4,7 +4,7 @@
 //! of min(width(u), capacity(u, v))`, with the source at infinite width.
 
 use crate::INF;
-use cusha_core::VertexProgram;
+use cusha_core::{ColumnKey, VertexProgram};
 use cusha_graph::{Graph, VertexId};
 
 /// Widest path from a single source over positive integer capacities.
@@ -30,6 +30,10 @@ impl VertexProgram for Sswp {
 
     fn name(&self) -> &'static str {
         "SSWP"
+    }
+
+    fn column_key(&self) -> Option<ColumnKey> {
+        Some(ColumnKey::new(self.name(), 0))
     }
 
     fn initial_value(&self, v: VertexId) -> u32 {

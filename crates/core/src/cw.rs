@@ -13,8 +13,9 @@
 //! of hopping across per-shard windows that are often smaller than a warp,
 //! eliminating the idle lanes that throttle G-Shards on large sparse graphs.
 
-use crate::shards::GShards;
+use crate::shards::{column, GShards};
 use cusha_graph::VertexId;
+use std::sync::Arc;
 
 /// Window-major `SrcIndex` + `Mapper` columns, grouped per shard.
 #[derive(Clone, Debug)]
@@ -22,9 +23,9 @@ pub struct ConcatWindows {
     /// `p + 1` offsets delimiting each shard's concatenated window `CW_s`.
     cw_starts: Vec<u32>,
     /// `SrcIndex` entries, window-major (`|E|` total).
-    src_index: Vec<VertexId>,
+    src_index: Arc<[VertexId]>,
     /// For each CW entry, the absolute shard-array position it came from.
-    mapper: Vec<u32>,
+    mapper: Arc<[u32]>,
 }
 
 impl ConcatWindows {
@@ -33,18 +34,18 @@ impl ConcatWindows {
         let p = gs.num_shards();
         let m = gs.num_edges() as usize;
         let mut cw_starts = Vec::with_capacity(p as usize + 1);
-        let mut src_index = Vec::with_capacity(m);
-        let mut mapper = Vec::with_capacity(m);
+        let (mut src_index, mut mapper) = (column(m), column(m));
+        let [si, map] = [&mut src_index, &mut mapper].map(|c| Arc::get_mut(c).expect("fresh"));
+        let mut at = 0;
         cw_starts.push(0);
         for s in 0..p {
             for j in 0..p {
-                let w = gs.window(s, j);
-                for k in w {
-                    src_index.push(gs.src_index()[k]);
-                    mapper.push(k as u32);
+                for k in gs.window(s, j) {
+                    (si[at], map[at]) = (gs.src_index()[k], k as u32);
+                    at += 1;
                 }
             }
-            cw_starts.push(src_index.len() as u32);
+            cw_starts.push(at as u32);
         }
         ConcatWindows {
             cw_starts,
@@ -61,13 +62,13 @@ impl ConcatWindows {
 
     /// Window-major `SrcIndex` column.
     #[inline]
-    pub fn src_index(&self) -> &[VertexId] {
+    pub fn src_index(&self) -> &Arc<[VertexId]> {
         &self.src_index
     }
 
     /// The `Mapper` column.
     #[inline]
-    pub fn mapper(&self) -> &[u32] {
+    pub fn mapper(&self) -> &Arc<[u32]> {
         &self.mapper
     }
 

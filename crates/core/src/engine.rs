@@ -32,12 +32,13 @@ use crate::integrity::{IntegrityConfig, Stop};
 use crate::kernel::fault_instant;
 use crate::memsize::{check_fits, check_shard_block, check_streams, ValueSizes};
 use crate::multi::drive;
-use crate::program::VertexProgram;
+use crate::program::{ColumnKey, Value, VertexProgram};
 use crate::shards::GShards;
 use crate::stats::{FaultStats, MemoStats, RunStats, SdcStats};
 use cusha_graph::{FleetPartition, Graph};
 use cusha_obs::trace::Tracer;
 use cusha_simt::{DeviceConfig, DeviceFleet, FaultPlan, Gpu, Interconnect, Profile, ReplayMemo};
+use std::any::Any;
 use std::sync::{Arc, Mutex};
 
 /// Which CuSha representation to run.
@@ -387,6 +388,53 @@ impl ReplayTables {
     }
 }
 
+/// A program's constant per-entry columns, in layout order: what
+/// [`PreparedLayout::columns`] derives once and every run over the layout
+/// shares, on the host and into the device. Nothing writes them.
+#[derive(Clone, Debug)]
+pub(crate) struct Columns<SV, E> {
+    /// Per-entry static source values, when the program has them.
+    pub statics: Option<Arc<[SV]>>,
+    /// Per-entry edge values, when the program has them.
+    pub edges: Option<Arc<[E]>>,
+}
+
+impl<SV: Value, E: Value> Columns<SV, E> {
+    /// Gathers `prog`'s per-vertex static values through `SrcIndex` and its
+    /// per-edge values through the edge ids.
+    pub(crate) fn derive<P>(prog: &P, graph: &Graph, gs: &GShards) -> Self
+    where
+        P: VertexProgram<SV = SV, E = E>,
+    {
+        let statics = P::HAS_STATIC_VALUES.then(|| {
+            let per_vertex = prog.static_values(graph);
+            let gather = gs.src_index().iter().map(|&s| per_vertex[s as usize]);
+            gather.collect()
+        });
+        let edges = P::HAS_EDGE_VALUES.then(|| {
+            let by_id = prog.edge_values(graph);
+            gs.edge_id().iter().map(|&id| by_id[id as usize]).collect()
+        });
+        Columns { statics, edges }
+    }
+}
+
+/// Most column sets one layout keeps: past it, the oldest goes. A service
+/// runs a handful of programs, each with one key.
+const MAX_COLUMN_SETS: usize = 8;
+
+/// The constant per-entry columns a layout has derived, one set per
+/// program [`ColumnKey`] (and column types), oldest first. Like the replay
+/// tables, a clone starts empty.
+#[derive(Debug, Default)]
+struct ColumnSets(Mutex<Vec<(ColumnKey, Arc<dyn Any + Send + Sync>)>>);
+
+impl Clone for ColumnSets {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
 /// A host-side graph layout — G-Shards plus, in CW mode, the Concatenated
 /// Windows arrays — prepared once and reused across runs.
 ///
@@ -397,8 +445,10 @@ impl ReplayTables {
 /// immutable: faulty or cancelled runs cannot poison it. It keeps the
 /// simulator's replay tables between runs, so only the first run per program
 /// shape after a build interprets the kernel's statically accounted stages.
-/// The arrays sit behind `Arc`s: a clone is a handle on the same arrays with
-/// cold replay tables of its own.
+/// It also keeps each program's constant per-entry columns, derived on the
+/// first run that asks: a warm run builds and copies none of what the layout
+/// fixes. The arrays sit behind `Arc`s: a clone is a handle on the same
+/// arrays with cold replay tables and no columns of its own.
 #[derive(Clone, Debug)]
 pub struct PreparedLayout {
     repr: Repr,
@@ -406,6 +456,7 @@ pub struct PreparedLayout {
     gs: Arc<GShards>,
     cw: Option<Arc<ConcatWindows>>,
     replay: ReplayTables,
+    columns: ColumnSets,
 }
 
 impl PreparedLayout {
@@ -420,6 +471,7 @@ impl PreparedLayout {
             gs,
             cw,
             replay: ReplayTables::default(),
+            columns: ColumnSets::default(),
         }
     }
 
@@ -496,6 +548,32 @@ impl PreparedLayout {
         let tables = self.replay.0.lock().unwrap();
         let slots = tables.iter().map(|(_, table)| table.slots());
         slots.fold((0, 0), |sum, s| (sum.0 + s.0, sum.1 + s.1))
+    }
+
+    /// `prog`'s constant per-entry columns in layout order, derived from
+    /// `graph` — the graph the layout was built from — by the first run per
+    /// [`ColumnKey`] and shared by every later one. A program without a key
+    /// gets columns of its own.
+    pub(crate) fn columns<P: VertexProgram>(
+        &self,
+        prog: &P,
+        graph: &Graph,
+    ) -> Columns<P::SV, P::E> {
+        let any = P::HAS_STATIC_VALUES || P::HAS_EDGE_VALUES;
+        let Some(key) = prog.column_key().filter(|_| any) else {
+            return Columns::derive(prog, graph, &self.gs);
+        };
+        let mut sets = self.columns.0.lock().expect("a column derivation panicked");
+        let mut held = sets.iter().filter(|set| set.0 == key);
+        if let Some(cols) = held.find_map(|set| set.1.downcast_ref::<Columns<P::SV, P::E>>()) {
+            return cols.clone();
+        }
+        let cols = Columns::derive(prog, graph, &self.gs);
+        if sets.len() == MAX_COLUMN_SETS {
+            sets.remove(0);
+        }
+        sets.push((key, Arc::new(cols.clone())));
+        cols
     }
 
     /// The G-Shards arrays.
@@ -765,7 +843,7 @@ pub fn try_run_placed<P: VertexProgram, O: RunObserver + ?Sized>(
         };
         return out.into_result();
     }
-    run_fallback_after(prog, graph, &layout.gs, cfg, faults[0], sdcs[0], profile)
+    run_fallback_after(prog, graph, layout, cfg, faults[0], sdcs[0], profile)
 }
 
 #[cfg(test)]
@@ -823,6 +901,57 @@ mod tests {
         );
         assert_eq!(gs_out.values, cw_out.values);
         assert!(gs_out.stats.converged && cw_out.stats.converged);
+    }
+
+    /// A one-column program whose key is whatever the test says (`None`
+    /// opts out).
+    struct Keyed(Option<u64>);
+
+    impl VertexProgram for Keyed {
+        type V = u32;
+        type E = u32;
+        type SV = u32;
+        const HAS_EDGE_VALUES: bool = true;
+        const HAS_STATIC_VALUES: bool = false;
+        fn name(&self) -> &'static str {
+            "keyed"
+        }
+        fn column_key(&self) -> Option<ColumnKey> {
+            self.0.map(|params| ColumnKey::new(self.name(), params))
+        }
+        fn initial_value(&self, _v: u32) -> u32 {
+            0
+        }
+        fn edge_value(&self, raw: u32) -> u32 {
+            raw
+        }
+        fn init_compute(&self, _local: &mut u32, _global: &u32) {}
+        fn compute(&self, _src: &u32, _st: &u32, _edge: &u32, _local: &mut u32) {}
+        fn update_condition(&self, _local: &mut u32, _old: &u32) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn a_layout_keeps_one_column_set_per_key_under_its_cap() {
+        let g = line_graph(40);
+        let layout = PreparedLayout::build(&g, Repr::GShards, 8);
+        let held = |layout: &PreparedLayout| -> Vec<u64> {
+            let sets = layout.columns.0.lock().unwrap();
+            sets.iter().map(|set| set.0.params).collect()
+        };
+        let edges = |key| layout.columns(&Keyed(key), &g).edges.unwrap();
+        // A program without a key derives its own, every run.
+        assert!(!Arc::ptr_eq(&edges(None), &edges(None)));
+        assert!(held(&layout).is_empty());
+        let first = edges(Some(0));
+        assert!(Arc::ptr_eq(&first, &edges(Some(0))));
+        // Past the cap the oldest set goes; a clone or a view holds none.
+        let cap = MAX_COLUMN_SETS as u64;
+        (1..=cap).for_each(|k| drop(edges(Some(k))));
+        assert_eq!(held(&layout), (1..=cap).collect::<Vec<_>>());
+        assert!(!Arc::ptr_eq(&first, &edges(Some(0))));
+        assert!(held(&layout.view(Repr::ConcatWindows)).is_empty());
     }
 
     #[test]

@@ -10,11 +10,10 @@
 //! to a fault-free [`crate::run`] in GS mode for every program, floats
 //! included. No device is involved, so no device fault can reach it.
 
-use crate::engine::{CuShaConfig, CuShaOutput, PreparedLayout};
+use crate::engine::{CuShaConfig, CuShaOutput, PreparedLayout, Repr};
 use crate::error::EngineError;
 use crate::kernel::HostArrays;
 use crate::program::VertexProgram;
-use crate::shards::GShards;
 use crate::stats::{FaultStats, IterationStat, RunStats, SdcStats};
 use cusha_graph::Graph;
 use cusha_simt::{Pod, Profile};
@@ -34,25 +33,25 @@ pub fn run_fallback<P: VertexProgram>(
 ) -> Result<CuShaOutput<P::V>, EngineError<P::V>> {
     cfg.validate().map_err(EngineError::InvalidConfig)?;
     let n_per = PreparedLayout::select_n_per(graph, cfg, <P::V as Pod>::SIZE);
-    let gs = GShards::from_graph(graph, n_per);
+    let layout = PreparedLayout::build(graph, Repr::GShards, n_per);
     let (fault, sdc) = (FaultStats::default(), SdcStats::default());
-    run_fallback_after(prog, graph, &gs, cfg, fault, sdc, None)
+    run_fallback_after(prog, graph, &layout, cfg, fault, sdc, None)
 }
 
 /// The last rung of every ladder that abandons its device: [`run_fallback`]
-/// on the abandoned run's own shards `gs`, so it finishes on that run's
+/// on the abandoned run's own layout, so it finishes on that run's
 /// schedule, its statistics carrying the run's record — recovery counters,
 /// SDC record, launch profile — (a capped fallback's partial output too).
 pub(crate) fn run_fallback_after<P: VertexProgram>(
     prog: &P,
     graph: &Graph,
-    gs: &GShards,
+    layout: &PreparedLayout,
     cfg: &CuShaConfig,
     fault: FaultStats,
     sdc: SdcStats,
     profile: Option<Profile>,
 ) -> Result<CuShaOutput<P::V>, EngineError<P::V>> {
-    let mut host = HostArrays::new(prog, graph, gs);
+    let (mut host, gs) = (HostArrays::new(prog, graph, layout), layout.gs());
     let all_entries = 0..gs.num_edges() as usize;
 
     let mut total = RunStats {

@@ -26,7 +26,7 @@
 //! per-edge and per-vertex arrays dominate, and they are fully accounted.
 
 use crate::cw::ConcatWindows;
-use crate::engine::PreparedLayout;
+use crate::engine::{Columns, PreparedLayout};
 use crate::error::EngineError;
 use crate::program::{Value, VertexProgram};
 use crate::shards::GShards;
@@ -185,35 +185,24 @@ pub(crate) struct HostArrays<P: VertexProgram> {
     pub values: Vec<P::V>,
     /// The `SrcValue` column.
     pub src_value: Vec<P::V>,
-    /// Per-entry static source values, when the program has them.
-    pub statics: Option<Vec<P::SV>>,
-    /// Per-entry edge values, when the program has them.
-    pub edges: Option<Vec<P::E>>,
+    /// The program's constant columns: the layout's.
+    pub columns: Columns<P::SV, P::E>,
 }
 
 impl<P: VertexProgram> HostArrays<P> {
-    /// The initial state of `prog` over `graph`, laid out for `gs`.
-    pub(crate) fn new(prog: &P, graph: &Graph, gs: &GShards) -> Self {
+    /// The initial state of `prog` over `graph`, laid out for `layout`. Only
+    /// the values and `SrcValue` are built here; the constant columns are
+    /// the layout's.
+    pub(crate) fn new(prog: &P, graph: &Graph, layout: &PreparedLayout) -> Self {
         let values: Vec<P::V> = (0..graph.num_vertices())
             .map(|v| prog.initial_value(v))
             .collect();
-        let src_value = gs.src_index().iter().map(|&s| values[s as usize]).collect();
-        let statics = P::HAS_STATIC_VALUES.then(|| {
-            let per_vertex = prog.static_values(graph);
-            gs.src_index()
-                .iter()
-                .map(|&s| per_vertex[s as usize])
-                .collect()
-        });
-        let edges = P::HAS_EDGE_VALUES.then(|| {
-            let by_id = prog.edge_values(graph);
-            gs.edge_id().iter().map(|&id| by_id[id as usize]).collect()
-        });
+        let src_index = layout.gs().src_index().iter();
+        let src_value = src_index.map(|&s| values[s as usize]).collect();
         HostArrays {
             values,
             src_value,
-            statics,
-            edges,
+            columns: layout.columns(prog, graph),
         }
     }
 
@@ -221,7 +210,7 @@ impl<P: VertexProgram> HostArrays<P> {
     /// can never be re-uploaded to: nothing reads the masters again.
     pub(crate) fn release(&mut self) {
         (self.values, self.src_value) = Default::default();
-        (self.statics, self.edges) = (None, None);
+        (self.columns.statics, self.columns.edges) = (None, None);
     }
 
     /// The functional core of the CuSha iteration on the host masters: the
@@ -239,6 +228,7 @@ impl<P: VertexProgram> HostArrays<P> {
         spills: &mut Vec<(usize, P::V)>,
     ) -> u64 {
         let (vv, sv) = (&mut self.values, &mut self.src_value);
+        let Columns { statics, edges } = &self.columns;
         let (mut updated, mut local) = (0u64, Vec::new());
         for s in shards {
             let vrange = gs.vertex_range(s);
@@ -246,7 +236,7 @@ impl<P: VertexProgram> HostArrays<P> {
             local.resize(vrange.len(), P::V::default());
             init_local(prog, &vv[offset..], &mut local);
             let (r, dest) = (|| entries.clone(), gs.dest_index());
-            let (st, ed) = (self.statics.as_deref(), self.edges.as_deref());
+            let (st, ed) = (statics.as_deref(), edges.as_deref());
             let (st, ed) = (st.map(|c| &c[r()]), ed.map(|c| &c[r()]));
             fold(prog, &dest[r()], &sv[r()], st, ed, offset, &mut local);
 
@@ -308,8 +298,10 @@ fn write_back<V: Copy>(
     mut emit: impl FnMut(usize, V),
 ) {
     let Some(cw) = cw else {
-        for e in (0..gs.num_shards()).flat_map(|j| gs.window(s, j)) {
-            emit(e, local[gs.src_index()[e] as usize - offset]);
+        for j in 0..gs.num_shards() {
+            for e in gs.window(s, j) {
+                emit(e, local[gs.src_index()[e] as usize - offset]);
+            }
         }
         return;
     };
@@ -613,10 +605,12 @@ pub(crate) fn upload_resident<P: VertexProgram>(
 }
 
 impl<P: VertexProgram> DeviceSlice<P> {
-    /// Uploads the slice of `shards` from the host masters, one charged H2D
-    /// copy per buffer, in a fixed order (fault-plan operation indices
-    /// depend on it): `SrcValue`, static values, edge values, `DestIndex`,
-    /// `SrcIndex`, `Mapper`, window offsets, remote `SrcIndex`, outbox.
+    /// Uploads the slice of `shards`, one charged H2D copy per buffer, in a
+    /// fixed order (fault-plan operation indices depend on it): `SrcValue`,
+    /// static values, edge values, `DestIndex`, `SrcIndex`, `Mapper`, window
+    /// offsets, remote `SrcIndex`, outbox. Only `SrcValue` and the remote
+    /// `SrcIndex` are copied; every other buffer is the slice's range of a
+    /// column the layout holds, shared into the device (charged all the same).
     pub(crate) fn upload(
         gpu: &mut Gpu,
         retry: &RetryPolicy,
@@ -628,35 +622,39 @@ impl<P: VertexProgram> DeviceSlice<P> {
     ) -> Result<Self, DeviceFault> {
         let held = gpu.allocated_bytes();
         or_free(gpu, |gpu| {
-            fn up<T: Pod>(
+            fn share<T: Pod>(
                 gpu: &mut Gpu,
                 retry: &RetryPolicy,
                 fault: &mut FaultStats,
-                data: &[T],
+                data: &Arc<[T]>,
+                range: Range<usize>,
             ) -> Result<DevVec<T>, DeviceFault> {
-                with_copy_retries(gpu, retry, fault, |g| g.try_upload(data))
+                with_copy_retries(gpu, retry, fault, |g| {
+                    g.try_upload_shared(data, range.clone())
+                })
             }
             let gs = layout.gs();
             let erange = entry_range(gs, &shards);
-            let src_value = up(gpu, retry, fault, &host.src_value[erange.clone()])?;
-            let src_static = match &host.statics {
-                Some(v) => Some(up(gpu, retry, fault, &v[erange.clone()])?),
-                None => None,
-            };
-            let edge_value = match &host.edges {
-                Some(v) => Some(up(gpu, retry, fault, &v[erange.clone()])?),
-                None => None,
-            };
-            let dest_index = up(gpu, retry, fault, &gs.dest_index()[erange.clone()])?;
+            let src_value = with_copy_retries(gpu, retry, fault, |g| {
+                g.try_upload(&host.src_value[erange.clone()])
+            })?;
+            let cols = &host.columns;
+            let statics = cols.statics.as_ref();
+            let src_static = statics.map(|c| share(gpu, retry, fault, c, erange.clone()));
+            let src_static = src_static.transpose()?;
+            let edges = cols.edges.as_ref();
+            let edge_value = edges.map(|c| share(gpu, retry, fault, c, erange.clone()));
+            let edge_value = edge_value.transpose()?;
+            let dest_index = share(gpu, retry, fault, gs.dest_index(), erange.clone())?;
             let (cwoff, src_index, mapper) = match layout.cw() {
                 Some(cw) => {
                     let r = cw.cw_entries(shards.start).start..cw.cw_entries(shards.end - 1).end;
-                    let src_index = up(gpu, retry, fault, &cw.src_index()[r.clone()])?;
-                    let mapper = up(gpu, retry, fault, &cw.mapper()[r.clone()])?;
+                    let src_index = share(gpu, retry, fault, cw.src_index(), r.clone())?;
+                    let mapper = share(gpu, retry, fault, cw.mapper(), r.clone())?;
                     (r.start, src_index, Some(mapper))
                 }
                 None => {
-                    let src_index = up(gpu, retry, fault, &gs.src_index()[erange.clone()])?;
+                    let src_index = share(gpu, retry, fault, gs.src_index(), erange.clone())?;
                     (0, src_index, None)
                 }
             };
@@ -666,11 +664,8 @@ impl<P: VertexProgram> DeviceSlice<P> {
             // reads are charged, which is part of why small windows hurt
             // G-Shards.
             let window_offsets = if mapper.is_none() && via == SpillVia::Outbox {
-                let p = gs.num_shards();
-                let flat: Vec<u32> = (0..p)
-                    .flat_map(|j| (0..p).map(move |i| gs.window(i, j).start as u32))
-                    .collect();
-                Some(up(gpu, retry, fault, &flat)?)
+                let table = gs.window_offsets();
+                Some(share(gpu, retry, fault, table, 0..table.len())?)
             } else {
                 None
             };
@@ -683,7 +678,9 @@ impl<P: VertexProgram> DeviceSlice<P> {
             } else {
                 let src_index = if mapper.is_none() {
                     let rsi: Vec<u32> = remote.iter().map(|&k| gs.src_index()[k]).collect();
-                    Some(up(gpu, retry, fault, &rsi)?)
+                    Some(with_copy_retries(gpu, retry, fault, |g| {
+                        g.try_upload(&rsi)
+                    })?)
                 } else {
                     None
                 };
@@ -1061,7 +1058,7 @@ mod tests {
         let g = rmat(&RmatConfig::graph500(8, 2500, 5));
         for repr in [Repr::GShards, Repr::ConcatWindows] {
             let layout = PreparedLayout::build(&g, repr, 16);
-            let host = HostArrays::new(&MiniSssp { source: 0 }, &g, layout.gs());
+            let host = HostArrays::new(&MiniSssp { source: 0 }, &g, &layout);
             let p = layout.num_shards();
             let mut lone = Gpu::new(DeviceConfig::gtx780());
             let alone = launch_slice(&mut lone, &layout, &host, 1..p, None).0;
@@ -1093,7 +1090,7 @@ mod tests {
         let g = rmat(&RmatConfig::graph500(8, 2500, 5));
         for repr in [Repr::GShards, Repr::ConcatWindows] {
             let layout = PreparedLayout::build(&g, repr, 16);
-            let mut host = HostArrays::new(&MiniSssp { source: 0 }, &g, layout.gs());
+            let mut host = HostArrays::new(&MiniSssp { source: 0 }, &g, &layout);
             // A mid-run `SrcValue`: nearly every shard updates and writes back.
             for (e, v) in host.src_value.iter_mut().enumerate() {
                 *v = (e % 7) as u32;
@@ -1132,6 +1129,47 @@ mod tests {
                     (0, _) => assert!(fx.spills.is_empty() && fx.host_writes == 0, "{tag}"),
                     (_, None) => assert!(!fx.spills.is_empty(), "{tag}"),
                     (_, Some(_)) => assert!(!fx.spills.is_empty() && fx.host_writes > 0, "{tag}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_second_run_builds_no_column_and_shares_the_layouts() {
+        // The constant columns are derived once per layout and key: a second
+        // run's masters hold the first run's, and every buffer the layout
+        // fixes reads the layout's storage on the device (a copy would not).
+        let g = rmat(&RmatConfig::graph500(8, 2500, 5));
+        let prog = MiniSssp { source: 0 };
+        for repr in [Repr::GShards, Repr::ConcatWindows] {
+            let layout = PreparedLayout::build(&g, repr, 16);
+            let first = HostArrays::new(&prog, &g, &layout);
+            let second = HostArrays::new(&prog, &g, &layout);
+            let edges = first
+                .columns
+                .edges
+                .as_ref()
+                .expect("MiniSssp has edge values");
+            assert!(Arc::ptr_eq(edges, second.columns.edges.as_ref().unwrap()));
+            let derived = Columns::derive(&prog, &g, layout.gs()).edges.unwrap();
+            assert_eq!(edges[..], derived[..]);
+
+            let mut gpu = Gpu::new(DeviceConfig::gtx780());
+            let (retry, mut fault) = (RetryPolicy::NONE, FaultStats::default());
+            let shards = 0..layout.num_shards();
+            let up = upload_resident(&mut gpu, &retry, &mut fault, &layout, &second, shards);
+            let (gs, slice) = (layout.gs(), up.expect("upload").1);
+            assert!(slice.edge_value.as_ref().unwrap().shares(edges));
+            assert!(slice.dest_index.shares(gs.dest_index()));
+            match layout.cw() {
+                Some(cw) => {
+                    assert!(slice.src_index.shares(cw.src_index()));
+                    assert!(slice.mapper.as_ref().unwrap().shares(cw.mapper()));
+                }
+                None => {
+                    assert!(slice.src_index.shares(gs.src_index()));
+                    let offsets = slice.window_offsets.as_ref().unwrap();
+                    assert!(offsets.shares(gs.window_offsets()));
                 }
             }
         }

@@ -69,7 +69,7 @@ pub use integrity::{IntegrityConfig, IntegrityMode};
 pub use kernel::{fault_instant, retry_attempts};
 pub use middleware::{run_engine, DeadlineObserver, Engine, EngineCtx, ShardEngine};
 pub use multi::{run_multi, try_run_multi, MultiConfig};
-pub use program::{Value, VertexProgram};
+pub use program::{ColumnKey, Value, VertexProgram};
 pub use shards::GShards;
 pub use stats::{
     DeviceRunStats, Direction, FaultStats, FrontierStats, IterationStat, MemoStats, MultiOutput,

@@ -752,7 +752,7 @@ pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
         fleet,
         infos: infos.collect(),
         modes: (0..n).map(|_| Mode::Idle).collect(),
-        host: HostArrays::new(prog, graph, gs),
+        host: HostArrays::new(prog, graph, layout),
         faults,
         marks: vec![0.0; n],
         crcs: vec![(0, 0); n],

@@ -79,6 +79,27 @@ impl Value for (u32, u32) {
     }
 }
 
+/// What fixes a program's constant per-entry columns — its
+/// [`VertexProgram::static_values`] and [`VertexProgram::edge_values`] — on
+/// a graph. A layout derives the columns once per key and shares them with
+/// every later run over it, so two programs with equal keys must derive
+/// equal columns from every graph. The program declares it
+/// ([`VertexProgram::column_key`]); nothing samples the columns to guess it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct ColumnKey {
+    /// The derivation, by convention the program's name.
+    pub derive: &'static str,
+    /// Every parameter the derivation reads, as bits (0 when none).
+    pub params: u64,
+}
+
+impl ColumnKey {
+    /// The key of derivation `derive` over parameters `params`.
+    pub const fn new(derive: &'static str, params: u64) -> Self {
+        ColumnKey { derive, params }
+    }
+}
+
 /// A vertex-centric graph algorithm, in the paper's three-function form.
 ///
 /// Requirements carried over from the paper (Section 4):
@@ -143,6 +164,13 @@ pub trait VertexProgram: Sync {
             .iter()
             .map(|e| self.edge_value(e.weight))
             .collect()
+    }
+
+    /// The identity of this program's constant columns (see [`ColumnKey`]).
+    /// `None`, the default, opts out: every run derives columns of its own,
+    /// so a program that declares no key is never handed another's.
+    fn column_key(&self) -> Option<ColumnKey> {
+        None
     }
 
     /// Stage-1 hook: initialize the shared-memory copy from the global one.
@@ -211,6 +239,9 @@ pub(crate) mod testing {
 
         fn name(&self) -> &'static str {
             "mini-sssp"
+        }
+        fn column_key(&self) -> Option<ColumnKey> {
+            Some(ColumnKey::new(self.name(), 0))
         }
         fn initial_value(&self, v: VertexId) -> u32 {
             if v == self.source {

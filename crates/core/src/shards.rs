@@ -14,6 +14,7 @@
 //! contiguous span; [`GShards::window`] exposes the precomputed span matrix.
 
 use cusha_graph::{Graph, VertexId};
+use std::sync::Arc;
 
 /// Destination-partitioned, source-ordered shard decomposition of a graph.
 ///
@@ -28,14 +29,21 @@ pub struct GShards {
     /// `p + 1` offsets delimiting shards within the edge arrays.
     shard_starts: Vec<u32>,
     /// Source vertex of each entry (shard-major, in the order above).
-    src_index: Vec<VertexId>,
+    src_index: Arc<[VertexId]>,
     /// Destination vertex of each entry.
-    dest_index: Vec<VertexId>,
+    dest_index: Arc<[VertexId]>,
     /// Original edge id of each entry (carries the weight seed).
-    edge_id: Vec<u32>,
+    edge_id: Arc<[u32]>,
     /// `p * p` matrix, row-major by *owning shard j*: entry `(j, i)` is the
     /// absolute start of window `W_ij` inside shard `j`.
-    window_offsets: Vec<u32>,
+    window_offsets: Arc<[u32]>,
+}
+
+/// A zeroed `len`-word column in one allocation, to fill in place
+/// ([`Arc::get_mut`]) before anything shares it: the device shares the
+/// layout's columns rather than copying them.
+pub(crate) fn column(len: usize) -> Arc<[u32]> {
+    (0..len).map(|_| 0).collect()
 }
 
 impl GShards {
@@ -83,17 +91,24 @@ impl GShards {
         let shard_starts: Vec<u32> = (0..=ps).map(|j| dst_ends[(j * per).min(nv)]).collect();
         // By owning shard, into the columns: (shard, src, dst, id) order.
         // Window W_ij starts at shard j's cursor when the walk enters shard i.
-        let (mut cursor, mut window_offsets) = (shard_starts[..ps].to_vec(), vec![0; ps * ps]);
-        let (mut src_index, mut dest_index, mut edge_id) = (vec![0; m], vec![0; m], vec![0; m]);
+        let (mut cursor, mut window_offsets) = (shard_starts[..ps].to_vec(), column(ps * ps));
+        let (mut src_index, mut dest_index, mut edge_id) = (column(m), column(m), column(m));
+        let [offsets, si, di, ei] = [
+            &mut window_offsets,
+            &mut src_index,
+            &mut dest_index,
+            &mut edge_id,
+        ]
+        .map(|c| Arc::get_mut(c).expect("a fresh column"));
         for (src, bucket) in src_ends[..=nv].windows(2).enumerate() {
             if src % per == 0 {
-                let column = window_offsets.iter_mut().skip(src / per).step_by(ps);
+                let column = offsets.iter_mut().skip(src / per).step_by(ps);
                 column.zip(&cursor).for_each(|(slot, &c)| *slot = c);
             }
             for &(dst, id) in &by_src[bucket[0] as usize..bucket[1] as usize] {
                 let c = &mut cursor[(dst / n_per) as usize];
                 let k = *c as usize;
-                (src_index[k], dest_index[k], edge_id[k]) = (src as VertexId, dst, id);
+                (si[k], di[k], ei[k]) = (src as VertexId, dst, id);
                 *c += 1;
             }
         }
@@ -160,13 +175,13 @@ impl GShards {
 
     /// `SrcIndex` column (shard-major).
     #[inline]
-    pub fn src_index(&self) -> &[VertexId] {
+    pub fn src_index(&self) -> &Arc<[VertexId]> {
         &self.src_index
     }
 
     /// `DestIndex` column (shard-major).
     #[inline]
-    pub fn dest_index(&self) -> &[VertexId] {
+    pub fn dest_index(&self) -> &Arc<[VertexId]> {
         &self.dest_index
     }
 
@@ -175,6 +190,13 @@ impl GShards {
     #[inline]
     pub fn edge_id(&self) -> &[u32] {
         &self.edge_id
+    }
+
+    /// The `p * p` window-start table, row-major by owning shard: entry
+    /// `j * p + i` is where window `W_ij` starts (G-Shards' stage-4 lookup).
+    #[inline]
+    pub fn window_offsets(&self) -> &Arc<[u32]> {
+        &self.window_offsets
     }
 }
 
@@ -224,10 +246,10 @@ mod tests {
             vertices_per_shard: n_per,
             num_shards: p as u32,
             shard_starts,
-            src_index,
+            src_index: src_index.into(),
             dest_index: pairs.iter().map(|&(key, _)| key as u32).collect(),
             edge_id: pairs.iter().map(|&(_, id)| id).collect(),
-            window_offsets,
+            window_offsets: window_offsets.into(),
         }
     }
 

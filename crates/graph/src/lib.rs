@@ -38,6 +38,6 @@ pub mod types;
 
 pub use builder::GraphBuilder;
 pub use csr::Csr;
-pub use mutate::{fingerprint, Mutation, MutationBatch, MutationDelta, MutationError};
+pub use mutate::{fingerprint, Mutation, MutationBatch, MutationDelta, MutationError, Validated};
 pub use partition::{edge_balanced_ranges, DevicePartition, FleetPartition};
 pub use types::{Edge, EdgeId, Graph, GraphError, VertexId};

@@ -134,41 +134,39 @@ impl MutationBatch {
     /// Deletes are resolved in batch order against the graph *plus* the
     /// batch's earlier operations, so `insert a->b; delete a->b` is valid
     /// and `delete x->y; delete x->y` is not (the first delete removes
-    /// every parallel copy).
-    pub fn validate(&self, graph: &Graph) -> Result<MutationDelta, MutationError> {
+    /// every parallel copy). The graph's multiplicity of every pair the
+    /// batch touches is counted in one scan of its edges.
+    pub fn validate(&self, graph: &Graph) -> Result<Validated<'_>, MutationError> {
         if self.ops.is_empty() {
             return Err(MutationError::EmptyBatch);
         }
-        // Net multiplicity of each (src, dst) pair the batch touches,
-        // seeded from the graph lazily on first touch.
-        let mut touched: std::collections::HashMap<(u32, u32), i64> =
-            std::collections::HashMap::new();
-        let count_in_graph = |src: u32, dst: u32| -> i64 {
-            graph
-                .edges()
-                .iter()
-                .filter(|e| e.src == src && e.dst == dst)
-                .count() as i64
+        let pair = |op: &Mutation| match *op {
+            Mutation::Insert { src, dst, .. } | Mutation::Delete { src, dst } => (src, dst),
         };
+        let mut pairs: Vec<(u32, u32)> = self.ops.iter().map(pair).collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        // Net multiplicity of each touched pair, seeded from the graph.
+        let mut touched = vec![0i64; pairs.len()];
+        for e in graph.edges() {
+            if let Ok(at) = pairs.binary_search(&(e.src, e.dst)) {
+                touched[at] += 1;
+            }
+        }
         let mut edge_count = graph.num_edges() as i64;
         let mut max_vertex = graph.num_vertices() as i64 - 1;
         for (index, op) in self.ops.iter().enumerate() {
+            let m = &mut touched[pairs.binary_search(&pair(op)).expect("a batch pair")];
             match *op {
                 Mutation::Insert { src, dst, .. } => {
                     if src.max(dst) == VertexId::MAX {
                         return Err(MutationError::VertexIdTooLarge { index });
                     }
-                    let m = touched
-                        .entry((src, dst))
-                        .or_insert_with(|| count_in_graph(src, dst));
                     *m += 1;
                     edge_count += 1;
                     max_vertex = max_vertex.max(src as i64).max(dst as i64);
                 }
                 Mutation::Delete { src, dst } => {
-                    let m = touched
-                        .entry((src, dst))
-                        .or_insert_with(|| count_in_graph(src, dst));
                     if *m <= 0 {
                         return Err(MutationError::MissingEdge { index, src, dst });
                     }
@@ -183,7 +181,7 @@ impl MutationBatch {
             });
         }
         let grew = (max_vertex + 1 - graph.num_vertices() as i64).max(0) as u32;
-        Ok(MutationDelta {
+        let delta = MutationDelta {
             inserted: self
                 .ops
                 .iter()
@@ -191,16 +189,49 @@ impl MutationBatch {
                 .count() as u32,
             deleted: 0, // exact deleted-copy count is known only at apply
             grew_vertices: grew,
+        };
+        let shape = (graph.num_vertices(), graph.num_edges());
+        Ok(Validated {
+            batch: self,
+            delta,
+            shape,
         })
     }
 
     /// Validates, then applies the batch to `graph` in order, returning
     /// the realized delta. On `Err` the graph is untouched.
     pub fn apply(&self, graph: &mut Graph) -> Result<MutationDelta, MutationError> {
-        self.validate(graph)?;
+        Ok(self.validate(graph)?.apply(graph))
+    }
+}
+
+/// A batch [`MutationBatch::validate`] accepted against a graph, with the
+/// delta it predicts. [`Validated::apply`] applies it to that graph without
+/// scanning the edges again: a commit validates once, before its log write.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Validated<'b> {
+    batch: &'b MutationBatch,
+    /// What the batch will change (deleted copies are counted at apply).
+    pub delta: MutationDelta,
+    /// `(vertices, edges)` of the graph it was validated against.
+    shape: (u32, u32),
+}
+
+impl Validated<'_> {
+    /// Applies the batch to the graph it was validated against, in order,
+    /// returning the realized delta.
+    ///
+    /// # Panics
+    /// Panics if `graph` is not the shape it was validated at.
+    pub fn apply(self, graph: &mut Graph) -> MutationDelta {
+        let shape = (graph.num_vertices(), graph.num_edges());
+        assert_eq!(
+            shape, self.shape,
+            "a batch applies to the graph it was validated against"
+        );
         let (mut n, mut edges) = std::mem::take(graph).into_parts();
         let mut delta = MutationDelta::default();
-        for op in &self.ops {
+        for op in &self.batch.ops {
             match *op {
                 Mutation::Insert { src, dst, weight } => {
                     let needed = src.max(dst) + 1;
@@ -219,7 +250,7 @@ impl MutationBatch {
             }
         }
         *graph = Graph::from_checked_parts(n, edges); // validated: ids < n, |E| fits
-        Ok(delta)
+        delta
     }
 }
 

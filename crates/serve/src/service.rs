@@ -585,16 +585,20 @@ impl Service {
         // has been logged yet.
         let graph = self.live.graph();
         let admissible = m.batch.validate(graph).map_err(|e| e.to_string());
-        let admissible = admissible.and_then(|delta| {
+        let admissible = admissible.and_then(|valid| {
+            let delta = valid.delta;
             let v = graph.num_vertices() as u64 + delta.grew_vertices as u64;
             let e = graph.num_edges() as u64 + delta.inserted as u64 - delta.deleted as u64;
             let key = self.engine.admit(v, e, ValueSizes::of::<FusedPair>());
-            key.map_err(|e| e.to_string())
+            key.map(|_| valid).map_err(|e| e.to_string())
         });
-        if let Err(why) = admissible {
-            out.push(self.refuse_mutation(&id, "invalid", &why));
-            return out;
-        }
+        let valid = match admissible {
+            Ok(valid) => valid,
+            Err(why) => {
+                out.push(self.refuse_mutation(&id, "invalid", &why));
+                return out;
+            }
+        };
         let next_epoch = self.epoch + 1;
         if let Some(wal) = self.wal.as_mut() {
             let syncs_before = wal.stats().syncs;
@@ -626,20 +630,8 @@ impl Service {
         // ones are built.
         let serve_previous = self.cfg.rebuild_policy == RebuildPolicy::ServePrevious;
         let (old_rev, warm_keys) = (self.live.rev(), self.live.prepared().keys());
-        let (delta, superseded) = match self
-            .live
-            .apply(&m.batch, serve_previous && self.window.is_none())
-        {
-            Ok(applied) => applied,
-            Err(e) => {
-                // Unreachable (validated above, and a refused batch leaves
-                // the graph untouched) — report a typed internal error
-                // rather than trust an impossible state.
-                self.metrics.add("serve_internal_errors_total", &[], 1);
-                out.push(self.refuse_mutation(&id, "internal", &e.to_string()));
-                return out;
-            }
-        };
+        let keep = serve_previous && self.window.is_none();
+        let (delta, superseded) = self.live.apply(valid, keep);
         self.epoch = next_epoch;
         let window = self.window.get_or_insert_with(Window::default);
         window.warm_keys.extend(warm_keys);

@@ -13,7 +13,7 @@ use cusha_core::{
     try_run_warm, CuShaConfig, CuShaOutput, EngineError, PreparedLayout, RunObserver, VertexProgram,
 };
 use cusha_frontier::{try_run_frontier_warm, Family, FrontierConfig, Prepared, PreparedFrontier};
-use cusha_graph::{fingerprint, Graph, MutationBatch, MutationDelta, MutationError};
+use cusha_graph::{fingerprint, Graph, MutationDelta, Validated};
 use cusha_simt::FaultPlan;
 use std::sync::Arc;
 
@@ -151,18 +151,18 @@ impl Epoch {
             .for_each(|key| self.prepared.release(key));
     }
 
-    /// Applies `batch` to the graph and re-fingerprints it, handing over the
-    /// store of what was prepared from the superseded revision: as an epoch
-    /// of its own (a copy of the old graph, its revision and store) when
-    /// `keep` asks for one to go on serving, dropped otherwise. A refused
-    /// batch changes nothing.
+    /// Applies a batch validated against this epoch's graph and
+    /// re-fingerprints it, handing over the store of what was prepared from
+    /// the superseded revision: as an epoch of its own (a copy of the old
+    /// graph, its revision and store) when `keep` asks for one to go on
+    /// serving, dropped otherwise.
     pub(crate) fn apply(
         &mut self,
-        batch: &MutationBatch,
+        batch: Validated<'_>,
         keep: bool,
-    ) -> Result<(MutationDelta, Option<Epoch>), MutationError> {
+    ) -> (MutationDelta, Option<Epoch>) {
         let graph = keep.then(|| self.graph.clone());
-        let delta = batch.apply(&mut self.graph)?;
+        let delta = batch.apply(&mut self.graph);
         let rev = std::mem::replace(&mut self.rev, fingerprint(&self.graph));
         let prepared = std::mem::take(&mut self.prepared);
         let superseded = graph.map(|graph| Epoch {
@@ -170,6 +170,6 @@ impl Epoch {
             rev,
             prepared,
         });
-        Ok((delta, superseded))
+        (delta, superseded)
     }
 }

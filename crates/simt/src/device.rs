@@ -9,6 +9,7 @@ use crate::mem::{DevVec, ALLOC_ALIGN};
 use crate::pod::Pod;
 use crate::replay::{add_phase, LaunchRecord, ReplayMemo, VERIFY_SAMPLE};
 use cusha_obs::trace::{lanes, ArgVal, Tracer};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Launch geometry and identification of a kernel.
@@ -181,6 +182,15 @@ impl Gpu {
             .and_then(|p| p.check(kind, kernel_name))
     }
 
+    /// A copy of `kind` (H2D or D2H) the installed plan fails, before it
+    /// moves anything.
+    fn copy_fault(&mut self, kind: FaultKind) -> Result<(), DeviceFault> {
+        match self.fault_fires(kind, None) {
+            Some(op_index) => Err(DeviceFault::Copy { kind, op_index }),
+            None => Ok(()),
+        }
+    }
+
     /// Advances the installed plan's flip-point counter and returns the
     /// silent bit flips due at it. Engines call this once per kernel
     /// consumption boundary — immediately before a launch reads the
@@ -224,26 +234,26 @@ impl Gpu {
     /// [`DeviceFault::Oom`] when capacity is exhausted or the fault plan
     /// injects an allocation failure; a failed allocation reserves nothing.
     pub fn try_alloc<T: Pod>(&mut self, len: usize) -> Result<DevVec<T>, DeviceFault> {
-        let bytes = len as u64 * T::SIZE as u64;
-        if self.fault_fires(FaultKind::Alloc, None).is_some() {
+        let base = self.reserve(len as u64 * T::SIZE as u64)?;
+        Ok(DevVec::from_parts(vec![T::default(); len], base))
+    }
+
+    /// The allocator under every buffer: the allocation fault check, the
+    /// capacity check, then `bytes` reserved at the next aligned address.
+    fn reserve(&mut self, bytes: u64) -> Result<u64, DeviceFault> {
+        let injected = self.fault_fires(FaultKind::Alloc, None).is_some();
+        if injected || self.allocated_bytes + bytes > self.cfg.global_mem_bytes {
             return Err(DeviceFault::Oom {
                 requested_bytes: self.allocated_bytes + bytes,
                 capacity_bytes: self.cfg.global_mem_bytes,
-                injected: true,
-            });
-        }
-        if self.allocated_bytes + bytes > self.cfg.global_mem_bytes {
-            return Err(DeviceFault::Oom {
-                requested_bytes: self.allocated_bytes + bytes,
-                capacity_bytes: self.cfg.global_mem_bytes,
-                injected: false,
+                injected,
             });
         }
         let base = self.next_addr;
         let aligned = bytes.div_ceil(ALLOC_ALIGN) * ALLOC_ALIGN;
         self.allocated_bytes += bytes;
         self.next_addr += aligned.max(ALLOC_ALIGN);
-        Ok(DevVec::from_parts(vec![T::default(); len], base))
+        Ok(base)
     }
 
     /// Gives `bytes` of retired buffers back to the capacity (like `cudaFree`;
@@ -267,23 +277,45 @@ impl Gpu {
     /// Fallible allocate-and-upload, charging one host→device transfer.
     /// An injected H2D fault leaves nothing allocated.
     pub fn try_upload<T: Pod>(&mut self, data: &[T]) -> Result<DevVec<T>, DeviceFault> {
-        if let Some(op_index) = self.fault_fires(FaultKind::H2d, None) {
-            return Err(DeviceFault::Copy {
-                kind: FaultKind::H2d,
-                op_index,
-            });
-        }
-        let mut buf = self.try_alloc::<T>(data.len())?;
-        buf.host_mut().copy_from_slice(data);
+        self.upload_with(data.len(), |base| DevVec::from_parts(data.to_vec(), base))
+    }
+
+    /// [`Gpu::try_upload`] of `data[range]` that costs no host copy: the
+    /// buffer reads the shared storage until something writes it (then it
+    /// copies its range out). The same fault checks, allocation and charged
+    /// transfer as a copying upload, in the same order — for the columns a
+    /// layout fixes, which every run over it uploads and no kernel writes.
+    pub fn try_upload_shared<T: Pod>(
+        &mut self,
+        data: &Arc<[T]>,
+        range: Range<usize>,
+    ) -> Result<DevVec<T>, DeviceFault> {
+        self.upload_with(range.len(), |base| DevVec::shared(data, range, base))
+    }
+
+    /// An upload of `len` elements: the H2D fault check, the allocation,
+    /// `fill` at its base, then one charged transfer.
+    fn upload_with<T: Pod>(
+        &mut self,
+        len: usize,
+        fill: impl FnOnce(u64) -> DevVec<T>,
+    ) -> Result<DevVec<T>, DeviceFault> {
+        self.copy_fault(FaultKind::H2d)?;
+        let buf = fill(self.reserve(len as u64 * T::SIZE as u64)?);
+        self.charge_h2d(buf.size_bytes());
+        Ok(buf)
+    }
+
+    /// Books one host→device transfer of `bytes`: its modeled seconds and
+    /// its span on the copy lane.
+    fn charge_h2d(&mut self, bytes: u64) {
         let ts = self.total_seconds();
-        let dur = self.cfg.transfer_seconds(buf.size_bytes());
+        let dur = self.cfg.transfer_seconds(bytes);
         self.h2d_seconds += dur;
-        let bytes = buf.size_bytes();
         self.tracer
             .complete_with(self.trace_pid, lanes::COPY, "copy", "h2d", ts, dur, || {
                 vec![("bytes", ArgVal::U64(bytes))]
             });
-        Ok(buf)
     }
 
     /// Allocates and uploads, charging one host→device transfer.
@@ -299,21 +331,9 @@ impl Gpu {
     /// previous contents, so the caller may retry.
     pub fn try_h2d<T: Pod>(&mut self, buf: &mut DevVec<T>, data: &[T]) -> Result<(), DeviceFault> {
         assert_eq!(buf.len(), data.len(), "h2d length mismatch");
-        if let Some(op_index) = self.fault_fires(FaultKind::H2d, None) {
-            return Err(DeviceFault::Copy {
-                kind: FaultKind::H2d,
-                op_index,
-            });
-        }
+        self.copy_fault(FaultKind::H2d)?;
         buf.host_mut().copy_from_slice(data);
-        let ts = self.total_seconds();
-        let dur = self.cfg.transfer_seconds(buf.size_bytes());
-        self.h2d_seconds += dur;
-        let bytes = buf.size_bytes();
-        self.tracer
-            .complete_with(self.trace_pid, lanes::COPY, "copy", "h2d", ts, dur, || {
-                vec![("bytes", ArgVal::U64(bytes))]
-            });
+        self.charge_h2d(buf.size_bytes());
         Ok(())
     }
 
@@ -329,12 +349,7 @@ impl Gpu {
     /// transfer. An injected fault returns no data; the device buffer is
     /// untouched and the caller may retry.
     pub fn try_download<T: Pod>(&mut self, buf: &DevVec<T>) -> Result<Vec<T>, DeviceFault> {
-        if let Some(op_index) = self.fault_fires(FaultKind::D2h, None) {
-            return Err(DeviceFault::Copy {
-                kind: FaultKind::D2h,
-                op_index,
-            });
-        }
+        self.copy_fault(FaultKind::D2h)?;
         let ts = self.total_seconds();
         let dur = self.cfg.transfer_seconds(buf.size_bytes());
         self.d2h_seconds += dur;
@@ -361,12 +376,7 @@ impl Gpu {
         buf: &DevVec<T>,
         idx: usize,
     ) -> Result<T, DeviceFault> {
-        if let Some(op_index) = self.fault_fires(FaultKind::D2h, None) {
-            return Err(DeviceFault::Copy {
-                kind: FaultKind::D2h,
-                op_index,
-            });
-        }
+        self.copy_fault(FaultKind::D2h)?;
         let ts = self.total_seconds();
         let dur = self.cfg.transfer_seconds(T::SIZE as u64);
         self.d2h_seconds += dur;

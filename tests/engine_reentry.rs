@@ -1,7 +1,8 @@
 //! Tests of the engine's warm re-entry surface: prepared layouts,
 //! iteration-boundary deadlines, and fault-plan threading across runs.
 
-use cusha::algos::{Bfs, Sssp};
+use cusha::algos::sssp::dijkstra;
+use cusha::algos::{Bfs, PageRank, Sssp};
 use cusha::baselines::{try_run_mtcpu_warm, try_run_vwc_warm, MtcpuConfig, VwcConfig};
 use cusha::core::{
     try_run, try_run_multi, try_run_streamed, try_run_warm, CuShaConfig, Engine, EngineCtx,
@@ -38,6 +39,43 @@ fn warm_runs_are_bit_identical_to_cold_runs() {
         if let Some(prev) = first.replace(warm.values.clone()) {
             assert_eq!(prev, warm.values, "layout reuse is not idempotent");
         }
+    }
+}
+
+/// A warm run shares its layout's constant columns into the device, and
+/// nothing writes them: seeded flips of `VertexValues`, `SrcValue` and its
+/// windows land in the run's own buffers, as every stage-4 write does. The
+/// next run on the same layout still answers what a clean one does.
+#[test]
+fn flips_and_write_backs_never_reach_a_shared_column() {
+    let g = graph();
+    let (sssp, pr, oracle) = (Sssp::new(4), PageRank::new(), dijkstra(&g, 4));
+    for repr in [Repr::GShards, Repr::ConcatWindows] {
+        let cfg = CuShaConfig::new(repr);
+        let layout = PreparedLayout::build(&g, repr, PreparedLayout::select_n_per(&g, &cfg, 4));
+        let ranks = try_run(&pr, &g, &cfg).unwrap().values;
+        let mut flipped = 0;
+        for seed in 0..4 {
+            let mut plan = FaultPlan::seeded(seed).with_bitflip_rate(0.6);
+            let _ = try_run_warm(&sssp, &g, &layout, &cfg, Some(&mut plan), &mut NoopObserver);
+            let _ = try_run_warm(&pr, &g, &layout, &cfg, Some(&mut plan), &mut NoopObserver);
+            flipped += plan.injected().bit_flips;
+            let clean = try_run_warm(&sssp, &g, &layout, &cfg, None, &mut NoopObserver);
+            assert_eq!(
+                clean.unwrap().values,
+                oracle,
+                "{}: seed {seed}",
+                repr.label()
+            );
+            let clean = try_run_warm(&pr, &g, &layout, &cfg, None, &mut NoopObserver);
+            assert_eq!(
+                clean.unwrap().values,
+                ranks,
+                "{}: seed {seed}",
+                repr.label()
+            );
+        }
+        assert!(flipped > 0, "{}: no flip fired", repr.label());
     }
 }
 
