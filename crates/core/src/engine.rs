@@ -39,7 +39,7 @@ use cusha_graph::{FleetPartition, Graph};
 use cusha_obs::trace::Tracer;
 use cusha_simt::{DeviceConfig, DeviceFleet, FaultPlan, Gpu, Interconnect, Profile, ReplayMemo};
 use std::any::Any;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Which CuSha representation to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -551,9 +551,9 @@ impl PreparedLayout {
     }
 
     /// `prog`'s constant per-entry columns in layout order, derived from
-    /// `graph` — the graph the layout was built from — by the first run per
-    /// [`ColumnKey`] and shared by every later one. A program without a key
-    /// gets columns of its own.
+    /// `graph` (the layout's) by the first run per [`ColumnKey`] and shared
+    /// by every later one; a program without a key gets columns of its own.
+    /// A derivation that panics leaves the set whole, so poison is ignored.
     pub(crate) fn columns<P: VertexProgram>(
         &self,
         prog: &P,
@@ -563,7 +563,7 @@ impl PreparedLayout {
         let Some(key) = prog.column_key().filter(|_| any) else {
             return Columns::derive(prog, graph, &self.gs);
         };
-        let mut sets = self.columns.0.lock().expect("a column derivation panicked");
+        let mut sets = Mutex::lock(&self.columns.0).unwrap_or_else(PoisonError::into_inner);
         let mut held = sets.iter().filter(|set| set.0 == key);
         if let Some(cols) = held.find_map(|set| set.1.downcast_ref::<Columns<P::SV, P::E>>()) {
             return cols.clone();

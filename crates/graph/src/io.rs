@@ -223,9 +223,8 @@ impl WordDigest {
 }
 
 /// Parses a text edge list from a reader. Lines are read into one reused
-/// buffer; a plain line ([`plain_edge`]) is parsed as bytes, and any other
-/// one as text, with the same result. A line that is not UTF-8 is malformed
-/// input ([`IoError::Parse`]), not an IO failure.
+/// buffer; a line that is not UTF-8 is malformed input ([`IoError::Parse`]),
+/// not an IO failure.
 pub fn read_edge_list<R: Read>(reader: R) -> Result<Graph, IoError> {
     let mut reader = BufReader::new(reader);
     let mut builder = GraphBuilder::new();
@@ -234,10 +233,6 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<Graph, IoError> {
         buf.clear();
         if reader.read_until(b'\n', &mut buf)? == 0 {
             break;
-        }
-        if let Some((src, dst, weight)) = plain_edge(&buf) {
-            builder.add_edge(src, dst, weight);
-            continue;
         }
         let line = std::str::from_utf8(&buf)
             .map_err(|e| IoError::Parse(format!("line {lineno}: not UTF-8: {e}")))?;
@@ -271,33 +266,6 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<Graph, IoError> {
         builder.add_edge(src, dst, weight);
     }
     Ok(builder.build())
-}
-
-/// The edge of a plain line — two or three runs of at most nine ASCII
-/// digits between spaces, tabs, CRs and LFs, nothing else — parsed as
-/// bytes. Nine digits cannot overflow or reach `u32::MAX`, and on such a
-/// line `split_whitespace` and `str::parse` find the same numbers, so the
-/// text path would add the same edge. `None` for every other line.
-fn plain_edge(line: &[u8]) -> Option<(u32, u32, u32)> {
-    let space = |b: u8| matches!(b, b' ' | b'\t' | b'\r' | b'\n');
-    let (mut fields, mut n, mut at) = ([0u32, 0, 1], 0, 0);
-    loop {
-        while at < line.len() && space(line[at]) {
-            at += 1;
-        }
-        if at == line.len() {
-            return (n >= 2).then_some((fields[0], fields[1], fields[2]));
-        }
-        let (start, mut value) = (at, 0u32);
-        while at < line.len() && line[at].is_ascii_digit() && at - start < 9 {
-            value = value * 10 + u32::from(line[at] - b'0');
-            at += 1;
-        }
-        if n == 3 || at == start || (at < line.len() && !space(line[at])) {
-            return None;
-        }
-        (fields[n], n) = (value, n + 1);
-    }
 }
 
 /// Writes a text edge list (with weights) to a writer.
@@ -701,86 +669,6 @@ mod tests {
         match read_edge_list(&b"0 1\n\n0 1 2 3\n"[..]) {
             Err(IoError::Parse(msg)) => assert_eq!(msg, "line 3: trailing tokens"),
             other => panic!("expected Parse(trailing), got {other:?}"),
-        }
-    }
-
-    /// The reader before it cut lines as bytes: `split_whitespace` and
-    /// `str::parse` on every line.
-    fn str_reader(input: &str) -> Result<Graph, IoError> {
-        let mut builder = GraphBuilder::new();
-        for (lineno, line) in (1..).zip(input.split_inclusive('\n')) {
-            let trimmed = line.trim();
-            if trimmed.is_empty() || trimmed.starts_with('#') {
-                continue;
-            }
-            let mut it = trimmed.split_whitespace();
-            let parse = |tok: Option<&str>, what: &str| -> Result<u32, IoError> {
-                let tok =
-                    tok.ok_or_else(|| IoError::Parse(format!("line {lineno}: missing {what}")))?;
-                match tok.parse::<u32>() {
-                    Ok(VertexId::MAX) => Err(IoError::Parse(format!(
-                        "line {lineno}: {what} {tok} has no 32-bit vertex count"
-                    ))),
-                    Ok(id) => Ok(id),
-                    Err(e) => Err(IoError::Parse(format!("line {lineno}: bad {what}: {e}"))),
-                }
-            };
-            let (src, dst) = (
-                parse(it.next(), "source")?,
-                parse(it.next(), "destination")?,
-            );
-            let weight = match it.next() {
-                Some(tok) => tok
-                    .parse::<u32>()
-                    .map_err(|e| IoError::Parse(format!("line {lineno}: bad weight: {e}")))?,
-                None => 1,
-            };
-            if it.next().is_some() {
-                return Err(IoError::Parse(format!("line {lineno}: trailing tokens")));
-            }
-            builder.add_edge(src, dst, weight);
-        }
-        Ok(builder.build())
-    }
-
-    /// Lines cut as bytes read as they did through `split_whitespace` and
-    /// `str::parse` — Unicode whitespace, the vertical tab, signs, overflow,
-    /// non-ASCII tokens and comments included — and fail with the same text.
-    #[test]
-    fn byte_tokens_read_what_str_tokens_read() {
-        let pieces = [
-            " ",
-            "\t",
-            "\x0b",
-            "\x0c",
-            "\r",
-            "\u{a0}",
-            "\u{3000}",
-            "\u{85}",
-            "7",
-            "42",
-            "+5",
-            "-1",
-            "x",
-            "é",
-            "#",
-            "4294967295",
-            "4294967296",
-            "000000000012",
-            "\n",
-        ];
-        let mut state = 0x2545_f491_4f6c_dd1du64;
-        for _ in 0..3000 {
-            let mut input = String::new();
-            for _ in 0..(state % 12) {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                input.push_str(pieces[(state % pieces.len() as u64) as usize]);
-            }
-            let ours = read_edge_list(input.as_bytes()).map_err(|e| e.to_string());
-            let theirs = str_reader(&input).map_err(|e| e.to_string());
-            assert_eq!(ours, theirs, "{input:?}");
         }
     }
 

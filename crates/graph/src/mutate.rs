@@ -208,7 +208,7 @@ impl MutationBatch {
 /// A batch [`MutationBatch::validate`] accepted against a graph, with the
 /// delta it predicts. [`Validated::apply`] applies it to that graph without
 /// scanning the edges again: a commit validates once, before its log write.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Validated<'b> {
     batch: &'b MutationBatch,
     /// What the batch will change (deleted copies are counted at apply).
