@@ -1,18 +1,7 @@
 //! `warp_hot_loop` — the per-iteration cost of the simulator's warp hot
-//! loop, isolated: the same CuSha-shaped kernel launched in steady state
-//! with the warp-trace replay memo off (every scope re-interpreted through
-//! the scattered-access analysis) versus on (recorded deltas applied, data
-//! still moved). The gap between the two is exactly what the replay memo
-//! buys each convergence iteration.
-//!
-//! Below the launch, one case per simulator layer (`layer/*_x256`, [`OPS`]
+//! loop, isolated, one case per simulator layer (`layer/*_x256`, [`OPS`]
 //! operations per iteration): the global and bank analyses on their own,
-//! and `supdate`, a replay hit and a replay miss inside one single-block
-//! launch; `layer/stage_scope_hit` is one replayed scope around a whole
-//! 256-chunk stage-2 body whose ops still move the data (the path the
-//! ledger's `simt.launch_replay_us` probe times), `layer/stage_plain_loop` the
-//! same stage as the CuSha kernel runs it once its scope replays — no ops, one
-//! fold over the buffers' host views — and
+//! and `supdate` inside one single-block launch;
 //! `layer/vwc_block_*` the shape the VWC baseline uses, 256 blocks a launch:
 //! each block's SISD loads, sweep, ladder and publish `exec`s are its
 //! `statics`, then a fold over the host views; interpreted (a plain launch)
@@ -35,74 +24,7 @@ use cusha_simt::{
 use std::hint::black_box;
 
 const N: usize = 1 << 14;
-const BLOCKS: u32 = 16;
 const TPB: u32 = 256;
-
-/// A CuSha-shaped body: scoped shared staging plus strided gathers — the
-/// access mix of the shard kernels' apply stage.
-fn body(blk: &mut Block<'_>, src: &cusha_simt::DevVec<u32>, dst: &mut cusha_simt::DevVec<u32>) {
-    let base = blk.id() as usize * TPB as usize;
-    let mut local = blk.shared_alloc::<u32>(TPB as usize);
-    for (start, mask) in warp_chunks(TPB as usize) {
-        blk.warp_scope(
-            &[0x7768_4c4f4f50, blk.id() as u64, start as u64, 0],
-            mask,
-            &[0u32; 32],
-        );
-        let stage = blk.gload_run(src, mask, (base + start) as isize);
-        blk.sstore_run(&mut local, mask, start as isize, &stage);
-        // A strided (partially-coalesced) gather: the pattern the analytic
-        // model actually has to work for.
-        let gathered = blk.gload(src, mask, |l| (base + start + l * 7) % N);
-        blk.exec(mask, 2);
-        blk.sstore(&mut local, mask, |l| start + l, |l| stage[l] ^ gathered[l]);
-        blk.warp_scope_end();
-    }
-    blk.sync();
-    for (start, mask) in warp_chunks(TPB as usize) {
-        let vals = blk.sload_run(&local, mask, start as isize);
-        blk.gstore_run(dst, mask, (base + start) as isize, &vals);
-    }
-}
-
-fn warm_device(replay: bool) -> (Gpu, cusha_simt::DevVec<u32>, cusha_simt::DevVec<u32>) {
-    let mut cfg = DeviceConfig::gtx780();
-    cfg.replay_memo = replay;
-    let mut gpu = Gpu::new(cfg);
-    let src = gpu.upload(&(0..N as u32).collect::<Vec<_>>());
-    let mut dst = gpu.alloc::<u32>(N);
-    let desc = KernelDesc::new("warp-hot-loop", BLOCKS, TPB);
-    // Warm-up fills the scratch pools and (when enabled) the replay table,
-    // so the timed region is pure steady state.
-    for _ in 0..3 {
-        gpu.launch(&desc, |blk| body(blk, &src, &mut dst));
-    }
-    (gpu, src, dst)
-}
-
-fn bench(c: &mut Criterion) {
-    let desc = KernelDesc::new("warp-hot-loop", BLOCKS, TPB);
-
-    let (mut gpu, src, mut dst) = warm_device(false);
-    c.bench_function("warp_hot_loop/interpret", |b| {
-        b.iter(|| {
-            let stats = gpu.launch(&desc, |blk| body(blk, &src, &mut dst));
-            black_box(stats.counters.gld_transactions)
-        })
-    });
-    let (_, m, f) = gpu.replay_stats();
-    assert!(m == 0 && f > 0, "interpret arm unexpectedly used the table");
-
-    let (mut gpu, src, mut dst) = warm_device(true);
-    c.bench_function("warp_hot_loop/replay", |b| {
-        b.iter(|| {
-            let stats = gpu.launch(&desc, |blk| body(blk, &src, &mut dst));
-            black_box(stats.counters.gld_transactions)
-        })
-    });
-    let (h, _, _) = gpu.replay_stats();
-    assert!(h > 0, "replay arm never hit the table");
-}
 
 /// Operations per iteration in the `layer/*_x256` cases.
 const OPS: usize = 256;
@@ -154,68 +76,6 @@ fn layers(c: &mut Criterion) {
             })
         })
     });
-    // Empty scopes: the probe, the delta add and the commit are all that is
-    // timed. `epoch` in the site makes every scope of a launch a new key.
-    let scopes = |gpu: &mut Gpu, epoch: u64| {
-        gpu.launch(&desc, |blk| {
-            for op in 0..OPS as u64 {
-                blk.warp_scope(&[0x6c61_796572, op, epoch, 0], Mask::FULL, &[0u32; WARP]);
-                blk.warp_scope_end();
-            }
-        })
-    };
-    scopes(&mut gpu, 0);
-    c.bench_function("layer/replay_hit_x256", |b| b.iter(|| scopes(&mut gpu, 0)));
-    let mut epoch = 0;
-    c.bench_function("layer/replay_miss_x256", |b| {
-        b.iter(|| {
-            epoch += 1;
-            scopes(&mut gpu, epoch)
-        })
-    });
-    let (hits, misses, _) = gpu.replay_stats();
-    assert!(
-        hits > 0 && misses > OPS as u64,
-        "layer cases missed their regimes"
-    );
-
-    // Stage 2 of one shard: per chunk a stride-1 index load, a stride-1
-    // value load, the compute and the atomic shared update — all inside one
-    // scope, so a hit pays the data movement only. `plain`: a hit moves that
-    // data as the kernel's replayed stage does, in one loop over host views.
-    let n = OPS * WARP;
-    let mut gpu = Gpu::new(DeviceConfig::gtx780());
-    let dest = gpu.upload(&(0..n as u32).map(|e| e * 7 % 1024).collect::<Vec<_>>());
-    let vals = gpu.upload(&vec![1u32; n]);
-    let stage = |gpu: &mut Gpu, plain: bool| {
-        gpu.launch(&desc, |blk| {
-            let mut local = blk.shared_alloc::<u32>(1024);
-            let site = [0x7374_616765, 0, n as u64, 0];
-            if blk.warp_scope(&site, Mask::FULL, &[0u32; WARP]) && plain {
-                let slots = local.host_mut();
-                for (&d, &v) in dest.host().iter().zip(vals.host()) {
-                    slots[d as usize] += v;
-                }
-            } else {
-                for (base, mask) in warp_chunks(n) {
-                    let dst = blk.gload_run(&dest, mask, base as isize);
-                    let src = blk.gload_run(&vals, mask, base as isize);
-                    blk.exec(mask, 2);
-                    blk.supdate(&mut local, mask, |l| dst[l] as usize, |l, v| *v += src[l]);
-                }
-            }
-            blk.warp_scope_end();
-            black_box(local.host()[0]);
-        })
-    };
-    stage(&mut gpu, false);
-    c.bench_function("layer/stage_scope_hit", |b| {
-        b.iter(|| stage(&mut gpu, false))
-    });
-    c.bench_function("layer/stage_plain_loop", |b| {
-        b.iter(|| stage(&mut gpu, true))
-    });
-    assert_eq!(gpu.replay_stats().1, 1, "the stage scope re-recorded");
 }
 
 /// One VWC/32 block as `cusha_baselines::vwc` issues it — 8 warps, a vertex
@@ -373,8 +233,7 @@ fn warm_query(c: &mut Criterion) {
         let out = try_run_warm(&Bfs::new(0), &g, layout, &cfg, None, &mut NoopObserver);
         black_box(out.expect("bfs converges").stats.iterations)
     };
-    // A clone copies the arrays (a memcpy, included in the time) and none
-    // of the replay tables.
+    // A clone is a handle on the arrays with none of the launch records.
     c.bench_function("warm_query/cold_layout", |b| {
         b.iter(|| query(&built.clone()))
     });
@@ -384,7 +243,6 @@ fn warm_query(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench,
     layers,
     vwc_block_layers,
     kcore_scan_layers,

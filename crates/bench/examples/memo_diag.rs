@@ -1,14 +1,12 @@
-//! Prints per-cell simulator telemetry — scattered-access analyses performed,
-//! warp-trace replay scopes opened / hits / misses / fallbacks, and the slots
-//! (filled / allocated) and bytes of the table the cell ended on — for BFS and
-//! SSSP on GS, CW and VWC/32 over two power-law surrogates plus a road
-//! lattice, then, per dataset and representation, three consecutive warm runs
-//! on one `PreparedLayout` with the slots its replay tables hold: the quick
-//! way to confirm that the CuSha kernels open a few scopes per shard, that the
-//! second run on a layout misses nothing, and that VWC holds one sweep key per
-//! block plus a constant, and (the `Frontier/kcore` row on the road lattice)
-//! that k-core holds two keys per dense block, all recorded in its first
-//! round.
+//! Prints per-cell simulator telemetry — scattered-access analyses performed
+//! and launch-record uses / hits / misses / fallbacks — for BFS and SSSP on
+//! GS, CW and VWC/32 over two power-law surrogates plus a road lattice, then,
+//! per dataset and representation, three consecutive warm runs on one
+//! `PreparedLayout`: the quick way to confirm that a CuSha launch uses its
+//! record once plus once per block that takes stage 4, that the second run
+//! on a layout misses nothing, that VWC misses once a run, and (the
+//! `Frontier/kcore` row on the road lattice) that k-core's two dense kernels
+//! miss once each, in its first round.
 
 use cusha_algos::{Bfs, Sssp};
 use cusha_bench::bench_defs::{default_source, Benchmark, Engine};
@@ -19,25 +17,22 @@ use cusha_core::{
 use cusha_frontier::{run_kcore, KcoreConfig};
 use cusha_graph::surrogates::Dataset;
 use cusha_graph::Graph;
-use cusha_simt::replay::SLOT_BYTES;
 
-fn scopes(m: &MemoStats) -> u64 {
+fn uses(m: &MemoStats) -> u64 {
     m.replay_hits + m.replay_misses + m.replay_fallbacks
 }
 
 /// One cell's line: `steps` names what its iterations are.
 fn cell_line(ds: Dataset, what: &str, engine: &str, seconds: f64, steps: &str, stats: &RunStats) {
     let m = stats.memo;
-    let (filled, allocated) = m.replay_slots;
     println!(
-        "{ds:<12} {what:<5} {engine:<10} {seconds:>7.3}s {steps} {:>3} | analyses {:>9} | scopes {:>8} hit {:>8} miss {:>7} fallback {} | slots {filled}/{allocated} ({} KB)",
+        "{ds:<12} {what:<5} {engine:<10} {seconds:>7.3}s {steps} {:>3} | analyses {:>9} | uses {:>8} hit {:>8} miss {:>7} fallback {}",
         stats.iterations,
         m.coalesce_misses,
-        scopes(&m),
+        uses(&m),
         m.replay_hits,
         m.replay_misses,
         m.replay_fallbacks,
-        allocated as usize * SLOT_BYTES / 1024,
     );
 }
 
@@ -50,13 +45,12 @@ fn warm_runs<P: VertexProgram>(prog: &P, g: &Graph, layout: &PreparedLayout, cfg
             Err(cusha_core::EngineError::NonConverged { partial }) => partial.stats.memo,
             Err(e) => panic!("{e}"),
         };
-        let (filled, allocated) = layout.replay_slots();
         println!(
-            "  {:<8} {:<10} run {run} {:>7.3}s | scopes {:>7} hit {:>7} miss {:>6} | slots {filled}/{allocated}",
+            "  {:<8} {:<10} run {run} {:>7.3}s | uses {:>7} hit {:>7} miss {:>6}",
             layout.repr().label(),
             prog.name(),
             t.elapsed().as_secs_f64(),
-            scopes(&memo),
+            uses(&memo),
             memo.replay_hits,
             memo.replay_misses,
         );
@@ -94,7 +88,7 @@ fn main() {
             cell_line(ds, "kcore", "Frontier", seconds, "rounds", &stats);
         }
         // One layout serves both programs (4-byte values pick one shard
-        // size); each keeps its own table (BFS moves no edge column).
+        // size); each keeps its own record (BFS moves no edge column).
         println!("{ds} /{scale}: three warm runs per program on one layout");
         for repr in [Repr::GShards, Repr::ConcatWindows] {
             let mut cfg = CuShaConfig::new(repr);

@@ -105,7 +105,7 @@ impl Benchmark {
 
     /// [`Benchmark::run`] from `source` over the topology `shared` holds for
     /// `g` (built there if this is the first cell to ask): a warm run on a
-    /// cold replay table, so the statistics are those of `run`.
+    /// cold launch record, so the statistics are those of `run`.
     pub fn run_on(
         self,
         g: &Graph,
@@ -207,7 +207,7 @@ impl Engine {
 /// One cell: each engine's warm entry over `shared`'s topology, behind the
 /// pre-flight its cold entry runs ([`Prepared::preflight`]; VWC's warm entry
 /// runs its own, MTCPU has none). A shard cell runs on a view of the CW
-/// build: one sort serves both representations, on replay tables of the
+/// build: one sort serves both representations, on launch records of the
 /// cell's own.
 fn dispatch<P: VertexProgram>(
     prog: &P,

@@ -203,7 +203,7 @@ fn schedule(items: &[(usize, Family)]) -> Vec<Group> {
 /// worker-thread count for surrogate generation and the GPU cells (`0` = the
 /// host's available parallelism).
 /// Generation and every cell are deterministic — a cell borrows immutable
-/// topology and starts on a replay table of its own — and both result
+/// topology and starts on a launch record of its own — and both result
 /// vectors are reassembled in work-item order, so any `jobs` value yields a
 /// byte-identical matrix — `jobs` only changes how the wall clock is spent.
 /// A family's state is let go when its last cell retires: a dataset's

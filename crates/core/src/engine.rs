@@ -29,7 +29,7 @@ use crate::cw::ConcatWindows;
 use crate::error::{check_topology, settle, EngineError};
 use crate::fallback::run_fallback_after;
 use crate::integrity::{IntegrityConfig, Stop};
-use crate::kernel::fault_instant;
+use crate::kernel::{fault_instant, Records};
 use crate::memsize::{check_fits, check_shard_block, check_streams, ValueSizes};
 use crate::multi::drive;
 use crate::program::{ColumnKey, Value, VertexProgram};
@@ -37,7 +37,7 @@ use crate::shards::GShards;
 use crate::stats::{FaultStats, MemoStats, RunStats, SdcStats};
 use cusha_graph::{FleetPartition, Graph};
 use cusha_obs::trace::Tracer;
-use cusha_simt::{DeviceConfig, DeviceFleet, FaultPlan, Gpu, Interconnect, Profile, ReplayMemo};
+use cusha_simt::{DeviceConfig, DeviceFleet, FaultPlan, Gpu, Interconnect, LaunchRecord, Profile};
 use std::any::Any;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -338,11 +338,12 @@ impl Placement {
     }
 }
 
-/// What the kernel's replay-scoped stages account by besides the layout: the
+/// What the kernel's recorded stages account by besides the layout: the
 /// bytes of `V`/`SV`/`E` the program moves (0 for a column it leaves out),
-/// its per-edge compute cost, and the device's segment, sector, bank count
-/// and bank width. Runs over one layout share recordings iff these agree.
-type AccountingId = [u64; 8];
+/// its per-edge compute cost, the device's segment, sector, bank count and
+/// bank width, and its SM count, over which a record splits its cycles. Runs
+/// over one layout share a launch record iff these agree.
+type AccountingId = [u64; 9];
 
 fn accounting_id<P: VertexProgram>(dev: &DeviceConfig) -> AccountingId {
     let sizes = ValueSizes::of::<P>();
@@ -355,35 +356,36 @@ fn accounting_id<P: VertexProgram>(dev: &DeviceConfig) -> AccountingId {
         u64::from(dev.sector_bytes),
         u64::from(dev.shared_banks),
         u64::from(dev.bank_width_bytes),
+        u64::from(dev.num_sms),
     ]
 }
 
-/// The replay tables a layout lends to the runs over it, one per
-/// [`AccountingId`]: the layout is immutable, so a recording holds for as
-/// long as the layout exists. A clone starts cold.
+/// The launch records a layout lends to the resident runs over it, one per
+/// [`AccountingId`]: the layout is immutable, so a record holds for as long
+/// as the layout exists. A clone starts cold.
 #[derive(Debug, Default)]
-struct ReplayTables(Mutex<Vec<(AccountingId, ReplayMemo)>>);
+struct LayoutRecords(Mutex<Vec<(AccountingId, LaunchRecord)>>);
 
-impl Clone for ReplayTables {
+impl Clone for LayoutRecords {
     fn clone(&self) -> Self {
         Self::default()
     }
 }
 
-impl ReplayTables {
-    /// Takes `id`'s table out for one run; an empty one when there is none
+impl LayoutRecords {
+    /// Takes `id`'s record out for one run; an empty one when there is none
     /// yet, or a concurrent run holds it.
-    fn lend(&self, id: &AccountingId) -> ReplayMemo {
-        let mut tables = self.0.lock().unwrap();
-        let held = tables.iter().position(|(i, _)| i == id);
-        held.map_or_else(ReplayMemo::new, |at| tables.swap_remove(at).1)
+    fn lend(&self, id: &AccountingId) -> LaunchRecord {
+        let mut records = self.0.lock().unwrap();
+        let held = records.iter().position(|(i, _)| i == id);
+        held.map_or_else(LaunchRecord::default, |at| records.swap_remove(at).1)
     }
 
-    /// Takes a lent table back (the first one back, when runs overlapped).
-    fn give_back(&self, id: AccountingId, table: ReplayMemo) {
-        let mut tables = self.0.lock().unwrap();
-        if !tables.iter().any(|(i, _)| *i == id) {
-            tables.push((id, table));
+    /// Takes a lent record back (the first one back, when runs overlapped).
+    fn give_back(&self, id: AccountingId, record: LaunchRecord) {
+        let mut records = self.0.lock().unwrap();
+        if !records.iter().any(|(i, _)| *i == id) {
+            records.push((id, record));
         }
     }
 }
@@ -424,8 +426,8 @@ impl<SV: Value, E: Value> Columns<SV, E> {
 const MAX_COLUMN_SETS: usize = 8;
 
 /// The constant per-entry columns a layout has derived, one set per
-/// program [`ColumnKey`] (and column types), oldest first. Like the replay
-/// tables, a clone starts empty.
+/// program [`ColumnKey`] (and column types), oldest first. Like the launch
+/// records, a clone starts empty.
 #[derive(Debug, Default)]
 struct ColumnSets(Mutex<Vec<(ColumnKey, Arc<dyn Any + Send + Sync>)>>);
 
@@ -443,19 +445,19 @@ impl Clone for ColumnSets {
 /// `PreparedLayout` per (representation, shard size) and passes it to
 /// [`try_run_warm`], paying the construction cost once. The layout is
 /// immutable: faulty or cancelled runs cannot poison it. It keeps the
-/// simulator's replay tables between runs, so only the first run per program
-/// shape after a build interprets the kernel's statically accounted stages.
+/// kernel's launch records between resident runs, so only the first run per
+/// program shape after a build interprets the stages the layout fixes.
 /// It also keeps each program's constant per-entry columns, derived on the
 /// first run that asks: a warm run builds and copies none of what the layout
 /// fixes. The arrays sit behind `Arc`s: a clone is a handle on the same
-/// arrays with cold replay tables and no columns of its own.
+/// arrays with cold launch records and no columns of its own.
 #[derive(Clone, Debug)]
 pub struct PreparedLayout {
     repr: Repr,
     n_per: u32,
     gs: Arc<GShards>,
     cw: Option<Arc<ConcatWindows>>,
-    replay: ReplayTables,
+    records: LayoutRecords,
     columns: ColumnSets,
 }
 
@@ -470,12 +472,12 @@ impl PreparedLayout {
             n_per,
             gs,
             cw,
-            replay: ReplayTables::default(),
+            records: LayoutRecords::default(),
             columns: ColumnSets::default(),
         }
     }
 
-    /// The same shard arrays under `repr`, on replay tables of its own: one
+    /// The same shard arrays under `repr`, on launch records of its own: one
     /// shard sort serves the G-Shards and the CW runs over a (graph, `|N|`).
     /// The kernel takes the CW path iff the layout carries a mapper, so the
     /// G-Shards view of a CW layout is that layout without one; the CW view of
@@ -540,14 +542,6 @@ impl PreparedLayout {
     /// Number of shards in the layout.
     pub fn num_shards(&self) -> u32 {
         self.gs.num_shards()
-    }
-
-    /// `(slots holding a recording, slots allocated)` over the replay tables
-    /// the layout currently holds (diagnostics).
-    pub fn replay_slots(&self) -> (usize, usize) {
-        let tables = self.replay.0.lock().unwrap();
-        let slots = tables.iter().map(|(_, table)| table.slots());
-        slots.fold((0, 0), |sum, s| (sum.0 + s.0, sum.1 + s.1))
     }
 
     /// `prog`'s constant per-entry columns in layout order, derived from
@@ -689,9 +683,11 @@ pub fn try_run_warm<P: VertexProgram, O: RunObserver + ?Sized>(
 /// the devices (one per run or rung, or a fleet over its fabric); what a
 /// fault past its budget does (surface; take the streamed ladder's next rung,
 /// G-Shards on a view of the layout, then the host; recover in place); the
-/// replay tables (the layout's, lent; cold per rung; per device); and the
-/// shape of the statistics (single-engine, or flattened with
-/// [`RunStats::fleet`]).
+/// launch records (the layout's, lent to a resident run; per rung, device
+/// and streamed batch otherwise); and the shape of the statistics
+/// (single-engine, or flattened with [`RunStats::fleet`]). Whatever the
+/// placement, `RunStats::memo` counts per launch: one hit, miss or fallback
+/// for the launch's fixed share, plus one per block that ran its stage 4.
 pub fn try_run_placed<P: VertexProgram, O: RunObserver + ?Sized>(
     prog: &P,
     graph: &Graph,
@@ -766,9 +762,9 @@ pub fn try_run_placed<P: VertexProgram, O: RunObserver + ?Sized>(
                 gpu.set_fault_plan(plan);
             }
         }
+        let mut records: Vec<Records> = (0..n).map(|_| Records::default()).collect();
         if resident {
-            let lent = layout.replay.lend(&id);
-            devices.device_mut(0).swap_replay_memo(lent);
+            records[0].resident = layout.records.lend(&id);
         }
         // Launches are named for the representation; fault plans match on it.
         let label = placement.label(repr);
@@ -785,7 +781,7 @@ pub fn try_run_placed<P: VertexProgram, O: RunObserver + ?Sized>(
             &mut devices,
             placement,
             &name,
-            (&mut faults[..], &mut sdcs[..]),
+            (&mut faults[..], &mut sdcs[..], &mut records[..]),
             (elapsed, &mut *observer),
         );
         let gpu = devices.device_mut(0);
@@ -794,8 +790,8 @@ pub fn try_run_placed<P: VertexProgram, O: RunObserver + ?Sized>(
             profile.get_or_insert_default().absorb(&p);
         }
         if resident {
-            let table = gpu.swap_replay_memo(ReplayMemo::new());
-            layout.replay.give_back(id, table);
+            let lent = std::mem::take(&mut records[0].resident);
+            layout.records.give_back(id, lent);
         }
         // Counters consumed by a failed or cancelled run are consumed for good.
         if carried {
@@ -974,11 +970,16 @@ mod tests {
             assert_eq!(view.repr(), other);
             assert_eq!(view.cw().is_some(), other == Repr::ConcatWindows);
             assert_eq!(warm(&view), warm(&PreparedLayout::build(&g, other, 32)));
-            // A run left its recordings with the view; the layout it came
-            // from, and a clone of either, still start cold.
-            assert_ne!(view.replay_slots(), (0, 0));
-            assert_eq!(layout.replay_slots(), (0, 0));
-            assert_eq!(view.clone().replay_slots(), (0, 0));
+            // A run left its records with the view; a clone of it, and the
+            // layout it came from, still start cold.
+            let misses = |layout: &PreparedLayout| {
+                let cfg = CuShaConfig::new(layout.repr());
+                let out = try_run_warm(&prog, &g, layout, &cfg, None, &mut NoopObserver);
+                out.unwrap().stats.memo.replay_misses
+            };
+            assert_eq!(misses(&view), 0);
+            assert!(misses(&view.clone()) > 0);
+            assert!(misses(&layout) > 0);
         }
     }
 
@@ -1001,7 +1002,7 @@ mod tests {
             try_run_placed(&prog, &g, &layout, &cfg, placement, plan, observer).unwrap()
         };
         let shown = |out: CuShaOutput<u32>| (out.values, format!("{:?}", out.stats));
-        // Resident first: it records into the layout's replay tables, which
+        // Resident first: it records into the layout's launch records, which
         // no other placement reads.
         let resident = placed(&Placement::Resident, None, &mut NoopObserver);
         assert_eq!(shown(resident), shown(try_run(&prog, &g, &cfg).unwrap()));

@@ -34,36 +34,11 @@ use crate::stats::FaultStats;
 use cusha_graph::Graph;
 use cusha_obs::trace::lanes;
 use cusha_simt::{
-    aligned_chunks, Block, DevVec, DeviceFault, Gpu, KernelDesc, KernelStats, Mask, Pod, WARP,
+    aligned_chunks, Block, DevVec, DeviceFault, Gpu, KernelDesc, KernelStats, LaunchRecord, Mask,
+    Pod, WARP,
 };
-use std::array::from_fn;
 use std::ops::Range;
 use std::sync::Arc;
-
-/// Site tags of the kernel's three replay scopes — one per statically
-/// accounted stage per shard (first word of every `warp_scope` key; see
-/// `cusha_simt::replay`). G-Shards/CW make the access pattern of stages 1, 2
-/// and 4 a property of the representation (paper §3), so each replays whole;
-/// stage 3 publishes by value and stays interpreted. The key is `[tag, shard's
-/// vertex range (two words), where the stage's buffers start]`: the vertex
-/// range names the shard (entry ranges coincide for shards without in-edges);
-/// the last word is `voff` for stage 1, which touches only `VertexValues`, and
-/// the slice's entry range for stages 2 and 4 — it fixes their buffer offsets
-/// and which stage-4 writes leave the slice. Nothing names the layout or the
-/// program: the table's owner (the layout, or a one-attempt device) does.
-const SITE_GATHER: u64 = 0x6373_474154484552; // "GATHER"
-const SITE_APPLY: u64 = 0x6373_4150504c59; // "APPLY"
-const SITE_WRITEBACK: u64 = 0x6373_5752495445; // "WRITE"
-
-/// 32 evenly spaced samples of `column[range]`, a stage scope's fingerprint of
-/// the index column driving it. The exact key already determines the
-/// accounting; these backstop a table that outlived its layout.
-fn sampled(column: &[u32], range: &Range<usize>) -> [u32; WARP] {
-    from_fn(|l| match range.len() {
-        0 => 0,
-        n => column[range.start + l * n / WARP],
-    })
-}
 
 /// Transient-fault retry budget of one engine. Copy faults transferred
 /// nothing and launch faults fire before any block runs, so either retry
@@ -458,31 +433,24 @@ impl<V: Value> Sink<'_, V> {
         sidx
     }
 
-    /// Stores the chunk at global position `base` (outbox index `at`) of a
-    /// remote window (G-Shards stage 4).
-    fn store_run(
-        &mut self,
-        b: &mut Block<'_>,
-        base: usize,
-        at: isize,
-        mask: Mask,
-        vals: &[V; WARP],
-    ) {
-        mask.iter().for_each(|l| self.put(base + l, vals[l]));
+    /// The device store of the chunk at outbox index `at` of a remote window
+    /// (G-Shards stage 4): an outbox's; the other sinks make none.
+    fn store_run(&mut self, b: &mut Block<'_>, at: isize, mask: Mask, vals: &[V; WARP]) {
         if let Sink::Outbox(ob) = self {
             b.gstore_run(&mut ob.buf, mask, at, vals);
         }
     }
 
-    /// Scatters the lanes of `mask` to remote targets `pos[l]` (CW stage 4).
+    /// The device store scattering the lanes of `mask` to remote targets
+    /// `pos[l]` (CW stage 4): an outbox's; the other sinks make none.
     fn scatter(&mut self, b: &mut Block<'_>, mask: Mask, pos: &[u32; WARP], vals: &[V; WARP]) {
-        mask.iter().for_each(|l| self.put(pos[l] as usize, vals[l]));
         if let Sink::Outbox(Outbox { remote, buf, .. }) = self {
             b.gstore(buf, mask, |l| slot_of(remote, pos[l] as usize), |l| vals[l]);
         }
     }
 
-    /// The host-visible half of a remote write: all a replayed stage 4 makes.
+    /// The host-visible half of a remote write, which [`write_back`] makes:
+    /// the outbox's spill list, or the host master and its byte count.
     fn put(&mut self, at: usize, val: V) {
         match self {
             Sink::None => debug_assert!(false, "stage-4 write left a whole-graph slice"),
@@ -546,6 +514,33 @@ impl<V: Value> Resident<V> {
         fault: &mut FaultStats,
     ) -> Result<u32, DeviceFault> {
         with_copy_retries(gpu, retry, fault, |g| g.try_download_scalar(&self.flag, 0))
+    }
+}
+
+/// One device's launch records (see [`LaunchRecord`]). What a launch's
+/// accounting is depends on the slice it runs over (its shards, its offsets,
+/// where its stage-4 writes go), so a record is kept per slice: the resident
+/// slice's, and one per streamed batch with the shard range it was taken
+/// over.
+#[derive(Default)]
+pub(crate) struct Records {
+    /// The resident slice's: for a solo resident run, the layout's, lent.
+    pub resident: LaunchRecord,
+    batches: Vec<(Range<u32>, LaunchRecord)>,
+}
+
+impl Records {
+    /// Streamed batch `index`'s record: the one taken over `shards`, or a new
+    /// one when that batch covered other shards (a rebatch moved it).
+    pub(crate) fn batch(&mut self, index: usize, shards: &Range<u32>) -> &mut LaunchRecord {
+        if self.batches.len() <= index {
+            self.batches.resize_with(index + 1, Default::default);
+        }
+        let (range, record) = &mut self.batches[index];
+        if range != shards {
+            (*range, *record) = (shards.clone(), LaunchRecord::default());
+        }
+        record
     }
 }
 
@@ -727,12 +722,12 @@ impl<P: VertexProgram> DeviceSlice<P> {
     }
 
     /// Launches the four-stage kernel over the slice's shards — one thread
-    /// block per shard — and returns the launch statistics with the number
-    /// of vertex values published. Writes that leave the slice go to
-    /// `host` when given, else to the slice's outbox (see [`Sink`]). Launch
-    /// faults fire before any block runs, so up to
-    /// `retry.max_kernel_retries` in-place re-launches re-execute the
-    /// identical work; past that the fault surfaces.
+    /// block per shard — charging what `record` holds (see [`Records`]), and
+    /// returns the launch statistics with the number of vertex values
+    /// published. Writes that leave the slice go to `host` when given, else
+    /// to the slice's outbox (see [`Sink`]). Launch faults fire before any
+    /// block runs, so up to `retry.max_kernel_retries` in-place re-launches
+    /// re-execute the identical work; past that the fault surfaces.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn launch(
         &mut self,
@@ -742,6 +737,7 @@ impl<P: VertexProgram> DeviceSlice<P> {
         prog: &P,
         layout: &PreparedLayout,
         res: &mut Resident<P::V>,
+        record: &mut LaunchRecord,
         mut host: Option<HostMaster<'_, P::V>>,
         retry: &RetryPolicy,
         fault: &mut FaultStats,
@@ -766,7 +762,9 @@ impl<P: VertexProgram> DeviceSlice<P> {
                 (None, None) => Sink::None,
             };
             let mut updated = 0u64;
-            match self.launch_once(gpu, &desc, prog, layout, res, sink, &mut updated) {
+            let launched =
+                self.launch_once(gpu, &desc, prog, layout, res, record, sink, &mut updated);
+            match launched {
                 Ok(kstats) => break Ok((kstats, updated)),
                 Err(DeviceFault::Kernel { .. }) if attempts < retry.max_kernel_retries => {
                     attempts += 1;
@@ -780,10 +778,11 @@ impl<P: VertexProgram> DeviceSlice<P> {
         result
     }
 
-    /// The kernel body: stages 1–4 of Figure 5 for every shard of the
-    /// slice, in run-form ops, with one replay scope around each statically
-    /// accounted stage; one that replays moves its data with the loop of
-    /// [`HostArrays::sweep`] over host views instead.
+    /// The kernel body: stages 1–4 of Figure 5 for every shard of the slice.
+    /// What the layout fixes is accounted by ops `record` holds — stages 1
+    /// and 2 as the blocks' statics, stage 4 as each block's share — and the
+    /// data moves through the loops of [`HostArrays::sweep`] over host views;
+    /// stage 3, whose stores the values pick, is interpreted.
     #[allow(clippy::too_many_arguments)]
     fn launch_once(
         &mut self,
@@ -792,6 +791,7 @@ impl<P: VertexProgram> DeviceSlice<P> {
         prog: &P,
         layout: &PreparedLayout,
         res: &mut Resident<P::V>,
+        record: &mut LaunchRecord,
         mut sink: Sink<'_, P::V>,
         updated: &mut u64,
     ) -> Result<KernelStats, DeviceFault> {
@@ -799,72 +799,54 @@ impl<P: VertexProgram> DeviceSlice<P> {
         let p = gs.num_shards();
         let erange = self.erange.clone();
         let (voff, eoff) = (res.voff as isize, erange.start as isize);
-        // Entry positions are `u32`-indexed, so both slice bounds fit a word.
-        let slice_word = (erange.start as u64) << 32 | erange.end as u64;
-        gpu.try_launch(desc, |b| {
+        gpu.try_launch_recorded(desc, record, |b| {
             let s = self.shards.start + b.id();
             let vrange = gs.vertex_range(s);
-            let site = |tag: u64, at: u64| [tag, vrange.start as u64, vrange.end as u64, at];
             let offset = vrange.start as usize;
             let nv = vrange.len();
             let mut local = b.shared_alloc::<P::V>(nv);
 
             // Stage 1: coalesced fetch of VertexValues into shared memory.
-            // Pure stride-1 traffic: SoA run operations copy whole lane
-            // columns and account in closed form.
+            // Pure stride-1 traffic: SoA run operations account in closed
+            // form; `init_local` moves the data.
             b.phase("gather");
-            if b.warp_scope(&site(SITE_GATHER, res.voff as u64), Mask::FULL, &[0; WARP]) {
-                let vv = &res.vertex_values.host()[offset - res.voff..][..nv];
-                init_local(prog, vv, local.host_mut());
-            } else {
+            b.statics(|b| {
                 for (base, mask) in aligned_chunks(offset..offset + nv) {
-                    let vals = b.gload_run(&res.vertex_values, mask, base as isize - voff);
-                    let mut inited = [P::V::default(); WARP];
-                    for l in mask.iter() {
-                        prog.init_compute(&mut inited[l], &vals[l]);
-                    }
+                    b.gload_run(&res.vertex_values, mask, base as isize - voff);
                     b.exec(mask, 1);
-                    b.sstore_run(&mut local, mask, base as isize - offset as isize, &inited);
+                    let at = base as isize - offset as isize;
+                    b.sstore_run(&mut local, mask, at, &[P::V::default(); WARP]);
                 }
-            }
-            b.warp_scope_end();
+            });
+            let vv = &res.vertex_values.host()[offset - res.voff..][..nv];
+            init_local(prog, vv, local.host_mut());
             b.sync();
 
             // Stage 2: process shard entries; atomic shared update of the
-            // destination's local value. `DestIndex` drives the collision
-            // scan, and it is the layout's: the whole stage is one scope.
+            // destination's local value, whose collisions `DestIndex` — the
+            // layout's — decides. `fold` moves the data.
             b.phase("apply");
             let entries = gs.shard_entries(s);
-            let col = sampled(gs.dest_index(), &entries);
-            if b.warp_scope(&site(SITE_APPLY, slice_word), Mask::FULL, &col) {
-                let r = || entries.start - erange.start..entries.end - erange.start;
-                let statics = self.src_static.as_ref().map(|c| &c.host()[r()]);
-                let edges = self.edge_value.as_ref().map(|c| &c.host()[r()]);
-                let (dest, srcv) = (&self.dest_index.host()[r()], &self.src_value.host()[r()]);
-                fold(prog, dest, srcv, statics, edges, offset, local.host_mut());
-            } else {
-                for (base, mask) in aligned_chunks(entries) {
+            b.statics(|b| {
+                for (base, mask) in aligned_chunks(entries.clone()) {
                     let shift = base as isize - eoff;
                     let dst = b.gload_run(&self.dest_index, mask, shift);
-                    let srcv = b.gload_run(&self.src_value, mask, shift);
-                    let statv = match &self.src_static {
-                        Some(buf) => b.gload_run(buf, mask, shift),
-                        None => [P::SV::default(); WARP],
-                    };
-                    let ev = match &self.edge_value {
-                        Some(buf) => b.gload_run(buf, mask, shift),
-                        None => [P::E::default(); WARP],
-                    };
+                    b.gload_run(&self.src_value, mask, shift);
+                    if let Some(buf) = &self.src_static {
+                        b.gload_run(buf, mask, shift);
+                    }
+                    if let Some(buf) = &self.edge_value {
+                        b.gload_run(buf, mask, shift);
+                    }
                     b.exec(mask, P::COMPUTE_COST);
-                    b.supdate(
-                        &mut local,
-                        mask,
-                        |l| dst[l] as usize - offset,
-                        |l, slot| prog.compute(&srcv[l], &statv[l], &ev[l], slot),
-                    );
+                    b.supdate(&mut local, mask, |l| dst[l] as usize - offset, |_, _| {});
                 }
-            }
-            b.warp_scope_end();
+            });
+            let r = || entries.start - erange.start..entries.end - erange.start;
+            let statics = self.src_static.as_ref().map(|c| &c.host()[r()]);
+            let edges = self.edge_value.as_ref().map(|c| &c.host()[r()]);
+            let (dest, srcv) = (&self.dest_index.host()[r()], &self.src_value.host()[r()]);
+            fold(prog, dest, srcv, statics, edges, offset, local.host_mut());
             b.sync();
 
             // Stage 3: update_condition; publish changed values.
@@ -892,29 +874,16 @@ impl<P: VertexProgram> DeviceSlice<P> {
             }
             b.sync();
 
-            // Stage 4: write-back to the windows in all shards. Targets
-            // inside the slice are device stores into its `SrcValue`;
-            // the rest go to the sink. Whether it runs is the values'
-            // business; what it costs when it does is the layout's (CW's
-            // `Mapper`, or G-Shards' window starts, fingerprint it).
+            // Stage 4: write-back to the windows in all shards. Whether it
+            // runs is the values' business; what it costs when it does is the
+            // layout's (CW's `Mapper`, or G-Shards' windows), the block's
+            // share. Targets inside the slice are device stores into its
+            // `SrcValue`; the rest go to the sink. `write_back` moves the data.
             b.phase("compact");
             if !block_updated {
                 return;
             }
-            let col = match layout.cw() {
-                Some(cw) => sampled(cw.mapper(), &cw.cw_entries(s)),
-                None => from_fn(|l| gs.window(s, (l * p as usize / WARP) as u32).start as u32),
-            };
-            let replays = b.warp_scope(&site(SITE_WRITEBACK, slice_word), Mask::FULL, &col);
-            match (layout.cw(), &self.mapper) {
-                _ if replays => {
-                    let srcv = self.src_value.host_mut();
-                    let emit = |e: usize, val| match erange.contains(&e) {
-                        true => srcv[e - erange.start] = val,
-                        false => sink.put(e, val),
-                    };
-                    write_back(gs, layout.cw(), s, local.host(), offset, emit);
-                }
+            b.share(|b| match (layout.cw(), &self.mapper) {
                 (Some(cw), Some(mapper)) => {
                     // Concatenated Windows: dense sweep of CW_s through the
                     // Mapper.
@@ -969,13 +938,18 @@ impl<P: VertexProgram> DeviceSlice<P> {
                             if own {
                                 b.gstore_run(&mut self.src_value, mask, at, &full);
                             } else {
-                                sink.store_run(b, base, at, mask, &full);
+                                sink.store_run(b, at, mask, &full);
                             }
                         }
                     }
                 }
-            }
-            b.warp_scope_end();
+            });
+            let srcv = self.src_value.host_mut();
+            let emit = |e: usize, val| match erange.contains(&e) {
+                true => srcv[e - erange.start] = val,
+                false => sink.put(e, val),
+            };
+            write_back(gs, layout.cw(), s, local.host(), offset, emit);
             b.gstore(&mut res.flag, Mask::first(1), |_| 0, |_| 0u32);
         })
     }
@@ -1001,16 +975,17 @@ mod tests {
         host_writes: u64,
     }
 
-    /// Uploads `shards` to `gpu` and launches once; the launch's statistics
-    /// and effects. The slice spills through its outbox, or — given the entry
-    /// range of the streamed device it is a batch of — to a host master, with
-    /// every vertex resident.
+    /// Uploads `shards` to `gpu` and launches once through `record`; the
+    /// launch's statistics and effects. The slice spills through its outbox,
+    /// or — given the entry range of the streamed device it is a batch of — to
+    /// a host master, with every vertex resident.
     fn launch_slice(
         gpu: &mut Gpu,
         layout: &PreparedLayout,
         host: &HostArrays<MiniSssp>,
         shards: Range<u32>,
         streamed: Option<&Range<usize>>,
+        record: &mut LaunchRecord,
     ) -> (KernelStats, Effects) {
         let (retry, mut fault) = (RetryPolicy::NONE, FaultStats::default());
         let (mut master, mut host_writes, mut spills) = (host.src_value.clone(), 0, Vec::new());
@@ -1035,7 +1010,7 @@ mod tests {
         let prog = MiniSssp { source: 0 };
         let name: Arc<str> = "slice-probe".into();
         let launched = slice.launch(
-            gpu, &name, 128, &prog, layout, &mut res, sink, &retry, &mut fault,
+            gpu, &name, 128, &prog, layout, &mut res, record, sink, &retry, &mut fault,
         );
         let kstats = launched.expect("launch").0;
         slice.take_spills(&mut spills);
@@ -1049,52 +1024,62 @@ mod tests {
         (kstats, effects)
     }
 
+    /// A layout over a small R-MAT graph and its initial masters, with a
+    /// mid-run `SrcValue`: nearly every shard updates and writes back.
+    fn mid_run(repr: Repr) -> (PreparedLayout, HostArrays<MiniSssp>) {
+        let g = rmat(&RmatConfig::graph500(8, 2500, 5));
+        let layout = PreparedLayout::build(&g, repr, 16);
+        let mut host = HostArrays::new(&MiniSssp { source: 0 }, &g, &layout);
+        for (e, v) in host.src_value.iter_mut().enumerate() {
+            *v = (e % 7) as u32;
+        }
+        (layout, host)
+    }
+
     #[test]
     fn a_recording_of_one_slice_is_never_replayed_for_another() {
-        // The same shards in a slice that starts elsewhere sit at other
-        // buffer offsets and spill other writes: on one device (one replay
-        // table) the second slice must record for itself — stage 1 too, as
-        // its `VertexValues` window (`voff`) moved with the slice.
-        let g = rmat(&RmatConfig::graph500(8, 2500, 5));
+        // The same number of shards in a batch that starts elsewhere sits at
+        // other buffer offsets and spills other writes: a streamed device
+        // keeps a record per batch and its shard range, and the batch at the
+        // same index over other shards (a rebatch moved it) records afresh —
+        // never charging the first slice's record, whose shape is the same.
         for repr in [Repr::GShards, Repr::ConcatWindows] {
-            let layout = PreparedLayout::build(&g, repr, 16);
-            let host = HostArrays::new(&MiniSssp { source: 0 }, &g, &layout);
+            let (layout, host) = mid_run(repr);
             let p = layout.num_shards();
+            let own = entry_range(layout.gs(), &(0..p));
+            let fresh = || LaunchRecord::default();
             let mut lone = Gpu::new(DeviceConfig::gtx780());
-            let alone = launch_slice(&mut lone, &layout, &host, 1..p, None).0;
+            let alone = launch_slice(&mut lone, &layout, &host, 2..p, Some(&own), &mut fresh());
 
-            let mut gpu = Gpu::new(DeviceConfig::gtx780());
-            launch_slice(&mut gpu, &layout, &host, 0..p, None);
+            let (mut gpu, mut records) = (Gpu::new(DeviceConfig::gtx780()), Records::default());
+            let record = records.batch(0, &(1..p - 1));
+            launch_slice(&mut gpu, &layout, &host, 1..p - 1, Some(&own), record);
             let (hits, misses, _) = gpu.replay_stats();
-            let shifted = launch_slice(&mut gpu, &layout, &host, 1..p, None).0;
-            assert_eq!(shifted.counters, alone.counters, "{}", repr.label());
-            assert_eq!(shifted.seconds.to_bits(), alone.seconds.to_bits());
+            let record = records.batch(0, &(2..p));
+            let moved = launch_slice(&mut gpu, &layout, &host, 2..p, Some(&own), record);
+            assert_eq!(moved, alone, "{}", repr.label());
             let (hits_after, misses_after, _) = gpu.replay_stats();
-            assert_eq!(hits_after, hits, "{}: replayed another slice", repr.label());
+            assert_eq!(hits_after, hits, "{}: charged another slice", repr.label());
             assert!(misses_after > misses);
-            // The same slice again is the same key: everything replays.
-            let again = launch_slice(&mut gpu, &layout, &host, 1..p, None).0;
-            assert_eq!(again.counters, alone.counters);
+            // The same batch again keeps its record: everything is charged.
+            let record = records.batch(0, &(2..p));
+            let again = launch_slice(&mut gpu, &layout, &host, 2..p, Some(&own), record);
+            assert_eq!(again, alone);
             assert_eq!(gpu.replay_stats().1, misses_after);
         }
     }
 
     #[test]
     fn a_replayed_launch_leaves_what_an_interpreted_one_does() {
-        // A replayed stage moves its data outside the block ops, straight
+        // A recorded launch moves its data outside the block ops, straight
         // into the slice and the sink. For every stage-4 sink — none (a
-        // whole-graph slice), an outbox, a streamed batch's host master —
-        // the launch that replays every stage must leave the same values,
-        // spills in the same order and the same PCIe bytes as one
-        // interpreted with replay off.
-        let g = rmat(&RmatConfig::graph500(8, 2500, 5));
+        // whole-graph slice), an outbox, a streamed batch's host master — the
+        // launch that records, the one charged from that record and a gated
+        // one (replay off: every body interpreted, a fallback each) must leave
+        // the same values, spills in the same order and the same PCIe bytes,
+        // with the same counters and modeled seconds.
         for repr in [Repr::GShards, Repr::ConcatWindows] {
-            let layout = PreparedLayout::build(&g, repr, 16);
-            let mut host = HostArrays::new(&MiniSssp { source: 0 }, &g, &layout);
-            // A mid-run `SrcValue`: nearly every shard updates and writes back.
-            for (e, v) in host.src_value.iter_mut().enumerate() {
-                *v = (e % 7) as u32;
-            }
+            let (layout, host) = mid_run(repr);
             let p = layout.num_shards();
             let own = entry_range(layout.gs(), &(1..p));
             for (shards, streamed) in [(0..p, None), (1..p, None), (2..p, Some(&own))] {
@@ -1103,26 +1088,31 @@ mod tests {
                     repr.label(),
                     streamed.is_some()
                 );
-                let mut gpu = Gpu::new(DeviceConfig::gtx780());
-                let recorded = launch_slice(&mut gpu, &layout, &host, shards.clone(), streamed);
-                let (_, scopes, _) = gpu.replay_stats();
-                let replayed = launch_slice(&mut gpu, &layout, &host, shards.clone(), streamed);
-                let (hits, misses, _) = gpu.replay_stats();
+                let (mut gpu, mut record) = (Gpu::new(DeviceConfig::gtx780()), Default::default());
+                let launch = |gpu: &mut Gpu, record: &mut LaunchRecord| {
+                    launch_slice(gpu, &layout, &host, shards.clone(), streamed, record)
+                };
+                let recorded = launch(&mut gpu, &mut record);
+                let (_, uses, _) = gpu.replay_stats();
+                let charged = launch(&mut gpu, &mut record);
                 assert_eq!(
-                    (hits, misses),
-                    (scopes, scopes),
-                    "{tag}: not every stage replayed"
+                    gpu.replay_stats(),
+                    (uses, uses, 0),
+                    "{tag}: the second launch charged what the first recorded"
                 );
+                assert!(uses > 1, "{tag}: no block took stage 4");
 
                 let mut off = DeviceConfig::gtx780();
                 off.replay_memo = false;
-                let interpreted =
-                    launch_slice(&mut Gpu::new(off), &layout, &host, shards.clone(), streamed);
-                assert_eq!(replayed.1, interpreted.1, "{tag}");
-                assert_eq!(recorded.1, interpreted.1, "{tag}");
-                let (on, off) = (&replayed.0, &interpreted.0);
-                assert_eq!(on.counters, off.counters, "{tag}");
-                assert_eq!(on.seconds.to_bits(), off.seconds.to_bits(), "{tag}");
+                let mut gated = Gpu::new(off);
+                let interpreted = launch(&mut gated, &mut LaunchRecord::default());
+                assert_eq!(gated.replay_stats(), (0, 0, uses), "{tag}");
+                for (what, (stats, effects)) in [("recording", &recorded), ("charged", &charged)] {
+                    assert_eq!(effects, &interpreted.1, "{tag}: {what}");
+                    assert_eq!(stats.counters, interpreted.0.counters, "{tag}: {what}");
+                    let (on, off) = (stats.seconds.to_bits(), interpreted.0.seconds.to_bits());
+                    assert_eq!(on, off, "{tag}: {what}");
+                }
                 // The sinks saw traffic: the comparison is not vacuous.
                 let fx = &interpreted.1;
                 match (shards.start, streamed) {

@@ -48,7 +48,7 @@ use crate::fallback::FALLBACK_LABEL;
 use crate::integrity::{apply_flips, scrub, Ask, Checkpoint, Detector, Recovery, Rung, Stop};
 use crate::kernel::{
     batch_end, entry_range, fault_instant, upload_resident, vertex_range, with_copy_retries,
-    DeviceSlice, HostArrays, HostMaster, Resident, RetryPolicy, SpillVia, MAX_REBATCHES,
+    DeviceSlice, HostArrays, HostMaster, Records, Resident, RetryPolicy, SpillVia, MAX_REBATCHES,
 };
 use crate::memsize::{entry_bytes, ValueSizes};
 use crate::middleware::DeadlineObserver;
@@ -283,6 +283,8 @@ struct MultiState<'a, P: VertexProgram> {
     /// come to read them.
     host: HostArrays<P>,
     faults: &'a mut [FaultStats],
+    /// Each device's launch records: its resident slice's, its batches'.
+    records: &'a mut [Records],
     /// Each device's clock when its time was last accounted (see `lap`).
     marks: Vec<f64>,
     /// Scrub references: each resident device's checksums as of the end of
@@ -543,9 +545,9 @@ impl<P: VertexProgram> MultiState<'_, P> {
         let gpu = self.fleet.device_mut(d);
         let fault = &mut self.faults[d];
         res.reset_flag(gpu, &retry, fault)?;
-        let (name, layout) = (&self.desc_name, self.layout);
+        let (name, layout, record) = (&self.desc_name, self.layout, &mut self.records[d].resident);
         match slice.launch(
-            gpu, name, threads, self.prog, layout, res, None, &retry, fault,
+            gpu, name, threads, self.prog, layout, res, record, None, &retry, fault,
         ) {
             Ok((kstats, updated)) => {
                 // Read back for its modeled charge; the count already tells.
@@ -641,9 +643,10 @@ impl<P: VertexProgram> MultiState<'_, P> {
                     spills: &mut out.spills,
                 };
                 let (prog, sink) = (self.prog, Some(sink));
-                let (kstats, updated) = match slice
-                    .launch(gpu, name, threads, prog, layout, res, sink, &retry, fault)
-                {
+                let record = self.records[d].batch(index as usize, &(s..end));
+                let (kstats, updated) = match slice.launch(
+                    gpu, name, threads, prog, layout, res, record, sink, &retry, fault,
+                ) {
                     Ok(launched) => launched,
                     Err(f) => break 'batches f,
                 };
@@ -707,7 +710,7 @@ fn rebatch(fault: &mut FaultStats, max_rebatches: u32, gpu: &Gpu, budget: &mut u
 /// * `layout` is borrowed — its owner decides whether it outlives the run —
 ///   and `shards` gives each device its contiguous share of `0..num_shards`;
 /// * `fleet` holds the devices as their owner set them up (tracer, fault
-///   plan, profiling, replay table) and takes them back, plus their fabric.
+///   plan, profiling) and takes them back, plus their fabric.
 ///   Over one, devices overlap and the engine lane — setup, iteration and
 ///   download spans, events that belong to no one device, on
 ///   [`DeviceFleet::fleet_pid`] — runs on the fleet clock (slowest device per
@@ -717,9 +720,10 @@ fn rebatch(fault: &mut FaultStats, max_rebatches: u32, gpu: &Gpu, budget: &mut u
 ///   up (one that does not fit streams it), or out of core — and, past the
 ///   in-place budgets, whether a fault surfaces or is recovered from in
 ///   place; `name` is what its launches are called (fault plans match on it);
-/// * `records` are the devices' fail-stop and SDC records, the caller's so
-///   that they outlive an `Err` and a caller re-entering rung after rung
-///   carries device 0's budgets across; `since` is what the earlier rungs'
+/// * `records` are the devices' fail-stop and SDC records and their launch
+///   records, the caller's so that they outlive an `Err`: a caller
+///   re-entering rung after rung carries device 0's budgets across, and one
+///   that lent a layout's launch record gets it back; `since` is what the earlier rungs'
 ///   modeled clock read, where the observer's and a deadline's run on from.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
@@ -731,7 +735,7 @@ pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
     fleet: &mut DeviceFleet,
     placement: &Placement,
     name: &str,
-    (faults, sdcs): (&mut [FaultStats], &mut [SdcStats]),
+    (faults, sdcs, records): (&mut [FaultStats], &mut [SdcStats], &mut [Records]),
     (since, observer): (f64, &mut O),
 ) -> Result<Driven<P::V>, Stop<P::V>> {
     let observer = &mut DeadlineObserver::new(base.deadline_seconds, observer);
@@ -754,6 +758,7 @@ pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
         modes: (0..n).map(|_| Mode::Idle).collect(),
         host: HostArrays::new(prog, graph, layout),
         faults,
+        records,
         marks: vec![0.0; n],
         crcs: vec![(0, 0); n],
         clocks: vec![DeviceClocks::default(); n],
@@ -1488,6 +1493,7 @@ mod tests {
             (
                 std::slice::from_mut(&mut fault),
                 std::slice::from_mut(&mut sdc),
+                &mut [Records::default()],
             ),
             (0.0, &mut NoopObserver),
         )

@@ -250,10 +250,10 @@ pub struct RunStats {
     /// Frontier telemetry (sizes, directions, switches); `None` on the
     /// topology-driven engines.
     pub frontier: Option<FrontierStats>,
-    /// Simulator-acceleration memo activity (coalesce memo and warp-trace
-    /// replay memo). Observational only: both memos are
-    /// exactness-preserving, so these counters never influence modeled
-    /// results — they exist to prove the fast paths are actually taken.
+    /// Simulator-acceleration activity (the scattered-access analysis and
+    /// launch records). Observational only: both are exactness-preserving,
+    /// so these counters never influence modeled results — they exist to
+    /// prove the fast paths are actually taken.
     pub memo: MemoStats,
     /// The fleet-shaped record (per-device breakdown, exchange volume) of a
     /// run placed on a fleet; `None` on every other placement and engine.
@@ -269,19 +269,20 @@ pub struct MemoStats {
     pub coalesce_hits: u64,
     /// Scattered-access analyses performed (global and shared).
     pub coalesce_misses: u64,
-    /// Warp-trace replay hits (whole scopes replayed from recorded deltas).
+    /// Launch-record hits: per recorded launch, one when its fixed share was
+    /// charged (or checked), plus one per block share charged (or checked).
     pub replay_hits: u64,
-    /// Warp-trace replay misses (scopes interpreted and recorded).
+    /// Launch-record misses: per recorded launch, one when its fixed share
+    /// was recorded (a new record or shape), plus one per block share
+    /// recorded (a block's first stage 4 on that record).
     pub replay_misses: u64,
-    /// Scopes interpreted without recording because replay was gated off
-    /// (disabled by config, or a fault plan could still disrupt the run).
+    /// Record uses interpreted because records were gated off (disabled by
+    /// config, or a fault plan could still disrupt the run): one per gated
+    /// launch plus one per block share body it ran.
     pub replay_fallbacks: u64,
-    /// Sampled replay verifications that disagreed with their recording — a
-    /// violated scope contract. 0 for every in-tree kernel.
+    /// Checked record uses that disagreed with their recording — a violated
+    /// contract. 0 for every in-tree kernel.
     pub replay_verify_failures: u64,
-    /// Slots holding a recording, and slots allocated, in the replay tables
-    /// the run's devices ended on (`size_of` a slot apiece: the footprint).
-    pub replay_slots: (u64, u64),
 }
 
 impl MemoStats {
@@ -289,15 +290,13 @@ impl MemoStats {
     pub fn from_gpu(gpu: &cusha_simt::Gpu) -> Self {
         let (coalesce_hits, coalesce_misses) = gpu.memo_stats();
         let (replay_hits, replay_misses, replay_fallbacks) = gpu.replay_stats();
-        let (filled, allocated) = gpu.replay_table().slots();
         MemoStats {
             coalesce_hits,
             coalesce_misses,
             replay_hits,
             replay_misses,
             replay_fallbacks,
-            replay_verify_failures: gpu.replay_table().verify_failures(),
-            replay_slots: (filled as u64, allocated as u64),
+            replay_verify_failures: gpu.replay_verify_failures(),
         }
     }
 
@@ -309,8 +308,6 @@ impl MemoStats {
         self.replay_misses += other.replay_misses;
         self.replay_fallbacks += other.replay_fallbacks;
         self.replay_verify_failures += other.replay_verify_failures;
-        self.replay_slots.0 += other.replay_slots.0;
-        self.replay_slots.1 += other.replay_slots.1;
     }
 
     /// Records the memo counters under the unified metrics schema.

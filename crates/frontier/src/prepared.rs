@@ -253,7 +253,7 @@ mod tests {
         assert_eq!(pf.csr().src_indxs().len(), 2);
     }
 
-    /// A graph with enough shards at |N| = 64 for the replay tables to fill.
+    /// A graph with enough shards at |N| = 64 for the launch records to fill.
     fn power_law() -> Graph {
         use cusha_graph::generators::rmat::{rmat, RmatConfig};
         rmat(&RmatConfig::graph500(9, 3000, 7))

@@ -153,7 +153,7 @@ impl MutationBatch {
                 touched[at] += 1;
             }
         }
-        let mut edge_count = graph.num_edges() as i64;
+        let (mut edge_count, mut inserted) = (graph.num_edges() as i64, 0u32);
         let mut max_vertex = graph.num_vertices() as i64 - 1;
         for (index, op) in self.ops.iter().enumerate() {
             let m = &mut touched[pairs.binary_search(&pair(op)).expect("a batch pair")];
@@ -163,7 +163,7 @@ impl MutationBatch {
                         return Err(MutationError::VertexIdTooLarge { index });
                     }
                     *m += 1;
-                    edge_count += 1;
+                    (edge_count, inserted) = (edge_count + 1, inserted + 1);
                     max_vertex = max_vertex.max(src as i64).max(dst as i64);
                 }
                 Mutation::Delete { src, dst } => {
@@ -181,13 +181,11 @@ impl MutationBatch {
             });
         }
         let grew = (max_vertex + 1 - graph.num_vertices() as i64).max(0) as u32;
+        // Every copy a delete removed, the batch's own inserts among them.
+        let deleted = (graph.num_edges() as i64 + i64::from(inserted) - edge_count) as u32;
         let delta = MutationDelta {
-            inserted: self
-                .ops
-                .iter()
-                .filter(|o| matches!(o, Mutation::Insert { .. }))
-                .count() as u32,
-            deleted: 0, // exact deleted-copy count is known only at apply
+            inserted,
+            deleted,
             grew_vertices: grew,
         };
         let shape = (graph.num_vertices(), graph.num_edges());
@@ -211,7 +209,7 @@ impl MutationBatch {
 #[derive(Debug, PartialEq, Eq)]
 pub struct Validated<'b> {
     batch: &'b MutationBatch,
-    /// What the batch will change (deleted copies are counted at apply).
+    /// What the batch will change: exactly what [`Validated::apply`] returns.
     pub delta: MutationDelta,
     /// `(vertices, edges)` of the graph it was validated against.
     shape: (u32, u32),
@@ -432,9 +430,10 @@ mod tests {
             });
             let mut g = sample();
             let before = g.clone();
-            match batch.validate(&g) {
-                Ok(_) => {
-                    prop_assert!(batch.apply(&mut g).is_ok());
+            match batch.validate(&g).map(|v| v.delta) {
+                Ok(predicted) => {
+                    // What validation predicts is what applying realizes.
+                    prop_assert_eq!(batch.apply(&mut g), Ok(predicted));
                     prop_assert_eq!(g.validate(), Ok(()));
                 }
                 Err(_) => {

@@ -27,12 +27,11 @@
 //!   coalescing/bank math ([`crate::coalesce::coalesce_seq`]), with all
 //!   counter updates hoisted into one per-warp batch. Accounting is
 //!   bit-identical to the closure path.
-//! * **Warp-trace replay scopes** ([`Block::warp_scope`] /
-//!   [`Block::warp_scope_end`]) memoize the *accounting* of a whole warp
-//!   iteration keyed on (site, mask, access fingerprint); inside a replayed
-//!   scope every operation still moves real data but skips address
-//!   derivation and the scattered-access analysis — or the caller issues
-//!   none and moves the data through the buffers' host views itself.
+//! * **Launch records** ([`Block::statics`], [`Block::share`]) hold the
+//!   *accounting* of ops whose cost the launch's shape fixes (statics) or
+//!   that of each block's value-gated ops (shares); a launch that charges its
+//!   [`crate::LaunchRecord`] leaves those bodies out, and the kernel moves its live
+//!   data through the buffers' host views itself.
 //!
 //! Underneath, the closure operations fill a `[u64; WARP]` of lane byte
 //! addresses under the mask and hand it to the device's O(active-lanes)
@@ -43,24 +42,8 @@ use crate::config::DeviceConfig;
 use crate::counters::{Counters, Mask, WARP};
 use crate::mem::DevVec;
 use crate::pod::Pod;
-use crate::replay::{LaunchRecord, Lookup, ReplayMemo, TraceDelta, SITE_WORDS};
+use crate::replay::{Fixed, ReplayTally, Share, TraceDelta};
 use crate::shared::SharedVec;
-
-/// State of the (at most one) open warp-trace scope of a block.
-enum Scope {
-    /// No scope open; operations interpret and account normally.
-    Idle,
-    /// Scope hit the replay table: deltas already applied, operations do
-    /// data movement only.
-    Replaying,
-    /// Scope opened while replay was gated off for the launch: interpret
-    /// normally, record nothing.
-    Bypassed,
-    /// Scope missed: interpret normally, record the deltas at scope end.
-    Recording { slot: usize, snap: TraceDelta },
-    /// Sampled hit: interpret normally, compare deltas at scope end.
-    Verifying { slot: usize, snap: TraceDelta },
-}
 
 /// Per-block execution context handed to kernel closures.
 pub struct Block<'cfg> {
@@ -70,18 +53,17 @@ pub struct Block<'cfg> {
     /// Device-owned scattered-access analysis (coalescing, bank conflicts,
     /// atomic collisions) and its scratch bitsets.
     memo: &'cfg mut CoalesceMemo,
-    /// The device's warp-trace replay table, its own or one lent to it (see
-    /// [`ReplayMemo`]).
-    replay: &'cfg mut ReplayMemo,
-    /// Per-launch replay gate, set by the device: false while a fault plan
-    /// could still fire (never replay across a due fault) or when replay is
-    /// disabled in the device config.
-    pub(crate) replay_on: bool,
-    scope: Scope,
+    /// The device's record of what launches did with their records.
+    replay: &'cfg mut ReplayTally,
+    /// A recorded launch with records gated off (a fault plan could still
+    /// fire, or replay is disabled): every share body runs as a fallback.
+    pub(crate) gated: bool,
     /// Whether [`Block::statics`] leaves its body out (the launch charges a
-    /// record), and the record it tallies the body into (one recording).
+    /// record), and the fixed share it tallies the body into (one recording).
     pub(crate) charged: bool,
-    pub(crate) tally: Option<&'cfg mut LaunchRecord>,
+    pub(crate) tally: Option<&'cfg mut Fixed>,
+    /// The launch record's per-block shares, when it has one and is not gated.
+    pub(crate) shares: Option<&'cfg mut Vec<Share>>,
     /// The phase marked last, whether or not the tracer records marks.
     phase: Option<&'static str>,
     shared_cursor: u64,
@@ -108,7 +90,7 @@ impl<'cfg> Block<'cfg> {
         threads: u32,
         cfg: &'cfg DeviceConfig,
         memo: &'cfg mut CoalesceMemo,
-        replay: &'cfg mut ReplayMemo,
+        replay: &'cfg mut ReplayTally,
     ) -> Self {
         assert!(threads > 0, "a block has at least one thread");
         cfg.check_block(threads, 0)
@@ -119,10 +101,10 @@ impl<'cfg> Block<'cfg> {
             cfg,
             memo,
             replay,
-            replay_on: false,
-            scope: Scope::Idle,
+            gated: false,
             charged: false,
             tally: None,
+            shares: None,
             phase: None,
             shared_cursor: 0,
             counters: Counters::default(),
@@ -178,14 +160,6 @@ impl<'cfg> Block<'cfg> {
         self.mem_cycles += 1 + extra_replays;
     }
 
-    /// True while inside a replayed warp-trace scope: operations move data
-    /// but skip all accounting (the recorded deltas were applied at scope
-    /// entry).
-    #[inline]
-    fn replaying(&self) -> bool {
-        matches!(self.scope, Scope::Replaying)
-    }
-
     #[inline]
     fn accounting_snapshot(&self) -> TraceDelta {
         TraceDelta {
@@ -215,87 +189,24 @@ impl<'cfg> Block<'cfg> {
         }
     }
 
-    /// Opens a warp-trace replay scope (see `DESIGN.md` §4.14).
-    ///
-    /// `site` identifies the static code location and loop indices plus a
-    /// fold of the buffer base addresses the scope touches; `col` is the
-    /// per-lane access-pattern fingerprint (the index column that drives
-    /// every gather/scatter inside the scope). The caller contracts that
-    /// the scope's *accounting* — never its data — is a pure function of
-    /// `(site, mask, col)` for the lifetime of the replay table in use.
-    ///
-    /// Returns `true` when the scope replays (recorded counter/cycle deltas
-    /// were just applied; operations until [`Block::warp_scope_end`] move
-    /// data without accounting). What the caller must then still do is move
-    /// every *live* datum — a load whose result is read, a store something
-    /// later loads — either by issuing its operation or through the buffers'
-    /// un-accounted host views (`DevVec::host_mut`, `SharedVec::host_mut`),
-    /// as the CuSha kernel's replayed stages do. An operation issued only to be
-    /// accounted — a load nobody reads, a store to memory nothing reads back
-    /// — may be skipped when the scope replays: its counters and cycles are
-    /// in the recorded deltas already, and data nobody reads is not
-    /// observable. (Skipped or not must depend on this return value alone,
-    /// so that a recording or verifying pass interprets the whole scope.)
-    /// Scopes must not nest and must not contain [`Block::sync`] or
-    /// [`Block::phase`].
-    #[inline]
-    pub fn warp_scope(&mut self, site: &[u64; SITE_WORDS], mask: Mask, col: &[u32; WARP]) -> bool {
-        debug_assert!(
-            matches!(self.scope, Scope::Idle),
-            "warp scopes must not nest"
-        );
-        if !self.replay_on {
-            self.replay.note_fallback();
-            self.scope = Scope::Bypassed;
-            return false;
-        }
-        match self.replay.lookup(site, mask, col) {
-            Lookup::Hit(delta) => {
-                self.counters.add(&delta.counters);
-                self.mem_cycles += delta.mem_cycles;
-                self.alu_cycles += delta.alu_cycles;
-                self.scope = Scope::Replaying;
-                true
-            }
-            Lookup::Verify(slot) => {
-                self.scope = Scope::Verifying {
-                    slot,
-                    snap: self.accounting_snapshot(),
-                };
-                false
-            }
-            Lookup::Miss(slot) => {
-                self.scope = Scope::Recording {
-                    slot,
-                    snap: self.accounting_snapshot(),
-                };
-                false
-            }
-        }
+    /// Inert: warp-trace scopes gave way to launch records, and opening one
+    /// changes nothing — it never replays (`false`), and the ops after it
+    /// interpret as they would without it. Kept for the ledger's hot-loop
+    /// probe, which still opens them.
+    #[doc(hidden)]
+    pub fn warp_scope(&mut self, _site: &[u64; 4], _mask: Mask, _col: &[u32; WARP]) -> bool {
+        false
     }
 
-    /// Closes the open warp-trace scope: commits a recording, checks a
-    /// sampled verification, or simply leaves replay mode.
-    pub fn warp_scope_end(&mut self) {
-        match std::mem::replace(&mut self.scope, Scope::Idle) {
-            Scope::Idle => debug_assert!(false, "warp_scope_end without warp_scope"),
-            Scope::Replaying | Scope::Bypassed => {}
-            Scope::Recording { slot, snap } => {
-                let delta = self.delta_since(&snap);
-                self.replay.commit(slot, delta);
-            }
-            Scope::Verifying { slot, snap } => {
-                let delta = self.delta_since(&snap);
-                self.replay.verify(slot, delta);
-            }
-        }
-    }
+    /// Inert counterpart of [`Block::warp_scope`].
+    #[doc(hidden)]
+    pub fn warp_scope_end(&mut self) {}
 
     /// Issues `body` — ops whose data nothing reads, whose cost the shape
     /// and what the run holds still fix — unless the launch charges its
-    /// [`LaunchRecord`] in their place ([`crate::Gpu::try_launch_recorded`]);
+    /// [`crate::LaunchRecord`] in their place ([`crate::Gpu::try_launch_recorded`]);
     /// a recording or checking launch tallies what they cost into it. Holds
-    /// no [`Block::sync`], [`Block::phase`] or warp scope.
+    /// no [`Block::sync`] or [`Block::phase`].
     pub fn statics(&mut self, body: impl FnOnce(&mut Self)) {
         if self.charged {
             return;
@@ -308,6 +219,36 @@ impl<'cfg> Block<'cfg> {
         }
     }
 
+    /// Issues `body` — this block's ops whose data nothing reads and whose
+    /// cost the record's owner fixes per block, but which run only when values
+    /// say so — or charges what they cost the first time, to this block (see
+    /// [`crate::LaunchRecord`]). Every [`crate::replay::VERIFY_SAMPLE`]-th use issues
+    /// them again and compares; a gated launch issues them and counts a
+    /// fallback; a launch without a record just issues them. Holds no
+    /// [`Block::sync`] or [`Block::phase`].
+    pub fn share(&mut self, body: impl FnOnce(&mut Self)) {
+        let id = self.id as usize;
+        let charge = match self.shares.as_deref_mut() {
+            Some(shares) => shares[id].take(self.replay),
+            None => {
+                self.replay.fallbacks += u64::from(self.gated);
+                None
+            }
+        };
+        if let Some(d) = charge {
+            self.counters.add(&d.counters);
+            self.mem_cycles += d.mem_cycles;
+            self.alu_cycles += d.alu_cycles;
+            return;
+        }
+        let snap = self.accounting_snapshot();
+        body(self);
+        let delta = self.delta_since(&snap);
+        if let Some(shares) = self.shares.as_deref_mut() {
+            shares[id].settle(delta, self.replay);
+        }
+    }
+
     /// Warp-wide global load: lane `l` (if active) reads `buf[idx(l)]`.
     pub fn gload<T: Pod>(
         &mut self,
@@ -316,12 +257,6 @@ impl<'cfg> Block<'cfg> {
         mut idx: impl FnMut(usize) -> usize,
     ) -> [T; WARP] {
         let mut out = [T::default(); WARP];
-        if self.replaying() {
-            for lane in mask.iter() {
-                out[lane] = buf.get(idx(lane));
-            }
-            return out;
-        }
         let mut addrs = [0u64; WARP];
         for lane in mask.iter() {
             let i = idx(lane);
@@ -346,12 +281,6 @@ impl<'cfg> Block<'cfg> {
         mut idx: impl FnMut(usize) -> usize,
         mut val: impl FnMut(usize) -> T,
     ) {
-        if self.replaying() {
-            for lane in mask.iter() {
-                buf.set(idx(lane), val(lane));
-            }
-            return;
-        }
         let mut addrs = [0u64; WARP];
         for lane in mask.iter() {
             let i = idx(lane);
@@ -373,12 +302,6 @@ impl<'cfg> Block<'cfg> {
         mut idx: impl FnMut(usize) -> usize,
     ) -> [T; WARP] {
         let mut out = [T::default(); WARP];
-        if self.replaying() {
-            for lane in mask.iter() {
-                out[lane] = sh.get(idx(lane));
-            }
-            return out;
-        }
         let mut addrs = [0u64; WARP];
         for lane in mask.iter() {
             let i = idx(lane);
@@ -400,12 +323,6 @@ impl<'cfg> Block<'cfg> {
         mut idx: impl FnMut(usize) -> usize,
         mut val: impl FnMut(usize) -> T,
     ) {
-        if self.replaying() {
-            for lane in mask.iter() {
-                sh.set(idx(lane), val(lane));
-            }
-            return;
-        }
         let mut addrs = [0u64; WARP];
         for lane in mask.iter() {
             let i = idx(lane);
@@ -430,14 +347,6 @@ impl<'cfg> Block<'cfg> {
         mut idx: impl FnMut(usize) -> usize,
         mut f: impl FnMut(usize, &mut T),
     ) {
-        if self.replaying() {
-            // Lane order preserved — same single-winner semantics as the
-            // accounted path; only the collision scan is skipped.
-            for lane in mask.iter() {
-                f(lane, sh.get_mut(idx(lane)));
-            }
-            return;
-        }
         // Lanes apply in lane order; every additional lane hitting an
         // already-hit element costs one replay pass, counted by the same
         // bank-word pass that yields the bank replays.
@@ -480,9 +389,6 @@ impl<'cfg> Block<'cfg> {
                 out[lane] = buf.get((base + lane as isize) as usize);
             }
         }
-        if self.replaying() {
-            return out;
-        }
         let base_addr = Self::run_base_addr(buf.base(), base, T::SIZE);
         let c = coalesce_seq(
             base_addr,
@@ -516,9 +422,6 @@ impl<'cfg> Block<'cfg> {
             for lane in mask.iter() {
                 buf.set((base + lane as isize) as usize, vals[lane]);
             }
-        }
-        if self.replaying() {
-            return;
         }
         let base_addr = Self::run_base_addr(buf.base(), base, T::SIZE);
         let c = coalesce_seq(
@@ -568,9 +471,6 @@ impl<'cfg> Block<'cfg> {
                 out[lane] = sh.get((base + lane as isize) as usize);
             }
         }
-        if self.replaying() {
-            return out;
-        }
         let replays = self.run_bank_replays(sh, mask, base);
         self.counters.shared_accesses += 1;
         self.counters.bank_conflict_replays += replays as u64;
@@ -596,9 +496,6 @@ impl<'cfg> Block<'cfg> {
                 sh.set((base + lane as isize) as usize, vals[lane]);
             }
         }
-        if self.replaying() {
-            return;
-        }
         let replays = self.run_bank_replays(sh, mask, base);
         self.counters.shared_accesses += 1;
         self.counters.bank_conflict_replays += replays as u64;
@@ -610,9 +507,6 @@ impl<'cfg> Block<'cfg> {
     /// efficiency but no memory counters. Accounted as one batch update —
     /// identical totals to issuing the instructions one by one.
     pub fn exec(&mut self, mask: Mask, insts: u64) {
-        if self.replaying() {
-            return;
-        }
         self.counters.warp_instructions += insts;
         self.counters.active_lane_sum += mask.count() as u64 * insts;
         self.alu_cycles += insts;
@@ -621,10 +515,6 @@ impl<'cfg> Block<'cfg> {
     /// `__syncthreads()`: a barrier among the block's threads. Costs one
     /// full-warp instruction per warp in the block, charged as one batch.
     pub fn sync(&mut self) {
-        debug_assert!(
-            matches!(self.scope, Scope::Idle),
-            "sync() inside a warp-trace scope"
-        );
         let nw = self.num_warps() as u64;
         self.counters.warp_instructions += nw;
         self.counters.active_lane_sum += nw * WARP as u64;
@@ -636,7 +526,7 @@ impl<'cfg> Block<'cfg> {
     /// observability marker: it consumes no modeled cycles and no counters,
     /// and when tracing is disabled it is a store and a branch — kernels may
     /// call it unconditionally. The store names the phase a
-    /// [`LaunchRecord`] files [`Block::statics`] cycles under.
+    /// [`crate::LaunchRecord`] files [`Block::statics`] cycles under.
     #[inline]
     pub fn phase(&mut self, name: &'static str) {
         self.phase = Some(name);
@@ -665,7 +555,7 @@ mod tests {
     fn test_block<'a>(
         cfg: &'a DeviceConfig,
         memo: &'a mut CoalesceMemo,
-        replay: &'a mut ReplayMemo,
+        replay: &'a mut ReplayTally,
     ) -> Block<'a> {
         Block::new(0, 128, cfg, memo, replay)
     }
@@ -674,7 +564,7 @@ mod tests {
     fn gload_coalesced_vs_gather() {
         let cfg = DeviceConfig::gtx780();
         let mut memo = test_memo(&cfg);
-        let mut replay = ReplayMemo::new();
+        let mut replay = ReplayTally::default();
         let mut b = test_block(&cfg, &mut memo, &mut replay);
         let buf: DevVec<u32> = DevVec::from_parts((0..4096).collect(), 0);
         // Coalesced: 1 transaction.
@@ -691,7 +581,7 @@ mod tests {
     fn gstore_writes_and_accounts() {
         let cfg = DeviceConfig::gtx780();
         let mut memo = test_memo(&cfg);
-        let mut replay = ReplayMemo::new();
+        let mut replay = ReplayTally::default();
         let mut b = test_block(&cfg, &mut memo, &mut replay);
         let mut buf: DevVec<u32> = DevVec::from_parts(vec![0; 64], 0);
         b.gstore(&mut buf, Mask::first(4), |l| l, |l| l as u32 * 10);
@@ -704,7 +594,7 @@ mod tests {
     fn supdate_serializes_same_target() {
         let cfg = DeviceConfig::gtx780();
         let mut memo = test_memo(&cfg);
-        let mut replay = ReplayMemo::new();
+        let mut replay = ReplayTally::default();
         let mut b = test_block(&cfg, &mut memo, &mut replay);
         let mut sh = b.shared_alloc::<u32>(4);
         // All 32 lanes add 1 to element 2: result 32, 31 collisions.
@@ -723,7 +613,7 @@ mod tests {
     fn supdate_applies_in_lane_order() {
         let cfg = DeviceConfig::gtx780();
         let mut memo = test_memo(&cfg);
-        let mut replay = ReplayMemo::new();
+        let mut replay = ReplayTally::default();
         let mut b = test_block(&cfg, &mut memo, &mut replay);
         let mut sh = b.shared_alloc::<u32>(1);
         // min-style update: final value is the min over lanes.
@@ -741,7 +631,7 @@ mod tests {
     fn warp_efficiency_tracks_masks() {
         let cfg = DeviceConfig::gtx780();
         let mut memo = test_memo(&cfg);
-        let mut replay = ReplayMemo::new();
+        let mut replay = ReplayTally::default();
         let mut b = test_block(&cfg, &mut memo, &mut replay);
         b.exec(Mask::FULL, 1);
         b.exec(Mask::first(8), 1);
@@ -753,7 +643,7 @@ mod tests {
     fn shared_alloc_respects_quota() {
         let cfg = DeviceConfig::tiny_test(); // 1 KiB
         let mut memo = test_memo(&cfg);
-        let mut replay = ReplayMemo::new();
+        let mut replay = ReplayTally::default();
         let mut b = Block::new(0, 32, &cfg, &mut memo, &mut replay);
         let _a = b.shared_alloc::<u32>(128); // 512 B
         assert_eq!(b.shared_used(), 512);
@@ -766,7 +656,7 @@ mod tests {
     fn sync_charges_per_warp() {
         let cfg = DeviceConfig::gtx780();
         let mut memo = test_memo(&cfg);
-        let mut replay = ReplayMemo::new();
+        let mut replay = ReplayTally::default();
         let mut b = test_block(&cfg, &mut memo, &mut replay); // 128 threads = 4 warps
         b.sync();
         assert_eq!(b.counters.warp_instructions, 4);
@@ -777,7 +667,7 @@ mod tests {
     fn oversized_block_rejected() {
         let cfg = DeviceConfig::gtx780();
         let mut memo = test_memo(&cfg);
-        let mut replay = ReplayMemo::new();
+        let mut replay = ReplayTally::default();
         let _ = Block::new(0, 2048, &cfg, &mut memo, &mut replay);
     }
 
@@ -785,7 +675,7 @@ mod tests {
     fn sload_bank_conflict_replays() {
         let cfg = DeviceConfig::gtx780();
         let mut memo = test_memo(&cfg);
-        let mut replay = ReplayMemo::new();
+        let mut replay = ReplayTally::default();
         let mut b = test_block(&cfg, &mut memo, &mut replay);
         let mut sh = b.shared_alloc::<u32>(1024);
         for i in 0..1024 {
@@ -817,10 +707,10 @@ mod tests {
         for mask in masks {
             for base in [0isize, 5, 97] {
                 let mut memo_a = test_memo(&cfg);
-                let mut replay_a = ReplayMemo::new();
+                let mut replay_a = ReplayTally::default();
                 let mut a = test_block(&cfg, &mut memo_a, &mut replay_a);
                 let mut memo_b = test_memo(&cfg);
-                let mut replay_b = ReplayMemo::new();
+                let mut replay_b = ReplayTally::default();
                 let mut b = test_block(&cfg, &mut memo_b, &mut replay_b);
 
                 let gbuf: DevVec<u32> = DevVec::from_parts((0..4096).collect(), 512);
@@ -870,10 +760,10 @@ mod tests {
         let cfg = DeviceConfig::gtx780();
         for mask in [Mask::FULL, Mask(0x0001_0001), Mask::run(9, 13)] {
             let mut memo_a = test_memo(&cfg);
-            let mut replay_a = ReplayMemo::new();
+            let mut replay_a = ReplayTally::default();
             let mut a = test_block(&cfg, &mut memo_a, &mut replay_a);
             let mut memo_b = test_memo(&cfg);
-            let mut replay_b = ReplayMemo::new();
+            let mut replay_b = ReplayTally::default();
             let mut b = test_block(&cfg, &mut memo_b, &mut replay_b);
             let mut sh_a = a.shared_alloc::<f64>(64);
             let mut sh_b = b.shared_alloc::<f64>(64);
@@ -892,94 +782,11 @@ mod tests {
     fn exec_batches_match_per_instruction_accounting() {
         let cfg = DeviceConfig::gtx780();
         let mut memo = test_memo(&cfg);
-        let mut replay = ReplayMemo::new();
+        let mut replay = ReplayTally::default();
         let mut b = test_block(&cfg, &mut memo, &mut replay);
         b.exec(Mask::first(12), 5);
         assert_eq!(b.counters.warp_instructions, 5);
         assert_eq!(b.counters.active_lane_sum, 60);
         assert_eq!(b.alu_cycles, 5);
-    }
-
-    /// One warp iteration of a gather-style body, as a kernel would issue it
-    /// inside a replay scope.
-    fn scope_body(
-        b: &mut Block<'_>,
-        buf: &DevVec<u32>,
-        sh: &mut SharedVec<u32>,
-        col: &[u32; WARP],
-    ) {
-        let mask = Mask::FULL;
-        let vals = b.gload(buf, mask, |l| col[l] as usize);
-        b.exec(mask, 2);
-        b.supdate(sh, mask, |l| (col[l] % 16) as usize, |l, v| *v += vals[l]);
-    }
-
-    #[test]
-    fn warp_scope_replays_bit_identical_accounting_and_data() {
-        let cfg = DeviceConfig::gtx780();
-        let buf: DevVec<u32> = DevVec::from_parts((0..4096).map(|i| i * 2).collect(), 0);
-        let mut col = [0u32; WARP];
-        for (l, c) in col.iter_mut().enumerate() {
-            *c = ((l * 37) % 512) as u32;
-        }
-        let site = [0xDEAD, 1, 2, buf.base()];
-
-        // Reference: replay disabled (every scope interprets).
-        let mut memo_a = test_memo(&cfg);
-        let mut replay_a = ReplayMemo::new();
-        let mut a = test_block(&cfg, &mut memo_a, &mut replay_a);
-        let mut sh_a = a.shared_alloc::<u32>(16);
-        // Subject: replay enabled — first iteration records, rest replay.
-        let mut memo_b = test_memo(&cfg);
-        let mut replay_b = ReplayMemo::new();
-        let mut b = test_block(&cfg, &mut memo_b, &mut replay_b);
-        b.replay_on = true;
-        let mut sh_b = b.shared_alloc::<u32>(16);
-
-        for _ in 0..5 {
-            let hit = a.warp_scope(&site, Mask::FULL, &col);
-            assert!(!hit, "replay_on = false must never replay");
-            scope_body(&mut a, &buf, &mut sh_a, &col);
-            a.warp_scope_end();
-
-            b.warp_scope(&site, Mask::FULL, &col);
-            scope_body(&mut b, &buf, &mut sh_b, &col);
-            b.warp_scope_end();
-        }
-        assert_eq!(sh_a.host(), sh_b.host(), "data must be bit-identical");
-        assert_eq!(account(&a), account(&b), "accounting must be bit-identical");
-        let (hits, misses, fallbacks) = b.replay.stats();
-        assert_eq!((hits, misses), (4, 1));
-        assert_eq!(fallbacks, 0);
-        assert_eq!(a.replay.stats(), (0, 0, 5));
-    }
-
-    #[test]
-    fn warp_scope_misses_on_changed_mask_or_fingerprint() {
-        let cfg = DeviceConfig::gtx780();
-        let buf: DevVec<u32> = DevVec::from_parts((0..128).collect(), 0);
-        let mut memo = test_memo(&cfg);
-        let mut replay = ReplayMemo::new();
-        let mut b = test_block(&cfg, &mut memo, &mut replay);
-        b.replay_on = true;
-        let site = [7, 7, 7, 7];
-        let col = [3u32; WARP];
-        for _ in 0..2 {
-            b.warp_scope(&site, Mask::FULL, &col);
-            b.gload(&buf, Mask::FULL, |_| 3);
-            b.warp_scope_end();
-        }
-        assert_eq!(b.replay.stats().0, 1);
-        // Narrower mask: different key, must interpret.
-        assert!(!b.warp_scope(&site, Mask::first(8), &col));
-        b.gload(&buf, Mask::first(8), |_| 3);
-        b.warp_scope_end();
-        // Different fingerprint column: different key, must interpret.
-        let mut col2 = col;
-        col2[0] = 4;
-        assert!(!b.warp_scope(&site, Mask::FULL, &col2));
-        b.gload(&buf, Mask::FULL, |l| if l == 0 { 4 } else { 3 });
-        b.warp_scope_end();
-        assert_eq!(b.replay.stats(), (1, 3, 0));
     }
 }

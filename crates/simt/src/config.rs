@@ -41,9 +41,11 @@ pub struct DeviceConfig {
     /// Device memory capacity in bytes (allocations beyond this panic, like
     /// a `cudaMalloc` failure would abort the paper's runs).
     pub global_mem_bytes: u64,
-    /// Enables the warp-trace replay memo (see `crate::replay`). Replay is
-    /// an exactness-preserving simulator acceleration, not a device
-    /// property. The flag is an A/B switch: tests turn it off to prove
+    /// Enables launch records (see `crate::replay`): a recorded launch
+    /// charges what its record holds instead of interpreting those bodies.
+    /// Off, every recorded launch interprets them and counts one fallback,
+    /// plus one per per-block share body. Replay is an exactness-preserving
+    /// simulator acceleration, not a device property. The flag is an A/B switch: tests turn it off to prove
     /// outputs and counters bit-identical with it off, and the benchmark
     /// ledger for its `simt.replay_off_ratio` probe and its PageRank
     /// reference run. No production path sets it.

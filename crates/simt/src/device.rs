@@ -7,7 +7,7 @@ use crate::counters::KernelStats;
 use crate::fault::{DeviceFault, FaultKind, FaultPlan};
 use crate::mem::{DevVec, ALLOC_ALIGN};
 use crate::pod::Pod;
-use crate::replay::{add_phase, LaunchRecord, ReplayMemo, VERIFY_SAMPLE};
+use crate::replay::{add_phase, Fixed, LaunchRecord, ReplayTally, Share, VERIFY_SAMPLE};
 use cusha_obs::trace::{lanes, ArgVal, Tracer};
 use std::ops::Range;
 use std::sync::Arc;
@@ -63,18 +63,16 @@ pub struct Gpu {
     trace_pid: u32,
     /// Scattered-access analysis core and its grow-once scratch bitsets.
     memo: CoalesceMemo,
-    /// Warp-trace replay table (see [`crate::replay`]); gated per launch on
-    /// `cfg.replay_memo` and on the fault plan being unable to disrupt.
-    replay: ReplayMemo,
-    /// `replay`'s totals when it was installed: a lent table arrives with
-    /// earlier runs' probes counted, and this device reports only its own.
-    replay_base: (u64, u64, u64),
+    /// What this device's recorded launches did with their records (see
+    /// [`crate::replay`]); records are gated per launch on `cfg.replay_memo`
+    /// and on the fault plan being unable to disrupt.
+    replay: ReplayTally,
     /// Reusable per-SM cycle scratch for [`Gpu::launch_with`] (one slot
     /// per SM each), so steady-state launches allocate nothing.
     launch_scratch: Vec<u64>,
-    /// A sampled [`LaunchRecord`] as it was, compared with its re-recording;
+    /// A sampled fixed share as it was, compared with its re-recording;
     /// kept, like `launch_scratch`, for its allocations.
-    spare_record: LaunchRecord,
+    spare_record: Fixed,
 }
 
 impl Gpu {
@@ -100,10 +98,9 @@ impl Gpu {
             tracer: Tracer::default(),
             trace_pid: 0,
             memo,
-            replay: ReplayMemo::new(),
-            replay_base: (0, 0, 0),
+            replay: ReplayTally::default(),
             launch_scratch,
-            spare_record: LaunchRecord::default(),
+            spare_record: Fixed::default(),
         }
     }
 
@@ -113,27 +110,17 @@ impl Gpu {
         self.memo.hit_stats()
     }
 
-    /// `(hits, misses, fallbacks)` this device's launches added to its
-    /// warp-trace replay memo.
+    /// `(hits, misses, fallbacks)` of this device's recorded launches: per
+    /// launch one for its fixed share, plus one per per-block share used.
     pub fn replay_stats(&self) -> (u64, u64, u64) {
-        let ((h, m, f), (h0, m0, f0)) = (self.replay.stats(), self.replay_base);
-        (h - h0, m - m0, f - f0)
+        let r = &self.replay;
+        (r.hits, r.misses, r.fallbacks)
     }
 
-    /// The replay memo the device runs on, its own or one lent to it
-    /// (diagnostics: its slots and verify failures are the table's, whoever
-    /// filled them).
-    pub fn replay_table(&self) -> &ReplayMemo {
-        &self.replay
-    }
-
-    /// Installs `table` as the device's replay memo and returns the one it
-    /// replaces. An owner whose scope keys outlive the device (a prepared
-    /// layout) lends its table for a run and swaps it back out after; one
-    /// recorded under a different device geometry must never be lent.
-    pub fn swap_replay_memo(&mut self, table: ReplayMemo) -> ReplayMemo {
-        self.replay_base = table.stats();
-        std::mem::replace(&mut self.replay, table)
+    /// Checked record uses that disagreed with their recording (a violated
+    /// contract; the interpretation stands). 0 for every in-tree kernel.
+    pub fn replay_verify_failures(&self) -> u64 {
+        self.replay.verify_failures
     }
 
     /// Installs a tracer and assigns this device's process lane (`pid`,
@@ -413,13 +400,16 @@ impl Gpu {
         self.launch_with(desc, None, body)
     }
 
-    /// [`Gpu::try_launch`] of a kernel whose blocks' [`Block::statics`] cost
-    /// what `record` holds (see [`LaunchRecord`]): issued and recorded at the
-    /// record's first launch and at a new shape, left out and the record
-    /// charged whole — bit-identically — at every other. Every
-    /// [`crate::replay::VERIFY_SAMPLE`]-th use issues them and compares (a
-    /// mismatch counts a verify failure and corrects the record); a launch
-    /// with replay gated off issues them and counts a fallback.
+    /// [`Gpu::try_launch`] of a kernel whose blocks' [`Block::statics`] and
+    /// [`Block::share`] bodies cost what `record` holds (see [`LaunchRecord`]):
+    /// the statics are issued and recorded at the record's first launch and
+    /// at a new shape (which also drops every per-block share), left out and
+    /// the fixed share charged whole — bit-identically — at every other; a
+    /// block's share is recorded at its first use and charged after. Every
+    /// [`crate::replay::VERIFY_SAMPLE`]-th use of either issues its bodies
+    /// and compares (a mismatch counts a verify failure and corrects the
+    /// record); a launch with replay gated off issues them all and counts a
+    /// fallback for the launch and for each share body.
     pub fn try_launch_recorded(
         &mut self,
         desc: &KernelDesc,
@@ -461,33 +451,43 @@ impl Gpu {
             ..Default::default()
         };
         let tracing = self.tracer.is_enabled();
-        // Per-launch replay gate: never replay accounting across a launch
+        // Per-launch replay gate: never charge accounting across a launch
         // during which the installed fault plan could still fire — a gated
-        // scope interprets and counts a fallback instead.
+        // record interprets and counts a fallback instead.
         let replay_on =
             self.cfg.replay_memo && self.fault_plan.as_ref().is_none_or(|p| !p.could_disrupt());
-        let replay_hits_before = self.replay.stats().0;
+        let gated = !replay_on && record.is_some();
+        let replay_hits_before = self.replay.hits;
         let num_sms = self.cfg.num_sms as usize;
         let shape = (desc.grid_blocks, desc.threads_per_block);
-        // Through a record, the blocks' statics are tallied into it (a miss,
-        // or a sampled use to `check` against the spare) or charged (a hit).
-        let (mut tally, mut charge, mut check) = (None, None, false);
+        // Through a record, the blocks' statics are tallied into its fixed
+        // share (a miss, or a sampled use to `check` against the spare) or
+        // charged (a hit); its per-block shares go to the blocks.
+        let (mut tally, mut charge, mut check, mut shares) = (None, None, false, None);
         match record {
-            Some(_) if !replay_on => self.replay.note_fallback(),
-            Some(r) => {
-                let hit = r.shape == Some(shape) && r.sm.len() == num_sms;
+            Some(_) if gated => self.replay.fallbacks += 1,
+            Some(LaunchRecord {
+                fixed,
+                shares: kept,
+            }) => {
+                let hit = fixed.shape == Some(shape) && fixed.sm.len() == num_sms;
                 self.replay.hits += u64::from(hit);
                 self.replay.misses += u64::from(!hit);
-                r.uses = (r.uses + 1) % VERIFY_SAMPLE;
-                if hit && r.uses != 0 {
-                    charge = Some(&*r);
+                fixed.uses = (fixed.uses + 1) % VERIFY_SAMPLE;
+                if !hit {
+                    kept.clear();
+                    kept.resize(desc.grid_blocks as usize, Share::default());
+                }
+                if hit && fixed.uses != 0 {
+                    charge = Some(&*fixed);
                 } else {
                     if hit {
-                        std::mem::swap(&mut self.spare_record, r);
+                        std::mem::swap(&mut self.spare_record, fixed);
                     }
-                    r.reset(shape, num_sms);
-                    (tally, check) = (Some(r), hit);
+                    fixed.reset(shape, num_sms);
+                    (tally, check) = (Some(fixed), hit);
                 }
+                shares = Some(kept);
             }
             None => {}
         }
@@ -506,9 +506,9 @@ impl Gpu {
                 &mut self.memo,
                 &mut self.replay,
             );
-            block.replay_on = replay_on;
             block.trace_phases = tracing;
             (block.charged, block.tally) = (charge.is_some(), tally.as_deref_mut());
+            (block.gated, block.shares) = (gated, shares.as_deref_mut());
             body(&mut block);
             stats.counters.add(&block.counters);
             // Round-robin block-to-SM assignment approximates the hardware
@@ -566,9 +566,10 @@ impl Gpu {
             profile.record(&stats);
         }
         if tracing {
-            // REPLAY instant: how many warp-trace scopes this launch served
-            // from the replay memo (omitted when none did).
-            let replayed = self.replay.stats().0 - replay_hits_before;
+            // REPLAY instant: how many record uses this launch charged or
+            // checked — its fixed share and its blocks' shares (omitted when
+            // none).
+            let replayed = self.replay.hits - replay_hits_before;
             if replayed > 0 {
                 self.tracer.instant(
                     self.trace_pid,
@@ -904,6 +905,28 @@ mod tests {
         assert!((stats.issue_seconds - 200e-9).abs() < 1e-15);
     }
 
+    /// A recorded body: per warp, a strided gather and a store as statics,
+    /// and — in the blocks `round` picks, like a value would — a share.
+    fn statics_and_share(
+        b: &mut Block<'_>,
+        buf: &DevVec<u32>,
+        dst: &mut DevVec<u32>,
+        round: usize,
+    ) {
+        let base = b.id() as usize * 128;
+        b.statics(|b| {
+            for (start, mask) in warp_chunks(128) {
+                b.gload(buf, mask, |l| (start + l * 7) % 256);
+                b.gstore(dst, mask, |l| base + start + l, |_| 0);
+            }
+        });
+        if (round + b.id() as usize).is_multiple_of(2) {
+            b.share(|b| b.exec(Mask::first(3 + b.id() as usize), 4));
+        }
+        let vals: [u32; WARP] = std::array::from_fn(|l| (round + l) as u32);
+        b.gstore_run(dst, Mask::FULL, base as isize, &vals);
+    }
+
     #[test]
     fn replay_memo_is_invisible_to_outputs_counters_and_timing() {
         let run = |replay: bool| {
@@ -913,24 +936,28 @@ mod tests {
             let buf = gpu.upload(&(0..256u32).collect::<Vec<_>>());
             let mut dst = gpu.alloc::<u32>(256);
             let desc = KernelDesc::new("probe", 2, 128);
-            let mut last = None;
-            for _ in 0..4 {
-                let stats = gpu.launch(&desc, |b| {
-                    let base = b.id() as usize * 128;
-                    for (start, mask) in warp_chunks(128) {
-                        let col: [u32; WARP] =
-                            std::array::from_fn(|l| ((start + l * 7) % 256) as u32);
-                        b.warp_scope(&[1, start as u64, 0, 0], mask, &col);
-                        let vals = b.gload(&buf, mask, |l| col[l] as usize);
-                        b.gstore(&mut dst, mask, |l| base + start + l, |l| vals[l] + 1);
-                        b.warp_scope_end();
-                    }
-                });
-                last = Some(stats.counters);
+            let (mut record, mut last) = (LaunchRecord::default(), None);
+            for round in 0..4 {
+                let body = |b: &mut Block<'_>| statics_and_share(b, &buf, &mut dst, round);
+                last = Some(gpu.try_launch_recorded(&desc, &mut record, body).unwrap());
             }
-            (gpu.download(&dst), last.unwrap(), gpu.total_seconds())
+            let counts = gpu.replay_stats();
+            (
+                gpu.download(&dst),
+                last.unwrap(),
+                gpu.total_seconds(),
+                counts,
+            )
         };
-        assert_eq!(run(true), run(false), "replay must be bit-invisible");
+        let (on, off) = (run(true), run(false));
+        assert_eq!(
+            (&on.0, &on.1, on.2.to_bits()),
+            (&off.0, &off.1, off.2.to_bits()),
+            "replay must be bit-invisible"
+        );
+        // Four launches, each block's share every other round.
+        assert_eq!(on.3, (3 + 2, 1 + 2, 0));
+        assert_eq!(off.3, (0, 0, 4 + 4));
     }
 
     #[test]
@@ -938,45 +965,98 @@ mod tests {
         let mut gpu = Gpu::new(DeviceConfig::tiny_test());
         gpu.set_fault_plan(FaultPlan::new().fail_kernel_at(&[100]));
         let desc = KernelDesc::new("probe", 1, 32);
-        let col = [0u32; WARP];
+        let mut record = LaunchRecord::default();
         let body = |b: &mut Block<'_>| {
-            b.warp_scope(&[9, 9, 9, 9], Mask::FULL, &col);
-            b.exec(Mask::FULL, 1);
-            b.warp_scope_end();
+            b.statics(|b| b.exec(Mask::FULL, 1));
+            b.share(|b| b.exec(Mask::FULL, 1));
         };
         for _ in 0..3 {
-            gpu.try_launch(&desc, body).unwrap();
+            gpu.try_launch_recorded(&desc, &mut record, body).unwrap();
         }
-        // The outstanding scheduled fault keeps replay gated off.
-        assert_eq!(gpu.replay_stats(), (0, 0, 3));
-        // Plan removed: the same scope records once, then replays.
+        // The outstanding scheduled fault keeps records gated off: a
+        // fallback for each launch and each share body, nothing recorded.
+        assert_eq!(gpu.replay_stats(), (0, 0, 6));
+        assert_eq!(record, LaunchRecord::default());
+        // Plan removed: the same launch records once, then charges.
         gpu.take_fault_plan();
         for _ in 0..2 {
-            gpu.launch(&desc, body);
+            gpu.try_launch_recorded(&desc, &mut record, body).unwrap();
         }
-        assert_eq!(gpu.replay_stats(), (1, 1, 3));
+        assert_eq!(gpu.replay_stats(), (2, 2, 6));
     }
 
-    /// Blocks that differ, two marked phases with statics in each, and a
-    /// store in the second whose mask depends on `round`, like a value. A
-    /// `lie` makes the statics cost change with the round too.
+    /// What a [`two_phase`] statics or share body says it costs.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Lie {
+        None,
+        /// The statics cost more from round 10 on.
+        Statics,
+        /// The shares cost more from round 10 on.
+        Share,
+    }
+
+    /// Whether block `id` runs its share in `round`.
+    fn runs_share(round: usize, id: usize) -> bool {
+        !(round + id).is_multiple_of(3)
+    }
+
+    /// Blocks that differ, two marked phases with statics in each, a store
+    /// in the second whose mask depends on `round`, like a value, and a share
+    /// the blocks [`runs_share`] picks run. A `lie` makes a body's cost change
+    /// with the round too.
     fn two_phase(
         b: &mut Block<'_>,
         buf: &DevVec<u32>,
         out: &mut DevVec<u32>,
         round: u32,
-        lie: bool,
+        lie: Lie,
     ) {
-        let id = b.id() as usize;
+        let (id, late) = (b.id() as usize, round >= 10);
         b.phase("load");
         b.statics(|b| {
             b.gload(buf, Mask::first(1 + id), |l| l * (id + 1));
-            b.exec(Mask::FULL, id as u64 + u64::from(lie && round >= 10));
+            b.exec(
+                Mask::FULL,
+                id as u64 + u64::from(lie == Lie::Statics && late),
+            );
         });
         b.phase("store");
         b.statics(|b| b.exec(Mask::first(4), 2));
         let lanes = Mask::first(1 + (round as usize + id) % WARP);
         b.gstore(out, lanes, |l| id * WARP + l, |l| round + l as u32);
+        if runs_share(round as usize, id) {
+            b.share(|b| {
+                b.gload(buf, Mask::first(2 + id), |l| l * 3 + id);
+                b.exec(
+                    Mask::first(1 + id),
+                    2 + u64::from(lie == Lie::Share && late),
+                );
+            });
+        }
+    }
+
+    /// `(hits, misses)` a record makes over launches of [`two_phase`] at
+    /// `grids`: its fixed share misses at each new shape, which drops every
+    /// share, and a block's share misses at its first use after that.
+    fn uses_of(grids: &[u32]) -> (u64, u64) {
+        let (mut hits, mut misses, mut seen, mut shape) = (0, 0, Vec::new(), None);
+        for (round, &grid) in grids.iter().enumerate() {
+            match shape == Some(grid) {
+                true => hits += 1,
+                false => {
+                    (misses, seen, shape) = (misses + 1, vec![false; grid as usize], Some(grid))
+                }
+            }
+            for (id, seen) in seen.iter_mut().enumerate() {
+                if runs_share(round, id) {
+                    match std::mem::replace(seen, true) {
+                        true => hits += 1,
+                        false => misses += 1,
+                    }
+                }
+            }
+        }
+        (hits, misses)
     }
 
     /// A `tiny_test` device (2 SMs) with the buffers [`two_phase`] uses.
@@ -996,7 +1076,7 @@ mod tests {
         traced: bool,
         mut record: Option<&mut LaunchRecord>,
         grids: &[u32],
-        lie: bool,
+        lie: Lie,
     ) -> (Vec<KernelStats>, Gpu, Vec<u32>) {
         let (mut gpu, buf, mut out) = two_phase_device(traced);
         let mut stats = Vec::new();
@@ -1015,28 +1095,28 @@ mod tests {
     #[test]
     fn a_charged_launch_is_the_interpreted_one() {
         // 5 blocks on 2 SMs: the record's per-SM split is not uniform. One
-        // use past the sample: an honest record passes its check.
+        // use past the sample: an honest record passes its checks.
         let grids = [5; 2 + crate::replay::VERIFY_SAMPLE as usize];
         let mut record = LaunchRecord::default();
-        let (charged, gpu, values) = two_phase_rounds(false, Some(&mut record), &grids, false);
-        let (plain, reference, expected) = two_phase_rounds(false, None, &grids, false);
+        let (charged, gpu, values) = two_phase_rounds(false, Some(&mut record), &grids, Lie::None);
+        let (plain, reference, expected) = two_phase_rounds(false, None, &grids, Lie::None);
         assert_eq!(charged, plain, "counters, cycles and modeled seconds");
         assert_eq!(values, expected);
         assert_eq!(
             gpu.total_seconds().to_bits(),
             reference.total_seconds().to_bits()
         );
-        let uses = grids.len() as u64 - 1;
-        assert_eq!(gpu.replay_stats(), (uses, 1, 0));
-        assert_eq!(gpu.replay_table().verify_failures(), 0);
-        assert_eq!(gpu.replay_table().slots(), (0, 0), "a record takes no slot");
+        let (hits, misses) = uses_of(&grids);
+        assert_eq!(misses, 1 + 5, "the fixed share, then each block's share");
+        assert_eq!(gpu.replay_stats(), (hits, misses, 0));
+        assert_eq!(gpu.replay_verify_failures(), 0);
     }
 
     #[test]
     fn recorded_and_interpreted_launches_emit_identical_spans() {
         let grids = [5; 4];
         let spans = |record: Option<&mut LaunchRecord>| {
-            let (_, gpu, _) = two_phase_rounds(true, record, &grids, false);
+            let (_, gpu, _) = two_phase_rounds(true, record, &grids, Lie::None);
             let events = gpu.tracer().with_events(|ev| {
                 let kept = ev.iter().filter(|e| e.cat != "replay");
                 kept.map(|e| format!("{e:?}")).collect::<Vec<_>>()
@@ -1052,15 +1132,39 @@ mod tests {
     fn a_lying_record_is_caught_at_its_sampled_use_and_corrected() {
         let grids = [3; 2 + crate::replay::VERIFY_SAMPLE as usize];
         let mut record = LaunchRecord::default();
-        let (charged, gpu, _) = two_phase_rounds(false, Some(&mut record), &grids, true);
-        let (plain, _, _) = two_phase_rounds(false, None, &grids, true);
-        assert_eq!(gpu.replay_table().verify_failures(), 1);
+        let (charged, gpu, _) = two_phase_rounds(false, Some(&mut record), &grids, Lie::Statics);
+        let (plain, _, _) = two_phase_rounds(false, None, &grids, Lie::Statics);
+        assert_eq!(gpu.replay_verify_failures(), 1);
         let sampled = crate::replay::VERIFY_SAMPLE as usize;
         // Before the sample: round 0's cost, charged past round 10.
         assert_ne!(charged[sampled - 1], plain[sampled - 1]);
         // The sampled use interpreted, and the corrected record charges
         // what interpreting does.
         assert_eq!(charged[sampled..], plain[sampled..]);
+    }
+
+    #[test]
+    fn a_lying_share_is_caught_at_its_sampled_use_and_corrected() {
+        // Each block runs its share two rounds in three: its 64th use after
+        // recording, its sample, falls near round 97, after the lie began.
+        let sample = crate::replay::VERIFY_SAMPLE as usize;
+        let grids = [3; 120];
+        let mut record = LaunchRecord::default();
+        let (charged, gpu, values) = two_phase_rounds(false, Some(&mut record), &grids, Lie::Share);
+        let (plain, _, expected) = two_phase_rounds(false, None, &grids, Lie::Share);
+        assert_eq!(values, expected);
+        assert_eq!(gpu.replay_verify_failures(), 3, "each block's share, once");
+        // Block `id`'s sampled use: the round of its `sample + 1`-th use.
+        let sampled = |id: usize| {
+            let uses = (0..grids.len()).filter(|&r| runs_share(r, id));
+            uses.clone().nth(sample).expect("sampled within the run")
+        };
+        let last = (0..3).map(sampled).max().unwrap();
+        let first = (0..3).map(sampled).min().unwrap();
+        // Past round 10 a charged share undercounts until its sample...
+        assert!((10..first).all(|r| charged[r] != plain[r]));
+        // ...and every launch after the last sample charges the truth.
+        assert_eq!(charged[last..], plain[last..]);
     }
 
     #[test]
@@ -1086,12 +1190,17 @@ mod tests {
                     b.statics(|b| {
                         issued += 1;
                         b.exec(Mask::FULL, 1);
-                    })
+                    });
+                    b.share(|b| b.exec(Mask::FULL, 1));
                 };
                 gpu.try_launch_recorded(&desc, &mut record, body).unwrap();
             }
             assert_eq!(issued, 15, "every block of every launch interprets");
-            assert_eq!(gpu.replay_stats(), (0, 0, 3), "one fallback a launch");
+            assert_eq!(
+                gpu.replay_stats(),
+                (0, 0, 3 + 15),
+                "one fallback a launch and one a share"
+            );
             assert_eq!(record, LaunchRecord::default(), "nothing recorded");
         }
     }
@@ -1100,13 +1209,19 @@ mod tests {
     fn a_launch_of_another_shape_re_records() {
         let grids = [4, 5, 5, 4];
         let mut record = LaunchRecord::default();
-        let (charged, gpu, _) = two_phase_rounds(false, Some(&mut record), &grids, false);
-        let (plain, _, _) = two_phase_rounds(false, None, &grids, false);
+        let (charged, gpu, _) = two_phase_rounds(false, Some(&mut record), &grids, Lie::None);
+        let (plain, _, _) = two_phase_rounds(false, None, &grids, Lie::None);
         assert_eq!(charged, plain);
+        let (hits, misses) = uses_of(&grids);
         assert_eq!(
             gpu.replay_stats(),
-            (1, 3, 0),
-            "a miss at every change of shape"
+            (hits, misses, 0),
+            "a miss at every change of shape, and the shares again"
+        );
+        assert_eq!(
+            hits,
+            1 + 2,
+            "one fixed hit, two shares used again at its shape"
         );
     }
 }

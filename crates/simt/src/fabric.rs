@@ -118,8 +118,8 @@ impl DeviceFleet {
         Self::of(devices, Some(interconnect))
     }
 
-    /// A fleet of one around a device its caller built (tracer, fault plan and
-    /// replay table already installed) and takes back through
+    /// A fleet of one around a device its caller built (tracer and fault plan
+    /// already installed) and takes back through
     /// [`DeviceFleet::device_mut`]. It has no fabric: nothing is exchanged.
     pub fn solo(gpu: Gpu) -> Self {
         Self::of(vec![gpu], None)

@@ -448,9 +448,9 @@ impl FaultPlan {
 
     /// True while this plan could still disrupt execution: one-shot faults
     /// or flips not yet consumed, named-kernel budgets outstanding, or any
-    /// seeded random rate armed. The device uses this to gate the
-    /// warp-trace replay memo off for a launch — accounting is never
-    /// replayed across a fault that might still fire. Conservative by
+    /// seeded random rate armed. The device uses this to gate launch
+    /// records off for a launch — accounting is never charged from a
+    /// record across a fault that might still fire. Conservative by
     /// design: a seeded rate keeps the plan "disruptive" forever, and
     /// exhausted one-shot schedules (all consumed) report false.
     pub fn could_disrupt(&self) -> bool {

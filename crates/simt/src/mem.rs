@@ -22,8 +22,8 @@ pub const ALLOC_ALIGN: u64 = 256;
 /// access from kernels goes through the accounting operations on
 /// [`crate::Block`]. Host-side access (`host` / `host_mut`) is free and
 /// un-accounted — use it for test setup and assertions, and inside a kernel
-/// only where the accounting is already paid (a replayed scope, see
-/// [`crate::Block::warp_scope`]); transfers that should cost PCIe time go
+/// only where the accounting is already paid (a body a launch record holds,
+/// see [`crate::LaunchRecord`]); transfers that should cost PCIe time go
 /// through [`crate::Gpu::download`] and [`crate::Gpu::h2d`].
 #[derive(Debug)]
 pub struct DevVec<T: Pod> {
@@ -92,7 +92,7 @@ impl<T: Pod> DevVec<T> {
         matches!(&self.data, Store::Shared(data, _) if Arc::ptr_eq(data, storage))
     }
 
-    /// Un-accounted host view (test setup, assertions, replayed scopes).
+    /// Un-accounted host view (test setup, assertions, a recorded kernel's data).
     #[inline]
     pub fn host(&self) -> &[T] {
         match &self.data {
@@ -101,7 +101,7 @@ impl<T: Pod> DevVec<T> {
         }
     }
 
-    /// Un-accounted mutable host view (test setup, replayed scopes). A
+    /// Un-accounted mutable host view (test setup, a recorded kernel's data). A
     /// shared buffer copies its range out first: a write never reaches the
     /// storage it shares.
     #[inline]

@@ -62,14 +62,14 @@ impl<T: Pod> SharedVec<T> {
     }
 
     /// Direct (un-accounted) view; for assertions inside kernels and tests,
-    /// and for the data a replayed scope moves (see [`crate::Block::warp_scope`]).
+    /// and for the data a recorded kernel moves (see [`crate::LaunchRecord`]).
     #[inline]
     pub fn host(&self) -> &[T] {
         &self.data
     }
 
-    /// Direct (un-accounted) mutable view; what a kernel writes through inside
-    /// a replayed scope, whose accounting is already applied.
+    /// Direct (un-accounted) mutable view; what a recorded kernel writes its
+    /// live data through, beside the bodies its record holds.
     #[inline]
     pub fn host_mut(&mut self) -> &mut [T] {
         &mut self.data

@@ -373,10 +373,9 @@ fn incore_records(lines: &mut Vec<String>, graphs: &[(&'static str, Graph); 3]) 
         for pass in 1..=2 {
             let out = try_run_warm(&sssp, web, &layout, &cfg, None, &mut NoopObserver);
             let memo = out.as_ref().map(|o| o.stats.memo).expect("warm run");
-            let slots = layout.replay_slots();
             let extra = format!(
-                " memo={},{},{} slots={}/{}",
-                memo.replay_hits, memo.replay_misses, memo.replay_fallbacks, slots.0, slots.1
+                " memo={},{},{}",
+                memo.replay_hits, memo.replay_misses, memo.replay_fallbacks
             );
             let name = format!("incore/warm/{}/pass{pass}", repr.label());
             outcome_line(lines, &name, out, &cfg.trace, &extra);

@@ -15,7 +15,7 @@
 //!   and still feeds the halo exchange what the resident device would,
 //! * every slicing — one shard per streamed batch, one batch, fleets of
 //!   1–4 — counts exactly what it counts with the replay memo off,
-//! * an OOM rebatch, which re-cuts every slice, records its stage scopes
+//! * an OOM rebatch, which re-cuts every slice, records its batches' launch records
 //!   anew: a recording of one slicing is never replayed for another.
 
 use cusha::algos::{Bfs, PageRank, Sssp};
@@ -213,7 +213,7 @@ proptest! {
 
 /// The public path to a changed `erange.start`: an allocation fault makes
 /// the streamed engine halve its budget and re-cut its batches. The retried
-/// attempt must record every scope under the new slicing — as many misses as
+/// attempt must record every batch under the new slicing — as many misses as
 /// an undisturbed run at the halved budget, and its exact accounting.
 #[test]
 fn an_oom_rebatch_re_records_instead_of_replaying() {

@@ -1,5 +1,5 @@
-//! Warp-trace replay chaos: the replay memo is an accounting accelerator,
-//! never an observable feature. Toggling `DeviceConfig::replay_memo` must
+//! Replay chaos: launch records are an accounting accelerator, never an
+//! observable feature. Toggling `DeviceConfig::replay_memo` must
 //! change *nothing* about a run — values, iteration counts, kernel
 //! counters, modeled timings — across every engine family and algorithm,
 //! and an injected fault plan (including silent bit flips) must land with
@@ -125,11 +125,11 @@ fn fleet_record(stats: &RunStats) -> Option<String> {
     })
 }
 
-/// Engines whose kernels replay accounting — warp-trace scopes, or VWC's
-/// launch record; the CPU baseline and the generic frontier engine account
+/// Engines whose kernels replay accounting — the CuSha kernel's and VWC's
+/// launch records; the CPU baseline and the generic frontier engine account
 /// per-op only (of the frontier family only k-core's two dense filter
 /// kernels keep records — see `kcore_block_scopes_are_invisible_and_bounded`).
-fn uses_replay_scopes(label: &str) -> bool {
+fn keeps_launch_records(label: &str) -> bool {
     label.starts_with("CuSha-") || label.starts_with("VWC-") || label.starts_with("Streamed")
 }
 
@@ -165,10 +165,10 @@ fn replay_toggle_is_invisible_across_engines_and_algorithms() {
                 assert_stats_identical(&tag, &on.stats, &off.stats);
                 let fleet = on.stats.fleet.is_some();
                 assert_eq!(fleet, label.contains(" x"), "{tag}: fleet record");
-                if uses_replay_scopes(&label) {
+                if keeps_launch_records(&label) {
                     assert!(
                         on.stats.memo.replay_hits > 0,
-                        "{tag}: replay-on run never replayed a scope ({:?})",
+                        "{tag}: replay-on run never charged a record ({:?})",
                         on.stats.memo
                     );
                     assert_eq!(
@@ -177,7 +177,7 @@ fn replay_toggle_is_invisible_across_engines_and_algorithms() {
                     );
                     assert!(
                         off.stats.memo.replay_fallbacks > 0,
-                        "{tag}: replay-off scopes not counted as fallbacks ({:?})",
+                        "{tag}: replay-off launches not counted as fallbacks ({:?})",
                         off.stats.memo
                     );
                 }
@@ -196,7 +196,7 @@ fn replay_toggle_is_invisible_across_engines_and_algorithms() {
 fn replay_never_swallows_faults() {
     // A transient copy fault plus two silent bit flips, with full
     // integrity defense. The flips change *values*, never access patterns,
-    // so a wrongly-replaying scope would be the exact failure mode this
+    // so a wrongly-charged record would be the exact failure mode this
     // guards: the flip would land in real data while stale recorded
     // accounting hid the disruption. Correctness bar: the fault plan's
     // observable effect — recovery counters, SDC detections, final values —
@@ -243,10 +243,10 @@ fn replay_never_swallows_faults() {
                 on.stats.fault
             );
         }
-        if uses_replay_scopes(&label) {
+        if keeps_launch_records(&label) {
             assert!(
                 on.stats.memo.replay_fallbacks > 0,
-                "{label}: no scope fell back while the plan could disrupt ({:?})",
+                "{label}: no launch fell back while the plan could disrupt ({:?})",
                 on.stats.memo
             );
         }
@@ -294,11 +294,6 @@ fn vwc_records_once_at_any_size_traced_or_not() {
                 "{tag}/{vw}: {memo:?} over {iterations} launches"
             );
             assert_eq!(memo.replay_verify_failures, 0, "{tag}/{vw}");
-            assert_eq!(
-                memo.replay_slots,
-                (0, 0),
-                "{tag}/{vw}: a record takes no slot"
-            );
             for (traced, replay) in [(true, true), (false, false), (true, false)] {
                 let other = run(traced, replay);
                 let tag = format!("{tag}/{vw} traced={traced} replay={replay}");
@@ -326,10 +321,9 @@ fn vwc_records_once_at_any_size_traced_or_not() {
 
 #[test]
 fn vwc_grid_of_70000_blocks_replays() {
-    // One block per vertex: 70,000 blocks, more than the replay table's
-    // 65,536 slots could ever key. A launch record holds the whole launch
-    // whatever the grid, so the run replays every launch after its first —
-    // and is, as ever, the run `replay_memo = false` gives.
+    // One block per vertex: 70,000 blocks. A launch record holds the whole
+    // launch whatever the grid, so the run replays every launch after its
+    // first — and is, as ever, the run `replay_memo = false` gives.
     const N: u32 = 70_000;
     let dense = rmat(&RmatConfig::graph500(17, 300_000, 78));
     let edges = dense.edges().iter().filter(|e| e.src < N && e.dst < N);
@@ -343,15 +337,14 @@ fn vwc_grid_of_70000_blocks_replays() {
     let (on, off) = (run(true), run(false));
     assert!(on.stats.converged && on.stats.iterations >= 2);
     assert_eq!(on.stats.kernel.blocks, N, "one block per vertex");
-    assert!(N as usize > cusha::simt::replay::MAX_SLOTS);
     assert_eq!(on.values, off.values);
-    assert_stats_identical("vwc32 past the table's cap", &on.stats, &off.stats);
+    assert_stats_identical("vwc32 on a 70,000-block grid", &on.stats, &off.stats);
     let memo = on.stats.memo;
     let launches = on.stats.iterations as u64;
     assert_eq!(memo.replay_verify_failures, 0);
     assert_eq!(
-        (memo.replay_hits, memo.replay_misses, memo.replay_slots),
-        (launches - 1, 1, (0, 0)),
+        (memo.replay_hits, memo.replay_misses),
+        (launches - 1, 1),
         "{memo:?}"
     );
     assert_eq!(off.stats.memo.replay_fallbacks, launches);
@@ -397,7 +390,6 @@ fn kcore_block_scopes_are_invisible_and_bounded() {
         let memo = base.stats.memo;
         assert_eq!(memo.replay_misses, 2, "{tag}: {memo:?}");
         assert_eq!(memo.replay_hits, 2 * (pairs - 1), "{tag}: {memo:?}");
-        assert_eq!(memo.replay_slots, (0, 0), "{tag}: a record takes no slot");
         assert_eq!(memo.replay_verify_failures, 0, "{tag}");
         assert_eq!(traced.unwrap().stats.memo, memo, "{tag}: same keys traced");
         let mut capped = KcoreConfig::new();
@@ -445,9 +437,8 @@ fn kcore_block_scopes_are_invisible_and_bounded() {
         }
     }
 
-    // One warp per block over 16,385 x 32 vertices: twice that many blocks
-    // is past what the replay table could key at half load, and a record
-    // holds each launch whatever its grid — and is the run
+    // One warp per block over 16,385 x 32 vertices: a record holds each
+    // launch whatever its grid — and is the run
     // `replay_memo = false` gives. Paired vertices plus a tail of isolated
     // ones: two peel rounds, three dense launch pairs (the middle one finds
     // nothing below `k = 1`).
@@ -466,7 +457,7 @@ fn kcore_block_scopes_are_invisible_and_bounded() {
         .enumerate()
         .all(|(v, &c)| c == u32::from(v < n as usize / 2)));
     assert_eq!(on.core, off.core);
-    assert_stats_identical("k-core past the table's cap", &on.stats, &off.stats);
+    assert_stats_identical("k-core on a 16,385-block grid", &on.stats, &off.stats);
     let m = on.stats.memo;
     assert_eq!(
         (m.replay_hits, m.replay_misses, m.replay_fallbacks),
@@ -476,14 +467,14 @@ fn kcore_block_scopes_are_invisible_and_bounded() {
     assert_eq!(off.stats.memo.replay_fallbacks, 2 * 3);
 }
 
-// ---- Layout-owned replay tables -------------------------------------------
+// ---- Layout-owned launch records ------------------------------------------
 //
-// `try_run_warm` lends the layout's table to each run's device. Whatever a
-// table holds — another program's recordings, another tracer setting's, a
-// faulted run's — a run must be indistinguishable from one on a layout built
-// for it alone, except in `stats.memo`.
+// `try_run_warm` lends the layout's launch record to each resident run.
+// Whatever a record holds — another program's recording, another tracer
+// setting's, a faulted run's — a run must be indistinguishable from one on a
+// layout built for it alone, except in `stats.memo`.
 
-/// Shard size of the lent-table tests: 8 shards on the 256-vertex chaos
+/// Shard size of the lent-record tests: 8 shards on the 256-vertex chaos
 /// graph, and 128 bytes of shared memory per block (fits `tiny_test`).
 const N_PER: u32 = 32;
 
@@ -576,10 +567,13 @@ fn lent_tables_are_invisible_across_programs_tracers_switches_and_faults() {
                     assert_eq!((memo.replay_hits, memo.replay_misses), (0, 0), "{tag}");
                     assert!(memo.replay_fallbacks > 0, "{tag}: {memo:?}");
                 } else if recorded.contains(&identity) {
-                    assert_eq!(memo.replay_misses, 0, "{tag}: warm table missed ({memo:?})");
+                    assert_eq!(
+                        memo.replay_misses, 0,
+                        "{tag}: warm record missed ({memo:?})"
+                    );
                     assert!(memo.replay_hits > 0, "{tag}: {memo:?}");
                 } else {
-                    assert!(memo.replay_misses > 0, "{tag}: cold table hit everything");
+                    assert!(memo.replay_misses > 0, "{tag}: cold record hit everything");
                     recorded.push(identity);
                 }
             };
@@ -589,8 +583,8 @@ fn lent_tables_are_invisible_across_programs_tracers_switches_and_faults() {
             }
         }
 
-        // A plan that could still fire gates every scope of the run to a
-        // fallback — and neither reads nor writes the lent table.
+        // A plan that could still fire gates every launch of the run to a
+        // fallback — and neither reads nor writes the lent record.
         let cfg = warm_cfg(repr, DeviceConfig::gtx780());
         let mut pending = FaultPlan::new().fail_kernel_at(&[u64::MAX]);
         let memo = run_like_cold(
@@ -604,7 +598,7 @@ fn lent_tables_are_invisible_across_programs_tracers_switches_and_faults() {
         assert_eq!((memo.replay_hits, memo.replay_misses), (0, 0), "{memo:?}");
         assert!(memo.replay_fallbacks > 0, "{memo:?}");
         // A plan that does fire fails the run (the in-core engine surfaces
-        // kernel faults); the table it was lent comes back usable.
+        // kernel faults); the record it was lent comes back usable.
         let mut firing = FaultPlan::new().fail_kernel_at(&[0]);
         let failed = try_run_warm(
             &Bfs::new(0),
@@ -625,7 +619,7 @@ fn lent_tables_are_invisible_across_programs_tracers_switches_and_faults() {
         );
         assert_eq!(
             memo.replay_misses, 0,
-            "table lost across the fault: {memo:?}"
+            "record lost across the fault: {memo:?}"
         );
 
         for (traced, replay) in [(true, true), (false, false)] {
@@ -636,19 +630,17 @@ fn lent_tables_are_invisible_across_programs_tracers_switches_and_faults() {
 
         // A clone shares nothing: it starts cold and records for itself.
         let clone = layout.clone();
-        assert_eq!(clone.replay_slots(), (0, 0));
-        assert!(layout.replay_slots().0 > 0);
         let memo = run_like_cold(&Bfs::new(0), &g, &clone, &cfg, None, "clone");
-        assert!(memo.replay_misses > 0, "clone replayed its origin's table");
+        assert!(memo.replay_misses > 0, "clone replayed its origin's record");
     }
 }
 
 #[test]
 fn one_layout_under_two_geometries_never_shares_deltas() {
-    // `tiny_test` and `gtx780` coalesce and bank alike, so they share an
-    // accounting identity (and differ in everything outside a scope: clocks,
-    // SM count, bandwidth). Halving the segment changes what a scope counts:
-    // that device must record for itself.
+    // `tiny_test` and `gtx780` coalesce and bank alike, but a launch record
+    // splits its cycles over the SMs (2 against 12): each keeps a record of
+    // its own on the layout, and taking turns thrashes neither. Halving the
+    // segment changes what a launch counts: that device records for itself.
     let g = chaos_graph(55);
     for repr in [Repr::GShards, Repr::ConcatWindows] {
         let layout = PreparedLayout::build(&g, repr, N_PER);
@@ -663,6 +655,7 @@ fn one_layout_under_two_geometries_never_shares_deltas() {
             narrow.clone(),
             DeviceConfig::gtx780(),
             narrow,
+            DeviceConfig::tiny_test(),
         ] {
             let tag = format!(
                 "{}/{}/seg{}",
@@ -675,12 +668,12 @@ fn one_layout_under_two_geometries_never_shares_deltas() {
                 .push(run_like_cold(&Sssp::new(0), &g, &layout, &cfg, None, &tag).replay_misses);
         }
         assert!(first_misses[0] > 0, "{first_misses:?}");
-        assert_eq!(first_misses[1], 0, "same geometry: {first_misses:?}");
+        assert!(first_misses[1] > 0, "another SM count: {first_misses:?}");
         assert!(
             first_misses[2] > 0,
             "narrow segments replayed wide ones: {first_misses:?}"
         );
-        assert_eq!(first_misses[3..], [0, 0], "{first_misses:?}");
+        assert_eq!(first_misses[3..], [0, 0, 0], "{first_misses:?}");
     }
 }
 
@@ -688,7 +681,7 @@ fn one_layout_under_two_geometries_never_shares_deltas() {
 fn concurrent_runs_on_one_layout_share_nothing_mutable() {
     // Both runs are inside `try_run_warm` at once (the observer holds each
     // at its first iteration boundary until the other arrives): one holds
-    // the layout's table, the other was handed a fresh one.
+    // the layout's record, the other was handed a fresh one.
     struct Rendezvous<'a>(&'a std::sync::Barrier, bool);
     impl RunObserver for Rendezvous<'_> {
         fn on_iteration(&mut self, _i: u32, _u: u64, _e: f64) -> bool {
@@ -732,7 +725,7 @@ fn concurrent_runs_on_one_layout_share_nothing_mutable() {
     }
     let mut misses = [a.stats.memo.replay_misses, b.stats.memo.replay_misses];
     misses.sort_unstable();
-    assert_eq!(misses[0], 0, "neither run got the warm table");
+    assert_eq!(misses[0], 0, "neither run got the warm record");
     assert_eq!(
         misses[1], cold.stats.memo.replay_misses,
         "the other starts cold"

@@ -809,3 +809,63 @@ stats
     assert_eq!(crc(rs[1]), cold_crc(&ConnectedComponents::new()));
     assert_eq!(svc.metrics().counter("serve_batches_total", &[]), Some(1));
 }
+
+#[test]
+fn a_batch_whose_deletes_make_room_is_admitted_at_capacity() {
+    // Admission sizes a batch by the graph it commits: |E| + inserted -
+    // deleted. At the largest device that refuses one more edge, a batch that
+    // inserts an edge and deletes another keeps |E| and must commit; sized as
+    // |E| + inserted (deletes counted as 0), it was refused as device-oom.
+    let g = graph();
+    let count = |s: u32, d: u32| {
+        g.edges()
+            .iter()
+            .filter(|e| (e.src, e.dst) == (s, d))
+            .count()
+    };
+    let gone = g
+        .edges()
+        .iter()
+        .find(|e| count(e.src, e.dst) == 1)
+        .expect("a lone edge");
+    let n = g.num_vertices();
+    let (u, v) = (0..n)
+        .flat_map(|s| (0..n).map(move |d| (s, d)))
+        .find(|&(s, d)| count(s, d) == 0)
+        .expect("a pair the graph lacks");
+    let mutate = |bytes: u64, line: &str| {
+        let mut cfg = no_cache();
+        cfg.device.global_mem_bytes = bytes;
+        let (lines, _) = run_script(cfg, &format!("{line}\n"));
+        let op = |l: &&Json| l.get("op").and_then(Json::as_str) == Some("mutate");
+        lines.iter().find(op).expect("a mutation response").clone()
+    };
+    let grow = format!(r#"{{"id":1,"op":"mutate","insert":[[{u},{v},1]]}}"#);
+    let swap = format!(
+        r#"{{"id":2,"op":"mutate","insert":[[{u},{v},1]],"delete":[[{},{}]]}}"#,
+        gone.src, gone.dst
+    );
+    // The smallest device that takes one more edge, by bisection.
+    let (mut refused, mut taken) = (0u64, DeviceConfig::gtx780().global_mem_bytes);
+    while taken - refused > 1 {
+        let mid = refused + (taken - refused) / 2;
+        match status(&mutate(mid, &grow)) {
+            "ok" => taken = mid,
+            _ => refused = mid,
+        }
+    }
+    let at_capacity = mutate(refused, &grow);
+    assert_eq!(status(&at_capacity), "error");
+    let detail = at_capacity
+        .get("detail")
+        .and_then(Json::as_str)
+        .unwrap_or("");
+    assert!(detail.contains("memory"), "{detail}");
+    let r = mutate(refused, &swap);
+    assert_eq!(status(&r), "ok", "a batch that keeps |E| fits: {r:?}");
+    let field = |k: &str| r.get(k).and_then(Json::as_f64);
+    assert_eq!(
+        (field("inserted"), field("deleted")),
+        (Some(1.0), Some(1.0))
+    );
+}

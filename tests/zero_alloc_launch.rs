@@ -147,59 +147,79 @@ fn steady_state_launch_path_allocates_nothing() {
 }
 
 #[test]
-fn soa_run_op_and_replay_scope_path_allocates_nothing() {
-    // The data-oriented hot path: run-mask SoA transfers (`*_run` ops) and
-    // caller-delimited warp-trace scopes. Steady state must be just as
-    // allocation-free as the closure-indexed path — the replay table grows
-    // only while scopes still miss, which the warm-up launches get over with.
+fn a_warm_cusha_launch_charged_from_its_record_allocates_nothing() {
+    // The four-stage kernel's shape as `cusha-core` launches it: stages 1-2
+    // a block's statics (run ops staging into shared memory), stage 3
+    // interpreted, stage 4 a per-block share that only the blocks whose
+    // values changed run — here every other block, alternating by launch.
+    // After the record's first launch and first sampled check a charged
+    // launch allocates nothing: the shares were sized when it recorded, and
+    // charging, recording or checking one touches no allocation.
     let n = 1 << 12;
     let mut gpu = Gpu::new(DeviceConfig::gtx780());
-    let desc = KernelDesc::new("soa-zero-alloc-probe", 16, 256);
+    let desc = KernelDesc::new("cusha-zero-alloc-probe", 16, 256);
     let src = gpu.upload(&(0..n as u32).collect::<Vec<_>>());
     let mut dst = gpu.alloc::<u32>(n);
+    let mut record = LaunchRecord::default();
+    let round = Cell::new(0usize);
 
     let mut body = |blk: &mut cusha::simt::Block<'_>| {
         let base = blk.id() as usize * 256;
         let mut local = blk.shared_alloc::<u32>(256);
-        for (start, mask) in warp_chunks(256) {
-            // Scope key: site tag + block/warp coordinates; run ops inside.
-            blk.warp_scope(
-                &[0x7a61_50524f4245, blk.id() as u64, start as u64, 0],
-                mask,
-                &[0u32; 32],
-            );
-            let vals = blk.gload_run(&src, mask, (base + start) as isize);
-            blk.sstore_run(&mut local, mask, start as isize, &vals);
-            blk.warp_scope_end();
-        }
+        blk.phase("gather");
+        blk.statics(|blk| {
+            for (start, mask) in warp_chunks(256) {
+                blk.gload_run(&src, mask, (base + start) as isize);
+                blk.sstore_run(&mut local, mask, start as isize, &[0; 32]);
+            }
+        });
+        local
+            .host_mut()
+            .copy_from_slice(&src.host()[base..base + 256]);
         blk.sync();
+        blk.phase("scatter");
         for (start, mask) in warp_chunks(256) {
             let vals = blk.sload_run(&local, mask, start as isize);
             blk.exec(mask, 2);
             blk.gstore_run(&mut dst, mask, (base + start) as isize, &vals);
         }
+        blk.phase("compact");
+        if (round.get() + blk.id() as usize) % 2 == 1 {
+            blk.share(|blk| {
+                for (start, mask) in warp_chunks(256) {
+                    blk.gload(&src, mask, |l| (base + start + l * 7) % n);
+                }
+            });
+        }
     };
 
-    for _ in 0..3 {
-        gpu.launch(&desc, &mut body);
+    let sample = VERIFY_SAMPLE as usize;
+    for launch in 0..=sample {
+        round.set(launch);
+        gpu.try_launch_recorded(&desc, &mut record, &mut body)
+            .unwrap();
     }
-
-    let launches = 50;
+    let launches = 2 * sample;
     let n_allocs = allocations_in(|| {
-        for _ in 0..launches {
-            gpu.launch(&desc, &mut body);
+        for launch in 0..launches {
+            round.set(launch);
+            gpu.try_launch_recorded(&desc, &mut record, &mut body)
+                .unwrap();
         }
     });
     assert_eq!(
         n_allocs, 0,
-        "SoA launch path performed {n_allocs} allocations over {launches} launches"
+        "charged CuSha-shaped launch performed {n_allocs} allocations over {launches} launches"
     );
-    // The scopes above replayed from the warp-trace table in steady state.
+    // One fixed share a launch; eight of the sixteen blocks' shares a launch,
+    // each block's first use a miss.
+    let total = (3 * sample + 1) as u64;
     let (hits, misses, fallbacks) = gpu.replay_stats();
-    assert!(
-        hits > 0,
-        "replay memo never hit (misses: {misses}, fallbacks: {fallbacks})"
+    assert_eq!(
+        (hits, misses, fallbacks),
+        (total - 1 + 8 * total - 16, 1 + 16, 0)
     );
+    assert_eq!(gpu.replay_verify_failures(), 0);
 }
 
 #[test]
@@ -249,7 +269,7 @@ fn recorded_launch_path_allocates_nothing() {
     );
     let (hits, misses, fallbacks) = gpu.replay_stats();
     assert_eq!((hits, misses, fallbacks), (3 * sample as u64, 1, 0));
-    assert_eq!(gpu.replay_table().verify_failures(), 0);
+    assert_eq!(gpu.replay_verify_failures(), 0);
 }
 
 #[test]
@@ -344,7 +364,7 @@ fn shard_family_heap_traffic_per_iteration_is_constant() {
     // loop (`multi::drive`), so every warm query pays its per-iteration cost
     // 30-40 times a run. BFS
     // across a lattice: the wavefront takes as many iterations as the lattice
-    // is wide, and once the replay table holds every stage (integrity off, no
+    // is wide, and once the launch record holds every stage (integrity off, no
     // tracer) an iteration allocates a constant — the flag readback, a stats
     // push — whatever its index, the lattice's size or the launches so far.
     // The loop's halo sets, byte counts and spill list are cleared and reused.
