@@ -14,7 +14,7 @@ use cusha_core::{
     try_run_warm, CuShaConfig, MemoStats, NoopObserver, PreparedLayout, Repr, RunStats,
     VertexProgram,
 };
-use cusha_frontier::{run_kcore, KcoreConfig};
+use cusha_frontier::{run_kcore, FrontierConfig};
 use cusha_graph::surrogates::Dataset;
 use cusha_graph::Graph;
 
@@ -83,7 +83,7 @@ fn main() {
         }
         if ds == Dataset::RoadNetCA {
             let t = std::time::Instant::now();
-            let stats = run_kcore(&g, &KcoreConfig::new()).stats;
+            let stats = run_kcore(&g, &FrontierConfig::new()).stats;
             let seconds = t.elapsed().as_secs_f64();
             cell_line(ds, "kcore", "Frontier", seconds, "rounds", &stats);
         }

@@ -32,7 +32,6 @@ pub fn run_all(ctx: &Ctx) -> String {
             g.num_edges() as u64,
             4,
             &cfg.device,
-            cfg.resident_blocks,
         )
     };
     let mut sizes: Vec<(String, u32)> = [512u32, 3072, 6144]
@@ -73,7 +72,6 @@ pub fn run_all(ctx: &Ctx) -> String {
             g.num_edges() as u64,
             4,
             &dev,
-            2,
         );
         let mut ms = [0.0f64; 2];
         for (i, repr) in [Repr::GShards, Repr::ConcatWindows].into_iter().enumerate() {

@@ -49,7 +49,7 @@ pub fn run(_ctx: &Ctx) -> String {
         let mut cw = Vec::new();
         for b in Benchmark::ALL {
             let s = b.value_sizes();
-            let n_per = select_vertices_per_shard(v, e, s.vertex.max(1), &dev, 2) as u64;
+            let n_per = select_vertices_per_shard(v, e, s.vertex.max(1), &dev) as u64;
             let p = v.div_ceil(n_per).max(1);
             csr.push(csr_bytes(v, e, s) as f64);
             gsh.push(gshards_bytes(v, e, p, s) as f64);
@@ -87,7 +87,7 @@ mod tests {
         let dev = DeviceConfig::gtx780();
         let (e, v) = Dataset::LiveJournal.paper_size();
         let sz = Benchmark::Sssp.value_sizes();
-        let n_per = select_vertices_per_shard(v, e, sz.vertex, &dev, 2) as u64;
+        let n_per = select_vertices_per_shard(v, e, sz.vertex, &dev) as u64;
         let p = v.div_ceil(n_per);
         let c = csr_bytes(v, e, sz) as f64;
         let g = gshards_bytes(v, e, p, sz) as f64;

@@ -71,9 +71,6 @@ pub struct CuShaConfig {
     pub vertices_per_shard: Option<u32>,
     /// Threads per block.
     pub threads_per_block: u32,
-    /// Blocks assumed resident per SM (feeds the autotuner's shared-memory
-    /// quota).
-    pub resident_blocks: u32,
     /// Convergence-loop safety cap.
     pub max_iterations: u32,
     /// Retain per-launch kernel statistics in
@@ -114,7 +111,6 @@ impl CuShaConfig {
             repr,
             vertices_per_shard: None,
             threads_per_block: 256,
-            resident_blocks: 2,
             max_iterations: 10_000,
             profile: false,
             device: DeviceConfig::gtx780(),
@@ -176,9 +172,8 @@ impl CuShaConfig {
     /// `value_size`-byte vertex values: the explicit override, else the
     /// autotuner's pick.
     pub fn n_per_for(&self, v: u64, e: u64, value_size: u32) -> u32 {
-        self.vertices_per_shard.unwrap_or_else(|| {
-            select_vertices_per_shard(v, e, value_size, &self.device, self.resident_blocks)
-        })
+        self.vertices_per_shard
+            .unwrap_or_else(|| select_vertices_per_shard(v, e, value_size, &self.device))
     }
 
     /// Checks the configuration's invariants, returning a message naming
@@ -196,9 +191,6 @@ impl CuShaConfig {
         self.device.check_block(self.threads_per_block, 0)?;
         if self.vertices_per_shard == Some(0) {
             return Err("vertices_per_shard must be nonzero when set".into());
-        }
-        if self.resident_blocks == 0 {
-            return Err("resident_blocks must be at least 1".into());
         }
         if self.max_iterations == 0 {
             return Err("max_iterations must be at least 1".into());
@@ -732,15 +724,15 @@ pub fn try_run_placed<P: VertexProgram, O: RunObserver + ?Sized>(
         None => std::iter::once(0..layout.num_shards()).collect(),
     };
     // What the streamed ladder's rungs share: the fault plan (consumed faults
-    // never re-fire) unless a fleet names its own, each device's records and
-    // the budgets they count against, the clock a deadline bounds, and the
-    // memo and profile totals.
+    // never re-fire) unless a fleet names its own, device 0's fault record and
+    // each device's SDC record, the budgets they count against, the clock a
+    // deadline bounds, and the memo and profile totals.
     let carried = plans.iter().all(Option::is_none);
     if carried {
         let plan = fault_plan.as_deref().cloned();
         plans = vec![plan.or_else(|| cfg.fault_plan.clone())];
     }
-    let (mut faults, mut sdcs) = (vec![FaultStats::default(); n], vec![SdcStats::default(); n]);
+    let (mut fault, mut sdcs) = (FaultStats::default(), vec![SdcStats::default(); n]);
     let (mut memo, mut profile, mut elapsed) = (MemoStats::default(), None::<Profile>, 0.0);
     let id = accounting_id::<P>(&cfg.device);
     let rungs = match streamed {
@@ -760,6 +752,12 @@ pub fn try_run_placed<P: VertexProgram, O: RunObserver + ?Sized>(
             gpu.set_profiling(cfg.profile);
             if let Some(plan) = plans.get_mut(d).and_then(Option::take) {
                 gpu.set_fault_plan(plan);
+            }
+            // A streamed or fleet device recovers in place, device 0 carrying
+            // the record of the rungs before (the others start clean); a
+            // resident run's device surfaces every fault to its caller.
+            if !resident {
+                gpu.recover_in_place(std::mem::take(&mut fault));
             }
         }
         let mut records: Vec<Records> = (0..n).map(|_| Records::default()).collect();
@@ -781,10 +779,11 @@ pub fn try_run_placed<P: VertexProgram, O: RunObserver + ?Sized>(
             &mut devices,
             placement,
             &name,
-            (&mut faults[..], &mut sdcs[..], &mut records[..]),
+            (&mut sdcs[..], &mut records[..]),
             (elapsed, &mut *observer),
         );
         let gpu = devices.device_mut(0);
+        fault = gpu.faults;
         memo.add(&MemoStats::from_gpu(gpu));
         if let Some(p) = gpu.profile.take() {
             profile.get_or_insert_default().absorb(&p);
@@ -815,7 +814,7 @@ pub fn try_run_placed<P: VertexProgram, O: RunObserver + ?Sized>(
             // The next rung's kernels are another code path (and, under
             // injection, another name pattern); the last one is the host.
             Err(Stop::Error(EngineError::KernelFault { .. })) if streamed => {
-                faults[0].degradations += 1;
+                fault.degradations += 1;
                 let next = match repr {
                     Repr::ConcatWindows => "degrade-to-gshards",
                     Repr::GShards => "degrade-to-host",
@@ -833,13 +832,13 @@ pub fn try_run_placed<P: VertexProgram, O: RunObserver + ?Sized>(
                 let mut out = out.into_solo(label, &clocks[0], streamed);
                 let stats = &mut out.stats;
                 (stats.fault, stats.sdc, stats.memo, stats.profile) =
-                    (faults[0], sdcs[0], memo, profile);
+                    (fault, sdcs[0], memo, profile);
                 out
             }
         };
         return out.into_result();
     }
-    run_fallback_after(prog, graph, layout, cfg, faults[0], sdcs[0], profile)
+    run_fallback_after(prog, graph, layout, cfg, fault, sdcs[0], profile)
 }
 
 #[cfg(test)]

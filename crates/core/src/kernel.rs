@@ -11,7 +11,7 @@
 //!   per-entry arrays, built once per run;
 //! * [`Resident`] + [`DeviceSlice`] — the device buffers of a shard range
 //!   with its global vertex/entry/CW offsets, built by one upload routine
-//!   that takes the [`RetryPolicy`];
+//!   (a device granted in-place recovery retries its own faulted copies);
 //! * [`DeviceSlice::launch`] — the kernel body. Engines differ only in
 //!   where a stage-4 write that falls *outside* the slice's own entry range
 //!   goes, which is a typed [`Sink`]: nowhere (a slice covering every shard
@@ -35,90 +35,33 @@ use cusha_graph::Graph;
 use cusha_obs::trace::lanes;
 use cusha_simt::{
     aligned_chunks, Block, DevVec, DeviceFault, Gpu, KernelDesc, KernelStats, LaunchRecord, Mask,
-    Pod, WARP,
+    Pod, MAX_COPY_RETRIES, MAX_KERNEL_RETRIES, WARP,
 };
 use std::ops::Range;
 use std::sync::Arc;
 
-/// Transient-fault retry budget of one engine. Copy faults transferred
-/// nothing and launch faults fire before any block runs, so either retry
-/// re-issues the identical operation. An engine retries by
-/// [`RetryPolicy::DEFAULT`] or not at all ([`RetryPolicy::NONE`]); it is not
-/// a setting of any configuration.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct RetryPolicy {
-    /// Retries allowed per copy operation.
-    pub max_copy_retries: u32,
-    /// First retry's backoff in seconds; doubles per retry of the same
-    /// operation. Recorded in [`FaultStats::backoff_seconds`].
-    pub backoff_base_seconds: f64,
-    /// In-place re-launches allowed per kernel fault.
-    pub max_kernel_retries: u32,
-}
-
 /// Budget halvings a device may spend on OOM before the fault is final.
 pub(crate) const MAX_REBATCHES: u32 = 8;
 
-impl RetryPolicy {
-    /// What every engine that recovers in place grants: the streamed engine,
-    /// each fleet device, and the middleware around engines with no ladder.
-    pub(crate) const DEFAULT: RetryPolicy = RetryPolicy {
-        max_copy_retries: 3,
-        backoff_base_seconds: 1e-3,
-        max_kernel_retries: 1,
-    };
-
-    /// No retries: every device fault surfaces to the caller (the in-core
-    /// engine, whose callers own recovery).
-    pub(crate) const NONE: RetryPolicy = RetryPolicy {
-        max_copy_retries: 0,
-        backoff_base_seconds: 0.0,
-        max_kernel_retries: 0,
-    };
-}
-
 /// The retry around whole attempts granted to an entry with no recovery
 /// ladder (the middleware's engines, k-core, triangle counting): `attempt`
-/// reruns after a transient fault while [`RetryPolicy::DEFAULT`] lasts, on
-/// the fault plan the last one advanced. Returns the last outcome and retries.
+/// reruns after a transient fault while the device budget
+/// ([`MAX_COPY_RETRIES`], [`MAX_KERNEL_RETRIES`]) lasts, on the fault plan the
+/// last one advanced. Returns the last outcome and retries.
 pub fn retry_attempts<T, V>(
     mut attempt: impl FnMut() -> Result<T, EngineError<V>>,
 ) -> (Result<T, EngineError<V>>, FaultStats) {
     use EngineError::{CopyFault, KernelFault};
-    let (budget, mut retried) = (RetryPolicy::DEFAULT, FaultStats::default());
+    let mut retried = FaultStats::default();
     loop {
         match attempt() {
-            Err(CopyFault { .. }) if retried.copy_retries < budget.max_copy_retries => {
-                let doubled = (1u64 << retried.copy_retries) as f64;
-                retried.backoff_seconds += budget.backoff_base_seconds * doubled;
-                retried.copy_retries += 1;
+            Err(CopyFault { .. }) if retried.copy_retries < MAX_COPY_RETRIES => {
+                retried.copy_retry(retried.copy_retries);
             }
-            Err(KernelFault { .. }) if retried.kernel_retries < budget.max_kernel_retries => {
+            Err(KernelFault { .. }) if retried.kernel_retries < MAX_KERNEL_RETRIES => {
                 retried.kernel_retries += 1;
             }
             outcome => return (outcome, retried),
-        }
-    }
-}
-
-/// Retries `op` on transient copy faults with exponential backoff; other
-/// faults (OOM, kernel) pass through for coarser-grained recovery.
-pub(crate) fn with_copy_retries<T>(
-    gpu: &mut Gpu,
-    retry: &RetryPolicy,
-    fault: &mut FaultStats,
-    mut op: impl FnMut(&mut Gpu) -> Result<T, DeviceFault>,
-) -> Result<T, DeviceFault> {
-    let mut attempt = 0u32;
-    loop {
-        match op(gpu) {
-            Err(DeviceFault::Copy { .. }) if attempt < retry.max_copy_retries => {
-                fault.copy_retries += 1;
-                fault.backoff_seconds += retry.backoff_base_seconds * (1u64 << attempt) as f64;
-                fault_instant(gpu, "fault", "copy-retry");
-                attempt += 1;
-            }
-            other => return other,
         }
     }
 }
@@ -480,40 +423,24 @@ pub(crate) struct Resident<V: Value> {
 impl<V: Value> Resident<V> {
     /// Uploads `values` — `VertexValues[voff..]` — and the flag: all a
     /// streamed device keeps between batches.
-    pub(crate) fn upload(
-        gpu: &mut Gpu,
-        retry: &RetryPolicy,
-        fault: &mut FaultStats,
-        values: &[V],
-        voff: usize,
-    ) -> Result<Self, DeviceFault> {
+    pub(crate) fn upload(gpu: &mut Gpu, values: &[V], voff: usize) -> Result<Self, DeviceFault> {
         or_free(gpu, |gpu| {
             Ok(Resident {
-                vertex_values: with_copy_retries(gpu, retry, fault, |g| g.try_upload(values))?,
+                vertex_values: gpu.try_upload(values)?,
                 voff,
-                flag: with_copy_retries(gpu, retry, fault, |g| g.try_upload(&[1u32]))?,
+                flag: gpu.try_upload(&[1u32])?,
             })
         })
     }
 
     /// Host resets `is_converged` before a launch.
-    pub(crate) fn reset_flag(
-        &mut self,
-        gpu: &mut Gpu,
-        retry: &RetryPolicy,
-        fault: &mut FaultStats,
-    ) -> Result<(), DeviceFault> {
-        with_copy_retries(gpu, retry, fault, |g| g.try_h2d(&mut self.flag, &[1u32]))
+    pub(crate) fn reset_flag(&mut self, gpu: &mut Gpu) -> Result<(), DeviceFault> {
+        gpu.try_h2d(&mut self.flag, &[1u32])
     }
 
     /// Per-iteration `is_converged` readback (Figure 5, line 29).
-    pub(crate) fn read_flag(
-        &self,
-        gpu: &mut Gpu,
-        retry: &RetryPolicy,
-        fault: &mut FaultStats,
-    ) -> Result<u32, DeviceFault> {
-        with_copy_retries(gpu, retry, fault, |g| g.try_download_scalar(&self.flag, 0))
+    pub(crate) fn read_flag(&self, gpu: &mut Gpu) -> Result<u32, DeviceFault> {
+        gpu.try_download_scalar(&self.flag, 0)
     }
 }
 
@@ -576,20 +503,16 @@ pub(crate) struct DeviceSlice<P: VertexProgram> {
 /// state of a device that keeps a shard range resident.
 pub(crate) fn upload_resident<P: VertexProgram>(
     gpu: &mut Gpu,
-    retry: &RetryPolicy,
-    fault: &mut FaultStats,
     layout: &PreparedLayout,
     host: &HostArrays<P>,
     shards: Range<u32>,
 ) -> Result<(Resident<P::V>, DeviceSlice<P>), DeviceFault> {
     let vrange = vertex_range(layout.gs(), &shards);
     or_free(gpu, |gpu| {
-        let vertex_values = with_copy_retries(gpu, retry, fault, |g| {
-            g.try_upload(&host.values[vrange.clone()])
-        })?;
+        let vertex_values = gpu.try_upload(&host.values[vrange.clone()])?;
         let via = SpillVia::Outbox;
-        let slice = DeviceSlice::upload(gpu, retry, fault, layout, host, shards, via)?;
-        let flag = with_copy_retries(gpu, retry, fault, |g| g.try_upload(&[1u32]))?;
+        let slice = DeviceSlice::upload(gpu, layout, host, shards, via)?;
+        let flag = gpu.try_upload(&[1u32])?;
         let resident = Resident {
             vertex_values,
             voff: vrange.start,
@@ -608,8 +531,6 @@ impl<P: VertexProgram> DeviceSlice<P> {
     /// column the layout holds, shared into the device (charged all the same).
     pub(crate) fn upload(
         gpu: &mut Gpu,
-        retry: &RetryPolicy,
-        fault: &mut FaultStats,
         layout: &PreparedLayout,
         host: &HostArrays<P>,
         shards: Range<u32>,
@@ -617,39 +538,26 @@ impl<P: VertexProgram> DeviceSlice<P> {
     ) -> Result<Self, DeviceFault> {
         let held = gpu.allocated_bytes();
         or_free(gpu, |gpu| {
-            fn share<T: Pod>(
-                gpu: &mut Gpu,
-                retry: &RetryPolicy,
-                fault: &mut FaultStats,
-                data: &Arc<[T]>,
-                range: Range<usize>,
-            ) -> Result<DevVec<T>, DeviceFault> {
-                with_copy_retries(gpu, retry, fault, |g| {
-                    g.try_upload_shared(data, range.clone())
-                })
-            }
             let gs = layout.gs();
             let erange = entry_range(gs, &shards);
-            let src_value = with_copy_retries(gpu, retry, fault, |g| {
-                g.try_upload(&host.src_value[erange.clone()])
-            })?;
+            let src_value = gpu.try_upload(&host.src_value[erange.clone()])?;
             let cols = &host.columns;
             let statics = cols.statics.as_ref();
-            let src_static = statics.map(|c| share(gpu, retry, fault, c, erange.clone()));
+            let src_static = statics.map(|c| gpu.try_upload_shared(c, erange.clone()));
             let src_static = src_static.transpose()?;
             let edges = cols.edges.as_ref();
-            let edge_value = edges.map(|c| share(gpu, retry, fault, c, erange.clone()));
+            let edge_value = edges.map(|c| gpu.try_upload_shared(c, erange.clone()));
             let edge_value = edge_value.transpose()?;
-            let dest_index = share(gpu, retry, fault, gs.dest_index(), erange.clone())?;
+            let dest_index = gpu.try_upload_shared(gs.dest_index(), erange.clone())?;
             let (cwoff, src_index, mapper) = match layout.cw() {
                 Some(cw) => {
                     let r = cw.cw_entries(shards.start).start..cw.cw_entries(shards.end - 1).end;
-                    let src_index = share(gpu, retry, fault, cw.src_index(), r.clone())?;
-                    let mapper = share(gpu, retry, fault, cw.mapper(), r.clone())?;
+                    let src_index = gpu.try_upload_shared(cw.src_index(), r.clone())?;
+                    let mapper = gpu.try_upload_shared(cw.mapper(), r.clone())?;
                     (r.start, src_index, Some(mapper))
                 }
                 None => {
-                    let src_index = share(gpu, retry, fault, gs.src_index(), erange.clone())?;
+                    let src_index = gpu.try_upload_shared(gs.src_index(), erange.clone())?;
                     (0, src_index, None)
                 }
             };
@@ -660,7 +568,7 @@ impl<P: VertexProgram> DeviceSlice<P> {
             // G-Shards.
             let window_offsets = if mapper.is_none() && via == SpillVia::Outbox {
                 let table = gs.window_offsets();
-                Some(share(gpu, retry, fault, table, 0..table.len())?)
+                Some(gpu.try_upload_shared(table, 0..table.len())?)
             } else {
                 None
             };
@@ -673,9 +581,7 @@ impl<P: VertexProgram> DeviceSlice<P> {
             } else {
                 let src_index = if mapper.is_none() {
                     let rsi: Vec<u32> = remote.iter().map(|&k| gs.src_index()[k]).collect();
-                    Some(with_copy_retries(gpu, retry, fault, |g| {
-                        g.try_upload(&rsi)
-                    })?)
+                    Some(gpu.try_upload(&rsi)?)
                 } else {
                     None
                 };
@@ -721,13 +627,16 @@ impl<P: VertexProgram> DeviceSlice<P> {
         }
     }
 
-    /// Launches the four-stage kernel over the slice's shards — one thread
-    /// block per shard — charging what `record` holds (see [`Records`]), and
-    /// returns the launch statistics with the number of vertex values
-    /// published. Writes that leave the slice go to `host` when given, else
-    /// to the slice's outbox (see [`Sink`]). Launch faults fire before any
-    /// block runs, so up to `retry.max_kernel_retries` in-place re-launches
-    /// re-execute the identical work; past that the fault surfaces.
+    /// Launches the four-stage kernel (stages 1–4 of Figure 5) over the
+    /// slice's shards — one thread block per shard — charging what `record`
+    /// holds (see [`Records`]), and returns the launch statistics with the
+    /// number of vertex values published. Writes that leave the slice go to
+    /// `host` when given, else to the slice's outbox (see [`Sink`]).
+    ///
+    /// What the layout fixes is accounted by ops `record` holds — stages 1
+    /// and 2 as the blocks' statics, stage 4 as each block's share — and the
+    /// data moves through the loops of [`HostArrays::sweep`] over host views;
+    /// stage 3, whose stores the values pick, is interpreted.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn launch(
         &mut self,
@@ -738,68 +647,25 @@ impl<P: VertexProgram> DeviceSlice<P> {
         layout: &PreparedLayout,
         res: &mut Resident<P::V>,
         record: &mut LaunchRecord,
-        mut host: Option<HostMaster<'_, P::V>>,
-        retry: &RetryPolicy,
-        fault: &mut FaultStats,
+        host: Option<HostMaster<'_, P::V>>,
     ) -> Result<(KernelStats, u64), DeviceFault> {
         let desc = KernelDesc::new(name.clone(), self.shards.len() as u32, threads_per_block);
         // The sink borrows the outbox for the launch; the body borrows the
         // rest of the slice.
         let mut outbox = self.outbox.take();
-        let mut attempts = 0u32;
-        let result = loop {
-            let sink = match (host.as_mut(), outbox.as_mut()) {
-                (Some(h), _) => Sink::Host(HostMaster {
-                    src_value: &mut *h.src_value,
-                    bytes: &mut *h.bytes,
-                    own: h.own,
-                    spills: &mut *h.spills,
-                }),
-                (None, Some(ob)) => {
-                    ob.spills.clear();
-                    Sink::Outbox(ob)
-                }
-                (None, None) => Sink::None,
-            };
-            let mut updated = 0u64;
-            let launched =
-                self.launch_once(gpu, &desc, prog, layout, res, record, sink, &mut updated);
-            match launched {
-                Ok(kstats) => break Ok((kstats, updated)),
-                Err(DeviceFault::Kernel { .. }) if attempts < retry.max_kernel_retries => {
-                    attempts += 1;
-                    fault.kernel_retries += 1;
-                    fault_instant(gpu, "fault", "kernel-retry");
-                }
-                Err(f) => break Err(f),
+        let mut sink = match (host, outbox.as_mut()) {
+            (Some(h), _) => Sink::Host(h),
+            (None, Some(ob)) => {
+                ob.spills.clear();
+                Sink::Outbox(ob)
             }
+            (None, None) => Sink::None,
         };
-        self.outbox = outbox;
-        result
-    }
-
-    /// The kernel body: stages 1–4 of Figure 5 for every shard of the slice.
-    /// What the layout fixes is accounted by ops `record` holds — stages 1
-    /// and 2 as the blocks' statics, stage 4 as each block's share — and the
-    /// data moves through the loops of [`HostArrays::sweep`] over host views;
-    /// stage 3, whose stores the values pick, is interpreted.
-    #[allow(clippy::too_many_arguments)]
-    fn launch_once(
-        &mut self,
-        gpu: &mut Gpu,
-        desc: &KernelDesc,
-        prog: &P,
-        layout: &PreparedLayout,
-        res: &mut Resident<P::V>,
-        record: &mut LaunchRecord,
-        mut sink: Sink<'_, P::V>,
-        updated: &mut u64,
-    ) -> Result<KernelStats, DeviceFault> {
-        let gs = layout.gs();
+        let (gs, mut updated) = (layout.gs(), 0u64);
         let p = gs.num_shards();
         let erange = self.erange.clone();
         let (voff, eoff) = (res.voff as isize, erange.start as isize);
-        gpu.try_launch_recorded(desc, record, |b| {
+        let launched = gpu.try_launch_recorded(&desc, record, |b| {
             let s = self.shards.start + b.id();
             let vrange = gs.vertex_range(s);
             let offset = vrange.start as usize;
@@ -869,7 +735,7 @@ impl<P: VertexProgram> DeviceSlice<P> {
                 if !smask.is_empty() {
                     b.gstore_run(&mut res.vertex_values, smask, base as isize - voff, &newv);
                     block_updated = true;
-                    *updated += smask.count() as u64;
+                    updated += smask.count() as u64;
                 }
             }
             b.sync();
@@ -951,7 +817,9 @@ impl<P: VertexProgram> DeviceSlice<P> {
             };
             write_back(gs, layout.cw(), s, local.host(), offset, emit);
             b.gstore(&mut res.flag, Mask::first(1), |_| 0, |_| 0u32);
-        })
+        });
+        self.outbox = outbox;
+        Ok((launched?, updated))
     }
 }
 
@@ -987,17 +855,16 @@ mod tests {
         streamed: Option<&Range<usize>>,
         record: &mut LaunchRecord,
     ) -> (KernelStats, Effects) {
-        let (retry, mut fault) = (RetryPolicy::NONE, FaultStats::default());
         let (mut master, mut host_writes, mut spills) = (host.src_value.clone(), 0, Vec::new());
         let ((mut res, mut slice), sink) = match streamed {
             None => {
-                let up = upload_resident(gpu, &retry, &mut fault, layout, host, shards);
+                let up = upload_resident(gpu, layout, host, shards);
                 (up.expect("upload"), None)
             }
             Some(own) => {
-                let res = Resident::upload(gpu, &retry, &mut fault, &host.values, 0);
+                let res = Resident::upload(gpu, &host.values, 0);
                 let via = SpillVia::Host;
-                let slice = DeviceSlice::upload(gpu, &retry, &mut fault, layout, host, shards, via);
+                let slice = DeviceSlice::upload(gpu, layout, host, shards, via);
                 let sink = HostMaster {
                     src_value: &mut master,
                     bytes: &mut host_writes,
@@ -1009,9 +876,7 @@ mod tests {
         };
         let prog = MiniSssp { source: 0 };
         let name: Arc<str> = "slice-probe".into();
-        let launched = slice.launch(
-            gpu, &name, 128, &prog, layout, &mut res, record, sink, &retry, &mut fault,
-        );
+        let launched = slice.launch(gpu, &name, 128, &prog, layout, &mut res, record, sink);
         let kstats = launched.expect("launch").0;
         slice.take_spills(&mut spills);
         let effects = Effects {
@@ -1145,9 +1010,8 @@ mod tests {
             assert_eq!(edges[..], derived[..]);
 
             let mut gpu = Gpu::new(DeviceConfig::gtx780());
-            let (retry, mut fault) = (RetryPolicy::NONE, FaultStats::default());
             let shards = 0..layout.num_shards();
-            let up = upload_resident(&mut gpu, &retry, &mut fault, &layout, &second, shards);
+            let up = upload_resident(&mut gpu, &layout, &second, shards);
             let (gs, slice) = (layout.gs(), up.expect("upload").1);
             assert!(slice.edge_value.as_ref().unwrap().shares(edges));
             assert!(slice.dest_index.shares(gs.dest_index()));

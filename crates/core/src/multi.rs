@@ -28,10 +28,11 @@
 //! bottleneck) appears.
 //!
 //! **Fault isolation.** Each device has its own `FaultPlan` and its own
-//! recovery ladder — transient copy faults retry with
-//! exponential backoff, kernel faults relaunch in place (launch faults fire
-//! before any block runs, so the relaunch is exact), a device that cannot
-//! hold its partition streams it — values resident, shards in batches under
+//! recovery ladder — the device itself retries transient copy faults with
+//! exponential backoff and relaunches a faulted kernel in place (launch
+//! faults fire before any block runs, so the relaunch is exact; see
+//! [`Gpu::recover_in_place`]), a device that cannot hold its partition
+//! streams it — values resident, shards in batches under
 //! a byte budget that halves on every further OOM, the streamed placement's
 //! scheme — and a device whose kernel keeps faulting degrades to a host-side
 //! re-enactment of its own shards. A faulted device never poisons the fleet:
@@ -47,14 +48,14 @@ use crate::error::EngineError;
 use crate::fallback::FALLBACK_LABEL;
 use crate::integrity::{apply_flips, scrub, Ask, Checkpoint, Detector, Recovery, Rung, Stop};
 use crate::kernel::{
-    batch_end, entry_range, fault_instant, upload_resident, vertex_range, with_copy_retries,
-    DeviceSlice, HostArrays, HostMaster, Records, Resident, RetryPolicy, SpillVia, MAX_REBATCHES,
+    batch_end, entry_range, fault_instant, upload_resident, vertex_range, DeviceSlice, HostArrays,
+    HostMaster, Records, Resident, SpillVia, MAX_REBATCHES,
 };
 use crate::memsize::{entry_bytes, ValueSizes};
 use crate::middleware::DeadlineObserver;
 use crate::program::VertexProgram;
 use crate::stats::{
-    DeviceRunStats, FaultStats, IterationStat, MemoStats, MultiOutput, MultiRunStats, SdcStats,
+    DeviceRunStats, IterationStat, MemoStats, MultiOutput, MultiRunStats, SdcStats,
 };
 use cusha_graph::Graph;
 use cusha_obs::trace::{lanes, ArgVal};
@@ -167,21 +168,11 @@ fn fleet_of<V>(out: CuShaOutput<V>) -> MultiOutput<V> {
 
 /// What a placement hands [`drive`] besides its devices and shards.
 impl Placement {
-    /// The in-place budgets a device may spend: copy and kernel retries, and
-    /// the budget halvings an OOM may cost it. A resident run spends none —
-    /// its caller owns recovery.
-    fn budgets(&self) -> (RetryPolicy, u32) {
-        match self {
-            Placement::Resident => (RetryPolicy::NONE, 0),
-            _ => (RetryPolicy::DEFAULT, MAX_REBATCHES),
-        }
-    }
-
-    /// What a fault past those budgets does — the one thing the placements'
-    /// recovery differs in. `Err(stop())`: it leaves [`drive`] as a typed
-    /// [`Stop`] (a resident or streamed run: an OOM, a kernel or copy fault,
-    /// a spent SDC ladder; the caller owns what comes next). `Ok(())`: the
-    /// caller recovers in place (a fleet device degrades to the host
+    /// What a fault past a device's in-place budgets does — the one thing the
+    /// placements' recovery differs in. `Err(stop())`: it leaves [`drive`] as
+    /// a typed [`Stop`] (a resident or streamed run: an OOM, a kernel or copy
+    /// fault, a spent SDC ladder; the caller owns what comes next). `Ok(())`:
+    /// the caller recovers in place (a fleet device degrades to the host
     /// re-enactment of its shards).
     fn absorb<S>(&self, stop: impl FnOnce() -> S) -> Result<(), S> {
         match self {
@@ -270,8 +261,6 @@ struct MultiState<'a, P: VertexProgram> {
     prog: &'a P,
     base: &'a CuShaConfig,
     placement: &'a Placement,
-    retry: RetryPolicy,
-    max_rebatches: u32,
     layout: &'a PreparedLayout,
     fleet: &'a mut DeviceFleet,
     infos: Vec<DevInfo>,
@@ -282,7 +271,6 @@ struct MultiState<'a, P: VertexProgram> {
     /// master's). Released once everything is uploaded when no device can
     /// come to read them.
     host: HostArrays<P>,
-    faults: &'a mut [FaultStats],
     /// Each device's launch records: its resident slice's, its batches'.
     records: &'a mut [Records],
     /// Each device's clock when its time was last accounted (see `lap`).
@@ -338,8 +326,9 @@ impl<P: VertexProgram> MultiState<'_, P> {
     /// Switches device `d` to the host re-enactment after its kernel (or
     /// rebatch budget) gave out.
     fn degrade_to_host(&mut self, d: usize) {
-        self.faults[d].degradations += 1;
-        fault_instant(self.fleet.device(d), "fault", "degrade-to-host");
+        let gpu = self.fleet.device_mut(d);
+        gpu.faults.degradations += 1;
+        fault_instant(gpu, "fault", "degrade-to-host");
         self.modes[d] = Mode::Fallback;
     }
 
@@ -354,17 +343,17 @@ impl<P: VertexProgram> MultiState<'_, P> {
         streams: u32,
         mut oom: Option<DeviceFault>,
     ) -> Result<(), DeviceFault> {
-        let (vrange, max) = (self.infos[d].vrange.clone(), self.max_rebatches);
+        let vrange = self.infos[d].vrange.clone();
         let values = &self.host.values[vrange.clone()];
-        let (gpu, fault) = (self.fleet.device_mut(d), &mut self.faults[d]);
+        let gpu = self.fleet.device_mut(d);
         let res = loop {
             if let Some(f) = oom.take() {
-                if !rebatch(fault, max, gpu, &mut budget) {
+                if !rebatch(gpu, &mut budget) {
                     self.placement.absorb(|| f)?;
                     break None;
                 }
             }
-            match Resident::upload(gpu, &self.retry, fault, values, vrange.start) {
+            match Resident::upload(gpu, values, vrange.start) {
                 Ok(res) => break Some(res),
                 Err(f @ DeviceFault::Oom { .. }) => oom = Some(f),
                 Err(f) => return Err(f),
@@ -431,17 +420,16 @@ impl<P: VertexProgram> MultiState<'_, P> {
     /// charged D2H download, the rest comes from the host master. With `srcs`,
     /// the global `SrcValue` column into it the same way.
     fn snapshot(&mut self, mut srcs: Option<&mut Vec<P::V>>) -> Result<Vec<P::V>, DeviceFault> {
-        let retry = self.retry;
         let mut vals = Vec::new();
         if let Some(srcs) = srcs.as_deref_mut() {
             srcs.clear();
         }
         for (d, info) in self.infos.iter().enumerate() {
-            let (gpu, fault) = (self.fleet.device_mut(d), &mut self.faults[d]);
+            let gpu = self.fleet.device_mut(d);
             match self.modes[d].vertex_values() {
                 None => vals.extend_from_slice(&self.host.values[info.vrange.clone()]),
                 Some(vv) => {
-                    let mut v = with_copy_retries(gpu, &retry, fault, |g| g.try_download(vv))?;
+                    let mut v = gpu.try_download(vv)?;
                     // A lone device's download is the snapshot: no second buffer.
                     if vals.is_empty() {
                         vals = v;
@@ -453,10 +441,7 @@ impl<P: VertexProgram> MultiState<'_, P> {
             match (srcs.as_deref_mut(), &self.modes[d]) {
                 (None, _) => {}
                 (Some(srcs), Mode::Resident(dev)) => {
-                    let sv = with_copy_retries(gpu, &retry, fault, |g| {
-                        g.try_download(&dev.slice.src_value)
-                    })?;
-                    srcs.extend_from_slice(&sv);
+                    srcs.extend_from_slice(&gpu.try_download(&dev.slice.src_value)?)
                 }
                 (Some(srcs), _) => {
                     srcs.extend_from_slice(&self.host.src_value[info.erange.clone()])
@@ -475,19 +460,16 @@ impl<P: VertexProgram> MultiState<'_, P> {
             self.host.values.copy_from_slice(&to.values);
             self.host.src_value.copy_from_slice(&to.state);
         }
-        let retry = self.retry;
         for d in 0..self.infos.len() {
             let (info, mode) = (&self.infos[d], &mut self.modes[d]);
-            let (gpu, fault) = (self.fleet.device_mut(d), &mut self.faults[d]);
+            let gpu = self.fleet.device_mut(d);
             let values = &to.values[info.vrange.clone()];
             if let Some(vv) = mode.vertex_values() {
-                with_copy_retries(gpu, &retry, fault, |g| g.try_h2d(vv, values))?;
+                gpu.try_h2d(vv, values)?;
                 self.crcs[d].0 = scrub(values);
             }
             if let Mode::Resident(dev) = mode {
-                with_copy_retries(gpu, &retry, fault, |g| {
-                    g.try_h2d(&mut dev.slice.src_value, &to.state[info.erange.clone()])
-                })?;
+                gpu.try_h2d(&mut dev.slice.src_value, &to.state[info.erange.clone()])?;
                 self.crcs[d].1 = scrub(dev.slice.src_value.host());
             }
         }
@@ -512,15 +494,13 @@ impl<P: VertexProgram> MultiState<'_, P> {
         from: u32,
         out: &mut DeviceIter<P::V>,
     ) -> Result<(), DeviceFault> {
-        let (retry, info) = (self.retry, self.infos[d].clone());
-        let (gpu, fault) = (self.fleet.device_mut(d), &mut self.faults[d]);
+        let (info, gpu) = (self.infos[d].clone(), self.fleet.device_mut(d));
         if let Some(vv) = self.modes[d].vertex_values() {
-            let vals = with_copy_retries(gpu, &retry, fault, |g| g.try_download(vv))?;
+            let vals = gpu.try_download(vv)?;
             self.host.values[info.vrange].copy_from_slice(&vals);
         }
         if let Mode::Resident(dev) = &self.modes[d] {
-            let srcv =
-                with_copy_retries(gpu, &retry, fault, |g| g.try_download(&dev.slice.src_value))?;
+            let srcv = gpu.try_download(&dev.slice.src_value)?;
             self.host.src_value[info.erange].copy_from_slice(&srcv);
         }
         self.degrade_to_host(d);
@@ -528,30 +508,27 @@ impl<P: VertexProgram> MultiState<'_, P> {
         Ok(())
     }
 
-    /// One iteration of a resident device: flag reset, launch (in-place
-    /// retries inside), flag readback. When the kernel retries are spent the
-    /// fault surfaces, or — recovering in place — the device falls back.
+    /// One iteration of a resident device: flag reset, launch (the device
+    /// retries its own transient faults), flag readback. When the kernel
+    /// retries are spent the fault surfaces, or — recovering in place — the
+    /// device falls back.
     fn iterate_resident(
         &mut self,
         d: usize,
         out: &mut DeviceIter<P::V>,
     ) -> Result<(), DeviceFault> {
-        let retry = self.retry;
         let threads = self.base.threads_per_block;
         let Mode::Resident(dev) = &mut self.modes[d] else {
             unreachable!("caller matched a resident device")
         };
         let Held { res, slice } = &mut **dev;
         let gpu = self.fleet.device_mut(d);
-        let fault = &mut self.faults[d];
-        res.reset_flag(gpu, &retry, fault)?;
+        res.reset_flag(gpu)?;
         let (name, layout, record) = (&self.desc_name, self.layout, &mut self.records[d].resident);
-        match slice.launch(
-            gpu, name, threads, self.prog, layout, res, record, None, &retry, fault,
-        ) {
+        match slice.launch(gpu, name, threads, self.prog, layout, res, record, None) {
             Ok((kstats, updated)) => {
                 // Read back for its modeled charge; the count already tells.
-                let flag = res.read_flag(gpu, &retry, fault)?;
+                let flag = res.read_flag(gpu)?;
                 debug_assert_eq!(flag == 1, updated == 0, "is_converged disagrees");
                 out.kernel_seconds = kstats.seconds;
                 out.updated = updated;
@@ -580,7 +557,7 @@ impl<P: VertexProgram> MultiState<'_, P> {
         out: &mut DeviceIter<P::V>,
         sdc: &mut SdcStats,
     ) -> Result<(), DeviceFault> {
-        let (retry, layout, max) = (self.retry, self.layout, self.max_rebatches);
+        let layout = self.layout;
         let (shards, own) = (self.infos[d].shards.clone(), &self.infos[d].erange);
         let per_entry = entry_bytes(ValueSizes::of::<P>(), layout.repr());
         let (device, checksums) = (&self.base.device, self.base.integrity.mode.checksums());
@@ -588,9 +565,9 @@ impl<P: VertexProgram> MultiState<'_, P> {
         let Mode::Streamed(res, budget, streams) = &mut self.modes[d] else {
             unreachable!("caller matched a streamed device")
         };
-        let (fault, vv_crc) = (&mut self.faults[d], &mut self.crcs[d].0);
+        let vv_crc = &mut self.crcs[d].0;
         let host_seconds = &mut self.clocks[d].host_transfer_seconds;
-        res.reset_flag(self.fleet.device_mut(d), &retry, fault)?;
+        res.reset_flag(self.fleet.device_mut(d))?;
         *host_seconds += device.transfer_seconds(4);
         let (mut s, mut index) = (shards.start, 0u64);
         // The batch pipeline's clock — with >= 2 streams, copy k+1 overlaps
@@ -603,10 +580,10 @@ impl<P: VertexProgram> MultiState<'_, P> {
                 let end = batch_end(layout.gs(), per_entry, *budget, s, shards.end);
                 let (batch_ts, h2d_before) = (gpu.total_seconds(), gpu.h2d_seconds);
                 let (host, via) = (&self.host, SpillVia::Host);
-                let up = DeviceSlice::upload(gpu, &retry, fault, layout, host, s..end, via);
+                let up = DeviceSlice::upload(gpu, layout, host, s..end, via);
                 let mut slice = match up {
                     Ok(slice) => slice,
-                    Err(DeviceFault::Oom { .. }) if rebatch(fault, max, gpu, budget) => continue,
+                    Err(DeviceFault::Oom { .. }) if rebatch(gpu, budget) => continue,
                     Err(f) => break 'batches f,
                 };
                 let copy = gpu.h2d_seconds - h2d_before;
@@ -644,12 +621,11 @@ impl<P: VertexProgram> MultiState<'_, P> {
                 };
                 let (prog, sink) = (self.prog, Some(sink));
                 let record = self.records[d].batch(index as usize, &(s..end));
-                let (kstats, updated) = match slice.launch(
-                    gpu, name, threads, prog, layout, res, record, sink, &retry, fault,
-                ) {
-                    Ok(launched) => launched,
-                    Err(f) => break 'batches f,
-                };
+                let (kstats, updated) =
+                    match slice.launch(gpu, name, threads, prog, layout, res, record, sink) {
+                        Ok(launched) => launched,
+                        Err(f) => break 'batches f,
+                    };
                 out.updated += updated;
                 (last_kernel, in_kernels) = (kstats.seconds, in_kernels + kstats.seconds);
                 // The launch legitimately rewrote the resident values.
@@ -658,8 +634,7 @@ impl<P: VertexProgram> MultiState<'_, P> {
                 }
                 self.fleet.record_launch(d, &kstats);
                 let gpu = self.fleet.device_mut(d);
-                let srcv =
-                    with_copy_retries(gpu, &retry, fault, |g| g.try_download(&slice.src_value))?;
+                let srcv = gpu.try_download(&slice.src_value)?;
                 master[slice.erange.clone()].copy_from_slice(&srcv);
                 *host_seconds += device.transfer_seconds(host_writes);
                 let (pid, dur) = (gpu.trace_pid(), gpu.total_seconds() - batch_ts);
@@ -676,7 +651,7 @@ impl<P: VertexProgram> MultiState<'_, P> {
                 true => piped + last_kernel,
                 false => copied + in_kernels,
             };
-            res.read_flag(self.fleet.device_mut(d), &retry, fault)?;
+            res.read_flag(self.fleet.device_mut(d))?;
             return Ok(());
         };
         match failed {
@@ -689,12 +664,14 @@ impl<P: VertexProgram> MultiState<'_, P> {
     }
 }
 
-/// Absorbs an OOM inside a device's rebatch budget: the byte budget halves
-/// and the caller retries in place. `false` past it: the policy decides.
-fn rebatch(fault: &mut FaultStats, max_rebatches: u32, gpu: &Gpu, budget: &mut u64) -> bool {
-    let inside = fault.oom_rebatches < max_rebatches;
+/// Absorbs an OOM inside the rebatch budget of a device granted in-place
+/// recovery ([`MAX_REBATCHES`]): the byte budget halves and the caller
+/// retries in place. `false` past it, or on an ungranted device: the
+/// placement decides.
+fn rebatch(gpu: &mut Gpu, budget: &mut u64) -> bool {
+    let inside = gpu.recovers_in_place() && gpu.faults.oom_rebatches < MAX_REBATCHES;
     if inside {
-        fault.oom_rebatches += 1;
+        gpu.faults.oom_rebatches += 1;
         fault_instant(gpu, "fault", "oom-rebatch");
         *budget = (*budget / 2).max(1);
     }
@@ -710,7 +687,9 @@ fn rebatch(fault: &mut FaultStats, max_rebatches: u32, gpu: &Gpu, budget: &mut u
 /// * `layout` is borrowed — its owner decides whether it outlives the run —
 ///   and `shards` gives each device its contiguous share of `0..num_shards`;
 /// * `fleet` holds the devices as their owner set them up (tracer, fault
-///   plan, profiling) and takes them back, plus their fabric.
+///   plan, profiling, the grant of in-place recovery and the fault record it
+///   seeds — see [`Gpu::recover_in_place`]; each device's record is read back
+///   from it) and takes them back, plus their fabric.
 ///   Over one, devices overlap and the engine lane — setup, iteration and
 ///   download spans, events that belong to no one device, on
 ///   [`DeviceFleet::fleet_pid`] — runs on the fleet clock (slowest device per
@@ -720,11 +699,11 @@ fn rebatch(fault: &mut FaultStats, max_rebatches: u32, gpu: &Gpu, budget: &mut u
 ///   up (one that does not fit streams it), or out of core — and, past the
 ///   in-place budgets, whether a fault surfaces or is recovered from in
 ///   place; `name` is what its launches are called (fault plans match on it);
-/// * `records` are the devices' fail-stop and SDC records and their launch
-///   records, the caller's so that they outlive an `Err`: a caller
-///   re-entering rung after rung carries device 0's budgets across, and one
-///   that lent a layout's launch record gets it back; `since` is what the earlier rungs'
-///   modeled clock read, where the observer's and a deadline's run on from.
+/// * `records` are the devices' SDC records and their launch records, the
+///   caller's so that they outlive an `Err`: a caller re-entering rung after
+///   rung carries device 0's SDC budgets across, and one that lent a layout's
+///   launch record gets it back; `since` is what the earlier rungs' modeled
+///   clock read, where the observer's and a deadline's run on from.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
     prog: &P,
@@ -735,11 +714,10 @@ pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
     fleet: &mut DeviceFleet,
     placement: &Placement,
     name: &str,
-    (faults, sdcs, records): (&mut [FaultStats], &mut [SdcStats], &mut [Records]),
+    (sdcs, records): (&mut [SdcStats], &mut [Records]),
     (since, observer): (f64, &mut O),
 ) -> Result<Driven<P::V>, Stop<P::V>> {
     let observer = &mut DeadlineObserver::new(base.deadline_seconds, observer);
-    let (retry, max_rebatches) = placement.budgets();
     let (gs, n, engine_pid) = (layout.gs(), shards.len(), fleet.fleet_pid());
     let infos = shards.iter().map(|shards| DevInfo {
         vrange: vertex_range(gs, shards),
@@ -750,14 +728,11 @@ pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
         prog,
         base,
         placement,
-        retry,
-        max_rebatches,
         layout,
         fleet,
         infos: infos.collect(),
         modes: (0..n).map(|_| Mode::Idle).collect(),
         host: HostArrays::new(prog, graph, layout),
-        faults,
         records,
         marks: vec![0.0; n],
         crcs: vec![(0, 0); n],
@@ -770,15 +745,11 @@ pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
         if st.infos[d].shards.is_empty() {
             continue;
         }
-        let (gpu, fault, shards) = (
-            st.fleet.device_mut(d),
-            &mut st.faults[d],
-            &st.infos[d].shards,
-        );
+        let (gpu, shards) = (st.fleet.device_mut(d), &st.infos[d].shards);
         match *placement {
             Placement::Streamed { bytes, streams } => st.stream(d, bytes, streams, None)?,
             _ => {
-                match upload_resident(gpu, &retry, fault, layout, &st.host, shards.clone()) {
+                match upload_resident(gpu, layout, &st.host, shards.clone()) {
                     Ok((res, slice)) => st.modes[d] = Mode::Resident(Box::new(Held { res, slice })),
                     // The partition does not fit: stream it, on one stream — the
                     // fleet clock is each device's own serial clock.
@@ -1094,11 +1065,11 @@ pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
             kernel: st.fleet.device_stats(d).clone(),
             exchange_sent_bytes: sent_bytes_total[d],
             exchange_recv_bytes: recv_bytes_total[d],
-            fault: st.faults[d],
+            fault: gpu.faults,
             sdc: sdcs[d],
             profile: gpu.profile.clone(),
         });
-        stats.fault.absorb(&st.faults[d]);
+        stats.fault.absorb(&gpu.faults);
         stats.sdc.absorb(&sdcs[d]);
         stats.memo.add(&MemoStats::from_gpu(gpu));
     }
@@ -1475,8 +1446,9 @@ mod tests {
         }
         let resident = 400 * 4 + 4;
         base.device.global_mem_bytes = resident + largest;
-        let mut fleet = DeviceFleet::solo(Gpu::new(base.device.clone()));
-        let (mut fault, mut sdc) = (FaultStats::default(), SdcStats::default());
+        let mut gpu = Gpu::new(base.device.clone());
+        gpu.recover_in_place(Default::default());
+        let (mut fleet, mut sdc) = (DeviceFleet::solo(gpu), SdcStats::default());
         let (shards, streams) = (0..layout.num_shards(), 2);
         let (out, _) = drive(
             &prog,
@@ -1490,16 +1462,13 @@ mod tests {
                 streams,
             },
             "chain",
-            (
-                std::slice::from_mut(&mut fault),
-                std::slice::from_mut(&mut sdc),
-                &mut [Records::default()],
-            ),
+            (std::slice::from_mut(&mut sdc), &mut [Records::default()]),
             (0.0, &mut NoopObserver),
         )
         .unwrap_or_else(|_| panic!("streams within resident part + one batch"));
         assert_eq!(out.values, want.values);
         assert_eq!(out.stats.iterations, want.stats.iterations);
+        let fault = &fleet.device(0).faults;
         assert!(fault.is_clean(), "{fault:?}");
         assert_eq!(fleet.device(0).allocated_bytes(), resident);
     }

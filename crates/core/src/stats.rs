@@ -5,6 +5,7 @@ use crate::device_run::split_clock;
 use crate::engine::CuShaOutput;
 use crate::multi::DeviceClocks;
 use cusha_graph::FleetPartition;
+pub use cusha_simt::FaultStats;
 use cusha_simt::{KernelStats, Profile};
 
 /// One iteration of the convergence loop.
@@ -16,55 +17,6 @@ pub struct IterationStat {
     /// Vertices whose published value changed this iteration (the y-axis of
     /// the paper's Figure 7).
     pub updated_vertices: u64,
-}
-
-/// Counters of the fault-tolerance machinery's activity during one run.
-/// All zero for a fault-free run on a healthy device.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct FaultStats {
-    /// Transient copy faults that were retried successfully.
-    pub copy_retries: u32,
-    /// Modeled seconds spent in exponential backoff before copy retries.
-    pub backoff_seconds: f64,
-    /// Times a streamed device halved its byte budget, in place, after a
-    /// device OOM.
-    pub oom_rebatches: u32,
-    /// Rungs of the degradation ladder taken after repeated kernel faults
-    /// (CW → G-Shards → host fallback).
-    pub degradations: u32,
-    /// Kernel launches that failed and were retried in place.
-    pub kernel_retries: u32,
-}
-
-impl FaultStats {
-    /// Element-wise accumulation (a fleet's or a retried run's total).
-    pub fn absorb(&mut self, other: &FaultStats) {
-        self.copy_retries += other.copy_retries;
-        self.backoff_seconds += other.backoff_seconds;
-        self.oom_rebatches += other.oom_rebatches;
-        self.degradations += other.degradations;
-        self.kernel_retries += other.kernel_retries;
-    }
-
-    /// True when no fault-tolerance machinery fired. A run that spent any
-    /// modeled time in backoff is not clean even if every other counter is
-    /// zero — backoff time is recovery activity like any other.
-    pub fn is_clean(&self) -> bool {
-        self.copy_retries == 0
-            && self.backoff_seconds == 0.0
-            && self.oom_rebatches == 0
-            && self.degradations == 0
-            && self.kernel_retries == 0
-    }
-
-    /// Records the recovery counters into a metrics registry.
-    pub fn record_metrics(&self, reg: &mut cusha_obs::MetricsRegistry, labels: &[(&str, &str)]) {
-        reg.add("fault_copy_retries", labels, self.copy_retries as u64);
-        reg.add("fault_oom_rebatches", labels, self.oom_rebatches as u64);
-        reg.add("fault_degradations", labels, self.degradations as u64);
-        reg.add("fault_kernel_retries", labels, self.kernel_retries as u64);
-        reg.set_gauge("fault_backoff_seconds", labels, self.backoff_seconds);
-    }
 }
 
 /// Counters of the silent-data-corruption defense's activity during one

@@ -42,10 +42,6 @@ use cusha_graph::Graph;
 use cusha_obs::trace::lanes;
 use cusha_simt::{DevVec, FaultPlan, FlipTarget, Gpu, KernelDesc, LaunchRecord, Mask, WARP};
 
-/// k-core reuses the frontier configuration (`max_iterations` caps peel
-/// rounds; the density threshold is unused — peeling is always push-shaped).
-pub type KcoreConfig = FrontierConfig;
-
 /// Result of a k-core decomposition.
 #[derive(Clone, Debug)]
 pub struct KcoreOutput {
@@ -97,8 +93,10 @@ pub(crate) fn undirected_adjacency(g: &Graph) -> (Vec<u32>, Vec<u32>) {
     (idxs, nbrs)
 }
 
-/// Runs the decomposition, panicking on device faults.
-pub fn run_kcore(graph: &Graph, cfg: &KcoreConfig) -> KcoreOutput {
+/// Runs the decomposition, panicking on device faults. k-core runs on the
+/// frontier configuration: `max_iterations` caps peel rounds, and the density
+/// threshold is unused (peeling is always push-shaped).
+pub fn run_kcore(graph: &Graph, cfg: &FrontierConfig) -> KcoreOutput {
     match try_run_kcore(graph, cfg, None, &mut NoopObserver) {
         Ok(out) => out,
         Err(e) => panic!("{e}"),
@@ -113,7 +111,7 @@ pub fn run_kcore(graph: &Graph, cfg: &KcoreConfig) -> KcoreOutput {
 /// fault costs a [`retry_attempts`] retry.
 pub fn try_run_kcore<O: RunObserver + ?Sized>(
     graph: &Graph,
-    cfg: &KcoreConfig,
+    cfg: &FrontierConfig,
     fault_plan: Option<&mut FaultPlan>,
     observer: &mut O,
 ) -> Result<KcoreOutput, EngineError<u32>> {
@@ -162,7 +160,7 @@ fn assigned_cores_stay(verified: &[u32], now: &[u32]) -> Result<(), String> {
 #[allow(clippy::too_many_lines)]
 fn kcore_attempt<O: RunObserver + ?Sized>(
     graph: &Graph,
-    cfg: &KcoreConfig,
+    cfg: &FrontierConfig,
     run: &mut DeviceRun<'_, O>,
     idxs_host: &[u32],
     nbrs_host: &[u32],
@@ -523,7 +521,7 @@ mod tests {
             prop_assert_eq!(undirected_adjacency(&g), reference_adjacency(&g));
             // Both device paths built on it: every triangle survives the
             // orientation exactly once, every vertex peels at its core.
-            let cfg = KcoreConfig::new();
+            let cfg = FrontierConfig::new();
             prop_assert_eq!(run_triangles(&g, &cfg).triangles, host_triangles(&g));
             prop_assert_eq!(run_kcore(&g, &cfg).core, host_kcore(&g));
         }
@@ -554,7 +552,7 @@ mod tests {
     #[test]
     fn device_matches_oracle() {
         let g = clique_plus_tail();
-        let out = run_kcore(&g, &KcoreConfig::new());
+        let out = run_kcore(&g, &FrontierConfig::new());
         assert_eq!(out.core, host_kcore(&g));
         assert_eq!(out.degeneracy, 3);
         assert!(out.stats.converged);

@@ -30,6 +30,6 @@ pub use engine::{
     run_frontier, try_run_frontier, try_run_frontier_warm, FrontierEngine, FrontierOutput,
     FRONTIER_LABEL,
 };
-pub use kcore::{host_kcore, kcore_invariant, run_kcore, try_run_kcore, KcoreConfig, KcoreOutput};
+pub use kcore::{host_kcore, kcore_invariant, run_kcore, try_run_kcore, KcoreOutput};
 pub use prepared::{Family, Prepared, PreparedFrontier};
 pub use triangles::{host_triangles, run_triangles, try_run_triangles, TriangleOutput};

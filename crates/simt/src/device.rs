@@ -4,7 +4,8 @@ use crate::block::Block;
 use crate::coalesce::CoalesceMemo;
 use crate::config::DeviceConfig;
 use crate::counters::KernelStats;
-use crate::fault::{DeviceFault, FaultKind, FaultPlan};
+use crate::fault::{DeviceFault, FaultKind, FaultPlan, FaultStats};
+use crate::fault::{MAX_COPY_RETRIES, MAX_KERNEL_RETRIES};
 use crate::mem::{DevVec, ALLOC_ALIGN};
 use crate::pod::Pod;
 use crate::replay::{add_phase, Fixed, LaunchRecord, ReplayTally, Share, VERIFY_SAMPLE};
@@ -57,6 +58,12 @@ pub struct Gpu {
     pub profile: Option<crate::profile::Profile>,
     /// Optional fault-injection schedule consulted by the `try_*` ops.
     fault_plan: Option<FaultPlan>,
+    /// The fault record: the transient faults absorbed in place (see
+    /// [`Gpu::recover_in_place`]), and what the owner's recovery wrote beside
+    /// them (OOM rebatches, degradations).
+    pub faults: FaultStats,
+    /// Whether transient faults are absorbed in place.
+    recovers: bool,
     /// Span sink; the default no-op handle records nothing.
     tracer: Tracer,
     /// Chrome-trace process lane of this device's spans (device index).
@@ -95,6 +102,8 @@ impl Gpu {
             kernels_launched: 0,
             profile: None,
             fault_plan: None,
+            faults: FaultStats::default(),
+            recovers: false,
             tracer: Tracer::default(),
             trace_pid: 0,
             memo,
@@ -163,16 +172,64 @@ impl Gpu {
         self.fault_plan.as_ref()
     }
 
+    /// Grants the device in-place recovery from transient faults, its record
+    /// seeded with `carried` — what an earlier device of the same run spent,
+    /// handed over like the fault plan. Each copy then absorbs up to
+    /// [`MAX_COPY_RETRIES`] copy faults and each launch [`MAX_KERNEL_RETRIES`]
+    /// launch fault, each counted in [`Gpu::faults`] and marked on the fault
+    /// lane; the next one surfaces. An ungranted device (the default) surfaces
+    /// the first.
+    pub fn recover_in_place(&mut self, carried: FaultStats) {
+        (self.recovers, self.faults) = (true, carried);
+    }
+
+    /// Whether the device was granted in-place recovery.
+    pub fn recovers_in_place(&self) -> bool {
+        self.recovers
+    }
+
     fn fault_fires(&mut self, kind: FaultKind, kernel_name: Option<&str>) -> Option<u64> {
         self.fault_plan
             .as_mut()
             .and_then(|p| p.check(kind, kernel_name))
     }
 
+    /// The op index of the copy or launch fault of `kind` that surfaces from
+    /// one operation, if any: the first a plan fires on an ungranted device,
+    /// the first past its budget on a granted one. Each fault absorbed before
+    /// it is counted, and marked on the fault lane at the device's clock.
+    fn surfaced_fault(&mut self, kind: FaultKind, kernel_name: Option<&str>) -> Option<u64> {
+        let max = match kind {
+            FaultKind::Kernel => MAX_KERNEL_RETRIES,
+            _ => MAX_COPY_RETRIES,
+        };
+        let mut attempt = 0;
+        loop {
+            let op_index = self.fault_fires(kind, kernel_name)?;
+            if !self.recovers || attempt == max {
+                return Some(op_index);
+            }
+            let mark = match kind {
+                FaultKind::Kernel => {
+                    self.faults.kernel_retries += 1;
+                    "kernel-retry"
+                }
+                _ => {
+                    self.faults.copy_retry(attempt);
+                    "copy-retry"
+                }
+            };
+            let ts = self.total_seconds();
+            self.tracer
+                .instant(self.trace_pid, lanes::FAULT, "fault", mark, ts);
+            attempt += 1;
+        }
+    }
+
     /// A copy of `kind` (H2D or D2H) the installed plan fails, before it
     /// moves anything.
     fn copy_fault(&mut self, kind: FaultKind) -> Result<(), DeviceFault> {
-        match self.fault_fires(kind, None) {
+        match self.surfaced_fault(kind, None) {
             Some(op_index) => Err(DeviceFault::Copy { kind, op_index }),
             None => Ok(()),
         }
@@ -337,15 +394,20 @@ impl Gpu {
     /// untouched and the caller may retry.
     pub fn try_download<T: Pod>(&mut self, buf: &DevVec<T>) -> Result<Vec<T>, DeviceFault> {
         self.copy_fault(FaultKind::D2h)?;
+        self.charge_d2h("d2h", buf.size_bytes());
+        Ok(buf.host().to_vec())
+    }
+
+    /// Books one device→host transfer of `bytes`: its modeled seconds and
+    /// its span, called `name`, on the copy lane.
+    fn charge_d2h(&mut self, name: &str, bytes: u64) {
         let ts = self.total_seconds();
-        let dur = self.cfg.transfer_seconds(buf.size_bytes());
+        let dur = self.cfg.transfer_seconds(bytes);
         self.d2h_seconds += dur;
-        let bytes = buf.size_bytes();
         self.tracer
-            .complete_with(self.trace_pid, lanes::COPY, "copy", "d2h", ts, dur, || {
+            .complete_with(self.trace_pid, lanes::COPY, "copy", name, ts, dur, || {
                 vec![("bytes", ArgVal::U64(bytes))]
             });
-        Ok(buf.host().to_vec())
     }
 
     /// Copies a buffer back to the host, charging a device→host transfer.
@@ -364,18 +426,7 @@ impl Gpu {
         idx: usize,
     ) -> Result<T, DeviceFault> {
         self.copy_fault(FaultKind::D2h)?;
-        let ts = self.total_seconds();
-        let dur = self.cfg.transfer_seconds(T::SIZE as u64);
-        self.d2h_seconds += dur;
-        self.tracer.complete_with(
-            self.trace_pid,
-            lanes::COPY,
-            "copy",
-            "d2h-scalar",
-            ts,
-            dur,
-            || vec![("bytes", ArgVal::U64(T::SIZE as u64))],
-        );
+        self.charge_d2h("d2h-scalar", T::SIZE as u64);
         Ok(buf.host()[idx])
     }
 
@@ -390,8 +441,10 @@ impl Gpu {
 
     /// Fallible kernel launch; see [`Gpu::launch`]. An injected launch
     /// fault fires *before* any block executes, so device state is exactly
-    /// as it was — mirroring a CUDA launch error — and the caller may
-    /// re-launch or fall back to another representation.
+    /// as it was — mirroring a CUDA launch error — and the launch may be
+    /// re-issued: a device granted in-place recovery does so itself (see
+    /// [`Gpu::recover_in_place`]), else the caller may re-launch or fall back
+    /// to another representation.
     pub fn try_launch(
         &mut self,
         desc: &KernelDesc,
@@ -437,7 +490,7 @@ impl Gpu {
         record: Option<&mut LaunchRecord>,
         mut body: impl FnMut(&mut Block<'_>),
     ) -> Result<KernelStats, DeviceFault> {
-        if let Some(op_index) = self.fault_fires(FaultKind::Kernel, Some(&desc.name)) {
+        if let Some(op_index) = self.surfaced_fault(FaultKind::Kernel, Some(&desc.name)) {
             return Err(DeviceFault::Kernel {
                 name: desc.name.to_string(),
                 op_index,
@@ -644,6 +697,7 @@ impl Gpu {
 mod tests {
     use super::*;
     use crate::counters::{Mask, WARP};
+    use crate::fault::BACKOFF_BASE_SECONDS;
     use crate::warp::warp_chunks;
     use cusha_obs::trace::Tracer;
 
@@ -830,6 +884,119 @@ mod tests {
         let _ = gpu2.try_upload(&[1u32]).unwrap(); // h2d #1
         assert!(gpu2.try_upload(&[1u32]).is_err(), "h2d #2 injected");
         assert!(gpu2.try_upload(&[1u32]).is_ok());
+    }
+
+    /// The fault-lane marks a device made: `(name, modeled microseconds)`.
+    fn fault_marks(gpu: &Gpu) -> Vec<(String, f64)> {
+        let marks = gpu.tracer().with_events(|ev| {
+            let on_lane = ev.iter().filter(|e| e.tid == lanes::FAULT);
+            on_lane.map(|e| (e.name.clone(), e.ts_us)).collect()
+        });
+        marks.unwrap()
+    }
+
+    /// A traced `tiny_test` device running `plan`, granted in-place recovery
+    /// or not.
+    fn planned(plan: FaultPlan, granted: bool) -> Gpu {
+        let mut gpu = Gpu::new(DeviceConfig::tiny_test());
+        gpu.set_tracer(Tracer::enabled(), 0);
+        gpu.set_fault_plan(plan);
+        if granted {
+            gpu.recover_in_place(FaultStats::default());
+        }
+        gpu
+    }
+
+    #[test]
+    fn a_granted_device_absorbs_three_copy_faults_per_copy() {
+        // H2D #0-2 fault and #3 lands; the next copy's #4-6 are absorbed
+        // afresh (the budget is per copy) and its fourth fault, #7, surfaces.
+        let plan = FaultPlan::new().fail_h2d_at(&[0, 1, 2, 4, 5, 6, 7]);
+        let mut gpu = planned(plan, true);
+        assert!(gpu.recovers_in_place());
+        let mut up = gpu.try_upload(&[7u32; 4]).expect("three faults absorbed");
+        let landed = gpu.total_seconds();
+        assert!(landed > 0.0);
+        match gpu.try_h2d(&mut up, &[1; 4]) {
+            Err(DeviceFault::Copy { op_index: 7, .. }) => {}
+            other => panic!("expected h2d #7 to surface, got {other:?}"),
+        }
+        assert_eq!(
+            gpu.total_seconds(),
+            landed,
+            "the failed copy charged nothing"
+        );
+        let mut want = FaultStats::default();
+        for attempt in [0, 1, 2, 0, 1, 2] {
+            want.copy_retries += 1;
+            want.backoff_seconds += BACKOFF_BASE_SECONDS * (1u64 << attempt) as f64;
+        }
+        assert_eq!(gpu.faults, want);
+        assert_eq!(
+            gpu.faults.backoff_seconds.to_bits(),
+            want.backoff_seconds.to_bits()
+        );
+        let mark = |ts: f64| ("copy-retry".to_string(), ts * 1e6);
+        let marks = vec![mark(0.0), mark(0.0), mark(0.0)];
+        let marks = [marks, vec![mark(landed); 3]].concat();
+        assert_eq!(
+            fault_marks(&gpu),
+            marks,
+            "backoff is not charged to the clock"
+        );
+    }
+
+    #[test]
+    fn a_granted_device_absorbs_one_launch_fault_per_launch() {
+        // Launch #0 faults and #1 runs; the next launch's #2 is absorbed and
+        // #3 surfaces before any block ran.
+        let mut gpu = planned(FaultPlan::new().fail_kernel_at(&[0, 2, 3]), true);
+        let desc = KernelDesc::new("probe", 1, 32);
+        let mut runs = 0;
+        let stats = gpu.try_launch(&desc, |b| {
+            runs += 1;
+            b.exec(Mask::FULL, 1);
+        });
+        let first = stats.expect("one fault absorbed").seconds;
+        match gpu.try_launch(&desc, |_| runs += 1) {
+            Err(DeviceFault::Kernel { op_index: 3, .. }) => {}
+            other => panic!("expected launch #3 to surface, got {other:?}"),
+        }
+        assert_eq!((runs, gpu.kernels_launched), (1, 1));
+        let want = FaultStats {
+            kernel_retries: 2,
+            ..Default::default()
+        };
+        assert_eq!(gpu.faults, want);
+        let marks = vec![
+            ("kernel-retry".into(), 0.0),
+            ("kernel-retry".into(), first * 1e6),
+        ];
+        assert_eq!(fault_marks(&gpu), marks);
+    }
+
+    #[test]
+    fn an_ungranted_device_surfaces_the_first_fault() {
+        let plan = FaultPlan::new().fail_h2d_at(&[0]).fail_d2h_at(&[0]);
+        let mut gpu = planned(plan.fail_kernel_at(&[0]), false);
+        assert!(!gpu.recovers_in_place());
+        assert!(matches!(
+            gpu.try_upload(&[1u32]),
+            Err(DeviceFault::Copy { op_index: 0, .. })
+        ));
+        let buf = gpu.try_upload(&[1u32]).expect("h2d #1 is clean");
+        assert!(gpu.try_download_scalar(&buf, 0).is_err());
+        let desc = KernelDesc::new("probe", 1, 32);
+        assert!(gpu.try_launch(&desc, |_| {}).is_err());
+        assert!(gpu.faults.is_clean());
+        assert_eq!(fault_marks(&gpu), vec![]);
+        // A granted device carries the record it is seeded with.
+        let carried = FaultStats {
+            degradations: 1,
+            ..Default::default()
+        };
+        gpu.recover_in_place(carried);
+        assert_eq!(gpu.faults, carried);
     }
 
     #[test]

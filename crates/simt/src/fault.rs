@@ -171,6 +171,76 @@ impl std::fmt::Display for DeviceFault {
 
 impl std::error::Error for DeviceFault {}
 
+/// Copy faults a device granted in-place recovery absorbs per copy; the
+/// next one surfaces. A faulted copy transferred nothing, so its retry
+/// re-issues the identical operation.
+pub const MAX_COPY_RETRIES: u32 = 3;
+
+/// Backoff before the first retry of a copy, in seconds; it doubles per
+/// retry of the same copy. Recorded in [`FaultStats::backoff_seconds`], not
+/// charged to the device clock.
+pub const BACKOFF_BASE_SECONDS: f64 = 1e-3;
+
+/// Launch faults a device granted in-place recovery absorbs per launch. A
+/// faulted launch ran no block, so its relaunch re-executes identical work.
+pub const MAX_KERNEL_RETRIES: u32 = 1;
+
+/// Counters of the fault-tolerance machinery's activity during one run.
+/// All zero for a fault-free run on a healthy device.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct FaultStats {
+    /// Transient copy faults that were retried successfully.
+    pub copy_retries: u32,
+    /// Modeled seconds spent in exponential backoff before copy retries.
+    pub backoff_seconds: f64,
+    /// Times a streamed device halved its byte budget, in place, after a
+    /// device OOM.
+    pub oom_rebatches: u32,
+    /// Rungs of the degradation ladder taken after repeated kernel faults
+    /// (CW → G-Shards → host fallback).
+    pub degradations: u32,
+    /// Kernel launches that failed and were retried in place.
+    pub kernel_retries: u32,
+}
+
+impl FaultStats {
+    /// Element-wise accumulation (a fleet's or a retried run's total).
+    pub fn absorb(&mut self, other: &FaultStats) {
+        self.copy_retries += other.copy_retries;
+        self.backoff_seconds += other.backoff_seconds;
+        self.oom_rebatches += other.oom_rebatches;
+        self.degradations += other.degradations;
+        self.kernel_retries += other.kernel_retries;
+    }
+
+    /// Counts one absorbed copy fault, the `attempt`-th retry of its copy
+    /// (0-based), with its doubled backoff.
+    pub fn copy_retry(&mut self, attempt: u32) {
+        self.copy_retries += 1;
+        self.backoff_seconds += BACKOFF_BASE_SECONDS * (1u64 << attempt) as f64;
+    }
+
+    /// True when no fault-tolerance machinery fired. A run that spent any
+    /// modeled time in backoff is not clean even if every other counter is
+    /// zero — backoff time is recovery activity like any other.
+    pub fn is_clean(&self) -> bool {
+        self.copy_retries == 0
+            && self.backoff_seconds == 0.0
+            && self.oom_rebatches == 0
+            && self.degradations == 0
+            && self.kernel_retries == 0
+    }
+
+    /// Records the recovery counters into a metrics registry.
+    pub fn record_metrics(&self, reg: &mut cusha_obs::MetricsRegistry, labels: &[(&str, &str)]) {
+        reg.add("fault_copy_retries", labels, self.copy_retries as u64);
+        reg.add("fault_oom_rebatches", labels, self.oom_rebatches as u64);
+        reg.add("fault_degradations", labels, self.degradations as u64);
+        reg.add("fault_kernel_retries", labels, self.kernel_retries as u64);
+        reg.set_gauge("fault_backoff_seconds", labels, self.backoff_seconds);
+    }
+}
+
 /// Counts of faults a plan has actually fired, by kind.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct InjectionLog {

@@ -52,7 +52,10 @@ pub use config::DeviceConfig;
 pub use counters::{Bound, KernelStats, Mask, WARP};
 pub use device::{Gpu, KernelDesc};
 pub use fabric::{DeviceFleet, Interconnect};
-pub use fault::{BitFlip, DeviceFault, FaultKind, FaultPlan, FlipTarget, InjectionLog};
+pub use fault::{
+    BitFlip, DeviceFault, FaultKind, FaultPlan, FaultStats, FlipTarget, InjectionLog,
+    BACKOFF_BASE_SECONDS, MAX_COPY_RETRIES, MAX_KERNEL_RETRIES,
+};
 pub use mem::DevVec;
 pub use pod::Pod;
 pub use profile::{KernelAggregate, Profile, PROFILE_SCHEMA};

@@ -13,7 +13,7 @@ use cusha::core::{
     IntegrityMode, MemoStats, MultiRunStats, NoopObserver, Placement, PreparedLayout, Repr,
     RunObserver, RunStats, ShardEngine, VertexProgram,
 };
-use cusha::frontier::{host_kcore, try_run_kcore, FrontierEngine, KcoreConfig};
+use cusha::frontier::{host_kcore, try_run_kcore, FrontierConfig, FrontierEngine};
 use cusha::graph::generators::lattice::lattice2d;
 use cusha::graph::generators::rmat::{rmat, RmatConfig};
 use cusha::graph::{Edge, Graph};
@@ -359,7 +359,7 @@ fn kcore_block_scopes_are_invisible_and_bounded() {
     // depend on the replay switch, the tracer, or a fault plan that gates
     // the records off.
     let run = |g: &Graph, tpb: u32, replay: bool, traced: bool, plan: Option<&mut FaultPlan>| {
-        let mut cfg = KcoreConfig::new();
+        let mut cfg = FrontierConfig::new();
         cfg.threads_per_block = tpb;
         cfg.device.replay_memo = replay;
         if traced {
@@ -392,7 +392,7 @@ fn kcore_block_scopes_are_invisible_and_bounded() {
         assert_eq!(memo.replay_hits, 2 * (pairs - 1), "{tag}: {memo:?}");
         assert_eq!(memo.replay_verify_failures, 0, "{tag}");
         assert_eq!(traced.unwrap().stats.memo, memo, "{tag}: same keys traced");
-        let mut capped = KcoreConfig::new();
+        let mut capped = FrontierConfig::new();
         capped.threads_per_block = tpb;
         capped.max_iterations = 1;
         let first = match try_run_kcore(&g, &capped, None, &mut NoopObserver) {
