@@ -2,7 +2,8 @@
 //! k-core, triangle counting) does around its kernels, written once: device
 //! set-up and fault-plan hand-back, the setup mark, the 1-based iteration
 //! boundary (with [`Recovery`]'s, on this run's budgets and statistics), the
-//! final download and Fig. 10's clock split ([`split_clock`]).
+//! final download, Fig. 10's clock split ([`split_clock`]) and the device's
+//! fault record (the transient faults it absorbed in place).
 
 use crate::engine::RunObserver;
 use crate::error::EngineError;
@@ -150,16 +151,19 @@ impl<'o, O: RunObserver + ?Sized> DeviceRun<'o, O> {
         recovery.step(detector, sdc, its, detail, dev)
     }
 
-    /// The statistics of the engine's host rung: this run's so far, with one
-    /// host fallback counted and marked.
+    /// The statistics of the engine's host rung: this run's so far, the
+    /// device's fault record among them, with one host fallback counted and
+    /// marked.
     pub fn abandon(&mut self) -> RunStats {
+        self.stats.fault = self.gpu.faults;
         self.stats.sdc.host_fallbacks += 1;
         fault_instant(&self.gpu, "sdc", "host-fallback");
         std::mem::take(&mut self.stats)
     }
 
     /// Runs the final download inside the `download` span, then splits the
-    /// clock and folds memo and profile into the statistics it hands back.
+    /// clock and folds the device's fault record, memo and profile into the
+    /// statistics it hands back.
     pub fn close<T>(
         &mut self,
         download: impl FnOnce(&mut Gpu) -> Result<T, DeviceFault>,
@@ -171,6 +175,7 @@ impl<'o, O: RunObserver + ?Sized> DeviceRun<'o, O> {
         let clock = (gpu.kernel_seconds, gpu.h2d_seconds, gpu.d2h_seconds);
         (stats.h2d_seconds, stats.compute_seconds, stats.d2h_seconds) =
             split_clock(self.setup_h2d, d2h_before, clock);
+        stats.fault = gpu.faults;
         stats.memo.add(&MemoStats::from_gpu(gpu));
         stats.profile = gpu.profile.take();
         Ok((result, std::mem::take(stats)))

@@ -79,8 +79,9 @@ pub struct CuShaConfig {
     /// Simulated device.
     pub device: DeviceConfig,
     /// Optional fault-injection schedule installed on the device; see
-    /// [`cusha_simt::FaultPlan`]. A resident run surfaces injected faults
-    /// as [`EngineError`]s; a streamed or fleet run recovers from them.
+    /// [`cusha_simt::FaultPlan`]. Every device absorbs its own transient copy
+    /// and launch faults in place; what one past the budget does is the
+    /// [`Placement`]'s.
     pub fault_plan: Option<FaultPlan>,
     /// Livelock watchdog: every this-many iterations the engine snapshots
     /// the value vector and errors with [`EngineError::Watchdog`] if a
@@ -243,13 +244,13 @@ pub const MAX_DEVICES: usize = 64;
 /// caller's business.
 #[derive(Clone, Debug)]
 pub enum Placement {
-    /// The whole layout on one device; a device fault surfaces unretried.
+    /// The whole layout on one device; a fault past the device's budget, or
+    /// an OOM, surfaces.
     Resident,
     /// Out of core on one device (paper §5.1): `VertexValues` resident, the
     /// shards in batches of at most `bytes`, a batch's upload overlapping the
-    /// kernel before it on `streams >= 2`. Faults are retried, an OOM halves
-    /// `bytes` in place, and a kernel that keeps faulting walks the ladder
-    /// CW → G-Shards → host.
+    /// kernel before it on `streams >= 2`. An OOM halves `bytes` in place, and
+    /// a kernel that keeps faulting walks the ladder CW → G-Shards → host.
     Streamed {
         /// Device-memory budget of one batch of shard arrays.
         bytes: u64,
@@ -257,8 +258,8 @@ pub enum Placement {
         streams: u32,
     },
     /// The shard sequence edge-balanced over `devices` devices, halo updates
-    /// exchanged over `interconnect` once per iteration; each device
-    /// recovers from its own faults in place.
+    /// exchanged over `interconnect` once per iteration; a device whose
+    /// faults outlast its budgets degrades in place.
     Fleet {
         /// Devices in the fleet.
         devices: usize,
@@ -753,12 +754,9 @@ pub fn try_run_placed<P: VertexProgram, O: RunObserver + ?Sized>(
             if let Some(plan) = plans.get_mut(d).and_then(Option::take) {
                 gpu.set_fault_plan(plan);
             }
-            // A streamed or fleet device recovers in place, device 0 carrying
-            // the record of the rungs before (the others start clean); a
-            // resident run's device surfaces every fault to its caller.
-            if !resident {
-                gpu.recover_in_place(std::mem::take(&mut fault));
-            }
+            // Device 0 carries the record of the rungs before; the others
+            // start clean.
+            gpu.faults = std::mem::take(&mut fault);
         }
         let mut records: Vec<Records> = (0..n).map(|_| Records::default()).collect();
         if resident {

@@ -11,7 +11,7 @@
 //!   per-entry arrays, built once per run;
 //! * [`Resident`] + [`DeviceSlice`] — the device buffers of a shard range
 //!   with its global vertex/entry/CW offsets, built by one upload routine
-//!   (a device granted in-place recovery retries its own faulted copies);
+//!   (the device retries its own faulted copies);
 //! * [`DeviceSlice::launch`] — the kernel body. Engines differ only in
 //!   where a stage-4 write that falls *outside* the slice's own entry range
 //!   goes, which is a typed [`Sink`]: nowhere (a slice covering every shard
@@ -27,44 +27,19 @@
 
 use crate::cw::ConcatWindows;
 use crate::engine::{Columns, PreparedLayout};
-use crate::error::EngineError;
 use crate::program::{Value, VertexProgram};
 use crate::shards::GShards;
-use crate::stats::FaultStats;
 use cusha_graph::Graph;
 use cusha_obs::trace::lanes;
 use cusha_simt::{
     aligned_chunks, Block, DevVec, DeviceFault, Gpu, KernelDesc, KernelStats, LaunchRecord, Mask,
-    Pod, MAX_COPY_RETRIES, MAX_KERNEL_RETRIES, WARP,
+    Pod, WARP,
 };
 use std::ops::Range;
 use std::sync::Arc;
 
 /// Budget halvings a device may spend on OOM before the fault is final.
 pub(crate) const MAX_REBATCHES: u32 = 8;
-
-/// The retry around whole attempts granted to an entry with no recovery
-/// ladder (the middleware's engines, k-core, triangle counting): `attempt`
-/// reruns after a transient fault while the device budget
-/// ([`MAX_COPY_RETRIES`], [`MAX_KERNEL_RETRIES`]) lasts, on the fault plan the
-/// last one advanced. Returns the last outcome and retries.
-pub fn retry_attempts<T, V>(
-    mut attempt: impl FnMut() -> Result<T, EngineError<V>>,
-) -> (Result<T, EngineError<V>>, FaultStats) {
-    use EngineError::{CopyFault, KernelFault};
-    let mut retried = FaultStats::default();
-    loop {
-        match attempt() {
-            Err(CopyFault { .. }) if retried.copy_retries < MAX_COPY_RETRIES => {
-                retried.copy_retry(retried.copy_retries);
-            }
-            Err(KernelFault { .. }) if retried.kernel_retries < MAX_KERNEL_RETRIES => {
-                retried.kernel_retries += 1;
-            }
-            outcome => return (outcome, retried),
-        }
-    }
-}
 
 /// Emits a recovery instant on the device's fault lane at its current clock.
 pub fn fault_instant(gpu: &Gpu, cat: &'static str, name: &str) {

@@ -28,8 +28,8 @@
 //! * [`fallback`] — the host-side reference engine (the ladders' last rung).
 //! * [`device_run`] — [`DeviceRun`], the single-device engines' shared run:
 //!   device, iteration boundary, download and the H2D / GPU / D2H split.
-//! * [`middleware`] — [`run_engine`]: validation, deadlines and retry around
-//!   any [`Engine`]; [`ShardEngine`], the shard family's adapter.
+//! * [`middleware`] — [`run_engine`]: validation, the fault plan and
+//!   deadlines around any [`Engine`]; [`ShardEngine`], the shard family's adapter.
 //! * [`memsize`] — representation footprint model (Figure 9).
 //! * [`integrity`] — silent-data-corruption defense: per-buffer checksums,
 //!   algorithm invariants, bounded checkpoint/rollback recovery.
@@ -66,7 +66,7 @@ pub use engine::{
 pub use error::{check_topology, settle, EngineError};
 pub use fallback::run_fallback;
 pub use integrity::{IntegrityConfig, IntegrityMode};
-pub use kernel::{fault_instant, retry_attempts};
+pub use kernel::fault_instant;
 pub use middleware::{run_engine, DeadlineObserver, Engine, EngineCtx, ShardEngine};
 pub use multi::{run_multi, try_run_multi, MultiConfig};
 pub use program::{ColumnKey, Value, VertexProgram};

@@ -6,11 +6,11 @@
 //! * deadline enforcement and observer cancellation ([`DeadlineObserver`]
 //!   wraps the caller's [`RunObserver`], so `--timeout-ms` works on any
 //!   engine whose loop calls the observer once per iteration),
-//! * transient-fault retry ([`retry_attempts`], which k-core and triangle
-//!   counting run too) for engines without an internal recovery ladder (the
-//!   middleware owns the [`FaultPlan`] across attempts, so consumed one-shot
-//!   faults never re-fire on a retry).
+//! * the [`FaultPlan`]: the call's, else the configuration's, handed to the
+//!   engine and advanced by it.
 //!
+//! Transient copy and launch faults are each device's own: a `Gpu` re-issues
+//! the one faulted operation within its budget, so nothing here retries.
 //! Silent corruption is each device engine's own (`integrity::Recovery`).
 //! The shard family's one adapter lives here ([`ShardEngine`]: a
 //! representation and a [`Placement`]); the baselines and the frontier
@@ -20,9 +20,7 @@ use crate::engine::{
     try_run_placed, CuShaConfig, CuShaOutput, Placement, PreparedLayout, Repr, RunObserver,
 };
 use crate::error::EngineError;
-use crate::kernel::retry_attempts;
 use crate::program::VertexProgram;
-use crate::stats::FaultStats;
 use cusha_graph::Graph;
 use cusha_simt::FaultPlan;
 
@@ -31,12 +29,11 @@ use cusha_simt::FaultPlan;
 /// device, and the observer to call at every iteration boundary.
 pub struct EngineCtx<'a> {
     /// Effective configuration. `cfg.fault_plan` is always `None` here —
-    /// the plan travels through [`EngineCtx::fault_plan`] so the middleware
-    /// keeps ownership across retries.
+    /// the plan travels through [`EngineCtx::fault_plan`].
     pub cfg: &'a CuShaConfig,
-    /// Fault plan to install on the device for this attempt (device 0 of a
-    /// fleet). Every engine writes the advanced plan back through this slot
-    /// on every exit, so a retry never re-fires what an attempt consumed.
+    /// Fault plan to install on the device (device 0 of a fleet). Every
+    /// engine writes the advanced plan back through this slot on every exit,
+    /// so a later run sharing it never re-fires what this one consumed.
     pub fault_plan: Option<&'a mut FaultPlan>,
     /// Iteration-boundary hook. Engines must call it after every
     /// non-converged iteration and translate a `false` return into
@@ -49,17 +46,9 @@ pub struct EngineCtx<'a> {
 ///
 /// Implementations are thin — they map the generic [`EngineCtx`] onto the
 /// engine's native entry point and config type, its `integrity` included.
-/// The cross-cutting behavior (validation, deadlines, retry) belongs to
-/// [`run_engine`], not to implementations.
+/// The cross-cutting behavior (validation, the fault plan, deadlines)
+/// belongs to [`run_engine`], not to implementations.
 pub trait Engine<P: VertexProgram> {
-    /// Whether the engine runs its own fault-recovery ladder (retries,
-    /// rebatching, degradation). When `true` the middleware does not retry
-    /// transient faults — an error surfacing from such an engine is already
-    /// past recovery.
-    fn recovers_faults(&self) -> bool {
-        false
-    }
-
     /// Runs the program to convergence (or error) under `ctx`.
     fn execute(
         &mut self,
@@ -98,11 +87,11 @@ impl<O: RunObserver + ?Sized> RunObserver for DeadlineObserver<'_, O> {
 
 /// Runs `prog` over `graph` on `engine` under the full middleware stack.
 ///
-/// `fault_plan` (or, if `None`, `cfg.fault_plan`) is owned by the
-/// middleware for the whole call: each attempt hands the engine the plan's
-/// current state, so faults consumed by a failed attempt are not re-fired
-/// by its retry. The observer is wrapped in a [`DeadlineObserver`], making
-/// `cfg.deadline_seconds` effective on every engine.
+/// `fault_plan` (or, if `None`, `cfg.fault_plan`) is handed to the engine,
+/// which installs it on its device; a fault past the device's own budget
+/// leaves as the engine's error. The observer is wrapped in a
+/// [`DeadlineObserver`], making `cfg.deadline_seconds` effective on every
+/// engine.
 pub fn run_engine<P: VertexProgram, O: RunObserver + ?Sized>(
     engine: &mut dyn Engine<P>,
     prog: &P,
@@ -115,32 +104,18 @@ pub fn run_engine<P: VertexProgram, O: RunObserver + ?Sized>(
     let mut plan = fault_plan.or_else(|| cfg.fault_plan.clone());
     let mut cfg = cfg.clone();
     cfg.fault_plan = None;
-
-    // An engine without a ladder of its own is granted the retry budget.
-    let recovers = engine.recovers_faults();
-    let mut attempt = || {
-        let mut dl = DeadlineObserver::new(cfg.deadline_seconds, observer);
-        let ctx = EngineCtx {
-            cfg: &cfg,
-            fault_plan: plan.as_mut(),
-            observer: &mut dl,
-        };
-        engine.execute(prog, graph, ctx)
+    let mut dl = DeadlineObserver::new(cfg.deadline_seconds, observer);
+    let ctx = EngineCtx {
+        cfg: &cfg,
+        fault_plan: plan.as_mut(),
+        observer: &mut dl,
     };
-    let (outcome, retried) = match recovers {
-        true => (attempt(), FaultStats::default()),
-        false => retry_attempts(attempt),
-    };
-    // An output, capped or not, carries the retries it took.
-    let mut out = outcome.or_else(EngineError::partial)?;
-    out.stats.fault.absorb(&retried);
-    out.into_result()
+    engine.execute(prog, graph, ctx)
 }
 
 /// The shard family's adapter (CuSha-GS / CuSha-CW, wherever `placement`
 /// puts the layout): builds the layout per call and enters
-/// [`try_run_placed`]. Every placement but [`Placement::Resident`] recovers
-/// from faults itself; fleet statistics come back in
+/// [`try_run_placed`]. Fleet statistics come back in
 /// [`RunStats::fleet`](crate::RunStats::fleet).
 pub struct ShardEngine {
     /// The representation to run.
@@ -160,10 +135,6 @@ impl ShardEngine {
 }
 
 impl<P: VertexProgram> Engine<P> for ShardEngine {
-    fn recovers_faults(&self) -> bool {
-        !matches!(self.placement, Placement::Resident)
-    }
-
     fn execute(
         &mut self,
         prog: &P,

@@ -28,18 +28,17 @@
 //! bottleneck) appears.
 //!
 //! **Fault isolation.** Each device has its own `FaultPlan` and its own
-//! recovery ladder — the device itself retries transient copy faults with
-//! exponential backoff and relaunches a faulted kernel in place (launch
-//! faults fire before any block runs, so the relaunch is exact; see
-//! [`Gpu::recover_in_place`]), a device that cannot hold its partition
-//! streams it — values resident, shards in batches under
-//! a byte budget that halves on every further OOM, the streamed placement's
-//! scheme — and a device whose kernel keeps faulting degrades to a host-side
-//! re-enactment of its own shards. A faulted device never poisons the fleet:
-//! the other devices keep running on hardware, and results stay
-//! bit-identical. That is the *recover in place* value of the loop's one
-//! fault policy; the resident and streamed placements pass *surface*, and
-//! the same faults leave as typed errors once their budgets are spent.
+//! recovery ladder — like every device, it retries transient copy faults with
+//! exponential backoff and relaunches a faulted kernel in place (launch faults
+//! fire before any block runs, so the relaunch is exact; see [`Gpu::faults`]),
+//! a device that cannot hold its partition streams it — values resident,
+//! shards in batches under a byte budget that halves on every further OOM, the
+//! streamed placement's scheme — and a device whose kernel keeps faulting
+//! degrades to a host-side re-enactment of its own shards. A faulted device
+//! never poisons the fleet: the other devices keep running on hardware, and
+//! results stay bit-identical. That is the *recover in place* value of the
+//! loop's one fault policy ([`Placement::absorb`]); the resident and streamed
+//! placements pass *surface*, and a resident device never rebatches an OOM.
 
 use crate::engine::{
     try_run_cold, CuShaConfig, CuShaOutput, Placement, PreparedLayout, RunObserver,
@@ -348,7 +347,7 @@ impl<P: VertexProgram> MultiState<'_, P> {
         let gpu = self.fleet.device_mut(d);
         let res = loop {
             if let Some(f) = oom.take() {
-                if !rebatch(gpu, &mut budget) {
+                if !rebatch(self.placement, gpu, &mut budget) {
                     self.placement.absorb(|| f)?;
                     break None;
                 }
@@ -557,7 +556,7 @@ impl<P: VertexProgram> MultiState<'_, P> {
         out: &mut DeviceIter<P::V>,
         sdc: &mut SdcStats,
     ) -> Result<(), DeviceFault> {
-        let layout = self.layout;
+        let (layout, placement) = (self.layout, self.placement);
         let (shards, own) = (self.infos[d].shards.clone(), &self.infos[d].erange);
         let per_entry = entry_bytes(ValueSizes::of::<P>(), layout.repr());
         let (device, checksums) = (&self.base.device, self.base.integrity.mode.checksums());
@@ -583,7 +582,7 @@ impl<P: VertexProgram> MultiState<'_, P> {
                 let up = DeviceSlice::upload(gpu, layout, host, s..end, via);
                 let mut slice = match up {
                     Ok(slice) => slice,
-                    Err(DeviceFault::Oom { .. }) if rebatch(gpu, budget) => continue,
+                    Err(DeviceFault::Oom { .. }) if rebatch(placement, gpu, budget) => continue,
                     Err(f) => break 'batches f,
                 };
                 let copy = gpu.h2d_seconds - h2d_before;
@@ -664,12 +663,12 @@ impl<P: VertexProgram> MultiState<'_, P> {
     }
 }
 
-/// Absorbs an OOM inside the rebatch budget of a device granted in-place
-/// recovery ([`MAX_REBATCHES`]): the byte budget halves and the caller
-/// retries in place. `false` past it, or on an ungranted device: the
-/// placement decides.
-fn rebatch(gpu: &mut Gpu, budget: &mut u64) -> bool {
-    let inside = gpu.recovers_in_place() && gpu.faults.oom_rebatches < MAX_REBATCHES;
+/// Absorbs an OOM inside a streaming placement's rebatch budget
+/// ([`MAX_REBATCHES`]): the byte budget halves and the caller retries in place.
+/// `false` past it, or on a resident placement: [`Placement::absorb`] decides.
+fn rebatch(placement: &Placement, gpu: &mut Gpu, budget: &mut u64) -> bool {
+    let streams = !matches!(placement, Placement::Resident);
+    let inside = streams && gpu.faults.oom_rebatches < MAX_REBATCHES;
     if inside {
         gpu.faults.oom_rebatches += 1;
         fault_instant(gpu, "fault", "oom-rebatch");
@@ -687,9 +686,9 @@ fn rebatch(gpu: &mut Gpu, budget: &mut u64) -> bool {
 /// * `layout` is borrowed — its owner decides whether it outlives the run —
 ///   and `shards` gives each device its contiguous share of `0..num_shards`;
 /// * `fleet` holds the devices as their owner set them up (tracer, fault
-///   plan, profiling, the grant of in-place recovery and the fault record it
-///   seeds — see [`Gpu::recover_in_place`]; each device's record is read back
-///   from it) and takes them back, plus their fabric.
+///   plan, profiling, and the fault record carried from earlier rungs — see
+///   [`Gpu::faults`]; each device's record is read back from it) and takes
+///   them back, plus their fabric.
 ///   Over one, devices overlap and the engine lane — setup, iteration and
 ///   download spans, events that belong to no one device, on
 ///   [`DeviceFleet::fleet_pid`] — runs on the fleet clock (slowest device per
@@ -1446,8 +1445,7 @@ mod tests {
         }
         let resident = 400 * 4 + 4;
         base.device.global_mem_bytes = resident + largest;
-        let mut gpu = Gpu::new(base.device.clone());
-        gpu.recover_in_place(Default::default());
+        let gpu = Gpu::new(base.device.clone());
         let (mut fleet, mut sdc) = (DeviceFleet::solo(gpu), SdcStats::default());
         let (shards, streams) = (0..layout.num_shards(), 2);
         let (out, _) = drive(

@@ -607,13 +607,6 @@ impl FrontierEngine {
 }
 
 impl<P: VertexProgram> Engine<P> for FrontierEngine {
-    fn recovers_faults(&self) -> bool {
-        // The rollback/restart/fallback ladder recovers silent corruption,
-        // but transient copy/kernel faults surface — the middleware retries
-        // them with the usual backoff.
-        false
-    }
-
     fn execute(
         &mut self,
         prog: &P,

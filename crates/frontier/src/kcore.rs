@@ -35,8 +35,8 @@ use crate::compact::{block_warps, compact_flags, lanes_where};
 use crate::config::{FrontierConfig, U32_PER_VERTEX};
 use cusha_core::integrity::{apply_flip, scrub, Ask, Detector, Recovery, Rung};
 use cusha_core::{
-    fault_instant, retry_attempts, CuShaOutput, DeviceRun, Direction, EngineError, FrontierStats,
-    NoopObserver, RunObserver, RunStats,
+    fault_instant, CuShaOutput, DeviceRun, Direction, EngineError, FrontierStats, NoopObserver,
+    RunObserver, RunStats,
 };
 use cusha_graph::Graph;
 use cusha_obs::trace::lanes;
@@ -107,8 +107,8 @@ pub fn run_kcore(graph: &Graph, cfg: &FrontierConfig) -> KcoreOutput {
 /// consulted after every peel round (`false` aborts with
 /// [`EngineError::Deadline`], as does a round ending past
 /// `cfg.deadline_seconds`); the fault plan (else `cfg`'s) is installed on
-/// the device, its advanced state written back on exit, and a transient
-/// fault costs a [`retry_attempts`] retry.
+/// the device, its advanced state written back on exit; the device absorbs
+/// a transient copy or launch fault in place.
 pub fn try_run_kcore<O: RunObserver + ?Sized>(
     graph: &Graph,
     cfg: &FrontierConfig,
@@ -121,17 +121,10 @@ pub fn try_run_kcore<O: RunObserver + ?Sized>(
     let (idxs_host, nbrs_host) = undirected_adjacency(graph);
     let deg_host: Vec<u32> = (0..n).map(|v| idxs_host[v + 1] - idxs_host[v]).collect();
 
-    let (mut own, name) = (cfg.fault_plan.clone(), "Frontier/kcore");
-    let mut plan = fault_plan.or(own.as_mut());
-    let (out, retried) = retry_attempts(|| {
-        let (setup, plan) = (cfg.device_setup(), plan.as_deref_mut());
-        DeviceRun::open(setup, name.into(), plan, observer, |run| {
-            kcore_attempt(graph, cfg, run, &idxs_host, &nbrs_host, &deg_host)
-        })
-    });
-    let mut out = out.or_else(EngineError::partial)?;
-    out.stats.fault.absorb(&retried);
-    let out = out.into_result()?;
+    let (setup, name) = (cfg.device_setup(), "Frontier/kcore".into());
+    let out = DeviceRun::open(setup, name, fault_plan, observer, |run| {
+        decompose(graph, cfg, run, &idxs_host, &nbrs_host, &deg_host)
+    })?;
     let degeneracy = out.values.iter().copied().max().unwrap_or(0);
     Ok(KcoreOutput {
         core: out.values,
@@ -158,7 +151,7 @@ fn assigned_cores_stay(verified: &[u32], now: &[u32]) -> Result<(), String> {
 }
 
 #[allow(clippy::too_many_lines)]
-fn kcore_attempt<O: RunObserver + ?Sized>(
+fn decompose<O: RunObserver + ?Sized>(
     graph: &Graph,
     cfg: &FrontierConfig,
     run: &mut DeviceRun<'_, O>,

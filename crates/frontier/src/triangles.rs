@@ -15,7 +15,7 @@
 use crate::compact::block_warps;
 use crate::config::{FrontierConfig, U32_PER_VERTEX};
 use crate::kcore::undirected_adjacency;
-use cusha_core::{retry_attempts, DeviceRun, EngineError, NoopObserver, RunStats};
+use cusha_core::{DeviceRun, EngineError, NoopObserver, RunStats};
 use cusha_graph::Graph;
 use cusha_simt::{KernelDesc, Mask, WARP};
 
@@ -58,23 +58,18 @@ pub fn run_triangles(graph: &Graph, cfg: &FrontierConfig) -> TriangleOutput {
 }
 
 /// Counts triangles on the simulated device in a single oriented
-/// intersection pass; a transient fault costs a [`retry_attempts`] retry.
+/// intersection pass; the device absorbs a transient copy or launch fault in
+/// place.
 pub fn try_run_triangles(
     graph: &Graph,
     cfg: &FrontierConfig,
 ) -> Result<TriangleOutput, EngineError<u32>> {
     cfg.validate().map_err(EngineError::InvalidConfig)?;
     cfg.check_fits(graph, U32_PER_VERTEX)?;
-    let (mut plan, name) = (cfg.fault_plan.clone(), "Frontier/triangles");
-    let (out, retried) = retry_attempts(|| {
-        let (setup, plan) = (cfg.device_setup(), plan.as_mut());
-        DeviceRun::open(setup, name.into(), plan, &mut NoopObserver, |run| {
-            count(graph, cfg, run)
-        })
-    });
-    let mut out = out?;
-    out.stats.fault.absorb(&retried);
-    Ok(out)
+    let (setup, name) = (cfg.device_setup(), "Frontier/triangles".into());
+    DeviceRun::open(setup, name, None, &mut NoopObserver, |run| {
+        count(graph, cfg, run)
+    })
 }
 
 /// The count on the run's device: the oriented CSR's upload, one

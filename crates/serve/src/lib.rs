@@ -16,11 +16,11 @@
 //!   `(graph_rev, program, source_set, integrity_mode)`.
 //! * [`service`] — the service loop: fused query batching (two valued
 //!   traversals per launch, up to 64 reach sources per launch),
-//!   per-query deadlines enforced at iteration boundaries, fault retry
-//!   with modeled backoff, blast-radius isolation by batch splitting,
-//!   and warm-state scrubbing.
+//!   per-query deadlines enforced at iteration boundaries, blast-radius
+//!   isolation by batch splitting when a device fault surfaces past the
+//!   device's own retries, and warm-state scrubbing.
 //! * [`telemetry`] — per-query serving records (queue wait, batch shape,
-//!   warm/cold, retries, deadline slack), the sliding-window SLO tracker
+//!   warm/cold, device-absorbed retries, deadline slack), the sliding-window SLO tracker
 //!   with burn rates, and the slow-query log behind `stats`/`--slow-log`.
 //! * [`wal`] — the durable write-ahead mutation log: checksummed
 //!   length-prefixed records, fsync-modeled commit points, snapshot

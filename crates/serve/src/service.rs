@@ -4,7 +4,7 @@
 //! door; a full queue sheds with a typed rejection) → **plan** at flush
 //! (`plan_flush`: same-kind traversals fuse two-per-launch, `reach` queries
 //! bitset-pack up to 64 sources per launch) → **prepare** + **run**
-//! (`Service::launch`, with retries, on the serving `Epoch`'s warm state —
+//! (`Service::launch`, on the serving `Epoch`'s warm state —
 //! built once per key, never rebuilt unless scrubbed or superseded) →
 //! **settle** (`launch_and_settle`: exactly one typed response per admitted
 //! query) → **render**, in arrival order. Lifecycle of a mutation: **commit**
@@ -18,11 +18,12 @@
 //!   next iteration boundary and settles `deadline`; its batch-mates keep
 //!   running and settle normally. The whole launch is abandoned only when
 //!   every lane in it has expired.
-//! * A launch that trips the **fault** ladder is retried with modeled
-//!   backoff; when retries are exhausted a multi-query launch is split
-//!   into singletons so only the genuinely poisoned query settles
-//!   `failed` — and the warm state is scrubbed (layouts dropped and
-//!   rebuilt) so subsequent queries see a clean device.
+//! * A transient copy or launch **fault** is re-issued by the device itself,
+//!   within its budget, at the one faulted operation. A fault that surfaces
+//!   past that budget (or a device OOM) splits a multi-query launch into
+//!   singletons, so only the genuinely poisoned query settles `failed` — and
+//!   the warm state is scrubbed (layouts dropped and rebuilt) so subsequent
+//!   queries see a clean device.
 //! * **SDC** never surfaces as a failure: the engine's internal
 //!   checkpoint/rollback ladder recovers, and the service only forwards
 //!   the detection counters into its metrics.
@@ -52,12 +53,6 @@ use cusha_obs::trace::lanes;
 use cusha_obs::{MetricsRegistry, Tracer};
 use cusha_simt::{DeviceConfig, FaultPlan};
 use std::collections::BTreeSet;
-
-/// Modeled seconds of backoff before retry attempt `n` (0-based):
-/// 0.1 ms, 0.2 ms, 0.4 ms, ... capped at attempt 10.
-fn backoff_seconds(attempt: u32) -> f64 {
-    1e-4 * f64::from(1u32 << attempt.min(10))
-}
 
 /// What happens to queries that arrive between a committed mutation and
 /// the warm-layout rebuild that follows it.
@@ -126,8 +121,6 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Result-cache capacity in entries (0 disables the cache).
     pub cache_capacity: usize,
-    /// Fault retries per launch before splitting / failing.
-    pub max_retries: u32,
     /// Default per-query deadline (ms of modeled time) when a query does
     /// not carry one. `None` = no default deadline.
     pub default_deadline_ms: Option<f64>,
@@ -159,7 +152,6 @@ impl Default for ServeConfig {
             device: DeviceConfig::gtx780(),
             queue_capacity: 64,
             cache_capacity: 128,
-            max_retries: 3,
             default_deadline_ms: None,
             watchdog_interval: None,
             integrity: IntegrityConfig::default(),
@@ -227,7 +219,7 @@ impl RunObserver for DeadlineObserver {
     }
 }
 
-/// How one engine launch (with retries) ended, per lane.
+/// How one engine launch ended, per lane.
 enum Outcome<V> {
     /// The run finished; lanes that expired on the way carry their expiry.
     Done {
@@ -236,10 +228,11 @@ enum Outcome<V> {
     },
     /// Every lane expired and the run was abandoned.
     AllExpired { expired: Vec<(u32, f64)> },
-    /// A non-retryable engine error (watchdog, non-convergence, bad
-    /// config): every lane settles `failed` with this reason.
+    /// An engine error that is not a device fault (watchdog,
+    /// non-convergence, bad config): every lane settles `failed` with this
+    /// reason.
     Typed { kind: &'static str, detail: String },
-    /// Device faults survived every retry.
+    /// A device fault surfaced past the device's own budget, or an OOM.
     FaultExhausted { detail: String },
 }
 
@@ -326,7 +319,7 @@ enum Planned {
     Reach(Vec<usize>),
     /// One query on its own plain program (kernel `BFS`), whose whole output
     /// is the answer: a PageRank / CC refresh, or one lane of a multi-lane
-    /// launch that exhausted its fault retries.
+    /// launch a device fault split.
     Solo(usize),
 }
 
@@ -338,7 +331,8 @@ struct LaneMeta {
     batch_id: u64,
     /// Queries fused into the launch.
     batch_width: u32,
-    /// Fault retries the launch took.
+    /// Transient faults the launch's device absorbed in place (0 when a
+    /// fault surfaced).
     retries: u32,
     /// Whether warm prepared state already existed before the launch.
     warm: bool,
@@ -928,11 +922,10 @@ impl Service {
             .map(|ms| ms / 1e3)
     }
 
-    /// One engine launch on the serving epoch with the service's retry
-    /// policy: prepares the warm state the program needs (a cold launch
-    /// builds it), then runs, retrying device faults with modeled backoff.
-    /// `deadlines` has one slot per lane; the observer state feeds per-lane
-    /// settlement.
+    /// One engine launch on the serving epoch: prepares the warm state the
+    /// program needs (a cold launch builds it), then runs once — the device
+    /// re-issues its own transient faults. `deadlines` has one slot per lane;
+    /// the observer state feeds per-lane settlement.
     fn launch<P: VertexProgram>(
         &mut self,
         prog: &P,
@@ -962,73 +955,50 @@ impl Service {
         if !warm {
             self.metrics.add("serve_cold_launches_total", &[], 1);
         }
-        let mut attempt = 0u32;
-        let outcome = 'run: loop {
-            let mut observer = DeadlineObserver {
-                deadline_s: deadlines.to_vec(),
-                expired: vec![None; deadlines.len()],
-            };
-            match ready.run(prog, self.cfg.fault_plan.as_mut(), &mut observer) {
-                Ok(out) => {
-                    let (stats, scope) = (&out.stats, [("scope", "serve")]);
-                    self.clock += stats.total_seconds();
-                    self.metrics
-                        .observe("serve_query_modeled_seconds", &[], stats.total_seconds());
-                    stats.fault.record_metrics(&mut self.metrics, &scope);
-                    stats.sdc.record_metrics(&mut self.metrics, &scope);
-                    break 'run Outcome::Done {
-                        out: Box::new(out),
-                        expired: observer.expired,
-                    };
-                }
-                Err(EngineError::Deadline {
-                    iterations,
-                    elapsed_seconds,
-                }) => {
-                    self.clock += elapsed_seconds;
-                    break 'run Outcome::AllExpired {
-                        expired: observer
-                            .expired
-                            .into_iter()
-                            .map(|e| e.unwrap_or((iterations, elapsed_seconds)))
-                            .collect(),
-                    };
-                }
-                Err(
-                    e @ (EngineError::CopyFault { .. }
-                    | EngineError::KernelFault { .. }
-                    | EngineError::DeviceOom { .. }),
-                ) => {
-                    if attempt >= self.cfg.max_retries {
-                        break 'run Outcome::FaultExhausted {
-                            detail: e.to_string(),
-                        };
-                    }
-                    attempt += 1;
-                    let pause = backoff_seconds(attempt - 1);
-                    self.clock += pause;
-                    self.metrics.add("serve_batch_retries_total", &[], 1);
-                    self.metrics.observe("serve_backoff_seconds", &[], pause);
-                    self.cfg
-                        .trace
-                        .instant(0, lanes::SERVE, "serve", "retry", self.clock);
-                    cusha_obs::log::write(
-                        cusha_obs::log::Level::Warn,
-                        &format!("serve: retrying {} after fault: {e}", prog.name()),
-                    );
-                }
-                Err(e) => {
-                    break 'run Outcome::Typed {
-                        kind: e.kind(),
-                        detail: e.to_string(),
-                    }
-                }
+        let mut observer = DeadlineObserver {
+            deadline_s: deadlines.to_vec(),
+            expired: vec![None; deadlines.len()],
+        };
+        let ran = ready.run(prog, self.cfg.fault_plan.as_mut(), &mut observer);
+        let (outcome, retries) = match ran {
+            Ok(out) => {
+                let (stats, scope) = (&out.stats, [("scope", "serve")]);
+                self.clock += stats.total_seconds();
+                self.metrics
+                    .observe("serve_query_modeled_seconds", &[], stats.total_seconds());
+                stats.fault.record_metrics(&mut self.metrics, &scope);
+                stats.sdc.record_metrics(&mut self.metrics, &scope);
+                let retries = stats.fault.copy_retries + stats.fault.kernel_retries;
+                let (out, expired) = (Box::new(out), observer.expired);
+                (Outcome::Done { out, expired }, retries)
+            }
+            Err(EngineError::Deadline {
+                iterations,
+                elapsed_seconds,
+            }) => {
+                self.clock += elapsed_seconds;
+                let expired = observer.expired.into_iter();
+                let expired = expired.map(|e| e.unwrap_or((iterations, elapsed_seconds)));
+                let expired = expired.collect();
+                (Outcome::AllExpired { expired }, 0)
+            }
+            Err(
+                e @ (EngineError::CopyFault { .. }
+                | EngineError::KernelFault { .. }
+                | EngineError::DeviceOom { .. }),
+            ) => {
+                let detail = e.to_string();
+                (Outcome::FaultExhausted { detail }, 0)
+            }
+            Err(e) => {
+                let (kind, detail) = (e.kind(), e.to_string());
+                (Outcome::Typed { kind, detail }, 0)
             }
         };
         let meta = LaneMeta {
             batch_id,
             batch_width: deadlines.len() as u32,
-            retries: attempt,
+            retries,
             warm,
             launch_start,
             settle_clock: self.clock,
@@ -1048,7 +1018,7 @@ impl Service {
             .instant(0, lanes::SERVE, "serve", "scrub", self.clock);
         cusha_obs::log::write(
             cusha_obs::log::Level::Warn,
-            "serve: scrubbed warm layouts after exhausted fault retries",
+            "serve: scrubbed warm layouts after a device fault past its budget",
         );
     }
 
@@ -1118,10 +1088,10 @@ impl Service {
 
     /// The one settle path: launches `prog` for the admitted queries
     /// `lanes` and turns the outcome into one settled slot per lane —
-    /// per-lane expiry, cache fill, typed failure. A multi-lane launch that
-    /// exhausted its fault retries is split instead: each lane re-runs
-    /// alone, so only the genuinely poisoned query fails; an exhausted
-    /// single lane settles `failed` and the warm state is scrubbed.
+    /// per-lane expiry, cache fill, typed failure. A multi-lane launch whose
+    /// device fault surfaced is split instead: each lane re-runs alone, so
+    /// only the genuinely poisoned query fails; a faulted single lane
+    /// settles `failed` and the warm state is scrubbed.
     fn launch_and_settle<P: VertexProgram>(
         &mut self,
         prog: &P,

@@ -3,8 +3,8 @@
 //!
 //! Every query that reaches a terminal state produces one [`QueryRecord`]
 //! capturing the whole serving path — queue wait, which fused batch ran
-//! it, warm vs. cold launch, cache hit, fault retries, modeled latency,
-//! deadline slack, and the outcome. Records flow through a bounded ring
+//! it, warm vs. cold launch, cache hit, device-absorbed retries, modeled
+//! latency, deadline slack, and the outcome. Records flow through a bounded ring
 //! buffer ([`QueryLog`]; overflow is counted, never silent), feed a
 //! sliding-window [`SloTracker`] that computes latency/error **burn
 //! rates** against configurable objectives, and the slowest land in a
@@ -68,7 +68,8 @@ pub struct QueryRecord {
     pub warm: bool,
     /// Whether the result came from the cache.
     pub cache_hit: bool,
-    /// Fault retries the launch took before settling.
+    /// Transient copy and launch faults the launch's device absorbed in
+    /// place (`copy_retries + kernel_retries`); 0 when a fault surfaced.
     pub retries: u32,
     /// Modeled seconds from admission to settlement.
     pub latency_s: f64,

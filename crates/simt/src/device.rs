@@ -58,12 +58,12 @@ pub struct Gpu {
     pub profile: Option<crate::profile::Profile>,
     /// Optional fault-injection schedule consulted by the `try_*` ops.
     fault_plan: Option<FaultPlan>,
-    /// The fault record: the transient faults absorbed in place (see
-    /// [`Gpu::recover_in_place`]), and what the owner's recovery wrote beside
-    /// them (OOM rebatches, degradations).
+    /// The fault record: the transient faults absorbed in place (each copy
+    /// absorbs up to [`MAX_COPY_RETRIES`], each launch [`MAX_KERNEL_RETRIES`])
+    /// and what the owner's recovery wrote beside them (OOM rebatches,
+    /// degradations). An owner carrying a record from an earlier device of
+    /// the same run seeds it by assignment.
     pub faults: FaultStats,
-    /// Whether transient faults are absorbed in place.
-    recovers: bool,
     /// Span sink; the default no-op handle records nothing.
     tracer: Tracer,
     /// Chrome-trace process lane of this device's spans (device index).
@@ -103,7 +103,6 @@ impl Gpu {
             profile: None,
             fault_plan: None,
             faults: FaultStats::default(),
-            recovers: false,
             tracer: Tracer::default(),
             trace_pid: 0,
             memo,
@@ -172,22 +171,6 @@ impl Gpu {
         self.fault_plan.as_ref()
     }
 
-    /// Grants the device in-place recovery from transient faults, its record
-    /// seeded with `carried` — what an earlier device of the same run spent,
-    /// handed over like the fault plan. Each copy then absorbs up to
-    /// [`MAX_COPY_RETRIES`] copy faults and each launch [`MAX_KERNEL_RETRIES`]
-    /// launch fault, each counted in [`Gpu::faults`] and marked on the fault
-    /// lane; the next one surfaces. An ungranted device (the default) surfaces
-    /// the first.
-    pub fn recover_in_place(&mut self, carried: FaultStats) {
-        (self.recovers, self.faults) = (true, carried);
-    }
-
-    /// Whether the device was granted in-place recovery.
-    pub fn recovers_in_place(&self) -> bool {
-        self.recovers
-    }
-
     fn fault_fires(&mut self, kind: FaultKind, kernel_name: Option<&str>) -> Option<u64> {
         self.fault_plan
             .as_mut()
@@ -195,9 +178,10 @@ impl Gpu {
     }
 
     /// The op index of the copy or launch fault of `kind` that surfaces from
-    /// one operation, if any: the first a plan fires on an ungranted device,
-    /// the first past its budget on a granted one. Each fault absorbed before
-    /// it is counted, and marked on the fault lane at the device's clock.
+    /// one operation, if any: the first past the operation's budget
+    /// ([`MAX_COPY_RETRIES`], [`MAX_KERNEL_RETRIES`]). Each fault absorbed
+    /// before it is counted in [`Gpu::faults`], and marked on the fault lane
+    /// at the device's clock.
     fn surfaced_fault(&mut self, kind: FaultKind, kernel_name: Option<&str>) -> Option<u64> {
         let max = match kind {
             FaultKind::Kernel => MAX_KERNEL_RETRIES,
@@ -206,7 +190,7 @@ impl Gpu {
         let mut attempt = 0;
         loop {
             let op_index = self.fault_fires(kind, kernel_name)?;
-            if !self.recovers || attempt == max {
+            if attempt == max {
                 return Some(op_index);
             }
             let mark = match kind {
@@ -441,10 +425,9 @@ impl Gpu {
 
     /// Fallible kernel launch; see [`Gpu::launch`]. An injected launch
     /// fault fires *before* any block executes, so device state is exactly
-    /// as it was — mirroring a CUDA launch error — and the launch may be
-    /// re-issued: a device granted in-place recovery does so itself (see
-    /// [`Gpu::recover_in_place`]), else the caller may re-launch or fall back
-    /// to another representation.
+    /// as it was — mirroring a CUDA launch error — and the device re-issues
+    /// it itself, up to [`MAX_KERNEL_RETRIES`] times; a fault past that
+    /// surfaces, and the caller may fall back to another representation.
     pub fn try_launch(
         &mut self,
         desc: &KernelDesc,
@@ -830,38 +813,39 @@ mod tests {
 
     #[test]
     fn injected_faults_surface_through_try_ops() {
+        // Each fault surfaces once the operation's in-place budget is spent.
         let mut gpu = Gpu::new(DeviceConfig::tiny_test());
         gpu.set_fault_plan(
             FaultPlan::new()
                 .fail_alloc_at(&[1])
-                .fail_h2d_at(&[1])
-                .fail_d2h_at(&[0])
-                .fail_kernel_at(&[0]),
+                .fail_h2d_at(&[1, 2, 3, 4])
+                .fail_d2h_at(&[0, 1, 2, 3])
+                .fail_kernel_at(&[0, 1]),
         );
-        // alloc #0 fine, #1 injected OOM, #2 fine again.
+        // alloc #0 fine, #1 injected OOM (never retried), #2 fine again.
         assert!(gpu.try_alloc::<u32>(4).is_ok());
         match gpu.try_alloc::<u32>(4) {
             Err(DeviceFault::Oom { injected: true, .. }) => {}
             other => panic!("expected injected Oom, got {other:?}"),
         }
         let mut buf = gpu.try_alloc::<u32>(4).unwrap();
-        // h2d #0 (upload counts as h2d) fine, #1 fails and leaves the
-        // buffer untouched, #2 (the retry) succeeds.
+        // h2d #0 (upload counts as h2d) fine; #1-#3 are absorbed, #4 fails
+        // and leaves the buffer untouched, and the next copy (#5) lands.
         let _up = gpu.try_upload(&[9u32; 4]).unwrap();
         assert!(matches!(
             gpu.try_h2d(&mut buf, &[1, 2, 3, 4]),
             Err(DeviceFault::Copy {
                 kind: FaultKind::H2d,
-                op_index: 1
+                op_index: 4
             })
         ));
         assert_eq!(buf.host(), &[0; 4], "failed copy transferred nothing");
         gpu.try_h2d(&mut buf, &[1, 2, 3, 4]).unwrap();
         assert_eq!(buf.host(), &[1, 2, 3, 4]);
-        // d2h #0 fails, retry succeeds.
+        // d2h #0-#2 absorbed, #3 surfaces; the next download lands.
         assert!(gpu.try_download(&buf).is_err());
         assert_eq!(gpu.try_download(&buf).unwrap(), vec![1, 2, 3, 4]);
-        // kernel #0 fails before running any block, retry runs.
+        // kernel #0 absorbed, #1 surfaces before running any block.
         let desc = KernelDesc::new("probe", 1, 32);
         let mut ran = false;
         assert!(gpu.try_launch(&desc, |_| ran = true).is_err());
@@ -869,7 +853,9 @@ mod tests {
         gpu.try_launch(&desc, |_| ran = true).unwrap();
         assert!(ran);
         let log = gpu.fault_plan().unwrap().injected();
-        assert_eq!((log.alloc, log.h2d, log.d2h, log.kernel), (1, 1, 1, 1));
+        assert_eq!((log.alloc, log.h2d, log.d2h, log.kernel), (1, 4, 4, 2));
+        let absorbed = (gpu.faults.copy_retries, gpu.faults.kernel_retries);
+        assert_eq!(absorbed, (6, 1));
     }
 
     #[test]
@@ -882,8 +868,13 @@ mod tests {
         let mut gpu2 = Gpu::new(DeviceConfig::tiny_test());
         gpu2.set_fault_plan(plan);
         let _ = gpu2.try_upload(&[1u32]).unwrap(); // h2d #1
-        assert!(gpu2.try_upload(&[1u32]).is_err(), "h2d #2 injected");
-        assert!(gpu2.try_upload(&[1u32]).is_ok());
+        assert!(gpu2.faults.is_clean());
+        assert!(gpu2.try_upload(&[1u32]).is_ok(), "h2d #2 absorbed");
+        assert_eq!(
+            gpu2.faults.copy_retries, 1,
+            "h2d #2 fired on the new device"
+        );
+        assert_eq!(gpu2.fault_plan().unwrap().injected().h2d, 1);
     }
 
     /// The fault-lane marks a device made: `(name, modeled microseconds)`.
@@ -895,15 +886,11 @@ mod tests {
         marks.unwrap()
     }
 
-    /// A traced `tiny_test` device running `plan`, granted in-place recovery
-    /// or not.
-    fn planned(plan: FaultPlan, granted: bool) -> Gpu {
+    /// A traced `tiny_test` device running `plan`.
+    fn planned(plan: FaultPlan) -> Gpu {
         let mut gpu = Gpu::new(DeviceConfig::tiny_test());
         gpu.set_tracer(Tracer::enabled(), 0);
         gpu.set_fault_plan(plan);
-        if granted {
-            gpu.recover_in_place(FaultStats::default());
-        }
         gpu
     }
 
@@ -912,8 +899,7 @@ mod tests {
         // H2D #0-2 fault and #3 lands; the next copy's #4-6 are absorbed
         // afresh (the budget is per copy) and its fourth fault, #7, surfaces.
         let plan = FaultPlan::new().fail_h2d_at(&[0, 1, 2, 4, 5, 6, 7]);
-        let mut gpu = planned(plan, true);
-        assert!(gpu.recovers_in_place());
+        let mut gpu = planned(plan);
         let mut up = gpu.try_upload(&[7u32; 4]).expect("three faults absorbed");
         let landed = gpu.total_seconds();
         assert!(landed > 0.0);
@@ -950,7 +936,7 @@ mod tests {
     fn a_granted_device_absorbs_one_launch_fault_per_launch() {
         // Launch #0 faults and #1 runs; the next launch's #2 is absorbed and
         // #3 surfaces before any block ran.
-        let mut gpu = planned(FaultPlan::new().fail_kernel_at(&[0, 2, 3]), true);
+        let mut gpu = planned(FaultPlan::new().fail_kernel_at(&[0, 2, 3]));
         let desc = KernelDesc::new("probe", 1, 32);
         let mut runs = 0;
         let stats = gpu.try_launch(&desc, |b| {
@@ -976,27 +962,35 @@ mod tests {
     }
 
     #[test]
-    fn an_ungranted_device_surfaces_the_first_fault() {
-        let plan = FaultPlan::new().fail_h2d_at(&[0]).fail_d2h_at(&[0]);
-        let mut gpu = planned(plan.fail_kernel_at(&[0]), false);
-        assert!(!gpu.recovers_in_place());
-        assert!(matches!(
-            gpu.try_upload(&[1u32]),
-            Err(DeviceFault::Copy { op_index: 0, .. })
-        ));
-        let buf = gpu.try_upload(&[1u32]).expect("h2d #1 is clean");
-        assert!(gpu.try_download_scalar(&buf, 0).is_err());
-        let desc = KernelDesc::new("probe", 1, 32);
-        assert!(gpu.try_launch(&desc, |_| {}).is_err());
-        assert!(gpu.faults.is_clean());
-        assert_eq!(fault_marks(&gpu), vec![]);
-        // A granted device carries the record it is seeded with.
+    fn a_fault_past_the_budget_surfaces_on_the_carried_record() {
+        // The record an owner carries from an earlier device is seeded by
+        // assignment, and the budget counts onto it: each op's faults up to
+        // its budget are absorbed, the next surfaces.
+        let plan = FaultPlan::new()
+            .fail_h2d_at(&[0, 1, 2, 3])
+            .fail_d2h_at(&[0]);
+        let mut gpu = planned(plan.fail_kernel_at(&[0, 1]));
         let carried = FaultStats {
             degradations: 1,
             ..Default::default()
         };
-        gpu.recover_in_place(carried);
-        assert_eq!(gpu.faults, carried);
+        gpu.faults = carried;
+        assert!(matches!(
+            gpu.try_upload(&[1u32]),
+            Err(DeviceFault::Copy { op_index: 3, .. })
+        ));
+        let buf = gpu.try_upload(&[1u32]).expect("h2d #4 is clean");
+        assert_eq!(gpu.try_download_scalar(&buf, 0).unwrap(), 1);
+        let desc = KernelDesc::new("probe", 1, 32);
+        assert!(matches!(
+            gpu.try_launch(&desc, |_| {}),
+            Err(DeviceFault::Kernel { op_index: 1, .. })
+        ));
+        let absorbed = (gpu.faults.copy_retries, gpu.faults.kernel_retries);
+        assert_eq!((absorbed, gpu.faults.degradations), ((4, 1), 1));
+        let marks: Vec<String> = fault_marks(&gpu).into_iter().map(|m| m.0).collect();
+        let want = ["copy-retry"; 4].into_iter().chain(["kernel-retry"]);
+        assert_eq!(marks, want.map(String::from).collect::<Vec<_>>());
     }
 
     #[test]

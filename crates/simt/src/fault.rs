@@ -171,8 +171,8 @@ impl std::fmt::Display for DeviceFault {
 
 impl std::error::Error for DeviceFault {}
 
-/// Copy faults a device granted in-place recovery absorbs per copy; the
-/// next one surfaces. A faulted copy transferred nothing, so its retry
+/// Copy faults every device absorbs per copy, in place; the next one
+/// surfaces. A faulted copy transferred nothing, so its retry
 /// re-issues the identical operation.
 pub const MAX_COPY_RETRIES: u32 = 3;
 
@@ -181,8 +181,8 @@ pub const MAX_COPY_RETRIES: u32 = 3;
 /// charged to the device clock.
 pub const BACKOFF_BASE_SECONDS: f64 = 1e-3;
 
-/// Launch faults a device granted in-place recovery absorbs per launch. A
-/// faulted launch ran no block, so its relaunch re-executes identical work.
+/// Launch faults every device absorbs per launch, in place. A faulted launch
+/// ran no block, so its relaunch re-executes identical work.
 pub const MAX_KERNEL_RETRIES: u32 = 1;
 
 /// Counters of the fault-tolerance machinery's activity during one run.
@@ -204,7 +204,7 @@ pub struct FaultStats {
 }
 
 impl FaultStats {
-    /// Element-wise accumulation (a fleet's or a retried run's total).
+    /// Element-wise accumulation (a fleet's total).
     pub fn absorb(&mut self, other: &FaultStats) {
         self.copy_retries += other.copy_retries;
         self.backoff_seconds += other.backoff_seconds;
@@ -215,7 +215,7 @@ impl FaultStats {
 
     /// Counts one absorbed copy fault, the `attempt`-th retry of its copy
     /// (0-based), with its doubled backoff.
-    pub fn copy_retry(&mut self, attempt: u32) {
+    pub(crate) fn copy_retry(&mut self, attempt: u32) {
         self.copy_retries += 1;
         self.backoff_seconds += BACKOFF_BASE_SECONDS * (1u64 << attempt) as f64;
     }

@@ -19,7 +19,7 @@
 //!
 //! ```text
 //! cusha serve --rmat 12:100000 [--engine cw|gs] [--queue-capacity N]
-//!       [--cache-capacity N] [--retries N] [--deadline-ms MS]
+//!       [--cache-capacity N] [--deadline-ms MS]
 //!       [--inject ...] [--integrity full] [--metrics-out m.json]
 //! ```
 //!
@@ -264,7 +264,6 @@ const FLAGS: &[Flag] = &[
     }),
     ("--queue-capacity", "<N>", Serve, None, |a, v| put(&mut a.serving.queue_capacity, nonzero(v))),
     ("--cache-capacity", "<N>", Serve, None, |a, v| put(&mut a.serving.cache_capacity, number(v))),
-    ("--retries", "<N>", Serve, None, |a, v| put(&mut a.serving.max_retries, number(v))),
     ("--deadline-ms", "<ms>", Serve, None, |a, v| {
         some(&mut a.serving.default_deadline_ms, positive(v))
     }),
@@ -455,9 +454,8 @@ const HELP_PROSE: &str = "\n\
          \x20 {\"id\":1,\"op\":\"sssp\",\"source\":9,\"deadline_ms\":2.5}\n\
          Queries queue at admission (shed with status \"rejected\" when\n\
          --queue-capacity is exceeded) and run on `flush`. --deadline-ms\n\
-         sets the default per-query modeled-time deadline; --retries the\n\
-         fault-retry budget per launch; --cache-capacity the LRU result\n\
-         cache (0 disables).\n\
+         sets the default per-query modeled-time deadline; --cache-capacity\n\
+         the LRU result cache (0 disables).\n\
          \n\
          Live mutation under serve: `insert <src> <dst> [weight]`,\n\
          `delete <src> <dst>`, or JSON like\n\
@@ -619,9 +617,10 @@ fn distance(v: &u32) -> String {
 impl Run<'_> {
     /// A vertex program on the `--engine` adapter. Every engine funnels
     /// through the same middleware entry point (`run_engine`): validation,
-    /// deadline enforcement and copy/kernel fault retries are applied in one
-    /// place regardless of which engine runs underneath; `--integrity`
-    /// reaches each device engine's own recovery ladder.
+    /// the fault plan and deadline enforcement are applied in one place
+    /// regardless of which engine runs underneath; every device retries its
+    /// own transient copy/kernel faults, and `--integrity` reaches each
+    /// device engine's own recovery ladder.
     fn vertex<P: VertexProgram>(self, prog: &P, show: impl Fn(&P::V) -> String) -> Ran {
         let mut engine = self.args.engine.build::<P>(self.args);
         let cfg = &self.args.cfg;
@@ -752,13 +751,12 @@ fn write_telemetry(args: &Args, metrics: &MetricsRegistry) -> Result<(), Failure
 fn serve(mut args: Args, graph: Graph) -> Result<(), Failure> {
     say!(
         Info,
-        "{} vertices, {} edges; serving queries on {} (queue {}, cache {}, {} retries)",
+        "{} vertices, {} edges; serving queries on {} (queue {}, cache {})",
         graph.num_vertices(),
         graph.num_edges(),
         args.engine.name,
         args.serving.queue_capacity,
         args.serving.cache_capacity,
-        args.serving.max_retries,
     );
     let cfg = ServeConfig {
         engine: match args.engine.kind {
@@ -960,7 +958,6 @@ mod tests {
         ("--profile-json", "p.json", ""),
         ("--queue-capacity", "16", "0"),
         ("--cache-capacity", "0", "-1"),
-        ("--retries", "2", "x"),
         ("--deadline-ms", "5", "nan"),
         ("--script", "q.txt", ""),
         ("--slow-log", "s.jsonl", ""),
@@ -1065,7 +1062,7 @@ mod tests {
 
         let s = parsed(
             "serve --input g.bin --engine frontier --queue-capacity 16 --cache-capacity 0 \
-             --retries 2 --deadline-ms 5 --script q --slow-log s --slo-latency-ms 0.5 \
+             --deadline-ms 5 --script q --slow-log s --slo-latency-ms 0.5 \
              --slo-window 4 --wal w --snapshot-every 2 --crash-at pre-apply@3 \
              --rebuild-policy serve-previous",
         )
@@ -1073,10 +1070,7 @@ mod tests {
         assert!(s.serve && s.engine.kind == EngineKind::Frontier);
         let serving = &s.serving;
         assert_eq!((serving.queue_capacity, serving.cache_capacity), (16, 0));
-        assert_eq!(
-            (serving.max_retries, serving.default_deadline_ms),
-            (2, Some(5.0))
-        );
+        assert_eq!(serving.default_deadline_ms, Some(5.0));
         assert_eq!(
             (serving.slo.latency_objective_s, serving.slo.window),
             (0.5e-3, 4)
@@ -1115,7 +1109,7 @@ mod tests {
         assert_eq!((devices, interconnect.name), (3, "nvlink"));
         let serving = &a.serving;
         assert_eq!((serving.queue_capacity, serving.cache_capacity), (64, 128));
-        assert_eq!((serving.max_retries, a.snapshot_every), (3, 0));
+        assert_eq!(a.snapshot_every, 0);
         assert_eq!(
             (a.source, a.density_threshold),
             (0, DEFAULT_DENSITY_THRESHOLD)

@@ -323,14 +323,14 @@ fn parent_rows() -> Vec<Row> {
         "--script @queries.txt --slo-latency-ms 0.01 --slo-window 4 --deadline-ms 50",
         "",
     );
-    serve("serve/small-queue", "--script @queries.txt --queue-capacity 2 --cache-capacity 0 --retries 1 --shard-size 32 --max-iters 500", "");
+    serve("serve/small-queue", "--script @queries.txt --queue-capacity 2 --cache-capacity 0 --shard-size 32 --max-iters 500", "");
     serve(
         "serve/mutations",
         "--script @mutations.txt --metrics-out @m.json",
         "",
     );
     serve("serve/serve-previous", "--script @mutations.txt --rebuild-policy serve-previous --metrics-out @m.json --slow-log @s.jsonl", "");
-    serve("serve/chaos", "--script @queries.txt --retries 2 --inject seed=99,kernel%0.02,h2d%0.01 --inject-bitflips rate=0.002 --integrity full --watchdog 8 --metrics-out @m.json", "");
+    serve("serve/chaos", "--script @queries.txt --inject seed=99,kernel%0.02,h2d%0.01 --inject-bitflips rate=0.002 --integrity full --watchdog 8 --metrics-out @m.json", "");
     serve(
         "serve/wal",
         "--script @mutations.txt --wal @log.wal --snapshot-every 2 --metrics-out @m.json",
@@ -353,6 +353,12 @@ fn parent_rows() -> Vec<Row> {
         "--bogus",
     );
     bad("usage/missing-value", "--rmat 8:600 --algo", "--algo");
+    // The service keeps no retry budget of its own: devices retry in place.
+    bad(
+        "usage/retries",
+        "serve --rmat 8:600 --retries 2",
+        "--retries",
+    );
     bad(
         "usage/unparsable-number",
         "--algo bfs --rmat 8:600 --source abc",
@@ -657,8 +663,8 @@ fn defect_rows() -> Vec<Row> {
             "serve --rmat 8:600 --script @growth.txt --wal @log.wal",
             "",
         ),
-        // Exited 3 (copy-fault) until k-core and triangle counting got the
-        // middleware's retry around whole attempts (`retry_attempts`).
+        // Exited 3 (copy-fault) until k-core and triangle counting got a
+        // transient-fault retry; the device now re-issues the faulted copy.
         named(
             "defect/kcore-transient-copy-fault",
             "--algo kcore --rmat 6:100 --engine frontier --inject h2d@1",

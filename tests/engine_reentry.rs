@@ -256,15 +256,15 @@ fn observer_cancellation_is_a_typed_deadline() {
 
 #[test]
 fn fault_plan_advances_across_warm_runs() {
-    // One-shot kernel fault at op 0: the first warm run consumes it and
-    // fails (the engine surfaces kernel faults; a resident caller
-    // retries). The plan written back must not replay the fault, so the
-    // retry succeeds cleanly — this is what lets the service's retry
-    // loop make progress instead of hitting the same fault forever.
+    // One-shot kernel faults at ops 0 and 1: the first warm run's device
+    // relaunches past the first and surfaces the second, failing the run.
+    // The plan written back must not replay them, so the next run on it
+    // succeeds cleanly — this is what lets the service's next launch make
+    // progress instead of hitting the same fault forever.
     let g = graph();
     let cfg = CuShaConfig::cw();
     let layout = layout_for(&g, &cfg);
-    let mut plan = FaultPlan::seeded(2).fail_kernel_at(&[0]);
+    let mut plan = FaultPlan::seeded(2).fail_kernel_at(&[0, 1]);
 
     let r1 = try_run_warm(
         &Bfs::new(0),
@@ -275,7 +275,7 @@ fn fault_plan_advances_across_warm_runs() {
         &mut NoopObserver,
     );
     match r1 {
-        Err(EngineError::KernelFault { op_index, .. }) => assert_eq!(op_index, 0),
+        Err(EngineError::KernelFault { op_index, .. }) => assert_eq!(op_index, 1),
         other => panic!("expected the injected kernel fault, got {other:?}"),
     }
 
@@ -297,10 +297,10 @@ fn fault_plan_advances_across_warm_runs() {
     assert_eq!(r2.values, cold.values);
 }
 
-/// `EngineCtx::fault_plan`'s contract, adapter by adapter: whatever an attempt
-/// consumed is written back through the slot, whether the attempt succeeded,
-/// recovered inside the engine or failed — or the middleware's next attempt
-/// (a retry) re-fires it.
+/// `EngineCtx::fault_plan`'s contract, adapter by adapter: whatever a run
+/// consumed is written back through the slot, whether the run succeeded,
+/// recovered inside the engine or failed — or the next run sharing the plan
+/// re-fires it.
 #[test]
 fn every_adapter_writes_the_advanced_plan_back() {
     let (g, prog, cfg) = (graph(), Sssp::new(4), CuShaConfig::cw());
@@ -320,9 +320,15 @@ fn every_adapter_writes_the_advanced_plan_back() {
     // (plan, which adapters still succeed under it)
     let table = [
         (FaultPlan::new(), ["shard", "streamed", "fleet"].as_slice()),
-        // One kernel fault: surfaced by the shard engine, retried by the rest.
+        // One kernel fault: every device relaunches it in place.
         (
             FaultPlan::seeded(2).fail_kernel_at(&[0]),
+            ["shard", "streamed", "fleet"].as_slice(),
+        ),
+        // Past the relaunch budget: surfaced by the shard engine, degraded
+        // past by the rest.
+        (
+            FaultPlan::seeded(2).fail_kernel_at(&[0, 1]),
             ["streamed", "fleet"].as_slice(),
         ),
         // The first upload fails past every copy-retry budget.

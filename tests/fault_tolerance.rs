@@ -5,13 +5,15 @@
 //! deterministic schedule.
 
 use cusha::algos::{Bfs, PageRank};
+use cusha::baselines::{try_run_vwc, VwcConfig};
 use cusha::core::{
-    run, try_run, try_run_streamed, CuShaConfig, EngineError, NoopObserver, Repr, StreamingConfig,
-    VertexProgram,
+    run, try_run, try_run_streamed, try_run_warm, CuShaConfig, EngineError, FaultStats,
+    NoopObserver, PreparedLayout, Repr, RunStats, StreamingConfig, VertexProgram,
 };
 use cusha::frontier::{try_run_frontier, try_run_kcore, try_run_triangles, FrontierConfig};
 use cusha::graph::generators::rmat::{rmat, RmatConfig};
 use cusha::graph::{Edge, Graph, VertexId};
+use cusha::obs::Tracer;
 use cusha::simt::{DeviceConfig, FaultPlan};
 
 fn streamed_cfg(repr: Repr, resident_bytes: u64) -> StreamingConfig {
@@ -137,12 +139,12 @@ fn exhausted_copy_retries_surface_as_copy_fault() {
 }
 
 /// k-core and triangle counting enter the device without the middleware
-/// (they take no `VertexProgram`), yet get its retry around whole attempts:
-/// a transient copy or launch fault costs a retry, not the run, and the
-/// retried run answers what a clean one does. A fault past the budget still
+/// (they take no `VertexProgram`), and their device absorbs transient faults
+/// like every other: a copy or launch fault costs a retry, not the run, and
+/// the run answers what a clean one does. A fault past the budget still
 /// surfaces typed.
 #[test]
-fn kcore_and_triangles_retry_transient_faults_whole() {
+fn kcore_and_triangles_absorb_transient_faults_in_place() {
     let g = rmat(&RmatConfig::graph500(6, 100, 5));
     let with_plan = |plan: FaultPlan| FrontierConfig {
         fault_plan: Some(plan),
@@ -158,9 +160,9 @@ fn kcore_and_triangles_retry_transient_faults_whole() {
         (FaultPlan::new().fail_kernel_at(&[0]), 0, 1),
     ] {
         let cfg = with_plan(plan);
-        let kcore = try_run_kcore(&g, &cfg, None, &mut NoopObserver).expect("k-core retried");
+        let kcore = try_run_kcore(&g, &cfg, None, &mut NoopObserver).expect("k-core absorbed");
         assert_eq!(kcore.core, clean.0.core);
-        let tc = try_run_triangles(&g, &cfg).expect("triangles retried");
+        let tc = try_run_triangles(&g, &cfg).expect("triangles absorbed");
         assert_eq!(tc.triangles, clean.1.triangles);
         for fault in [kcore.stats.fault, tc.stats.fault] {
             assert_eq!(
@@ -169,7 +171,7 @@ fn kcore_and_triangles_retry_transient_faults_whole() {
             );
         }
     }
-    // The original attempt and all three retries fail.
+    // The first copy and all three of its retries fail.
     let cfg = with_plan(FaultPlan::new().fail_h2d_at(&[0, 1, 2, 3]));
     let refused = try_run_kcore(&g, &cfg, None, &mut NoopObserver);
     assert!(matches!(refused, Err(EngineError::CopyFault { .. })));
@@ -177,6 +179,101 @@ fn kcore_and_triangles_retry_transient_faults_whole() {
         try_run_triangles(&g, &cfg),
         Err(EngineError::CopyFault { .. })
     ));
+}
+
+/// The faults [`an_in_place_retry_reissues_one_op_not_an_attempt`] injects:
+/// the second H2D copy and the first launch.
+fn one_copy_and_one_launch() -> FaultPlan {
+    FaultPlan::new().fail_h2d_at(&[1]).fail_kernel_at(&[0])
+}
+
+/// A run's values as bits, its fault record, the plan's op counters after it
+/// (h2d, d2h, alloc, kernel) and its trace's copy spans, kernel spans and
+/// fault-lane marks.
+type Ran = (Vec<u64>, FaultStats, (u64, u64, u64, u64), [usize; 3]);
+
+/// One engine's run of BFS (or its own workload) under a plan.
+type RunOn = fn(&Graph, FaultPlan) -> Ran;
+
+fn ran<V: cusha::core::Value>(
+    values: &[V],
+    stats: &RunStats,
+    plan: &FaultPlan,
+    trace: &Tracer,
+) -> Ran {
+    let count = |cat: &str| trace.with_events(|ev| ev.iter().filter(|e| e.cat == cat).count());
+    let spans = [count("copy"), count("kernel"), count("fault")].map(Option::unwrap);
+    let bits = values.iter().map(|v| v.to_bits()).collect();
+    (bits, stats.fault, plan.op_counters(), spans)
+}
+
+/// A transient fault is re-issued by the device at the one faulted op: one
+/// H2D fault and one launch fault cost a resident CuSha-CW run, a VWC run,
+/// k-core and a triangle count exactly those two ops more than a clean run —
+/// the same values, the same trace spans, one retry each.
+#[test]
+fn an_in_place_retry_reissues_one_op_not_an_attempt() {
+    let g = rmat(&RmatConfig::graph500(7, 900, 83));
+    let engines: [(&str, RunOn); 4] = [
+        ("CuSha-CW", |g, mut plan| {
+            let trace = Tracer::enabled();
+            let cfg = CuShaConfig::cw()
+                .with_vertices_per_shard(32)
+                .with_tracer(trace.clone());
+            let layout = PreparedLayout::build(g, Repr::ConcatWindows, 32);
+            let out = try_run_warm(
+                &Bfs::new(0),
+                g,
+                &layout,
+                &cfg,
+                Some(&mut plan),
+                &mut NoopObserver,
+            );
+            let out = out.expect("resident CW absorbed");
+            ran(&out.values, &out.stats, &plan, &trace)
+        }),
+        ("VWC", |g, mut plan| {
+            let trace = Tracer::enabled();
+            let cfg = VwcConfig::new(8).with_tracer(trace.clone());
+            let out = try_run_vwc(&Bfs::new(0), g, &cfg, Some(&mut plan), &mut NoopObserver);
+            let out = out.expect("VWC absorbed");
+            ran(&out.values, &out.stats, &plan, &trace)
+        }),
+        ("k-core", |g, mut plan| {
+            let trace = Tracer::enabled();
+            let cfg = FrontierConfig::new().with_tracer(trace.clone());
+            let out = try_run_kcore(g, &cfg, Some(&mut plan), &mut NoopObserver);
+            let out = out.expect("k-core absorbed");
+            ran(&out.core, &out.stats, &plan, &trace)
+        }),
+        ("triangles", |g, plan| {
+            // The entry takes its plan from the configuration and keeps it,
+            // so its op counters are read off the trace alone.
+            let trace = Tracer::enabled();
+            let cfg = FrontierConfig {
+                fault_plan: Some(plan.clone()),
+                ..FrontierConfig::new().with_tracer(trace.clone())
+            };
+            let out = try_run_triangles(g, &cfg).expect("triangles absorbed");
+            ran(&[out.triangles], &out.stats, &plan, &trace)
+        }),
+    ];
+    for (name, run) in engines {
+        let (values, fault, ops, [copies, kernels, marks]) = run(&g, FaultPlan::new());
+        assert!(fault.is_clean(), "{name}: {fault:?}");
+        assert_eq!(marks, 0, "{name}");
+        let faulted = run(&g, one_copy_and_one_launch());
+        assert_eq!(faulted.0, values, "{name}: values moved");
+        let retries = (faulted.1.copy_retries, faulted.1.kernel_retries);
+        assert_eq!(retries, (1, 1), "{name}: {:?}", faulted.1);
+        // Each faulted op moved nothing: the same spans, and one mark each.
+        assert_eq!(faulted.3, [copies, kernels, 2], "{name}: trace");
+        if name != "triangles" {
+            let (h2d, d2h, alloc, kernel) = ops;
+            let two_more = (h2d + 1, d2h, alloc, kernel + 1);
+            assert_eq!(faulted.2, two_more, "{name}: plan op counters");
+        }
+    }
 }
 
 /// A capped run returns `NonConverged` carrying the partial output — the

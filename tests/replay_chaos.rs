@@ -597,9 +597,10 @@ fn lent_tables_are_invisible_across_programs_tracers_switches_and_faults() {
         );
         assert_eq!((memo.replay_hits, memo.replay_misses), (0, 0), "{memo:?}");
         assert!(memo.replay_fallbacks > 0, "{memo:?}");
-        // A plan that does fire fails the run (the in-core engine surfaces
-        // kernel faults); the record it was lent comes back usable.
-        let mut firing = FaultPlan::new().fail_kernel_at(&[0]);
+        // A plan that fires past the device's relaunch budget fails the run
+        // (the in-core engine surfaces such a fault); the record it was lent
+        // comes back usable.
+        let mut firing = FaultPlan::new().fail_kernel_at(&[0, 1]);
         let failed = try_run_warm(
             &Bfs::new(0),
             &g,

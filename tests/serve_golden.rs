@@ -7,7 +7,7 @@
 //!
 //! Sessions run through [`run_session`] over {Shard-CW, Shard-GS, Frontier}
 //! x {`Shed`, `ServePrevious`} x {clean; seeded `kernel%`/`h2d%` faults +
-//! bit flips + `IntegrityMode::Full`, `max_retries` 2, `queue_capacity` 16},
+//! bit flips + `IntegrityMode::Full`, `queue_capacity` 16},
 //! all on one mixed script: bfs/sssp/sswp in even and odd counts per flush,
 //! `reach` sets that pack into one launch, that overflow 64 bits into two,
 //! and one 64-source set, pagerank, cc, `deadline_ms` expiring one lane of a
@@ -149,7 +149,6 @@ fn matrix_config(engine: &str, policy: RebuildPolicy, chaos: bool) -> ServeConfi
     }
     ServeConfig {
         queue_capacity: 16,
-        max_retries: 2,
         fault_plan: Some(
             FaultPlan::seeded(99)
                 .with_kernel_rate(0.02)
@@ -250,7 +249,6 @@ fn document() -> String {
     let split = "bfs 0\nbfs 5\nsssp 3\nsssp 7\nflush\nbfs 9\nsssp 3\nflush\nbfs 0\nflush\nstats\n";
     let poisoned = |plan: FaultPlan, policy| ServeConfig {
         fault_plan: Some(plan),
-        max_retries: 1,
         cache_capacity: 0,
         ..base_config("cw", policy)
     };
@@ -267,8 +265,8 @@ fn document() -> String {
         .fail_kernels_named("BFSx2", u64::MAX)
         .fail_kernels_named("BFS", 2);
     lines.push(session_line("split/plain-too", poisoned(plan, shed), split));
-    // The same for a packed reach launch (two `MSBFS` retries exhaust the
-    // pack; the first singleton exhausts too, the others run cold).
+    // The same for a packed reach launch (two `MSBFS` launch faults exhaust
+    // the pack; the first singleton exhausts too, the others run cold).
     let reach = "reach 1\nreach 2 3\nreach 4\nflush\nreach 1\nflush\nstats\n";
     let plan = FaultPlan::seeded(3).fail_kernels_named("MSBFS", 4);
     lines.push(session_line("split/reach", poisoned(plan, shed), reach));
@@ -282,7 +280,6 @@ fn document() -> String {
         let plan = FaultPlan::seeded(3).fail_kernels_named("SSSP", 2);
         let cfg = ServeConfig {
             fault_plan: Some(plan),
-            max_retries: 1,
             cache_capacity: 0,
             ..base_config(engine, RebuildPolicy::ServePrevious)
         };

@@ -102,10 +102,14 @@ fn consumed_fault_does_not_refire_on_later_queries() {
         assert_eq!(status(r), "ok");
         assert_eq!(crc(r), cold);
     }
-    // Exactly one launch saw the kernel fault (one service-level retry);
-    // had the plan replayed it, every retry would have failed too.
-    let retries = svc.metrics().counter("serve_batch_retries_total", &[]);
+    // Exactly one launch saw the kernel fault (its device relaunched the
+    // one faulted kernel); had the plan replayed it, the second query's
+    // launch would have absorbed one too.
+    let scope = [("scope", "serve")];
+    let retries = svc.metrics().counter("fault_kernel_retries", &scope);
     assert_eq!(retries, Some(1));
+    let per_query: Vec<u32> = svc.telemetry().log.iter().map(|r| r.retries).collect();
+    assert_eq!(per_query, [1, 0]);
 }
 
 #[test]
@@ -152,12 +156,11 @@ fn one_lane_deadline_leaves_batchmate_bit_identical() {
 
 #[test]
 fn poisoned_fused_kernel_splits_and_isolates() {
-    // Every "BFSx2" launch faults, exhausting retries; the service must
-    // split the pair and finish both queries on singleton launches whose
-    // kernels carry a different name.
+    // Every "BFSx2" launch faults, past the device's relaunch budget; the
+    // service must split the pair and finish both queries on singleton
+    // launches whose kernels carry a different name.
     let cfg = ServeConfig {
         fault_plan: Some(FaultPlan::seeded(3).fail_kernels_named("BFSx2", u64::MAX)),
-        max_retries: 1,
         ..no_cache()
     };
     let (lines, svc) = run_script(cfg, "bfs 0\nbfs 5\nflush\n");
@@ -168,6 +171,28 @@ fn poisoned_fused_kernel_splits_and_isolates() {
         assert_eq!(crc(r), cold_crc(&Bfs::new(src)));
     }
     assert_eq!(svc.metrics().counter("serve_splits_total", &[]), Some(1));
+}
+
+#[test]
+fn a_resident_oom_splits_a_fused_launch_instead_of_rerunning_it() {
+    // The fused pair's first device allocation fails. A resident device
+    // does not rebatch, so the launch surfaces `DeviceOom`; the service
+    // splits the pair, and both singletons answer what a cold run does.
+    let cfg = ServeConfig {
+        fault_plan: Some(FaultPlan::new().fail_alloc_at(&[0])),
+        ..no_cache()
+    };
+    let (lines, svc) = run_script(cfg, "bfs 0\nbfs 5\nflush\n");
+    let rs = query_responses(&lines);
+    assert_eq!(rs.len(), 2);
+    for (r, src) in rs.iter().zip([0u32, 5]) {
+        assert_eq!(status(r), "ok", "split lane failed: {r:?}");
+        assert_eq!(crc(r), cold_crc(&Bfs::new(src)));
+    }
+    assert_eq!(svc.metrics().counter("serve_splits_total", &[]), Some(1));
+    assert_eq!(svc.metrics().counter("serve_scrubs_total", &[]), None);
+    let widths: Vec<u32> = svc.telemetry().log.iter().map(|r| r.batch_width).collect();
+    assert_eq!(widths, [1, 1], "both lanes settled on their singletons");
 }
 
 #[test]
@@ -502,8 +527,8 @@ fn serve_previous_policy_answers_from_the_prior_epoch() {
 
 #[test]
 fn frontier_launch_retries_faults_under_serve() {
-    // A one-shot kernel fault against the frontier engine takes the same
-    // service-level retry path as the shard engines (one middleware).
+    // A one-shot kernel fault against the frontier engine is relaunched in
+    // place by its device, as on the shard engines.
     let cfg = ServeConfig {
         engine: ServeEngine::Frontier,
         fault_plan: Some(FaultPlan::seeded(3).fail_kernel_at(&[0])),
@@ -514,10 +539,9 @@ fn frontier_launch_retries_faults_under_serve() {
     assert_eq!(rs.len(), 1);
     assert_eq!(status(rs[0]), "ok");
     assert_eq!(crc(rs[0]), cold_crc(&Bfs::new(0)));
-    assert_eq!(
-        svc.metrics().counter("serve_batch_retries_total", &[]),
-        Some(1)
-    );
+    let scope = [("scope", "serve")];
+    let retries = svc.metrics().counter("fault_kernel_retries", &scope);
+    assert_eq!(retries, Some(1));
 }
 
 #[test]
@@ -605,14 +629,14 @@ fn two_batches_in_one_window_rebuild_each_warm_key_once() {
 
 #[test]
 fn scrub_inside_a_serve_previous_window_spares_both_epochs() {
-    // A launch exhausts its retries inside a serve-previous window: the
-    // scrub drops the *previous* epoch's warm state (the one serving). The
-    // previous epoch must keep answering bit-identically (cold again), and
-    // the live epoch must still come back warm when the window closes.
+    // A launch's fault outlasts its device's budget inside a serve-previous
+    // window: the scrub drops the *previous* epoch's warm state (the one
+    // serving). The previous epoch must keep answering bit-identically (cold
+    // again), and the live epoch must still come back warm when the window
+    // closes.
     let cfg = ServeConfig {
         rebuild_policy: RebuildPolicy::ServePrevious,
         fault_plan: Some(FaultPlan::seeded(3).fail_kernels_named("SSSP", 2)),
-        max_retries: 1,
         ..no_cache()
     };
     let script = "bfs 0\nflush\ninsert 0 300 5\nsssp 3\ninsert 1 301 2\nbfs 0\nflush\n\
