@@ -29,15 +29,15 @@ use crate::cw::ConcatWindows;
 use crate::error::{check_topology, settle, EngineError};
 use crate::fallback::run_fallback_after;
 use crate::integrity::{IntegrityConfig, Stop};
-use crate::kernel::{fault_instant, Records};
+use crate::kernel::Records;
 use crate::memsize::{check_fits, check_shard_block, check_streams, ValueSizes};
 use crate::multi::drive;
 use crate::program::{ColumnKey, Value, VertexProgram};
 use crate::shards::GShards;
-use crate::stats::{FaultStats, MemoStats, RunStats, SdcStats};
+use crate::stats::{RunStats, SdcStats};
 use cusha_graph::{FleetPartition, Graph};
 use cusha_obs::trace::Tracer;
-use cusha_simt::{DeviceConfig, DeviceFleet, FaultPlan, Gpu, Interconnect, LaunchRecord, Profile};
+use cusha_simt::{DeviceConfig, DeviceFleet, FaultPlan, Interconnect, LaunchRecord};
 use std::any::Any;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -249,13 +249,17 @@ pub enum Placement {
     Resident,
     /// Out of core on one device (paper §5.1): `VertexValues` resident, the
     /// shards in batches of at most `bytes`, a batch's upload overlapping the
-    /// kernel before it on `streams >= 2`. An OOM halves `bytes` in place, and
-    /// a kernel that keeps faulting walks the ladder CW → G-Shards → host.
+    /// kernel before it when `overlap`. An OOM halves `bytes` in place; past
+    /// that budget, or when a kernel keeps faulting or the SDC budgets run
+    /// out, the device degrades in place to the host re-enactment of its
+    /// shards, as a fleet device does, keeping every iteration and batch
+    /// done before the fault.
     Streamed {
         /// Device-memory budget of one batch of shard arrays.
         bytes: u64,
-        /// Copy/compute streams; 1 serializes uploads and kernels.
-        streams: u32,
+        /// Whether copies and kernels run on two streams (batch `k+1`'s
+        /// upload beside batch `k`'s kernel) or one, serialized.
+        overlap: bool,
     },
     /// The shard sequence edge-balanced over `devices` devices, halo updates
     /// exchanged over `interconnect` once per iteration; a device whose
@@ -274,7 +278,10 @@ pub enum Placement {
 impl Placement {
     /// Double-buffered streaming under `bytes`.
     pub fn streamed(bytes: u64) -> Self {
-        Placement::Streamed { bytes, streams: 2 }
+        Placement::Streamed {
+            bytes,
+            overlap: true,
+        }
     }
 
     /// `devices` devices over PCIe, none with a plan of its own.
@@ -291,9 +298,6 @@ impl Placement {
     /// offending field on failure.
     pub fn validate(&self) -> Result<(), String> {
         let named = match self {
-            Placement::Streamed { streams: 0, .. } => {
-                return Err("streams must be at least 1".into())
-            }
             Placement::Streamed { bytes: 0, .. } => {
                 return Err("streamed bytes must be nonzero".into())
             }
@@ -673,21 +677,21 @@ pub fn try_run_warm<P: VertexProgram, O: RunObserver + ?Sized>(
 /// the whole run, a `false` cancelling it with [`EngineError::Deadline`].
 ///
 /// The placement picks the data the one host loop is handed, nothing else:
-/// the devices (one per run or rung, or a fleet over its fabric); what a
-/// fault past its budget does (surface; take the streamed ladder's next rung,
-/// G-Shards on a view of the layout, then the host; recover in place); the
-/// launch records (the layout's, lent to a resident run; per rung, device
-/// and streamed batch otherwise); and the shape of the statistics
-/// (single-engine, or flattened with [`RunStats::fleet`]). Whatever the
-/// placement, `RunStats::memo` counts per launch: one hit, miss or fallback
-/// for the launch's fixed share, plus one per block that ran its stage 4.
+/// the devices (one, or a fleet over its fabric); what a fault past its
+/// budget does (a resident run surfaces it, a streamed or fleet device
+/// degrades in place to the host re-enactment of its shards); the launch
+/// records (the layout's, lent to a resident run; per device and streamed
+/// batch otherwise); and the shape of the statistics (single-engine, or
+/// flattened with [`RunStats::fleet`]). Whatever the placement,
+/// `RunStats::memo` counts per launch: one hit, miss or fallback for the
+/// launch's fixed share, plus one per block that ran its stage 4.
 pub fn try_run_placed<P: VertexProgram, O: RunObserver + ?Sized>(
     prog: &P,
     graph: &Graph,
     layout: &PreparedLayout,
     cfg: &CuShaConfig,
     placement: &Placement,
-    mut fault_plan: Option<&mut FaultPlan>,
+    fault_plan: Option<&mut FaultPlan>,
     observer: &mut O,
 ) -> Result<CuShaOutput<P::V>, EngineError<P::V>> {
     cfg.validate().map_err(EngineError::InvalidConfig)?;
@@ -724,119 +728,69 @@ pub fn try_run_placed<P: VertexProgram, O: RunObserver + ?Sized>(
             .collect(),
         None => std::iter::once(0..layout.num_shards()).collect(),
     };
-    // What the streamed ladder's rungs share: the fault plan (consumed faults
-    // never re-fire) unless a fleet names its own, device 0's fault record and
-    // each device's SDC record, the budgets they count against, the clock a
-    // deadline bounds, and the memo and profile totals.
+    // Unless a fleet names its own plans, device 0 takes the caller's (or
+    // the configuration's), and the caller gets it back advanced.
     let carried = plans.iter().all(Option::is_none);
     if carried {
         let plan = fault_plan.as_deref().cloned();
         plans = vec![plan.or_else(|| cfg.fault_plan.clone())];
     }
-    let (mut fault, mut sdcs) = (FaultStats::default(), vec![SdcStats::default(); n]);
-    let (mut memo, mut profile, mut elapsed) = (MemoStats::default(), None::<Profile>, 0.0);
+    let link = fleet.as_ref().map(|(_, link)| (*link).clone());
+    let mut devices = DeviceFleet::new(&cfg.device, n, link);
+    devices.set_up(&cfg.trace, cfg.profile, plans);
+    let mut sdcs = vec![SdcStats::default(); n];
+    let mut records: Vec<Records> = (0..n).map(|_| Records::default()).collect();
     let id = accounting_id::<P>(&cfg.device);
-    let rungs = match streamed {
-        true => &[Repr::ConcatWindows, Repr::GShards][..],
-        false => std::slice::from_ref(&layout.repr),
-    };
-    for &repr in rungs.iter().skip_while(|&&r| r != layout.repr) {
-        // A later rung runs on the layout's own shard arrays: no sort.
-        let view = (repr != layout.repr).then(|| layout.view(repr));
-        let mut devices = match &fleet {
-            Some((_, link)) => DeviceFleet::new(&cfg.device, n, (*link).clone()),
-            None => DeviceFleet::solo(Gpu::new(cfg.device.clone())),
-        };
-        devices.set_tracer(&cfg.trace);
-        for d in 0..n {
-            let gpu = devices.device_mut(d);
-            gpu.set_profiling(cfg.profile);
-            if let Some(plan) = plans.get_mut(d).and_then(Option::take) {
-                gpu.set_fault_plan(plan);
-            }
-            // Device 0 carries the record of the rungs before; the others
-            // start clean.
-            gpu.faults = std::mem::take(&mut fault);
-        }
-        let mut records: Vec<Records> = (0..n).map(|_| Records::default()).collect();
-        if resident {
-            records[0].resident = layout.records.lend(&id);
-        }
-        // Launches are named for the representation; fault plans match on it.
-        let label = placement.label(repr);
-        let name = match streamed {
-            true => format!("{label}::{}", prog.name()),
-            false => format!("{}::{}", repr.label(), prog.name()),
-        };
-        let ran = drive(
-            prog,
-            graph,
-            cfg,
-            view.as_ref().unwrap_or(layout),
-            &shards,
-            &mut devices,
-            placement,
-            &name,
-            (&mut sdcs[..], &mut records[..]),
-            (elapsed, &mut *observer),
-        );
-        let gpu = devices.device_mut(0);
-        fault = gpu.faults;
-        memo.add(&MemoStats::from_gpu(gpu));
-        if let Some(p) = gpu.profile.take() {
-            profile.get_or_insert_default().absorb(&p);
-        }
-        if resident {
-            let lent = std::mem::take(&mut records[0].resident);
-            layout.records.give_back(id, lent);
-        }
-        // Counters consumed by a failed or cancelled run are consumed for good.
-        if carried {
-            plans[0] = gpu.take_fault_plan();
-            if let (Some(slot), Some(plan)) = (fault_plan.as_deref_mut(), &plans[0]) {
-                slot.clone_from(plan);
-            }
-        }
-        elapsed += gpu.total_seconds();
-        let (out, clocks) = match ran {
-            Ok(driven) => driven,
-            // Detected corruption outlived the rollback and restart budgets:
-            // abandon the device for the host fallback, which no flip reaches.
-            Err(Stop::Abandon) => {
-                sdcs[0].host_fallbacks += 1;
-                if streamed {
-                    fault_instant(gpu, "sdc", "host-fallback");
-                }
-                break;
-            }
-            // The next rung's kernels are another code path (and, under
-            // injection, another name pattern); the last one is the host.
-            Err(Stop::Error(EngineError::KernelFault { .. })) if streamed => {
-                fault.degradations += 1;
-                let next = match repr {
-                    Repr::ConcatWindows => "degrade-to-gshards",
-                    Repr::GShards => "degrade-to-host",
-                };
-                fault_instant(gpu, "fault", next);
-                continue;
-            }
-            Err(Stop::Error(e)) => return Err(e),
-        };
-        let out = match &fleet {
-            Some((fp, link)) => out.into_fleet(label, link.name, fp),
-            None => {
-                let values = graph.num_vertices() as u64 * u64::from(ValueSizes::of::<P>().vertex);
-                let streamed = streamed.then(|| cfg.device.transfer_seconds(values));
-                let mut out = out.into_solo(label, &clocks[0], streamed);
-                let stats = &mut out.stats;
-                (stats.fault, stats.sdc, stats.memo, stats.profile) =
-                    (fault, sdcs[0], memo, profile);
-                out
-            }
-        };
-        return out.into_result();
+    if resident {
+        records[0].resident = layout.records.lend(&id);
     }
-    run_fallback_after(prog, graph, layout, cfg, fault, sdcs[0], profile)
+    // Launches are named for the representation; fault plans match on it.
+    let label = placement.label(layout.repr);
+    let name = match streamed {
+        true => format!("{label}::{}", prog.name()),
+        false => format!("{}::{}", layout.repr.label(), prog.name()),
+    };
+    let ran = drive(
+        prog,
+        graph,
+        cfg,
+        layout,
+        &shards,
+        &mut devices,
+        placement,
+        &name,
+        (&mut sdcs[..], &mut records[..]),
+        &mut *observer,
+    );
+    let gpu = devices.device_mut(0);
+    if resident {
+        let lent = std::mem::take(&mut records[0].resident);
+        layout.records.give_back(id, lent);
+    }
+    // Counters consumed by a failed or cancelled run are consumed for good.
+    if let (true, Some(slot), Some(plan)) = (carried, fault_plan, gpu.take_fault_plan()) {
+        *slot = plan;
+    }
+    let (out, clocks) = match ran {
+        Ok(driven) => driven,
+        // Detected corruption outlived the rollback and restart budgets of
+        // a resident run: the host fallback, which no flip reaches, finishes.
+        Err(Stop::Abandon) => {
+            sdcs[0].host_fallbacks += 1;
+            let (fault, profile) = (gpu.faults, gpu.profile.take());
+            return run_fallback_after(prog, graph, layout, cfg, fault, sdcs[0], profile);
+        }
+        Err(Stop::Error(e)) => return Err(e),
+    };
+    let out = match &fleet {
+        Some((fp, link)) => out.into_fleet(label, link.name, fp),
+        None => {
+            let values = graph.num_vertices() as u64 * u64::from(ValueSizes::of::<P>().vertex);
+            let streamed = streamed.then(|| cfg.device.transfer_seconds(values));
+            out.into_solo(label, &clocks[0], streamed)
+        }
+    };
+    out.into_result()
 }
 
 #[cfg(test)]
@@ -981,8 +935,8 @@ mod tests {
     }
 
     /// Every placement over one layout answers what its one-shot twin does,
-    /// statistics included; a streamed run that degrades from CW runs its
-    /// G-Shards rung on the layout's own shard arrays.
+    /// statistics included; a streamed run that degrades in place takes no
+    /// view of the layout.
     #[test]
     fn every_placement_over_one_layout_matches_its_one_shot_twin() {
         use crate::multi::{try_run_multi, MultiConfig};
@@ -1034,16 +988,14 @@ mod tests {
         let out = placed(&Placement::streamed(bytes), Some(&mut plan), &mut holders);
         assert_eq!(
             (out.stats.engine.as_str(), out.stats.fault.degradations),
-            ("CuSha-GS-streamed", 1)
+            ("CuSha-CW-streamed", 1)
         );
-        // The CW rung never reached a boundary; at every boundary of the
-        // G-Shards rung the layout's arrays had a second holder, the rung's view.
+        // At every boundary, the layout is the one holder of its arrays.
         assert!(
-            !holders.1.is_empty() && holders.1.iter().all(|&n| n == 2),
+            !holders.1.is_empty() && holders.1.iter().all(|&n| n == 1),
             "{:?}",
             holders.1
         );
-        assert!(Arc::ptr_eq(&layout.view(Repr::GShards).gs, &layout.gs));
         let twin = StreamingConfig::new(cfg.clone().with_fault_plan(cw_faults), bytes);
         assert_eq!(
             shown(out),

@@ -25,8 +25,8 @@ pub enum EngineError<V> {
     /// The configuration is unusable; the string names the field and the
     /// constraint it violates.
     InvalidConfig(String),
-    /// Device memory was exhausted (and, for the streamed engine, rebatching
-    /// could not shrink the working set any further).
+    /// Device memory was exhausted, or a pre-flight found it would be. A
+    /// streamed or fleet device rebatches and then degrades in place instead.
     DeviceOom {
         /// Bytes the failed allocation would have brought the total to.
         requested_bytes: u64,
@@ -41,8 +41,8 @@ pub enum EngineError<V> {
         /// Zero-based index of the failed operation among its kind.
         op_index: u64,
     },
-    /// A kernel launch failed and (for recovering engines) every rung of
-    /// the degradation ladder was exhausted.
+    /// A kernel launch failed past the device's retries. A streamed or fleet
+    /// device degrades in place instead.
     KernelFault {
         /// Name of the kernel whose launch failed.
         name: String,

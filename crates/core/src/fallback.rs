@@ -1,14 +1,15 @@
-//! Host-side fallback engine — the last rung of the degradation ladder.
+//! Host-side fallback engine — the last rung of a resident run's SDC ladder.
 //!
-//! When the streamed engine's kernels keep faulting even after degrading
-//! CW → G-Shards, it abandons the device and finishes the computation here.
-//! This is *not* a fast CPU engine (the multithreaded CSR baseline lives in
-//! `cusha-baselines`, which depends on this crate and therefore cannot be
-//! called from it); it is a correctness anchor: a sequential re-enactment
-//! of the G-Shards engine's exact four-stage schedule — same shard order,
-//! same entry order, same publish rules — so its results are bit-identical
-//! to a fault-free [`crate::run`] in GS mode for every program, floats
-//! included. No device is involved, so no device fault can reach it.
+//! A resident run whose detected corruption outlives its rollback and restart
+//! budgets abandons its device and finishes here, on its own layout (a
+//! streamed or fleet device degrades in place to the same re-enactment of its
+//! shards). This is *not* a fast CPU engine (the multithreaded CSR baseline
+//! lives in `cusha-baselines`, which depends on this crate and therefore
+//! cannot be called from it); it is a correctness anchor: a sequential
+//! re-enactment of the G-Shards engine's exact four-stage schedule — same
+//! shard order, same entry order, same publish rules — so its results are
+//! bit-identical to a fault-free [`crate::run`] in GS mode for every program,
+//! floats included. No device is involved, so no device fault can reach it.
 
 use crate::engine::{CuShaConfig, CuShaOutput, PreparedLayout, Repr};
 use crate::error::EngineError;

@@ -239,9 +239,10 @@ pub enum Rung {
     /// Rolled back or restarted: re-execute from the rewound iteration.
     Resumed,
     /// Both budgets are spent and nothing was restored. The last rung is the
-    /// engine's, because what it can still trust differs: a single device is
-    /// abandoned for the host (the shard family's re-enactment, the frontier
-    /// family's oracles), the fleet degrades only the devices under suspicion.
+    /// engine's, because what it can still trust differs: a resident device
+    /// is abandoned for the host (the shard family's re-enactment, the
+    /// frontier family's oracles), a streamed or fleet run degrades only the
+    /// devices under suspicion, in place.
     Exhausted,
 }
 
@@ -285,8 +286,8 @@ pub struct Recovery<V, S = Vec<V>> {
 impl<V: Value, S: Default> Recovery<V, S> {
     /// `initial` yields the state the run starts from — verified by
     /// construction, so with integrity on it is called and kept as the first
-    /// checkpoint; with integrity off it is never called. `sdc`'s rollbacks
-    /// and restarts (an earlier rung's on the streamed ladder) are spent.
+    /// checkpoint (counted in `sdc`, the run's record); with integrity off it
+    /// is never called. The run's budgets start unspent.
     pub fn new(
         integ: IntegrityConfig,
         watchdog_interval: Option<u32>,
@@ -309,7 +310,7 @@ impl<V: Value, S: Default> Recovery<V, S> {
                 watchdog: HashSet::new(),
             },
             ring: VecDeque::new(),
-            spent: (sdc.rollbacks, sdc.full_restarts),
+            spent: (0, 0),
             watchdog_seen: HashSet::new(),
             need_reverify: false,
         }

@@ -38,8 +38,9 @@ use cusha_simt::{
 use std::ops::Range;
 use std::sync::Arc;
 
-/// Budget halvings a device may spend on OOM before the fault is final.
-pub(crate) const MAX_REBATCHES: u32 = 8;
+/// Byte-budget halvings an out-of-core device may spend on OOMs before it
+/// degrades in place to the host re-enactment of its shards.
+pub const MAX_REBATCHES: u32 = 8;
 
 /// Emits a recovery instant on the device's fault lane at its current clock.
 pub fn fault_instant(gpu: &Gpu, cat: &'static str, name: &str) {

@@ -66,7 +66,7 @@ pub use engine::{
 pub use error::{check_topology, settle, EngineError};
 pub use fallback::run_fallback;
 pub use integrity::{IntegrityConfig, IntegrityMode};
-pub use kernel::fault_instant;
+pub use kernel::{fault_instant, MAX_REBATCHES};
 pub use middleware::{run_engine, DeadlineObserver, Engine, EngineCtx, ShardEngine};
 pub use multi::{run_multi, try_run_multi, MultiConfig};
 pub use program::{ColumnKey, Value, VertexProgram};

@@ -36,9 +36,9 @@
 //! streamed placement's scheme — and a device whose kernel keeps faulting
 //! degrades to a host-side re-enactment of its own shards. A faulted device
 //! never poisons the fleet: the other devices keep running on hardware, and
-//! results stay bit-identical. That is the *recover in place* value of the
-//! loop's one fault policy ([`Placement::absorb`]); the resident and streamed
-//! placements pass *surface*, and a resident device never rebatches an OOM.
+//! results stay bit-identical. A streamed run's one device recovers the same
+//! way; only a resident device surfaces what its budgets do not absorb, an
+//! OOM included ([`Placement::surfaces`]).
 
 use crate::engine::{
     try_run_cold, CuShaConfig, CuShaOutput, Placement, PreparedLayout, RunObserver,
@@ -167,16 +167,20 @@ fn fleet_of<V>(out: CuShaOutput<V>) -> MultiOutput<V> {
 
 /// What a placement hands [`drive`] besides its devices and shards.
 impl Placement {
-    /// What a fault past a device's in-place budgets does — the one thing the
-    /// placements' recovery differs in. `Err(stop())`: it leaves [`drive`] as
-    /// a typed [`Stop`] (a resident or streamed run: an OOM, a kernel or copy
-    /// fault, a spent SDC ladder; the caller owns what comes next). `Ok(())`:
-    /// the caller recovers in place (a fleet device degrades to the host
-    /// re-enactment of its shards).
+    /// Whether a fault past a device's in-place budgets leaves [`drive`] (the
+    /// caller owns what comes next) — only a resident run's. A streamed or
+    /// fleet device rebatches an OOM and, past that, degrades in place to the
+    /// host re-enactment of its shards, which reads the host masters.
+    fn surfaces(&self) -> bool {
+        matches!(self, Placement::Resident)
+    }
+
+    /// `Err(stop())` where a fault past the budgets [surfaces](Self::surfaces)
+    /// as a typed [`Stop`]; `Ok(())` where the caller recovers in place.
     fn absorb<S>(&self, stop: impl FnOnce() -> S) -> Result<(), S> {
-        match self {
-            Placement::Fleet { .. } => Ok(()),
-            _ => Err(stop()),
+        match self.surfaces() {
+            true => Err(stop()),
+            false => Ok(()),
         }
     }
 }
@@ -227,8 +231,8 @@ enum Mode<P: VertexProgram> {
     /// Out of core (paper §5.1): `VertexValues` and the flag stay resident,
     /// the shards stream through in batches, each retired once its `SrcValue`
     /// is back in the host master. With them the current per-batch byte
-    /// budget, halved on each further OOM, and the stream count.
-    Streamed(Resident<P::V>, u64, u32),
+    /// budget, halved on each further OOM, and whether uploads overlap kernels.
+    Streamed(Resident<P::V>, u64, bool),
     /// Kernel-fault recovery: the device's shards are re-enacted on the
     /// host (bit-identical, zero modeled device time).
     Fallback,
@@ -334,12 +338,12 @@ impl<P: VertexProgram> MultiState<'_, P> {
     /// Device `d` goes out of core under `budget`: its resident part goes up,
     /// an OOM there treated like a batch's. `oom` is the fault that sent a
     /// device here from its whole-share upload. Past the rebatch budget the
-    /// fault surfaces, or — recovering in place — the device degrades.
+    /// device degrades.
     fn stream(
         &mut self,
         d: usize,
         mut budget: u64,
-        streams: u32,
+        overlap: bool,
         mut oom: Option<DeviceFault>,
     ) -> Result<(), DeviceFault> {
         let vrange = self.infos[d].vrange.clone();
@@ -365,7 +369,7 @@ impl<P: VertexProgram> MultiState<'_, P> {
         if self.base.integrity.mode.checksums() {
             self.crcs[d].0 = scrub(values);
         }
-        self.modes[d] = Mode::Streamed(res, budget, streams);
+        self.modes[d] = Mode::Streamed(res, budget, overlap);
         Ok(())
     }
 
@@ -548,8 +552,8 @@ impl<P: VertexProgram> MultiState<'_, P> {
     /// point and scrub, launch, `SrcValue` back into the master, retire —;
     /// flag readback. It reports the batch pipeline's seconds. An OOM inside
     /// the rebatch budget halves the byte budget and retries the batch. Past
-    /// it, or when a launch's retries are spent, the fault surfaces, or —
-    /// recovering in place — the device falls back from that batch on.
+    /// it, or when a launch's retries are spent, the device falls back from
+    /// that batch on: only a placement that recovers in place streams.
     fn iterate_streamed(
         &mut self,
         d: usize,
@@ -561,7 +565,7 @@ impl<P: VertexProgram> MultiState<'_, P> {
         let per_entry = entry_bytes(ValueSizes::of::<P>(), layout.repr());
         let (device, checksums) = (&self.base.device, self.base.integrity.mode.checksums());
         let (name, threads) = (&self.desc_name, self.base.threads_per_block);
-        let Mode::Streamed(res, budget, streams) = &mut self.modes[d] else {
+        let Mode::Streamed(res, budget, overlap) = &mut self.modes[d] else {
             unreachable!("caller matched a streamed device")
         };
         let vv_crc = &mut self.crcs[d].0;
@@ -569,7 +573,7 @@ impl<P: VertexProgram> MultiState<'_, P> {
         res.reset_flag(self.fleet.device_mut(d))?;
         *host_seconds += device.transfer_seconds(4);
         let (mut s, mut index) = (shards.start, 0u64);
-        // The batch pipeline's clock — with >= 2 streams, copy k+1 overlaps
+        // The batch pipeline's clock — overlapped, copy k+1 runs beside
         // kernel k: `copy_0 + Σ max(kernel_k, copy_{k+1})` — beside the serial
         // one: `Σ copy_k + Σ kernel_k`.
         let (mut piped, mut copied, mut in_kernels, mut last_kernel) = (0.0, 0.0, 0.0, 0.0f64);
@@ -646,7 +650,7 @@ impl<P: VertexProgram> MultiState<'_, P> {
                 slice.retire(gpu);
                 (s, index) = (end, index + 1);
             }
-            out.kernel_seconds = match *streams >= 2 {
+            out.kernel_seconds = match *overlap {
                 true => piped + last_kernel,
                 false => copied + in_kernels,
             };
@@ -654,21 +658,17 @@ impl<P: VertexProgram> MultiState<'_, P> {
             return Ok(());
         };
         match failed {
-            f @ (DeviceFault::Oom { .. } | DeviceFault::Kernel { .. }) => {
-                self.placement.absorb(|| f)?;
-                self.fall_back(d, s, out)
-            }
+            DeviceFault::Oom { .. } | DeviceFault::Kernel { .. } => self.fall_back(d, s, out),
             other => Err(other),
         }
     }
 }
 
-/// Absorbs an OOM inside a streaming placement's rebatch budget
-/// ([`MAX_REBATCHES`]): the byte budget halves and the caller retries in place.
-/// `false` past it, or on a resident placement: [`Placement::absorb`] decides.
+/// Absorbs an OOM inside the rebatch budget ([`MAX_REBATCHES`]): the byte
+/// budget halves and the caller retries in place. `false` past it, or where a
+/// fault [surfaces](Placement::surfaces): [`Placement::absorb`] decides.
 fn rebatch(placement: &Placement, gpu: &mut Gpu, budget: &mut u64) -> bool {
-    let streams = !matches!(placement, Placement::Resident);
-    let inside = streams && gpu.faults.oom_rebatches < MAX_REBATCHES;
+    let inside = !placement.surfaces() && gpu.faults.oom_rebatches < MAX_REBATCHES;
     if inside {
         gpu.faults.oom_rebatches += 1;
         fault_instant(gpu, "fault", "oom-rebatch");
@@ -686,9 +686,8 @@ fn rebatch(placement: &Placement, gpu: &mut Gpu, budget: &mut u64) -> bool {
 /// * `layout` is borrowed — its owner decides whether it outlives the run —
 ///   and `shards` gives each device its contiguous share of `0..num_shards`;
 /// * `fleet` holds the devices as their owner set them up (tracer, fault
-///   plan, profiling, and the fault record carried from earlier rungs — see
-///   [`Gpu::faults`]; each device's record is read back from it) and takes
-///   them back, plus their fabric.
+///   plan, profiling; each device's fault record, [`Gpu::faults`], is read
+///   back from it) and takes them back, plus their fabric.
 ///   Over one, devices overlap and the engine lane — setup, iteration and
 ///   download spans, events that belong to no one device, on
 ///   [`DeviceFleet::fleet_pid`] — runs on the fleet clock (slowest device per
@@ -699,10 +698,9 @@ fn rebatch(placement: &Placement, gpu: &mut Gpu, budget: &mut u64) -> bool {
 ///   in-place budgets, whether a fault surfaces or is recovered from in
 ///   place; `name` is what its launches are called (fault plans match on it);
 /// * `records` are the devices' SDC records and their launch records, the
-///   caller's so that they outlive an `Err`: a caller re-entering rung after
-///   rung carries device 0's SDC budgets across, and one that lent a layout's
-///   launch record gets it back; `since` is what the earlier rungs' modeled
-///   clock read, where the observer's and a deadline's run on from.
+///   caller's so that they outlive an `Err`: the host fallback after an
+///   abandoned resident run reports device 0's SDC record, and a caller that
+///   lent a layout's launch record gets it back.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
     prog: &P,
@@ -714,7 +712,7 @@ pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
     placement: &Placement,
     name: &str,
     (sdcs, records): (&mut [SdcStats], &mut [Records]),
-    (since, observer): (f64, &mut O),
+    observer: &mut O,
 ) -> Result<Driven<P::V>, Stop<P::V>> {
     let observer = &mut DeadlineObserver::new(base.deadline_seconds, observer);
     let (gs, n, engine_pid) = (layout.gs(), shards.len(), fleet.fleet_pid());
@@ -746,14 +744,14 @@ pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
         }
         let (gpu, shards) = (st.fleet.device_mut(d), &st.infos[d].shards);
         match *placement {
-            Placement::Streamed { bytes, streams } => st.stream(d, bytes, streams, None)?,
+            Placement::Streamed { bytes, overlap } => st.stream(d, bytes, overlap, None)?,
             _ => {
                 match upload_resident(gpu, layout, &st.host, shards.clone()) {
                     Ok((res, slice)) => st.modes[d] = Mode::Resident(Box::new(Held { res, slice })),
-                    // The partition does not fit: stream it, on one stream — the
-                    // fleet clock is each device's own serial clock.
+                    // The partition does not fit: stream it, without overlap —
+                    // the fleet clock is each device's own serial clock.
                     Err(f @ DeviceFault::Oom { .. }) => {
-                        st.stream(d, base.device.global_mem_bytes, 1, Some(f))?
+                        st.stream(d, base.device.global_mem_bytes, false, Some(f))?
                     }
                     Err(f) => return Err(f.into()),
                 }
@@ -793,8 +791,7 @@ pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
     let integ = base.integrity;
     let initial = || (st.host.values.clone(), st.host.src_value.clone());
     let mut recovery = Recovery::new(integ, base.watchdog_interval, &mut sdcs[0], initial);
-    let streaming = st.modes.iter().any(|m| matches!(m, Mode::Streamed(..)));
-    if !matches!(placement, Placement::Fleet { .. }) && !streaming {
+    if placement.surfaces() {
         // Everything is uploaded, a fault will surface before a device leaves
         // `Resident`, and `recovery` keeps the restart image it needs.
         st.host.release();
@@ -1004,7 +1001,7 @@ pub(crate) fn drive<P: VertexProgram, O: RunObserver + ?Sized>(
             // Iteration boundary: deadline, checkpoint (assembling the global
             // state from every device) and watchdog — the in-flight kernels
             // have completed, so aborting never leaves partial device writes.
-            let (iterations, elapsed) = (stats.iterations, since + st.now(fleet_clock));
+            let (iterations, elapsed) = (stats.iterations, st.now(fleet_clock));
             let (sdc, dev) = (&mut sdcs[0], fleet!(None::<usize>));
             if recovery.boundary(observer, law, sdc, iterations, iter_updated, elapsed, dev)? {
                 recover!(0, Detector::Invariant);
@@ -1445,9 +1442,9 @@ mod tests {
         }
         let resident = 400 * 4 + 4;
         base.device.global_mem_bytes = resident + largest;
-        let gpu = Gpu::new(base.device.clone());
-        let (mut fleet, mut sdc) = (DeviceFleet::solo(gpu), SdcStats::default());
-        let (shards, streams) = (0..layout.num_shards(), 2);
+        let mut fleet = DeviceFleet::new(&base.device, 1, None);
+        let mut sdc = SdcStats::default();
+        let shards = 0..layout.num_shards();
         let (out, _) = drive(
             &prog,
             &g,
@@ -1455,13 +1452,10 @@ mod tests {
             &layout,
             std::slice::from_ref(&shards),
             &mut fleet,
-            &Placement::Streamed {
-                bytes: budget,
-                streams,
-            },
+            &Placement::streamed(budget),
             "chain",
             (std::slice::from_mut(&mut sdc), &mut [Records::default()]),
-            (0.0, &mut NoopObserver),
+            &mut NoopObserver,
         )
         .unwrap_or_else(|_| panic!("streams within resident part + one batch"));
         assert_eq!(out.values, want.values);

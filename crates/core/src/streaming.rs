@@ -14,16 +14,18 @@
 //! master directly (the real implementation would buffer them in pinned
 //! memory; either way they cross PCIe, and we charge them as such).
 //!
-//! With `streams >= 2`, batch `k+1`'s upload overlaps batch `k`'s kernel, so
-//! an iteration's modeled time is the pipelined
+//! With `overlap` (two streams), batch `k+1`'s upload overlaps batch `k`'s
+//! kernel, so an iteration's modeled time is the pipelined
 //! `copy_0 + Σ max(kernel_k, copy_{k+1}) + kernel_last` instead of the
 //! serial sum.
 //!
 //! That residency is `Mode::Streamed` of the one host loop,
 //! `crate::multi::drive`, and [`Placement::Streamed`] is how a caller asks for
-//! it; its recovery — copy retries, an OOM halving the budget in place, the
-//! CW → G-Shards → host ladder — is that placement's (DESIGN §4.5). This
-//! module holds its one-shot entry and configuration.
+//! it. Its recovery is a fleet device's (DESIGN §4.5): copy and launch
+//! retries, an OOM halving the budget in place, and past those budgets (or
+//! the SDC ladder's) a degrade in place to the host re-enactment of its
+//! shards, from the failing batch on. This module holds its one-shot entry
+//! and configuration.
 
 use crate::engine::{try_run_cold, CuShaConfig, CuShaOutput, Placement};
 use crate::error::{settle, EngineError};
@@ -39,9 +41,9 @@ pub struct StreamingConfig {
     /// Device-memory budget for the per-entry shard arrays, in bytes.
     /// Batches are the longest runs of consecutive shards fitting it.
     pub resident_bytes: u64,
-    /// Number of copy/compute streams; `>= 2` overlaps uploads with
-    /// kernels, `1` serializes them.
-    pub streams: u32,
+    /// Whether uploads overlap kernels (two copy/compute streams) or are
+    /// serialized with them (one).
+    pub overlap: bool,
 }
 
 impl StreamingConfig {
@@ -51,7 +53,7 @@ impl StreamingConfig {
         StreamingConfig {
             base,
             resident_bytes,
-            streams: 2,
+            overlap: true,
         }
     }
 }
@@ -82,8 +84,8 @@ pub fn try_run_streamed<P: VertexProgram>(
     graph: &Graph,
     cfg: &StreamingConfig,
 ) -> Result<CuShaOutput<P::V>, EngineError<P::V>> {
-    let (bytes, streams) = (cfg.resident_bytes, cfg.streams);
-    let placement = Placement::Streamed { bytes, streams };
+    let (bytes, overlap) = (cfg.resident_bytes, cfg.overlap);
+    let placement = Placement::Streamed { bytes, overlap };
     try_run_cold(prog, graph, &cfg.base, &placement)
 }
 
@@ -189,9 +191,8 @@ mod tests {
         let prog = MiniSssp { source: 0 };
         let base = CuShaConfig::cw().with_vertices_per_shard(32);
         let mut cfg = StreamingConfig::new(base, tiny_budget(6000));
-        cfg.streams = 2;
         let overlapped = run_streamed(&prog, &g, &cfg);
-        cfg.streams = 1;
+        cfg.overlap = false;
         let serial = run_streamed(&prog, &g, &cfg);
         assert_eq!(overlapped.values, serial.values);
         assert!(
@@ -211,16 +212,5 @@ mod tests {
         for (v, &d) in streamed.values.iter().enumerate() {
             assert_eq!(d, v as u32);
         }
-    }
-
-    #[test]
-    fn zero_streams_is_an_invalid_config() {
-        let g = Graph::empty(4);
-        let mut cfg = StreamingConfig::new(CuShaConfig::gs(), 1024);
-        cfg.streams = 0;
-        assert!(matches!(
-            try_run_streamed(&MiniSssp { source: 0 }, &g, &cfg),
-            Err(EngineError::InvalidConfig(_))
-        ));
     }
 }

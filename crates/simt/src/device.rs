@@ -61,8 +61,8 @@ pub struct Gpu {
     /// The fault record: the transient faults absorbed in place (each copy
     /// absorbs up to [`MAX_COPY_RETRIES`], each launch [`MAX_KERNEL_RETRIES`])
     /// and what the owner's recovery wrote beside them (OOM rebatches,
-    /// degradations). An owner carrying a record from an earlier device of
-    /// the same run seeds it by assignment.
+    /// degradations). It starts clean with the device, which is the run's
+    /// one record of its faults.
     pub faults: FaultStats,
     /// Span sink; the default no-op handle records nothing.
     tracer: Tracer,
@@ -153,15 +153,15 @@ impl Gpu {
     }
 
     /// Installs a fault-injection plan; `try_*` operations consult it.
-    /// Replaces any existing plan (returning it), so a plan carried across
-    /// device rebuilds keeps its operation counters.
+    /// Replaces any existing plan (returning it); a plan handed from device
+    /// to device keeps its operation counters.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) -> Option<FaultPlan> {
         self.fault_plan.replace(plan)
     }
 
     /// Removes and returns the installed fault plan, if any. Engines call
     /// this before tearing a device down so the plan (with its consumed
-    /// fault coordinates) survives a restart.
+    /// fault coordinates) goes back to its caller for the next run.
     pub fn take_fault_plan(&mut self) -> Option<FaultPlan> {
         self.fault_plan.take()
     }
@@ -962,19 +962,13 @@ mod tests {
     }
 
     #[test]
-    fn a_fault_past_the_budget_surfaces_on_the_carried_record() {
-        // The record an owner carries from an earlier device is seeded by
-        // assignment, and the budget counts onto it: each op's faults up to
-        // its budget are absorbed, the next surfaces.
+    fn a_fault_past_the_budget_surfaces_and_the_record_counts_the_absorbed() {
+        // Each op's faults up to its budget are absorbed and counted in the
+        // device's record, the next surfaces.
         let plan = FaultPlan::new()
             .fail_h2d_at(&[0, 1, 2, 3])
             .fail_d2h_at(&[0]);
         let mut gpu = planned(plan.fail_kernel_at(&[0, 1]));
-        let carried = FaultStats {
-            degradations: 1,
-            ..Default::default()
-        };
-        gpu.faults = carried;
         assert!(matches!(
             gpu.try_upload(&[1u32]),
             Err(DeviceFault::Copy { op_index: 3, .. })
@@ -987,7 +981,7 @@ mod tests {
             Err(DeviceFault::Kernel { op_index: 1, .. })
         ));
         let absorbed = (gpu.faults.copy_retries, gpu.faults.kernel_retries);
-        assert_eq!((absorbed, gpu.faults.degradations), ((4, 1), 1));
+        assert_eq!((absorbed, gpu.faults.degradations), ((4, 1), 0));
         let marks: Vec<String> = fault_marks(&gpu).into_iter().map(|m| m.0).collect();
         let want = ["copy-retry"; 4].into_iter().chain(["kernel-retry"]);
         assert_eq!(marks, want.map(String::from).collect::<Vec<_>>());

@@ -19,6 +19,7 @@
 use crate::config::DeviceConfig;
 use crate::counters::KernelStats;
 use crate::device::Gpu;
+use crate::fault::FaultPlan;
 use cusha_obs::trace::{lanes, Tracer};
 
 /// Timing model of the link(s) connecting devices in a fleet.
@@ -101,32 +102,22 @@ impl Interconnect {
 /// via [`DeviceFleet::record_launch`]) so per-device behavior stays
 /// inspectable next to the fleet-level aggregate.
 pub struct DeviceFleet {
-    /// `None` for [`DeviceFleet::solo`]: one device has no peer to reach.
+    /// `None` for a lone device, which has no peer to reach.
     interconnect: Option<Interconnect>,
     devices: Vec<Gpu>,
     tallies: Vec<KernelStats>,
 }
 
 impl DeviceFleet {
-    /// Builds a fleet of `count` identical devices.
+    /// Builds a fleet of `count` identical devices joined by `interconnect`;
+    /// with none (a lone device) nothing is exchanged.
     ///
     /// # Panics
     /// Panics when `count` is zero.
-    pub fn new(cfg: &DeviceConfig, count: usize, interconnect: Interconnect) -> Self {
+    pub fn new(cfg: &DeviceConfig, count: usize, interconnect: Option<Interconnect>) -> Self {
         assert!(count > 0, "a device fleet needs at least one device");
         let devices = (0..count).map(|_| Gpu::new(cfg.clone())).collect();
-        Self::of(devices, Some(interconnect))
-    }
-
-    /// A fleet of one around a device its caller built (tracer and fault plan
-    /// already installed) and takes back through
-    /// [`DeviceFleet::device_mut`]. It has no fabric: nothing is exchanged.
-    pub fn solo(gpu: Gpu) -> Self {
-        Self::of(vec![gpu], None)
-    }
-
-    fn of(devices: Vec<Gpu>, interconnect: Option<Interconnect>) -> Self {
-        let tallies = (0..devices.len())
+        let tallies = (0..count)
             .map(|d| KernelStats {
                 name: format!("device-{d}").into(),
                 ..Default::default()
@@ -149,7 +140,7 @@ impl DeviceFleet {
         self.devices.is_empty()
     }
 
-    /// The fleet's interconnect model (`None` for a [`DeviceFleet::solo`]).
+    /// The fleet's interconnect model (`None` for a lone device).
     pub fn interconnect(&self) -> Option<&Interconnect> {
         self.interconnect.as_ref()
     }
@@ -164,13 +155,20 @@ impl DeviceFleet {
         &mut self.devices[d]
     }
 
-    /// Installs a tracer across the fleet: device `d` gets process lane
-    /// `d`, and — over a fabric — one extra process lane (`pid = len()`,
-    /// named "fleet") is reserved for fleet-level spans: bulk-synchronous
-    /// iterations and halo exchanges that belong to no single device.
-    pub fn set_tracer(&mut self, tracer: &Tracer) {
+    /// Sets the fleet up for a run: device `d` gets `plans[d]` (a shorter
+    /// list leaves the rest without one), profiling if asked, and the
+    /// tracer's process lane `d`; over a fabric, one extra process lane
+    /// (`pid = len()`, named "fleet") is reserved for fleet-level spans:
+    /// bulk-synchronous iterations and halo exchanges that belong to no
+    /// single device.
+    pub fn set_up(&mut self, tracer: &Tracer, profiling: bool, plans: Vec<Option<FaultPlan>>) {
+        let mut plans = plans.into_iter();
         for (d, gpu) in self.devices.iter_mut().enumerate() {
             gpu.set_tracer(tracer.clone(), d as u32);
+            gpu.set_profiling(profiling);
+            if let Some(plan) = plans.next().flatten() {
+                gpu.set_fault_plan(plan);
+            }
         }
         if self.interconnect.is_none() {
             return;
@@ -275,7 +273,11 @@ mod tests {
 
     #[test]
     fn fleet_devices_are_independent() {
-        let mut fleet = DeviceFleet::new(&DeviceConfig::tiny_test(), 2, Interconnect::pcie_gen3());
+        let mut fleet = DeviceFleet::new(
+            &DeviceConfig::tiny_test(),
+            2,
+            Some(Interconnect::pcie_gen3()),
+        );
         assert_eq!(fleet.len(), 2);
         assert!(!fleet.is_empty());
         let _ = fleet.device_mut(0).upload(&[1u32; 64]);
@@ -287,7 +289,8 @@ mod tests {
 
     #[test]
     fn tallies_stay_separate_and_aggregate_sums() {
-        let mut fleet = DeviceFleet::new(&DeviceConfig::tiny_test(), 3, Interconnect::nvlink());
+        let mut fleet =
+            DeviceFleet::new(&DeviceConfig::tiny_test(), 3, Some(Interconnect::nvlink()));
         let mk = |secs: f64, wi: u64| KernelStats {
             blocks: 2,
             seconds: secs,
@@ -314,6 +317,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one device")]
     fn empty_fleet_rejected() {
-        let _ = DeviceFleet::new(&DeviceConfig::tiny_test(), 0, Interconnect::pcie_gen3());
+        let _ = DeviceFleet::new(&DeviceConfig::tiny_test(), 0, None);
     }
 }

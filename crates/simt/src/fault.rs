@@ -10,10 +10,10 @@
 //! what makes recovery paths testable: an engine that retries/rebatches
 //! around injected faults must reproduce the fault-free values bit-for-bit.
 //!
-//! Operation counters live in the plan, not the `Gpu`, so a plan carried
-//! across engine restarts (e.g. after an OOM-triggered rebatch) keeps its
+//! Operation counters live in the plan, not the `Gpu`, so a plan handed from
+//! run to run (a caller's, given back advanced by the engine) keeps its
 //! global coordinates: a fault scheduled at h2d #7 fires exactly once even
-//! if the engine tears the device down and starts over.
+//! if the next run on a new device shares the plan.
 //!
 //! Faults are injected *before* the operation takes effect: a failed copy
 //! transfers nothing, a failed allocation reserves nothing, and a failed
@@ -196,8 +196,8 @@ pub struct FaultStats {
     /// Times a streamed device halved its byte budget, in place, after a
     /// device OOM.
     pub oom_rebatches: u32,
-    /// Rungs of the degradation ladder taken after repeated kernel faults
-    /// (CW → G-Shards → host fallback).
+    /// Times a device gave up for the host re-enactment of its shards, in
+    /// place, after a launch's retries or the OOM rebatches were spent.
     pub degradations: u32,
     /// Kernel launches that failed and were retried in place.
     pub kernel_retries: u32,

@@ -112,11 +112,6 @@ impl Profile {
         self.log.push(stats.clone());
     }
 
-    /// Absorbs another profile's launches (multi-device merge).
-    pub fn absorb(&mut self, other: &Profile) {
-        self.log.extend(other.log.iter().cloned());
-    }
-
     /// All recorded launches, in order.
     pub fn launches(&self) -> &[KernelStats] {
         &self.log
@@ -322,16 +317,6 @@ mod tests {
         assert!(j1.find("\"a\":").unwrap() < j1.find("\"b\":").unwrap());
         assert!(j1.contains("\"bound\":\"latency\""));
         assert!(j1.contains("\"launches\":1"));
-    }
-
-    #[test]
-    fn absorb_merges_histories() {
-        let mut a = Profile::default();
-        a.record(&fake("k", 0.001, 128, 1));
-        let mut b = Profile::default();
-        b.record(&fake("k", 0.002, 128, 1));
-        a.absorb(&b);
-        assert_eq!(a.aggregates()["k"].launches, 2);
     }
 
     #[test]

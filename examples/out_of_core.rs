@@ -33,16 +33,16 @@ fn main() {
     // Pretend the device only fits ~1/4 of the shard arrays.
     let footprint: u64 = graph.num_edges() as u64 * 20;
     let budget = footprint / 4;
-    for streams in [1u32, 2] {
+    for (streams, overlap) in [(1, false), (2, true)] {
         let mut cfg = StreamingConfig::new(base.clone(), budget);
-        cfg.streams = streams;
+        cfg.overlap = overlap;
         let out = run_streamed(&prog, &graph, &cfg);
         assert_eq!(out.values, in_core.values, "streamed results must match");
         println!(
             "streamed x{streams}  : {:>8.2} ms, {} iterations ({} the copies)",
             out.stats.total_ms(),
             out.stats.iterations,
-            if streams >= 2 {
+            if overlap {
                 "overlapping"
             } else {
                 "serializing"

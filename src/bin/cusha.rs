@@ -1028,7 +1028,7 @@ mod tests {
             a.placement,
             Placement::Streamed {
                 bytes: 4096,
-                streams: 2
+                overlap: true
             }
         ));
         assert_eq!(
@@ -1093,10 +1093,10 @@ mod tests {
         assert!(matches!(a.placement, Placement::Resident));
         assert_eq!(a.cfg.max_iterations, 10_000);
         let streamed = parsed("--algo bfs --rmat 8:600 --engine gs-streamed").expect("streamed");
-        let Placement::Streamed { bytes, streams } = streamed.placement else {
+        let Placement::Streamed { bytes, overlap } = streamed.placement else {
             panic!("a streamed engine is placed streamed")
         };
-        assert_eq!((bytes, streams), (16 << 20, 2));
+        assert_eq!((bytes, overlap), (16 << 20, true));
         let fleet = parsed("--algo bfs --rmat 8:600 --interconnect nvlink --devices 3");
         let Placement::Fleet {
             devices,

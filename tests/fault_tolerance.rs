@@ -7,8 +7,9 @@
 use cusha::algos::{Bfs, PageRank};
 use cusha::baselines::{try_run_vwc, VwcConfig};
 use cusha::core::{
-    run, try_run, try_run_streamed, try_run_warm, CuShaConfig, EngineError, FaultStats,
-    NoopObserver, PreparedLayout, Repr, RunStats, StreamingConfig, VertexProgram,
+    run, try_run, try_run_placed, try_run_streamed, try_run_warm, CuShaConfig, EngineError,
+    FaultStats, NoopObserver, Placement, PreparedLayout, Repr, RunStats, StreamingConfig,
+    VertexProgram, MAX_REBATCHES,
 };
 use cusha::frontier::{try_run_frontier, try_run_kcore, try_run_triangles, FrontierConfig};
 use cusha::graph::generators::rmat::{rmat, RmatConfig};
@@ -83,32 +84,29 @@ fn same_seed_means_same_schedule_and_same_values() {
     assert_eq!(a.values, clean.values);
 }
 
-/// Persistent CW kernel faults push the streamed engine down the first rung
-/// of the degradation ladder (CW → G-Shards); the degraded run bit-matches
-/// the in-core engine.
+/// Persistent CW kernel faults degrade the streamed device in place to the
+/// host re-enactment of its shards, which follows the G-Shards schedule; the
+/// degraded run bit-matches the in-core G-Shards engine.
 #[test]
 fn cw_kernel_faults_degrade_to_gs_and_bit_match_in_core() {
     let g = rmat(&RmatConfig::graph500(8, 2500, 79));
-    let prog = Bfs::new(0);
+    let prog = PageRank::new();
     let in_core = run(&prog, &g, &CuShaConfig::gs().with_vertices_per_shard(32));
 
-    // Every CW launch fails (even after the in-place retry); GS launches
-    // ("CuSha-GS-streamed::…") never match the pattern.
+    // Every CW launch fails, its in-place retry included.
     let mut cfg = streamed_cfg(Repr::ConcatWindows, 1 << 14);
     cfg.base.fault_plan = Some(FaultPlan::new().fail_kernels_named("CuSha-CW", u64::MAX));
     let degraded = try_run_streamed(&prog, &g, &cfg).expect("degraded run");
 
     assert_eq!(degraded.stats.fault.degradations, 1);
-    assert!(
-        degraded.stats.engine.contains("GS"),
-        "expected a GS engine label, got {:?}",
-        degraded.stats.engine
-    );
-    assert_eq!(degraded.values, in_core.values);
+    assert_eq!(degraded.stats.engine, "CuSha-CW-streamed");
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&degraded.values), bits(&in_core.values));
 }
 
-/// When every device kernel fails — CW and GS alike — the ladder bottoms
-/// out on the host fallback, which still produces the exact answer.
+/// When every streamed kernel fails, the run still lands on the host
+/// fallback's re-enactment, degrading once in place, and produces the exact
+/// answer.
 #[test]
 fn total_kernel_failure_lands_on_the_host_fallback() {
     let g = rmat(&RmatConfig::graph500(8, 2500, 80));
@@ -119,9 +117,75 @@ fn total_kernel_failure_lands_on_the_host_fallback() {
     cfg.base.fault_plan = Some(FaultPlan::new().fail_kernels_named("streamed", u64::MAX));
     let out = try_run_streamed(&prog, &g, &cfg).expect("fallback run");
 
-    assert_eq!(out.stats.fault.degradations, 2);
-    assert_eq!(out.stats.engine, "host-fallback");
+    assert_eq!(out.stats.fault.degradations, 1);
     assert_eq!(out.values, in_core.values);
+}
+
+/// A streamed device whose budgets run out degrades in place to the host
+/// re-enactment of its shards, as a fleet device does, and the run answers
+/// exactly under its own label. A launch that fails with its retry in the
+/// last iteration keeps every iteration before it and re-launches nothing;
+/// OOMs past the rebatch budget degrade the same way instead of surfacing.
+#[test]
+fn a_streamed_device_past_its_budgets_degrades_in_place() {
+    let g = rmat(&RmatConfig::graph500(8, 2500, 79));
+    let prog = Bfs::new(0);
+    let in_core = run(&prog, &g, &CuShaConfig::cw().with_vertices_per_shard(32));
+    let cfg = streamed_cfg(Repr::ConcatWindows, 1 << 14);
+    let (bytes, overlap) = (cfg.resident_bytes, cfg.overlap);
+    let placement = Placement::Streamed { bytes, overlap };
+    let layout = PreparedLayout::for_program::<Bfs>(&g, &cfg.base, &placement).unwrap();
+    let placed = |plan: &mut FaultPlan| {
+        let observer = &mut NoopObserver;
+        try_run_placed(
+            &prog,
+            &g,
+            &layout,
+            &cfg.base,
+            &placement,
+            Some(plan),
+            observer,
+        )
+    };
+    let mut plan = FaultPlan::new();
+    let clean = placed(&mut plan).expect("clean run");
+    let (_, _, allocs, kernels) = plan.op_counters();
+    // Every iteration launches one kernel per batch.
+    let iterations = u64::from(clean.stats.iterations);
+    let last = iterations - 1;
+    let first_of_last = kernels / iterations * last;
+    let mut plan = FaultPlan::new().fail_kernel_at(&[first_of_last, first_of_last + 1]);
+    let out = placed(&mut plan).expect("degraded in place");
+    assert_eq!(out.values, in_core.values);
+    let (engine, fault) = (out.stats.engine.as_str(), out.stats.fault);
+    assert_eq!(
+        (engine, fault.kernel_retries, fault.degradations),
+        ("CuSha-CW-streamed", 1, 1)
+    );
+    let bits = |s: &RunStats| -> Vec<(u64, u64)> {
+        let before = &s.per_iteration[..last as usize];
+        before
+            .iter()
+            .map(|i| (i.seconds.to_bits(), i.updated_vertices))
+            .collect()
+    };
+    assert_eq!(bits(&out.stats), bits(&clean.stats));
+    assert!(
+        plan.op_counters().3 <= kernels + 1,
+        "{:?}",
+        plan.op_counters()
+    );
+
+    // Mid-run, every allocation fails once more than the rebatch budget.
+    let oom: Vec<u64> = (allocs / 2..=allocs / 2 + u64::from(MAX_REBATCHES)).collect();
+    let out = placed(&mut FaultPlan::new().fail_alloc_at(&oom)).expect("degraded in place");
+    assert_eq!(out.values, in_core.values);
+    let fault = out.stats.fault;
+    assert_eq!(
+        (fault.oom_rebatches, fault.degradations),
+        (MAX_REBATCHES, 1)
+    );
+    assert_eq!(out.stats.engine, "CuSha-CW-streamed");
 }
 
 /// Copy faults beyond the retry budget are not recoverable and surface as
@@ -327,7 +391,7 @@ fn invalid_configs_are_errors_not_panics() {
         ));
     }
     let mut zero_res = StreamingConfig::new(CuShaConfig::cw(), 0);
-    zero_res.streams = 1;
+    zero_res.overlap = false;
     assert!(matches!(
         try_run_streamed(&Bfs::new(0), &g, &zero_res),
         Err(EngineError::InvalidConfig(_))

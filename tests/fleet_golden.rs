@@ -619,8 +619,8 @@ fn streamed_observed<P: VertexProgram>(
     plan: &mut FaultPlan,
     observer: &mut dyn RunObserver,
 ) -> Result<CuShaOutput<P::V>, EngineError<P::V>> {
-    let (bytes, streams) = (cfg.resident_bytes, cfg.streams);
-    let placement = Placement::Streamed { bytes, streams };
+    let (bytes, overlap) = (cfg.resident_bytes, cfg.overlap);
+    let placement = Placement::Streamed { bytes, overlap };
     let layout = PreparedLayout::for_program::<P>(g, &cfg.base, &placement)?;
     try_run_placed(
         prog,
@@ -634,9 +634,10 @@ fn streamed_observed<P: VertexProgram>(
 }
 
 /// Everything the streamed host loop decides. Class A (must never move): the
-/// clean runs, in-place copy and kernel retries, the CW -> G-Shards -> host
-/// ladder, every surfaced error with the plan's counters, cancellation, the
-/// deadline across a rung, the watchdog, the cap, profiling, a carried plan.
+/// clean runs, in-place copy and kernel retries, the degrade in place to the
+/// host, every surfaced error with the plan's counters, cancellation, the
+/// deadline across a degrade, the watchdog, the cap, profiling, a carried
+/// plan.
 /// Class B (`streamed/oom/*`): out-of-memory recovery.
 fn streamed_records(lines: &mut Vec<String>, graphs: &[(&'static str, Graph); 3]) {
     let memo = |s: &RunStats| {
@@ -653,15 +654,14 @@ fn streamed_records(lines: &mut Vec<String>, graphs: &[(&'static str, Graph); 3]
         prog: &P,
         g: &Graph,
         mut base: CuShaConfig,
-        (traced, streams): (bool, u32),
+        traced: bool,
         memo: impl Fn(&RunStats) -> String,
     ) {
         if traced {
             base.trace = Tracer::enabled();
         }
         let budget = three_batch_budget::<P>(g, &base);
-        let mut cfg = StreamingConfig::new(base, budget);
-        cfg.streams = streams;
+        let cfg = StreamingConfig::new(base, budget);
         let out = try_run_streamed(prog, g, &cfg).expect("clean streamed run");
         assert!(out.stats.fault.is_clean());
         let extra = memo(&out.stats);
@@ -670,8 +670,8 @@ fn streamed_records(lines: &mut Vec<String>, graphs: &[(&'static str, Graph); 3]
     for (gi, (gname, g)) in graphs.iter().enumerate() {
         for (ri, repr) in [Repr::GShards, Repr::ConcatWindows].into_iter().enumerate() {
             let base = CuShaConfig::new(repr);
-            // Two traced rows; one graph's SSSP also with a single stream.
-            let how = |ai: usize| ((gi + ri, ai) == (1, 1) || (gi, ri, ai) == (2, 1, 2), 2);
+            // Two traced rows.
+            let how = |ai: usize| (gi + ri, ai) == (1, 1) || (gi, ri, ai) == (2, 1, 2);
             let name = |algo: &str| format!("streamed/{gname}/{}/{algo}", repr.label());
             let (b, m) = (base.clone(), &memo);
             clean(lines, name("bfs"), &Bfs::new(0), g, b, how(0), m);
@@ -700,7 +700,7 @@ fn streamed_records(lines: &mut Vec<String>, graphs: &[(&'static str, Graph); 3]
     let cw = CuShaConfig::cw();
     let budget = three_batch_budget::<Sssp>(road, &cw);
     let mut serial = StreamingConfig::new(cw.clone(), budget);
-    serial.streams = 1;
+    serial.overlap = false;
     let out = try_run_streamed(&sssp, road, &serial);
     outcome_line(lines, "streamed/streams-1", out, &cw.trace, "");
     let whole = StreamingConfig::new(cw.clone(), u64::MAX);
@@ -756,11 +756,11 @@ fn streamed_records(lines: &mut Vec<String>, graphs: &[(&'static str, Graph); 3]
         ("h2d-flag-reset", FaultPlan::new().fail_h2d_at(&[2])),
         ("kernel-retry", FaultPlan::new().fail_kernel_at(&[1])),
         (
-            "cw-to-gs",
+            "cw-kernels-degrade-in-place",
             FaultPlan::new().fail_kernels_named("CuSha-CW", u64::MAX),
         ),
         (
-            "cw-to-host",
+            "all-kernels-degrade-in-place",
             FaultPlan::new().fail_kernels_named("streamed", u64::MAX),
         ),
         (
@@ -783,32 +783,27 @@ fn streamed_records(lines: &mut Vec<String>, graphs: &[(&'static str, Graph); 3]
         outcome_line(lines, &name, out, &trace, &plan_state(&plan));
     }
 
-    // ---- Cancellation, a deadline across a rung, the watchdog, the cap -----
+    // ---- Cancellation, a deadline across a degrade, the watchdog, the cap --
     let (out, trace) = run(&cfg, &mut FaultPlan::new(), &mut CancelAt(2));
     outcome_line(lines, "streamed/cancel-at-2", out, &trace, "");
-    // The CW rung's launch faults cost modeled time before G-Shards starts:
-    // the deadline falls inside the second rung and counts both.
-    let cw_faults = || FaultPlan::new().fail_kernels_named("CuSha-CW", u64::MAX);
-    let (mut degraded, mut straight) = (Clock(Vec::new()), Clock(Vec::new()));
-    run(&cfg, &mut cw_faults(), &mut degraded)
+    // The second iteration's first launch and its retry fail: the device
+    // degrades there, the download of its values on the clock, and its clock
+    // stands still on the host. The deadline falls inside that iteration.
+    let degrade = || FaultPlan::new().fail_kernel_at(&[batches, batches + 1]);
+    let mut degraded = Clock(Vec::new());
+    run(&cfg, &mut degrade(), &mut degraded)
         .0
         .expect("degraded run");
-    let gs = StreamingConfig::new(CuShaConfig::gs(), budget);
-    run(&gs, &mut FaultPlan::new(), &mut straight)
-        .0
-        .expect("G-Shards run");
-    assert!(
-        degraded.0[0] > straight.0[0],
-        "the first rung's clock is lost"
-    );
+    let at = &degraded.0;
+    assert!(at[0] < at[1] && at[1] == at[2], "{at:?}");
     let mut c = cfg.clone();
-    c.base.deadline_seconds = Some((degraded.0[1] + degraded.0[2]) / 2.0);
-    let (out, trace) = run(&c, &mut cw_faults(), &mut NoopObserver);
+    c.base.deadline_seconds = Some((at[0] + at[1]) / 2.0);
+    let (out, trace) = run(&c, &mut degrade(), &mut NoopObserver);
     assert!(matches!(
         out,
-        Err(EngineError::Deadline { iterations: 3, .. })
+        Err(EngineError::Deadline { iterations: 2, .. })
     ));
-    outcome_line(lines, "streamed/deadline-across-rungs", out, &trace, "");
+    outcome_line(lines, "streamed/deadline-across-degrade", out, &trace, "");
     let mut c = cfg.clone();
     c.base.watchdog_interval = Some(3);
     let (out, trace) = run(&c, &mut FaultPlan::new(), &mut NoopObserver);

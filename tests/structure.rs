@@ -77,9 +77,10 @@ const ROWS: &[(&str, &str, RangeInclusive<usize>, &str)] = &[
     // One loop where there were three, one out-of-core residency where there
     // were two, one entry where there were three (DESIGN 4.2): a placement is
     // data the entry hands the loop.
-    (ENTRIES, "macro_rules!|Recovery::new|.launch(|loop {|while ", 0..=0, "every placement enters multi::drive; the streamed ladder is a `for` over views of one layout"),
+    (ENTRIES, "macro_rules!|Recovery::new|.launch(|loop {|while ", 0..=0, "every placement enters multi::drive once: try_run_placed is one fleet, one drive, one result"),
+    ("crates/core/src/** crates/simt/src/**", "degrade-to-gshards|skip_while|fn absorb(&mut self, other: &Profile)|streams must be", 0..=0, "a streamed device degrades in place, as a fleet device does: no CW -> G-Shards -> host restart, no profile summed across restarts, no stream count to refuse"),
     ("crates/** src/** tests/** !structure.rs", "try_run_streamed_observed|try_run_multi_observed|fn run_fleet|StreamedEngine|FleetEngine|fn fleet_stats", 0..=0, "one entry (try_run_placed) and one adapter (ShardEngine); fleet statistics ride in RunStats::fleet"),
-    (CORE, "PreparedLayout::build(|Self::build(", 2..=2, "for_program's and the public run_fallback's: the streamed ladder runs on views of its layout, a fleet borrows it"),
+    (CORE, "PreparedLayout::build(|Self::build(", 2..=2, "for_program's and the public run_fallback's: every placement borrows its caller's layout"),
     (CORE, "Recovery::new(", 1..=1, "one host loop: drive"),
     // One SDC ladder (DESIGN 4.8): VWC, the frontier engine and k-core climb
     // integrity::Recovery through DeviceRun instead of keeping copies, and
@@ -92,7 +93,7 @@ const ROWS: &[(&str, &str, RangeInclusive<usize>, &str)] = &[
     (CORE, ".launch(", 2..=2, "DeviceSlice::launch: a resident device's, a streamed device's batch"),
     ("crates/**", "fresh_gpu|replace_device|Mode::Rebatched|TimeAcc|stream_attempt|iterate_rebatched|fn run_batch", 0..=0, "a retired batch's memory is freed; no second device, no second batch loop"),
     (MULTI, "Gpu::new(", 0..=0, "the fleet's devices come from DeviceFleet::new"),
-    (CORE, "Gpu::new(", 2..=2, "the shard entry's lone device and DeviceRun's; a fleet's come from DeviceFleet::new"),
+    (CORE, "Gpu::new(", 1..=1, "DeviceRun's; the shard entry's devices, a lone one or a fleet, come from DeviceFleet::new"),
     // A single-device run is written once (DESIGN 4.2): DeviceRun builds the
     // device, hands the plan back, marks the setup, closes each iteration
     // and splits the clock.
@@ -103,7 +104,7 @@ const ROWS: &[(&str, &str, RangeInclusive<usize>, &str)] = &[
     ("crates/core/src/** !fallback.rs", "run_fallback(", 0..=0, "ladders reach the host fallback through run_fallback_after"),
     ("crates/core/src/fallback.rs", "run_fallback_after(", 1..=1, "one body: run_fallback is it over an empty record"),
     (MULTI, "devices == 1|n == 1|len() == 1", 0..=0, "no arity test in drive(); only the engine label matches on the count"),
-    (MULTI, "Placement::", 5..=5, "which placement called is data: MultiConfig spells one; drive reads it where a device begins, in what a spent budget does, in whether an OOM rebatches and in whether the masters outlive the upload (the copy and launch budgets are every device's own)"),
+    (MULTI, "Placement::", 3..=3, "which placement called is data: MultiConfig spells one; drive reads it where a device begins, and Placement::surfaces once for what a spent budget does, whether an OOM rebatches and whether the masters outlive the upload (the copy and launch budgets are every device's own)"),
     // The service gives each of its decisions one owner (DESIGN 4.10).
     (SERVE, "try_run_warm(", 1..=1, "Ready::run is the only caller of a warm entry point"),
     (SERVE, "try_run_frontier_warm(", 1..=1, "Ready::run is the only caller of a warm entry point"),
@@ -137,7 +138,7 @@ const ROWS: &[(&str, &str, RangeInclusive<usize>, &str)] = &[
     ("crates/baselines/src/vwc.rs", "Csr::from_graph(", 1..=1, "the cold façade builds; try_run_vwc_warm borrows"),
     ("crates/baselines/src/mtcpu.rs", "Csr::from_graph(", 1..=1, "the cold façade builds; try_run_mtcpu_warm borrows"),
     ("crates/frontier/src/prepared.rs", "Csr::from_graph(", 2..=2, "PreparedFrontier::build and Prepared::csr; ::around borrows the held CSR"),
-    (CORE, "GShards::from_graph(", 1..=1, "PreparedLayout::build; a view sorts nothing, a ladder's host rung reuses its run's layout"),
+    (CORE, "GShards::from_graph(", 1..=1, "PreparedLayout::build; a view sorts nothing, and a degraded device or an abandoned run's host fallback re-enacts its run's own layout"),
     ("crates/core/src/shards.rs", "sort_unstable|sort_by|.sort(", 0..=0, "the shard build is counting passes"),
     ("crates/bench/src/bench_defs.rs crates/bench/src/matrix.rs", "run_cusha(|run_vwc(|run_frontier(|run_mtcpu(|PreparedLayout::build(", 0..=0, "cells enter the warm entries over one cusha_frontier::Prepared, which builds their layouts"),
     // One store of prepared state (DESIGN 4.9, 4.10): cusha_frontier::Prepared
@@ -231,17 +232,21 @@ const ROWS: &[(&str, &str, RangeInclusive<usize>, &str)] = &[
 /// whole-attempt retry (core's and the frontier family's wrappers), the
 /// middleware's `recovers_faults`, the service's retry loop, its backoff and
 /// its budget, and `--retries` went.
+/// Core's, `multi.rs`'s and the simulator's are the counts landed by the
+/// change that let a streamed device degrade in place as a fleet device does:
+/// the streamed restart ladder and what it carried between rungs,
+/// `Profile::absorb`, `DeviceFleet::solo` and the stream count went.
 /// Nothing adds to any of them without taking as much out.
 const CEILINGS: &[(&str, usize)] = &[
-    ("crates/core/src/**", 5344),
-    (MULTI, 1080),
+    ("crates/core/src/**", 5300),
+    (MULTI, 1077),
     ("crates/bench/src/**", 2816),
     ("crates/baselines/src/**", 894),
     ("crates/frontier/src/**", 1797),
     ("crates/serve/src/**", 3041),
     ("src/**", 1013),
     ("crates/graph/src/**", 2359),
-    ("crates/simt/src/**", 3918),
+    ("crates/simt/src/**", 3911),
     ("crates/obs/src/**", 1438),
     ("crates/algos/src/**", 1449),
 ];
