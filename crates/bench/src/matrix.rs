@@ -125,15 +125,12 @@ fn range_ms(cells: &[&CellResult]) -> Option<(f64, f64)> {
 }
 
 /// Resolves a requested job count to the worker-thread count actually used:
-/// an explicit `requested > 0` wins, else the host's available parallelism,
-/// else 1.
+/// an explicit `requested > 0` wins, else the host's available parallelism
+/// ([`cusha_graph::par::cores`]), else 1.
 pub fn effective_jobs(requested: usize) -> usize {
-    if requested > 0 {
-        return requested;
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    Some(requested)
+        .filter(|&n| n > 0)
+        .unwrap_or_else(cusha_graph::par::cores)
 }
 
 /// `work(0..n)` on `effective_jobs(jobs).min(n)` workers, results in item
@@ -146,11 +143,14 @@ pub fn effective_jobs(requested: usize) -> usize {
 /// Its allocator arena holds what earlier calls freed, so a repeated call
 /// reuses that memory instead of growing one more fresh arena per call —
 /// with every worker spawned, the process's peak resident set moved 10% from
-/// run to run with where the allocator had parked the freed pages.
+/// run to run with where the allocator had parked the freed pages. Spawned
+/// workers lease the spare cores ([`cusha_graph::par::Lease`]), so a cell's
+/// topology build runs on its worker alone; an explicit `jobs` still wins.
 fn pooled<T: Send>(n: usize, jobs: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     let workers = effective_jobs(jobs).min(n.max(1));
+    let _spawned = cusha_graph::par::Lease::take(workers - 1);
     let drain = || loop {
         let i = next.fetch_add(1, Ordering::Relaxed);
         if i >= n {

@@ -14,7 +14,9 @@
 //! eliminating the idle lanes that throttle G-Shards on large sparse graphs.
 
 use crate::shards::{column, GShards};
+use cusha_graph::par::{split_work, workers_for};
 use cusha_graph::VertexId;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Window-major `SrcIndex` + `Mapper` columns, grouped per shard.
@@ -29,26 +31,18 @@ pub struct ConcatWindows {
 }
 
 impl ConcatWindows {
-    /// Derives the CW columns from a shard decomposition.
+    /// Derives the CW columns from a shard decomposition: `CW_s` is windows
+    /// `W_s0, W_s1, ..` in order, and workers take contiguous source shard
+    /// ranges balanced by entries ([`cusha_graph::par::split_work`]).
     pub fn from_gshards(gs: &GShards) -> Self {
-        let p = gs.num_shards();
-        let m = gs.num_edges() as usize;
-        let mut cw_starts = Vec::with_capacity(p as usize + 1);
+        let (p, m) = (gs.num_shards() as usize, gs.num_edges() as usize);
+        let sizes = Vec::from_iter((0..p).map(|s| windows(gs, s).map(|w| w.len()).sum()));
         let (mut src_index, mut mapper) = (column(m), column(m));
-        let [si, map] = [&mut src_index, &mut mapper].map(|c| Arc::get_mut(c).expect("fresh"));
-        let mut at = 0;
-        cw_starts.push(0);
-        for s in 0..p {
-            for j in 0..p {
-                for k in gs.window(s, j) {
-                    (si[at], map[at]) = (gs.src_index()[k], k as u32);
-                    at += 1;
-                }
-            }
-            cw_starts.push(at as u32);
-        }
+        let cols = [&mut src_index, &mut mapper].map(|c| Arc::get_mut(c).expect("fresh"));
+        let (_lease, workers) = workers_for(m);
+        let copy = |s, _, cols: [&mut _; 2], _: &mut _, _: &mut _| copy_windows(gs, s, cols);
         ConcatWindows {
-            cw_starts,
+            cw_starts: split_work(&sizes, workers, cols, &mut [], 0, |_| (), copy),
             src_index,
             mapper,
         }
@@ -85,11 +79,72 @@ impl ConcatWindows {
     }
 }
 
+/// Source shard `s`'s windows `W_s0, W_s1, ..`, in order.
+fn windows(gs: &GShards, s: usize) -> impl Iterator<Item = Range<usize>> + '_ {
+    (0..gs.num_shards()).map(move |j| gs.window(s as u32, j))
+}
+
+/// Copies source shard `s`'s windows, in order, into `[SrcIndex, Mapper]`.
+fn copy_windows(gs: &GShards, s: usize, [si, map]: [&mut [u32]; 2]) {
+    let (src, mut at) = (gs.src_index(), 0);
+    for w in windows(gs, s) {
+        for k in w {
+            (si[at], map[at]) = (src[k], k as u32);
+            at += 1;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shards::tests::seeded_graph;
     use cusha_graph::generators::rmat::{rmat, RmatConfig};
+    use cusha_graph::par::with_workers;
     use cusha_graph::{Edge, Graph};
+    use proptest::prelude::*;
+
+    /// The walk [`ConcatWindows::from_gshards`] replaced, kept as its
+    /// reference: every window `W_sj`, `s`-major, one entry at a time.
+    fn reference_build(gs: &GShards) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+        let (mut starts, mut si, mut map) = (vec![0], Vec::new(), Vec::new());
+        for s in 0..gs.num_shards() {
+            for j in 0..gs.num_shards() {
+                for k in gs.window(s, j) {
+                    si.push(gs.src_index()[k]);
+                    map.push(k as u32);
+                }
+            }
+            starts.push(si.len() as u32);
+        }
+        (starts, si, map)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Any worker count copies the reference's bytes: the graphs of
+        /// the shard build's proptest (empty, edgeless, one shard, empty
+        /// shards, a ragged last shard, loops, duplicates, hubs).
+        #[test]
+        fn any_worker_count_equals_the_reference_build(
+            n in 0u32..48,
+            tail in 0u32..6,
+            m in 0usize..160,
+            seed in any::<u64>(),
+            pick in 0usize..5,
+            hub in 0u8..3,
+        ) {
+            let g = seeded_graph(n, tail, m, seed, hub);
+            let gs = GShards::from_graph(&g, [1, 2, 3, n.saturating_sub(1), 2 * n][pick].max(1));
+            let want = reference_build(&gs);
+            for workers in 1..=4 {
+                let cw = with_workers(workers, || ConcatWindows::from_gshards(&gs));
+                let got = (cw.cw_starts.clone(), cw.src_index.to_vec(), cw.mapper.to_vec());
+                prop_assert_eq!(&got, &want, "workers={}", workers);
+            }
+        }
+    }
 
     fn sample() -> Graph {
         Graph::new(

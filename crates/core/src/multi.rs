@@ -575,7 +575,7 @@ impl<P: VertexProgram> MultiState<'_, P> {
         let (mut s, mut index) = (shards.start, 0u64);
         // The batch pipeline's clock — overlapped, copy k+1 runs beside
         // kernel k: `copy_0 + Σ max(kernel_k, copy_{k+1})` — beside the serial
-        // one: `Σ copy_k + Σ kernel_k`.
+        // one: `Σ copy_k + Σ kernel_k`; either charges what ran before a fault.
         let (mut piped, mut copied, mut in_kernels, mut last_kernel) = (0.0, 0.0, 0.0, 0.0f64);
         let failed = 'batches: {
             while s < shards.end {
@@ -587,10 +587,10 @@ impl<P: VertexProgram> MultiState<'_, P> {
                 let mut slice = match up {
                     Ok(slice) => slice,
                     Err(DeviceFault::Oom { .. }) if rebatch(placement, gpu, budget) => continue,
-                    Err(f) => break 'batches f,
+                    Err(f) => break 'batches Some(f),
                 };
                 let copy = gpu.h2d_seconds - h2d_before;
-                (piped, copied) = (piped + last_kernel.max(copy), copied + copy);
+                (piped, copied, last_kernel) = (piped + last_kernel.max(copy), copied + copy, 0.0);
                 // Flip point: silent bit flips land while the batch sits in
                 // device DRAM, and the scrubber verifies both protected
                 // buffers before the kernel consumes them. The batch's
@@ -627,7 +627,7 @@ impl<P: VertexProgram> MultiState<'_, P> {
                 let (kstats, updated) =
                     match slice.launch(gpu, name, threads, prog, layout, res, record, sink) {
                         Ok(launched) => launched,
-                        Err(f) => break 'batches f,
+                        Err(f) => break 'batches Some(f),
                     };
                 out.updated += updated;
                 (last_kernel, in_kernels) = (kstats.seconds, in_kernels + kstats.seconds);
@@ -650,16 +650,16 @@ impl<P: VertexProgram> MultiState<'_, P> {
                 slice.retire(gpu);
                 (s, index) = (end, index + 1);
             }
-            out.kernel_seconds = match *overlap {
-                true => piped + last_kernel,
-                false => copied + in_kernels,
-            };
-            res.read_flag(self.fleet.device_mut(d))?;
-            return Ok(());
+            None
+        };
+        out.kernel_seconds = match *overlap {
+            true => piped + last_kernel,
+            false => copied + in_kernels,
         };
         match failed {
-            DeviceFault::Oom { .. } | DeviceFault::Kernel { .. } => self.fall_back(d, s, out),
-            other => Err(other),
+            None => res.read_flag(self.fleet.device_mut(d)).map(drop),
+            Some(DeviceFault::Oom { .. } | DeviceFault::Kernel { .. }) => self.fall_back(d, s, out),
+            Some(other) => Err(other),
         }
     }
 }

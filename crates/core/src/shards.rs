@@ -13,6 +13,7 @@
 //! entries of shard `j` whose source lies in shard `i`'s vertex range — a
 //! contiguous span; [`GShards::window`] exposes the precomputed span matrix.
 
+use cusha_graph::par::shard_order;
 use cusha_graph::{Graph, VertexId};
 use std::sync::Arc;
 
@@ -50,49 +51,18 @@ impl GShards {
     /// Builds the shard decomposition with `vertices_per_shard = n_per` (the
     /// paper's `|N|`).
     ///
-    /// Three stable counting passes, least significant key first: by
-    /// destination from id order, by source, then by owning shard into the
-    /// columns, each carrying what the next one reads.
+    /// The edges in (owning shard, src, dst, id) order, and where each
+    /// window opens: [`cusha_graph::par::shard_order`], three counting
+    /// passes on one worker and a two-level bucket sort on more.
     ///
     /// # Panics
     /// Panics if `n_per == 0`.
     pub fn from_graph(g: &Graph, n_per: u32) -> Self {
         assert!(n_per > 0, "vertices_per_shard must be positive");
         let (n, m) = (g.num_vertices(), g.num_edges() as usize);
-        let (nv, per) = (n as usize, n_per as usize);
         let ps = n.div_ceil(n_per).max(1) as usize;
-        // Counts sit two slots past their vertex, so a prefix sum leaves
-        // `ends[v + 1]` at bucket v's start and a scatter moves it to v's
-        // end: `ends[..=nv]` is then the offsets the next pass walks.
-        let (mut dst_ends, mut src_ends) = (vec![0u32; nv + 2], vec![0u32; nv + 2]);
-        for e in g.edges() {
-            dst_ends[e.dst as usize + 2] += 1;
-            src_ends[e.src as usize + 2] += 1;
-        }
-        for ends in [&mut dst_ends, &mut src_ends] {
-            (1..ends.len()).for_each(|k| ends[k] += ends[k - 1]);
-        }
-        // By destination, `(src, id)` in (dst, id) order; then by source,
-        // `(dst, id)` in (src, dst, id) order.
-        let (mut by_dst, mut by_src) = (vec![(0u32, 0u32); m], vec![(0u32, 0u32); m]);
-        for (id, e) in g.edges().iter().enumerate() {
-            let c = &mut dst_ends[e.dst as usize + 1];
-            by_dst[*c as usize] = (e.src, id as u32);
-            *c += 1;
-        }
-        for (dst, bucket) in dst_ends[..=nv].windows(2).enumerate() {
-            for &(src, id) in &by_dst[bucket[0] as usize..bucket[1] as usize] {
-                let c = &mut src_ends[src as usize + 1];
-                by_src[*c as usize] = (dst as VertexId, id);
-                *c += 1;
-            }
-        }
-        drop(by_dst);
-        let shard_starts: Vec<u32> = (0..=ps).map(|j| dst_ends[(j * per).min(nv)]).collect();
-        // By owning shard, into the columns: (shard, src, dst, id) order.
-        // Window W_ij starts at shard j's cursor when the walk enters shard i.
-        let (mut cursor, mut window_offsets) = (shard_starts[..ps].to_vec(), column(ps * ps));
-        let (mut src_index, mut dest_index, mut edge_id) = (column(m), column(m), column(m));
+        let (mut window_offsets, mut src_index) = (column(ps * ps), column(m));
+        let (mut dest_index, mut edge_id) = (column(m), column(m));
         let [offsets, si, di, ei] = [
             &mut window_offsets,
             &mut src_index,
@@ -100,18 +70,7 @@ impl GShards {
             &mut edge_id,
         ]
         .map(|c| Arc::get_mut(c).expect("a fresh column"));
-        for (src, bucket) in src_ends[..=nv].windows(2).enumerate() {
-            if src % per == 0 {
-                let column = offsets.iter_mut().skip(src / per).step_by(ps);
-                column.zip(&cursor).for_each(|(slot, &c)| *slot = c);
-            }
-            for &(dst, id) in &by_src[bucket[0] as usize..bucket[1] as usize] {
-                let c = &mut cursor[(dst / n_per) as usize];
-                let k = *c as usize;
-                (si[k], di[k], ei[k]) = (src as VertexId, dst, id);
-                *c += 1;
-            }
-        }
+        let shard_starts = shard_order(g, n_per, [si, di, ei], offsets);
         GShards {
             num_vertices: n,
             vertices_per_shard: n_per,
@@ -201,9 +160,10 @@ impl GShards {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cusha_graph::generators::rmat::{rmat, RmatConfig};
+    use cusha_graph::par::with_workers;
     use cusha_graph::Edge;
     use proptest::prelude::*;
 
@@ -271,9 +231,10 @@ mod tests {
     /// A graph from `seed` over `n` vertices whose last `tail` stay isolated:
     /// `m` random edges, a share of them repeated as parallel edges (same
     /// endpoints, a later id), a share followed by a self-loop, and, with
-    /// `hub`, vertex 0 pointing at every live vertex so its out-edges reach
-    /// every shard that owns one.
-    fn seeded_graph(n: u32, tail: u32, m: usize, seed: u64, hub: bool) -> Graph {
+    /// `hub` 1, vertex 0 pointing at every live vertex so its out-edges reach
+    /// every shard that owns one; with `hub` 2, every live vertex pointing at
+    /// vertex 0 twice, so shard 0 holds most edges.
+    pub(crate) fn seeded_graph(n: u32, tail: u32, m: usize, seed: u64, hub: u8) -> Graph {
         let live = n.saturating_sub(tail);
         let mut state = seed;
         let mut next = |bound: u32| {
@@ -293,8 +254,10 @@ mod tests {
                     edges.push(Edge::new(dst, dst, 4));
                 }
             }
-            if hub {
-                edges.extend((0..live).map(|v| Edge::new(0, v, 3)));
+            match hub {
+                1 => edges.extend((0..live).map(|v| Edge::new(0, v, 3))),
+                2 => edges.extend((0..2 * live).map(|v| Edge::new(v / 2, 0, 3))),
+                _ => {}
             }
         }
         Graph::new(n, edges)
@@ -303,6 +266,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
+        /// The shard sort, on any worker count, equals the reference.
         #[test]
         fn counting_passes_equal_the_reference_build(
             n in 0u32..48,
@@ -310,16 +274,20 @@ mod tests {
             m in 0usize..160,
             seed in any::<u64>(),
             pick in 0usize..6,
-            hub in any::<bool>(),
+            hub in 0u8..3,
         ) {
             let g = seeded_graph(n, tail, m, seed, hub);
             let n_per = [1, 2, 3, n.saturating_sub(1), n, 2 * n][pick].max(1);
-            let differs = first_difference(&GShards::from_graph(&g, n_per), &reference_build(&g, n_per));
-            prop_assert!(
-                differs.is_none(),
-                "{differs:?} differs: |V|={n} tail={tail} |E|={} seed={seed:#x} hub={hub} n_per={n_per}",
-                g.num_edges()
-            );
+            let want = reference_build(&g, n_per);
+            for workers in 1..=4 {
+                let built = with_workers(workers, || GShards::from_graph(&g, n_per));
+                let differs = first_difference(&built, &want);
+                prop_assert!(
+                    differs.is_none(),
+                    "{differs:?} differs: |V|={n} tail={tail} |E|={} seed={seed:#x} hub={hub} n_per={n_per} workers={workers}",
+                    g.num_edges()
+                );
+            }
         }
     }
 

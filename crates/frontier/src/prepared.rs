@@ -4,14 +4,15 @@
 //! out-edges for **push** iterations (expand the compacted frontier) and
 //! in-edges for **pull** iterations (every vertex folds its full in-edge
 //! list). [`PreparedFrontier`] holds both as CSR — the in-edge side reuses
-//! [`cusha_graph::Csr`], the out-edge side is built here by the same stable
-//! counting sort. [`Prepared`] keys, builds, shares and releases everything
+//! [`cusha_graph::Csr`], the out-edge side is the same sort by source
+//! ([`adjacency`]). [`Prepared`] keys, builds, shares and releases everything
 //! prepared from one graph, for `cusha serve`'s epochs and the experiment
 //! matrix's datasets alike.
 
 use cusha_core::memsize::{check_fits, ValueSizes};
 use cusha_core::{CuShaConfig, EngineError, PreparedLayout, Repr};
-use cusha_graph::{Csr, EdgeId, Graph, VertexId};
+use cusha_graph::csr::adjacency;
+use cusha_graph::{Csr, Edge, EdgeId, Graph, VertexId};
 use cusha_simt::DeviceConfig;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -144,25 +145,8 @@ impl PreparedFrontier {
     /// Builds the out-edge direction around a caller-held in-edge CSR of `g`
     /// (one the VWC cells of the same graph run over, say).
     pub fn around(g: &Graph, csr: Arc<Csr>) -> Self {
-        let n = g.num_vertices() as usize;
-        let m = g.num_edges() as usize;
-        // Stable counting sort of edges by source vertex.
-        let mut out_idxs = vec![0u32; n + 1];
-        for e in g.edges() {
-            out_idxs[e.src as usize + 1] += 1;
-        }
-        for v in 0..n {
-            out_idxs[v + 1] += out_idxs[v];
-        }
-        let mut cursor: Vec<u32> = out_idxs[..n].to_vec();
-        let mut out_dsts = vec![0 as VertexId; m];
-        let mut out_eids = vec![0 as EdgeId; m];
-        for (id, e) in g.edges().iter().enumerate() {
-            let slot = cursor[e.src as usize] as usize;
-            cursor[e.src as usize] += 1;
-            out_dsts[slot] = e.dst;
-            out_eids[slot] = id as EdgeId;
-        }
+        let cols = |e: &Edge, id| [e.dst, id];
+        let (out_idxs, [out_dsts, out_eids]) = adjacency(g, |e| e.src, cols);
         PreparedFrontier {
             num_vertices: g.num_vertices(),
             num_edges: g.num_edges(),
@@ -212,7 +196,64 @@ impl PreparedFrontier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cusha_graph::generators::rmat::{rmat, RmatConfig};
+    use cusha_graph::par::with_workers;
     use cusha_graph::Edge;
+
+    /// The counting sort [`PreparedFrontier::around`] replaced, kept as its
+    /// reference: `(out_idxs, out_dsts, out_eids)` by source, stable.
+    fn reference_out(g: &Graph) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+        let n = g.num_vertices() as usize;
+        let mut out_idxs = vec![0u32; n + 1];
+        for e in g.edges() {
+            out_idxs[e.src as usize + 1] += 1;
+        }
+        for v in 0..n {
+            out_idxs[v + 1] += out_idxs[v];
+        }
+        let mut cursor = out_idxs[..n].to_vec();
+        let (mut dsts, mut eids) = (
+            vec![0; g.num_edges() as usize],
+            vec![0; g.num_edges() as usize],
+        );
+        for (id, e) in g.edges().iter().enumerate() {
+            let slot = cursor[e.src as usize] as usize;
+            cursor[e.src as usize] += 1;
+            (dsts[slot], eids[slot]) = (e.dst, id as u32);
+        }
+        (out_idxs, dsts, eids)
+    }
+
+    #[test]
+    fn any_worker_count_equals_the_reference_out_csr() {
+        let hub = (0..3000).map(|v| Edge::new(2047, v, 1)).collect();
+        let loops = vec![Edge::new(2, 2, 1), Edge::new(0, 1, 2), Edge::new(0, 1, 3)];
+        let shapes = [
+            Graph::empty(0),
+            Graph::empty(3000),
+            Graph::new(4, loops),
+            Graph::new(3000, hub),
+            rmat(&RmatConfig::graph500(12, 20000, 3)),
+            rmat(&RmatConfig::graph500(13, 9000, 8)),
+        ];
+        for g in &shapes {
+            let csr = Arc::new(Csr::from_graph(g));
+            for workers in 1..=4 {
+                let pf = with_workers(workers, || PreparedFrontier::around(g, Arc::clone(&csr)));
+                let got = (
+                    pf.out_idxs.clone(),
+                    pf.out_dsts.clone(),
+                    pf.out_eids.clone(),
+                );
+                assert_eq!(
+                    got,
+                    reference_out(g),
+                    "|V|={} workers={workers}",
+                    g.num_vertices()
+                );
+            }
+        }
+    }
 
     #[test]
     fn out_csr_groups_by_source_in_stable_order() {

@@ -13,6 +13,8 @@
 //! * [`generators`] — RMAT, Erdős–Rényi and geometric-lattice generators,
 //! * [`surrogates`] — synthetic stand-ins for the six SNAP datasets of
 //!   Table 1 (see DESIGN.md for the substitution rationale),
+//! * [`par`] — the process-wide budget of spare cores and the two levels
+//!   every topology build (G-Shards, CW, both CSRs) is split into,
 //! * [`partition`] — edge-balanced fleet partitioning with per-device halo
 //!   sets, feeding the engine's multi-GPU mode,
 //! * [`degree`] — degree-distribution analysis used by Figure 1,
@@ -31,6 +33,7 @@ pub mod degree;
 pub mod generators;
 pub mod io;
 pub mod mutate;
+pub mod par;
 pub mod partition;
 pub mod reorder;
 pub mod surrogates;

@@ -97,19 +97,29 @@ impl FleetPartition {
         }
 
         // Halo of partition k: distinct sources of its edges that it does
-        // not own. One pass over the edge list; dedup by sort at the end.
+        // not own. One pass over the edge list marks each in k's |V|-bit
+        // seen set (the shard -> part table finds k); a walk of the set in
+        // order lists them sorted and once each.
+        let mut part_of = vec![0usize; p];
+        for (k, r) in ranges.iter().enumerate() {
+            part_of[r.clone()].fill(k);
+        }
+        let words = (n as usize).div_ceil(64);
+        let mut seen = vec![0u64; parts * words];
         for e in g.edges() {
-            let k = ranges
-                .iter()
-                .position(|r| r.contains(&((e.dst / n_per) as usize)))
-                .expect("ranges cover every shard");
+            let k = part_of[(e.dst / n_per) as usize];
             if !out[k].vertices.contains(&e.src) {
-                out[k].halo.push(e.src);
+                seen[k * words + e.src as usize / 64] |= 1 << (e.src % 64);
             }
         }
-        for part in &mut out {
-            part.halo.sort_unstable();
-            part.halo.dedup();
+        for (part, set) in out.iter_mut().zip(seen.chunks_exact(words.max(1))) {
+            for (w, &word) in set.iter().enumerate() {
+                let mut left = word;
+                while left != 0 {
+                    part.halo.push((w * 64) as u32 + left.trailing_zeros());
+                    left &= left - 1;
+                }
+            }
         }
 
         FleetPartition {
@@ -402,6 +412,53 @@ mod tests {
                 }
             }
             assert!(fp.imbalance() >= 1.0 - 1e-12);
+        }
+    }
+
+    /// The halo build [`FleetPartition::from_graph`] replaced, kept as its
+    /// reference: each edge's part by a search of the ranges, every foreign
+    /// source pushed, then sorted and deduplicated.
+    fn reference_halos(g: &Graph, n_per: u32, parts: usize) -> Vec<Vec<u32>> {
+        let fp = FleetPartition::from_graph(g, n_per, parts);
+        let mut halos = vec![Vec::new(); parts];
+        for e in g.edges() {
+            let k = fp
+                .parts()
+                .iter()
+                .position(|r| r.shards.contains(&((e.dst / n_per) as usize)))
+                .expect("ranges cover every shard");
+            if !fp.parts()[k].vertices.contains(&e.src) {
+                halos[k].push(e.src);
+            }
+        }
+        for halo in &mut halos {
+            halo.sort_unstable();
+            halo.dedup();
+        }
+        halos
+    }
+
+    #[test]
+    fn seen_sets_equal_the_reference_halos() {
+        let sample_hub = Graph::new(70, (0..70).map(|v| Edge::new(69, v, 1)).collect());
+        let graphs = [
+            sample(),
+            Graph::empty(0),
+            Graph::empty(5),
+            sample_hub,
+            rmat(&RmatConfig::graph500(9, 4000, 77)),
+            rmat(&RmatConfig::graph500(7, 900, 3)),
+        ];
+        for g in &graphs {
+            for (n_per, parts) in [(1, 1), (3, 2), (4, 4), (32, 3), (64, 8), (1000, 2)] {
+                let fp = FleetPartition::from_graph(g, n_per, parts);
+                let halos: Vec<Vec<u32>> = fp.parts().iter().map(|p| p.halo.clone()).collect();
+                assert_eq!(
+                    halos,
+                    reference_halos(g, n_per, parts),
+                    "n_per={n_per} parts={parts}"
+                );
+            }
         }
     }
 

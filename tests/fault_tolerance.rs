@@ -4,7 +4,7 @@
 //! recovery path (retry, rebatch, degrade) re-executes the same
 //! deterministic schedule.
 
-use cusha::algos::{Bfs, PageRank};
+use cusha::algos::{Bfs, PageRank, Sssp};
 use cusha::baselines::{try_run_vwc, VwcConfig};
 use cusha::core::{
     run, try_run, try_run_placed, try_run_streamed, try_run_warm, CuShaConfig, EngineError,
@@ -186,6 +186,22 @@ fn a_streamed_device_past_its_budgets_degrades_in_place() {
         (MAX_REBATCHES, 1)
     );
     assert_eq!(out.stats.engine, "CuSha-CW-streamed");
+}
+
+/// A streamed device that degrades mid-iteration keeps that iteration's
+/// modeled time: the batches it uploaded and launched before the failing one
+/// are charged to it. (`cusha --algo sssp --rmat 8:600 --engine cw-streamed
+/// --resident-bytes 4096 --inject kernel@13,kernel@14`: the last iteration's
+/// second launch and its retry fail.)
+#[test]
+fn a_mid_iteration_degrade_keeps_the_iteration_s_time() {
+    let g = rmat(&RmatConfig::graph500(8, 600, 42));
+    let plan = FaultPlan::parse_inject("kernel@13,kernel@14").unwrap();
+    let cfg = StreamingConfig::new(CuShaConfig::cw().with_fault_plan(plan), 4096);
+    let out = try_run_streamed(&Sssp::new(0), &g, &cfg).expect("degraded in place");
+    assert_eq!(out.stats.fault.degradations, 1);
+    let seconds: Vec<f64> = out.stats.per_iteration.iter().map(|i| i.seconds).collect();
+    assert!(seconds.iter().all(|&s| s > 0.0), "{seconds:?}");
 }
 
 /// Copy faults beyond the retry budget are not recoverable and surface as
